@@ -1,13 +1,14 @@
 //! Batch-throughput bench: S=16 what-if scenarios evaluated in one
 //! `evaluate_batch` call vs S sequential transactional sessions.
 //!
-//! The batched path shares one synced base propagation across all
-//! scenarios and recomputes only inside each scenario's dirty fanout
-//! cone, so it should beat S full session round-trips by a wide margin.
-//! Emits one machine-readable JSON line after the human table and exits
-//! non-zero when the speedup falls below the gate (acceptance: ≥ 5× at
-//! S=16 since the compact-slot ScenarioBatch landed). Drift auditing is
-//! disabled so neither path degrades to the other.
+//! Both arms now recompute only each scenario's dirty fanout cone: the
+//! sequential arm is S *cone* sessions (update + rollback re-sweep), no
+//! longer S full-graph passes, so the old ≥ 5× gate — which was really
+//! "cone vs full pass" — has nothing left to protect. What remains is the
+//! batch's amortization (one overlay build and one level walk for S
+//! lanes, against S report copies and S re-sweeps), reported for the
+//! record: one machine-readable JSON line after the human table, no gate.
+//! Drift auditing is disabled so neither path degrades to the other.
 
 use insta_bench::block_specs;
 use insta_engine::{DeltaSet, DriftPolicy, InstaConfig, InstaEngine};
@@ -17,12 +18,6 @@ use insta_support::json::{obj, Json};
 use insta_support::timer::{black_box, Harness};
 
 const SCENARIOS: usize = 16;
-
-/// Minimum accepted batch-vs-sequential speedup. The compact-slot
-/// `ScenarioBatch` layout measures ~12× here; 5× leaves headroom for
-/// machine variance while still catching a dense-allocation regression
-/// (which lands near 3×).
-const GATE_MIN_SPEEDUP: f64 = 5.0;
 
 fn main() {
     let spec = &block_specs()[4]; // block-5
@@ -50,7 +45,7 @@ fn main() {
         .collect();
 
     let mut h = Harness::new("batch_throughput");
-    h.bench("sequential_sessions", || {
+    h.bench("sequential_cone_sessions", || {
         let mut tns = 0.0;
         for set in &scenarios {
             let mut session = engine.begin_session();
@@ -59,7 +54,6 @@ fn main() {
         }
         black_box(tns)
     });
-    engine.propagate(); // resync the base before the batched path
     h.bench("evaluate_batch", || {
         let tns: f64 = engine
             .evaluate_batch(&scenarios)
@@ -76,7 +70,7 @@ fn main() {
             .find(|m| m.name == name)
             .map_or(0.0, |m| m.mean.as_secs_f64() * 1e9)
     };
-    let sequential = mean_ns("sequential_sessions");
+    let sequential = mean_ns("sequential_cone_sessions");
     let batch = mean_ns("evaluate_batch");
     let speedup = if batch > 0.0 { sequential / batch } else { 0.0 };
     println!(
@@ -85,14 +79,9 @@ fn main() {
             ("suite", Json::Str("batch_throughput".into())),
             ("block", Json::Str(spec.name.into())),
             ("scenarios", Json::Num(SCENARIOS as f64)),
-            ("sequential_ns", Json::Num(sequential)),
+            ("sequential_cone_sessions_ns", Json::Num(sequential)),
             ("batch_ns", Json::Num(batch)),
             ("speedup_x", Json::Num(speedup)),
-            ("gate_min_speedup_x", Json::Num(GATE_MIN_SPEEDUP)),
         ])
     );
-    if speedup < GATE_MIN_SPEEDUP {
-        eprintln!("batch_throughput: speedup {speedup:.2}x below the {GATE_MIN_SPEEDUP}x gate");
-        std::process::exit(1);
-    }
 }

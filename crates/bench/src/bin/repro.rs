@@ -133,7 +133,7 @@ fn fig7() {
     let (m, s) = stats(|x| x.incremental_s);
     println!("  reference incremental (in-house engine role) : {m:8.2} ± {s:5.2} ms  (cone-size dependent)");
     let (m, s) = stats(|x| x.insta_s);
-    println!("  INSTA (estimate_eco + re-annot + propagate)  : {m:8.2} ± {s:5.2} ms  (flat: full-graph pass)");
+    println!("  INSTA (estimate_eco + re-annot + propagate)  : {m:8.2} ± {s:5.2} ms  (changed fanout cone only)");
     println!(
         "  speedups: {:.1}x vs full, {:.2}x vs incremental",
         result.speedup_vs_full, result.speedup_vs_incremental

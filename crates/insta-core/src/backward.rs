@@ -215,7 +215,7 @@ impl InstaEngine {
     /// ∂TNS/∂arrival at an *original* graph node id per transition index
     /// (diagnostic view of the backward pass).
     pub fn node_gradient(&self, orig_node: u32, rf: usize) -> Option<f64> {
-        let v = self.st.node_orig.iter().position(|&o| o == orig_node)?;
+        let v = self.node_index(orig_node)?;
         Some(self.state.grad_arrival[v * 2 + rf])
     }
 }

@@ -1115,9 +1115,6 @@ pub(crate) struct ScenarioBatch<'a> {
     level_dirty: Vec<u64>,
     /// Dirty-node count per level (parallel-launch sizing).
     level_dirty_nodes: Vec<u32>,
-    /// Node → index into `st.sources` (`u32::MAX` = not a startpoint;
-    /// the *last* source wins, like the serial seeding).
-    source_of: Vec<u32>,
     /// Prefix sum of `popcount(dirty[v])` over nodes (length `n + 1`):
     /// dirty `(node, lane)` pair → dense storage slot. The slot of lane
     /// `L` at node `v` is `slot_start[v] + popcount(dirty[v] & (2^L − 1))`
@@ -1145,7 +1142,6 @@ struct LaneCtx<'a> {
     touched: &'a [u32],
     over_mean: &'a [[f64; 2]],
     over_sigma: &'a [[f64; 2]],
-    source_of: &'a [u32],
     slot_start: &'a [u32],
 }
 
@@ -1277,12 +1273,6 @@ impl<'a> ScenarioBatch<'a> {
             level_dirty_nodes[l] = cnt;
         }
 
-        let mut source_of = vec![u32::MAX; n];
-        for (i, s) in st.sources.iter().enumerate() {
-            // Last writer wins, matching the serial seeding order.
-            source_of[s.node as usize] = i as u32;
-        }
-
         // Compact slot map: storage only for dirty (node, lane) pairs.
         // The dense alternative (`nodes × lanes × 2k` per array) zeroes
         // hundreds of megabytes per call on large blocks — more time than
@@ -1312,7 +1302,6 @@ impl<'a> ScenarioBatch<'a> {
             dirty,
             level_dirty,
             level_dirty_nodes,
-            source_of,
             slot_start,
             sc_arrival: vec![0.0; elems],
             sc_mean: vec![0.0; elems],
@@ -1379,7 +1368,6 @@ impl<'a> ScenarioBatch<'a> {
             touched: &self.touched,
             over_mean: &self.over_mean,
             over_sigma: &self.over_sigma,
-            source_of: &self.source_of,
             slot_start: &self.slot_start,
         };
         let mut recovered: Option<RuntimeIncident> = None;
@@ -1667,8 +1655,7 @@ fn batch_level_chunk<M: StatModel>(
                 arr_cur[off..off + k].fill(f64::NEG_INFINITY);
                 sp_cur[off..off + k].fill(NO_SP);
             }
-            if ctx.source_of[v] != u32::MAX {
-                let s = &st.sources[ctx.source_of[v] as usize];
+            if let Some(s) = st.source_at(v) {
                 for rf in 0..2 {
                     let off = (slot * 2 + rf) * k;
                     mean_cur[off] = s.mean[rf];

@@ -9,29 +9,30 @@
 //!   handful of arcs, so this is tiny compared to the full annotation
 //!   arrays.
 //! * **observables** — the evaluation report, the drift odometer, the LSE
-//!   temperature and staleness tag, and the kernel write-generation
+//!   temperature and staleness tag, and the LSE/gradient write-generation
 //!   counters are captured *once*, immediately before the session's first
 //!   state-mutating pass (at which point they still equal the begin-time
 //!   values, because the session holds the engine exclusively). Gradient
 //!   arrays are cloned only when the session actually runs a backward
 //!   pass — they are the one bulk array a client reads directly (via
 //!   `arc_gradients`) with no recompute hook.
-//! * **bulk kernel arrays** — the Top-K and LSE arrays are *not* copied.
-//!   Every forward pass performs a global reset and a full rewrite, so
-//!   those arrays are a pure deterministic function of (annotations, τ,
-//!   thread count). Rollback restores the annotations and marks the
-//!   arrays stale ([`lse_tau_used`](crate::engine) cleared, the engine's
-//!   `topk_synced` flag dropped); the next `propagate()` /
-//!   `forward_lse()` — which every evaluation path performs anyway —
-//!   regenerates them **bit-identically** (the property
-//!   `tests/sessions.rs` checks against a fresh engine). Skipping the
-//!   multi-megabyte copy is what keeps the session commit path within a
-//!   few percent of a plain `update_timing`.
-//!
-//! The write-generation counters make the staleness decision exact: a
-//! component whose generation did not change during the session was never
-//! touched, so its begin-time tags (report, `lse_tau_used`, sync flag) are
-//! restored verbatim and the arrays stay live.
+//! * **Top-K arrays** — never copied, and never left holding a rolled-back
+//!   pass's values either. When every pass of the session completed, the
+//!   arrays are the forward pass's output for the session's annotations,
+//!   which differ from the restored ones only on the saved arcs. Restore
+//!   writes those back and **re-sweeps the cone** from their children
+//!   ([`crate::incremental`]): change pruning stops the sweep where the
+//!   session's changes stopped, and the arrays — stale mean/sigma tails
+//!   included — return to their pre-session bits, so `arrival_at` and
+//!   `snapshot()` read committed values right after a rollback and the
+//!   next update is again a cone update. A session closed by a poisoning
+//!   error (cancel, deadline, numeric, runtime) left the arrays
+//!   half-written; those are only marked stale (`topk_synced` dropped) and
+//!   the next forward pass rewrites them in full.
+//! * **LSE arrays** — not copied: every differentiable forward pass is a
+//!   global reset plus a full rewrite, so rollback clears
+//!   [`lse_tau_used`](crate::engine) when the session rewrote them and the
+//!   next consumer recomputes from the restored annotations.
 //!
 //! [`TimingSession`]: crate::session::TimingSession
 
@@ -47,7 +48,6 @@ struct SavedState {
     drift: DriftState,
     lse_tau_used: Option<f64>,
     topk_synced: bool,
-    topk_writes: u64,
     lse_writes: u64,
     grad_writes: u64,
 }
@@ -96,10 +96,7 @@ impl EpochCheckpoint {
             if !self.saved_graph.insert(d.arc) {
                 continue;
             }
-            let g = d.arc as usize;
-            let range = engine.st.expansion_start[g] as usize
-                ..engine.st.expansion_start[g + 1] as usize;
-            for &e in &engine.st.expansion_arc[range] {
+            for &e in engine.st.expansion(d.arc as usize) {
                 self.saved_arcs.push((
                     e,
                     engine.st.arc_mean[e as usize],
@@ -120,7 +117,6 @@ impl EpochCheckpoint {
                 drift: engine.drift,
                 lse_tau_used: engine.state.lse_tau_used,
                 topk_synced: engine.topk_synced,
-                topk_writes: engine.topk_writes,
                 lse_writes: engine.lse_writes,
                 grad_writes: engine.grad_writes,
             });
@@ -140,17 +136,23 @@ impl EpochCheckpoint {
         }
     }
 
-    /// Restores every observable captured, bit-identically; bulk kernel
-    /// arrays the session rewrote are marked stale instead of copied (see
-    /// the module docs for why the next pass regenerates them exactly).
+    /// Restores every observable captured, bit-identically, and re-syncs
+    /// the Top-K arrays with the restored annotations (see the module
+    /// docs).
     pub(crate) fn restore(&mut self, engine: &mut InstaEngine) {
         for &(e, mean, sigma) in &self.saved_arcs {
             engine.st.arc_mean[e as usize] = mean;
             engine.st.arc_sigma[e as usize] = sigma;
         }
         self.saved_arcs.clear();
-        self.saved_graph.clear();
         if let Some(s) = self.saved.take() {
+            // Top-K arrays: in sync with the session's annotations iff its
+            // passes all completed; then the cone of the saved arcs takes
+            // them back. The begin-time flag still gates the result — the
+            // saved report is only the arrays' report if it was then.
+            let resynced =
+                engine.topk_synced && engine.resweep(self.saved_graph.iter().copied()).is_ok();
+            engine.topk_synced = resynced && s.topk_synced;
             engine.state.report = s.report;
             engine.drift = s.drift;
             // LSE buffers: untouched since capture → the begin-time τ tag
@@ -160,13 +162,6 @@ impl EpochCheckpoint {
                 s.lse_tau_used
             } else {
                 None
-            };
-            // Top-K arrays: same rule, with the recompute happening at the
-            // client's next propagate().
-            engine.topk_synced = if engine.topk_writes == s.topk_writes {
-                s.topk_synced
-            } else {
-                false
             };
             if engine.grad_writes != s.grad_writes {
                 let g = self
@@ -178,6 +173,7 @@ impl EpochCheckpoint {
                 engine.state.grad_fanout = g.fanout;
             }
         }
+        self.saved_graph.clear();
         engine.cfg.lse_tau = self.lse_tau;
     }
 

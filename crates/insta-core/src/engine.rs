@@ -10,12 +10,14 @@
 //! synchronization and no unsafe code.
 
 use crate::error::{IncidentLog, InstaError, RuntimeIncident};
+use crate::incremental::ConeScratch;
 use crate::parallel::Interrupt;
 use crate::stat::{Backend, FixedBinHistogram, GaussianPocv, StatBackendKind, StatModelConfig};
 use crate::trace::{kernel_code, TraceSink};
 use crate::validate::{self, Issue, ValidationMode, ValidationReport};
 use insta_refsta::export::{EndpointInit, InstaInit, SourceInit, NO_LEAF};
 use insta_refsta::ExceptionSet;
+use std::sync::Arc;
 
 /// Budget after which incremental re-annotation is no longer trusted and
 /// updates degrade to an audited full refresh (see
@@ -179,6 +181,11 @@ pub(crate) struct Static {
     pub expansion_arc: Vec<u32>,
     /// Startpoint launch data (renumbered nodes).
     pub sources: Vec<SourceInit>,
+    /// Node → index into `sources` (`u32::MAX` = not a startpoint; the
+    /// *last* source wins, like [`crate::forward::seed_sources`]' in-order
+    /// writes). What the cone and batch sweeps re-seed a recomputed
+    /// startpoint node from.
+    pub source_of: Vec<u32>,
     /// Endpoint attributes (renumbered nodes).
     pub endpoints: Vec<EndpointInit>,
     /// Startpoint → clock leaf.
@@ -193,8 +200,11 @@ pub(crate) struct Static {
     pub period_ps: f64,
     /// Exceptions keyed by (SP, EP).
     pub exceptions: ExceptionSet,
-    /// Renumbered → original node id (for external correlation).
-    pub node_orig: Vec<u32>,
+    /// Renumbered → original node id (for external correlation). Static
+    /// per engine, so snapshots share it by `Arc` instead of cloning it.
+    pub node_orig: Arc<[u32]>,
+    /// Original → renumbered node id (the inverse permutation).
+    pub new_id: Arc<[u32]>,
     /// Number of graph (pre-expansion) arcs.
     pub n_graph_arcs: usize,
 }
@@ -235,6 +245,18 @@ impl Static {
     #[inline]
     pub fn fanin_range(&self, v: usize) -> std::ops::Range<usize> {
         self.fanin_start[v] as usize..self.fanin_start[v + 1] as usize
+    }
+
+    /// The startpoint launching at node `v`, if any.
+    #[inline]
+    pub fn source_at(&self, v: usize) -> Option<&SourceInit> {
+        self.sources.get(self.source_of[v] as usize)
+    }
+
+    /// The expanded arcs a graph arc derives into.
+    #[inline]
+    pub fn expansion(&self, g: usize) -> &[u32] {
+        &self.expansion_arc[self.expansion_start[g] as usize..self.expansion_start[g + 1] as usize]
     }
 }
 
@@ -301,14 +323,13 @@ pub struct InstaEngine {
     pub(crate) stats: SessionStats,
     /// Whether the Top-K arrays are the deterministic output of
     /// [`try_propagate`](InstaEngine::try_propagate) over the *current*
-    /// annotations. Cleared by re-annotation, hold propagation, failed
-    /// passes, and light session rollbacks; the checkpoint layer uses it
-    /// to decide whether the arrays are reproducible by recomputation.
+    /// annotations. Cleared by re-annotation, hold propagation and failed
+    /// passes; set again by every completed full pass or cone update. A
+    /// synced engine with a report is what lets `update_timing` (and a
+    /// session rollback) re-propagate only the changed fanout cone.
     pub(crate) topk_synced: bool,
-    /// Write-generation counter for the Top-K arrays, bumped at the entry
-    /// of every pass that rewrites them. The checkpoint layer compares
-    /// generations to know which state a session actually dirtied.
-    pub(crate) topk_writes: u64,
+    /// Persistent scratch of the cone sweep (see [`crate::incremental`]).
+    pub(crate) cone: ConeScratch,
     /// Write generation of the LSE arrival/weight buffers.
     pub(crate) lse_writes: u64,
     /// Write generation of the gradient buffers.
@@ -450,6 +471,10 @@ impl InstaEngine {
                 ..*s
             })
             .collect();
+        let mut source_of = vec![u32::MAX; n];
+        for (i, s) in init.sources.iter().enumerate() {
+            source_of[new_id[s.node as usize] as usize] = i as u32;
+        }
         let endpoints = init
             .endpoints
             .iter()
@@ -474,6 +499,7 @@ impl InstaEngine {
             expansion_start,
             expansion_arc,
             sources,
+            source_of,
             endpoints,
             sp_leaf: init.sp_leaf,
             clock_parent: init.clock_parent,
@@ -482,7 +508,8 @@ impl InstaEngine {
             n_sigma: init.n_sigma,
             period_ps: init.period_ps,
             exceptions: init.exceptions,
-            node_orig: init.order,
+            node_orig: init.order.into(),
+            new_id: new_id.into(),
             n_graph_arcs,
         };
         let k = cfg.top_k;
@@ -513,7 +540,7 @@ impl InstaEngine {
             drift: DriftState::default(),
             stats: SessionStats::default(),
             topk_synced: false,
-            topk_writes: 0,
+            cone: ConeScratch::new(n, num_levels, k),
             lse_writes: 0,
             grad_writes: 0,
             trace: TraceSink::disabled(),
@@ -657,15 +684,15 @@ impl InstaEngine {
             + s.grad_arc.len() * 16
     }
 
+    /// Renumbered index of an *original* graph node id.
+    pub(crate) fn node_index(&self, orig_node: u32) -> Option<usize> {
+        self.st.new_id.get(orig_node as usize).map(|&v| v as usize)
+    }
+
     /// The worst corner arrival at an *original* graph node id per
     /// transition index, if any path reaches it.
     pub fn arrival_at(&self, orig_node: u32, rf: usize) -> Option<f64> {
-        let v = self
-            .st
-            .node_orig
-            .iter()
-            .position(|&o| o == orig_node)?;
-        let idx = (v * 2 + rf) * self.state.k;
+        let idx = (self.node_index(orig_node)? * 2 + rf) * self.state.k;
         // "Unreached" is decided by the startpoint sentinel, not by the
         // arrival value: −∞ is a representable arrival (e.g. a −∞ launch
         // time), while NO_SP can only mean the slot was never filled.
@@ -683,12 +710,7 @@ impl InstaEngine {
     /// cross-backend convergence suite uses this to compare per-endpoint
     /// arrival CDFs between backends.
     pub fn distribution_at(&self, orig_node: u32, rf: usize) -> Option<(f64, f64)> {
-        let v = self
-            .st
-            .node_orig
-            .iter()
-            .position(|&o| o == orig_node)?;
-        let idx = (v * 2 + rf) * self.state.k;
+        let idx = (self.node_index(orig_node)? * 2 + rf) * self.state.k;
         if self.state.topk_sp[idx] == crate::topk::NO_SP {
             None
         } else {

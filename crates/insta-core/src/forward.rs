@@ -49,7 +49,6 @@ impl InstaEngine {
         self.last_incident = None;
         // The pass rewrites the Top-K arrays whether it succeeds or not;
         // only a completed pass leaves them in sync with the annotations.
-        self.topk_writes += 1;
         self.topk_synced = false;
         self.trace.begin("forward");
         let res = with_model!(&self.backend, m => forward(
@@ -62,12 +61,26 @@ impl InstaEngine {
         ));
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
+        self.settle(res)?;
+        let report = with_model!(&self.backend, m =>
+            crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr, m));
+        self.state.report = Some(report);
+        self.topk_synced = true;
+        Ok(self.state.report.as_ref().expect("just set"))
+    }
+
+    /// Books a kernel pass's outcome: a recovered worker panic becomes
+    /// [`last_incident`](InstaEngine::last_incident), a fatal one is
+    /// recorded before the error is passed through.
+    pub(crate) fn settle(
+        &mut self,
+        res: Result<Option<RuntimeIncident>, InstaError>,
+    ) -> Result<(), InstaError> {
         match res {
-            Ok(incident) => {
-                if let Some(inc) = &incident {
-                    self.record_incident(inc);
-                }
-                self.last_incident = incident;
+            Ok(None) => {}
+            Ok(Some(inc)) => {
+                self.record_incident(&inc);
+                self.last_incident = Some(inc);
             }
             Err(e) => {
                 if let InstaError::Runtime(inc) = &e {
@@ -76,11 +89,7 @@ impl InstaEngine {
                 return Err(e);
             }
         }
-        let report = with_model!(&self.backend, m =>
-            crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr, m));
-        self.state.report = Some(report);
-        self.topk_synced = true;
-        Ok(self.state.report.as_ref().expect("just set"))
+        Ok(())
     }
 
     /// Runs the fused evaluation + differentiable forward sweep: one pass
@@ -111,7 +120,6 @@ impl InstaEngine {
         self.last_incident = None;
         // Both output families are rewritten whether the pass succeeds or
         // not; only a completed pass leaves them in sync.
-        self.topk_writes += 1;
         self.topk_synced = false;
         self.lse_writes += 1;
         self.state.lse_tau_used = None;
@@ -129,20 +137,7 @@ impl InstaEngine {
         ));
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
-        match res {
-            Ok(incident) => {
-                if let Some(inc) = &incident {
-                    self.record_incident(inc);
-                }
-                self.last_incident = incident;
-            }
-            Err(e) => {
-                if let InstaError::Runtime(inc) = &e {
-                    self.record_incident(inc);
-                }
-                return Err(e);
-            }
-        }
+        self.settle(res)?;
         self.state.lse_tau_used = Some(self.cfg.lse_tau);
         let report = with_model!(&self.backend, m =>
             crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr, m));
@@ -160,19 +155,26 @@ pub(crate) fn seed_sources<M: StatModel>(
     range: std::ops::Range<usize>,
     model: &M,
 ) {
-    let k = state.k;
     for s in &st.sources {
-        let v = s.node as usize;
-        if !range.contains(&v) {
-            continue;
+        if range.contains(&(s.node as usize)) {
+            seed_source(st, state, s, model);
         }
-        for rf in 0..2 {
-            let idx = (v * 2 + rf) * k;
-            state.topk_mean[idx] = s.mean[rf];
-            state.topk_sigma[idx] = s.sigma[rf];
-            state.topk_arrival[idx] = model.corner_late(s.mean[rf], s.sigma[rf], st.n_sigma);
-            state.topk_sp[idx] = s.sp;
-        }
+    }
+}
+
+/// Writes one startpoint's launch arrival into slot 0 of its node's queues.
+pub(crate) fn seed_source<M: StatModel>(
+    st: &Static,
+    state: &mut State,
+    s: &insta_refsta::export::SourceInit,
+    model: &M,
+) {
+    for rf in 0..2 {
+        let idx = (s.node as usize * 2 + rf) * state.k;
+        state.topk_mean[idx] = s.mean[rf];
+        state.topk_sigma[idx] = s.sigma[rf];
+        state.topk_arrival[idx] = model.corner_late(s.mean[rf], s.sigma[rf], st.n_sigma);
+        state.topk_sp[idx] = s.sp;
     }
 }
 

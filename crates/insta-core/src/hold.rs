@@ -113,7 +113,6 @@ impl InstaEngine {
             "hold attributes must cover every endpoint"
         );
         // The min pass clobbers the setup Top-K arrays.
-        self.topk_writes += 1;
         self.topk_synced = false;
         with_model!(&self.backend, m => {
             forward_min(&self.st, &mut self.state, attrs, m);

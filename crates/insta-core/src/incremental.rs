@@ -1,17 +1,147 @@
-//! Incremental evaluation: arc re-annotation plus full-speed
-//! re-propagation (paper Application 1).
+//! Incremental evaluation: arc re-annotation plus re-propagation of the
+//! changed fanout cone (paper Application 1).
 //!
-//! INSTA's incremental story differs from a CPU timer's: instead of
-//! maintaining a dirty cone, it re-annotates the cloned arc delays (from
-//! `estimate_eco` deltas) and re-runs the *whole* forward pass — which is
-//! the point of the paper: full-graph propagation is so fast that
-//! "incremental" reduces to re-annotate + propagate.
+//! The paper's incremental story is "re-annotate the cloned arc delays
+//! (from `estimate_eco` deltas) and re-run the whole forward pass",
+//! because on a GPU that pass is nearly free. On a CPU it is not: a sizing
+//! move touches a handful of arcs, and re-running every node of the graph
+//! for them is what made our update slower than the reference engine's own
+//! cone update. So [`InstaEngine::update_timing`] is a CPU-side
+//! specialisation of the same pass: it recomputes only the nodes whose
+//! inputs changed, **in place** on the live Top-K arrays, and lands on the
+//! bits the full pass would have produced.
+//!
+//! # The cone sweep
+//!
+//! Precondition: the Top-K arrays are the full pass's output for the
+//! annotations as they were before some expanded arcs were rewritten
+//! (`topk_synced`). The children of those arcs are the *seeds*. Per-level
+//! worklists are visited in level order; one node is recomputed exactly
+//! as the full pass computes it — its two k-slices of `topk_arrival` /
+//! `topk_sp` reset like the global reset, the launch seed re-applied if
+//! it is a startpoint, then [`level_chunk`](crate::forward::level_chunk)
+//! on the node's own window, the very body the full pass and hold run.
+//!
+//! **Why this equals the full pass (induction over levels).** A node's
+//! queues are a pure function of its fanin arcs' annotations and of what
+//! its parents' queues let a child read — the `(sp, mean, sigma)` entries
+//! up to the first empty slot. Level 0 is launch seeds only and is never
+//! touched. Assume every level below `l` holds full-pass bits. A node of
+//! level `l` that is *not* on the worklist has no re-annotated fanin arc
+//! and no parent whose readable entries changed, so its old bits are the
+//! full pass's bits; a node that *is* on it is recomputed by the shared
+//! body from parents that are final. Hence level `l` is final too.
+//!
+//! **Change pruning.** Before a node is recomputed its old readable
+//! entries are kept in scratch; its fanout is queued only if the new ones
+//! differ by bits. The cone is therefore bounded by changed *values*, not
+//! by structural fanout — and the same sweep undoes a session: restoring
+//! the saved annotations and sweeping from the same seeds stops exactly
+//! where the session's changes stopped (see [`crate::checkpoint`]).
+//! Entries past the first empty slot are never compared: a recompute
+//! writes only slots below its final live count, which for finite delays
+//! depends on the graph alone, so the stale mean/sigma tails match the
+//! full pass's as well.
+//!
+//! **The full-pass switch.** The cone pays per node for the old-value
+//! copy, the compare and the worklist, and it runs on one thread; a batch
+//! that re-annotates a large share of the graph (a corner twin touches
+//! every arc) is cheaper as the ordinary full pass. The switch is
+//! [`CONE_SEED_SHARE`], judged on the deduplicated seed count.
+//!
+//! The sweep keeps the full pass's contracts: one interrupt poll per
+//! *dirty* level, every dirty level under `catch_unwind` with one serial
+//! retry, per-level profile rows, and LSE state only marked stale.
 
-use crate::engine::InstaEngine;
-use crate::error::InstaError;
+use crate::engine::{InstaEngine, State, Static};
+use crate::error::{InstaError, Kernel, RuntimeIncident};
+use crate::forward::{level_chunk, seed_source};
 use crate::metrics::InstaReport;
+use crate::parallel::{chaos, payload_message, Interrupt, MergeArena};
+use crate::stat::{with_model, StatModel};
+use crate::topk::NO_SP;
+use crate::trace::LevelProfile;
 use crate::validate::{Issue, ValidationReport};
 use insta_refsta::eco::ArcDelta;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// A re-annotation takes the cone path while its distinct seed nodes
+/// number at most `nodes / CONE_SEED_SHARE`; beyond that it runs the full
+/// pass. Measured with random graph arcs on one thread, the cone costs
+/// what the full pass costs at one seed per 28–56 nodes on block-5 (K = 8),
+/// per 21–42 on block-3 (K = 8), and never more on block-1 (K = 32); at one
+/// per 64 it is 0.55–0.9× the full pass, which leaves room for a full pass
+/// that runs its wide levels on several threads.
+const CONE_SEED_SHARE: usize = 64;
+
+/// Persistent scratch of the cone sweep, created once per engine: a few
+/// words per node, nothing per arc, nothing cleared or scanned per update.
+#[derive(Debug, Clone)]
+pub(crate) struct ConeScratch {
+    /// `stamp[v] == epoch` ⇔ node `v` was queued by the current sweep (and,
+    /// once the sweep completes, recomputed by it).
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Per-level worklists; they keep their capacity between sweeps.
+    frontier: Vec<Vec<u32>>,
+    /// A node's readable entries before its recompute, both transitions.
+    old_sp: Vec<u32>,
+    old_mean: Vec<f64>,
+    old_sigma: Vec<f64>,
+    arena: MergeArena,
+    /// What the last sweep did (the `forward.cone` span's payload).
+    seeds: usize,
+    levels: usize,
+    nodes: usize,
+    pruned: usize,
+}
+
+impl ConeScratch {
+    pub(crate) fn new(n: usize, num_levels: usize, k: usize) -> Self {
+        Self {
+            stamp: vec![0; n],
+            epoch: 0,
+            frontier: vec![Vec::new(); num_levels],
+            old_sp: vec![NO_SP; 2 * k],
+            old_mean: vec![0.0; 2 * k],
+            old_sigma: vec![0.0; 2 * k],
+            arena: MergeArena::default(),
+            seeds: 0,
+            levels: 0,
+            nodes: 0,
+            pruned: 0,
+        }
+    }
+
+    /// Opens a new sweep: a fresh stamp epoch and empty worklists (an
+    /// aborted sweep may have left some behind).
+    fn begin(&mut self) {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.frontier.iter_mut().for_each(Vec::clear);
+        (self.seeds, self.levels, self.nodes, self.pruned) = (0, 0, 0, 0);
+    }
+
+    /// Queues `v` on its level's worklist unless this sweep already did.
+    #[inline]
+    fn enqueue(&mut self, st: &Static, v: u32) -> bool {
+        let fresh = self.stamp[v as usize] != self.epoch;
+        if fresh {
+            self.stamp[v as usize] = self.epoch;
+            self.frontier[crate::health::level_of(st, v as usize)].push(v);
+        }
+        fresh
+    }
+
+    /// Whether the current sweep recomputed node `v`.
+    #[inline]
+    fn recomputed(&self, v: u32) -> bool {
+        self.stamp[v as usize] == self.epoch
+    }
+}
 
 impl InstaEngine {
     /// Validates a delta batch against the snapshot without mutating
@@ -40,10 +170,7 @@ impl InstaEngine {
                 // level 0 (only possible in a Trust-mode snapshot with a
                 // corrupt level CSR) would silently fall outside the
                 // sweep, so it is rejected here instead.
-                let g = d.arc as usize;
-                let range = self.st.expansion_start[g] as usize
-                    ..self.st.expansion_start[g + 1] as usize;
-                for &e in &self.st.expansion_arc[range] {
+                for &e in self.st.expansion(d.arc as usize) {
                     let child = self.st.arc_child[e as usize];
                     if crate::health::level_of(&self.st, child as usize) == 0 {
                         report.record(Issue::DeltaChildAtLevelZero {
@@ -110,7 +237,7 @@ impl InstaEngine {
             }
         }
         // LSE arrivals/weights and Top-K arrays were computed against the
-        // old annotations.
+        // old annotations (a cone update re-syncs the latter).
         self.state.lse_tau_used = None;
         self.topk_synced = false;
         // Drift odometer: one update, batch-size/graph fraction of mass.
@@ -123,10 +250,15 @@ impl InstaEngine {
     /// report (the per-iteration evaluation of the commercial sizing
     /// flow).
     ///
+    /// On an engine whose last pass completed, only the fanout cone of
+    /// the re-annotated arcs is recomputed (see the [module docs](self));
+    /// the result is bit-identical to [`reannotate`](Self::reannotate) +
+    /// [`propagate`](Self::propagate).
+    ///
     /// Once the accumulated drift exceeds
     /// [`InstaConfig::drift_policy`](crate::engine::InstaConfig), updates
-    /// degrade gracefully: the re-propagation is followed by a fresh
-    /// differentiable forward pass and a full
+    /// degrade gracefully: the re-propagation is a full fused pass — a
+    /// fresh differentiable forward included — followed by a full
     /// [`health_check`](Self::health_check) gate, and
     /// [`drift_exceeded`](Self::drift_exceeded) stays `true` until the
     /// caller resyncs annotations from its golden reference and calls
@@ -151,6 +283,7 @@ impl InstaEngine {
         &mut self,
         deltas: &[ArcDelta],
     ) -> Result<InstaReport, InstaError> {
+        let synced = self.topk_synced && self.state.report.is_some();
         self.reannotate_unchecked(deltas);
         if self.drift_exceeded() {
             // Degraded path: the incremental result is no longer trusted
@@ -161,11 +294,236 @@ impl InstaEngine {
             self.stats.degraded_passes += 1;
             self.try_propagate_fused()?;
             self.health_check()?;
+        } else if synced && self.seed_cone(deltas.iter().map(|d| d.arc)) {
+            self.last_incident = None;
+            self.run_cone()?;
+            // Only endpoints on recomputed nodes can have moved; the
+            // aggregates are re-reduced over the whole slack vector in
+            // endpoint order, the accumulation order of a fresh evaluate.
+            let mut report = self.state.report.take().expect("synced: has a report");
+            with_model!(&self.backend, m => crate::metrics::refresh(
+                &self.st,
+                &self.state,
+                &mut report,
+                |node| self.cone.recomputed(node),
+                self.cfg.cppr,
+                m,
+            ));
+            self.state.report = Some(report);
+            self.topk_synced = true;
         } else {
             self.try_propagate()?;
         }
         Ok(self.state.report.clone().expect("just propagated"))
     }
+
+    /// Opens a sweep seeded with the children of every expansion of the
+    /// given (re-annotated) graph arcs. Returns `false` when the distinct
+    /// seeds exceed the [`CONE_SEED_SHARE`] switch: the full pass is the
+    /// cheaper way to re-sync then.
+    fn seed_cone(&mut self, graph_arcs: impl Iterator<Item = u32>) -> bool {
+        let Self { st, cone, .. } = self;
+        cone.begin();
+        for g in graph_arcs {
+            for &e in st.expansion(g as usize) {
+                cone.seeds += usize::from(cone.enqueue(st, st.arc_child[e as usize]));
+            }
+            if cone.seeds * CONE_SEED_SHARE > st.n {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Runs the seeded sweep under its `forward.cone` span.
+    fn run_cone(&mut self) -> Result<(), InstaError> {
+        self.topk_synced = false;
+        self.trace.begin("forward.cone");
+        let res = with_model!(&self.backend, m => cone_sweep(
+            &self.st,
+            &mut self.state,
+            &mut self.cone,
+            self.interrupt.as_ref(),
+            self.trace.profile_mut(Kernel::Forward),
+            m,
+        ));
+        let c = &self.cone;
+        self.trace.end_with(&[
+            ("seeds", c.seeds as f64),
+            ("levels", c.levels as f64),
+            ("nodes", c.nodes as f64),
+            ("pruned", c.pruned as f64),
+            ("ok", if res.is_ok() { 1.0 } else { 0.0 }),
+        ]);
+        self.settle(res)
+    }
+
+    /// Re-syncs the Top-K arrays after the given graph arcs were
+    /// re-annotated behind a synced engine's back — the session rollback's
+    /// re-sweep, which puts its saved report back afterwards. Cone or full
+    /// pass by the same switch as an update.
+    pub(crate) fn resweep(
+        &mut self,
+        graph_arcs: impl Iterator<Item = u32>,
+    ) -> Result<(), InstaError> {
+        if self.seed_cone(graph_arcs) {
+            self.run_cone()
+        } else {
+            self.try_propagate().map(|_| ())
+        }
+    }
+}
+
+/// The frontier-driven sweep over the live Top-K arrays (see the module
+/// docs). Seeds are already on `cone`'s worklists.
+fn cone_sweep<M: StatModel>(
+    st: &Static,
+    state: &mut State,
+    cone: &mut ConeScratch,
+    interrupt: Option<&Interrupt>,
+    mut prof: Option<&mut LevelProfile>,
+    model: &M,
+) -> Result<Option<RuntimeIncident>, InstaError> {
+    let restarted = interrupt.map(Interrupt::restarted);
+    let interrupt = restarted.as_ref();
+    if let Some(p) = prof.as_deref_mut() {
+        p.passes += 1;
+    }
+    let mut recovered: Option<RuntimeIncident> = None;
+    for l in 1..st.num_levels() {
+        if cone.frontier[l].is_empty() {
+            continue;
+        }
+        // One poll per *dirty* level: levels below `l` are final, `l` and
+        // later still hold the previous pass's bits.
+        if let Some(e) = interrupt.and_then(|i| i.check(Kernel::Forward, l)) {
+            return Err(e);
+        }
+        let t_level = prof.is_some().then(std::time::Instant::now);
+        let mut nodes = std::mem::take(&mut cone.frontier[l]);
+        nodes.sort_unstable();
+        let mut run = |force: bool| {
+            catch_unwind(AssertUnwindSafe(|| {
+                chaos::maybe_panic(Kernel::Forward, l);
+                cone_level(st, state, cone, &nodes, force, model)
+            }))
+        };
+        let pruned = match run(false) {
+            Ok(pruned) => pruned,
+            Err(payload) => {
+                let incident = RuntimeIncident {
+                    kernel: Kernel::Forward,
+                    level: l,
+                    chunk: nodes[0] as usize..nodes[nodes.len() - 1] as usize + 1,
+                    message: payload_message(payload),
+                    serial_retry_failed: false,
+                };
+                // One retry. A node recompute starts by resetting its
+                // slices, so re-running the level is idempotent — except
+                // that a half-written node no longer has its old entries
+                // to compare against, so the retry queues every fanout.
+                match run(true) {
+                    Ok(pruned) => {
+                        recovered.get_or_insert(incident);
+                        pruned
+                    }
+                    Err(_) => {
+                        return Err(InstaError::Runtime(RuntimeIncident {
+                            serial_retry_failed: true,
+                            ..incident
+                        }))
+                    }
+                }
+            }
+        };
+        cone.levels += 1;
+        cone.nodes += nodes.len();
+        cone.pruned += pruned;
+        if let (Some(p), Some(t0)) = (prof.as_deref_mut(), t_level) {
+            p.record_level(l, t0.elapsed().as_nanos() as u64, nodes.len() as u64);
+        }
+        nodes.clear();
+        cone.frontier[l] = nodes;
+    }
+    Ok(recovered)
+}
+
+/// Recomputes one level's worklist in place and queues the fanout of every
+/// node whose readable entries changed (all of them under `force`).
+/// Returns how many nodes were pruned.
+fn cone_level<M: StatModel>(
+    st: &Static,
+    state: &mut State,
+    cone: &mut ConeScratch,
+    nodes: &[u32],
+    force: bool,
+    model: &M,
+) -> usize {
+    let k = state.k;
+    let stride = 2 * k;
+    let mut pruned = 0;
+    for &v in nodes {
+        let w = v as usize * stride..(v as usize + 1) * stride;
+        cone.old_sp.copy_from_slice(&state.topk_sp[w.clone()]);
+        cone.old_mean.copy_from_slice(&state.topk_mean[w.clone()]);
+        cone.old_sigma.copy_from_slice(&state.topk_sigma[w.clone()]);
+        // The full pass's pre-state of a node: global reset, launch seed.
+        state.topk_arrival[w.clone()].fill(f64::NEG_INFINITY);
+        state.topk_sp[w.clone()].fill(NO_SP);
+        if let Some(s) = st.source_at(v as usize) {
+            seed_source(st, state, s, model);
+        }
+        {
+            // A one-node window: everything before `v` is the done prefix
+            // (its parents sit in earlier levels).
+            let (_, arr_cur) = state.topk_arrival.split_at_mut(w.start);
+            let (mean_done, mean_cur) = state.topk_mean.split_at_mut(w.start);
+            let (sigma_done, sigma_cur) = state.topk_sigma.split_at_mut(w.start);
+            let (sp_done, sp_cur) = state.topk_sp.split_at_mut(w.start);
+            level_chunk::<M, false>(
+                st,
+                k,
+                v as usize,
+                mean_done,
+                sigma_done,
+                sp_done,
+                &mut arr_cur[..stride],
+                &mut mean_cur[..stride],
+                &mut sigma_cur[..stride],
+                &mut sp_cur[..stride],
+                &mut cone.arena,
+                model,
+            );
+        }
+        let changed = force
+            || (0..2).any(|rf| {
+                let (old, new) = (rf * k, w.start + rf * k);
+                for j in 0..k {
+                    let sp = state.topk_sp[new + j];
+                    if sp != cone.old_sp[old + j] {
+                        return true;
+                    }
+                    if sp == NO_SP {
+                        break; // children stop reading here
+                    }
+                    if state.topk_mean[new + j].to_bits() != cone.old_mean[old + j].to_bits()
+                        || state.topk_sigma[new + j].to_bits() != cone.old_sigma[old + j].to_bits()
+                    {
+                        return true;
+                    }
+                }
+                false
+            });
+        if changed {
+            let v = v as usize;
+            for &e in &st.fanout_arc[st.fanout_start[v] as usize..st.fanout_start[v + 1] as usize] {
+                cone.enqueue(st, st.arc_child[e as usize]);
+            }
+        } else {
+            pruned += 1;
+        }
+    }
+    pruned
 }
 
 #[cfg(test)]
@@ -303,6 +661,43 @@ mod tests {
         // stay untouched.
         let err2 = eng.update_timing(&deltas).expect_err("same rejection");
         assert_eq!(err2.category(), "validate");
+    }
+
+    /// The cone polls once per *dirty* level: a pre-fired interrupt is
+    /// cancelled at the lowest level holding a re-annotated arc's child,
+    /// before anything is written.
+    #[test]
+    fn a_prefired_interrupt_cancels_at_the_first_dirty_level() {
+        let (_d, _sta, mut eng) = crate::engine::tests::build_engine(43, 4);
+        eng.propagate();
+        let before = eng.topk_snapshot();
+        // The last graph arc's children sit deep in the graph.
+        let g = eng.st.n_graph_arcs - 1;
+        let first_dirty = eng
+            .st
+            .expansion(g)
+            .iter()
+            .map(|&e| crate::health::level_of(&eng.st, eng.st.arc_child[e as usize] as usize))
+            .min()
+            .expect("every graph arc expands");
+        assert!(first_dirty > 1, "fixture: the seed must not sit on level 1");
+        let tok = insta_support::timer::CancelToken::new();
+        tok.cancel();
+        eng.set_interrupt(crate::parallel::Interrupt::new(Some(tok), None));
+        let err = eng
+            .update_timing(&[insta_refsta::eco::ArcDelta {
+                arc: g as u32,
+                mean: [77.0; 2],
+                sigma: [3.0; 2],
+            }])
+            .expect_err("token fired");
+        let crate::error::InstaError::Cancelled { kernel, level, .. } = err else {
+            panic!("expected Cancelled, got {err:?}");
+        };
+        assert_eq!(kernel, crate::error::Kernel::Forward);
+        assert_eq!(level, first_dirty);
+        assert!(!eng.topk_synced, "a cut sweep leaves the arrays stale");
+        assert_eq!(before, eng.topk_snapshot(), "nothing ran before the poll");
     }
 
     #[test]

@@ -47,11 +47,21 @@ impl InstaReport {
     /// `lane_report` runs when the lane carries the mask, so masking
     /// after the fact is bit-identical to masking in the lane.
     pub fn masked(&self, mask: &crate::batch::ModeMask) -> InstaReport {
+        let mut out = self.clone();
+        out.reduce(Some(mask));
+        out
+    }
+
+    /// Re-accumulates WNS/TNS/violations from the slack vector, in
+    /// endpoint order, skipping endpoints `mask` disables. Every producer
+    /// of a report ends here, so a report patched in place carries the
+    /// aggregate bits of one evaluated from scratch.
+    pub(crate) fn reduce(&mut self, mask: Option<&crate::batch::ModeMask>) {
         let mut wns = f64::INFINITY;
         let mut tns = 0.0;
         let mut viol = 0usize;
         for (i, &s) in self.slacks.iter().enumerate() {
-            if mask.is_disabled(i) {
+            if mask.is_some_and(|m| m.is_disabled(i)) {
                 continue;
             }
             if s < 0.0 {
@@ -62,12 +72,58 @@ impl InstaReport {
                 wns = s;
             }
         }
-        InstaReport {
-            wns_ps: wns,
-            tns_ps: tns,
-            n_violations: viol,
-            ..self.clone()
+        (self.wns_ps, self.tns_ps, self.n_violations) = (wns, tns, viol);
+    }
+
+    /// Evaluates endpoint `i` from its node's queues: `sps` / `arrivals`
+    /// are the node's `2k` entries (rise then fall), each transition's
+    /// queue dense from the front.
+    #[inline]
+    pub(crate) fn set_endpoint<M: StatModel>(
+        &mut self,
+        st: &Static,
+        i: usize,
+        sps: &[u32],
+        arrivals: &[f64],
+        cppr: bool,
+        model: &M,
+    ) {
+        let ep = &st.endpoints[i];
+        let ep_id = EpId(ep.ep);
+        let k = sps.len() / 2;
+        let (mut slack, mut arrival, mut required) =
+            (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY);
+        let (mut worst_sp, mut worst_rf) = (NO_SP, 0u8);
+        for rf in 0..2usize {
+            for idx in rf * k..(rf + 1) * k {
+                let sp = sps[idx];
+                if sp == NO_SP {
+                    break; // the queue is dense from the front
+                }
+                let sp_id = SpId(sp);
+                if st.exceptions.is_false(sp_id, ep_id) {
+                    continue;
+                }
+                let mut req = ep.required_base;
+                let mcp = st.exceptions.multicycle_factor(sp_id, ep_id);
+                if mcp > 1 {
+                    req += (mcp - 1) as f64 * st.period_ps;
+                }
+                if cppr {
+                    req += st.cppr_credit(st.sp_leaf[sp as usize], ep.leaf);
+                }
+                let s = model.slack(req, arrivals[idx]);
+                if s < slack {
+                    (slack, arrival, required) = (s, arrivals[idx], req);
+                    (worst_sp, worst_rf) = (sp, rf as u8);
+                }
+            }
         }
+        self.slacks[i] = slack;
+        self.arrivals[i] = arrival;
+        self.requireds[i] = required;
+        self.worst_sp[i] = worst_sp;
+        self.worst_rf[i] = worst_rf;
     }
 }
 
@@ -78,67 +134,42 @@ pub(crate) fn evaluate<M: StatModel>(
     cppr: bool,
     model: &M,
 ) -> InstaReport {
-    let k = state.k;
     let n_ep = st.endpoints.len();
-    let mut slacks = vec![f64::INFINITY; n_ep];
-    let mut arrivals = vec![f64::NEG_INFINITY; n_ep];
-    let mut requireds = vec![f64::INFINITY; n_ep];
-    let mut worst_sp = vec![NO_SP; n_ep];
-    let mut worst_rf = vec![0u8; n_ep];
-    let mut wns = f64::INFINITY;
-    let mut tns = 0.0;
-    let mut viol = 0usize;
+    // Every field is overwritten below; only the lengths matter.
+    let mut report = InstaReport {
+        wns_ps: f64::INFINITY,
+        tns_ps: 0.0,
+        n_violations: 0,
+        slacks: vec![f64::INFINITY; n_ep],
+        arrivals: vec![f64::NEG_INFINITY; n_ep],
+        requireds: vec![f64::INFINITY; n_ep],
+        worst_sp: vec![NO_SP; n_ep],
+        worst_rf: vec![0u8; n_ep],
+    };
+    refresh(st, state, &mut report, |_| true, cppr, model);
+    report
+}
+
+/// Re-evaluates the endpoints whose node `selected` names, in place, and
+/// re-reduces the aggregates. With every endpoint selected this *is*
+/// [`evaluate`]; a cone update selects the nodes it recomputed.
+pub(crate) fn refresh<M: StatModel>(
+    st: &Static,
+    state: &State,
+    report: &mut InstaReport,
+    selected: impl Fn(u32) -> bool,
+    cppr: bool,
+    model: &M,
+) {
+    let stride = 2 * state.k;
     for (i, ep) in st.endpoints.iter().enumerate() {
-        let v = ep.node as usize;
-        let ep_id = EpId(ep.ep);
-        for rf in 0..2usize {
-            for j in 0..k {
-                let idx = (v * 2 + rf) * k + j;
-                let sp = state.topk_sp[idx];
-                if sp == NO_SP {
-                    break; // the queue is dense from the front
-                }
-                let sp_id = SpId(sp);
-                if st.exceptions.is_false(sp_id, ep_id) {
-                    continue;
-                }
-                let mut required = ep.required_base;
-                let mcp = st.exceptions.multicycle_factor(sp_id, ep_id);
-                if mcp > 1 {
-                    required += (mcp - 1) as f64 * st.period_ps;
-                }
-                if cppr {
-                    required += st.cppr_credit(st.sp_leaf[sp as usize], ep.leaf);
-                }
-                let arrival = state.topk_arrival[idx];
-                let slack = model.slack(required, arrival);
-                if slack < slacks[i] {
-                    slacks[i] = slack;
-                    arrivals[i] = arrival;
-                    requireds[i] = required;
-                    worst_sp[i] = sp;
-                    worst_rf[i] = rf as u8;
-                }
-            }
-        }
-        if slacks[i] < 0.0 {
-            tns += slacks[i];
-            viol += 1;
-        }
-        if slacks[i] < wns {
-            wns = slacks[i];
+        if selected(ep.node) {
+            let w = ep.node as usize * stride..(ep.node as usize + 1) * stride;
+            let (sps, arrivals) = (&state.topk_sp[w.clone()], &state.topk_arrival[w]);
+            report.set_endpoint(st, i, sps, arrivals, cppr, model);
         }
     }
-    InstaReport {
-        wns_ps: wns,
-        tns_ps: tns,
-        n_violations: viol,
-        slacks,
-        arrivals,
-        requireds,
-        worst_sp,
-        worst_rf,
-    }
+    report.reduce(None);
 }
 
 /// Monotonic runtime counters for observability: session lifecycle, drift

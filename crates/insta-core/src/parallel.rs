@@ -162,7 +162,7 @@ where
 /// merge loop itself never allocates. Contents are scratch: each use
 /// rewrites slots `0..live` per arc and gates reads by `live`, so no
 /// clearing between nodes is needed.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct MergeArena {
     /// Candidate corner arrivals, arc-major (`arc_index * k + j`).
     pub arrival: Vec<f64>,

@@ -66,6 +66,16 @@ pub enum PersistError {
         /// The decoded element count.
         got: usize,
     },
+    /// An id map that must be a permutation of `0..len` repeats a value or
+    /// holds one out of range.
+    NotPermutation {
+        /// Which array.
+        what: &'static str,
+        /// Position of the offending entry.
+        index: usize,
+        /// The repeated or out-of-range value.
+        value: u32,
+    },
     /// Trailing bytes after a complete decode — the payload is not what
     /// its framing claimed.
     TrailingBytes {
@@ -99,6 +109,10 @@ impl fmt::Display for PersistError {
                 f,
                 "durable state mismatch: {what} has {got} elements, engine expects {expected} \
                  (stale checkpoint or wrong design)"
+            ),
+            PersistError::NotPermutation { what, index, value } => write!(
+                f,
+                "persist decode: {what}[{index}] = {value} repeats a value or is out of range"
             ),
             PersistError::TrailingBytes { extra } => {
                 write!(f, "persist decode: {extra} trailing bytes after payload")
@@ -509,6 +523,12 @@ pub fn encode_snapshot(s: &TimingSnapshot) -> Vec<u8> {
 
 /// Decodes a payload produced by [`encode_snapshot`], rebuilding the
 /// original-id lookup index.
+///
+/// # Errors
+///
+/// A typed [`PersistError`] for any truncated, mis-tagged or over-long
+/// field, and [`PersistError::NotPermutation`] when the decoded
+/// `node_orig` has no inverse.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<TimingSnapshot, PersistError> {
     let mut d = Dec::new(bytes);
     let epoch = d.u64("snapshot epoch")?;
@@ -528,19 +548,29 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<TimingSnapshot, PersistError> {
     let node_orig = dec_u32s(&mut d, "snapshot node_orig")?;
     let perf = dec_perf(&mut d)?;
     d.finish()?;
-    let orig_index = node_orig
-        .iter()
-        .enumerate()
-        .map(|(i, &o)| (o, i as u32))
-        .collect();
+    // `node_orig` must be a permutation for its inverse to exist; its
+    // length is already bounded by the bytes decoded.
+    let mut orig_index = vec![u32::MAX; node_orig.len()];
+    for (i, &o) in node_orig.iter().enumerate() {
+        match orig_index.get_mut(o as usize) {
+            Some(slot) if *slot == u32::MAX => *slot = i as u32,
+            _ => {
+                return Err(PersistError::NotPermutation {
+                    what: "snapshot node_orig",
+                    index: i,
+                    value: o,
+                })
+            }
+        }
+    }
     Ok(TimingSnapshot {
         epoch,
         report,
         counters,
         arrival0,
         sp0,
-        node_orig,
-        orig_index,
+        node_orig: node_orig.into(),
+        orig_index: orig_index.into(),
         perf,
     })
 }
@@ -736,6 +766,31 @@ mod tests {
                     back.arrival_at(orig, rf).map(f64::to_bits)
                 );
             }
+        }
+    }
+
+    /// A decoded `node_orig` that repeats an id or holds one out of range
+    /// has no inverse: typed error, no panic, nothing sized by the value.
+    #[test]
+    fn snapshot_with_a_non_permutation_id_map_is_rejected_typed() {
+        let (_d, _sta, mut eng) = build_engine(26, 4);
+        eng.propagate();
+        let snap = eng.snapshot();
+        for (index, value) in [(1usize, snap.node_orig[0]), (2, u32::MAX)] {
+            let mut bad = snap.clone();
+            let mut ids = bad.node_orig.to_vec();
+            ids[index] = value;
+            bad.node_orig = ids.into();
+            let err = decode_snapshot(&encode_snapshot(&bad)).expect_err("no inverse");
+            assert_eq!(
+                err,
+                PersistError::NotPermutation {
+                    what: "snapshot node_orig",
+                    index,
+                    value,
+                }
+            );
+            assert!(err.to_string().contains("node_orig"), "{err}");
         }
     }
 

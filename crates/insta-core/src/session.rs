@@ -21,14 +21,16 @@
 //! [`commit`](TimingSession::commit) promotes the work and bumps the
 //! engine [`epoch`](crate::engine::InstaEngine::epoch);
 //! [`rollback`](TimingSession::rollback) (or dropping the session while
-//! still open) restores the pre-session state bit-for-bit — eagerly for
-//! everything a client reads directly (arc annotations, the report, drift,
-//! τ, gradients), lazily for the bulk Top-K/LSE kernel arrays, which are
-//! marked stale and regenerated bit-identically by the next forward pass
-//! (see [`crate::checkpoint`] for why that is exact and why it is the key
-//! to near-zero commit overhead). The sizer's candidate-move loop is the
-//! canonical client: speculative moves run in a session, rejected moves
-//! roll back instead of replaying inverse deltas.
+//! still open) restores the pre-session state bit-for-bit: arc
+//! annotations, the report, drift, τ and gradients by copy, and the Top-K
+//! arrays by re-sweeping the cone of the restored arcs, so reads
+//! (`arrival_at`, `snapshot()`) never see a rolled-back pass and the next
+//! update is a cone update again. Only a session closed by a poisoning
+//! error leaves the Top-K arrays marked stale for the next full pass; the
+//! LSE arrays are always regenerated lazily (see [`crate::checkpoint`]).
+//! The sizer's candidate-move loop is the canonical client: speculative
+//! moves run in a session, rejected moves roll back instead of replaying
+//! inverse deltas.
 
 use crate::checkpoint::EpochCheckpoint;
 use crate::engine::InstaEngine;
@@ -118,8 +120,8 @@ impl<'e> TimingSession<'e> {
         self.cp.bytes()
     }
 
-    /// Validates, checkpoints, then re-annotates + re-propagates (the
-    /// session form of [`InstaEngine::update_timing`]).
+    /// Validates, checkpoints, then re-annotates + re-propagates the
+    /// changed cone (the session form of [`InstaEngine::update_timing`]).
     ///
     /// # Errors
     ///

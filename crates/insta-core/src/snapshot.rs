@@ -15,13 +15,14 @@
 //!
 //! Capture cost is O(endpoints + nodes), not O(nodes × K): the bulk Top-K
 //! arrays stay inside the engine; only the per-(node, transition) worst
-//! entry — what [`TimingSnapshot::arrival_at`] serves — is copied.
+//! entry — what [`TimingSnapshot::arrival_at`] serves — is copied. The
+//! node-id maps are static per engine and shared by `Arc`.
 
 use crate::engine::InstaEngine;
 use crate::metrics::{EngineCounters, InstaReport};
 use crate::topk::NO_SP;
 use crate::trace::PerfReport;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An immutable capture of one committed epoch's observable timing state.
 ///
@@ -38,13 +39,12 @@ pub struct TimingSnapshot {
     pub(crate) arrival0: Vec<f64>,
     /// Startpoint of that worst entry ([`NO_SP`] = unreached).
     pub(crate) sp0: Vec<u32>,
-    /// Renumbered → original node id.
-    pub(crate) node_orig: Vec<u32>,
-    /// Original node id → renumbered index, built once at capture so
-    /// [`arrival_at`](Self::arrival_at) is O(1) — the `report_at` read
-    /// path serves one request per lookup on designs with millions of
-    /// nodes.
-    pub(crate) orig_index: HashMap<u32, u32>,
+    /// Renumbered → original node id, and its inverse (what makes
+    /// [`arrival_at`](Self::arrival_at) O(1)). Both are static per engine
+    /// and shared with it: a capture copies neither, and dropping an old
+    /// snapshot frees neither.
+    pub(crate) node_orig: Arc<[u32]>,
+    pub(crate) orig_index: Arc<[u32]>,
     pub(crate) perf: PerfReport,
 }
 
@@ -75,7 +75,7 @@ impl TimingSnapshot {
     /// transition, if any path reaches it (the snapshot form of
     /// [`InstaEngine::arrival_at`]).
     pub fn arrival_at(&self, orig_node: u32, rf: usize) -> Option<f64> {
-        let v = *self.orig_index.get(&orig_node)? as usize;
+        let v = *self.orig_index.get(orig_node as usize)? as usize;
         let idx = v * 2 + rf.min(1);
         if self.sp0[idx] == NO_SP {
             None
@@ -95,16 +95,13 @@ impl TimingSnapshot {
         &self.perf
     }
 
-    /// Approximate resident bytes of the capture (reports + arrival rows).
+    /// Approximate resident bytes the capture owns (report + arrival rows;
+    /// the id maps are shared with the engine).
     pub fn bytes(&self) -> usize {
         let report = self.report.as_ref().map_or(0, |r| {
             r.slacks.len() * 8 * 3 + r.worst_sp.len() * 4 + r.worst_rf.len()
         });
-        report
-            + self.arrival0.len() * 8
-            + self.sp0.len() * 4
-            + self.node_orig.len() * 4
-            + self.orig_index.len() * 8
+        report + self.arrival0.len() * 8 + self.sp0.len() * 4
     }
 }
 
@@ -126,21 +123,14 @@ impl InstaEngine {
             arrival0.push(self.state.topk_arrival[idx]);
             sp0.push(self.state.topk_sp[idx]);
         }
-        let orig_index = self
-            .st
-            .node_orig
-            .iter()
-            .enumerate()
-            .map(|(i, &o)| (o, i as u32))
-            .collect();
         TimingSnapshot {
             epoch: self.epoch(),
             report: self.try_report().cloned(),
             counters: self.counters(),
             arrival0,
             sp0,
-            node_orig: self.st.node_orig.clone(),
-            orig_index,
+            node_orig: Arc::clone(&self.st.node_orig),
+            orig_index: Arc::clone(&self.st.new_id),
             perf: self.perf_report(),
         }
     }

@@ -8,7 +8,9 @@
 //! owned by the engine and threaded through every kernel pass:
 //!
 //! * a **span** per kernel pass (`"forward"`, `"forward_lse"`,
-//!   `"backward"`, `"batch.sweep"`) in a bounded
+//!   `"backward"`, `"batch.sweep"`, and `"forward.cone"` — one per cone
+//!   update and per rollback re-sweep, with its `seeds`, dirty `levels`,
+//!   recomputed `nodes` and `pruned` nodes) in a bounded
 //!   [`Recorder`](insta_support::obs::Recorder) journal,
 //! * a **per-level profile** ([`LevelProfile`]) of cumulative duration and
 //!   touched nodes per level per kernel — the data behind
@@ -26,7 +28,7 @@
 //! sink is a `None` and every instrumentation site is one branch; no
 //! `Instant::now()` calls, no allocation. Enabled, the cost is two
 //! timestamp reads per kernel pass plus two per *level* (not per node),
-//! gated in CI at ≤ 3 % over an untraced `update_timing`
+//! gated in CI at ≤ 3 % over an untraced `propagate_fused`
 //! (`scripts/ci.sh`, `BENCH_obs.json`). Tracing never touches the float
 //! pipeline: the determinism suite asserts bit-identical results with the
 //! sink enabled and disabled.
@@ -179,7 +181,9 @@ pub(crate) fn kernel_code(k: Kernel) -> f64 {
 pub struct PerfRow {
     /// Timing level.
     pub level: usize,
-    /// Nodes the forward kernel processes at this level per pass.
+    /// Nodes the forward kernel processes at this level per pass — the
+    /// level's population after full passes only, less once cone updates
+    /// (which visit only their dirty frontier) are in the mean.
     pub nodes: u64,
     /// Cumulative forward-kernel nanoseconds spent on this level.
     pub forward_ns: u64,
@@ -389,8 +393,7 @@ impl crate::engine::InstaEngine {
             let (forward_ns, fw_nodes) = per_level(&t.forward, l);
             let (lse_ns, lse_nodes) = per_level(&t.lse, l);
             let (backward_ns, bw_nodes) = per_level(&t.backward, l);
-            // Per-pass node count: the level population is invariant
-            // across passes, so divide the accumulated count by the pass
+            // Per-pass node count: the accumulated count over the pass
             // count of whichever kernel touched the level.
             let nodes = if t.forward.passes > 0 && fw_nodes > 0 {
                 fw_nodes / t.forward.passes

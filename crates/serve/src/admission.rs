@@ -446,7 +446,11 @@ mod tests {
         // Idle: no completions, no new traffic — the held ticket never
         // drops. Time alone must clear the tier.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while gate.tier() != Tier::Normal && std::time::Instant::now() < deadline {
+        // `Normal` is reached one step before the score hits zero, so wait
+        // for both (the tier read is what applies the decay).
+        while (gate.tier() != Tier::Normal || gate.pressure() != 0)
+            && std::time::Instant::now() < deadline
+        {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         assert_eq!(gate.tier(), Tier::Normal, "idle gate never recovered");

@@ -4,6 +4,7 @@
 //! insta-serve [--snapshot FILE | --gen NAME:SEED] [--k K] [--tcp ADDR]
 //!             [--max-inflight N] [--default-deadline-ms MS] [--debug-ops]
 //!             [--durability DIR] [--checkpoint-every N] [--no-fsync]
+//!             [--sync-interval-us US]
 //! ```
 //!
 //! The engine is initialized from an exported `InstaInit` JSON snapshot
@@ -16,6 +17,8 @@
 //! every writer commit durable before publishing it — a `kill -9` at any
 //! instant loses no committed epoch. The same design flags
 //! (`--gen`/`--snapshot`/`--k`) must be passed on restart.
+//! `--sync-interval-us` sets the sustained spacing of WAL syncs (default
+//! 3000; 0 = sync as fast as commits arrive).
 
 use insta_engine::{InstaConfig, InstaEngine};
 use insta_refsta::export::load_init;
@@ -26,7 +29,8 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: insta-serve [--snapshot FILE | --gen NAME:SEED] [--k K] [--tcp ADDR]\n\
          \x20                  [--max-inflight N] [--default-deadline-ms MS] [--debug-ops]\n\
-         \x20                  [--durability DIR] [--checkpoint-every N] [--no-fsync]"
+         \x20                  [--durability DIR] [--checkpoint-every N] [--no-fsync]\n\
+         \x20                  [--sync-interval-us US]"
     );
     std::process::exit(2);
 }
@@ -39,6 +43,7 @@ fn main() {
     let mut cfg = ServeConfig::default();
     let mut durability_dir: Option<String> = None;
     let mut checkpoint_every: Option<u64> = None;
+    let mut sync_interval_us: Option<u64> = None;
     let mut fsync = true;
 
     let mut args = std::env::args().skip(1);
@@ -69,6 +74,13 @@ fn main() {
                 )
             }
             "--no-fsync" => fsync = false,
+            "--sync-interval-us" => {
+                sync_interval_us = Some(
+                    val("--sync-interval-us")
+                        .parse()
+                        .unwrap_or_else(|_| usage("--sync-interval-us wants an integer")),
+                );
+            }
             "--help" | "-h" => usage("help requested"),
             other => usage(&format!("unknown flag {other:?}")),
         }
@@ -115,6 +127,9 @@ fn main() {
             dcfg.fsync = fsync;
             if let Some(n) = checkpoint_every {
                 dcfg.checkpoint_every = n;
+            }
+            if let Some(us) = sync_interval_us {
+                dcfg.sync_interval = std::time::Duration::from_micros(us);
             }
             let (server, report) = Server::with_durability(engine, cfg, dcfg)
                 .unwrap_or_else(|e| usage(&format!("durability: {e}")));

@@ -19,6 +19,27 @@
 //! recovery truncates it with a typed incident and never replays bytes
 //! past it.
 //!
+//! # Sync pacing
+//!
+//! With fsync on, the log keeps a commit schedule of one `fdatasync` per
+//! [`DurabilityConfig::sync_interval`]. An append that arrives ahead of
+//! the schedule sleeps until its slot. One that arrives late goes at once
+//! and the following appends catch the schedule up: all of the time a
+//! checkpoint write took (the log's own I/O), and up to
+//! [`SYNC_CATCH_UP`] slots of any other delay, so a stall before the
+//! writer got going cannot turn into a long unpaced burst.
+//!
+//! On ext4 every size-changing `fdatasync` is a filesystem-wide journal
+//! commit, and once a session update costs a few hundred microseconds a
+//! closed-loop writer would otherwise issue one as fast as the device and
+//! the scheduler happen to allow — a rate that moves with every neighbour
+//! on the disk and the cores. Pacing makes the durable commit cadence a
+//! property of the configuration: the commit work (well under a
+//! millisecond) finishes inside its slot with room to spare, so CPU and
+//! device jitter are absorbed by the wait instead of showing up in the
+//! commit rate. `sync_interval = 0` is fsync-per-append as fast as the
+//! caller can go.
+//!
 //! **Checkpoint** (`checkpoint-<epoch:020>.ckpt`): magic `INSTACKP`,
 //! `u32` LE version, `u32` LE crc32(payload), `u64` LE payload length,
 //! then the payload:
@@ -46,6 +67,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// WAL file magic.
 pub const WAL_MAGIC: &[u8; 8] = b"INSTAWAL";
@@ -62,6 +84,9 @@ pub const WAL_HEADER_LEN: u64 = 12;
 /// Largest accepted WAL record payload — a corrupted length field must
 /// not drive a multi-gigabyte allocation.
 const MAX_RECORD_BYTES: u32 = 1 << 30;
+/// Slots of schedule debt (beyond checkpoint time) that late appends may
+/// catch up at full speed before the schedule is re-based on "now".
+pub const SYNC_CATCH_UP: u32 = 8;
 
 /// Durability configuration for a daemon.
 #[derive(Debug, Clone)]
@@ -73,6 +98,9 @@ pub struct DurabilityConfig {
     /// default). Turning this off trades the power-loss guarantee for
     /// speed — a kill -9 still loses nothing, but a host crash may.
     pub fsync: bool,
+    /// Sustained spacing of WAL `fdatasync`s (see the module docs, "Sync
+    /// pacing"); zero = no pacing. Ignored when `fsync` is off.
+    pub sync_interval: Duration,
     /// Commits between checkpoints (`0` = never checkpoint; the WAL then
     /// grows until restart).
     pub checkpoint_every: u64,
@@ -85,12 +113,14 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Durability in `dir` with the production defaults: fsync on, a
-    /// checkpoint every 64 commits, two checkpoints retained.
+    /// Durability in `dir` with the production defaults: fsync on and
+    /// paced at one per 3 ms, a checkpoint every 64 commits, two
+    /// checkpoints retained.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             fsync: true,
+            sync_interval: Duration::from_millis(3),
             checkpoint_every: 64,
             keep_checkpoints: 2,
             crash: None,
@@ -116,11 +146,13 @@ pub struct DurabilityStats {
     pub checkpoint_failures: AtomicU64,
     /// Epoch of the newest successful checkpoint (0 = none yet).
     pub last_checkpoint_epoch: AtomicU64,
+    /// Microseconds appends spent waiting for their sync slot.
+    pub sync_wait_us: AtomicU64,
 }
 
 impl DurabilityStats {
     /// Snapshot rows for the stats surface.
-    pub fn rows(&self) -> [(&'static str, u64); 7] {
+    pub fn rows(&self) -> [(&'static str, u64); 8] {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         [
             ("wal_records", g(&self.wal_records)),
@@ -130,8 +162,18 @@ impl DurabilityStats {
             ("checkpoints_written", g(&self.checkpoints_written)),
             ("checkpoint_failures", g(&self.checkpoint_failures)),
             ("last_checkpoint_epoch", g(&self.last_checkpoint_epoch)),
+            ("sync_wait_us", g(&self.sync_wait_us)),
         ]
     }
+}
+
+/// The sync schedule (module docs, "Sync pacing").
+#[derive(Debug, Default)]
+struct Pace {
+    /// Slot of the next `fdatasync` (`None` until the first one).
+    next: Option<Instant>,
+    /// Checkpoint-write time not yet caught up.
+    checkpoint_debt: Duration,
 }
 
 /// The append side of the durability layer. All mutating calls happen
@@ -148,6 +190,8 @@ pub struct Durability {
     commits: AtomicU64,
     /// Commits since the last checkpoint.
     since_checkpoint: AtomicU64,
+    /// The sync schedule.
+    pace: Mutex<Pace>,
     /// Live counters.
     pub stats: DurabilityStats,
 }
@@ -206,6 +250,7 @@ impl Durability {
             dead: AtomicBool::new(false),
             commits: AtomicU64::new(0),
             since_checkpoint: AtomicU64::new(0),
+            pace: Mutex::new(Pace::default()),
             stats: DurabilityStats::default(),
         })
     }
@@ -224,6 +269,10 @@ impl Durability {
         self.wal.lock().unwrap_or_else(|p| p.into_inner())
     }
 
+    fn lock_pace(&self) -> MutexGuard<'_, Pace> {
+        self.pace.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn fire(&self, point: CrashPoint, idx: u64) -> bool {
         if let Some(sw) = &self.cfg.crash {
             if sw.fire(point, idx) {
@@ -232,6 +281,31 @@ impl Durability {
             }
         }
         false
+    }
+
+    /// Waits for this append's slot on the sync schedule and books the
+    /// next one. The schedule is a deadline, not a gap: a sleep that
+    /// overshoots shortens the next wait, so the sustained spacing is
+    /// `sync_interval` exactly whenever the caller keeps up.
+    fn pace_sync(&self) {
+        let every = self.cfg.sync_interval;
+        if !self.cfg.fsync || every.is_zero() {
+            return;
+        }
+        let mut pace = self.lock_pace();
+        let now = Instant::now();
+        let floor = now
+            .checked_sub(every * SYNC_CATCH_UP + pace.checkpoint_debt)
+            .unwrap_or(now);
+        let slot = pace.next.map_or(now, |t| t.max(floor));
+        if let Some(wait) = slot.checked_duration_since(now) {
+            std::thread::sleep(wait);
+            self.stats
+                .sync_wait_us
+                .fetch_add(wait.as_micros() as u64, Ordering::Relaxed);
+            pace.checkpoint_debt = Duration::ZERO;
+        }
+        pace.next = Some(slot + every);
     }
 
     /// Makes one commit durable *before* it happens: appends the framed,
@@ -244,6 +318,7 @@ impl Durability {
             return Ok(());
         }
         let rec = encode_record(epoch, op);
+        self.pace_sync();
         let mut f = self.lock_wal();
         let r = (|| -> io::Result<()> {
             f.seek(SeekFrom::End(0))?;
@@ -306,6 +381,7 @@ impl Durability {
         }
         let idx = self.commits.load(Ordering::Relaxed).saturating_sub(1);
         let epoch = state.epoch;
+        let started = Instant::now();
         let r = (|| -> io::Result<Option<u64>> {
             let image = encode_checkpoint(state, snapshot);
             let tmp = self.cfg.dir.join(format!("checkpoint-{epoch:020}.tmp"));
@@ -347,6 +423,7 @@ impl Durability {
         if r.is_err() {
             self.stats.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
         }
+        self.lock_pace().checkpoint_debt += started.elapsed();
         r
     }
 
@@ -588,4 +665,71 @@ pub fn list_checkpoints(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     }
     out.sort_by(|a, b| b.0.cmp(&a.0));
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn open(name: &str, fsync: bool, sync_interval: Duration) -> (Durability, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("insta-wal-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = DurabilityConfig {
+            fsync,
+            sync_interval,
+            ..DurabilityConfig::new(&dir)
+        };
+        (Durability::open(cfg).unwrap(), dir)
+    }
+
+    fn append(d: &Durability, n: u64) -> Duration {
+        let t = Instant::now();
+        for epoch in 1..=n {
+            d.log_commit(epoch, &WriterOp::Propagate).unwrap();
+        }
+        t.elapsed()
+    }
+
+    #[test]
+    fn paced_syncs_keep_the_interval_and_book_their_waits() {
+        let every = Duration::from_millis(2);
+        let (d, dir) = open("paced", true, every);
+        // The first append has no slot to wait for; the other nine do.
+        assert!(append(&d, 10) >= every * 9);
+        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        assert_eq!(g(&d.stats.fsyncs), 10);
+        assert!(g(&d.stats.sync_wait_us) > 0);
+        assert_eq!(scan_wal(&wal_path(&dir)).unwrap().records.len(), 10);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_late_append_catches_up_without_waiting() {
+        let every = Duration::from_millis(20);
+        let (d, dir) = open("late", true, every);
+        append(&d, 1);
+        // Three slots pass idle: the next three appends are behind
+        // schedule and go at once; once the schedule is caught up the
+        // appends wait again.
+        std::thread::sleep(every * 3);
+        let before = d.stats.sync_wait_us.load(Ordering::Relaxed);
+        append(&d, 3);
+        assert_eq!(d.stats.sync_wait_us.load(Ordering::Relaxed), before);
+        append(&d, 8);
+        assert!(d.stats.sync_wait_us.load(Ordering::Relaxed) > before);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn pacing_is_off_at_zero_and_without_fsync() {
+        for (name, fsync, every) in [
+            ("zero", true, Duration::ZERO),
+            ("nosync", false, Duration::from_secs(1)),
+        ] {
+            let (d, dir) = open(name, fsync, every);
+            assert!(append(&d, 5) < Duration::from_secs(1));
+            assert_eq!(d.stats.sync_wait_us.load(Ordering::Relaxed), 0);
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
 }

@@ -8,8 +8,9 @@
 //!   commercial-tool role of Fig. 7),
 //! * **incremental** — the reference engine's dirty-cone
 //!   `incremental_update` (the "in-house, highly-optimized CPU STA" role),
-//! * **INSTA** — `estimate_eco` re-annotation plus full-graph INSTA
-//!   propagation (re-annotation time *included*, as in the paper).
+//! * **INSTA** — `estimate_eco` re-annotation plus INSTA's update, which
+//!   re-propagates the changed fanout cone and lands on the full-graph
+//!   pass's bits (re-annotation time *included*, as in the paper).
 //!
 //! The flow also reports endpoint-slack correlation between INSTA and the
 //! exact engine before and after the whole changelist (Fig. 8): INSTA's

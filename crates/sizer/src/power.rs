@@ -4,9 +4,8 @@
 //!
 //! Cells with positive slack headroom are downsized greedily (largest
 //! leakage saving first); each candidate is scored with `estimate_eco`,
-//! committed, evaluated with INSTA's fast full-graph propagation, and
-//! rolled back if TNS degrades below the floor. Leakage falls; timing is
-//! held.
+//! committed, evaluated with INSTA's cone-bounded update, and rolled back
+//! if TNS degrades below the floor. Leakage falls; timing is held.
 
 use crate::insta_size::SizeOutcome;
 use insta_engine::{InstaConfig, InstaEngine};

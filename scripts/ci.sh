@@ -25,6 +25,9 @@ cargo test -q --offline --test batch_equivalence
 echo "==> mcmm-equivalence gate (corner/mode lanes bit-identical to pre-scaled, masked serial twins under both backends)"
 cargo test -q --offline --test mcmm_equivalence
 
+echo "==> cone-equivalence gate (session cone updates + rollback re-sweeps bit-identical to reannotate + full pass, arrays and report, both backends)"
+cargo test -q --offline -p insta-engine --test cone_equivalence
+
 echo "==> backend-equivalence gate (trait-generic Gaussian bit-identical to the frozen kernels; histogram converges to POCV monotonically in bins)"
 cargo test -q --offline -p insta-engine --test backend_equivalence
 cargo test -q --offline --test backend_equivalence
@@ -41,10 +44,10 @@ cargo test -q --offline --test sessions -- cancel deadline
 echo "==> benches compile (offline)"
 cargo build --release --offline --benches -p insta-bench
 
-echo "==> session-overhead smoke (fast budget; records the JSON gate line)"
+echo "==> session-overhead smoke (plain vs commit vs rollback over two alternating delta sets; report-only JSON line)"
 INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench session_overhead | tail -1 | tee BENCH_session.json
 
-echo "==> batch-throughput smoke (fast budget; records the JSON gate line)"
+echo "==> batch-throughput smoke (evaluate_batch vs sequential cone sessions; report-only JSON line)"
 INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench batch_throughput | tail -1 | tee BENCH_batch.json
 
 echo "==> mcmm-throughput smoke (CxM sweep >= 3x sequential per-corner sessions; bench exits non-zero on breach)"
@@ -53,10 +56,10 @@ INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench mcmm_throughput 
 echo "==> serve-throughput smoke (reader p99 with a hot writer <= 2x idle p99; bench exits non-zero on breach)"
 INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench serve_throughput | tail -1 | tee BENCH_serve.json
 
-echo "==> WAL-overhead smoke (durable commit p50 <= 1.10x ephemeral; bench exits non-zero on breach)"
+echo "==> WAL-overhead smoke (durable commit p50 within 1200 us of ephemeral, one fsync per commit; bench exits non-zero on breach)"
 INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench wal_overhead | tail -1 | tee BENCH_wal.json
 
-echo "==> trace-overhead gate (traced update_timing <= 3% over untraced; bench exits non-zero on breach)"
+echo "==> trace-overhead gate (traced propagate_fused <= 3% over untraced; bench exits non-zero on breach)"
 INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench obs_overhead | tail -1 | tee BENCH_obs.json
 
 echo "==> fig9 levelized-breakdown smoke + forward-pass regression gate"

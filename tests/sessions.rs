@@ -22,8 +22,14 @@ use std::time::Duration;
 const SUITE_SEED: u64 = 0x5E55_10F0_3;
 const CASES_PER_FAULT: u64 = 8;
 
-/// Serializes tests that arm the process-global chaos hook.
+/// The chaos hook is process-global and fires in every dirty level of a
+/// cone update, so a test that arms it must not overlap *any* test that
+/// updates timing: every test of this file runs under this lock.
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 fn build(seed: u64) -> (RefSta, InstaEngine) {
     let design = generate_design(&GeneratorConfig::small("sess", seed));
@@ -96,6 +102,7 @@ fn corrupted_batch(
 /// corrupted batch.
 #[test]
 fn rollback_is_bit_identical_across_all_session_fault_classes() {
+    let _serial = serial();
     let (golden, mut engine) = build(101);
     let baseline = engine.propagate().clone();
     let baseline_bits = report_bits(&baseline);
@@ -157,6 +164,7 @@ fn rollback_is_bit_identical_across_all_session_fault_classes() {
 /// a fresh engine that applied the same batch directly.
 #[test]
 fn commit_matches_direct_update_bit_identically() {
+    let _serial = serial();
     let (golden, mut engine) = build(103);
     engine.propagate();
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xC0117);
@@ -179,14 +187,31 @@ fn commit_matches_direct_update_bit_identically() {
     assert_eq!(c.drift_updates, 1);
 }
 
-/// An injected persistent worker panic mid-session is a fatal Runtime
+/// Every bit of the Top-K arrays.
+fn topk_bits(e: &InstaEngine) -> Vec<u64> {
+    let (a, m, s, sp) = e.topk_snapshot();
+    let mut bits: Vec<u64> = a.iter().chain(&m).chain(&s).map(|v| v.to_bits()).collect();
+    bits.extend(sp.iter().map(|&v| u64::from(v)));
+    bits
+}
+
+/// The first level a session update of `batch` would recompute: a
+/// pre-fired token is cancelled at exactly that level's poll.
+fn first_dirty_level(engine: &mut InstaEngine, batch: &[ArcDelta]) -> usize {
+    let token = CancelToken::new();
+    token.cancel();
+    let mut session = engine.begin_session().with_cancel(token);
+    match session.update_timing(batch) {
+        Err(InstaError::Cancelled { level, .. }) => level,
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+}
+
+/// An injected persistent worker panic in a dirty level is a fatal Runtime
 /// error; the session auto-rolls-back bit-identically.
-///
-/// Needs a wide design: chaos fires in parallel chunk workers (and the
-/// serial retry), and small levels dispatch serially.
 #[test]
 fn worker_panic_mid_session_rolls_back_bit_identically() {
-    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let _serial = serial();
     let mut gen = GeneratorConfig::medium("sess-chaos", 9);
     gen.gates_per_level = 600;
     gen.logic_levels = 6;
@@ -205,10 +230,14 @@ fn worker_panic_mid_session_rolls_back_bit_identically() {
     let baseline_bits = report_bits(&engine.propagate().clone());
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xCA05);
     let batch = random_valid_batch(&golden, &mut rng, 4);
+    // The cancelled probe closes its session unsynced; start from a synced
+    // engine again so the armed update takes the cone path.
+    let dirty_level = first_dirty_level(&mut engine, &batch);
+    engine.propagate();
 
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    chaos::arm(Kernel::Forward, 2, true);
+    chaos::arm(Kernel::Forward, dirty_level, true);
     let mut session = engine.begin_session();
     let result = session.update_timing(&batch);
     chaos::disarm();
@@ -224,12 +253,15 @@ fn worker_panic_mid_session_rolls_back_bit_identically() {
     assert!(engine.incident_log().total() > 0, "fatal incident recorded");
 }
 
-/// A pre-fired token cancels at the *first* per-level poll — bounded by
-/// one level's work — auto-rolls-back, and leaves a healthy engine.
+/// A pre-fired token cancels at the *first* poll — the first dirty
+/// level's, before any of its work — auto-rolls-back, and leaves a
+/// healthy engine.
 #[test]
 fn prefired_cancel_token_stops_at_the_first_level_poll() {
+    let _serial = serial();
     let (golden, mut engine) = build(107);
     let baseline_bits = report_bits(&engine.propagate().clone());
+    let topk_before = topk_bits(&engine);
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x70C);
     let batch = random_valid_batch(&golden, &mut rng, 3);
 
@@ -241,10 +273,12 @@ fn prefired_cancel_token_stops_at_the_first_level_poll() {
         panic!("expected Cancelled, got {err}");
     };
     assert_eq!(*kernel, Kernel::Forward);
-    assert_eq!(*level, 1, "first polled level");
+    assert!(*level >= 1, "level 0 is never recomputed");
     assert!(*elapsed < Duration::from_secs(5));
     assert_eq!(session.status(), SessionStatus::Cancelled);
     drop(session);
+    // It was the first poll: no level's work ran before it.
+    assert_eq!(topk_before, topk_bits(&engine));
 
     engine.health_check().expect("rolled-back state is healthy");
     assert_eq!(baseline_bits, report_bits(&engine.propagate().clone()));
@@ -252,9 +286,54 @@ fn prefired_cancel_token_stops_at_the_first_level_poll() {
     assert_eq!((c.sessions_cancelled, c.sessions_rolled_back), (1, 0));
 }
 
+/// Regression: a rolled-back session used to restore the report but leave
+/// the rolled-back pass's Top-K arrays in place, where `arrival_at` /
+/// `distribution_at` / `snapshot()` read them. Right after `rollback()` —
+/// no `propagate()` in between — every read is back at its pre-session
+/// bits, and the engine still takes the cone path.
+#[test]
+fn reads_after_rollback_see_the_committed_arrays() {
+    let _serial = serial();
+    let (golden, mut engine) = build(117);
+    let baseline_bits = report_bits(&engine.propagate().clone());
+    let topk_before = topk_bits(&engine);
+    let arrivals = |e: &InstaEngine| -> Vec<Option<u64>> {
+        (0..e.num_nodes() as u32)
+            .flat_map(|orig| [e.arrival_at(orig, 0), e.arrival_at(orig, 1)])
+            .map(|a| a.map(f64::to_bits))
+            .collect()
+    };
+    let arrivals_before = arrivals(&engine);
+    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x4EAD);
+    let batch = random_valid_batch(&golden, &mut rng, 6);
+
+    let mut session = engine.begin_session();
+    session.update_timing(&batch).expect("valid batch");
+    assert_ne!(
+        arrivals_before,
+        arrivals(session.engine()),
+        "the batch must move some arrival"
+    );
+    session.rollback();
+
+    assert_eq!(arrivals_before, arrivals(&engine));
+    assert_eq!(topk_before, topk_bits(&engine));
+    assert_eq!(baseline_bits, report_bits(engine.report()));
+    // Still synced: the next update recomputes a cone and matches a twin
+    // that never saw the session.
+    let (_, mut twin) = build(117);
+    twin.propagate();
+    let next = random_valid_batch(&golden, &mut rng, 3);
+    let got = engine.update_timing(&next).expect("valid batch");
+    let want = twin.update_timing(&next).expect("valid batch");
+    assert_eq!(report_bits(&want), report_bits(&got));
+    assert_eq!(topk_bits(&twin), topk_bits(&engine));
+}
+
 /// An already-expired deadline behaves exactly like a fired token.
 #[test]
 fn zero_deadline_cancels_and_rolls_back() {
+    let _serial = serial();
     let (golden, mut engine) = build(109);
     let baseline_bits = report_bits(&engine.propagate().clone());
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xDEAD);
@@ -274,6 +353,7 @@ fn zero_deadline_cancels_and_rolls_back() {
 /// silently mutating, and a dropped-while-open session rolls back.
 #[test]
 fn session_lifecycle_contract() {
+    let _serial = serial();
     let (golden, mut engine) = build(111);
     let baseline_bits = report_bits(&engine.propagate().clone());
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x11FE);
@@ -308,6 +388,7 @@ fn session_lifecycle_contract() {
 /// health gate, and the odometer holds until an explicit reset.
 #[test]
 fn drift_budget_triggers_degraded_passes_until_reset() {
+    let _serial = serial();
     let design = generate_design(&GeneratorConfig::small("sess", 113));
     let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
     golden.full_update(&design);
@@ -344,6 +425,7 @@ fn drift_budget_triggers_degraded_passes_until_reset() {
 /// rollback reproduces the pre-session gradients bit-for-bit.
 #[test]
 fn rollback_restores_differentiable_state() {
+    let _serial = serial();
     let (golden, mut engine) = build(115);
     engine.propagate();
     engine.forward_lse();
