@@ -1,13 +1,19 @@
 //! MCMM-throughput bench: a C-corner × M-mode sweep evaluated in one
 //! `evaluate_mcmm` call vs C × M sequential per-corner sessions.
 //!
-//! The MCMM path propagates one lane per *corner* (modes are report-time
-//! masks sharing that lane) inside one shared levelized sweep, while the
-//! sequential arm re-annotates, propagates, masks, and rolls back once
-//! per (corner, mode) pair — so the sweep should win by a wide margin.
-//! Emits one machine-readable JSON line after the human table and exits
-//! non-zero when the speedup falls below the gate (acceptance: ≥ 3×).
-//! Drift auditing is disabled so neither path degrades to the other.
+//! The MCMM path runs one full pass per distinct *corner* (modes are
+//! report-time masks over that corner's report, the identity corner is the
+//! engine's own synced report), while the sequential arm re-annotates,
+//! propagates, masks, and rolls back — two full passes — once per (corner,
+//! mode) pair, so the sweep should win by a wide margin. Emits one
+//! machine-readable JSON line after the human table and exits non-zero
+//! when the speedup falls below the gate (acceptance: ≥ 3×). Drift
+//! auditing is disabled so neither path degrades to the other.
+//!
+//! Under `INSTA_BENCH_FAST` each arm is the best of three iterations: the
+//! harness's fast budget is a single iteration of either arm, and a single
+//! iteration is whatever the box was doing at that moment (194 ms against
+//! 44 ms standalone, seen in CI).
 
 use insta_bench::block_specs;
 use insta_engine::{
@@ -16,13 +22,31 @@ use insta_engine::{
 use insta_refsta::{RefSta, StaConfig};
 use insta_support::json::{obj, Json};
 use insta_support::timer::{black_box, Harness};
+use std::time::{Duration, Instant};
 
 const MODES: usize = 6;
 
-/// Minimum accepted sweep-vs-sequential speedup. Three corner lanes in
-/// one shared sweep vs 3 × 6 full session round-trips measures well
-/// above 10×; 3× catches a regression that re-propagates per mode.
+/// Minimum accepted sweep-vs-sequential speedup. Two corner base passes
+/// vs 3 × 6 full session round-trips measures well above 10×; 3× catches a
+/// regression that re-propagates per mode.
 const GATE_MIN_SPEEDUP: f64 = 3.0;
+
+/// Measures one arm: the harness's budgeted mean, or — in fast mode — the
+/// best of three iterations.
+fn measure<R>(h: &mut Harness, fast: bool, name: &str, mut f: impl FnMut() -> R) {
+    if !fast {
+        return h.bench(name, f);
+    }
+    let best = (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed()
+        })
+        .min()
+        .unwrap_or(Duration::ZERO);
+    h.record(name, best);
+}
 
 fn main() {
     let spec = &block_specs()[2]; // block-3
@@ -71,8 +95,9 @@ fn main() {
         .map(|sc| engine.scenario_twin_deltas(sc))
         .collect();
 
+    let fast = std::env::var_os("INSTA_BENCH_FAST").is_some();
     let mut h = Harness::new("mcmm_throughput");
-    h.bench("sequential_corner_sessions", || {
+    measure(&mut h, fast, "sequential_corner_sessions", || {
         let mut tns = 0.0;
         for (sc, twin) in scenarios.iter().zip(&twins) {
             let mut session = engine.begin_session();
@@ -86,7 +111,7 @@ fn main() {
         black_box(tns)
     });
     engine.propagate(); // resync the base before the swept path
-    h.bench("evaluate_mcmm", || {
+    measure(&mut h, fast, "evaluate_mcmm", || {
         let mcmm = engine.evaluate_mcmm(&scenarios);
         let tns: f64 = mcmm
             .scenarios

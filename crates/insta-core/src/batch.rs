@@ -1,77 +1,82 @@
-//! Batched multi-scenario evaluation: one levelized sweep propagates S
-//! delta-sets simultaneously (paper §IV-B — INSTA-Size batches thousands
-//! of what-if candidates per GPU pass).
+//! Batched what-if evaluation: S scenarios scored against one engine state
+//! and taken back (paper §IV-B — INSTA-Size scores its resize candidates
+//! as batched what-if evaluations).
 //!
 //! [`InstaEngine::evaluate_batch`] takes S [`DeltaSet`]s and returns one
 //! [`ScenarioReport`] per scenario, bit-identical to S independent serial
-//! `update_timing` runs from the current engine state. The batched path
-//! never replays S full sweeps; it exploits what the serial path cannot:
+//! `update_timing` sessions from the current engine state, each rolled
+//! back. There is no batch kernel. The module is a router over the two
+//! kernels the engine already has:
 //!
-//! * **Shared base.** All scenarios diverge from the *same* synced Top-K
-//!   state. The base is propagated (at most) once; each scenario only
-//!   recomputes the nodes inside its own dirty fanout cone.
-//! * **SoA scenario lanes.** A [`ScenarioBatch`] holds per-lane Top-K
-//!   queues in a *compact* structure-of-arrays layout: storage exists
-//!   only for dirty `(node, lane)` pairs. A prefix sum of
-//!   `popcount(dirty[node])` assigns each pair a dense slot (node-major,
-//!   lane-minor), element index `(slot·2 + rf)·k + j` — so every lane's
-//!   k-slice is contiguous, the serial kernels' queue primitives apply
-//!   unchanged, and the allocation scales with the dirty cone instead of
-//!   `nodes × lanes`.
-//! * **Bit-identity by construction.** The per-node merge body is the
-//!   *same function* the serial kernel runs
-//!   ([`merge_node_queue`](crate::forward)), with parent and annotation
-//!   reads routed through lane-aware closures: a dirty parent reads the
-//!   lane's recomputed queue, a clean parent falls through to the base
-//!   arrays, and a touched arc reads the lane's overlaid delta. Induction
-//!   over levels then gives bit-equality with a serial re-annotate +
-//!   propagate, without maintaining a second kernel.
+//! * **A lane is a cone sweep with an undo log.** All scenarios diverge
+//!   from the *same* synced base: the engine's live Top-K arrays and its
+//!   report. A lane writes its deltas over the annotations, runs the
+//!   session's own [`cone_sweep`](crate::incremental) in place with the
+//!   undo log on, reads its report off the live arrays (a copy of the
+//!   base report, refreshed on the recomputed nodes), and then copies the
+//!   overwritten k-slices and annotations back. A candidate costs its
+//!   changed cone twice — once forward, once as a memcpy — and nothing per
+//!   node or per arc of the graph.
+//! * **A corner is one full pass.** A [`CornerTransform`] re-annotates
+//!   every arc, which is what the ordinary [`forward`](crate::forward)
+//!   pass is for: each *distinct* non-identity corner gets one full pass
+//!   over its transformed annotation table into a Top-K scratch, and that
+//!   corner's lanes are then cone lanes over *that* base. C corners × S
+//!   candidates cost C full passes + C·S cones.
+//!
+//! **Why a lane equals its serial twin.** The cone sweep lands on the full
+//! pass's bits for any base that is the full pass's output over the
+//! annotations the cone starts from (induction over levels, see
+//! [`crate::incremental`]). An identity lane's base is the engine's own
+//! synced arrays, so lane ≡ `update_timing` of the same deltas. A corner
+//! lane's base is the full pass over the corner table, so lane ≡ the full
+//! pass over "corner table, then the lane's transformed deltas" — the
+//! annotations [`scenario_twin_deltas`](InstaEngine::scenario_twin_deltas)
+//! writes. Both backends go through the same
+//! [`StatModel`](crate::stat::StatModel) seam as the session path.
+//!
+//! **The call leaves no trace.** The undo is unconditional: it runs after
+//! a completed lane, a cancelled or failed sweep, a NaN or gradient
+//! failure, and from a drop guard if anything unwinds. After any
+//! `evaluate_*` call the engine's Top-K arrays (stale mean/sigma tails
+//! included), annotations, report, drift odometer, `topk_synced` and LSE
+//! state are their pre-call bits — the only state a call may write is the
+//! base sync itself (identical to the caller running
+//! [`propagate`](InstaEngine::propagate) first) and the monotonic batch
+//! counters. A failed lane does not force the next update onto a full
+//! pass.
 //!
 //! **Quarantine semantics.** A poisoned scenario — validation-rejected
-//! deltas, a NaN slack, a cancelled or failed gradient pass — is
-//! quarantined *per scenario*: its `outcome` carries the same typed
-//! [`InstaError`] the serial session would raise, while sibling scenarios
-//! complete bit-identically to a clean run. Scenarios whose serial run
-//! would take the degraded drift path, and any batch whose base
-//! propagation fails, are transparently replayed through real
-//! checkpoint/rollback sessions so the serial semantics (including
-//! rollback and counter behavior) are reproduced exactly.
+//! deltas, a NaN slack, a cancelled or failed pass — is quarantined *per
+//! scenario*: its `outcome` carries the same typed [`InstaError`] the
+//! serial session would raise, while sibling scenarios complete
+//! bit-identically to a clean run. Scenarios whose serial run would not be
+//! a cone update — the degraded drift path, or more distinct seeds than
+//! the cone's full-pass switch allows — and any batch whose base
+//! propagation fails are replayed through real checkpoint/rollback
+//! sessions.
 //!
-//! Like a rolled-back session, a batch leaves the engine's annotations,
-//! drift odometer, and report untouched — the only state it may write is
-//! the base sync itself (identical to the caller running
-//! [`propagate`](InstaEngine::propagate) first) and the monotonic batch
-//! counters.
-//!
-//! **MCMM lanes.** A lane is not just a delta-set: a [`Scenario`] also
-//! carries an optional [`CornerTransform`] (a lane-local affine derate of
-//! every arc's `(μ, σ)` annotation, composed *under* the scenario's own
-//! deltas) and an optional [`ModeMask`] (per-mode endpoint exceptions:
-//! disabled endpoints keep their slack in the report but contribute
-//! neither WNS nor TNS). Corner lanes reuse the same sweep — the corner
-//! materializes as a per-corner transformed-annotation table that
-//! [`LaneCtx::arc_ann`] falls through to before the base arrays, and the
-//! lane's dirty mask covers every node with fanin (a corner re-annotates
-//! every arc). The identity contract extends verbatim: a lane with corner
-//! `C` and mode `M` is bit-identical to a serial session whose
-//! annotations were pre-scaled by `C` (see
-//! [`InstaEngine::scenario_twin_deltas`]) and whose report was masked by
-//! `M`. [`InstaEngine::evaluate_mcmm`] adds scenario dedup (mode is a
+//! **MCMM lanes.** A [`Scenario`] carries, besides its deltas, an optional
+//! [`CornerTransform`] (a lane-local affine derate of every arc's `(μ, σ)`
+//! annotation, composed *under* the scenario's own deltas) and an optional
+//! [`ModeMask`] (per-mode endpoint exceptions: disabled endpoints keep
+//! their slack in the report but contribute neither WNS nor TNS). A lane
+//! with corner `C` and mode `M` is bit-identical to a serial session whose
+//! annotations were pre-scaled by `C` and whose report was masked by `M`.
+//! [`InstaEngine::evaluate_mcmm`] adds scenario dedup (mode is a
 //! report-time filter, so `(deltas, corner)`-equal scenarios share one
-//! propagated lane) and a merged worst-corner slack per endpoint.
+//! lane) and a merged worst-corner slack per endpoint.
 
-use crate::engine::{InstaEngine, State, Static};
+use crate::engine::{InstaConfig, InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, PoisonedArray, RuntimeIncident};
-use crate::forward::merge_node_queue;
+use crate::forward::forward;
+use crate::incremental::{cone_sweep, seed_cone, ConeScratch};
 use crate::metrics::InstaReport;
-use crate::parallel::{chaos, resolve_threads, Interrupt, MergeArena, PanicCell, PAR_THRESHOLD};
+use crate::parallel::Interrupt;
 use crate::stat::{with_model, StatModel};
-use crate::topk::NO_SP;
 use crate::validate::{Issue, ValidationReport};
 use insta_refsta::eco::ArcDelta;
-use insta_refsta::{EpId, SpId};
 use insta_support::timer::Deadline;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 /// One scenario of a batch: the arc deltas that distinguish it from the
@@ -334,16 +339,12 @@ pub struct BatchOptions {
     pub deadline: Option<Duration>,
 }
 
-/// Scenario lanes per shared sweep — the width of the `u64` dirty masks.
-/// Larger batches are processed in chunks of this size.
-pub(crate) const MAX_LANES: usize = 64;
-
 /// One distinct corner's transformed base annotations, indexed by
 /// expanded arc — built once per `evaluate_*` call and shared by every
-/// lane carrying that corner. Reading `table[e]` instead of
-/// `C(st.arc_mean[e])` in the inner loop keeps the merge body a pure
-/// load, and guarantees the lane and its serial twin (which is
-/// re-annotated from this same table's values) see identical bits.
+/// lane carrying that corner. While the corner's lanes run, the table
+/// stands in for the engine's own annotation arrays (see [`CornerSwap`]),
+/// so the kernels read it with plain loads; the serial twin is
+/// re-annotated from the same values, so both see identical bits.
 struct CornerTable {
     mean: Vec<[f64; 2]>,
     sigma: Vec<[f64; 2]>,
@@ -356,39 +357,23 @@ struct CornerTable {
 type CornerResult = Result<CornerTable, ValidationReport>;
 
 /// One routed lane of a batched call, after corner/mode normalization:
-/// `deltas` are already corner-transformed ("effective"), `corner` is
-/// present only when non-identity, `mode` only when it masks something.
+/// `deltas` are already corner-transformed ("effective"), `corner` indexes
+/// the call's corner tables and is present only when non-identity, `mode`
+/// only when it masks something.
 #[derive(Clone, Copy)]
-pub(crate) struct LaneSpec<'a> {
+struct LaneSpec<'a> {
     deltas: &'a [ArcDelta],
-    corner: Option<&'a CornerResult>,
+    corner: Option<usize>,
     mode: Option<&'a ModeMask>,
 }
 
-impl<'a> LaneSpec<'a> {
-    pub(crate) fn from_deltas(deltas: &'a [ArcDelta]) -> Self {
-        LaneSpec {
-            deltas,
-            corner: None,
-            mode: None,
-        }
-    }
+/// A lane's report (or typed error) and, when asked for, its gradients.
+type LaneResult = (Result<InstaReport, InstaError>, Option<Vec<f64>>);
 
-    /// The lane's corner table (routed lanes only carry valid corners).
-    fn table(&self) -> Option<&'a CornerTable> {
-        self.corner.map(|r| match r {
-            Ok(t) => t,
-            Err(_) => unreachable!("invalid corners are quarantined before routing"),
-        })
-    }
-}
-
-/// Owned per-call corner/delta storage backing the `LaneSpec` views of a
+/// Owned per-call delta storage backing the `LaneSpec` views of a
 /// `&[Scenario]` batch.
 struct LanePrep {
-    /// Distinct non-identity corners, materialized (or failed).
-    tables: Vec<CornerResult>,
-    /// Per-scenario index into `tables`.
+    /// Per-scenario index into the call's corner tables.
     corner_of: Vec<Option<usize>>,
     /// Per-scenario corner-transformed deltas (corner lanes only; lanes
     /// without a corner borrow the scenario's deltas directly).
@@ -401,20 +386,21 @@ impl LanePrep {
             deltas: self.eff_deltas[i]
                 .as_deref()
                 .unwrap_or(&scenarios[i].deltas),
-            corner: self.corner_of[i].map(|ci| &self.tables[ci]),
+            corner: self.corner_of[i],
             mode: scenarios[i].effective_mode(),
         }
     }
 }
 
 impl InstaEngine {
-    /// Evaluates S what-if scenarios in one batched pass, each
-    /// bit-identical to a serial `update_timing` of that scenario alone
-    /// from the current engine state.
+    /// Evaluates S what-if scenarios against the current engine state,
+    /// each bit-identical to a serial `update_timing` of that scenario
+    /// alone.
     ///
     /// A poisoned scenario is quarantined per-scenario (its `outcome` is
-    /// the serial error), never batch-fatal. The engine's annotations and
-    /// report are left untouched — like S sessions that all rolled back.
+    /// the serial error), never batch-fatal. The engine's annotations,
+    /// Top-K arrays and report are left untouched — like S sessions that
+    /// all rolled back.
     pub fn evaluate_batch(&mut self, scenarios: &[DeltaSet]) -> Vec<ScenarioReport> {
         self.evaluate_batch_with(scenarios, &BatchOptions::default())
     }
@@ -426,18 +412,22 @@ impl InstaEngine {
         scenarios: &[DeltaSet],
         opts: &BatchOptions,
     ) -> Vec<ScenarioReport> {
+        let deadline = opts.deadline.map(Deadline::after);
         let specs: Vec<LaneSpec<'_>> = scenarios
             .iter()
-            .map(|sc| LaneSpec::from_deltas(&sc.deltas))
+            .map(|sc| LaneSpec {
+                deltas: &sc.deltas,
+                corner: None,
+                mode: None,
+            })
             .collect();
-        self.evaluate_lanes(&specs, opts)
+        self.evaluate_lanes(&specs, &mut [], opts, deadline)
     }
 
-    /// Evaluates S full MCMM scenarios (deltas × corner × mode) in one
-    /// batched pass. Each lane is bit-identical to a serial
-    /// `update_timing` of [`scenario_twin_deltas`](Self::scenario_twin_deltas)
-    /// whose report was then masked by the scenario's mode
-    /// ([`InstaReport::masked`]).
+    /// Evaluates S full MCMM scenarios (deltas × corner × mode). Each lane
+    /// is bit-identical to a serial `update_timing` of
+    /// [`scenario_twin_deltas`](Self::scenario_twin_deltas) whose report
+    /// was then masked by the scenario's mode ([`InstaReport::masked`]).
     pub fn evaluate_scenarios(&mut self, scenarios: &[Scenario]) -> Vec<ScenarioReport> {
         self.evaluate_scenarios_with(scenarios, &BatchOptions::default())
     }
@@ -449,10 +439,12 @@ impl InstaEngine {
         scenarios: &[Scenario],
         opts: &BatchOptions,
     ) -> Vec<ScenarioReport> {
-        let prep = self.prepare_lanes(scenarios);
-        let specs: Vec<LaneSpec<'_>> =
-            (0..scenarios.len()).map(|i| prep.spec(scenarios, i)).collect();
-        self.evaluate_lanes(&specs, opts)
+        let deadline = opts.deadline.map(Deadline::after);
+        let (mut tables, prep) = self.prepare_lanes(scenarios);
+        let specs: Vec<LaneSpec<'_>> = (0..scenarios.len())
+            .map(|i| prep.spec(scenarios, i))
+            .collect();
+        self.evaluate_lanes(&specs, &mut tables, opts, deadline)
     }
 
     /// MCMM sweep: evaluates every scenario, then merges a worst-corner
@@ -476,8 +468,9 @@ impl InstaEngine {
         scenarios: &[Scenario],
         opts: &BatchOptions,
     ) -> McmmReport {
+        let deadline = opts.deadline.map(Deadline::after);
         self.stats.mcmm_evaluations += 1;
-        let prep = self.prepare_lanes(scenarios);
+        let (mut tables, prep) = self.prepare_lanes(scenarios);
 
         // Dedup by propagation identity: corner table + effective-delta
         // bits. The mode stays out of the key — it only filters reports.
@@ -492,12 +485,10 @@ impl InstaEngine {
                 key.push(u64::from(d.arc));
                 key.extend(d.mean.iter().chain(&d.sigma).map(|v| v.to_bits()));
             }
-            let lane = *seen
-                .entry((prep.corner_of[i], key))
-                .or_insert_with(|| {
-                    uniq.push(i);
-                    uniq.len() - 1
-                });
+            let lane = *seen.entry((prep.corner_of[i], key)).or_insert_with(|| {
+                uniq.push(i);
+                uniq.len() - 1
+            });
             lane_of[i] = lane;
         }
 
@@ -511,7 +502,7 @@ impl InstaEngine {
                 ..prep.spec(scenarios, i)
             })
             .collect();
-        let lane_reports = self.evaluate_lanes(&specs, opts);
+        let lane_reports = self.evaluate_lanes(&specs, &mut tables, opts, deadline);
         let deduped = (scenarios.len() - uniq.len()) as u64;
         self.stats.batch_scenarios += deduped;
         self.stats.mcmm_deduped += deduped;
@@ -600,32 +591,21 @@ impl InstaEngine {
             None => scenario.deltas.clone(),
             Some(c) => {
                 let st = &self.st;
-                let mut out = Vec::with_capacity(st.n_graph_arcs + scenario.deltas.len());
-                for g in 0..st.n_graph_arcs {
-                    let er = st.expansion_start[g] as usize..st.expansion_start[g + 1] as usize;
-                    let Some(&e0) = st.expansion_arc[er].first() else {
-                        continue;
-                    };
-                    let e0 = e0 as usize;
-                    let (m0, s0) = c.apply(st.arc_mean[e0][0], st.arc_sigma[e0][0]);
-                    let (m1, s1) = c.apply(st.arc_mean[e0][1], st.arc_sigma[e0][1]);
-                    out.push(ArcDelta {
-                        arc: g as u32,
-                        mean: [m0, m1],
-                        sigma: [s0, s1],
-                    });
-                }
-                out.extend(scenario.deltas.iter().map(|d| c.apply_delta(d)));
-                out
+                let base = |e: usize| {
+                    let (m0, s0) = c.apply(st.arc_mean[e][0], st.arc_sigma[e][0]);
+                    let (m1, s1) = c.apply(st.arc_mean[e][1], st.arc_sigma[e][1]);
+                    ([m0, m1], [s0, s1])
+                };
+                twin_deltas(st, base, scenario.deltas.iter().map(|d| c.apply_delta(d)))
             }
         }
     }
 
-    /// Normalizes a `&[Scenario]` batch into per-lane views: distinct
-    /// non-identity corners become shared [`CornerTable`]s (validated
-    /// once each), and corner lanes get their deltas pre-transformed so
-    /// everything downstream deals in effective values only.
-    fn prepare_lanes(&self, scenarios: &[Scenario]) -> LanePrep {
+    /// Normalizes a `&[Scenario]` batch: distinct non-identity corners
+    /// become shared [`CornerTable`]s (validated once each), and corner
+    /// lanes get their deltas pre-transformed so everything downstream
+    /// deals in effective values only.
+    fn prepare_lanes(&self, scenarios: &[Scenario]) -> (Vec<CornerResult>, LanePrep) {
         let mut keys: Vec<[u64; 4]> = Vec::new();
         let mut reps: Vec<CornerTransform> = Vec::new();
         let corner_of: Vec<Option<usize>> = scenarios
@@ -635,7 +615,7 @@ impl InstaEngine {
                     let key = c.to_key();
                     keys.iter().position(|k| *k == key).unwrap_or_else(|| {
                         keys.push(key);
-                        reps.push(c.clone());
+                        reps.push(*c);
                         keys.len() - 1
                     })
                 })
@@ -649,11 +629,13 @@ impl InstaEngine {
                 co.map(|ci| sc.deltas.iter().map(|d| reps[ci].apply_delta(d)).collect())
             })
             .collect();
-        LanePrep {
+        (
             tables,
-            corner_of,
-            eff_deltas,
-        }
+            LanePrep {
+                corner_of,
+                eff_deltas,
+            },
+        )
     }
 
     /// Materializes one corner's transformed base annotations, rejecting
@@ -700,98 +682,96 @@ impl InstaEngine {
     }
 
     /// The shared core of every batched entry point: routes lanes
-    /// (quarantine / serial-replay / fast sweep) and accounts the batch
-    /// counters.
+    /// (quarantine / serial replay / in-place cone lanes) and accounts the
+    /// batch counters. `deadline` is the call's budget as one absolute
+    /// instant, taken at the public entry point: the base sync, every
+    /// serial lane and every cone lane are cut at that same instant.
     fn evaluate_lanes(
         &mut self,
         lanes: &[LaneSpec<'_>],
+        tables: &mut [CornerResult],
         opts: &BatchOptions,
+        deadline: Option<Deadline>,
     ) -> Vec<ScenarioReport> {
         self.stats.batches += 1;
         self.stats.batch_scenarios += lanes.len() as u64;
-        self.stats.mcmm_corner_lanes +=
-            lanes.iter().filter(|l| l.corner.is_some()).count() as u64;
-        let mut out: Vec<Option<ScenarioReport>> = (0..lanes.len()).map(|_| None).collect();
+        self.stats.mcmm_corner_lanes += lanes.iter().filter(|l| l.corner.is_some()).count() as u64;
+        let mut out: Vec<Option<LaneResult>> = (0..lanes.len()).map(|_| None).collect();
 
         // Per-scenario validation quarantine: a rejected scenario gets the
         // same `Validate` error a serial `update_timing` would raise and
-        // never contributes dirt to the shared sweep. An invalid corner
-        // quarantines its lane the same way (the twin's pre-scaled delta
-        // list carries the same non-finite annotations).
-        let mut live = Vec::new();
+        // never writes an annotation. An invalid corner quarantines its
+        // lane the same way (the twin's pre-scaled delta list carries the
+        // same non-finite annotations).
+        //
+        // Valid lanes whose serial run is not a cone update — the degraded
+        // drift path (full health-gated refresh), or more distinct seeds
+        // than the cone's own full-pass switch allows — are replayed
+        // through real checkpoint/rollback sessions, which reproduces the
+        // serial semantics exactly. They run first: their sessions may
+        // desync the Top-K state the in-place lanes start from. Corner
+        // pre-scaling is a lane-local *view*, not an annotation update, so
+        // only the scenario's own deltas count toward drift and toward the
+        // switch — and either serial path is report-bit-identical to the
+        // cone (the fused refresh and cone ≡ full pass contracts), so the
+        // routing choice never shows in the outcomes.
+        let mut fast = Vec::new();
         for (i, spec) in lanes.iter().enumerate() {
-            let err = match spec.corner {
+            let err = match spec.corner.map(|ci| &tables[ci]) {
                 Some(Err(report)) => Some(InstaError::Validate(report.clone())),
                 _ => self.validate_deltas(spec.deltas).err(),
             };
-            match err {
-                None => live.push(i),
-                Some(e) => {
-                    out[i] = Some(ScenarioReport {
-                        scenario: i,
-                        outcome: Err(e),
-                        gradients: None,
-                    });
-                }
-            }
-        }
-
-        // Scenarios whose serial run would take the degraded drift path
-        // (full health-gated refresh) can't share the sparse sweep: replay
-        // them through real checkpoint/rollback sessions, which reproduces
-        // the serial semantics exactly. They run first because their
-        // sessions desync the Top-K state that the fast path re-syncs.
-        // Corner pre-scaling is a lane-local *view*, not an annotation
-        // update, so only the scenario's own deltas count toward drift —
-        // and the degraded serial path is report-bit-identical to the
-        // fast one (the fused refresh contract), so the routing choice
-        // never shows in the outcomes.
-        let mut fast = Vec::new();
-        for &i in &live {
-            if self.would_degrade(lanes[i].deltas.len()) {
-                out[i] = Some(self.run_serial_lane(i, &lanes[i], opts));
+            if let Some(e) = err {
+                out[i] = Some((Err(e), None));
+            } else if self.would_degrade(spec.deltas.len())
+                || !seed_cone(&self.st, &mut self.cone, spec.deltas.iter().map(|d| d.arc))
+            {
+                out[i] = Some(self.run_serial_lane(spec, tables, opts, deadline));
             } else {
                 fast.push(i);
             }
         }
 
         if !fast.is_empty() {
-            if self.ensure_base_synced(opts) {
-                let interrupt = (opts.cancel.is_some() || opts.deadline.is_some()).then(|| {
-                    Interrupt::new(opts.cancel.clone(), opts.deadline.map(Deadline::after))
-                });
+            let interrupt = (opts.cancel.is_some() || deadline.is_some())
+                .then(|| Interrupt::new(opts.cancel.clone(), deadline));
+            if self.ensure_base_synced(interrupt.as_ref()) {
                 // One backend dispatch for the whole batch; the clone keeps
-                // the borrow disjoint from the `&mut self` chunk runner.
+                // the borrow disjoint from the `&mut self` lane runner.
                 let backend = self.backend.clone();
-                for chunk in fast.chunks(MAX_LANES) {
-                    let specs: Vec<LaneSpec<'_>> =
-                        chunk.iter().map(|&i| lanes[i]).collect();
-                    let results = with_model!(&backend, m => self.run_scenario_chunk(
-                        &specs,
-                        opts,
-                        interrupt.as_ref(),
-                        m,
-                    ));
-                    for (&i, (outcome, gradients)) in chunk.iter().zip(results) {
-                        out[i] = Some(ScenarioReport {
-                            scenario: i,
-                            outcome,
-                            gradients,
-                        });
-                    }
+                let results = with_model!(&backend, m => self.run_lanes(
+                    lanes,
+                    &fast,
+                    tables,
+                    opts.gradients,
+                    interrupt.as_ref(),
+                    m,
+                ));
+                for (i, result) in results {
+                    out[i] = Some(result);
                 }
             } else {
                 // Base propagation failed (pre-existing poison or an early
                 // cancellation): fall back to serial sessions so every
                 // scenario reports its own typed error.
                 for &i in &fast {
-                    out[i] = Some(self.run_serial_lane(i, &lanes[i], opts));
+                    out[i] = Some(self.run_serial_lane(&lanes[i], tables, opts, deadline));
                 }
             }
         }
 
-        let reports: Vec<ScenarioReport> =
-            out.into_iter().map(|o| o.expect("every scenario routed")).collect();
+        let reports: Vec<ScenarioReport> = out
+            .into_iter()
+            .enumerate()
+            .map(|(scenario, o)| {
+                let (outcome, gradients) = o.expect("every scenario routed");
+                ScenarioReport {
+                    scenario,
+                    outcome,
+                    gradients,
+                }
+            })
+            .collect();
         self.stats.batch_quarantined +=
             reports.iter().filter(|r| r.outcome.is_err()).count() as u64;
         reports
@@ -809,15 +789,12 @@ impl InstaEngine {
     /// Makes sure the Top-K arrays are the synced output of the current
     /// annotations — the shared base every scenario diverges from.
     /// Equivalent to the caller running `propagate()` before the batch.
-    fn ensure_base_synced(&mut self, opts: &BatchOptions) -> bool {
+    fn ensure_base_synced(&mut self, interrupt: Option<&Interrupt>) -> bool {
         if self.topk_synced && self.state.report.is_some() {
             return true;
         }
-        if opts.cancel.is_some() || opts.deadline.is_some() {
-            self.set_interrupt(Interrupt::new(
-                opts.cancel.clone(),
-                opts.deadline.map(Deadline::after),
-            ));
+        if let Some(i) = interrupt {
+            self.set_interrupt(i.clone());
         }
         let ok = self.try_propagate().is_ok();
         self.clear_interrupt();
@@ -825,44 +802,33 @@ impl InstaEngine {
     }
 
     /// Replays one lane through a real checkpoint/rollback session — the
-    /// exact serial semantics the fast path is equivalent to. Corner
+    /// exact serial semantics the in-place lane is equivalent to. Corner
     /// lanes re-annotate the twin delta list (corner table over every
     /// graph arc, then the effective deltas); the mode masks the report
     /// after the session, exactly like the differential suite's twin.
     fn run_serial_lane(
         &mut self,
-        scenario: usize,
         spec: &LaneSpec<'_>,
+        tables: &[CornerResult],
         opts: &BatchOptions,
-    ) -> ScenarioReport {
+        deadline: Option<Deadline>,
+    ) -> LaneResult {
         let twin: Vec<ArcDelta>;
-        let deltas: &[ArcDelta] = match spec.table() {
-            Some(table) => {
-                let st = &self.st;
-                let mut t = Vec::with_capacity(st.n_graph_arcs + spec.deltas.len());
-                for g in 0..st.n_graph_arcs {
-                    let er = st.expansion_start[g] as usize..st.expansion_start[g + 1] as usize;
-                    let Some(&e0) = st.expansion_arc[er].first() else {
-                        continue;
-                    };
-                    t.push(ArcDelta {
-                        arc: g as u32,
-                        mean: table.mean[e0 as usize],
-                        sigma: table.sigma[e0 as usize],
-                    });
-                }
-                t.extend_from_slice(spec.deltas);
-                twin = t;
+        let deltas: &[ArcDelta] = match spec.corner.map(|ci| &tables[ci]) {
+            Some(Ok(table)) => {
+                let base = |e: usize| (table.mean[e], table.sigma[e]);
+                twin = twin_deltas(&self.st, base, spec.deltas.iter().cloned());
                 &twin
             }
+            Some(Err(_)) => unreachable!("invalid corners are quarantined before routing"),
             None => spec.deltas,
         };
         let mut session = self.begin_session();
         if let Some(token) = &opts.cancel {
             session = session.with_cancel(token.clone());
         }
-        if let Some(budget) = opts.deadline {
-            session = session.with_deadline(budget);
+        if let Some(deadline) = deadline {
+            session = session.with_deadline_at(deadline);
         }
         let mut gradients = None;
         let outcome = session.update_timing(deltas).and_then(|report| {
@@ -878,162 +844,384 @@ impl InstaEngine {
             Some(m) => r.masked(m),
             None => r,
         });
-        ScenarioReport {
-            scenario,
-            outcome,
-            gradients,
-        }
+        (outcome, gradients)
     }
 
-    /// Runs up to [`MAX_LANES`] lanes through one shared sweep and
-    /// returns `(outcome, gradients)` per lane.
-    fn run_scenario_chunk<M: StatModel>(
+    /// Runs the routed lanes against the synced base, grouped by corner
+    /// (identity first, lanes of a group in submission order), and returns
+    /// `(lane index, result)` pairs. One `batch.sweep` span per call.
+    fn run_lanes<M: StatModel>(
         &mut self,
-        specs: &[LaneSpec<'_>],
-        opts: &BatchOptions,
+        lanes: &[LaneSpec<'_>],
+        fast: &[usize],
+        tables: &mut [CornerResult],
+        gradients: bool,
         interrupt: Option<&Interrupt>,
         model: &M,
-    ) -> Vec<(Result<InstaReport, InstaError>, Option<Vec<f64>>)> {
-        let nt = resolve_threads(self.cfg.n_threads);
-        let mut sb = ScenarioBatch::new(&self.st, &self.state, specs);
+    ) -> Vec<(usize, LaneResult)> {
+        let k = self.state.k;
+        let mut order = fast.to_vec();
+        order.sort_by_key(|&i| lanes[i].corner.map_or(0, |ci| ci + 1));
         self.trace.begin("batch.sweep");
-        let swept = sb.sweep(nt, interrupt, model);
-        if self.trace.is_enabled() {
-            let (dirty_levels, dirty_nodes) = sb.occupancy();
-            self.trace.end_with(&[
-                ("lanes", specs.len() as f64),
-                ("corner_lanes", specs.iter().filter(|s| s.corner.is_some()).count() as f64),
-                ("masked_lanes", specs.iter().filter(|s| s.mode.is_some()).count() as f64),
-                ("dirty_levels", dirty_levels as f64),
-                ("dirty_nodes", dirty_nodes as f64),
-                ("ok", if swept.is_ok() { 1.0 } else { 0.0 }),
-            ]);
-        }
-        match swept {
-            Err(e) => {
-                // The shared sweep died (cancelled, or a worker panic the
-                // serial retry couldn't contain): every lane of this chunk
-                // reports its own copy of the error.
-                let out = specs
-                    .iter()
-                    .map(|_| (Err(clone_kernel_error(&e)), None))
-                    .collect();
-                drop(sb);
-                if let InstaError::Runtime(inc) = e {
-                    self.record_incident(&inc);
-                    self.last_incident = Some(inc);
-                }
-                out
-            }
-            Ok(recovered) => {
-                let base_report = self.state.report.as_ref().expect("base synced");
-                let mut out = Vec::with_capacity(specs.len());
-                for lane in 0..specs.len() {
-                    let report = sb.lane_report(lane, base_report, self.cfg.cppr, model);
-                    // The session layer's no-NaN-escapes gate, per lane.
-                    if let Some(err) = nan_gate(&self.st, &report) {
-                        out.push((Err(err), None));
-                        continue;
-                    }
-                    let gradients = if opts.gradients {
-                        match self.lane_gradients(&sb, lane, &report, interrupt, model) {
-                            Ok(g) => Some(g),
-                            Err(e) => {
-                                out.push((Err(e), None));
-                                continue;
-                            }
-                        }
-                    } else {
-                        None
-                    };
-                    out.push((Ok(report), gradients));
-                }
-                drop(sb);
-                if let Some(inc) = recovered {
-                    self.record_incident(&inc);
-                    self.last_incident = Some(inc);
-                }
-                out
-            }
-        }
-    }
-
-    /// Differentiable passes for one lane: LSE forward against the lane's
-    /// overlaid annotations, then the shared backward sweep — into scratch
-    /// buffers, so the engine's own LSE/gradient state is untouched.
-    /// Bit-identical to a serial session running `update_timing` +
-    /// `forward_lse` + `backward_tns` on this scenario, because it *is*
-    /// the same kernel code reading the same values.
-    fn lane_gradients<M: StatModel>(
-        &self,
-        sb: &ScenarioBatch<'_>,
-        lane: usize,
-        report: &InstaReport,
-        interrupt: Option<&Interrupt>,
-        model: &M,
-    ) -> Result<Vec<f64>, InstaError> {
-        let st = &self.st;
-        let n_exp = st.arc_parent.len();
-        let mut scratch = State {
-            k: self.state.k,
-            // The differentiable passes never touch the Top-K arrays.
-            topk_arrival: Vec::new(),
-            topk_mean: Vec::new(),
-            topk_sigma: Vec::new(),
-            topk_sp: Vec::new(),
-            lse_arrival: vec![f64::NEG_INFINITY; st.n * 2],
-            lse_weight: vec![[0.0; 2]; n_exp],
-            grad_arrival: vec![0.0; st.n * 2],
-            grad_arc: vec![[0.0; 2]; n_exp],
-            grad_fanout: vec![[0.0; 2]; n_exp],
-            report: None,
-            lse_tau_used: None,
+        let mut call = LaneCall {
+            cfg: &self.cfg,
+            interrupt,
+            model,
+            grads: gradients.then(|| grad_scratch(&self.st, k)),
+            cone_lanes: 0,
+            nodes: 0,
+            pruned: 0,
+            incident: None,
         };
-        let ann = |ai: usize, rf: usize| sb.arc_ann(ai, rf, lane);
-        crate::lse::forward_lse_with(
-            st,
-            &mut scratch,
-            self.cfg.lse_tau,
-            self.cfg.n_threads,
-            interrupt,
-            &ann,
-            // Lane passes run on scratch buffers; they never feed the
-            // engine's per-level kernel profiles.
-            None,
-            model,
-        )?;
-        crate::backward::backward(
-            st,
-            &mut scratch,
-            report,
-            self.cfg.lse_tau,
-            self.cfg.n_threads,
-            interrupt,
-            None,
-            model,
-        )?;
-        // Aggregate expanded-arc gradients onto graph arcs, exactly like
-        // `arc_gradients`.
-        let mut out = vec![0.0; st.n_graph_arcs];
-        for (g, slot) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for &e in &st.expansion_arc
-                [st.expansion_start[g] as usize..st.expansion_start[g + 1] as usize]
-            {
-                let ga = scratch.grad_arc[e as usize];
-                acc += ga[0] + ga[1];
+        // The corner groups' base arrays, rewritten in full by every
+        // corner's base pass. Allocated by the engine's first corner lane
+        // and kept: faulting 4 × nodes·2k fresh pages in was 5 ms of every
+        // call on block-3 at K = 8, half a base pass. Taken out for the
+        // call, so an unwind only costs the next call the allocation.
+        let mut scratch = self.corner_scratch.0.take();
+        let mut base_passes = 0usize;
+        let mut out: Vec<(usize, LaneResult)> = Vec::with_capacity(fast.len());
+        for group in order.chunk_by(|&a, &b| lanes[a].corner == lanes[b].corner) {
+            let Some(ci) = lanes[group[0]].corner else {
+                // The engine's own arrays and report are the base.
+                let base = self.state.report.clone().expect("base synced");
+                for &i in group {
+                    let r = call.run(
+                        &mut self.st,
+                        &mut self.state,
+                        &mut self.cone,
+                        &base,
+                        &lanes[i],
+                    );
+                    out.push((i, r));
+                }
+                continue;
+            };
+            let Ok(table) = &mut tables[ci] else {
+                unreachable!("invalid corners are quarantined before routing")
+            };
+            let state = scratch.get_or_insert_with(|| State {
+                topk_arrival: vec![0.0; self.st.n * 2 * k],
+                topk_mean: vec![0.0; self.st.n * 2 * k],
+                topk_sigma: vec![0.0; self.st.n * 2 * k],
+                topk_sp: vec![0; self.st.n * 2 * k],
+                ..empty_state(k)
+            });
+            // One ordinary full pass over the corner's annotations.
+            let corner = CornerSwap::new(&mut self.st, table);
+            base_passes += 1;
+            match forward(corner.st, state, self.cfg.n_threads, interrupt, None, model) {
+                Ok(recovered) => {
+                    if let Some(inc) = recovered {
+                        call.incident.get_or_insert(inc);
+                    }
+                    let base = crate::metrics::evaluate(corner.st, state, self.cfg.cppr, model);
+                    for &i in group {
+                        let r = call.run(corner.st, state, &mut self.cone, &base, &lanes[i]);
+                        out.push((i, r));
+                    }
+                }
+                // The base pass died (cancelled, or a worker panic the
+                // serial retry couldn't contain): every lane of this
+                // corner reports its own copy of the error.
+                Err(e) => {
+                    if let InstaError::Runtime(inc) = &e {
+                        call.incident.get_or_insert(inc.clone());
+                    }
+                    out.extend(
+                        group
+                            .iter()
+                            .map(|&i| (i, (Err(clone_lane_error(&e)), None))),
+                    );
+                }
             }
-            *slot = acc;
         }
-        Ok(out)
+        let LaneCall {
+            cone_lanes,
+            nodes,
+            pruned,
+            incident,
+            ..
+        } = call;
+        let corner_lanes = fast.iter().filter(|&&i| lanes[i].corner.is_some()).count();
+        let masked_lanes = fast.iter().filter(|&&i| lanes[i].mode.is_some()).count();
+        self.trace.end_with(&[
+            ("lanes", fast.len() as f64),
+            ("corner_lanes", corner_lanes as f64),
+            ("masked_lanes", masked_lanes as f64),
+            ("cone_lanes", cone_lanes as f64),
+            ("base_passes", base_passes as f64),
+            ("nodes", nodes as f64),
+            ("pruned", pruned as f64),
+            (
+                "ok",
+                if out.iter().all(|(_, r)| r.0.is_ok()) {
+                    1.0
+                } else {
+                    0.0
+                },
+            ),
+        ]);
+        self.corner_scratch.0 = scratch;
+        // A contained panic is booked once per call, whichever lane hit it.
+        if let Some(inc) = incident {
+            self.record_incident(&inc);
+            self.last_incident = Some(inc);
+        }
+        out
     }
 }
 
-/// Duplicates a kernel-sweep error for each lane of an aborted chunk
-/// ([`InstaError`] is intentionally not `Clone`; the sweep only raises
-/// these variants).
-fn clone_kernel_error(e: &InstaError) -> InstaError {
+/// A `State` with no array allocated — the scratch passes of a batched
+/// call fill in only the arrays they touch.
+fn empty_state(k: usize) -> State {
+    State {
+        k,
+        topk_arrival: Vec::new(),
+        topk_mean: Vec::new(),
+        topk_sigma: Vec::new(),
+        topk_sp: Vec::new(),
+        lse_arrival: Vec::new(),
+        lse_weight: Vec::new(),
+        grad_arrival: Vec::new(),
+        grad_arc: Vec::new(),
+        grad_fanout: Vec::new(),
+        report: None,
+        lse_tau_used: None,
+    }
+}
+
+/// Scratch of a call's differentiable passes (they never touch the Top-K
+/// arrays), so the engine's own LSE/gradient state stays untouched. Every
+/// pass resets what it reads, so one allocation serves every lane.
+fn grad_scratch(st: &Static, k: usize) -> State {
+    let n_exp = st.arc_parent.len();
+    State {
+        lse_arrival: vec![f64::NEG_INFINITY; st.n * 2],
+        lse_weight: vec![[0.0; 2]; n_exp],
+        grad_arrival: vec![0.0; st.n * 2],
+        grad_arc: vec![[0.0; 2]; n_exp],
+        grad_fanout: vec![[0.0; 2]; n_exp],
+        ..empty_state(k)
+    }
+}
+
+/// The per-graph-arc delta list of a corner twin: `base(e)` for the first
+/// expansion `e` of every annotated graph arc, then the lane's effective
+/// deltas.
+fn twin_deltas(
+    st: &Static,
+    base: impl Fn(usize) -> ([f64; 2], [f64; 2]),
+    deltas: impl Iterator<Item = ArcDelta>,
+) -> Vec<ArcDelta> {
+    let mut out = Vec::with_capacity(st.n_graph_arcs);
+    for g in 0..st.n_graph_arcs {
+        if let Some(&e0) = st.expansion(g).first() {
+            let (mean, sigma) = base(e0 as usize);
+            out.push(ArcDelta {
+                arc: g as u32,
+                mean,
+                sigma,
+            });
+        }
+    }
+    out.extend(deltas);
+    out
+}
+
+/// A corner's table standing in for the engine's annotation arrays while
+/// that corner's base pass and lanes run: an O(1) swap, so the kernels
+/// keep reading `st.arc_mean` / `st.arc_sigma` and no annotation parameter
+/// is threaded through them. Swapped back on drop.
+struct CornerSwap<'a> {
+    st: &'a mut Static,
+    table: &'a mut CornerTable,
+}
+
+impl<'a> CornerSwap<'a> {
+    fn new(st: &'a mut Static, table: &'a mut CornerTable) -> Self {
+        let mut swap = CornerSwap { st, table };
+        swap.swap();
+        swap
+    }
+
+    fn swap(&mut self) {
+        std::mem::swap(&mut self.st.arc_mean, &mut self.table.mean);
+        std::mem::swap(&mut self.st.arc_sigma, &mut self.table.sigma);
+    }
+}
+
+impl Drop for CornerSwap<'_> {
+    fn drop(&mut self) {
+        self.swap();
+    }
+}
+
+/// A lane applied in place: its deltas written over the annotations and
+/// its cone swept over the base arrays, both logged. Dropping it takes
+/// every write back — after a finished lane, a failed one, or an unwind.
+pub(crate) struct LaneUndo<'a> {
+    pub(crate) st: &'a mut Static,
+    pub(crate) state: &'a mut State,
+    pub(crate) cone: &'a mut ConeScratch,
+}
+
+impl<'a> LaneUndo<'a> {
+    /// Writes `deltas` and sweeps their cone over `state`, which must be
+    /// the full pass's output for `st`'s current annotations.
+    pub(crate) fn sweep<M: StatModel>(
+        st: &'a mut Static,
+        state: &'a mut State,
+        cone: &'a mut ConeScratch,
+        deltas: &[ArcDelta],
+        interrupt: Option<&Interrupt>,
+        model: &M,
+    ) -> (Self, Result<Option<RuntimeIncident>, InstaError>) {
+        let lane = LaneUndo { st, state, cone };
+        lane.cone.annotate_logged(lane.st, deltas);
+        let seeded = seed_cone(lane.st, lane.cone, deltas.iter().map(|d| d.arc));
+        debug_assert!(seeded, "lanes past the seed switch run as serial sessions");
+        // No `forward.cone` span and no level profile per lane: the call's
+        // one `batch.sweep` span carries the totals.
+        let swept = cone_sweep(lane.st, lane.state, lane.cone, interrupt, None, model);
+        (lane, swept)
+    }
+}
+
+impl Drop for LaneUndo<'_> {
+    fn drop(&mut self) {
+        self.cone.undo(self.st, self.state);
+    }
+}
+
+/// What the lanes of one call share: configuration, the call's one
+/// interrupt, the gradient scratch, and the `batch.sweep` span's tallies.
+struct LaneCall<'a, M> {
+    cfg: &'a InstaConfig,
+    interrupt: Option<&'a Interrupt>,
+    model: &'a M,
+    /// Present when the call asked for gradients.
+    grads: Option<State>,
+    cone_lanes: usize,
+    nodes: usize,
+    pruned: usize,
+    /// The first contained (or fatal) worker panic of the call.
+    incident: Option<RuntimeIncident>,
+}
+
+impl<M: StatModel> LaneCall<'_, M> {
+    /// One lane against `(st, state, base)`: `state` is the full pass's
+    /// output for `st`'s annotations and `base` its report. Returns with
+    /// all three as they were.
+    fn run(
+        &mut self,
+        st: &mut Static,
+        state: &mut State,
+        cone: &mut ConeScratch,
+        base: &InstaReport,
+        spec: &LaneSpec<'_>,
+    ) -> LaneResult {
+        if spec.deltas.is_empty() {
+            // Nothing to sweep: the lane is its base, under its mode.
+            let mut report = base.clone();
+            if spec.mode.is_some() {
+                report.reduce(spec.mode);
+            }
+            return self.finish(st, report);
+        }
+        let (lane, swept) =
+            LaneUndo::sweep(st, state, cone, spec.deltas, self.interrupt, self.model);
+        self.cone_lanes += 1;
+        self.nodes += lane.cone.nodes;
+        self.pruned += lane.cone.pruned;
+        match swept {
+            Ok(None) => {}
+            Ok(Some(inc)) => {
+                self.incident.get_or_insert(inc);
+            }
+            Err(e) => {
+                if let InstaError::Runtime(inc) = &e {
+                    self.incident.get_or_insert(inc.clone());
+                }
+                return (Err(e), None);
+            }
+        }
+        // Only endpoints on recomputed nodes can differ from the base.
+        let mut report = base.clone();
+        crate::metrics::refresh(
+            lane.st,
+            lane.state,
+            &mut report,
+            |node| lane.cone.recomputed(node),
+            spec.mode,
+            self.cfg.cppr,
+            self.model,
+        );
+        // Gradients read the lane's annotations: before `lane` drops.
+        self.finish(lane.st, report)
+    }
+
+    /// The session layer's no-NaN-escapes gate, then the optional
+    /// differentiable passes against `st`'s current annotations —
+    /// bit-identical to a serial session running `update_timing` +
+    /// `forward_lse` + `backward_tns`, because it *is* the same kernel
+    /// code reading the same values.
+    fn finish(&mut self, st: &Static, report: InstaReport) -> LaneResult {
+        if let Some(err) = nan_gate(st, &report) {
+            return (Err(err), None);
+        }
+        let Some(scratch) = &mut self.grads else {
+            return (Ok(report), None);
+        };
+        let ann = |ai: usize, rf: usize| (st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
+        // Lane passes run on scratch buffers; they never feed the engine's
+        // per-level kernel profiles.
+        let passes = crate::lse::forward_lse_with(
+            st,
+            scratch,
+            self.cfg.lse_tau,
+            self.cfg.n_threads,
+            self.interrupt,
+            &ann,
+            None,
+            self.model,
+        )
+        .and_then(|_| {
+            crate::backward::backward(
+                st,
+                scratch,
+                &report,
+                self.cfg.lse_tau,
+                self.cfg.n_threads,
+                self.interrupt,
+                None,
+                self.model,
+            )
+        });
+        if let Err(e) = passes {
+            return (Err(e), None);
+        }
+        // Aggregate expanded-arc gradients onto graph arcs, exactly like
+        // `arc_gradients`.
+        let gradients = (0..st.n_graph_arcs)
+            .map(|g| {
+                st.expansion(g).iter().fold(0.0, |acc, &e| {
+                    let ga = scratch.grad_arc[e as usize];
+                    acc + (ga[0] + ga[1])
+                })
+            })
+            .collect();
+        (Ok(report), Some(gradients))
+    }
+}
+
+/// Duplicates an error a batched lane can carry, for fanning it out: a
+/// failed corner base pass to every lane of the corner, a deduped MCMM
+/// lane to every scenario sharing it ([`InstaError`] is intentionally not
+/// `Clone`; lanes only raise these variants).
+fn clone_lane_error(e: &InstaError) -> InstaError {
     match e {
+        InstaError::Validate(report) => InstaError::Validate(report.clone()),
         InstaError::Cancelled {
             kernel,
             level,
@@ -1061,17 +1249,7 @@ fn clone_kernel_error(e: &InstaError) -> InstaError {
             rf: *rf,
             value: *value,
         },
-        _ => unreachable!("kernel sweeps raise only Cancelled/Runtime/Numeric"),
-    }
-}
-
-/// Duplicates any error a batched lane can carry — the kernel variants
-/// plus validation quarantines (dedup in `evaluate_mcmm` fans one lane's
-/// error out to every scenario sharing the lane).
-fn clone_lane_error(e: &InstaError) -> InstaError {
-    match e {
-        InstaError::Validate(report) => InstaError::Validate(report.clone()),
-        other => clone_kernel_error(other),
+        _ => unreachable!("lanes raise only Validate/Cancelled/Runtime/Numeric"),
     }
 }
 
@@ -1088,655 +1266,4 @@ fn nan_gate(st: &Static, report: &InstaReport) -> Option<InstaError> {
         rf: 0,
         value: f64::NAN,
     })
-}
-
-/// S scenarios' worth of sparse propagation state over one shared base —
-/// the SoA layout of the batched kernel (see the module docs).
-pub(crate) struct ScenarioBatch<'a> {
-    st: &'a Static,
-    base: &'a State,
-    /// Lane count S of this chunk (≤ [`MAX_LANES`]).
-    lanes: usize,
-    k: usize,
-    /// Per-lane corner table (`None` = base annotations). A corner lane's
-    /// annotation reads fall through overlay → table → never base.
-    corner: Vec<Option<&'a CornerTable>>,
-    /// Per-lane mode mask, applied by [`lane_report`](Self::lane_report).
-    mode: Vec<Option<&'a ModeMask>>,
-    /// Expanded arc → overlay slot (`u32::MAX` = untouched by any lane).
-    touched: Vec<u32>,
-    /// Overlaid annotations at `slot·lanes + lane`; untouched lanes of a
-    /// touched arc hold the base annotation.
-    over_mean: Vec<[f64; 2]>,
-    over_sigma: Vec<[f64; 2]>,
-    /// Per-node lane bitmask: which scenarios must recompute this node.
-    dirty: Vec<u64>,
-    /// OR of `dirty` over each level (clean levels are skipped wholesale).
-    level_dirty: Vec<u64>,
-    /// Dirty-node count per level (parallel-launch sizing).
-    level_dirty_nodes: Vec<u32>,
-    /// Prefix sum of `popcount(dirty[v])` over nodes (length `n + 1`):
-    /// dirty `(node, lane)` pair → dense storage slot. The slot of lane
-    /// `L` at node `v` is `slot_start[v] + popcount(dirty[v] & (2^L − 1))`
-    /// — node-major, lane-minor, so a level's slots are one contiguous
-    /// window (levels are contiguous node ranges).
-    slot_start: Vec<u32>,
-    /// Per-lane Top-K queues, compact: element `(slot·2 + rf)·k + j`.
-    /// Only dirty `(node, lane)` pairs have storage at all.
-    sc_arrival: Vec<f64>,
-    sc_mean: Vec<f64>,
-    sc_sigma: Vec<f64>,
-    sc_sp: Vec<u32>,
-}
-
-/// The shared-ref context workers need (everything but the mutable lane
-/// queues).
-#[derive(Clone, Copy)]
-struct LaneCtx<'a> {
-    st: &'a Static,
-    base: &'a State,
-    k: usize,
-    lanes: usize,
-    corner: &'a [Option<&'a CornerTable>],
-    dirty: &'a [u64],
-    touched: &'a [u32],
-    over_mean: &'a [[f64; 2]],
-    over_sigma: &'a [[f64; 2]],
-    slot_start: &'a [u32],
-}
-
-impl LaneCtx<'_> {
-    /// A lane's annotation of an expanded arc: the overlaid delta when
-    /// the lane touched it, else the lane's corner-transformed base, else
-    /// the base annotation. (Overlay entries of a corner lane are already
-    /// in post-transform units, so the overlay needs no second apply.)
-    #[inline]
-    fn arc_ann(&self, ai: usize, rf: usize, lane: usize) -> (f64, f64) {
-        let slot = self.touched[ai];
-        if slot != u32::MAX {
-            let oi = slot as usize * self.lanes + lane;
-            (self.over_mean[oi][rf], self.over_sigma[oi][rf])
-        } else if let Some(table) = self.corner[lane] {
-            (table.mean[ai][rf], table.sigma[ai][rf])
-        } else {
-            (self.st.arc_mean[ai][rf], self.st.arc_sigma[ai][rf])
-        }
-    }
-
-    /// Compact storage slot of a dirty `(node, lane)` pair: the node's
-    /// slot base plus the lane's rank among the node's dirty lanes.
-    #[inline]
-    fn lane_slot(&self, v: usize, lane: usize) -> usize {
-        debug_assert!(self.dirty[v] >> lane & 1 == 1, "slot of a clean pair");
-        let rank = (self.dirty[v] & ((1u64 << lane) - 1)).count_ones();
-        (self.slot_start[v] + rank) as usize
-    }
-}
-
-impl<'a> ScenarioBatch<'a> {
-    pub(crate) fn new(st: &'a Static, base: &'a State, specs: &[LaneSpec<'a>]) -> Self {
-        let lanes = specs.len();
-        debug_assert!(lanes > 0 && lanes <= MAX_LANES);
-        let k = base.k;
-        let n = st.n;
-        let corner: Vec<Option<&'a CornerTable>> =
-            specs.iter().map(LaneSpec::table).collect();
-        let mode: Vec<Option<&'a ModeMask>> = specs.iter().map(|s| s.mode).collect();
-
-        // ---- Overlay + dirty seeds ----------------------------------
-        let mut touched = vec![u32::MAX; st.arc_parent.len()];
-        let mut over_mean: Vec<[f64; 2]> = Vec::new();
-        let mut over_sigma: Vec<[f64; 2]> = Vec::new();
-        let mut dirty = vec![0u64; n];
-        for (lane, spec) in specs.iter().enumerate() {
-            let bit = 1u64 << lane;
-            for d in spec.deltas {
-                let g = d.arc as usize;
-                let er =
-                    st.expansion_start[g] as usize..st.expansion_start[g + 1] as usize;
-                for &e in &st.expansion_arc[er] {
-                    let e = e as usize;
-                    let slot = if touched[e] == u32::MAX {
-                        let slot = (over_mean.len() / lanes) as u32;
-                        touched[e] = slot;
-                        // Every lane starts from its own view of the
-                        // untouched arc — the corner-transformed base for
-                        // corner lanes, the base annotation otherwise —
-                        // so lanes that never re-annotate this arc keep
-                        // reading their corner through the overlay.
-                        for l2 in 0..lanes {
-                            match corner[l2] {
-                                Some(t) => {
-                                    over_mean.push(t.mean[e]);
-                                    over_sigma.push(t.sigma[e]);
-                                }
-                                None => {
-                                    over_mean.push(st.arc_mean[e]);
-                                    over_sigma.push(st.arc_sigma[e]);
-                                }
-                            }
-                        }
-                        slot
-                    } else {
-                        touched[e]
-                    };
-                    let oi = slot as usize * lanes + lane;
-                    // Batch order: a later delta to the same arc wins,
-                    // exactly like `reannotate`'s sequential writes. A
-                    // corner lane's deltas arrive pre-transformed.
-                    over_mean[oi] = d.mean;
-                    over_sigma[oi] = d.sigma;
-                    dirty[st.arc_child[e] as usize] |= bit;
-                }
-            }
-        }
-
-        // A corner re-annotates every arc, so a corner lane's dirty cone
-        // is every node with fanin — exactly the set the serial twin's
-        // full re-annotate recomputes. Level-0 nodes stay clean (their
-        // queues are source-seeded, which the corner leaves alone).
-        let corner_bits = corner
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_some())
-            .fold(0u64, |acc, (l, _)| acc | 1u64 << l);
-        if corner_bits != 0 {
-            for v in 0..n {
-                if !st.fanin_range(v).is_empty() {
-                    dirty[v] |= corner_bits;
-                }
-            }
-        }
-
-        // ---- Levelized dirt propagation -----------------------------
-        // A node is dirty for a lane when an incoming arc was touched or
-        // any parent is dirty. Seeds sit on arc children, which always
-        // have fanin, so level 0 stays clean.
-        let num_levels = st.num_levels();
-        let mut level_dirty = vec![0u64; num_levels];
-        let mut level_dirty_nodes = vec![0u32; num_levels];
-        for l in 1..num_levels {
-            let mut any = 0u64;
-            let mut cnt = 0u32;
-            for v in st.level_range(l) {
-                let mut m = dirty[v];
-                for ai in st.fanin_range(v) {
-                    m |= dirty[st.arc_parent[ai] as usize];
-                }
-                dirty[v] = m;
-                if m != 0 {
-                    any |= m;
-                    cnt += 1;
-                }
-            }
-            level_dirty[l] = any;
-            level_dirty_nodes[l] = cnt;
-        }
-
-        // Compact slot map: storage only for dirty (node, lane) pairs.
-        // The dense alternative (`nodes × lanes × 2k` per array) zeroes
-        // hundreds of megabytes per call on large blocks — more time than
-        // the sweep itself when the dirty cone is sparse.
-        let mut slot_start = vec![0u32; n + 1];
-        let mut slots = 0u32;
-        for v in 0..n {
-            slot_start[v] = slots;
-            slots += dirty[v].count_ones();
-        }
-        slot_start[n] = slots;
-
-        // Lane queues are written before they are read (every dirty pair
-        // is reset + computed by the sweep), so zero-init is only a
-        // fresh-page guarantee, sized by the dirty cone.
-        let elems = slots as usize * 2 * k;
-        Self {
-            st,
-            base,
-            lanes,
-            k,
-            corner,
-            mode,
-            touched,
-            over_mean,
-            over_sigma,
-            dirty,
-            level_dirty,
-            level_dirty_nodes,
-            slot_start,
-            sc_arrival: vec![0.0; elems],
-            sc_mean: vec![0.0; elems],
-            sc_sigma: vec![0.0; elems],
-            sc_sp: vec![0; elems],
-        }
-    }
-
-    /// Dirty-cone occupancy for tracing: `(dirty levels, dirty nodes)`
-    /// summed over the batch. Cheap (two short scans) and only consulted
-    /// when a trace sink is attached.
-    pub(crate) fn occupancy(&self) -> (u64, u64) {
-        let levels = self.level_dirty.iter().filter(|&&m| m != 0).count() as u64;
-        let nodes = self.level_dirty_nodes.iter().map(|&c| u64::from(c)).sum();
-        (levels, nodes)
-    }
-
-    /// See [`LaneCtx::lane_slot`].
-    #[inline]
-    fn lane_slot(&self, v: usize, lane: usize) -> usize {
-        debug_assert!(self.dirty[v] >> lane & 1 == 1, "slot of a clean pair");
-        let rank = (self.dirty[v] & ((1u64 << lane) - 1)).count_ones();
-        (self.slot_start[v] + rank) as usize
-    }
-
-    /// See [`LaneCtx::arc_ann`].
-    #[inline]
-    fn arc_ann(&self, ai: usize, rf: usize, lane: usize) -> (f64, f64) {
-        let slot = self.touched[ai];
-        if slot != u32::MAX {
-            let oi = slot as usize * self.lanes + lane;
-            (self.over_mean[oi][rf], self.over_sigma[oi][rf])
-        } else if let Some(table) = self.corner[lane] {
-            (table.mean[ai][rf], table.sigma[ai][rf])
-        } else {
-            (self.st.arc_mean[ai][rf], self.st.arc_sigma[ai][rf])
-        }
-    }
-
-    /// The batched forward sweep: one pass over the dirty levels computes
-    /// every lane's dirty cone, parallelized across (level-nodes ×
-    /// lanes) with the same panic-containment + serial-retry contract as
-    /// the serial kernel.
-    pub(crate) fn sweep<M: StatModel>(
-        &mut self,
-        nt: usize,
-        interrupt: Option<&Interrupt>,
-        model: &M,
-    ) -> Result<Option<RuntimeIncident>, InstaError> {
-        // Reused tokens report cancellation latency per pass, not since
-        // arming (same contract as the serial kernels).
-        let restarted = interrupt.map(Interrupt::restarted);
-        let interrupt = restarted.as_ref();
-        let st = self.st;
-        // Per-slot stride: each dirty (node, lane) pair owns 2k elements.
-        let stride = 2 * self.k;
-        let ctx = LaneCtx {
-            st,
-            base: self.base,
-            k: self.k,
-            lanes: self.lanes,
-            corner: &self.corner,
-            dirty: &self.dirty,
-            touched: &self.touched,
-            over_mean: &self.over_mean,
-            over_sigma: &self.over_sigma,
-            slot_start: &self.slot_start,
-        };
-        let mut recovered: Option<RuntimeIncident> = None;
-        // One merge arena per worker, reused across every dirty level.
-        let mut arenas = MergeArena::bank(nt);
-        for l in 1..st.num_levels() {
-            if self.level_dirty[l] == 0 {
-                continue; // no lane touches this level
-            }
-            // Same bounded-latency contract as the serial kernels: one
-            // cancellation poll per (dirty) level.
-            if let Some(e) = interrupt.and_then(|i| i.check(Kernel::Forward, l)) {
-                return Err(e);
-            }
-            let r = st.level_range(l);
-            let (base_n, len) = (r.start, r.len());
-            // Levels are contiguous node ranges, so a level's dirty slots
-            // are one contiguous storage window.
-            let split = self.slot_start[base_n] as usize * stride;
-            let cur_elems =
-                (self.slot_start[base_n + len] as usize - self.slot_start[base_n] as usize)
-                    * stride;
-            let panicked = {
-                let (mean_done, mean_tail) = self.sc_mean.split_at_mut(split);
-                let (sigma_done, sigma_tail) = self.sc_sigma.split_at_mut(split);
-                let (sp_done, sp_tail) = self.sc_sp.split_at_mut(split);
-                let (_, arr_tail) = self.sc_arrival.split_at_mut(split);
-                let arr_cur = &mut arr_tail[..cur_elems];
-                let mean_cur = &mut mean_tail[..cur_elems];
-                let sigma_cur = &mut sigma_tail[..cur_elems];
-                let sp_cur = &mut sp_tail[..cur_elems];
-
-                if nt <= 1 || (self.level_dirty_nodes[l] as usize) < PAR_THRESHOLD {
-                    batch_level_chunk(
-                        &ctx,
-                        base_n..base_n + len,
-                        mean_done,
-                        sigma_done,
-                        sp_done,
-                        arr_cur,
-                        mean_cur,
-                        sigma_cur,
-                        sp_cur,
-                        &mut arenas[0],
-                        model,
-                    );
-                    None
-                } else {
-                    // Carve the level into node-granular chunks; each
-                    // chunk's storage window follows from the slot map
-                    // (chunks vary in element count with their dirt).
-                    let chunk_nodes = len.div_ceil(nt);
-                    let cell = PanicCell::new();
-                    std::thread::scope(|scope| {
-                        let mut rest = (arr_cur, mean_cur, sigma_cur, sp_cur);
-                        let mut rest_arenas = &mut arenas[..];
-                        let mut cbase = base_n;
-                        while cbase < base_n + len {
-                            let cend = (cbase + chunk_nodes).min(base_n + len);
-                            let take = (ctx.slot_start[cend] as usize
-                                - ctx.slot_start[cbase] as usize)
-                                * stride;
-                            let (a, ra) = rest.0.split_at_mut(take);
-                            let (m, rm) = rest.1.split_at_mut(take);
-                            let (sg, rs) = rest.2.split_at_mut(take);
-                            let (sp, rsp) = rest.3.split_at_mut(take);
-                            rest = (ra, rm, rs, rsp);
-                            let (ar, rar) = rest_arenas.split_at_mut(1);
-                            rest_arenas = rar;
-                            let arena = &mut ar[0];
-                            let (md, sd, spd) = (&*mean_done, &*sigma_done, &*sp_done);
-                            let cell = &cell;
-                            let ctx = &ctx;
-                            scope.spawn(move || {
-                                cell.run(cbase..cend, || {
-                                    chaos::maybe_panic(Kernel::Forward, l);
-                                    batch_level_chunk(
-                                        ctx,
-                                        cbase..cend,
-                                        md,
-                                        sd,
-                                        spd,
-                                        a,
-                                        m,
-                                        sg,
-                                        sp,
-                                        arena,
-                                        model,
-                                    );
-                                });
-                            });
-                            cbase = cend;
-                        }
-                    });
-                    cell.take()
-                }
-            };
-            if let Some((chunk, message)) = panicked {
-                let incident = RuntimeIncident {
-                    kernel: Kernel::Forward,
-                    level: l,
-                    chunk,
-                    message,
-                    serial_retry_failed: false,
-                };
-                // Serial re-execution. No window reset is needed: the
-                // chunk body resets every dirty (node, lane) slice before
-                // computing it, so partial writes are invisible and the
-                // retry is bit-identical to an undisturbed run.
-                let retry = catch_unwind(AssertUnwindSafe(|| {
-                    chaos::maybe_panic(Kernel::Forward, l);
-                    let (mean_done, mean_tail) = self.sc_mean.split_at_mut(split);
-                    let (sigma_done, sigma_tail) = self.sc_sigma.split_at_mut(split);
-                    let (sp_done, sp_tail) = self.sc_sp.split_at_mut(split);
-                    let (_, arr_tail) = self.sc_arrival.split_at_mut(split);
-                    batch_level_chunk(
-                        &ctx,
-                        base_n..base_n + len,
-                        mean_done,
-                        sigma_done,
-                        sp_done,
-                        &mut arr_tail[..cur_elems],
-                        &mut mean_tail[..cur_elems],
-                        &mut sigma_tail[..cur_elems],
-                        &mut sp_tail[..cur_elems],
-                        &mut arenas[0],
-                        model,
-                    );
-                }));
-                match retry {
-                    Ok(()) => {
-                        recovered.get_or_insert(incident);
-                    }
-                    Err(_) => {
-                        return Err(InstaError::Runtime(RuntimeIncident {
-                            serial_retry_failed: true,
-                            ..incident
-                        }))
-                    }
-                }
-            }
-        }
-        Ok(recovered)
-    }
-
-    /// One lane's endpoint report. Clean endpoints copy the base report's
-    /// entries bit-for-bit (their whole fanin cone is clean for this lane,
-    /// so a serial run would recompute exactly those values); dirty
-    /// endpoints scan the lane's queues with the same code path as
-    /// `metrics::evaluate`. Accumulation runs in endpoint order either
-    /// way, so WNS/TNS are bit-identical too.
-    ///
-    /// A lane's [`ModeMask`] applies here: disabled endpoints keep their
-    /// per-endpoint entries but are skipped by the WNS/TNS/violation
-    /// accumulation — the same arithmetic, in the same order, as
-    /// [`InstaReport::masked`] on the unmasked report.
-    pub(crate) fn lane_report<M: StatModel>(
-        &self,
-        lane: usize,
-        base_report: &InstaReport,
-        cppr: bool,
-        model: &M,
-    ) -> InstaReport {
-        let st = self.st;
-        let k = self.k;
-        let mask = self.mode[lane];
-        let n_ep = st.endpoints.len();
-        let mut slacks = vec![f64::INFINITY; n_ep];
-        let mut arrivals = vec![f64::NEG_INFINITY; n_ep];
-        let mut requireds = vec![f64::INFINITY; n_ep];
-        let mut worst_sp = vec![NO_SP; n_ep];
-        let mut worst_rf = vec![0u8; n_ep];
-        let mut wns = f64::INFINITY;
-        let mut tns = 0.0;
-        let mut viol = 0usize;
-        for (i, ep) in st.endpoints.iter().enumerate() {
-            let v = ep.node as usize;
-            if self.dirty[v] >> lane & 1 == 0 {
-                slacks[i] = base_report.slacks[i];
-                arrivals[i] = base_report.arrivals[i];
-                requireds[i] = base_report.requireds[i];
-                worst_sp[i] = base_report.worst_sp[i];
-                worst_rf[i] = base_report.worst_rf[i];
-            } else {
-                let ep_id = EpId(ep.ep);
-                let slot = self.lane_slot(v, lane);
-                for rf in 0..2usize {
-                    for j in 0..k {
-                        let idx = (slot * 2 + rf) * k + j;
-                        let sp = self.sc_sp[idx];
-                        if sp == NO_SP {
-                            break; // the queue is dense from the front
-                        }
-                        let sp_id = SpId(sp);
-                        if st.exceptions.is_false(sp_id, ep_id) {
-                            continue;
-                        }
-                        let mut required = ep.required_base;
-                        let mcp = st.exceptions.multicycle_factor(sp_id, ep_id);
-                        if mcp > 1 {
-                            required += (mcp - 1) as f64 * st.period_ps;
-                        }
-                        if cppr {
-                            required += st.cppr_credit(st.sp_leaf[sp as usize], ep.leaf);
-                        }
-                        let arrival = self.sc_arrival[idx];
-                        let slack = model.slack(required, arrival);
-                        if slack < slacks[i] {
-                            slacks[i] = slack;
-                            arrivals[i] = arrival;
-                            requireds[i] = required;
-                            worst_sp[i] = sp;
-                            worst_rf[i] = rf as u8;
-                        }
-                    }
-                }
-            }
-            if mask.is_some_and(|m| m.is_disabled(i)) {
-                continue; // mode-disabled: present in the arrays, absent
-                          // from every aggregate
-            }
-            if slacks[i] < 0.0 {
-                tns += slacks[i];
-                viol += 1;
-            }
-            if slacks[i] < wns {
-                wns = slacks[i];
-            }
-        }
-        InstaReport {
-            wns_ps: wns,
-            tns_ps: tns,
-            n_violations: viol,
-            slacks,
-            arrivals,
-            requireds,
-            worst_sp,
-            worst_rf,
-        }
-    }
-}
-
-/// Per-thread body of the batched sweep: computes every dirty (node, lane)
-/// queue of the chunk. For each one it restores the serial kernel's
-/// pre-state (global-fill reset + launch seed) and then runs the *same*
-/// merge body as the serial kernel, with parent reads falling through to
-/// the base arrays on clean lanes.
-#[allow(clippy::too_many_arguments)]
-fn batch_level_chunk<M: StatModel>(
-    ctx: &LaneCtx<'_>,
-    nodes: std::ops::Range<usize>,
-    mean_done: &[f64],
-    sigma_done: &[f64],
-    sp_done: &[u32],
-    arr_cur: &mut [f64],
-    mean_cur: &mut [f64],
-    sigma_cur: &mut [f64],
-    sp_cur: &mut [u32],
-    arena: &mut MergeArena,
-    model: &M,
-) {
-    let (st, k) = (ctx.st, ctx.k);
-    // The chunk's slices start at its first node's slot window.
-    let chunk_slot0 = ctx.slot_start[nodes.start] as usize;
-    for v in nodes {
-        let mut mask = ctx.dirty[v];
-        if mask == 0 {
-            continue;
-        }
-        let fanin = st.fanin_range(v);
-        debug_assert!(!fanin.is_empty(), "dirt only flows along fanin arcs");
-        // Lanes come off the mask in ascending order — exactly the slot
-        // order of the compact layout — so the local slot just increments.
-        let mut slot = ctx.slot_start[v] as usize - chunk_slot0;
-        while mask != 0 {
-            let lane = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            debug_assert_eq!(slot, ctx.lane_slot(v, lane) - chunk_slot0);
-            // Reset this lane's queue slices to the serial kernel's
-            // post-global-fill state, then re-apply the launch seed when
-            // the node is a startpoint — the exact pre-state the serial
-            // pass gives every node before its level is computed.
-            for rf in 0..2 {
-                let off = (slot * 2 + rf) * k;
-                arr_cur[off..off + k].fill(f64::NEG_INFINITY);
-                sp_cur[off..off + k].fill(NO_SP);
-            }
-            if let Some(s) = st.source_at(v) {
-                for rf in 0..2 {
-                    let off = (slot * 2 + rf) * k;
-                    mean_cur[off] = s.mean[rf];
-                    sigma_cur[off] = s.sigma[rf];
-                    arr_cur[off] = model.corner_late(s.mean[rf], s.sigma[rf], st.n_sigma);
-                    sp_cur[off] = s.sp;
-                }
-            }
-            for rf in 0..2 {
-                let off = (slot * 2 + rf) * k;
-                let (qa, qm, qs, qsp) = (
-                    &mut arr_cur[off..off + k],
-                    &mut mean_cur[off..off + k],
-                    &mut sigma_cur[off..off + k],
-                    &mut sp_cur[off..off + k],
-                );
-                let parent = |p: usize, prf: usize, j: usize| {
-                    if ctx.dirty[p] >> lane & 1 == 1 {
-                        // Parents live in earlier levels, so their slots
-                        // precede the chunk's window: absolute indices
-                        // land inside the `done` prefix.
-                        let idx = (ctx.lane_slot(p, lane) * 2 + prf) * k + j;
-                        (sp_done[idx], mean_done[idx], sigma_done[idx])
-                    } else {
-                        let idx = (p * 2 + prf) * k + j;
-                        (
-                            ctx.base.topk_sp[idx],
-                            ctx.base.topk_mean[idx],
-                            ctx.base.topk_sigma[idx],
-                        )
-                    }
-                };
-                let arc = |ai: usize| ctx.arc_ann(ai, rf, lane);
-                merge_node_queue::<M, false>(
-                    st,
-                    fanin.clone(),
-                    rf,
-                    k,
-                    &parent,
-                    &arc,
-                    arena,
-                    qa,
-                    qm,
-                    qs,
-                    qsp,
-                    model,
-                );
-            }
-            slot += 1;
-        }
-    }
-}
-
-#[cfg(test)]
-impl ScenarioBatch<'_> {
-    /// Lane count of the chunk.
-    pub(crate) fn lane_count(&self) -> usize {
-        self.lanes
-    }
-
-    /// Whether the sweep recomputed this (node, lane) pair.
-    pub(crate) fn is_dirty(&self, v: usize, lane: usize) -> bool {
-        self.dirty[v] >> lane & 1 == 1
-    }
-
-    /// One lane's k-slices of a node's queue: (arrival, mean, sigma, sp).
-    /// Only valid for dirty `(node, lane)` pairs — clean pairs have no
-    /// storage in the compact layout.
-    pub(crate) fn lane_queue(
-        &self,
-        v: usize,
-        rf: usize,
-        lane: usize,
-    ) -> (&[f64], &[f64], &[f64], &[u32]) {
-        let off = (self.lane_slot(v, lane) * 2 + rf) * self.k;
-        let k = self.k;
-        (
-            &self.sc_arrival[off..off + k],
-            &self.sc_mean[off..off + k],
-            &self.sc_sigma[off..off + k],
-            &self.sc_sp[off..off + k],
-        )
-    }
 }

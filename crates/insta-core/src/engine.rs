@@ -183,7 +183,7 @@ pub(crate) struct Static {
     pub sources: Vec<SourceInit>,
     /// Node → index into `sources` (`u32::MAX` = not a startpoint; the
     /// *last* source wins, like [`crate::forward::seed_sources`]' in-order
-    /// writes). What the cone and batch sweeps re-seed a recomputed
+    /// writes). What the cone sweep re-seeds a recomputed
     /// startpoint node from.
     pub source_of: Vec<u32>,
     /// Endpoint attributes (renumbered nodes).
@@ -291,6 +291,17 @@ pub(crate) struct State {
     pub lse_tau_used: Option<f64>,
 }
 
+/// A lazily allocated scratch [`State`] that a clone of its owner starts
+/// without: it holds no result, only pages worth keeping mapped.
+#[derive(Debug, Default)]
+pub(crate) struct CornerScratch(pub Option<State>);
+
+impl Clone for CornerScratch {
+    fn clone(&self) -> Self {
+        Self(None)
+    }
+}
+
 /// The INSTA engine.
 ///
 /// Construct it from a reference export, then call
@@ -330,6 +341,9 @@ pub struct InstaEngine {
     pub(crate) topk_synced: bool,
     /// Persistent scratch of the cone sweep (see [`crate::incremental`]).
     pub(crate) cone: ConeScratch,
+    /// Top-K arrays of a batched call's corner base passes (see
+    /// [`crate::batch`]): absent until the first corner lane, then kept.
+    pub(crate) corner_scratch: CornerScratch,
     /// Write generation of the LSE arrival/weight buffers.
     pub(crate) lse_writes: u64,
     /// Write generation of the gradient buffers.
@@ -541,6 +555,7 @@ impl InstaEngine {
             stats: SessionStats::default(),
             topk_synced: false,
             cone: ConeScratch::new(n, num_levels, k),
+            corner_scratch: CornerScratch::default(),
             lse_writes: 0,
             grad_writes: 0,
             trace: TraceSink::disabled(),

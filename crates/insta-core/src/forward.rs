@@ -459,12 +459,11 @@ fn corner<M: StatModel, const MIN: bool>(model: &M, mean: f64, sigma: f64, n_sig
 ///    queue is bit-identical to the interleaved original; most pushes on
 ///    deep levels die in `update_topk_slices`' O(1) floor rejection.
 ///
-/// Parent-queue and arc-annotation reads go through closures so the
-/// batched scenario kernel ([`crate::batch`]) can overlay per-scenario
-/// annotations and per-lane parent state while sharing the exact
-/// float-operation order of the single-scenario kernel — the bit-identity
-/// guarantee of `evaluate_batch` holds *by construction*, not by parallel
-/// maintenance of two kernels. `parent(p, prf, j)` returns the parent's
+/// Parent-queue and arc-annotation reads go through closures supplied by
+/// the one caller, [`level_chunk`] — the body the full pass, hold, the
+/// session's cone sweep and (through that sweep) every batched what-if
+/// lane run, which is why a lane is bit-identical to its serial twin *by
+/// construction*: there is no second kernel. `parent(p, prf, j)` returns the parent's
 /// j-th `(sp, mean, sigma)` entry; `arc(ai)` returns the arc's
 /// `(mean, sigma)` for the destination transition being computed. `MIN`
 /// selects the hold kernel's negated-early-corner ordering

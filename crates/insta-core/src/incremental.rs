@@ -52,6 +52,15 @@
 //! The sweep keeps the full pass's contracts: one interrupt poll per
 //! *dirty* level, every dirty level under `catch_unwind` with one serial
 //! retry, per-level profile rows, and LSE state only marked stale.
+//!
+//! **The undo log.** A what-if lane ([`crate::batch`]) is the same sweep
+//! taken back afterwards. The old entries a node's compare needs are
+//! copied out before its recompute anyway; with [`ConeScratch::logging`]
+//! on those copies (plus the arrivals and the node id) are appended to a
+//! log instead of overwritten, and [`ConeScratch::undo`] copies them back
+//! newest first. A node logged twice — the forced retry of a level after a
+//! contained panic — gets its first, true copy back last. Session updates
+//! and rollbacks run with logging off.
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
@@ -84,16 +93,26 @@ pub(crate) struct ConeScratch {
     epoch: u32,
     /// Per-level worklists; they keep their capacity between sweeps.
     frontier: Vec<Vec<u32>>,
-    /// A node's readable entries before its recompute, both transitions.
+    /// A node's `2k` entries before its recompute, both transitions: the
+    /// node being recomputed only, or — while `logging` — one run per
+    /// recompute since the log was last taken back. The change compare
+    /// reads the last run.
     old_sp: Vec<u32>,
     old_mean: Vec<f64>,
     old_sigma: Vec<f64>,
+    /// Whether recomputes are logged for [`undo`](Self::undo).
+    logging: bool,
+    /// The rest of a logged recompute: the node and its old arrivals.
+    log_node: Vec<u32>,
+    log_arrival: Vec<f64>,
+    /// Logged annotation writes: (expanded arc, old mean, old sigma).
+    log_arc: Vec<(u32, [f64; 2], [f64; 2])>,
     arena: MergeArena,
     /// What the last sweep did (the `forward.cone` span's payload).
     seeds: usize,
     levels: usize,
-    nodes: usize,
-    pruned: usize,
+    pub(crate) nodes: usize,
+    pub(crate) pruned: usize,
 }
 
 impl ConeScratch {
@@ -102,9 +121,13 @@ impl ConeScratch {
             stamp: vec![0; n],
             epoch: 0,
             frontier: vec![Vec::new(); num_levels],
-            old_sp: vec![NO_SP; 2 * k],
-            old_mean: vec![0.0; 2 * k],
-            old_sigma: vec![0.0; 2 * k],
+            old_sp: Vec::with_capacity(2 * k),
+            old_mean: Vec::with_capacity(2 * k),
+            old_sigma: Vec::with_capacity(2 * k),
+            logging: false,
+            log_node: Vec::new(),
+            log_arrival: Vec::new(),
+            log_arc: Vec::new(),
             arena: MergeArena::default(),
             seeds: 0,
             levels: 0,
@@ -138,8 +161,56 @@ impl ConeScratch {
 
     /// Whether the current sweep recomputed node `v`.
     #[inline]
-    fn recomputed(&self, v: u32) -> bool {
+    pub(crate) fn recomputed(&self, v: u32) -> bool {
         self.stamp[v as usize] == self.epoch
+    }
+
+    /// Turns logging on and writes `deltas` over the annotations the way
+    /// [`reannotate_unchecked`](InstaEngine::reannotate_unchecked) does —
+    /// every expansion, a later delta to the same arc wins — logging what
+    /// each write replaces. Nothing else of the engine moves: no drift, no
+    /// counter, no staleness flag.
+    pub(crate) fn annotate_logged(&mut self, st: &mut Static, deltas: &[ArcDelta]) {
+        if !self.logging {
+            // A log starts empty: drop what the last sweep, logged or
+            // not, left in the compare buffers.
+            self.old_sp.clear();
+            self.old_mean.clear();
+            self.old_sigma.clear();
+            self.logging = true;
+        }
+        for d in deltas {
+            let g = d.arc as usize;
+            for i in st.expansion_start[g] as usize..st.expansion_start[g + 1] as usize {
+                let e = st.expansion_arc[i] as usize;
+                self.log_arc
+                    .push((e as u32, st.arc_mean[e], st.arc_sigma[e]));
+                st.arc_mean[e] = d.mean;
+                st.arc_sigma[e] = d.sigma;
+            }
+        }
+    }
+
+    /// Copies every logged recompute and annotation write back, newest
+    /// first, empties the log (its capacity stays) and turns logging off.
+    pub(crate) fn undo(&mut self, st: &mut Static, state: &mut State) {
+        let stride = 2 * state.k;
+        for (i, &v) in self.log_node.iter().enumerate().rev() {
+            let from = i * stride..(i + 1) * stride;
+            let to = v as usize * stride..(v as usize + 1) * stride;
+            state.topk_arrival[to.clone()].copy_from_slice(&self.log_arrival[from.clone()]);
+            state.topk_sp[to.clone()].copy_from_slice(&self.old_sp[from.clone()]);
+            state.topk_mean[to.clone()].copy_from_slice(&self.old_mean[from.clone()]);
+            state.topk_sigma[to].copy_from_slice(&self.old_sigma[from]);
+        }
+        for &(e, mean, sigma) in self.log_arc.iter().rev() {
+            st.arc_mean[e as usize] = mean;
+            st.arc_sigma[e as usize] = sigma;
+        }
+        self.log_node.clear();
+        self.log_arrival.clear();
+        self.log_arc.clear();
+        self.logging = false;
     }
 }
 
@@ -165,8 +236,8 @@ impl InstaEngine {
                     n_graph_arcs: self.st.n_graph_arcs,
                 });
             } else {
-                // The batched dirty sweep seeds dirt on expansion-arc
-                // children and propagates from level 1 upward; a child at
+                // The cone sweep seeds the children of the expansion arcs
+                // and walks the worklists from level 1 upward; a child at
                 // level 0 (only possible in a Trust-mode snapshot with a
                 // corrupt level CSR) would silently fall outside the
                 // sweep, so it is rejected here instead.
@@ -294,7 +365,7 @@ impl InstaEngine {
             self.stats.degraded_passes += 1;
             self.try_propagate_fused()?;
             self.health_check()?;
-        } else if synced && self.seed_cone(deltas.iter().map(|d| d.arc)) {
+        } else if synced && seed_cone(&self.st, &mut self.cone, deltas.iter().map(|d| d.arc)) {
             self.last_incident = None;
             self.run_cone()?;
             // Only endpoints on recomputed nodes can have moved; the
@@ -306,6 +377,7 @@ impl InstaEngine {
                 &self.state,
                 &mut report,
                 |node| self.cone.recomputed(node),
+                None,
                 self.cfg.cppr,
                 m,
             ));
@@ -315,24 +387,6 @@ impl InstaEngine {
             self.try_propagate()?;
         }
         Ok(self.state.report.clone().expect("just propagated"))
-    }
-
-    /// Opens a sweep seeded with the children of every expansion of the
-    /// given (re-annotated) graph arcs. Returns `false` when the distinct
-    /// seeds exceed the [`CONE_SEED_SHARE`] switch: the full pass is the
-    /// cheaper way to re-sync then.
-    fn seed_cone(&mut self, graph_arcs: impl Iterator<Item = u32>) -> bool {
-        let Self { st, cone, .. } = self;
-        cone.begin();
-        for g in graph_arcs {
-            for &e in st.expansion(g as usize) {
-                cone.seeds += usize::from(cone.enqueue(st, st.arc_child[e as usize]));
-            }
-            if cone.seeds * CONE_SEED_SHARE > st.n {
-                return false;
-            }
-        }
-        true
     }
 
     /// Runs the seeded sweep under its `forward.cone` span.
@@ -366,7 +420,7 @@ impl InstaEngine {
         &mut self,
         graph_arcs: impl Iterator<Item = u32>,
     ) -> Result<(), InstaError> {
-        if self.seed_cone(graph_arcs) {
+        if seed_cone(&self.st, &mut self.cone, graph_arcs) {
             self.run_cone()
         } else {
             self.try_propagate().map(|_| ())
@@ -374,9 +428,31 @@ impl InstaEngine {
     }
 }
 
-/// The frontier-driven sweep over the live Top-K arrays (see the module
-/// docs). Seeds are already on `cone`'s worklists.
-fn cone_sweep<M: StatModel>(
+/// Opens a sweep seeded with the children of every expansion of the given
+/// (re-annotated) graph arcs. Returns `false` when the distinct seeds
+/// exceed the [`CONE_SEED_SHARE`] switch: the full pass is the cheaper way
+/// to re-sync then.
+pub(crate) fn seed_cone(
+    st: &Static,
+    cone: &mut ConeScratch,
+    graph_arcs: impl Iterator<Item = u32>,
+) -> bool {
+    cone.begin();
+    for g in graph_arcs {
+        for &e in st.expansion(g as usize) {
+            cone.seeds += usize::from(cone.enqueue(st, st.arc_child[e as usize]));
+        }
+        if cone.seeds * CONE_SEED_SHARE > st.n {
+            return false;
+        }
+    }
+    true
+}
+
+/// The frontier-driven sweep over Top-K arrays that are the full pass's
+/// output for the annotations before the seeding arcs changed (see the
+/// module docs). Seeds are already on `cone`'s worklists.
+pub(crate) fn cone_sweep<M: StatModel>(
     st: &Static,
     state: &mut State,
     cone: &mut ConeScratch,
@@ -464,9 +540,25 @@ fn cone_level<M: StatModel>(
     let mut pruned = 0;
     for &v in nodes {
         let w = v as usize * stride..(v as usize + 1) * stride;
-        cone.old_sp.copy_from_slice(&state.topk_sp[w.clone()]);
-        cone.old_mean.copy_from_slice(&state.topk_mean[w.clone()]);
-        cone.old_sigma.copy_from_slice(&state.topk_sigma[w.clone()]);
+        if cone.logging {
+            debug_assert_eq!(
+                cone.old_sp.len(),
+                cone.log_arrival.len(),
+                "one run per logged node"
+            );
+            cone.log_node.push(v);
+            cone.log_arrival
+                .extend_from_slice(&state.topk_arrival[w.clone()]);
+        } else {
+            cone.old_sp.clear();
+            cone.old_mean.clear();
+            cone.old_sigma.clear();
+        }
+        let at = cone.old_sp.len();
+        cone.old_sp.extend_from_slice(&state.topk_sp[w.clone()]);
+        cone.old_mean.extend_from_slice(&state.topk_mean[w.clone()]);
+        cone.old_sigma
+            .extend_from_slice(&state.topk_sigma[w.clone()]);
         // The full pass's pre-state of a node: global reset, launch seed.
         state.topk_arrival[w.clone()].fill(f64::NEG_INFINITY);
         state.topk_sp[w.clone()].fill(NO_SP);
@@ -497,7 +589,7 @@ fn cone_level<M: StatModel>(
         }
         let changed = force
             || (0..2).any(|rf| {
-                let (old, new) = (rf * k, w.start + rf * k);
+                let (old, new) = (at + rf * k, w.start + rf * k);
                 for j in 0..k {
                     let sp = state.topk_sp[new + j];
                     if sp != cone.old_sp[old + j] {
@@ -604,9 +696,9 @@ mod tests {
         }
     }
 
-    /// Regression (ISSUE 5): the batched dirty-mask sweep seeds dirt on
-    /// expansion-arc children and starts propagation at level 1, so a
-    /// delta child at level 0 would be silently skipped. Only a corrupt
+    /// Regression (ISSUE 5): the cone sweep seeds the expansion arcs'
+    /// children and starts at level 1, so a delta child at level 0 would
+    /// be silently skipped. Only a corrupt
     /// Trust-mode level CSR can produce one — `validate_deltas` must
     /// reject it as a typed fatal issue instead of sweeping past it.
     #[test]
@@ -698,6 +790,36 @@ mod tests {
         assert_eq!(level, first_dirty);
         assert!(!eng.topk_synced, "a cut sweep leaves the arrays stale");
         assert_eq!(before, eng.topk_snapshot(), "nothing ran before the poll");
+    }
+
+    /// A level re-run after a panic in the middle of it logs its nodes
+    /// twice, the second time with half-new values; the reverse-order undo
+    /// still puts the first, true copies back. Two logged sweeps of the
+    /// same cone stand in for the re-run.
+    #[test]
+    fn undo_restores_nodes_that_were_logged_twice() {
+        let (_d, _sta, mut eng) = crate::engine::tests::build_engine(47, 4);
+        eng.propagate();
+        let before = eng.undo_image();
+        let g = eng.st.n_graph_arcs / 2;
+        let delta = |mean: f64| insta_refsta::eco::ArcDelta {
+            arc: g as u32,
+            mean: [mean; 2],
+            sigma: [4.0; 2],
+        };
+        let InstaEngine {
+            st, state, cone, ..
+        } = &mut eng;
+        for mean in [180.0, 20.0] {
+            cone.annotate_logged(st, &[delta(mean)]);
+            assert!(super::seed_cone(st, cone, std::iter::once(g as u32)));
+            super::cone_sweep(st, state, cone, None, None, &crate::stat::GaussianPocv)
+                .expect("clean sweep");
+            assert!(cone.nodes > cone.pruned, "the delta must move its cone");
+        }
+        cone.undo(st, state);
+        assert!(!cone.logging);
+        assert!(before == eng.undo_image(), "the undo left a trace");
     }
 
     #[test]

@@ -38,10 +38,11 @@
 //!   copy-on-write epoch checkpoints, bit-identical rollback on poison,
 //!   cooperative per-level cancellation with deadlines, and drift-audited
 //!   degradation (see DESIGN.md "Session lifecycle and failure policy").
-//! * [`batch`] — batched multi-scenario evaluation: one shared sweep
-//!   propagates S delta-sets at once in SoA scenario lanes, bit-identical
-//!   per scenario to S serial sessions, with per-scenario quarantine (see
-//!   DESIGN.md "Batched scenario evaluation").
+//! * [`batch`] — batched what-if evaluation: each scenario is the
+//!   session's cone sweep run in place with an undo log (a corner is one
+//!   full pass into a scratch base first), bit-identical per scenario to S
+//!   serial sessions, with per-scenario quarantine (see DESIGN.md "Batched
+//!   scenario evaluation").
 //! * [`snapshot`] — the immutable committed-epoch view
 //!   ([`TimingSnapshot`](snapshot::TimingSnapshot)): slacks, arrivals,
 //!   WNS/TNS, and epoch captured at commit time so the serve layer can
@@ -60,7 +61,7 @@
 //!   threaded through every kernel pass recording spans, per-level
 //!   duration/touched-node profiles (the paper's Fig. 9 breakdown via
 //!   [`InstaEngine::perf_report`](engine::InstaEngine::perf_report)),
-//!   batch lane occupancy, and session/incident events — zero overhead
+//!   batched-call totals, and session/incident events — zero overhead
 //!   when disabled (see DESIGN.md "Observability").
 //!
 //! # Examples

@@ -116,11 +116,11 @@ pub(crate) fn forward_lse<M: StatModel>(
 }
 
 /// [`forward_lse`] with arc-annotation reads routed through `ann(ai, rf) →
-/// (mean, sigma)`. The batched scenario path ([`crate::batch`]) uses this
-/// to run the differentiable pass against one scenario's overlaid deltas
-/// without mutating the engine's cloned annotations — sharing this body
-/// (instead of maintaining a second LSE kernel) is what makes the batched
-/// gradient bit-identical to a serial re-annotate + `forward_lse` run.
+/// (mean, sigma)`. The batched scenario path ([`crate::batch`]) runs this
+/// into scratch buffers while a lane's deltas are written in place —
+/// sharing this body (instead of maintaining a second LSE kernel) is what
+/// makes the batched gradient bit-identical to a serial re-annotate +
+/// `forward_lse` run.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_lse_with<M: StatModel>(
     st: &Static,

@@ -43,9 +43,9 @@ impl InstaReport {
     /// The report under a mode mask: per-endpoint entries are kept
     /// verbatim (a disabled endpoint's slack stays inspectable), but
     /// WNS/TNS/violations are re-accumulated in endpoint order skipping
-    /// disabled endpoints — the exact arithmetic the batched
-    /// `lane_report` runs when the lane carries the mask, so masking
-    /// after the fact is bit-identical to masking in the lane.
+    /// disabled endpoints — the one reduction every report ends in, so
+    /// masking after the fact is bit-identical to masking in a batched
+    /// lane.
     pub fn masked(&self, mask: &crate::batch::ModeMask) -> InstaReport {
         let mut out = self.clone();
         out.reduce(Some(mask));
@@ -146,18 +146,21 @@ pub(crate) fn evaluate<M: StatModel>(
         worst_sp: vec![NO_SP; n_ep],
         worst_rf: vec![0u8; n_ep],
     };
-    refresh(st, state, &mut report, |_| true, cppr, model);
+    refresh(st, state, &mut report, |_| true, None, cppr, model);
     report
 }
 
 /// Re-evaluates the endpoints whose node `selected` names, in place, and
-/// re-reduces the aggregates. With every endpoint selected this *is*
-/// [`evaluate`]; a cone update selects the nodes it recomputed.
+/// re-reduces the aggregates under `mask`. With every endpoint selected
+/// this *is* [`evaluate`]; a cone update — and a batched lane, which
+/// starts from a copy of its base's report — selects the nodes it
+/// recomputed.
 pub(crate) fn refresh<M: StatModel>(
     st: &Static,
     state: &State,
     report: &mut InstaReport,
     selected: impl Fn(u32) -> bool,
+    mask: Option<&crate::batch::ModeMask>,
     cppr: bool,
     model: &M,
 ) {
@@ -169,7 +172,7 @@ pub(crate) fn refresh<M: StatModel>(
             report.set_endpoint(st, i, sps, arrivals, cppr, model);
         }
     }
-    report.reduce(None);
+    report.reduce(mask);
 }
 
 /// Monotonic runtime counters for observability: session lifecycle, drift

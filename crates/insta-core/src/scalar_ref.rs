@@ -439,6 +439,50 @@ impl InstaEngine {
         )
     }
 
+    /// Everything a batched `evaluate_*` call must give back, as named
+    /// bit vectors: the Top-K arrays, the annotations, the report, and the
+    /// drift / staleness bookkeeping.
+    pub fn undo_image(&self) -> Vec<(&'static str, Vec<u64>)> {
+        let f = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let (s, st) = (&self.state, &self.st);
+        let report = s.report.as_ref().map_or(Vec::new(), |r| {
+            let mut bits = vec![
+                r.wns_ps.to_bits(),
+                r.tns_ps.to_bits(),
+                r.n_violations as u64,
+            ];
+            bits.extend(
+                r.slacks
+                    .iter()
+                    .chain(&r.arrivals)
+                    .chain(&r.requireds)
+                    .map(|v| v.to_bits()),
+            );
+            bits.extend(r.worst_sp.iter().map(|&v| u64::from(v)));
+            bits.extend(r.worst_rf.iter().map(|&v| u64::from(v)));
+            bits
+        });
+        vec![
+            ("topk_arrival", f(&s.topk_arrival)),
+            ("topk_mean", f(&s.topk_mean)),
+            ("topk_sigma", f(&s.topk_sigma)),
+            ("topk_sp", s.topk_sp.iter().map(|&v| u64::from(v)).collect()),
+            ("arc_mean", f(st.arc_mean.as_flattened())),
+            ("arc_sigma", f(st.arc_sigma.as_flattened())),
+            ("report", report),
+            (
+                "bookkeeping",
+                vec![
+                    u64::from(self.topk_synced),
+                    s.lse_tau_used.map_or(u64::MAX, f64::to_bits),
+                    self.lse_writes,
+                    self.drift.updates,
+                    self.drift.mass.to_bits(),
+                ],
+            ),
+        ]
+    }
+
     /// Raw LSE state `(smooth arrivals, softmax weights)`.
     pub fn lse_snapshot(&self) -> (Vec<f64>, Vec<[f64; 2]>) {
         (self.state.lse_arrival.clone(), self.state.lse_weight.clone())

@@ -95,8 +95,14 @@ impl<'e> TimingSession<'e> {
 
     /// Arms a wall-clock budget for the whole session, measured from this
     /// call. Checked at the same per-level poll points as the token.
-    pub fn with_deadline(mut self, budget: Duration) -> Self {
-        self.deadline = Some(Deadline::after(budget));
+    pub fn with_deadline(self, budget: Duration) -> Self {
+        self.with_deadline_at(Deadline::after(budget))
+    }
+
+    /// Arms an absolute deadline — how a batched call hands every serial
+    /// lane the one instant its own budget ends at.
+    pub(crate) fn with_deadline_at(mut self, deadline: Deadline) -> Self {
+        self.deadline = Some(deadline);
         self
     }
 

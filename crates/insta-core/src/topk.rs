@@ -631,17 +631,19 @@ mod tests {
     }
 }
 
-/// Per-scenario Top-K invariants after *batched* merges (ISSUE 4): every
-/// dirty (node, lane) queue written by the shared sweep must satisfy the
-/// same Algorithm-2 invariants as the serial kernel — descending order,
-/// dense occupancy, unique startpoints, consistent corner arrivals — with
-/// no aliasing between scenario lanes, and the per-lane CPPR endpoint
-/// evaluation must agree with the dense `metrics::evaluate` path.
+/// Top-K invariants of a *batched* lane (ISSUE 4, restated for ISSUE 14's
+/// lane procedure): every queue a lane's in-place cone sweep recomputes
+/// must satisfy the same Algorithm-2 invariants as the full pass —
+/// descending order, dense occupancy, unique startpoints, consistent corner
+/// arrivals — and the undo must give every bit back; a lane's report must
+/// not depend on its neighbours or its position in the batch; and it must
+/// agree with the dense `metrics::evaluate` on a re-annotated twin.
 #[cfg(test)]
 mod batched_tests {
     use super::NO_SP;
-    use crate::batch::{DeltaSet, LaneSpec, ScenarioBatch};
+    use crate::batch::{DeltaSet, LaneUndo};
     use crate::engine::{InstaConfig, InstaEngine};
+    use crate::stat::GaussianPocv;
     use insta_netlist::generator::{generate_design, GeneratorConfig};
     use insta_refsta::eco::ArcDelta;
     use insta_refsta::{RefSta, StaConfig};
@@ -649,12 +651,22 @@ mod batched_tests {
     use insta_support::rng::Rng;
     use insta_support::{prop_assert, prop_assert_eq};
 
-    fn build(seed: u64) -> (RefSta, InstaEngine) {
-        let design = generate_design(&GeneratorConfig::small("topk_batch", seed));
+    /// About 900 nodes, so a few deltas stay under the cone's seed switch
+    /// and every lane is an in-place cone lane.
+    fn build(seed: u64, cppr: bool) -> (RefSta, InstaEngine) {
+        let design = generate_design(&GeneratorConfig {
+            n_flops: 32,
+            logic_levels: 6,
+            gates_per_level: 36,
+            ..GeneratorConfig::small("topk_batch", seed)
+        });
         let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
         golden.full_update(&design);
-        let mut engine = InstaEngine::new(golden.export_insta_init(), InstaConfig::default())
-            .expect("valid snapshot");
+        let cfg = InstaConfig {
+            cppr,
+            ..InstaConfig::default()
+        };
+        let mut engine = InstaEngine::new(golden.export_insta_init(), cfg).expect("valid snapshot");
         engine.propagate();
         (golden, engine)
     }
@@ -673,7 +685,10 @@ mod batched_tests {
                             let sigma = delays.sigma[arc as usize];
                             ArcDelta {
                                 arc,
-                                mean: [mean[0] + rng.next_f64() * 30.0, mean[1] + rng.next_f64() * 30.0],
+                                mean: [
+                                    mean[0] + rng.next_f64() * 30.0,
+                                    mean[1] + rng.next_f64() * 30.0,
+                                ],
                                 sigma: [sigma[0] * 1.5, sigma[1] * 1.5],
                             }
                         })
@@ -683,31 +698,86 @@ mod batched_tests {
             .collect()
     }
 
-    /// Queue invariants per dirty (node, lane): dense-from-front
-    /// occupancy, descending corner arrivals, unique startpoints, and
-    /// `arrival = mean + N_sigma·sigma` bit-exactly.
+    fn report_bits(r: &crate::metrics::InstaReport) -> Vec<u64> {
+        let mut bits = vec![
+            r.wns_ps.to_bits(),
+            r.tns_ps.to_bits(),
+            r.n_violations as u64,
+        ];
+        bits.extend(r.slacks.iter().map(|v| v.to_bits()));
+        bits.extend(r.arrivals.iter().map(|v| v.to_bits()));
+        bits.extend(r.requireds.iter().map(|v| v.to_bits()));
+        bits.extend(r.worst_sp.iter().map(|&v| u64::from(v)));
+        bits.extend(r.worst_rf.iter().map(|&v| u64::from(v)));
+        bits
+    }
+
+    /// Every bit a lane may write: both bases' Top-K arrays and the
+    /// annotations.
+    fn image(engine: &InstaEngine, scratch: &crate::engine::State) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for s in [&engine.state, scratch] {
+            bits.extend(
+                s.topk_arrival
+                    .iter()
+                    .chain(&s.topk_mean)
+                    .chain(&s.topk_sigma)
+                    .map(|v| v.to_bits()),
+            );
+            bits.extend(s.topk_sp.iter().map(|&v| u64::from(v)));
+        }
+        let ann = engine.st.arc_mean.iter().chain(&engine.st.arc_sigma);
+        bits.extend(ann.flatten().map(|v| v.to_bits()));
+        bits
+    }
+
+    /// Queue invariants per recomputed node, read off the swept arrays
+    /// *before* the undo: dense-from-front occupancy, descending corner
+    /// arrivals, unique startpoints, and `arrival = mean + N_sigma·sigma`
+    /// bit-exactly. Lanes run alternately on the engine's live arrays and
+    /// on a scratch copy (a corner group's base); dropping the lane gives
+    /// every array and annotation bit back.
     #[test]
     fn batched_lane_queues_keep_algorithm2_invariants() {
         for_all(
             Config::cases(8).seed(0x70_9C03),
-            |rng| (rng.bounded_u64(32), rng.next_u64(), 1 + rng.bounded_u64(3) as usize),
-            |&(dseed, stream, nt)| {
-                let (golden, engine) = build(dseed);
+            |rng| (rng.bounded_u64(32), rng.next_u64()),
+            |&(dseed, stream)| {
+                let (golden, mut engine) = build(dseed, true);
                 let mut rng = Rng::seed_from_u64(stream);
                 let sets = scenarios(&golden, &mut rng, 7);
-                let specs: Vec<LaneSpec<'_>> =
-                    sets.iter().map(|s| LaneSpec::from_deltas(&s.deltas)).collect();
-                let mut sb = ScenarioBatch::new(&engine.st, &engine.state, &specs);
-                sb.sweep(nt, None, &crate::stat::GaussianPocv).expect("clean sweep");
-                let mut dirty_pairs = 0usize;
-                for v in 0..engine.st.n {
-                    for lane in 0..sb.lane_count() {
-                        if !sb.is_dirty(v, lane) {
+                let mut scratch = engine.state.clone();
+                let before = image(&engine, &scratch);
+                let k = engine.state.k;
+                let mut recomputed = 0usize;
+                for (lane_no, set) in sets.iter().enumerate() {
+                    let state = if lane_no % 2 == 0 {
+                        &mut engine.state
+                    } else {
+                        &mut scratch
+                    };
+                    let (lane, swept) = LaneUndo::sweep(
+                        &mut engine.st,
+                        state,
+                        &mut engine.cone,
+                        &set.deltas,
+                        None,
+                        &GaussianPocv,
+                    );
+                    prop_assert!(matches!(swept, Ok(None)), "clean sweep");
+                    for v in 0..lane.st.n {
+                        if !lane.cone.recomputed(v as u32) {
                             continue;
                         }
-                        dirty_pairs += 1;
+                        recomputed += 1;
                         for rf in 0..2 {
-                            let (qa, qm, qs, qsp) = sb.lane_queue(v, rf, lane);
+                            let q = (v * 2 + rf) * k..(v * 2 + rf + 1) * k;
+                            let (qa, qsp) = (
+                                &lane.state.topk_arrival[q.clone()],
+                                &lane.state.topk_sp[q.clone()],
+                            );
+                            let (qm, qs) =
+                                (&lane.state.topk_mean[q.clone()], &lane.state.topk_sigma[q]);
                             let occupied =
                                 qsp.iter().position(|&sp| sp == NO_SP).unwrap_or(qsp.len());
                             // Dense from the front: nothing live past the
@@ -722,54 +792,45 @@ mod batched_tests {
                                 if j > 0 {
                                     prop_assert!(qa[j - 1] >= qa[j], "order violated");
                                 }
-                                let corner = qm[j] + engine.st.n_sigma * qs[j];
+                                let corner = qm[j] + lane.st.n_sigma * qs[j];
                                 prop_assert_eq!(qa[j].to_bits(), corner.to_bits());
                             }
                         }
                     }
+                    drop(lane);
+                    prop_assert!(
+                        image(&engine, &scratch) == before,
+                        "lane {lane_no}: the undo left a trace"
+                    );
                 }
-                prop_assert!(dirty_pairs > 0, "deltas produced no dirty cone");
+                prop_assert!(recomputed > 0, "deltas produced no cone");
                 Ok(())
             },
         );
     }
 
-    /// No cross-scenario aliasing: every lane of a multi-scenario batch is
-    /// bit-identical to the same scenario swept alone.
+    /// No cross-scenario aliasing: a lane's report is the same alone, in
+    /// the batch, and in the reversed batch.
     #[test]
     fn batched_lanes_do_not_alias() {
         for_all(
             Config::cases(8).seed(0x70_9C04),
             |rng| (rng.bounded_u64(32), rng.next_u64()),
             |&(dseed, stream)| {
-                let (golden, engine) = build(dseed);
+                let (golden, mut engine) = build(dseed, true);
                 let mut rng = Rng::seed_from_u64(stream);
                 let sets = scenarios(&golden, &mut rng, 4);
-                let specs: Vec<LaneSpec<'_>> =
-                    sets.iter().map(|s| LaneSpec::from_deltas(&s.deltas)).collect();
-                let mut all = ScenarioBatch::new(&engine.st, &engine.state, &specs);
-                all.sweep(2, None, &crate::stat::GaussianPocv).expect("clean sweep");
+                let reversed: Vec<DeltaSet> = sets.iter().rev().cloned().collect();
+                let all = engine.evaluate_batch(&sets);
+                let rev = engine.evaluate_batch(&reversed);
                 for (lane, set) in sets.iter().enumerate() {
-                    let solo_spec = [LaneSpec::from_deltas(&set.deltas)];
-                    let mut solo = ScenarioBatch::new(&engine.st, &engine.state, &solo_spec);
-                    solo.sweep(1, None, &crate::stat::GaussianPocv).expect("clean sweep");
-                    for v in 0..engine.st.n {
-                        prop_assert_eq!(all.is_dirty(v, lane), solo.is_dirty(v, 0));
-                        if !all.is_dirty(v, lane) {
-                            continue;
-                        }
-                        for rf in 0..2 {
-                            let (aa, am, asg, asp) = all.lane_queue(v, rf, lane);
-                            let (sa, sm, ssg, ssp) = solo.lane_queue(v, rf, 0);
-                            prop_assert_eq!(asp, ssp);
-                            let occupied =
-                                asp.iter().position(|&sp| sp == NO_SP).unwrap_or(asp.len());
-                            for j in 0..occupied {
-                                prop_assert_eq!(aa[j].to_bits(), sa[j].to_bits());
-                                prop_assert_eq!(am[j].to_bits(), sm[j].to_bits());
-                                prop_assert_eq!(asg[j].to_bits(), ssg[j].to_bits());
-                            }
-                        }
+                    let solo = engine.evaluate_batch(std::slice::from_ref(set));
+                    let want = report_bits(solo[0].outcome.as_ref().expect("valid lane"));
+                    for got in [&all[lane], &rev[sets.len() - 1 - lane]] {
+                        prop_assert!(
+                            report_bits(got.outcome.as_ref().expect("valid lane")) == want,
+                            "lane {lane} depends on its batch"
+                        );
                     }
                 }
                 Ok(())
@@ -777,54 +838,37 @@ mod batched_tests {
         );
     }
 
-    /// The per-lane endpoint evaluation — including the CPPR credit path —
-    /// agrees bit-for-bit with the dense `metrics::evaluate` run on a
-    /// state assembled from the lane's queues (dirty nodes) and the base
-    /// queues (clean nodes).
+    /// A lane's report — including the CPPR credit path — agrees
+    /// bit-for-bit with the dense `metrics::evaluate` on a twin that was
+    /// re-annotated with the lane's deltas and fully propagated.
     #[test]
     fn batched_cppr_evaluation_matches_dense_metrics() {
         for_all(
             Config::cases(6).seed(0x70_9C05),
             |rng| (rng.bounded_u64(32), rng.next_u64(), rng.bounded_u64(2) == 0),
             |&(dseed, stream, cppr)| {
-                let (golden, engine) = build(dseed);
+                let (golden, mut engine) = build(dseed, cppr);
                 let mut rng = Rng::seed_from_u64(stream);
                 let sets = scenarios(&golden, &mut rng, 3);
-                let specs: Vec<LaneSpec<'_>> =
-                    sets.iter().map(|s| LaneSpec::from_deltas(&s.deltas)).collect();
-                let mut sb = ScenarioBatch::new(&engine.st, &engine.state, &specs);
-                sb.sweep(1, None, &crate::stat::GaussianPocv).expect("clean sweep");
-                // The base report must match the configured CPPR mode.
-                let base_report =
-                    crate::metrics::evaluate(&engine.st, &engine.state, cppr, &crate::stat::GaussianPocv);
-                let k = engine.state.k;
-                for lane in 0..sb.lane_count() {
-                    let got = sb.lane_report(lane, &base_report, cppr, &crate::stat::GaussianPocv);
-                    // Dense oracle: splice the lane's dirty queues into a
-                    // copy of the base state and evaluate it the serial way.
-                    let mut synth = engine.state.clone();
-                    for v in 0..engine.st.n {
-                        if !sb.is_dirty(v, lane) {
-                            continue;
-                        }
-                        for rf in 0..2 {
-                            let (qa, qm, qs, qsp) = sb.lane_queue(v, rf, lane);
-                            let off = (v * 2 + rf) * k;
-                            synth.topk_arrival[off..off + k].copy_from_slice(qa);
-                            synth.topk_mean[off..off + k].copy_from_slice(qm);
-                            synth.topk_sigma[off..off + k].copy_from_slice(qs);
-                            synth.topk_sp[off..off + k].copy_from_slice(qsp);
-                        }
-                    }
-                    let want = crate::metrics::evaluate(&engine.st, &synth, cppr, &crate::stat::GaussianPocv);
-                    prop_assert_eq!(got.wns_ps.to_bits(), want.wns_ps.to_bits());
-                    prop_assert_eq!(got.tns_ps.to_bits(), want.tns_ps.to_bits());
-                    prop_assert_eq!(got.n_violations, want.n_violations);
-                    for i in 0..want.slacks.len() {
-                        prop_assert_eq!(got.slacks[i].to_bits(), want.slacks[i].to_bits());
-                        prop_assert_eq!(got.worst_sp[i], want.worst_sp[i]);
-                        prop_assert_eq!(got.worst_rf[i], want.worst_rf[i]);
-                    }
+                let got = engine.evaluate_batch(&sets);
+                for (lane, set) in sets.iter().enumerate() {
+                    let mut twin = engine.clone();
+                    twin.reannotate(&set.deltas).expect("valid deltas");
+                    crate::forward::forward(
+                        &twin.st,
+                        &mut twin.state,
+                        1,
+                        None,
+                        None,
+                        &GaussianPocv,
+                    )
+                    .expect("clean pass");
+                    let want = crate::metrics::evaluate(&twin.st, &twin.state, cppr, &GaussianPocv);
+                    let got = got[lane].outcome.as_ref().expect("valid lane");
+                    prop_assert!(
+                        report_bits(got) == report_bits(&want),
+                        "lane {lane} differs from the dense evaluation"
+                    );
                 }
                 Ok(())
             },

@@ -8,16 +8,24 @@
 //! owned by the engine and threaded through every kernel pass:
 //!
 //! * a **span** per kernel pass (`"forward"`, `"forward_lse"`,
-//!   `"backward"`, `"batch.sweep"`, and `"forward.cone"` — one per cone
-//!   update and per rollback re-sweep, with its `seeds`, dirty `levels`,
-//!   recomputed `nodes` and `pruned` nodes) in a bounded
-//!   [`Recorder`](insta_support::obs::Recorder) journal,
+//!   `"backward"`, and `"forward.cone"` — one per cone update and per
+//!   rollback re-sweep, with its `seeds`, dirty `levels`, recomputed
+//!   `nodes` and `pruned` nodes) and one `"batch.sweep"` span per batched
+//!   `evaluate_*` call, in a bounded
+//!   [`Recorder`](insta_support::obs::Recorder) journal. A batched lane
+//!   is a cone sweep but emits no `forward.cone` span of its own (64 per
+//!   call would eat the ring) and a corner's base pass no `forward` span;
+//!   the call's span carries the totals instead: `lanes` run in place,
+//!   how many of them were `corner_lanes` / `masked_lanes`, `cone_lanes`
+//!   (lanes that swept a cone — a lane without deltas is its base's
+//!   report), `base_passes` (one full pass per distinct corner), the
+//!   `nodes` recomputed and `pruned` over all lanes, and `ok`,
 //! * a **per-level profile** ([`LevelProfile`]) of cumulative duration and
 //!   touched nodes per level per kernel — the data behind
 //!   [`InstaEngine::perf_report`]. Top-K merge cost is part of the forward
 //!   kernel's level body, so it is attributed to the forward profile,
 //! * **events** for session outcomes (`"session.commit"`,
-//!   `"session.rollback"`), batch lane occupancy, and every
+//!   `"session.rollback"`) and every
 //!   [`RuntimeIncident`](crate::error::RuntimeIncident) — the journal is
 //!   the time-ordered view of the same facts the monotonic
 //!   [`EngineCounters`](crate::metrics::EngineCounters) aggregate.

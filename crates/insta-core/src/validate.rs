@@ -106,9 +106,9 @@ pub enum Issue {
         n_graph_arcs: usize,
     },
     /// An incremental update delta expands to an arc whose child sits at
-    /// timing level 0. The batched dirty-mask sweep seeds dirt on arc
-    /// children and starts its levelized propagation at level 1, so a
-    /// level-0 child would be silently skipped — it can only arise from a
+    /// timing level 0. The cone sweep seeds the arcs' children and walks
+    /// its worklists from level 1, so a level-0 child would be silently
+    /// skipped — it can only arise from a
     /// malformed snapshot (a level-0 node with fanin), so it is rejected
     /// as fatal before any annotation is written.
     DeltaChildAtLevelZero {
@@ -297,7 +297,7 @@ impl std::fmt::Display for Issue {
             Issue::DeltaChildAtLevelZero { index, arc, child } => write!(
                 f,
                 "delta {index}: arc {arc} expands to child {child} at timing level 0 \
-                 (outside the batched dirty sweep)"
+                 (outside the cone sweep)"
             ),
             Issue::ArcLevelInversion { arc, parent, child } => write!(
                 f,

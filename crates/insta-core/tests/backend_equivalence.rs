@@ -293,14 +293,32 @@ fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<DeltaSet> {
         .collect()
 }
 
+/// About 900 nodes: a handful of deltas stays under the cone's seed switch,
+/// so every batched lane is an in-place cone lane.
+fn mid_config(name: &str, seed: u64) -> GeneratorConfig {
+    GeneratorConfig {
+        n_flops: 32,
+        logic_levels: 6,
+        gates_per_level: 36,
+        ..GeneratorConfig::small(name, seed)
+    }
+}
+
 /// Batch lanes {1, 16, 64} under the trait-generic Gaussian path (with
 /// per-lane gradients, which route through the model-threaded scratch
 /// passes): every lane equals re-annotating a clone and running the
-/// frozen scalar forward pass.
+/// frozen scalar forward pass. The small design mixes in-place cone lanes
+/// with lanes past the cone's seed switch (replayed as sessions); on the
+/// ~900-node one every lane runs in place.
 #[test]
 fn generic_gaussian_batch_lanes_match_scalar_reference() {
-    for lanes in [1usize, 16, 64] {
-        let gen = GeneratorConfig::small("beq_batch", 47);
+    for (lanes, gen) in [1usize, 16, 64].into_iter().flat_map(|l| {
+        [
+            (l, GeneratorConfig::small("beq_batch", 47)),
+            (l, mid_config("beq_batch_mid", 47)),
+        ]
+    }) {
+        let in_place = gen.gates_per_level == 36;
         let (_, golden, mut engine) = build(&gen, gaussian_cfg());
         engine.propagate();
         let mut rng = Rng::seed_from_u64(SUITE_SEED ^ lanes as u64);
@@ -317,6 +335,13 @@ fn generic_gaussian_batch_lanes_match_scalar_reference() {
                 report_bits(report),
                 want,
                 "scenario {i} of {lanes} differs from the scalar reference"
+            );
+        }
+        if in_place {
+            assert_eq!(
+                engine.counters().sessions_begun,
+                0,
+                "every lane ran in place"
             );
         }
     }
@@ -656,19 +681,27 @@ fn histogram_fused_matches_separate_passes() {
 /// read their numerics through the same model.
 #[test]
 fn histogram_batch_lanes_match_serial_runs() {
-    let gen = GeneratorConfig::small("beq_hbatch", 61);
-    let (_, golden, mut engine) = build(&gen, histogram_cfg(32));
-    engine.propagate();
-    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xB47C);
-    let scenarios = random_scenarios(&golden, &mut rng, 16);
+    for gen in [
+        GeneratorConfig::small("beq_hbatch", 61),
+        mid_config("beq_hbatch_mid", 61),
+    ] {
+        let (_, golden, mut engine) = build(&gen, histogram_cfg(32));
+        engine.propagate();
+        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xB47C);
+        let scenarios = random_scenarios(&golden, &mut rng, 16);
 
-    let got = engine.evaluate_batch(&scenarios);
-    for (i, sc) in scenarios.iter().enumerate() {
-        let mut serial = engine.clone();
-        serial.reannotate(&sc.deltas).expect("valid deltas");
-        let want = report_bits(serial.propagate());
-        let report = got[i].outcome.as_ref().expect("valid scenario");
-        assert_eq!(report_bits(report), want, "scenario {i} differs from serial");
+        let got = engine.evaluate_batch(&scenarios);
+        for (i, sc) in scenarios.iter().enumerate() {
+            let mut serial = engine.clone();
+            serial.reannotate(&sc.deltas).expect("valid deltas");
+            let want = report_bits(serial.propagate());
+            let report = got[i].outcome.as_ref().expect("valid scenario");
+            assert_eq!(
+                report_bits(report),
+                want,
+                "scenario {i} differs from serial"
+            );
+        }
     }
 }
 

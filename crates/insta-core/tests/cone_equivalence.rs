@@ -18,12 +18,19 @@
 //! drop-while-open by coin, and an interleaved `propagate_hold` that
 //! clobbers the arrays.
 //!
+//! The second half of the file is the **undo-exactness suite** of the
+//! batched entry points: a what-if lane is the same cone sweep run in place
+//! with an undo log, so after any `evaluate_*` call — clean, quarantined,
+//! cancelled, panicked — the engine must hold its pre-call bits and its
+//! next update must still be a cone update.
+//!
 //! Every comparison is on raw `to_bits` — no tolerances anywhere.
 
 use insta_engine::parallel::chaos;
 use insta_engine::{
-    hold_attributes, CancelToken, DriftPolicy, FixedBinHistogram, HoldAttributes, InstaConfig,
-    InstaEngine, InstaError, InstaReport, Kernel, SessionStatus, StatModelConfig,
+    hold_attributes, BatchOptions, CancelToken, CornerTransform, DeltaSet, DriftPolicy,
+    FixedBinHistogram, HoldAttributes, InstaConfig, InstaEngine, InstaError, InstaReport, Kernel,
+    ModeMask, Scenario, ScenarioReport, SessionStatus, StatModelConfig,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
@@ -634,4 +641,545 @@ fn cone_updates_and_rollbacks_are_traced() {
         2
     );
     assert_eq!(journal.events().filter(|e| e.name == "forward").count(), 1);
+}
+
+// ---------------------------------------------------------------------
+// Undo exactness of the batched entry points
+// ---------------------------------------------------------------------
+
+/// Every part of the pre-call image is still there, bit for bit.
+fn assert_untouched(before: &[(&'static str, Vec<u64>)], eng: &InstaEngine, what: &str) {
+    for ((name, want), (_, got)) in before.iter().zip(eng.undo_image()) {
+        assert!(
+            *want == got,
+            "{what}: {name} differs from its pre-call bits"
+        );
+    }
+}
+
+/// What a lane must equal: a rolled-back session on a clone, re-annotated
+/// with the scenario's pre-scaled twin deltas and masked by its mode.
+fn serial_twin(eng: &InstaEngine, sc: &Scenario) -> Result<InstaReport, String> {
+    let mut t = eng.clone();
+    let deltas = t.scenario_twin_deltas(sc);
+    let mut session = t.begin_session();
+    let r = session.update_timing(&deltas);
+    session.rollback();
+    r.map(|r| match &sc.mode {
+        Some(m) => r.masked(m),
+        None => r,
+    })
+    .map_err(|e| e.category().to_string())
+}
+
+fn assert_lanes_equal_twins(
+    got: &[ScenarioReport],
+    eng: &InstaEngine,
+    scs: &[Scenario],
+    what: &str,
+) {
+    assert_eq!(got.len(), scs.len(), "{what}: one report per scenario");
+    for (i, (g, sc)) in got.iter().zip(scs).enumerate() {
+        assert_eq!(g.scenario, i, "{what}: index");
+        match (&g.outcome, serial_twin(eng, sc)) {
+            (Ok(g), Ok(w)) => {
+                assert!(
+                    report_bits(g) == report_bits(&w),
+                    "{what}: lane {i} differs from its twin"
+                )
+            }
+            (Err(g), Err(w)) => assert_eq!(g.category(), w, "{what}: lane {i} error category"),
+            (g, w) => panic!("{what}: lane {i} is {g:?}, its twin {w:?}"),
+        }
+    }
+}
+
+/// The engine's next session update and its rollback are cone sweeps: no
+/// batched call, however it ended, may push the engine onto a full pass.
+fn assert_next_update_is_a_cone(a: &mut InstaEngine, fx: &Fixture, what: &str) {
+    a.enable_tracing();
+    let arc = fx.feeding[0];
+    let mut d = ArcDelta {
+        arc,
+        mean: fx.ann[arc as usize].0,
+        sigma: fx.ann[arc as usize].1,
+    };
+    d.mean[0] += 1.5;
+    let mut session = a.begin_session();
+    session.update_timing(&[d]).expect("valid batch");
+    session.rollback();
+    let count = |name: &str| {
+        let journal = a.trace_journal().expect("tracing on");
+        journal.events().filter(|e| e.name == name).count()
+    };
+    assert_eq!(
+        (count("forward.cone"), count("forward")),
+        (2, 0),
+        "{what}: the update after the call"
+    );
+    a.disable_tracing();
+}
+
+/// The call's one `batch.sweep` span.
+fn sweep_span(a: &InstaEngine, field: &str) -> f64 {
+    let journal = a.trace_journal().expect("tracing on");
+    let spans: Vec<_> = journal
+        .events()
+        .filter(|e| e.name == "batch.sweep")
+        .collect();
+    assert_eq!(spans.len(), 1, "one batch.sweep span per call");
+    assert_eq!(
+        journal
+            .events()
+            .filter(|e| e.name == "forward.cone")
+            .count(),
+        0,
+        "lanes emit no forward.cone spans"
+    );
+    spans[0].field(field).expect("span field")
+}
+
+fn few_deltas(rng: &mut Rng, fx: &Fixture) -> Vec<ArcDelta> {
+    (0..1 + rng.bounded_u64(4))
+        .map(|_| random_delta(rng, &fx.ann))
+        .collect()
+}
+
+const CORNERS: [CornerTransform; 2] = [
+    CornerTransform {
+        mean_scale: 1.06,
+        mean_offset_ps: 0.0,
+        sigma_scale: 1.15,
+        sigma_offset_ps: 0.0,
+    },
+    CornerTransform {
+        mean_scale: 0.94,
+        mean_offset_ps: 2.0,
+        sigma_scale: 1.05,
+        sigma_offset_ps: 0.25,
+    },
+];
+
+/// The sizer's corner-ranking batch: every candidate once per corner,
+/// identity first. Every third scenario also carries a mode mask.
+fn candidates_by_corners(
+    rng: &mut Rng,
+    fx: &Fixture,
+    candidates: usize,
+    n_eps: usize,
+) -> Vec<Scenario> {
+    let mut out = Vec::new();
+    for _ in 0..candidates {
+        let deltas = few_deltas(rng, fx);
+        out.push(Scenario::from(deltas.clone()));
+        for c in CORNERS {
+            out.push(Scenario::from(deltas.clone()).with_corner(c));
+        }
+    }
+    for (i, sc) in out.iter_mut().enumerate() {
+        if i % 3 == 1 {
+            sc.mode = Some(ModeMask::disabling([i % n_eps, (7 * i + 1) % n_eps]));
+        }
+    }
+    out
+}
+
+/// Clean calls of all three entry points (and a gradient call), both
+/// backends, K ∈ {1, 8, 32}: every lane equals its serial twin, the engine
+/// holds its pre-call bits — LSE tag included — and stays on the cone path.
+#[test]
+fn batched_calls_leave_no_trace() {
+    let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
+    let fx = fixture(&mid_config(19));
+    for histogram in [false, true] {
+        for k in [1usize, 8, 32] {
+            let what = format!("k={k} histogram={histogram}");
+            let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xBA7C ^ k as u64);
+            let mut a = engine(&fx, &config(k, true, 1, histogram));
+            a.propagate();
+            a.forward_lse(); // a live LSE tag the calls must not clear
+            let n_eps = a.report().slacks.len();
+            let before = a.undo_image();
+
+            // evaluate_batch: sparse sets, the base scenario, a repeated arc.
+            let mut sets: Vec<Vec<ArcDelta>> = (0..6).map(|_| few_deltas(&mut rng, &fx)).collect();
+            sets.push(Vec::new());
+            let first = random_delta(&mut rng, &fx.ann);
+            let again = jittered(&mut rng, first.arc, fx.ann[first.arc as usize]);
+            sets.push(vec![first, random_delta(&mut rng, &fx.ann), again]);
+            let as_scenarios: Vec<Scenario> = sets.iter().cloned().map(Scenario::from).collect();
+            let as_sets: Vec<DeltaSet> = sets.into_iter().map(DeltaSet::from).collect();
+            let got = a.evaluate_batch(&as_sets);
+            assert_lanes_equal_twins(&got, &a, &as_scenarios, &format!("{what} evaluate_batch"));
+            assert_untouched(&before, &a, &format!("{what} evaluate_batch"));
+
+            let opts = BatchOptions {
+                gradients: true,
+                ..BatchOptions::default()
+            };
+            let got = a.evaluate_batch_with(&as_sets[..3], &opts);
+            assert!(got
+                .iter()
+                .all(|r| r.outcome.is_ok() && r.gradients.is_some()));
+            assert_untouched(&before, &a, &format!("{what} gradients"));
+
+            // evaluate_scenarios: candidates × (identity + corners), modes mixed in.
+            let scs = candidates_by_corners(&mut rng, &fx, 4, n_eps);
+            let got = a.evaluate_scenarios(&scs);
+            assert_lanes_equal_twins(&got, &a, &scs, &format!("{what} evaluate_scenarios"));
+            assert_untouched(&before, &a, &format!("{what} evaluate_scenarios"));
+
+            // evaluate_mcmm: the same batch plus mode-only variants that dedup.
+            let mut sweep = scs.clone();
+            for sc in &scs[..4] {
+                let mut dup = sc.clone();
+                dup.mode = Some(ModeMask::disabling([0, n_eps - 1]));
+                sweep.push(dup);
+            }
+            let deduped = a.counters().mcmm_deduped;
+            let got = a.evaluate_mcmm(&sweep);
+            assert!(a.counters().mcmm_deduped >= deduped + 4, "{what}: dedup");
+            assert_lanes_equal_twins(&got.scenarios, &a, &sweep, &format!("{what} evaluate_mcmm"));
+            assert_untouched(&before, &a, &format!("{what} evaluate_mcmm"));
+
+            assert_next_update_is_a_cone(&mut a, &fx, &what);
+            assert_untouched(&before, &a, &format!("{what} after the cone update"));
+        }
+    }
+}
+
+/// The sizer's loop: score candidates in a batch, commit one of them in a
+/// session, score the next batch. The cone scratch is shared between the
+/// unlogged session sweeps and the logged lanes — a lane that follows a
+/// session update must still log (and take back) exactly its own cone.
+#[test]
+fn batches_interleaved_with_committed_sessions_leave_no_trace() {
+    let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
+    let fx = fixture(&mid_config(31));
+    for histogram in [false, true] {
+        let what = format!("histogram={histogram}");
+        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x512E);
+        let mut a = engine(&fx, &config(8, true, 1, histogram));
+        a.propagate();
+        for round in 0..12 {
+            let scs: Vec<Scenario> = (0..4)
+                .map(|i| {
+                    let sc = Scenario::from(few_deltas(&mut rng, &fx));
+                    if i == 3 {
+                        sc.with_corner(CORNERS[round % 2])
+                    } else {
+                        sc
+                    }
+                })
+                .collect();
+            let before = a.undo_image();
+            let got = a.evaluate_scenarios(&scs);
+            assert_lanes_equal_twins(&got, &a, &scs, &format!("{what} round {round}"));
+            assert_untouched(&before, &a, &format!("{what} round {round}"));
+            let mut session = a.begin_session();
+            session
+                .update_timing(&scs[round % 3].deltas)
+                .expect("valid batch");
+            if round % 4 == 3 {
+                session.rollback();
+            } else {
+                session.commit().expect("open session");
+            }
+        }
+    }
+}
+
+/// The `batch.sweep` span: one base pass per *distinct* corner however many
+/// lanes carry it, one cone per lane with deltas, none for a lane without.
+#[test]
+fn one_base_pass_per_distinct_corner() {
+    let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
+    let fx = fixture(&mid_config(23));
+    let mut a = engine(&fx, &config(8, true, 1, false));
+    a.propagate();
+    let n_eps = a.report().slacks.len();
+    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xC0A7);
+    // 5 candidates × (identity + 2 corners), then three bare corner lanes.
+    let mut scs = candidates_by_corners(&mut rng, &fx, 5, n_eps);
+    scs.push(Scenario::default().with_corner(CORNERS[0]));
+    scs.push(Scenario::default().with_corner(CORNERS[1]));
+    scs.push(Scenario::default().with_corner(CornerTransform::IDENTITY));
+    a.enable_tracing();
+    let got = a.evaluate_scenarios(&scs);
+    assert!(got.iter().all(|r| r.outcome.is_ok()));
+    assert_eq!(sweep_span(&a, "lanes"), 18.0);
+    assert_eq!(sweep_span(&a, "base_passes"), 2.0);
+    assert_eq!(sweep_span(&a, "corner_lanes"), 12.0);
+    assert_eq!(sweep_span(&a, "cone_lanes"), 15.0);
+    assert_eq!(sweep_span(&a, "masked_lanes"), 5.0);
+    assert_eq!(sweep_span(&a, "ok"), 1.0);
+    assert!(sweep_span(&a, "nodes") >= 15.0 && sweep_span(&a, "pruned") <= sweep_span(&a, "nodes"));
+    assert_eq!(a.counters().sessions_begun, 0, "no lane ran as a session");
+
+    // A sweep without corners runs no base pass at all.
+    a.enable_tracing();
+    a.evaluate_batch(&[
+        DeltaSet::from(few_deltas(&mut rng, &fx)),
+        DeltaSet::default(),
+    ]);
+    assert_eq!(sweep_span(&a, "base_passes"), 0.0);
+    assert_eq!(sweep_span(&a, "cone_lanes"), 1.0);
+}
+
+/// Quarantined lanes (a bad arc id, a corner that drives annotations
+/// non-finite) and a lane past the cone's seed switch (replayed as a real
+/// session: two full passes) beside healthy ones, both backends.
+#[test]
+fn quarantined_and_oversized_lanes_leave_no_trace() {
+    let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
+    let fx = fixture(&mid_config(29));
+    for histogram in [false, true] {
+        let what = format!("histogram={histogram}");
+        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x0DD);
+        let mut a = engine(&fx, &config(8, true, 1, histogram));
+        a.propagate();
+        a.forward_lse();
+        let before = a.undo_image();
+        let oversized: Vec<ArcDelta> = (0..fx.ann.len() / 4)
+            .map(|_| random_delta(&mut rng, &fx.ann))
+            .collect();
+        let scs = vec![
+            Scenario::from(few_deltas(&mut rng, &fx)),
+            Scenario::from(vec![ArcDelta {
+                arc: u32::MAX - 1,
+                mean: [1.0; 2],
+                sigma: [0.1; 2],
+            }]),
+            Scenario::from(few_deltas(&mut rng, &fx)).with_corner(CORNERS[0]),
+            Scenario::from(few_deltas(&mut rng, &fx))
+                .with_corner(CornerTransform::scale(f64::INFINITY, 1.0)),
+            Scenario::from(oversized.clone()),
+            Scenario::from(oversized).with_corner(CORNERS[1]),
+            Scenario::from(few_deltas(&mut rng, &fx)).with_corner(CORNERS[1]),
+        ];
+        let sessions = a.counters().sessions_begun;
+        let got = a.evaluate_scenarios(&scs);
+        for bad in [1, 3] {
+            assert!(
+                matches!(got[bad].outcome, Err(InstaError::Validate(_))),
+                "{what}: lane {bad} must be quarantined"
+            );
+        }
+        assert_lanes_equal_twins(&got, &a, &scs, &what);
+        assert_eq!(
+            a.counters().sessions_begun,
+            sessions + 2,
+            "{what}: exactly the two oversized lanes ran as sessions"
+        );
+        assert_untouched(&before, &a, &what);
+        assert_next_update_is_a_cone(&mut a, &fx, &what);
+    }
+}
+
+/// The level a pre-fired token cancels a single-lane call at — the lane's
+/// first dirty level. (A lane cut there has written nothing but its
+/// annotations, and those are back.)
+fn first_dirty_level(a: &mut InstaEngine, deltas: &[ArcDelta]) -> usize {
+    let token = CancelToken::new();
+    token.cancel();
+    let opts = BatchOptions {
+        cancel: Some(token),
+        ..BatchOptions::default()
+    };
+    let got = a.evaluate_batch_with(&[DeltaSet::from(deltas.to_vec())], &opts);
+    match &got[0].outcome {
+        Err(InstaError::Cancelled {
+            kernel: Kernel::Forward,
+            level,
+            ..
+        }) => *level,
+        other => panic!("expected a forward cancel, got {other:?}"),
+    }
+}
+
+/// A token that fires *between* two dirty levels of the first lane (from
+/// the panic hook of a one-shot injected panic, which the forced retry
+/// recovers from): that lane stops at its next dirty level, every later
+/// lane at its own first dirty level, the corner group's base pass at
+/// level 1 — and all of it is taken back.
+#[test]
+fn a_lane_cancelled_between_dirty_levels_leaves_no_trace() {
+    let _exclusive = CHAOS.write().unwrap_or_else(|p| p.into_inner());
+    let fx = fixture(&mid_config(11));
+    for histogram in [false, true] {
+        let what = format!("histogram={histogram}");
+        let cfg = config(8, true, 1, histogram);
+        let mut a = engine(&fx, &cfg);
+        a.propagate();
+        let (deltas, first) = probe(&fx, &mut a, 1);
+        let dirty = dirty_levels(&fx, &cfg, &deltas);
+        assert!(dirty.len() >= 2 && dirty[0] == first);
+        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xCA9C);
+        let others: Vec<Vec<ArcDelta>> = (0..3).map(|_| few_deltas(&mut rng, &fx)).collect();
+        let firsts: Vec<usize> = others
+            .iter()
+            .map(|d| first_dirty_level(&mut a, d))
+            .collect();
+        let before = a.undo_image();
+        let incidents = a.incident_log().total();
+
+        let mut scs = vec![Scenario::from(deltas)];
+        scs.extend(others.iter().cloned().map(Scenario::from));
+        scs.push(Scenario::from(others[0].clone()).with_corner(CORNERS[0]));
+        scs.push(Scenario::default());
+        let token = CancelToken::new();
+        let fire = token.clone();
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |_| fire.cancel()));
+        chaos::arm(Kernel::Forward, first, false);
+        let got = a.evaluate_scenarios_with(
+            &scs,
+            &BatchOptions {
+                cancel: Some(token),
+                ..BatchOptions::default()
+            },
+        );
+        chaos::disarm();
+        std::panic::set_hook(prev_hook);
+
+        let mut want = vec![dirty[1]];
+        want.extend(&firsts);
+        want.push(1); // the corner's base pass polls every level
+        for (i, level) in want.into_iter().enumerate() {
+            match &got[i].outcome {
+                Err(InstaError::Cancelled {
+                    kernel: Kernel::Forward,
+                    level: got,
+                    ..
+                }) => assert_eq!(*got, level, "{what}: lane {i} cancel level"),
+                other => panic!("{what}: lane {i}: expected a forward cancel, got {other:?}"),
+            }
+        }
+        // No dirty level, no poll: the base scenario is still its twin.
+        let base = got[5]
+            .outcome
+            .as_ref()
+            .expect("an empty lane has nothing to cancel");
+        assert!(report_bits(base) == report_bits(a.report()));
+        // A sweep that ends cancelled reports only the cancel, like the
+        // session path: the panic it recovered from on the way is dropped.
+        assert_eq!(a.incident_log().total(), incidents, "{what}");
+        assert_untouched(&before, &a, &what);
+        assert_next_update_is_a_cone(&mut a, &fx, &what);
+    }
+}
+
+/// A one-shot injected panic in a lane's dirty level (identity and corner
+/// lane alike): the forced retry recomputes the level, the lane still
+/// equals its twin, the incident is booked once for the call, and the undo
+/// gives everything back.
+#[test]
+fn a_recovered_panic_in_a_lane_leaves_no_trace() {
+    let _exclusive = CHAOS.write().unwrap_or_else(|p| p.into_inner());
+    let fx = fixture(&mid_config(13));
+    for histogram in [false, true] {
+        let what = format!("histogram={histogram}");
+        let mut a = engine(&fx, &config(8, true, 1, histogram));
+        a.propagate();
+        let (deltas, first) = probe(&fx, &mut a, 2);
+        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x1507);
+        let scs = vec![
+            Scenario::from(deltas.clone()),
+            Scenario::from(few_deltas(&mut rng, &fx)),
+            Scenario::from(deltas).with_corner(CORNERS[1]),
+        ];
+        let before = a.undo_image();
+        let incidents = a.incident_log().total();
+
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        chaos::arm(Kernel::Forward, first, false);
+        let got = a.evaluate_scenarios(&scs);
+        chaos::disarm();
+        std::panic::set_hook(prev_hook);
+
+        assert_lanes_equal_twins(&got, &a, &scs, &what);
+        assert_eq!(
+            a.incident_log().total(),
+            incidents + 1,
+            "{what}: booked once"
+        );
+        let inc = a.last_incident().expect("recovered incident");
+        assert_eq!(
+            (inc.kernel, inc.level, inc.serial_retry_failed),
+            (Kernel::Forward, first, false)
+        );
+        assert_untouched(&before, &a, &what);
+        assert_next_update_is_a_cone(&mut a, &fx, &what);
+    }
+}
+
+/// A panic that also kills the retry: the lane whose cone holds the armed
+/// level reports a typed `Runtime`, its siblings — whose cones start above
+/// that level — complete as their twins, and the half-swept lane is taken
+/// back like any other, so the engine is *not* left on the full-pass path.
+#[test]
+fn a_fatal_panic_in_a_lane_is_typed_and_leaves_no_trace() {
+    let _exclusive = CHAOS.write().unwrap_or_else(|p| p.into_inner());
+    let fx = fixture(&mid_config(13));
+    for histogram in [false, true] {
+        let what = format!("histogram={histogram}");
+        let mut a = engine(&fx, &config(8, true, 1, histogram));
+        a.propagate();
+        // Single-arc lanes by first dirty level; the victim is the one
+        // unique shallowest, armed at its first level.
+        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xFA7A);
+        let mut lanes: Vec<(usize, Vec<ArcDelta>)> = (0..12)
+            .map(|_| vec![random_delta(&mut rng, &fx.ann)])
+            .map(|d| (first_dirty_level(&mut a, &d), d))
+            .collect();
+        lanes.sort_by_key(|(level, _)| *level);
+        let armed = lanes[0].0;
+        let victim = lanes[0].1.clone();
+        let siblings: Vec<Vec<ArcDelta>> = lanes
+            .into_iter()
+            .filter(|(level, _)| *level > armed)
+            .map(|(_, d)| d)
+            .take(4)
+            .collect();
+        assert!(siblings.len() >= 2, "{what}: fixture needs deeper lanes");
+        let mut scs = vec![Scenario::from(siblings[0].clone()), Scenario::from(victim)];
+        scs.extend(siblings[1..].iter().cloned().map(Scenario::from));
+        let before = a.undo_image();
+        let incidents = a.incident_log().total();
+        let quarantined = a.counters().batch_quarantined;
+
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        chaos::arm(Kernel::Forward, armed, true);
+        let got = a.evaluate_scenarios(&scs);
+        chaos::disarm();
+        std::panic::set_hook(prev_hook);
+
+        match &got[1].outcome {
+            Err(InstaError::Runtime(inc)) => {
+                assert_eq!((inc.kernel, inc.level), (Kernel::Forward, armed));
+                assert!(inc.serial_retry_failed);
+            }
+            other => panic!("{what}: expected Runtime, got {other:?}"),
+        }
+        for i in (0..scs.len()).filter(|&i| i != 1) {
+            let w = serial_twin(&a, &scs[i]).expect("healthy twin");
+            let g = got[i].outcome.as_ref().expect("sibling completes");
+            assert!(report_bits(g) == report_bits(&w), "{what}: sibling {i}");
+        }
+        assert_eq!(
+            a.incident_log().total(),
+            incidents + 1,
+            "{what}: booked once"
+        );
+        assert_eq!(
+            a.counters().batch_quarantined,
+            quarantined + 1,
+            "{what}: one quarantined lane"
+        );
+        assert_untouched(&before, &a, &what);
+        a.health_check().expect("healthy after the call");
+        assert_next_update_is_a_cone(&mut a, &fx, &what);
+    }
 }

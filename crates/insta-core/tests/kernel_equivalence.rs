@@ -273,14 +273,27 @@ fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<DeltaSet> {
         .collect()
 }
 
-/// Batch lanes {1, 16, 64}: every scenario of a batched sweep must match
+/// Batch lanes {1, 16, 64}: every scenario of a batched call must match
 /// re-annotating a clone and running the frozen scalar forward pass —
-/// pinning the lane-sliced merge closures to the reference kernel without
-/// going through the production serial path at all.
+/// pinning the lanes to the reference kernel without a production full
+/// pass in between. On the small design part of the lanes cross the cone's
+/// seed switch and are replayed as sessions; on the ~900-node one every
+/// lane is an in-place cone sweep with an undo log (no session is opened).
 #[test]
 fn batch_lanes_are_bit_identical_to_the_scalar_reference() {
-    for lanes in [1usize, 16, 64] {
-        let gen = GeneratorConfig::small("keq_batch", 47);
+    let mid = GeneratorConfig {
+        n_flops: 32,
+        logic_levels: 6,
+        gates_per_level: 36,
+        ..GeneratorConfig::small("keq_batch_mid", 47)
+    };
+    for (lanes, gen) in [1usize, 16, 64].into_iter().flat_map(|l| {
+        [
+            (l, GeneratorConfig::small("keq_batch", 47)),
+            (l, mid.clone()),
+        ]
+    }) {
+        let in_place = gen.gates_per_level == mid.gates_per_level;
         let (_, golden, mut engine) = build(&gen, InstaConfig::default());
         engine.propagate();
         let mut rng = Rng::seed_from_u64(SUITE_SEED ^ lanes as u64);
@@ -297,6 +310,13 @@ fn batch_lanes_are_bit_identical_to_the_scalar_reference() {
                 report_bits(report),
                 want,
                 "scenario {i} of {lanes} differs from the scalar reference"
+            );
+        }
+        if in_place {
+            assert_eq!(
+                engine.counters().sessions_begun,
+                0,
+                "every lane ran in place"
             );
         }
     }

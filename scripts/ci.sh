@@ -19,13 +19,13 @@ cargo test -q --offline -p insta-engine --test fault_tolerance
 echo "==> session-chaos gate (rollback bit-identity under seeded corruption + worker panics)"
 cargo test -q --offline --test sessions
 
-echo "==> batch-equivalence gate (batched scenarios bit-identical to serial sessions)"
+echo "==> batch-equivalence gate (batched scenarios bit-identical to serial sessions; one deadline for the whole call)"
 cargo test -q --offline --test batch_equivalence
 
 echo "==> mcmm-equivalence gate (corner/mode lanes bit-identical to pre-scaled, masked serial twins under both backends)"
 cargo test -q --offline --test mcmm_equivalence
 
-echo "==> cone-equivalence gate (session cone updates + rollback re-sweeps bit-identical to reannotate + full pass, arrays and report, both backends)"
+echo "==> cone-equivalence gate (session cone updates + rollback re-sweeps bit-identical to reannotate + full pass, arrays and report, both backends; batched calls leave the engine's bits untouched after clean, quarantined, cancelled and panicked lanes)"
 cargo test -q --offline -p insta-engine --test cone_equivalence
 
 echo "==> backend-equivalence gate (trait-generic Gaussian bit-identical to the frozen kernels; histogram converges to POCV monotonically in bins)"
@@ -47,10 +47,10 @@ cargo build --release --offline --benches -p insta-bench
 echo "==> session-overhead smoke (plain vs commit vs rollback over two alternating delta sets; report-only JSON line)"
 INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench session_overhead | tail -1 | tee BENCH_session.json
 
-echo "==> batch-throughput smoke (evaluate_batch vs sequential cone sessions; report-only JSON line)"
+echo "==> batch-throughput gate (evaluate_batch S=16 >= 1.0x 16 sequential cone sessions, min of interleaved iterations, 3-round noise retry; bench exits non-zero on breach)"
 INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench batch_throughput | tail -1 | tee BENCH_batch.json
 
-echo "==> mcmm-throughput smoke (CxM sweep >= 3x sequential per-corner sessions; bench exits non-zero on breach)"
+echo "==> mcmm-throughput gate (CxM sweep >= 3x sequential per-corner sessions, best of three iterations per arm; bench exits non-zero on breach)"
 INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench mcmm_throughput | tail -1 | tee BENCH_mcmm.json
 
 echo "==> serve-throughput smoke (reader p99 with a hot writer <= 2x idle p99; bench exits non-zero on breach)"

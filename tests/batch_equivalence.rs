@@ -265,8 +265,8 @@ fn batch_matches_serial_with_cppr_disabled() {
     assert_batch_matches(&got, &want).expect("no-CPPR equivalence");
 }
 
-/// Batches wider than one lane chunk (64 scenarios) are processed in
-/// chunks and still match scenario-for-scenario.
+/// A batch has no width limit: 70 scenarios (more than the 64-lane chunks
+/// of the old shared sweep) still match scenario-for-scenario.
 #[test]
 fn batches_wider_than_a_lane_chunk_match_serial() {
     let (golden, mut engine) = build(57, InstaConfig::default());
@@ -344,6 +344,95 @@ fn degraded_batch_accounting_is_exact_and_drift_neutral() {
     assert_eq!(after.drift_mass.to_bits(), before.drift_mass.to_bits());
     // And the engine still reports the pre-existing exhaustion.
     assert!(engine.drift_exceeded());
+}
+
+/// Regression (ISSUE 14): `BatchOptions::deadline` is one wall-clock budget
+/// for the whole call. It used to be re-armed for the base sync, for the
+/// lane sweep and for *each* serially replayed lane, so N drift-degraded
+/// lanes with budget D could run for (N + 2)·D. With a drift policy that
+/// degrades every lane, a budget of three measured lanes and twenty lanes,
+/// the tail must be cut and the call must return near its budget.
+#[test]
+fn a_batch_deadline_is_one_budget_for_the_whole_call() {
+    let cfg = InstaConfig {
+        drift_policy: insta_engine::DriftPolicy {
+            max_updates: 1,
+            ..insta_engine::DriftPolicy::default()
+        },
+        ..InstaConfig::default()
+    };
+    // A medium design, so that one degraded lane (a fused full pass plus
+    // a health check) is milliseconds, far above timer and scheduler noise.
+    let design = generate_design(&GeneratorConfig::medium("batch_deadline", 5));
+    let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
+    golden.full_update(&design);
+    let mut engine = InstaEngine::new(golden.export_insta_init(), cfg).expect("valid snapshot");
+    engine.propagate();
+    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xDEAD);
+    let mut nonempty = |n: usize| -> Vec<DeltaSet> {
+        let mut out = Vec::new();
+        while out.len() < n {
+            out.extend(
+                random_scenarios(&golden, &mut rng, n)
+                    .into_iter()
+                    .filter(|s| !s.deltas.is_empty()),
+            );
+        }
+        out.truncate(n);
+        out
+    };
+    let warm = nonempty(1);
+    engine
+        .reannotate(&warm[0].deltas)
+        .expect("valid warm-up deltas");
+    engine.propagate();
+    assert!(engine.drift_exceeded());
+    let scenarios = nonempty(20);
+
+    // One serial lane, measured: the median of three single-lane calls.
+    let mut lane_times: Vec<std::time::Duration> = (0..3)
+        .map(|i| {
+            let t = std::time::Instant::now();
+            let got = engine.evaluate_batch(&scenarios[i..i + 1]);
+            assert!(got[0].outcome.is_ok());
+            t.elapsed()
+        })
+        .collect();
+    lane_times.sort();
+    let budget = 3 * lane_times[1];
+
+    let degraded = engine.counters().degraded_passes;
+    let t = std::time::Instant::now();
+    let got = engine.evaluate_batch_with(
+        &scenarios,
+        &BatchOptions {
+            deadline: Some(budget),
+            ..BatchOptions::default()
+        },
+    );
+    let elapsed = t.elapsed();
+    assert_eq!(
+        engine.counters().degraded_passes,
+        degraded + 20,
+        "every lane degrades"
+    );
+    let done = got.iter().take_while(|r| r.outcome.is_ok()).count();
+    assert!(
+        done < 10,
+        "{done} lanes finished inside a three-lane budget"
+    );
+    for r in &got[done..] {
+        assert!(
+            matches!(r.outcome, Err(insta_engine::InstaError::Cancelled { .. })),
+            "lane {} after the deadline must be cancelled, got {:?}",
+            r.scenario,
+            r.outcome.as_ref().map(|r| r.tns_ps)
+        );
+    }
+    assert!(
+        elapsed < 3 * budget,
+        "the call took {elapsed:?} on a {budget:?} budget"
+    );
 }
 
 /// Batch counters are monotonic and quarantine-aware.

@@ -3,7 +3,7 @@
 //! serial session whose annotations were pre-scaled by `C`
 //! ([`InstaEngine::scenario_twin_deltas`]) and whose report was masked by
 //! `M` ([`InstaReport::masked`]) — under both statistical backends,
-//! across chunk boundaries (S > 64), with quarantine, cancellation,
+//! at any batch width (S > 64 included), with quarantine, cancellation,
 //! dedup, and the merged worst-corner view all behaving per-lane exactly
 //! like the serial twins.
 
@@ -222,11 +222,12 @@ fn mcmm_lanes_match_prescaled_masked_serial_twins() {
     }
 }
 
-/// Chunked-lane index integrity (satellite): with S ∈ {64, 65, 128} the
-/// sweep spans one, two, and two full lane chunks; `ScenarioReport::scenario`
-/// must equal the submission index everywhere, a quarantined scenario in
-/// a **non-first** chunk must land at its own index, and every healthy
-/// lane must still match its serial twin.
+/// Lane index integrity (satellite): lanes run grouped by corner, not in
+/// submission order, and results are written back by lane index. With
+/// S ∈ {64, 65, 128} — the widths that straddled the old sweep's 64-lane
+/// chunks — `ScenarioReport::scenario` must equal the submission index
+/// everywhere, a quarantined scenario late in the batch must land at its
+/// own index, and every healthy lane must still match its serial twin.
 #[test]
 fn chunk_boundaries_preserve_scenario_indices() {
     for (s, bad) in [(64usize, 63usize), (65, 64), (128, 70)] {
@@ -235,13 +236,14 @@ fn chunk_boundaries_preserve_scenario_indices() {
         let n_eps = engine.report().slacks.len();
         let mut rng = Rng::seed_from_u64(SUITE_SEED ^ (s as u64));
         let mut scenarios = random_scenarios(&golden, n_eps, &mut rng, s);
-        // Sprinkle extra corners so chunked corner tables are exercised.
+        // Sprinkle one more corner over the batch, so its group's lanes sit
+        // far apart in submission order.
         for (i, sc) in scenarios.iter_mut().enumerate() {
             if i % 17 == 0 {
                 sc.corner = Some(CornerTransform::scale(1.03, 1.1));
             }
         }
-        // One invalid scenario (out-of-range arc) inside the last chunk.
+        // One invalid scenario (out-of-range arc) late in the batch.
         scenarios[bad] = Scenario::from(vec![ArcDelta {
             arc: u32::MAX - 1,
             mean: [1.0, 1.0],
@@ -359,19 +361,51 @@ fn masked_endpoints_leave_aggregates_but_keep_slacks() {
     assert_eq!(mcmm.merged_scenario[worst], 1, "only lane 1 covers the endpoint");
 }
 
-/// Cancellation (satellite): a pre-fired token cancels every corner lane
-/// with the same per-lane `Cancelled` error a serial session raises, and
-/// the engine stays healthy.
+/// Cancellation (satellite): a pre-fired token cancels every lane that
+/// has a level to sweep, with the same per-lane `Cancelled` error — at the
+/// same level — a serial session under that token raises: a corner lane at
+/// level 1 (its base pass, like its twin's full pass, polls every level),
+/// an identity lane at its own first dirty level. A lane with neither a
+/// corner nor deltas has no level to poll and is the base report, as its
+/// twin is. The engine stays healthy and untouched. (About 900 nodes, so
+/// that no lane crosses the cone's seed switch: a lane replayed as a
+/// session would, cancelled, leave the shared base stale for the others.)
 #[test]
 fn prefired_cancel_cancels_every_corner_lane() {
-    let (golden, mut engine) = build(41, InstaConfig::default());
+    let design = generate_design(&GeneratorConfig {
+        n_flops: 32,
+        logic_levels: 6,
+        gates_per_level: 36,
+        ..GeneratorConfig::small("mcmm_eq", 41)
+    });
+    let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
+    golden.full_update(&design);
+    let mut engine = InstaEngine::new(golden.export_insta_init(), InstaConfig::default())
+        .expect("valid snapshot");
     engine.propagate();
     let base_bits = report_bits(engine.report());
     let n_eps = engine.report().slacks.len();
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xCA9C);
-    let scenarios = random_scenarios(&golden, n_eps, &mut rng, 5);
+    let mut scenarios = random_scenarios(&golden, n_eps, &mut rng, 5);
+    scenarios.push(Scenario::default());
     let token = CancelToken::new();
     token.cancel();
+    // The twins: one session per scenario under the same fired token.
+    let mut clone = engine.clone();
+    let want: Vec<Result<InstaReport, usize>> = scenarios
+        .iter()
+        .map(|sc| {
+            let twin = clone.scenario_twin_deltas(sc);
+            let mut session = clone.begin_session().with_cancel(token.clone());
+            let outcome = session.update_timing(&twin);
+            drop(session);
+            clone.propagate(); // a cancelled session leaves the arrays stale
+            outcome.map_err(|e| match e {
+                InstaError::Cancelled { level, .. } => level,
+                other => panic!("twin failed with {other}"),
+            })
+        })
+        .collect();
     let got = engine.evaluate_scenarios_with(
         &scenarios,
         &BatchOptions {
@@ -379,15 +413,40 @@ fn prefired_cancel_cancels_every_corner_lane() {
             ..BatchOptions::default()
         },
     );
-    assert_eq!(got.len(), 5);
-    for r in &got {
-        assert!(
-            matches!(r.outcome, Err(InstaError::Cancelled { .. })),
-            "lane {} must cancel",
-            r.scenario
-        );
+    assert_eq!(got.len(), 6);
+    let mut cancelled = 0;
+    for (r, (sc, w)) in got.iter().zip(scenarios.iter().zip(&want)) {
+        match (&r.outcome, w) {
+            (Err(InstaError::Cancelled { level, .. }), Err(twin_level)) => {
+                assert_eq!(level, twin_level, "lane {} cancel level", r.scenario);
+                if sc.corner.is_some_and(|c| !c.is_identity()) {
+                    assert_eq!(
+                        *level, 1,
+                        "corner lane {} is cut in its base pass",
+                        r.scenario
+                    );
+                }
+                cancelled += 1;
+            }
+            (Ok(report), Ok(_)) => {
+                assert!(
+                    sc.deltas.is_empty(),
+                    "only a lane with no level to sweep survives"
+                );
+                let masked = match &sc.mode {
+                    Some(m) => engine.report().masked(m),
+                    None => engine.report().clone(),
+                };
+                assert_eq!(report_bits(report), report_bits(&masked));
+            }
+            (g, w) => panic!("lane {}: {g:?}, its twin {w:?}", r.scenario),
+        }
     }
-    engine.health_check().expect("engine healthy after cancelled sweep");
+    assert!(cancelled >= 3, "the batch must hold lanes with work");
+    assert!(got[5].outcome.is_ok());
+    engine
+        .health_check()
+        .expect("engine healthy after cancelled sweep");
     assert_eq!(report_bits(engine.report()), base_bits);
 }
 
