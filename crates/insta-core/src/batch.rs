@@ -69,7 +69,7 @@
 
 use crate::engine::{InstaConfig, InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, PoisonedArray, RuntimeIncident};
-use crate::forward::forward;
+use crate::forward::{forward, seed_sources};
 use crate::incremental::{cone_sweep, seed_cone, ConeScratch};
 use crate::metrics::InstaReport;
 use crate::parallel::Interrupt;
@@ -910,7 +910,16 @@ impl InstaEngine {
             // One ordinary full pass over the corner's annotations.
             let corner = CornerSwap::new(&mut self.st, table);
             base_passes += 1;
-            match forward(corner.st, state, self.cfg.n_threads, interrupt, None, model) {
+            let seed = |state: &mut State, nodes| seed_sources(corner.st, state, nodes, model);
+            match forward::<_, false>(
+                corner.st,
+                state,
+                self.cfg.n_threads,
+                interrupt,
+                None,
+                model,
+                &seed,
+            ) {
                 Ok(recovered) => {
                     if let Some(inc) = recovered {
                         call.incident.get_or_insert(inc);

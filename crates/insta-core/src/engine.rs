@@ -704,18 +704,32 @@ impl InstaEngine {
         self.st.new_id.get(orig_node as usize).map(|&v| v as usize)
     }
 
-    /// The worst corner arrival at an *original* graph node id per
-    /// transition index, if any path reaches it.
-    pub fn arrival_at(&self, orig_node: u32, rf: usize) -> Option<f64> {
+    /// Index of the worst (slot 0) Top-K entry of an *original* graph node
+    /// id and transition — `None` when no path reaches it, and `None` for
+    /// every node while the Top-K arrays are not the setup pass's output
+    /// for the current annotations (`topk_synced`): after a hold pass they
+    /// hold negated early corners, after a re-annotation or a failed pass
+    /// they are stale.
+    fn worst_entry(&self, orig_node: u32, rf: usize) -> Option<usize> {
+        if !self.topk_synced {
+            return None;
+        }
         let idx = (self.node_index(orig_node)? * 2 + rf) * self.state.k;
         // "Unreached" is decided by the startpoint sentinel, not by the
         // arrival value: −∞ is a representable arrival (e.g. a −∞ launch
         // time), while NO_SP can only mean the slot was never filled.
-        if self.state.topk_sp[idx] == crate::topk::NO_SP {
-            None
-        } else {
-            Some(self.state.topk_arrival[idx])
-        }
+        (self.state.topk_sp[idx] != crate::topk::NO_SP).then_some(idx)
+    }
+
+    /// The worst corner arrival at an *original* graph node id per
+    /// transition index, if any path reaches it.
+    ///
+    /// Answers only from arrays that are in sync with the setup report:
+    /// `None` for every node after [`propagate_hold`](Self::propagate_hold),
+    /// a bare [`reannotate`](Self::reannotate) or a failed pass, until the
+    /// next completed setup pass or cone update.
+    pub fn arrival_at(&self, orig_node: u32, rf: usize) -> Option<f64> {
+        Some(self.state.topk_arrival[self.worst_entry(orig_node, rf)?])
     }
 
     /// The `(mean, sigma)` summary of the worst arrival at an *original*
@@ -723,14 +737,11 @@ impl InstaEngine {
     /// distribution behind [`arrival_at`](Self::arrival_at)'s corner
     /// value, interpreted by the active statistical backend. The
     /// cross-backend convergence suite uses this to compare per-endpoint
-    /// arrival CDFs between backends.
+    /// arrival CDFs between backends. `None` under the same out-of-sync
+    /// conditions as [`arrival_at`](Self::arrival_at).
     pub fn distribution_at(&self, orig_node: u32, rf: usize) -> Option<(f64, f64)> {
-        let idx = (self.node_index(orig_node)? * 2 + rf) * self.state.k;
-        if self.state.topk_sp[idx] == crate::topk::NO_SP {
-            None
-        } else {
-            Some((self.state.topk_mean[idx], self.state.topk_sigma[idx]))
-        }
+        let idx = self.worst_entry(orig_node, rf)?;
+        Some((self.state.topk_mean[idx], self.state.topk_sigma[idx]))
     }
 }
 

@@ -2,22 +2,33 @@
 //!
 //! Per timing level, every pin is processed independently ("each pin on the
 //! same timing level is mapped to a CUDA thread", Fig. 3). For each
-//! rise/fall condition and each slot `k`, the kernel reads the parents'
-//! k-th Top-K entries (with the parent transition flipped on
-//! negative-unate arcs), adds the cloned arc delay distribution
-//! (mean-additive, sigma in quadrature, Eqs. 1–3), and pushes the candidate
-//! through the unique-startpoint priority-queue update (Algorithm 2).
+//! rise/fall condition the kernel reads the parents' Top-K entries (with
+//! the parent transition flipped on negative-unate arcs), adds the cloned
+//! arc delay distribution (mean-additive, sigma in quadrature, Eqs. 1–3),
+//! and keeps the K worst corners over unique startpoints — what pushing
+//! every candidate through Algorithm 2 leaves, computed by
+//! [`merge_node_queue`] as one selection that writes the queue once.
 //!
 //! Because the engine renumbered nodes level-major, the level's state is a
 //! contiguous window: the arrays split into an immutable `done` prefix
 //! (all earlier levels — where every parent lives) and a mutable `current`
 //! window that scoped worker threads process in disjoint chunks.
+//!
+//! **Who clears what.** There is no pass-wide reset. The level body
+//! ([`level_chunk`]) owns every queue of a node with fanin that is not a
+//! startpoint: it writes the live prefix of all four lanes and clears the
+//! arrival / startpoint tail. A pass ([`forward`], the fused sweep, hold)
+//! only puts the queues the body does *not* fully own into their pre-pass
+//! state ([`reset_and_seed`]): the level-0 window and the startpoint nodes
+//! of later levels are emptied, then the launch arrivals are seeded.
+//! Mean / sigma slots past a queue's live count are never written by
+//! anyone (DESIGN.md "Kernel architecture").
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
 use crate::parallel::{chaos, resolve_threads, Interrupt, MergeArena, PanicCell, PAR_THRESHOLD};
 use crate::stat::{with_model, StatModel};
-use crate::topk::{restore_topk_desc, update_topk_slices, Candidate, NO_SP};
+use crate::topk::{restore_topk_desc, NO_SP};
 use crate::trace::LevelProfile;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -51,13 +62,14 @@ impl InstaEngine {
         // only a completed pass leaves them in sync with the annotations.
         self.topk_synced = false;
         self.trace.begin("forward");
-        let res = with_model!(&self.backend, m => forward(
+        let res = with_model!(&self.backend, m => forward::<_, false>(
             &self.st,
             &mut self.state,
             self.cfg.n_threads,
             self.interrupt.as_ref(),
             self.trace.profile_mut(Kernel::Forward),
             m,
+            &|state, range| seed_sources(&self.st, state, range, m),
         ));
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
@@ -178,23 +190,60 @@ pub(crate) fn seed_source<M: StatModel>(
     }
 }
 
-pub(crate) fn forward<M: StatModel>(
+/// Marks queue slots empty: `-INF` arrival, no startpoint. Mean / sigma
+/// of an empty slot are dead and keep whatever they held.
+#[inline(always)]
+fn clear_slots(arrival: &mut [f64], sp: &mut [u32]) {
+    arrival.fill(f64::NEG_INFINITY);
+    sp.fill(NO_SP);
+}
+
+/// Empties the queues of the nodes in `nodes`.
+pub(crate) fn clear_nodes(state: &mut State, nodes: std::ops::Range<usize>) {
+    let stride = 2 * state.k;
+    let w = nodes.start * stride..nodes.end * stride;
+    clear_slots(&mut state.topk_arrival[w.clone()], &mut state.topk_sp[w]);
+}
+
+/// The pre-pass state of the queues the level body does not fully own:
+/// the level-0 window and every startpoint node of a later level emptied,
+/// then the launch arrivals seeded by `seed(state, nodes)`. O(level 0 +
+/// startpoints) slots, where a pass-wide reset wrote all `2·K·nodes`.
+fn reset_and_seed(
+    st: &Static,
+    state: &mut State,
+    seed: &impl Fn(&mut State, std::ops::Range<usize>),
+) {
+    let level0 = st.level_start.get(1).map_or(st.n, |&end| end as usize);
+    clear_nodes(state, 0..level0);
+    for s in &st.sources {
+        let v = s.node as usize;
+        if v >= level0 {
+            clear_nodes(state, v..v + 1);
+        }
+    }
+    seed(state, 0..st.n);
+}
+
+/// The full evaluation pass: `MIN = false` is setup (the K worst late
+/// corners), `MIN = true` is hold's min pass over negated early corners
+/// ([`crate::hold`]). `seed(state, nodes)` writes the caller's launch
+/// arrivals for the startpoints whose node lies in `nodes`.
+pub(crate) fn forward<M: StatModel, const MIN: bool>(
     st: &Static,
     state: &mut State,
     n_threads: usize,
     interrupt: Option<&Interrupt>,
     mut prof: Option<&mut LevelProfile>,
     model: &M,
+    seed: &impl Fn(&mut State, std::ops::Range<usize>),
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     // Restart the interrupt's reporting clock at pass entry: a token or
     // deadline reused across passes must report elapsed-in-*this*-pass.
     let restarted = interrupt.map(Interrupt::restarted);
     let interrupt = restarted.as_ref();
 
-    // Reset the final Top-K structures (pre-kernel initialization).
-    state.topk_arrival.fill(f64::NEG_INFINITY);
-    state.topk_sp.fill(NO_SP);
-    seed_sources(st, state, 0..st.n, model);
+    reset_and_seed(st, state, seed);
 
     let nt = resolve_threads(n_threads);
     // One merge arena per worker, reused across every level of the pass.
@@ -211,8 +260,16 @@ pub(crate) fn forward<M: StatModel>(
         if let Some(e) = interrupt.and_then(|i| i.check(Kernel::Forward, l)) {
             return Err(e);
         }
-        if let Some(inc) = forward_level(st, state, nt, &mut arenas, l, prof.as_deref_mut(), model)?
-        {
+        if let Some(inc) = forward_level::<M, MIN>(
+            st,
+            state,
+            nt,
+            &mut arenas,
+            l,
+            prof.as_deref_mut(),
+            model,
+            seed,
+        )? {
             recovered.get_or_insert(inc);
         }
     }
@@ -221,12 +278,12 @@ pub(crate) fn forward<M: StatModel>(
 
 /// One level of the evaluation forward pass: the parallel launch, panic
 /// containment + serial retry, and per-level profiling for level `l`.
-/// Shared verbatim by [`forward`] and the fused sweep
+/// Shared verbatim by [`forward`] (setup and hold) and the fused sweep
 /// ([`forward_fused`]) — fusion interleaves *whole level bodies*, so the
 /// state either kernel reads is exactly what the unfused pass would have
 /// produced, and bit-identity of the fused sweep is by construction.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn forward_level<M: StatModel>(
+pub(crate) fn forward_level<M: StatModel, const MIN: bool>(
     st: &Static,
     state: &mut State,
     nt: usize,
@@ -234,6 +291,7 @@ pub(crate) fn forward_level<M: StatModel>(
     l: usize,
     mut prof: Option<&mut LevelProfile>,
     model: &M,
+    seed: &impl Fn(&mut State, std::ops::Range<usize>),
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     let k = state.k;
     let stride = 2 * k;
@@ -259,7 +317,7 @@ pub(crate) fn forward_level<M: StatModel>(
 
             let _ = arr_done; // corner arrivals are recomputed from mean/sigma
             if nt <= 1 || len < PAR_THRESHOLD {
-                level_chunk::<M, false>(
+                level_chunk::<M, MIN>(
                     st, k, base, mean_done, sigma_done, sp_done, arr_cur, mean_cur, sigma_cur,
                     sp_cur, &mut arenas[0], model,
                 );
@@ -293,7 +351,7 @@ pub(crate) fn forward_level<M: StatModel>(
                         scope.spawn(move || {
                             cell.run(cbase..cbase + take / stride, || {
                                 chaos::maybe_panic(Kernel::Forward, l);
-                                level_chunk::<M, false>(
+                                level_chunk::<M, MIN>(
                                     st, k, cbase, md, sd, spd, a, m, sg, sp, arena, model,
                                 );
                             });
@@ -312,22 +370,21 @@ pub(crate) fn forward_level<M: StatModel>(
                 message,
                 serial_retry_failed: false,
             };
-            // Serial re-execution: reset the window to its post-global-
-            // reset state (the partial chunk writes become invisible),
-            // re-apply launch seeds landing inside it, and recompute from
-            // the untouched earlier levels.
+            // Serial re-execution: empty the window (the partial chunk
+            // writes become invisible; a cold path, so the whole window
+            // rather than its startpoint nodes), re-apply launch seeds
+            // landing inside it, and recompute from the untouched earlier
+            // levels.
             let retry = catch_unwind(AssertUnwindSafe(|| {
-                let w = base * stride..(base + len) * stride;
-                state.topk_arrival[w.clone()].fill(f64::NEG_INFINITY);
-                state.topk_sp[w].fill(NO_SP);
-                seed_sources(st, state, base..base + len, model);
+                clear_nodes(state, base..base + len);
+                seed(state, base..base + len);
                 chaos::maybe_panic(Kernel::Forward, l);
                 let split = base * stride;
                 let (_, arr_cur) = state.topk_arrival.split_at_mut(split);
                 let (mean_done, mean_cur) = state.topk_mean.split_at_mut(split);
                 let (sigma_done, sigma_cur) = state.topk_sigma.split_at_mut(split);
                 let (sp_done, sp_cur) = state.topk_sp.split_at_mut(split);
-                level_chunk::<M, false>(
+                level_chunk::<M, MIN>(
                     st,
                     k,
                     base,
@@ -394,9 +451,8 @@ pub(crate) fn forward_fused<M: StatModel>(
     let interrupt = restarted.as_ref();
 
     // Pre-sweep state of both kernels, exactly as the unfused passes.
-    state.topk_arrival.fill(f64::NEG_INFINITY);
-    state.topk_sp.fill(NO_SP);
-    seed_sources(st, state, 0..st.n, model);
+    let seed = |state: &mut State, nodes| seed_sources(st, state, nodes, model);
+    reset_and_seed(st, state, &seed);
     crate::lse::lse_reset_seed(st, state, model);
 
     let nt = resolve_threads(n_threads);
@@ -413,9 +469,16 @@ pub(crate) fn forward_fused<M: StatModel>(
         if let Some(e) = interrupt.and_then(|i| i.check(Kernel::Forward, l)) {
             return Err(e);
         }
-        if let Some(inc) =
-            forward_level(st, state, nt, &mut arenas, l, prof_fwd.as_deref_mut(), model)?
-        {
+        if let Some(inc) = forward_level::<M, false>(
+            st,
+            state,
+            nt,
+            &mut arenas,
+            l,
+            prof_fwd.as_deref_mut(),
+            model,
+            &seed,
+        )? {
             recovered.get_or_insert(inc);
         }
         if let Some(e) = interrupt.and_then(|i| i.check(Kernel::ForwardLse, l)) {
@@ -445,37 +508,88 @@ fn corner<M: StatModel, const MIN: bool>(model: &M, mean: f64, sigma: f64, n_sig
     }
 }
 
-/// Computes one `(node, transition)` Top-K queue from its parents — the
-/// shared inner body of Algorithm 1, in a gather-then-merge shape:
+/// Gathers one fanin arc: the parent's live entries plus the arc
+/// distribution (mean-additive, sigma in quadrature, Eqs. 1–3) into the
+/// first `live` slots of four destination k-slices, and returns `live`.
 ///
-/// 1. **Gather.** Every candidate — parent entry plus arc distribution
-///    (mean-additive, sigma in quadrature, Eqs. 1–3) — is computed into
-///    the arena's SoA buffers by straight-line loops over the parent
-///    queues' contiguous k-slices (the float-heavy part: one sqrt per
-///    candidate, vectorization-friendly, no queue branching).
-/// 2. **Merge.** Candidates are pushed through the unique-startpoint
-///    queue update (Algorithm 2) in exactly the old j-major order —
-///    slot-j candidates of every arc before slot j+1 — so the final
-///    queue is bit-identical to the interleaved original; most pushes on
-///    deep levels die in `update_topk_slices`' O(1) floor rejection.
+/// Queues are dense from the front, so the live count is one scan of the
+/// parent's startpoint slice; the transform is then a straight-line loop
+/// over `[..live]` slices with no early exit (one `sqrt` per candidate,
+/// vectorization-friendly).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gather_arc<M: StatModel, const MIN: bool>(
+    n_sigma: f64,
+    (p_sp, p_mean, p_sigma): (&[u32], &[f64], &[f64]),
+    (a_mean, a_sigma): (f64, f64),
+    arrival: &mut [f64],
+    mean: &mut [f64],
+    sigma: &mut [f64],
+    sp: &mut [u32],
+    model: &M,
+) -> usize {
+    let live = p_sp.iter().position(|&s| s == NO_SP).unwrap_or(p_sp.len());
+    let parent = p_mean[..live].iter().zip(&p_sigma[..live]);
+    let out = arrival[..live]
+        .iter_mut()
+        .zip(&mut mean[..live])
+        .zip(&mut sigma[..live]);
+    for ((&pm, &ps), ((a, m), s)) in parent.zip(out) {
+        (*m, *s) = model.arc_sum(pm, ps, a_mean, a_sigma);
+        *a = corner::<M, MIN>(model, *m, *s, n_sigma);
+    }
+    sp[..live].copy_from_slice(&p_sp[..live]);
+    live
+}
+
+/// Computes one `(node, transition)` Top-K queue from its parents — the
+/// shared inner body of Algorithm 1 — and writes it **once**.
+///
+/// **What a queue is.** Let the push sequence *P* be the launch seed
+/// sitting in slot 0 (only when `seeded`), then for `j = 0..K`, for each
+/// fanin arc in CSR order, candidate `(arc, j)` if `j` is below that
+/// parent's live count. Algorithm 2 fed *P* leaves, per startpoint, the
+/// candidate with the largest corner (the earliest in *P* among equals:
+/// replace is strict `>`), those winners ordered by (corner descending,
+/// position in *P* ascending), truncated to K (DESIGN.md "Kernel
+/// architecture" has the induction). That is a plain selection:
+///
+/// 1. **Gather** ([`gather_arc`]) every arc's candidates into the arena,
+///    arc-major, one run per arc; the seed is a run of one ahead of them.
+/// 2. **Order** each run by corner descending with a *stable* insertion
+///    pass over `(corner, original slot j)` pairs. A parent queue is
+///    already sorted and RSS sigma composition perturbs it only slightly,
+///    so this is ~O(live).
+/// 3. **Select**: repeatedly take the best head over the runs under
+///    (corner desc, slot `j` asc, run order asc) — which walks all
+///    candidates in (corner desc, position in *P* asc) order — skip it if
+///    its startpoint was already emitted (the arena's stamp table, O(1)),
+///    otherwise write it to the next output slot. Stop at K outputs or
+///    when the runs are dry.
+/// 4. **Clear** the arrival / startpoint tail past the last output.
+///    Mean / sigma are never touched at or past it.
+///
+/// A single-fanin node (paper §III-D: no merge needed) is the gather
+/// straight into the queue, the tail clear, then one stable restore of
+/// corner order; as ever it overwrites a seed unless the parent is empty.
 ///
 /// Parent-queue and arc-annotation reads go through closures supplied by
 /// the one caller, [`level_chunk`] — the body the full pass, hold, the
 /// session's cone sweep and (through that sweep) every batched what-if
 /// lane run, which is why a lane is bit-identical to its serial twin *by
-/// construction*: there is no second kernel. `parent(p, prf, j)` returns the parent's
-/// j-th `(sp, mean, sigma)` entry; `arc(ai)` returns the arc's
-/// `(mean, sigma)` for the destination transition being computed. `MIN`
-/// selects the hold kernel's negated-early-corner ordering
-/// ([`crate::hold`] shares this body instead of keeping its own merge).
+/// construction*: there is no second kernel. `parent(p, prf)` returns the
+/// parent queue's `(sp, mean, sigma)` k-slices; `arc(ai)` returns the
+/// arc's `(mean, sigma)` for the destination transition being computed.
+/// `MIN` selects the hold kernel's negated-early-corner ordering.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_node_queue<M: StatModel, const MIN: bool>(
+pub(crate) fn merge_node_queue<'a, M: StatModel, const MIN: bool>(
     st: &Static,
     fanin: std::ops::Range<usize>,
     rf: usize,
     k: usize,
-    parent: &impl Fn(usize, usize, usize) -> (u32, f64, f64),
+    seeded: bool,
+    parent: &impl Fn(usize, usize) -> (&'a [u32], &'a [f64], &'a [f64]),
     arc: &impl Fn(usize) -> (f64, f64),
     arena: &mut MergeArena,
     qa: &mut [f64],
@@ -484,87 +598,98 @@ pub(crate) fn merge_node_queue<M: StatModel, const MIN: bool>(
     qsp: &mut [u32],
     model: &M,
 ) {
-    // Paper §III-D: input pins have a single parent in modern
-    // designs, so no merge is needed — a vectorized transform of
-    // the parent queue suffices (copy, add the arc distribution,
-    // then restore corner order — which RSS sigma composition can
-    // perturb — with one stable sort over the live prefix).
+    let parent_of = |ai: usize| {
+        let prf = if st.arc_neg[ai] { 1 - rf } else { rf };
+        parent(st.arc_parent[ai] as usize, prf)
+    };
     if fanin.len() == 1 {
         let ai = fanin.start;
-        let p = st.arc_parent[ai] as usize;
-        let prf = if st.arc_neg[ai] { 1 - rf } else { rf };
-        let (a_mean, s_arc) = arc(ai);
-        let mut live = 0;
-        for j in 0..k {
-            let (sp, p_mean, s_par) = parent(p, prf, j);
-            if sp == NO_SP {
-                break;
-            }
-            let (mean, sigma) = model.arc_sum(p_mean, s_par, a_mean, s_arc);
-            qm[j] = mean;
-            qs[j] = sigma;
-            qa[j] = corner::<M, MIN>(model, mean, sigma, st.n_sigma);
-            qsp[j] = sp;
-            live = j + 1;
-        }
+        let live = gather_arc::<M, MIN>(st.n_sigma, parent_of(ai), arc(ai), qa, qm, qs, qsp, model);
+        // An empty parent leaves a launch seed where it sits.
+        let out = if live == 0 && seeded { 1 } else { live };
+        clear_slots(&mut qa[out..], &mut qsp[out..]);
+        // The K ∈ {2, 4, 8} networks sort all K slots and rely on the
+        // `-INF` tail just written.
         restore_topk_desc(qa, qm, qs, qsp, live);
         return;
     }
-    // Gather: all candidates, arc-major, reading each parent's k-slice
-    // sequentially. Queues are dense from the front, so the per-arc live
-    // count is the parent's occupancy.
-    let n_arcs = fanin.len();
-    arena.reserve(n_arcs, k);
-    let mut max_live = 0usize;
-    for (a_idx, ai) in fanin.clone().enumerate() {
-        let p = st.arc_parent[ai] as usize;
-        let prf = if st.arc_neg[ai] { 1 - rf } else { rf };
-        let (a_mean, s_arc) = arc(ai);
-        let o = a_idx * k;
-        let mut live = 0usize;
-        for j in 0..k {
-            let (sp, p_mean, s_par) = parent(p, prf, j);
-            if sp == NO_SP {
-                break;
-            }
-            let (mean, sigma) = model.arc_sum(p_mean, s_par, a_mean, s_arc);
-            arena.mean[o + j] = mean;
-            arena.sigma[o + j] = sigma;
-            arena.arrival[o + j] = corner::<M, MIN>(model, mean, sigma, st.n_sigma);
-            arena.sp[o + j] = sp;
-            live = j + 1;
-        }
-        arena.live[a_idx] = live as u32;
-        max_live = max_live.max(live);
+    // Gather + order: run `r` occupies arena slots `r * k ..`; the seed,
+    // first in P, is run 0 when there is one.
+    let first = usize::from(seeded);
+    let n_runs = first + fanin.len();
+    arena.reserve(n_runs, k, st.sources.len());
+    if seeded {
+        arena.arrival[0] = qa[0];
+        arena.mean[0] = qm[0];
+        arena.sigma[0] = qs[0];
+        arena.sp[0] = qsp[0];
+        arena.slot[0] = 0;
+        arena.live[0] = 1;
     }
-    // Merge: paper Algorithm 1 — for each k, push every parent's k-th
-    // unique-startpoint arrival, in the same j-major / arc-minor order
-    // (and with the same skip/stop conditions) as the interleaved
-    // original, so the queue evolution is bit-identical.
-    for j in 0..max_live {
-        for a_idx in 0..n_arcs {
-            if (j as u32) < arena.live[a_idx] {
-                let o = a_idx * k + j;
-                update_topk_slices(
-                    qa,
-                    qm,
-                    qs,
-                    qsp,
-                    Candidate {
-                        arrival: arena.arrival[o],
-                        mean: arena.mean[o],
-                        sigma: arena.sigma[o],
-                        sp: arena.sp[o],
-                    },
-                );
+    for (r, ai) in (first..).zip(fanin) {
+        let o = r * k..(r + 1) * k;
+        let live = gather_arc::<M, MIN>(
+            st.n_sigma,
+            parent_of(ai),
+            arc(ai),
+            &mut arena.arrival[o.clone()],
+            &mut arena.mean[o.clone()],
+            &mut arena.sigma[o.clone()],
+            &mut arena.sp[o.clone()],
+            model,
+        );
+        // Mean / sigma / sp stay in slot order; only the keys move.
+        let (key, slot) = (&mut arena.arrival[o.clone()][..live], &mut arena.slot[o][..live]);
+        for j in 0..live {
+            slot[j] = j as u32;
+            let mut i = j;
+            while i > 0 && key[i - 1] < key[i] {
+                key.swap(i - 1, i);
+                slot.swap(i - 1, i);
+                i -= 1;
             }
         }
+        arena.live[r] = live as u32;
     }
+    // Select.
+    arena.open_queue();
+    arena.head[..n_runs].fill(0);
+    let mut out = 0;
+    while out < k {
+        let mut best: Option<(usize, f64, u32)> = None;
+        for r in 0..n_runs {
+            let h = arena.head[r];
+            if h < arena.live[r] {
+                let at = r * k + h as usize;
+                let (c, j) = (arena.arrival[at], arena.slot[at]);
+                if best.is_none_or(|(_, bc, bj)| c > bc || (c == bc && j < bj)) {
+                    best = Some((r, c, j));
+                }
+            }
+        }
+        let Some((r, corner, j)) = best else { break };
+        arena.head[r] += 1;
+        let at = r * k + j as usize;
+        let sp = arena.sp[at];
+        if !arena.first_emit(sp) {
+            continue;
+        }
+        qa[out] = corner;
+        qm[out] = arena.mean[at];
+        qs[out] = arena.sigma[at];
+        qsp[out] = sp;
+        out += 1;
+    }
+    clear_slots(&mut qa[out..], &mut qsp[out..]);
 }
 
 /// Processes a chunk of one level's nodes — the per-thread body of
 /// Algorithm 1. `MIN` selects hold's min-merge ordering; the hold pass
 /// ([`crate::hold`]) runs this exact body rather than its own copy.
+///
+/// The body leaves every queue of the chunk fully determined except a
+/// startpoint node's, whose pre-state (emptied and seeded) the caller
+/// provides: see the module docs for who clears what.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn level_chunk<M: StatModel, const MIN: bool>(
     st: &Static,
@@ -582,11 +707,21 @@ pub(crate) fn level_chunk<M: StatModel, const MIN: bool>(
 ) {
     let stride = 2 * k;
     let n_local = arr_cur.len() / stride;
+    let parent = |p: usize, prf: usize| {
+        let q = (p * 2 + prf) * k..(p * 2 + prf + 1) * k;
+        (&sp_done[q.clone()], &mean_done[q.clone()], &sigma_done[q])
+    };
     for li in 0..n_local {
         let v = chunk_base + li;
         let fanin = st.fanin_range(v);
+        let seeded = st.source_of[v] != u32::MAX;
         if fanin.is_empty() {
-            continue; // level-0 stragglers with no driver stay empty
+            // No driver: the queues are the launch seed, or empty.
+            if !seeded {
+                let w = li * stride..(li + 1) * stride;
+                clear_slots(&mut arr_cur[w.clone()], &mut sp_cur[w]);
+            }
+            continue;
         }
         for rf in 0..2 {
             let off = li * stride + rf * k;
@@ -596,16 +731,13 @@ pub(crate) fn level_chunk<M: StatModel, const MIN: bool>(
                 &mut sigma_cur[off..off + k],
                 &mut sp_cur[off..off + k],
             );
-            let parent = |p: usize, prf: usize, j: usize| {
-                let pidx = (p * 2 + prf) * k + j;
-                (sp_done[pidx], mean_done[pidx], sigma_done[pidx])
-            };
             let arc = |ai: usize| (st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
             merge_node_queue::<M, MIN>(
                 st,
                 fanin.clone(),
                 rf,
                 k,
+                seeded,
                 &parent,
                 &arc,
                 arena,
@@ -769,5 +901,328 @@ mod tests {
         let r2 = eng.propagate().clone();
         assert_eq!(r1.slacks, r2.slacks);
         assert_eq!(r1.wns_ps, r2.wns_ps);
+    }
+}
+
+/// The merge against its oracle, queue by queue, and the no-reset
+/// invariant at engine level.
+#[cfg(test)]
+mod merge_tests {
+    use super::{corner, level_chunk};
+    use crate::engine::{InstaConfig, InstaEngine};
+    use crate::hold::hold_attributes;
+    use crate::parallel::MergeArena;
+    use crate::stat::{FixedBinHistogram, GaussianPocv, StatModel, StatModelConfig};
+    use crate::topk::{Candidate, TopKQueue, NO_SP};
+    use crate::validate::ValidationMode;
+    use insta_netlist::generator::{generate_design, GeneratorConfig};
+    use insta_refsta::export::{ExportedArc, InstaInit, SourceInit, NO_LEAF};
+    use insta_refsta::{RefSta, StaConfig};
+    use insta_support::prop::{for_all, Config};
+    use insta_support::rng::Rng;
+    use insta_support::prop_assert;
+
+    /// Stale payload a recompute must leave alone past its live count.
+    const STALE: (f64, f64) = (-7.25, -3.5);
+
+    /// Quantised statistics: exact corner ties across arcs and slots are
+    /// the common case (sigma 0 half the time, 3-4-5 triangles otherwise).
+    fn stat(rng: &mut Rng) -> (f64, f64) {
+        (
+            rng.bounded_u64(5) as f64 * 10.0,
+            [0.0, 0.0, 3.0, 4.0][rng.bounded_u64(4) as usize],
+        )
+    }
+
+    /// One `(node, transition)` queue through [`level_chunk`] against the
+    /// literal Algorithm 2 ([`TopKQueue::push`]) fed the push sequence *P*:
+    /// all four lanes on raw bits, the cleared arrival / startpoint tail
+    /// and the untouched mean / sigma tail.
+    fn queue_matches_oracle<M: StatModel, const MIN: bool>(
+        model: &M,
+        k: usize,
+        seed: u64,
+    ) -> Result<(), String> {
+        let mut rng = Rng::seed_from_u64(seed);
+        let n_parents = 1 + rng.bounded_u64(3) as usize;
+        let n_arcs = 1 + rng.bounded_u64(4) as usize;
+        // Few startpoints: the same one arrives through several parents.
+        // Many: full parent queues at every K.
+        let n_sp = if rng.gen_bool(0.5) { 3 } else { 2 * k + 2 };
+        let seeded = rng.gen_bool(0.3);
+        let child = n_parents;
+        let arcs: Vec<ExportedArc> = (0..n_arcs)
+            .map(|a| {
+                let (rise, fall) = (stat(&mut rng), stat(&mut rng));
+                ExportedArc {
+                    parent: rng.bounded_u64(n_parents as u64) as u32,
+                    mean: [rise.0, fall.0],
+                    sigma: [rise.1, fall.1],
+                    negative_unate: rng.gen_bool(0.5),
+                    source_arc: a as u32,
+                }
+            })
+            .collect();
+        let launch = stat(&mut rng);
+        let sources: Vec<SourceInit> = (0..n_sp)
+            .map(|i| SourceInit {
+                node: if seeded && i + 1 == n_sp {
+                    child as u32
+                } else {
+                    (i % n_parents) as u32
+                },
+                sp: i as u32,
+                mean: [launch.0; 2],
+                sigma: [launch.1; 2],
+            })
+            .collect();
+        let mut fanin_start = vec![0u32; child + 2];
+        fanin_start[child + 1] = n_arcs as u32;
+        let init = InstaInit {
+            n_nodes: child + 1,
+            level_start: vec![0, child as u32, child as u32 + 1],
+            order: (0..=child as u32).collect(),
+            fanin_start,
+            fanin: arcs,
+            sources,
+            endpoints: Vec::new(),
+            sp_leaf: vec![NO_LEAF; n_sp],
+            clock_parent: Vec::new(),
+            clock_depth: Vec::new(),
+            clock_credit: Vec::new(),
+            n_sigma: 3.0,
+            period_ps: 1000.0,
+            exceptions: Default::default(),
+        };
+        let cfg = InstaConfig {
+            top_k: k,
+            validation: ValidationMode::Trust,
+            ..InstaConfig::default()
+        };
+        let eng = InstaEngine::new(init, cfg).expect("trust accepts");
+        let st = &eng.st;
+
+        // Parent queues, written directly: 0 / 1 / < K / K live entries,
+        // unique startpoints, not necessarily in corner order (a run the
+        // stable insertion pass has real work on).
+        let done = n_parents * 2 * k;
+        let (mut p_mean, mut p_sigma) = (vec![STALE.0; done], vec![STALE.1; done]);
+        let mut p_sp = vec![NO_SP; done];
+        for q in 0..n_parents * 2 {
+            let cap = k.min(n_sp);
+            let live = match rng.bounded_u64(4) {
+                0 => 0,
+                1 => 1,
+                2 => rng.bounded_u64(cap as u64) as usize,
+                _ => cap,
+            };
+            let mut sps: Vec<u32> = (0..n_sp as u32).collect();
+            rng.shuffle(&mut sps);
+            let mut entries: Vec<(f64, f64, u32)> = (0..live)
+                .map(|j| {
+                    let (m, s) = stat(&mut rng);
+                    (m, s, sps[j])
+                })
+                .collect();
+            if rng.gen_bool(0.7) {
+                entries.sort_by(|x, y| y.0.total_cmp(&x.0));
+            }
+            for (j, (m, s, sp)) in entries.into_iter().enumerate() {
+                p_mean[q * k + j] = m;
+                p_sigma[q * k + j] = s;
+                p_sp[q * k + j] = sp;
+            }
+        }
+
+        // The child's window as a pass leaves it before the body runs:
+        // live-looking garbage (nothing resets a plain node any more), or
+        // emptied and seeded when it is a startpoint.
+        let (mut qa, mut qsp) = (vec![55.5; 2 * k], vec![1u32; 2 * k]);
+        let (mut qm, mut qs) = (vec![STALE.0; 2 * k], vec![STALE.1; 2 * k]);
+        if seeded {
+            qa.fill(f64::NEG_INFINITY);
+            qsp.fill(NO_SP);
+            for rf in 0..2 {
+                qm[rf * k] = launch.0;
+                qs[rf * k] = launch.1;
+                qa[rf * k] = corner::<M, MIN>(model, launch.0, launch.1, st.n_sigma);
+                qsp[rf * k] = n_sp as u32 - 1;
+            }
+        }
+        let pre = (qa.clone(), qm.clone(), qs.clone(), qsp.clone());
+        level_chunk::<M, MIN>(
+            st,
+            k,
+            child,
+            &p_mean,
+            &p_sigma,
+            &p_sp,
+            &mut qa,
+            &mut qm,
+            &mut qs,
+            &mut qsp,
+            &mut MergeArena::default(),
+            model,
+        );
+
+        for rf in 0..2 {
+            // P, arc by arc: (corner, mean, sigma, sp) of every live slot.
+            let runs: Vec<Vec<Candidate>> = st
+                .fanin_range(child)
+                .map(|ai| {
+                    let prf = if st.arc_neg[ai] { 1 - rf } else { rf };
+                    let q = (st.arc_parent[ai] as usize * 2 + prf) * k;
+                    (0..k)
+                        .take_while(|&j| p_sp[q + j] != NO_SP)
+                        .map(|j| {
+                            let (mean, sigma) = model.arc_sum(
+                                p_mean[q + j],
+                                p_sigma[q + j],
+                                st.arc_mean[ai][rf],
+                                st.arc_sigma[ai][rf],
+                            );
+                            Candidate {
+                                arrival: corner::<M, MIN>(model, mean, sigma, st.n_sigma),
+                                mean,
+                                sigma,
+                                sp: p_sp[q + j],
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let seed = Candidate {
+                arrival: pre.0[rf * k],
+                mean: pre.1[rf * k],
+                sigma: pre.2[rf * k],
+                sp: pre.3[rf * k],
+            };
+            let want: Vec<Candidate> = if let [run] = &runs[..] {
+                // Single fanin: the transformed parent queue in stable
+                // corner order; it overwrites a seed unless it is empty.
+                let mut run = run.clone();
+                run.sort_by(|x, y| y.arrival.partial_cmp(&x.arrival).expect("finite"));
+                if run.is_empty() && seeded {
+                    run.push(seed);
+                }
+                run
+            } else {
+                let mut oracle = TopKQueue::new(k);
+                if seeded {
+                    oracle.push(seed);
+                }
+                for j in 0..k {
+                    for run in &runs {
+                        if let Some(&c) = run.get(j) {
+                            oracle.push(c);
+                        }
+                    }
+                }
+                oracle.entries().collect()
+            };
+            for j in 0..k {
+                let at = rf * k + j;
+                // Past the oracle's live count: arrival / startpoint
+                // cleared, mean / sigma exactly as they were.
+                let want = want.get(j).map_or(
+                    (f64::NEG_INFINITY, pre.1[at], pre.2[at], NO_SP),
+                    |c| (c.arrival, c.mean, c.sigma, c.sp),
+                );
+                let got = (qa[at], qm[at], qs[at], qsp[at]);
+                let bits = |q: (f64, f64, f64, u32)| (q.0.to_bits(), q.1.to_bits(), q.2.to_bits(), q.3);
+                prop_assert!(
+                    bits(got) == bits(want),
+                    "rf {rf} slot {j}: got {got:?}, want {want:?}"
+                );
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn merged_queue_equals_algorithm_2_over_the_push_sequence() {
+        let histogram = FixedBinHistogram::new(32, 4.0).expect("valid grid");
+        for_all(
+            Config::cases(400).seed(0xF0_54D2),
+            |rng| (rng.bounded_u64(5), rng.next_u64()),
+            |&(ki, seed)| {
+                let k = [1, 2, 3, 8, 32][ki as usize % 5];
+                queue_matches_oracle::<_, false>(&GaussianPocv, k, seed)?;
+                queue_matches_oracle::<_, true>(&GaussianPocv, k, seed)?;
+                queue_matches_oracle::<_, false>(&histogram, k, seed)?;
+                queue_matches_oracle::<_, true>(&histogram, k, seed)
+            },
+        );
+    }
+
+    /// Nothing depends on a pass-wide reset: with the arrival and
+    /// startpoint arrays overwritten by live-looking garbage, every full
+    /// pass lands on the bits of a fresh twin — both arrays whole, and
+    /// mean / sigma wherever a slot is live.
+    #[test]
+    fn full_passes_do_not_depend_on_what_the_arrays_held() {
+        // Levels wide enough for the two-thread launch.
+        let design = generate_design(&GeneratorConfig {
+            gates_per_level: 600,
+            logic_levels: 4,
+            ..GeneratorConfig::medium("poison", 5)
+        });
+        let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
+        sta.full_update(&design);
+        let attrs = hold_attributes(&design, &sta);
+        let init = sta.export_insta_init();
+        let backends = [
+            StatModelConfig::GaussianPocv,
+            StatModelConfig::FixedBinHistogram {
+                bins: 32,
+                support_sigmas: 4.0,
+            },
+        ];
+        for (stat_model, top_k, n_threads) in backends
+            .into_iter()
+            .flat_map(|b| [1, 8, 32].map(|k| (b, k)))
+            .flat_map(|(b, k)| [1, 2].map(|t| (b, k, t)))
+        {
+            let cfg = InstaConfig {
+                top_k,
+                n_threads,
+                stat_model,
+                ..InstaConfig::default()
+            };
+            let mut fresh = InstaEngine::new(init.clone(), cfg.clone()).expect("valid");
+            let mut dirty = InstaEngine::new(init.clone(), cfg).expect("valid");
+            type Pass<'a> = &'a dyn Fn(&mut InstaEngine) -> Vec<u64>;
+            let bits = |r: &crate::metrics::InstaReport| -> Vec<u64> {
+                r.slacks.iter().map(|s| s.to_bits()).collect()
+            };
+            let passes: [(&str, Pass); 3] = [
+                ("propagate", &|e| bits(e.propagate())),
+                ("propagate_fused", &|e| bits(e.propagate_fused())),
+                ("propagate_hold", &|e| bits(&e.propagate_hold(&attrs))),
+            ];
+            for (name, pass) in passes {
+                let n_sp = dirty.st.sources.len();
+                for (i, a) in dirty.state.topk_arrival.iter_mut().enumerate() {
+                    *a = 1e6 + i as f64;
+                }
+                for (i, sp) in dirty.state.topk_sp.iter_mut().enumerate() {
+                    *sp = (i % n_sp) as u32;
+                }
+                let what = format!("{name}, {stat_model:?}, K={top_k}, {n_threads} threads");
+                assert_eq!(pass(&mut dirty), pass(&mut fresh), "{what}: report");
+                let (d, f) = (&dirty.state, &fresh.state);
+                assert!(d.topk_sp == f.topk_sp, "{what}: startpoints");
+                let same = |x: &[f64], y: &[f64]| {
+                    x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
+                };
+                assert!(same(&d.topk_arrival, &f.topk_arrival), "{what}: arrivals");
+                for (i, &sp) in f.topk_sp.iter().enumerate() {
+                    if sp != NO_SP {
+                        assert_eq!(d.topk_mean[i].to_bits(), f.topk_mean[i].to_bits(), "{what}");
+                        assert_eq!(d.topk_sigma[i].to_bits(), f.topk_sigma[i].to_bits(), "{what}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,18 +1,28 @@
 //! Hold (early/min) propagation in the INSTA engine — engine parity with
 //! the reference's hold analysis, beyond the paper's setup-only scope.
 //!
-//! The min-merge reuses the *same* unique-startpoint Top-K kernel by an
-//! ordering trick: candidates are pushed with **negated early corners**
-//! (`-(mean − N_σ·σ)`), so the max-queue of Algorithm 2 keeps the
-//! *smallest* early arrivals with startpoint uniqueness intact. Endpoint
+//! The min pass is the setup pass with two things swapped: it runs the
+//! shared full-pass driver ([`crate::forward::forward`]) in its `MIN`
+//! instantiation, and it seeds the early launch arrivals of
+//! [`HoldAttributes`]. `MIN` orders candidates by **negated early
+//! corners** (`-(mean − N_σ·σ)`), so the same unique-startpoint Top-K
+//! selection keeps the *smallest* early arrivals. Everything else — the
+//! level loop, the chunked launch on [`InstaConfig::n_threads`] threads,
+//! worker-panic containment with the serial retry, the no-pass-wide-reset
+//! contract — is the driver's; hold has no level loop of its own. Endpoint
 //! hold checks then mirror the reference: the earliest arrival must not
 //! beat the late capture edge plus the hold margin, with CPPR credit
 //! *reducing* the requirement.
+//!
+//! The pass overwrites the shared Top-K arrays with negated early corners
+//! and leaves them marked out of sync, so point reads
+//! ([`InstaEngine::arrival_at`]) answer `None` until the next setup pass.
+//!
+//! [`InstaConfig::n_threads`]: crate::engine::InstaConfig::n_threads
 
 use crate::engine::{InstaEngine, State, Static};
-use crate::forward::level_chunk;
+use crate::forward::forward;
 use crate::metrics::InstaReport;
-use crate::parallel::MergeArena;
 use crate::stat::{with_model, StatModel};
 use crate::topk::NO_SP;
 use insta_refsta::export::NO_LEAF;
@@ -101,6 +111,19 @@ impl InstaEngine {
     /// hold-specific launch arrivals and requirements come from `attrs`.
     /// Returns a report in the same shape as the setup report (slacks per
     /// endpoint, WNS/TNS over hold violations).
+    ///
+    /// A data-parallel worker panic is contained as in
+    /// [`try_propagate`](InstaEngine::try_propagate): the level is re-run
+    /// serially, bit-identically, and the incident is recorded in
+    /// [`last_incident`](InstaEngine::last_incident) (as a
+    /// [`Kernel::Forward`](crate::error::Kernel) incident — it is that
+    /// kernel's level body).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `attrs` does not cover every startpoint and endpoint, or
+    /// if a worker panic could not be contained, exactly as
+    /// [`propagate`](InstaEngine::propagate) does.
     pub fn propagate_hold(&mut self, attrs: &HoldAttributes) -> InstaReport {
         assert_eq!(
             attrs.source_mean.len(),
@@ -112,26 +135,46 @@ impl InstaEngine {
             self.st.endpoints.len(),
             "hold attributes must cover every endpoint"
         );
+        self.last_incident = None;
         // The min pass clobbers the setup Top-K arrays.
         self.topk_synced = false;
-        with_model!(&self.backend, m => {
-            forward_min(&self.st, &mut self.state, attrs, m);
-            evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr, m)
-        })
+        self.trace.begin("hold");
+        // No level profile: `forward.kernel_ms` stays the setup kernel's.
+        let res = with_model!(&self.backend, m => forward::<_, true>(
+            &self.st,
+            &mut self.state,
+            self.cfg.n_threads,
+            None,
+            None,
+            m,
+            &|state, nodes| seed_early_launches(&self.st, state, attrs, nodes, m),
+        ));
+        self.trace
+            .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
+        if let Err(e) = self.settle(res) {
+            panic!("propagate_hold failed: {e}");
+        }
+        with_model!(&self.backend, m =>
+            evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr, m))
     }
 }
 
-/// Min-mode forward pass: the *same* per-level kernel as setup
-/// ([`level_chunk`] with `MIN = true`), which computes candidates as
-/// negated early corners so Algorithm 2's max-queue keeps the smallest
-/// early arrivals. Hold no longer maintains its own copy of the merge —
-/// the kernel-equivalence suite covers both modes through one body.
-fn forward_min<M: StatModel>(st: &Static, state: &mut State, attrs: &HoldAttributes, model: &M) {
+/// Writes the early launch arrival of every startpoint whose node lies in
+/// `nodes` into slot 0 of its queues, ordered by the negated early corner
+/// (the hold counterpart of [`crate::forward::seed_sources`]).
+fn seed_early_launches<M: StatModel>(
+    st: &Static,
+    state: &mut State,
+    attrs: &HoldAttributes,
+    nodes: std::ops::Range<usize>,
+    model: &M,
+) {
     let k = state.k;
-    state.topk_arrival.fill(f64::NEG_INFINITY);
-    state.topk_sp.fill(NO_SP);
     for (sp_idx, s) in st.sources.iter().enumerate() {
         let v = s.node as usize;
+        if !nodes.contains(&v) {
+            continue;
+        }
         for rf in 0..2 {
             let idx = (v * 2 + rf) * k;
             let mean = attrs.source_mean[sp_idx][rf];
@@ -141,35 +184,6 @@ fn forward_min<M: StatModel>(st: &Static, state: &mut State, attrs: &HoldAttribu
             state.topk_arrival[idx] = model.corner_min(mean, sigma, st.n_sigma);
             state.topk_sp[idx] = s.sp;
         }
-    }
-    let mut arena = MergeArena::default();
-    for l in 1..st.num_levels() {
-        let r = st.level_range(l);
-        if r.is_empty() {
-            continue;
-        }
-        let stride = 2 * k;
-        let split = r.start * stride;
-        let (arr_done, arr_cur) = state.topk_arrival.split_at_mut(split);
-        let (mean_done, mean_cur) = state.topk_mean.split_at_mut(split);
-        let (sigma_done, sigma_cur) = state.topk_sigma.split_at_mut(split);
-        let (sp_done, sp_cur) = state.topk_sp.split_at_mut(split);
-        let _ = arr_done;
-        let len = r.len();
-        level_chunk::<M, true>(
-            st,
-            k,
-            r.start,
-            mean_done,
-            sigma_done,
-            sp_done,
-            &mut arr_cur[..len * stride],
-            &mut mean_cur[..len * stride],
-            &mut sigma_cur[..len * stride],
-            &mut sp_cur[..len * stride],
-            &mut arena,
-            model,
-        );
     }
 }
 

@@ -17,10 +17,12 @@
 //! annotations as they were before some expanded arcs were rewritten
 //! (`topk_synced`). The children of those arcs are the *seeds*. Per-level
 //! worklists are visited in level order; one node is recomputed exactly
-//! as the full pass computes it — its two k-slices of `topk_arrival` /
-//! `topk_sp` reset like the global reset, the launch seed re-applied if
-//! it is a startpoint, then [`level_chunk`](crate::forward::level_chunk)
-//! on the node's own window, the very body the full pass and hold run.
+//! as the full pass computes it — if it is a startpoint, its queues
+//! emptied and the launch seed re-applied as the full pass's prologue does
+//! — then [`level_chunk`](crate::forward::level_chunk) on the node's own
+//! window, the very body the full pass and hold run, which determines
+//! every other queue completely (live prefix written, arrival / startpoint
+//! tail cleared).
 //!
 //! **Why this equals the full pass (induction over levels).** A node's
 //! queues are a pure function of its fanin arcs' annotations and of what
@@ -64,7 +66,7 @@
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
-use crate::forward::{level_chunk, seed_source};
+use crate::forward::{clear_nodes, level_chunk, seed_source};
 use crate::metrics::InstaReport;
 use crate::parallel::{chaos, payload_message, Interrupt, MergeArena};
 use crate::stat::{with_model, StatModel};
@@ -494,8 +496,8 @@ pub(crate) fn cone_sweep<M: StatModel>(
                     message: payload_message(payload),
                     serial_retry_failed: false,
                 };
-                // One retry. A node recompute starts by resetting its
-                // slices, so re-running the level is idempotent — except
+                // One retry. A node recompute overwrites its slices from
+                // its parents alone, so re-running the level is idempotent — except
                 // that a half-written node no longer has its old entries
                 // to compare against, so the retry queues every fanout.
                 match run(true) {
@@ -559,10 +561,10 @@ fn cone_level<M: StatModel>(
         cone.old_mean.extend_from_slice(&state.topk_mean[w.clone()]);
         cone.old_sigma
             .extend_from_slice(&state.topk_sigma[w.clone()]);
-        // The full pass's pre-state of a node: global reset, launch seed.
-        state.topk_arrival[w.clone()].fill(f64::NEG_INFINITY);
-        state.topk_sp[w.clone()].fill(NO_SP);
+        // The full pass's pre-state of a startpoint node: emptied, then
+        // seeded. The body owns every other queue outright.
         if let Some(s) = st.source_at(v as usize) {
+            clear_nodes(state, v as usize..v as usize + 1);
             seed_source(st, state, s, model);
         }
         {

@@ -10,10 +10,12 @@
 //!   memory layout of Fig. 3), built by renumbering nodes in level-major
 //!   order so every level is a contiguous slice.
 //! * [`topk`] — the fixed-size Top-K priority queue with **unique
-//!   startpoints** (paper Algorithm 2); the CPPR mechanism.
+//!   startpoints** (paper Algorithm 2); the CPPR mechanism. The literal
+//!   push-by-push queue lives here as the kernels' test oracle.
 //! * [`forward`] — the forward "kernel" (paper Algorithm 1): per-level
 //!   data-parallel Top-K statistical arrival merging with rise/fall and
-//!   unateness handling, executed by scoped CPU threads standing in for the
+//!   unateness handling — each queue computed as one sorted-run selection
+//!   and written once — executed by scoped CPU threads standing in for the
 //!   CUDA grid (see DESIGN.md substitutions).
 //! * [`lse`] — the differentiable forward pass: numerically stable
 //!   Log-Sum-Exp smooth-max merging (paper Eq. 4–5) with stored softmax
@@ -25,9 +27,10 @@
 //!   SP-matched required times, CPPR credit, and exceptions.
 //! * [`incremental`] — arc re-annotation from `estimate_eco` deltas plus
 //!   full-speed re-propagation (the paper's incremental evaluation flow).
-//! * [`hold`] — hold (early/min) propagation reusing the Top-K kernel via
-//!   corner negation (engine parity with the reference's hold analysis;
-//!   an extension beyond the paper's setup-only scope).
+//! * [`hold`] — hold (early/min) propagation: the same full pass in its
+//!   min instantiation, via corner negation (engine parity with the
+//!   reference's hold analysis; an extension beyond the paper's setup-only
+//!   scope).
 //! * [`correlate`] — correlation and mismatch statistics used by the
 //!   paper's Fig. 6 / Table I style comparisons.
 //! * [`error`] — the typed error taxonomy ([`InstaError`]) of the

@@ -151,48 +151,95 @@ where
     });
 }
 
-/// Reusable per-thread scratch for the forward merge kernels.
+/// Reusable per-thread scratch of the forward merge
+/// ([`merge_node_queue`](crate::forward::merge_node_queue)).
 ///
 /// The multi-fanin merge gathers every candidate of a `(node, transition)`
-/// queue into SoA buffers (arc-major, `k` slots per arc) before running
-/// the sequential Top-K pushes, so the float pipeline — parent reads,
-/// mean add, RSS sigma, corner — runs as straight-line loops over
-/// contiguous slices. One arena per worker thread is allocated per kernel
-/// pass and reused across every node and level that thread processes; the
-/// merge loop itself never allocates. Contents are scratch: each use
-/// rewrites slots `0..live` per arc and gates reads by `live`, so no
-/// clearing between nodes is needed.
+/// queue into SoA buffers — one run of `k` slots per fanin arc, a launch
+/// seed as a run of its own ahead of them — so the float pipeline (parent
+/// reads, mean add, RSS sigma, corner) runs as straight-line loops over
+/// contiguous slices; then it orders each run's keys and selects the
+/// queue from the run heads. One arena per worker thread is allocated per
+/// kernel pass and reused across every node and level that thread
+/// processes; the merge itself never allocates once the buffers have grown
+/// to the widest fanin. Contents are scratch: each use rewrites slots
+/// `0..live` per run and gates reads by `live`, so nothing is cleared
+/// between nodes — the stamp table included, which a generation counter
+/// invalidates in O(1).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct MergeArena {
-    /// Candidate corner arrivals, arc-major (`arc_index * k + j`).
+    /// Candidate corner arrivals, run-major (`run * k + i`), each run in
+    /// corner-descending order once the merge has ordered it.
     pub arrival: Vec<f64>,
-    /// Candidate means.
+    /// The parent slot `j` the corner at the same index came from: where
+    /// its mean / sigma / startpoint sit in the run.
+    pub slot: Vec<u32>,
+    /// Candidate means, run-major in parent slot order (`run * k + j`).
     pub mean: Vec<f64>,
-    /// Candidate sigmas.
+    /// Candidate sigmas, in parent slot order.
     pub sigma: Vec<f64>,
-    /// Candidate startpoints.
+    /// Candidate startpoints, in parent slot order.
     pub sp: Vec<u32>,
-    /// Live candidate count per arc (parent queues are dense, so this is
+    /// Live candidate count per run (parent queues are dense, so this is
     /// the parent's occupancy).
     pub live: Vec<u32>,
+    /// Next unread position per run during the selection.
+    pub head: Vec<u32>,
+    /// `stamp[sp] == generation` ⇔ startpoint `sp` was already emitted
+    /// into the queue being selected. O(startpoints) per arena.
+    stamp: Vec<u32>,
+    generation: u32,
 }
 
 impl MergeArena {
-    /// Ensures capacity for `n_arcs` arcs of `k` candidates each. Grows
-    /// geometrically and never shrinks, so across a pass this settles at
-    /// the widest fanin and stops touching the allocator.
+    /// Ensures capacity for `n_runs` runs of `k` candidates each and a
+    /// stamp per startpoint. Grows geometrically and never shrinks, so
+    /// across a pass this settles at the widest fanin and stops touching
+    /// the allocator.
     #[inline]
-    pub(crate) fn reserve(&mut self, n_arcs: usize, k: usize) {
-        let need = n_arcs * k;
+    pub(crate) fn reserve(&mut self, n_runs: usize, k: usize, n_startpoints: usize) {
+        let need = n_runs * k;
         if self.arrival.len() < need {
             let cap = need.next_power_of_two();
             self.arrival.resize(cap, 0.0);
+            self.slot.resize(cap, 0);
             self.mean.resize(cap, 0.0);
             self.sigma.resize(cap, 0.0);
             self.sp.resize(cap, 0);
         }
-        if self.live.len() < n_arcs {
-            self.live.resize(n_arcs.next_power_of_two(), 0);
+        if self.live.len() < n_runs {
+            let cap = n_runs.next_power_of_two();
+            self.live.resize(cap, 0);
+            self.head.resize(cap, 0);
+        }
+        if self.stamp.len() < n_startpoints {
+            self.stamp.resize(n_startpoints, 0);
+        }
+    }
+
+    /// Opens a new queue's selection: every stamp of earlier queues goes
+    /// stale at once. The table is zeroed only when the counter wraps.
+    #[inline]
+    pub(crate) fn open_queue(&mut self) {
+        if self.generation == u32::MAX {
+            self.stamp.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+    }
+
+    /// Whether startpoint `sp` has not been emitted into the open queue
+    /// yet; marks it emitted. Validated startpoint ids index the table;
+    /// anything else (a Trust-mode snapshot) is simply never deduplicated.
+    #[inline]
+    pub(crate) fn first_emit(&mut self, sp: u32) -> bool {
+        match self.stamp.get_mut(sp as usize) {
+            Some(stamp) if *stamp == self.generation => false,
+            Some(stamp) => {
+                *stamp = self.generation;
+                true
+            }
+            None => true,
         }
     }
 

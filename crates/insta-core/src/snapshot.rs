@@ -113,16 +113,23 @@ impl InstaEngine {
     /// plain `propagate` on an engine they own exclusively), so the
     /// capture is internally consistent: report, arrivals, and counters
     /// all describe the same epoch.
+    ///
+    /// The arrival rows are copied only from Top-K arrays that are in sync
+    /// with the setup report. After a hold pass (negated early corners),
+    /// a bare re-annotation or a failed pass every row is captured as
+    /// unreached, so [`TimingSnapshot::arrival_at`] answers `None` rather
+    /// than a value that does not belong to the report beside it.
     pub fn snapshot(&self) -> TimingSnapshot {
         let n = self.num_nodes();
         let k = self.top_k();
-        let mut arrival0 = Vec::with_capacity(n * 2);
-        let mut sp0 = Vec::with_capacity(n * 2);
-        for slot in 0..n * 2 {
-            let idx = slot * k;
-            arrival0.push(self.state.topk_arrival[idx]);
-            sp0.push(self.state.topk_sp[idx]);
-        }
+        let (arrival0, sp0) = if self.topk_synced {
+            (
+                self.state.topk_arrival.iter().step_by(k).copied().collect(),
+                self.state.topk_sp.iter().step_by(k).copied().collect(),
+            )
+        } else {
+            (vec![f64::NEG_INFINITY; n * 2], vec![NO_SP; n * 2])
+        };
         TimingSnapshot {
             epoch: self.epoch(),
             report: self.try_report().cloned(),

@@ -4,9 +4,19 @@
 //! The paper's §III-E explains why these are flat sorted lists rather than
 //! heaps: each GPU thread owns its own K-entry list, and the O(K²)
 //! comparison/shift pattern beats heap maintenance on massively parallel
-//! hardware. The kernel operates directly on SoA array slices
-//! ([`update_topk_slices`]); [`TopKQueue`] is the owned, ergonomic wrapper
-//! used by tests and by callers outside the kernels.
+//! hardware. On one CPU core that pattern was the bill, so the kernels no
+//! longer push: a queue is a *function* of its candidates — per startpoint
+//! the largest corner, the K best of those in (corner descending, push
+//! order ascending) order — and
+//! [`merge_node_queue`](crate::forward::merge_node_queue) computes that
+//! selection directly over the SoA array slices, writing each queue once.
+//!
+//! What the kernels use from here: the [`NO_SP`] sentinel and
+//! [`restore_topk_desc`], the stable corner-order restore of the
+//! single-fanin transform. [`TopKQueue`] is the owned queue for callers
+//! outside the kernels, and its [`push`](TopKQueue::push) is the literal
+//! Algorithm 2 — the oracle the merge's differential property test
+//! compares against, candidate by candidate.
 
 /// Sentinel startpoint id for an empty queue slot.
 pub const NO_SP: u32 = u32::MAX;
@@ -44,100 +54,6 @@ impl Candidate {
             sp,
         }
     }
-}
-
-/// Updates one K-entry queue stored as parallel slices, maintaining
-/// descending `arrival` order and startpoint uniqueness.
-///
-/// This is a literal transcription of paper Algorithm 2:
-///
-/// 1. if `sp` already exists, replace its entry when the new arrival is
-///    larger (then bubble it toward the front to restore order);
-/// 2. otherwise insert at the sorted position, shifting smaller entries
-///    down and dropping the last one.
-///
-/// Empty slots hold `arrival = -INF` and `sp = NO_SP`.
-#[inline]
-pub fn update_topk_slices(
-    arrivals: &mut [f64],
-    means: &mut [f64],
-    sigmas: &mut [f64],
-    sps: &mut [u32],
-    cand: Candidate,
-) {
-    let k = arrivals.len();
-    debug_assert!(k > 0 && means.len() == k && sigmas.len() == k && sps.len() == k);
-
-    // Floor rejection, hoisted above the uniqueness scan: when the queue
-    // is full and the candidate does not beat the floor, the push is a
-    // no-op regardless of startpoint uniqueness — if `cand.sp` is already
-    // present at slot j, descending order gives
-    // `arrivals[j] >= arrivals[k-1] >= cand.arrival`, so the
-    // replace-if-strictly-larger step cannot fire either. This turns the
-    // common case on deep levels (queue full, sub-floor candidate) into
-    // two compares instead of an O(K) scan.
-    if cand.arrival <= arrivals[k - 1] && sps[k - 1] != NO_SP {
-        return;
-    }
-
-    // Step 1: startpoint uniqueness. Occupied slots are dense from the
-    // front, so the scan stops at the first empty slot.
-    for j in 0..k {
-        if sps[j] == NO_SP {
-            // Empty tail: the startpoint is new; insert right here.
-            arrivals[j] = cand.arrival;
-            means[j] = cand.mean;
-            sigmas[j] = cand.sigma;
-            sps[j] = cand.sp;
-            let mut i = j;
-            while i > 0 && arrivals[i - 1] < arrivals[i] {
-                arrivals.swap(i - 1, i);
-                means.swap(i - 1, i);
-                sigmas.swap(i - 1, i);
-                sps.swap(i - 1, i);
-                i -= 1;
-            }
-            return;
-        }
-        if sps[j] == cand.sp {
-            if cand.arrival > arrivals[j] {
-                arrivals[j] = cand.arrival;
-                means[j] = cand.mean;
-                sigmas[j] = cand.sigma;
-                // Bubble up: the increased entry may outrank predecessors.
-                let mut i = j;
-                while i > 0 && arrivals[i - 1] < arrivals[i] {
-                    arrivals.swap(i - 1, i);
-                    means.swap(i - 1, i);
-                    sigmas.swap(i - 1, i);
-                    sps.swap(i - 1, i);
-                    i -= 1;
-                }
-            }
-            return;
-        }
-    }
-
-    // Step 2: insert if it beats the smallest entry (or an empty slot).
-    if cand.arrival <= arrivals[k - 1] {
-        return;
-    }
-    // Find the insertion position (first entry smaller than the candidate).
-    let mut pos = k - 1;
-    while pos > 0 && arrivals[pos - 1] < cand.arrival {
-        pos -= 1;
-    }
-    // Shift down and insert.
-    for i in (pos..k - 1).rev() {
-        arrivals[i + 1] = arrivals[i];
-        means[i + 1] = means[i];
-        sigmas[i + 1] = sigmas[i];
-        sps[i + 1] = sps[i];
-    }
-    arrivals[pos] = cand.arrival;
-    means[pos] = cand.mean;
-    sigmas[pos] = cand.sigma;
-    sps[pos] = cand.sp;
 }
 
 /// One adjacent compare-exchange of the sorting network: swaps slots
@@ -204,8 +120,9 @@ pub(crate) fn restore_topk_desc(
     live: usize,
 ) {
     match arrivals.len() {
-        // The network sorts all K slots; tail slots (arrival = -INF from
-        // the level reset) provably stay put, so `live` is not needed.
+        // The network sorts all K slots; tail slots (arrival = -INF, which
+        // the caller wrote just before) provably stay put, so `live` is
+        // not needed.
         2 => return sort_network_desc::<2>(arrivals, means, sigmas, sps),
         4 => return sort_network_desc::<4>(arrivals, means, sigmas, sps),
         8 => return sort_network_desc::<8>(arrivals, means, sigmas, sps),
@@ -232,8 +149,9 @@ pub fn clear_topk_slices(arrivals: &mut [f64], means: &mut [f64], sigmas: &mut [
     sps.fill(NO_SP);
 }
 
-/// An owned Top-K queue over [`Candidate`]s — the ergonomic counterpart of
-/// the slice kernel, with identical semantics.
+/// An owned Top-K queue over [`Candidate`]s, updated one push at a time
+/// by the literal Algorithm 2. The kernels compute the same queue as one
+/// selection; this is what they are tested against.
 ///
 /// # Examples
 ///
@@ -291,15 +209,43 @@ impl TopKQueue {
         self.sps[0] == NO_SP
     }
 
-    /// Pushes a candidate (paper Algorithm 2).
+    /// Pushes a candidate — a literal transcription of paper Algorithm 2,
+    /// maintaining descending `arrival` order and startpoint uniqueness:
+    ///
+    /// 1. if `sp` already exists, replace its entry when the new arrival
+    ///    is strictly larger (then bubble it toward the front, stopping
+    ///    behind equal keys);
+    /// 2. otherwise insert at the sorted position (behind equal keys),
+    ///    shifting smaller entries down and dropping the last one.
+    ///
+    /// Empty slots hold `arrival = -INF` and `sp = NO_SP`.
     pub fn push(&mut self, cand: Candidate) {
-        update_topk_slices(
-            &mut self.arrivals,
-            &mut self.means,
-            &mut self.sigmas,
-            &mut self.sps,
-            cand,
-        );
+        let k = self.capacity();
+        // Step 1: startpoint uniqueness. Occupied slots are dense from the
+        // front, so the scan stops at the first empty slot — where a new
+        // startpoint is inserted.
+        let found = (0..k).find(|&j| self.sps[j] == NO_SP || self.sps[j] == cand.sp);
+        let pos = match found {
+            Some(j) if self.sps[j] != NO_SP && cand.arrival <= self.arrivals[j] => return,
+            Some(j) => j,
+            // Step 2: a full queue takes a new startpoint only above its
+            // floor, in place of the last entry.
+            None if cand.arrival <= self.arrivals[k - 1] => return,
+            None => k - 1,
+        };
+        self.arrivals[pos] = cand.arrival;
+        self.means[pos] = cand.mean;
+        self.sigmas[pos] = cand.sigma;
+        self.sps[pos] = cand.sp;
+        // Bubble up: the entry may outrank predecessors.
+        let mut i = pos;
+        while i > 0 && self.arrivals[i - 1] < self.arrivals[i] {
+            self.arrivals.swap(i - 1, i);
+            self.means.swap(i - 1, i);
+            self.sigmas.swap(i - 1, i);
+            self.sps.swap(i - 1, i);
+            i -= 1;
+        }
     }
 
     /// Iterates occupied entries in descending arrival order.
@@ -549,13 +495,13 @@ mod tests {
         );
     }
 
-    /// The floor-fast-path queue update must be indistinguishable from the
-    /// frozen pre-overhaul Algorithm 2 (`scalar_ref::ref_update_topk`)
-    /// after every single push — duplicate startpoints, equal keys
-    /// (tie-break order included), floor rejections, and empty-tail
-    /// inserts all exercised by quantized random streams.
+    /// [`TopKQueue::push`] must be indistinguishable from the frozen
+    /// pre-overhaul Algorithm 2 (`scalar_ref::ref_update_topk`) after
+    /// every single push — duplicate startpoints, equal keys (tie-break
+    /// order included), floor rejections, and empty-tail inserts all
+    /// exercised by quantized random streams.
     #[test]
-    fn update_matches_frozen_reference_push_for_push() {
+    fn push_matches_frozen_reference_push_for_push() {
         for_all(
             Config::cases(192).seed(0x70_9C08),
             |rng| {
@@ -572,13 +518,13 @@ mod tests {
             },
             |(k, pushes)| {
                 let k = *k;
-                let mut fast = (
+                let mut queue = TopKQueue::new(k);
+                let mut reference = (
                     vec![f64::NEG_INFINITY; k],
                     vec![0.0f64; k],
                     vec![0.0f64; k],
                     vec![NO_SP; k],
                 );
-                let mut reference = fast.clone();
                 for (i, &(sp, a)) in pushes.iter().enumerate() {
                     let c = Candidate {
                         arrival: a,
@@ -586,7 +532,7 @@ mod tests {
                         sigma: i as f64, // distinguishes equal-key entries
                         sp,
                     };
-                    update_topk_slices(&mut fast.0, &mut fast.1, &mut fast.2, &mut fast.3, c);
+                    queue.push(c);
                     crate::scalar_ref::ref_update_topk(
                         &mut reference.0,
                         &mut reference.1,
@@ -595,10 +541,10 @@ mod tests {
                         c,
                     );
                     for j in 0..k {
-                        prop_assert_eq!(fast.0[j].to_bits(), reference.0[j].to_bits());
-                        prop_assert_eq!(fast.1[j].to_bits(), reference.1[j].to_bits());
-                        prop_assert_eq!(fast.2[j].to_bits(), reference.2[j].to_bits());
-                        prop_assert_eq!(fast.3[j], reference.3[j]);
+                        prop_assert_eq!(queue.arrivals[j].to_bits(), reference.0[j].to_bits());
+                        prop_assert_eq!(queue.means[j].to_bits(), reference.1[j].to_bits());
+                        prop_assert_eq!(queue.sigmas[j].to_bits(), reference.2[j].to_bits());
+                        prop_assert_eq!(queue.sps[j], reference.3[j]);
                     }
                 }
                 Ok(())
@@ -854,13 +800,15 @@ mod batched_tests {
                 for (lane, set) in sets.iter().enumerate() {
                     let mut twin = engine.clone();
                     twin.reannotate(&set.deltas).expect("valid deltas");
-                    crate::forward::forward(
-                        &twin.st,
+                    let st = &twin.st;
+                    crate::forward::forward::<_, false>(
+                        st,
                         &mut twin.state,
                         1,
                         None,
                         None,
                         &GaussianPocv,
+                        &|state, nodes| crate::forward::seed_sources(st, state, nodes, &GaussianPocv),
                     )
                     .expect("clean pass");
                     let want = crate::metrics::evaluate(&twin.st, &twin.state, cppr, &GaussianPocv);

@@ -14,6 +14,11 @@ use insta_refsta::{RefSta, StaConfig};
 /// A design whose levels are wide enough to cross the engine's parallel
 /// dispatch threshold (512 nodes per level).
 fn wide_init() -> insta_refsta::export::InstaInit {
+    wide_design().1.export_insta_init()
+}
+
+/// The design behind [`wide_init`] with its timed reference engine.
+fn wide_design() -> (insta_netlist::Design, RefSta) {
     let mut cfg = GeneratorConfig::medium("det", 3);
     cfg.gates_per_level = 600;
     cfg.logic_levels = 6;
@@ -23,7 +28,7 @@ fn wide_init() -> insta_refsta::export::InstaInit {
     let d = generate_design(&cfg);
     let mut sta = RefSta::new(&d, StaConfig::default()).expect("build");
     sta.full_update(&d);
-    sta.export_insta_init()
+    (d, sta)
 }
 
 fn engine(init: insta_refsta::export::InstaInit, n_threads: usize) -> InstaEngine {
@@ -141,4 +146,29 @@ fn thread_count_zero_matches_explicit_counts() {
     for (a, b) in ra.slacks.iter().zip(&rb.slacks) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
+}
+
+/// The hold pass runs the same chunked level launch as setup (it shares
+/// the full-pass driver), so its thread count must not change a bit
+/// either: report and raw Top-K arrays, one thread against two.
+#[test]
+fn hold_results_are_bit_identical_across_thread_counts() {
+    let (design, sta) = wide_design();
+    let attrs = insta_engine::hold_attributes(&design, &sta);
+    let init = sta.export_insta_init();
+    let mut serial = engine(init.clone(), 1);
+    let mut parallel = engine(init, 2);
+    let rs = serial.propagate_hold(&attrs);
+    let rp = parallel.propagate_hold(&attrs);
+    assert!(rs.slacks.iter().any(|s| s.is_finite()), "hold must constrain endpoints");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&rs.slacks), bits(&rp.slacks));
+    assert_eq!(bits(&rs.arrivals), bits(&rp.arrivals));
+    assert_eq!(rs.worst_sp, rp.worst_sp);
+    assert_eq!(rs.tns_ps.to_bits(), rp.tns_ps.to_bits());
+    let (s, p) = (serial.topk_snapshot(), parallel.topk_snapshot());
+    assert_eq!(bits(&s.0), bits(&p.0), "arrivals");
+    assert_eq!(bits(&s.1), bits(&p.1), "means");
+    assert_eq!(bits(&s.2), bits(&p.2), "sigmas");
+    assert_eq!(s.3, p.3, "startpoints");
 }

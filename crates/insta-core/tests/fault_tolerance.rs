@@ -18,6 +18,11 @@ static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 /// A design whose levels are wide enough to cross the engine's parallel
 /// dispatch threshold, with a clock tight enough for gradients to flow.
 fn wide_init() -> insta_refsta::export::InstaInit {
+    wide_design().1.export_insta_init()
+}
+
+/// The design behind [`wide_init`] with its timed reference engine.
+fn wide_design() -> (insta_netlist::Design, RefSta) {
     let mut cfg = GeneratorConfig::medium("fault", 9);
     cfg.gates_per_level = 600;
     cfg.logic_levels = 6;
@@ -25,7 +30,7 @@ fn wide_init() -> insta_refsta::export::InstaInit {
     let d = generate_design(&cfg);
     let mut sta = RefSta::new(&d, StaConfig::default()).expect("build");
     sta.full_update(&d);
-    sta.export_insta_init()
+    (d, sta)
 }
 
 fn engine(init: insta_refsta::export::InstaInit) -> InstaEngine {
@@ -89,6 +94,47 @@ fn forward_worker_panic_is_recovered_bit_identically() {
 
     // The next undisturbed pass clears the incident.
     faulty.propagate();
+    assert!(faulty.last_incident().is_none());
+}
+
+/// The hold pass shares the full-pass driver, and with it the containment:
+/// a one-shot worker panic in a hold level is retried serially, recorded
+/// as an incident, and leaves the bits of an undisturbed hold pass.
+#[test]
+fn hold_worker_panic_is_recovered_bit_identically() {
+    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let (design, sta) = wide_design();
+    let attrs = insta_engine::hold_attributes(&design, &sta);
+    let init = sta.export_insta_init();
+    let mut healthy = engine(init.clone());
+    let healthy_report = healthy.propagate_hold(&attrs);
+    assert!(healthy.last_incident().is_none());
+
+    let mut faulty = engine(init);
+    let level = 3;
+    let report = with_quiet_panics(|| {
+        chaos::arm(Kernel::Forward, level, false);
+        let report = faulty.propagate_hold(&attrs);
+        chaos::disarm();
+        report
+    });
+    let incident = faulty.last_incident().expect("incident recorded").clone();
+    assert_eq!(incident.kernel, Kernel::Forward);
+    assert_eq!(incident.level, level);
+    assert!(!incident.serial_retry_failed);
+    assert_eq!(faulty.incident_log().total(), 1);
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&healthy_report.slacks), bits(&report.slacks));
+    assert_eq!(bits(&healthy_report.arrivals), bits(&report.arrivals));
+    let (h, f) = (healthy.topk_snapshot(), faulty.topk_snapshot());
+    assert_eq!(bits(&h.0), bits(&f.0), "arrivals");
+    assert_eq!(bits(&h.1), bits(&f.1), "means");
+    assert_eq!(bits(&h.2), bits(&f.2), "sigmas");
+    assert_eq!(h.3, f.3, "startpoints");
+
+    // The next undisturbed hold pass clears the incident.
+    faulty.propagate_hold(&attrs);
     assert!(faulty.last_incident().is_none());
 }
 

@@ -64,14 +64,21 @@ INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench obs_overhead | t
 
 echo "==> fig9 levelized-breakdown smoke + forward-pass regression gate"
 # The floor is the fused-kernel forward_ns measured on the reference CI
-# machine after the forward-kernel overhaul (fast budget: 3 passes over
-# block-1). Override with INSTA_FORWARD_NS_FLOOR on machines with a
-# different baseline; the pre-overhaul kernel sits ~8x above the limit,
-# so any honest floor catches a kernel regression. The gate takes the
-# best of three bench runs: the fast-budget measurement is ~60 ms of
-# wall clock, so a single noisy-neighbor burst on a shared box can
-# double one reading — a real kernel regression slows every run.
-floor_ns="${INSTA_FORWARD_NS_FLOOR:-60000000}"
+# machine (fast budget: 3 passes over block-1 at K=8, all cores, the
+# first pass cold). Re-anchored with the write-once sorted-run merge
+# (ISSUE 15): best of three, as the gate takes it, read 58.3 ms at the
+# parent commit (floor 60 ms) and 53.9 ms with the new merge, so the
+# floor is 56 ms — the same headroom over the quiet reading as before,
+# which a 1.3x kernel regression (70 ms) no longer fits under either
+# limit below (64.4 ms here, 58.8 ms for the backend gate). The gain is
+# smaller here than at K=32 on one thread (11.5 vs 14.3 ms a pass in
+# that setting): two threads on this shared box and a cold first pass
+# dilute it. Override with INSTA_FORWARD_NS_FLOOR on machines with a
+# different baseline. The gate takes the best of three bench runs: the
+# fast-budget measurement is ~55 ms of wall clock, so a single
+# noisy-neighbor burst on a shared box can double one reading — a real
+# kernel regression slows every run.
+floor_ns="${INSTA_FORWARD_NS_FLOOR:-56000000}"
 gate_ok=""
 for attempt in 1 2 3; do
   INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench fig9_breakdown | tail -1 | tee BENCH_fig9.json

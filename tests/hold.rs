@@ -110,3 +110,58 @@ fn batched_scenarios_and_hold_interleave_bit_stably() {
         }
     }
 }
+
+/// Regression (ISSUE 15): the hold pass writes negated early corners into
+/// the Top-K arrays it shares with setup. Point reads and snapshots must
+/// answer only from arrays that are in sync with the setup report — after
+/// `propagate_hold` no node may report a value other than its setup
+/// arrival, and the next setup pass serves the recorded bits again.
+#[test]
+fn point_reads_do_not_serve_hold_corners_as_setup_arrivals() {
+    let design = generate_design(&GeneratorConfig::small("hold_ix", 47));
+    let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
+    golden.full_update(&design);
+    let attrs = hold_attributes(&design, &golden);
+    let mut engine = InstaEngine::new(golden.export_insta_init(), InstaConfig::default())
+        .expect("valid snapshot");
+
+    type Reads = Vec<(Option<u64>, Option<(u64, u64)>, Option<u64>)>;
+    let reads = |engine: &InstaEngine| -> Reads {
+        let snap = engine.snapshot();
+        (0..engine.num_nodes() as u32)
+            .flat_map(|v| [(v, 0), (v, 1)])
+            .map(|(v, rf)| {
+                (
+                    engine.arrival_at(v, rf).map(f64::to_bits),
+                    engine
+                        .distribution_at(v, rf)
+                        .map(|(m, s)| (m.to_bits(), s.to_bits())),
+                    snap.arrival_at(v, rf).map(f64::to_bits),
+                )
+            })
+            .collect()
+    };
+
+    engine.propagate();
+    let setup = reads(&engine);
+    assert!(
+        setup.iter().filter(|r| r.0.is_some()).count() > engine.num_nodes(),
+        "most nodes are reached"
+    );
+
+    engine.propagate_hold(&attrs);
+    for (i, (got, want)) in reads(&engine).iter().zip(&setup).enumerate() {
+        let (node, rf) = (i / 2, i % 2);
+        assert!(
+            got.0.is_none() || got.0 == want.0,
+            "arrival_at({node}, {rf}) after hold: {:?}, setup arrival {:?}",
+            got.0.map(f64::from_bits),
+            want.0.map(f64::from_bits),
+        );
+        assert!(got.1.is_none() || got.1 == want.1, "distribution_at({node}, {rf}) after hold");
+        assert!(got.2.is_none() || got.2 == want.2, "snapshot arrival_at({node}, {rf}) after hold");
+    }
+
+    engine.propagate();
+    assert!(reads(&engine) == setup, "the next setup pass serves the same bits");
+}
