@@ -3,15 +3,20 @@
 //! production default) versus durability off.
 //!
 //! The acceptance gate is an **absolute budget**: making a commit durable
-//! is one sequential append plus exactly one `fdatasync`, so the durable
-//! p50 may exceed the ephemeral p50 by at most [`GATE_BUDGET_US`], and the
-//! fsync count must equal the commit count. (It used to be a ratio,
-//! ≤ 1.10× of a ~9 ms commit; since an update re-propagates only the
-//! changed cone the commit in front of the log is ~1.3 ms here and a
-//! spaced-out `fdatasync` — 0.3–0.8 ms on this box — is a large share of
-//! it by construction, which says nothing about the log.) The budget sits
-//! above one sync and below two, so a second sync per commit, or a
-//! per-commit state capture creeping back in, fails it. Emits one
+//! is one overwrite of preallocated log blocks plus exactly one
+//! `fdatasync`, so the durable p50 may exceed the ephemeral p50 by at most
+//! [`GATE_BUDGET_US`], and the fsync count must equal the commit count.
+//! (It used to be a ratio, ≤ 1.10× of a ~9 ms commit; since an update
+//! re-propagates only the changed cone the commit in front of the log is
+//! ~0.9 ms here and a spaced-out `fdatasync` is a large share of it by
+//! construction, which says nothing about the log.) Measured with the
+//! segmented log: overhead 301–473 µs over four runs on a quiet box (the
+//! growing `wal.log` read 255–407 µs in the same hour: the daemons here
+//! alternate ten commits each, so every burst starts on an idle disk and
+//! the sync's device flush, not the journal, is what is timed). The
+//! budget was 1200 µs against a 360 µs reading; it is 800 µs now — above
+//! one sync and below two, so a second sync per commit, or a per-commit
+//! state capture creeping back in, fails it. Emits one
 //! machine-readable JSON line after the human summary and exits non-zero
 //! when the gate fails across all attempts.
 
@@ -24,7 +29,7 @@ use std::os::unix::net::UnixStream;
 use std::time::Instant;
 
 /// Durable median commit latency may exceed ephemeral by this much (µs).
-const GATE_BUDGET_US: f64 = 1200.0;
+const GATE_BUDGET_US: f64 = 800.0;
 /// Noise retries, same policy as the other gates.
 const ATTEMPTS: usize = 3;
 /// Unmeasured commits per daemon before the interleaved measurement.

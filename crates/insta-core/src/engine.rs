@@ -12,6 +12,7 @@
 use crate::error::{IncidentLog, InstaError, RuntimeIncident};
 use crate::incremental::ConeScratch;
 use crate::parallel::Interrupt;
+use crate::snapshot::RowStore;
 use crate::stat::{Backend, FixedBinHistogram, GaussianPocv, StatBackendKind, StatModelConfig};
 use crate::trace::{kernel_code, TraceSink};
 use crate::validate::{self, Issue, ValidationMode, ValidationReport};
@@ -341,6 +342,9 @@ pub struct InstaEngine {
     pub(crate) topk_synced: bool,
     /// Persistent scratch of the cone sweep (see [`crate::incremental`]).
     pub(crate) cone: ConeScratch,
+    /// The worst-entry rows a [`snapshot`](InstaEngine::snapshot) serves,
+    /// kept current by cone sweeps (see [`crate::snapshot`]).
+    pub(crate) rows: RowStore,
     /// Top-K arrays of a batched call's corner base passes (see
     /// [`crate::batch`]): absent until the first corner lane, then kept.
     pub(crate) corner_scratch: CornerScratch,
@@ -555,6 +559,7 @@ impl InstaEngine {
             stats: SessionStats::default(),
             topk_synced: false,
             cone: ConeScratch::new(n, num_levels, k),
+            rows: RowStore::default(),
             corner_scratch: CornerScratch::default(),
             lse_writes: 0,
             grad_writes: 0,

@@ -61,6 +61,7 @@ impl InstaEngine {
         // The pass rewrites the Top-K arrays whether it succeeds or not;
         // only a completed pass leaves them in sync with the annotations.
         self.topk_synced = false;
+        self.rows.invalidate();
         self.trace.begin("forward");
         let res = with_model!(&self.backend, m => forward::<_, false>(
             &self.st,
@@ -133,6 +134,7 @@ impl InstaEngine {
         // Both output families are rewritten whether the pass succeeds or
         // not; only a completed pass leaves them in sync.
         self.topk_synced = false;
+        self.rows.invalidate();
         self.lse_writes += 1;
         self.state.lse_tau_used = None;
         self.trace.begin("forward_fused");

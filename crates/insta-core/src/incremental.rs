@@ -93,7 +93,8 @@ pub(crate) struct ConeScratch {
     /// once the sweep completes, recomputed by it).
     stamp: Vec<u32>,
     epoch: u32,
-    /// Per-level worklists; they keep their capacity between sweeps.
+    /// Per-level worklists. A completed sweep leaves on them the nodes it
+    /// recomputed, until the next sweep opens.
     frontier: Vec<Vec<u32>>,
     /// A node's `2k` entries before its recompute, both transitions: the
     /// node being recomputed only, or — while `logging` — one run per
@@ -165,6 +166,11 @@ impl ConeScratch {
     #[inline]
     pub(crate) fn recomputed(&self, v: u32) -> bool {
         self.stamp[v as usize] == self.epoch
+    }
+
+    /// Every node the last completed sweep recomputed, level by level.
+    pub(crate) fn swept(&self) -> impl Iterator<Item = u32> + '_ {
+        self.frontier.iter().flatten().copied()
     }
 
     /// Turns logging on and writes `deltas` over the annotations the way
@@ -411,6 +417,11 @@ impl InstaEngine {
             ("pruned", c.pruned as f64),
             ("ok", if res.is_ok() { 1.0 } else { 0.0 }),
         ]);
+        // The snapshot rows follow the arrays (see [`crate::snapshot`]).
+        match &res {
+            Ok(_) => self.rows.follow_cone(&self.state, &self.cone),
+            Err(_) => self.rows.invalidate(),
+        }
         self.settle(res)
     }
 
@@ -520,7 +531,6 @@ pub(crate) fn cone_sweep<M: StatModel>(
         if let (Some(p), Some(t0)) = (prof.as_deref_mut(), t_level) {
             p.record_level(l, t0.elapsed().as_nanos() as u64, nodes.len() as u64);
         }
-        nodes.clear();
         cone.frontier[l] = nodes;
     }
     Ok(recovered)

@@ -119,7 +119,8 @@ pub use error::{
 pub use hold::{hold_attributes, HoldAttributes};
 pub use metrics::{EngineCounters, InstaReport};
 pub use persist::{
-    decode_snapshot, encode_snapshot, Dec, Enc, EngineDurableState, PersistError, WriterOp,
+    decode_snapshot, encode_snapshot, encode_snapshot_into, ByteSink, Dec, Enc,
+    EngineDurableState, PersistError, WriterOp,
 };
 pub use session::{SessionStatus, TimingSession};
 pub use snapshot::TimingSnapshot;

@@ -123,10 +123,24 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
+/// Where encoded bytes go: a growing `Vec<u8>`, or a consumer that takes
+/// them as they are produced (the checkpoint writer streams a multi-MB
+/// image to its file through a small buffer instead of building it).
+pub trait ByteSink {
+    /// Takes the next run of encoded bytes.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl ByteSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
 /// A little-endian byte-stream encoder (append-only, infallible).
 #[derive(Debug, Default)]
-pub struct Enc {
-    buf: Vec<u8>,
+pub struct Enc<S = Vec<u8>> {
+    out: S,
 }
 
 impl Enc {
@@ -137,27 +151,34 @@ impl Enc {
 
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+        self.out
+    }
+}
+
+impl<S: ByteSink> Enc<S> {
+    /// An encoder that feeds `out`.
+    pub fn to(out: S) -> Self {
+        Enc { out }
     }
 
     /// Appends a raw byte slice.
     pub fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
+        self.out.put(b);
     }
 
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.out.put(&[v]);
     }
 
     /// Appends a little-endian `u32`.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
     }
 
     /// Appends an `f64` as its raw IEEE-754 bits (bit-exact, NaN-safe).
@@ -240,7 +261,7 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn enc_f64s(e: &mut Enc, v: &[f64]) {
+fn enc_f64s<S: ByteSink>(e: &mut Enc<S>, v: &[f64]) {
     e.u64(v.len() as u64);
     for &x in v {
         e.f64(x);
@@ -256,7 +277,7 @@ fn dec_f64s(d: &mut Dec<'_>, what: &'static str) -> Result<Vec<f64>, PersistErro
     Ok(v)
 }
 
-fn enc_u32s(e: &mut Enc, v: &[u32]) {
+fn enc_u32s<S: ByteSink>(e: &mut Enc<S>, v: &[u32]) {
     e.u64(v.len() as u64);
     for &x in v {
         e.u32(x);
@@ -272,7 +293,7 @@ fn dec_u32s(d: &mut Dec<'_>, what: &'static str) -> Result<Vec<u32>, PersistErro
     Ok(v)
 }
 
-fn enc_pairs(e: &mut Enc, v: &[[f64; 2]]) {
+fn enc_pairs<S: ByteSink>(e: &mut Enc<S>, v: &[[f64; 2]]) {
     e.u64(v.len() as u64);
     for p in v {
         e.f64(p[0]);
@@ -355,7 +376,7 @@ impl WriterOp {
     }
 }
 
-fn enc_counters(e: &mut Enc, c: &EngineCounters) {
+fn enc_counters<S: ByteSink>(e: &mut Enc<S>, c: &EngineCounters) {
     e.u64(c.epoch);
     e.u64(c.sessions_begun);
     e.u64(c.sessions_committed);
@@ -415,7 +436,7 @@ fn dec_counters(d: &mut Dec<'_>) -> Result<EngineCounters, PersistError> {
     })
 }
 
-fn enc_report(e: &mut Enc, r: &InstaReport) {
+fn enc_report<S: ByteSink>(e: &mut Enc<S>, r: &InstaReport) {
     e.f64(r.wns_ps);
     e.f64(r.tns_ps);
     e.u64(r.n_violations as u64);
@@ -449,7 +470,7 @@ fn dec_report(d: &mut Dec<'_>) -> Result<InstaReport, PersistError> {
     })
 }
 
-fn enc_perf(e: &mut Enc, p: &PerfReport) {
+fn enc_perf<S: ByteSink>(e: &mut Enc<S>, p: &PerfReport) {
     e.u64(p.rows.len() as u64);
     for r in &p.rows {
         e.u64(r.level as u64);
@@ -505,20 +526,32 @@ fn dec_perf(d: &mut Dec<'_>) -> Result<PerfReport, PersistError> {
 /// `node_orig` and is rebuilt on decode.
 pub fn encode_snapshot(s: &TimingSnapshot) -> Vec<u8> {
     let mut e = Enc::new();
+    encode_snapshot_into(s, &mut e);
+    e.into_bytes()
+}
+
+/// [`encode_snapshot`] into any sink, byte for byte.
+pub fn encode_snapshot_into<S: ByteSink>(s: &TimingSnapshot, e: &mut Enc<S>) {
     e.u64(s.epoch);
     match &s.report {
         None => e.u8(0),
         Some(r) => {
             e.u8(1);
-            enc_report(&mut e, r);
+            enc_report(e, r);
         }
     }
-    enc_counters(&mut e, &s.counters);
-    enc_f64s(&mut e, &s.arrival0);
-    enc_u32s(&mut e, &s.sp0);
-    enc_u32s(&mut e, &s.node_orig);
-    enc_perf(&mut e, &s.perf);
-    e.into_bytes()
+    enc_counters(e, &s.counters);
+    // The chunked rows are written as the two flat arrays they stand for.
+    e.u64(s.n_rows as u64);
+    for (arrivals, _) in s.row_runs() {
+        arrivals.iter().for_each(|&a| e.f64(a));
+    }
+    e.u64(s.n_rows as u64);
+    for (_, sps) in s.row_runs() {
+        sps.iter().for_each(|&sp| e.u32(sp));
+    }
+    enc_u32s(e, &s.node_orig);
+    enc_perf(e, &s.perf);
 }
 
 /// Decodes a payload produced by [`encode_snapshot`], rebuilding the
@@ -545,6 +578,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<TimingSnapshot, PersistError> {
     let counters = dec_counters(&mut d)?;
     let arrival0 = dec_f64s(&mut d, "snapshot arrival0")?;
     let sp0 = dec_u32s(&mut d, "snapshot sp0")?;
+    if sp0.len() != arrival0.len() {
+        return Err(PersistError::Mismatch {
+            what: "snapshot sp0",
+            expected: arrival0.len(),
+            got: sp0.len(),
+        });
+    }
     let node_orig = dec_u32s(&mut d, "snapshot node_orig")?;
     let perf = dec_perf(&mut d)?;
     d.finish()?;
@@ -567,8 +607,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<TimingSnapshot, PersistError> {
         epoch,
         report,
         counters,
-        arrival0,
-        sp0,
+        rows: crate::snapshot::rows_from(&arrival0, &sp0),
+        n_rows: arrival0.len(),
         node_orig: node_orig.into(),
         orig_index: orig_index.into(),
         perf,
@@ -656,12 +696,23 @@ impl EngineDurableState {
     /// Encodes the state as a self-contained payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
+        self.encode_into(&mut e);
+        e.into_bytes()
+    }
+
+    /// [`encode`](Self::encode) into any sink, byte for byte.
+    pub fn encode_into<S: ByteSink>(&self, e: &mut Enc<S>) {
         e.u64(self.epoch);
         e.u64(self.drift_updates);
         e.f64(self.drift_mass);
-        enc_pairs(&mut e, &self.arc_mean);
-        enc_pairs(&mut e, &self.arc_sigma);
-        e.into_bytes()
+        enc_pairs(e, &self.arc_mean);
+        enc_pairs(e, &self.arc_sigma);
+    }
+
+    /// How many bytes [`encode`](Self::encode) produces (a streaming
+    /// writer frames the state with its length before encoding it).
+    pub fn encoded_len(&self) -> usize {
+        3 * 8 + 2 * 8 + 16 * (self.arc_mean.len() + self.arc_sigma.len())
     }
 
     /// Decodes a payload produced by [`encode`](Self::encode).
@@ -843,6 +894,7 @@ mod tests {
         let bytes = state.encode();
         let decoded = EngineDurableState::decode(&bytes).expect("round trip");
         assert_eq!(decoded, state);
+        assert_eq!(state.encoded_len(), bytes.len());
 
         // A fresh twin from the same seed, restored + propagated, must
         // land on identical bits and epoch.

@@ -400,6 +400,7 @@ impl InstaEngine {
     /// bookkeeping.
     pub fn forward_scalar_reference(&mut self) -> &InstaReport {
         self.topk_synced = false;
+        self.rows.invalidate();
         ref_forward(&self.st, &mut self.state);
         let report =
             crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr, &crate::stat::GaussianPocv);
@@ -424,6 +425,7 @@ impl InstaEngine {
         assert_eq!(attrs.source_mean.len(), self.st.sources.len());
         assert_eq!(attrs.required_base.len(), self.st.endpoints.len());
         self.topk_synced = false;
+        self.rows.invalidate();
         ref_forward_min(&self.st, &mut self.state, attrs);
         crate::hold::evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr, &crate::stat::GaussianPocv)
     }

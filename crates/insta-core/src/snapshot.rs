@@ -13,16 +13,146 @@
 //! and publishes it with a single pointer swap (see `insta-serve`'s
 //! `SnapshotCell`).
 //!
-//! Capture cost is O(endpoints + nodes), not O(nodes × K): the bulk Top-K
-//! arrays stay inside the engine; only the per-(node, transition) worst
-//! entry — what [`TimingSnapshot::arrival_at`] serves — is copied. The
-//! node-id maps are static per engine and shared by `Arc`.
+//! # Capture cost: O(chunks + cone)
+//!
+//! The bulk Top-K arrays stay inside the engine; a snapshot serves only
+//! the per-(node, transition) worst entry — what
+//! [`TimingSnapshot::arrival_at`] reads. Those rows live in fixed-size
+//! copy-on-write chunks ([`CHUNK_ROWS`] rows behind one `Arc` each) that
+//! the engine keeps current as it goes ([`RowStore`]): a cone sweep
+//! rewrites the rows of the nodes it recomputed, which copies a chunk
+//! only when a snapshot still shares it; a full pass merely marks the
+//! store stale and the next cone sweep re-gathers it once — all of it only
+//! from an engine's first capture on, so a flow that never takes a
+//! snapshot keeps no chunks. A capture on the cone path is then one `Arc`
+//! clone per chunk plus a copy of the endpoint report — no walk over the
+//! `2·nodes` rows, which a stride-K gather of the Top-K arrays used to
+//! make the second-largest layer of a durable commit. A reader that still
+//! holds an older epoch keeps that epoch's chunks alive and nothing it can
+//! see is ever written. The node-id maps are static per engine and shared
+//! by `Arc`.
 
-use crate::engine::InstaEngine;
+use crate::engine::{InstaEngine, State};
+use crate::incremental::ConeScratch;
 use crate::metrics::{EngineCounters, InstaReport};
 use crate::topk::NO_SP;
 use crate::trace::PerfReport;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Rows per copy-on-write chunk. A cone update touches a few hundred
+/// nodes scattered over the levels, so nearly every touched node costs
+/// one chunk copy while the previous epoch is still published: at 128
+/// rows (1.5 KB) that is ~0.4 MB of copies on block-5, and a capture
+/// clones ~450 pointers.
+pub(crate) const CHUNK_ROWS: usize = 128;
+
+/// One chunk of worst-entry rows, indexed `(node * 2 + rf) % CHUNK_ROWS`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RowChunk {
+    /// Worst corner arrival per row.
+    arrival: [f64; CHUNK_ROWS],
+    /// Startpoint of that entry ([`NO_SP`] = unreached).
+    sp: [u32; CHUNK_ROWS],
+}
+
+/// The rows of one epoch: chunk `i` holds rows `i * CHUNK_ROWS ..`; rows
+/// of the last chunk past the row count are unreached.
+pub(crate) type Rows = Vec<Arc<RowChunk>>;
+
+const BLANK: RowChunk = RowChunk {
+    arrival: [f64::NEG_INFINITY; CHUNK_ROWS],
+    sp: [NO_SP; CHUNK_ROWS],
+};
+
+/// `n_rows` unreached rows: one chunk, shared by every slot.
+fn blank_rows(n_rows: usize) -> Rows {
+    let blank = Arc::new(BLANK);
+    (0..n_rows.div_ceil(CHUNK_ROWS))
+        .map(|_| Arc::clone(&blank))
+        .collect()
+}
+
+/// Chunks holding the given rows (`arrival` and `sp` of one length).
+pub(crate) fn rows_from(arrival: &[f64], sp: &[u32]) -> Rows {
+    arrival
+        .chunks(CHUNK_ROWS)
+        .zip(sp.chunks(CHUNK_ROWS))
+        .map(|(a, s)| {
+            let mut c = BLANK;
+            c.arrival[..a.len()].copy_from_slice(a);
+            c.sp[..s.len()].copy_from_slice(s);
+            Arc::new(c)
+        })
+        .collect()
+}
+
+/// The stride-K gather of every queue's slot 0: what a capture used to
+/// do per commit, now done once after a full pass.
+fn gather_rows(state: &State) -> Rows {
+    let k = state.k;
+    let arrival: Vec<f64> = state.topk_arrival.iter().step_by(k).copied().collect();
+    let sp: Vec<u32> = state.topk_sp.iter().step_by(k).copied().collect();
+    rows_from(&arrival, &sp)
+}
+
+/// The engine's side of the chunks: the rows of its Top-K arrays as of the
+/// last cone sweep, or stale since a full pass rewrote the arrays. Kept
+/// only for an engine somebody takes snapshots of: a sizing flow that
+/// never captures pays neither the memory nor the upkeep.
+#[derive(Debug, Default)]
+pub(crate) struct RowStore {
+    chunks: Rows,
+    /// Whether `chunks` are the arrays' rows. Only read while the arrays
+    /// themselves are in sync (`topk_synced`).
+    current: bool,
+    /// Set by the first capture (through `&self`, hence the atomic).
+    wanted: AtomicBool,
+}
+
+impl Clone for RowStore {
+    fn clone(&self) -> Self {
+        RowStore {
+            chunks: self.chunks.clone(),
+            current: self.current,
+            wanted: AtomicBool::new(self.wanted.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+impl RowStore {
+    /// The arrays are about to be rewritten by something other than a
+    /// cone sweep (full pass, hold pass) or a sweep stopped half-way.
+    pub(crate) fn invalidate(&mut self) {
+        self.current = false;
+    }
+
+    /// Brings the chunks up to date after a completed cone sweep: the rows
+    /// of the nodes it recomputed are rewritten — a chunk a snapshot still
+    /// shares is copied first — or, after a full pass, all of them are
+    /// gathered afresh.
+    pub(crate) fn follow_cone(&mut self, state: &State, cone: &ConeScratch) {
+        if !*self.wanted.get_mut() {
+            self.current = false;
+            return;
+        }
+        if !self.current {
+            self.chunks = gather_rows(state);
+            self.current = true;
+            return;
+        }
+        let k = state.k;
+        for v in cone.swept() {
+            // A node's two rows are neighbours in one chunk.
+            let row = v as usize * 2;
+            let chunk = Arc::make_mut(&mut self.chunks[row / CHUNK_ROWS]);
+            for rf in 0..2 {
+                chunk.arrival[row % CHUNK_ROWS + rf] = state.topk_arrival[(row + rf) * k];
+                chunk.sp[row % CHUNK_ROWS + rf] = state.topk_sp[(row + rf) * k];
+            }
+        }
+    }
+}
 
 /// An immutable capture of one committed epoch's observable timing state.
 ///
@@ -35,10 +165,10 @@ pub struct TimingSnapshot {
     pub(crate) epoch: u64,
     pub(crate) report: Option<InstaReport>,
     pub(crate) counters: EngineCounters,
-    /// Worst corner arrival per `(node, rf)` (renumbered node order).
-    pub(crate) arrival0: Vec<f64>,
-    /// Startpoint of that worst entry ([`NO_SP`] = unreached).
-    pub(crate) sp0: Vec<u32>,
+    /// Worst corner arrival and its startpoint per `(node, rf)`
+    /// (renumbered node order), `n_rows` of them.
+    pub(crate) rows: Rows,
+    pub(crate) n_rows: usize,
     /// Renumbered → original node id, and its inverse (what makes
     /// [`arrival_at`](Self::arrival_at) O(1)). Both are static per engine
     /// and shared with it: a capture copies neither, and dropping an old
@@ -76,12 +206,22 @@ impl TimingSnapshot {
     /// [`InstaEngine::arrival_at`]).
     pub fn arrival_at(&self, orig_node: u32, rf: usize) -> Option<f64> {
         let v = *self.orig_index.get(orig_node as usize)? as usize;
-        let idx = v * 2 + rf.min(1);
-        if self.sp0[idx] == NO_SP {
-            None
-        } else {
-            Some(self.arrival0[idx])
+        let row = v * 2 + rf.min(1);
+        if row >= self.n_rows {
+            return None;
         }
+        let chunk = self.rows.get(row / CHUNK_ROWS)?;
+        let at = row % CHUNK_ROWS;
+        (chunk.sp[at] != NO_SP).then(|| chunk.arrival[at])
+    }
+
+    /// The rows in order, as runs of `(arrivals, startpoints)` — one run
+    /// per chunk, the last cut to the row count.
+    pub(crate) fn row_runs(&self) -> impl Iterator<Item = (&[f64], &[u32])> {
+        self.rows.iter().enumerate().map(|(i, c)| {
+            let len = CHUNK_ROWS.min(self.n_rows.saturating_sub(i * CHUNK_ROWS));
+            (&c.arrival[..len], &c.sp[..len])
+        })
     }
 
     /// The engine's monotonic counters as of the capture.
@@ -96,12 +236,13 @@ impl TimingSnapshot {
     }
 
     /// Approximate resident bytes the capture owns (report + arrival rows;
-    /// the id maps are shared with the engine).
+    /// the id maps are shared with the engine, and chunks no later sweep
+    /// rewrote are shared with neighbouring epochs).
     pub fn bytes(&self) -> usize {
         let report = self.report.as_ref().map_or(0, |r| {
             r.slacks.len() * 8 * 3 + r.worst_sp.len() * 4 + r.worst_rf.len()
         });
-        report + self.arrival0.len() * 8 + self.sp0.len() * 4
+        report + self.n_rows * (8 + 4)
     }
 }
 
@@ -114,28 +255,36 @@ impl InstaEngine {
     /// capture is internally consistent: report, arrivals, and counters
     /// all describe the same epoch.
     ///
-    /// The arrival rows are copied only from Top-K arrays that are in sync
-    /// with the setup report. After a hold pass (negated early corners),
-    /// a bare re-annotation or a failed pass every row is captured as
-    /// unreached, so [`TimingSnapshot::arrival_at`] answers `None` rather
-    /// than a value that does not belong to the report beside it.
+    /// The arrival rows come only from Top-K arrays that are in sync with
+    /// the setup report. After a hold pass (negated early corners), a bare
+    /// re-annotation or a failed pass every row is captured as unreached,
+    /// so [`TimingSnapshot::arrival_at`] answers `None` rather than a
+    /// value that does not belong to the report beside it.
+    ///
+    /// After a cone update the capture clones chunk pointers (see the
+    /// [module docs](self)); right after a full pass it gathers the rows
+    /// once, as every capture used to.
     pub fn snapshot(&self) -> TimingSnapshot {
-        let n = self.num_nodes();
-        let k = self.top_k();
-        let (arrival0, sp0) = if self.topk_synced {
-            (
-                self.state.topk_arrival.iter().step_by(k).copied().collect(),
-                self.state.topk_sp.iter().step_by(k).copied().collect(),
-            )
+        // From now on cone sweeps keep the chunks for the next capture.
+        self.rows.wanted.store(true, Ordering::Relaxed);
+        let n_rows = self.num_nodes() * 2;
+        let rows = if !self.topk_synced {
+            blank_rows(n_rows)
+        } else if self.rows.current {
+            debug_assert!(
+                self.rows.chunks == gather_rows(&self.state),
+                "the row chunks fell behind the Top-K arrays"
+            );
+            self.rows.chunks.clone()
         } else {
-            (vec![f64::NEG_INFINITY; n * 2], vec![NO_SP; n * 2])
+            gather_rows(&self.state)
         };
         TimingSnapshot {
             epoch: self.epoch(),
             report: self.try_report().cloned(),
             counters: self.counters(),
-            arrival0,
-            sp0,
+            rows,
+            n_rows,
             node_orig: Arc::clone(&self.st.node_orig),
             orig_index: Arc::clone(&self.st.new_id),
             perf: self.perf_report(),
@@ -189,6 +338,71 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert!(snap.bytes() > 0);
+    }
+
+    /// Cone updates and rollbacks keep the chunked rows current: every
+    /// capture on the cone path equals one gathered afresh after a full
+    /// pass over the same annotations, and captures taken earlier never
+    /// move — a chunk they share is copied before it is rewritten.
+    #[test]
+    fn cone_updates_keep_the_row_chunks_current_and_older_captures_frozen() {
+        let (_d, _sta, mut eng) = build_engine(14, 8);
+        eng.propagate();
+        let n_arcs = eng.st.n_graph_arcs as u32;
+        let delta = |round: u32| insta_refsta::eco::ArcDelta {
+            arc: (round * 37 + 5) % n_arcs,
+            mean: [35.0 + f64::from(round), 20.0],
+            sigma: [2.5, 1.0 + f64::from(round)],
+        };
+        let mut held = vec![eng.snapshot()];
+        let mut images = vec![crate::persist::encode_snapshot(&held[0])];
+        for round in 0..8 {
+            let mut session = eng.begin_session();
+            session.update_timing(&[delta(round)]).expect("valid delta");
+            if round % 3 == 2 {
+                session.rollback();
+            } else {
+                session.commit().expect("commit");
+            }
+            assert!(
+                eng.rows.current,
+                "round {round}: the cone path keeps the store"
+            );
+            let snap = eng.snapshot();
+            let mut twin = eng.clone();
+            twin.propagate();
+            assert!(
+                !twin.rows.current,
+                "a full pass leaves the store to the next sweep"
+            );
+            let fresh = twin.snapshot();
+            assert!(snap.rows == fresh.rows, "round {round}: chunks fell behind");
+            assert_eq!(
+                snap.report().map(|r| &r.slacks),
+                fresh.report().map(|r| &r.slacks)
+            );
+            images.push(crate::persist::encode_snapshot(&snap));
+            held.push(snap);
+        }
+        assert!(
+            images.windows(2).any(|w| w[0] != w[1]),
+            "the deltas must move some row"
+        );
+        for (snap, image) in held.iter().zip(&images) {
+            assert!(
+                &crate::persist::encode_snapshot(snap) == image,
+                "a held capture moved"
+            );
+        }
+        // Unsynced arrays are captured as unreached rows, whatever the
+        // store holds.
+        eng.reannotate(&[delta(99)]).expect("valid delta");
+        let blank = eng.snapshot();
+        assert!(eng
+            .st
+            .node_orig
+            .iter()
+            .all(|&o| blank.arrival_at(o, 0).is_none()));
     }
 
     /// A snapshot taken before any propagation has no report but still

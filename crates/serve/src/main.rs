@@ -18,7 +18,7 @@
 //! instant loses no committed epoch. The same design flags
 //! (`--gen`/`--snapshot`/`--k`) must be passed on restart.
 //! `--sync-interval-us` sets the sustained spacing of WAL syncs (default
-//! 3000; 0 = sync as fast as commits arrive).
+//! 1000; 0 = sync as fast as commits arrive).
 
 use insta_engine::{InstaConfig, InstaEngine};
 use insta_refsta::export::load_init;

@@ -10,14 +10,18 @@
 //!    checkpoint: wrong design, seed, or engine config) or any decode
 //!    failure records a typed incident and falls back to the next-newest
 //!    checkpoint, then to the engine's initial state.
-//! 2. **WAL scan.** Validate framing and per-record CRC. A torn or
-//!    corrupt tail is physically truncated with a typed incident — the
-//!    valid prefix is kept, the damage is never replayed.
+//! 2. **WAL scan.** Every segment in name order: validate framing and
+//!    per-record CRC. A segment's log ends cleanly at a zero record
+//!    header or the end of the file. A torn or corrupt record is damage:
+//!    the rest of that segment is zeroed and later segments are dropped,
+//!    each with a typed incident — the valid prefix is kept, the damage
+//!    is never replayed.
 //! 3. **Replay.** Each record with an epoch above the engine's is applied
 //!    through a *real* timing session — the same code path the daemon's
 //!    writer used — and must commit to exactly the logged epoch. Records
 //!    at or below the engine's epoch are subsumed by the checkpoint
-//!    (the crash-between-rename-and-truncate window) and skipped.
+//!    (segments it covers are retired only after it is durable, and a
+//!    crash may come between the two) and skipped.
 //!
 //! Because deltas are absolute overwrites and propagation is
 //! deterministic, the recovered engine's slacks are bit-identical
@@ -40,7 +44,8 @@ pub struct RecoveryReport {
     pub checkpoint_epoch: Option<u64>,
     /// WAL records replayed through real sessions.
     pub replayed: u64,
-    /// Whether a damaged WAL tail was truncated.
+    /// Whether a damaged WAL tail was cut off (zeroed, later segments
+    /// dropped).
     pub wal_truncated: bool,
     /// Typed incidents (stale checkpoints, torn tails, replay gaps) —
     /// the server seeds its incident ring with these.
@@ -130,20 +135,46 @@ pub fn recover(engine: &mut InstaEngine, cfg: &DurabilityConfig) -> io::Result<R
             .expect("pristine state always fits its own engine");
     }
 
-    // Phase 2: WAL scan; truncate a damaged tail with a typed incident.
-    let path = wal::wal_path(&cfg.dir);
-    let scan = wal::scan_wal(&path)?;
-    if let Some(damage) = &scan.damage {
+    // Phase 2: WAL scan, segment by segment; cut a damaged tail off with
+    // a typed incident.
+    let mut records = Vec::new();
+    let segments = wal::list_segments(&cfg.dir)?;
+    for (i, (_, path)) in segments.iter().enumerate() {
+        let scan = wal::scan_segment(path)?;
+        records.extend(scan.records);
+        let Some(damage) = scan.damage else { continue };
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
         report.incidents.push(incident(format!(
-            "WAL tail truncated at byte {}: {}",
+            "WAL segment {name} truncated at byte {}: {}",
             damage.offset, damage.message
         )));
-        wal::truncate_wal(&path, scan.valid_bytes)?;
+        wal::repair_segment(path, scan.valid_bytes)?;
         report.wal_truncated = true;
+        // Nothing past the damage can join the epoch chain again.
+        let later = &segments[i + 1..];
+        if !later.is_empty() {
+            for (_, path) in later {
+                std::fs::remove_file(path)?;
+            }
+            report.incidents.push(incident(format!(
+                "{} WAL segment(s) after the damaged {name} dropped",
+                later.len()
+            )));
+        }
+        break;
+    }
+    let legacy = cfg.dir.join("wal.log");
+    if std::fs::metadata(&legacy).is_ok_and(|m| m.len() > 0) {
+        report.incidents.push(incident(format!(
+            "unsupported WAL format version: {} predates the segmented log (format {}); \
+             its records are not replayed",
+            legacy.display(),
+            wal::FORMAT_VERSION
+        )));
     }
 
     // Phase 3: replay the tail through real sessions.
-    for rec in &scan.records {
+    for rec in &records {
         if rec.epoch <= engine.epoch() {
             continue; // subsumed by the checkpoint
         }

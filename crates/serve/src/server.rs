@@ -28,7 +28,7 @@ use crate::protocol::{
     PROTOCOL_VERSION,
 };
 use crate::recovery::{self, RecoveryReport};
-use crate::wal::{Durability, DurabilityConfig};
+use crate::wal::{panic_message, Durability, DurabilityConfig};
 use insta_engine::{
     CancelToken, CornerTransform, Deadline, DeltaSet, EngineDurableState, IncidentLog,
     InstaEngine, InstaError, ModeMask, Scenario, ServiceIncident, TimingSnapshot, WriterOp,
@@ -83,12 +83,13 @@ impl SnapshotCell {
     /// ever race, the older writer loses.
     fn publish(&self, snap: TimingSnapshot) {
         let epoch = snap.epoch();
-        {
-            let mut cur = self.inner.write().unwrap_or_else(|p| p.into_inner());
-            if epoch > cur.epoch() {
-                *cur = Arc::new(snap);
-            }
-        }
+        // The lock covers the pointer swap and nothing else: the new `Arc`
+        // is allocated before it is taken, and the displaced epoch — the
+        // last reference to it, when no reader holds one — is freed after
+        // it is released, so no reader's `load` waits on the allocator.
+        drop(swap_if_newer(&self.inner, Arc::new(snap), |new, cur| {
+            new.epoch() > cur.epoch()
+        }));
         // The snapshot is visible before the watch moves, so a waiter
         // released by this publish always loads an epoch ≥ what it
         // waited for.
@@ -119,6 +120,22 @@ impl SnapshotCell {
                 .unwrap_or_else(|p| p.into_inner());
             w = g;
         }
+    }
+}
+
+/// Puts `new` into `slot` if `newer(new, current)` and returns the `Arc`
+/// that lost — the displaced value or the rejected one — for the caller
+/// to drop once the write lock is released.
+fn swap_if_newer<T>(
+    slot: &RwLock<Arc<T>>,
+    new: Arc<T>,
+    newer: impl FnOnce(&T, &T) -> bool,
+) -> Arc<T> {
+    let mut cur = slot.write().unwrap_or_else(|p| p.into_inner());
+    if newer(&new, &cur) {
+        std::mem::replace(&mut *cur, new)
+    } else {
+        new
     }
 }
 
@@ -335,6 +352,18 @@ impl Server {
         });
     }
 
+    /// Moves what the background checkpoint writer reported since the
+    /// last look into the incident ring. A checkpoint failure is an
+    /// incident, not a request failure — the WAL already holds the
+    /// committed records.
+    fn drain_durability_incidents(&self) {
+        if let Some(dur) = &self.shared.durability {
+            for message in dur.take_incidents() {
+                self.record_incident(0, code::DURABILITY, &message);
+            }
+        }
+    }
+
     /// Decodes, admits, dispatches (panic-isolated), and renders one
     /// request. Returns `(response body, close connection)`.
     fn handle_request(&self, body: &[u8]) -> (String, bool) {
@@ -450,11 +479,7 @@ impl Server {
             self.execute(req, deadline.as_ref())
         }))
         .unwrap_or_else(|payload| {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_owned());
+            let msg = panic_message(payload.as_ref());
             Err(ErrReply::new(
                 code::INTERNAL,
                 format!("panic isolated by connection supervisor: {msg}"),
@@ -513,6 +538,7 @@ impl Server {
     /// Engine + service counters, tier, and ring occupancy (satellite:
     /// the `stats` surface).
     fn stats(&self) -> Json {
+        self.drain_durability_incidents();
         let sh = &self.shared;
         let snap = sh.cell.load();
         let ec = snap.counters();
@@ -574,6 +600,7 @@ impl Server {
     }
 
     fn incidents(&self) -> Json {
+        self.drain_durability_incidents();
         let log = lock(&self.shared.incidents);
         let rows: Vec<Json> = log
             .services()
@@ -756,24 +783,16 @@ impl Server {
         sh.cell.publish(snap);
         if let Some(dur) = &sh.durability {
             // Checkpoint cadence, still under the writer lock so the
-            // captured state is exactly the epoch just published. The
-            // (full-state-clone) capture only happens on the commits the
-            // cadence actually selects — off-cadence commits pay for the
-            // WAL append alone. A checkpoint failure is an incident, not
-            // a request failure — the WAL already holds the committed
-            // record.
+            // captured state is exactly the epoch just published. Only the
+            // capture (a clone of the annotations) happens here, and only
+            // on the commits the cadence selects; encoding and every byte
+            // of checkpoint I/O belong to the layer's background writer.
             if dur.checkpoint_due() {
-                let state = EngineDurableState::capture(&eng);
-                if let Err(e) = dur.write_checkpoint(&state, &sh.cell.load()) {
-                    self.record_incident(
-                        req.id,
-                        code::DURABILITY,
-                        &format!("checkpoint at epoch {epoch} failed: {e}"),
-                    );
-                }
+                dur.submit_checkpoint(EngineDurableState::capture(&eng), sh.cell.load());
             }
         }
         drop(eng);
+        self.drain_durability_incidents();
         ServeCounters::bump(&sh.counters.snapshot_swaps);
         Ok(obj([
             ("epoch", epoch.to_json()),
@@ -1016,4 +1035,58 @@ fn parse_deltas(j: &Json) -> Result<Vec<ArcDelta>, ErrReply> {
         });
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::swap_if_newer;
+    use std::sync::{Arc, RwLock};
+
+    type Cell = Arc<RwLock<Arc<Probe>>>;
+
+    /// A published value that, when it is freed, checks that the cell's
+    /// write lock is not held.
+    struct Probe {
+        epoch: u64,
+        slot: Arc<RwLock<Option<Cell>>>,
+    }
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            if let Some(cell) = self.slot.read().unwrap().as_ref() {
+                assert!(
+                    cell.try_read().is_ok(),
+                    "epoch {} was freed inside the publish critical section",
+                    self.epoch
+                );
+            }
+        }
+    }
+
+    /// The publish critical section is a pointer swap: whichever `Arc`
+    /// loses — the displaced epoch or a stale candidate — comes back to
+    /// the caller alive (one reference: the caller's) and is freed with
+    /// the lock released.
+    #[test]
+    fn the_displaced_epoch_is_freed_outside_the_write_lock() {
+        let slot = Arc::new(RwLock::new(None));
+        let probe = |epoch| {
+            Arc::new(Probe {
+                epoch,
+                slot: Arc::clone(&slot),
+            })
+        };
+        let cell = Arc::new(RwLock::new(probe(0)));
+        *slot.write().unwrap() = Some(Arc::clone(&cell));
+        let newer = |new: &Probe, cur: &Probe| new.epoch > cur.epoch;
+        for epoch in [1, 2, 2, 1, 3] {
+            let lost = swap_if_newer(&cell, probe(epoch), newer);
+            assert_eq!(Arc::strong_count(&lost), 1, "nobody else frees it");
+            assert!(lost.epoch <= cell.read().unwrap().epoch);
+            drop(lost);
+        }
+        assert_eq!(cell.read().unwrap().epoch, 3);
+        // Let the last probe go without looking at a cell that is gone.
+        *slot.write().unwrap() = None;
+    }
 }

@@ -27,10 +27,13 @@ pub fn build_engine(seed: u64, k: usize) -> InstaEngine {
     engine
 }
 
+/// A client over the in-process transport.
+pub type Conn = Client<UnixStream, UnixStream>;
+
 /// Opens one client connection against an in-process daemon. The server
 /// side runs on its own thread (the production connection model); drop
 /// the client to end it.
-pub fn connect(server: &Server) -> (Client<UnixStream, UnixStream>, JoinHandle<()>) {
+pub fn connect(server: &Server) -> (Conn, JoinHandle<()>) {
     let (ours, theirs) = UnixStream::pair().expect("socketpair");
     let srv = server.clone();
     let handle = std::thread::spawn(move || {

@@ -128,6 +128,95 @@ fn concurrent_readers_see_whole_epochs_never_blends() {
     }
 }
 
+/// A reader that pins an epoch keeps *that epoch*: later commits rewrite
+/// the engine's rows chunk by chunk, copying a chunk the pinned snapshot
+/// still shares before touching it, so neither its slacks nor any of its
+/// point arrivals ever move — and once the reader lets go, the epoch is
+/// freed (nobody else counts a reference to it).
+#[test]
+fn a_pinned_epoch_keeps_its_rows_while_later_commits_rewrite_chunks() {
+    const COMMITS: u64 = 12;
+    const NODES: u32 = 400;
+    let server = Server::new(build_engine(SEED, K), ServeConfig::default());
+    let (mut writer, wh) = connect(&server);
+    let commit = |writer: &mut common::Conn, i: u64| {
+        let mean = 45.0 + i as f64;
+        let up = writer
+            .call(
+                Op::Update,
+                None,
+                obj([(
+                    "deltas",
+                    Json::Arr(vec![obj([
+                        ("arc", (i % 5).to_json()),
+                        ("mean", Json::Arr(vec![mean.to_json(), mean.to_json()])),
+                        ("sigma", Json::Arr(vec![4.5.to_json(), 4.5.to_json()])),
+                    ])]),
+                )]),
+            )
+            .expect("writer update");
+        assert!(up.ok, "{:?}", up.error);
+    };
+    let image = |snap: &insta_engine::TimingSnapshot| -> Vec<Option<u64>> {
+        (0..NODES)
+            .flat_map(|node| (0..2).map(move |rf| (node, rf)))
+            .map(|(node, rf)| snap.arrival_at(node, rf).map(f64::to_bits))
+            .collect()
+    };
+
+    // A reader spins on `load()` for the whole run: every snapshot it
+    // sees is a whole epoch, never older than the one before.
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let started = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let spinner = {
+        let (server, stop) = (server.clone(), std::sync::Arc::clone(&stop));
+        let started = std::sync::Arc::clone(&started);
+        std::thread::spawn(move || {
+            let (mut last, mut loads) = (0, 0u64);
+            started.wait();
+            // At least one load, however soon the writer is done.
+            while loads == 0 || !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                let snap = server.snapshot();
+                assert!(snap.epoch() >= last, "epoch went back");
+                assert_eq!(snap.epoch(), snap.counters().epoch, "a blended snapshot");
+                last = snap.epoch();
+                loads += 1;
+            }
+            (last, loads)
+        })
+    };
+
+    started.wait();
+    let mut pinned = Vec::new();
+    for i in 0..COMMITS {
+        commit(&mut writer, i);
+        let snap = server.snapshot();
+        assert_eq!(snap.epoch(), i + 1);
+        pinned.push((image(&snap), std::sync::Arc::downgrade(&snap), snap));
+    }
+    assert!(
+        pinned.windows(2).any(|w| w[0].0 != w[1].0),
+        "the commits must move some arrival"
+    );
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    let (last, loads) = spinner.join().expect("spinning reader");
+    assert!(last <= COMMITS && loads > 0);
+    let mut weak = Vec::new();
+    for (then, w, snap) in pinned {
+        assert!(
+            image(&snap) == then,
+            "epoch {} moved under its reader",
+            snap.epoch()
+        );
+        weak.push(w);
+    }
+    // Only the published epoch is still alive.
+    let alive = weak.iter().filter(|w| w.strong_count() > 0).count();
+    assert_eq!(alive, 1, "released epochs must be freed");
+    drop(writer);
+    wh.join().expect("connection thread");
+}
+
 /// Regression: commit order and publication order must agree. With the
 /// snapshot published *after* the writer lock was released, a preempted
 /// writer could publish its older epoch over a successor's newer one —

@@ -9,18 +9,26 @@
 //! exactly the durable commit prefix — torn tails surface as typed
 //! incidents and are truncated, never silently replayed; uncommitted
 //! writes disappear whole.
+//!
+//! Checkpoints are written by the durability layer's background thread.
+//! Where a test's expectation depends on *which* checkpoints landed, the
+//! storm waits for that thread after every commit
+//! ([`insta_serve::Durability::wait_idle`]); the generated schedules at
+//! the end leave the interleaving to chance on purpose.
 
 mod common;
 
-use common::{build_engine, connect, slack_bits};
+use common::{build_engine, connect, slack_bits, Conn};
 use insta_engine::{InstaConfig, InstaEngine};
 use insta_refsta::eco::ArcDelta;
+use insta_serve::wal::{list_checkpoints, list_segments, scan_segment, segment_path};
 use insta_serve::{
-    recover, Client, DurabilityConfig, Op, Request, ServeConfig, Server, PROTOCOL_VERSION,
+    recover, Client, Durability, DurabilityConfig, Op, Request, ServeConfig, Server,
+    PROTOCOL_VERSION,
 };
-use insta_support::{CrashPoint, CrashSwitch, DurabilityFault, FaultPlan};
 use insta_support::json::{obj, Json, ToJson};
-use std::path::PathBuf;
+use insta_support::{CrashPoint, CrashSwitch, DurabilityFault, FaultPlan};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -86,6 +94,48 @@ fn engine_bits(e: &InstaEngine) -> Vec<u64> {
         .unwrap_or_default()
 }
 
+/// Waits for the server's background checkpoint writer, so the next
+/// commit (or the assertions) see every checkpoint handed over so far on
+/// disk — or abandoned, when the crash switch tripped in the writer.
+fn settle(server: &Server) {
+    server.durability().expect("durable server").wait_idle();
+}
+
+/// First epochs of the WAL segments in `dir`, in log order.
+fn segment_names(dir: &Path) -> Vec<u64> {
+    list_segments(dir).unwrap().iter().map(|s| s.0).collect()
+}
+
+/// The one segment of a directory whose log never rotated, with the
+/// length of its written prefix (header + records).
+fn only_segment(dir: &Path) -> (PathBuf, usize) {
+    let segments = list_segments(dir).unwrap();
+    assert_eq!(segments.len(), 1, "{segments:?}");
+    let path = segments[0].1.clone();
+    let scan = scan_segment(&path).unwrap();
+    assert_eq!(scan.damage, None);
+    (path, scan.valid_bytes as usize)
+}
+
+/// Name, size and CRC of every file in `dir`, sorted: two equal listings
+/// mean nothing in the directory was touched.
+fn dir_fingerprint(dir: &Path) -> Vec<(String, u64, u32)> {
+    let mut out: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let bytes = std::fs::read(e.path()).unwrap();
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                bytes.len() as u64,
+                insta_support::hash::crc32(&bytes),
+            )
+        })
+        .collect();
+    out.sort();
+    out
+}
+
 /// Runs `n` storm commits against a durable server in `dir`, stopping
 /// early if an armed crash switch trips. Returns the server's last
 /// acked epoch.
@@ -117,8 +167,9 @@ fn kill_at_every_crash_point_recovers_the_durable_prefix_bit_exactly() {
         let dir = scratch(&format!("crash-{point:?}"));
         let switch = CrashSwitch::new(point, CRASH_AT);
         let mut cfg = DurabilityConfig::new(&dir);
-        // The cadence lands the checkpoint attempt exactly on the armed
-        // commit, so the two checkpoint crash points actually fire.
+        // The cadence lands the checkpoint hand-over (and with it the
+        // log rotation) exactly on the armed commit, so the rotation and
+        // the three checkpoint crash points actually fire.
         cfg.checkpoint_every = CRASH_AT + 1;
         cfg.crash = Some(switch.clone());
         let (server, boot) =
@@ -126,15 +177,18 @@ fn kill_at_every_crash_point_recovers_the_durable_prefix_bit_exactly() {
         assert_eq!(boot.recovered_epoch, 0, "{point:?}: fresh dir must boot clean");
         assert!(boot.incidents.is_empty(), "{point:?}");
 
-        run_storm(&server, 6, || switch.is_tripped());
+        run_storm(&server, 6, || {
+            settle(&server);
+            switch.is_tripped()
+        });
         assert!(switch.is_tripped(), "{point:?}: the armed crash never fired");
         assert!(server.durability().unwrap().is_dead(), "{point:?}");
         drop(server);
 
         // What the platter must hold, per the crash-window semantics:
         // a commit vanishes whole before its append, survives whole
-        // after it — and a checkpoint crash never loses or doubles
-        // anything, because the WAL still covers the epochs.
+        // after it — and a rotation or checkpoint crash never loses or
+        // doubles anything, because the WAL still covers the epochs.
         let durable = match point {
             CrashPoint::BeforeWalAppend | CrashPoint::MidWalAppend => CRASH_AT,
             _ => CRASH_AT + 1,
@@ -150,6 +204,13 @@ fn kill_at_every_crash_point_recovers_the_durable_prefix_bit_exactly() {
             "{point:?}: recovered slacks must be bit-identical to the crash-free twin"
         );
 
+        let tmp_left = || {
+            std::fs::read_dir(&dir).unwrap().any(|e| {
+                let name = e.unwrap().file_name();
+                let name = name.to_string_lossy();
+                name.starts_with("checkpoint-") && name.ends_with(".tmp")
+            })
+        };
         match point {
             CrashPoint::BeforeWalAppend | CrashPoint::AfterWalAppend => {
                 assert!(rep.incidents.is_empty(), "{point:?}: clean log, no incidents");
@@ -162,18 +223,29 @@ fn kill_at_every_crash_point_recovers_the_durable_prefix_bit_exactly() {
                 assert_eq!(rep.incidents.len(), 1, "{point:?}: {:?}", rep.incidents);
                 assert!(rep.incidents[0].message.contains("truncated"), "{point:?}");
             }
-            CrashPoint::MidCheckpoint => {
-                // The partial temp file is ignored; the WAL carries all.
+            CrashPoint::MidRotation => {
+                // The next segment is in place, stamped and empty; the one
+                // before it still holds every record. Both are read, and
+                // an empty stamped segment is a clean log, not damage.
+                assert_eq!(segment_names(&dir), vec![1, durable + 1], "{point:?}");
+                assert!(rep.incidents.is_empty(), "{point:?}: {:?}", rep.incidents);
+                assert!(!rep.wal_truncated, "{point:?}");
                 assert_eq!(rep.checkpoint_epoch, None, "{point:?}");
                 assert_eq!(rep.replayed, durable, "{point:?}");
-                let tmp_left = std::fs::read_dir(&dir).unwrap().any(|e| {
-                    e.unwrap().file_name().to_string_lossy().ends_with(".tmp")
-                });
-                assert!(tmp_left, "{point:?}: the partial checkpoint should be on disk");
             }
-            CrashPoint::AfterCheckpointBeforeTruncate => {
-                // Checkpoint landed, WAL never truncated: every record is
-                // subsumed and none may be double-replayed.
+            CrashPoint::MidCheckpointStream | CrashPoint::MidCheckpoint => {
+                // The partial temp file — header not yet written, or
+                // header written over a torn payload — is ignored; the
+                // WAL carries all.
+                assert!(rep.incidents.is_empty(), "{point:?}: {:?}", rep.incidents);
+                assert_eq!(rep.checkpoint_epoch, None, "{point:?}");
+                assert_eq!(rep.replayed, durable, "{point:?}");
+                assert!(tmp_left(), "{point:?}: the partial checkpoint should be on disk");
+            }
+            CrashPoint::AfterCheckpointBeforeRetire => {
+                // Checkpoint landed, the segment it covers never retired:
+                // every record is subsumed and none may be double-replayed.
+                assert_eq!(segment_names(&dir), vec![1, durable + 1], "{point:?}");
                 assert_eq!(rep.checkpoint_epoch, Some(durable), "{point:?}");
                 assert_eq!(rep.replayed, 0, "{point:?}: no double replay");
             }
@@ -185,6 +257,34 @@ fn kill_at_every_crash_point_recovers_the_durable_prefix_bit_exactly() {
         let rep2 = recover(&mut again, &DurabilityConfig::new(&dir)).unwrap();
         assert!(rep2.incidents.is_empty(), "{point:?}: repair must be idempotent");
         assert_eq!(again.epoch(), durable, "{point:?}");
+
+        // And the daemon picks the timeline up where the crash left it:
+        // two more commits on the crashed directory, another restart.
+        let (server, boot) = Server::with_durability(
+            build_engine(SEED, K),
+            ServeConfig::default(),
+            DurabilityConfig::new(&dir),
+        )
+        .unwrap();
+        assert_eq!(boot.recovered_epoch, durable, "{point:?}");
+        let (mut cl, h) = connect(&server);
+        for i in durable..durable + 2 {
+            let (op, params) = storm_request(i);
+            let r = cl.call(op, None, params).unwrap();
+            assert!(r.ok, "{point:?}: post-crash commit {i}: {:?}", r.error);
+        }
+        drop(cl);
+        h.join().unwrap();
+        drop(server);
+        let mut resumed = build_engine(SEED, K);
+        let rep3 = recover(&mut resumed, &DurabilityConfig::new(&dir)).unwrap();
+        assert!(rep3.incidents.is_empty(), "{point:?}: {:?}", rep3.incidents);
+        assert_eq!(rep3.recovered_epoch, durable + 2, "{point:?}");
+        assert_eq!(
+            engine_bits(&resumed),
+            engine_bits(&twin_after(durable + 2)),
+            "{point:?}: the resumed timeline must match its twin"
+        );
     }
 }
 
@@ -199,7 +299,12 @@ fn damaged_wal_bytes_surface_typed_incidents_and_keep_the_valid_prefix() {
         Server::with_durability(build_engine(SEED, K), ServeConfig::default(), cfg).unwrap();
     run_storm(&server, COMMITS, || false);
     drop(server);
-    let pristine = std::fs::read(master.join("wal.log")).unwrap();
+    // The faults aim at the end of what was *written* — where a torn
+    // append or a short flush hits — not at the preallocated zeros after
+    // it, which hold nothing to lose.
+    let (segment, written) = only_segment(&master);
+    let image = std::fs::read(&segment).unwrap();
+    let pristine = &image[..written];
 
     let plan = FaultPlan::new(0xD00D);
     for (case, fault) in DurabilityFault::ALL
@@ -209,9 +314,15 @@ fn damaged_wal_bytes_surface_typed_incidents_and_keep_the_valid_prefix() {
     {
         let dir = scratch(&format!("fault-{fault:?}"));
         std::fs::create_dir_all(&dir).unwrap();
-        let corrupted = plan.corrupt_durable(case as u64, fault, &pristine);
+        let mut corrupted = plan.corrupt_durable(case as u64, fault, pristine);
         assert_ne!(corrupted, pristine, "{fault:?} must change the bytes");
-        std::fs::write(dir.join("wal.log"), &corrupted).unwrap();
+        // Pages that never reached the platter read back as the zeros
+        // the segment was made of — except for the plain torn write, left
+        // as a short file: the end of the file ends a log too.
+        if fault != DurabilityFault::TornWrite {
+            corrupted.resize(image.len(), 0);
+        }
+        std::fs::write(dir.join(segment.file_name().unwrap()), &corrupted).unwrap();
 
         let mut recovered = build_engine(SEED, K);
         let rep = recover(&mut recovered, &DurabilityConfig::new(&dir)).unwrap();
@@ -253,11 +364,20 @@ fn stale_checkpoint_is_rejected_typed_and_wal_replay_rebuilds_from_genesis() {
     // DurabilityFault::StaleCheckpoint, constructed rather than
     // byte-corrupted.
     let foreign = build_engine(SEED + 900, K);
-    let image = insta_serve::wal::encode_checkpoint(
-        &insta_engine::EngineDurableState::capture(&foreign),
-        &foreign.snapshot(),
-    );
-    std::fs::write(dir.join("checkpoint-00000000000000000003.ckpt"), image).unwrap();
+    let foreign_dir = scratch("stale-ckpt-foreign");
+    let written = Durability::open(DurabilityConfig::new(&foreign_dir))
+        .unwrap()
+        .write_checkpoint(
+            &insta_engine::EngineDurableState::capture(&foreign),
+            &foreign.snapshot(),
+        )
+        .unwrap();
+    assert_eq!(written, Some(0));
+    std::fs::copy(
+        &list_checkpoints(&foreign_dir).unwrap()[0].1,
+        dir.join("checkpoint-00000000000000000003.ckpt"),
+    )
+    .unwrap();
 
     let mut recovered = build_engine(SEED, K);
     let rep = recover(&mut recovered, &DurabilityConfig::new(&dir)).unwrap();
@@ -279,12 +399,22 @@ fn stale_checkpoint_is_rejected_typed_and_wal_replay_rebuilds_from_genesis() {
 
 #[test]
 fn fresh_missing_empty_and_zero_length_wal_startups_are_clean() {
-    let cases: [(&str, fn(&PathBuf)); 3] = [
+    let cases: [(&str, fn(&PathBuf)); 5] = [
         ("edge-missing", |_dir| {}),
         ("edge-empty", |dir| std::fs::create_dir_all(dir).unwrap()),
         ("edge-zero-wal", |dir| {
             std::fs::create_dir_all(dir).unwrap();
             std::fs::write(dir.join("wal.log"), b"").unwrap();
+        }),
+        // A segment that was named but never got a byte, and one that was
+        // sized but never stamped: both are empty logs, not damage.
+        ("edge-zero-segment", |dir| {
+            std::fs::create_dir_all(dir).unwrap();
+            std::fs::write(segment_path(dir, 1), b"").unwrap();
+        }),
+        ("edge-unstamped-segment", |dir| {
+            std::fs::create_dir_all(dir).unwrap();
+            std::fs::write(segment_path(dir, 1), vec![0u8; 8192]).unwrap();
         }),
     ];
     for (name, prep) in cases {
@@ -317,14 +447,19 @@ fn fresh_missing_empty_and_zero_length_wal_startups_are_clean() {
 
 #[test]
 fn checkpoint_only_and_wal_only_directories_recover_bit_exactly() {
-    // Checkpoint-only: every commit checkpoints (truncating the WAL);
-    // then the WAL file itself is deleted.
+    // Checkpoint-only: every commit checkpoints (rotating the log and
+    // retiring what it covers); then the WAL segments are deleted.
     let dir = scratch("ckpt-only");
     let mut cfg = DurabilityConfig::new(&dir);
     cfg.checkpoint_every = 1;
     let (server, _) =
         Server::with_durability(build_engine(SEED, K), ServeConfig::default(), cfg).unwrap();
-    run_storm(&server, 3, || false);
+    // Each checkpoint lands before the next commit, so none is superseded
+    // in the mailbox.
+    run_storm(&server, 3, || {
+        settle(&server);
+        false
+    });
     drop(server);
     // Pruning kept the newest two checkpoints.
     let kept: Vec<u64> = insta_serve::wal::list_checkpoints(&dir)
@@ -333,7 +468,10 @@ fn checkpoint_only_and_wal_only_directories_recover_bit_exactly() {
         .map(|(e, _)| e)
         .collect();
     assert_eq!(kept, vec![3, 2]);
-    std::fs::remove_file(dir.join("wal.log")).unwrap();
+    // Every segment a checkpoint covers is gone; the one after the last
+    // checkpoint is empty.
+    assert_eq!(segment_names(&dir), vec![4]);
+    std::fs::remove_file(segment_path(&dir, 4)).unwrap();
 
     let (server, rep) = Server::with_durability(
         build_engine(SEED, K),
@@ -382,10 +520,12 @@ fn torn_tail_restart_seeds_the_incident_ring_and_serves_the_prefix() {
         Server::with_durability(build_engine(SEED, K), ServeConfig::default(), cfg).unwrap();
     run_storm(&server, 4, || false);
     drop(server);
-    // Tear the tail: the last record loses its final 5 bytes.
-    let wal = dir.join("wal.log");
-    let bytes = std::fs::read(&wal).unwrap();
-    std::fs::write(&wal, &bytes[..bytes.len() - 5]).unwrap();
+    // Tear the tail: the last record loses its final 5 bytes (they read
+    // back as the segment's zeros).
+    let (wal, written) = only_segment(&dir);
+    let mut bytes = std::fs::read(&wal).unwrap();
+    bytes[written - 5..written].fill(0);
+    std::fs::write(&wal, &bytes).unwrap();
 
     let (server, rep) = Server::with_durability(
         build_engine(SEED, K),
@@ -453,6 +593,441 @@ fn torn_tail_restart_seeds_the_incident_ring_and_serves_the_prefix() {
     s.update_timing(&[extra]).unwrap();
     s.commit().unwrap();
     assert_eq!(engine_bits(&again), engine_bits(&twin));
+}
+
+/// Reads one counter of the `stats` op's `durability` section.
+fn durability_stat(cl: &mut Conn, key: &str) -> u64 {
+    let stats = cl.call(Op::Stats, None, Json::Null).unwrap();
+    stats
+        .result
+        .field("durability")
+        .unwrap()
+        .get::<u64>(key)
+        .unwrap_or_else(|e| panic!("durability.{key}: {e}"))
+}
+
+fn durability_incidents(cl: &mut Conn) -> Vec<String> {
+    let inc = cl.call(Op::Incidents, None, Json::Null).unwrap();
+    inc.result
+        .field("incidents")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .filter(|r| r.get::<String>("category").unwrap() == "durability")
+        .map(|r| r.get::<String>("message").unwrap())
+        .collect()
+}
+
+#[test]
+fn a_clean_shutdown_restarts_without_incidents_and_covered_segments_retire() {
+    let dir = scratch("clean-restart");
+    let cfg = || DurabilityConfig {
+        checkpoint_every: 4,
+        ..DurabilityConfig::new(&dir)
+    };
+    let mut total = 0;
+    let mut newest = 0;
+    for round in 0..3 {
+        let (server, boot) =
+            Server::with_durability(build_engine(SEED, K), ServeConfig::default(), cfg()).unwrap();
+        // The log's zero tail is its end, not a torn record: a restart
+        // after a clean shutdown has nothing to report or repair.
+        assert!(boot.incidents.is_empty(), "round {round}: {:?}", boot.incidents);
+        assert!(!boot.wal_truncated, "round {round}");
+        assert_eq!(boot.recovered_epoch, total, "round {round}");
+
+        let (mut cl, h) = connect(&server);
+        for i in total..total + 10 {
+            let (op, params) = storm_request(i);
+            assert!(cl.call(op, None, params).unwrap().ok, "commit {i}");
+        }
+        total += 10;
+        settle(&server);
+        assert!(durability_incidents(&mut cl).is_empty(), "round {round}");
+        // Off the commit path, and seen: nothing in flight once the
+        // writer idles, the checkpoints it wrote and how long the last
+        // took, the segments left, the fsync latency distribution.
+        assert_eq!(durability_stat(&mut cl, "checkpoint_inflight"), 0);
+        assert_eq!(durability_stat(&mut cl, "checkpoint_failures"), 0);
+        let written = durability_stat(&mut cl, "checkpoints_written");
+        let superseded = durability_stat(&mut cl, "checkpoints_superseded");
+        assert!(written >= 1, "round {round}");
+        assert!(
+            written + superseded <= 3,
+            "round {round}: {written} + {superseded}"
+        );
+        // (The cadence counts this process's commits.)
+        newest = durability_stat(&mut cl, "last_checkpoint_epoch");
+        assert_eq!(newest, total - 2, "round {round}");
+        assert_eq!(durability_stat(&mut cl, "fsyncs"), 10, "round {round}");
+        assert!(durability_stat(&mut cl, "fdatasync_p50_us") > 0);
+        // A quantile reads as its bucket's upper edge: above the largest
+        // sample by less than a factor of two.
+        assert!(
+            durability_stat(&mut cl, "fdatasync_p99_us")
+                <= 2 * durability_stat(&mut cl, "fdatasync_max_us").max(1)
+        );
+        // Every segment the newest checkpoint covers is retired: what is
+        // left starts after it (plus, at most, the one it was handed over
+        // with, when that checkpoint was superseded in the mailbox).
+        let names = segment_names(&dir);
+        assert_eq!(durability_stat(&mut cl, "wal_segments"), names.len() as u64);
+        assert!(names.len() <= 2, "round {round}: {names:?}");
+        assert_eq!(*names.last().unwrap(), newest + 1, "round {round}: {names:?}");
+        drop(cl);
+        h.join().unwrap();
+        drop(server);
+        assert_eq!(list_checkpoints(&dir).unwrap().len(), 2, "round {round}");
+    }
+    let mut restarted = build_engine(SEED, K);
+    let rep = recover(&mut restarted, &cfg()).unwrap();
+    assert!(rep.incidents.is_empty(), "{:?}", rep.incidents);
+    assert_eq!(rep.recovered_epoch, total);
+    assert_eq!(rep.checkpoint_epoch, Some(newest));
+    assert_eq!(rep.replayed, total - newest);
+    assert_eq!(engine_bits(&restarted), engine_bits(&twin_after(total)));
+}
+
+/// A rotation renames the spare segment into place without waiting for
+/// the directory to be durable. After a power loss the acknowledged
+/// records written since may therefore sit under the spare's name:
+/// recovery reads them from there, and the next open gives the file the
+/// name it was on its way to.
+#[test]
+fn a_rotation_whose_rename_never_reached_the_directory_loses_nothing() {
+    let dir = scratch("lost-rename");
+    let cfg = DurabilityConfig {
+        checkpoint_every: 3,
+        ..DurabilityConfig::new(&dir)
+    };
+    let (server, _) =
+        Server::with_durability(build_engine(SEED, K), ServeConfig::default(), cfg).unwrap();
+    run_storm(&server, 5, || {
+        settle(&server);
+        false
+    });
+    drop(server);
+    // Checkpoint 3 landed and retired the first segment; epochs 4 and 5
+    // are in the segment the rotation renamed. Undo that rename.
+    assert_eq!(segment_names(&dir), vec![4]);
+    std::fs::rename(segment_path(&dir, 4), dir.join("wal-spare.seg")).unwrap();
+
+    let mut recovered = build_engine(SEED, K);
+    let rep = recover(&mut recovered, &DurabilityConfig::new(&dir)).unwrap();
+    assert!(rep.incidents.is_empty(), "{:?}", rep.incidents);
+    assert_eq!((rep.checkpoint_epoch, rep.replayed), (Some(3), 2));
+    assert_eq!(rep.recovered_epoch, 5);
+    assert_eq!(engine_bits(&recovered), engine_bits(&twin_after(5)));
+
+    let (server, boot) = Server::with_durability(
+        build_engine(SEED, K),
+        ServeConfig::default(),
+        DurabilityConfig::new(&dir),
+    )
+    .unwrap();
+    assert!(boot.incidents.is_empty(), "{:?}", boot.incidents);
+    assert_eq!(boot.recovered_epoch, 5);
+    assert_eq!(segment_names(&dir), vec![4], "the open names the segment");
+    let (mut cl, h) = connect(&server);
+    for i in 5..7 {
+        let (op, params) = storm_request(i);
+        assert!(cl.call(op, None, params).unwrap().ok, "commit {i}");
+    }
+    drop(cl);
+    h.join().unwrap();
+    drop(server);
+    let mut resumed = build_engine(SEED, K);
+    let rep = recover(&mut resumed, &DurabilityConfig::new(&dir)).unwrap();
+    assert!(rep.incidents.is_empty(), "{:?}", rep.incidents);
+    assert_eq!(rep.recovered_epoch, 7);
+    assert_eq!(engine_bits(&resumed), engine_bits(&twin_after(7)));
+}
+
+#[test]
+fn a_checkpoint_writer_panic_or_io_error_is_an_incident_and_commits_carry_on() {
+    let dir = scratch("writer-panic");
+    let cfg = DurabilityConfig {
+        checkpoint_every: 2,
+        ..DurabilityConfig::new(&dir)
+    };
+    let (server, _) =
+        Server::with_durability(build_engine(SEED, K), ServeConfig::default(), cfg).unwrap();
+    let (mut cl, h) = connect(&server);
+    let mut commit = |i: u64| {
+        let (op, params) = storm_request(i);
+        let r = cl.call(op, None, params).unwrap();
+        assert!(r.ok, "commit {i}: {:?}", r.error);
+        settle(&server);
+    };
+    // The checkpoint of epoch 2 panics in the middle of its stream.
+    server.durability().unwrap().debug_panic_next_checkpoint();
+    (0..2).for_each(&mut commit);
+    // The checkpoint of epoch 4 finds its temp file's place taken by a
+    // directory: an I/O error.
+    let blocker = dir.join(format!("checkpoint-{:020}.tmp", 4));
+    std::fs::create_dir(&blocker).unwrap();
+    (2..4).for_each(&mut commit);
+    std::fs::remove_dir(&blocker).unwrap();
+    // The daemon kept committing, and the next checkpoint lands.
+    (4..6).for_each(&mut commit);
+
+    let incidents = durability_incidents(&mut cl);
+    assert_eq!(incidents.len(), 2, "{incidents:?}");
+    assert!(
+        incidents[0].contains("epoch 2") && incidents[0].contains("panicked"),
+        "{incidents:?}"
+    );
+    assert!(incidents[1].contains("epoch 4"), "{incidents:?}");
+    assert_eq!(durability_stat(&mut cl, "checkpoint_failures"), 2);
+    assert_eq!(durability_stat(&mut cl, "checkpoints_written"), 1);
+    assert_eq!(durability_stat(&mut cl, "last_checkpoint_epoch"), 6);
+    assert_eq!(durability_stat(&mut cl, "wal_records"), 6);
+    drop(cl);
+    h.join().unwrap();
+    drop(server);
+
+    let mut restarted = build_engine(SEED, K);
+    let rep = recover(&mut restarted, &DurabilityConfig::new(&dir)).unwrap();
+    assert!(rep.incidents.is_empty(), "{:?}", rep.incidents);
+    assert_eq!(rep.checkpoint_epoch, Some(6));
+    assert_eq!(rep.recovered_epoch, 6);
+    assert_eq!(engine_bits(&restarted), engine_bits(&twin_after(6)));
+}
+
+/// One step of a generated durability schedule.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Step {
+    /// One acknowledged storm commit (logged, synced, committed).
+    Commit,
+    /// A checkpoint of the current epoch is handed to the background
+    /// writer: the log rotates; the checkpoint lands whenever it lands.
+    Checkpoint,
+    /// Wait for the background writer: every checkpoint handed over so
+    /// far completes before the next step.
+    Settle,
+}
+
+/// Where the crash cuts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Cut {
+    /// The last, unacknowledged record of the active segment is lost from
+    /// this share of its length on (1.0 = it landed whole); the lost
+    /// bytes read back as zeros, or the file ends there.
+    Log { share: f64, short_file: bool },
+    /// A checkpoint was being streamed: a temp file holding this share of
+    /// an image is left behind, with or without its header.
+    TempCheckpoint { share: f64, header: bool },
+}
+
+#[derive(Debug, Clone)]
+struct Schedule {
+    steps: Vec<Step>,
+    cut: Cut,
+}
+
+impl insta_support::prop::Shrink for Schedule {
+    fn shrink(&self) -> Vec<Self> {
+        (0..self.steps.len())
+            .map(|skip| Schedule {
+                steps: self
+                    .steps
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| *i != skip)
+                    .map(|(_, s)| *s)
+                    .collect(),
+                cut: self.cut,
+            })
+            .collect()
+    }
+}
+
+/// Runs one schedule against a fresh directory and checks the recovery
+/// contract. `case` only names the scratch directory.
+fn check_schedule(case: &str, schedule: &Schedule) -> Result<(), String> {
+    use insta_support::{prop_assert, prop_assert_eq};
+    let dir = scratch(case);
+    let cfg = DurabilityConfig {
+        // The schedule, not a cadence, says when checkpoints happen; no
+        // pacing, so a case costs its fsyncs and nothing more.
+        checkpoint_every: 0,
+        sync_interval: Duration::ZERO,
+        ..DurabilityConfig::new(&dir)
+    };
+    let mut engine = build_engine(SEED, K);
+    let dur = Durability::open(cfg.clone()).map_err(|e| e.to_string())?;
+    let op_of = |i: u64| {
+        if i % 3 == 2 {
+            insta_engine::WriterOp::Propagate
+        } else {
+            insta_engine::WriterOp::Update(vec![storm_delta(i)])
+        }
+    };
+    let mut acked = 0;
+    for step in &schedule.steps {
+        match step {
+            Step::Commit => {
+                let op = op_of(acked);
+                let mut session = engine.begin_session();
+                match &op {
+                    insta_engine::WriterOp::Propagate => session.propagate(),
+                    insta_engine::WriterOp::Update(d) => session.update_timing(d),
+                }
+                .map_err(|e| e.to_string())?;
+                dur.log_commit(acked + 1, &op).map_err(|e| e.to_string())?;
+                acked = session.commit().map_err(|e| e.to_string())?;
+            }
+            Step::Checkpoint => dur.submit_checkpoint(
+                insta_engine::EngineDurableState::capture(&engine),
+                std::sync::Arc::new(engine.snapshot()),
+            ),
+            Step::Settle => dur.wait_idle(),
+        }
+    }
+    // The crash strikes during one more commit: its record is on its way
+    // to the platter, nobody was told it is durable.
+    let in_flight = op_of(acked);
+    dur.log_commit(acked + 1, &in_flight)
+        .map_err(|e| e.to_string())?;
+    drop(dur);
+    prop_assert!(no_temp_files(&dir), "the run itself must be clean");
+
+    let (active, end) = {
+        let segments = list_segments(&dir).unwrap();
+        let path = segments.last().expect("a log").1.clone();
+        let scan = scan_segment(&path).unwrap();
+        prop_assert_eq!(scan.damage, None);
+        (path, scan.valid_bytes as usize)
+    };
+    let record_len = 8 + 8 + in_flight.encode().len();
+    let mut whole = true;
+    match schedule.cut {
+        Cut::Log { share, short_file } => {
+            let at = end - record_len + (record_len as f64 * share) as usize;
+            whole = at >= end;
+            let mut bytes = std::fs::read(&active).unwrap();
+            if short_file {
+                bytes.truncate(at);
+            } else {
+                bytes[at..end].fill(0);
+            }
+            std::fs::write(&active, &bytes).unwrap();
+        }
+        Cut::TempCheckpoint { share, header } => {
+            // An image to cut: the newest checkpoint, or one written now.
+            let donor = scratch(&format!("{case}-donor"));
+            let image = match list_checkpoints(&dir).unwrap().first() {
+                Some((_, path)) => std::fs::read(path).unwrap(),
+                None => {
+                    let d = Durability::open(DurabilityConfig::new(&donor)).unwrap();
+                    d.write_checkpoint(
+                        &insta_engine::EngineDurableState::capture(&engine),
+                        &engine.snapshot(),
+                    )
+                    .unwrap();
+                    std::fs::read(&list_checkpoints(&donor).unwrap()[0].1).unwrap()
+                }
+            };
+            let mut partial = image[..(image.len() as f64 * share) as usize].to_vec();
+            if !header {
+                let n = partial.len().min(24);
+                partial[..n].fill(0);
+            }
+            let name = format!("checkpoint-{:020}.tmp", acked + 1);
+            std::fs::write(dir.join(name), partial).unwrap();
+        }
+    }
+
+    let mut recovered = build_engine(SEED, K);
+    let rep = recover(&mut recovered, &cfg).map_err(|e| e.to_string())?;
+    let landed = if whole { acked + 1 } else { acked };
+    prop_assert!(
+        rep.recovered_epoch == landed,
+        "recovered epoch {} with {acked} acknowledged, expected {landed}",
+        rep.recovered_epoch
+    );
+    // A torn record is cut off with exactly one incident; a record that
+    // landed whole, or a cut exactly between two records, leaves none.
+    let torn = !whole && !matches!(schedule.cut, Cut::Log { share, .. } if share == 0.0);
+    prop_assert!(
+        rep.wal_truncated == torn && rep.incidents.len() == usize::from(torn),
+        "torn {torn}, truncated {}: {:?}",
+        rep.wal_truncated,
+        rep.incidents
+    );
+    let twin = twin_after(landed);
+    prop_assert_eq!(recovered.epoch(), twin.epoch());
+    prop_assert!(
+        engine_bits(&recovered) == engine_bits(&twin),
+        "recovered slacks differ from the twin at epoch {landed}"
+    );
+
+    // A second recovery of the same directory changes nothing and has
+    // nothing to say.
+    let before = dir_fingerprint(&dir);
+    let mut again = build_engine(SEED, K);
+    let rep2 = recover(&mut again, &cfg).map_err(|e| e.to_string())?;
+    prop_assert!(rep2.incidents.is_empty(), "{:?}", rep2.incidents);
+    prop_assert!(!rep2.wal_truncated);
+    prop_assert_eq!(rep2.recovered_epoch, landed);
+    prop_assert!(engine_bits(&again) == engine_bits(&twin));
+    prop_assert!(before == dir_fingerprint(&dir), "the second recovery wrote");
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
+}
+
+/// No `.tmp` is left by a run that was not cut.
+fn no_temp_files(dir: &Path) -> bool {
+    !std::fs::read_dir(dir)
+        .unwrap()
+        .any(|e| e.unwrap().file_name().to_string_lossy().ends_with(".tmp"))
+}
+
+#[test]
+fn generated_crash_schedules_recover_the_acknowledged_prefix() {
+    use insta_support::prop::{for_all, Config};
+    // Fixed seeds; the box bounds the wall time on a slow machine (cases
+    // past it pass unexamined), not the coverage on a normal one.
+    let started = Instant::now();
+    let budget = Duration::from_secs(60);
+    let case = std::sync::atomic::AtomicU64::new(0);
+    for_all(
+        Config::cases(24).seed(0x05EC_07D5),
+        |rng| {
+            let steps = (0..2 + rng.bounded_u64(22))
+                .map(|_| match rng.bounded_u64(10) {
+                    0..=6 => Step::Commit,
+                    7 | 8 => Step::Checkpoint,
+                    _ => Step::Settle,
+                })
+                .collect();
+            let share = match rng.bounded_u64(5) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.bounded_u64(1000) as f64 / 1000.0,
+            };
+            let cut = if rng.bounded_u64(4) == 0 {
+                Cut::TempCheckpoint {
+                    share,
+                    header: rng.bounded_u64(2) == 0,
+                }
+            } else {
+                Cut::Log {
+                    share,
+                    short_file: rng.bounded_u64(2) == 0,
+                }
+            };
+            Schedule { steps, cut }
+        },
+        |schedule| {
+            if started.elapsed() > budget {
+                return Ok(());
+            }
+            let n = case.fetch_add(1, Ordering::Relaxed);
+            check_schedule(&format!("schedule-{n}"), schedule)
+        },
+    );
 }
 
 #[test]

@@ -284,37 +284,53 @@ impl DurabilityFault {
 /// A point on the durable commit path where a crash can be injected.
 ///
 /// The write path is `append WAL record → fsync → commit → publish →
-/// (every Nth commit) write checkpoint → truncate WAL`; each variant
-/// names the instant *before* which the simulated power loss strikes, so
-/// a chaos suite can prove the recovery contract — last logged commit
-/// recovered, unlogged work vanished whole — at every window.
+/// (every Nth commit) rotate the log to a fresh segment and hand a
+/// checkpoint to the background writer`, and beside it `stream the
+/// checkpoint to a temp file → header → rename → retire covered
+/// segments`; each variant names the instant *before* which the
+/// simulated power loss strikes, so a chaos suite can prove the recovery
+/// contract — last logged commit recovered, unlogged work vanished whole
+/// — at every window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// Before the WAL record is appended: the commit vanishes whole.
     BeforeWalAppend,
-    /// Mid-append: a torn record is left on disk and must be truncated
-    /// by recovery, never replayed.
+    /// Mid-append: a torn record is left on disk and must be cut off by
+    /// recovery, never replayed.
     MidWalAppend,
     /// After the fsync'd append but before the snapshot publishes: the
     /// commit is durable and must be recovered even though no client
     /// ever observed it.
     AfterWalAppend,
-    /// Mid-checkpoint write: a partial temp file is left behind; recovery
-    /// must fall back to the previous checkpoint (or none) plus the WAL.
+    /// Mid-rotation: the next segment is in place (named and stamped) but
+    /// holds no record yet, and the segment it follows has not been
+    /// retired. Recovery reads both and finds the new one empty.
+    MidRotation,
+    /// The checkpoint writer dies mid-stream: a temp file with part of the
+    /// payload and no header yet is left behind; recovery must fall back
+    /// to the previous checkpoint (or none) plus the WAL.
+    MidCheckpointStream,
+    /// The checkpoint temp file got its header but lost the tail of its
+    /// payload (pages reach the platter in any order before the fsync) and
+    /// was never renamed: a partial temp file is left behind, with the
+    /// same fallback.
     MidCheckpoint,
-    /// After the checkpoint renamed into place but before the WAL was
-    /// truncated: recovery sees both and must not double-replay.
-    AfterCheckpointBeforeTruncate,
+    /// After the checkpoint renamed into place but before the segments it
+    /// covers were retired (the window the in-place truncate used to
+    /// have): recovery sees both and must not double-replay.
+    AfterCheckpointBeforeRetire,
 }
 
 impl CrashPoint {
     /// Every crash point, for exhaustive sweeps.
-    pub const ALL: [CrashPoint; 5] = [
+    pub const ALL: [CrashPoint; 7] = [
         CrashPoint::BeforeWalAppend,
         CrashPoint::MidWalAppend,
         CrashPoint::AfterWalAppend,
+        CrashPoint::MidRotation,
+        CrashPoint::MidCheckpointStream,
         CrashPoint::MidCheckpoint,
-        CrashPoint::AfterCheckpointBeforeTruncate,
+        CrashPoint::AfterCheckpointBeforeRetire,
     ];
 }
 

@@ -56,7 +56,7 @@ INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench mcmm_throughput 
 echo "==> serve-throughput smoke (reader p99 with a hot writer <= 2x idle p99; bench exits non-zero on breach)"
 INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench serve_throughput | tail -1 | tee BENCH_serve.json
 
-echo "==> WAL-overhead smoke (durable commit p50 within 1200 us of ephemeral, one fsync per commit; bench exits non-zero on breach)"
+echo "==> WAL-overhead smoke (unpaced durable commit p50 within 800 us of ephemeral — was 1200; measured 301-473 us with the segmented log — and one fsync per commit; bench exits non-zero on breach)"
 INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench wal_overhead | tail -1 | tee BENCH_wal.json
 
 echo "==> trace-overhead gate (traced propagate_fused <= 3% over untraced; bench exits non-zero on breach)"
