@@ -15,9 +15,8 @@
 use crate::stat::{with_model, StatModel};
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
-use crate::parallel::{chaos, resolve_threads, Interrupt, PanicCell, PAR_THRESHOLD};
+use crate::parallel::{carve, Interrupt, Pass};
 use crate::trace::LevelProfile;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 impl InstaEngine {
     /// Backpropagates ∂TNS/∂(arc delay) from the last evaluation report
@@ -47,48 +46,7 @@ impl InstaEngine {
     /// Panics if no evaluation report exists (a call-order bug, not an
     /// input fault).
     pub fn try_backward_tns(&mut self) -> Result<(), InstaError> {
-        let report = self
-            .state
-            .report
-            .clone()
-            .expect("propagate() must run before backward_tns()");
-        // The backward pass consumes the LSE arrivals/weights; if they are
-        // stale (never computed, τ changed via set_lse_tau, or arcs
-        // re-annotated since) recompute them at the current τ rather than
-        // silently reading outdated state.
-        if self.state.lse_tau_used != Some(self.cfg.lse_tau) {
-            self.try_forward_lse()?;
-        }
-        self.last_incident = None;
-        self.grad_writes += 1;
-        self.trace.begin("backward");
-        let res = with_model!(&self.backend, m => backward(
-            &self.st,
-            &mut self.state,
-            &report,
-            self.cfg.lse_tau,
-            self.cfg.n_threads,
-            self.interrupt.as_ref(),
-            self.trace.profile_mut(Kernel::Backward),
-            m,
-        ));
-        self.trace
-            .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
-        match res {
-            Ok(incident) => {
-                if let Some(inc) = &incident {
-                    self.record_incident(inc);
-                }
-                self.last_incident = incident;
-                Ok(())
-            }
-            Err(e) => {
-                if let InstaError::Runtime(inc) = &e {
-                    self.record_incident(inc);
-                }
-                Err(e)
-            }
-        }
+        self.try_backward(Objective::Tns)
     }
 
     /// Backpropagates a smooth **WNS** objective instead of TNS: endpoint
@@ -118,113 +76,90 @@ impl InstaEngine {
     /// Panics if no evaluation report exists (a call-order bug, not an
     /// input fault).
     pub fn try_backward_wns(&mut self) -> Result<(), InstaError> {
+        self.try_backward(Objective::Wns)
+    }
+
+    fn try_backward(&mut self, objective: Objective) -> Result<(), InstaError> {
         let report = self
             .state
             .report
             .clone()
-            .expect("propagate() must run before backward_wns()");
-        // Same staleness guard as try_backward_tns: the seeds below read
-        // LSE arrivals, which must match the current τ and annotations.
+            .expect("propagate() must run before a backward pass");
+        // The backward pass consumes the LSE arrivals/weights; if they are
+        // stale (never computed, τ changed via set_lse_tau, or arcs
+        // re-annotated since) recompute them at the current τ rather than
+        // silently reading outdated state.
         if self.state.lse_tau_used != Some(self.cfg.lse_tau) {
             self.try_forward_lse()?;
         }
-        self.grad_writes += 1;
-        let tau = self.cfg.lse_tau;
-        let st = &self.st;
-        let state = &mut self.state;
-        state.grad_arrival.fill(0.0);
-        for g in state.grad_fanout.iter_mut() {
-            *g = [0.0; 2];
-        }
-        // Softmin over finite endpoint slacks: w_i ∝ exp(−(s_i − min)/τ).
-        let min_slack = report
-            .slacks
-            .iter()
-            .copied()
-            .filter(|s| s.is_finite())
-            .fold(f64::INFINITY, f64::min);
-        if min_slack.is_finite() {
-            let denom: f64 = report
-                .slacks
-                .iter()
-                .filter(|s| s.is_finite())
-                .map(|&s| (-(s - min_slack) / tau).exp())
-                .sum();
-            for (i, ep) in st.endpoints.iter().enumerate() {
-                let s = report.slacks[i];
-                if !s.is_finite() {
-                    continue;
-                }
-                let w = (-(s - min_slack) / tau).exp() / denom;
-                let v = ep.node as usize;
-                let ar = state.lse_arrival[v * 2];
-                let af = state.lse_arrival[v * 2 + 1];
-                let (wr, wf) = with_model!(&self.backend, m => m.softmax2(ar, af, tau));
-                state.grad_arrival[v * 2] = -w * wr;
-                state.grad_arrival[v * 2 + 1] = -w * wf;
-            }
-        }
         self.last_incident = None;
+        self.grad_writes += 1;
         self.trace.begin("backward");
-        let res = sweep(
-            st,
-            state,
+        let res = with_model!(&self.backend, m => backward(
+            &self.st,
+            &mut self.state,
+            &report,
+            objective,
+            self.cfg.lse_tau,
             self.cfg.n_threads,
             self.interrupt.as_ref(),
             self.trace.profile_mut(Kernel::Backward),
-        );
+            m,
+        ));
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
-        match res {
-            Ok(incident) => {
-                if let Some(inc) = &incident {
-                    self.record_incident(inc);
-                }
-                self.last_incident = incident;
-                Ok(())
-            }
-            Err(e) => {
-                if let InstaError::Runtime(inc) = &e {
-                    self.record_incident(inc);
-                }
-                Err(e)
-            }
-        }
+        self.settle(res)
     }
 
     /// ∂TNS/∂(delay) per *graph* arc (aggregated over non-unate expansion
     /// and both destination transitions). Values are ≤ 0: increasing any
     /// arc delay can only worsen TNS.
-    #[allow(clippy::needless_range_loop)] // parallel CSR arrays
     pub fn arc_gradients(&self) -> Vec<f64> {
-        let st = &self.st;
-        let mut out = vec![0.0; st.n_graph_arcs];
-        for g in 0..st.n_graph_arcs {
-            let mut acc = 0.0;
-            for &e in &st.expansion_arc
-                [st.expansion_start[g] as usize..st.expansion_start[g + 1] as usize]
-            {
-                let ga = self.state.grad_arc[e as usize];
-                acc += ga[0] + ga[1];
-            }
-            out[g] = acc;
-        }
-        out
+        graph_arc_gradients(&self.st, &self.state.grad_arc)
     }
 
     /// ∂TNS/∂arrival at an *original* graph node id per transition index
-    /// (diagnostic view of the backward pass).
+    /// (diagnostic view of the backward pass); `None` for an unknown node
+    /// or a transition index past 1.
     pub fn node_gradient(&self, orig_node: u32, rf: usize) -> Option<f64> {
         let v = self.node_index(orig_node)?;
-        Some(self.state.grad_arrival[v * 2 + rf])
+        (rf < 2).then(|| self.state.grad_arrival[v * 2 + rf])
     }
 }
 
+/// Folds per-expanded-arc gradients onto graph arcs: over a graph arc's
+/// non-unate expansions and both destination transitions.
+pub(crate) fn graph_arc_gradients(st: &Static, grad_arc: &[[f64; 2]]) -> Vec<f64> {
+    (0..st.n_graph_arcs)
+        .map(|g| {
+            st.expansion(g).iter().fold(0.0, |acc, &e| {
+                let ga = grad_arc[e as usize];
+                acc + (ga[0] + ga[1])
+            })
+        })
+        .collect()
+}
+
+/// The objective a backward pass differentiates: which endpoint seeds it
+/// plants before the sweep.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Objective {
+    /// `TNS = Σ_ep min(0, slack_ep)`: every violating endpoint seeds −1.
+    Tns,
+    /// Smooth WNS: softmin weights over the finite endpoint slacks,
+    /// `w_i ∝ exp(−(s_i − min)/τ)`.
+    Wns,
+}
+
+/// One backward pass: gradients reset, the objective's endpoint seeds
+/// planted (`slack_ep = required − LSE(arr_r, arr_f)`, hence the softmax
+/// split `w_rf` of every seed), then the reverse level sweep.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward<M: StatModel>(
     st: &Static,
     state: &mut State,
     report: &crate::metrics::InstaReport,
+    objective: Objective,
     tau: f64,
     n_threads: usize,
     interrupt: Option<&Interrupt>,
@@ -235,21 +170,41 @@ pub(crate) fn backward<M: StatModel>(
     for g in state.grad_fanout.iter_mut() {
         *g = [0.0; 2];
     }
-
-    // ---- Endpoint seeds -------------------------------------------------
-    // TNS = Σ_ep min(0, slack_ep); slack_ep = required − LSE(arr_r, arr_f).
-    for (i, ep) in st.endpoints.iter().enumerate() {
-        if report.slacks[i] >= 0.0 || !report.slacks[i].is_finite() {
-            continue;
+    // An endpoint's seed splits over its rise/fall smooth arrivals.
+    let rise_fall = |state: &State, v: usize| {
+        model.softmax2(state.lse_arrival[v * 2], state.lse_arrival[v * 2 + 1], tau)
+    };
+    match objective {
+        Objective::Tns => {
+            for (i, ep) in st.endpoints.iter().enumerate() {
+                if report.slacks[i] >= 0.0 || !report.slacks[i].is_finite() {
+                    continue;
+                }
+                let v = ep.node as usize;
+                let (wr, wf) = rise_fall(state, v);
+                state.grad_arrival[v * 2] = -wr;
+                state.grad_arrival[v * 2 + 1] = -wf;
+            }
         }
-        let v = ep.node as usize;
-        let ar = state.lse_arrival[v * 2];
-        let af = state.lse_arrival[v * 2 + 1];
-        let (wr, wf) = model.softmax2(ar, af, tau);
-        state.grad_arrival[v * 2] = -wr;
-        state.grad_arrival[v * 2 + 1] = -wf;
+        Objective::Wns => {
+            let finite = || report.slacks.iter().filter(|s| s.is_finite());
+            let min_slack = finite().copied().fold(f64::INFINITY, f64::min);
+            if min_slack.is_finite() {
+                let denom: f64 = finite().map(|&s| (-(s - min_slack) / tau).exp()).sum();
+                for (i, ep) in st.endpoints.iter().enumerate() {
+                    let s = report.slacks[i];
+                    if !s.is_finite() {
+                        continue;
+                    }
+                    let w = (-(s - min_slack) / tau).exp() / denom;
+                    let v = ep.node as usize;
+                    let (wr, wf) = rise_fall(state, v);
+                    state.grad_arrival[v * 2] = -w * wr;
+                    state.grad_arrival[v * 2 + 1] = -w * wf;
+                }
+            }
+        }
     }
-
     sweep(st, state, n_threads, interrupt, prof)
 }
 
@@ -261,122 +216,50 @@ fn sweep(
     state: &mut State,
     n_threads: usize,
     interrupt: Option<&Interrupt>,
-    mut prof: Option<&mut LevelProfile>,
+    prof: Option<&mut LevelProfile>,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
-    // Restart the interrupt's reporting clock at pass entry (see
-    // `Interrupt::restarted`).
-    let restarted = interrupt.map(Interrupt::restarted);
-    let interrupt = restarted.as_ref();
-    let nt = resolve_threads(n_threads);
-    let n_levels = st.num_levels();
-    let mut recovered: Option<RuntimeIncident> = None;
-    if let Some(p) = prof.as_deref_mut() {
-        p.passes += 1;
-    }
-    for l in (0..n_levels.saturating_sub(1)).rev() {
-        // One cancellation poll per level (bounded-latency contract).
-        if let Some(e) = interrupt.and_then(|i| i.check(Kernel::Backward, l)) {
-            return Err(e);
-        }
-        let r = st.level_range(l);
-        let (base, len) = (r.start, r.len());
-        if len == 0 {
-            continue;
-        }
-        let t_level = prof.is_some().then(std::time::Instant::now);
-        let split = (base + len) * 2;
-        let arc_lo = st.fanout_start[base] as usize;
-        let arc_hi = st.fanout_start[base + len] as usize;
-        // `backward_chunk` *accumulates* onto the endpoint seeds already
-        // planted in the window, so a serial retry must restore them; the
-        // snapshot is only taken on the parallel path.
-        let mut seed_copy: Option<Vec<f64>> = None;
-        let panicked = {
-            let (head, done) = state.grad_arrival.split_at_mut(split);
-            let cur = &mut head[base * 2..];
-            let gf = &mut state.grad_fanout[arc_lo..arc_hi];
-            let weights = &state.lse_weight;
-
-            if nt <= 1 || len < PAR_THRESHOLD {
-                backward_chunk(st, base, base..base + len, done, split, cur, gf, arc_lo, weights);
-                None
-            } else {
-                seed_copy = Some(cur.to_vec());
-                let chunk_nodes = len.div_ceil(nt);
-                let cell = PanicCell::new();
-                std::thread::scope(|scope| {
-                    let mut rest_nodes = cur;
-                    let mut rest_gf = gf;
-                    let mut s0 = base;
-                    while s0 < base + len {
-                        let e0 = (s0 + chunk_nodes).min(base + len);
-                        let take_nodes = (e0 - s0) * 2;
-                        let take_arcs =
-                            st.fanout_start[e0] as usize - st.fanout_start[s0] as usize;
-                        let (cn, rn) = rest_nodes.split_at_mut(take_nodes);
-                        let (cg, rg) = rest_gf.split_at_mut(take_arcs);
-                        rest_nodes = rn;
-                        rest_gf = rg;
-                        let done_ref = &*done;
-                        let gf_base = st.fanout_start[s0] as usize;
-                        let cell = &cell;
-                        scope.spawn(move || {
-                            cell.run(s0..e0, || {
-                                chaos::maybe_panic(Kernel::Backward, l);
-                                backward_chunk(
-                                    st, s0, s0..e0, done_ref, split, cn, cg, gf_base, weights,
-                                );
-                            });
-                        });
-                        s0 = e0;
-                    }
+    let mut pass = Pass::begin(Kernel::Backward, n_threads, interrupt, prof);
+    // `backward_chunk` *accumulates* onto the endpoint seeds already
+    // planted in a level's window, so the retry after a contained panic
+    // must put them back: each level's pre-level window is kept here.
+    let mut seeds: Vec<f64> = Vec::new();
+    for l in (0..st.num_levels().saturating_sub(1)).rev() {
+        let nodes = st.level_range(l);
+        let split = nodes.end * 2;
+        let slots = st.fanout_start[nodes.start] as usize..st.fanout_start[nodes.end] as usize;
+        seeds.clear();
+        seeds.extend_from_slice(&state.grad_arrival[nodes.start * 2..split]);
+        pass.level(
+            l,
+            nodes.clone(),
+            state,
+            |state, launch| {
+                // Children live in strictly later levels: `done`.
+                let (head, done) = state.grad_arrival.split_at_mut(split);
+                let mut rest = (
+                    &mut head[nodes.start * 2..],
+                    &mut state.grad_fanout[slots.clone()],
+                );
+                let weights = &state.lse_weight;
+                let windows = launch.cuts().map(|cut| {
+                    let cut_slots =
+                        (st.fanout_start[cut.end] - st.fanout_start[cut.start]) as usize;
+                    (
+                        carve(&mut rest.0, cut.len() * 2),
+                        carve(&mut rest.1, cut_slots),
+                    )
                 });
-                cell.take()
-            }
-        };
-        if let Some((chunk, message)) = panicked {
-            let incident = RuntimeIncident {
-                kernel: Kernel::Backward,
-                level: l,
-                chunk,
-                message,
-                serial_retry_failed: false,
-            };
-            let seeds = seed_copy.expect("snapshot taken on the parallel path");
-            let retry = catch_unwind(AssertUnwindSafe(|| {
-                state.grad_arrival[base * 2..split].copy_from_slice(&seeds);
-                for g in state.grad_fanout[arc_lo..arc_hi].iter_mut() {
+                launch.run(windows, |cut, (cur, gf)| {
+                    backward_chunk(st, cut, done, split, cur, gf, weights);
+                })
+            },
+            |state| {
+                state.grad_arrival[nodes.start * 2..split].copy_from_slice(&seeds);
+                for g in state.grad_fanout[slots.clone()].iter_mut() {
                     *g = [0.0; 2];
                 }
-                chaos::maybe_panic(Kernel::Backward, l);
-                let (head, done) = state.grad_arrival.split_at_mut(split);
-                backward_chunk(
-                    st,
-                    base,
-                    base..base + len,
-                    done,
-                    split,
-                    &mut head[base * 2..],
-                    &mut state.grad_fanout[arc_lo..arc_hi],
-                    arc_lo,
-                    &state.lse_weight,
-                );
-            }));
-            match retry {
-                Ok(()) => {
-                    recovered.get_or_insert(incident);
-                }
-                Err(_) => {
-                    return Err(InstaError::Runtime(RuntimeIncident {
-                        serial_retry_failed: true,
-                        ..incident
-                    }))
-                }
-            }
-        }
-        if let (Some(p), Some(t0)) = (prof.as_deref_mut(), t_level) {
-            p.record_level(l, t0.elapsed().as_nanos() as u64, len as u64);
-        }
+            },
+        )?;
         #[cfg(debug_assertions)]
         crate::health::debug_assert_grad_level_clean(st, state, l);
     }
@@ -385,26 +268,25 @@ fn sweep(
     for (slot, &arc) in st.fanout_arc.iter().enumerate() {
         state.grad_arc[arc as usize] = state.grad_fanout[slot];
     }
-    Ok(recovered)
+    Ok(pass.finish())
 }
 
-/// Per-thread body: pulls gradient contributions for nodes in `range`.
+/// The body of one cut: pulls gradient contributions for nodes in `range`.
 ///
 /// `done` holds `grad_arrival[split..]` (all strictly later levels); `cur`
-/// holds the chunk's own gradient slots (seeded with endpoint gradients);
-/// `gf` holds the chunk's fanout-arc gradient slots offset by `gf_base`.
-#[allow(clippy::too_many_arguments)]
+/// holds the range's own gradient slots (seeded with endpoint gradients);
+/// `gf` holds the range's fanout-arc gradient slots.
 fn backward_chunk(
     st: &Static,
-    chunk_node_base: usize,
     range: std::ops::Range<usize>,
     done: &[f64],
     split: usize,
     cur: &mut [f64],
     gf: &mut [[f64; 2]],
-    gf_base: usize,
     weights: &[[f64; 2]],
 ) {
+    let chunk_node_base = range.start;
+    let gf_base = st.fanout_start[chunk_node_base] as usize;
     for v in range {
         let slots =
             st.fanout_start[v] as usize..st.fanout_start[v + 1] as usize;

@@ -67,8 +67,9 @@
 //! report-time filter, so `(deltas, corner)`-equal scenarios share one
 //! lane) and a merged worst-corner slack per endpoint.
 
+use crate::backward::{graph_arc_gradients, Objective};
 use crate::engine::{InstaConfig, InstaEngine, State, Static};
-use crate::error::{InstaError, Kernel, PoisonedArray, RuntimeIncident};
+use crate::error::{InstaError, RuntimeIncident};
 use crate::forward::{forward, seed_sources};
 use crate::incremental::{cone_sweep, seed_cone, ConeScratch};
 use crate::metrics::InstaReport;
@@ -972,11 +973,9 @@ impl InstaEngine {
             ),
         ]);
         self.corner_scratch.0 = scratch;
-        // A contained panic is booked once per call, whichever lane hit it.
-        if let Some(inc) = incident {
-            self.record_incident(&inc);
-            self.last_incident = Some(inc);
-        }
+        // A panic is booked once per call, whichever lane hit it; the lanes
+        // carry their own errors.
+        let _ = self.settle(Ok(incident));
         out
     }
 }
@@ -1176,22 +1175,20 @@ impl<M: StatModel> LaneCall<'_, M> {
     /// `forward_lse` + `backward_tns`, because it *is* the same kernel
     /// code reading the same values.
     fn finish(&mut self, st: &Static, report: InstaReport) -> LaneResult {
-        if let Some(err) = nan_gate(st, &report) {
+        if let Some(err) = crate::health::nan_slack(st, &report) {
             return (Err(err), None);
         }
         let Some(scratch) = &mut self.grads else {
             return (Ok(report), None);
         };
-        let ann = |ai: usize, rf: usize| (st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
         // Lane passes run on scratch buffers; they never feed the engine's
         // per-level kernel profiles.
-        let passes = crate::lse::forward_lse_with(
+        let passes = crate::lse::forward_lse(
             st,
             scratch,
             self.cfg.lse_tau,
             self.cfg.n_threads,
             self.interrupt,
-            &ann,
             None,
             self.model,
         )
@@ -1200,6 +1197,7 @@ impl<M: StatModel> LaneCall<'_, M> {
                 st,
                 scratch,
                 &report,
+                Objective::Tns,
                 self.cfg.lse_tau,
                 self.cfg.n_threads,
                 self.interrupt,
@@ -1210,16 +1208,7 @@ impl<M: StatModel> LaneCall<'_, M> {
         if let Err(e) = passes {
             return (Err(e), None);
         }
-        // Aggregate expanded-arc gradients onto graph arcs, exactly like
-        // `arc_gradients`.
-        let gradients = (0..st.n_graph_arcs)
-            .map(|g| {
-                st.expansion(g).iter().fold(0.0, |acc, &e| {
-                    let ga = scratch.grad_arc[e as usize];
-                    acc + (ga[0] + ga[1])
-                })
-            })
-            .collect();
+        let gradients = graph_arc_gradients(st, &scratch.grad_arc);
         (Ok(report), Some(gradients))
     }
 }
@@ -1260,19 +1249,4 @@ fn clone_lane_error(e: &InstaError) -> InstaError {
         },
         _ => unreachable!("lanes raise only Validate/Cancelled/Runtime/Numeric"),
     }
-}
-
-/// The session layer's no-NaN-escapes gate for one lane's report.
-fn nan_gate(st: &Static, report: &InstaReport) -> Option<InstaError> {
-    let ep = report.slacks.iter().position(|s| s.is_nan())?;
-    let node = st.endpoints[ep].node;
-    Some(InstaError::Numeric {
-        kernel: Kernel::Forward,
-        array: PoisonedArray::TopKArrival,
-        node,
-        orig_node: st.node_orig[node as usize],
-        level: crate::health::level_of(st, node as usize),
-        rf: 0,
-        value: f64::NAN,
-    })
 }

@@ -710,13 +710,14 @@ impl InstaEngine {
     }
 
     /// Index of the worst (slot 0) Top-K entry of an *original* graph node
-    /// id and transition — `None` when no path reaches it, and `None` for
-    /// every node while the Top-K arrays are not the setup pass's output
-    /// for the current annotations (`topk_synced`): after a hold pass they
-    /// hold negated early corners, after a re-annotation or a failed pass
-    /// they are stale.
+    /// id and transition — `None` when no path reaches it or `rf` is not a
+    /// transition index (0 rise, 1 fall), and `None` for every node while
+    /// the Top-K arrays are not the setup pass's output for the current
+    /// annotations (`topk_synced`): after a hold pass they hold negated
+    /// early corners, after a re-annotation or a failed pass they are
+    /// stale.
     fn worst_entry(&self, orig_node: u32, rf: usize) -> Option<usize> {
-        if !self.topk_synced {
+        if !self.topk_synced || rf >= 2 {
             return None;
         }
         let idx = (self.node_index(orig_node)? * 2 + rf) * self.state.k;
@@ -839,6 +840,30 @@ pub(crate) mod tests {
             {
                 assert_eq!(st.arc_source[e as usize] as usize, g);
             }
+        }
+    }
+
+    /// Regression: `rf = 2` used to index `(node * 2 + 2) * k` — the next
+    /// node's rise row, and out of bounds on the last node.
+    #[test]
+    fn point_reads_answer_none_for_a_transition_index_past_one() {
+        let (_d, _sta, mut eng) = build_engine(8, 4);
+        eng.propagate();
+        eng.forward_lse();
+        eng.backward_tns();
+        let last = eng.st.node_orig[eng.st.n - 1];
+        let reached = (0..eng.st.n as u32)
+            .find(|&v| eng.arrival_at(v, 0).is_some())
+            .expect("some node is reached");
+        for node in [last, reached] {
+            for rf in [2, 3, usize::MAX] {
+                assert_eq!(eng.arrival_at(node, rf), None);
+                assert_eq!(eng.distribution_at(node, rf), None);
+                assert_eq!(eng.node_gradient(node, rf), None);
+                assert_eq!(eng.snapshot().arrival_at(node, rf), None);
+            }
+            assert!(eng.node_gradient(node, 1).is_some());
+            assert_eq!(eng.snapshot().arrival_at(node, 1), eng.arrival_at(node, 1));
         }
     }
 

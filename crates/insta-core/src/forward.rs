@@ -12,7 +12,8 @@
 //! Because the engine renumbered nodes level-major, the level's state is a
 //! contiguous window: the arrays split into an immutable `done` prefix
 //! (all earlier levels — where every parent lives) and a mutable `current`
-//! window that scoped worker threads process in disjoint chunks.
+//! window, carved into disjoint chunks for the level runner
+//! ([`crate::parallel`]), which owns launch, panic containment and retry.
 //!
 //! **Who clears what.** There is no pass-wide reset. The level body
 //! ([`level_chunk`]) owns every queue of a node with fanin that is not a
@@ -26,11 +27,10 @@
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
-use crate::parallel::{chaos, resolve_threads, Interrupt, MergeArena, PanicCell, PAR_THRESHOLD};
+use crate::parallel::{carve, Interrupt, MergeArena, Pass};
 use crate::stat::{with_model, StatModel};
 use crate::topk::{restore_topk_desc, NO_SP};
 use crate::trace::LevelProfile;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 impl InstaEngine {
     /// Runs the evaluation forward pass (Algorithm 1) over every level and
@@ -48,10 +48,10 @@ impl InstaEngine {
         self.state.report.as_ref().expect("just set")
     }
 
-    /// Fallible [`propagate`](InstaEngine::propagate): a data-parallel
-    /// worker panic is contained, the level is re-executed serially
-    /// (bit-identical — level windows are pure functions of earlier
-    /// levels), and the incident is recorded in
+    /// Fallible [`propagate`](InstaEngine::propagate): a panic in a level
+    /// body — inline or on a worker thread — is contained, the level is
+    /// re-executed serially (bit-identical — level windows are pure
+    /// functions of earlier levels), and the incident is recorded in
     /// [`last_incident`](InstaEngine::last_incident). Only when the serial
     /// re-execution *also* fails does this return
     /// [`InstaError::Runtime`]; the engine state is then unusable until
@@ -236,190 +236,96 @@ pub(crate) fn forward<M: StatModel, const MIN: bool>(
     state: &mut State,
     n_threads: usize,
     interrupt: Option<&Interrupt>,
-    mut prof: Option<&mut LevelProfile>,
+    prof: Option<&mut LevelProfile>,
     model: &M,
     seed: &impl Fn(&mut State, std::ops::Range<usize>),
 ) -> Result<Option<RuntimeIncident>, InstaError> {
-    // Restart the interrupt's reporting clock at pass entry: a token or
-    // deadline reused across passes must report elapsed-in-*this*-pass.
-    let restarted = interrupt.map(Interrupt::restarted);
-    let interrupt = restarted.as_ref();
-
     reset_and_seed(st, state, seed);
-
-    let nt = resolve_threads(n_threads);
+    let mut pass = Pass::begin(Kernel::Forward, n_threads, interrupt, prof);
     // One merge arena per worker, reused across every level of the pass.
-    let mut arenas = MergeArena::bank(nt);
-    let mut recovered: Option<RuntimeIncident> = None;
-    if let Some(p) = prof.as_deref_mut() {
-        p.passes += 1;
-    }
+    let mut arenas = MergeArena::bank(pass.threads());
     for l in 1..st.num_levels() {
-        // Cooperative cancellation: one poll per level bounds the latency
-        // between a cancel/deadline firing and this return by one level's
-        // work. Levels before `l` are fully written, `l` and later are
-        // untouched — the session layer rolls the mix back.
-        if let Some(e) = interrupt.and_then(|i| i.check(Kernel::Forward, l)) {
-            return Err(e);
-        }
-        if let Some(inc) = forward_level::<M, MIN>(
-            st,
-            state,
-            nt,
-            &mut arenas,
-            l,
-            prof.as_deref_mut(),
-            model,
-            seed,
-        )? {
-            recovered.get_or_insert(inc);
-        }
+        forward_level::<M, MIN>(st, state, &mut pass, &mut arenas, l, model, seed)?;
     }
-    Ok(recovered)
+    Ok(pass.finish())
 }
 
-/// One level of the evaluation forward pass: the parallel launch, panic
-/// containment + serial retry, and per-level profiling for level `l`.
-/// Shared verbatim by [`forward`] (setup and hold) and the fused sweep
-/// ([`forward_fused`]) — fusion interleaves *whole level bodies*, so the
-/// state either kernel reads is exactly what the unfused pass would have
-/// produced, and bit-identity of the fused sweep is by construction.
-#[allow(clippy::too_many_arguments)]
+/// One level of the evaluation forward pass, run through the level runner
+/// ([`Pass::level`]). Shared verbatim by [`forward`] (setup and hold) and
+/// the fused sweep ([`forward_fused`]) — fusion interleaves *whole level
+/// bodies*, so the state either kernel reads is exactly what the unfused
+/// pass would have produced, and bit-identity of the fused sweep is by
+/// construction.
 pub(crate) fn forward_level<M: StatModel, const MIN: bool>(
     st: &Static,
     state: &mut State,
-    nt: usize,
+    pass: &mut Pass<'_>,
     arenas: &mut [MergeArena],
     l: usize,
-    mut prof: Option<&mut LevelProfile>,
     model: &M,
     seed: &impl Fn(&mut State, std::ops::Range<usize>),
-) -> Result<Option<RuntimeIncident>, InstaError> {
+) -> Result<(), InstaError> {
     let k = state.k;
     let stride = 2 * k;
-    let mut recovered: Option<RuntimeIncident> = None;
-    {
-        let r = st.level_range(l);
-        let (base, len) = (r.start, r.len());
-        if len == 0 {
-            return Ok(None);
-        }
-        // Two timestamp reads per level, only when a profile is attached.
-        let t_level = prof.is_some().then(std::time::Instant::now);
-        let panicked = {
-            let split = base * stride;
-            let (arr_done, arr_cur) = state.topk_arrival.split_at_mut(split);
-            let (mean_done, mean_cur) = state.topk_mean.split_at_mut(split);
-            let (sigma_done, sigma_cur) = state.topk_sigma.split_at_mut(split);
-            let (sp_done, sp_cur) = state.topk_sp.split_at_mut(split);
-            let arr_cur = &mut arr_cur[..len * stride];
-            let mean_cur = &mut mean_cur[..len * stride];
-            let sigma_cur = &mut sigma_cur[..len * stride];
-            let sp_cur = &mut sp_cur[..len * stride];
-
-            let _ = arr_done; // corner arrivals are recomputed from mean/sigma
-            if nt <= 1 || len < PAR_THRESHOLD {
-                level_chunk::<M, MIN>(
-                    st, k, base, mean_done, sigma_done, sp_done, arr_cur, mean_cur, sigma_cur,
-                    sp_cur, &mut arenas[0], model,
-                );
-                None
-            } else {
-                // Carve the current window into per-thread chunks (node
-                // granular). A panicking chunk is contained by the cell;
-                // its siblings finish normally and the scope joins clean.
-                let chunk_nodes = len.div_ceil(nt);
-                let chunk_elems = chunk_nodes * stride;
-                let cell = PanicCell::new();
-                std::thread::scope(|scope| {
-                    let mut rest = (arr_cur, mean_cur, sigma_cur, sp_cur);
-                    let mut rest_arenas = &mut arenas[..];
-                    let mut cbase = base;
-                    loop {
-                        let take = chunk_elems.min(rest.0.len());
-                        if take == 0 {
-                            break;
-                        }
-                        let (a, ra) = rest.0.split_at_mut(take);
-                        let (m, rm) = rest.1.split_at_mut(take);
-                        let (sg, rs) = rest.2.split_at_mut(take);
-                        let (sp, rsp) = rest.3.split_at_mut(take);
-                        rest = (ra, rm, rs, rsp);
-                        let (ar, rar) = rest_arenas.split_at_mut(1);
-                        rest_arenas = rar;
-                        let arena = &mut ar[0];
-                        let (md, sd, spd) = (&*mean_done, &*sigma_done, &*sp_done);
-                        let cell = &cell;
-                        scope.spawn(move || {
-                            cell.run(cbase..cbase + take / stride, || {
-                                chaos::maybe_panic(Kernel::Forward, l);
-                                level_chunk::<M, MIN>(
-                                    st, k, cbase, md, sd, spd, a, m, sg, sp, arena, model,
-                                );
-                            });
-                        });
-                        cbase += take / stride;
-                    }
-                });
-                cell.take()
-            }
-        };
-        if let Some((chunk, message)) = panicked {
-            let incident = RuntimeIncident {
-                kernel: Kernel::Forward,
-                level: l,
-                chunk,
-                message,
-                serial_retry_failed: false,
-            };
-            // Serial re-execution: empty the window (the partial chunk
-            // writes become invisible; a cold path, so the whole window
-            // rather than its startpoint nodes), re-apply launch seeds
-            // landing inside it, and recompute from the untouched earlier
-            // levels.
-            let retry = catch_unwind(AssertUnwindSafe(|| {
-                clear_nodes(state, base..base + len);
-                seed(state, base..base + len);
-                chaos::maybe_panic(Kernel::Forward, l);
-                let split = base * stride;
-                let (_, arr_cur) = state.topk_arrival.split_at_mut(split);
-                let (mean_done, mean_cur) = state.topk_mean.split_at_mut(split);
-                let (sigma_done, sigma_cur) = state.topk_sigma.split_at_mut(split);
-                let (sp_done, sp_cur) = state.topk_sp.split_at_mut(split);
+    let nodes = st.level_range(l);
+    pass.level(
+        l,
+        nodes.clone(),
+        &mut (&mut *state, arenas),
+        |(state, arenas), launch| {
+            // Everything before the level is the immutable `done` prefix
+            // (corner arrivals are recomputed from mean / sigma, so theirs
+            // is not read); the level's window is carved node-granular
+            // along the cuts, one arena per cut.
+            let window = nodes.start * stride..nodes.end * stride;
+            let (mean_done, mean) = state.topk_mean.split_at_mut(window.start);
+            let (sigma_done, sigma) = state.topk_sigma.split_at_mut(window.start);
+            let (sp_done, sp) = state.topk_sp.split_at_mut(window.start);
+            let mut rest = (
+                &mut state.topk_arrival[window.clone()],
+                &mut mean[..window.len()],
+                &mut sigma[..window.len()],
+                &mut sp[..window.len()],
+                &mut arenas[..],
+            );
+            let windows = launch.cuts().map(|cut| {
+                let take = cut.len() * stride;
+                (
+                    carve(&mut rest.0, take),
+                    carve(&mut rest.1, take),
+                    carve(&mut rest.2, take),
+                    carve(&mut rest.3, take),
+                    carve(&mut rest.4, 1),
+                )
+            });
+            launch.run(windows, |cut, (arr, mean, sigma, sp, arena)| {
                 level_chunk::<M, MIN>(
                     st,
                     k,
-                    base,
+                    cut.start,
                     mean_done,
                     sigma_done,
                     sp_done,
-                    &mut arr_cur[..len * stride],
-                    &mut mean_cur[..len * stride],
-                    &mut sigma_cur[..len * stride],
-                    &mut sp_cur[..len * stride],
-                    &mut arenas[0],
+                    arr,
+                    mean,
+                    sigma,
+                    sp,
+                    &mut arena[0],
                     model,
                 );
-            }));
-            match retry {
-                Ok(()) => {
-                    recovered.get_or_insert(incident);
-                }
-                Err(_) => {
-                    return Err(InstaError::Runtime(RuntimeIncident {
-                        serial_retry_failed: true,
-                        ..incident
-                    }))
-                }
-            }
-        }
-        if let (Some(p), Some(t0)) = (prof.as_deref_mut(), t_level) {
-            p.record_level(l, t0.elapsed().as_nanos() as u64, len as u64);
-        }
-    }
+            })
+        },
+        // Empty the window (the partial writes become invisible; a cold
+        // path, so the whole window rather than its startpoint nodes) and
+        // re-apply the launch seeds landing inside it.
+        |(state, _)| {
+            clear_nodes(state, nodes.clone());
+            seed(state, nodes.clone());
+        },
+    )?;
     #[cfg(debug_assertions)]
     crate::health::debug_assert_topk_level_clean(st, state, l);
-    Ok(recovered)
+    Ok(())
 }
 
 /// The fused forward + LSE sweep: one loop over the timing levels runs
@@ -430,14 +336,14 @@ pub(crate) fn forward_level<M: StatModel, const MIN: bool>(
 /// earlier levels' Top-K queues; level `l` of the LSE kernel reads only
 /// earlier levels' smooth arrivals. The two kernels share no output
 /// arrays, so interleaving whole level bodies leaves every read seeing
-/// exactly the state the unfused `forward` + `forward_lse_with`
-/// sequence would have produced. What fusion buys is locality: the
-/// level's fanin CSR rows, arc annotations, and parent indices are hot
-/// in cache for the LSE body instead of being re-fetched a full pass
-/// later.
+/// exactly the state the unfused `forward` + `forward_lse` sequence would
+/// have produced. What fusion buys is locality: the level's fanin CSR
+/// rows, arc annotations, and parent indices are hot in cache for the LSE
+/// body instead of being re-fetched a full pass later.
 ///
-/// Cancellation polls once per kernel per level, so incidents and
-/// cancels carry the same `Kernel` attribution as the unfused passes.
+/// Each kernel is a [`Pass`] of its own, so a level is polled once per
+/// kernel and cancels, incidents and profile rows carry the same `Kernel`
+/// attribution as the unfused passes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_fused<M: StatModel>(
     st: &Static,
@@ -445,54 +351,28 @@ pub(crate) fn forward_fused<M: StatModel>(
     tau: f64,
     n_threads: usize,
     interrupt: Option<&Interrupt>,
-    mut prof_fwd: Option<&mut LevelProfile>,
-    mut prof_lse: Option<&mut LevelProfile>,
+    prof_fwd: Option<&mut LevelProfile>,
+    prof_lse: Option<&mut LevelProfile>,
     model: &M,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
-    let restarted = interrupt.map(Interrupt::restarted);
-    let interrupt = restarted.as_ref();
-
     // Pre-sweep state of both kernels, exactly as the unfused passes.
     let seed = |state: &mut State, nodes| seed_sources(st, state, nodes, model);
     reset_and_seed(st, state, &seed);
     crate::lse::lse_reset_seed(st, state, model);
 
-    let nt = resolve_threads(n_threads);
-    let mut arenas = MergeArena::bank(nt);
-    let mut recovered: Option<RuntimeIncident> = None;
-    if let Some(p) = prof_fwd.as_deref_mut() {
-        p.passes += 1;
-    }
-    if let Some(p) = prof_lse.as_deref_mut() {
-        p.passes += 1;
-    }
-    let ann = |ai: usize, rf: usize| (st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
+    let mut fwd = Pass::begin(Kernel::Forward, n_threads, interrupt, prof_fwd);
+    let mut lse = Pass::begin(Kernel::ForwardLse, n_threads, interrupt, prof_lse);
+    let mut arenas = MergeArena::bank(fwd.threads());
     for l in 1..st.num_levels() {
-        if let Some(e) = interrupt.and_then(|i| i.check(Kernel::Forward, l)) {
-            return Err(e);
-        }
-        if let Some(inc) = forward_level::<M, false>(
-            st,
-            state,
-            nt,
-            &mut arenas,
-            l,
-            prof_fwd.as_deref_mut(),
-            model,
-            &seed,
-        )? {
-            recovered.get_or_insert(inc);
-        }
-        if let Some(e) = interrupt.and_then(|i| i.check(Kernel::ForwardLse, l)) {
-            return Err(e);
-        }
-        if let Some(inc) =
-            crate::lse::lse_level(st, state, tau, nt, l, &ann, prof_lse.as_deref_mut(), model)?
-        {
-            recovered.get_or_insert(inc);
-        }
+        forward_level::<M, false>(st, state, &mut fwd, &mut arenas, l, model, &seed)?;
+        crate::lse::lse_level(st, state, &mut lse, tau, l, model)?;
     }
-    Ok(recovered)
+    // The sweep's first incident: the lower level, the evaluation kernel
+    // (which runs first within a level) on a tie.
+    Ok([fwd.finish(), lse.finish()]
+        .into_iter()
+        .flatten()
+        .min_by_key(|incident| incident.level))
 }
 
 /// The ordering corner of a candidate: the late corner for the setup

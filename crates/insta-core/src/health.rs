@@ -17,11 +17,28 @@
 
 use crate::engine::{InstaEngine, Static};
 use crate::error::{InstaError, Kernel, PoisonedArray};
+use crate::metrics::InstaReport;
 use crate::topk::NO_SP;
 
 /// Timing level of a renumbered node (binary search over the level CSR).
 pub(crate) fn level_of(st: &Static, v: usize) -> usize {
     st.level_start.partition_point(|&s| s as usize <= v).saturating_sub(1)
+}
+
+/// The session layer's no-NaN-escapes gate: the synthesized endpoint-level
+/// poison error for the first NaN slack of `report`, if it has one.
+pub(crate) fn nan_slack(st: &Static, report: &InstaReport) -> Option<InstaError> {
+    let ep = report.slacks.iter().position(|s| s.is_nan())?;
+    let node = st.endpoints[ep].node;
+    Some(InstaError::Numeric {
+        kernel: Kernel::Forward,
+        array: PoisonedArray::TopKArrival,
+        node,
+        orig_node: st.node_orig[node as usize],
+        level: level_of(st, node as usize),
+        rf: 0,
+        value: f64::NAN,
+    })
 }
 
 impl InstaEngine {

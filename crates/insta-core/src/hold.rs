@@ -7,9 +7,9 @@
 //! [`HoldAttributes`]. `MIN` orders candidates by **negated early
 //! corners** (`-(mean − N_σ·σ)`), so the same unique-startpoint Top-K
 //! selection keeps the *smallest* early arrivals. Everything else — the
-//! level loop, the chunked launch on [`InstaConfig::n_threads`] threads,
-//! worker-panic containment with the serial retry, the no-pass-wide-reset
-//! contract — is the driver's; hold has no level loop of its own. Endpoint
+//! level loop on [`InstaConfig::n_threads`] threads through the level
+//! runner ([`crate::parallel`]), the no-pass-wide-reset contract — is the
+//! driver's; hold has no level loop of its own. Endpoint
 //! hold checks then mirror the reference: the earliest arrival must not
 //! beat the late capture edge plus the hold margin, with CPPR credit
 //! *reducing* the requirement.

@@ -51,9 +51,9 @@
 //! every arc) is cheaper as the ordinary full pass. The switch is
 //! [`CONE_SEED_SHARE`], judged on the deduplicated seed count.
 //!
-//! The sweep keeps the full pass's contracts: one interrupt poll per
-//! *dirty* level, every dirty level under `catch_unwind` with one serial
-//! retry, per-level profile rows, and LSE state only marked stale.
+//! A dirty level runs through the same level runner as a full pass's
+//! ([`crate::parallel`]: poll, containment, one retry, profile row), with
+//! the worklist as its work items; LSE state is only marked stale.
 //!
 //! **The undo log.** A what-if lane ([`crate::batch`]) is the same sweep
 //! taken back afterwards. The old entries a node's compare needs are
@@ -68,13 +68,12 @@ use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
 use crate::forward::{clear_nodes, level_chunk, seed_source};
 use crate::metrics::InstaReport;
-use crate::parallel::{chaos, payload_message, Interrupt, MergeArena};
+use crate::parallel::{Interrupt, MergeArena, Pass};
 use crate::stat::{with_model, StatModel};
 use crate::topk::NO_SP;
 use crate::trace::LevelProfile;
 use crate::validate::{Issue, ValidationReport};
 use insta_refsta::eco::ArcDelta;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A re-annotation takes the cone path while its distinct seed nodes
 /// number at most `nodes / CONE_SEED_SHARE`; beyond that it runs the full
@@ -470,70 +469,44 @@ pub(crate) fn cone_sweep<M: StatModel>(
     state: &mut State,
     cone: &mut ConeScratch,
     interrupt: Option<&Interrupt>,
-    mut prof: Option<&mut LevelProfile>,
+    prof: Option<&mut LevelProfile>,
     model: &M,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
-    let restarted = interrupt.map(Interrupt::restarted);
-    let interrupt = restarted.as_ref();
-    if let Some(p) = prof.as_deref_mut() {
-        p.passes += 1;
-    }
-    let mut recovered: Option<RuntimeIncident> = None;
+    // The cone runs on one thread: a dirty level is one inline cut.
+    let mut pass = Pass::begin(Kernel::Forward, 1, interrupt, prof);
     for l in 1..st.num_levels() {
         if cone.frontier[l].is_empty() {
             continue;
         }
-        // One poll per *dirty* level: levels below `l` are final, `l` and
-        // later still hold the previous pass's bits.
-        if let Some(e) = interrupt.and_then(|i| i.check(Kernel::Forward, l)) {
-            return Err(e);
-        }
-        let t_level = prof.is_some().then(std::time::Instant::now);
         let mut nodes = std::mem::take(&mut cone.frontier[l]);
         nodes.sort_unstable();
-        let mut run = |force: bool| {
-            catch_unwind(AssertUnwindSafe(|| {
-                chaos::maybe_panic(Kernel::Forward, l);
-                cone_level(st, state, cone, &nodes, force, model)
-            }))
-        };
-        let pruned = match run(false) {
-            Ok(pruned) => pruned,
-            Err(payload) => {
-                let incident = RuntimeIncident {
-                    kernel: Kernel::Forward,
-                    level: l,
-                    chunk: nodes[0] as usize..nodes[nodes.len() - 1] as usize + 1,
-                    message: payload_message(payload),
-                    serial_retry_failed: false,
-                };
-                // One retry. A node recompute overwrites its slices from
-                // its parents alone, so re-running the level is idempotent — except
+        let span = nodes[0] as usize..nodes[nodes.len() - 1] as usize + 1;
+        // One poll per *dirty* level: levels below `l` are final, `l` and
+        // later still hold the previous pass's bits. The work items are
+        // worklist positions; an incident names the level's node-id span.
+        pass.level(
+            l,
+            0..nodes.len(),
+            &mut (&mut *state, &mut *cone),
+            |(state, cone), launch| {
+                let window = [(&mut **state, &mut **cone)];
+                // A node recompute overwrites its slices from its parents
+                // alone, so re-running the level is idempotent — except
                 // that a half-written node no longer has its old entries
                 // to compare against, so the retry queues every fanout.
-                match run(true) {
-                    Ok(pruned) => {
-                        recovered.get_or_insert(incident);
-                        pruned
-                    }
-                    Err(_) => {
-                        return Err(InstaError::Runtime(RuntimeIncident {
-                            serial_retry_failed: true,
-                            ..incident
-                        }))
-                    }
-                }
-            }
-        };
+                let panicked = launch.run(window, |_, (state, cone)| {
+                    let pruned = cone_level(st, state, cone, &nodes, launch.retry, model);
+                    cone.pruned += pruned;
+                });
+                panicked.map(|(_, message)| (span.clone(), message))
+            },
+            |_| {},
+        )?;
         cone.levels += 1;
         cone.nodes += nodes.len();
-        cone.pruned += pruned;
-        if let (Some(p), Some(t0)) = (prof.as_deref_mut(), t_level) {
-            p.record_level(l, t0.elapsed().as_nanos() as u64, nodes.len() as u64);
-        }
         cone.frontier[l] = nodes;
     }
-    Ok(recovered)
+    Ok(pass.finish())
 }
 
 /// Recomputes one level's worklist in place and queues the fanout of every

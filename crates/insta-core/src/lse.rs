@@ -17,10 +17,9 @@
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
-use crate::parallel::{chaos, resolve_threads, Interrupt, PanicCell, PAR_THRESHOLD};
+use crate::parallel::{carve, Interrupt, Pass};
 use crate::stat::{with_model, StatModel};
 use crate::trace::LevelProfile;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 impl InstaEngine {
     /// Runs the differentiable forward pass, filling per-node smooth
@@ -55,22 +54,9 @@ impl InstaEngine {
         ));
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
-        match res {
-            Ok(incident) => {
-                if let Some(inc) = &incident {
-                    self.record_incident(inc);
-                }
-                self.last_incident = incident;
-                self.state.lse_tau_used = Some(self.cfg.lse_tau);
-                Ok(())
-            }
-            Err(e) => {
-                if let InstaError::Runtime(inc) = &e {
-                    self.record_incident(inc);
-                }
-                Err(e)
-            }
-        }
+        self.settle(res)?;
+        self.state.lse_tau_used = Some(self.cfg.lse_tau);
+        Ok(())
     }
 
     /// The smooth (LSE) corner arrival at a renumbered node, `None` when
@@ -101,7 +87,6 @@ fn seed_lse_sources<M: StatModel>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_lse<M: StatModel>(
     st: &Static,
     state: &mut State,
@@ -111,53 +96,17 @@ pub(crate) fn forward_lse<M: StatModel>(
     prof: Option<&mut LevelProfile>,
     model: &M,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
-    let ann = |ai: usize, rf: usize| (st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
-    forward_lse_with(st, state, tau, n_threads, interrupt, &ann, prof, model)
-}
-
-/// [`forward_lse`] with arc-annotation reads routed through `ann(ai, rf) →
-/// (mean, sigma)`. The batched scenario path ([`crate::batch`]) runs this
-/// into scratch buffers while a lane's deltas are written in place —
-/// sharing this body (instead of maintaining a second LSE kernel) is what
-/// makes the batched gradient bit-identical to a serial re-annotate +
-/// `forward_lse` run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn forward_lse_with<M: StatModel>(
-    st: &Static,
-    state: &mut State,
-    tau: f64,
-    n_threads: usize,
-    interrupt: Option<&Interrupt>,
-    ann: &(impl Fn(usize, usize) -> (f64, f64) + Sync),
-    mut prof: Option<&mut LevelProfile>,
-    model: &M,
-) -> Result<Option<RuntimeIncident>, InstaError> {
     debug_assert!(tau > 0.0);
-    // Restart the interrupt's reporting clock at pass entry (see
-    // `Interrupt::restarted`).
-    let restarted = interrupt.map(Interrupt::restarted);
-    let interrupt = restarted.as_ref();
     lse_reset_seed(st, state, model);
-
-    let nt = resolve_threads(n_threads);
-    let mut recovered: Option<RuntimeIncident> = None;
-    if let Some(p) = prof.as_deref_mut() {
-        p.passes += 1;
-    }
+    let mut pass = Pass::begin(Kernel::ForwardLse, n_threads, interrupt, prof);
     for l in 1..st.num_levels() {
-        // One cancellation poll per level (bounded-latency contract).
-        if let Some(e) = interrupt.and_then(|i| i.check(Kernel::ForwardLse, l)) {
-            return Err(e);
-        }
-        if let Some(inc) = lse_level(st, state, tau, nt, l, ann, prof.as_deref_mut(), model)? {
-            recovered.get_or_insert(inc);
-        }
+        lse_level(st, state, &mut pass, tau, l, model)?;
     }
-    Ok(recovered)
+    Ok(pass.finish())
 }
 
 /// Resets the LSE arrival/weight buffers and applies the source seeds —
-/// the pre-sweep state both [`forward_lse_with`] and the fused sweep
+/// the pre-sweep state both [`forward_lse`] and the fused sweep
 /// ([`crate::forward::forward_fused`]) start from.
 pub(crate) fn lse_reset_seed<M: StatModel>(st: &Static, state: &mut State, model: &M) {
     state.lse_arrival.fill(f64::NEG_INFINITY);
@@ -167,129 +116,58 @@ pub(crate) fn lse_reset_seed<M: StatModel>(st: &Static, state: &mut State, model
     seed_lse_sources(st, state, 0..st.n, model);
 }
 
-/// One level of the differentiable forward pass: parallel launch, panic
-/// containment + serial retry, and per-level profiling for level `l`.
-/// Shared verbatim by [`forward_lse_with`] and the fused sweep — level
-/// `l` reads only earlier levels' smooth arrivals, so interleaving whole
-/// level bodies with the evaluation kernel changes nothing it computes.
-#[allow(clippy::too_many_arguments)]
+/// One level of the differentiable forward pass, run through the level
+/// runner ([`Pass::level`]). Shared verbatim by [`forward_lse`] and the
+/// fused sweep — level `l` reads only earlier levels' smooth arrivals, so
+/// interleaving whole level bodies with the evaluation kernel changes
+/// nothing it computes.
 pub(crate) fn lse_level<M: StatModel>(
     st: &Static,
     state: &mut State,
+    pass: &mut Pass<'_>,
     tau: f64,
-    nt: usize,
     l: usize,
-    ann: &(impl Fn(usize, usize) -> (f64, f64) + Sync),
-    mut prof: Option<&mut LevelProfile>,
     model: &M,
-) -> Result<Option<RuntimeIncident>, InstaError> {
-    let mut recovered: Option<RuntimeIncident> = None;
-    {
-        let r = st.level_range(l);
-        let (base, len) = (r.start, r.len());
-        if len == 0 {
-            return Ok(None);
-        }
-        let t_level = prof.is_some().then(std::time::Instant::now);
-        // The level's fanin arcs are contiguous because arcs are stored in
-        // renumbered-child order.
-        let arc_lo = st.fanin_start[base] as usize;
-        let arc_hi = st.fanin_start[base + len] as usize;
-        let panicked = {
-            let node_split = base * 2;
-            let (done, cur_all) = state.lse_arrival.split_at_mut(node_split);
-            let cur = &mut cur_all[..len * 2];
-            let weights = &mut state.lse_weight[arc_lo..arc_hi];
-
-            if nt <= 1 || len < PAR_THRESHOLD {
-                lse_chunk(st, tau, base, base..base + len, done, cur, weights, arc_lo, ann, model);
-                None
-            } else {
-                let chunk_nodes = len.div_ceil(nt);
-                let cell = PanicCell::new();
-                std::thread::scope(|scope| {
-                    let mut rest_nodes = cur;
-                    let mut rest_weights = weights;
-                    let mut s0 = base;
-                    while s0 < base + len {
-                        let e0 = (s0 + chunk_nodes).min(base + len);
-                        let take_nodes = (e0 - s0) * 2;
-                        let take_arcs =
-                            st.fanin_start[e0] as usize - st.fanin_start[s0] as usize;
-                        let (cn, rn) = rest_nodes.split_at_mut(take_nodes);
-                        let (cw, rw) = rest_weights.split_at_mut(take_arcs);
-                        rest_nodes = rn;
-                        rest_weights = rw;
-                        let done_ref = &*done;
-                        let w_base = st.fanin_start[s0] as usize;
-                        let cell = &cell;
-                        scope.spawn(move || {
-                            cell.run(s0..e0, || {
-                                chaos::maybe_panic(Kernel::ForwardLse, l);
-                                lse_chunk(
-                                    st, tau, base, s0..e0, done_ref, cn, cw, w_base, ann, model,
-                                );
-                            });
-                        });
-                        s0 = e0;
-                    }
-                });
-                cell.take()
-            }
-        };
-        if let Some((chunk, message)) = panicked {
-            let incident = RuntimeIncident {
-                kernel: Kernel::ForwardLse,
-                level: l,
-                chunk,
-                message,
-                serial_retry_failed: false,
-            };
-            let retry = catch_unwind(AssertUnwindSafe(|| {
-                state.lse_arrival[base * 2..(base + len) * 2].fill(f64::NEG_INFINITY);
-                for w in state.lse_weight[arc_lo..arc_hi].iter_mut() {
-                    *w = [0.0; 2];
-                }
-                seed_lse_sources(st, state, base..base + len, model);
-                chaos::maybe_panic(Kernel::ForwardLse, l);
-                let (done, cur_all) = state.lse_arrival.split_at_mut(base * 2);
-                lse_chunk(
-                    st,
-                    tau,
-                    base,
-                    base..base + len,
-                    done,
-                    &mut cur_all[..len * 2],
-                    &mut state.lse_weight[arc_lo..arc_hi],
-                    arc_lo,
-                    ann,
-                    model,
-                );
-            }));
-            match retry {
-                Ok(()) => {
-                    recovered.get_or_insert(incident);
-                }
-                Err(_) => {
-                    return Err(InstaError::Runtime(RuntimeIncident {
-                        serial_retry_failed: true,
-                        ..incident
-                    }))
-                }
-            }
-        }
-        if let (Some(p), Some(t0)) = (prof.as_deref_mut(), t_level) {
-            p.record_level(l, t0.elapsed().as_nanos() as u64, len as u64);
-        }
-    }
+) -> Result<(), InstaError> {
+    let nodes = st.level_range(l);
+    // The level's fanin arcs are contiguous because arcs are stored in
+    // renumbered-child order.
+    let arcs = st.fanin_start[nodes.start] as usize..st.fanin_start[nodes.end] as usize;
+    pass.level(
+        l,
+        nodes.clone(),
+        state,
+        |state, launch| {
+            let (done, cur) = state.lse_arrival.split_at_mut(nodes.start * 2);
+            let mut rest = (
+                &mut cur[..nodes.len() * 2],
+                &mut state.lse_weight[arcs.clone()],
+            );
+            let windows = launch.cuts().map(|cut| {
+                let cut_arcs = (st.fanin_start[cut.end] - st.fanin_start[cut.start]) as usize;
+                (
+                    carve(&mut rest.0, cut.len() * 2),
+                    carve(&mut rest.1, cut_arcs),
+                )
+            });
+            launch.run(windows, |cut, (cur, weights)| {
+                lse_chunk(st, tau, nodes.start, cut, done, cur, weights, model);
+            })
+        },
+        |state| {
+            state.lse_arrival[nodes.start * 2..nodes.end * 2].fill(f64::NEG_INFINITY);
+            state.lse_weight[arcs.clone()].fill([0.0; 2]);
+            seed_lse_sources(st, state, nodes.clone(), model);
+        },
+    )?;
     #[cfg(debug_assertions)]
     crate::health::debug_assert_lse_level_clean(st, state, l);
-    Ok(recovered)
+    Ok(())
 }
 
-/// Per-thread body: nodes `range` of the level starting at `level_base`.
-/// `cur` holds the 2-per-node arrivals of the range; `weights` holds the
-/// fanin-arc weights of the range, offset by `w_base`.
+/// The body of one cut: nodes `range` of the level starting at
+/// `level_base`. `cur` holds the 2-per-node arrivals of the range;
+/// `weights` holds the fanin-arc weights of the range.
 #[allow(clippy::too_many_arguments)]
 #[allow(clippy::needless_range_loop)] // rf indexes parallel [f64; 2] slots
 fn lse_chunk<M: StatModel>(
@@ -300,11 +178,10 @@ fn lse_chunk<M: StatModel>(
     done: &[f64],
     cur: &mut [f64],
     weights: &mut [[f64; 2]],
-    w_base: usize,
-    ann: &impl Fn(usize, usize) -> (f64, f64),
     model: &M,
 ) {
     let chunk_node_base = range.start;
+    let w_base = st.fanin_start[chunk_node_base] as usize;
     for v in range {
         let fanin = st.fanin_range(v);
         if fanin.is_empty() {
@@ -321,8 +198,7 @@ fn lse_chunk<M: StatModel>(
                 let c = if pa == f64::NEG_INFINITY {
                     f64::NEG_INFINITY
                 } else {
-                    let (a_mean, a_sigma) = ann(ai, rf);
-                    model.lse_candidate(pa, a_mean, a_sigma, st.n_sigma)
+                    model.lse_candidate(pa, st.arc_mean[ai][rf], st.arc_sigma[ai][rf], st.n_sigma)
                 };
                 weights[ai - w_base][rf] = c;
                 if c > m {

@@ -1,21 +1,45 @@
-//! The CPU "kernel launcher" standing in for CUDA grid launches.
+//! The CPU "kernel launcher" standing in for CUDA grid launches, and the
+//! one place a timing level is executed.
 //!
 //! Each INSTA kernel processes one timing level: every node of the level is
 //! independent (the paper maps one pin to one CUDA thread). Because the
 //! engine renumbers nodes in level-major order, a level's state is a
-//! contiguous slice, so the launcher can hand disjoint chunks to scoped
+//! contiguous slice, so a kernel can hand disjoint windows of it to scoped
 //! threads with zero unsafe code.
 //!
-//! Worker panics are **isolated**: each chunk body runs under
-//! [`PanicCell::run`], which catches the unwind instead of letting
-//! `thread::scope` re-raise it in the launcher. The kernel then resets the
-//! level's output window and re-executes it serially (level windows are
-//! pure functions of the already-finalized earlier levels, so the retry is
-//! bit-identical to an undisturbed run), reporting the incident as
-//! [`InstaError::Runtime`](crate::error::InstaError::Runtime).
+//! # The level runner
+//!
+//! A kernel pass opens a [`Pass`] and calls [`Pass::level`] once per level;
+//! the evaluation forward pass (setup, hold, the fused sweep), the LSE
+//! forward pass, the backward sweep and the session's cone sweep all run
+//! their levels through it. The runner owns the whole protocol:
+//!
+//! 1. **Poll** the pass's [`Interrupt`] once — cancellation latency is one
+//!    level's work and a cut pass stops on a level boundary.
+//! 2. **Cut** the level's work items: one cut when a single thread was
+//!    asked for or the level is narrower than [`PAR_THRESHOLD`] (thread
+//!    spawn overhead dominates there), otherwise even `div_ceil` cuts, one
+//!    per thread.
+//! 3. **Launch** ([`Launch::run`]): a single cut runs inline, several run
+//!    on fresh scoped threads. Either way every cut's body runs under
+//!    `catch_unwind`, behind the [`chaos`] hook.
+//! 4. **Contain and retry.** The first panicking cut becomes a
+//!    [`RuntimeIncident`] naming its item range. The kernel's `reset` puts
+//!    the level's output window back to its pre-level state and the level
+//!    is re-executed once, as one inline cut. A level's outputs are a pure
+//!    function of already-final levels, so the retry is bit-identical to
+//!    an undisturbed run: the pass goes on and reports the incident. A
+//!    retry that fails too ends the pass with
+//!    [`InstaError::Runtime`] (`serial_retry_failed`).
+//! 5. **Profile**: one `(level, ns, items)` row when a profile is attached.
+//!
+//! A kernel supplies only what is its own: how to carve *its* output window
+//! along the cuts, the body of one cut, and the reset.
 
-use crate::error::{InstaError, Kernel};
+use crate::error::{InstaError, Kernel, RuntimeIncident};
+use crate::trace::LevelProfile;
 use insta_support::timer::{CancelToken, Deadline};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -93,62 +117,182 @@ pub fn resolve_threads(requested: usize) -> usize {
 }
 
 /// Minimum per-level work items before a launch goes parallel; below this,
-/// thread spawn overhead dominates and the launcher runs inline.
+/// thread spawn overhead dominates and the level runs inline.
 pub const PAR_THRESHOLD: usize = 512;
 
-/// Runs `f(global_index, item)` for every item of `items`, splitting the
-/// slice into `n_threads` chunks executed by scoped threads. `base` is
-/// added to each local index to recover the global index.
-///
-/// Falls back to an inline loop when the slice is small or one thread was
-/// requested.
-pub fn launch<T: Send, F>(n_threads: usize, base: usize, items: &mut [T], f: F)
-where
-    F: Fn(usize, &mut T) + Sync,
-{
-    let nt = resolve_threads(n_threads);
-    if nt <= 1 || items.len() < PAR_THRESHOLD {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(base + i, item);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(nt);
-    std::thread::scope(|s| {
-        for (ci, chunk_items) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                for (i, item) in chunk_items.iter_mut().enumerate() {
-                    f(base + ci * chunk + i, item);
-                }
-            });
-        }
-    });
+/// A panicking cut: its work-item range and the panic message.
+pub(crate) type Panicked = (Range<usize>, String);
+
+/// One kernel pass as the level runner sees it (see the [module
+/// docs](self)): which kernel polls and books, on how many threads, into
+/// which profile — and the first incident the pass recovered from.
+pub(crate) struct Pass<'a> {
+    kernel: Kernel,
+    nt: usize,
+    interrupt: Option<Interrupt>,
+    prof: Option<&'a mut LevelProfile>,
+    recovered: Option<RuntimeIncident>,
 }
 
-/// Like [`launch`] but over ranges instead of slices: calls
-/// `f(start..end)` on each thread's sub-range of `base..base + len`. The
-/// caller is responsible for making the per-range work disjoint.
-pub fn launch_ranges<F>(n_threads: usize, base: usize, len: usize, f: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    let nt = resolve_threads(n_threads);
-    if nt <= 1 || len < PAR_THRESHOLD {
-        f(base..base + len);
-        return;
-    }
-    let chunk = len.div_ceil(nt);
-    std::thread::scope(|s| {
-        let mut start = base;
-        let end = base + len;
-        while start < end {
-            let stop = (start + chunk).min(end);
-            let f = &f;
-            s.spawn(move || f(start..stop));
-            start = stop;
+impl<'a> Pass<'a> {
+    /// Opens a pass. The interrupt's reporting clock restarts here (see
+    /// [`Interrupt::restarted`]) and the profile counts the pass.
+    pub(crate) fn begin(
+        kernel: Kernel,
+        n_threads: usize,
+        interrupt: Option<&Interrupt>,
+        mut prof: Option<&'a mut LevelProfile>,
+    ) -> Self {
+        if let Some(p) = prof.as_deref_mut() {
+            p.passes += 1;
         }
-    });
+        Pass {
+            kernel,
+            nt: resolve_threads(n_threads),
+            interrupt: interrupt.map(Interrupt::restarted),
+            prof,
+            recovered: None,
+        }
+    }
+
+    /// The most cuts a level of this pass is split into.
+    pub(crate) fn threads(&self) -> usize {
+        self.nt
+    }
+
+    /// Runs one level: `items` are its work items — the level's node ids
+    /// for a full pass, worklist positions for the cone sweep.
+    ///
+    /// `attempt(state, launch)` executes the level once: it carves the
+    /// kernel's output window along [`Launch::cuts`] and hands the windows
+    /// and the cut body to [`Launch::run`], whose verdict it returns.
+    /// `reset(state)` runs only between a contained panic and the retry.
+    /// Levels before this one are final and later ones untouched when this
+    /// returns `Err`.
+    pub(crate) fn level<S>(
+        &mut self,
+        level: usize,
+        items: Range<usize>,
+        state: &mut S,
+        attempt: impl Fn(&mut S, &Launch) -> Option<Panicked>,
+        reset: impl FnOnce(&mut S),
+    ) -> Result<(), InstaError> {
+        if let Some(e) = self
+            .interrupt
+            .as_ref()
+            .and_then(|i| i.check(self.kernel, level))
+        {
+            return Err(e);
+        }
+        let len = items.len();
+        if len == 0 {
+            return Ok(());
+        }
+        // Two timestamp reads per level, only when a profile is attached.
+        let t0 = self.prof.is_some().then(Instant::now);
+        let per_cut = if self.nt <= 1 || len < PAR_THRESHOLD {
+            len
+        } else {
+            len.div_ceil(self.nt)
+        };
+        let mut launch = Launch {
+            kernel: self.kernel,
+            level,
+            items,
+            per_cut,
+            retry: false,
+        };
+        if let Some((chunk, message)) = attempt(state, &launch) {
+            let incident = RuntimeIncident {
+                kernel: self.kernel,
+                level,
+                chunk,
+                message,
+                serial_retry_failed: false,
+            };
+            launch.per_cut = len;
+            launch.retry = true;
+            let retried = catch_unwind(AssertUnwindSafe(|| {
+                reset(state);
+                attempt(state, &launch)
+            }));
+            if !matches!(retried, Ok(None)) {
+                return Err(InstaError::Runtime(RuntimeIncident {
+                    serial_retry_failed: true,
+                    ..incident
+                }));
+            }
+            self.recovered.get_or_insert(incident);
+        }
+        if let (Some(p), Some(t0)) = (self.prof.as_deref_mut(), t0) {
+            p.record_level(level, t0.elapsed().as_nanos() as u64, len as u64);
+        }
+        Ok(())
+    }
+
+    /// Closes the pass: the first panic it contained, if any.
+    pub(crate) fn finish(self) -> Option<RuntimeIncident> {
+        self.recovered
+    }
+}
+
+/// Splits the first `n` elements off the front of `rest`: how a kernel
+/// carves its window cut by cut.
+pub(crate) fn carve<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    rest.split_off_mut(..n)
+        .expect("the cuts tile the level window")
+}
+
+/// One execution of a level, handed to the kernel's `attempt`.
+pub(crate) struct Launch {
+    kernel: Kernel,
+    level: usize,
+    items: Range<usize>,
+    /// Items per cut; the whole level when it runs inline.
+    per_cut: usize,
+    /// Whether this is the serial re-execution after a contained panic.
+    pub(crate) retry: bool,
+}
+
+impl Launch {
+    /// The cuts of this launch, in order: they tile the level's items.
+    pub(crate) fn cuts(&self) -> impl Iterator<Item = Range<usize>> {
+        let (end, per_cut) = (self.items.end, self.per_cut);
+        self.items
+            .clone()
+            .step_by(per_cut)
+            .map(move |start| start..(start + per_cut).min(end))
+    }
+
+    /// Runs `body(cut, window)` for every cut, `windows` being the kernel's
+    /// output window carved along [`cuts`](Self::cuts) in the same order,
+    /// and returns the first cut that panicked. Siblings of a panicking
+    /// cut finish normally.
+    pub(crate) fn run<W: Send>(
+        &self,
+        windows: impl IntoIterator<Item = W>,
+        body: impl Fn(Range<usize>, W) + Sync,
+    ) -> Option<Panicked> {
+        let work = |cut: Range<usize>, window: W| {
+            chaos::maybe_panic(self.kernel, self.level);
+            body(cut, window);
+        };
+        let mut chunks = self.cuts().zip(windows);
+        if self.per_cut == self.items.len() {
+            let (cut, window) = chunks.next()?;
+            return catch_unwind(AssertUnwindSafe(|| work(cut.clone(), window)))
+                .err()
+                .map(|payload| (cut, payload_message(payload)));
+        }
+        let cell = PanicCell::new();
+        std::thread::scope(|scope| {
+            for (cut, window) in chunks {
+                let (cell, work) = (&cell, &work);
+                scope.spawn(move || cell.run(cut.clone(), || work(cut, window)));
+            }
+        });
+        cell.take()
+    }
 }
 
 /// Reusable per-thread scratch of the forward merge
@@ -250,7 +394,7 @@ impl MergeArena {
 }
 
 /// Extracts a human-readable message from a panic payload.
-pub(crate) fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -260,25 +404,25 @@ pub(crate) fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String 
     }
 }
 
-/// Collects the first worker panic of a kernel launch.
+/// Collects the first worker panic of a spawned launch.
 ///
-/// Every spawned chunk wraps its body in [`PanicCell::run`]; a panicking
-/// chunk records its node range and payload here (first writer wins) and
-/// the thread exits cleanly, so `thread::scope` joins without re-raising.
-pub(crate) struct PanicCell {
-    slot: Mutex<Option<(std::ops::Range<usize>, String)>>,
+/// Every spawned cut wraps its body in [`PanicCell::run`]; a panicking cut
+/// records its item range and payload here (first writer wins) and the
+/// thread exits cleanly, so `thread::scope` joins without re-raising.
+struct PanicCell {
+    slot: Mutex<Option<Panicked>>,
 }
 
 impl PanicCell {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             slot: Mutex::new(None),
         }
     }
 
-    /// Runs `f`, converting a panic into a recorded incident for the node
+    /// Runs `f`, converting a panic into a recorded incident for the item
     /// range `chunk`.
-    pub(crate) fn run<F: FnOnce()>(&self, chunk: std::ops::Range<usize>, f: F) {
+    fn run<F: FnOnce()>(&self, chunk: Range<usize>, f: F) {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
             let mut slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
             if slot.is_none() {
@@ -288,7 +432,7 @@ impl PanicCell {
     }
 
     /// The first recorded panic, if any.
-    pub(crate) fn take(&self) -> Option<(std::ops::Range<usize>, String)> {
+    fn take(&self) -> Option<Panicked> {
         self.slot.lock().unwrap_or_else(|p| p.into_inner()).take()
     }
 }
@@ -297,7 +441,7 @@ impl PanicCell {
 ///
 /// Hidden from docs: this is test machinery, kept in the library (instead
 /// of `#[cfg(test)]`) so integration tests can arm it. The cost on the hot
-/// path is one relaxed atomic load per dispatched chunk.
+/// path is one relaxed atomic load per dispatched cut, inline ones included.
 #[doc(hidden)]
 pub mod chaos {
     use crate::error::Kernel;
@@ -332,8 +476,9 @@ pub mod chaos {
         PERSISTENT.store(false, Ordering::SeqCst);
     }
 
-    /// Called by kernel chunk bodies; panics when armed for this site.
-    pub(crate) fn maybe_panic(kernel: Kernel, level: usize) {
+    /// Called by [`Launch::run`](super::Launch::run) ahead of every cut's
+    /// body; panics when armed for this site.
+    pub(super) fn maybe_panic(kernel: Kernel, level: usize) {
         if ARMED_KERNEL.load(Ordering::Relaxed) != tag(kernel) {
             return;
         }
@@ -360,32 +505,179 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    #[test]
-    fn launch_visits_every_item_once_with_global_indices() {
-        let mut data = vec![0usize; 2000];
-        launch(4, 100, &mut data, |gi, item| {
-            *item = gi;
-        });
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v, 100 + i);
+    /// What one toy level left behind.
+    struct ToyRun {
+        data: Vec<u64>,
+        outcome: Result<Option<RuntimeIncident>, InstaError>,
+        /// The cuts of every attempt, in launch order.
+        cuts: Vec<Range<usize>>,
+        resets: usize,
+        prof: LevelProfile,
+    }
+
+    const LEVEL: usize = 7;
+
+    /// Runs level [`LEVEL`] over items `base..base + len` of a zeroed
+    /// `Vec<u64>` "state" on `nt` threads. The body *adds* `item + 1` to
+    /// every slot of its cut — a slot visited twice without a reset in
+    /// between shows — and panics in the cut holding `panic_at`, `panics`
+    /// times over.
+    fn toy_level(nt: usize, base: usize, len: usize, panic_at: usize, panics: usize) -> ToyRun {
+        let mut data = vec![0u64; base + len + 3];
+        let mut prof = LevelProfile::default();
+        let (left, resets) = (AtomicUsize::new(panics), AtomicUsize::new(0));
+        let cuts = Mutex::new(Vec::new());
+        let mut pass = Pass::begin(Kernel::Forward, nt, None, Some(&mut prof));
+        let ran = pass.level(
+            LEVEL,
+            base..base + len,
+            &mut data,
+            |data, launch| {
+                cuts.lock().unwrap().extend(launch.cuts());
+                let mut rest = &mut data[base..base + len];
+                let windows = launch.cuts().map(|cut| carve(&mut rest, cut.len()));
+                launch.run(windows, |cut, window| {
+                    let armed = cut.contains(&panic_at)
+                        && left
+                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                            .is_ok();
+                    for (item, slot) in cut.zip(window) {
+                        *slot += item as u64 + 1;
+                        assert!(!(armed && item == panic_at), "toy panic at item {item}");
+                    }
+                })
+            },
+            |data| {
+                resets.fetch_add(1, Ordering::SeqCst);
+                data[base..base + len].fill(0);
+            },
+        );
+        let outcome = ran.map(|()| pass.finish());
+        ToyRun {
+            data,
+            outcome,
+            cuts: cuts.into_inner().unwrap(),
+            resets: resets.into_inner(),
+            prof,
         }
     }
 
     #[test]
-    fn launch_small_runs_inline() {
-        let mut data = vec![0u32; 10];
-        launch(8, 0, &mut data, |_gi, item| *item += 1);
-        assert!(data.iter().all(|&v| v == 1));
+    fn cuts_cover_the_level_exactly_once_with_global_indices() {
+        // (threads, base, len): lengths that do and do not divide by the
+        // thread count, below and above the parallel threshold.
+        for (nt, base, len) in [
+            (4, 100, 2000),
+            (3, 7, 2000),
+            (8, 3, PAR_THRESHOLD),
+            (8, 0, PAR_THRESHOLD - 1),
+            (4, 5, 10),
+            (1, 9, 4096),
+        ] {
+            let run = toy_level(nt, base, len, usize::MAX, 0);
+            assert!(matches!(run.outcome, Ok(None)), "{nt} {base} {len}");
+            for (i, &v) in run.data.iter().enumerate() {
+                let want = if (base..base + len).contains(&i) {
+                    i as u64 + 1
+                } else {
+                    0
+                };
+                assert_eq!(v, want, "slot {i} of ({nt}, {base}, {len})");
+            }
+            let inline = nt <= 1 || len < PAR_THRESHOLD;
+            let n_cuts = if inline {
+                1
+            } else {
+                len.div_ceil(len.div_ceil(nt))
+            };
+            assert_eq!(run.cuts.len(), n_cuts, "({nt}, {base}, {len})");
+            assert_eq!(run.cuts[0].start, base);
+            assert_eq!(run.cuts[n_cuts - 1].end, base + len);
+            assert!(run.cuts.windows(2).all(|w| w[0].end == w[1].start));
+            assert_eq!(run.resets, 0);
+            // The profile row is (level, _, items).
+            assert_eq!(run.prof.passes, 1);
+            assert_eq!(run.prof.level_nodes.len(), LEVEL + 1);
+            assert_eq!(run.prof.level_nodes[LEVEL], len as u64);
+            assert_eq!(run.prof.level_nodes.iter().sum::<u64>(), len as u64);
+        }
     }
 
     #[test]
-    fn launch_ranges_covers_exactly_once() {
-        let hits = AtomicUsize::new(0);
-        launch_ranges(4, 7, 4096, |r| {
-            hits.fetch_add(r.len(), Ordering::Relaxed);
-            assert!(r.start >= 7 && r.end <= 7 + 4096);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 4096);
+    fn a_one_shot_panic_is_reset_once_and_retried_to_undisturbed_output() {
+        // Spawned (the third of four cuts panics) and inline.
+        for (nt, base, len, panic_at) in [
+            (4, 100, 2000, 1100 + 17),
+            (4, 100, 50, 120),
+            (1, 0, 600, 599),
+        ] {
+            let clean = toy_level(nt, base, len, usize::MAX, 0);
+            let run = toy_level(nt, base, len, panic_at, 1);
+            let incident = run.outcome.expect("recovered").expect("incident reported");
+            assert_eq!(incident.kernel, Kernel::Forward);
+            assert_eq!(incident.level, LEVEL);
+            assert!(!incident.serial_retry_failed);
+            assert!(
+                incident.message.contains("toy panic"),
+                "{}",
+                incident.message
+            );
+            // The incident names the panicking cut of the first attempt;
+            // the retry is one cut over the whole level.
+            let (first, retry) = run.cuts.split_at(run.cuts.len() - 1);
+            assert!(
+                first.contains(&incident.chunk),
+                "{:?} in {first:?}",
+                incident.chunk
+            );
+            assert!(incident.chunk.contains(&panic_at));
+            assert_eq!(retry.len(), 1);
+            assert_eq!(retry[0], base..base + len);
+            // The body accumulates, so equal output means the reset ran
+            // before the retry; it ran exactly once.
+            assert_eq!(run.resets, 1);
+            assert_eq!(run.data, clean.data);
+            assert_eq!(run.prof.level_nodes[LEVEL], len as u64);
+        }
+    }
+
+    #[test]
+    fn a_persistent_panic_is_a_typed_serial_retry_failure() {
+        for (nt, len) in [(4, 2000), (1, 2000), (4, 20)] {
+            let run = toy_level(nt, 0, len, len / 2, usize::MAX);
+            let Err(InstaError::Runtime(incident)) = run.outcome else {
+                panic!("expected Runtime, got {:?}", run.outcome);
+            };
+            assert!(incident.serial_retry_failed);
+            assert_eq!((incident.kernel, incident.level), (Kernel::Forward, LEVEL));
+            assert!(incident.chunk.contains(&(len / 2)));
+            assert_eq!(run.resets, 1);
+        }
+    }
+
+    #[test]
+    fn an_empty_level_is_polled_but_neither_run_nor_profiled() {
+        let mut prof = LevelProfile::default();
+        let mut pass = Pass::begin(Kernel::Backward, 2, None, Some(&mut prof));
+        let attempt = |_: &mut (), _: &Launch| -> Option<Panicked> { panic!("nothing to run") };
+        pass.level(3, 40..40, &mut (), attempt, |_| {})
+            .expect("no work");
+        let tok = CancelToken::new();
+        tok.cancel();
+        let fired = Interrupt::new(Some(tok), None);
+        let mut pass = Pass::begin(Kernel::Backward, 2, Some(&fired), None);
+        let err = pass
+            .level(3, 40..40, &mut (), attempt, |_| {})
+            .expect_err("polled first");
+        assert!(matches!(
+            err,
+            InstaError::Cancelled {
+                kernel: Kernel::Backward,
+                level: 3,
+                ..
+            }
+        ));
+        assert!(prof.level_nodes.is_empty());
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use crate::checkpoint::EpochCheckpoint;
 use crate::engine::InstaEngine;
-use crate::error::{InstaError, Kernel, PoisonedArray};
+use crate::error::InstaError;
 use crate::metrics::InstaReport;
 use crate::parallel::Interrupt;
 use crate::validate::{Issue, ValidationReport};
@@ -237,29 +237,11 @@ impl<'e> TimingSession<'e> {
     /// have finite-or-infinite slacks. NaN is treated as a poisoning
     /// numeric error (rollback + close).
     fn gate_report(&mut self, report: InstaReport) -> Result<InstaReport, InstaError> {
-        let Some(ep) = report.slacks.iter().position(|s| s.is_nan()) else {
+        let Some(synthesized) = crate::health::nan_slack(&self.eng.st, &report) else {
             return Ok(report);
         };
-        // Prefer the engine's own diagnosis (names the poisoned array);
-        // fall back to a synthesized endpoint-level poison report.
-        let err = self.eng.health_check().err().unwrap_or_else(|| {
-            let node = self.eng.st.endpoints[ep].node;
-            let level = self
-                .eng
-                .st
-                .level_start
-                .partition_point(|&s| s as usize <= node as usize)
-                .saturating_sub(1);
-            InstaError::Numeric {
-                kernel: Kernel::Forward,
-                array: PoisonedArray::TopKArrival,
-                node,
-                orig_node: self.eng.st.node_orig[node as usize],
-                level,
-                rf: 0,
-                value: f64::NAN,
-            }
-        });
+        // Prefer the engine's own diagnosis (names the poisoned array).
+        let err = self.eng.health_check().err().unwrap_or(synthesized);
         Err(self.close_on(err))
     }
 

@@ -203,10 +203,13 @@ impl TimingSnapshot {
 
     /// The worst corner arrival at an *original* graph node id per
     /// transition, if any path reaches it (the snapshot form of
-    /// [`InstaEngine::arrival_at`]).
+    /// [`InstaEngine::arrival_at`], `None` for `rf ≥ 2` like it).
     pub fn arrival_at(&self, orig_node: u32, rf: usize) -> Option<f64> {
+        if rf >= 2 {
+            return None;
+        }
         let v = *self.orig_index.get(orig_node as usize)? as usize;
-        let row = v * 2 + rf.min(1);
+        let row = v * 2 + rf;
         if row >= self.n_rows {
             return None;
         }

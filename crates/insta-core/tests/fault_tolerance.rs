@@ -180,6 +180,71 @@ fn lse_and_backward_worker_panics_are_recovered_bit_identically() {
     assert!(nonzero > 0, "gradients must flow in this comparison");
 }
 
+/// One containment contract, inline path included: on one thread every
+/// level runs inline, and a one-shot panic in each kernel is still a
+/// recorded incident and a bit-identical result — it used to unwind out of
+/// the `try_*` call.
+#[test]
+fn single_threaded_level_panics_are_recovered_bit_identically() {
+    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let single = |init| {
+        InstaEngine::new(
+            init,
+            InstaConfig {
+                n_threads: 1,
+                lse_tau: 0.5,
+                ..InstaConfig::default()
+            },
+        )
+        .expect("valid snapshot")
+    };
+    let init = wide_init();
+    let mut healthy = single(init.clone());
+    healthy.propagate();
+    healthy.forward_lse();
+    healthy.backward_tns();
+
+    let mut faulty = single(init);
+    let mut armed_pass = |kernel: Kernel, level: usize| {
+        with_quiet_panics(|| {
+            chaos::arm(kernel, level, false);
+            let ran = match kernel {
+                Kernel::Forward => faulty.try_propagate().map(|_| ()),
+                Kernel::ForwardLse => faulty.try_forward_lse(),
+                Kernel::Backward => faulty.try_backward_tns(),
+            };
+            chaos::disarm();
+            ran.unwrap_or_else(|e| panic!("{kernel} panic not recovered: {e}"));
+        });
+        let incident = faulty.last_incident().expect("incident recorded");
+        assert_eq!((incident.kernel, incident.level), (kernel, level));
+        assert!(!incident.serial_retry_failed);
+        assert!(incident.message.contains("chaos"), "{}", incident.message);
+        assert!(!incident.chunk.is_empty());
+    };
+    armed_pass(Kernel::Forward, 3);
+    armed_pass(Kernel::ForwardLse, 2);
+    armed_pass(Kernel::Backward, 2);
+    assert_eq!(faulty.incident_log().total(), 3);
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(
+        bits(&healthy.report().slacks),
+        bits(&faulty.report().slacks)
+    );
+    let (h, f) = (healthy.topk_snapshot(), faulty.topk_snapshot());
+    assert_eq!(
+        (bits(&h.0), bits(&h.1), bits(&h.2), h.3),
+        (bits(&f.0), bits(&f.1), bits(&f.2), f.3)
+    );
+    let grads = healthy.arc_gradients();
+    assert!(
+        grads.iter().any(|&g| g != 0.0),
+        "gradients must flow in this comparison"
+    );
+    assert_eq!(bits(&grads), bits(&faulty.arc_gradients()));
+}
+
 #[test]
 fn persistent_panic_fails_the_serial_retry_with_a_typed_error() {
     let _guard = CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner());

@@ -706,13 +706,21 @@ impl Server {
     }
 
     fn report_at(&self, req: &Request) -> Result<Json, ErrReply> {
+        let bad = |m: String| ErrReply::new(code::BAD_REQUEST, m);
+        // Node ids are u32 on the engine side: a wider integer is refused,
+        // never narrowed onto some other node.
         let node = req
             .params
-            .get::<u64>("node")
-            .map_err(|e| ErrReply::new(code::BAD_REQUEST, format!("node: {e}")))?;
-        let rf = req.params.get::<u64>("rf").unwrap_or(0) as usize;
+            .get::<u32>("node")
+            .map_err(|e| bad(format!("node: {e}")))?;
+        // `rf` is optional (rise); when present it must be a transition.
+        let rf = match req.params.field("rf").map(Json::as_u64) {
+            Err(_) => 0,
+            Ok(Ok(rf @ 0..=1)) => rf as usize,
+            Ok(_) => return Err(bad("rf: want 0 (rise) or 1 (fall)".into())),
+        };
         let snap = self.shared.cell.load();
-        let arrival = snap.arrival_at(node as u32, rf);
+        let arrival = snap.arrival_at(node, rf);
         Ok(obj([
             ("epoch", snap.epoch().to_json()),
             ("reached", Json::Bool(arrival.is_some())),
@@ -1027,9 +1035,10 @@ fn parse_deltas(j: &Json) -> Result<Vec<ArcDelta>, ErrReply> {
     let mut out = Vec::with_capacity(arr.len());
     for d in arr {
         out.push(ArcDelta {
+            // Arc ids are u32: `2^32 + a valid id` must not wrap onto it.
             arc: d
-                .get::<u64>("arc")
-                .map_err(|e| bad(format!("delta arc: {e}")))? as u32,
+                .get::<u32>("arc")
+                .map_err(|e| bad(format!("delta arc: {e}")))?,
             mean: pair(d, "mean")?,
             sigma: pair(d, "sigma")?,
         });

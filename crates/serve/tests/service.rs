@@ -9,11 +9,11 @@ use insta_serve::{Op, ServeConfig, Server};
 use insta_support::json::{obj, Json, ToJson};
 use std::sync::atomic::Ordering;
 
-fn delta_params(arc: u32, mean: f64, sigma: f64) -> Json {
+fn delta_params(arc: u64, mean: f64, sigma: f64) -> Json {
     obj([(
         "deltas",
         Json::Arr(vec![obj([
-            ("arc", u64::from(arc).to_json()),
+            ("arc", arc.to_json()),
             ("mean", Json::Arr(vec![mean.to_json(), mean.to_json()])),
             ("sigma", Json::Arr(vec![sigma.to_json(), sigma.to_json()])),
         ])]),
@@ -80,6 +80,53 @@ fn reads_and_writes_round_trip_bit_exactly() {
         )
         .unwrap();
     assert_eq!(oob.code(), Some("bad_request"));
+
+    drop(cl);
+    h.join().unwrap();
+}
+
+/// Regression: wire integers were narrowed with `as`, so an arc or node id
+/// of `2^32 + a valid id` wrapped onto the valid id — the update was
+/// applied to the wrong arc, logged and committed — and any `rf` was
+/// clamped onto a transition. All three are typed refusals that write
+/// nothing.
+#[test]
+fn wire_integers_wider_than_their_field_are_refused_not_wrapped() {
+    let server = Server::new(build_engine(23, 8), ServeConfig::default());
+    let (mut cl, h) = connect(&server);
+    let before = cl.call(Op::ReportSlack, None, Json::Null).unwrap();
+
+    let wrapped = cl
+        .call(Op::Update, None, delta_params((1 << 32) + 1, 40.0, 4.0))
+        .unwrap();
+    assert_eq!(wrapped.code(), Some("bad_request"), "{:?}", wrapped.error);
+    let message = &wrapped.error.as_ref().expect("refused").1;
+    assert!(
+        message.contains("arc"),
+        "the refusal names the field: {message}"
+    );
+    let after = cl.call(Op::ReportSlack, None, Json::Null).unwrap();
+    assert_eq!(after.epoch, before.epoch, "the epoch must not move");
+    assert_eq!(slack_bits(&after.result), slack_bits(&before.result));
+    assert_eq!(server.counters().snapshot_swaps.load(Ordering::Relaxed), 0);
+
+    let at = |cl: &mut common::Conn, node: u64, rf: Option<u64>| {
+        let mut params = vec![("node", node.to_json())];
+        params.extend(rf.map(|rf| ("rf", rf.to_json())));
+        cl.call(Op::ReportAt, None, obj(params)).unwrap()
+    };
+    for rf in [None, Some(0), Some(1)] {
+        assert!(at(&mut cl, 0, rf).ok, "rf {rf:?} is a transition");
+    }
+    for (node, rf, field) in [(1 << 32, None, "node"), (0, Some(2), "rf")] {
+        let refused = at(&mut cl, node, rf);
+        assert_eq!(refused.code(), Some("bad_request"), "{node} {rf:?}");
+        let message = &refused.error.as_ref().expect("refused").1;
+        assert!(
+            message.contains(field),
+            "the refusal names {field}: {message}"
+        );
+    }
 
     drop(cl);
     h.join().unwrap();

@@ -9,6 +9,16 @@ cd "$(dirname "$0")/.."
 echo "==> build (release, offline, warnings are errors)"
 RUSTFLAGS="-D warnings" cargo build --workspace --release --offline
 
+echo "==> one-site gate (the level protocol — thread::scope, catch_unwind, PanicCell, serial_retry_failed: true — is spelled in insta-core's parallel.rs only)"
+strays=""
+for f in $(find crates/insta-core/src -name '*.rs' -not -name parallel.rs | sort); do
+  # Non-test code: everything before the file's first line-start #[cfg(test)].
+  hits=$(sed '/^#\[cfg(test)\]/,$d' "$f" |
+    grep -nE 'thread::scope|catch_unwind|PanicCell|serial_retry_failed: true' || true)
+  [ -z "$hits" ] || strays="$strays$f: $hits"$'\n'
+done
+[ -z "$strays" ] || { printf 'one-site gate: the level runner is being re-spelled outside parallel.rs:\n%s' "$strays" >&2; exit 1; }
+
 echo "==> tests (offline; debug profile keeps the hot-path poison asserts on)"
 cargo test -q --workspace --offline
 
@@ -126,5 +136,8 @@ done
 
 echo "==> quickstart smoke run"
 cargo run -q --release --offline --example quickstart
+
+echo "==> net lines per crate, non-test vs test (report only)"
+scripts/loc.sh
 
 echo "==> ci.sh: all gates passed"
