@@ -1,13 +1,17 @@
 //! Batch-throughput gate: S=16 what-if scenarios evaluated in one
 //! `evaluate_batch` call vs S sequential transactional sessions.
 //!
-//! Both arms recompute only each scenario's changed fanout cone. The
-//! sequential arm pays for it twice per scenario — the update's sweep and
-//! the rollback's re-sweep — plus a checkpoint; a batched lane sweeps once
-//! and takes the sweep back from its undo log (a copy, not a recompute).
-//! So the batch must never lose: the gate is `evaluate_batch` ≥ 1.0× the
-//! sequential sessions (≈ 1.5× expected), judged on the minimum of
-//! interleaved iterations with the other gates' noise policy — a failing
+//! Both arms are the same work: each scenario's changed fanout cone is
+//! swept once and taken back by copying the cone's undo log — a session
+//! rollback and a batched lane share that log. (Until a session rolled
+//! back by the log it re-swept its cone, and the batch won 1.45–1.75×; the
+//! gate then was ≥ 1.0×.) What is left between the arms is a session's
+//! checkpoint against a lane's routing, so the gate is parity: ten
+//! alternating runs read 0.97–1.04× here (sessions 1.11–1.41 ms, batch
+//! 1.13–1.36 ms), and a gate at 1.0× would flake. `evaluate_batch` must
+//! stay ≥ 0.9× the sequential sessions — what still catches a per-call
+//! O(nodes) cost creeping back into the batch — judged on the minimum of
+//! interleaved iterations with the other gates' noise policy: a failing
 //! round keeps its minima and samples another round, up to three. One
 //! machine-readable JSON line after the human lines; exits non-zero on a
 //! breach. Drift auditing is disabled so neither path degrades.
@@ -22,7 +26,7 @@ use std::time::{Duration, Instant};
 
 const SCENARIOS: usize = 16;
 /// Minimum accepted batch-vs-sequential speedup.
-const GATE_MIN_SPEEDUP: f64 = 1.0;
+const GATE_MIN_SPEEDUP: f64 = 0.9;
 const ATTEMPTS: usize = 3;
 
 fn main() {

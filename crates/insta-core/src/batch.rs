@@ -11,12 +11,12 @@
 //! * **A lane is a cone sweep with an undo log.** All scenarios diverge
 //!   from the *same* synced base: the engine's live Top-K arrays and its
 //!   report. A lane writes its deltas over the annotations, runs the
-//!   session's own [`cone_sweep`](crate::incremental) in place with the
-//!   undo log on, reads its report off the live arrays (a copy of the
-//!   base report, refreshed on the recomputed nodes), and then copies the
-//!   overwritten k-slices and annotations back. A candidate costs its
-//!   changed cone twice — once forward, once as a memcpy — and nothing per
-//!   node or per arc of the graph.
+//!   session's own [`cone_sweep`](crate::incremental) in place, reads its
+//!   report off the live arrays (a copy of the base report, refreshed on
+//!   the recomputed nodes), and then takes the sweep back the way a session
+//!   rollback does: the cone's undo log copies the overwritten k-slices and
+//!   annotations back. A candidate costs its changed cone once forward and
+//!   once as a memcpy, and nothing per node or per arc of the graph.
 //! * **A corner is one full pass.** A [`CornerTransform`] re-annotates
 //!   every arc, which is what the ordinary [`forward`](crate::forward)
 //!   pass is for: each *distinct* non-identity corner gets one full pass
@@ -1066,8 +1066,9 @@ impl Drop for CornerSwap<'_> {
 }
 
 /// A lane applied in place: its deltas written over the annotations and
-/// its cone swept over the base arrays, both logged. Dropping it takes
-/// every write back — after a finished lane, a failed one, or an unwind.
+/// its cone swept over the base arrays. Dropping it takes every write back
+/// by the cone's undo log, as a session rollback does — after a finished
+/// lane, a failed one, or an unwind.
 pub(crate) struct LaneUndo<'a> {
     pub(crate) st: &'a mut Static,
     pub(crate) state: &'a mut State,
@@ -1086,12 +1087,14 @@ impl<'a> LaneUndo<'a> {
         model: &M,
     ) -> (Self, Result<Option<RuntimeIncident>, InstaError>) {
         let lane = LaneUndo { st, state, cone };
-        lane.cone.annotate_logged(lane.st, deltas);
+        lane.cone.annotate(lane.st, deltas);
         let seeded = seed_cone(lane.st, lane.cone, deltas.iter().map(|d| d.arc));
         debug_assert!(seeded, "lanes past the seed switch run as serial sessions");
         // No `forward.cone` span and no level profile per lane: the call's
-        // one `batch.sweep` span carries the totals.
-        let swept = cone_sweep(lane.st, lane.state, lane.cone, interrupt, None, model);
+        // one `batch.sweep` span carries the totals. No log budget either:
+        // the log is the lane's only way back.
+        let swept =
+            cone_sweep(lane.st, lane.state, lane.cone, interrupt, None, usize::MAX, model);
         (lane, swept)
     }
 }
@@ -1099,6 +1102,7 @@ impl<'a> LaneUndo<'a> {
 impl Drop for LaneUndo<'_> {
     fn drop(&mut self) {
         self.cone.undo(self.st, self.state);
+        self.cone.forget();
     }
 }
 

@@ -336,9 +336,9 @@ pub struct InstaEngine {
     /// Whether the Top-K arrays are the deterministic output of
     /// [`try_propagate`](InstaEngine::try_propagate) over the *current*
     /// annotations. Cleared by re-annotation, hold propagation and failed
-    /// passes; set again by every completed full pass or cone update. A
-    /// synced engine with a report is what lets `update_timing` (and a
-    /// session rollback) re-propagate only the changed fanout cone.
+    /// passes; set again by every completed full pass or cone update and by
+    /// the rollback of a failed cone sweep. A synced engine with a report is
+    /// what lets `update_timing` re-propagate only the changed fanout cone.
     pub(crate) topk_synced: bool,
     /// Persistent scratch of the cone sweep (see [`crate::incremental`]).
     pub(crate) cone: ConeScratch,
@@ -348,6 +348,9 @@ pub struct InstaEngine {
     /// Top-K arrays of a batched call's corner base passes (see
     /// [`crate::batch`]): absent until the first corner lane, then kept.
     pub(crate) corner_scratch: CornerScratch,
+    /// Generation of the Top-K writes no cone undo log covers: whole-array
+    /// passes (full, fused, hold) and a sweep that outgrew its log budget.
+    pub(crate) topk_writes: u64,
     /// Write generation of the LSE arrival/weight buffers.
     pub(crate) lse_writes: u64,
     /// Write generation of the gradient buffers.
@@ -561,6 +564,7 @@ impl InstaEngine {
             cone: ConeScratch::new(n, num_levels, k),
             rows: RowStore::default(),
             corner_scratch: CornerScratch::default(),
+            topk_writes: 0,
             lse_writes: 0,
             grad_writes: 0,
             trace: TraceSink::disabled(),

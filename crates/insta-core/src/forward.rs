@@ -58,10 +58,7 @@ impl InstaEngine {
     /// the next successful pass.
     pub fn try_propagate(&mut self) -> Result<&crate::metrics::InstaReport, InstaError> {
         self.last_incident = None;
-        // The pass rewrites the Top-K arrays whether it succeeds or not;
-        // only a completed pass leaves them in sync with the annotations.
-        self.topk_synced = false;
-        self.rows.invalidate();
+        self.begin_full_pass();
         self.trace.begin("forward");
         let res = with_model!(&self.backend, m => forward::<_, false>(
             &self.st,
@@ -80,6 +77,15 @@ impl InstaEngine {
         self.state.report = Some(report);
         self.topk_synced = true;
         Ok(self.state.report.as_ref().expect("just set"))
+    }
+
+    /// A pass is about to rewrite the Top-K arrays whole, whether it
+    /// succeeds or not: only its completion puts them back in sync, the
+    /// snapshot rows are stale, and no cone undo log covers the write.
+    pub(crate) fn begin_full_pass(&mut self) {
+        self.topk_synced = false;
+        self.rows.invalidate();
+        self.topk_writes += 1;
     }
 
     /// Books a kernel pass's outcome: a recovered worker panic becomes
@@ -133,8 +139,7 @@ impl InstaEngine {
         self.last_incident = None;
         // Both output families are rewritten whether the pass succeeds or
         // not; only a completed pass leaves them in sync.
-        self.topk_synced = false;
-        self.rows.invalidate();
+        self.begin_full_pass();
         self.lse_writes += 1;
         self.state.lse_tau_used = None;
         self.trace.begin("forward_fused");

@@ -137,8 +137,7 @@ impl InstaEngine {
         );
         self.last_incident = None;
         // The min pass clobbers the setup Top-K arrays.
-        self.topk_synced = false;
-        self.rows.invalidate();
+        self.begin_full_pass();
         self.trace.begin("hold");
         // No level profile: `forward.kernel_ms` stays the setup kernel's.
         let res = with_model!(&self.backend, m => forward::<_, true>(

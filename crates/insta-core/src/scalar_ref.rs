@@ -399,8 +399,7 @@ impl InstaEngine {
     /// [`propagate`](InstaEngine::propagate), with the same state
     /// bookkeeping.
     pub fn forward_scalar_reference(&mut self) -> &InstaReport {
-        self.topk_synced = false;
-        self.rows.invalidate();
+        self.begin_full_pass();
         ref_forward(&self.st, &mut self.state);
         let report =
             crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr, &crate::stat::GaussianPocv);
@@ -424,8 +423,7 @@ impl InstaEngine {
     pub fn hold_scalar_reference(&mut self, attrs: &HoldAttributes) -> InstaReport {
         assert_eq!(attrs.source_mean.len(), self.st.sources.len());
         assert_eq!(attrs.required_base.len(), self.st.endpoints.len());
-        self.topk_synced = false;
-        self.rows.invalidate();
+        self.begin_full_pass();
         ref_forward_min(&self.st, &mut self.state, attrs);
         crate::hold::evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr, &crate::stat::GaussianPocv)
     }

@@ -18,16 +18,16 @@
 //! * **no NaN escapes.** A committed report is gated on a cheap slack
 //!   scan; a NaN slack poisons the session exactly like a kernel error.
 //!
-//! [`commit`](TimingSession::commit) promotes the work and bumps the
-//! engine [`epoch`](crate::engine::InstaEngine::epoch);
+//! [`commit`](TimingSession::commit) promotes the work, drops the undo
+//! log and bumps the engine [`epoch`](crate::engine::InstaEngine::epoch);
 //! [`rollback`](TimingSession::rollback) (or dropping the session while
-//! still open) restores the pre-session state bit-for-bit: arc
-//! annotations, the report, drift, τ and gradients by copy, and the Top-K
-//! arrays by re-sweeping the cone of the restored arcs, so reads
-//! (`arrival_at`, `snapshot()`) never see a rolled-back pass and the next
-//! update is a cone update again. Only a session closed by a poisoning
-//! error leaves the Top-K arrays marked stale for the next full pass; the
-//! LSE arrays are always regenerated lazily (see [`crate::checkpoint`]).
+//! still open, or a poisoning error) restores the pre-session state
+//! bit-for-bit: the Top-K arrays and arc annotations from the cone's undo
+//! log, the report, drift, τ and gradients from the checkpoint. Reads
+//! (`arrival_at`, `snapshot()`) never see a rolled-back pass, and the next
+//! update is a cone update again — also after a cancel, a deadline, a NaN
+//! or a worker panic inside a cone sweep. Only a full pass inside the
+//! session costs a full pass to take back (see [`crate::checkpoint`]).
 //! The sizer's candidate-move loop is the canonical client: speculative
 //! moves run in a session, rejected moves roll back instead of replaying
 //! inverse deltas.
@@ -75,8 +75,10 @@ impl InstaEngine {
     /// rolled back, or dropped (drop-while-open rolls back).
     pub fn begin_session(&mut self) -> TimingSession<'_> {
         self.stats.begun += 1;
+        // The log is this session's now (an unwound update may have left one).
+        self.cone.forget();
         TimingSession {
-            cp: EpochCheckpoint::new(self),
+            cp: EpochCheckpoint::default(),
             eng: self,
             status: SessionStatus::Open,
             cancel: None,
@@ -121,9 +123,10 @@ impl<'e> TimingSession<'e> {
         self.eng
     }
 
-    /// Approximate bytes held by the session's checkpoint right now.
+    /// Approximate bytes held for a rollback right now: the checkpoint
+    /// and the undo log of the session's cone sweeps.
     pub fn checkpoint_bytes(&self) -> usize {
-        self.cp.bytes()
+        self.cp.bytes() + self.eng.cone.log_bytes()
     }
 
     /// Validates, checkpoints, then re-annotates + re-propagates the
@@ -135,17 +138,8 @@ impl<'e> TimingSession<'e> {
     /// the session **open**; any poisoning error (numeric, runtime,
     /// cancelled) rolls back to the checkpoint and closes the session.
     pub fn update_timing(&mut self, deltas: &[ArcDelta]) -> Result<InstaReport, InstaError> {
-        self.ensure_open()?;
-        self.eng.validate_deltas(deltas)?;
-        self.cp.save_arcs(self.eng, deltas);
-        self.cp.ensure_state(self.eng);
-        self.arm();
-        let result = self.eng.update_timing_prevalidated(deltas);
-        self.eng.clear_interrupt();
-        match result {
-            Ok(report) => self.gate_report(report),
-            Err(e) => Err(self.close_on(e)),
-        }
+        let report = self.run(false, |eng| eng.update_timing_logged(deltas))?;
+        self.gate_report(report)
     }
 
     /// Session form of [`InstaEngine::try_propagate`]: full forward pass
@@ -170,8 +164,8 @@ impl<'e> TimingSession<'e> {
         self.run(true, |eng| eng.try_backward_wns())
     }
 
-    /// Promotes the session's work: the checkpoint is discarded and the
-    /// engine's epoch is bumped. Returns the new epoch.
+    /// Promotes the session's work: the checkpoint and the undo log are
+    /// discarded and the engine's epoch is bumped. Returns the new epoch.
     ///
     /// # Errors
     ///
@@ -180,6 +174,7 @@ impl<'e> TimingSession<'e> {
     pub fn commit(mut self) -> Result<u64, InstaError> {
         self.ensure_open()?;
         self.status = SessionStatus::Committed;
+        self.eng.cone.forget();
         self.eng.epoch += 1;
         self.eng.stats.committed += 1;
         self.eng
@@ -214,8 +209,8 @@ impl<'e> TimingSession<'e> {
         }
     }
 
-    /// Checkpoint-guarded wrapper shared by the non-annotating kernels.
-    /// `grads` marks passes that rewrite the gradient buffers, which are
+    /// Checkpoint-guarded wrapper shared by every mutating call. `grads`
+    /// marks passes that rewrite the gradient buffers, which are
     /// checkpointed by copy (they have no staleness tag to lean on).
     fn run<T>(
         &mut self,
@@ -223,10 +218,7 @@ impl<'e> TimingSession<'e> {
         f: impl FnOnce(&mut InstaEngine) -> Result<T, InstaError>,
     ) -> Result<T, InstaError> {
         self.ensure_open()?;
-        self.cp.ensure_state(self.eng);
-        if grads {
-            self.cp.ensure_grads(self.eng);
-        }
+        self.cp.capture(self.eng, grads);
         self.arm();
         let result = f(self.eng);
         self.eng.clear_interrupt();
@@ -263,7 +255,7 @@ impl<'e> TimingSession<'e> {
         if !self.is_open() {
             return;
         }
-        self.cp.restore(self.eng);
+        let (nodes, arcs) = self.cp.restore(self.eng);
         self.status = status;
         let cancelled = matches!(status, SessionStatus::Cancelled);
         match status {
@@ -272,7 +264,11 @@ impl<'e> TimingSession<'e> {
         }
         self.eng.trace.event(
             "session.rollback",
-            &[("cancelled", if cancelled { 1.0 } else { 0.0 })],
+            &[
+                ("cancelled", if cancelled { 1.0 } else { 0.0 }),
+                ("nodes", nodes as f64),
+                ("arcs", arcs as f64),
+            ],
         );
     }
 }

@@ -1,7 +1,7 @@
 //! The committed-epoch view: an immutable, cheaply shareable capture of
 //! everything a *reader* may observe about an engine.
 //!
-//! This is the engine-state split the service layer (ROADMAP item 1)
+//! This is the engine-state split the service layer (`insta-serve`)
 //! forces: [`InstaEngine`] holds session-private mutable kernel state
 //! (Top-K queues, LSE buffers, gradients) that a writer mutates in place,
 //! while a [`TimingSnapshot`] holds only the committed observables —
@@ -20,8 +20,9 @@
 //! [`TimingSnapshot::arrival_at`] reads. Those rows live in fixed-size
 //! copy-on-write chunks ([`CHUNK_ROWS`] rows behind one `Arc` each) that
 //! the engine keeps current as it goes ([`RowStore`]): a cone sweep
-//! rewrites the rows of the nodes it recomputed, which copies a chunk
-//! only when a snapshot still shares it; a full pass merely marks the
+//! rewrites the rows of the nodes it recomputed — and a session rollback
+//! those of the nodes its undo log put back — which copies a chunk only
+//! when a snapshot still shares it; a full pass merely marks the
 //! store stale and the next cone sweep re-gathers it once — all of it only
 //! from an engine's first capture on, so a flow that never takes a
 //! snapshot keeps no chunks. A capture on the cone path is then one `Arc`
@@ -33,7 +34,6 @@
 //! by `Arc`.
 
 use crate::engine::{InstaEngine, State};
-use crate::incremental::ConeScratch;
 use crate::metrics::{EngineCounters, InstaReport};
 use crate::topk::NO_SP;
 use crate::trace::PerfReport;
@@ -127,11 +127,11 @@ impl RowStore {
         self.current = false;
     }
 
-    /// Brings the chunks up to date after a completed cone sweep: the rows
-    /// of the nodes it recomputed are rewritten — a chunk a snapshot still
-    /// shares is copied first — or, after a full pass, all of them are
-    /// gathered afresh.
-    pub(crate) fn follow_cone(&mut self, state: &State, cone: &ConeScratch) {
+    /// Brings the chunks up to date with arrays back in sync after `nodes`
+    /// were rewritten — recomputed by a completed cone sweep or put back by
+    /// an undo: their rows are rewritten, a chunk a snapshot still shares
+    /// being copied first — or, after a full pass, all are gathered afresh.
+    pub(crate) fn follow(&mut self, state: &State, nodes: impl Iterator<Item = u32>) {
         if !*self.wanted.get_mut() {
             self.current = false;
             return;
@@ -142,7 +142,7 @@ impl RowStore {
             return;
         }
         let k = state.k;
-        for v in cone.swept() {
+        for v in nodes {
             // A node's two rows are neighbours in one chunk.
             let row = v as usize * 2;
             let chunk = Arc::make_mut(&mut self.chunks[row / CHUNK_ROWS]);

@@ -8,10 +8,9 @@
 //! owned by the engine and threaded through every kernel pass:
 //!
 //! * a **span** per kernel pass (`"forward"`, `"forward_lse"`,
-//!   `"backward"`, and `"forward.cone"` — one per cone update and per
-//!   rollback re-sweep, with its `seeds`, dirty `levels`, recomputed
-//!   `nodes` and `pruned` nodes) and one `"batch.sweep"` span per batched
-//!   `evaluate_*` call, in a bounded
+//!   `"backward"`, and `"forward.cone"` — one per cone update, with its
+//!   `seeds`, dirty `levels`, recomputed `nodes` and `pruned` nodes) and
+//!   one `"batch.sweep"` span per batched `evaluate_*` call, in a bounded
 //!   [`Recorder`](insta_support::obs::Recorder) journal. A batched lane
 //!   is a cone sweep but emits no `forward.cone` span of its own (64 per
 //!   call would eat the ring) and a corner's base pass no `forward` span;
@@ -24,8 +23,9 @@
 //!   touched nodes per level per kernel — the data behind
 //!   [`InstaEngine::perf_report`]. Top-K merge cost is part of the forward
 //!   kernel's level body, so it is attributed to the forward profile,
-//! * **events** for session outcomes (`"session.commit"`,
-//!   `"session.rollback"`) and every
+//! * **events** for session outcomes (`"session.commit"`, and
+//!   `"session.rollback"` with the `nodes` and `arcs` its undo log put
+//!   back — a rollback is a copy, not a span) and every
 //!   [`RuntimeIncident`](crate::error::RuntimeIncident) — the journal is
 //!   the time-ordered view of the same facts the monotonic
 //!   [`EngineCounters`](crate::metrics::EngineCounters) aggregate.

@@ -3,7 +3,8 @@
 //!
 //! Two engines are built from one snapshot. **A** is driven the way
 //! clients drive it — transactional sessions, whose updates re-propagate
-//! only the changed fanout cone and whose rollbacks re-sweep it. **B**
+//! only the changed fanout cone and whose rollbacks copy its undo log
+//! back. **B**
 //! applies the same annotations with `reannotate` + `propagate()`, the
 //! full pass. After *every* step of a seeded sequence the complete Top-K
 //! arrays (stale mean/sigma tails included) and every bit of the report
@@ -15,8 +16,10 @@
 //! and across steps, identity deltas, empty batches, arcs feeding a node
 //! that is also a startpoint (two launch seeds, last one wins), batches
 //! large enough to cross the full-pass switch, commit / rollback /
-//! drop-while-open by coin, and an interleaved `propagate_hold` that
-//! clobbers the arrays.
+//! drop-while-open by coin, sessions that stack several updates — over the
+//! same nodes, or with a full pass in the middle — before rolling back, a
+//! snapshot held across a rollback, and an interleaved `propagate_hold`
+//! that clobbers the arrays.
 //!
 //! The second half of the file is the **undo-exactness suite** of the
 //! batched entry points: a what-if lane is the same cone sweep run in place
@@ -277,6 +280,12 @@ fn batch(
     }
 }
 
+/// How many `name` spans or events a traced engine's journal holds.
+fn span_count(a: &InstaEngine, name: &str) -> usize {
+    let journal = a.trace_journal().expect("tracing on");
+    journal.events().filter(|e| e.name == name).count()
+}
+
 /// Drives A through sessions and the twins through full passes for
 /// [`STEPS`] steps, comparing everything after every step.
 fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
@@ -302,7 +311,7 @@ fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
     assert_same(&a, &b, c.as_ref(), &format!("{tag} initial"));
 
     let mut prev: Vec<ArcDelta> = Vec::new();
-    let (mut commits, mut rollbacks, mut drops) = (0, 0, 0);
+    let (mut commits, mut rollbacks, mut drops, mut rows_checked, mut outgrown) = (0, 0, 0, 0, 0);
     for step in 0..STEPS {
         if step % 50 == 23 {
             // The min pass clobbers the arrays on every engine; A's next
@@ -325,10 +334,36 @@ fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
             assert_same(&a, &b, c.as_ref(), &format!("{tag} step {step} after hold"));
             continue;
         }
-        let deltas = batch(&mut rng, fx, &ann, &prev, step);
+        // One update per session is the traffic; the pinned kinds stack
+        // more, and those sessions are rolled back.
+        let mut updates = vec![batch(&mut rng, fx, &ann, &prev, step)];
+        match step % 40 {
+            // Three stacked updates that revisit the same nodes: the undo
+            // log holds them three times, the first copy must win.
+            3 | 26 => {
+                for _ in 0..2 {
+                    let again = updates[0]
+                        .iter()
+                        .map(|d| jittered(&mut rng, d.arc, ann[d.arc as usize]))
+                        .collect();
+                    updates.push(again);
+                }
+            }
+            // The second update crosses the full-pass switch: a pass inside
+            // the session that the log does not cover.
+            9 => updates.push(
+                (0..ann.len() / 4)
+                    .map(|_| random_delta(&mut rng, &ann))
+                    .collect(),
+            ),
+            _ => {}
+        }
+        // A capture taken mid-session shares its row chunks with the
+        // engine: the undo must copy them before it writes.
+        let pinned = updates.len() > 1 || step % 40 == 21;
         // What takes the twins back if A abandons the step.
         let mut undo: Vec<ArcDelta> = Vec::new();
-        for d in &deltas {
+        for d in updates.iter().flatten() {
             if !undo.iter().any(|u| u.arc == d.arc) {
                 undo.push(ArcDelta {
                     arc: d.arc,
@@ -338,25 +373,31 @@ fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
             }
         }
 
+        let full_before_session = span_count(&a, "forward");
         let mut session = a.begin_session();
-        let ra = session.update_timing(&deltas).expect("valid batch");
-        full_pass(&mut b, c.as_mut(), &deltas);
-        assert_eq!(
-            report_bits(&ra),
-            report_bits(b.report()),
-            "{tag} step {step}: returned report"
-        );
-        assert_same(
-            session.engine(),
-            &b,
-            c.as_ref(),
-            &format!("{tag} step {step} in session"),
-        );
+        for (i, deltas) in updates.iter().enumerate() {
+            let ra = session.update_timing(deltas).expect("valid batch");
+            full_pass(&mut b, c.as_mut(), deltas);
+            assert_eq!(
+                report_bits(&ra),
+                report_bits(b.report()),
+                "{tag} step {step}.{i}: returned report"
+            );
+            assert_same(
+                session.engine(),
+                &b,
+                c.as_ref(),
+                &format!("{tag} step {step}.{i} in session"),
+            );
+        }
+        let held = pinned.then(|| session.engine().snapshot());
+        let full_before_close = span_count(session.engine(), "forward");
+        let all_cones = full_before_close == full_before_session;
 
-        match rng.bounded_u64(3) {
+        match if pinned { 1 } else { rng.bounded_u64(3) } {
             0 => {
                 session.commit().expect("open session");
-                for d in &deltas {
+                for d in &updates[0] {
                     ann[d.arc as usize] = (d.mean, d.sigma);
                 }
                 commits += 1;
@@ -378,31 +419,62 @@ fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
             c.as_ref(),
             &format!("{tag} step {step} after close"),
         );
-        prev = deltas;
+        // A session of cone sweeps only is taken back by copy — unless its
+        // log outgrew the budget, which costs the rollback a full pass.
+        if all_cones && span_count(&a, "forward") > full_before_close {
+            outgrown += 1;
+        }
+        if held.is_some() {
+            // The rows a capture serves followed the undo (`snapshot()`
+            // itself debug-asserts the chunks against the arrays). A session
+            // begun out of sync ends out of sync and answers nothing.
+            let (sa, sb) = (a.snapshot(), b.snapshot());
+            for orig in 0..a.num_nodes() as u32 {
+                for rf in 0..2 {
+                    if let Some(got) = sa.arrival_at(orig, rf) {
+                        let want = sb.arrival_at(orig, rf).map(f64::to_bits);
+                        assert_eq!(Some(got.to_bits()), want, "{tag} step {step}: row");
+                        rows_checked += 1;
+                    }
+                }
+            }
+        }
+        prev = updates.swap_remove(0);
     }
+    assert!(rows_checked > 0, "{tag}: no capture was compared");
+    // A megabyte of log is 146 recomputes at K = 128: there some session
+    // outgrows it even on a design this small.
+    assert!(
+        outgrown > 0 || cfg.top_k < 128,
+        "{tag}: no session outgrew its log"
+    );
     assert!(
         commits > 20 && rollbacks > 20 && drops > 20,
         "{tag}: {commits}/{rollbacks}/{drops}"
     );
-    let spans = |name: &str| {
-        let journal = a.trace_journal().expect("tracing on");
-        assert_eq!(journal.dropped(), 0, "journal sized for the run");
-        journal.events().filter(|e| e.name == name).count()
-    };
-    let (cone, full) = (spans("forward.cone"), spans("forward"));
+    let journal = a.trace_journal().expect("tracing on");
+    assert_eq!(journal.dropped(), 0, "journal sized for the run");
+    let (cone, full, undone) = (
+        span_count(&a, "forward.cone"),
+        span_count(&a, "forward"),
+        span_count(&a, "session.rollback"),
+    );
     // Ten pinned large batches (and their rollbacks), plus the updates that
-    // follow a hold, run the full pass; everything else is a cone sweep.
+    // follow a hold, run the full pass; everything else is a cone sweep,
+    // taken back by copy.
     assert!(
-        cone > STEPS && full >= 10,
-        "{tag}: {cone} cone sweeps, {full} full passes"
+        cone + undone > STEPS && full >= 10,
+        "{tag}: {cone} cone sweeps, {undone} rollbacks, {full} full passes"
     );
 }
 
-/// Every Top-K capacity of the sweep, and both CPPR settings. CPPR only
-/// enters at endpoint evaluation — the sweep itself never reads it — so it
-/// is crossed with the restore-network capacity (8) and otherwise
-/// alternated rather than doubling every run of a debug-build suite.
-const K_CPPR_SWEEP: [(usize, bool); 5] = [(1, true), (2, false), (8, true), (8, false), (32, true)];
+/// Every Top-K capacity of the sweep — 128, the paper's Fig. 6 setting, is
+/// also where a session's undo log outgrows its budget on a design this
+/// small — and both CPPR settings. CPPR only enters at endpoint evaluation
+/// — the sweep itself never reads it — so it is crossed with the
+/// restore-network capacity (8) and otherwise alternated rather than
+/// doubling every run of a debug-build suite.
+const K_CPPR_SWEEP: [(usize, bool); 6] = [(1, true), (2, false), (8, true), (8, false), (32, true), (128, true)];
 
 #[test]
 fn gaussian_cone_equals_full_pass_and_scalar_reference() {
@@ -445,6 +517,7 @@ fn two_threads_cone_equals_full_pass_on_a_wide_design() {
 fn probe(fx: &Fixture, a: &mut InstaEngine, seed: u64) -> (Vec<ArcDelta>, usize) {
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ seed);
     let deltas: Vec<ArcDelta> = (0..6).map(|_| random_delta(&mut rng, &fx.ann)).collect();
+    let before = a.undo_image();
     let token = CancelToken::new();
     token.cancel();
     let mut session = a.begin_session().with_cancel(token);
@@ -458,8 +531,8 @@ fn probe(fx: &Fixture, a: &mut InstaEngine, seed: u64) -> (Vec<ArcDelta>, usize)
     };
     assert_eq!(session.status(), SessionStatus::Cancelled);
     drop(session);
-    // The cancelled session left the arrays marked stale.
-    a.propagate();
+    // The cancelled session is taken back whole: same bits, still in sync.
+    assert_untouched(&before, a, "cancelled probe");
     (deltas, level)
 }
 
@@ -504,6 +577,7 @@ fn cancel_mid_cone_stops_at_the_next_dirty_level() {
     // A one-shot injected panic in the first dirty level is recovered by
     // the retry; the panic hook is where the token fires, so the next
     // dirty level's poll is the first to see it.
+    let before = a.undo_image();
     let token = CancelToken::new();
     let fire = token.clone();
     let prev_hook = std::panic::take_hook();
@@ -529,6 +603,9 @@ fn cancel_mid_cone_stops_at_the_next_dirty_level() {
         report_bits(b.report()),
         "report restored"
     );
+    // A level recomputed twice (the retry) and a level cut short: both are
+    // in the log, and the first copies win.
+    assert_untouched(&before, &a, "cancelled between two dirty levels");
 
     let mut s = a.begin_session();
     s.update_timing(&deltas).expect("valid batch");
@@ -539,8 +616,8 @@ fn cancel_mid_cone_stops_at_the_next_dirty_level() {
 }
 
 /// A panic that also kills the retry of a dirty level is a typed `Runtime`
-/// error with a recorded incident; the session rolls back to a healthy
-/// engine that continues bit-identically.
+/// error with a recorded incident; the session rolls back to its
+/// pre-session bits and the engine continues on the cone path.
 #[test]
 fn persistent_panic_in_a_dirty_level_is_typed_and_rolls_back() {
     let _exclusive = CHAOS.write().unwrap_or_else(|p| p.into_inner());
@@ -552,6 +629,7 @@ fn persistent_panic_in_a_dirty_level_is_typed_and_rolls_back() {
     b.propagate();
     let (deltas, first) = probe(&fx, &mut a, 2);
     let incidents_before = a.incident_log().total();
+    let before = a.undo_image();
 
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
@@ -580,19 +658,21 @@ fn persistent_panic_in_a_dirty_level_is_typed_and_rolls_back() {
         "report restored"
     );
 
-    // The arrays were left half-swept and marked stale: the next pass is
-    // a full one and lands on the twin's bits.
-    a.propagate();
+    // The half-swept level is taken back like any other: the arrays hold
+    // their pre-session bits, in sync, and the next update is a cone.
+    assert_untouched(&before, &a, "fatal cone");
     a.health_check().expect("healthy after rollback");
-    assert_same(&a, &b, None, "propagate after a fatal cone");
+    assert_same(&a, &b, None, "after a fatal cone");
+    assert_next_update_is_a_cone(&mut a, &fx, "after a fatal cone");
     let ra = a.update_timing(&deltas).expect("valid batch");
     b.reannotate(&deltas).expect("valid batch");
     assert_eq!(report_bits(&ra), report_bits(b.propagate()));
     assert_same(&a, &b, None, "update after a fatal cone");
 }
 
-/// One `forward.cone` span per cone update and per rollback re-sweep,
-/// carrying the sweep's size; a batch past the switch runs `forward`.
+/// One `forward.cone` span per cone update, carrying the sweep's size, and
+/// one `session.rollback` event per rollback, carrying what the undo log
+/// put back; a batch past the switch runs `forward`.
 #[test]
 fn cone_updates_and_rollbacks_are_traced() {
     let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
@@ -606,41 +686,37 @@ fn cone_updates_and_rollbacks_are_traced() {
     let mut s = a.begin_session();
     s.update_timing(&[d]).expect("valid batch");
     s.rollback();
-    let spans: Vec<_> = a
-        .trace_journal()
-        .expect("tracing on")
-        .events()
-        .filter(|e| e.name == "forward.cone")
-        .collect();
-    assert_eq!(spans.len(), 2, "one for the update, one for the re-sweep");
-    for span in &spans {
-        assert_eq!(span.field("seeds"), Some(1.0));
-        let (levels, nodes, pruned) = (
-            span.field("levels"),
-            span.field("nodes"),
-            span.field("pruned"),
-        );
-        assert!(
-            levels >= Some(1.0) && nodes >= levels && pruned <= nodes,
-            "{span:?}"
-        );
-    }
-    // The re-sweep retraces the update's cone.
-    assert_eq!(spans[0].field("nodes"), spans[1].field("nodes"));
+    let named = |name: &str| -> Vec<_> {
+        let journal = a.trace_journal().expect("tracing on");
+        journal.events().filter(|e| e.name == name).collect()
+    };
+    let spans = named("forward.cone");
+    assert_eq!(spans.len(), 1, "the update sweeps, the rollback copies");
+    let span = &spans[0];
+    assert_eq!(span.field("seeds"), Some(1.0));
+    let (levels, nodes, pruned) = (
+        span.field("levels"),
+        span.field("nodes"),
+        span.field("pruned"),
+    );
+    assert!(
+        levels >= Some(1.0) && nodes >= levels && pruned <= nodes,
+        "{span:?}"
+    );
+    let undone = named("session.rollback");
+    assert_eq!(undone.len(), 1);
+    // The undo puts back exactly what the sweep recomputed, and the arc's
+    // expansions.
+    assert_eq!(undone[0].field("nodes"), nodes);
+    assert!(undone[0].field("arcs") >= Some(1.0), "{:?}", undone[0]);
+    assert_eq!(undone[0].field("cancelled"), Some(0.0));
 
     let large: Vec<ArcDelta> = (0..fx.ann.len() as u32)
         .map(|arc| jittered(&mut rng, arc, fx.ann[arc as usize]))
         .collect();
     a.update_timing(&large).expect("valid batch");
-    let journal = a.trace_journal().expect("tracing on");
-    assert_eq!(
-        journal
-            .events()
-            .filter(|e| e.name == "forward.cone")
-            .count(),
-        2
-    );
-    assert_eq!(journal.events().filter(|e| e.name == "forward").count(), 1);
+    assert_eq!(span_count(&a, "forward.cone"), 1);
+    assert_eq!(span_count(&a, "forward"), 1);
 }
 
 // ---------------------------------------------------------------------
@@ -694,8 +770,8 @@ fn assert_lanes_equal_twins(
     }
 }
 
-/// The engine's next session update and its rollback are cone sweeps: no
-/// batched call, however it ended, may push the engine onto a full pass.
+/// The engine's next session update is a cone sweep and its rollback a
+/// copy: no call, however it ended, may push the engine onto a full pass.
 fn assert_next_update_is_a_cone(a: &mut InstaEngine, fx: &Fixture, what: &str) {
     a.enable_tracing();
     let arc = fx.feeding[0];
@@ -708,13 +784,10 @@ fn assert_next_update_is_a_cone(a: &mut InstaEngine, fx: &Fixture, what: &str) {
     let mut session = a.begin_session();
     session.update_timing(&[d]).expect("valid batch");
     session.rollback();
-    let count = |name: &str| {
-        let journal = a.trace_journal().expect("tracing on");
-        journal.events().filter(|e| e.name == name).count()
-    };
+    let count = |name: &str| span_count(a, name);
     assert_eq!(
-        (count("forward.cone"), count("forward")),
-        (2, 0),
+        (count("forward.cone"), count("session.rollback"), count("forward")),
+        (1, 1, 0),
         "{what}: the update after the call"
     );
     a.disable_tracing();
@@ -849,9 +922,9 @@ fn batched_calls_leave_no_trace() {
 }
 
 /// The sizer's loop: score candidates in a batch, commit one of them in a
-/// session, score the next batch. The cone scratch is shared between the
-/// unlogged session sweeps and the logged lanes — a lane that follows a
-/// session update must still log (and take back) exactly its own cone.
+/// session, score the next batch. The cone scratch and its undo log are
+/// shared between the session sweeps and the lanes — a lane that follows a
+/// committed session update must take back exactly its own cone.
 #[test]
 fn batches_interleaved_with_committed_sessions_leave_no_trace() {
     let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());

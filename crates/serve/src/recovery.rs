@@ -21,7 +21,11 @@
 //!    writer used — and must commit to exactly the logged epoch. Records
 //!    at or below the engine's epoch are subsumed by the checkpoint
 //!    (segments it covers are retired only after it is durable, and a
-//!    crash may come between the two) and skipped.
+//!    crash may come between the two) and skipped. A record that cannot
+//!    be replayed — a gap in the epoch chain, an op the engine rejects —
+//!    stops the replay and is cut out of the log like damage: left ahead
+//!    of later appends, it would stop every restart at the same place,
+//!    before the commits acknowledged since.
 //!
 //! Because deltas are absolute overwrites and propagation is
 //! deterministic, the recovered engine's slacks are bit-identical
@@ -44,8 +48,8 @@ pub struct RecoveryReport {
     pub checkpoint_epoch: Option<u64>,
     /// WAL records replayed through real sessions.
     pub replayed: u64,
-    /// Whether a damaged WAL tail was cut off (zeroed, later segments
-    /// dropped).
+    /// Whether the WAL was cut — at damage or at a record that could not
+    /// be replayed (the rest zeroed, later segments dropped).
     pub wal_truncated: bool,
     /// Typed incidents (stale checkpoints, torn tails, replay gaps) —
     /// the server seeds its incident ring with these.
@@ -58,6 +62,18 @@ fn incident(message: String) -> ServiceIncident {
         category: INCIDENT_CATEGORY,
         message,
     }
+}
+
+/// Ends the log at byte `keep` of segment `at`: the rest of that segment is
+/// zeroed and every later segment removed (nothing past the cut can join
+/// the epoch chain again). Returns how many segments were removed.
+fn cut_log(segments: &[(u64, std::path::PathBuf)], at: usize, keep: u64) -> io::Result<usize> {
+    wal::repair_segment(&segments[at].1, keep)?;
+    let later = &segments[at + 1..];
+    for (_, path) in later {
+        std::fs::remove_file(path)?;
+    }
+    Ok(later.len())
 }
 
 /// Slack bits of the engine's current report (empty when none).
@@ -139,26 +155,26 @@ pub fn recover(engine: &mut InstaEngine, cfg: &DurabilityConfig) -> io::Result<R
     // a typed incident.
     let mut records = Vec::new();
     let segments = wal::list_segments(&cfg.dir)?;
+    let name = |i: usize| {
+        let name = segments[i].1.file_name().unwrap_or_default();
+        name.to_string_lossy().into_owned()
+    };
     for (i, (_, path)) in segments.iter().enumerate() {
         let scan = wal::scan_segment(path)?;
-        records.extend(scan.records);
+        records.extend(scan.records.into_iter().map(|rec| (i, rec)));
         let Some(damage) = scan.damage else { continue };
-        let name = path.file_name().unwrap_or_default().to_string_lossy();
         report.incidents.push(incident(format!(
-            "WAL segment {name} truncated at byte {}: {}",
-            damage.offset, damage.message
+            "WAL segment {} truncated at byte {}: {}",
+            name(i),
+            damage.offset,
+            damage.message
         )));
-        wal::repair_segment(path, scan.valid_bytes)?;
+        let dropped = cut_log(&segments, i, scan.valid_bytes)?;
         report.wal_truncated = true;
-        // Nothing past the damage can join the epoch chain again.
-        let later = &segments[i + 1..];
-        if !later.is_empty() {
-            for (_, path) in later {
-                std::fs::remove_file(path)?;
-            }
+        if dropped > 0 {
             report.incidents.push(incident(format!(
-                "{} WAL segment(s) after the damaged {name} dropped",
-                later.len()
+                "{dropped} WAL segment(s) after the damaged {} dropped",
+                name(i)
             )));
         }
         break;
@@ -173,47 +189,48 @@ pub fn recover(engine: &mut InstaEngine, cfg: &DurabilityConfig) -> io::Result<R
         )));
     }
 
-    // Phase 3: replay the tail through real sessions.
-    for rec in &records {
+    // Phase 3: replay the tail through real sessions, up to the first
+    // record that cannot be; the log ends there.
+    for (i, (segment, rec)) in records.iter().enumerate() {
         if rec.epoch <= engine.epoch() {
             continue; // subsumed by the checkpoint
         }
-        if rec.epoch != engine.epoch() + 1 {
-            report.incidents.push(incident(format!(
-                "WAL replay gap: next record is epoch {}, engine is at {} — replay stopped",
+        let failure = if rec.epoch != engine.epoch() + 1 {
+            Some(format!(
+                "WAL replay gap: next record is epoch {}, engine is at {}",
                 rec.epoch,
                 engine.epoch()
-            )));
-            break;
-        }
-        let mut session = engine.begin_session();
-        let outcome = match &rec.op {
-            WriterOp::Propagate => session.propagate(),
-            WriterOp::Update(deltas) => session.update_timing(deltas),
-        };
-        if let Err(e) = outcome {
+            ))
+        } else {
+            let mut session = engine.begin_session();
+            let outcome = match &rec.op {
+                WriterOp::Propagate => session.propagate(),
+                WriterOp::Update(deltas) => session.update_timing(deltas),
+            };
             // A logged op failing on replay means the artifacts disagree
             // with the engine (e.g. deltas for a different design that
             // somehow passed the epoch chain). Stop: serving a partial
             // timeline with an incident beats serving a wrong one.
+            match outcome.and_then(|_| session.commit()) {
+                Ok(epoch) => {
+                    debug_assert_eq!(epoch, rec.epoch, "replay must reproduce the logged epoch");
+                    report.replayed += 1;
+                    None
+                }
+                Err(e) => Some(format!("WAL replay failed at epoch {}: {e}", rec.epoch)),
+            }
+        };
+        if let Some(why) = failure {
+            let dropped = cut_log(&segments, *segment, rec.offset)?;
+            report.wal_truncated = true;
             report.incidents.push(incident(format!(
-                "WAL replay failed at epoch {}: {e} — replay stopped",
-                rec.epoch
+                "{why} — replay stopped; log cut at byte {} of {}: {} record(s) and {dropped} \
+                 later segment(s) dropped",
+                rec.offset,
+                name(*segment),
+                records.len() - i
             )));
             break;
-        }
-        match session.commit() {
-            Ok(epoch) => {
-                debug_assert_eq!(epoch, rec.epoch, "replay must reproduce the logged epoch");
-                report.replayed += 1;
-            }
-            Err(e) => {
-                report.incidents.push(incident(format!(
-                    "WAL replay commit failed at epoch {}: {e} — replay stopped",
-                    rec.epoch
-                )));
-                break;
-            }
         }
     }
 

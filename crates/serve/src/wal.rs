@@ -1040,6 +1040,8 @@ pub struct WalRecord {
     pub epoch: u64,
     /// The logged writer operation.
     pub op: WriterOp,
+    /// Byte offset in its segment: what a repair keeps to drop it.
+    pub offset: u64,
 }
 
 /// Damage found in a WAL segment.
@@ -1147,7 +1149,11 @@ pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
         }
         let epoch = u64::from_le_bytes(payload[..8].try_into().unwrap());
         match WriterOp::decode(&payload[8..]) {
-            Ok(op) => scan.records.push(WalRecord { epoch, op }),
+            Ok(op) => scan.records.push(WalRecord {
+                epoch,
+                op,
+                offset: pos as u64,
+            }),
             Err(e) => {
                 scan.damage = damage(pos, format!("undecodable record payload: {e}"));
                 break;

@@ -397,6 +397,80 @@ fn stale_checkpoint_is_rejected_typed_and_wal_replay_rebuilds_from_genesis() {
     assert_eq!(engine_bits(&recovered), engine_bits(&twin));
 }
 
+/// Regression: a replay gap used to stay in the log. The newest checkpoint
+/// is rejected as stale after the segments it covered were retired, so the
+/// records past it no longer chain onto the older checkpoint recovery falls
+/// back to. Appends then continued *behind* those records, and every later
+/// restart stopped at the same gap — before the commits acknowledged since.
+/// The log is now cut at the first unreplayable record.
+#[test]
+fn a_replay_gap_is_cut_out_so_commits_after_it_survive_the_next_restart() {
+    let dir = scratch("replay-gap");
+    let mut cfg = DurabilityConfig::new(&dir);
+    cfg.checkpoint_every = 2;
+    let (server, _) =
+        Server::with_durability(build_engine(SEED, K), ServeConfig::default(), cfg).unwrap();
+    run_storm(&server, 5, || {
+        settle(&server);
+        false
+    });
+    drop(server);
+    let kept: Vec<u64> = list_checkpoints(&dir).unwrap().iter().map(|c| c.0).collect();
+    assert_eq!(kept, vec![4, 2]);
+    assert_eq!(segment_names(&dir), vec![5], "records 1-4 are retired");
+
+    // Checkpoint 4 goes stale (a foreign design's image under its name).
+    let foreign = build_engine(SEED + 900, K);
+    let foreign_dir = scratch("replay-gap-foreign");
+    Durability::open(DurabilityConfig::new(&foreign_dir))
+        .unwrap()
+        .write_checkpoint(
+            &insta_engine::EngineDurableState::capture(&foreign),
+            &foreign.snapshot(),
+        )
+        .unwrap();
+    std::fs::copy(
+        &list_checkpoints(&foreign_dir).unwrap()[0].1,
+        &list_checkpoints(&dir).unwrap()[0].1,
+    )
+    .unwrap();
+
+    // Restart: checkpoint 2, then record 5 — a gap. Checkpoints stay off
+    // from here on so the stale image keeps its name.
+    let mut cfg = DurabilityConfig::new(&dir);
+    cfg.checkpoint_every = 0;
+    let (server, rep) =
+        Server::with_durability(build_engine(SEED, K), ServeConfig::default(), cfg.clone())
+            .unwrap();
+    assert_eq!((rep.checkpoint_epoch, rep.recovered_epoch), (Some(2), 2));
+    assert!(rep.wal_truncated);
+    let gaps = |rep: &insta_serve::RecoveryReport| {
+        let hit = |i: &&insta_engine::ServiceIncident| i.message.contains("WAL replay gap");
+        rep.incidents.iter().filter(hit).count()
+    };
+    assert_eq!(gaps(&rep), 1, "{:?}", rep.incidents);
+    // Two more commits are acknowledged on the timeline being served.
+    let (mut cl, h) = connect(&server);
+    for i in 2..4 {
+        let (op, params) = storm_request(i);
+        let r = cl.call(op, None, params).unwrap();
+        assert!(r.ok, "commit {i} failed: {:?}", r.error);
+        assert_eq!(r.result.get::<u64>("epoch").unwrap(), i + 1);
+    }
+    drop(cl);
+    h.join().unwrap();
+    drop(server);
+
+    // The next restart replays both, bit-exactly, and meets no gap.
+    let mut restarted = build_engine(SEED, K);
+    let rep = recover(&mut restarted, &cfg).unwrap();
+    assert_eq!((rep.checkpoint_epoch, rep.replayed), (Some(2), 2));
+    assert_eq!(gaps(&rep), 0, "{:?}", rep.incidents);
+    assert!(!rep.wal_truncated);
+    assert_eq!(restarted.epoch(), 4);
+    assert_eq!(engine_bits(&restarted), engine_bits(&twin_after(4)));
+}
+
 #[test]
 fn fresh_missing_empty_and_zero_length_wal_startups_are_clean() {
     let cases: [(&str, fn(&PathBuf)); 5] = [

@@ -367,9 +367,14 @@ fn masked_endpoints_leave_aggregates_but_keep_slacks() {
 /// level 1 (its base pass, like its twin's full pass, polls every level),
 /// an identity lane at its own first dirty level. A lane with neither a
 /// corner nor deltas has no level to poll and is the base report, as its
-/// twin is. The engine stays healthy and untouched. (About 900 nodes, so
-/// that no lane crosses the cone's seed switch: a lane replayed as a
-/// session would, cancelled, leave the shared base stale for the others.)
+/// twin is. The engine stays healthy and untouched, and so does the twins'
+/// engine after a cancelled cone session: it is taken back to the
+/// pre-session bits, in sync. Only a corner twin's *full pass*, cut at
+/// level 1, leaves the arrays marked stale (a rollback never pays for a
+/// second full pass), so that twin alone re-syncs by hand. (About 900
+/// nodes, so that no lane crosses the cone's seed switch: a lane replayed
+/// as a session would, cut in its full pass, leave the shared base stale
+/// for the others.)
 #[test]
 fn prefired_cancel_cancels_every_corner_lane() {
     let design = generate_design(&GeneratorConfig {
@@ -392,6 +397,7 @@ fn prefired_cancel_cancels_every_corner_lane() {
     token.cancel();
     // The twins: one session per scenario under the same fired token.
     let mut clone = engine.clone();
+    let image = clone.undo_image();
     let want: Vec<Result<InstaReport, usize>> = scenarios
         .iter()
         .map(|sc| {
@@ -399,7 +405,13 @@ fn prefired_cancel_cancels_every_corner_lane() {
             let mut session = clone.begin_session().with_cancel(token.clone());
             let outcome = session.update_timing(&twin);
             drop(session);
-            clone.propagate(); // a cancelled session leaves the arrays stale
+            if sc.corner.is_some_and(|c| !c.is_identity()) {
+                clone.propagate();
+            }
+            assert!(
+                clone.undo_image() == image,
+                "a cancelled session left a trace"
+            );
             outcome.map_err(|e| match e {
                 InstaError::Cancelled { level, .. } => level,
                 other => panic!("twin failed with {other}"),

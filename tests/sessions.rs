@@ -32,7 +32,22 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn build(seed: u64) -> (RefSta, InstaEngine) {
-    let design = generate_design(&GeneratorConfig::small("sess", seed));
+    build_from(&GeneratorConfig::small("sess", seed))
+}
+
+/// About 900 nodes: a handful of deltas stays under the cone's seed switch,
+/// where the small design sends every batch through the full pass.
+fn build_mid(seed: u64) -> (RefSta, InstaEngine) {
+    build_from(&GeneratorConfig {
+        n_flops: 32,
+        logic_levels: 6,
+        gates_per_level: 36,
+        ..GeneratorConfig::small("sess", seed)
+    })
+}
+
+fn build_from(gen: &GeneratorConfig) -> (RefSta, InstaEngine) {
+    let design = generate_design(gen);
     let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
     golden.full_update(&design);
     let engine = InstaEngine::new(golden.export_insta_init(), InstaConfig::default())
@@ -230,10 +245,10 @@ fn worker_panic_mid_session_rolls_back_bit_identically() {
     let baseline_bits = report_bits(&engine.propagate().clone());
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xCA05);
     let batch = random_valid_batch(&golden, &mut rng, 4);
-    // The cancelled probe closes its session unsynced; start from a synced
-    // engine again so the armed update takes the cone path.
+    // The cancelled probe is taken back whole, so the armed update starts
+    // from a synced engine and takes the cone path.
     let dirty_level = first_dirty_level(&mut engine, &batch);
-    engine.propagate();
+    let image = engine.undo_image();
 
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
@@ -248,6 +263,8 @@ fn worker_panic_mid_session_rolls_back_bit_identically() {
     assert_eq!(session.status(), SessionStatus::RolledBack);
     drop(session);
 
+    // The half-swept level went back with the rest: same bits, in sync.
+    assert!(image == engine.undo_image(), "the rollback left a trace");
     engine.health_check().expect("rolled-back state is healthy");
     assert_eq!(baseline_bits, report_bits(&engine.propagate().clone()));
     assert!(engine.incident_log().total() > 0, "fatal incident recorded");
@@ -290,11 +307,13 @@ fn prefired_cancel_token_stops_at_the_first_level_poll() {
 /// the rolled-back pass's Top-K arrays in place, where `arrival_at` /
 /// `distribution_at` / `snapshot()` read them. Right after `rollback()` —
 /// no `propagate()` in between — every read is back at its pre-session
-/// bits, and the engine still takes the cone path.
+/// bits, and the engine still takes the cone path. The rollback itself
+/// cannot fail: it is a copy, so a token that fired and a persistent
+/// injected panic armed at a level the update recomputed change nothing.
 #[test]
 fn reads_after_rollback_see_the_committed_arrays() {
     let _serial = serial();
-    let (golden, mut engine) = build(117);
+    let (golden, mut engine) = build_mid(117);
     let baseline_bits = report_bits(&engine.propagate().clone());
     let topk_before = topk_bits(&engine);
     let arrivals = |e: &InstaEngine| -> Vec<Option<u64>> {
@@ -305,23 +324,40 @@ fn reads_after_rollback_see_the_committed_arrays() {
     };
     let arrivals_before = arrivals(&engine);
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x4EAD);
-    let batch = random_valid_batch(&golden, &mut rng, 6);
+    let batch = random_valid_batch(&golden, &mut rng, 4);
+    let dirty_level = first_dirty_level(&mut engine, &batch);
+    let image = engine.undo_image();
 
-    let mut session = engine.begin_session();
+    engine.enable_tracing();
+    let token = CancelToken::new();
+    let mut session = engine.begin_session().with_cancel(token.clone());
     session.update_timing(&batch).expect("valid batch");
     assert_ne!(
         arrivals_before,
         arrivals(session.engine()),
         "the batch must move some arrival"
     );
+    token.cancel();
+    chaos::arm(Kernel::Forward, dirty_level, true);
     session.rollback();
+    chaos::disarm();
 
+    assert!(image == engine.undo_image(), "the rollback left a trace");
+    assert_eq!(engine.counters().sessions_rolled_back, 1);
+    let journal = engine.trace_journal().expect("tracing on");
+    let count = |name: &str| journal.events().filter(|e| e.name == name).count();
+    assert_eq!(
+        (count("forward.cone"), count("forward"), count("session.rollback")),
+        (1, 0, 1),
+        "a cone update, taken back without a pass"
+    );
+    engine.disable_tracing();
     assert_eq!(arrivals_before, arrivals(&engine));
     assert_eq!(topk_before, topk_bits(&engine));
     assert_eq!(baseline_bits, report_bits(engine.report()));
     // Still synced: the next update recomputes a cone and matches a twin
     // that never saw the session.
-    let (_, mut twin) = build(117);
+    let (_, mut twin) = build_mid(117);
     twin.propagate();
     let next = random_valid_batch(&golden, &mut rng, 3);
     let got = engine.update_timing(&next).expect("valid batch");
