@@ -369,8 +369,19 @@ fn extensions() {
     println!();
 }
 
+const SUBCOMMANDS: [&str; 9] = [
+    "all", "fig6", "table1", "fig7", "fig8", "table2", "table3", "fig9", "extensions",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = args.iter().find(|a| !SUBCOMMANDS.contains(&a.as_str())) {
+        eprintln!(
+            "repro: unknown subcommand `{unknown}`; known: {}",
+            SUBCOMMANDS.join(" ")
+        );
+        std::process::exit(2);
+    }
     let run_all = args.is_empty() || args.iter().any(|a| a == "all");
     let want = |name: &str| run_all || args.iter().any(|a| a == name);
     if want("fig6") {

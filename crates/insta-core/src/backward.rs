@@ -19,17 +19,17 @@ use crate::parallel::{carve, Interrupt, Pass};
 use crate::trace::LevelProfile;
 
 impl InstaEngine {
-    /// Backpropagates ∂TNS/∂(arc delay) from the last evaluation report
-    /// through the last differentiable forward pass.
+    /// Backpropagates ∂TNS/∂(arc delay) from the evaluation report through
+    /// the differentiable forward pass.
     ///
     /// Call order: [`propagate`](InstaEngine::propagate) (for required
     /// times), [`forward_lse`](InstaEngine::forward_lse) (for weights),
-    /// then this.
+    /// then this; whichever of the two is not current with the annotations
+    /// (or with τ) is run first.
     ///
     /// # Panics
     ///
-    /// Panics if no evaluation report exists, or if a worker panic could
-    /// not be contained (see
+    /// Panics if a worker panic could not be contained (see
     /// [`try_backward_tns`](InstaEngine::try_backward_tns)).
     pub fn backward_tns(&mut self) {
         if let Err(e) = self.try_backward_tns() {
@@ -40,11 +40,6 @@ impl InstaEngine {
     /// Fallible [`backward_tns`](InstaEngine::backward_tns) with the same
     /// worker-panic containment contract as
     /// [`try_propagate`](InstaEngine::try_propagate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no evaluation report exists (a call-order bug, not an
-    /// input fault).
     pub fn try_backward_tns(&mut self) -> Result<(), InstaError> {
         self.try_backward(Objective::Tns)
     }
@@ -58,8 +53,7 @@ impl InstaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if no evaluation report exists, or if a worker panic could
-    /// not be contained (see
+    /// Panics if a worker panic could not be contained (see
     /// [`try_backward_wns`](InstaEngine::try_backward_wns)).
     pub fn backward_wns(&mut self) {
         if let Err(e) = self.try_backward_wns() {
@@ -70,30 +64,23 @@ impl InstaEngine {
     /// Fallible [`backward_wns`](InstaEngine::backward_wns) with the same
     /// worker-panic containment contract as
     /// [`try_propagate`](InstaEngine::try_propagate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no evaluation report exists (a call-order bug, not an
-    /// input fault).
     pub fn try_backward_wns(&mut self) -> Result<(), InstaError> {
         self.try_backward(Objective::Wns)
     }
 
     fn try_backward(&mut self, objective: Objective) -> Result<(), InstaError> {
-        let report = self
-            .state
-            .report
-            .clone()
-            .expect("propagate() must run before a backward pass");
-        // The backward pass consumes the LSE arrivals/weights; if they are
-        // stale (never computed, τ changed via set_lse_tau, or arcs
-        // re-annotated since) recompute them at the current τ rather than
-        // silently reading outdated state.
-        if self.state.lse_tau_used != Some(self.cfg.lse_tau) {
+        // The backward pass consumes the report (required times) and the
+        // LSE arrivals/weights; what the ledger calls stale (never computed,
+        // arcs re-annotated since, τ changed via set_lse_tau) is recomputed
+        // rather than silently read.
+        if !self.validity.report_current() {
+            self.try_propagate()?;
+        }
+        if !self.validity.lse_current(self.cfg.lse_tau) {
             self.try_forward_lse()?;
         }
+        let report = self.state.report.clone().expect("current: has a report");
         self.last_incident = None;
-        self.grad_writes += 1;
         self.trace.begin("backward");
         let res = with_model!(&self.backend, m => backward(
             &self.st,
@@ -341,8 +328,8 @@ mod tests {
     }
 
     /// Regression: `set_lse_tau` must not let a later backward pass read
-    /// LSE arrivals/weights computed at the old τ. The `lse_tau_used`
-    /// staleness tag forces a recompute, so τ-change-then-backward is
+    /// LSE arrivals/weights computed at the old τ. The ledger's LSE
+    /// stamp forces a recompute, so τ-change-then-backward is
     /// bit-identical to an engine that ran the differentiable forward
     /// pass at the new τ from the start.
     #[test]

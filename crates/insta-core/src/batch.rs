@@ -39,7 +39,7 @@
 //! a completed lane, a cancelled or failed sweep, a NaN or gradient
 //! failure, and from a drop guard if anything unwinds. After any
 //! `evaluate_*` call the engine's Top-K arrays (stale mean/sigma tails
-//! included), annotations, report, drift odometer, `topk_synced` and LSE
+//! included), annotations, report, drift odometer, validity ledger and LSE
 //! state are their pre-call bits — the only state a call may write is the
 //! base sync itself (identical to the caller running
 //! [`propagate`](InstaEngine::propagate) first) and the monotonic batch
@@ -791,7 +791,7 @@ impl InstaEngine {
     /// annotations — the shared base every scenario diverges from.
     /// Equivalent to the caller running `propagate()` before the batch.
     fn ensure_base_synced(&mut self, interrupt: Option<&Interrupt>) -> bool {
-        if self.topk_synced && self.state.report.is_some() {
+        if self.validity.topk_current() {
             return true;
         }
         if let Some(i) = interrupt {
@@ -995,7 +995,6 @@ fn empty_state(k: usize) -> State {
         grad_arc: Vec::new(),
         grad_fanout: Vec::new(),
         report: None,
-        lse_tau_used: None,
     }
 }
 
@@ -1093,8 +1092,7 @@ impl<'a> LaneUndo<'a> {
         // No `forward.cone` span and no level profile per lane: the call's
         // one `batch.sweep` span carries the totals. No log budget either:
         // the log is the lane's only way back.
-        let swept =
-            cone_sweep(lane.st, lane.state, lane.cone, interrupt, None, usize::MAX, model);
+        let swept = cone_sweep(lane.st, lane.state, lane.cone, interrupt, None, None, model);
         (lane, swept)
     }
 }

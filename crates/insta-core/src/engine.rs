@@ -16,6 +16,7 @@ use crate::snapshot::RowStore;
 use crate::stat::{Backend, FixedBinHistogram, GaussianPocv, StatBackendKind, StatModelConfig};
 use crate::trace::{kernel_code, TraceSink};
 use crate::validate::{self, Issue, ValidationMode, ValidationReport};
+use crate::validity::Validity;
 use insta_refsta::export::{EndpointInit, InstaInit, SourceInit, NO_LEAF};
 use insta_refsta::ExceptionSet;
 use std::sync::Arc;
@@ -285,11 +286,6 @@ pub(crate) struct State {
     pub grad_fanout: Vec<[f64; 2]>,
     /// Last evaluation report.
     pub report: Option<crate::metrics::InstaReport>,
-    /// The τ the current `lse_arrival`/`lse_weight` buffers were computed
-    /// with; `None` when they are stale (never computed, τ changed, or
-    /// arcs re-annotated since). The backward entry points recompute the
-    /// differentiable forward pass when this doesn't match `cfg.lse_tau`.
-    pub lse_tau_used: Option<f64>,
 }
 
 /// A lazily allocated scratch [`State`] that a clone of its owner starts
@@ -333,13 +329,9 @@ pub struct InstaEngine {
     pub(crate) drift: DriftState,
     /// Monotonic session statistics.
     pub(crate) stats: SessionStats,
-    /// Whether the Top-K arrays are the deterministic output of
-    /// [`try_propagate`](InstaEngine::try_propagate) over the *current*
-    /// annotations. Cleared by re-annotation, hold propagation and failed
-    /// passes; set again by every completed full pass or cone update and by
-    /// the rollback of a failed cone sweep. A synced engine with a report is
-    /// what lets `update_timing` re-propagate only the changed fanout cone.
-    pub(crate) topk_synced: bool,
+    /// Which derived product — Top-K arrays, report, LSE buffers, snapshot
+    /// rows — is current with the annotations (see [`crate::validity`]).
+    pub(crate) validity: Validity,
     /// Persistent scratch of the cone sweep (see [`crate::incremental`]).
     pub(crate) cone: ConeScratch,
     /// The worst-entry rows a [`snapshot`](InstaEngine::snapshot) serves,
@@ -348,13 +340,6 @@ pub struct InstaEngine {
     /// Top-K arrays of a batched call's corner base passes (see
     /// [`crate::batch`]): absent until the first corner lane, then kept.
     pub(crate) corner_scratch: CornerScratch,
-    /// Generation of the Top-K writes no cone undo log covers: whole-array
-    /// passes (full, fused, hold) and a sweep that outgrew its log budget.
-    pub(crate) topk_writes: u64,
-    /// Write generation of the LSE arrival/weight buffers.
-    pub(crate) lse_writes: u64,
-    /// Write generation of the gradient buffers.
-    pub(crate) grad_writes: u64,
     /// The observability sink (disabled by default; see [`crate::trace`]).
     pub(crate) trace: TraceSink,
     /// The statistical numerics backend every kernel pass dispatches
@@ -547,7 +532,6 @@ impl InstaEngine {
             grad_arc: vec![[0.0; 2]; n_exp],
             grad_fanout: vec![[0.0; 2]; n_exp],
             report: None,
-            lse_tau_used: None,
         };
         Ok(Self {
             st,
@@ -560,13 +544,10 @@ impl InstaEngine {
             epoch: 0,
             drift: DriftState::default(),
             stats: SessionStats::default(),
-            topk_synced: false,
+            validity: Validity::default(),
             cone: ConeScratch::new(n, num_levels, k),
             rows: RowStore::default(),
             corner_scratch: CornerScratch::default(),
-            topk_writes: 0,
-            lse_writes: 0,
-            grad_writes: 0,
             trace: TraceSink::disabled(),
             backend,
         })
@@ -650,9 +631,9 @@ impl InstaEngine {
     /// Sets the LSE temperature for subsequent differentiable passes.
     ///
     /// Previously computed LSE arrivals/weights become stale (they were
-    /// computed with the old τ); the backward entry points detect the
-    /// mismatch against [`State::lse_tau_used`] and rerun the
-    /// differentiable forward pass before consuming them.
+    /// computed with the old τ); the backward entry points ask the
+    /// validity ledger (`lse_current(τ)`) and rerun the differentiable
+    /// forward pass before consuming them.
     pub fn set_lse_tau(&mut self, tau: f64) {
         assert!(tau > 0.0, "tau must be positive");
         self.cfg.lse_tau = tau;
@@ -716,12 +697,11 @@ impl InstaEngine {
     /// Index of the worst (slot 0) Top-K entry of an *original* graph node
     /// id and transition — `None` when no path reaches it or `rf` is not a
     /// transition index (0 rise, 1 fall), and `None` for every node while
-    /// the Top-K arrays are not the setup pass's output for the current
-    /// annotations (`topk_synced`): after a hold pass they hold negated
-    /// early corners, after a re-annotation or a failed pass they are
-    /// stale.
+    /// the ledger's setup Top-K row is not current (`topk_current()`):
+    /// after a hold pass the arrays hold negated early corners, after a
+    /// re-annotation or a failed pass they are stale.
     fn worst_entry(&self, orig_node: u32, rf: usize) -> Option<usize> {
-        if !self.topk_synced || rf >= 2 {
+        if !self.validity.topk_current() || rf >= 2 {
             return None;
         }
         let idx = (self.node_index(orig_node)? * 2 + rf) * self.state.k;
@@ -734,7 +714,7 @@ impl InstaEngine {
     /// The worst corner arrival at an *original* graph node id per
     /// transition index, if any path reaches it.
     ///
-    /// Answers only from arrays that are in sync with the setup report:
+    /// Answers only while the ledger's setup Top-K row is current:
     /// `None` for every node after [`propagate_hold`](Self::propagate_hold),
     /// a bare [`reannotate`](Self::reannotate) or a failed pass, until the
     /// next completed setup pass or cone update.

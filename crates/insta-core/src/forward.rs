@@ -58,7 +58,7 @@ impl InstaEngine {
     /// the next successful pass.
     pub fn try_propagate(&mut self) -> Result<&crate::metrics::InstaReport, InstaError> {
         self.last_incident = None;
-        self.begin_full_pass();
+        self.validity.begin_full_pass();
         self.trace.begin("forward");
         let res = with_model!(&self.backend, m => forward::<_, false>(
             &self.st,
@@ -75,17 +75,8 @@ impl InstaEngine {
         let report = with_model!(&self.backend, m =>
             crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr, m));
         self.state.report = Some(report);
-        self.topk_synced = true;
+        self.validity.setup_done();
         Ok(self.state.report.as_ref().expect("just set"))
-    }
-
-    /// A pass is about to rewrite the Top-K arrays whole, whether it
-    /// succeeds or not: only its completion puts them back in sync, the
-    /// snapshot rows are stale, and no cone undo log covers the write.
-    pub(crate) fn begin_full_pass(&mut self) {
-        self.topk_synced = false;
-        self.rows.invalidate();
-        self.topk_writes += 1;
     }
 
     /// Books a kernel pass's outcome: a recovered worker panic becomes
@@ -138,10 +129,9 @@ impl InstaEngine {
     pub fn try_propagate_fused(&mut self) -> Result<&crate::metrics::InstaReport, InstaError> {
         self.last_incident = None;
         // Both output families are rewritten whether the pass succeeds or
-        // not; only a completed pass leaves them in sync.
-        self.begin_full_pass();
-        self.lse_writes += 1;
-        self.state.lse_tau_used = None;
+        // not; only a completed pass stamps them.
+        self.validity.begin_full_pass();
+        self.validity.begin_lse();
         self.trace.begin("forward_fused");
         let (prof_fwd, prof_lse) = self.trace.profiles_fused();
         let res = with_model!(&self.backend, m => forward_fused(
@@ -157,11 +147,11 @@ impl InstaEngine {
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
         self.settle(res)?;
-        self.state.lse_tau_used = Some(self.cfg.lse_tau);
+        self.validity.lse_done(self.cfg.lse_tau);
         let report = with_model!(&self.backend, m =>
             crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr, m));
         self.state.report = Some(report);
-        self.topk_synced = true;
+        self.validity.setup_done();
         Ok(self.state.report.as_ref().expect("just set"))
     }
 }

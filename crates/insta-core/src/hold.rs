@@ -136,8 +136,8 @@ impl InstaEngine {
             "hold attributes must cover every endpoint"
         );
         self.last_incident = None;
-        // The min pass clobbers the setup Top-K arrays.
-        self.begin_full_pass();
+        // The min pass clobbers the setup Top-K arrays; the report stays.
+        self.validity.begin_full_pass();
         self.trace.begin("hold");
         // No level profile: `forward.kernel_ms` stays the setup kernel's.
         let res = with_model!(&self.backend, m => forward::<_, true>(

@@ -14,9 +14,9 @@
 //! # The cone sweep
 //!
 //! Precondition: the Top-K arrays are the full pass's output for the
-//! annotations as they were before some expanded arcs were rewritten
-//! (`topk_synced`). The children of those arcs are the *seeds*. Per-level
-//! worklists are visited in level order; one node is recomputed exactly
+//! annotations as they were before some expanded arcs were rewritten (the
+//! ledger's `topk_current()`, asked before the write). The children of
+//! those arcs are the *seeds*. Per-level worklists are visited in level order; one node is recomputed exactly
 //! as the full pass computes it — if it is a startpoint, its queues
 //! emptied and the launch seed re-applied as the full pass's prologue does
 //! — then [`level_chunk`](crate::forward::level_chunk) on the node's own
@@ -51,7 +51,7 @@
 //!
 //! A dirty level runs through the same level runner as a full pass's
 //! ([`crate::parallel`]: poll, containment, one retry, profile row), with
-//! the worklist as its work items; LSE state is only marked stale.
+//! the worklist as its work items; the LSE buffers are only left stale.
 //!
 //! **The undo log.** There is one way to take a sweep back. The old
 //! entries a node's compare needs are copied out before its recompute
@@ -71,9 +71,10 @@
 //! keeps at most [`SESSION_LOG_BYTES`] of recomputes. A sweep that outgrows
 //! them gives the node half of the log up and sweeps on: the update costs
 //! what it did, and only a *rollback* pays — like a full pass inside the
-//! session, the sweep is a write the log does not cover, re-synced by a
-//! full pass. A lane has no budget because it has no such way out: its
-//! base may be a corner's scratch arrays, and its undo must not fail.
+//! session, the sweep leaves the ledger uncovered ([`crate::validity`]) and
+//! is re-synced by a full pass. A lane has no budget because it has no such
+//! way out: its base may be a corner's scratch arrays, and its undo must
+//! not fail.
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
@@ -84,6 +85,7 @@ use crate::stat::{with_model, StatModel};
 use crate::topk::NO_SP;
 use crate::trace::LevelProfile;
 use crate::validate::{Issue, ValidationReport};
+use crate::validity::Validity;
 use insta_refsta::eco::ArcDelta;
 
 /// A re-annotation takes the cone path while its distinct seed nodes
@@ -132,8 +134,6 @@ pub(crate) struct ConeScratch {
     levels: usize,
     pub(crate) nodes: usize,
     pub(crate) pruned: usize,
-    /// Whether the last sweep outgrew its log budget and gave its nodes up.
-    outgrown: bool,
 }
 
 impl ConeScratch {
@@ -157,7 +157,6 @@ impl ConeScratch {
             levels: 0,
             nodes: 0,
             pruned: 0,
-            outgrown: false,
         }
     }
 
@@ -171,7 +170,6 @@ impl ConeScratch {
         self.epoch += 1;
         self.frontier.iter_mut().for_each(Vec::clear);
         (self.seeds, self.levels, self.nodes, self.pruned) = (0, 0, 0, 0);
-        self.outgrown = false;
     }
 
     /// Queues `v` on its level's worklist unless this sweep already did.
@@ -198,8 +196,8 @@ impl ConeScratch {
 
     /// Writes `deltas` over the annotations — every expansion, a later
     /// delta to the same arc wins — logging what each write replaces.
-    /// Nothing else of the engine moves: no drift, no counter, no
-    /// staleness flag. Callers must have validated `deltas`.
+    /// Nothing else of the engine moves: no drift, no counter, no ledger
+    /// stamp. Callers must have validated `deltas`.
     pub(crate) fn annotate(&mut self, st: &mut Static, deltas: &[ArcDelta]) {
         for d in deltas {
             let g = d.arc as usize;
@@ -341,10 +339,9 @@ impl InstaEngine {
     /// have validated `deltas` already.
     fn reannotate_unchecked(&mut self, deltas: &[ArcDelta]) {
         self.cone.annotate(&mut self.st, deltas);
-        // LSE arrivals/weights and Top-K arrays were computed against the
-        // old annotations (a cone update re-syncs the latter).
-        self.state.lse_tau_used = None;
-        self.topk_synced = false;
+        // The new generation leaves every derived product stale at once (a
+        // cone update re-syncs Top-K, report and rows).
+        self.validity.annotated();
         // Drift odometer: one update, batch-size/graph fraction of mass.
         self.drift.updates += 1;
         self.drift.mass += deltas.len() as f64 / self.st.n_graph_arcs.max(1) as f64;
@@ -391,7 +388,7 @@ impl InstaEngine {
         deltas: &[ArcDelta],
     ) -> Result<InstaReport, InstaError> {
         self.validate_deltas(deltas)?;
-        let synced = self.topk_synced && self.state.report.is_some();
+        let synced = self.validity.topk_current();
         self.reannotate_unchecked(deltas);
         if self.drift_exceeded() {
             // Degraded path: the incremental result is no longer trusted
@@ -419,7 +416,10 @@ impl InstaEngine {
                 m,
             ));
             self.state.report = Some(report);
-            self.topk_synced = true;
+            self.validity.cone_done();
+            // The snapshot rows follow the arrays (see [`crate::snapshot`]).
+            self.rows
+                .follow(&mut self.validity, &self.state, self.cone.swept());
         } else {
             self.try_propagate()?;
         }
@@ -436,13 +436,9 @@ impl InstaEngine {
             &mut self.cone,
             self.interrupt.as_ref(),
             self.trace.profile_mut(Kernel::Forward),
-            log_budget,
+            Some((log_budget, &mut self.validity)),
             m,
         ));
-        if self.cone.outgrown {
-            // Nothing logged covers this sweep any more.
-            self.topk_writes += 1;
-        }
         let c = &self.cone;
         self.trace.end_with(&[
             ("seeds", c.seeds as f64),
@@ -451,11 +447,6 @@ impl InstaEngine {
             ("pruned", c.pruned as f64),
             ("ok", if res.is_ok() { 1.0 } else { 0.0 }),
         ]);
-        // The snapshot rows follow the arrays (see [`crate::snapshot`]).
-        match &res {
-            Ok(_) => self.rows.follow(&self.state, self.cone.swept()),
-            Err(_) => self.rows.invalidate(),
-        }
         self.settle(res)
     }
 }
@@ -484,14 +475,15 @@ pub(crate) fn seed_cone(
 /// The frontier-driven sweep over Top-K arrays that are the full pass's
 /// output for the annotations before the seeding arcs changed (see the
 /// module docs). Seeds are already on `cone`'s worklists. `log_budget` is
-/// how many recomputes the undo log may hold, judged once per level.
+/// how many recomputes the undo log may hold, judged once per level, and
+/// the ledger to tell when a sweep past it gives them up; a lane has none.
 pub(crate) fn cone_sweep<M: StatModel>(
     st: &Static,
     state: &mut State,
     cone: &mut ConeScratch,
     interrupt: Option<&Interrupt>,
     prof: Option<&mut LevelProfile>,
-    log_budget: usize,
+    mut log_budget: Option<(usize, &mut Validity)>,
     model: &M,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     // The cone runs on one thread: a dirty level is one inline cut.
@@ -527,9 +519,11 @@ pub(crate) fn cone_sweep<M: StatModel>(
         cone.levels += 1;
         cone.nodes += nodes.len();
         cone.frontier[l] = nodes;
-        if cone.log_node.len() > log_budget {
-            cone.forget_nodes();
-            cone.outgrown = true;
+        if let Some((cap, ledger)) = &mut log_budget {
+            if cone.log_node.len() > *cap {
+                cone.forget_nodes();
+                ledger.log_gave_up();
+            }
         }
     }
     Ok(pass.finish())
@@ -785,7 +779,10 @@ mod tests {
         };
         assert_eq!(kernel, crate::error::Kernel::Forward);
         assert_eq!(level, first_dirty);
-        assert!(!eng.topk_synced, "a cut sweep leaves the arrays stale");
+        assert!(
+            !eng.validity.topk_current(),
+            "a cut sweep leaves the arrays stale"
+        );
         assert_eq!(before, eng.topk_snapshot(), "nothing ran before the poll");
     }
 
@@ -810,7 +807,7 @@ mod tests {
         for mean in [180.0, 20.0] {
             cone.annotate(st, &[delta(mean)]);
             assert!(super::seed_cone(st, cone, std::iter::once(g as u32)));
-            super::cone_sweep(st, state, cone, None, None, usize::MAX, &crate::stat::GaussianPocv)
+            super::cone_sweep(st, state, cone, None, None, None, &crate::stat::GaussianPocv)
                 .expect("clean sweep");
             assert!(cone.nodes > cone.pruned, "the delta must move its cone");
         }

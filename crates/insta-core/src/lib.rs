@@ -107,6 +107,7 @@ pub mod stat;
 pub mod topk;
 pub mod trace;
 pub mod validate;
+pub(crate) mod validity;
 
 pub use batch::{
     BatchOptions, CornerTransform, DeltaSet, McmmReport, ModeMask, Scenario, ScenarioReport,

@@ -40,8 +40,7 @@ impl InstaEngine {
     /// [`try_propagate`](InstaEngine::try_propagate).
     pub fn try_forward_lse(&mut self) -> Result<(), InstaError> {
         self.last_incident = None;
-        self.lse_writes += 1;
-        self.state.lse_tau_used = None;
+        self.validity.begin_lse();
         self.trace.begin("forward_lse");
         let res = with_model!(&self.backend, m => forward_lse(
             &self.st,
@@ -55,7 +54,7 @@ impl InstaEngine {
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
         self.settle(res)?;
-        self.state.lse_tau_used = Some(self.cfg.lse_tau);
+        self.validity.lse_done(self.cfg.lse_tau);
         Ok(())
     }
 

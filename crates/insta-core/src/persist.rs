@@ -686,10 +686,9 @@ impl EngineDurableState {
         engine.epoch = self.epoch;
         engine.drift.updates = self.drift_updates;
         engine.drift.mass = self.drift_mass;
-        // The annotation overwrite invalidates every derived array, same
-        // as a re-annotation would.
-        engine.topk_synced = false;
-        engine.state.lse_tau_used = None;
+        // A new generation, same as a re-annotation: every derived product
+        // is stale.
+        engine.validity.annotated();
         Ok(())
     }
 

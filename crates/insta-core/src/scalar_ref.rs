@@ -399,22 +399,21 @@ impl InstaEngine {
     /// [`propagate`](InstaEngine::propagate), with the same state
     /// bookkeeping.
     pub fn forward_scalar_reference(&mut self) -> &InstaReport {
-        self.begin_full_pass();
+        self.validity.begin_full_pass();
         ref_forward(&self.st, &mut self.state);
         let report =
             crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr, &crate::stat::GaussianPocv);
         self.state.report = Some(report);
-        self.topk_synced = true;
+        self.validity.setup_done();
         self.state.report.as_ref().expect("just set")
     }
 
     /// Runs the frozen scalar differentiable forward pass — the reference
     /// twin of [`forward_lse`](InstaEngine::forward_lse).
     pub fn forward_lse_scalar_reference(&mut self) {
-        self.lse_writes += 1;
-        self.state.lse_tau_used = None;
+        self.validity.begin_lse();
         ref_forward_lse(&self.st, &mut self.state, self.cfg.lse_tau);
-        self.state.lse_tau_used = Some(self.cfg.lse_tau);
+        self.validity.lse_done(self.cfg.lse_tau);
     }
 
     /// Runs the frozen scalar min-mode pass and evaluates hold checks —
@@ -423,7 +422,7 @@ impl InstaEngine {
     pub fn hold_scalar_reference(&mut self, attrs: &HoldAttributes) -> InstaReport {
         assert_eq!(attrs.source_mean.len(), self.st.sources.len());
         assert_eq!(attrs.required_base.len(), self.st.endpoints.len());
-        self.begin_full_pass();
+        self.validity.begin_full_pass();
         ref_forward_min(&self.st, &mut self.state, attrs);
         crate::hold::evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr, &crate::stat::GaussianPocv)
     }
@@ -441,7 +440,8 @@ impl InstaEngine {
 
     /// Everything a batched `evaluate_*` call must give back, as named
     /// bit vectors: the Top-K arrays, the annotations, the report, and the
-    /// drift / staleness bookkeeping.
+    /// bookkeeping — the observable validity ledger (current generation and
+    /// the products' stamps) and the drift odometer.
     pub fn undo_image(&self) -> Vec<(&'static str, Vec<u64>)> {
         let f = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         let (s, st) = (&self.state, &self.st);
@@ -472,13 +472,11 @@ impl InstaEngine {
             ("report", report),
             (
                 "bookkeeping",
-                vec![
-                    u64::from(self.topk_synced),
-                    s.lse_tau_used.map_or(u64::MAX, f64::to_bits),
-                    self.lse_writes,
-                    self.drift.updates,
-                    self.drift.mass.to_bits(),
-                ],
+                self.validity
+                    .observable()
+                    .into_iter()
+                    .chain([self.drift.updates, self.drift.mass.to_bits()])
+                    .collect(),
             ),
         ]
     }

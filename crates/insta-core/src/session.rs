@@ -23,11 +23,12 @@
 //! [`rollback`](TimingSession::rollback) (or dropping the session while
 //! still open, or a poisoning error) restores the pre-session state
 //! bit-for-bit: the Top-K arrays and arc annotations from the cone's undo
-//! log, the report, drift, τ and gradients from the checkpoint. Reads
-//! (`arrival_at`, `snapshot()`) never see a rolled-back pass, and the next
-//! update is a cone update again — also after a cancel, a deadline, a NaN
-//! or a worker panic inside a cone sweep. Only a full pass inside the
-//! session costs a full pass to take back (see [`crate::checkpoint`]).
+//! log, the validity ledger, report, drift and gradients from the
+//! checkpoint. Reads (`arrival_at`, `snapshot()`) never see a rolled-back
+//! pass, and the next update is a cone update again — also after a cancel,
+//! a deadline, a NaN or a worker panic inside a cone sweep. Only a write
+//! the log does not cover (a full pass inside the session) costs a full
+//! pass to take back: the ledger's rollback rule, [`crate::validity`].
 //! The sizer's candidate-move loop is the canonical client: speculative
 //! moves run in a session, rejected moves roll back instead of replaying
 //! inverse deltas.
@@ -77,6 +78,7 @@ impl InstaEngine {
         self.stats.begun += 1;
         // The log is this session's now (an unwound update may have left one).
         self.cone.forget();
+        self.validity.session_began();
         TimingSession {
             cp: EpochCheckpoint::default(),
             eng: self,
@@ -211,7 +213,7 @@ impl<'e> TimingSession<'e> {
 
     /// Checkpoint-guarded wrapper shared by every mutating call. `grads`
     /// marks passes that rewrite the gradient buffers, which are
-    /// checkpointed by copy (they have no staleness tag to lean on).
+    /// checkpointed by copy (the ledger has no row for them).
     fn run<T>(
         &mut self,
         grads: bool,

@@ -22,8 +22,9 @@
 //! the engine keeps current as it goes ([`RowStore`]): a cone sweep
 //! rewrites the rows of the nodes it recomputed — and a session rollback
 //! those of the nodes its undo log put back — which copies a chunk only
-//! when a snapshot still shares it; a full pass merely marks the
-//! store stale and the next cone sweep re-gathers it once — all of it only
+//! when a snapshot still shares it; a full pass merely clears the ledger's
+//! row stamp ([`crate::validity`]) and the next cone sweep re-gathers the
+//! store once — all of it only
 //! from an engine's first capture on, so a flow that never takes a
 //! snapshot keeps no chunks. A capture on the cone path is then one `Arc`
 //! clone per chunk plus a copy of the endpoint report — no walk over the
@@ -37,6 +38,7 @@ use crate::engine::{InstaEngine, State};
 use crate::metrics::{EngineCounters, InstaReport};
 use crate::topk::NO_SP;
 use crate::trace::PerfReport;
+use crate::validity::Validity;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -97,15 +99,12 @@ fn gather_rows(state: &State) -> Rows {
 }
 
 /// The engine's side of the chunks: the rows of its Top-K arrays as of the
-/// last cone sweep, or stale since a full pass rewrote the arrays. Kept
-/// only for an engine somebody takes snapshots of: a sizing flow that
-/// never captures pays neither the memory nor the upkeep.
+/// generation the ledger's row stamp names (`rows_current()`). Kept only
+/// for an engine somebody takes snapshots of: a sizing flow that never
+/// captures pays neither the memory nor the upkeep.
 #[derive(Debug, Default)]
 pub(crate) struct RowStore {
     chunks: Rows,
-    /// Whether `chunks` are the arrays' rows. Only read while the arrays
-    /// themselves are in sync (`topk_synced`).
-    current: bool,
     /// Set by the first capture (through `&self`, hence the atomic).
     wanted: AtomicBool,
 }
@@ -114,31 +113,30 @@ impl Clone for RowStore {
     fn clone(&self) -> Self {
         RowStore {
             chunks: self.chunks.clone(),
-            current: self.current,
             wanted: AtomicBool::new(self.wanted.load(Ordering::Relaxed)),
         }
     }
 }
 
 impl RowStore {
-    /// The arrays are about to be rewritten by something other than a
-    /// cone sweep (full pass, hold pass) or a sweep stopped half-way.
-    pub(crate) fn invalidate(&mut self) {
-        self.current = false;
-    }
-
     /// Brings the chunks up to date with arrays back in sync after `nodes`
     /// were rewritten — recomputed by a completed cone sweep or put back by
-    /// an undo: their rows are rewritten, a chunk a snapshot still shares
-    /// being copied first — or, after a full pass, all are gathered afresh.
-    pub(crate) fn follow(&mut self, state: &State, nodes: impl Iterator<Item = u32>) {
+    /// an undo, either of which carried the row stamp along if the chunks
+    /// mirrored the arrays before: their rows are rewritten, a chunk a
+    /// snapshot still shares being copied first — or, the stamp cleared by
+    /// a full pass or never set, all are gathered afresh and stamped.
+    pub(crate) fn follow(
+        &mut self,
+        ledger: &mut Validity,
+        state: &State,
+        nodes: impl Iterator<Item = u32>,
+    ) {
         if !*self.wanted.get_mut() {
-            self.current = false;
             return;
         }
-        if !self.current {
+        if !ledger.rows_current() {
             self.chunks = gather_rows(state);
-            self.current = true;
+            ledger.rows_gathered();
             return;
         }
         let k = state.k;
@@ -258,8 +256,8 @@ impl InstaEngine {
     /// capture is internally consistent: report, arrivals, and counters
     /// all describe the same epoch.
     ///
-    /// The arrival rows come only from Top-K arrays that are in sync with
-    /// the setup report. After a hold pass (negated early corners), a bare
+    /// The arrival rows come only from Top-K arrays the ledger calls current
+    /// (`topk_current()`). After a hold pass (negated early corners), a bare
     /// re-annotation or a failed pass every row is captured as unreached,
     /// so [`TimingSnapshot::arrival_at`] answers `None` rather than a
     /// value that does not belong to the report beside it.
@@ -271,9 +269,9 @@ impl InstaEngine {
         // From now on cone sweeps keep the chunks for the next capture.
         self.rows.wanted.store(true, Ordering::Relaxed);
         let n_rows = self.num_nodes() * 2;
-        let rows = if !self.topk_synced {
+        let rows = if !self.validity.topk_current() {
             blank_rows(n_rows)
-        } else if self.rows.current {
+        } else if self.validity.rows_current() {
             debug_assert!(
                 self.rows.chunks == gather_rows(&self.state),
                 "the row chunks fell behind the Top-K arrays"
@@ -368,14 +366,14 @@ mod tests {
                 session.commit().expect("commit");
             }
             assert!(
-                eng.rows.current,
+                eng.validity.rows_current(),
                 "round {round}: the cone path keeps the store"
             );
             let snap = eng.snapshot();
             let mut twin = eng.clone();
             twin.propagate();
             assert!(
-                !twin.rows.current,
+                !twin.validity.rows_current(),
                 "a full pass leaves the store to the next sweep"
             );
             let fresh = twin.snapshot();

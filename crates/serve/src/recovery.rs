@@ -25,7 +25,9 @@
 //!    be replayed — a gap in the epoch chain, an op the engine rejects —
 //!    stops the replay and is cut out of the log like damage: left ahead
 //!    of later appends, it would stop every restart at the same place,
-//!    before the commits acknowledged since.
+//!    before the commits acknowledged since. A segment a cut leaves
+//!    without a record is renamed to the recovered epoch + 1, so segment
+//!    names stay the epochs of the first records they may hold.
 //!
 //! Because deltas are absolute overwrites and propagation is
 //! deterministic, the recovered engine's slacks are bit-identical
@@ -74,6 +76,22 @@ fn cut_log(segments: &[(u64, std::path::PathBuf)], at: usize, keep: u64) -> io::
         std::fs::remove_file(path)?;
     }
     Ok(later.len())
+}
+
+/// A cut may leave the last segment without a record under a name above
+/// the epoch its first record will have, which breaks the log's naming
+/// rule ([`crate::wal`]: a segment's name is the epoch of the first record
+/// it may hold) — the next rotation would then ask for that very name.
+/// The emptied segment takes the name `next_epoch`.
+fn rename_emptied_tail(dir: &std::path::Path, next_epoch: u64) -> io::Result<()> {
+    let Some((first, path)) = wal::list_segments(dir)?.pop() else {
+        return Ok(());
+    };
+    if first > next_epoch && wal::scan_segment(&path)?.records.is_empty() {
+        std::fs::rename(&path, wal::segment_path(dir, next_epoch))?;
+        wal::fsync_dir(dir)?;
+    }
+    Ok(())
 }
 
 /// Slack bits of the engine's current report (empty when none).
@@ -234,6 +252,9 @@ pub fn recover(engine: &mut InstaEngine, cfg: &DurabilityConfig) -> io::Result<R
         }
     }
 
+    if report.wal_truncated {
+        rename_emptied_tail(&cfg.dir, engine.epoch() + 1)?;
+    }
     report.recovered_epoch = engine.epoch();
     Ok(report)
 }

@@ -382,7 +382,7 @@ fn checkpoint_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("checkpoint-{epoch:020}.ckpt"))
 }
 
-fn fsync_dir(dir: &Path) -> io::Result<()> {
+pub(crate) fn fsync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
@@ -729,10 +729,23 @@ impl Core {
 
     /// Moves the log to a fresh segment named `first_epoch` with room for
     /// a record of `need` bytes: the spare if one is ready and large
-    /// enough, else one made here.
+    /// enough, else one made here. Never onto an existing segment — the
+    /// rename would replace that file and the fsynced records in it: the
+    /// log stays where it is (a record past the segment's end grows it),
+    /// with an incident unless its segment is still empty (an oversized
+    /// first record asks an empty segment for its own name).
     fn rotate(&self, log: &mut Log, commit: u64, first_epoch: u64, need: u64) -> io::Result<()> {
         let dir = &self.cfg.dir;
         let path = segment_path(dir, first_epoch);
+        if path.exists() {
+            if log.offset > SEGMENT_HEADER_LEN {
+                self.incident(format!(
+                    "WAL rotation refused: {} exists; the log stays in its segment",
+                    path.display()
+                ));
+            }
+            return Ok(());
+        }
         let size = SEGMENT_BYTES.max(SEGMENT_HEADER_LEN + need);
         let took_spare = size == SEGMENT_BYTES && {
             let mut mb = lock(&self.mailbox);
@@ -1438,6 +1451,30 @@ mod tests {
         append(&d, 4..=4);
         drop(d);
         assert_eq!(logged_epochs(&dir), vec![1, 2, 3, 4]);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A rotation never replaces a segment file: asked for the name of the
+    /// segment it is in (only a log whose names broke their rule can ask),
+    /// the log stays there with its records and says so once.
+    #[test]
+    fn a_rotation_onto_an_existing_segment_is_refused() {
+        let cfg = config("refused", true, Duration::ZERO);
+        let dir = cfg.dir.clone();
+        std::fs::create_dir_all(&dir).unwrap();
+        // The active segment is named above its first record.
+        std::fs::write(segment_path(&dir, 3), b"").unwrap();
+        let d = Durability::open(cfg).unwrap();
+        append(&d, 1..=2);
+        d.core
+            .rotate(&mut lock(&d.core.log), 0, 3, 0)
+            .expect("a refusal is not an I/O error");
+        append(&d, 3..=3);
+        let incidents = d.take_incidents();
+        assert_eq!(incidents.len(), 1, "{incidents:?}");
+        assert!(incidents[0].contains("rotation refused"), "{incidents:?}");
+        drop(d);
+        assert_eq!(logged_epochs(&dir), vec![1, 2, 3]);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -405,7 +405,27 @@ fn stale_checkpoint_is_rejected_typed_and_wal_replay_rebuilds_from_genesis() {
 /// The log is now cut at the first unreplayable record.
 #[test]
 fn a_replay_gap_is_cut_out_so_commits_after_it_survive_the_next_restart() {
-    let dir = scratch("replay-gap");
+    replay_gap_then_two_commits("replay-gap", false);
+}
+
+/// Regression: the segment that cut emptied kept its old, higher name
+/// (`wal-5` after falling back to checkpoint 2). With checkpoints still on,
+/// the rotation at epoch 4 asked for `wal-5` too — that same name — and
+/// its rename replaced the active segment and the two fsynced records in
+/// it, before the checkpoint that would have covered them was durable: a
+/// crash while it streamed lost both acknowledged commits.
+#[test]
+fn a_segment_emptied_by_the_cut_is_renamed_so_no_rotation_replaces_it() {
+    replay_gap_then_two_commits("replay-gap-rotation", true);
+}
+
+/// Checkpoints [4, 2] and segment [5]; checkpoint 4 goes stale, so the
+/// restart falls back to 2 and meets record 5: a gap. Two more commits
+/// are acknowledged — with `checkpoints_on`, under the same cadence, the
+/// second one's checkpoint crashing mid-stream — and the next restart
+/// must replay both.
+fn replay_gap_then_two_commits(name: &str, checkpoints_on: bool) {
+    let dir = scratch(name);
     let mut cfg = DurabilityConfig::new(&dir);
     cfg.checkpoint_every = 2;
     let (server, _) =
@@ -421,7 +441,7 @@ fn a_replay_gap_is_cut_out_so_commits_after_it_survive_the_next_restart() {
 
     // Checkpoint 4 goes stale (a foreign design's image under its name).
     let foreign = build_engine(SEED + 900, K);
-    let foreign_dir = scratch("replay-gap-foreign");
+    let foreign_dir = scratch(&format!("{name}-foreign"));
     Durability::open(DurabilityConfig::new(&foreign_dir))
         .unwrap()
         .write_checkpoint(
@@ -435,10 +455,13 @@ fn a_replay_gap_is_cut_out_so_commits_after_it_survive_the_next_restart() {
     )
     .unwrap();
 
-    // Restart: checkpoint 2, then record 5 — a gap. Checkpoints stay off
-    // from here on so the stale image keeps its name.
+    // Restart: checkpoint 2, then record 5 — a gap. The stale image keeps
+    // its name: checkpoints stay off, or the one at epoch 4 never lands.
     let mut cfg = DurabilityConfig::new(&dir);
-    cfg.checkpoint_every = 0;
+    cfg.checkpoint_every = if checkpoints_on { 2 } else { 0 };
+    if checkpoints_on {
+        cfg.crash = Some(CrashSwitch::new(CrashPoint::MidCheckpointStream, 1));
+    }
     let (server, rep) =
         Server::with_durability(build_engine(SEED, K), ServeConfig::default(), cfg.clone())
             .unwrap();
@@ -449,6 +472,11 @@ fn a_replay_gap_is_cut_out_so_commits_after_it_survive_the_next_restart() {
         rep.incidents.iter().filter(hit).count()
     };
     assert_eq!(gaps(&rep), 1, "{:?}", rep.incidents);
+    assert_eq!(
+        segment_names(&dir),
+        vec![3],
+        "the emptied segment is named after the first record it may hold"
+    );
     // Two more commits are acknowledged on the timeline being served.
     let (mut cl, h) = connect(&server);
     for i in 2..4 {
@@ -459,6 +487,10 @@ fn a_replay_gap_is_cut_out_so_commits_after_it_survive_the_next_restart() {
     }
     drop(cl);
     h.join().unwrap();
+    settle(&server);
+    if let Some(switch) = &cfg.crash {
+        assert!(switch.is_tripped(), "the checkpoint at epoch 4 never streamed");
+    }
     drop(server);
 
     // The next restart replays both, bit-exactly, and meets no gap.

@@ -1,7 +1,7 @@
 //! A small seeded property-testing harness with shrink-on-failure.
 //!
 //! The workspace's property suites (LSE bounds, Top-K queue invariants,
-//! correlation identities, tape gradients, parser fuzzing) run through
+//! correlation identities, parser fuzzing) run through
 //! [`for_all`]: a closure generator draws a case from a seeded [`Rng`], the
 //! property returns `Ok(())` or a failure message (use [`prop_assert!`] /
 //! [`prop_assert_eq!`]), and on failure the harness greedily shrinks the

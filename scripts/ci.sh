@@ -19,37 +19,47 @@ for f in $(find crates/insta-core/src -name '*.rs' -not -name parallel.rs | sort
 done
 [ -z "$strays" ] || { printf 'one-site gate: the level runner is being re-spelled outside parallel.rs:\n%s' "$strays" >&2; exit 1; }
 
+echo "==> DESIGN.md size line (what the code and its module docs already say does not go there)"
+design_bytes=$(wc -c < DESIGN.md)
+[ "$design_bytes" -le 62000 ] || { echo "DESIGN.md is $design_bytes bytes, over the 62000-byte line: cut, or move the text into the module it describes" >&2; exit 1; }
+
 echo "==> tests (offline; debug profile keeps the hot-path poison asserts on) — one run of the whole workspace, which is every gate named below"
 echo "    fault-injection gate (fixed seed, zero panics): tests/fault_injection, insta-engine fault_tolerance"
 echo "    session-chaos gate (rollback bit-identity under seeded corruption + worker panics; a fired token/deadline stops at the next level poll): tests/sessions"
 echo "    batch-equivalence gate (batched scenarios bit-identical to serial sessions; one deadline for the whole call): tests/batch_equivalence"
 echo "    mcmm-equivalence gate (corner/mode lanes bit-identical to pre-scaled, masked serial twins under both backends): tests/mcmm_equivalence"
+echo "    validity gate (generated state machine over every annotation- and product-writing call: each read is None or a from-scratch twin's bits, current arrays take the cone path, both backends): insta-engine validity_model"
 echo "    cone-equivalence gate (session cone updates bit-identical to reannotate + full pass, rollbacks by the undo log bit-identical to never having run, arrays and report, both backends; batched calls and failed cone sessions leave the engine's bits untouched after clean, quarantined, cancelled and panicked sweeps): insta-engine cone_equivalence"
 echo "    backend-equivalence gate (trait-generic Gaussian bit-identical to the frozen kernels; histogram converges to POCV monotonically in bins): insta-engine + tests/backend_equivalence"
 echo "    server-chaos gate (protocol-fault storm: no hangs, no panics, typed errors, bit-identical post-storm commit): insta-serve"
-echo "    crash-recovery gate (kill -9 chaos: every crash point + durability fault recovers the durable prefix bit-exactly, incl. a real SIGKILL of the insta-serve binary; an unreplayable record is cut out of the log): insta-serve recovery"
+echo "    crash-recovery gate (kill -9 chaos: every crash point + durability fault recovers the durable prefix bit-exactly, incl. a real SIGKILL of the insta-serve binary; an unreplayable record is cut out of the log and a segment the cut empties is renamed, so no rotation replaces it): insta-serve recovery"
 cargo test -q --workspace --offline
 
 echo "==> benches compile (offline)"
 cargo build --release --offline --benches -p insta-bench
 
+# Every bench prints one JSON result line; they are kept under target/
+# (untracked — each is one fast-mode sample of this run, not a record).
+bench_out=target/bench
+mkdir -p "$bench_out"
+
 echo "==> session-overhead smoke (plain vs commit vs rollback over two alternating delta sets; report-only JSON line)"
-INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench session_overhead | tail -1 | tee BENCH_session.json
+INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench session_overhead | tail -1 | tee "$bench_out/BENCH_session.json"
 
 echo "==> batch-throughput gate (parity: evaluate_batch S=16 >= 0.9x 16 sequential cone sessions — both take a sweep back by the one undo log; min of interleaved iterations, 3-round noise retry; bench exits non-zero on breach)"
-INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench batch_throughput | tail -1 | tee BENCH_batch.json
+INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench batch_throughput | tail -1 | tee "$bench_out/BENCH_batch.json"
 
 echo "==> mcmm-throughput gate (CxM sweep >= 3x sequential per-corner sessions, best of three iterations per arm; bench exits non-zero on breach)"
-INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench mcmm_throughput | tail -1 | tee BENCH_mcmm.json
+INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench mcmm_throughput | tail -1 | tee "$bench_out/BENCH_mcmm.json"
 
 echo "==> serve-throughput smoke (reader p99 with a hot writer <= 2x idle p99; bench exits non-zero on breach)"
-INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench serve_throughput | tail -1 | tee BENCH_serve.json
+INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench serve_throughput | tail -1 | tee "$bench_out/BENCH_serve.json"
 
 echo "==> WAL-overhead smoke (unpaced durable commit p50 within 800 us of ephemeral — was 1200; measured 301-473 us with the segmented log — and one fsync per commit; bench exits non-zero on breach)"
-INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench wal_overhead | tail -1 | tee BENCH_wal.json
+INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench wal_overhead | tail -1 | tee "$bench_out/BENCH_wal.json"
 
 echo "==> trace-overhead gate (traced propagate_fused <= 3% over untraced; bench exits non-zero on breach)"
-INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench obs_overhead | tail -1 | tee BENCH_obs.json
+INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench obs_overhead | tail -1 | tee "$bench_out/BENCH_obs.json"
 
 echo "==> fig9 levelized-breakdown smoke + forward-pass regression gate"
 # The floor is the fused-kernel forward_ns measured on the reference CI
@@ -70,10 +80,10 @@ echo "==> fig9 levelized-breakdown smoke + forward-pass regression gate"
 floor_ns="${INSTA_FORWARD_NS_FLOOR:-56000000}"
 gate_ok=""
 for attempt in 1 2 3; do
-  INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench fig9_breakdown | tail -1 | tee BENCH_fig9.json
-  forward_ns=$(sed -n 's/.*"forward_ns":\([0-9][0-9.]*\).*/\1/p' BENCH_fig9.json)
+  INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench fig9_breakdown | tail -1 | tee "$bench_out/BENCH_fig9.json"
+  forward_ns=$(sed -n 's/.*"forward_ns":\([0-9][0-9.]*\).*/\1/p' "$bench_out/BENCH_fig9.json")
   if [ -z "$forward_ns" ]; then
-    echo "forward-pass gate: could not parse forward_ns from BENCH_fig9.json" >&2
+    echo "forward-pass gate: could not parse forward_ns from $bench_out/BENCH_fig9.json" >&2
     exit 1
   fi
   if awk -v got="$forward_ns" -v floor="$floor_ns" 'BEGIN {
@@ -95,10 +105,10 @@ echo "==> backend-overhead gate (trait-generic Gaussian forward <= 1.05x the for
 # is a broken inline. Best-of-three for the same noise tolerance.
 backend_ok=""
 for attempt in 1 2 3; do
-  INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench backend_overhead | tail -1 | tee BENCH_backend.json
-  backend_ns=$(sed -n 's/.*"forward_ns":\([0-9][0-9.]*\).*/\1/p' BENCH_backend.json)
+  INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench backend_overhead | tail -1 | tee "$bench_out/BENCH_backend.json"
+  backend_ns=$(sed -n 's/.*"forward_ns":\([0-9][0-9.]*\).*/\1/p' "$bench_out/BENCH_backend.json")
   if [ -z "$backend_ns" ]; then
-    echo "backend-overhead gate: could not parse forward_ns from BENCH_backend.json" >&2
+    echo "backend-overhead gate: could not parse forward_ns from $bench_out/BENCH_backend.json" >&2
     exit 1
   fi
   if awk -v got="$backend_ns" -v floor="$floor_ns" 'BEGIN {

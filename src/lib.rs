@@ -13,7 +13,6 @@
 //! | [`refsta`] | Reference "signoff" STA engine (the PrimeTime stand-in) |
 //! | [`engine`] | The INSTA engine: Top-K CPPR propagation, LSE forward, gradient backward |
 //! | [`serve`] | Timing-as-a-service daemon: MVCC snapshot reads, admission control, deadlines |
-//! | [`autograd`] | Reverse-mode tape (the PyTorch stand-in) |
 //! | [`placer`] | Analytic global placement, net-weighting and INSTA-Place |
 //! | [`sizer`] | Evaluator flow, greedy reference sizer, INSTA-Size |
 //!
@@ -50,8 +49,6 @@
 //! applications: the incremental evaluator flow, INSTA-Size, and
 //! INSTA-Place.
 
-/// Reverse-mode autodiff tape (re-export of `insta-autograd`).
-pub use insta_autograd as autograd;
 /// The INSTA engine (re-export of `insta-engine`).
 pub use insta_engine as engine;
 /// Cell-library model (re-export of `insta-liberty`).

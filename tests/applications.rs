@@ -125,21 +125,3 @@ fn timing_driven_placement_improves_tns_over_plain() {
         );
     }
 }
-
-/// The autograd substrate composes with placement quantities: the tape
-/// reproduces the analytic WA-gradient direction on a toy net.
-#[test]
-fn autograd_matches_analytic_wirelength_gradient() {
-    use insta_sta::autograd::Tape;
-    // |x0 - x1| via smooth_abs on the tape vs the placer's saturated
-    // difference: same sign, comparable magnitude.
-    let mut tape = Tape::new();
-    let x = tape.leaf(vec![10.0, 4.0]);
-    let w = tape.weighted_by(x, vec![1.0, -1.0]);
-    let s = tape.sum(w); // x0 - x1
-    let d = tape.smooth_abs(s, 1e-3);
-    let loss = tape.sum(d);
-    tape.backward(loss);
-    let g = tape.grad(x);
-    assert!(g[0] > 0.99 && g[1] < -0.99, "{g:?}");
-}
