@@ -4,9 +4,15 @@
 //! ```text
 //! cargo run --release -p insta-bench --bin repro -- all
 //! cargo run --release -p insta-bench --bin repro -- fig6 table1 fig7 table2 table3 fig9
+//! cargo run --release -p insta-bench --bin repro -- ablation
 //! ```
+//!
+//! `ablation` (§III-E Top-K queue, §III-F LSE τ) is a wall-clock
+//! micro-bench on the in-tree harness rather than a table of the paper, so
+//! `all` leaves it out.
 
 use insta_bench::{block_specs, fmt_ps, iwls_specs, superblue_specs};
+use insta_engine::topk::{Candidate, TopKQueue};
 use insta_engine::{InstaConfig, InstaEngine, MismatchStats};
 use insta_netlist::{DesignStats, TimingGraph};
 use insta_placer::{place, refresh_timing, PlacementDb, PlacerConfig, PlacerMode, TimingMode};
@@ -15,6 +21,10 @@ use insta_sizer::{
     insta_size, random_changelist, reference_size, run_evaluator_flow, InstaSizeConfig,
     ReferenceSizeConfig,
 };
+use insta_support::timer::{black_box, Harness};
+use insta_support::Rng;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
 
 fn golden_slack_vec(sta: &RefSta) -> Vec<f64> {
@@ -369,8 +379,124 @@ fn extensions() {
     println!();
 }
 
-const SUBCOMMANDS: [&str; 9] = [
-    "all", "fig6", "table1", "fig7", "fig8", "table2", "table3", "fig9", "extensions",
+/// Heap-based alternative to the fixed-size sorted list: a min-heap over
+/// order-preserving arrival bits plus a per-startpoint best map with lazy
+/// deletion.
+struct HeapTopK {
+    k: usize,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    best: HashMap<u32, u64>,
+}
+
+impl HeapTopK {
+    fn new(k: usize) -> Self {
+        Self {
+            k,
+            heap: BinaryHeap::with_capacity(2 * k),
+            best: HashMap::with_capacity(2 * k),
+        }
+    }
+
+    fn push(&mut self, arrival: f64, sp: u32) {
+        // Non-negative arrivals: the bit pattern orders like the value.
+        let a = arrival.to_bits();
+        match self.best.get(&sp) {
+            Some(&cur) if a <= cur => return,
+            _ => {}
+        }
+        self.best.insert(sp, a);
+        self.heap.push(Reverse((a, sp)));
+        while self.live_len() > self.k {
+            let Some(Reverse((a, sp))) = self.heap.pop() else {
+                break;
+            };
+            if self.best.get(&sp) == Some(&a) {
+                self.best.remove(&sp);
+            }
+        }
+    }
+
+    /// Number of live entries, dropping stale heads so `pop` removes a
+    /// live minimum next.
+    fn live_len(&mut self) -> usize {
+        while let Some(&Reverse((a, sp))) = self.heap.peek() {
+            if self.best.get(&sp) == Some(&a) {
+                break;
+            }
+            self.heap.pop();
+        }
+        self.best.len()
+    }
+
+    fn top(&self) -> Option<f64> {
+        self.best.values().copied().max().map(f64::from_bits)
+    }
+}
+
+/// The two ablations, timed on the in-tree harness (a summary table each).
+///
+/// §III-E: the paper's fixed-size sorted list versus a heap-backed priority
+/// queue for Top-K unique-startpoint maintenance — the flat O(K²) list also
+/// wins on CPUs for the small K the algorithm uses, because the heap needs
+/// an auxiliary startpoint index plus lazy-deletion housekeeping.
+///
+/// §III-F: the differentiable (LSE) forward pass versus the evaluation
+/// (hard-max Top-K) pass on block-5, and the LSE cost across temperatures.
+fn ablation() {
+    println!("=== Ablations: Top-K queue (SIII-E), LSE temperature (SIII-F) ===");
+    let mut rng = Rng::seed_from_u64(5);
+    let cands: Vec<(f64, u32)> = (0..4096)
+        .map(|_| (rng.gen_range(0.0f64..1000.0), rng.gen_range(0u32..96)))
+        .collect();
+    let mut h = Harness::new("ablation_topk_queue");
+    for k in [8usize, 32, 128] {
+        h.bench(format!("fixed_list/k={k}"), || {
+            let mut q = TopKQueue::new(k);
+            for &(a, sp) in &cands {
+                q.push(Candidate {
+                    arrival: a,
+                    mean: a,
+                    sigma: 0.0,
+                    sp,
+                });
+            }
+            black_box(q.top().map(|c| c.arrival))
+        });
+        h.bench(format!("binary_heap/k={k}"), || {
+            let mut q = HeapTopK::new(k);
+            for &(a, sp) in &cands {
+                q.push(a, sp);
+            }
+            black_box(q.top())
+        });
+    }
+    h.finish();
+
+    let design = block_specs()[4].build(); // block-5
+    let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
+    golden.full_update(&design);
+    let init = golden.export_insta_init();
+    let mut h = Harness::new("ablation_lse");
+    let mut engine = InstaEngine::new(init.clone(), InstaConfig::default()).expect("valid snapshot");
+    h.bench("hard_max_topk32", || {
+        engine.propagate();
+        black_box(engine.report().wns_ps)
+    });
+    for tau in [0.01f64, 1.0, 10.0] {
+        let cfg = InstaConfig {
+            lse_tau: tau,
+            ..InstaConfig::default()
+        };
+        let mut engine = InstaEngine::new(init.clone(), cfg).expect("valid snapshot");
+        engine.propagate();
+        h.bench(format!("lse_forward/tau={tau}"), || engine.forward_lse());
+    }
+    h.finish();
+    println!();
+}
+
+const SUBCOMMANDS: [&str; 10] = [
+    "all", "fig6", "table1", "fig7", "fig8", "table2", "table3", "fig9", "extensions", "ablation",
 ];
 
 fn main() {
@@ -404,5 +530,9 @@ fn main() {
     }
     if want("extensions") {
         extensions();
+    }
+    // Named only: `all` is the paper's tables and figures.
+    if args.iter().any(|a| a == "ablation") {
+        ablation();
     }
 }

@@ -140,6 +140,26 @@ mod tests {
         assert!(d.cells().len() > 3_000);
     }
 
+    /// The bytes-per-node budget: block-1 at the Table-I K keeps its
+    /// propagation state (what `engine.state_mb` prints) under 48 MiB —
+    /// it was 126 MB with a dense 28-byte slot per pin — so the state
+    /// cannot regrow silently.
+    #[test]
+    fn block1_state_at_k32_stays_under_48_mib() {
+        use insta_engine::{InstaConfig, InstaEngine};
+        use insta_refsta::{RefSta, StaConfig};
+        let design = block_specs()[0].build();
+        let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
+        sta.full_update(&design);
+        let engine =
+            InstaEngine::new(sta.export_insta_init(), InstaConfig::default()).expect("valid");
+        assert_eq!(engine.top_k(), 32);
+        let (rows, nodes) = (engine.num_rows(), engine.num_nodes());
+        assert!(rows * 2 < nodes, "{rows} rows for {nodes} nodes");
+        let mib = engine.state_bytes() as f64 / (1024.0 * 1024.0);
+        assert!(mib <= 48.0, "block-1 state is {mib:.1} MiB at K=32");
+    }
+
     #[test]
     fn suites_have_expected_cardinality() {
         assert_eq!(block_specs().len(), 5);

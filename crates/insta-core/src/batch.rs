@@ -874,10 +874,11 @@ impl InstaEngine {
             pruned: 0,
             incident: None,
         };
-        // The corner groups' base arrays, rewritten in full by every
+        // The corner groups' base rows, rewritten in full by every
         // corner's base pass. Allocated by the engine's first corner lane
-        // and kept: faulting 4 × nodes·2k fresh pages in was 5 ms of every
-        // call on block-3 at K = 8, half a base pass. Taken out for the
+        // and kept: faulting their fresh pages in (a dense slot per pin
+        // then) was 5 ms of every call on block-3 at K = 8, half a base
+        // pass. Taken out for the
         // call, so an unwind only costs the next call the allocation.
         let mut scratch = self.corner_scratch.0.take();
         let mut base_passes = 0usize;
@@ -901,17 +902,11 @@ impl InstaEngine {
             let Ok(table) = &mut tables[ci] else {
                 unreachable!("invalid corners are quarantined before routing")
             };
-            let state = scratch.get_or_insert_with(|| State {
-                topk_arrival: vec![0.0; self.st.n * 2 * k],
-                topk_mean: vec![0.0; self.st.n * 2 * k],
-                topk_sigma: vec![0.0; self.st.n * 2 * k],
-                topk_sp: vec![0; self.st.n * 2 * k],
-                ..empty_state(k)
-            });
+            let state = scratch.get_or_insert_with(|| State::with_rows(self.st.n_rows(), k));
             // One ordinary full pass over the corner's annotations.
             let corner = CornerSwap::new(&mut self.st, table);
             base_passes += 1;
-            let seed = |state: &mut State, nodes| seed_sources(corner.st, state, nodes, model);
+            let seed = |state: &mut State, nodes| seed_sources(corner.st, state, nodes);
             match forward::<_, false>(
                 corner.st,
                 state,
@@ -980,24 +975,6 @@ impl InstaEngine {
     }
 }
 
-/// A `State` with no array allocated — the scratch passes of a batched
-/// call fill in only the arrays they touch.
-fn empty_state(k: usize) -> State {
-    State {
-        k,
-        topk_arrival: Vec::new(),
-        topk_mean: Vec::new(),
-        topk_sigma: Vec::new(),
-        topk_sp: Vec::new(),
-        lse_arrival: Vec::new(),
-        lse_weight: Vec::new(),
-        grad_arrival: Vec::new(),
-        grad_arc: Vec::new(),
-        grad_fanout: Vec::new(),
-        report: None,
-    }
-}
-
 /// Scratch of a call's differentiable passes (they never touch the Top-K
 /// arrays), so the engine's own LSE/gradient state stays untouched. Every
 /// pass resets what it reads, so one allocation serves every lane.
@@ -1009,7 +986,7 @@ fn grad_scratch(st: &Static, k: usize) -> State {
         grad_arrival: vec![0.0; st.n * 2],
         grad_arc: vec![[0.0; 2]; n_exp],
         grad_fanout: vec![[0.0; 2]; n_exp],
-        ..empty_state(k)
+        ..State::with_rows(0, k)
     }
 }
 

@@ -24,6 +24,7 @@
 
 use crate::engine::{DriftState, InstaEngine};
 use crate::metrics::InstaReport;
+use crate::stat::with_model;
 use crate::validity::Validity;
 
 /// Begin-time observables (captured once).
@@ -94,12 +95,15 @@ impl EpochCheckpoint {
             engine.state.grad_fanout = g.fanout;
         }
         let cone = &mut engine.cone;
-        if engine.validity.topk_current() {
-            engine.rows.follow(
+        if engine.validity.topk_current() && engine.rows.kept() {
+            let undone = cone.undone(&engine.st);
+            with_model!(&engine.backend, m => engine.rows.follow(
                 &mut engine.validity,
+                &engine.st,
                 &engine.state,
-                cone.log_node.iter().copied(),
-            );
+                undone.into_iter(),
+                m,
+            ));
         }
         let restored = (cone.log_node.len(), cone.log_arc.len());
         cone.forget();

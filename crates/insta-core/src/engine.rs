@@ -10,10 +10,14 @@
 //! synchronization and no unsafe code.
 
 use crate::error::{IncidentLog, InstaError, RuntimeIncident};
+use crate::forward::queue_of;
 use crate::incremental::ConeScratch;
-use crate::parallel::Interrupt;
+use crate::parallel::{Interrupt, VirtualQueue};
 use crate::snapshot::RowStore;
-use crate::stat::{Backend, FixedBinHistogram, GaussianPocv, StatBackendKind, StatModelConfig};
+use crate::stat::{
+    with_model, Backend, FixedBinHistogram, GaussianPocv, StatBackendKind, StatModel,
+    StatModelConfig,
+};
 use crate::trace::{kernel_code, TraceSink};
 use crate::validate::{self, Issue, ValidationMode, ValidationReport};
 use crate::validity::Validity;
@@ -209,6 +213,13 @@ pub(crate) struct Static {
     pub new_id: Arc<[u32]>,
     /// Number of graph (pre-expansion) arcs.
     pub n_graph_arcs: usize,
+    /// Stored Top-K rows ahead of each node, `n + 1` long: node `v` owns
+    /// row `row_base[v]` unless it is *virtual* — exactly one fanin arc,
+    /// exactly one fanout arc, neither startpoint nor endpoint — in which
+    /// case `row_base[v + 1] == row_base[v]` and its queue is computed
+    /// where it is read ([`crate::forward::queue_of`]). Rows are in node
+    /// order, so a level's rows are contiguous like its nodes.
+    pub row_base: Vec<u32>,
 }
 
 impl Static {
@@ -249,6 +260,37 @@ impl Static {
         self.fanin_start[v] as usize..self.fanin_start[v + 1] as usize
     }
 
+    /// The Top-K row of node `v`; `None` for a virtual node.
+    #[inline]
+    pub fn row_of(&self, v: usize) -> Option<usize> {
+        let row = self.row_base[v];
+        (self.row_base[v + 1] != row).then_some(row as usize)
+    }
+
+    /// The rows of a node range.
+    #[inline]
+    pub fn rows(&self, nodes: std::ops::Range<usize>) -> std::ops::Range<usize> {
+        self.row_base[nodes.start] as usize..self.row_base[nodes.end] as usize
+    }
+
+    /// Number of stored Top-K rows.
+    #[inline]
+    pub fn n_rows(&self) -> usize {
+        self.row_base[self.n] as usize
+    }
+
+    /// The expanded arcs leaving node `v`.
+    #[inline]
+    pub fn fanout(&self, v: usize) -> &[u32] {
+        &self.fanout_arc[self.fanout_start[v] as usize..self.fanout_start[v + 1] as usize]
+    }
+
+    /// The one consumer of a virtual node.
+    #[inline]
+    pub fn consumer_of(&self, v: usize) -> u32 {
+        self.arc_child[self.fanout(v)[0] as usize]
+    }
+
     /// The startpoint launching at node `v`, if any.
     #[inline]
     pub fn source_at(&self, v: usize) -> Option<&SourceInit> {
@@ -264,12 +306,22 @@ impl Static {
 
 /// Mutable propagation state (the SoA Top-K structures of Algorithm 1 plus
 /// the differentiable-pass buffers).
+///
+/// The Top-K lanes are indexed by *row* ([`Static::row_base`]), not by
+/// node: a queue is a live count plus `(sp, mean, sigma)` entries, and its
+/// corner arrival is the backend's corner of the two values beside it,
+/// recomputed where it is needed. Slots at or past the live count are dead:
+/// nobody reads them and nobody clears them.
 #[derive(Debug, Clone)]
 pub(crate) struct State {
     /// Top-K capacity.
     pub k: usize,
-    /// Corner arrivals, `n * 2 * k`, indexed `(node * 2 + rf) * k + j`.
-    pub topk_arrival: Vec<f64>,
+    /// Whether the rows are in hold's order (negated early corners): the
+    /// last full pass over them was the min pass.
+    pub early: bool,
+    /// Live entries per queue, `rows * 2`, indexed `row * 2 + rf`.
+    pub live: Vec<u16>,
+    /// Queue entries, `rows * 2 * k`, indexed `(row * 2 + rf) * k + j`.
     pub topk_mean: Vec<f64>,
     pub topk_sigma: Vec<f64>,
     pub topk_sp: Vec<u32>,
@@ -286,6 +338,120 @@ pub(crate) struct State {
     pub grad_fanout: Vec<[f64; 2]>,
     /// Last evaluation report.
     pub report: Option<crate::metrics::InstaReport>,
+}
+
+/// A read view of Top-K rows: a whole [`State`], or the rows ahead of the
+/// window a kernel is writing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lanes<'a> {
+    pub k: usize,
+    pub live: &'a [u16],
+    pub sp: &'a [u32],
+    pub mean: &'a [f64],
+    pub sigma: &'a [f64],
+}
+
+/// The live entries of one queue, best corner first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Queue<'a> {
+    pub sp: &'a [u32],
+    pub mean: &'a [f64],
+    pub sigma: &'a [f64],
+}
+
+impl<'a> Queue<'a> {
+    /// The entries as `(sp, mean, sigma)`, best corner first.
+    #[inline]
+    pub fn entries(self) -> impl Iterator<Item = (u32, f64, f64)> + 'a {
+        let stats = self.mean.iter().zip(self.sigma);
+        self.sp.iter().zip(stats).map(|(&sp, (&m, &s))| (sp, m, s))
+    }
+}
+
+impl<'a> Lanes<'a> {
+    /// The queue of `(row, rf)`.
+    #[inline(always)]
+    pub fn row(&self, row: usize, rf: usize) -> Queue<'a> {
+        let q = row * 2 + rf;
+        let w = q * self.k..q * self.k + self.live[q] as usize;
+        Queue {
+            sp: &self.sp[w.clone()],
+            mean: &self.mean[w.clone()],
+            sigma: &self.sigma[w],
+        }
+    }
+}
+
+impl State {
+    /// A state with `rows` empty Top-K rows and no other array allocated
+    /// (scratch passes fill in only the arrays they touch).
+    pub fn with_rows(rows: usize, k: usize) -> Self {
+        State {
+            k,
+            early: false,
+            live: vec![0; rows * 2],
+            topk_mean: vec![0.0; rows * 2 * k],
+            topk_sigma: vec![0.0; rows * 2 * k],
+            topk_sp: vec![0; rows * 2 * k],
+            lse_arrival: Vec::new(),
+            lse_weight: Vec::new(),
+            grad_arrival: Vec::new(),
+            grad_arc: Vec::new(),
+            grad_fanout: Vec::new(),
+            report: None,
+        }
+    }
+
+    /// The Top-K rows as a read view.
+    #[inline]
+    pub fn lanes(&self) -> Lanes<'_> {
+        Lanes {
+            k: self.k,
+            live: &self.live,
+            sp: &self.topk_sp,
+            mean: &self.topk_mean,
+            sigma: &self.topk_sigma,
+        }
+    }
+
+    /// Splits the Top-K rows at `row`: the rows before it as a read view
+    /// (a kernel's `done` prefix) and the `(live, mean, sigma, sp)` lanes
+    /// from it on, for the kernel to carve its window from.
+    #[allow(clippy::type_complexity)]
+    pub fn split_at_row(
+        &mut self,
+        row: usize,
+    ) -> (Lanes<'_>, (&mut [u16], &mut [f64], &mut [f64], &mut [u32])) {
+        let k = self.k;
+        let (live_done, live) = self.live.split_at_mut(row * 2);
+        let (mean_done, mean) = self.topk_mean.split_at_mut(row * 2 * k);
+        let (sigma_done, sigma) = self.topk_sigma.split_at_mut(row * 2 * k);
+        let (sp_done, sp) = self.topk_sp.split_at_mut(row * 2 * k);
+        let done = Lanes {
+            k,
+            live: live_done,
+            sp: sp_done,
+            mean: mean_done,
+            sigma: sigma_done,
+        };
+        (done, (live, mean, sigma, sp))
+    }
+
+    /// Bytes held by every array of the state.
+    pub fn bytes(&self) -> usize {
+        fn of<T>(v: &[T]) -> usize {
+            std::mem::size_of_val(v)
+        }
+        of(&self.live)
+            + of(&self.topk_mean)
+            + of(&self.topk_sigma)
+            + of(&self.topk_sp)
+            + of(&self.lse_arrival)
+            + of(&self.lse_weight)
+            + of(&self.grad_arrival)
+            + of(&self.grad_arc)
+            + of(&self.grad_fanout)
+    }
 }
 
 /// A lazily allocated scratch [`State`] that a clone of its owner starts
@@ -346,6 +512,10 @@ pub struct InstaEngine {
     /// through (see [`crate::stat`]); fixed at construction from
     /// [`InstaConfig::stat_model`].
     pub(crate) backend: Backend,
+    /// The frozen kernels' dense arrays of the last reference pass (see
+    /// [`crate::scalar_ref`]).
+    #[cfg(any(test, feature = "scalar-reference"))]
+    pub(crate) scalar_topk: Option<crate::scalar_ref::DenseTopK>,
 }
 
 impl InstaEngine {
@@ -354,7 +524,7 @@ impl InstaEngine {
     /// # Errors
     ///
     /// Returns [`InstaError::Validate`] when the configuration is invalid
-    /// (`top_k == 0`, non-positive `lse_tau`) or — in `Strict`/`Repair`
+    /// (`top_k == 0` or above `u16::MAX`, non-positive `lse_tau`) or — in `Strict`/`Repair`
     /// modes — when the snapshot violates the engine's contract (see
     /// [`crate::validate`]). In [`ValidationMode::Trust`] the snapshot is
     /// not inspected at all and a malformed one panics exactly as before
@@ -364,6 +534,14 @@ impl InstaEngine {
         if cfg.top_k == 0 {
             config_issues.record(Issue::BadConfig {
                 message: "top_k must be positive".into(),
+            });
+        }
+        if cfg.top_k > usize::from(u16::MAX) {
+            config_issues.record(Issue::BadConfig {
+                message: format!(
+                    "top_k must fit a queue's u16 live count, got {}",
+                    cfg.top_k
+                ),
             });
         }
         if !(cfg.lse_tau > 0.0) {
@@ -490,6 +668,21 @@ impl InstaEngine {
             })
             .collect();
 
+        // The virtual rule (see `Static::row_base`): structural, no knob.
+        let mut is_endpoint = vec![false; n];
+        for e in &init.endpoints {
+            is_endpoint[new_id[e.node as usize] as usize] = true;
+        }
+        let mut row_base = Vec::with_capacity(n + 1);
+        row_base.push(0u32);
+        for v in 0..n {
+            let is_virtual = fanin_start[v + 1] - fanin_start[v] == 1
+                && fanout_start[v + 1] - fanout_start[v] == 1
+                && source_of[v] == u32::MAX
+                && !is_endpoint[v];
+            row_base.push(row_base[v] + u32::from(!is_virtual));
+        }
+
         let st = Static {
             n,
             level_start: init.level_start,
@@ -517,21 +710,17 @@ impl InstaEngine {
             node_orig: init.order.into(),
             new_id: new_id.into(),
             n_graph_arcs,
+            row_base,
         };
         let k = cfg.top_k;
         let incident_cap = cfg.incident_log_cap;
         let state = State {
-            k,
-            topk_arrival: vec![f64::NEG_INFINITY; n * 2 * k],
-            topk_mean: vec![0.0; n * 2 * k],
-            topk_sigma: vec![0.0; n * 2 * k],
-            topk_sp: vec![crate::topk::NO_SP; n * 2 * k],
             lse_arrival: vec![f64::NEG_INFINITY; n * 2],
             lse_weight: vec![[0.0; 2]; n_exp],
             grad_arrival: vec![0.0; n * 2],
             grad_arc: vec![[0.0; 2]; n_exp],
             grad_fanout: vec![[0.0; 2]; n_exp],
-            report: None,
+            ..State::with_rows(st.n_rows(), k)
         };
         Ok(Self {
             st,
@@ -550,6 +739,8 @@ impl InstaEngine {
             corner_scratch: CornerScratch::default(),
             trace: TraceSink::disabled(),
             backend,
+            #[cfg(any(test, feature = "scalar-reference"))]
+            scalar_topk: None,
         })
     }
 
@@ -677,16 +868,17 @@ impl InstaEngine {
         self.drift = DriftState::default();
     }
 
-    /// Approximate resident memory of the propagation state in bytes
-    /// (reported in the Table I reproduction).
+    /// Resident memory of the propagation state in bytes: every array of
+    /// it, the Top-K lanes counted by row (reported in the Table I
+    /// reproduction and as `engine.state_mb`).
     pub fn state_bytes(&self) -> usize {
-        let s = &self.state;
-        s.topk_arrival.len() * 8 * 3
-            + s.topk_sp.len() * 4
-            + s.lse_arrival.len() * 8
-            + s.lse_weight.len() * 16
-            + s.grad_arrival.len() * 8
-            + s.grad_arc.len() * 16
+        self.state.bytes()
+    }
+
+    /// Number of stored Top-K rows: nodes that are not virtual (exactly one
+    /// fanin arc, exactly one fanout arc, neither startpoint nor endpoint).
+    pub fn num_rows(&self) -> usize {
+        self.st.n_rows()
     }
 
     /// Renumbered index of an *original* graph node id.
@@ -694,21 +886,24 @@ impl InstaEngine {
         self.st.new_id.get(orig_node as usize).map(|&v| v as usize)
     }
 
-    /// Index of the worst (slot 0) Top-K entry of an *original* graph node
-    /// id and transition — `None` when no path reaches it or `rf` is not a
-    /// transition index (0 rise, 1 fall), and `None` for every node while
-    /// the ledger's setup Top-K row is not current (`topk_current()`):
-    /// after a hold pass the arrays hold negated early corners, after a
-    /// re-annotation or a failed pass they are stale.
-    fn worst_entry(&self, orig_node: u32, rf: usize) -> Option<usize> {
+    /// The `(mean, sigma)` of the worst (slot 0) Top-K entry of an
+    /// *original* graph node id and transition — `None` when no path reaches
+    /// it or `rf` is not a transition index (0 rise, 1 fall), and `None` for
+    /// every node while the ledger's setup Top-K row is not current
+    /// (`topk_current()`): after a hold pass the rows hold negated early
+    /// corners, after a re-annotation or a failed pass they are stale. A
+    /// virtual node's queue is materialised for the read.
+    fn worst_entry<M: StatModel>(&self, orig_node: u32, rf: usize, model: &M) -> Option<(f64, f64)> {
         if !self.validity.topk_current() || rf >= 2 {
             return None;
         }
-        let idx = (self.node_index(orig_node)? * 2 + rf) * self.state.k;
-        // "Unreached" is decided by the startpoint sentinel, not by the
-        // arrival value: −∞ is a representable arrival (e.g. a −∞ launch
-        // time), while NO_SP can only mean the slot was never filled.
-        (self.state.topk_sp[idx] != crate::topk::NO_SP).then_some(idx)
+        let v = self.node_index(orig_node)?;
+        let mut scratch = VirtualQueue::new(self.state.k);
+        let q = queue_of::<M, false>(&self.st, self.state.lanes(), v, rf, &mut scratch, model);
+        // "Unreached" is an empty queue, not an arrival value: −∞ is a
+        // representable arrival (e.g. a −∞ launch time).
+        let (_, mean, sigma) = q.entries().next()?;
+        Some((mean, sigma))
     }
 
     /// The worst corner arrival at an *original* graph node id per
@@ -719,7 +914,10 @@ impl InstaEngine {
     /// a bare [`reannotate`](Self::reannotate) or a failed pass, until the
     /// next completed setup pass or cone update.
     pub fn arrival_at(&self, orig_node: u32, rf: usize) -> Option<f64> {
-        Some(self.state.topk_arrival[self.worst_entry(orig_node, rf)?])
+        with_model!(&self.backend, m => {
+            let (mean, sigma) = self.worst_entry(orig_node, rf, m)?;
+            Some(m.corner_late(mean, sigma, self.st.n_sigma))
+        })
     }
 
     /// The `(mean, sigma)` summary of the worst arrival at an *original*
@@ -730,8 +928,7 @@ impl InstaEngine {
     /// arrival CDFs between backends. `None` under the same out-of-sync
     /// conditions as [`arrival_at`](Self::arrival_at).
     pub fn distribution_at(&self, orig_node: u32, rf: usize) -> Option<(f64, f64)> {
-        let idx = self.worst_entry(orig_node, rf)?;
-        Some((self.state.topk_mean[idx], self.state.topk_sigma[idx]))
+        with_model!(&self.backend, m => self.worst_entry(orig_node, rf, m))
     }
 }
 
@@ -855,25 +1052,62 @@ pub(crate) mod tests {
     fn state_sized_by_top_k() {
         let (_d, _sta, eng8) = build_engine(4, 8);
         let (_d2, _sta2, eng32) = build_engine(4, 32);
-        assert_eq!(eng8.state.topk_arrival.len() * 4, eng32.state.topk_arrival.len());
+        assert_eq!(eng8.state.topk_mean.len() * 4, eng32.state.topk_mean.len());
         assert!(eng32.state_bytes() > eng8.state_bytes());
     }
 
+    /// `state_bytes()` is what `engine.state_mb` prints: every vector of
+    /// the state, the Top-K lanes by row.
     #[test]
-    fn zero_top_k_is_a_typed_config_error() {
+    fn state_bytes_counts_every_array_of_the_state() {
+        let (_d, _sta, eng) = build_engine(4, 8);
+        let (s, rows, arcs) = (&eng.state, eng.num_rows(), eng.num_arcs());
+        assert!(rows < eng.num_nodes(), "fixture: some node is virtual");
+        assert_eq!(s.live.len(), rows * 2);
+        assert_eq!(s.topk_sp.len(), rows * 2 * 8);
+        let want = s.live.len() * 2
+            + s.topk_sp.len() * 4
+            + (s.topk_mean.len() + s.topk_sigma.len()) * 8
+            + (s.lse_arrival.len() + s.grad_arrival.len()) * 8
+            + (s.lse_weight.len() + s.grad_arc.len() + s.grad_fanout.len()) * 16;
+        assert_eq!(eng.state_bytes(), want);
+        assert_eq!(s.grad_fanout.len(), arcs, "the fanout scratch is counted");
+    }
+
+    /// The virtual rule: a node without a row has exactly one fanin arc
+    /// and one fanout arc and is neither startpoint nor endpoint — and
+    /// every such node is without one.
+    #[test]
+    fn rows_skip_exactly_the_single_fanin_single_fanout_interior_nodes() {
+        let (_d, _sta, eng) = build_engine(4, 8);
+        let st = &eng.st;
+        for v in 0..st.n {
+            let interior = st.fanin_range(v).len() == 1
+                && st.fanout_start[v + 1] - st.fanout_start[v] == 1
+                && st.source_at(v).is_none()
+                && st.endpoints.iter().all(|e| e.node as usize != v);
+            assert_eq!(st.row_of(v).is_none(), interior, "node {v}");
+        }
+        assert_eq!(st.rows(0..st.n), 0..st.n_rows());
+    }
+
+    #[test]
+    fn a_top_k_the_live_count_cannot_hold_is_a_typed_config_error() {
         let d = generate_design(&GeneratorConfig::small("eng", 5));
         let mut sta = RefSta::new(&d, StaConfig::default()).expect("build");
         sta.full_update(&d);
-        let err = InstaEngine::new(
-            sta.export_insta_init(),
-            InstaConfig {
-                top_k: 0,
-                ..InstaConfig::default()
-            },
-        )
-        .expect_err("top_k = 0 must be rejected");
-        assert_eq!(err.category(), "validate");
-        assert!(err.to_string().contains("top_k"), "{err}");
+        for top_k in [0, usize::from(u16::MAX) + 1] {
+            let err = InstaEngine::new(
+                sta.export_insta_init(),
+                InstaConfig {
+                    top_k,
+                    ..InstaConfig::default()
+                },
+            )
+            .expect_err("top_k out of range must be rejected");
+            assert_eq!(err.category(), "validate");
+            assert!(err.to_string().contains("top_k"), "{top_k}: {err}");
+        }
     }
 
     #[test]

@@ -9,27 +9,39 @@
 //! every candidate through Algorithm 2 leaves, computed by
 //! [`merge_node_queue`] as one selection that writes the queue once.
 //!
-//! Because the engine renumbered nodes level-major, the level's state is a
-//! contiguous window: the arrays split into an immutable `done` prefix
-//! (all earlier levels — where every parent lives) and a mutable `current`
+//! **Rows, not nodes.** The Top-K lanes are indexed by *row*
+//! ([`Static::row_base`]): a node owns one unless it is *virtual* — exactly
+//! one fanin arc, exactly one fanout arc, neither startpoint nor endpoint.
+//! A virtual node's queue is a pure function of its parent's, read by one
+//! consumer, so it is not stored: [`queue_of`] computes it where it is
+//! read, by the code that used to store it, and the consumer gathers from
+//! the result exactly as from a stored parent. Every stored bit is what it
+//! would be with every node stored. A row is a live count plus
+//! `(sp, mean, sigma)` entries; a corner is the backend's corner of the two
+//! values beside it ([`corner`]) and is never stored.
+//!
+//! Because the engine renumbered nodes level-major and rows follow node
+//! order, the level's state is a contiguous window of rows: the lanes split
+//! into an immutable `done` prefix (all earlier levels — where every parent
+//! and every ancestor of a virtual parent lives) and a mutable `current`
 //! window, carved into disjoint chunks for the level runner
 //! ([`crate::parallel`]), which owns launch, panic containment and retry.
 //!
-//! **Who clears what.** There is no pass-wide reset. The level body
-//! ([`level_chunk`]) owns every queue of a node with fanin that is not a
-//! startpoint: it writes the live prefix of all four lanes and clears the
-//! arrival / startpoint tail. A pass ([`forward`], the fused sweep, hold)
-//! only puts the queues the body does *not* fully own into their pre-pass
-//! state ([`reset_and_seed`]): the level-0 window and the startpoint nodes
-//! of later levels are emptied, then the launch arrivals are seeded.
-//! Mean / sigma slots past a queue's live count are never written by
-//! anyone (DESIGN.md "Kernel architecture").
+//! **Who writes what.** There is no pass-wide reset and nothing is ever
+//! cleared: a queue's extent is its live count, and slots at or past it
+//! are dead. The level body ([`level_chunk`]) owns every queue of a stored
+//! node with fanin that is not a startpoint: it writes the live entries
+//! and the count. A pass ([`forward`], the fused sweep, hold) only puts the
+//! queues the body does *not* fully own into their pre-pass state
+//! ([`reset_and_seed`]): level 0's live counts are zeroed, then every
+//! startpoint's queues become its one launch entry ([`seed_queues`])
+//! (DESIGN.md "Kernel architecture").
 
-use crate::engine::{InstaEngine, State, Static};
+use crate::engine::{InstaEngine, Lanes, Queue, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
-use crate::parallel::{carve, Interrupt, MergeArena, Pass};
+use crate::parallel::{carve, Interrupt, MergeArena, Pass, QueueBuf, VirtualQueue};
 use crate::stat::{with_model, StatModel};
-use crate::topk::{restore_topk_desc, NO_SP};
+use crate::topk::restore_topk_desc;
 use crate::trace::LevelProfile;
 
 impl InstaEngine {
@@ -67,7 +79,7 @@ impl InstaEngine {
             self.interrupt.as_ref(),
             self.trace.profile_mut(Kernel::Forward),
             m,
-            &|state, range| seed_sources(&self.st, state, range, m),
+            &|state, range| seed_sources(&self.st, state, range),
         ));
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
@@ -158,67 +170,47 @@ impl InstaEngine {
 
 /// Applies the startpoint launch arrivals (cloned from the reference tool)
 /// for sources whose node lies in `range`.
-pub(crate) fn seed_sources<M: StatModel>(
-    st: &Static,
-    state: &mut State,
-    range: std::ops::Range<usize>,
-    model: &M,
-) {
+pub(crate) fn seed_sources(st: &Static, state: &mut State, range: std::ops::Range<usize>) {
     for s in &st.sources {
         if range.contains(&(s.node as usize)) {
-            seed_source(st, state, s, model);
+            seed_queues(st, state, s.node as usize, s.sp, s.mean, s.sigma);
         }
     }
 }
 
-/// Writes one startpoint's launch arrival into slot 0 of its node's queues.
-pub(crate) fn seed_source<M: StatModel>(
+/// Makes both queues of startpoint node `v` the one launch entry
+/// `(sp, mean[rf], sigma[rf])`: the pre-pass state of the only queues the
+/// level body does not fully own.
+pub(crate) fn seed_queues(
     st: &Static,
     state: &mut State,
-    s: &insta_refsta::export::SourceInit,
-    model: &M,
+    v: usize,
+    sp: u32,
+    mean: [f64; 2],
+    sigma: [f64; 2],
 ) {
+    let row = st.row_of(v).expect("a startpoint is never virtual");
     for rf in 0..2 {
-        let idx = (s.node as usize * 2 + rf) * state.k;
-        state.topk_mean[idx] = s.mean[rf];
-        state.topk_sigma[idx] = s.sigma[rf];
-        state.topk_arrival[idx] = model.corner_late(s.mean[rf], s.sigma[rf], st.n_sigma);
-        state.topk_sp[idx] = s.sp;
+        let q = row * 2 + rf;
+        state.live[q] = 1;
+        state.topk_mean[q * state.k] = mean[rf];
+        state.topk_sigma[q * state.k] = sigma[rf];
+        state.topk_sp[q * state.k] = sp;
     }
 }
 
-/// Marks queue slots empty: `-INF` arrival, no startpoint. Mean / sigma
-/// of an empty slot are dead and keep whatever they held.
-#[inline(always)]
-fn clear_slots(arrival: &mut [f64], sp: &mut [u32]) {
-    arrival.fill(f64::NEG_INFINITY);
-    sp.fill(NO_SP);
-}
-
-/// Empties the queues of the nodes in `nodes`.
-pub(crate) fn clear_nodes(state: &mut State, nodes: std::ops::Range<usize>) {
-    let stride = 2 * state.k;
-    let w = nodes.start * stride..nodes.end * stride;
-    clear_slots(&mut state.topk_arrival[w.clone()], &mut state.topk_sp[w]);
-}
-
 /// The pre-pass state of the queues the level body does not fully own:
-/// the level-0 window and every startpoint node of a later level emptied,
-/// then the launch arrivals seeded by `seed(state, nodes)`. O(level 0 +
-/// startpoints) slots, where a pass-wide reset wrote all `2·K·nodes`.
+/// the level-0 window emptied, then the launch arrivals seeded by
+/// `seed(state, nodes)` (a startpoint of a later level included: a seed
+/// *is* its queues' pre-pass state). O(level 0 + startpoints) live counts,
+/// where a pass-wide reset wrote all `2·K·nodes` slots.
 fn reset_and_seed(
     st: &Static,
     state: &mut State,
     seed: &impl Fn(&mut State, std::ops::Range<usize>),
 ) {
     let level0 = st.level_start.get(1).map_or(st.n, |&end| end as usize);
-    clear_nodes(state, 0..level0);
-    for s in &st.sources {
-        let v = s.node as usize;
-        if v >= level0 {
-            clear_nodes(state, v..v + 1);
-        }
-    }
+    state.live[..st.rows(0..level0).end * 2].fill(0);
     seed(state, 0..st.n);
 }
 
@@ -235,6 +227,7 @@ pub(crate) fn forward<M: StatModel, const MIN: bool>(
     model: &M,
     seed: &impl Fn(&mut State, std::ops::Range<usize>),
 ) -> Result<Option<RuntimeIncident>, InstaError> {
+    state.early = MIN;
     reset_and_seed(st, state, seed);
     let mut pass = Pass::begin(Kernel::Forward, n_threads, interrupt, prof);
     // One merge arena per worker, reused across every level of the pass.
@@ -261,62 +254,35 @@ pub(crate) fn forward_level<M: StatModel, const MIN: bool>(
     seed: &impl Fn(&mut State, std::ops::Range<usize>),
 ) -> Result<(), InstaError> {
     let k = state.k;
-    let stride = 2 * k;
     let nodes = st.level_range(l);
     pass.level(
         l,
         nodes.clone(),
         &mut (&mut *state, arenas),
         |(state, arenas), launch| {
-            // Everything before the level is the immutable `done` prefix
-            // (corner arrivals are recomputed from mean / sigma, so theirs
-            // is not read); the level's window is carved node-granular
-            // along the cuts, one arena per cut.
-            let window = nodes.start * stride..nodes.end * stride;
-            let (mean_done, mean) = state.topk_mean.split_at_mut(window.start);
-            let (sigma_done, sigma) = state.topk_sigma.split_at_mut(window.start);
-            let (sp_done, sp) = state.topk_sp.split_at_mut(window.start);
-            let mut rest = (
-                &mut state.topk_arrival[window.clone()],
-                &mut mean[..window.len()],
-                &mut sigma[..window.len()],
-                &mut sp[..window.len()],
-                &mut arenas[..],
-            );
+            // Every row before the level's is the immutable `done` prefix;
+            // the level's rows are carved along the node cuts, one arena
+            // per cut.
+            let (done, (live, mean, sigma, sp)) =
+                state.split_at_row(st.rows(nodes.clone()).start);
+            let mut rest = (live, mean, sigma, sp, &mut arenas[..]);
             let windows = launch.cuts().map(|cut| {
-                let take = cut.len() * stride;
+                let queues = st.rows(cut).len() * 2;
                 (
-                    carve(&mut rest.0, take),
-                    carve(&mut rest.1, take),
-                    carve(&mut rest.2, take),
-                    carve(&mut rest.3, take),
+                    carve(&mut rest.0, queues),
+                    carve(&mut rest.1, queues * k),
+                    carve(&mut rest.2, queues * k),
+                    carve(&mut rest.3, queues * k),
                     carve(&mut rest.4, 1),
                 )
             });
-            launch.run(windows, |cut, (arr, mean, sigma, sp, arena)| {
-                level_chunk::<M, MIN>(
-                    st,
-                    k,
-                    cut.start,
-                    mean_done,
-                    sigma_done,
-                    sp_done,
-                    arr,
-                    mean,
-                    sigma,
-                    sp,
-                    &mut arena[0],
-                    model,
-                );
+            launch.run(windows, |cut, (live, mean, sigma, sp, arena)| {
+                level_chunk::<M, MIN>(st, done, cut, live, mean, sigma, sp, &mut arena[0], model);
             })
         },
-        // Empty the window (the partial writes become invisible; a cold
-        // path, so the whole window rather than its startpoint nodes) and
-        // re-apply the launch seeds landing inside it.
-        |(state, _)| {
-            clear_nodes(state, nodes.clone());
-            seed(state, nodes.clone());
-        },
+        // Re-apply the launch seeds landing inside the window: the body
+        // rewrites every other queue of it whole.
+        |(state, _)| seed(state, nodes.clone()),
     )?;
     #[cfg(debug_assertions)]
     crate::health::debug_assert_topk_level_clean(st, state, l);
@@ -351,7 +317,8 @@ pub(crate) fn forward_fused<M: StatModel>(
     model: &M,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     // Pre-sweep state of both kernels, exactly as the unfused passes.
-    let seed = |state: &mut State, nodes| seed_sources(st, state, nodes, model);
+    let seed = |state: &mut State, nodes| seed_sources(st, state, nodes);
+    state.early = false;
     reset_and_seed(st, state, &seed);
     crate::lse::lse_reset_seed(st, state, model);
 
@@ -377,7 +344,7 @@ pub(crate) fn forward_fused<M: StatModel>(
 /// quantile measurements ([`StatModel::corner_late`] /
 /// [`StatModel::corner_min`]).
 #[inline(always)]
-fn corner<M: StatModel, const MIN: bool>(model: &M, mean: f64, sigma: f64, n_sigma: f64) -> f64 {
+pub(crate) fn corner<M: StatModel, const MIN: bool>(model: &M, mean: f64, sigma: f64, n_sigma: f64) -> f64 {
     if MIN {
         model.corner_min(mean, sigma, n_sigma)
     } else {
@@ -385,19 +352,18 @@ fn corner<M: StatModel, const MIN: bool>(model: &M, mean: f64, sigma: f64, n_sig
     }
 }
 
-/// Gathers one fanin arc: the parent's live entries plus the arc
-/// distribution (mean-additive, sigma in quadrature, Eqs. 1–3) into the
-/// first `live` slots of four destination k-slices, and returns `live`.
+/// Gathers one fanin arc: the parent's entries plus the arc distribution
+/// (mean-additive, sigma in quadrature, Eqs. 1–3) into the first `live`
+/// slots of four destination k-slices, and returns `live`.
 ///
-/// Queues are dense from the front, so the live count is one scan of the
-/// parent's startpoint slice; the transform is then a straight-line loop
-/// over `[..live]` slices with no early exit (one `sqrt` per candidate,
-/// vectorization-friendly).
+/// A queue view is exactly its live entries, so there is nothing to scan
+/// for: the transform is a straight-line loop with no early exit (one
+/// `sqrt` per candidate, vectorization-friendly).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn gather_arc<M: StatModel, const MIN: bool>(
     n_sigma: f64,
-    (p_sp, p_mean, p_sigma): (&[u32], &[f64], &[f64]),
+    parent: Queue<'_>,
     (a_mean, a_sigma): (f64, f64),
     arrival: &mut [f64],
     mean: &mut [f64],
@@ -405,22 +371,99 @@ fn gather_arc<M: StatModel, const MIN: bool>(
     sp: &mut [u32],
     model: &M,
 ) -> usize {
-    let live = p_sp.iter().position(|&s| s == NO_SP).unwrap_or(p_sp.len());
-    let parent = p_mean[..live].iter().zip(&p_sigma[..live]);
+    let live = parent.sp.len();
     let out = arrival[..live]
         .iter_mut()
         .zip(&mut mean[..live])
         .zip(&mut sigma[..live]);
-    for ((&pm, &ps), ((a, m), s)) in parent.zip(out) {
+    for ((&pm, &ps), ((a, m), s)) in parent.mean.iter().zip(parent.sigma).zip(out) {
         (*m, *s) = model.arc_sum(pm, ps, a_mean, a_sigma);
         *a = corner::<M, MIN>(model, *m, *s, n_sigma);
     }
-    sp[..live].copy_from_slice(&p_sp[..live]);
+    sp[..live].copy_from_slice(parent.sp);
+    live
+}
+
+/// The queue of `(v, rf)` as every reader sees it: a stored node's row of
+/// `lanes`, or — for a virtual node, which has no row — what the level body
+/// would have stored, computed here by the code that used to store it.
+///
+/// A virtual node has one fanin arc, so its queue is the single-fanin
+/// transform of its parent's: [`gather_arc`], then one stable restore of
+/// corner order ([`restore_topk_desc`]). That is applied from the nearest
+/// stored ancestor down the chain of virtual nodes to `v`, into `scratch`,
+/// and the consumer then gathers from the result exactly as from a stored
+/// parent — the same float expressions in the same order, the intermediate
+/// stable order kept as the tie-break, so no stored bit depends on which
+/// nodes are virtual. `lanes` must hold every ancestor of `v` (the rows
+/// ahead of a level's window do: ancestors sit in earlier levels). `MIN`
+/// is the order the rows are in.
+#[inline(always)]
+pub(crate) fn queue_of<'a, M: StatModel, const MIN: bool>(
+    st: &Static,
+    lanes: Lanes<'a>,
+    v: usize,
+    rf: usize,
+    scratch: &'a mut VirtualQueue,
+    model: &M,
+) -> Queue<'a> {
+    match st.row_of(v) {
+        Some(row) => lanes.row(row, rf),
+        None => materialise::<M, MIN>(st, lanes, v, rf, scratch, model),
+    }
+}
+
+/// [`queue_of`] for a virtual node. `scratch` must already
+/// [`fit`](VirtualQueue::fit) the lanes' K: sizing is the caller's, once,
+/// not the per-queue path's.
+#[inline]
+fn materialise<'a, M: StatModel, const MIN: bool>(
+    st: &Static,
+    lanes: Lanes<'a>,
+    v: usize,
+    rf: usize,
+    scratch: &'a mut VirtualQueue,
+    model: &M,
+) -> Queue<'a> {
+    let [to, via] = &mut scratch.0;
+    let live = materialise_into::<M, MIN>(st, lanes, v, rf, to, via, model);
+    to.queue(live)
+}
+
+/// Writes the queue of virtual node `(v, rf)` into `to` and returns its
+/// live count. A parent that is virtual too (one virtual node in twenty)
+/// is materialised first, into `via`, with the two buffers swapped: down a
+/// chain each step gathers the queue above it out of the other buffer.
+fn materialise_into<M: StatModel, const MIN: bool>(
+    st: &Static,
+    lanes: Lanes<'_>,
+    v: usize,
+    rf: usize,
+    to: &mut QueueBuf,
+    via: &mut QueueBuf,
+    model: &M,
+) -> usize {
+    let k = lanes.k;
+    let ai = st.fanin_start[v] as usize;
+    let (p, prf) = (st.arc_parent[ai] as usize, if st.arc_neg[ai] { 1 - rf } else { rf });
+    let parent = match st.row_of(p) {
+        Some(row) => lanes.row(row, prf),
+        None => {
+            let live = materialise_into::<M, MIN>(st, lanes, p, prf, via, to, model);
+            via.queue(live)
+        }
+    };
+    let (da, dm) = (&mut to.arrival[..k], &mut to.mean[..k]);
+    let (ds, dsp) = (&mut to.sigma[..k], &mut to.sp[..k]);
+    let annotation = (st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
+    let live = gather_arc::<M, MIN>(st.n_sigma, parent, annotation, da, dm, ds, dsp, model);
+    restore_topk_desc(da, dm, ds, dsp, live);
     live
 }
 
 /// Computes one `(node, transition)` Top-K queue from its parents — the
-/// shared inner body of Algorithm 1 — and writes it **once**.
+/// shared inner body of Algorithm 1 — writes it **once**, and returns its
+/// live count.
 ///
 /// **What a queue is.** Let the push sequence *P* be the launch seed
 /// sitting in slot 0 (only when `seeded`), then for `j = 0..K`, for each
@@ -433,6 +476,8 @@ fn gather_arc<M: StatModel, const MIN: bool>(
 ///
 /// 1. **Gather** ([`gather_arc`]) every arc's candidates into the arena,
 ///    arc-major, one run per arc; the seed is a run of one ahead of them.
+///    A parent's queue is read through [`queue_of`], so a virtual parent
+///    is gathered exactly as a stored one.
 /// 2. **Order** each run by corner descending with a *stable* insertion
 ///    pass over `(corner, original slot j)` pairs. A parent queue is
 ///    already sorted and RSS sigma composition perturbs it only slightly,
@@ -442,53 +487,51 @@ fn gather_arc<M: StatModel, const MIN: bool>(
 ///    candidates in (corner desc, position in *P* asc) order — skip it if
 ///    its startpoint was already emitted (the arena's stamp table, O(1)),
 ///    otherwise write it to the next output slot. Stop at K outputs or
-///    when the runs are dry.
-/// 4. **Clear** the arrival / startpoint tail past the last output.
-///    Mean / sigma are never touched at or past it.
+///    when the runs are dry. Two runs (most merges) compare their two
+///    heads directly instead of scanning for the best.
+///
+/// Nothing is cleared: the returned count is the queue's extent, and
+/// slots at or past it are never read.
 ///
 /// A single-fanin node (paper §III-D: no merge needed) is the gather
-/// straight into the queue, the tail clear, then one stable restore of
-/// corner order; as ever it overwrites a seed unless the parent is empty.
+/// straight into the queue, then one stable restore of corner order; as
+/// ever it overwrites a seed unless the parent is empty.
 ///
-/// Parent-queue and arc-annotation reads go through closures supplied by
-/// the one caller, [`level_chunk`] — the body the full pass, hold, the
+/// [`level_chunk`] is the one caller — the body the full pass, hold, the
 /// session's cone sweep and (through that sweep) every batched what-if
 /// lane run, which is why a lane is bit-identical to its serial twin *by
-/// construction*: there is no second kernel. `parent(p, prf)` returns the
-/// parent queue's `(sp, mean, sigma)` k-slices; `arc(ai)` returns the
-/// arc's `(mean, sigma)` for the destination transition being computed.
-/// `MIN` selects the hold kernel's negated-early-corner ordering.
+/// construction*: there is no second kernel. `done` holds the parents'
+/// rows; `MIN` selects the hold kernel's negated-early-corner ordering.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_node_queue<'a, M: StatModel, const MIN: bool>(
+fn merge_node_queue<M: StatModel, const MIN: bool>(
     st: &Static,
     fanin: std::ops::Range<usize>,
     rf: usize,
-    k: usize,
     seeded: bool,
-    parent: &impl Fn(usize, usize) -> (&'a [u32], &'a [f64], &'a [f64]),
-    arc: &impl Fn(usize) -> (f64, f64),
+    done: Lanes<'_>,
     arena: &mut MergeArena,
-    qa: &mut [f64],
     qm: &mut [f64],
     qs: &mut [f64],
     qsp: &mut [u32],
     model: &M,
-) {
+) -> usize {
+    let k = done.k;
     let parent_of = |ai: usize| {
         let prf = if st.arc_neg[ai] { 1 - rf } else { rf };
-        parent(st.arc_parent[ai] as usize, prf)
+        (st.arc_parent[ai] as usize, prf)
     };
+    let arc = |ai: usize| (st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
     if fanin.len() == 1 {
         let ai = fanin.start;
-        let live = gather_arc::<M, MIN>(st.n_sigma, parent_of(ai), arc(ai), qa, qm, qs, qsp, model);
+        let (p, prf) = parent_of(ai);
+        let parent = queue_of::<M, MIN>(st, done, p, prf, &mut arena.virt, model);
+        // The corners are sort keys only: they live in the arena.
+        let key = &mut arena.arrival[..k];
+        let live = gather_arc::<M, MIN>(st.n_sigma, parent, arc(ai), key, qm, qs, qsp, model);
+        restore_topk_desc(key, qm, qs, qsp, live);
         // An empty parent leaves a launch seed where it sits.
-        let out = if live == 0 && seeded { 1 } else { live };
-        clear_slots(&mut qa[out..], &mut qsp[out..]);
-        // The K ∈ {2, 4, 8} networks sort all K slots and rely on the
-        // `-INF` tail just written.
-        restore_topk_desc(qa, qm, qs, qsp, live);
-        return;
+        return if live == 0 && seeded { 1 } else { live };
     }
     // Gather + order: run `r` occupies arena slots `r * k ..`; the seed,
     // first in P, is run 0 when there is one.
@@ -496,7 +539,7 @@ pub(crate) fn merge_node_queue<'a, M: StatModel, const MIN: bool>(
     let n_runs = first + fanin.len();
     arena.reserve(n_runs, k, st.sources.len());
     if seeded {
-        arena.arrival[0] = qa[0];
+        arena.arrival[0] = corner::<M, MIN>(model, qm[0], qs[0], st.n_sigma);
         arena.mean[0] = qm[0];
         arena.sigma[0] = qs[0];
         arena.sp[0] = qsp[0];
@@ -505,9 +548,10 @@ pub(crate) fn merge_node_queue<'a, M: StatModel, const MIN: bool>(
     }
     for (r, ai) in (first..).zip(fanin) {
         let o = r * k..(r + 1) * k;
+        let (p, prf) = parent_of(ai);
         let live = gather_arc::<M, MIN>(
             st.n_sigma,
-            parent_of(ai),
+            queue_of::<M, MIN>(st, done, p, prf, &mut arena.virt, model),
             arc(ai),
             &mut arena.arrival[o.clone()],
             &mut arena.mean[o.clone()],
@@ -530,8 +574,40 @@ pub(crate) fn merge_node_queue<'a, M: StatModel, const MIN: bool>(
     }
     // Select.
     arena.open_queue();
-    arena.head[..n_runs].fill(0);
     let mut out = 0;
+    let mut emit = |arena: &mut MergeArena, at: usize, out: &mut usize| {
+        let sp = arena.sp[at];
+        if arena.first_emit(sp) {
+            qm[*out] = arena.mean[at];
+            qs[*out] = arena.sigma[at];
+            qsp[*out] = sp;
+            *out += 1;
+        }
+    };
+    if n_runs == 2 {
+        // The scan below with its two candidates written out: run 1's head
+        // is taken only when it beats run 0's outright.
+        let (l0, l1) = (arena.live[0] as usize, arena.live[1] as usize);
+        let (mut h0, mut h1) = (0, 0);
+        while out < k && (h0 < l0 || h1 < l1) {
+            let second = h0 == l0
+                || (h1 < l1 && {
+                    let (c0, j0) = (arena.arrival[h0], arena.slot[h0]);
+                    let (c1, j1) = (arena.arrival[k + h1], arena.slot[k + h1]);
+                    c1 > c0 || (c1 == c0 && j1 < j0)
+                });
+            let at = if second {
+                h1 += 1;
+                k + arena.slot[k + h1 - 1] as usize
+            } else {
+                h0 += 1;
+                arena.slot[h0 - 1] as usize
+            };
+            emit(arena, at, &mut out);
+        }
+        return out;
+    }
+    arena.head[..n_runs].fill(0);
     while out < k {
         let mut best: Option<(usize, f64, u32)> = None;
         for r in 0..n_runs {
@@ -544,86 +620,66 @@ pub(crate) fn merge_node_queue<'a, M: StatModel, const MIN: bool>(
                 }
             }
         }
-        let Some((r, corner, j)) = best else { break };
+        let Some((r, _, j)) = best else { break };
         arena.head[r] += 1;
-        let at = r * k + j as usize;
-        let sp = arena.sp[at];
-        if !arena.first_emit(sp) {
-            continue;
-        }
-        qa[out] = corner;
-        qm[out] = arena.mean[at];
-        qs[out] = arena.sigma[at];
-        qsp[out] = sp;
-        out += 1;
+        emit(arena, r * k + j as usize, &mut out);
     }
-    clear_slots(&mut qa[out..], &mut qsp[out..]);
+    out
 }
 
 /// Processes a chunk of one level's nodes — the per-thread body of
 /// Algorithm 1. `MIN` selects hold's min-merge ordering; the hold pass
 /// ([`crate::hold`]) runs this exact body rather than its own copy.
 ///
-/// The body leaves every queue of the chunk fully determined except a
-/// startpoint node's, whose pre-state (emptied and seeded) the caller
-/// provides: see the module docs for who clears what.
+/// `done` is every row ahead of the level's; the four `*_cur` slices are
+/// the rows of `nodes`. A virtual node has no row and is skipped: its queue
+/// is computed by whoever reads it ([`queue_of`]). The body leaves every
+/// queue of the chunk fully determined except a startpoint node's, whose
+/// pre-state (the launch seed) the caller provides: see the module docs for
+/// who writes what.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn level_chunk<M: StatModel, const MIN: bool>(
     st: &Static,
-    k: usize,
-    chunk_base: usize,
-    mean_done: &[f64],
-    sigma_done: &[f64],
-    sp_done: &[u32],
-    arr_cur: &mut [f64],
+    done: Lanes<'_>,
+    nodes: std::ops::Range<usize>,
+    live_cur: &mut [u16],
     mean_cur: &mut [f64],
     sigma_cur: &mut [f64],
     sp_cur: &mut [u32],
     arena: &mut MergeArena,
     model: &M,
 ) {
-    let stride = 2 * k;
-    let n_local = arr_cur.len() / stride;
-    let parent = |p: usize, prf: usize| {
-        let q = (p * 2 + prf) * k..(p * 2 + prf + 1) * k;
-        (&sp_done[q.clone()], &mean_done[q.clone()], &sigma_done[q])
-    };
-    for li in 0..n_local {
-        let v = chunk_base + li;
+    let k = done.k;
+    // All scratch sizing happens here, not per queue.
+    arena.fit(k);
+    let first_row = st.row_base[nodes.start] as usize;
+    for v in nodes {
+        let Some(row) = st.row_of(v) else { continue };
+        let li = row - first_row;
         let fanin = st.fanin_range(v);
         let seeded = st.source_of[v] != u32::MAX;
         if fanin.is_empty() {
             // No driver: the queues are the launch seed, or empty.
             if !seeded {
-                let w = li * stride..(li + 1) * stride;
-                clear_slots(&mut arr_cur[w.clone()], &mut sp_cur[w]);
+                live_cur[li * 2..li * 2 + 2].fill(0);
             }
             continue;
         }
         for rf in 0..2 {
-            let off = li * stride + rf * k;
-            let (qa, qm, qs, qsp) = (
-                &mut arr_cur[off..off + k],
-                &mut mean_cur[off..off + k],
-                &mut sigma_cur[off..off + k],
-                &mut sp_cur[off..off + k],
-            );
-            let arc = |ai: usize| (st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
-            merge_node_queue::<M, MIN>(
+            let q = li * 2 + rf;
+            let w = q * k..(q + 1) * k;
+            live_cur[q] = merge_node_queue::<M, MIN>(
                 st,
                 fanin.clone(),
                 rf,
-                k,
                 seeded,
-                &parent,
-                &arc,
+                done,
                 arena,
-                qa,
-                qm,
-                qs,
-                qsp,
+                &mut mean_cur[w.clone()],
+                &mut sigma_cur[w.clone()],
+                &mut sp_cur[w],
                 model,
-            );
+            ) as u16;
         }
     }
 }
@@ -786,11 +842,11 @@ mod tests {
 #[cfg(test)]
 mod merge_tests {
     use super::{corner, level_chunk};
-    use crate::engine::{InstaConfig, InstaEngine};
+    use crate::engine::{InstaConfig, InstaEngine, Lanes};
     use crate::hold::hold_attributes;
     use crate::parallel::MergeArena;
     use crate::stat::{FixedBinHistogram, GaussianPocv, StatModel, StatModelConfig};
-    use crate::topk::{Candidate, TopKQueue, NO_SP};
+    use crate::topk::{Candidate, TopKQueue};
     use crate::validate::ValidationMode;
     use insta_netlist::generator::{generate_design, GeneratorConfig};
     use insta_refsta::export::{ExportedArc, InstaInit, SourceInit, NO_LEAF};
@@ -801,6 +857,7 @@ mod merge_tests {
 
     /// Stale payload a recompute must leave alone past its live count.
     const STALE: (f64, f64) = (-7.25, -3.5);
+    const STALE_SP: u32 = 1;
 
     /// Quantised statistics: exact corner ties across arcs and slots are
     /// the common case (sigma 0 half the time, 3-4-5 triangles otherwise).
@@ -813,8 +870,8 @@ mod merge_tests {
 
     /// One `(node, transition)` queue through [`level_chunk`] against the
     /// literal Algorithm 2 ([`TopKQueue::push`]) fed the push sequence *P*:
-    /// all four lanes on raw bits, the cleared arrival / startpoint tail
-    /// and the untouched mean / sigma tail.
+    /// the live count, the three lanes on raw bits, and every dead slot
+    /// exactly as it was.
     fn queue_matches_oracle<M: StatModel, const MIN: bool>(
         model: &M,
         k: usize,
@@ -881,10 +938,13 @@ mod merge_tests {
 
         // Parent queues, written directly: 0 / 1 / < K / K live entries,
         // unique startpoints, not necessarily in corner order (a run the
-        // stable insertion pass has real work on).
+        // stable insertion pass has real work on). Every node of the
+        // fixture is stored, so rows are nodes.
+        assert_eq!(st.n_rows(), st.n);
         let done = n_parents * 2 * k;
         let (mut p_mean, mut p_sigma) = (vec![STALE.0; done], vec![STALE.1; done]);
-        let mut p_sp = vec![NO_SP; done];
+        let mut p_sp = vec![STALE_SP; done];
+        let mut p_live = vec![0u16; n_parents * 2];
         for q in 0..n_parents * 2 {
             let cap = k.min(n_sp);
             let live = match rng.bounded_u64(4) {
@@ -893,6 +953,7 @@ mod merge_tests {
                 2 => rng.bounded_u64(cap as u64) as usize,
                 _ => cap,
             };
+            p_live[q] = live as u16;
             let mut sps: Vec<u32> = (0..n_sp as u32).collect();
             rng.shuffle(&mut sps);
             let mut entries: Vec<(f64, f64, u32)> = (0..live)
@@ -911,30 +972,32 @@ mod merge_tests {
             }
         }
 
-        // The child's window as a pass leaves it before the body runs:
-        // live-looking garbage (nothing resets a plain node any more), or
-        // emptied and seeded when it is a startpoint.
-        let (mut qa, mut qsp) = (vec![55.5; 2 * k], vec![1u32; 2 * k]);
+        // The child's rows as a pass leaves them before the body runs:
+        // live-looking garbage (nothing resets a plain node), or the one
+        // launch entry when it is a startpoint.
+        let (mut q_live, mut qsp) = (vec![k as u16; 2], vec![STALE_SP; 2 * k]);
         let (mut qm, mut qs) = (vec![STALE.0; 2 * k], vec![STALE.1; 2 * k]);
         if seeded {
-            qa.fill(f64::NEG_INFINITY);
-            qsp.fill(NO_SP);
             for rf in 0..2 {
+                q_live[rf] = 1;
                 qm[rf * k] = launch.0;
                 qs[rf * k] = launch.1;
-                qa[rf * k] = corner::<M, MIN>(model, launch.0, launch.1, st.n_sigma);
                 qsp[rf * k] = n_sp as u32 - 1;
             }
         }
-        let pre = (qa.clone(), qm.clone(), qs.clone(), qsp.clone());
+        let pre = (qm.clone(), qs.clone(), qsp.clone());
+        let parents = Lanes {
+            k,
+            live: &p_live,
+            sp: &p_sp,
+            mean: &p_mean,
+            sigma: &p_sigma,
+        };
         level_chunk::<M, MIN>(
             st,
-            k,
-            child,
-            &p_mean,
-            &p_sigma,
-            &p_sp,
-            &mut qa,
+            parents,
+            child..child + 1,
+            &mut q_live,
             &mut qm,
             &mut qs,
             &mut qsp,
@@ -948,13 +1011,12 @@ mod merge_tests {
                 .fanin_range(child)
                 .map(|ai| {
                     let prf = if st.arc_neg[ai] { 1 - rf } else { rf };
-                    let q = (st.arc_parent[ai] as usize * 2 + prf) * k;
-                    (0..k)
-                        .take_while(|&j| p_sp[q + j] != NO_SP)
+                    let parent = parents.row(st.arc_parent[ai] as usize, prf);
+                    (0..parent.sp.len())
                         .map(|j| {
                             let (mean, sigma) = model.arc_sum(
-                                p_mean[q + j],
-                                p_sigma[q + j],
+                                parent.mean[j],
+                                parent.sigma[j],
                                 st.arc_mean[ai][rf],
                                 st.arc_sigma[ai][rf],
                             );
@@ -962,17 +1024,17 @@ mod merge_tests {
                                 arrival: corner::<M, MIN>(model, mean, sigma, st.n_sigma),
                                 mean,
                                 sigma,
-                                sp: p_sp[q + j],
+                                sp: parent.sp[j],
                             }
                         })
                         .collect()
                 })
                 .collect();
             let seed = Candidate {
-                arrival: pre.0[rf * k],
-                mean: pre.1[rf * k],
-                sigma: pre.2[rf * k],
-                sp: pre.3[rf * k],
+                arrival: corner::<M, MIN>(model, launch.0, launch.1, st.n_sigma),
+                mean: launch.0,
+                sigma: launch.1,
+                sp: n_sp as u32 - 1,
             };
             let want: Vec<Candidate> = if let [run] = &runs[..] {
                 // Single fanin: the transformed parent queue in stable
@@ -997,16 +1059,20 @@ mod merge_tests {
                 }
                 oracle.entries().collect()
             };
+            prop_assert!(
+                usize::from(q_live[rf]) == want.len(),
+                "rf {rf}: live {}, want {}",
+                q_live[rf],
+                want.len()
+            );
             for j in 0..k {
                 let at = rf * k + j;
-                // Past the oracle's live count: arrival / startpoint
-                // cleared, mean / sigma exactly as they were.
-                let want = want.get(j).map_or(
-                    (f64::NEG_INFINITY, pre.1[at], pre.2[at], NO_SP),
-                    |c| (c.arrival, c.mean, c.sigma, c.sp),
-                );
-                let got = (qa[at], qm[at], qs[at], qsp[at]);
-                let bits = |q: (f64, f64, f64, u32)| (q.0.to_bits(), q.1.to_bits(), q.2.to_bits(), q.3);
+                // At or past the oracle's live count: exactly as it was.
+                let want = want
+                    .get(j)
+                    .map_or((pre.0[at], pre.1[at], pre.2[at]), |c| (c.mean, c.sigma, c.sp));
+                let got = (qm[at], qs[at], qsp[at]);
+                let bits = |q: (f64, f64, u32)| (q.0.to_bits(), q.1.to_bits(), q.2);
                 prop_assert!(
                     bits(got) == bits(want),
                     "rf {rf} slot {j}: got {got:?}, want {want:?}"
@@ -1032,10 +1098,10 @@ mod merge_tests {
         );
     }
 
-    /// Nothing depends on a pass-wide reset: with the arrival and
-    /// startpoint arrays overwritten by live-looking garbage, every full
-    /// pass lands on the bits of a fresh twin — both arrays whole, and
-    /// mean / sigma wherever a slot is live.
+    /// Nothing depends on a pass-wide reset: with every live count and
+    /// every lane overwritten by live-looking garbage, every full pass
+    /// lands on the queues of a fresh twin (dense view: every live entry,
+    /// virtual nodes included).
     #[test]
     fn full_passes_do_not_depend_on_what_the_arrays_held() {
         // Levels wide enough for the two-thread launch.
@@ -1079,26 +1145,22 @@ mod merge_tests {
             ];
             for (name, pass) in passes {
                 let n_sp = dirty.st.sources.len();
-                for (i, a) in dirty.state.topk_arrival.iter_mut().enumerate() {
-                    *a = 1e6 + i as f64;
-                }
+                dirty.state.live.fill(top_k as u16);
                 for (i, sp) in dirty.state.topk_sp.iter_mut().enumerate() {
                     *sp = (i % n_sp) as u32;
                 }
+                for (i, m) in dirty.state.topk_mean.iter_mut().enumerate() {
+                    *m = 1e6 + i as f64;
+                }
                 let what = format!("{name}, {stat_model:?}, K={top_k}, {n_threads} threads");
                 assert_eq!(pass(&mut dirty), pass(&mut fresh), "{what}: report");
-                let (d, f) = (&dirty.state, &fresh.state);
-                assert!(d.topk_sp == f.topk_sp, "{what}: startpoints");
+                let (d, f) = (dirty.topk_snapshot(), fresh.topk_snapshot());
                 let same = |x: &[f64], y: &[f64]| {
                     x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
                 };
-                assert!(same(&d.topk_arrival, &f.topk_arrival), "{what}: arrivals");
-                for (i, &sp) in f.topk_sp.iter().enumerate() {
-                    if sp != NO_SP {
-                        assert_eq!(d.topk_mean[i].to_bits(), f.topk_mean[i].to_bits(), "{what}");
-                        assert_eq!(d.topk_sigma[i].to_bits(), f.topk_sigma[i].to_bits(), "{what}");
-                    }
-                }
+                assert!(d.3 == f.3, "{what}: startpoints");
+                assert!(same(&d.0, &f.0), "{what}: arrivals");
+                assert!(same(&d.1, &f.1) && same(&d.2, &f.2), "{what}: mean / sigma");
             }
         }
     }

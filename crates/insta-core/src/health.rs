@@ -15,10 +15,12 @@
 //!   [`InstaError::Numeric`] localizing the first poisoned value to its
 //!   array, node, original node id, level, and transition.
 
-use crate::engine::{InstaEngine, Static};
+use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, PoisonedArray};
+use crate::forward::{corner, queue_of};
 use crate::metrics::InstaReport;
-use crate::topk::NO_SP;
+use crate::parallel::VirtualQueue;
+use crate::stat::{with_model, StatModel};
 
 /// Timing level of a renumbered node (binary search over the level CSR).
 pub(crate) fn level_of(st: &Static, v: usize) -> usize {
@@ -46,16 +48,16 @@ impl InstaEngine {
     /// the first non-finite value found as [`InstaError::Numeric`],
     /// localized to array, node, level, and transition.
     ///
-    /// Checked, in order: occupied Top-K arrival/mean/sigma slots, smooth
-    /// (LSE) arrivals (where `-inf` means "unreached" and is healthy), and
-    /// both gradient arrays. The scan is read-only and O(state size); run
-    /// it after a propagation over data that bypassed validation (Trust
-    /// mode, [`reannotate`](InstaEngine::reannotate)) or before consuming
-    /// gradients in an optimizer step.
+    /// Checked, in order: every queue's live Top-K entries — corner, mean,
+    /// sigma; a virtual node's queue is materialised for the scan — then
+    /// smooth (LSE) arrivals (where `-inf` means "unreached" and is
+    /// healthy), and both gradient arrays. The scan is read-only and
+    /// O(state size); run it after a propagation over data that bypassed
+    /// validation (Trust mode, [`reannotate`](InstaEngine::reannotate)) or
+    /// before consuming gradients in an optimizer step.
     pub fn health_check(&self) -> Result<(), InstaError> {
         let st = &self.st;
         let state = &self.state;
-        let k = state.k;
         let numeric = |kernel, array, idx_node: usize, rf: usize, value: f64| {
             Err(InstaError::Numeric {
                 kernel,
@@ -67,24 +69,13 @@ impl InstaEngine {
                 value,
             })
         };
-        // Top-K queues: only occupied slots (sp set) carry meaning.
-        for (i, &sp) in state.topk_sp.iter().enumerate() {
-            if sp == NO_SP {
-                continue;
-            }
-            let (node, rf) = (i / (2 * k), (i / k) % 2);
-            let a = state.topk_arrival[i];
-            if !a.is_finite() {
-                return numeric(Kernel::Forward, PoisonedArray::TopKArrival, node, rf, a);
-            }
-            let m = state.topk_mean[i];
-            if !m.is_finite() {
-                return numeric(Kernel::Forward, PoisonedArray::TopKMean, node, rf, m);
-            }
-            let s = state.topk_sigma[i];
-            if !s.is_finite() || s < 0.0 {
-                return numeric(Kernel::Forward, PoisonedArray::TopKSigma, node, rf, s);
-            }
+        let poisoned = with_model!(&self.backend, m => if state.early {
+            poisoned_entry::<_, true>(st, state, m)
+        } else {
+            poisoned_entry::<_, false>(st, state, m)
+        });
+        if let Some((array, node, rf, value)) = poisoned {
+            return numeric(Kernel::Forward, array, node, rf, value);
         }
         // Smooth arrivals: -inf = unreached (healthy), NaN/+inf = poison.
         for (i, &a) in state.lse_arrival.iter().enumerate() {
@@ -110,31 +101,56 @@ impl InstaEngine {
     }
 }
 
-/// Debug-build poison check over the Top-K window of level `l`, run by the
-/// forward kernel right after writing it.
-#[cfg(debug_assertions)]
-pub(crate) fn debug_assert_topk_level_clean(
+/// The first live Top-K entry, in node order, whose corner, mean or sigma
+/// is poisoned: `(array, node, transition, value)`. `MIN` is the order the
+/// rows are in ([`State::early`]).
+fn poisoned_entry<M: StatModel, const MIN: bool>(
     st: &Static,
-    state: &crate::engine::State,
-    l: usize,
-) {
-    let k = state.k;
-    let r = st.level_range(l);
-    for i in r.start * 2 * k..r.end * 2 * k {
-        if state.topk_sp[i] != NO_SP {
-            debug_assert!(
-                state.topk_arrival[i].is_finite(),
-                "poisoned top-k arrival {} at node {} (level {l})",
-                state.topk_arrival[i],
-                i / (2 * k),
-            );
+    state: &State,
+    model: &M,
+) -> Option<(PoisonedArray, usize, usize, f64)> {
+    let mut scratch = VirtualQueue::new(state.k);
+    for v in 0..st.n {
+        for rf in 0..2 {
+            let q = queue_of::<M, MIN>(st, state.lanes(), v, rf, &mut scratch, model);
+            for (_, m, s) in q.entries() {
+                let a = corner::<M, MIN>(model, m, s, st.n_sigma);
+                if !a.is_finite() {
+                    return Some((PoisonedArray::TopKArrival, v, rf, a));
+                }
+                if !m.is_finite() {
+                    return Some((PoisonedArray::TopKMean, v, rf, m));
+                }
+                if !s.is_finite() || s < 0.0 {
+                    return Some((PoisonedArray::TopKSigma, v, rf, s));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Debug-build poison check over the Top-K rows of level `l`, run by the
+/// forward kernel right after writing them.
+#[cfg(debug_assertions)]
+pub(crate) fn debug_assert_topk_level_clean(st: &Static, state: &State, l: usize) {
+    let lanes = state.lanes();
+    for row in st.rows(st.level_range(l)) {
+        for rf in 0..2 {
+            let q = lanes.row(row, rf);
+            for (m, s) in q.mean.iter().zip(q.sigma) {
+                debug_assert!(
+                    m.is_finite() && s.is_finite(),
+                    "poisoned top-k entry ({m}, {s}) in row {row} (level {l})",
+                );
+            }
         }
     }
 }
 
 /// Debug-build poison check over the LSE window of level `l`.
 #[cfg(debug_assertions)]
-pub(crate) fn debug_assert_lse_level_clean(st: &Static, state: &crate::engine::State, l: usize) {
+pub(crate) fn debug_assert_lse_level_clean(st: &Static, state: &State, l: usize) {
     let r = st.level_range(l);
     for i in r.start * 2..r.end * 2 {
         let a = state.lse_arrival[i];
@@ -148,7 +164,7 @@ pub(crate) fn debug_assert_lse_level_clean(st: &Static, state: &crate::engine::S
 
 /// Debug-build poison check over the gradient window of level `l`.
 #[cfg(debug_assertions)]
-pub(crate) fn debug_assert_grad_level_clean(st: &Static, state: &crate::engine::State, l: usize) {
+pub(crate) fn debug_assert_grad_level_clean(st: &Static, state: &State, l: usize) {
     let r = st.level_range(l);
     for i in r.start * 2..r.end * 2 {
         let g = state.grad_arrival[i];
@@ -189,19 +205,18 @@ mod tests {
     fn poison_is_localized_to_node_and_level() {
         let mut eng = engine(62);
         eng.propagate();
-        // Poison an occupied top-k slot directly (simulating what Trust
-        // mode or a corrupt re-annotation would let through).
-        let i = eng
-            .state
-            .topk_sp
-            .iter()
-            .position(|&sp| sp != crate::topk::NO_SP)
-            .expect("some slot occupied");
-        eng.state.topk_arrival[i] = f64::NAN;
+        // Poison a live top-k entry directly (simulating what Trust mode
+        // or a corrupt re-annotation would let through): slot 0 of the
+        // first node with anything in its rise queue.
+        let (poisoned, row) = (0..eng.st.n)
+            .filter_map(|v| Some((v, eng.st.row_of(v)?)))
+            .find(|&(_, row)| eng.state.live[row * 2] > 0)
+            .expect("some queue occupied");
+        eng.state.topk_mean[row * 2 * eng.state.k] = f64::NAN;
         let err = eng.health_check().expect_err("poison must be found");
         match &err {
             InstaError::Numeric { node, level, value, .. } => {
-                assert_eq!(*node as usize, i / (2 * eng.state.k));
+                assert_eq!(*node as usize, poisoned);
                 assert!(value.is_nan());
                 assert_eq!(*level, super::level_of(&eng.st, *node as usize));
             }

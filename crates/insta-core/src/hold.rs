@@ -8,21 +8,26 @@
 //! corners** (`-(mean − N_σ·σ)`), so the same unique-startpoint Top-K
 //! selection keeps the *smallest* early arrivals. Everything else — the
 //! level loop on [`InstaConfig::n_threads`] threads through the level
-//! runner ([`crate::parallel`]), the no-pass-wide-reset contract — is the
+//! runner ([`crate::parallel`]), rows for merge nodes only behind live
+//! counts, virtual queues computed where they are read
+//! ([`crate::forward::queue_of`], here in its `MIN` order) — is the
 //! driver's; hold has no level loop of its own. Endpoint
 //! hold checks then mirror the reference: the earliest arrival must not
 //! beat the late capture edge plus the hold margin, with CPPR credit
 //! *reducing* the requirement.
 //!
-//! The pass overwrites the shared Top-K arrays with negated early corners
-//! and leaves them marked out of sync, so point reads
-//! ([`InstaEngine::arrival_at`]) answer `None` until the next setup pass.
+//! The pass overwrites the shared Top-K rows in the order of negated early
+//! corners ([`State::early`]; a corner itself is never stored, the hold
+//! check recomputes it per entry) and leaves them marked out of sync, so
+//! point reads ([`InstaEngine::arrival_at`]) answer `None` until the next
+//! setup pass.
 //!
 //! [`InstaConfig::n_threads`]: crate::engine::InstaConfig::n_threads
 
 use crate::engine::{InstaEngine, State, Static};
-use crate::forward::forward;
+use crate::forward::{forward, queue_of, seed_queues};
 use crate::metrics::InstaReport;
+use crate::parallel::VirtualQueue;
 use crate::stat::{with_model, StatModel};
 use crate::topk::NO_SP;
 use insta_refsta::export::NO_LEAF;
@@ -147,7 +152,7 @@ impl InstaEngine {
             None,
             None,
             m,
-            &|state, nodes| seed_early_launches(&self.st, state, attrs, nodes, m),
+            &|state, nodes| seed_early_launches(&self.st, state, attrs, nodes),
         ));
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
@@ -159,30 +164,19 @@ impl InstaEngine {
     }
 }
 
-/// Writes the early launch arrival of every startpoint whose node lies in
-/// `nodes` into slot 0 of its queues, ordered by the negated early corner
-/// (the hold counterpart of [`crate::forward::seed_sources`]).
-fn seed_early_launches<M: StatModel>(
+/// Makes the early launch arrival of every startpoint whose node lies in
+/// `nodes` the one entry of its queues (the hold counterpart of
+/// [`crate::forward::seed_sources`]).
+fn seed_early_launches(
     st: &Static,
     state: &mut State,
     attrs: &HoldAttributes,
     nodes: std::ops::Range<usize>,
-    model: &M,
 ) {
-    let k = state.k;
     for (sp_idx, s) in st.sources.iter().enumerate() {
-        let v = s.node as usize;
-        if !nodes.contains(&v) {
-            continue;
-        }
-        for rf in 0..2 {
-            let idx = (v * 2 + rf) * k;
-            let mean = attrs.source_mean[sp_idx][rf];
-            let sigma = attrs.source_sigma[sp_idx][rf];
-            state.topk_mean[idx] = mean;
-            state.topk_sigma[idx] = sigma;
-            state.topk_arrival[idx] = model.corner_min(mean, sigma, st.n_sigma);
-            state.topk_sp[idx] = s.sp;
+        if nodes.contains(&(s.node as usize)) {
+            let (mean, sigma) = (attrs.source_mean[sp_idx], attrs.source_sigma[sp_idx]);
+            seed_queues(st, state, s.node as usize, s.sp, mean, sigma);
         }
     }
 }
@@ -195,7 +189,6 @@ pub(crate) fn evaluate_hold<M: StatModel>(
     cppr: bool,
     model: &M,
 ) -> InstaReport {
-    let k = state.k;
     let n_ep = st.endpoints.len();
     let mut slacks = vec![f64::INFINITY; n_ep];
     let mut arrivals = vec![f64::INFINITY; n_ep];
@@ -205,6 +198,7 @@ pub(crate) fn evaluate_hold<M: StatModel>(
     let mut wns = f64::INFINITY;
     let mut tns = 0.0;
     let mut viol = 0usize;
+    let mut scratch = VirtualQueue::new(state.k);
     for (i, ep) in st.endpoints.iter().enumerate() {
         let base = attrs.required_base[i];
         if base == f64::NEG_INFINITY {
@@ -212,12 +206,8 @@ pub(crate) fn evaluate_hold<M: StatModel>(
         }
         let v = ep.node as usize;
         for rf in 0..2usize {
-            for j in 0..k {
-                let idx = (v * 2 + rf) * k + j;
-                let sp = state.topk_sp[idx];
-                if sp == NO_SP {
-                    break;
-                }
+            let q = queue_of::<M, true>(st, state.lanes(), v, rf, &mut scratch, model);
+            for (sp, mean, sigma) in q.entries() {
                 if st
                     .exceptions
                     .is_false(SpId(sp), EpId(ep.ep))
@@ -228,7 +218,8 @@ pub(crate) fn evaluate_hold<M: StatModel>(
                 if cppr && st.sp_leaf[sp as usize] != NO_LEAF && ep.leaf != NO_LEAF {
                     required -= st.cppr_credit(st.sp_leaf[sp as usize], ep.leaf);
                 }
-                let early = -state.topk_arrival[idx];
+                // The queues are ordered by the negated early corner.
+                let early = -model.corner_min(mean, sigma, st.n_sigma);
                 let slack = model.hold_slack(early, required);
                 if slack < slacks[i] {
                     slacks[i] = slack;

@@ -8,40 +8,48 @@
 //! for them is what made our update slower than the reference engine's own
 //! cone update. So [`InstaEngine::update_timing`] is a CPU-side
 //! specialisation of the same pass: it recomputes only the nodes whose
-//! inputs changed, **in place** on the live Top-K arrays, and lands on the
+//! inputs changed, **in place** on the live Top-K rows, and lands on the
 //! bits the full pass would have produced.
 //!
 //! # The cone sweep
 //!
-//! Precondition: the Top-K arrays are the full pass's output for the
+//! Precondition: the Top-K rows are the full pass's output for the
 //! annotations as they were before some expanded arcs were rewritten (the
 //! ledger's `topk_current()`, asked before the write). The children of
-//! those arcs are the *seeds*. Per-level worklists are visited in level order; one node is recomputed exactly
-//! as the full pass computes it — if it is a startpoint, its queues
-//! emptied and the launch seed re-applied as the full pass's prologue does
-//! — then [`level_chunk`](crate::forward::level_chunk) on the node's own
-//! window, the very body the full pass and hold run, which determines
-//! every other queue completely (live prefix written, arrival / startpoint
-//! tail cleared).
+//! those arcs are the *seeds*. Per-level worklists are visited in level
+//! order; one stored node is recomputed exactly as the full pass computes
+//! it — if it is a startpoint, its queues made the launch seed as the full
+//! pass's prologue does — then
+//! [`level_chunk`](crate::forward::level_chunk) on the node's own row, the
+//! very body the full pass and hold run, which determines every other
+//! queue completely (live entries and live count written).
 //!
-//! **Why this equals the full pass (induction over levels).** A node's
-//! queues are a pure function of its fanin arcs' annotations and of what
-//! its parents' queues let a child read — the `(sp, mean, sigma)` entries
-//! up to the first empty slot. Level 0 is launch seeds only and is never
-//! touched. Assume every level below `l` holds full-pass bits. A node of
-//! level `l` that is *not* on the worklist has no re-annotated fanin arc
-//! and no parent whose readable entries changed, so its old bits are the
-//! full pass's bits; a node that *is* on it is recomputed by the shared
-//! body from parents that are final. Hence level `l` is final too.
+//! **Virtual nodes pass through.** A node without a row (one fanin arc,
+//! one fanout arc, neither startpoint nor endpoint) has nothing to
+//! recompute: its queue is computed by whoever reads it
+//! ([`queue_of`](crate::forward::queue_of)), from its parent's row and its
+//! arc's annotation. It is still visited — so the snapshot rows, which are
+//! per node, follow it — but never compared and never logged, and it
+//! always forwards to its one consumer: what put it on the worklist (a
+//! re-annotated fanin arc, a parent that changed) is exactly what its
+//! consumer reads through it.
 //!
-//! **Change pruning.** Before a node is recomputed its old readable
-//! entries are copied out; its fanout is queued only if the new ones
-//! differ by bits. The cone is therefore bounded by changed *values*, not
-//! by structural fanout.
-//! Entries past the first empty slot are never compared: a recompute
-//! writes only slots below its final live count, which for finite delays
-//! depends on the graph alone, so the stale mean/sigma tails match the
-//! full pass's as well.
+//! **Why this equals the full pass (induction over levels).** A stored
+//! node's queues are a pure function of its fanin arcs' annotations, of
+//! its parents' live entries and — through a virtual parent — of the
+//! annotations and the stored row up that parent's chain. Level 0 is
+//! launch seeds only and is never touched. Assume every row below level
+//! `l` holds full-pass bits. A stored node of level `l` that is *not* on
+//! the worklist has no re-annotated fanin arc, no stored parent whose live
+//! entries changed and no virtual parent that was visited, so its old bits
+//! are the full pass's bits; one that *is* on it is recomputed by the
+//! shared body from rows that are final. Hence level `l` is final too.
+//!
+//! **Change pruning.** Before a stored node is recomputed its old live
+//! counts and live entries are copied out; its fanout is queued only if
+//! the new ones differ, by count or by bits. The cone is therefore bounded
+//! by changed *values*, not by structural fanout. Dead slots are neither
+//! copied nor compared.
 //!
 //! **The full-pass switch.** The cone pays per node for the old-value
 //! copy, the compare and the worklist, and it runs on one thread; a batch
@@ -55,15 +63,18 @@
 //!
 //! **The undo log.** There is one way to take a sweep back. The old
 //! entries a node's compare needs are copied out before its recompute
-//! anyway; they are appended — with the node id and its old arrivals — to
-//! a log, and so is the old value of every annotation write
+//! anyway; they are appended — with the node id and its two old live
+//! counts: 20 bytes a live entry, nothing for a dead slot or a virtual
+//! node — to a log, and so is the old value of every annotation write
 //! ([`ConeScratch::annotate`], the one function that writes deltas).
 //! [`ConeScratch::undo`] copies the log back newest first, so a node logged
 //! twice — by stacked updates of a session, or by the forced retry of a
 //! level after a contained panic, whose second copy is half-new — gets its
 //! first, true copy back last. Whoever ran the sweep decides what becomes
 //! of the log: a what-if lane ([`crate::batch`]) and a session rollback
-//! ([`crate::checkpoint`]) take it back, a session commit and an update
+//! ([`crate::checkpoint`]) take it back — the rollback also has the
+//! snapshot rows follow [`undone`](ConeScratch::undone), the logged nodes
+//! and the virtual nodes reading them — a session commit and an update
 //! outside any session [`forget`](ConeScratch::forget) it.
 //!
 //! **Its budget.** Logged whole, the rare resize that moves a quarter of
@@ -78,11 +89,10 @@
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
-use crate::forward::{clear_nodes, level_chunk, seed_source};
+use crate::forward::{level_chunk, seed_queues};
 use crate::metrics::InstaReport;
 use crate::parallel::{Interrupt, MergeArena, Pass};
 use crate::stat::{with_model, StatModel};
-use crate::topk::NO_SP;
 use crate::trace::LevelProfile;
 use crate::validate::{Issue, ValidationReport};
 use crate::validity::Validity;
@@ -98,12 +108,13 @@ use insta_refsta::eco::ArcDelta;
 const CONE_SEED_SHARE: usize = 64;
 
 /// What a session's undo log may hold of node recomputes (module docs):
-/// 2 300 at K = 8, where 90 % of `eco_block5_k8`'s updates recompute under
-/// 520 nodes and 1 % more than 2 000; 2.5 % of that workload's peak RSS.
+/// 3 196 stored nodes at K = 8 with every queue full, where 90 % of
+/// `eco_block5_k8`'s updates visit under 520 nodes, most of them virtual,
+/// and 1 % more than 2 000; 2.5 % of that workload's peak RSS at the most.
 const SESSION_LOG_BYTES: usize = 1 << 20;
 
-/// What one queue slot costs the log: arrival, startpoint, mean, sigma.
-const SLOT_BYTES: usize = 8 + 4 + 8 + 8;
+/// What one live queue entry costs the log: startpoint, mean, sigma.
+const SLOT_BYTES: usize = 4 + 8 + 8;
 
 /// Persistent scratch of the cone sweep, created once per engine: a few
 /// words per node, nothing per arc, nothing cleared or scanned per update.
@@ -117,10 +128,11 @@ pub(crate) struct ConeScratch {
     /// recomputed, until the next sweep opens.
     frontier: Vec<Vec<u32>>,
     /// The undo log, empty outside a session or lane: one run per
-    /// recompute of the node, its old arrivals and its `2k` old entries,
-    /// both transitions. The change compare reads the last run.
+    /// recompute of a stored node — its two old live counts and its old
+    /// live entries, rise then fall. The change compare reads the last
+    /// run. A virtual node has no row, hence no run.
     pub(crate) log_node: Vec<u32>,
-    log_arrival: Vec<f64>,
+    log_live: Vec<u16>,
     old_sp: Vec<u32>,
     old_mean: Vec<f64>,
     old_sigma: Vec<f64>,
@@ -129,7 +141,8 @@ pub(crate) struct ConeScratch {
     /// The recomputes [`SESSION_LOG_BYTES`] pay for.
     log_cap: usize,
     arena: MergeArena,
-    /// What the last sweep did (the `forward.cone` span's payload).
+    /// What the last sweep did (the `forward.cone` span's payload); `nodes`
+    /// are recomputes, a virtual node passed through is not one.
     seeds: usize,
     levels: usize,
     pub(crate) nodes: usize,
@@ -140,13 +153,13 @@ impl ConeScratch {
     pub(crate) fn new(n: usize, num_levels: usize, k: usize) -> Self {
         // The budget's worth of log, mapped once and resident only as far as
         // written: grown by doubling, it leaves as much again in freed blocks.
-        let log_cap = SESSION_LOG_BYTES / (4 + SLOT_BYTES * 2 * k);
+        let log_cap = SESSION_LOG_BYTES / (4 + 2 * 2 + SLOT_BYTES * 2 * k);
         Self {
             stamp: vec![0; n],
             epoch: 0,
             frontier: vec![Vec::new(); num_levels],
             log_node: Vec::with_capacity(log_cap),
-            log_arrival: Vec::with_capacity(log_cap * 2 * k),
+            log_live: Vec::with_capacity(log_cap * 2),
             old_sp: Vec::with_capacity(log_cap * 2 * k),
             old_mean: Vec::with_capacity(log_cap * 2 * k),
             old_sigma: Vec::with_capacity(log_cap * 2 * k),
@@ -215,19 +228,49 @@ impl ConeScratch {
     /// first. Plain copies: nothing here can fail, be cancelled or panic.
     /// The log stays (for its node list) until [`forget`](Self::forget).
     pub(crate) fn undo(&self, st: &mut Static, state: &mut State) {
-        let stride = 2 * state.k;
+        let k = state.k;
+        let mut end = self.old_sp.len();
         for (i, &v) in self.log_node.iter().enumerate().rev() {
-            let from = i * stride..(i + 1) * stride;
-            let to = v as usize * stride..(v as usize + 1) * stride;
-            state.topk_arrival[to.clone()].copy_from_slice(&self.log_arrival[from.clone()]);
-            state.topk_sp[to.clone()].copy_from_slice(&self.old_sp[from.clone()]);
-            state.topk_mean[to.clone()].copy_from_slice(&self.old_mean[from.clone()]);
-            state.topk_sigma[to].copy_from_slice(&self.old_sigma[from]);
+            let row = st.row_of(v as usize).expect("only stored nodes are logged");
+            for rf in (0..2).rev() {
+                let live = self.log_live[i * 2 + rf];
+                let from = end - live as usize..end;
+                let q = row * 2 + rf;
+                let to = q * k..q * k + live as usize;
+                state.live[q] = live;
+                state.topk_sp[to.clone()].copy_from_slice(&self.old_sp[from.clone()]);
+                state.topk_mean[to.clone()].copy_from_slice(&self.old_mean[from.clone()]);
+                state.topk_sigma[to].copy_from_slice(&self.old_sigma[from.clone()]);
+                end = from.start;
+            }
         }
         for &(e, mean, sigma) in self.log_arc.iter().rev() {
             st.arc_mean[e as usize] = mean;
             st.arc_sigma[e as usize] = sigma;
         }
+    }
+
+    /// Every node whose readable queue [`undo`](Self::undo) may have moved:
+    /// the logged nodes, and the virtual nodes that read them — downstream
+    /// of a logged node or of a logged annotation write through virtual
+    /// nodes only. What a rollback has the snapshot rows follow.
+    pub(crate) fn undone(&self, st: &Static) -> Vec<u32> {
+        let mut nodes = self.log_node.clone();
+        let mut wake = |mut v: u32| {
+            while st.row_of(v as usize).is_none() {
+                nodes.push(v);
+                v = st.consumer_of(v as usize);
+            }
+        };
+        for &v in &self.log_node {
+            for &e in st.fanout(v as usize) {
+                wake(st.arc_child[e as usize]);
+            }
+        }
+        for &(e, ..) in &self.log_arc {
+            wake(st.arc_child[e as usize]);
+        }
+        nodes
     }
 
     /// Empties the log (its capacity stays): the writes it holds are kept
@@ -240,7 +283,7 @@ impl ConeScratch {
     /// Empties the node half of the log; the annotation writes stay logged.
     fn forget_nodes(&mut self) {
         self.log_node.clear();
-        self.log_arrival.clear();
+        self.log_live.clear();
         self.old_sp.clear();
         self.old_mean.clear();
         self.old_sigma.clear();
@@ -248,8 +291,8 @@ impl ConeScratch {
 
     /// Bytes the log holds right now.
     pub(crate) fn log_bytes(&self) -> usize {
-        self.log_node.len() * 4
-            + self.log_arrival.len() * SLOT_BYTES
+        self.log_node.len() * (4 + 2 * 2)
+            + self.old_sp.len() * SLOT_BYTES
             + self.log_arc.len() * (4 + 16 + 16)
     }
 }
@@ -418,8 +461,13 @@ impl InstaEngine {
             self.state.report = Some(report);
             self.validity.cone_done();
             // The snapshot rows follow the arrays (see [`crate::snapshot`]).
-            self.rows
-                .follow(&mut self.validity, &self.state, self.cone.swept());
+            with_model!(&self.backend, m => self.rows.follow(
+                &mut self.validity,
+                &self.st,
+                &self.state,
+                self.cone.swept(),
+                m,
+            ));
         } else {
             self.try_propagate()?;
         }
@@ -509,7 +557,9 @@ pub(crate) fn cone_sweep<M: StatModel>(
                 // that a half-written node no longer has its old entries
                 // to compare against, so the retry queues every fanout.
                 let panicked = launch.run(window, |_, (state, cone)| {
-                    let pruned = cone_level(st, state, cone, &nodes, launch.retry, model);
+                    let (recomputed, pruned) =
+                        cone_level(st, state, cone, &nodes, launch.retry, model);
+                    cone.nodes += recomputed;
                     cone.pruned += pruned;
                 });
                 panicked.map(|(_, message)| (span.clone(), message))
@@ -517,7 +567,6 @@ pub(crate) fn cone_sweep<M: StatModel>(
             |_| {},
         )?;
         cone.levels += 1;
-        cone.nodes += nodes.len();
         cone.frontier[l] = nodes;
         if let Some((cap, ledger)) = &mut log_budget {
             if cone.log_node.len() > *cap {
@@ -531,7 +580,11 @@ pub(crate) fn cone_sweep<M: StatModel>(
 
 /// Recomputes one level's worklist in place and queues the fanout of every
 /// node whose readable entries changed (all of them under `force`).
-/// Returns how many nodes were pruned.
+/// Returns how many nodes were recomputed and how many of those pruned.
+///
+/// A virtual node on the worklist is a pass-through: it has no row to
+/// recompute, compare or log, and what its consumer reads of it moved with
+/// whatever put it on the list, so it always forwards to that consumer.
 fn cone_level<M: StatModel>(
     st: &Static,
     state: &mut State,
@@ -539,78 +592,69 @@ fn cone_level<M: StatModel>(
     nodes: &[u32],
     force: bool,
     model: &M,
-) -> usize {
+) -> (usize, usize) {
     let k = state.k;
-    let stride = 2 * k;
-    let mut pruned = 0;
+    let (mut recomputed, mut pruned) = (0, 0);
     for &v in nodes {
-        let w = v as usize * stride..(v as usize + 1) * stride;
+        let v = v as usize;
+        let Some(row) = st.row_of(v) else {
+            cone.enqueue(st, st.consumer_of(v));
+            continue;
+        };
+        recomputed += 1;
         let at = cone.old_sp.len();
-        debug_assert_eq!(at, cone.log_arrival.len(), "one run per logged node");
-        cone.log_node.push(v);
-        cone.log_arrival
-            .extend_from_slice(&state.topk_arrival[w.clone()]);
-        cone.old_sp.extend_from_slice(&state.topk_sp[w.clone()]);
-        cone.old_mean.extend_from_slice(&state.topk_mean[w.clone()]);
-        cone.old_sigma
-            .extend_from_slice(&state.topk_sigma[w.clone()]);
-        // The full pass's pre-state of a startpoint node: emptied, then
-        // seeded. The body owns every other queue outright.
-        if let Some(s) = st.source_at(v as usize) {
-            clear_nodes(state, v as usize..v as usize + 1);
-            seed_source(st, state, s, model);
+        cone.log_node.push(v as u32);
+        for q in row * 2..row * 2 + 2 {
+            let w = q * k..q * k + state.live[q] as usize;
+            cone.log_live.push(state.live[q]);
+            cone.old_sp.extend_from_slice(&state.topk_sp[w.clone()]);
+            cone.old_mean.extend_from_slice(&state.topk_mean[w.clone()]);
+            cone.old_sigma.extend_from_slice(&state.topk_sigma[w]);
+        }
+        // The full pass's pre-state of a startpoint node: its launch seed.
+        // The body owns every other queue outright.
+        if let Some(s) = st.source_at(v) {
+            seed_queues(st, state, v, s.sp, s.mean, s.sigma);
         }
         {
-            // A one-node window: everything before `v` is the done prefix
-            // (its parents sit in earlier levels).
-            let (_, arr_cur) = state.topk_arrival.split_at_mut(w.start);
-            let (mean_done, mean_cur) = state.topk_mean.split_at_mut(w.start);
-            let (sigma_done, sigma_cur) = state.topk_sigma.split_at_mut(w.start);
-            let (sp_done, sp_cur) = state.topk_sp.split_at_mut(w.start);
+            // A one-node window: every row before `v`'s is the done prefix
+            // (its ancestors sit in earlier levels).
+            let (done, (live_cur, mean_cur, sigma_cur, sp_cur)) = state.split_at_row(row);
             level_chunk::<M, false>(
                 st,
-                k,
-                v as usize,
-                mean_done,
-                sigma_done,
-                sp_done,
-                &mut arr_cur[..stride],
-                &mut mean_cur[..stride],
-                &mut sigma_cur[..stride],
-                &mut sp_cur[..stride],
+                done,
+                v..v + 1,
+                &mut live_cur[..2],
+                &mut mean_cur[..2 * k],
+                &mut sigma_cur[..2 * k],
+                &mut sp_cur[..2 * k],
                 &mut cone.arena,
                 model,
             );
         }
-        let changed = force
-            || (0..2).any(|rf| {
-                let (old, new) = (at + rf * k, w.start + rf * k);
-                for j in 0..k {
-                    let sp = state.topk_sp[new + j];
-                    if sp != cone.old_sp[old + j] {
-                        return true;
-                    }
-                    if sp == NO_SP {
-                        break; // children stop reading here
-                    }
-                    if state.topk_mean[new + j].to_bits() != cone.old_mean[old + j].to_bits()
-                        || state.topk_sigma[new + j].to_bits() != cone.old_sigma[old + j].to_bits()
-                    {
-                        return true;
-                    }
-                }
-                false
-            });
+        let changed = force || {
+            // Old and new entries of the node, rise then fall: the same
+            // live counts, then the same bits.
+            let lanes = state.lanes();
+            let (rise, fall) = (lanes.row(row, 0), lanes.row(row, 1));
+            let new_live = [rise.sp.len() as u16, fall.sp.len() as u16];
+            let bits = |x: &[f64], y: &[f64], z: &[f64]| {
+                x.iter().chain(y).map(|v| v.to_bits()).ne(z.iter().map(|v| v.to_bits()))
+            };
+            cone.log_live[cone.log_live.len() - 2..] != new_live
+                || rise.sp.iter().chain(fall.sp).ne(&cone.old_sp[at..])
+                || bits(rise.mean, fall.mean, &cone.old_mean[at..])
+                || bits(rise.sigma, fall.sigma, &cone.old_sigma[at..])
+        };
         if changed {
-            let v = v as usize;
-            for &e in &st.fanout_arc[st.fanout_start[v] as usize..st.fanout_start[v + 1] as usize] {
+            for &e in st.fanout(v) {
                 cone.enqueue(st, st.arc_child[e as usize]);
             }
         } else {
             pruned += 1;
         }
     }
-    pruned
+    (recomputed, pruned)
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //! the evaluation scans all K entries per rise/fall and minimizes
 //! `required(sp) − arrival(sp)`.
 
-use crate::engine::{State, Static};
+use crate::engine::{Queue, State, Static};
+use crate::forward::queue_of;
+use crate::parallel::VirtualQueue;
 use crate::stat::{StatBackendKind, StatModel};
 use crate::topk::NO_SP;
 use insta_refsta::{EpId, SpId};
@@ -75,31 +77,24 @@ impl InstaReport {
         (self.wns_ps, self.tns_ps, self.n_violations) = (wns, tns, viol);
     }
 
-    /// Evaluates endpoint `i` from its node's queues: `sps` / `arrivals`
-    /// are the node's `2k` entries (rise then fall), each transition's
-    /// queue dense from the front.
+    /// Evaluates endpoint `i` from its node's two queues (rise, fall),
+    /// each corner being the backend's late corner of the entry.
     #[inline]
     pub(crate) fn set_endpoint<M: StatModel>(
         &mut self,
         st: &Static,
         i: usize,
-        sps: &[u32],
-        arrivals: &[f64],
+        queues: [Queue<'_>; 2],
         cppr: bool,
         model: &M,
     ) {
         let ep = &st.endpoints[i];
         let ep_id = EpId(ep.ep);
-        let k = sps.len() / 2;
         let (mut slack, mut arrival, mut required) =
             (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY);
         let (mut worst_sp, mut worst_rf) = (NO_SP, 0u8);
-        for rf in 0..2usize {
-            for idx in rf * k..(rf + 1) * k {
-                let sp = sps[idx];
-                if sp == NO_SP {
-                    break; // the queue is dense from the front
-                }
+        for (rf, q) in queues.into_iter().enumerate() {
+            for (sp, mean, sigma) in q.entries() {
                 let sp_id = SpId(sp);
                 if st.exceptions.is_false(sp_id, ep_id) {
                     continue;
@@ -112,9 +107,10 @@ impl InstaReport {
                 if cppr {
                     req += st.cppr_credit(st.sp_leaf[sp as usize], ep.leaf);
                 }
-                let s = model.slack(req, arrivals[idx]);
+                let corner = model.corner_late(mean, sigma, st.n_sigma);
+                let s = model.slack(req, corner);
                 if s < slack {
-                    (slack, arrival, required) = (s, arrivals[idx], req);
+                    (slack, arrival, required) = (s, corner, req);
                     (worst_sp, worst_rf) = (sp, rf as u8);
                 }
             }
@@ -164,12 +160,17 @@ pub(crate) fn refresh<M: StatModel>(
     cppr: bool,
     model: &M,
 ) {
-    let stride = 2 * state.k;
+    // An endpoint is never virtual, so the accessor never touches these.
+    let (mut rise, mut fall) = (VirtualQueue::default(), VirtualQueue::default());
+    let lanes = state.lanes();
     for (i, ep) in st.endpoints.iter().enumerate() {
         if selected(ep.node) {
-            let w = ep.node as usize * stride..(ep.node as usize + 1) * stride;
-            let (sps, arrivals) = (&state.topk_sp[w.clone()], &state.topk_arrival[w]);
-            report.set_endpoint(st, i, sps, arrivals, cppr, model);
+            let v = ep.node as usize;
+            let queues = [
+                queue_of::<M, false>(st, lanes, v, 0, &mut rise, model),
+                queue_of::<M, false>(st, lanes, v, 1, &mut fall, model),
+            ];
+            report.set_endpoint(st, i, queues, cppr, model);
         }
     }
     report.reduce(mask);

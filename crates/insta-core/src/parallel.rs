@@ -36,6 +36,7 @@
 //! A kernel supplies only what is its own: how to carve *its* output window
 //! along the cuts, the body of one cut, and the reset.
 
+use crate::engine::Queue;
 use crate::error::{InstaError, Kernel, RuntimeIncident};
 use crate::trace::LevelProfile;
 use insta_support::timer::{CancelToken, Deadline};
@@ -295,6 +296,56 @@ impl Launch {
     }
 }
 
+/// One queue's worth of scratch lanes, corner arrivals included.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct QueueBuf {
+    pub arrival: Vec<f64>,
+    pub mean: Vec<f64>,
+    pub sigma: Vec<f64>,
+    pub sp: Vec<u32>,
+}
+
+impl QueueBuf {
+    /// The first `live` entries as a queue view.
+    #[inline(always)]
+    pub(crate) fn queue(&self, live: usize) -> Queue<'_> {
+        Queue {
+            sp: &self.sp[..live],
+            mean: &self.mean[..live],
+            sigma: &self.sigma[..live],
+        }
+    }
+}
+
+/// Where a virtual node's queue is materialised
+/// ([`queue_of`](crate::forward::queue_of)): two queues of `k` slots, so a
+/// chain of virtual nodes is walked by gathering one into the other.
+/// Contents are scratch, valid until the next materialisation.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct VirtualQueue(pub [QueueBuf; 2]);
+
+impl VirtualQueue {
+    /// A scratch for queues of `k` slots.
+    pub(crate) fn new(k: usize) -> Self {
+        let mut scratch = VirtualQueue::default();
+        scratch.fit(k);
+        scratch
+    }
+
+    /// Ensures room for two queues of `k` slots.
+    #[inline]
+    pub(crate) fn fit(&mut self, k: usize) {
+        if self.0[0].sp.len() < k {
+            for buf in &mut self.0 {
+                buf.arrival.resize(k, 0.0);
+                buf.mean.resize(k, 0.0);
+                buf.sigma.resize(k, 0.0);
+                buf.sp.resize(k, 0);
+            }
+        }
+    }
+}
+
 /// Reusable per-thread scratch of the forward merge
 /// ([`merge_node_queue`](crate::forward::merge_node_queue)).
 ///
@@ -333,6 +384,8 @@ pub(crate) struct MergeArena {
     /// into the queue being selected. O(startpoints) per arena.
     stamp: Vec<u32>,
     generation: u32,
+    /// Where the merge reads a virtual parent's queue from.
+    pub virt: VirtualQueue,
 }
 
 impl MergeArena {
@@ -359,6 +412,15 @@ impl MergeArena {
         if self.stamp.len() < n_startpoints {
             self.stamp.resize(n_startpoints, 0);
         }
+    }
+
+    /// Sizes the scratch no queue should have to size for itself: one run
+    /// (the single-fanin transform's sort keys) and the virtual queues.
+    /// Called once per chunk of nodes, ahead of the per-queue path.
+    #[inline]
+    pub(crate) fn fit(&mut self, k: usize) {
+        self.reserve(1, k, 0);
+        self.virt.fit(k);
     }
 
     /// Opens a new queue's selection: every stamp of earlier queues goes

@@ -20,9 +20,94 @@
 //! release builds of the engine carry none of it.
 
 use crate::engine::{InstaEngine, State, Static};
+use crate::forward::{corner, queue_of};
 use crate::hold::HoldAttributes;
 use crate::metrics::InstaReport;
+use crate::parallel::VirtualQueue;
+use crate::stat::{with_model, StatModel};
 use crate::topk::{Candidate, NO_SP};
+
+/// The arrays the kernels below were frozen over: one dense K-slot queue
+/// per `(node, transition)`, corner arrivals stored, empty slots marked
+/// `-INF` / [`NO_SP`]. The engine's own state stores rows for merge nodes
+/// only and no corners; the reference keeps this layout for itself.
+#[derive(Debug, Clone)]
+pub(crate) struct DenseTopK {
+    /// Top-K capacity.
+    pub k: usize,
+    /// Corner arrivals, `n * 2 * k`, indexed `(node * 2 + rf) * k + j`.
+    pub topk_arrival: Vec<f64>,
+    pub topk_mean: Vec<f64>,
+    pub topk_sigma: Vec<f64>,
+    pub topk_sp: Vec<u32>,
+}
+
+impl DenseTopK {
+    /// Every queue empty.
+    fn empty(n: usize, k: usize) -> Self {
+        DenseTopK {
+            k,
+            topk_arrival: vec![f64::NEG_INFINITY; n * 2 * k],
+            topk_mean: vec![0.0; n * 2 * k],
+            topk_sigma: vec![0.0; n * 2 * k],
+            topk_sp: vec![NO_SP; n * 2 * k],
+        }
+    }
+
+    /// Every array as raw bits, for whole-image compares.
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> Vec<u64> {
+        let floats = self.topk_arrival.iter().chain(&self.topk_mean).chain(&self.topk_sigma);
+        let sps = self.topk_sp.iter().map(|&sp| u64::from(sp));
+        floats.map(|v| v.to_bits()).chain(sps).collect()
+    }
+
+    /// Copies the queues of the stored nodes into the engine's rows (live
+    /// prefix and count), so the engine goes on from the reference's bits.
+    fn install(&self, st: &Static, state: &mut State, early: bool) {
+        let k = self.k;
+        state.early = early;
+        for v in 0..st.n {
+            let Some(row) = st.row_of(v) else { continue };
+            for rf in 0..2 {
+                let (from, to) = ((v * 2 + rf) * k, (row * 2 + rf) * k);
+                let live = self.topk_sp[from..from + k]
+                    .iter()
+                    .position(|&sp| sp == NO_SP)
+                    .unwrap_or(k);
+                state.live[row * 2 + rf] = live as u16;
+                state.topk_mean[to..to + live].copy_from_slice(&self.topk_mean[from..from + live]);
+                state.topk_sigma[to..to + live]
+                    .copy_from_slice(&self.topk_sigma[from..from + live]);
+                state.topk_sp[to..to + live].copy_from_slice(&self.topk_sp[from..from + live]);
+            }
+        }
+    }
+}
+
+/// The engine's rows in the reference's dense layout: every node's queue —
+/// a virtual node's materialised — its corners recomputed, its tail empty
+/// (`-INF`, zero mean / sigma, [`NO_SP`]). `MIN` is the order the rows are
+/// in.
+pub(crate) fn dense_view<M: StatModel, const MIN: bool>(
+    st: &Static,
+    state: &State,
+    model: &M,
+) -> DenseTopK {
+    let k = state.k;
+    let mut dense = DenseTopK::empty(st.n, k);
+    let mut scratch = VirtualQueue::new(state.k);
+    for q in 0..st.n * 2 {
+        let queue = queue_of::<M, MIN>(st, state.lanes(), q / 2, q % 2, &mut scratch, model);
+        for (at, (sp, mean, sigma)) in (q * k..).zip(queue.entries()) {
+            dense.topk_arrival[at] = corner::<M, MIN>(model, mean, sigma, st.n_sigma);
+            dense.topk_mean[at] = mean;
+            dense.topk_sigma[at] = sigma;
+            dense.topk_sp[at] = sp;
+        }
+    }
+    dense
+}
 
 /// The pre-overhaul Algorithm 2 queue update, frozen byte-for-byte.
 ///
@@ -194,7 +279,7 @@ fn ref_merge_node_queue(
 
 /// One level of the frozen max-mode kernel (the pre-overhaul
 /// `level_chunk`, serial over the whole level).
-fn ref_level_max(st: &Static, state: &mut State, l: usize) {
+fn ref_level_max(st: &Static, state: &mut DenseTopK, l: usize) {
     let k = state.k;
     let stride = 2 * k;
     let r = st.level_range(l);
@@ -235,7 +320,7 @@ fn ref_level_max(st: &Static, state: &mut State, l: usize) {
 /// One level of the frozen min-mode kernel (the pre-overhaul
 /// `min_level_chunk`: candidates pushed as negated early corners so the
 /// max-queue keeps the smallest early arrivals).
-fn ref_level_min(st: &Static, state: &mut State, l: usize) {
+fn ref_level_min(st: &Static, state: &mut DenseTopK, l: usize) {
     let k = state.k;
     let stride = 2 * k;
     let r = st.level_range(l);
@@ -300,21 +385,29 @@ fn ref_level_min(st: &Static, state: &mut State, l: usize) {
 
 /// The full frozen serial forward pass: global reset, launch seeding,
 /// then [`ref_level_max`] level by level.
-fn ref_forward(st: &Static, state: &mut State) {
-    state.topk_arrival.fill(f64::NEG_INFINITY);
-    state.topk_sp.fill(NO_SP);
-    crate::forward::seed_sources(st, state, 0..st.n, &crate::stat::GaussianPocv);
+fn ref_forward(st: &Static, k: usize) -> DenseTopK {
+    let mut dense = DenseTopK::empty(st.n, k);
+    let state = &mut dense;
+    for s in &st.sources {
+        for rf in 0..2 {
+            let idx = (s.node as usize * 2 + rf) * k;
+            state.topk_mean[idx] = s.mean[rf];
+            state.topk_sigma[idx] = s.sigma[rf];
+            state.topk_arrival[idx] = s.mean[rf] + st.n_sigma * s.sigma[rf];
+            state.topk_sp[idx] = s.sp;
+        }
+    }
     for l in 1..st.num_levels() {
         ref_level_max(st, state, l);
     }
+    dense
 }
 
 /// The full frozen serial min-mode (hold) forward pass — the
 /// pre-overhaul `forward_min`.
-fn ref_forward_min(st: &Static, state: &mut State, attrs: &HoldAttributes) {
-    let k = state.k;
-    state.topk_arrival.fill(f64::NEG_INFINITY);
-    state.topk_sp.fill(NO_SP);
+fn ref_forward_min(st: &Static, k: usize, attrs: &HoldAttributes) -> DenseTopK {
+    let mut dense = DenseTopK::empty(st.n, k);
+    let state = &mut dense;
     for (sp_idx, s) in st.sources.iter().enumerate() {
         let v = s.node as usize;
         for rf in 0..2 {
@@ -330,6 +423,7 @@ fn ref_forward_min(st: &Static, state: &mut State, attrs: &HoldAttributes) {
     for l in 1..st.num_levels() {
         ref_level_min(st, state, l);
     }
+    dense
 }
 
 /// The frozen serial differentiable forward pass: the numerically stable
@@ -400,7 +494,9 @@ impl InstaEngine {
     /// bookkeeping.
     pub fn forward_scalar_reference(&mut self) -> &InstaReport {
         self.validity.begin_full_pass();
-        ref_forward(&self.st, &mut self.state);
+        let dense = ref_forward(&self.st, self.state.k);
+        dense.install(&self.st, &mut self.state, false);
+        self.scalar_topk = Some(dense);
         let report =
             crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr, &crate::stat::GaussianPocv);
         self.state.report = Some(report);
@@ -423,23 +519,56 @@ impl InstaEngine {
         assert_eq!(attrs.source_mean.len(), self.st.sources.len());
         assert_eq!(attrs.required_base.len(), self.st.endpoints.len());
         self.validity.begin_full_pass();
-        ref_forward_min(&self.st, &mut self.state, attrs);
+        let dense = ref_forward_min(&self.st, self.state.k, attrs);
+        dense.install(&self.st, &mut self.state, true);
+        self.scalar_topk = Some(dense);
         crate::hold::evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr, &crate::stat::GaussianPocv)
     }
 
-    /// Raw Top-K state `(arrival, mean, sigma, sp)` for full-array
-    /// bit-compares. Cloned: snapshots must survive further passes.
+    /// The engine's Top-K state `(arrival, mean, sigma, sp)` in the
+    /// canonical dense per-node form, for full-array bit-compares: every
+    /// node's queue — a virtual node's materialised — with its corner
+    /// recomputed and its tail empty (`-INF`, zero mean / sigma, `NO_SP`).
     pub fn topk_snapshot(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>) {
-        (
-            self.state.topk_arrival.clone(),
-            self.state.topk_mean.clone(),
-            self.state.topk_sigma.clone(),
-            self.state.topk_sp.clone(),
-        )
+        let (st, state) = (&self.st, &self.state);
+        let d = with_model!(&self.backend, m => if state.early {
+            dense_view::<_, true>(st, state, m)
+        } else {
+            dense_view::<_, false>(st, state, m)
+        });
+        (d.topk_arrival, d.topk_mean, d.topk_sigma, d.topk_sp)
+    }
+
+    /// The frozen kernels' own dense arrays as the engine's last reference
+    /// pass ([`forward_scalar_reference`](Self::forward_scalar_reference) /
+    /// [`hold_scalar_reference`](Self::hold_scalar_reference)) left them —
+    /// what a production engine's [`topk_snapshot`](Self::topk_snapshot)
+    /// over the same annotations must equal, virtual nodes included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine never ran a reference pass.
+    pub fn scalar_topk_snapshot(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>) {
+        let d = self.scalar_topk.clone().expect("no reference pass ran");
+        (d.topk_arrival, d.topk_mean, d.topk_sigma, d.topk_sp)
+    }
+
+    /// Whether an *original* graph node id is virtual: it owns no Top-K
+    /// row and its queue is computed where it is read.
+    pub fn is_virtual(&self, orig_node: u32) -> bool {
+        self.node_index(orig_node)
+            .is_some_and(|v| self.st.row_of(v).is_none())
+    }
+
+    /// The *original* ids of the nodes the cone's undo log holds a run
+    /// for, oldest first.
+    pub fn undo_log_nodes(&self) -> Vec<u32> {
+        let nodes = self.cone.log_node.iter();
+        nodes.map(|&v| self.st.node_orig[v as usize]).collect()
     }
 
     /// Everything a batched `evaluate_*` call must give back, as named
-    /// bit vectors: the Top-K arrays, the annotations, the report, and the
+    /// bit vectors: the Top-K queues (dense view), the annotations, the report, and the
     /// bookkeeping — the observable validity ledger (current generation and
     /// the products' stamps) and the drift odometer.
     pub fn undo_image(&self) -> Vec<(&'static str, Vec<u64>)> {
@@ -462,11 +591,12 @@ impl InstaEngine {
             bits.extend(r.worst_rf.iter().map(|&v| u64::from(v)));
             bits
         });
+        let (arrival, mean, sigma, sp) = self.topk_snapshot();
         vec![
-            ("topk_arrival", f(&s.topk_arrival)),
-            ("topk_mean", f(&s.topk_mean)),
-            ("topk_sigma", f(&s.topk_sigma)),
-            ("topk_sp", s.topk_sp.iter().map(|&v| u64::from(v)).collect()),
+            ("topk_arrival", f(&arrival)),
+            ("topk_mean", f(&mean)),
+            ("topk_sigma", f(&sigma)),
+            ("topk_sp", sp.iter().map(|&v| u64::from(v)).collect()),
             ("arc_mean", f(st.arc_mean.as_flattened())),
             ("arc_sigma", f(st.arc_sigma.as_flattened())),
             ("report", report),

@@ -15,9 +15,15 @@
 //!
 //! # Capture cost: O(chunks + cone)
 //!
-//! The bulk Top-K arrays stay inside the engine; a snapshot serves only
+//! The bulk Top-K rows stay inside the engine; a snapshot serves only
 //! the per-(node, transition) worst entry — what
-//! [`TimingSnapshot::arrival_at`] reads. Those rows live in fixed-size
+//! [`TimingSnapshot::arrival_at`] reads: its late corner (recomputed from
+//! the entry's mean and sigma; the engine stores no corners) and its
+//! startpoint. Snapshot rows stay *per node* although the engine stores
+//! Top-K rows for merge nodes only: a virtual node's row is slot 0 of its
+//! queue as [`queue_of`](crate::forward::queue_of) materialises it, and it
+//! follows whenever a sweep passes through the node or an undo moves what
+//! it reads. Those rows live in fixed-size
 //! copy-on-write chunks ([`CHUNK_ROWS`] rows behind one `Arc` each) that
 //! the engine keeps current as it goes ([`RowStore`]): a cone sweep
 //! rewrites the rows of the nodes it recomputed — and a session rollback
@@ -28,14 +34,17 @@
 //! from an engine's first capture on, so a flow that never takes a
 //! snapshot keeps no chunks. A capture on the cone path is then one `Arc`
 //! clone per chunk plus a copy of the endpoint report — no walk over the
-//! `2·nodes` rows, which a stride-K gather of the Top-K arrays used to
-//! make the second-largest layer of a durable commit. A reader that still
+//! `2·nodes` rows, which a gather over every queue used to make the
+//! second-largest layer of a durable commit. A reader that still
 //! holds an older epoch keeps that epoch's chunks alive and nothing it can
 //! see is ever written. The node-id maps are static per engine and shared
 //! by `Arc`.
 
-use crate::engine::{InstaEngine, State};
+use crate::engine::{InstaEngine, State, Static};
+use crate::forward::queue_of;
 use crate::metrics::{EngineCounters, InstaReport};
+use crate::parallel::VirtualQueue;
+use crate::stat::{with_model, StatModel};
 use crate::topk::NO_SP;
 use crate::trace::PerfReport;
 use crate::validity::Validity;
@@ -89,12 +98,30 @@ pub(crate) fn rows_from(arrival: &[f64], sp: &[u32]) -> Rows {
         .collect()
 }
 
-/// The stride-K gather of every queue's slot 0: what a capture used to
-/// do per commit, now done once after a full pass.
-fn gather_rows(state: &State) -> Rows {
-    let k = state.k;
-    let arrival: Vec<f64> = state.topk_arrival.iter().step_by(k).copied().collect();
-    let sp: Vec<u32> = state.topk_sp.iter().step_by(k).copied().collect();
+/// The worst entry of `(v, rf)` as a row: its late corner and startpoint,
+/// unreached when the queue is empty. A virtual node's queue is
+/// materialised for it.
+fn worst_row<M: StatModel>(
+    st: &Static,
+    state: &State,
+    v: usize,
+    rf: usize,
+    scratch: &mut VirtualQueue,
+    model: &M,
+) -> (f64, u32) {
+    let q = queue_of::<M, false>(st, state.lanes(), v, rf, scratch, model);
+    q.entries().next().map_or((f64::NEG_INFINITY, NO_SP), |(sp, mean, sigma)| {
+        (model.corner_late(mean, sigma, st.n_sigma), sp)
+    })
+}
+
+/// Every queue's worst entry: what a capture used to gather per commit,
+/// now done once after a full pass.
+fn gather_rows<M: StatModel>(st: &Static, state: &State, model: &M) -> Rows {
+    let mut scratch = VirtualQueue::new(state.k);
+    let (arrival, sp): (Vec<f64>, Vec<u32>) = (0..st.n * 2)
+        .map(|row| worst_row(st, state, row / 2, row % 2, &mut scratch, model))
+        .unzip();
     rows_from(&arrival, &sp)
 }
 
@@ -119,34 +146,44 @@ impl Clone for RowStore {
 }
 
 impl RowStore {
+    /// Whether anybody takes snapshots of this engine: otherwise
+    /// [`follow`](Self::follow) does nothing and its node list need not
+    /// be built.
+    pub(crate) fn kept(&mut self) -> bool {
+        *self.wanted.get_mut()
+    }
+
     /// Brings the chunks up to date with arrays back in sync after `nodes`
     /// were rewritten — recomputed by a completed cone sweep or put back by
     /// an undo, either of which carried the row stamp along if the chunks
     /// mirrored the arrays before: their rows are rewritten, a chunk a
     /// snapshot still shares being copied first — or, the stamp cleared by
     /// a full pass or never set, all are gathered afresh and stamped.
-    pub(crate) fn follow(
+    pub(crate) fn follow<M: StatModel>(
         &mut self,
         ledger: &mut Validity,
+        st: &Static,
         state: &State,
         nodes: impl Iterator<Item = u32>,
+        model: &M,
     ) {
-        if !*self.wanted.get_mut() {
+        if !self.kept() {
             return;
         }
         if !ledger.rows_current() {
-            self.chunks = gather_rows(state);
+            self.chunks = gather_rows(st, state, model);
             ledger.rows_gathered();
             return;
         }
-        let k = state.k;
+        let mut scratch = VirtualQueue::new(state.k);
         for v in nodes {
             // A node's two rows are neighbours in one chunk.
             let row = v as usize * 2;
             let chunk = Arc::make_mut(&mut self.chunks[row / CHUNK_ROWS]);
             for rf in 0..2 {
-                chunk.arrival[row % CHUNK_ROWS + rf] = state.topk_arrival[(row + rf) * k];
-                chunk.sp[row % CHUNK_ROWS + rf] = state.topk_sp[(row + rf) * k];
+                let at = row % CHUNK_ROWS + rf;
+                (chunk.arrival[at], chunk.sp[at]) =
+                    worst_row(st, state, v as usize, rf, &mut scratch, model);
             }
         }
     }
@@ -269,16 +306,17 @@ impl InstaEngine {
         // From now on cone sweeps keep the chunks for the next capture.
         self.rows.wanted.store(true, Ordering::Relaxed);
         let n_rows = self.num_nodes() * 2;
+        let gather = || with_model!(&self.backend, m => gather_rows(&self.st, &self.state, m));
         let rows = if !self.validity.topk_current() {
             blank_rows(n_rows)
         } else if self.validity.rows_current() {
             debug_assert!(
-                self.rows.chunks == gather_rows(&self.state),
+                self.rows.chunks == gather(),
                 "the row chunks fell behind the Top-K arrays"
             );
             self.rows.chunks.clone()
         } else {
-            gather_rows(&self.state)
+            gather()
         };
         TimingSnapshot {
             epoch: self.epoch(),

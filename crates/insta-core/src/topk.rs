@@ -82,10 +82,7 @@ fn cmp_exchange(
 /// Sorts all K slots into descending arrival order.
 ///
 /// Stability (strict compares only) makes the output identical to a
-/// stable insertion sort; empty tail slots hold `arrival = -INF`, which a
-/// strict compare never moves past a live entry (nor past another `-INF`),
-/// so the tail — including its stale mean/sigma payloads — is never
-/// disturbed. Both properties together give bit-identity with
+/// stable insertion sort, which is what gives bit-identity with
 /// [`restore_topk_desc`]'s scalar path.
 #[inline]
 pub(crate) fn sort_network_desc<const K: usize>(
@@ -106,11 +103,12 @@ pub(crate) fn sort_network_desc<const K: usize>(
 
 /// Restores descending arrival order over the first `live` slots of a
 /// queue whose entries were written by a bulk SoA transform (the
-/// single-fanin fast path): common K values dispatch to the unrolled
-/// compare-exchange network, everything else to a stable insertion
-/// restore. Both are stable descending sorts, so the result is
-/// bit-identical to the old interleaved per-entry insertion — and
-/// identical between the two paths.
+/// single-fanin fast path): a *full* queue of a common K dispatches to the
+/// unrolled compare-exchange network, everything else to a stable insertion
+/// restore over the live prefix. Both are stable descending sorts, so the
+/// result is bit-identical to the old interleaved per-entry insertion — and
+/// identical between the two paths. Slots at or past `live` are dead and
+/// never read.
 #[inline]
 pub(crate) fn restore_topk_desc(
     arrivals: &mut [f64],
@@ -119,13 +117,10 @@ pub(crate) fn restore_topk_desc(
     sps: &mut [u32],
     live: usize,
 ) {
-    match arrivals.len() {
-        // The network sorts all K slots; tail slots (arrival = -INF, which
-        // the caller wrote just before) provably stay put, so `live` is
-        // not needed.
-        2 => return sort_network_desc::<2>(arrivals, means, sigmas, sps),
-        4 => return sort_network_desc::<4>(arrivals, means, sigmas, sps),
-        8 => return sort_network_desc::<8>(arrivals, means, sigmas, sps),
+    match (arrivals.len(), live) {
+        (2, 2) => return sort_network_desc::<2>(arrivals, means, sigmas, sps),
+        (4, 4) => return sort_network_desc::<4>(arrivals, means, sigmas, sps),
+        (8, 8) => return sort_network_desc::<8>(arrivals, means, sigmas, sps),
         _ => {}
     }
     for j in 1..live {
@@ -138,15 +133,6 @@ pub(crate) fn restore_topk_desc(
             i -= 1;
         }
     }
-}
-
-/// Resets a queue slice group to the empty state.
-#[inline]
-pub fn clear_topk_slices(arrivals: &mut [f64], means: &mut [f64], sigmas: &mut [f64], sps: &mut [u32]) {
-    arrivals.fill(f64::NEG_INFINITY);
-    means.fill(0.0);
-    sigmas.fill(0.0);
-    sps.fill(NO_SP);
 }
 
 /// An owned Top-K queue over [`Candidate`]s, updated one push at a time
@@ -439,11 +425,11 @@ mod tests {
         );
     }
 
-    /// [`restore_topk_desc`] — network dispatch for K ∈ {2, 4, 8},
-    /// insertion restore otherwise — must equal a stable descending sort
-    /// of the live prefix for *every* K, and must never disturb the empty
-    /// tail (whose mean/sigma slots legitimately hold stale garbage from
-    /// earlier passes).
+    /// [`restore_topk_desc`] — network dispatch for a full queue of
+    /// K ∈ {2, 4, 8}, insertion restore otherwise — must equal a stable
+    /// descending sort of the live prefix for *every* K, and must never
+    /// read or disturb the dead tail, whatever it holds (here keys that
+    /// would outrank every live entry).
     #[test]
     fn restore_is_a_stable_sort_of_the_live_prefix_for_every_k() {
         for_all(
@@ -457,10 +443,10 @@ mod tests {
             },
             |(k, live_arrivals)| {
                 let (k, live) = (*k, live_arrivals.len());
-                let mut qa = vec![f64::NEG_INFINITY; k];
+                let mut qa = vec![1e9; k];
                 let mut qm = vec![0.0f64; k];
                 let mut qs = vec![0.0f64; k];
-                let mut qsp = vec![NO_SP; k];
+                let mut qsp = vec![7u32; k];
                 for (j, &a) in live_arrivals.iter().enumerate() {
                     qa[j] = a;
                     qm[j] = j as f64; // position tags, as above
@@ -485,10 +471,10 @@ mod tests {
                     prop_assert_eq!(qsp[j], want[j].3);
                 }
                 for j in live..k {
-                    prop_assert_eq!(qa[j], f64::NEG_INFINITY);
+                    prop_assert_eq!(qa[j], 1e9);
                     prop_assert_eq!(qm[j].to_bits(), (-7.25f64).to_bits());
                     prop_assert_eq!(qs[j].to_bits(), (-3.5f64).to_bits());
-                    prop_assert_eq!(qsp[j], NO_SP);
+                    prop_assert_eq!(qsp[j], 7);
                 }
                 Ok(())
             },
@@ -580,13 +566,12 @@ mod tests {
 /// Top-K invariants of a *batched* lane (ISSUE 4, restated for ISSUE 14's
 /// lane procedure): every queue a lane's in-place cone sweep recomputes
 /// must satisfy the same Algorithm-2 invariants as the full pass —
-/// descending order, dense occupancy, unique startpoints, consistent corner
-/// arrivals — and the undo must give every bit back; a lane's report must
+/// descending order, unique startpoints — and the undo must give every
+/// bit back; a lane's report must
 /// not depend on its neighbours or its position in the batch; and it must
 /// agree with the dense `metrics::evaluate` on a re-annotated twin.
 #[cfg(test)]
 mod batched_tests {
-    use super::NO_SP;
     use crate::batch::{DeltaSet, LaneUndo};
     use crate::engine::{InstaConfig, InstaEngine};
     use crate::stat::GaussianPocv;
@@ -595,7 +580,7 @@ mod batched_tests {
     use insta_refsta::{RefSta, StaConfig};
     use insta_support::prop::{for_all, Config};
     use insta_support::rng::Rng;
-    use insta_support::{prop_assert, prop_assert_eq};
+    use insta_support::prop_assert;
 
     /// About 900 nodes, so a few deltas stay under the cone's seed switch
     /// and every lane is an in-place cone lane.
@@ -658,31 +643,23 @@ mod batched_tests {
         bits
     }
 
-    /// Every bit a lane may write: both bases' Top-K arrays and the
-    /// annotations.
+    /// Everything a lane may move: both bases' Top-K queues (dense view:
+    /// every live entry, a virtual node's included) and the annotations.
     fn image(engine: &InstaEngine, scratch: &crate::engine::State) -> Vec<u64> {
         let mut bits = Vec::new();
         for s in [&engine.state, scratch] {
-            bits.extend(
-                s.topk_arrival
-                    .iter()
-                    .chain(&s.topk_mean)
-                    .chain(&s.topk_sigma)
-                    .map(|v| v.to_bits()),
-            );
-            bits.extend(s.topk_sp.iter().map(|&v| u64::from(v)));
+            bits.extend(crate::scalar_ref::dense_view::<_, false>(&engine.st, s, &GaussianPocv).bits());
         }
         let ann = engine.st.arc_mean.iter().chain(&engine.st.arc_sigma);
         bits.extend(ann.flatten().map(|v| v.to_bits()));
         bits
     }
 
-    /// Queue invariants per recomputed node, read off the swept arrays
-    /// *before* the undo: dense-from-front occupancy, descending corner
-    /// arrivals, unique startpoints, and `arrival = mean + N_sigma·sigma`
-    /// bit-exactly. Lanes run alternately on the engine's live arrays and
-    /// on a scratch copy (a corner group's base); dropping the lane gives
-    /// every array and annotation bit back.
+    /// Queue invariants per recomputed stored node, read off the swept
+    /// rows *before* the undo: descending corner arrivals and unique
+    /// startpoints over the live entries. Lanes run alternately on the
+    /// engine's live arrays and on a scratch copy (a corner group's base);
+    /// dropping the lane gives every queue and annotation bit back.
     #[test]
     fn batched_lane_queues_keep_algorithm2_invariants() {
         for_all(
@@ -712,34 +689,21 @@ mod batched_tests {
                     );
                     prop_assert!(matches!(swept, Ok(None)), "clean sweep");
                     for v in 0..lane.st.n {
+                        let Some(row) = lane.st.row_of(v) else { continue };
                         if !lane.cone.recomputed(v as u32) {
                             continue;
                         }
                         recomputed += 1;
                         for rf in 0..2 {
-                            let q = (v * 2 + rf) * k..(v * 2 + rf + 1) * k;
-                            let (qa, qsp) = (
-                                &lane.state.topk_arrival[q.clone()],
-                                &lane.state.topk_sp[q.clone()],
-                            );
-                            let (qm, qs) =
-                                (&lane.state.topk_mean[q.clone()], &lane.state.topk_sigma[q]);
-                            let occupied =
-                                qsp.iter().position(|&sp| sp == NO_SP).unwrap_or(qsp.len());
-                            // Dense from the front: nothing live past the
-                            // first empty slot.
-                            for j in occupied..qsp.len() {
-                                prop_assert_eq!(qsp[j], NO_SP);
-                                prop_assert_eq!(qa[j], f64::NEG_INFINITY);
-                            }
+                            let q = lane.state.lanes().row(row, rf);
+                            prop_assert!(q.sp.len() <= k, "live count past K");
                             let mut seen = std::collections::HashSet::new();
-                            for j in 0..occupied {
-                                prop_assert!(seen.insert(qsp[j]), "duplicate startpoint");
-                                if j > 0 {
-                                    prop_assert!(qa[j - 1] >= qa[j], "order violated");
-                                }
-                                let corner = qm[j] + lane.st.n_sigma * qs[j];
-                                prop_assert_eq!(qa[j].to_bits(), corner.to_bits());
+                            let mut last = f64::INFINITY;
+                            for j in 0..q.sp.len() {
+                                prop_assert!(seen.insert(q.sp[j]), "duplicate startpoint");
+                                let corner = q.mean[j] + lane.st.n_sigma * q.sigma[j];
+                                prop_assert!(last >= corner, "order violated");
+                                last = corner;
                             }
                         }
                     }
@@ -808,7 +772,7 @@ mod batched_tests {
                         None,
                         None,
                         &GaussianPocv,
-                        &|state, nodes| crate::forward::seed_sources(st, state, nodes, &GaussianPocv),
+                        &|state, nodes| crate::forward::seed_sources(st, state, nodes),
                     )
                     .expect("clean pass");
                     let want = crate::metrics::evaluate(&twin.st, &twin.state, cppr, &GaussianPocv);

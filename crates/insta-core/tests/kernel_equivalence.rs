@@ -10,13 +10,28 @@
 //! A failure here means the production kernel changed the floats it
 //! produces, which is a semantic regression by definition (see the
 //! `scalar_ref` module docs).
+//!
+//! **One dense view.** The engine stores Top-K rows for merge nodes only
+//! (a *virtual* node — one fanin arc, one fanout arc, neither startpoint
+//! nor endpoint — has its queue computed where it is read), while the
+//! frozen kernels keep the dense per-node arrays they were frozen over.
+//! `topk_snapshot()` expands the engine's rows into that same canonical
+//! dense form (virtual queues materialised, corners recomputed, tails
+//! empty) and `scalar_topk_snapshot()` returns the reference's own arrays,
+//! so every Top-K compare below covers every node, stored or not.
 
-use insta_engine::{hold_attributes, DeltaSet, InstaConfig, InstaEngine, InstaReport};
+use insta_engine::{
+    hold_attributes, DeltaSet, HoldAttributes, InstaConfig, InstaEngine, InstaReport,
+    StatModelConfig, ValidationMode,
+};
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_netlist::Design;
 use insta_refsta::eco::ArcDelta;
+use insta_refsta::export::{EndpointInit, ExportedArc, InstaInit, SourceInit, NO_LEAF};
 use insta_refsta::{RefSta, StaConfig};
+use insta_support::prop::{for_all, Config};
 use insta_support::rng::Rng;
+use insta_support::{prop_assert, prop_assert_eq};
 
 const SUITE_SEED: u64 = 0x5CA1_A4EF;
 
@@ -40,13 +55,25 @@ fn wide_config(seed: u64) -> GeneratorConfig {
     }
 }
 
-fn topk_bits(e: &InstaEngine) -> Vec<u64> {
-    let (a, m, s, sp) = e.topk_snapshot();
+type Dense = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>);
+
+fn dense_bits((a, m, s, sp): Dense) -> Vec<u64> {
     let mut bits: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
     bits.extend(m.iter().map(|v| v.to_bits()));
     bits.extend(s.iter().map(|v| v.to_bits()));
     bits.extend(sp.iter().map(|&v| u64::from(v)));
     bits
+}
+
+/// The engine's queues in the canonical dense form.
+fn topk_bits(e: &InstaEngine) -> Vec<u64> {
+    dense_bits(e.topk_snapshot())
+}
+
+/// The frozen kernels' own dense arrays, as `e`'s last reference pass
+/// left them.
+fn scalar_bits(e: &InstaEngine) -> Vec<u64> {
+    dense_bits(e.scalar_topk_snapshot())
 }
 
 fn lse_bits(e: &InstaEngine) -> Vec<u64> {
@@ -75,8 +102,9 @@ fn report_bits(r: &InstaReport) -> Vec<u64> {
 
 /// The core pin: across Top-K capacities (including the compare-exchange
 /// network sizes 2/4/8 and the insertion-restore sizes around them), the
-/// production forward pass and the frozen scalar reference produce the
-/// same Top-K arrays and the same endpoint report, bit for bit.
+/// production passes — setup, then hold's min pass — and the frozen scalar
+/// reference produce the same dense Top-K arrays and the same endpoint
+/// report, bit for bit.
 #[test]
 fn forward_is_bit_identical_to_scalar_reference_across_k() {
     let gens = [
@@ -85,20 +113,34 @@ fn forward_is_bit_identical_to_scalar_reference_across_k() {
         GeneratorConfig::medium("keq_medium", 7),
     ];
     for gen in &gens {
-        for k in [1usize, 2, 3, 4, 5, 8, 16] {
+        for k in [1usize, 2, 3, 4, 5, 8, 16, 32] {
             let cfg = InstaConfig {
                 top_k: k,
                 ..InstaConfig::default()
             };
-            let (_, _, mut fast) = build(gen, cfg.clone());
+            let (design, golden, mut fast) = build(gen, cfg.clone());
             let (_, _, mut reference) = build(gen, cfg);
+            assert!(fast.num_rows() < fast.num_nodes(), "fixture: no virtual node");
             let got = report_bits(fast.propagate());
             let want = report_bits(reference.forward_scalar_reference());
             assert_eq!(got, want, "report differs (design {}, k={k})", gen.name);
             assert_eq!(
                 topk_bits(&fast),
-                topk_bits(&reference),
+                scalar_bits(&reference),
                 "Top-K arrays differ (design {}, k={k})",
+                gen.name
+            );
+            // What the reference engine goes on from is its stored rows.
+            assert_eq!(topk_bits(&reference), scalar_bits(&reference));
+
+            let attrs = hold_attributes(&design, &golden);
+            let got = report_bits(&fast.propagate_hold(&attrs));
+            let want = report_bits(&reference.hold_scalar_reference(&attrs));
+            assert_eq!(got, want, "hold report differs (design {}, k={k})", gen.name);
+            assert_eq!(
+                topk_bits(&fast),
+                scalar_bits(&reference),
+                "min-mode Top-K arrays differ (design {}, k={k})",
                 gen.name
             );
         }
@@ -112,7 +154,7 @@ fn forward_is_bit_identical_across_thread_counts() {
     let gen = wide_config(5);
     let (_, _, mut reference) = build(&gen, InstaConfig::default());
     reference.forward_scalar_reference();
-    let want = topk_bits(&reference);
+    let want = scalar_bits(&reference);
 
     for n_threads in [1usize, 2, 8] {
         let cfg = InstaConfig {
@@ -169,7 +211,7 @@ fn fused_sweep_matches_separate_passes_and_scalar_reference() {
         assert_eq!(fused_report, separate_report, "{}: fused report", gen.name);
         assert_eq!(separate_report, reference_report, "{}: report", gen.name);
         assert_eq!(topk_bits(&fused), topk_bits(&separate), "{}: fused topk", gen.name);
-        assert_eq!(topk_bits(&separate), topk_bits(&reference), "{}: topk", gen.name);
+        assert_eq!(topk_bits(&separate), scalar_bits(&reference), "{}: topk", gen.name);
         assert_eq!(lse_bits(&fused), lse_bits(&separate), "{}: fused lse", gen.name);
         assert_eq!(lse_bits(&separate), lse_bits(&reference), "{}: lse", gen.name);
     }
@@ -204,7 +246,7 @@ fn hold_min_merge_is_bit_identical_to_scalar_reference() {
         assert_eq!(got, want, "hold report differs (seed {seed})");
         assert_eq!(
             topk_bits(&fast),
-            topk_bits(&reference),
+            scalar_bits(&reference),
             "min-mode Top-K arrays differ (seed {seed})"
         );
     }
@@ -337,5 +379,320 @@ fn reannotated_forward_matches_scalar_reference() {
     let got = report_bits(fast.propagate());
     let want = report_bits(reference.forward_scalar_reference());
     assert_eq!(got, want, "post-reannotation report differs");
-    assert_eq!(topk_bits(&fast), topk_bits(&reference));
+    assert_eq!(topk_bits(&fast), scalar_bits(&reference));
+}
+
+/// Quantised statistics, so exact corner ties across arcs and slots are
+/// the common case.
+fn stat(rng: &mut Rng) -> (f64, f64) {
+    (
+        10.0 + rng.bounded_u64(5) as f64 * 10.0,
+        [0.0, 0.0, 3.0, 4.0][rng.bounded_u64(4) as usize],
+    )
+}
+
+/// A generated graph built around the virtual rule, level-major in
+/// creation order: buffer / inverter chains one to four nodes long (virtual
+/// depth ≥ 2, negative-unate flips), a single-fanin pin read by two merge
+/// nodes (it stays stored), a startpoint on a merge node and on a chain
+/// node (a startpoint with fanin stays stored), and endpoints in and at
+/// the cut-off end of a chain (a single-fanin endpoint stays stored). Returns the graph, the
+/// chain nodes that must come out virtual, and whether some startpoint has
+/// exactly one fanin arc: the single-fanin transform overwrites a launch
+/// seed — in the frozen setup kernel too — but the frozen min kernel has no
+/// such path and merges it, so on those graphs hold is compared with the
+/// stored twin only. Last, how often each case came up: a chain node
+/// behind a chain node, a two-reader pin, a startpoint with fanin, a chain
+/// node that is an endpoint.
+fn chain_graph(seed: u64, levels: usize, width: usize) -> (InstaInit, Vec<u32>, bool, [usize; 4]) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let (levels, width) = (levels.max(3), width.max(2));
+    let mut fanin: Vec<Vec<(u32, bool)>> = Vec::new();
+    let mut level_start = vec![0u32];
+    // Nodes any later merge may read; nodes the next merges must read
+    // (each entry once); chains under way as (tail, nodes still to add).
+    let mut pool: Vec<u32> = Vec::new();
+    let mut must: Vec<u32> = Vec::new();
+    let mut chains: Vec<(u32, usize)> = Vec::new();
+    let (mut interior, mut seeded, mut cut) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut seeded_single, mut pins) = (false, 0);
+    for _ in 0..width + 2 {
+        pool.push(fanin.len() as u32);
+        fanin.push(Vec::new());
+    }
+    let n_launch = fanin.len();
+    level_start.push(fanin.len() as u32);
+    for level in 1..=levels {
+        let last = level == levels;
+        for (tail, left) in std::mem::take(&mut chains) {
+            if left > 0 && !last {
+                let v = fanin.len() as u32;
+                fanin.push(vec![(tail, rng.gen_bool(0.5))]);
+                if rng.gen_bool(0.1) {
+                    // An endpoint in mid-chain is stored.
+                    cut.push(v);
+                } else {
+                    interior.push(v);
+                }
+                chains.push((v, left - 1));
+            } else if left > 0 {
+                // The level budget ran out: the chain ends in an endpoint.
+                interior.retain(|&v| v != tail);
+                cut.push(tail);
+            } else {
+                must.push(tail);
+            }
+        }
+        // Readable from the next level on.
+        let (mut new_pool, mut new_must) = (Vec::new(), Vec::new());
+        for _ in 0..width {
+            let v = fanin.len() as u32;
+            match rng.bounded_u64(if last { 1 } else { 4 }) {
+                // A merge: what must be read first, then random pool nodes.
+                0 | 1 => {
+                    let mut arcs: Vec<(u32, bool)> = Vec::new();
+                    let n = 2 + rng.bounded_u64(2) as usize;
+                    while arcs.len() < n {
+                        let taken = |p: u32| arcs.iter().any(|a| a.0 == p);
+                        let p = match must.iter().position(|&p| !taken(p)) {
+                            Some(i) => must.swap_remove(i),
+                            None => pool[rng.bounded_u64(pool.len() as u64) as usize],
+                        };
+                        arcs.push((p, rng.gen_bool(0.4)));
+                    }
+                    fanin.push(arcs);
+                    new_pool.push(v);
+                    if rng.gen_bool(0.15) {
+                        seeded.push(v);
+                    }
+                }
+                // A chain start: read by its successor only.
+                2 => {
+                    let p = pool[rng.bounded_u64(pool.len() as u64) as usize];
+                    fanin.push(vec![(p, rng.gen_bool(0.5))]);
+                    interior.push(v);
+                    chains.push((v, rng.bounded_u64(4) as usize));
+                    if rng.gen_bool(0.15) {
+                        // A startpoint with fanin is stored.
+                        interior.retain(|&u| u != v);
+                        seeded.push(v);
+                        seeded_single = true;
+                    }
+                }
+                // A single-fanin pin with two readers is stored.
+                _ => {
+                    let p = pool[rng.bounded_u64(pool.len() as u64) as usize];
+                    fanin.push(vec![(p, rng.gen_bool(0.5))]);
+                    new_must.extend([v, v]);
+                    pins += 1;
+                }
+            }
+        }
+        pool.extend(new_pool);
+        must.extend(new_must);
+        level_start.push(fanin.len() as u32);
+    }
+    // One last level of merges reads whatever is still owed a reader.
+    for (tail, _) in chains {
+        must.push(tail);
+    }
+    while !must.is_empty() {
+        let mut arcs: Vec<(u32, bool)> = Vec::new();
+        while arcs.len() < 2 {
+            let taken = |p: u32| arcs.iter().any(|a| a.0 == p);
+            let p = match must.iter().position(|&p| !taken(p)) {
+                Some(i) => must.swap_remove(i),
+                None => pool[rng.bounded_u64(pool.len() as u64) as usize],
+            };
+            if !taken(p) {
+                arcs.push((p, rng.gen_bool(0.4)));
+            }
+        }
+        fanin.push(arcs);
+    }
+    level_start.push(fanin.len() as u32);
+
+    let n = fanin.len();
+    let mut fanout = vec![0usize; n];
+    let mut arcs = Vec::new();
+    let mut fanin_start = vec![0u32];
+    for node in &fanin {
+        for &(parent, negative_unate) in node {
+            fanout[parent as usize] += 1;
+            let (rise, fall) = (stat(&mut rng), stat(&mut rng));
+            arcs.push(ExportedArc {
+                parent,
+                mean: [rise.0, fall.0],
+                sigma: [rise.1, fall.1],
+                negative_unate,
+                source_arc: arcs.len() as u32,
+            });
+        }
+        fanin_start.push(arcs.len() as u32);
+    }
+    let launches = (0..n_launch as u32).chain(seeded);
+    let sources: Vec<SourceInit> = launches
+        .enumerate()
+        .map(|(sp, node)| {
+            let (rise, fall) = (stat(&mut rng), stat(&mut rng));
+            SourceInit {
+                node,
+                sp: sp as u32,
+                mean: [rise.0, fall.0],
+                sigma: [rise.1, fall.1],
+            }
+        })
+        .collect();
+    let sinks = (0..n as u32).filter(|&v| fanout[v as usize] == 0);
+    let endpoints: Vec<EndpointInit> = sinks
+        .chain(cut)
+        .enumerate()
+        .map(|(ep, node)| EndpointInit {
+            node,
+            ep: ep as u32,
+            required_base: 150.0 + 10.0 * ep as f64,
+            leaf: NO_LEAF,
+        })
+        .collect();
+    let init = InstaInit {
+        n_nodes: n,
+        level_start,
+        order: (0..n as u32).collect(),
+        fanin_start,
+        fanin: arcs,
+        sp_leaf: vec![NO_LEAF; sources.len()],
+        sources,
+        endpoints,
+        clock_parent: Vec::new(),
+        clock_depth: Vec::new(),
+        clock_credit: Vec::new(),
+        n_sigma: 3.0,
+        period_ps: 1000.0,
+        exceptions: Default::default(),
+    };
+    let behind = |v: &&u32| interior.contains(&init.fanin[init.fanin_start[**v as usize] as usize].parent);
+    let seen = [
+        interior.iter().filter(behind).count(),
+        pins,
+        init.sources.len() - n_launch,
+        init.endpoints.iter().filter(|e| fanin[e.node as usize].len() == 1).count(),
+    ];
+    (init, interior, seeded_single, seen)
+}
+
+/// `init` with an endpoint on every node: no node is virtual, so every
+/// queue is a stored row the level body wrote — what a virtual node's
+/// materialised queue must equal — while no queue depends on where the
+/// endpoints are.
+fn all_stored(init: &InstaInit) -> InstaInit {
+    let mut twin = init.clone();
+    for node in 0..init.n_nodes as u32 {
+        twin.endpoints.push(EndpointInit {
+            node,
+            ep: twin.endpoints.len() as u32,
+            required_base: 500.0,
+            leaf: NO_LEAF,
+        });
+    }
+    twin
+}
+
+/// Generated virtual chains against two oracles, for K ∈ {1, 2, 4, 8, 32},
+/// setup and hold, both backends: the twin with every node stored (either
+/// backend) and the frozen scalar kernels' own dense arrays (Gaussian).
+/// Dense view, and every node's `arrival_at` / `distribution_at` /
+/// snapshot row, on `to_bits`.
+#[test]
+fn virtual_chains_read_exactly_like_stored_queues() {
+    let backends = [
+        StatModelConfig::GaussianPocv,
+        StatModelConfig::FixedBinHistogram {
+            bins: 32,
+            support_sigmas: 4.0,
+        },
+    ];
+    let seen = std::cell::Cell::new([0usize; 4]);
+    for_all(
+        Config::cases(40).seed(SUITE_SEED ^ 0xC4A1),
+        |rng| (rng.next_u64(), 3 + rng.bounded_u64(7), 2 + rng.bounded_u64(4)),
+        |&(seed, levels, width)| {
+            let (init, interior, seeded_single, cases) =
+                chain_graph(seed, levels as usize, width as usize);
+            let so_far = seen.get();
+            seen.set(std::array::from_fn(|i| so_far[i] + cases[i]));
+            let twin_init = all_stored(&init);
+            let mut rng = Rng::seed_from_u64(seed ^ 0x401D);
+            let early = |rng: &mut Rng, n: usize| -> Vec<[f64; 2]> {
+                (0..n).map(|_| [stat(rng).0 * 0.5, stat(rng).0 * 0.5]).collect()
+            };
+            let mut attrs = HoldAttributes {
+                source_mean: early(&mut rng, init.sources.len()),
+                source_sigma: vec![[1.0, 2.0]; init.sources.len()],
+                required_base: vec![20.0; init.endpoints.len()],
+            };
+            let twin_attrs = HoldAttributes {
+                required_base: vec![20.0; twin_init.endpoints.len()],
+                ..attrs.clone()
+            };
+            attrs.required_base[0] = f64::NEG_INFINITY;
+            for (stat_model, top_k) in backends
+                .into_iter()
+                .flat_map(|b| [1usize, 2, 4, 8, 32].map(|k| (b, k)))
+            {
+                let cfg = InstaConfig {
+                    top_k,
+                    stat_model,
+                    validation: ValidationMode::Strict,
+                    ..InstaConfig::default()
+                };
+                let what = format!("{stat_model:?} K={top_k}");
+                let mut a = InstaEngine::new(init.clone(), cfg.clone()).map_err(|e| e.to_string())?;
+                let mut twin = InstaEngine::new(twin_init.clone(), cfg.clone()).expect("valid twin");
+                for &v in &interior {
+                    prop_assert!(a.is_virtual(v), "{what}: chain node {v} is stored");
+                }
+                prop_assert_eq!(a.num_rows() + interior.len(), a.num_nodes());
+                prop_assert_eq!(twin.num_rows(), twin.num_nodes());
+                let mut reference = matches!(stat_model, StatModelConfig::GaussianPocv)
+                    .then(|| InstaEngine::new(init.clone(), cfg).expect("valid"));
+
+                let report = report_bits(a.propagate());
+                twin.propagate();
+                prop_assert!(topk_bits(&a) == topk_bits(&twin), "{what}: dense view vs stored twin");
+                if let Some(r) = &mut reference {
+                    prop_assert!(report == report_bits(r.forward_scalar_reference()), "{what}: report");
+                    prop_assert!(topk_bits(&a) == scalar_bits(r), "{what}: dense view vs scalar reference");
+                }
+                let (sa, st) = (a.snapshot(), twin.snapshot());
+                let bits = |x: Option<f64>| x.map(f64::to_bits);
+                for v in 0..init.n_nodes as u32 {
+                    for rf in 0..2 {
+                        let got = a.arrival_at(v, rf);
+                        prop_assert!(bits(got) == bits(twin.arrival_at(v, rf)), "{what}: arrival_at({v}, {rf})");
+                        prop_assert!(bits(got) == bits(sa.arrival_at(v, rf)), "{what}: snapshot row ({v}, {rf})");
+                        prop_assert!(bits(got) == bits(st.arrival_at(v, rf)), "{what}: twin's row ({v}, {rf})");
+                        let pair = |d: Option<(f64, f64)>| d.map(|(m, s)| (m.to_bits(), s.to_bits()));
+                        prop_assert!(
+                            pair(a.distribution_at(v, rf)) == pair(twin.distribution_at(v, rf)),
+                            "{what}: distribution_at({v}, {rf})"
+                        );
+                    }
+                }
+
+                let hold = report_bits(&a.propagate_hold(&attrs));
+                twin.propagate_hold(&twin_attrs);
+                prop_assert!(topk_bits(&a) == topk_bits(&twin), "{what}: min-mode dense view vs stored twin");
+                if let Some(r) = reference.as_mut().filter(|_| !seeded_single) {
+                    prop_assert!(hold == report_bits(&r.hold_scalar_reference(&attrs)), "{what}: hold report");
+                    prop_assert!(topk_bits(&a) == scalar_bits(r), "{what}: min-mode dense view vs scalar reference");
+                }
+            }
+            Ok(())
+        },
+    );
+    assert!(
+        seen.get().iter().all(|&n| n >= 10),
+        "deep chain nodes / pins / startpoints with fanin / single-fanin endpoints: {:?}",
+        seen.get()
+    );
 }
