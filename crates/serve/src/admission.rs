@@ -331,11 +331,17 @@ pub struct ServeCounters {
     pub connections_opened: AtomicU64,
     /// Connections torn down.
     pub connections_closed: AtomicU64,
+    /// Whole-report `report_slack` replies that had to write their
+    /// epoch's wire image (the first such read of each epoch).
+    pub slack_images_built: AtomicU64,
+    /// Whole-report `report_slack` replies that shared an image already
+    /// built — hits ÷ (hits + built) is the read path's repeat share.
+    pub slack_image_hits: AtomicU64,
 }
 
 impl ServeCounters {
     /// The counters as `(name, value)` rows — the JSON/stats surface.
-    pub fn rows(&self) -> [(&'static str, u64); 11] {
+    pub fn rows(&self) -> [(&'static str, u64); 13] {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         [
             ("accepted", g(&self.accepted)),
@@ -349,6 +355,8 @@ impl ServeCounters {
             ("snapshot_swaps", g(&self.snapshot_swaps)),
             ("connections_opened", g(&self.connections_opened)),
             ("connections_closed", g(&self.connections_closed)),
+            ("slack_images_built", g(&self.slack_images_built)),
+            ("slack_image_hits", g(&self.slack_image_hits)),
         ]
     }
 

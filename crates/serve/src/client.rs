@@ -21,7 +21,7 @@ pub struct Client<R: Read, W: Write> {
 }
 
 /// A decoded response.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// Echoed request id.
     pub id: u64,
@@ -135,11 +135,21 @@ impl<R: Read, W: Write> Client<R, W> {
                 e.get::<u64>("retry_after_ms").ok(),
             ))
         };
+        let (id, epoch) = (doc.get("id").unwrap_or(0), doc.get("epoch").unwrap_or(0));
+        // The result is moved out of the parsed reply, not cloned: it can
+        // be a whole endpoint report.
+        let result = match doc {
+            Json::Obj(pairs) => pairs
+                .into_iter()
+                .find(|(k, _)| k == "result")
+                .map_or(Json::Null, |(_, v)| v),
+            _ => Json::Null,
+        };
         Ok(Response {
-            id: doc.get::<u64>("id").unwrap_or(0),
-            epoch: doc.get::<u64>("epoch").unwrap_or(0),
+            id,
+            epoch,
             ok,
-            result: doc.field("result").cloned().unwrap_or(Json::Null),
+            result,
             error,
         })
     }

@@ -42,5 +42,5 @@ pub use admission::{Admission, Rejection, ServeConfig, ServeCounters, Tier};
 pub use client::{Client, ClientError, Response};
 pub use protocol::{Op, OpKind, Request, PROTOCOL_VERSION};
 pub use recovery::{recover, RecoveryReport};
-pub use server::{Server, SnapshotCell};
+pub use server::{PublishedEpoch, Server, SnapshotCell};
 pub use wal::{Durability, DurabilityConfig, DurabilityStats};

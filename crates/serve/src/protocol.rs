@@ -20,7 +20,7 @@
 //! Rust's shortest round-trip formatting, so slack *bits* survive the
 //! protocol — the MVCC tests compare raw `to_bits` over the wire.
 
-use insta_support::json::{obj, parse, Json, ToJson};
+use insta_support::json::{obj, parse, write_f64, Json, ToJson};
 use std::io::{self, BufRead, Write};
 
 /// The protocol generation this daemon speaks. Clients may send it as an
@@ -84,44 +84,50 @@ pub fn write_frame(w: &mut impl Write, body: &str) -> io::Result<()> {
 /// Writes one `len\n body` frame from raw bytes and flushes. The body is
 /// sent verbatim — it need not be UTF-8, so fault injectors can put
 /// invalid encodings on the wire exactly as authored.
+///
+/// A frame is **one write**: header and body leave in one buffer. On an
+/// unbuffered stream two writes are two syscalls and two wake-ups of the
+/// peer, and on TCP header-write, body-write, wait-for-reply is the
+/// pattern Nagle's algorithm and delayed ACKs answer with a ~40 ms stall
+/// per direction.
 pub fn write_frame_bytes(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    w.write_all(format!("{}\n", body.len()).as_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(MAX_HEADER_DIGITS + 1 + body.len());
+    writeln!(frame, "{}", body.len())?;
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Reads one frame body, enforcing `max_bytes` on the declared length.
 pub fn read_frame(r: &mut impl BufRead, max_bytes: usize) -> Result<Vec<u8>, FrameError> {
     // Read the header byte-by-byte so a lost-sync close never swallows
-    // buffered bytes belonging to a later diagnosis.
-    let mut header = Vec::with_capacity(8);
+    // buffered bytes belonging to a later diagnosis. It lives on the
+    // stack; only a refused header is copied out, for its message.
+    let mut header = [0u8; MAX_HEADER_DIGITS + 1];
+    let mut n = 0;
+    let bad = |h: &[u8]| FrameError::BadHeader(String::from_utf8_lossy(h).into_owned());
     loop {
         let mut b = [0u8; 1];
         match r.read(&mut b) {
-            Ok(0) if header.is_empty() => return Err(FrameError::Eof),
-            Ok(0) => {
-                return Err(FrameError::BadHeader(
-                    String::from_utf8_lossy(&header).into_owned(),
-                ))
-            }
+            Ok(0) if n == 0 => return Err(FrameError::Eof),
+            Ok(0) => return Err(bad(&header[..n])),
             Ok(_) if b[0] == b'\n' => break,
             Ok(_) => {
-                header.push(b[0]);
-                if header.len() > MAX_HEADER_DIGITS {
-                    return Err(FrameError::BadHeader(
-                        String::from_utf8_lossy(&header).into_owned(),
-                    ));
+                header[n] = b[0];
+                n += 1;
+                if n > MAX_HEADER_DIGITS {
+                    return Err(bad(&header[..n]));
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    let text = String::from_utf8_lossy(&header).into_owned();
-    let len: usize = match text.trim().parse() {
-        Ok(n) => n,
-        Err(_) => return Err(FrameError::BadHeader(text)),
-    };
+    let header = &header[..n];
+    let len: usize = std::str::from_utf8(header)
+        .ok()
+        .and_then(|text| text.trim().parse().ok())
+        .ok_or_else(|| bad(header))?;
     if len > max_bytes {
         return Err(FrameError::BadHeader(format!("{len} > cap {max_bytes}")));
     }
@@ -317,20 +323,27 @@ impl Request {
     /// Encodes a request for the wire (the client side of
     /// [`decode`](Self::decode)).
     pub fn encode(&self) -> String {
-        let mut pairs = vec![
-            ("id", self.id.to_json()),
-            ("op", Json::Str(self.op.name().to_owned())),
-        ];
+        let mut out = String::with_capacity(96);
+        out.push_str("{\"id\":");
+        write_f64(self.id as f64, &mut out);
+        // Op names are plain identifiers: nothing in them needs escaping.
+        out.push_str(",\"op\":\"");
+        out.push_str(self.op.name());
+        out.push('"');
         if let Some(ms) = self.deadline_ms {
-            pairs.push(("deadline_ms", ms.to_json()));
+            out.push_str(",\"deadline_ms\":");
+            write_f64(ms as f64, &mut out);
         }
         if let Some(v) = self.version {
-            pairs.push(("version", v.to_json()));
+            out.push_str(",\"version\":");
+            write_f64(v as f64, &mut out);
         }
         if self.params != Json::Null {
-            pairs.push(("params", self.params.clone()));
+            out.push_str(",\"params\":");
+            self.params.write_to(&mut out);
         }
-        obj(pairs).to_string()
+        out.push('}');
+        out
     }
 }
 
@@ -368,15 +381,40 @@ pub mod code {
     pub const DURABILITY: &str = "durability";
 }
 
+/// Opens a response body in a buffer with room for `reserve` more bytes:
+/// `{"id":N,"epoch":E,"ok":B,"<member>":` — the caller appends the
+/// member's value and the closing brace.
+fn open_response(id: u64, epoch: u64, ok: bool, member: &str, reserve: usize) -> String {
+    let mut out = String::with_capacity(64 + reserve);
+    out.push_str("{\"id\":");
+    write_f64(id as f64, &mut out);
+    out.push_str(",\"epoch\":");
+    write_f64(epoch as f64, &mut out);
+    out.push_str(if ok { ",\"ok\":true,\"" } else { ",\"ok\":false,\"" });
+    out.push_str(member);
+    out.push_str("\":");
+    out
+}
+
 /// Builds a success response body.
 pub fn ok_response(id: u64, epoch: u64, result: Json) -> String {
-    obj([
-        ("id", id.to_json()),
-        ("epoch", epoch.to_json()),
-        ("ok", Json::Bool(true)),
-        ("result", result),
-    ])
-    .to_string()
+    let mut out = open_response(id, epoch, true, "result", 192);
+    result.write_to(&mut out);
+    out.push('}');
+    out
+}
+
+/// Builds a success response body around a result object that is already
+/// wire text, handed over as the pieces it is spliced from (a per-request
+/// head, then an epoch's shared image).
+pub fn ok_response_text(id: u64, epoch: u64, result: &[&str]) -> String {
+    let len = result.iter().map(|part| part.len()).sum();
+    let mut out = open_response(id, epoch, true, "result", len);
+    for part in result {
+        out.push_str(part);
+    }
+    out.push('}');
+    out
 }
 
 /// Builds an error response body.
@@ -394,13 +432,51 @@ pub fn err_response(
     if let Some(ms) = retry_after_ms {
         err.push(("retry_after_ms", ms.to_json()));
     }
-    obj([
-        ("id", id.to_json()),
-        ("epoch", epoch.to_json()),
-        ("ok", Json::Bool(false)),
-        ("error", obj(err)),
-    ])
-    .to_string()
+    let mut out = open_response(id, epoch, false, "error", 64 + message.len());
+    obj(err).write_to(&mut out);
+    out.push('}');
+    out
+}
+
+/// The envelope encoders as they were while a reply was one tree: the
+/// oracle the buffer-writing ones above (and the daemon's spliced replies)
+/// are compared with, byte for byte.
+#[cfg(test)]
+pub(crate) mod tree_oracle {
+    use super::*;
+
+    pub(crate) fn ok_response(id: u64, epoch: u64, result: Json) -> String {
+        obj([
+            ("id", id.to_json()),
+            ("epoch", epoch.to_json()),
+            ("ok", Json::Bool(true)),
+            ("result", result),
+        ])
+        .to_string()
+    }
+
+    pub(crate) fn err_response(
+        id: u64,
+        epoch: u64,
+        code: &'static str,
+        message: &str,
+        retry_after_ms: Option<u64>,
+    ) -> String {
+        let mut err = vec![
+            ("code", Json::Str(code.to_owned())),
+            ("message", Json::Str(message.to_owned())),
+        ];
+        if let Some(ms) = retry_after_ms {
+            err.push(("retry_after_ms", ms.to_json()));
+        }
+        obj([
+            ("id", id.to_json()),
+            ("epoch", epoch.to_json()),
+            ("ok", Json::Bool(false)),
+            ("error", obj(err)),
+        ])
+        .to_string()
+    }
 }
 
 #[cfg(test)]
@@ -417,6 +493,82 @@ mod tests {
         assert_eq!(read_frame(&mut r, 1 << 20).unwrap(), b"{\"id\":1}");
         assert_eq!(read_frame(&mut r, 1 << 20).unwrap(), b"");
         assert!(matches!(read_frame(&mut r, 1 << 20), Err(FrameError::Eof)));
+    }
+
+    /// Counts `write` calls; takes whatever it is handed, like a socket
+    /// with buffer space.
+    struct CountingWrite {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for len in [0, 28, 64 << 10] {
+            let body = vec![b'x'; len];
+            let mut w = CountingWrite {
+                calls: 0,
+                bytes: Vec::new(),
+            };
+            write_frame_bytes(&mut w, &body).unwrap();
+            assert_eq!(w.calls, 1, "a {len}-byte body left in {} writes", w.calls);
+            assert_eq!(w.bytes, [format!("{len}\n").as_bytes(), &body[..]].concat());
+        }
+    }
+
+    /// The envelope writers spell what rendering the same members as one
+    /// tree would: ids and epochs as `f64`s, escapes in messages.
+    #[test]
+    fn envelopes_equal_their_tree_rendering() {
+        let result = obj([("pong", Json::Bool(true)), ("n", 2.5_f64.to_json())]);
+        for (id, epoch) in [(1, 0), (42, 7), (u64::MAX, 1 << 53)] {
+            let tree = tree_oracle::ok_response(id, epoch, result.clone());
+            assert_eq!(ok_response(id, epoch, result.clone()), tree);
+            let mut text = String::new();
+            result.write_to(&mut text);
+            let (head, tail) = text.split_at(9);
+            assert_eq!(ok_response_text(id, epoch, &[head, tail]), tree);
+            for retry in [None, Some(8)] {
+                let message = "a \"quoted\"\nline \\ and \u{1} control";
+                assert_eq!(
+                    err_response(id, epoch, code::OVERLOADED, message, retry),
+                    tree_oracle::err_response(id, epoch, code::OVERLOADED, message, retry)
+                );
+            }
+        }
+        for (deadline_ms, version, params) in [
+            (None, None, Json::Null),
+            (Some(250), Some(PROTOCOL_VERSION), result.clone()),
+        ] {
+            let req = Request {
+                id: 9,
+                op: Op::ReportAt,
+                deadline_ms,
+                version,
+                params,
+            };
+            let mut pairs = vec![
+                ("id", req.id.to_json()),
+                ("op", Json::Str(req.op.name().to_owned())),
+            ];
+            pairs.extend(deadline_ms.map(|ms: u64| ("deadline_ms", ms.to_json())));
+            pairs.extend(version.map(|v| ("version", v.to_json())));
+            if req.params != Json::Null {
+                pairs.push(("params", req.params.clone()));
+            }
+            assert_eq!(req.encode(), obj(pairs).to_string());
+        }
     }
 
     #[test]

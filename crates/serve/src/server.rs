@@ -4,7 +4,7 @@
 //! # MVCC read path
 //!
 //! The committed epoch lives in a [`SnapshotCell`]: an
-//! `RwLock<Arc<TimingSnapshot>>` where the read lock is held only long
+//! `RwLock<Arc<PublishedEpoch>>` where the read lock is held only long
 //! enough to clone the `Arc` (nanoseconds) — never across a propagation.
 //! Readers therefore observe a wholly-consistent epoch, old or new and
 //! never a blend, while the single writer mutates the *next* epoch inside
@@ -12,6 +12,15 @@
 //! successful commit. A failed or deadline-cancelled write rolls back via
 //! the session layer and publishes nothing: readers cannot observe a
 //! half-committed epoch by construction.
+//!
+//! # What a published epoch owns
+//!
+//! A [`PublishedEpoch`] is the snapshot plus what the daemon derives from
+//! it for the wire: the text of the whole-report `report_slack` result,
+//! built by the first reader that asks (outside every lock) and spliced
+//! under each later reader's envelope. The image is a pure function of an
+//! immutable snapshot and is dropped with it, so there is nothing to
+//! invalidate, size or configure.
 //!
 //! # Failure containment
 //!
@@ -24,23 +33,24 @@
 
 use crate::admission::{Admission, Rejection, ServeConfig, ServeCounters, Tier};
 use crate::protocol::{
-    code, err_response, ok_response, read_frame, write_frame, FrameError, Op, OpKind, Request,
-    PROTOCOL_VERSION,
+    code, err_response, ok_response, ok_response_text, read_frame, write_frame, FrameError, Op,
+    OpKind, Request, PROTOCOL_VERSION,
 };
 use crate::recovery::{self, RecoveryReport};
 use crate::wal::{panic_message, Durability, DurabilityConfig};
 use insta_engine::{
     CancelToken, CornerTransform, Deadline, DeltaSet, EngineDurableState, IncidentLog,
-    InstaEngine, InstaError, ModeMask, Scenario, ServiceIncident, TimingSnapshot, WriterOp,
+    InstaEngine, InstaError, InstaReport, ModeMask, Scenario, ServiceIncident, TimingSnapshot,
+    WriterOp,
 };
 use insta_refsta::eco::ArcDelta;
-use insta_support::json::{obj, Json, ToJson};
+use insta_support::json::{obj, write_f64, Json, ToJson};
 use insta_support::obs::Recorder;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// Locks a mutex, tolerating poisoning: a panic in another connection
@@ -50,10 +60,40 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// One published epoch: the snapshot and the wire image readers share.
+#[derive(Debug)]
+pub struct PublishedEpoch {
+    snap: Arc<TimingSnapshot>,
+    /// The tail of the whole-report `report_slack` result object, from
+    /// `"wns_ps"` through the closing brace (see [`write_slack_members`]).
+    /// Empty until the epoch's first whole-report read.
+    slack_image: OnceLock<Arc<str>>,
+}
+
+impl PublishedEpoch {
+    fn new(snap: Arc<TimingSnapshot>) -> Arc<Self> {
+        Arc::new(PublishedEpoch {
+            snap,
+            slack_image: OnceLock::new(),
+        })
+    }
+
+    /// The epoch's snapshot.
+    pub fn snapshot(&self) -> &Arc<TimingSnapshot> {
+        &self.snap
+    }
+
+    /// The epoch's `report_slack` wire image, if a reader has built it
+    /// (test observability: an image lives exactly as long as its epoch).
+    pub fn slack_image(&self) -> Option<&Arc<str>> {
+        self.slack_image.get()
+    }
+}
+
 /// The published committed epoch. `load` is the entire read path.
 #[derive(Debug)]
 pub struct SnapshotCell {
-    inner: RwLock<Arc<TimingSnapshot>>,
+    inner: RwLock<Arc<PublishedEpoch>>,
     /// Epoch watch for `min_epoch` waiters: publish bumps the watched
     /// value under the mutex and notifies, so waiters wake on the commit
     /// they asked for instead of polling (ROADMAP item 1 leftover).
@@ -65,7 +105,7 @@ impl SnapshotCell {
     fn new(snap: TimingSnapshot) -> Self {
         let epoch = snap.epoch();
         SnapshotCell {
-            inner: RwLock::new(Arc::new(snap)),
+            inner: RwLock::new(PublishedEpoch::new(Arc::new(snap))),
             watch: Mutex::new(epoch),
             publish_cv: Condvar::new(),
         }
@@ -73,22 +113,27 @@ impl SnapshotCell {
 
     /// Clones the current epoch's `Arc` — the only thing the read lock
     /// ever covers.
-    pub fn load(&self) -> Arc<TimingSnapshot> {
+    pub fn load(&self) -> Arc<PublishedEpoch> {
         Arc::clone(&self.inner.read().unwrap_or_else(|p| p.into_inner()))
+    }
+
+    /// The published epoch number.
+    fn epoch(&self) -> u64 {
+        self.load().snap.epoch()
     }
 
     /// Atomically replaces the published epoch. Monotonic: a snapshot
     /// that is not strictly newer than the published one is dropped, so
     /// the published epoch can never regress — even if two publishes
     /// ever race, the older writer loses.
-    fn publish(&self, snap: TimingSnapshot) {
+    fn publish(&self, snap: Arc<TimingSnapshot>) {
         let epoch = snap.epoch();
         // The lock covers the pointer swap and nothing else: the new `Arc`
         // is allocated before it is taken, and the displaced epoch — the
         // last reference to it, when no reader holds one — is freed after
         // it is released, so no reader's `load` waits on the allocator.
-        drop(swap_if_newer(&self.inner, Arc::new(snap), |new, cur| {
-            new.epoch() > cur.epoch()
+        drop(swap_if_newer(&self.inner, PublishedEpoch::new(snap), |new, cur| {
+            new.snap.epoch() > cur.snap.epoch()
         }));
         // The snapshot is visible before the watch moves, so a waiter
         // released by this publish always loads an epoch ≥ what it
@@ -136,6 +181,30 @@ fn swap_if_newer<T>(
         std::mem::replace(&mut *cur, new)
     } else {
         new
+    }
+}
+
+/// The `result` member of a success reply.
+enum Reply {
+    /// A tree the reply writer renders.
+    Tree(Json),
+    /// A result object the op wrote itself: `head`, then — for a
+    /// whole-report `report_slack` — the epoch's shared image.
+    Text {
+        head: String,
+        image: Option<Arc<str>>,
+    },
+}
+
+/// Renders a dispatch outcome as a response body under its envelope: the
+/// request id and the published epoch at reply time.
+fn render(id: u64, epoch: u64, outcome: Result<Reply, ErrReply>) -> String {
+    match outcome {
+        Ok(Reply::Tree(result)) => ok_response(id, epoch, result),
+        Ok(Reply::Text { head, image }) => {
+            ok_response_text(id, epoch, &[&head, image.as_deref().unwrap_or("")])
+        }
+        Err(e) => err_response(id, epoch, e.code, &e.message, e.retry_after_ms),
     }
 }
 
@@ -247,6 +316,11 @@ impl Server {
 
     /// The currently published snapshot.
     pub fn snapshot(&self) -> Arc<TimingSnapshot> {
+        Arc::clone(&self.shared.cell.load().snap)
+    }
+
+    /// The currently published epoch: the snapshot and its wire image.
+    pub fn published(&self) -> Arc<PublishedEpoch> {
         self.shared.cell.load()
     }
 
@@ -277,7 +351,7 @@ impl Server {
                     // Frame sync is lost: reply once (best effort), close.
                     sh.counters.rejected_protocol.fetch_add(1, Ordering::Relaxed);
                     self.record_incident(0, code::PROTOCOL, &e.to_string());
-                    let epoch = sh.cell.load().epoch();
+                    let epoch = sh.cell.epoch();
                     let _ = write_frame(
                         &mut writer,
                         &err_response(0, epoch, code::PROTOCOL, &e.to_string(), None),
@@ -330,6 +404,10 @@ impl Server {
                     // Connection threads want blocking reads — only the
                     // accept itself polls.
                     stream.set_nonblocking(false)?;
+                    // Replies leave as they are written. A refusal costs
+                    // latency, not correctness, and is no reason to stop
+                    // accepting.
+                    let _ = stream.set_nodelay(true);
                     let peer = stream.try_clone()?;
                     let server = self.clone();
                     std::thread::spawn(move || server.handle_connection(peer, stream));
@@ -378,7 +456,7 @@ impl Server {
                 let code = if e.id == 0 { code::PROTOCOL } else { code::BAD_REQUEST };
                 sh.counters.rejected_protocol.fetch_add(1, Ordering::Relaxed);
                 self.record_incident(e.id, code, &e.message);
-                let epoch = sh.cell.load().epoch();
+                let epoch = sh.cell.epoch();
                 return (err_response(e.id, epoch, code, &e.message, None), false);
             }
         };
@@ -392,7 +470,7 @@ impl Server {
                 );
                 sh.counters.rejected_protocol.fetch_add(1, Ordering::Relaxed);
                 self.record_incident(req.id, code::VERSION_MISMATCH, &msg);
-                let epoch = sh.cell.load().epoch();
+                let epoch = sh.cell.epoch();
                 return (
                     err_response(req.id, epoch, code::VERSION_MISMATCH, &msg, None),
                     false,
@@ -400,7 +478,7 @@ impl Server {
             }
         }
         let outcome = self.admit_and_execute(&req);
-        let epoch = sh.cell.load().epoch();
+        let epoch = sh.cell.epoch();
         let ok = outcome.is_ok();
         lock(&sh.journal).event(
             req.op.name(),
@@ -411,16 +489,10 @@ impl Server {
                 ("epoch", epoch as f64),
             ],
         );
-        match outcome {
-            Ok(result) => (ok_response(req.id, epoch, result), req.op == Op::Shutdown),
-            Err(e) => {
-                self.note_failure(&req, &e);
-                (
-                    err_response(req.id, epoch, e.code, &e.message, e.retry_after_ms),
-                    false,
-                )
-            }
+        if let Err(e) = &outcome {
+            self.note_failure(&req, e);
         }
+        (render(req.id, epoch, outcome), req.op == Op::Shutdown && ok)
     }
 
     /// Counts and records a typed failure (satellite: every server-side
@@ -439,7 +511,7 @@ impl Server {
         self.record_incident(req.id, e.code, &e.message);
     }
 
-    fn admit_and_execute(&self, req: &Request) -> Result<Json, ErrReply> {
+    fn admit_and_execute(&self, req: &Request) -> Result<Reply, ErrReply> {
         let sh = &self.shared;
         let kind = req.op.kind();
         if sh.shutdown.is_cancelled() && req.op != Op::Shutdown {
@@ -507,32 +579,33 @@ impl Server {
         result
     }
 
-    fn execute(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Json, ErrReply> {
-        match req.op {
-            Op::Ping => Ok(obj([
+    fn execute(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Reply, ErrReply> {
+        let tree = match req.op {
+            Op::Ping => obj([
                 ("pong", Json::Bool(true)),
                 ("version", PROTOCOL_VERSION.to_json()),
-            ])),
-            Op::Stats => Ok(self.stats()),
-            Op::ReportSlack => self.report_slack(req, deadline),
-            Op::ReportAt => self.report_at(req),
-            Op::PerfReport => Ok(self.shared.cell.load().perf_report().to_json()),
-            Op::Incidents => Ok(self.incidents()),
-            Op::Journal => Ok(Json::Str(lock(&self.shared.journal).export_jsonl())),
-            Op::Update | Op::Propagate => self.write_epoch(req, deadline),
-            Op::Batch => self.batch(req, deadline),
-            Op::Gradient => self.gradient(req, deadline),
+            ]),
+            Op::Stats => self.stats(),
+            Op::ReportSlack => return self.report_slack(req, deadline),
+            Op::ReportAt => return self.report_at(req),
+            Op::PerfReport => self.snapshot().perf_report().to_json(),
+            Op::Incidents => self.incidents(),
+            Op::Journal => Json::Str(lock(&self.shared.journal).export_jsonl()),
+            Op::Update | Op::Propagate => self.write_epoch(req, deadline)?,
+            Op::Batch => self.batch(req, deadline)?,
+            Op::Gradient => self.gradient(req, deadline)?,
             Op::Shutdown => {
                 self.shared.shutdown.cancel();
-                Ok(obj([("stopping", Json::Bool(true))]))
+                obj([("stopping", Json::Bool(true))])
             }
             Op::DebugStall => {
                 let ms = req.params.get::<u64>("ms").unwrap_or(10).min(10_000);
                 std::thread::sleep(Duration::from_millis(ms));
-                Ok(obj([("stalled_ms", ms.to_json())]))
+                obj([("stalled_ms", ms.to_json())])
             }
             Op::DebugPanic => panic!("debug_panic requested by request {}", req.id),
-        }
+        };
+        Ok(Reply::Tree(tree))
     }
 
     /// Engine + service counters, tier, and ring occupancy (satellite:
@@ -540,7 +613,7 @@ impl Server {
     fn stats(&self) -> Json {
         self.drain_durability_incidents();
         let sh = &self.shared;
-        let snap = sh.cell.load();
+        let snap = self.snapshot();
         let ec = snap.counters();
         let engine = obj([
             ("epoch", ec.epoch.to_json()),
@@ -627,10 +700,10 @@ impl Server {
         &self,
         min_epoch: u64,
         deadline: Option<&Deadline>,
-    ) -> Result<(Arc<TimingSnapshot>, bool), ErrReply> {
+    ) -> Result<(Arc<PublishedEpoch>, bool), ErrReply> {
         let sh = &self.shared;
         let snap = sh.cell.load();
-        if snap.epoch() >= min_epoch {
+        if snap.snap.epoch() >= min_epoch {
             return Ok((snap, false));
         }
         if sh.admission.tier() >= Tier::SnapshotOnly {
@@ -658,54 +731,25 @@ impl Server {
             format!(
                 "epoch {min_epoch} not committed within the wait budget \
                  (published epoch {})",
-                sh.cell.load().epoch()
+                sh.cell.epoch()
             ),
         ))
     }
 
-    fn report_slack(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Json, ErrReply> {
+    fn report_slack(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Reply, ErrReply> {
         let min_epoch = req.params.get::<u64>("min_epoch").unwrap_or(0);
-        let (snap, degraded) = self.resolve_snapshot(min_epoch, deadline)?;
-        let report = snap.report().ok_or_else(|| {
-            ErrReply::new(
-                code::BAD_REQUEST,
-                "no committed report yet; send a propagate request first",
-            )
-        })?;
-        let slacks: Vec<Json> = match req.params.field("endpoints") {
-            Ok(eps) => {
-                let idx = eps
-                    .as_arr()
-                    .map_err(|e| ErrReply::new(code::BAD_REQUEST, format!("endpoints: {e}")))?;
-                let mut out = Vec::with_capacity(idx.len());
-                for j in idx {
-                    let i = j
-                        .as_u64()
-                        .map_err(|e| ErrReply::new(code::BAD_REQUEST, format!("endpoints: {e}")))?
-                        as usize;
-                    let s = report.slacks.get(i).ok_or_else(|| {
-                        ErrReply::new(
-                            code::BAD_REQUEST,
-                            format!("endpoint {i} out of range ({} endpoints)", report.slacks.len()),
-                        )
-                    })?;
-                    out.push(s.to_json());
-                }
-                out
-            }
-            Err(_) => report.slacks.iter().map(|s| s.to_json()).collect(),
-        };
-        Ok(obj([
-            ("epoch", snap.epoch().to_json()),
-            ("degraded", Json::Bool(degraded)),
-            ("wns_ps", report.wns_ps.to_json()),
-            ("tns_ps", report.tns_ps.to_json()),
-            ("n_violations", (report.n_violations as u64).to_json()),
-            ("slacks", Json::Arr(slacks)),
-        ]))
+        let (epoch, degraded) = self.resolve_snapshot(min_epoch, deadline)?;
+        slack_reply(
+            epoch.snap.epoch(),
+            epoch.snap.report(),
+            &epoch.slack_image,
+            degraded,
+            req.params.field("endpoints").ok(),
+            &self.shared.counters,
+        )
     }
 
-    fn report_at(&self, req: &Request) -> Result<Json, ErrReply> {
+    fn report_at(&self, req: &Request) -> Result<Reply, ErrReply> {
         let bad = |m: String| ErrReply::new(code::BAD_REQUEST, m);
         // Node ids are u32 on the engine side: a wider integer is refused,
         // never narrowed onto some other node.
@@ -719,13 +763,19 @@ impl Server {
             Ok(Ok(rf @ 0..=1)) => rf as usize,
             Ok(_) => return Err(bad("rf: want 0 (rise) or 1 (fall)".into())),
         };
-        let snap = self.shared.cell.load();
-        let arrival = snap.arrival_at(node, rf);
-        Ok(obj([
-            ("epoch", snap.epoch().to_json()),
-            ("reached", Json::Bool(arrival.is_some())),
-            ("arrival", arrival.map_or(Json::Null, |a| a.to_json())),
-        ]))
+        let epoch = self.shared.cell.load();
+        let mut head = String::with_capacity(80);
+        head.push_str("{\"epoch\":");
+        write_f64(epoch.snap.epoch() as f64, &mut head);
+        match epoch.snap.arrival_at(node, rf) {
+            Some(arrival) => {
+                head.push_str(",\"reached\":true,\"arrival\":");
+                write_f64(arrival, &mut head);
+            }
+            None => head.push_str(",\"reached\":false,\"arrival\":null"),
+        }
+        head.push('}');
+        Ok(Reply::Text { head, image: None })
     }
 
     /// The writer path: `update` (apply deltas) or `propagate` (full
@@ -784,11 +834,11 @@ impl Server {
             }
         }
         let epoch = session.commit().map_err(map_engine_err)?;
-        let snap = eng.snapshot();
+        let snap = Arc::new(eng.snapshot());
         // Publish before releasing the writer lock: commit order and
         // publication order must agree, or a preempted writer could
         // publish its older epoch over a successor's newer one.
-        sh.cell.publish(snap);
+        sh.cell.publish(Arc::clone(&snap));
         if let Some(dur) = &sh.durability {
             // Checkpoint cadence, still under the writer lock so the
             // captured state is exactly the epoch just published. Only the
@@ -796,7 +846,7 @@ impl Server {
             // on the commits the cadence selects; encoding and every byte
             // of checkpoint I/O belong to the layer's background writer.
             if dur.checkpoint_due() {
-                dur.submit_checkpoint(EngineDurableState::capture(&eng), sh.cell.load());
+                dur.submit_checkpoint(EngineDurableState::capture(&eng), snap);
             }
         }
         drop(eng);
@@ -956,6 +1006,93 @@ impl Server {
     }
 }
 
+/// The `report_slack` result for one resolved epoch: the per-request head
+/// (`epoch`, `degraded`) over the epoch's shared `image` for the whole
+/// report, or over the members written afresh for an `endpoints` subset.
+/// Takes the epoch's parts, not a [`PublishedEpoch`], so that a test can
+/// hand it a report no engine would produce.
+fn slack_reply(
+    epoch: u64,
+    report: Option<&InstaReport>,
+    image: &OnceLock<Arc<str>>,
+    degraded: bool,
+    endpoints: Option<&Json>,
+    counters: &ServeCounters,
+) -> Result<Reply, ErrReply> {
+    let report = report.ok_or_else(|| {
+        ErrReply::new(
+            code::BAD_REQUEST,
+            "no committed report yet; send a propagate request first",
+        )
+    })?;
+    let mut head = String::with_capacity(64);
+    head.push_str("{\"epoch\":");
+    write_f64(epoch as f64, &mut head);
+    head.push_str(if degraded {
+        ",\"degraded\":true,"
+    } else {
+        ",\"degraded\":false,"
+    });
+    let Some(endpoints) = endpoints else {
+        // Every whole-report read of an epoch sends the same bytes: the
+        // first one writes them and the rest share them.
+        let mut built = false;
+        let image = image.get_or_init(|| {
+            built = true;
+            let mut text = String::with_capacity(96 + 20 * report.slacks.len());
+            write_slack_members(&mut text, report, &report.slacks);
+            text.into()
+        });
+        ServeCounters::bump(if built {
+            &counters.slack_images_built
+        } else {
+            &counters.slack_image_hits
+        });
+        return Ok(Reply::Text {
+            head,
+            image: Some(Arc::clone(image)),
+        });
+    };
+    let bad = |m: String| ErrReply::new(code::BAD_REQUEST, m);
+    let idx = endpoints
+        .as_arr()
+        .map_err(|e| bad(format!("endpoints: {e}")))?;
+    let mut picked = Vec::with_capacity(idx.len());
+    for j in idx {
+        let i = j.as_u64().map_err(|e| bad(format!("endpoints: {e}")))? as usize;
+        picked.push(*report.slacks.get(i).ok_or_else(|| {
+            bad(format!(
+                "endpoint {i} out of range ({} endpoints)",
+                report.slacks.len()
+            ))
+        })?);
+    }
+    write_slack_members(&mut head, report, &picked);
+    Ok(Reply::Text { head, image: None })
+}
+
+/// Writes the report's members of a `report_slack` result object and
+/// closes it: `"wns_ps":W,"tns_ps":T,"n_violations":N,"slacks":[…]}`, with
+/// `slacks` the whole report's or a request's subset. Every number goes
+/// through the tree writer's [`write_f64`], so the text is what rendering
+/// the same members as a [`Json`] tree would give.
+fn write_slack_members(out: &mut String, report: &InstaReport, slacks: &[f64]) {
+    out.push_str("\"wns_ps\":");
+    write_f64(report.wns_ps, out);
+    out.push_str(",\"tns_ps\":");
+    write_f64(report.tns_ps, out);
+    out.push_str(",\"n_violations\":");
+    write_f64(report.n_violations as f64, out);
+    out.push_str(",\"slacks\":[");
+    for (i, s) in slacks.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_f64(*s, out);
+    }
+    out.push_str("]}");
+}
+
 /// Maps a typed engine error onto the wire: a cooperative cancellation is
 /// the deadline doing its job (the session already rolled back); anything
 /// else is surfaced with its category.
@@ -1097,5 +1234,386 @@ mod tests {
         assert_eq!(cell.read().unwrap().epoch, 3);
         // Let the last probe go without looking at a cell that is gone.
         *slot.write().unwrap() = None;
+    }
+}
+
+#[cfg(test)]
+mod reply_identity {
+    //! Reply byte identity: the image-splicing reply writer against the
+    //! tree-building encoder it replaced, which lives on here — and only
+    //! here — as the oracle. For one snapshot and one request the two must
+    //! agree on every byte, and [`Client::read_response`] must decode both to
+    //! equal [`Response`](crate::client::Response)s.
+
+    use super::*;
+    use crate::client::{Client, Response};
+    use crate::protocol::tree_oracle;
+    use insta_engine::InstaConfig;
+    use insta_netlist::generator::{generate_design, GeneratorConfig};
+    use insta_refsta::{RefSta, StaConfig};
+    use insta_support::prop::{for_all, Config, Shrink};
+    use insta_support::{prop_assert, prop_assert_eq, Rng};
+
+    // ---- The oracle: the encoders as they were before the image ------------
+
+    fn tree_report_slack(
+        epoch: u64,
+        report: Option<&InstaReport>,
+        degraded: bool,
+        endpoints: Option<&Json>,
+    ) -> Result<Json, ErrReply> {
+        let report = report.ok_or_else(|| {
+            ErrReply::new(
+                code::BAD_REQUEST,
+                "no committed report yet; send a propagate request first",
+            )
+        })?;
+        let slacks: Vec<Json> = match endpoints {
+            Some(eps) => {
+                let idx = eps
+                    .as_arr()
+                    .map_err(|e| ErrReply::new(code::BAD_REQUEST, format!("endpoints: {e}")))?;
+                let mut out = Vec::with_capacity(idx.len());
+                for j in idx {
+                    let i = j
+                        .as_u64()
+                        .map_err(|e| ErrReply::new(code::BAD_REQUEST, format!("endpoints: {e}")))?
+                        as usize;
+                    let s = report.slacks.get(i).ok_or_else(|| {
+                        ErrReply::new(
+                            code::BAD_REQUEST,
+                            format!(
+                                "endpoint {i} out of range ({} endpoints)",
+                                report.slacks.len()
+                            ),
+                        )
+                    })?;
+                    out.push(s.to_json());
+                }
+                out
+            }
+            None => report.slacks.iter().map(|s| s.to_json()).collect(),
+        };
+        Ok(obj([
+            ("epoch", epoch.to_json()),
+            ("degraded", Json::Bool(degraded)),
+            ("wns_ps", report.wns_ps.to_json()),
+            ("tns_ps", report.tns_ps.to_json()),
+            ("n_violations", (report.n_violations as u64).to_json()),
+            ("slacks", Json::Arr(slacks)),
+        ]))
+    }
+
+    fn tree_report_at(snap: &TimingSnapshot, node: u32, rf: usize) -> Json {
+        let arrival = snap.arrival_at(node, rf);
+        obj([
+            ("epoch", snap.epoch().to_json()),
+            ("reached", Json::Bool(arrival.is_some())),
+            ("arrival", arrival.map_or(Json::Null, |a| a.to_json())),
+        ])
+    }
+
+    fn tree_body(id: u64, epoch: u64, outcome: Result<Json, ErrReply>) -> String {
+        match outcome {
+            Ok(result) => tree_oracle::ok_response(id, epoch, result),
+            Err(e) => {
+                tree_oracle::err_response(id, epoch, e.code, &e.message, e.retry_after_ms)
+            }
+        }
+    }
+
+    // ---- Generated reports through the reply writer ------------------------
+
+    fn decoded(body: &str) -> Response {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, body).expect("a Vec takes every write");
+        Client::new(&frame[..], std::io::sink())
+            .read_response()
+            .unwrap_or_else(|e| panic!("undecodable reply {body:?}: {e}"))
+    }
+
+    /// One request against one epoch, none of it constrained to what an
+    /// engine would produce.
+    #[derive(Debug, Clone)]
+    struct Case {
+        id: u64,
+        envelope_epoch: u64,
+        epoch: u64,
+        degraded: bool,
+        report: Option<InstaReport>,
+        endpoints: Option<Json>,
+    }
+
+    impl Shrink for Case {}
+
+    fn any_f64(rng: &mut Rng) -> f64 {
+        match rng.gen_range(0u32..8) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            // Every bit pattern: subnormals, huge exponents, more NaNs.
+            4 => f64::from_bits(rng.next_u64()),
+            5 => rng.gen_range(0u32..8000) as f64 - 4000.0,
+            _ => rng.gen_range(-2500.0..2500.0),
+        }
+    }
+
+    fn any_case(rng: &mut Rng) -> Case {
+        let epoch = match rng.gen_range(0u32..4) {
+            0 => 0,
+            1 => (1 << 53) + rng.gen_range(0u64..1000),
+            _ => rng.gen_range(0u64..100_000),
+        };
+        let report = rng.gen_bool(0.9).then(|| {
+            let n = if rng.gen_bool(0.15) {
+                0
+            } else {
+                rng.gen_range(1usize..48)
+            };
+            InstaReport {
+                wns_ps: any_f64(rng),
+                tns_ps: any_f64(rng),
+                n_violations: rng.gen_range(0usize..=n),
+                slacks: (0..n).map(|_| any_f64(rng)).collect(),
+                arrivals: vec![0.0; n],
+                requireds: vec![0.0; n],
+                worst_sp: vec![0; n],
+                worst_rf: vec![0; n],
+            }
+        });
+        let n = report.as_ref().map_or(0, |r| r.slacks.len()) as u64;
+        let endpoints = match rng.gen_range(0u32..6) {
+            0 | 1 => None,
+            // Not an array at all.
+            2 => Some(7.0_f64.to_json()),
+            _ => {
+                let len = rng.gen_range(0usize..12);
+                let items = (0..len)
+                    .map(|_| match rng.gen_range(0u32..16) {
+                        0 => n.to_json(),
+                        1 => ((1u64 << 32) + 1).to_json(),
+                        2 => Json::Num(1.5),
+                        3 => Json::Num(-1.0),
+                        4 => Json::Str("0".into()),
+                        _ => rng.gen_range(0..n.max(1)).to_json(),
+                    })
+                    .collect();
+                Some(Json::Arr(items))
+            }
+        };
+        Case {
+            id: rng.gen_range(1u64..1 << 40),
+            envelope_epoch: epoch + rng.gen_range(0u64..3),
+            epoch,
+            degraded: rng.gen_bool(0.5),
+            report,
+            endpoints,
+        }
+    }
+
+    #[test]
+    fn generated_report_slack_replies_equal_the_tree_encoders_bytes() {
+        for_all(Config::cases(600), any_case, |c| {
+            let oracle = tree_body(
+                c.id,
+                c.envelope_epoch,
+                tree_report_slack(c.epoch, c.report.as_ref(), c.degraded, c.endpoints.as_ref()),
+            );
+            let image = OnceLock::new();
+            let counters = ServeCounters::default();
+            // Twice: the whole-report form builds the image, then shares it.
+            for read in ["first", "second"] {
+                let reply = slack_reply(
+                    c.epoch,
+                    c.report.as_ref(),
+                    &image,
+                    c.degraded,
+                    c.endpoints.as_ref(),
+                    &counters,
+                );
+                let body = render(c.id, c.envelope_epoch, reply);
+                prop_assert!(
+                    body == oracle,
+                    "read {read}:\n   got {body}\n want {oracle}"
+                );
+                prop_assert_eq!(decoded(&body), decoded(&oracle));
+            }
+            let whole = c.report.is_some() && c.endpoints.is_none();
+            let count = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
+            prop_assert_eq!(count(&counters.slack_images_built), u64::from(whole));
+            prop_assert_eq!(count(&counters.slack_image_hits), u64::from(whole));
+            prop_assert!(image.get().is_some() == whole, "an image nobody asked for");
+            Ok(())
+        });
+    }
+
+    // ---- A real daemon: every op's reply, resolved epochs included ---------
+
+    fn engine(seed: u64, propagate: bool) -> InstaEngine {
+        let design = generate_design(&GeneratorConfig::small("reply-identity", seed));
+        let mut sta = RefSta::new(&design, StaConfig::default()).expect("reference STA");
+        sta.full_update(&design);
+        let cfg = InstaConfig {
+            top_k: 4,
+            ..InstaConfig::default()
+        };
+        let mut engine = InstaEngine::new(sta.export_insta_init(), cfg).expect("engine init");
+        if propagate {
+            engine.propagate();
+        }
+        engine
+    }
+
+    fn request(id: u64, op: Op, params: Json) -> Request {
+        Request {
+            id,
+            op,
+            deadline_ms: None,
+            version: Some(PROTOCOL_VERSION),
+            params,
+        }
+    }
+
+    /// What the tree encoder replies to a read against the server's current
+    /// epoch (`degraded` as the caller arranged it).
+    fn tree_reply(server: &Server, req: &Request, degraded: bool) -> String {
+        let snap = server.snapshot();
+        let outcome = match req.op {
+            Op::ReportSlack => tree_report_slack(
+                snap.epoch(),
+                snap.report(),
+                degraded,
+                req.params.field("endpoints").ok(),
+            ),
+            Op::ReportAt => Ok(tree_report_at(
+                &snap,
+                req.params.get("node").expect("a valid node"),
+                req.params.get::<usize>("rf").unwrap_or(0),
+            )),
+            other => panic!("no oracle for {}", other.name()),
+        };
+        tree_body(req.id, snap.epoch(), outcome)
+    }
+
+    fn served(server: &Server, req: &Request) -> String {
+        server.handle_request(req.encode().as_bytes()).0
+    }
+
+    #[test]
+    fn a_daemons_read_replies_equal_the_tree_encoders_bytes() {
+        let server = Server::new(engine(5, true), ServeConfig::default());
+        let n = server.snapshot().num_endpoints() as u64;
+        assert!(n > 2);
+        let mut id = 0;
+        let mut check = |op: Op, params: Json| {
+            id += 1;
+            let req = request(id, op, params);
+            let (body, oracle) = (served(&server, &req), tree_reply(&server, &req, false));
+            assert_eq!(body, oracle, "{} #{id}", op.name());
+            assert_eq!(decoded(&body), decoded(&oracle));
+        };
+        let endpoints = |idx: &[u64]| obj([("endpoints", idx.to_vec().to_json())]);
+        check(Op::ReportSlack, Json::Null);
+        check(Op::ReportSlack, Json::Null);
+        check(Op::ReportSlack, obj([("min_epoch", 0u64.to_json())]));
+        check(Op::ReportSlack, endpoints(&[0, n - 1, 1, 1]));
+        check(Op::ReportSlack, endpoints(&[]));
+        check(Op::ReportSlack, endpoints(&[0, n]));
+        check(Op::ReportSlack, endpoints(&[(1 << 32) + 1]));
+        for node in 0..40u64 {
+            check(Op::ReportAt, obj([("node", node.to_json())]));
+            check(
+                Op::ReportAt,
+                obj([("node", node.to_json()), ("rf", 1u64.to_json())]),
+            );
+        }
+        let reached = |rf: u64| {
+            (0..40u64).any(|node| {
+                let params = obj([("node", node.to_json()), ("rf", rf.to_json())]);
+                decoded(&served(&server, &request(99, Op::ReportAt, params)))
+                    .result
+                    .get::<bool>("reached")
+                    .expect("reached")
+            })
+        };
+        assert!(reached(0) && reached(1), "some probed node must be reached");
+        // An unknown node is unreached, not an error.
+        check(Op::ReportAt, obj([("node", 4_000_000u64.to_json())]));
+    }
+
+    #[test]
+    fn no_report_yet_is_the_same_typed_refusal() {
+        let server = Server::new(engine(6, false), ServeConfig::default());
+        assert!(server.snapshot().report().is_none());
+        for params in [Json::Null, obj([("endpoints", vec![0u64].to_json())])] {
+            let req = request(3, Op::ReportSlack, params);
+            let body = served(&server, &req);
+            assert_eq!(body, tree_reply(&server, &req, false));
+            assert_eq!(decoded(&body).code(), Some(code::BAD_REQUEST));
+        }
+        assert!(server.published().slack_image().is_none());
+    }
+
+    #[test]
+    fn a_degraded_read_and_a_min_epoch_wait_splice_the_same_image() {
+        let cfg = ServeConfig {
+            max_inflight: 1,
+            shed_pressure: 1,
+            snapshot_only_pressure: 2,
+            pressure_decay_ms: 0,
+            ..ServeConfig::default()
+        };
+        let server = Server::new(engine(7, true), cfg);
+        let fresh = request(1, Op::ReportSlack, Json::Null);
+        assert_eq!(served(&server, &fresh), tree_reply(&server, &fresh, false));
+
+        // A rejection storm walks the gate to `SnapshotOnly`: a read that asks
+        // for an epoch nobody committed is answered at once, flagged.
+        let gate = &server.shared.admission;
+        let hold = gate.try_admit(OpKind::Read).expect("a free slot");
+        for _ in 0..3 {
+            assert!(gate.try_admit(OpKind::Read).is_err());
+        }
+        drop(hold);
+        assert_eq!(server.tier(), Tier::SnapshotOnly);
+        let stale = request(2, Op::ReportSlack, obj([("min_epoch", 9u64.to_json())]));
+        let body = served(&server, &stale);
+        assert_eq!(body, tree_reply(&server, &stale, true));
+        assert!(decoded(&body).result.get::<bool>("degraded").expect("flag"));
+        let image = Arc::clone(server.published().slack_image().expect("built once"));
+        assert_eq!(
+            server.counters().slack_images_built.load(Ordering::Relaxed),
+            1
+        );
+        assert_eq!(
+            server.counters().slack_image_hits.load(Ordering::Relaxed),
+            1
+        );
+
+        // A healthy gate honours the wait: the read blocks until a commit
+        // publishes epoch 1, and answers from *that* epoch's image.
+        let server = Server::new(engine(7, true), ServeConfig::default());
+        let wait = request(4, Op::ReportSlack, obj([("min_epoch", 1u64.to_json())]));
+        let body = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| served(&server, &wait));
+            let deltas = (0..24u64)
+                .map(|arc| {
+                    obj([
+                        ("arc", arc.to_json()),
+                        ("mean", [300.0, 300.0].to_json()),
+                        ("sigma", [5.0, 5.0].to_json()),
+                    ])
+                })
+                .collect();
+            let commit = request(5, Op::Update, obj([("deltas", Json::Arr(deltas))]));
+            assert!(decoded(&served(&server, &commit)).ok);
+            reader.join().expect("the waiting reader")
+        });
+        assert_eq!(server.snapshot().epoch(), 1);
+        assert_eq!(body, tree_reply(&server, &wait, false));
+        let after = server.published();
+        let waited = after.slack_image().expect("the waiter built epoch 1's");
+        assert_ne!(**waited, *image, "the commit moved some slack");
     }
 }

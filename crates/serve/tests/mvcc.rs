@@ -217,6 +217,138 @@ fn a_pinned_epoch_keeps_its_rows_while_later_commits_rewrite_chunks() {
     wh.join().expect("connection thread");
 }
 
+/// An epoch's wire image under contention: 8 readers take whole reports
+/// as raw frames while a writer publishes 200 epochs, each only after the
+/// one before was read. Every reply that carries result epoch E carries
+/// the same bytes — the slack bits the writer saw commit — no reader's
+/// epochs go back, each epoch's image is written once however many
+/// readers race for it, and an image dies with its epoch.
+#[test]
+fn racing_readers_share_one_image_per_epoch_and_it_dies_with_the_epoch() {
+    use insta_serve::protocol::{read_frame, write_frame};
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const RACERS: usize = 8;
+    const EPOCHS: u64 = 200;
+
+    let server = Server::new(build_engine(SEED, K), ServeConfig::default());
+    let stop = AtomicBool::new(false);
+    let bits_of = |server: &Server| -> Vec<u64> {
+        let snap = server.snapshot();
+        let report = snap.report().expect("a propagated engine");
+        report.slacks.iter().map(|s| s.to_bits()).collect()
+    };
+    // Blocks until some reader has asked for the published epoch's image,
+    // so every epoch is one that was read.
+    let image_once_read = |server: &Server| loop {
+        if let Some(image) = server.published().slack_image() {
+            return std::sync::Arc::downgrade(image);
+        }
+        std::thread::yield_now();
+    };
+
+    let (seen, reads, truth, epochs, images) = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..RACERS)
+            .map(|r| {
+                let (server, stop) = (&server, &stop);
+                scope.spawn(move || {
+                    let (ours, theirs) = std::os::unix::net::UnixStream::pair().expect("pair");
+                    let conn = scope.spawn(move || {
+                        let reader = theirs.try_clone().expect("clone server half");
+                        server.handle_connection(reader, theirs);
+                    });
+                    let mut from = std::io::BufReader::new(ours.try_clone().expect("clone"));
+                    let mut to = ours;
+                    // Epoch → the result text it was first seen with.
+                    let mut seen = BTreeMap::<u64, String>::new();
+                    let (mut last, mut reads) = (0, 0u64);
+                    while !stop.load(Ordering::Acquire) {
+                        // The same request bytes every time: only the
+                        // envelope's epoch may differ between two replies
+                        // that carry the same result epoch.
+                        write_frame(&mut to, r#"{"id":7,"op":"report_slack"}"#).expect("send");
+                        let body = read_frame(&mut from, 1 << 24).expect("reply frame");
+                        let body = String::from_utf8(body).expect("UTF-8 reply");
+                        let (envelope, result) =
+                            body.split_once(r#""result":"#).expect("a success reply");
+                        let doc = insta_support::json::parse(&body).expect("JSON reply");
+                        let epoch = doc.field("result").unwrap().get::<u64>("epoch").unwrap();
+                        assert!(epoch >= last, "reader {r}: epoch {last} -> {epoch}");
+                        assert!(doc.get::<u64>("epoch").unwrap() >= epoch, "{envelope}");
+                        last = epoch;
+                        reads += 1;
+                        let first = seen.entry(epoch).or_insert_with(|| result.to_owned());
+                        assert_eq!(first, result, "reader {r}: epoch {epoch} changed bytes");
+                    }
+                    drop((from, to));
+                    conn.join().expect("connection thread");
+                    (seen, reads)
+                })
+            })
+            .collect();
+
+        let (mut writer, wh) = connect(&server);
+        let mut truth = vec![bits_of(&server)];
+        let mut epochs = vec![std::sync::Arc::downgrade(&server.published())];
+        let mut images = vec![image_once_read(&server)];
+        for i in 0..EPOCHS {
+            let mean = 45.0 + (i % 40) as f64;
+            let delta = obj([
+                ("arc", (i % 5).to_json()),
+                ("mean", Json::Arr(vec![mean.to_json(), mean.to_json()])),
+                ("sigma", Json::Arr(vec![4.5.to_json(), 4.5.to_json()])),
+            ]);
+            let up = writer
+                .call(Op::Update, None, obj([("deltas", Json::Arr(vec![delta]))]))
+                .expect("writer update");
+            assert!(up.ok, "{:?}", up.error);
+            truth.push(bits_of(&server));
+            epochs.push(std::sync::Arc::downgrade(&server.published()));
+            images.push(image_once_read(&server));
+        }
+        stop.store(true, Ordering::Release);
+        let mut seen = Vec::new();
+        let mut reads = 0;
+        for reader in readers {
+            let (s, n) = reader.join().expect("reader thread");
+            seen.push(s);
+            reads += n;
+        }
+        drop(writer);
+        wh.join().expect("writer connection");
+        (seen, reads, truth, epochs, images)
+    });
+
+    // One text per epoch across all readers, and it is the committed bits.
+    let mut texts = BTreeMap::<u64, String>::new();
+    for (epoch, text) in seen.into_iter().flatten() {
+        let first = texts.entry(epoch).or_insert_with(|| text.clone());
+        assert_eq!(*first, text, "two readers saw epoch {epoch} differently");
+    }
+    assert_eq!(texts.len() as u64, EPOCHS + 1, "every epoch was read");
+    for (epoch, text) in &texts {
+        let result = insta_support::json::parse(text.strip_suffix('}').expect("envelope end"))
+            .expect("result object");
+        assert_eq!(slack_bits(&result), truth[*epoch as usize], "epoch {epoch}");
+    }
+    assert!(truth.windows(2).any(|w| w[0] != w[1]), "commits must move slack");
+
+    // Built once per epoch read, shared by every other read.
+    let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+    let counters = server.counters();
+    assert_eq!(count(&counters.slack_images_built), EPOCHS + 1);
+    assert_eq!(count(&counters.slack_image_hits), reads - (EPOCHS + 1));
+
+    // Only the current epoch and its image are alive.
+    let current = server.published();
+    for (epoch, (e, image)) in epochs.iter().zip(&images).enumerate() {
+        let live = epoch as u64 == EPOCHS;
+        assert_eq!(e.strong_count() > 0, live, "epoch {epoch}");
+        assert_eq!(image.strong_count(), usize::from(live), "epoch {epoch}'s image");
+    }
+    assert_eq!(current.snapshot().epoch(), EPOCHS);
+}
+
 /// Regression: commit order and publication order must agree. With the
 /// snapshot published *after* the writer lock was released, a preempted
 /// writer could publish its older epoch over a successor's newer one —

@@ -431,6 +431,41 @@ fn tcp_accept_loop_unblocks_on_shutdown() {
         .expect("accept loop exits cleanly");
 }
 
+/// Regression: the TCP transport stalled ~44 ms per direction. A frame
+/// left as a header write then a body write on a socket without
+/// `TCP_NODELAY`, so Nagle's algorithm held the body back until the peer's
+/// delayed ACK of the header. A frame is now one write (and accepted
+/// sockets are nodelay): a round trip over loopback takes microseconds.
+#[test]
+fn tcp_round_trips_do_not_wait_for_delayed_acks() {
+    let server = Server::new(build_engine(33, 4), ServeConfig::default());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let srv = server.clone();
+    let accept_loop = std::thread::spawn(move || srv.serve_tcp(listener));
+
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut cl = insta_serve::Client::new(stream.try_clone().unwrap(), stream);
+    let mut ms: Vec<f64> = (0..50)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            assert!(cl.call(Op::Ping, None, Json::Null).unwrap().ok);
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    assert!(
+        ms[25] < 5.0,
+        "ping p50 over loopback TCP is {:.3} ms (p10 {:.3}, p90 {:.3})",
+        ms[25],
+        ms[5],
+        ms[45]
+    );
+
+    assert!(cl.call(Op::Shutdown, None, Json::Null).unwrap().ok);
+    accept_loop.join().unwrap().expect("accept loop exits cleanly");
+}
+
 /// Regression: `Client::send_raw` must put invalid UTF-8 on the wire
 /// verbatim (it used to silently send an empty frame), and the daemon
 /// must answer it with a typed `protocol` error while keeping frame sync.

@@ -215,12 +215,14 @@ impl Json {
 
     // ---- Writer ---------------------------------------------------------
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact serialization to `out` — what `to_string()`
+    /// returns, without the formatter's intermediate copies.
+    pub fn write_to(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => write_num(*n, out),
+            Json::Num(n) => write_f64(*n, out),
             Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -228,7 +230,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    v.write(out);
+                    v.write_to(out);
                 }
                 out.push(']');
             }
@@ -240,7 +242,7 @@ impl Json {
                     }
                     write_str(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.write_to(out);
                 }
                 out.push('}');
             }
@@ -253,14 +255,17 @@ impl Json {
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write_to(&mut out);
         f.write_str(&out)
     }
 }
 
 /// Writes a float with round-trip precision; non-finite values fall back to
-/// their string spellings (read back by [`Json::as_f64`]).
-fn write_num(n: f64, out: &mut String) {
+/// their string spellings (read back by [`Json::as_f64`]). The one number
+/// format of the tree: [`Json::write_to`] calls it for every `Num`, and a
+/// writer that skips the tree calls it directly, so both spell a value —
+/// an integer carried as `f64` included (`3.0`) — with the same bytes.
+pub fn write_f64(n: f64, out: &mut String) {
     if n.is_finite() {
         // `{:?}` is Rust's shortest round-trip representation.
         let _ = write!(out, "{n:?}");
@@ -743,6 +748,19 @@ mod tests {
             let text = v.to_string();
             let back = f64::from_json(&parse(&text).expect("parse")).expect("decode");
             assert_eq!(back.to_bits(), x.to_bits());
+        }
+    }
+
+    #[test]
+    fn write_f64_is_the_trees_number_format() {
+        let xs = [0.0, -0.0, 3.0, 0.1, -12.5, 1e300, 9007199254740993.0];
+        for x in xs.into_iter().chain([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]) {
+            let mut direct = String::from("x=");
+            write_f64(x, &mut direct);
+            assert_eq!(direct, format!("x={}", x.to_json()));
+            let mut appended = String::from("x=");
+            x.to_json().write_to(&mut appended);
+            assert_eq!(appended, direct);
         }
     }
 

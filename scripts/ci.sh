@@ -31,7 +31,7 @@ echo "    mcmm-equivalence gate (corner/mode lanes bit-identical to pre-scaled, 
 echo "    validity gate (generated state machine over every annotation- and product-writing call: each read is None or a from-scratch twin's bits, current arrays take the cone path, both backends): insta-engine validity_model"
 echo "    cone-equivalence gate (session cone updates bit-identical to reannotate + full pass, rollbacks by the undo log bit-identical to never having run, arrays and report, both backends; batched calls and failed cone sessions leave the engine's bits untouched after clean, quarantined, cancelled and panicked sweeps): insta-engine cone_equivalence"
 echo "    backend-equivalence gate (trait-generic Gaussian bit-identical to the frozen kernels; histogram converges to POCV monotonically in bins): insta-engine + tests/backend_equivalence"
-echo "    server-chaos gate (protocol-fault storm: no hangs, no panics, typed errors, bit-identical post-storm commit): insta-serve"
+echo "    server-chaos gate (protocol-fault storm: no hangs, no panics, typed errors, bit-identical post-storm commit; TCP round trip: 50 pings over loopback p50 < 5 ms; reply byte identity: image-spliced replies equal the tree encoder's bytes on generated reports and a live daemon, one image per epoch read under 8 racing readers): insta-serve"
 echo "    crash-recovery gate (kill -9 chaos: every crash point + durability fault recovers the durable prefix bit-exactly, incl. a real SIGKILL of the insta-serve binary; an unreplayable record is cut out of the log and a segment the cut empties is renamed, so no rotation replaces it): insta-serve recovery"
 cargo test -q --workspace --offline
 
