@@ -121,18 +121,12 @@ pub struct InstaConfig {
     /// Top-K=1 without CPPR against Top-K=128 with it).
     pub cppr: bool,
     /// How [`InstaEngine::new`] treats the incoming snapshot: `Strict`
-    /// (validate, reject anything broken — the default), `Repair`
-    /// (validate and fix what is locally fixable), or `Trust` (skip
+    /// (validate, reject anything broken — the default) or `Trust` (skip
     /// validation entirely, zero overhead).
     pub validation: ValidationMode,
     /// When repeated incremental updates stop being trusted (see
     /// [`DriftPolicy`]).
     pub drift_policy: DriftPolicy,
-    /// Retention bound of the engine's [`IncidentLog`] ring. The default
-    /// ([`IncidentLog::CAPACITY`] = 32) suits a single optimization loop;
-    /// a long-lived daemon recording service rejections should raise it
-    /// (values are clamped to ≥ 1).
-    pub incident_log_cap: usize,
     /// Which statistical numerics backend the kernels propagate with
     /// (see [`crate::stat`]). The default is the paper's closed-form
     /// Gaussian POCV; `FixedBinHistogram` discretizes the arrival shape
@@ -149,7 +143,6 @@ impl Default for InstaConfig {
             cppr: true,
             validation: ValidationMode::Strict,
             drift_policy: DriftPolicy::default(),
-            incident_log_cap: IncidentLog::CAPACITY,
             stat_model: StatModelConfig::GaussianPocv,
         }
     }
@@ -524,8 +517,8 @@ impl InstaEngine {
     /// # Errors
     ///
     /// Returns [`InstaError::Validate`] when the configuration is invalid
-    /// (`top_k == 0` or above `u16::MAX`, non-positive `lse_tau`) or — in `Strict`/`Repair`
-    /// modes — when the snapshot violates the engine's contract (see
+    /// (`top_k == 0` or above `u16::MAX`, non-positive `lse_tau`) or — in `Strict`
+    /// mode — when the snapshot violates the engine's contract (see
     /// [`crate::validate`]). In [`ValidationMode::Trust`] the snapshot is
     /// not inspected at all and a malformed one panics exactly as before
     /// validation existed.
@@ -578,7 +571,6 @@ impl InstaEngine {
                 }
                 Some(report)
             }
-            ValidationMode::Repair => Some(validate::repair(&mut init)?),
         };
         let n = init.n_nodes;
         // Renumbering: new id = position in level-major order, refined by
@@ -713,7 +705,6 @@ impl InstaEngine {
             row_base,
         };
         let k = cfg.top_k;
-        let incident_cap = cfg.incident_log_cap;
         let state = State {
             lse_arrival: vec![f64::NEG_INFINITY; n * 2],
             lse_weight: vec![[0.0; 2]; n_exp],
@@ -728,7 +719,7 @@ impl InstaEngine {
             cfg,
             validation,
             last_incident: None,
-            incidents: IncidentLog::with_capacity(incident_cap),
+            incidents: IncidentLog::default(),
             interrupt: None,
             epoch: 0,
             drift: DriftState::default(),
@@ -764,8 +755,8 @@ impl InstaEngine {
     }
 
     /// The construction-time validation report: `None` in
-    /// [`ValidationMode::Trust`], otherwise the issues found (and, in
-    /// Repair mode, fixed) before the engine accepted the snapshot.
+    /// [`ValidationMode::Trust`], otherwise the issues (warnings only) found
+    /// before the engine accepted the snapshot.
     pub fn validation_report(&self) -> Option<&ValidationReport> {
         self.validation.as_ref()
     }
@@ -842,8 +833,7 @@ impl InstaEngine {
 
     /// The bounded history of worker-panic incidents — both recovered and
     /// fatal — across the engine's whole lifetime (capacity
-    /// [`InstaConfig::incident_log_cap`]; evictions are counted, not
-    /// lost).
+    /// [`IncidentLog::CAPACITY`]; evictions are counted, not lost).
     pub fn incident_log(&self) -> &IncidentLog {
         &self.incidents
     }
@@ -1127,27 +1117,19 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn strict_rejects_a_poisoned_snapshot_and_repair_accepts_it() {
+    fn strict_rejects_a_poisoned_snapshot() {
         let d = generate_design(&GeneratorConfig::small("eng", 7));
         let mut sta = RefSta::new(&d, StaConfig::default()).expect("build");
         sta.full_update(&d);
         let mut init = sta.export_insta_init();
         init.fanin[0].sigma[0] = -1.0;
         init.fanin[1].mean[1] = f64::NAN;
-        let err = InstaEngine::new(init.clone(), InstaConfig::default())
-            .expect_err("strict must reject");
+        let err = InstaEngine::new(init, InstaConfig::default()).expect_err("strict must reject");
         assert_eq!(err.category(), "validate");
-        let eng = InstaEngine::new(
-            init,
-            InstaConfig {
-                validation: crate::validate::ValidationMode::Repair,
-                ..InstaConfig::default()
-            },
-        )
-        .expect("repairable");
-        let report = eng.validation_report().expect("repair reports");
-        assert_eq!(report.n_repaired, report.n_repairable);
-        assert!(report.n_repaired >= 2, "{report}");
+        let crate::error::InstaError::Validate(report) = err else {
+            unreachable!("category says validate");
+        };
+        assert!(report.n_repairable >= 2, "{report}");
     }
 
     /// Regression: an interrupt armed once and reused across several

@@ -309,10 +309,9 @@ impl std::fmt::Display for Incident {
 /// A long optimization session can trip many recovered worker panics, and
 /// a long-lived daemon rejects many requests under overload; keeping only
 /// the most recent one silently overwrites history. The log keeps the
-/// newest `capacity` incidents (default [`IncidentLog::CAPACITY`],
-/// configurable via
-/// [`InstaConfig::incident_log_cap`](crate::engine::InstaConfig) or
-/// [`IncidentLog::with_capacity`]) and counts everything ever recorded,
+/// newest `capacity` incidents (the engine's: [`IncidentLog::CAPACITY`];
+/// other owners pick theirs with [`IncidentLog::with_capacity`]) and
+/// counts everything ever recorded,
 /// so `total() - len()` is the number dropped.
 #[derive(Debug, Clone)]
 pub struct IncidentLog {

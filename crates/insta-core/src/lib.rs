@@ -35,8 +35,8 @@
 //!   paper's Fig. 6 / Table I style comparisons.
 //! * [`error`] — the typed error taxonomy ([`InstaError`]) of the
 //!   untrusted-input and runtime paths.
-//! * [`validate`] — snapshot validation with Strict / Repair / Trust
-//!   modes (see DESIGN.md "Error taxonomy and failure policy").
+//! * [`validate`] — snapshot validation with Strict / Trust modes (see
+//!   DESIGN.md "Error taxonomy and failure policy").
 //! * [`session`] / [`checkpoint`] — transactional timing sessions:
 //!   copy-on-write epoch checkpoints, bit-identical rollback on poison,
 //!   cooperative per-level cancellation with deadlines, and drift-audited
@@ -57,8 +57,7 @@
 //!   that converges to POCV as bins grow (see DESIGN.md "Statistical
 //!   backends").
 //! * [`persist`] — the canonical binary codec for durable state: writer
-//!   ops, the engine's re-annotatable delay state, and snapshot images,
-//!   all bit-exact (`to_bits` floats) under the serve layer's write-ahead
+//!   ops and the engine's re-annotatable delay state, both bit-exact (`to_bits` floats) under the serve layer's write-ahead
 //!   log and checkpoints (see DESIGN.md "Durability and recovery").
 //! * [`trace`] — the observability layer: a [`TraceSink`](trace::TraceSink)
 //!   threaded through every kernel pass recording spans, per-level
@@ -119,10 +118,7 @@ pub use error::{
 };
 pub use hold::{hold_attributes, HoldAttributes};
 pub use metrics::{EngineCounters, InstaReport};
-pub use persist::{
-    decode_snapshot, encode_snapshot, encode_snapshot_into, ByteSink, Dec, Enc,
-    EngineDurableState, PersistError, WriterOp,
-};
+pub use persist::{ByteSink, Dec, Enc, EngineDurableState, PersistError, WriterOp};
 pub use session::{SessionStatus, TimingSession};
 pub use snapshot::TimingSnapshot;
 pub use stat::{FixedBinHistogram, GaussianPocv, StatBackendKind, StatModel, StatModelConfig};

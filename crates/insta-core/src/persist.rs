@@ -1,5 +1,5 @@
-//! Canonical binary codec for durable engine state: committed writer ops,
-//! the engine's re-annotatable delay state, and [`TimingSnapshot`] images.
+//! Canonical binary codec for durable engine state: committed writer ops
+//! and the engine's re-annotatable delay state.
 //!
 //! This is the serialization layer under `insta-serve`'s write-ahead log
 //! and checkpoint files (ROADMAP item 1's durability work, and the
@@ -20,15 +20,10 @@
 //!   version and decides which decoder to call.
 //!
 //! The codec lives in `insta-core` because it needs `pub(crate)` access
-//! to [`TimingSnapshot`] internals and the engine's annotation arrays;
-//! the file formats (magic, version, CRC framing, fsync discipline) live
-//! in `insta-serve::wal`.
+//! to the engine's annotation arrays; the file formats (magic, version,
+//! CRC framing, fsync discipline) live in `insta-serve::wal`.
 
 use crate::engine::InstaEngine;
-use crate::metrics::{EngineCounters, InstaReport};
-use crate::stat::StatBackendKind;
-use crate::snapshot::TimingSnapshot;
-use crate::trace::{PerfReport, PerfRow};
 use insta_refsta::eco::ArcDelta;
 use std::fmt;
 
@@ -66,16 +61,6 @@ pub enum PersistError {
         /// The decoded element count.
         got: usize,
     },
-    /// An id map that must be a permutation of `0..len` repeats a value or
-    /// holds one out of range.
-    NotPermutation {
-        /// Which array.
-        what: &'static str,
-        /// Position of the offending entry.
-        index: usize,
-        /// The repeated or out-of-range value.
-        value: u32,
-    },
     /// Trailing bytes after a complete decode — the payload is not what
     /// its framing claimed.
     TrailingBytes {
@@ -109,10 +94,6 @@ impl fmt::Display for PersistError {
                 f,
                 "durable state mismatch: {what} has {got} elements, engine expects {expected} \
                  (stale checkpoint or wrong design)"
-            ),
-            PersistError::NotPermutation { what, index, value } => write!(
-                f,
-                "persist decode: {what}[{index}] = {value} repeats a value or is out of range"
             ),
             PersistError::TrailingBytes { extra } => {
                 write!(f, "persist decode: {extra} trailing bytes after payload")
@@ -161,11 +142,6 @@ impl<S: ByteSink> Enc<S> {
         Enc { out }
     }
 
-    /// Appends a raw byte slice.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.out.put(b);
-    }
-
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.out.put(&[v]);
@@ -184,6 +160,14 @@ impl<S: ByteSink> Enc<S> {
     /// Appends an `f64` as its raw IEEE-754 bits (bit-exact, NaN-safe).
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
+    }
+
+    /// Appends a length-prefixed run of `f64`s.
+    pub fn f64s(&mut self, v: &[f64]) {
+        self.u64(v.len() as u64);
+        for &x in v {
+            self.f64(x);
+        }
     }
 }
 
@@ -259,38 +243,16 @@ impl<'a> Dec<'a> {
         }
         Ok(declared as usize)
     }
-}
 
-fn enc_f64s<S: ByteSink>(e: &mut Enc<S>, v: &[f64]) {
-    e.u64(v.len() as u64);
-    for &x in v {
-        e.f64(x);
+    /// Reads a run written by [`Enc::f64s`].
+    pub fn f64s(&mut self, what: &'static str) -> Result<Vec<f64>, PersistError> {
+        let n = self.len(8, what)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(self.f64(what)?);
+        }
+        Ok(v)
     }
-}
-
-fn dec_f64s(d: &mut Dec<'_>, what: &'static str) -> Result<Vec<f64>, PersistError> {
-    let n = d.len(8, what)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(d.f64(what)?);
-    }
-    Ok(v)
-}
-
-fn enc_u32s<S: ByteSink>(e: &mut Enc<S>, v: &[u32]) {
-    e.u64(v.len() as u64);
-    for &x in v {
-        e.u32(x);
-    }
-}
-
-fn dec_u32s(d: &mut Dec<'_>, what: &'static str) -> Result<Vec<u32>, PersistError> {
-    let n = d.len(4, what)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(d.u32(what)?);
-    }
-    Ok(v)
 }
 
 fn enc_pairs<S: ByteSink>(e: &mut Enc<S>, v: &[[f64; 2]]) {
@@ -374,245 +336,6 @@ impl WriterOp {
         d.finish()?;
         Ok(op)
     }
-}
-
-fn enc_counters<S: ByteSink>(e: &mut Enc<S>, c: &EngineCounters) {
-    e.u64(c.epoch);
-    e.u64(c.sessions_begun);
-    e.u64(c.sessions_committed);
-    e.u64(c.sessions_rolled_back);
-    e.u64(c.sessions_cancelled);
-    e.u64(c.degraded_passes);
-    e.u64(c.incremental_updates);
-    e.u64(c.drift_updates);
-    e.f64(c.drift_mass);
-    e.u64(c.incidents_total);
-    e.u64(c.incidents_dropped);
-    e.u64(c.batches);
-    e.u64(c.batch_scenarios);
-    e.u64(c.batch_quarantined);
-    e.u8(match c.stat_backend {
-        StatBackendKind::GaussianPocv => 0,
-        StatBackendKind::FixedBinHistogram => 1,
-    });
-    e.u32(c.stat_bins);
-    // Format v2: MCMM counters (appended so the field order above stays
-    // byte-stable within a format generation).
-    e.u64(c.mcmm_evaluations);
-    e.u64(c.mcmm_corner_lanes);
-    e.u64(c.mcmm_deduped);
-}
-
-fn dec_counters(d: &mut Dec<'_>) -> Result<EngineCounters, PersistError> {
-    Ok(EngineCounters {
-        epoch: d.u64("counters")?,
-        sessions_begun: d.u64("counters")?,
-        sessions_committed: d.u64("counters")?,
-        sessions_rolled_back: d.u64("counters")?,
-        sessions_cancelled: d.u64("counters")?,
-        degraded_passes: d.u64("counters")?,
-        incremental_updates: d.u64("counters")?,
-        drift_updates: d.u64("counters")?,
-        drift_mass: d.f64("counters")?,
-        incidents_total: d.u64("counters")?,
-        incidents_dropped: d.u64("counters")?,
-        batches: d.u64("counters")?,
-        batch_scenarios: d.u64("counters")?,
-        batch_quarantined: d.u64("counters")?,
-        stat_backend: match d.u8("counters")? {
-            0 => StatBackendKind::GaussianPocv,
-            1 => StatBackendKind::FixedBinHistogram,
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "stat backend",
-                    tag,
-                })
-            }
-        },
-        stat_bins: d.u32("counters")?,
-        mcmm_evaluations: d.u64("counters")?,
-        mcmm_corner_lanes: d.u64("counters")?,
-        mcmm_deduped: d.u64("counters")?,
-    })
-}
-
-fn enc_report<S: ByteSink>(e: &mut Enc<S>, r: &InstaReport) {
-    e.f64(r.wns_ps);
-    e.f64(r.tns_ps);
-    e.u64(r.n_violations as u64);
-    enc_f64s(e, &r.slacks);
-    enc_f64s(e, &r.arrivals);
-    enc_f64s(e, &r.requireds);
-    enc_u32s(e, &r.worst_sp);
-    e.u64(r.worst_rf.len() as u64);
-    e.bytes(&r.worst_rf);
-}
-
-fn dec_report(d: &mut Dec<'_>) -> Result<InstaReport, PersistError> {
-    let wns_ps = d.f64("report wns")?;
-    let tns_ps = d.f64("report tns")?;
-    let n_violations = d.u64("report violations")? as usize;
-    let slacks = dec_f64s(d, "report slacks")?;
-    let arrivals = dec_f64s(d, "report arrivals")?;
-    let requireds = dec_f64s(d, "report requireds")?;
-    let worst_sp = dec_u32s(d, "report worst_sp")?;
-    let n = d.len(1, "report worst_rf")?;
-    let worst_rf = d.take(n, "report worst_rf")?.to_vec();
-    Ok(InstaReport {
-        wns_ps,
-        tns_ps,
-        n_violations,
-        slacks,
-        arrivals,
-        requireds,
-        worst_sp,
-        worst_rf,
-    })
-}
-
-fn enc_perf<S: ByteSink>(e: &mut Enc<S>, p: &PerfReport) {
-    e.u64(p.rows.len() as u64);
-    for r in &p.rows {
-        e.u64(r.level as u64);
-        e.u64(r.nodes);
-        e.u64(r.forward_ns);
-        e.u64(r.lse_ns);
-        e.u64(r.backward_ns);
-    }
-    e.u64(p.forward_passes);
-    e.u64(p.lse_passes);
-    e.u64(p.backward_passes);
-    e.u8(match p.stat_backend {
-        StatBackendKind::GaussianPocv => 0,
-        StatBackendKind::FixedBinHistogram => 1,
-    });
-    e.u32(p.stat_bins);
-}
-
-fn dec_perf(d: &mut Dec<'_>) -> Result<PerfReport, PersistError> {
-    let n = d.len(40, "perf rows")?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        rows.push(PerfRow {
-            level: d.u64("perf row")? as usize,
-            nodes: d.u64("perf row")?,
-            forward_ns: d.u64("perf row")?,
-            lse_ns: d.u64("perf row")?,
-            backward_ns: d.u64("perf row")?,
-        });
-    }
-    Ok(PerfReport {
-        rows,
-        forward_passes: d.u64("perf passes")?,
-        lse_passes: d.u64("perf passes")?,
-        backward_passes: d.u64("perf passes")?,
-        stat_backend: match d.u8("perf stat backend")? {
-            0 => StatBackendKind::GaussianPocv,
-            1 => StatBackendKind::FixedBinHistogram,
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "stat backend",
-                    tag,
-                })
-            }
-        },
-        stat_bins: d.u32("perf stat bins")?,
-    })
-}
-
-/// Encodes a [`TimingSnapshot`] as a self-contained payload.
-///
-/// The `orig_index` map is not written — it is a pure function of
-/// `node_orig` and is rebuilt on decode.
-pub fn encode_snapshot(s: &TimingSnapshot) -> Vec<u8> {
-    let mut e = Enc::new();
-    encode_snapshot_into(s, &mut e);
-    e.into_bytes()
-}
-
-/// [`encode_snapshot`] into any sink, byte for byte.
-pub fn encode_snapshot_into<S: ByteSink>(s: &TimingSnapshot, e: &mut Enc<S>) {
-    e.u64(s.epoch);
-    match &s.report {
-        None => e.u8(0),
-        Some(r) => {
-            e.u8(1);
-            enc_report(e, r);
-        }
-    }
-    enc_counters(e, &s.counters);
-    // The chunked rows are written as the two flat arrays they stand for.
-    e.u64(s.n_rows as u64);
-    for (arrivals, _) in s.row_runs() {
-        arrivals.iter().for_each(|&a| e.f64(a));
-    }
-    e.u64(s.n_rows as u64);
-    for (_, sps) in s.row_runs() {
-        sps.iter().for_each(|&sp| e.u32(sp));
-    }
-    enc_u32s(e, &s.node_orig);
-    enc_perf(e, &s.perf);
-}
-
-/// Decodes a payload produced by [`encode_snapshot`], rebuilding the
-/// original-id lookup index.
-///
-/// # Errors
-///
-/// A typed [`PersistError`] for any truncated, mis-tagged or over-long
-/// field, and [`PersistError::NotPermutation`] when the decoded
-/// `node_orig` has no inverse.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<TimingSnapshot, PersistError> {
-    let mut d = Dec::new(bytes);
-    let epoch = d.u64("snapshot epoch")?;
-    let report = match d.u8("snapshot report flag")? {
-        0 => None,
-        1 => Some(dec_report(&mut d)?),
-        tag => {
-            return Err(PersistError::BadTag {
-                what: "snapshot report flag",
-                tag,
-            })
-        }
-    };
-    let counters = dec_counters(&mut d)?;
-    let arrival0 = dec_f64s(&mut d, "snapshot arrival0")?;
-    let sp0 = dec_u32s(&mut d, "snapshot sp0")?;
-    if sp0.len() != arrival0.len() {
-        return Err(PersistError::Mismatch {
-            what: "snapshot sp0",
-            expected: arrival0.len(),
-            got: sp0.len(),
-        });
-    }
-    let node_orig = dec_u32s(&mut d, "snapshot node_orig")?;
-    let perf = dec_perf(&mut d)?;
-    d.finish()?;
-    // `node_orig` must be a permutation for its inverse to exist; its
-    // length is already bounded by the bytes decoded.
-    let mut orig_index = vec![u32::MAX; node_orig.len()];
-    for (i, &o) in node_orig.iter().enumerate() {
-        match orig_index.get_mut(o as usize) {
-            Some(slot) if *slot == u32::MAX => *slot = i as u32,
-            _ => {
-                return Err(PersistError::NotPermutation {
-                    what: "snapshot node_orig",
-                    index: i,
-                    value: o,
-                })
-            }
-        }
-    }
-    Ok(TimingSnapshot {
-        epoch,
-        report,
-        counters,
-        rows: crate::snapshot::rows_from(&arrival0, &sp0),
-        n_rows: arrival0.len(),
-        node_orig: node_orig.into(),
-        orig_index: orig_index.into(),
-        perf,
-    })
 }
 
 /// The minimal mutable engine state a checkpoint must carry to make the
@@ -792,83 +515,6 @@ mod tests {
             WriterOp::decode(&[0x7F]),
             Err(PersistError::BadTag { .. })
         ));
-    }
-
-    /// A snapshot survives the codec with bit-identical slacks, arrivals,
-    /// counters, and a working rebuilt lookup index.
-    #[test]
-    fn snapshot_round_trip_is_bit_identical() {
-        let (_d, _sta, mut eng) = build_engine(21, 8);
-        eng.propagate();
-        let snap = eng.snapshot();
-        let bytes = encode_snapshot(&snap);
-        let back = decode_snapshot(&bytes).expect("round trip");
-        assert_eq!(back, snap);
-        let (r0, r1) = (snap.report().unwrap(), back.report().unwrap());
-        for (a, b) in r0.slacks.iter().zip(&r1.slacks) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // The rebuilt orig_index serves the same arrivals.
-        for &orig in eng.st.node_orig.iter().take(16) {
-            for rf in 0..2 {
-                assert_eq!(
-                    snap.arrival_at(orig, rf).map(f64::to_bits),
-                    back.arrival_at(orig, rf).map(f64::to_bits)
-                );
-            }
-        }
-    }
-
-    /// A decoded `node_orig` that repeats an id or holds one out of range
-    /// has no inverse: typed error, no panic, nothing sized by the value.
-    #[test]
-    fn snapshot_with_a_non_permutation_id_map_is_rejected_typed() {
-        let (_d, _sta, mut eng) = build_engine(26, 4);
-        eng.propagate();
-        let snap = eng.snapshot();
-        for (index, value) in [(1usize, snap.node_orig[0]), (2, u32::MAX)] {
-            let mut bad = snap.clone();
-            let mut ids = bad.node_orig.to_vec();
-            ids[index] = value;
-            bad.node_orig = ids.into();
-            let err = decode_snapshot(&encode_snapshot(&bad)).expect_err("no inverse");
-            assert_eq!(
-                err,
-                PersistError::NotPermutation {
-                    what: "snapshot node_orig",
-                    index,
-                    value,
-                }
-            );
-            assert!(err.to_string().contains("node_orig"), "{err}");
-        }
-    }
-
-    /// A pre-propagation snapshot (no report) also round-trips.
-    #[test]
-    fn empty_snapshot_round_trips() {
-        let (_d, _sta, eng) = build_engine(22, 4);
-        let snap = eng.snapshot();
-        let back = decode_snapshot(&encode_snapshot(&snap)).expect("round trip");
-        assert_eq!(back, snap);
-        assert!(back.report().is_none());
-    }
-
-    /// Every truncation of a snapshot payload decodes to a typed error.
-    #[test]
-    fn snapshot_truncations_are_typed() {
-        let (_d, _sta, mut eng) = build_engine(23, 4);
-        eng.propagate();
-        let bytes = encode_snapshot(&eng.snapshot());
-        // Stride 7 keeps the sweep fast while still hitting every field
-        // class; the first/last 64 cuts run exhaustively.
-        let cuts = (0..bytes.len()).filter(|c| c % 7 == 0 || *c < 64 || bytes.len() - c < 64);
-        for cut in cuts {
-            assert!(
-                decode_snapshot(&bytes[..cut]).is_err(),
-                "cut at {cut} must fail"
-            );
-        }
     }
 
     /// Durable state capture → restore into a fresh twin reproduces the

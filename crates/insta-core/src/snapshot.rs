@@ -37,7 +37,7 @@
 //! `2·nodes` rows, which a gather over every queue used to make the
 //! second-largest layer of a durable commit. A reader that still
 //! holds an older epoch keeps that epoch's chunks alive and nothing it can
-//! see is ever written. The node-id maps are static per engine and shared
+//! see is ever written. The node-id map is static per engine and shared
 //! by `Arc`.
 
 use crate::engine::{InstaEngine, State, Static};
@@ -85,7 +85,7 @@ fn blank_rows(n_rows: usize) -> Rows {
 }
 
 /// Chunks holding the given rows (`arrival` and `sp` of one length).
-pub(crate) fn rows_from(arrival: &[f64], sp: &[u32]) -> Rows {
+fn rows_from(arrival: &[f64], sp: &[u32]) -> Rows {
     arrival
         .chunks(CHUNK_ROWS)
         .zip(sp.chunks(CHUNK_ROWS))
@@ -195,22 +195,19 @@ impl RowStore {
 /// owned data — share it across threads behind an `Arc`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimingSnapshot {
-    // Fields are `pub(crate)` so the `persist` module's binary codec can
-    // encode/rebuild a snapshot without widening the public API.
-    pub(crate) epoch: u64,
-    pub(crate) report: Option<InstaReport>,
-    pub(crate) counters: EngineCounters,
+    epoch: u64,
+    report: Option<InstaReport>,
+    counters: EngineCounters,
     /// Worst corner arrival and its startpoint per `(node, rf)`
     /// (renumbered node order), `n_rows` of them.
-    pub(crate) rows: Rows,
-    pub(crate) n_rows: usize,
-    /// Renumbered → original node id, and its inverse (what makes
-    /// [`arrival_at`](Self::arrival_at) O(1)). Both are static per engine
-    /// and shared with it: a capture copies neither, and dropping an old
-    /// snapshot frees neither.
-    pub(crate) node_orig: Arc<[u32]>,
-    pub(crate) orig_index: Arc<[u32]>,
-    pub(crate) perf: PerfReport,
+    rows: Rows,
+    n_rows: usize,
+    /// Original → renumbered node id (what makes
+    /// [`arrival_at`](Self::arrival_at) O(1)). Static per engine and
+    /// shared with it: a capture does not copy it, and dropping an old
+    /// snapshot does not free it.
+    orig_index: Arc<[u32]>,
+    perf: PerfReport,
 }
 
 impl TimingSnapshot {
@@ -253,15 +250,6 @@ impl TimingSnapshot {
         (chunk.sp[at] != NO_SP).then(|| chunk.arrival[at])
     }
 
-    /// The rows in order, as runs of `(arrivals, startpoints)` — one run
-    /// per chunk, the last cut to the row count.
-    pub(crate) fn row_runs(&self) -> impl Iterator<Item = (&[f64], &[u32])> {
-        self.rows.iter().enumerate().map(|(i, c)| {
-            let len = CHUNK_ROWS.min(self.n_rows.saturating_sub(i * CHUNK_ROWS));
-            (&c.arrival[..len], &c.sp[..len])
-        })
-    }
-
     /// The engine's monotonic counters as of the capture.
     pub fn counters(&self) -> &EngineCounters {
         &self.counters
@@ -274,7 +262,7 @@ impl TimingSnapshot {
     }
 
     /// Approximate resident bytes the capture owns (report + arrival rows;
-    /// the id maps are shared with the engine, and chunks no later sweep
+    /// the id map is shared with the engine, and chunks no later sweep
     /// rewrote are shared with neighbouring epochs).
     pub fn bytes(&self) -> usize {
         let report = self.report.as_ref().map_or(0, |r| {
@@ -324,7 +312,6 @@ impl InstaEngine {
             counters: self.counters(),
             rows,
             n_rows,
-            node_orig: Arc::clone(&self.st.node_orig),
             orig_index: Arc::clone(&self.st.new_id),
             perf: self.perf_report(),
         }
@@ -333,7 +320,18 @@ impl InstaEngine {
 
 #[cfg(test)]
 mod tests {
+    use super::TimingSnapshot;
     use crate::engine::tests::build_engine;
+    use std::sync::Arc;
+
+    /// A copy that shares no chunk with `snap`: what the capture held when
+    /// it was taken, whatever later happens to the chunks it shares.
+    fn deep_copy(snap: &TimingSnapshot) -> TimingSnapshot {
+        TimingSnapshot {
+            rows: snap.rows.iter().map(|c| Arc::new((**c).clone())).collect(),
+            ..snap.clone()
+        }
+    }
 
     /// The snapshot agrees bit-for-bit with the engine it captured, and
     /// stays frozen while the engine mutates past it.
@@ -394,7 +392,7 @@ mod tests {
             sigma: [2.5, 1.0 + f64::from(round)],
         };
         let mut held = vec![eng.snapshot()];
-        let mut images = vec![crate::persist::encode_snapshot(&held[0])];
+        let mut copies = vec![deep_copy(&held[0])];
         for round in 0..8 {
             let mut session = eng.begin_session();
             session.update_timing(&[delta(round)]).expect("valid delta");
@@ -420,18 +418,15 @@ mod tests {
                 snap.report().map(|r| &r.slacks),
                 fresh.report().map(|r| &r.slacks)
             );
-            images.push(crate::persist::encode_snapshot(&snap));
+            copies.push(deep_copy(&snap));
             held.push(snap);
         }
         assert!(
-            images.windows(2).any(|w| w[0] != w[1]),
+            copies.windows(2).any(|w| w[0].rows != w[1].rows),
             "the deltas must move some row"
         );
-        for (snap, image) in held.iter().zip(&images) {
-            assert!(
-                &crate::persist::encode_snapshot(snap) == image,
-                "a held capture moved"
-            );
+        for (snap, copy) in held.iter().zip(&copies) {
+            assert!(snap == copy, "a held capture moved");
         }
         // Unsynced arrays are captured as unreached rows, whatever the
         // store holds.

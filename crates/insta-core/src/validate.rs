@@ -9,24 +9,21 @@
 //! must never reach the kernels either way). A snapshot cloned from an
 //! external tool is untrusted: this module checks the full contract in a
 //! single O(nodes + arcs + endpoints + tree) pass and either rejects
-//! ([`ValidationMode::Strict`]), fixes what is fixable with a report
-//! ([`ValidationMode::Repair`]), or skips the pass entirely
+//! ([`ValidationMode::Strict`]) or skips the pass entirely
 //! ([`ValidationMode::Trust`], the pre-validation behavior with zero
 //! overhead for callers that produced the snapshot themselves).
 //!
 //! Issue severities:
 //!
 //! * **fatal** — the snapshot's structure is unusable (broken CSR, order
-//!   not a permutation): rejected in Strict *and* Repair.
-//! * **repairable** — element-level damage with a safe local fix: arcs
-//!   dropped (out-of-range parent, level inversion, duplicates), stats
-//!   clamped (non-finite μ → 0, invalid σ → 0), endpoints/sources dropped
-//!   or re-numbered, leaves cleared to [`NO_LEAF`], the clock tree
-//!   disabled when inconsistent.
+//!   not a permutation).
+//! * **repairable** — element-level damage the exporter could fix
+//!   locally (an out-of-range reference, a level inversion, a duplicate
+//!   arc, a non-finite statistic, an inconsistent clock tree). Strict
+//!   rejects it like a fatal issue.
 //! * **warning** — suspicious but representable (an endpoint no path can
 //!   reach): reported, never rejected.
 
-use crate::error::InstaError;
 use insta_refsta::export::{InstaInit, NO_LEAF};
 
 /// When and how [`InstaEngine::new`](crate::InstaEngine::new) validates
@@ -36,10 +33,6 @@ pub enum ValidationMode {
     /// Validate and reject on any fatal or repairable issue (default).
     #[default]
     Strict,
-    /// Validate, fix repairable issues, reject only fatal ones. The fixes
-    /// are recorded in the engine's
-    /// [`validation_report`](crate::InstaEngine::validation_report).
-    Repair,
     /// Skip validation (zero overhead). Malformed snapshots will panic
     /// the constructor or kernels exactly as before this module existed;
     /// only use it for snapshots this process exported itself.
@@ -49,9 +42,9 @@ pub enum ValidationMode {
 /// Issue severity class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
-    /// Unusable structure; rejected in every validating mode.
+    /// Unusable structure.
     Fatal,
-    /// Locally fixable; rejected in Strict, fixed in Repair.
+    /// Element-level damage with a local fix; rejected all the same.
     Repairable,
     /// Reported only.
     Warning,
@@ -140,8 +133,7 @@ pub enum Issue {
     /// [`source_arc_cap`]. The engine sizes its gradient-aggregation CSR
     /// by `max(source_arc) + 1`, so an absurd id turns into an unbounded
     /// allocation; legitimate ids are always below the expanded arc count
-    /// (expansion only ever grows the array), and the cap's headroom
-    /// keeps the bound valid across [`repair`]'s arc drops.
+    /// (expansion only ever grows the array).
     ArcSourceOutOfRange {
         /// Expanded arc index.
         arc: usize,
@@ -352,7 +344,7 @@ impl std::fmt::Display for Issue {
 /// Cap on individually recorded issues; beyond it only counters grow.
 pub const MAX_RECORDED_ISSUES: usize = 64;
 
-/// Everything a validation (or repair) pass found.
+/// Everything a validation pass found.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ValidationReport {
     /// The first [`MAX_RECORDED_ISSUES`] issues in discovery order.
@@ -363,9 +355,6 @@ pub struct ValidationReport {
     pub n_repairable: usize,
     /// Total warnings.
     pub n_warning: usize,
-    /// How many repairable issues a [`repair`] pass actually fixed
-    /// (0 for a pure [`validate`] pass).
-    pub n_repaired: usize,
 }
 
 impl ValidationReport {
@@ -387,11 +376,6 @@ impl ValidationReport {
         self.n_fatal > 0 || self.n_repairable > 0
     }
 
-    /// Whether even a Repair pass must reject this snapshot.
-    pub fn rejects_repair(&self) -> bool {
-        self.n_fatal > 0
-    }
-
     /// Whether the snapshot is fully clean (warnings allowed).
     pub fn is_clean(&self) -> bool {
         !self.rejects_strict()
@@ -407,8 +391,8 @@ impl std::fmt::Display for ValidationReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} fatal, {} repairable ({} repaired), {} warnings",
-            self.n_fatal, self.n_repairable, self.n_repaired, self.n_warning
+            "{} fatal, {} repairable, {} warnings",
+            self.n_fatal, self.n_repairable, self.n_warning
         )?;
         for issue in self.issues.iter().take(8) {
             write!(f, "; {issue}")?;
@@ -420,7 +404,7 @@ impl std::fmt::Display for ValidationReport {
     }
 }
 
-/// Structure lookups shared by validation and repair: renumbered position
+/// Structure lookups for validation: renumbered position
 /// and timing level per original node id. `None` when the structural
 /// arrays are too broken to derive them.
 struct Positions {
@@ -519,8 +503,7 @@ fn check_structure(init: &InstaInit, report: &mut ValidationReport) -> Option<Po
 /// Upper bound (exclusive) on graph-arc ids accepted for a snapshot with
 /// `n_arcs` expanded arcs. Legitimate ids are `< n_arcs`; the 16× + 1024
 /// headroom keeps engine allocations within a small multiple of the input
-/// size while leaving the bound valid for snapshots [`repair`] has
-/// shrunk by dropping arcs.
+/// size.
 pub fn source_arc_cap(n_arcs: usize) -> usize {
     n_arcs.saturating_mul(16).saturating_add(1024)
 }
@@ -745,140 +728,6 @@ fn check_clock_tree(init: &InstaInit, report: &mut ValidationReport) -> bool {
     true
 }
 
-/// Validates and fixes every repairable issue in place, returning the
-/// pre-repair report with [`ValidationReport::n_repaired`] set.
-///
-/// # Errors
-///
-/// Returns [`InstaError::Validate`] when the snapshot has fatal
-/// (structurally irreparable) issues; the snapshot is left untouched.
-pub fn repair(init: &mut InstaInit) -> Result<ValidationReport, InstaError> {
-    let mut report = validate(init);
-    if report.rejects_repair() {
-        return Err(InstaError::Validate(report));
-    }
-    if !report.rejects_strict() {
-        return Ok(report); // nothing to fix
-    }
-    let n = init.n_nodes;
-    // Structure is sound (no fatal issues), so the lookups exist.
-    let mut scratch = ValidationReport::default();
-    let pos = check_structure(init, &mut scratch).expect("structure verified");
-
-    // ---- Clock tree: disable entirely when inconsistent ----------------
-    let mut tree_ok = check_clock_tree(init, &mut scratch);
-    if !tree_ok {
-        init.clock_parent.clear();
-        init.clock_depth.clear();
-        init.clock_credit.clear();
-        tree_ok = true; // now trivially consistent (empty)
-    }
-    let n_tree = init.clock_parent.len();
-    let _ = tree_ok;
-
-    // ---- Arcs: clamp stats, drop the irreparable, rebuild the CSR ------
-    let mut fanin = Vec::with_capacity(init.fanin.len());
-    let mut fanin_start = Vec::with_capacity(n + 1);
-    // Cap from the pre-repair arc count: dropping arcs shrinks the array,
-    // and the cap's headroom is what keeps kept arcs valid against the
-    // post-repair bound.
-    let src_cap = source_arc_cap(init.fanin.len());
-    fanin_start.push(0u32);
-    for v in 0..n {
-        let range = init.fanin_start[v] as usize..init.fanin_start[v + 1] as usize;
-        let child_level = pos.level_of_pos[pos.pos_of[v] as usize];
-        let kept_base = fanin.len();
-        for ai in range {
-            let mut arc = init.fanin[ai];
-            if (arc.parent as usize) >= n
-                || pos.level_of_pos[pos.pos_of[arc.parent as usize] as usize] >= child_level
-                || arc.source_arc as usize >= src_cap
-            {
-                // Drop: out-of-range parent, level inversion, or an
-                // absurd graph-arc id (allocation bomb).
-                continue;
-            }
-            if fanin[kept_base..].iter().any(|prev: &insta_refsta::export::ExportedArc| {
-                prev.parent == arc.parent
-                    && prev.negative_unate == arc.negative_unate
-                    && prev.source_arc == arc.source_arc
-            }) {
-                continue; // drop duplicate
-            }
-            for rf in 0..2 {
-                if !arc.mean[rf].is_finite() {
-                    arc.mean[rf] = 0.0;
-                }
-                if !arc.sigma[rf].is_finite() || arc.sigma[rf] < 0.0 {
-                    arc.sigma[rf] = 0.0;
-                }
-            }
-            fanin.push(arc);
-        }
-        fanin_start.push(fanin.len() as u32);
-    }
-    init.fanin = fanin;
-    init.fanin_start = fanin_start;
-
-    // ---- Sources: drop out-of-range, renumber, clamp stats -------------
-    let old_sp_leaf = std::mem::take(&mut init.sp_leaf);
-    let mut sources = Vec::with_capacity(init.sources.len());
-    for (i, s) in init.sources.iter().enumerate() {
-        if (s.node as usize) >= n {
-            continue;
-        }
-        let mut s = *s;
-        s.sp = sources.len() as u32;
-        for rf in 0..2 {
-            if !s.mean[rf].is_finite() {
-                s.mean[rf] = 0.0;
-            }
-            if !s.sigma[rf].is_finite() || s.sigma[rf] < 0.0 {
-                s.sigma[rf] = 0.0;
-            }
-        }
-        let leaf = old_sp_leaf.get(i).copied().unwrap_or(NO_LEAF);
-        init.sp_leaf.push(if leaf != NO_LEAF && (leaf as usize) < n_tree {
-            leaf
-        } else {
-            NO_LEAF
-        });
-        sources.push(s);
-    }
-    init.sources = sources;
-
-    // ---- Endpoints: drop out-of-range, renumber, clamp -----------------
-    let mut endpoints = Vec::with_capacity(init.endpoints.len());
-    for ep in init.endpoints.iter() {
-        if (ep.node as usize) >= n {
-            continue;
-        }
-        let mut ep = *ep;
-        ep.ep = endpoints.len() as u32;
-        if ep.required_base.is_nan() {
-            ep.required_base = f64::INFINITY; // unconstrained
-        }
-        if ep.leaf != NO_LEAF && (ep.leaf as usize) >= n_tree {
-            ep.leaf = NO_LEAF;
-        }
-        endpoints.push(ep);
-    }
-    init.endpoints = endpoints;
-
-    // ---- Scalars -------------------------------------------------------
-    if init.period_ps.is_nan() || init.period_ps <= 0.0 {
-        init.period_ps = f64::INFINITY;
-    }
-    if !init.n_sigma.is_finite() || init.n_sigma < 0.0 {
-        init.n_sigma = 0.0;
-    }
-
-    // Everything repairable is fixed by construction.
-    report.n_repaired = report.n_repairable;
-    debug_assert!(validate(init).is_clean(), "repair must converge");
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -901,33 +750,28 @@ mod tests {
     }
 
     #[test]
-    fn broken_structure_is_fatal_and_irreparable() {
+    fn broken_structure_is_fatal() {
         let mut init = clean_init();
         init.order.swap_remove(0);
         init.order.push(init.order[0]); // duplicate: not a permutation
         let report = validate(&init);
-        assert!(report.rejects_repair(), "{report}");
-        assert!(repair(&mut init).is_err());
+        assert!(report.n_fatal > 0, "{report}");
+        assert!(report.rejects_strict());
     }
 
     #[test]
-    fn poisoned_stats_are_repairable() {
+    fn poisoned_stats_are_rejected() {
         let mut init = clean_init();
         init.fanin[0].mean[0] = f64::NAN;
         init.fanin[1].sigma[1] = -2.0;
         init.fanin[2].mean[1] = f64::INFINITY;
-        let before = validate(&init);
-        assert!(before.rejects_strict());
-        assert!(!before.rejects_repair());
-        let report = repair(&mut init).expect("repairable");
-        assert_eq!(report.n_repaired, report.n_repairable);
-        assert!(validate(&init).is_clean());
-        assert_eq!(init.fanin[0].mean[0], 0.0);
-        assert_eq!(init.fanin[1].sigma[1], 0.0);
+        let report = validate(&init);
+        assert!(report.rejects_strict());
+        assert_eq!((report.n_fatal, report.n_repairable), (0, 3), "{report}");
     }
 
     #[test]
-    fn level_inversion_is_detected_and_dropped() {
+    fn level_inversion_is_detected() {
         let mut init = clean_init();
         // Point some late-level node's arc parent at the last node in the
         // order (deepest level) to create an inversion.
@@ -947,10 +791,7 @@ mod tests {
             )),
             "{report}"
         );
-        let n_arcs = init.fanin.len();
-        repair(&mut init).expect("repairable");
-        assert!(init.fanin.len() < n_arcs, "inverted arc must be dropped");
-        assert!(validate(&init).is_clean());
+        assert!(report.rejects_strict());
     }
 
     #[test]
@@ -963,16 +804,11 @@ mod tests {
         assert!(report.issues.iter().any(|i| matches!(i, Issue::EndpointNodeOutOfRange { .. })));
         assert!(report.issues.iter().any(|i| matches!(i, Issue::SourceNodeOutOfRange { .. })));
         assert!(report.issues.iter().any(|i| matches!(i, Issue::LeafOutOfRange { .. })));
-        let n_src = init.sources.len();
-        let n_ep = init.endpoints.len();
-        repair(&mut init).expect("repairable");
-        assert_eq!(init.sources.len(), n_src - 1);
-        assert_eq!(init.endpoints.len(), n_ep - 1);
-        assert!(validate(&init).is_clean());
+        assert!(report.rejects_strict());
     }
 
     #[test]
-    fn absurd_graph_arc_id_is_rejected_and_repaired_by_dropping() {
+    fn absurd_graph_arc_id_is_rejected() {
         let mut init = clean_init();
         // Well below u32::MAX but far beyond any sane id for this arc
         // count: would make the engine allocate a multi-gigabyte
@@ -984,14 +820,10 @@ mod tests {
             "{report}"
         );
         assert!(report.rejects_strict());
-        let n_arcs = init.fanin.len();
-        repair(&mut init).expect("repairable");
-        assert_eq!(init.fanin.len(), n_arcs - 1, "offending arc dropped");
-        assert!(validate(&init).is_clean());
     }
 
     #[test]
-    fn broken_clock_tree_disables_cppr() {
+    fn broken_clock_tree_is_rejected() {
         let mut init = clean_init();
         assert!(!init.clock_parent.is_empty());
         // Introduce a parent cycle (depth no longer decreases).
@@ -999,21 +831,18 @@ mod tests {
         init.clock_parent[0] = last as u32;
         let report = validate(&init);
         assert!(report.issues.iter().any(|i| matches!(i, Issue::ClockTreeBroken { .. })), "{report}");
-        repair(&mut init).expect("repairable");
-        assert!(init.clock_parent.is_empty());
-        assert!(init.sp_leaf.iter().all(|&l| l == NO_LEAF));
-        assert!(validate(&init).is_clean());
+        assert!(report.rejects_strict());
     }
 
     #[test]
-    fn scalar_poison_is_repairable() {
+    fn scalar_poison_is_rejected() {
         let mut init = clean_init();
         init.period_ps = f64::NAN;
         init.n_sigma = f64::NEG_INFINITY;
-        assert!(validate(&init).rejects_strict());
-        repair(&mut init).expect("repairable");
-        assert_eq!(init.period_ps, f64::INFINITY);
-        assert_eq!(init.n_sigma, 0.0);
+        let report = validate(&init);
+        assert!(report.rejects_strict());
+        assert!(report.issues.iter().any(|i| matches!(i, Issue::PeriodInvalid { .. })));
+        assert!(report.issues.iter().any(|i| matches!(i, Issue::NSigmaInvalid { .. })));
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! Rejections feed a pressure score that decays as work completes — and,
 //! since work may never arrive again after a rejection storm, also with
-//! idle wall-clock time ([`ServeConfig::pressure_decay_ms`] per point),
+//! idle wall-clock time ([`PRESSURE_DECAY_MS`] per point),
 //! so an idle daemon always walks back to `Normal` instead of wedging in
-//! `SnapshotOnly`. The score selects the degradation [`Tier`]:
+//! `SnapshotOnly`. The score selects the degradation [`Tier`] (at
+//! [`SHED_PRESSURE`] and [`SNAPSHOT_ONLY_PRESSURE`]):
 //!
 //! | tier           | policy                                              |
 //! |----------------|-----------------------------------------------------|
@@ -31,25 +32,27 @@
 use crate::protocol::OpKind;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
+/// Base back-off hint carried by `overloaded` rejections, scaled by the
+/// current pressure.
+pub const RETRY_AFTER_MS: u64 = 2;
+/// Pressure a rejection adds.
+pub const REJECTION_PRESSURE: u32 = 3;
+/// Pressure at which heavy work (batch/gradient) is shed.
+pub const SHED_PRESSURE: u32 = 6;
+/// Pressure at which reads stop honoring `min_epoch` waits and serve the
+/// last committed snapshot flagged `degraded`.
+pub const SNAPSHOT_ONLY_PRESSURE: u32 = 18;
+/// Idle decay rate: one pressure point drains per this many milliseconds
+/// without a rejection, so a daemon that stops receiving traffic after a
+/// rejection storm still returns to [`Tier::Normal`] (completion-driven
+/// decay alone needs new work to finish).
+pub const PRESSURE_DECAY_MS: u64 = 100;
+
 /// Tuning knobs of the service layer.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Concurrent read/heavy requests allowed to run (writers are exempt).
     pub max_inflight: usize,
-    /// Base back-off hint carried by `overloaded` rejections, scaled by
-    /// the current pressure.
-    pub retry_after_ms: u64,
-    /// Pressure at which heavy work (batch/gradient) is shed.
-    pub shed_pressure: u32,
-    /// Pressure at which reads stop honoring `min_epoch` waits and serve
-    /// the last committed snapshot flagged `degraded`.
-    pub snapshot_only_pressure: u32,
-    /// Idle decay rate: one pressure point drains per this many
-    /// milliseconds without a rejection, so a daemon that stops receiving
-    /// traffic after a rejection storm still returns to [`Tier::Normal`]
-    /// (completion-driven decay alone needs new work to finish). `0`
-    /// disables time-based decay.
-    pub pressure_decay_ms: u64,
     /// Largest accepted frame body (allocation-bomb guard).
     pub max_frame_bytes: usize,
     /// Default per-request wall-clock budget in ms (0 = none).
@@ -57,12 +60,6 @@ pub struct ServeConfig {
     /// Longest a `min_epoch` read will wait for a commit before failing
     /// with `deadline` (bounds the wait even without a client deadline).
     pub max_epoch_wait_ms: u64,
-    /// Capacity of the service-side incident ring.
-    pub incident_log_cap: usize,
-    /// Capacity of the request journal (spans/events ring).
-    pub journal_capacity: usize,
-    /// Scenario cap per `batch` request.
-    pub max_batch_scenarios: usize,
     /// Admit the `debug_stall` / `debug_panic` test hooks.
     pub enable_debug_ops: bool,
     /// Test hook: sleep this long inside writer dispatch *after*
@@ -76,16 +73,9 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_inflight: 8,
-            retry_after_ms: 2,
-            shed_pressure: 6,
-            snapshot_only_pressure: 18,
-            pressure_decay_ms: 100,
             max_frame_bytes: 16 << 20,
             default_deadline_ms: 0,
             max_epoch_wait_ms: 250,
-            incident_log_cap: 128,
-            journal_capacity: 4096,
-            max_batch_scenarios: 64,
             enable_debug_ops: false,
             stall_writer_ms: 0,
         }
@@ -132,10 +122,6 @@ pub enum Rejection {
 #[derive(Debug)]
 pub struct Admission {
     max_inflight: usize,
-    retry_after_ms: u64,
-    shed_pressure: u32,
-    snapshot_only_pressure: u32,
-    pressure_decay_ms: u64,
     /// Monotonic clock base for the idle decay.
     epoch: std::time::Instant,
     /// Millis-since-`epoch` up to which idle decay has been applied;
@@ -159,10 +145,6 @@ impl Admission {
     pub fn new(cfg: &ServeConfig) -> Self {
         Admission {
             max_inflight: cfg.max_inflight.max(1),
-            retry_after_ms: cfg.retry_after_ms.max(1),
-            shed_pressure: cfg.shed_pressure.max(1),
-            snapshot_only_pressure: cfg.snapshot_only_pressure.max(2),
-            pressure_decay_ms: cfg.pressure_decay_ms,
             epoch: std::time::Instant::now(),
             decay_mark_ms: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
@@ -180,12 +162,9 @@ impl Admission {
     /// The CAS elects one caller per elapsed window; losers simply read
     /// the already-decayed score.
     fn decay_idle(&self) {
-        if self.pressure_decay_ms == 0 {
-            return;
-        }
         let now = self.now_ms();
         let mark = self.decay_mark_ms.load(Ordering::Relaxed);
-        let steps = now.saturating_sub(mark) / self.pressure_decay_ms;
+        let steps = now.saturating_sub(mark) / PRESSURE_DECAY_MS;
         if steps == 0 {
             return;
         }
@@ -193,7 +172,7 @@ impl Admission {
             .decay_mark_ms
             .compare_exchange(
                 mark,
-                mark + steps * self.pressure_decay_ms,
+                mark + steps * PRESSURE_DECAY_MS,
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             )
@@ -212,9 +191,9 @@ impl Admission {
     pub fn tier(&self) -> Tier {
         self.decay_idle();
         let p = self.pressure.load(Ordering::Relaxed);
-        if p >= self.snapshot_only_pressure {
+        if p >= SNAPSHOT_ONLY_PRESSURE {
             Tier::SnapshotOnly
-        } else if p >= self.shed_pressure {
+        } else if p >= SHED_PRESSURE {
             Tier::ShedHeavy
         } else {
             Tier::Normal
@@ -262,7 +241,7 @@ impl Admission {
                     self.inflight.fetch_sub(1, Ordering::AcqRel);
                     let p = self.note_rejection();
                     return Err(Rejection::Overloaded {
-                        retry_after_ms: self.retry_after_ms * u64::from(p.max(1)),
+                        retry_after_ms: RETRY_AFTER_MS * u64::from(p.max(1)),
                     });
                 }
                 Ok(Ticket {
@@ -280,9 +259,9 @@ impl Admission {
         self.decay_mark_ms.store(self.now_ms(), Ordering::Relaxed);
         self.pressure
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |p| {
-                Some(p.saturating_add(3))
+                Some(p.saturating_add(REJECTION_PRESSURE))
             })
-            .map(|p| p.saturating_add(3))
+            .map(|p| p.saturating_add(REJECTION_PRESSURE))
             .unwrap_or(u32::MAX)
     }
 }
@@ -399,34 +378,38 @@ mod tests {
         assert_eq!(gate.inflight(), 2, "writer counted, control not");
     }
 
+    /// Rejections until the score reaches `pressure`.
+    fn rejections_to(pressure: u32) -> u32 {
+        pressure.div_ceil(REJECTION_PRESSURE)
+    }
+
     #[test]
     fn pressure_walks_the_tiers_and_decays() {
         let cfg = ServeConfig {
             max_inflight: 1,
-            shed_pressure: 6,
-            snapshot_only_pressure: 12,
             ..ServeConfig::default()
         };
         let gate = Admission::new(&cfg);
         assert_eq!(gate.tier(), Tier::Normal);
         let hold = gate.try_admit(OpKind::Read).unwrap();
-        for _ in 0..2 {
+        for _ in 0..rejections_to(SHED_PRESSURE) {
             let _ = gate.try_admit(OpKind::Read);
         }
-        assert_eq!(gate.tier(), Tier::ShedHeavy, "p=6 sheds heavies");
+        assert_eq!(gate.tier(), Tier::ShedHeavy, "heavies are shed");
         assert!(matches!(
             gate.try_admit(OpKind::Heavy),
             Err(Rejection::Shed)
         ));
-        // That shed itself raised pressure further (9), two more → 15.
-        let _ = gate.try_admit(OpKind::Read);
-        let _ = gate.try_admit(OpKind::Read);
+        // That shed itself raised pressure further.
+        while gate.pressure() < SNAPSHOT_ONLY_PRESSURE {
+            let _ = gate.try_admit(OpKind::Read);
+        }
         assert_eq!(gate.tier(), Tier::SnapshotOnly);
         // Writers are still admitted at the worst tier.
         assert!(gate.try_admit(OpKind::Writer).is_ok());
         // Completions decay the score back to normal.
         drop(hold);
-        for _ in 0..20 {
+        for _ in 0..SNAPSHOT_ONLY_PRESSURE + REJECTION_PRESSURE {
             drop(gate.try_admit(OpKind::Read).unwrap());
         }
         assert_eq!(gate.tier(), Tier::Normal, "pressure decayed");
@@ -440,48 +423,26 @@ mod tests {
     fn idle_pressure_decays_back_to_normal() {
         let cfg = ServeConfig {
             max_inflight: 1,
-            shed_pressure: 2,
-            snapshot_only_pressure: 4,
-            pressure_decay_ms: 1,
             ..ServeConfig::default()
         };
         let gate = Admission::new(&cfg);
         let _hold = gate.try_admit(OpKind::Read).unwrap();
-        for _ in 0..8 {
+        for _ in 0..rejections_to(SNAPSHOT_ONLY_PRESSURE) {
             let _ = gate.try_admit(OpKind::Read);
         }
         assert_eq!(gate.tier(), Tier::SnapshotOnly, "storm wedged the gate");
         // Idle: no completions, no new traffic — the held ticket never
         // drops. Time alone must clear the tier.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        // `Normal` is reached one step before the score hits zero, so wait
-        // for both (the tier read is what applies the decay).
+        let step = std::time::Duration::from_millis(PRESSURE_DECAY_MS);
+        let deadline = std::time::Instant::now() + step * (SNAPSHOT_ONLY_PRESSURE + 30);
+        // `Normal` is reached before the score hits zero, so wait for
+        // both (the tier read is what applies the decay).
         while (gate.tier() != Tier::Normal || gate.pressure() != 0)
             && std::time::Instant::now() < deadline
         {
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            std::thread::sleep(step / 4);
         }
         assert_eq!(gate.tier(), Tier::Normal, "idle gate never recovered");
         assert_eq!(gate.pressure(), 0, "score fully drained");
-    }
-
-    /// `pressure_decay_ms: 0` turns the idle decay off (the pre-fix
-    /// completion-only behavior, kept for operators who want it).
-    #[test]
-    fn zero_decay_interval_disables_idle_decay() {
-        let cfg = ServeConfig {
-            max_inflight: 1,
-            pressure_decay_ms: 0,
-            ..ServeConfig::default()
-        };
-        let gate = Admission::new(&cfg);
-        let _hold = gate.try_admit(OpKind::Read).unwrap();
-        for _ in 0..4 {
-            let _ = gate.try_admit(OpKind::Read);
-        }
-        let before = gate.pressure();
-        assert!(before > 0);
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(gate.pressure(), before, "no idle decay when disabled");
     }
 }

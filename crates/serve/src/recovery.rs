@@ -6,7 +6,7 @@
 //!
 //! 1. **Checkpoint.** Load the newest checkpoint, restore its durable
 //!    state into the engine, re-propagate, and compare slack bits against
-//!    the snapshot stored *inside* the checkpoint. A mismatch (stale
+//!    the slacks stored *inside* the checkpoint. A mismatch (stale
 //!    checkpoint: wrong design, seed, or engine config) or any decode
 //!    failure records a typed incident and falls back to the next-newest
 //!    checkpoint, then to the engine's initial state.
@@ -29,13 +29,18 @@
 //!    without a record is renamed to the recovered epoch + 1, so segment
 //!    names stay the epochs of the first records they may hold.
 //!
+//! An engine failure is not the log's fault: a worker panic the engine
+//! could not contain ([`InstaError::Runtime`]) in either propagation stops
+//! recovery with an error before any file is touched, so a restart
+//! with a sound engine finds every byte where it was.
+//!
 //! Because deltas are absolute overwrites and propagation is
 //! deterministic, the recovered engine's slacks are bit-identical
 //! (`f64::to_bits`) to a twin that never crashed — the contract the
 //! chaos suite in `tests/recovery.rs` enforces at every crash point.
 
 use crate::wal::{self, DurabilityConfig};
-use insta_engine::{EngineDurableState, InstaEngine, ServiceIncident, WriterOp};
+use insta_engine::{EngineDurableState, InstaEngine, InstaError, ServiceIncident, WriterOp};
 use std::io;
 
 /// Incident category for everything the durability layer reports.
@@ -68,14 +73,13 @@ fn incident(message: String) -> ServiceIncident {
 
 /// Ends the log at byte `keep` of segment `at`: the rest of that segment is
 /// zeroed and every later segment removed (nothing past the cut can join
-/// the epoch chain again). Returns how many segments were removed.
-fn cut_log(segments: &[(u64, std::path::PathBuf)], at: usize, keep: u64) -> io::Result<usize> {
+/// the epoch chain again).
+fn cut_log(segments: &[(u64, std::path::PathBuf)], at: usize, keep: u64) -> io::Result<()> {
     wal::repair_segment(&segments[at].1, keep)?;
-    let later = &segments[at + 1..];
-    for (_, path) in later {
+    for (_, path) in &segments[at + 1..] {
         std::fs::remove_file(path)?;
     }
-    Ok(later.len())
+    Ok(())
 }
 
 /// A cut may leave the last segment without a record under a name above
@@ -94,12 +98,14 @@ fn rename_emptied_tail(dir: &std::path::Path, next_epoch: u64) -> io::Result<()>
     Ok(())
 }
 
-/// Slack bits of the engine's current report (empty when none).
-fn slack_bits(engine: &InstaEngine) -> Vec<u64> {
-    engine
-        .try_report()
-        .map(|r| r.slacks.iter().map(|s| s.to_bits()).collect())
-        .unwrap_or_default()
+fn bits(slacks: &[f64]) -> Vec<u64> {
+    slacks.iter().map(|s| s.to_bits()).collect()
+}
+
+/// An engine failure recovery must not blame on the log: the startup
+/// stops, and the files stay as they are.
+fn engine_failure(at: &str, e: InstaError) -> io::Error {
+    io::Error::other(format!("recovery stopped at {at}: the engine failed: {e}"))
 }
 
 /// Recovers `engine` from `cfg.dir`. The engine must be freshly built
@@ -136,22 +142,19 @@ pub fn recover(engine: &mut InstaEngine, cfg: &DurabilityConfig) -> io::Result<R
             )));
             continue;
         }
-        engine.propagate();
         // Self-verification: the re-derived slacks must match the bits
         // the checkpoint stored, or the checkpoint lies about this
         // engine (stale: wrong design/seed/config at startup).
-        let derived = slack_bits(engine);
-        let stored: Vec<u64> = image
-            .snapshot
-            .report()
-            .map(|r| r.slacks.iter().map(|s| s.to_bits()).collect())
-            .unwrap_or_default();
-        if derived != stored {
+        let derived = match engine.try_propagate() {
+            Ok(r) => bits(&r.slacks),
+            Err(e) => return Err(engine_failure(&format!("checkpoint epoch {epoch}"), e)),
+        };
+        if derived != bits(&image.slacks) {
             report.incidents.push(incident(format!(
                 "checkpoint epoch {epoch} is stale: restored slacks diverge from the stored \
-                 snapshot ({} vs {} endpoints)",
+                 ones ({} vs {} endpoints)",
                 derived.len(),
-                stored.len()
+                image.slacks.len()
             )));
             pristine
                 .restore(engine)
@@ -169,8 +172,11 @@ pub fn recover(engine: &mut InstaEngine, cfg: &DurabilityConfig) -> io::Result<R
             .expect("pristine state always fits its own engine");
     }
 
-    // Phase 2: WAL scan, segment by segment; cut a damaged tail off with
-    // a typed incident.
+    // Phase 2: WAL scan, segment by segment, up to the first damage, with
+    // a typed incident. The log is cut there (or at an earlier record the
+    // replay stops at) only after the replay: an engine failure in it
+    // must leave every file as it was.
+    let mut cut = None;
     let mut records = Vec::new();
     let segments = wal::list_segments(&cfg.dir)?;
     let name = |i: usize| {
@@ -187,8 +193,8 @@ pub fn recover(engine: &mut InstaEngine, cfg: &DurabilityConfig) -> io::Result<R
             damage.offset,
             damage.message
         )));
-        let dropped = cut_log(&segments, i, scan.valid_bytes)?;
-        report.wal_truncated = true;
+        cut = Some((i, scan.valid_bytes));
+        let dropped = segments.len() - i - 1;
         if dropped > 0 {
             report.incidents.push(incident(format!(
                 "{dropped} WAL segment(s) after the damaged {} dropped",
@@ -235,12 +241,15 @@ pub fn recover(engine: &mut InstaEngine, cfg: &DurabilityConfig) -> io::Result<R
                     report.replayed += 1;
                     None
                 }
+                Err(e @ InstaError::Runtime(_)) => {
+                    return Err(engine_failure(&format!("WAL epoch {}", rec.epoch), e))
+                }
                 Err(e) => Some(format!("WAL replay failed at epoch {}: {e}", rec.epoch)),
             }
         };
         if let Some(why) = failure {
-            let dropped = cut_log(&segments, *segment, rec.offset)?;
-            report.wal_truncated = true;
+            cut = Some((*segment, rec.offset));
+            let dropped = segments.len() - segment - 1;
             report.incidents.push(incident(format!(
                 "{why} — replay stopped; log cut at byte {} of {}: {} record(s) and {dropped} \
                  later segment(s) dropped",
@@ -252,7 +261,9 @@ pub fn recover(engine: &mut InstaEngine, cfg: &DurabilityConfig) -> io::Result<R
         }
     }
 
-    if report.wal_truncated {
+    if let Some((at, keep)) = cut {
+        cut_log(&segments, at, keep)?;
+        report.wal_truncated = true;
         rename_emptied_tail(&cfg.dir, engine.epoch() + 1)?;
     }
     report.recovered_epoch = engine.epoch();

@@ -31,7 +31,7 @@
 //! `internal` error instead of a dead socket. See DESIGN.md "Service
 //! architecture" for the full failure matrix.
 
-use crate::admission::{Admission, Rejection, ServeConfig, ServeCounters, Tier};
+use crate::admission::{Admission, Rejection, ServeConfig, ServeCounters, Tier, RETRY_AFTER_MS};
 use crate::protocol::{
     code, err_response, ok_response, ok_response_text, read_frame, write_frame, FrameError, Op,
     OpKind, Request, PROTOCOL_VERSION,
@@ -39,7 +39,7 @@ use crate::protocol::{
 use crate::recovery::{self, RecoveryReport};
 use crate::wal::{panic_message, Durability, DurabilityConfig};
 use insta_engine::{
-    CancelToken, CornerTransform, Deadline, DeltaSet, EngineDurableState, IncidentLog,
+    CancelToken, CornerTransform, Deadline, EngineDurableState, IncidentLog,
     InstaEngine, InstaError, InstaReport, ModeMask, Scenario, ServiceIncident, TimingSnapshot,
     WriterOp,
 };
@@ -52,6 +52,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::{Duration, Instant};
+
+/// Capacity of the service-side incident ring.
+const INCIDENT_LOG_CAP: usize = 128;
+/// Capacity of the request journal (spans/events ring).
+const JOURNAL_CAPACITY: usize = 4096;
+/// Scenario cap per `batch` request.
+const MAX_BATCH_SCENARIOS: usize = 64;
 
 /// Locks a mutex, tolerating poisoning: a panic in another connection
 /// must not cascade — the session layer already rolled the engine back
@@ -283,11 +290,11 @@ impl Server {
     ) -> Self {
         let cell = SnapshotCell::new(engine.snapshot());
         let admission = Admission::new(&cfg);
-        let mut log = IncidentLog::with_capacity(cfg.incident_log_cap);
+        let mut log = IncidentLog::with_capacity(INCIDENT_LOG_CAP);
         for inc in seed_incidents {
             log.record_service(inc.clone());
         }
-        let journal = Mutex::new(Recorder::with_capacity(cfg.journal_capacity));
+        let journal = Mutex::new(Recorder::with_capacity(JOURNAL_CAPACITY));
         Server {
             shared: Arc::new(Shared {
                 cfg,
@@ -538,7 +545,7 @@ impl Server {
                     "heavy work shed at tier {}; retry when pressure drops",
                     sh.admission.tier().name()
                 ),
-                retry_after_ms: Some(sh.cfg.retry_after_ms * 4),
+                retry_after_ms: Some(RETRY_AFTER_MS * 4),
             },
         })?;
         ServeCounters::bump(&sh.counters.accepted);
@@ -868,13 +875,12 @@ impl Server {
             .map_err(|e| ErrReply::new(code::BAD_REQUEST, format!("scenarios: {e}")))?
             .as_arr()
             .map_err(|e| ErrReply::new(code::BAD_REQUEST, format!("scenarios: {e}")))?;
-        if scenarios_json.len() > sh.cfg.max_batch_scenarios {
+        if scenarios_json.len() > MAX_BATCH_SCENARIOS {
             return Err(ErrReply::new(
                 code::BAD_REQUEST,
                 format!(
-                    "{} scenarios exceeds the cap of {}",
-                    scenarios_json.len(),
-                    sh.cfg.max_batch_scenarios
+                    "{} scenarios exceeds the cap of {MAX_BATCH_SCENARIOS}",
+                    scenarios_json.len()
                 ),
             ));
         }
@@ -889,39 +895,26 @@ impl Server {
             req.params.field("merged").and_then(|v| v.as_bool()),
             Ok(true)
         );
-        // Plain delta-array scenarios without a merge request take the
-        // generation-1 path verbatim; scenario *objects* (deltas × corner
-        // × mode) and merge requests go through the MCMM entry points.
-        let legacy = !merged && scenarios_json.iter().all(|s| s.as_arr().is_ok());
-        let (results, merged_json) = if legacy {
-            let mut sets = Vec::with_capacity(scenarios_json.len());
-            for s in scenarios_json {
-                sets.push(DeltaSet::from(parse_deltas(s)?));
-            }
-            let mut eng = lock(&sh.writer);
-            let results = eng.evaluate_batch_with(&sets, &opts);
+        // A plain delta array is a scenario without corner or mode: the
+        // same lanes, the same counters.
+        let mut scs = Vec::with_capacity(scenarios_json.len());
+        for s in scenarios_json {
+            scs.push(parse_scenario(s)?);
+        }
+        let mut eng = lock(&sh.writer);
+        let (results, merged_json) = if merged {
+            let rep = eng.evaluate_mcmm_with(&scs, &opts);
+            drop(eng);
+            let m = obj([
+                ("wns_ps", rep.merged_wns_ps.to_json()),
+                ("tns_ps", rep.merged_tns_ps.to_json()),
+                ("n_violations", (rep.merged_violations as u64).to_json()),
+            ]);
+            (rep.scenarios, Some(m))
+        } else {
+            let results = eng.evaluate_scenarios_with(&scs, &opts);
             drop(eng);
             (results, None)
-        } else {
-            let mut scs = Vec::with_capacity(scenarios_json.len());
-            for s in scenarios_json {
-                scs.push(parse_scenario(s)?);
-            }
-            let mut eng = lock(&sh.writer);
-            if merged {
-                let rep = eng.evaluate_mcmm_with(&scs, &opts);
-                drop(eng);
-                let m = obj([
-                    ("wns_ps", rep.merged_wns_ps.to_json()),
-                    ("tns_ps", rep.merged_tns_ps.to_json()),
-                    ("n_violations", (rep.merged_violations as u64).to_json()),
-                ]);
-                (rep.scenarios, Some(m))
-            } else {
-                let results = eng.evaluate_scenarios_with(&scs, &opts);
-                drop(eng);
-                (results, None)
-            }
         };
         let rows: Vec<Json> = results
             .iter()
@@ -1109,7 +1102,7 @@ fn map_engine_err(e: InstaError) -> ErrReply {
     }
 }
 
-/// Decodes one `batch` scenario: the legacy delta array, or the MCMM
+/// Decodes one `batch` scenario: a plain delta array, or the MCMM
 /// object `{"deltas": [...], "corner": {"mean_scale", "mean_offset_ps",
 /// "sigma_scale", "sigma_offset_ps"}, "mode": {"disabled": [ep, ...]}}`
 /// — every field optional, corner fields defaulting to the identity.
@@ -1559,9 +1552,6 @@ mod reply_identity {
     fn a_degraded_read_and_a_min_epoch_wait_splice_the_same_image() {
         let cfg = ServeConfig {
             max_inflight: 1,
-            shed_pressure: 1,
-            snapshot_only_pressure: 2,
-            pressure_decay_ms: 0,
             ..ServeConfig::default()
         };
         let server = Server::new(engine(7, true), cfg);
@@ -1572,7 +1562,10 @@ mod reply_identity {
         // for an epoch nobody committed is answered at once, flagged.
         let gate = &server.shared.admission;
         let hold = gate.try_admit(OpKind::Read).expect("a free slot");
-        for _ in 0..3 {
+        let storm = crate::admission::SNAPSHOT_ONLY_PRESSURE
+            .div_ceil(crate::admission::REJECTION_PRESSURE)
+            + 2;
+        for _ in 0..storm {
             assert!(gate.try_admit(OpKind::Read).is_err());
         }
         drop(hold);
@@ -1615,5 +1608,105 @@ mod reply_identity {
         let after = server.published();
         let waited = after.slack_image().expect("the waiter built epoch 1's");
         assert_ne!(**waited, *image, "the commit moved some slack");
+    }
+
+    /// A plain delta array is a corner-less, mode-less scenario: the reply
+    /// and the engine counters are what the plain-array path the daemon
+    /// used to fork to (`evaluate_batch_with`) produces, quarantined and
+    /// out-of-range arcs included; an arc id past `u32` fails the request
+    /// as it did.
+    #[test]
+    fn a_plain_array_batch_replies_as_evaluate_batch_did() {
+        let server = Server::new(engine(8, true), ServeConfig::default());
+        let mut twin = engine(8, true);
+        let delta = |arc: u32, sigma: f64| ArcDelta {
+            arc,
+            mean: [60.0 + f64::from(arc), 20.0],
+            sigma: [sigma, 1.5],
+        };
+        let sets: Vec<Vec<ArcDelta>> = vec![
+            vec![delta(0, 2.0)],
+            vec![],
+            vec![delta(1, -1.0)],       // invalid sigma: quarantined
+            vec![delta(4_000_000, 2.0)], // past the graph's arcs: quarantined
+            vec![delta(2, 2.0), delta(3, 0.5)],
+        ];
+        let wire = |d: &ArcDelta| {
+            obj([
+                ("arc", u64::from(d.arc).to_json()),
+                ("mean", d.mean.to_json()),
+                ("sigma", d.sigma.to_json()),
+            ])
+        };
+        let scenarios = sets
+            .iter()
+            .map(|s| Json::Arr(s.iter().map(wire).collect()))
+            .collect();
+        let req = request(1, Op::Batch, obj([("scenarios", Json::Arr(scenarios))]));
+        let body = served(&server, &req);
+
+        let opts = insta_engine::BatchOptions {
+            gradients: false,
+            cancel: Some(CancelToken::new()),
+            deadline: None,
+        };
+        let sets: Vec<insta_engine::DeltaSet> = sets.into_iter().map(Into::into).collect();
+        let rows = twin
+            .evaluate_batch_with(&sets, &opts)
+            .iter()
+            .map(|r| match &r.outcome {
+                Ok(rep) => obj([
+                    ("scenario", (r.scenario as u64).to_json()),
+                    ("ok", Json::Bool(true)),
+                    ("wns_ps", rep.wns_ps.to_json()),
+                    ("tns_ps", rep.tns_ps.to_json()),
+                    ("n_violations", (rep.n_violations as u64).to_json()),
+                ]),
+                Err(e) => obj([
+                    ("scenario", (r.scenario as u64).to_json()),
+                    ("ok", Json::Bool(false)),
+                    ("error", Json::Str(e.category().to_owned())),
+                ]),
+            })
+            .collect();
+        let expected = obj([("scenarios", Json::Arr(rows))]);
+        assert_eq!(body, tree_body(1, 0, Ok(expected)));
+        let counters = lock(&server.shared.writer).counters();
+        assert_eq!(counters, twin.counters());
+        assert_eq!((counters.batch_scenarios, counters.batch_quarantined), (5, 2));
+
+        // The `stats` op shows the counters once a commit publishes them.
+        let commit = request(2, Op::Propagate, Json::Null);
+        assert!(decoded(&served(&server, &commit)).ok);
+        let mut s = twin.begin_session();
+        s.propagate().expect("twin propagate");
+        s.commit().expect("twin commit");
+        let stats = decoded(&served(&server, &request(3, Op::Stats, Json::Null)));
+        let shown = stats.result.field("engine").expect("engine counters");
+        let want = twin.counters();
+        for (key, value) in [
+            ("batches", want.batches),
+            ("batch_scenarios", want.batch_scenarios),
+            ("batch_quarantined", want.batch_quarantined),
+            ("mcmm_evaluations", want.mcmm_evaluations),
+            ("mcmm_corner_lanes", want.mcmm_corner_lanes),
+            ("mcmm_deduped", want.mcmm_deduped),
+        ] {
+            assert_eq!(shown.get::<u64>(key).expect(key), value, "{key}");
+        }
+
+        // An arc id that does not fit `u32` is the whole request's error.
+        let past = obj([
+            ("arc", ((1u64 << 32) + 1).to_json()),
+            ("mean", [1.0, 1.0].to_json()),
+            ("sigma", [1.0, 1.0].to_json()),
+        ]);
+        let scenarios = Json::Arr(vec![Json::Arr(vec![past])]);
+        let reply = decoded(&served(
+            &server,
+            &request(4, Op::Batch, obj([("scenarios", scenarios)])),
+        ));
+        assert_eq!(reply.code(), Some(code::BAD_REQUEST));
+        assert!(reply.error.unwrap().1.contains("delta arc"));
     }
 }

@@ -3,7 +3,7 @@
 //! preallocated segments, plus periodic binary checkpoints of the
 //! committed engine state written by a background thread.
 //!
-//! # File formats (version 3)
+//! # File formats (version 4)
 //!
 //! **WAL segments** (`wal-<first epoch:020>.seg`): a fixed-size file
 //! ([`SEGMENT_BYTES`]; a record too large for one gets a segment of its
@@ -55,20 +55,22 @@
 //! then the payload:
 //!
 //! ```text
-//! payload = [u64 LE state len][EngineDurableState bytes][TimingSnapshot bytes]
+//! payload = [u64 LE state len][EngineDurableState bytes]
+//!           [u64 LE n][n × f64 LE bits: the published report's slacks]
 //! ```
 //!
-//! The embedded snapshot is a *self-verification artifact*: recovery
-//! restores the durable state, re-propagates, and compares slack bits
-//! against the stored snapshot — a checkpoint from a different design or
-//! engine configuration is detected as stale instead of silently serving
-//! wrong timing. A checkpoint is **streamed** into a temp file through a
-//! 64 KiB buffer (the ~2 MB image is never built in memory: with it and
-//! its parts in a second thread's malloc arena the daemon's peak RSS
-//! broke its bound), the file `fdatasync`'d every 256 KiB so the log's
-//! own sync never queues behind one multi-megabyte flush, the header —
-//! which needs the payload's CRC — written last, then the file renamed
-//! into place and the directory fsync'd. A crash mid-checkpoint leaves at
+//! The slacks are a *self-verification artifact* — nothing else of the
+//! published snapshot is stored, and an epoch without a report stores
+//! `n = 0`: recovery restores the durable state, re-propagates, and
+//! compares slack bits against the stored ones — a checkpoint from a
+//! different design or engine configuration is detected as stale instead
+//! of silently serving wrong timing. A checkpoint is **streamed** into a
+//! temp file through a 64 KiB buffer (the ~1.2 MB image is never built in
+//! memory: with it and its parts in a second thread's malloc arena the
+//! daemon's peak RSS broke its bound), the file `fdatasync`'d every
+//! 256 KiB so the log's own sync never queues behind one multi-megabyte
+//! flush, the header — which needs the payload's CRC — written last, then
+//! the file renamed into place and the directory fsync'd. A crash mid-checkpoint leaves at
 //! most an ignorable `.tmp`.
 //!
 //! # The background checkpoint writer
@@ -103,9 +105,7 @@
 //! commit rate. `sync_interval = 0` is fsync-per-append as fast as the
 //! caller can go.
 
-use insta_engine::{
-    encode_snapshot_into, ByteSink, Enc, EngineDurableState, TimingSnapshot, WriterOp,
-};
+use insta_engine::{ByteSink, Dec, Enc, EngineDurableState, TimingSnapshot, WriterOp};
 use insta_support::fault::{CrashPoint, CrashSwitch};
 use insta_support::hash::{crc32, Crc32};
 use std::fs::{File, OpenOptions};
@@ -125,9 +125,11 @@ pub const CKPT_MAGIC: &[u8; 8] = b"INSTACKP";
 ///
 /// v2: the engine-counters codec grew the MCMM fields. v3: the log is a
 /// sequence of preallocated segments (`wal-*.seg`) instead of one
-/// growing `wal.log`; checkpoints kept their layout. Artifacts of another
-/// version are rejected with a typed incident, not misread.
-pub const FORMAT_VERSION: u32 = 3;
+/// growing `wal.log`; checkpoints kept their layout. v4: a checkpoint
+/// stores the published report's slacks instead of the whole snapshot
+/// image. Artifacts of another version are rejected with a typed
+/// incident, not misread.
+pub const FORMAT_VERSION: u32 = 4;
 /// Segment header bytes: magic + version.
 pub const SEGMENT_HEADER_LEN: u64 = 12;
 /// Size of a WAL segment. A checkpoint rotates the log every
@@ -150,6 +152,9 @@ const CKPT_BUF_BYTES: usize = 64 << 10;
 const CKPT_SYNC_BYTES: usize = 256 << 10;
 /// Messages kept for [`Durability::take_incidents`] when nobody drains.
 const INCIDENT_BACKLOG: usize = 64;
+/// Newest checkpoints retained after a successful new one: the fallback
+/// when the newest turns out stale.
+const KEEP_CHECKPOINTS: usize = 2;
 
 /// Durability configuration for a daemon.
 #[derive(Debug, Clone)]
@@ -167,8 +172,6 @@ pub struct DurabilityConfig {
     /// Commits between checkpoints (`0` = never checkpoint; the WAL then
     /// grows until restart).
     pub checkpoint_every: u64,
-    /// Newest checkpoints retained after a successful new one (≥ 1).
-    pub keep_checkpoints: usize,
     /// Test hook: a crash injector that kills the durability layer at an
     /// armed [`CrashPoint`] — writes after the trip vanish, exactly as
     /// after a `kill -9`.
@@ -185,7 +188,6 @@ impl DurabilityConfig {
             fsync: true,
             sync_interval: Duration::from_micros(1000),
             checkpoint_every: 64,
-            keep_checkpoints: 2,
             crash: None,
         }
     }
@@ -899,7 +901,7 @@ impl Core {
             state.encode_into(&mut enc);
             if self.fire(CrashPoint::MidCheckpointStream, commit) {
                 // The writer dies mid-stream: the state is (partly) out,
-                // the snapshot and the header never follow.
+                // the slacks and the header never follow.
                 stream.flush()?;
                 stream.file.sync_data()?;
                 return Ok(None);
@@ -907,7 +909,7 @@ impl Core {
             if self.panic_next.swap(false, Ordering::SeqCst) {
                 panic!("injected checkpoint writer panic at epoch {epoch}");
             }
-            encode_snapshot_into(snapshot, &mut enc);
+            enc.f64s(snapshot.report().map_or(&[], |r| &r.slacks));
             let (file, len) = stream.finish()?;
             if self.fire(CrashPoint::MidCheckpoint, commit) {
                 // Crash before the fsync took: the header page reached the
@@ -960,9 +962,8 @@ impl Core {
     }
 
     fn prune_checkpoints(&self) -> io::Result<()> {
-        let keep = self.cfg.keep_checkpoints.max(1);
         let mut all = list_checkpoints(&self.cfg.dir)?;
-        for (_epoch, path) in all.drain(..).skip(keep) {
+        for (_epoch, path) in all.drain(..).skip(KEEP_CHECKPOINTS) {
             let _ = std::fs::remove_file(path);
         }
         Ok(())
@@ -1212,14 +1213,14 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 }
 
 /// A decoded checkpoint: the durable engine state plus the committed
-/// snapshot stored for self-verification.
+/// slacks stored for self-verification.
 #[derive(Debug)]
 pub struct CheckpointImage {
     /// The restorable engine state.
     pub state: EngineDurableState,
-    /// The snapshot as committed — recovery re-derives it and compares
-    /// bits to detect stale checkpoints.
-    pub snapshot: TimingSnapshot,
+    /// The published report's slacks (empty without a report) — recovery
+    /// re-derives them and compares bits to detect stale checkpoints.
+    pub slacks: Vec<f64>,
 }
 
 /// Loads and fully validates one checkpoint file. The error is a
@@ -1264,9 +1265,12 @@ pub fn load_checkpoint(path: &Path) -> Result<CheckpointImage, String> {
     }
     let state = EngineDurableState::decode(&payload[8..8 + state_len])
         .map_err(|e| format!("checkpoint state: {e}"))?;
-    let snapshot = insta_engine::decode_snapshot(&payload[8 + state_len..])
-        .map_err(|e| format!("checkpoint snapshot: {e}"))?;
-    Ok(CheckpointImage { state, snapshot })
+    let mut d = Dec::new(&payload[8 + state_len..]);
+    let slacks = d
+        .f64s("checkpoint slacks")
+        .and_then(|v| d.finish().map(|()| v))
+        .map_err(|e| format!("checkpoint slacks: {e}"))?;
+    Ok(CheckpointImage { state, slacks })
 }
 
 /// Checkpoint files in `dir`, newest (highest epoch) first. Temp files

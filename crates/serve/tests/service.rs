@@ -5,6 +5,7 @@
 mod common;
 
 use common::{build_engine, connect, slack_bits};
+use insta_serve::admission::{REJECTION_PRESSURE, SHED_PRESSURE, SNAPSHOT_ONLY_PRESSURE};
 use insta_serve::{Op, ServeConfig, Server};
 use insta_support::json::{obj, Json, ToJson};
 use std::sync::atomic::Ordering;
@@ -190,8 +191,6 @@ fn admission_cap_rejects_with_retry_hint_and_records_incidents() {
 fn degradation_sheds_heavies_then_serves_stale_reads_but_never_the_writer() {
     let cfg = ServeConfig {
         max_inflight: 1,
-        shed_pressure: 3,
-        snapshot_only_pressure: 9,
         enable_debug_ops: true,
         ..ServeConfig::default()
     };
@@ -213,9 +212,11 @@ fn degradation_sheds_heavies_then_serves_stale_reads_but_never_the_writer() {
     std::thread::sleep(std::time::Duration::from_millis(20));
 
     let (mut cl, h) = connect(&server);
-    // One rejection → pressure 3 → ShedHeavy: batch work is refused.
-    let rej = cl.call(Op::ReportSlack, None, Json::Null).unwrap();
-    assert_eq!(rej.code(), Some("overloaded"));
+    // Rejections pump the pressure to ShedHeavy: batch work is refused.
+    for _ in 0..SHED_PRESSURE.div_ceil(REJECTION_PRESSURE) {
+        let rej = cl.call(Op::ReportSlack, None, Json::Null).unwrap();
+        assert_eq!(rej.code(), Some("overloaded"));
+    }
     let shed = cl
         .call(Op::Batch, None, obj([("scenarios", Json::Arr(vec![]))]))
         .unwrap();
@@ -223,8 +224,9 @@ fn degradation_sheds_heavies_then_serves_stale_reads_but_never_the_writer() {
 
     // Keep pumping until SnapshotOnly, then let the staller drain so the
     // next read can actually win a slot — pressure persists past the
-    // overload itself (it decays one step per completion, not on a timer).
-    for _ in 0..3 {
+    // overload itself (it decays one step per completion, and one per
+    // idle `PRESSURE_DECAY_MS`): pump past the threshold by a margin.
+    for _ in 0..SNAPSHOT_ONLY_PRESSURE.div_ceil(REJECTION_PRESSURE) + 2 {
         let r = cl.call(Op::ReportSlack, None, Json::Null).unwrap();
         assert_eq!(r.code(), Some("overloaded"));
     }

@@ -21,7 +21,7 @@ done
 
 echo "==> DESIGN.md size line (what the code and its module docs already say does not go there)"
 design_bytes=$(wc -c < DESIGN.md)
-[ "$design_bytes" -le 62000 ] || { echo "DESIGN.md is $design_bytes bytes, over the 62000-byte line: cut, or move the text into the module it describes" >&2; exit 1; }
+[ "$design_bytes" -le 61500 ] || { echo "DESIGN.md is $design_bytes bytes, over the 61500-byte line: cut, or move the text into the module it describes" >&2; exit 1; }
 
 echo "==> tests (offline; debug profile keeps the hot-path poison asserts on) — one run of the whole workspace, which is every gate named below"
 echo "    fault-injection gate (fixed seed, zero panics): tests/fault_injection, insta-engine fault_tolerance"
@@ -32,7 +32,7 @@ echo "    validity gate (generated state machine over every annotation- and prod
 echo "    cone-equivalence gate (session cone updates bit-identical to reannotate + full pass, rollbacks by the undo log bit-identical to never having run, arrays and report, both backends; batched calls and failed cone sessions leave the engine's bits untouched after clean, quarantined, cancelled and panicked sweeps): insta-engine cone_equivalence"
 echo "    backend-equivalence gate (trait-generic Gaussian bit-identical to the frozen kernels; histogram converges to POCV monotonically in bins): insta-engine + tests/backend_equivalence"
 echo "    server-chaos gate (protocol-fault storm: no hangs, no panics, typed errors, bit-identical post-storm commit; TCP round trip: 50 pings over loopback p50 < 5 ms; reply byte identity: image-spliced replies equal the tree encoder's bytes on generated reports and a live daemon, one image per epoch read under 8 racing readers): insta-serve"
-echo "    crash-recovery gate (kill -9 chaos: every crash point + durability fault recovers the durable prefix bit-exactly, incl. a real SIGKILL of the insta-serve binary; an unreplayable record is cut out of the log and a segment the cut empties is renamed, so no rotation replaces it): insta-serve recovery"
+echo "    crash-recovery gate (kill -9 chaos: every crash point + durability fault recovers the durable prefix bit-exactly, incl. a real SIGKILL of the insta-serve binary; an unreplayable record is cut out of the log and a segment the cut empties is renamed, so no rotation replaces it; an engine failure stops recovery with every file byte-identical; a flipped stored slack bit makes a checkpoint stale and the log rebuilds): insta-serve recovery, engine_failure, checkpoint"
 cargo test -q --workspace --offline
 
 echo "==> benches compile (offline)"

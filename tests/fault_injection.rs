@@ -5,7 +5,7 @@
 //!
 //! The pipeline under attack is the real one: snapshot text → JSON parse
 //! (`insta_support::json`) → `InstaInit` decode → validation
-//! (`InstaEngine::new` in Strict or Repair mode) → propagation →
+//! (`InstaEngine::new` in Strict mode) → propagation →
 //! `health_check`. Each stage is allowed to reject with its typed error;
 //! whatever survives all of them must produce NaN-free slacks and
 //! gradients.
@@ -26,7 +26,7 @@ use std::sync::OnceLock;
 
 /// Fixed suite seed: every corruption in this file derives from it.
 const SUITE_SEED: u64 = 0x1257_FA01_7;
-/// Corruptions tried per fault class (per validation mode).
+/// Corruptions tried per fault class.
 const CASES_PER_FAULT: u64 = 12;
 
 /// The clean snapshot every corruption starts from (built once).
@@ -143,11 +143,10 @@ fn textual_corruption_never_panics_and_is_mostly_rejected() {
 }
 
 #[test]
-fn tree_corruption_never_panics_in_strict_or_repair_mode() {
+fn tree_corruption_never_panics_in_strict_mode() {
     let plan = FaultPlan::new(SUITE_SEED);
     let clean = clean_init().to_json();
     let mut strict_rejects = 0usize;
-    let mut repair_accepts_a_strict_reject = false;
     for fault in Fault::ALL.into_iter().filter(|f| !f.is_textual()) {
         for case in 0..CASES_PER_FAULT {
             let mut v = clean.clone();
@@ -161,26 +160,16 @@ fn tree_corruption_never_panics_in_strict_or_repair_mode() {
                 Ok(init) => init,
             };
             let strict = no_panic(fault, case, "strict", || {
-                drive_init(init.clone(), ValidationMode::Strict)
-            });
-            let repair = no_panic(fault, case, "repair", || {
-                drive_init(init, ValidationMode::Repair)
+                drive_init(init, ValidationMode::Strict)
             });
             if strict == "rejected:validate" {
                 strict_rejects += 1;
-                if repair == "accepted" {
-                    repair_accepts_a_strict_reject = true;
-                }
             }
         }
     }
     assert!(
         strict_rejects > 0,
         "no tree corruption tripped strict validation — the sweep is toothless"
-    );
-    assert!(
-        repair_accepts_a_strict_reject,
-        "repair mode never salvaged a snapshot strict rejected"
     );
 }
 
@@ -260,26 +249,6 @@ fn corrupt_struct(init: &mut InstaInit, class: u8, pick: u64) {
                 let i = at(init.endpoints.len());
                 init.endpoints[i].required_base = f64::NAN;
             }
-        }
-    }
-}
-
-/// The repaired form of every struct-level corruption must itself pass
-/// strict validation and propagate to finite results — repair is a real
-/// fix, not a reclassification.
-#[test]
-fn repair_mode_salvages_struct_level_corruption() {
-    for class in 0..6u8 {
-        for pick in [3u64, 0x9E37_79B9, u64::MAX / 3] {
-            let mut init = clean_init().clone();
-            corrupt_struct(&mut init, class, pick);
-            let outcome = no_panic(Fault::NanNumber, u64::from(class), "repair", || {
-                drive_init(init, ValidationMode::Repair)
-            });
-            assert!(
-                outcome == "accepted" || outcome == "rejected:validate",
-                "class {class} pick {pick:#x}: repair produced {outcome}"
-            );
         }
     }
 }
