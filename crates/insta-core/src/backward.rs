@@ -12,10 +12,10 @@
 //! a by-product, exactly the "timing gradient" the paper's applications
 //! consume.
 
-use crate::stat::{with_model, StatModel};
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
 use crate::parallel::{carve, Interrupt, Pass};
+use crate::stat;
 use crate::trace::LevelProfile;
 
 impl InstaEngine {
@@ -82,7 +82,7 @@ impl InstaEngine {
         let report = self.state.report.clone().expect("current: has a report");
         self.last_incident = None;
         self.trace.begin("backward");
-        let res = with_model!(&self.backend, m => backward(
+        let res = backward(
             &self.st,
             &mut self.state,
             &report,
@@ -91,8 +91,7 @@ impl InstaEngine {
             self.cfg.n_threads,
             self.interrupt.as_ref(),
             self.trace.profile_mut(Kernel::Backward),
-            m,
-        ));
+        );
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
         self.settle(res)
@@ -142,7 +141,7 @@ pub(crate) enum Objective {
 /// planted (`slack_ep = required − LSE(arr_r, arr_f)`, hence the softmax
 /// split `w_rf` of every seed), then the reverse level sweep.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn backward<M: StatModel>(
+pub(crate) fn backward(
     st: &Static,
     state: &mut State,
     report: &crate::metrics::InstaReport,
@@ -151,7 +150,6 @@ pub(crate) fn backward<M: StatModel>(
     n_threads: usize,
     interrupt: Option<&Interrupt>,
     prof: Option<&mut LevelProfile>,
-    model: &M,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     state.grad_arrival.fill(0.0);
     for g in state.grad_fanout.iter_mut() {
@@ -159,7 +157,7 @@ pub(crate) fn backward<M: StatModel>(
     }
     // An endpoint's seed splits over its rise/fall smooth arrivals.
     let rise_fall = |state: &State, v: usize| {
-        model.softmax2(state.lse_arrival[v * 2], state.lse_arrival[v * 2 + 1], tau)
+        stat::softmax2(state.lse_arrival[v * 2], state.lse_arrival[v * 2 + 1], tau)
     };
     match objective {
         Objective::Tns => {

@@ -32,8 +32,7 @@
 //! lane's base is the full pass over the corner table, so lane ≡ the full
 //! pass over "corner table, then the lane's transformed deltas" — the
 //! annotations [`scenario_twin_deltas`](InstaEngine::scenario_twin_deltas)
-//! writes. Both backends go through the same
-//! [`StatModel`](crate::stat::StatModel) seam as the session path.
+//! writes.
 //!
 //! **The call leaves no trace.** The undo is unconditional: it runs after
 //! a completed lane, a cancelled or failed sweep, a NaN or gradient
@@ -74,7 +73,6 @@ use crate::forward::{forward, seed_sources};
 use crate::incremental::{cone_sweep, seed_cone, ConeScratch};
 use crate::metrics::InstaReport;
 use crate::parallel::Interrupt;
-use crate::stat::{with_model, StatModel};
 use crate::validate::{Issue, ValidationReport};
 use insta_refsta::eco::ArcDelta;
 use insta_support::timer::Deadline;
@@ -737,17 +735,8 @@ impl InstaEngine {
             let interrupt = (opts.cancel.is_some() || deadline.is_some())
                 .then(|| Interrupt::new(opts.cancel.clone(), deadline));
             if self.ensure_base_synced(interrupt.as_ref()) {
-                // One backend dispatch for the whole batch; the clone keeps
-                // the borrow disjoint from the `&mut self` lane runner.
-                let backend = self.backend.clone();
-                let results = with_model!(&backend, m => self.run_lanes(
-                    lanes,
-                    &fast,
-                    tables,
-                    opts.gradients,
-                    interrupt.as_ref(),
-                    m,
-                ));
+                let results =
+                    self.run_lanes(lanes, &fast, tables, opts.gradients, interrupt.as_ref());
                 for (i, result) in results {
                     out[i] = Some(result);
                 }
@@ -851,14 +840,13 @@ impl InstaEngine {
     /// Runs the routed lanes against the synced base, grouped by corner
     /// (identity first, lanes of a group in submission order), and returns
     /// `(lane index, result)` pairs. One `batch.sweep` span per call.
-    fn run_lanes<M: StatModel>(
+    fn run_lanes(
         &mut self,
         lanes: &[LaneSpec<'_>],
         fast: &[usize],
         tables: &mut [CornerResult],
         gradients: bool,
         interrupt: Option<&Interrupt>,
-        model: &M,
     ) -> Vec<(usize, LaneResult)> {
         let k = self.state.k;
         let mut order = fast.to_vec();
@@ -867,7 +855,6 @@ impl InstaEngine {
         let mut call = LaneCall {
             cfg: &self.cfg,
             interrupt,
-            model,
             grads: gradients.then(|| grad_scratch(&self.st, k)),
             cone_lanes: 0,
             nodes: 0,
@@ -907,20 +894,12 @@ impl InstaEngine {
             let corner = CornerSwap::new(&mut self.st, table);
             base_passes += 1;
             let seed = |state: &mut State, nodes| seed_sources(corner.st, state, nodes);
-            match forward::<_, false>(
-                corner.st,
-                state,
-                self.cfg.n_threads,
-                interrupt,
-                None,
-                model,
-                &seed,
-            ) {
+            match forward::<false>(corner.st, state, self.cfg.n_threads, interrupt, None, &seed) {
                 Ok(recovered) => {
                     if let Some(inc) = recovered {
                         call.incident.get_or_insert(inc);
                     }
-                    let base = crate::metrics::evaluate(corner.st, state, self.cfg.cppr, model);
+                    let base = crate::metrics::evaluate(corner.st, state, self.cfg.cppr);
                     for &i in group {
                         let r = call.run(corner.st, state, &mut self.cone, &base, &lanes[i]);
                         out.push((i, r));
@@ -1054,13 +1033,12 @@ pub(crate) struct LaneUndo<'a> {
 impl<'a> LaneUndo<'a> {
     /// Writes `deltas` and sweeps their cone over `state`, which must be
     /// the full pass's output for `st`'s current annotations.
-    pub(crate) fn sweep<M: StatModel>(
+    pub(crate) fn sweep(
         st: &'a mut Static,
         state: &'a mut State,
         cone: &'a mut ConeScratch,
         deltas: &[ArcDelta],
         interrupt: Option<&Interrupt>,
-        model: &M,
     ) -> (Self, Result<Option<RuntimeIncident>, InstaError>) {
         let lane = LaneUndo { st, state, cone };
         lane.cone.annotate(lane.st, deltas);
@@ -1069,7 +1047,7 @@ impl<'a> LaneUndo<'a> {
         // No `forward.cone` span and no level profile per lane: the call's
         // one `batch.sweep` span carries the totals. No log budget either:
         // the log is the lane's only way back.
-        let swept = cone_sweep(lane.st, lane.state, lane.cone, interrupt, None, None, model);
+        let swept = cone_sweep(lane.st, lane.state, lane.cone, interrupt, None, None);
         (lane, swept)
     }
 }
@@ -1083,10 +1061,9 @@ impl Drop for LaneUndo<'_> {
 
 /// What the lanes of one call share: configuration, the call's one
 /// interrupt, the gradient scratch, and the `batch.sweep` span's tallies.
-struct LaneCall<'a, M> {
+struct LaneCall<'a> {
     cfg: &'a InstaConfig,
     interrupt: Option<&'a Interrupt>,
-    model: &'a M,
     /// Present when the call asked for gradients.
     grads: Option<State>,
     cone_lanes: usize,
@@ -1096,7 +1073,7 @@ struct LaneCall<'a, M> {
     incident: Option<RuntimeIncident>,
 }
 
-impl<M: StatModel> LaneCall<'_, M> {
+impl LaneCall<'_> {
     /// One lane against `(st, state, base)`: `state` is the full pass's
     /// output for `st`'s annotations and `base` its report. Returns with
     /// all three as they were.
@@ -1116,8 +1093,7 @@ impl<M: StatModel> LaneCall<'_, M> {
             }
             return self.finish(st, report);
         }
-        let (lane, swept) =
-            LaneUndo::sweep(st, state, cone, spec.deltas, self.interrupt, self.model);
+        let (lane, swept) = LaneUndo::sweep(st, state, cone, spec.deltas, self.interrupt);
         self.cone_lanes += 1;
         self.nodes += lane.cone.nodes;
         self.pruned += lane.cone.pruned;
@@ -1142,7 +1118,6 @@ impl<M: StatModel> LaneCall<'_, M> {
             |node| lane.cone.recomputed(node),
             spec.mode,
             self.cfg.cppr,
-            self.model,
         );
         // Gradients read the lane's annotations: before `lane` drops.
         self.finish(lane.st, report)
@@ -1169,7 +1144,6 @@ impl<M: StatModel> LaneCall<'_, M> {
             self.cfg.n_threads,
             self.interrupt,
             None,
-            self.model,
         )
         .and_then(|_| {
             crate::backward::backward(
@@ -1181,7 +1155,6 @@ impl<M: StatModel> LaneCall<'_, M> {
                 self.cfg.n_threads,
                 self.interrupt,
                 None,
-                self.model,
             )
         });
         if let Err(e) = passes {

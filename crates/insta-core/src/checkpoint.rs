@@ -24,7 +24,6 @@
 
 use crate::engine::{DriftState, InstaEngine};
 use crate::metrics::InstaReport;
-use crate::stat::with_model;
 use crate::validity::Validity;
 
 /// Begin-time observables (captured once).
@@ -97,13 +96,12 @@ impl EpochCheckpoint {
         let cone = &mut engine.cone;
         if engine.validity.topk_current() && engine.rows.kept() {
             let undone = cone.undone(&engine.st);
-            with_model!(&engine.backend, m => engine.rows.follow(
+            engine.rows.follow(
                 &mut engine.validity,
                 &engine.st,
                 &engine.state,
                 undone.into_iter(),
-                m,
-            ));
+            );
         }
         let restored = (cone.log_node.len(), cone.log_arc.len());
         cone.forget();

@@ -14,10 +14,7 @@ use crate::forward::queue_of;
 use crate::incremental::ConeScratch;
 use crate::parallel::{Interrupt, VirtualQueue};
 use crate::snapshot::RowStore;
-use crate::stat::{
-    with_model, Backend, FixedBinHistogram, GaussianPocv, StatBackendKind, StatModel,
-    StatModelConfig,
-};
+use crate::stat;
 use crate::trace::{kernel_code, TraceSink};
 use crate::validate::{self, Issue, ValidationMode, ValidationReport};
 use crate::validity::Validity;
@@ -127,11 +124,6 @@ pub struct InstaConfig {
     /// When repeated incremental updates stop being trusted (see
     /// [`DriftPolicy`]).
     pub drift_policy: DriftPolicy,
-    /// Which statistical numerics backend the kernels propagate with
-    /// (see [`crate::stat`]). The default is the paper's closed-form
-    /// Gaussian POCV; `FixedBinHistogram` discretizes the arrival shape
-    /// onto a fixed grid and converges to POCV as bins grow.
-    pub stat_model: StatModelConfig,
 }
 
 impl Default for InstaConfig {
@@ -143,7 +135,6 @@ impl Default for InstaConfig {
             cppr: true,
             validation: ValidationMode::Strict,
             drift_policy: DriftPolicy::default(),
-            stat_model: StatModelConfig::GaussianPocv,
         }
     }
 }
@@ -302,9 +293,9 @@ impl Static {
 ///
 /// The Top-K lanes are indexed by *row* ([`Static::row_base`]), not by
 /// node: a queue is a live count plus `(sp, mean, sigma)` entries, and its
-/// corner arrival is the backend's corner of the two values beside it,
-/// recomputed where it is needed. Slots at or past the live count are dead:
-/// nobody reads them and nobody clears them.
+/// corner arrival is computed from the two values beside it where it is
+/// needed. Slots at or past the live count are dead: nobody reads them and
+/// nobody clears them.
 #[derive(Debug, Clone)]
 pub(crate) struct State {
     /// Top-K capacity.
@@ -501,10 +492,6 @@ pub struct InstaEngine {
     pub(crate) corner_scratch: CornerScratch,
     /// The observability sink (disabled by default; see [`crate::trace`]).
     pub(crate) trace: TraceSink,
-    /// The statistical numerics backend every kernel pass dispatches
-    /// through (see [`crate::stat`]); fixed at construction from
-    /// [`InstaConfig::stat_model`].
-    pub(crate) backend: Backend,
     /// The frozen kernels' dense arrays of the last reference pass (see
     /// [`crate::scalar_ref`]).
     #[cfg(any(test, feature = "scalar-reference"))]
@@ -542,26 +529,9 @@ impl InstaEngine {
                 message: format!("lse_tau must be positive, got {}", cfg.lse_tau),
             });
         }
-        let backend = match cfg.stat_model {
-            StatModelConfig::GaussianPocv => Some(Backend::Gaussian(GaussianPocv)),
-            StatModelConfig::FixedBinHistogram {
-                bins,
-                support_sigmas,
-            } => match FixedBinHistogram::new(bins, support_sigmas) {
-                Ok(h) => Some(Backend::Histogram(h)),
-                Err(InstaError::Validate(report)) => {
-                    for issue in report.issues {
-                        config_issues.record(issue);
-                    }
-                    None
-                }
-                Err(e) => return Err(e),
-            },
-        };
         if config_issues.total() > 0 {
             return Err(InstaError::Validate(config_issues));
         }
-        let backend = backend.expect("backend construction errors were returned above");
         let validation = match cfg.validation {
             ValidationMode::Trust => None,
             ValidationMode::Strict => {
@@ -729,7 +699,6 @@ impl InstaEngine {
             rows: RowStore::default(),
             corner_scratch: CornerScratch::default(),
             trace: TraceSink::disabled(),
-            backend,
             #[cfg(any(test, feature = "scalar-reference"))]
             scalar_topk: None,
         })
@@ -773,16 +742,6 @@ impl InstaEngine {
     /// The Top-K capacity.
     pub fn top_k(&self) -> usize {
         self.state.k
-    }
-
-    /// Which statistical numerics backend the kernels propagate with.
-    pub fn stat_backend(&self) -> StatBackendKind {
-        self.backend.kind()
-    }
-
-    /// Bin count of a discretized backend (`0` for closed-form Gaussian).
-    pub fn stat_bins(&self) -> u32 {
-        self.backend.bins()
     }
 
     /// Number of nodes.
@@ -876,26 +835,6 @@ impl InstaEngine {
         self.st.new_id.get(orig_node as usize).map(|&v| v as usize)
     }
 
-    /// The `(mean, sigma)` of the worst (slot 0) Top-K entry of an
-    /// *original* graph node id and transition — `None` when no path reaches
-    /// it or `rf` is not a transition index (0 rise, 1 fall), and `None` for
-    /// every node while the ledger's setup Top-K row is not current
-    /// (`topk_current()`): after a hold pass the rows hold negated early
-    /// corners, after a re-annotation or a failed pass they are stale. A
-    /// virtual node's queue is materialised for the read.
-    fn worst_entry<M: StatModel>(&self, orig_node: u32, rf: usize, model: &M) -> Option<(f64, f64)> {
-        if !self.validity.topk_current() || rf >= 2 {
-            return None;
-        }
-        let v = self.node_index(orig_node)?;
-        let mut scratch = VirtualQueue::new(self.state.k);
-        let q = queue_of::<M, false>(&self.st, self.state.lanes(), v, rf, &mut scratch, model);
-        // "Unreached" is an empty queue, not an arrival value: −∞ is a
-        // representable arrival (e.g. a −∞ launch time).
-        let (_, mean, sigma) = q.entries().next()?;
-        Some((mean, sigma))
-    }
-
     /// The worst corner arrival at an *original* graph node id per
     /// transition index, if any path reaches it.
     ///
@@ -904,21 +843,29 @@ impl InstaEngine {
     /// a bare [`reannotate`](Self::reannotate) or a failed pass, until the
     /// next completed setup pass or cone update.
     pub fn arrival_at(&self, orig_node: u32, rf: usize) -> Option<f64> {
-        with_model!(&self.backend, m => {
-            let (mean, sigma) = self.worst_entry(orig_node, rf, m)?;
-            Some(m.corner_late(mean, sigma, self.st.n_sigma))
-        })
+        let (mean, sigma) = self.distribution_at(orig_node, rf)?;
+        Some(stat::corner_late(mean, sigma, self.st.n_sigma))
     }
 
-    /// The `(mean, sigma)` summary of the worst arrival at an *original*
-    /// graph node id per transition index, if any path reaches it — the
-    /// distribution behind [`arrival_at`](Self::arrival_at)'s corner
-    /// value, interpreted by the active statistical backend. The
-    /// cross-backend convergence suite uses this to compare per-endpoint
-    /// arrival CDFs between backends. `None` under the same out-of-sync
-    /// conditions as [`arrival_at`](Self::arrival_at).
+    /// The `(mean, sigma)` of the worst (slot 0) Top-K entry of an
+    /// *original* graph node id and transition — the distribution behind
+    /// [`arrival_at`](Self::arrival_at)'s corner value. `None` when no path
+    /// reaches it or `rf` is not a transition index (0 rise, 1 fall), and
+    /// `None` for every node while the ledger's setup Top-K row is not
+    /// current (`topk_current()`): after a hold pass the rows hold negated
+    /// early corners, after a re-annotation or a failed pass they are
+    /// stale. A virtual node's queue is materialised for the read.
     pub fn distribution_at(&self, orig_node: u32, rf: usize) -> Option<(f64, f64)> {
-        with_model!(&self.backend, m => self.worst_entry(orig_node, rf, m))
+        if !self.validity.topk_current() || rf >= 2 {
+            return None;
+        }
+        let v = self.node_index(orig_node)?;
+        let mut scratch = VirtualQueue::new(self.state.k);
+        let q = queue_of::<false>(&self.st, self.state.lanes(), v, rf, &mut scratch);
+        // "Unreached" is an empty queue, not an arrival value: −∞ is a
+        // representable arrival (e.g. a −∞ launch time).
+        let (_, mean, sigma) = q.entries().next()?;
+        Some((mean, sigma))
     }
 }
 

@@ -17,8 +17,8 @@
 //! read, by the code that used to store it, and the consumer gathers from
 //! the result exactly as from a stored parent. Every stored bit is what it
 //! would be with every node stored. A row is a live count plus
-//! `(sp, mean, sigma)` entries; a corner is the backend's corner of the two
-//! values beside it ([`corner`]) and is never stored.
+//! `(sp, mean, sigma)` entries; a corner is computed from the two values
+//! beside it ([`corner`]) and is never stored.
 //!
 //! Because the engine renumbered nodes level-major and rows follow node
 //! order, the level's state is a contiguous window of rows: the lanes split
@@ -40,7 +40,7 @@
 use crate::engine::{InstaEngine, Lanes, Queue, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
 use crate::parallel::{carve, Interrupt, MergeArena, Pass, QueueBuf, VirtualQueue};
-use crate::stat::{with_model, StatModel};
+use crate::stat;
 use crate::topk::restore_topk_desc;
 use crate::trace::LevelProfile;
 
@@ -72,20 +72,18 @@ impl InstaEngine {
         self.last_incident = None;
         self.validity.begin_full_pass();
         self.trace.begin("forward");
-        let res = with_model!(&self.backend, m => forward::<_, false>(
+        let res = forward::<false>(
             &self.st,
             &mut self.state,
             self.cfg.n_threads,
             self.interrupt.as_ref(),
             self.trace.profile_mut(Kernel::Forward),
-            m,
             &|state, range| seed_sources(&self.st, state, range),
-        ));
+        );
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
         self.settle(res)?;
-        let report = with_model!(&self.backend, m =>
-            crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr, m));
+        let report = crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr);
         self.state.report = Some(report);
         self.validity.setup_done();
         Ok(self.state.report.as_ref().expect("just set"))
@@ -146,7 +144,7 @@ impl InstaEngine {
         self.validity.begin_lse();
         self.trace.begin("forward_fused");
         let (prof_fwd, prof_lse) = self.trace.profiles_fused();
-        let res = with_model!(&self.backend, m => forward_fused(
+        let res = forward_fused(
             &self.st,
             &mut self.state,
             self.cfg.lse_tau,
@@ -154,14 +152,12 @@ impl InstaEngine {
             self.interrupt.as_ref(),
             prof_fwd,
             prof_lse,
-            m,
-        ));
+        );
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
         self.settle(res)?;
         self.validity.lse_done(self.cfg.lse_tau);
-        let report = with_model!(&self.backend, m =>
-            crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr, m));
+        let report = crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr);
         self.state.report = Some(report);
         self.validity.setup_done();
         Ok(self.state.report.as_ref().expect("just set"))
@@ -218,13 +214,12 @@ fn reset_and_seed(
 /// corners), `MIN = true` is hold's min pass over negated early corners
 /// ([`crate::hold`]). `seed(state, nodes)` writes the caller's launch
 /// arrivals for the startpoints whose node lies in `nodes`.
-pub(crate) fn forward<M: StatModel, const MIN: bool>(
+pub(crate) fn forward<const MIN: bool>(
     st: &Static,
     state: &mut State,
     n_threads: usize,
     interrupt: Option<&Interrupt>,
     prof: Option<&mut LevelProfile>,
-    model: &M,
     seed: &impl Fn(&mut State, std::ops::Range<usize>),
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     state.early = MIN;
@@ -233,7 +228,7 @@ pub(crate) fn forward<M: StatModel, const MIN: bool>(
     // One merge arena per worker, reused across every level of the pass.
     let mut arenas = MergeArena::bank(pass.threads());
     for l in 1..st.num_levels() {
-        forward_level::<M, MIN>(st, state, &mut pass, &mut arenas, l, model, seed)?;
+        forward_level::<MIN>(st, state, &mut pass, &mut arenas, l, seed)?;
     }
     Ok(pass.finish())
 }
@@ -244,13 +239,12 @@ pub(crate) fn forward<M: StatModel, const MIN: bool>(
 /// bodies*, so the state either kernel reads is exactly what the unfused
 /// pass would have produced, and bit-identity of the fused sweep is by
 /// construction.
-pub(crate) fn forward_level<M: StatModel, const MIN: bool>(
+pub(crate) fn forward_level<const MIN: bool>(
     st: &Static,
     state: &mut State,
     pass: &mut Pass<'_>,
     arenas: &mut [MergeArena],
     l: usize,
-    model: &M,
     seed: &impl Fn(&mut State, std::ops::Range<usize>),
 ) -> Result<(), InstaError> {
     let k = state.k;
@@ -277,7 +271,7 @@ pub(crate) fn forward_level<M: StatModel, const MIN: bool>(
                 )
             });
             launch.run(windows, |cut, (live, mean, sigma, sp, arena)| {
-                level_chunk::<M, MIN>(st, done, cut, live, mean, sigma, sp, &mut arena[0], model);
+                level_chunk::<MIN>(st, done, cut, live, mean, sigma, sp, &mut arena[0]);
             })
         },
         // Re-apply the launch seeds landing inside the window: the body
@@ -305,8 +299,7 @@ pub(crate) fn forward_level<M: StatModel, const MIN: bool>(
 /// Each kernel is a [`Pass`] of its own, so a level is polled once per
 /// kernel and cancels, incidents and profile rows carry the same `Kernel`
 /// attribution as the unfused passes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn forward_fused<M: StatModel>(
+pub(crate) fn forward_fused(
     st: &Static,
     state: &mut State,
     tau: f64,
@@ -314,20 +307,19 @@ pub(crate) fn forward_fused<M: StatModel>(
     interrupt: Option<&Interrupt>,
     prof_fwd: Option<&mut LevelProfile>,
     prof_lse: Option<&mut LevelProfile>,
-    model: &M,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     // Pre-sweep state of both kernels, exactly as the unfused passes.
     let seed = |state: &mut State, nodes| seed_sources(st, state, nodes);
     state.early = false;
     reset_and_seed(st, state, &seed);
-    crate::lse::lse_reset_seed(st, state, model);
+    crate::lse::lse_reset_seed(st, state);
 
     let mut fwd = Pass::begin(Kernel::Forward, n_threads, interrupt, prof_fwd);
     let mut lse = Pass::begin(Kernel::ForwardLse, n_threads, interrupt, prof_lse);
     let mut arenas = MergeArena::bank(fwd.threads());
     for l in 1..st.num_levels() {
-        forward_level::<M, false>(st, state, &mut fwd, &mut arenas, l, model, &seed)?;
-        crate::lse::lse_level(st, state, &mut lse, tau, l, model)?;
+        forward_level::<false>(st, state, &mut fwd, &mut arenas, l, &seed)?;
+        crate::lse::lse_level(st, state, &mut lse, tau, l)?;
     }
     // The sweep's first incident: the lower level, the evaluation kernel
     // (which runs first within a level) on a tie.
@@ -340,15 +332,13 @@ pub(crate) fn forward_fused<M: StatModel>(
 /// The ordering corner of a candidate: the late corner for the setup
 /// kernel, the *negated early* corner in min (hold) mode — the ordering
 /// trick that lets the max-queue of Algorithm 2 keep the smallest early
-/// arrivals (see [`crate::hold`]). Both corners are the backend's own
-/// quantile measurements ([`StatModel::corner_late`] /
-/// [`StatModel::corner_min`]).
+/// arrivals (see [`crate::hold`]).
 #[inline(always)]
-pub(crate) fn corner<M: StatModel, const MIN: bool>(model: &M, mean: f64, sigma: f64, n_sigma: f64) -> f64 {
+pub(crate) fn corner<const MIN: bool>(mean: f64, sigma: f64, n_sigma: f64) -> f64 {
     if MIN {
-        model.corner_min(mean, sigma, n_sigma)
+        stat::corner_min(mean, sigma, n_sigma)
     } else {
-        model.corner_late(mean, sigma, n_sigma)
+        stat::corner_late(mean, sigma, n_sigma)
     }
 }
 
@@ -360,8 +350,7 @@ pub(crate) fn corner<M: StatModel, const MIN: bool>(model: &M, mean: f64, sigma:
 /// for: the transform is a straight-line loop with no early exit (one
 /// `sqrt` per candidate, vectorization-friendly).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn gather_arc<M: StatModel, const MIN: bool>(
+fn gather_arc<const MIN: bool>(
     n_sigma: f64,
     parent: Queue<'_>,
     (a_mean, a_sigma): (f64, f64),
@@ -369,7 +358,6 @@ fn gather_arc<M: StatModel, const MIN: bool>(
     mean: &mut [f64],
     sigma: &mut [f64],
     sp: &mut [u32],
-    model: &M,
 ) -> usize {
     let live = parent.sp.len();
     let out = arrival[..live]
@@ -377,8 +365,8 @@ fn gather_arc<M: StatModel, const MIN: bool>(
         .zip(&mut mean[..live])
         .zip(&mut sigma[..live]);
     for ((&pm, &ps), ((a, m), s)) in parent.mean.iter().zip(parent.sigma).zip(out) {
-        (*m, *s) = model.arc_sum(pm, ps, a_mean, a_sigma);
-        *a = corner::<M, MIN>(model, *m, *s, n_sigma);
+        (*m, *s) = stat::arc_sum(pm, ps, a_mean, a_sigma);
+        *a = corner::<MIN>(*m, *s, n_sigma);
     }
     sp[..live].copy_from_slice(parent.sp);
     live
@@ -399,17 +387,16 @@ fn gather_arc<M: StatModel, const MIN: bool>(
 /// ahead of a level's window do: ancestors sit in earlier levels). `MIN`
 /// is the order the rows are in.
 #[inline(always)]
-pub(crate) fn queue_of<'a, M: StatModel, const MIN: bool>(
+pub(crate) fn queue_of<'a, const MIN: bool>(
     st: &Static,
     lanes: Lanes<'a>,
     v: usize,
     rf: usize,
     scratch: &'a mut VirtualQueue,
-    model: &M,
 ) -> Queue<'a> {
     match st.row_of(v) {
         Some(row) => lanes.row(row, rf),
-        None => materialise::<M, MIN>(st, lanes, v, rf, scratch, model),
+        None => materialise::<MIN>(st, lanes, v, rf, scratch),
     }
 }
 
@@ -417,16 +404,15 @@ pub(crate) fn queue_of<'a, M: StatModel, const MIN: bool>(
 /// [`fit`](VirtualQueue::fit) the lanes' K: sizing is the caller's, once,
 /// not the per-queue path's.
 #[inline]
-fn materialise<'a, M: StatModel, const MIN: bool>(
+fn materialise<'a, const MIN: bool>(
     st: &Static,
     lanes: Lanes<'a>,
     v: usize,
     rf: usize,
     scratch: &'a mut VirtualQueue,
-    model: &M,
 ) -> Queue<'a> {
     let [to, via] = &mut scratch.0;
-    let live = materialise_into::<M, MIN>(st, lanes, v, rf, to, via, model);
+    let live = materialise_into::<MIN>(st, lanes, v, rf, to, via);
     to.queue(live)
 }
 
@@ -434,14 +420,13 @@ fn materialise<'a, M: StatModel, const MIN: bool>(
 /// live count. A parent that is virtual too (one virtual node in twenty)
 /// is materialised first, into `via`, with the two buffers swapped: down a
 /// chain each step gathers the queue above it out of the other buffer.
-fn materialise_into<M: StatModel, const MIN: bool>(
+fn materialise_into<const MIN: bool>(
     st: &Static,
     lanes: Lanes<'_>,
     v: usize,
     rf: usize,
     to: &mut QueueBuf,
     via: &mut QueueBuf,
-    model: &M,
 ) -> usize {
     let k = lanes.k;
     let ai = st.fanin_start[v] as usize;
@@ -449,14 +434,14 @@ fn materialise_into<M: StatModel, const MIN: bool>(
     let parent = match st.row_of(p) {
         Some(row) => lanes.row(row, prf),
         None => {
-            let live = materialise_into::<M, MIN>(st, lanes, p, prf, via, to, model);
+            let live = materialise_into::<MIN>(st, lanes, p, prf, via, to);
             via.queue(live)
         }
     };
     let (da, dm) = (&mut to.arrival[..k], &mut to.mean[..k]);
     let (ds, dsp) = (&mut to.sigma[..k], &mut to.sp[..k]);
     let annotation = (st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
-    let live = gather_arc::<M, MIN>(st.n_sigma, parent, annotation, da, dm, ds, dsp, model);
+    let live = gather_arc::<MIN>(st.n_sigma, parent, annotation, da, dm, ds, dsp);
     restore_topk_desc(da, dm, ds, dsp, live);
     live
 }
@@ -493,9 +478,9 @@ fn materialise_into<M: StatModel, const MIN: bool>(
 /// Nothing is cleared: the returned count is the queue's extent, and
 /// slots at or past it are never read.
 ///
-/// A single-fanin node (paper §III-D: no merge needed) is the gather
-/// straight into the queue, then one stable restore of corner order; as
-/// ever it overwrites a seed unless the parent is empty.
+/// A single-fanin node without a seed (paper §III-D: no merge needed) is
+/// the gather straight into the queue, then one stable restore of corner
+/// order. A seeded one is a merge of two runs, the seed's and the arc's.
 ///
 /// [`level_chunk`] is the one caller — the body the full pass, hold, the
 /// session's cone sweep and (through that sweep) every batched what-if
@@ -504,7 +489,7 @@ fn materialise_into<M: StatModel, const MIN: bool>(
 /// rows; `MIN` selects the hold kernel's negated-early-corner ordering.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn merge_node_queue<M: StatModel, const MIN: bool>(
+fn merge_node_queue<const MIN: bool>(
     st: &Static,
     fanin: std::ops::Range<usize>,
     rf: usize,
@@ -514,7 +499,6 @@ fn merge_node_queue<M: StatModel, const MIN: bool>(
     qm: &mut [f64],
     qs: &mut [f64],
     qsp: &mut [u32],
-    model: &M,
 ) -> usize {
     let k = done.k;
     let parent_of = |ai: usize| {
@@ -522,16 +506,15 @@ fn merge_node_queue<M: StatModel, const MIN: bool>(
         (st.arc_parent[ai] as usize, prf)
     };
     let arc = |ai: usize| (st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
-    if fanin.len() == 1 {
+    if fanin.len() == 1 && !seeded {
         let ai = fanin.start;
         let (p, prf) = parent_of(ai);
-        let parent = queue_of::<M, MIN>(st, done, p, prf, &mut arena.virt, model);
+        let parent = queue_of::<MIN>(st, done, p, prf, &mut arena.virt);
         // The corners are sort keys only: they live in the arena.
         let key = &mut arena.arrival[..k];
-        let live = gather_arc::<M, MIN>(st.n_sigma, parent, arc(ai), key, qm, qs, qsp, model);
+        let live = gather_arc::<MIN>(st.n_sigma, parent, arc(ai), key, qm, qs, qsp);
         restore_topk_desc(key, qm, qs, qsp, live);
-        // An empty parent leaves a launch seed where it sits.
-        return if live == 0 && seeded { 1 } else { live };
+        return live;
     }
     // Gather + order: run `r` occupies arena slots `r * k ..`; the seed,
     // first in P, is run 0 when there is one.
@@ -539,7 +522,7 @@ fn merge_node_queue<M: StatModel, const MIN: bool>(
     let n_runs = first + fanin.len();
     arena.reserve(n_runs, k, st.sources.len());
     if seeded {
-        arena.arrival[0] = corner::<M, MIN>(model, qm[0], qs[0], st.n_sigma);
+        arena.arrival[0] = corner::<MIN>(qm[0], qs[0], st.n_sigma);
         arena.mean[0] = qm[0];
         arena.sigma[0] = qs[0];
         arena.sp[0] = qsp[0];
@@ -549,15 +532,14 @@ fn merge_node_queue<M: StatModel, const MIN: bool>(
     for (r, ai) in (first..).zip(fanin) {
         let o = r * k..(r + 1) * k;
         let (p, prf) = parent_of(ai);
-        let live = gather_arc::<M, MIN>(
+        let live = gather_arc::<MIN>(
             st.n_sigma,
-            queue_of::<M, MIN>(st, done, p, prf, &mut arena.virt, model),
+            queue_of::<MIN>(st, done, p, prf, &mut arena.virt),
             arc(ai),
             &mut arena.arrival[o.clone()],
             &mut arena.mean[o.clone()],
             &mut arena.sigma[o.clone()],
             &mut arena.sp[o.clone()],
-            model,
         );
         // Mean / sigma / sp stay in slot order; only the keys move.
         let (key, slot) = (&mut arena.arrival[o.clone()][..live], &mut arena.slot[o][..live]);
@@ -638,7 +620,7 @@ fn merge_node_queue<M: StatModel, const MIN: bool>(
 /// pre-state (the launch seed) the caller provides: see the module docs for
 /// who writes what.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn level_chunk<M: StatModel, const MIN: bool>(
+pub(crate) fn level_chunk<const MIN: bool>(
     st: &Static,
     done: Lanes<'_>,
     nodes: std::ops::Range<usize>,
@@ -647,7 +629,6 @@ pub(crate) fn level_chunk<M: StatModel, const MIN: bool>(
     sigma_cur: &mut [f64],
     sp_cur: &mut [u32],
     arena: &mut MergeArena,
-    model: &M,
 ) {
     let k = done.k;
     // All scratch sizing happens here, not per queue.
@@ -668,7 +649,7 @@ pub(crate) fn level_chunk<M: StatModel, const MIN: bool>(
         for rf in 0..2 {
             let q = li * 2 + rf;
             let w = q * k..(q + 1) * k;
-            live_cur[q] = merge_node_queue::<M, MIN>(
+            live_cur[q] = merge_node_queue::<MIN>(
                 st,
                 fanin.clone(),
                 rf,
@@ -678,7 +659,6 @@ pub(crate) fn level_chunk<M: StatModel, const MIN: bool>(
                 &mut mean_cur[w.clone()],
                 &mut sigma_cur[w.clone()],
                 &mut sp_cur[w],
-                model,
             ) as u16;
         }
     }
@@ -845,7 +825,7 @@ mod merge_tests {
     use crate::engine::{InstaConfig, InstaEngine, Lanes};
     use crate::hold::hold_attributes;
     use crate::parallel::MergeArena;
-    use crate::stat::{FixedBinHistogram, GaussianPocv, StatModel, StatModelConfig};
+    use crate::stat;
     use crate::topk::{Candidate, TopKQueue};
     use crate::validate::ValidationMode;
     use insta_netlist::generator::{generate_design, GeneratorConfig};
@@ -872,11 +852,7 @@ mod merge_tests {
     /// literal Algorithm 2 ([`TopKQueue::push`]) fed the push sequence *P*:
     /// the live count, the three lanes on raw bits, and every dead slot
     /// exactly as it was.
-    fn queue_matches_oracle<M: StatModel, const MIN: bool>(
-        model: &M,
-        k: usize,
-        seed: u64,
-    ) -> Result<(), String> {
+    fn queue_matches_oracle<const MIN: bool>(k: usize, seed: u64) -> Result<(), String> {
         let mut rng = Rng::seed_from_u64(seed);
         let n_parents = 1 + rng.bounded_u64(3) as usize;
         let n_arcs = 1 + rng.bounded_u64(4) as usize;
@@ -993,7 +969,7 @@ mod merge_tests {
             mean: &p_mean,
             sigma: &p_sigma,
         };
-        level_chunk::<M, MIN>(
+        level_chunk::<MIN>(
             st,
             parents,
             child..child + 1,
@@ -1002,7 +978,6 @@ mod merge_tests {
             &mut qs,
             &mut qsp,
             &mut MergeArena::default(),
-            model,
         );
 
         for rf in 0..2 {
@@ -1014,14 +989,14 @@ mod merge_tests {
                     let parent = parents.row(st.arc_parent[ai] as usize, prf);
                     (0..parent.sp.len())
                         .map(|j| {
-                            let (mean, sigma) = model.arc_sum(
+                            let (mean, sigma) = stat::arc_sum(
                                 parent.mean[j],
                                 parent.sigma[j],
                                 st.arc_mean[ai][rf],
                                 st.arc_sigma[ai][rf],
                             );
                             Candidate {
-                                arrival: corner::<M, MIN>(model, mean, sigma, st.n_sigma),
+                                arrival: corner::<MIN>(mean, sigma, st.n_sigma),
                                 mean,
                                 sigma,
                                 sp: parent.sp[j],
@@ -1031,34 +1006,25 @@ mod merge_tests {
                 })
                 .collect();
             let seed = Candidate {
-                arrival: corner::<M, MIN>(model, launch.0, launch.1, st.n_sigma),
+                arrival: corner::<MIN>(launch.0, launch.1, st.n_sigma),
                 mean: launch.0,
                 sigma: launch.1,
                 sp: n_sp as u32 - 1,
             };
-            let want: Vec<Candidate> = if let [run] = &runs[..] {
-                // Single fanin: the transformed parent queue in stable
-                // corner order; it overwrites a seed unless it is empty.
-                let mut run = run.clone();
-                run.sort_by(|x, y| y.arrival.partial_cmp(&x.arrival).expect("finite"));
-                if run.is_empty() && seeded {
-                    run.push(seed);
-                }
-                run
-            } else {
-                let mut oracle = TopKQueue::new(k);
-                if seeded {
-                    oracle.push(seed);
-                }
-                for j in 0..k {
-                    for run in &runs {
-                        if let Some(&c) = run.get(j) {
-                            oracle.push(c);
-                        }
+            // A single fanin is no exception: a seed is pushed first there
+            // too.
+            let mut oracle = TopKQueue::new(k);
+            if seeded {
+                oracle.push(seed);
+            }
+            for j in 0..k {
+                for run in &runs {
+                    if let Some(&c) = run.get(j) {
+                        oracle.push(c);
                     }
                 }
-                oracle.entries().collect()
-            };
+            }
+            let want: Vec<Candidate> = oracle.entries().collect();
             prop_assert!(
                 usize::from(q_live[rf]) == want.len(),
                 "rf {rf}: live {}, want {}",
@@ -1084,16 +1050,13 @@ mod merge_tests {
 
     #[test]
     fn merged_queue_equals_algorithm_2_over_the_push_sequence() {
-        let histogram = FixedBinHistogram::new(32, 4.0).expect("valid grid");
         for_all(
             Config::cases(400).seed(0xF0_54D2),
             |rng| (rng.bounded_u64(5), rng.next_u64()),
             |&(ki, seed)| {
                 let k = [1, 2, 3, 8, 32][ki as usize % 5];
-                queue_matches_oracle::<_, false>(&GaussianPocv, k, seed)?;
-                queue_matches_oracle::<_, true>(&GaussianPocv, k, seed)?;
-                queue_matches_oracle::<_, false>(&histogram, k, seed)?;
-                queue_matches_oracle::<_, true>(&histogram, k, seed)
+                queue_matches_oracle::<false>(k, seed)?;
+                queue_matches_oracle::<true>(k, seed)
             },
         );
     }
@@ -1114,22 +1077,10 @@ mod merge_tests {
         sta.full_update(&design);
         let attrs = hold_attributes(&design, &sta);
         let init = sta.export_insta_init();
-        let backends = [
-            StatModelConfig::GaussianPocv,
-            StatModelConfig::FixedBinHistogram {
-                bins: 32,
-                support_sigmas: 4.0,
-            },
-        ];
-        for (stat_model, top_k, n_threads) in backends
-            .into_iter()
-            .flat_map(|b| [1, 8, 32].map(|k| (b, k)))
-            .flat_map(|(b, k)| [1, 2].map(|t| (b, k, t)))
-        {
+        for (top_k, n_threads) in [1, 8, 32].into_iter().flat_map(|k| [1, 2].map(|t| (k, t))) {
             let cfg = InstaConfig {
                 top_k,
                 n_threads,
-                stat_model,
                 ..InstaConfig::default()
             };
             let mut fresh = InstaEngine::new(init.clone(), cfg.clone()).expect("valid");
@@ -1152,7 +1103,7 @@ mod merge_tests {
                 for (i, m) in dirty.state.topk_mean.iter_mut().enumerate() {
                     *m = 1e6 + i as f64;
                 }
-                let what = format!("{name}, {stat_model:?}, K={top_k}, {n_threads} threads");
+                let what = format!("{name}, K={top_k}, {n_threads} threads");
                 assert_eq!(pass(&mut dirty), pass(&mut fresh), "{what}: report");
                 let (d, f) = (dirty.topk_snapshot(), fresh.topk_snapshot());
                 let same = |x: &[f64], y: &[f64]| {

@@ -20,7 +20,6 @@ use crate::error::{InstaError, Kernel, PoisonedArray};
 use crate::forward::{corner, queue_of};
 use crate::metrics::InstaReport;
 use crate::parallel::VirtualQueue;
-use crate::stat::{with_model, StatModel};
 
 /// Timing level of a renumbered node (binary search over the level CSR).
 pub(crate) fn level_of(st: &Static, v: usize) -> usize {
@@ -69,11 +68,11 @@ impl InstaEngine {
                 value,
             })
         };
-        let poisoned = with_model!(&self.backend, m => if state.early {
-            poisoned_entry::<_, true>(st, state, m)
+        let poisoned = if state.early {
+            poisoned_entry::<true>(st, state)
         } else {
-            poisoned_entry::<_, false>(st, state, m)
-        });
+            poisoned_entry::<false>(st, state)
+        };
         if let Some((array, node, rf, value)) = poisoned {
             return numeric(Kernel::Forward, array, node, rf, value);
         }
@@ -104,17 +103,16 @@ impl InstaEngine {
 /// The first live Top-K entry, in node order, whose corner, mean or sigma
 /// is poisoned: `(array, node, transition, value)`. `MIN` is the order the
 /// rows are in ([`State::early`]).
-fn poisoned_entry<M: StatModel, const MIN: bool>(
+fn poisoned_entry<const MIN: bool>(
     st: &Static,
     state: &State,
-    model: &M,
 ) -> Option<(PoisonedArray, usize, usize, f64)> {
     let mut scratch = VirtualQueue::new(state.k);
     for v in 0..st.n {
         for rf in 0..2 {
-            let q = queue_of::<M, MIN>(st, state.lanes(), v, rf, &mut scratch, model);
+            let q = queue_of::<MIN>(st, state.lanes(), v, rf, &mut scratch);
             for (_, m, s) in q.entries() {
-                let a = corner::<M, MIN>(model, m, s, st.n_sigma);
+                let a = corner::<MIN>(m, s, st.n_sigma);
                 if !a.is_finite() {
                     return Some((PoisonedArray::TopKArrival, v, rf, a));
                 }

@@ -28,7 +28,7 @@ use crate::engine::{InstaEngine, State, Static};
 use crate::forward::{forward, queue_of, seed_queues};
 use crate::metrics::InstaReport;
 use crate::parallel::VirtualQueue;
-use crate::stat::{with_model, StatModel};
+use crate::stat;
 use crate::topk::NO_SP;
 use insta_refsta::export::NO_LEAF;
 use insta_refsta::{EpId, SpId};
@@ -145,22 +145,20 @@ impl InstaEngine {
         self.validity.begin_full_pass();
         self.trace.begin("hold");
         // No level profile: `forward.kernel_ms` stays the setup kernel's.
-        let res = with_model!(&self.backend, m => forward::<_, true>(
+        let res = forward::<true>(
             &self.st,
             &mut self.state,
             self.cfg.n_threads,
             None,
             None,
-            m,
             &|state, nodes| seed_early_launches(&self.st, state, attrs, nodes),
-        ));
+        );
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
         if let Err(e) = self.settle(res) {
             panic!("propagate_hold failed: {e}");
         }
-        with_model!(&self.backend, m =>
-            evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr, m))
+        evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr)
     }
 }
 
@@ -182,12 +180,11 @@ fn seed_early_launches(
 }
 
 /// Hold checks from the min-mode state.
-pub(crate) fn evaluate_hold<M: StatModel>(
+pub(crate) fn evaluate_hold(
     st: &Static,
     state: &State,
     attrs: &HoldAttributes,
     cppr: bool,
-    model: &M,
 ) -> InstaReport {
     let n_ep = st.endpoints.len();
     let mut slacks = vec![f64::INFINITY; n_ep];
@@ -206,7 +203,7 @@ pub(crate) fn evaluate_hold<M: StatModel>(
         }
         let v = ep.node as usize;
         for rf in 0..2usize {
-            let q = queue_of::<M, true>(st, state.lanes(), v, rf, &mut scratch, model);
+            let q = queue_of::<true>(st, state.lanes(), v, rf, &mut scratch);
             for (sp, mean, sigma) in q.entries() {
                 if st
                     .exceptions
@@ -219,8 +216,8 @@ pub(crate) fn evaluate_hold<M: StatModel>(
                     required -= st.cppr_credit(st.sp_leaf[sp as usize], ep.leaf);
                 }
                 // The queues are ordered by the negated early corner.
-                let early = -model.corner_min(mean, sigma, st.n_sigma);
-                let slack = model.hold_slack(early, required);
+                let early = -stat::corner_min(mean, sigma, st.n_sigma);
+                let slack = early - required;
                 if slack < slacks[i] {
                     slacks[i] = slack;
                     arrivals[i] = early;

@@ -92,7 +92,6 @@ use crate::error::{InstaError, Kernel, RuntimeIncident};
 use crate::forward::{level_chunk, seed_queues};
 use crate::metrics::InstaReport;
 use crate::parallel::{Interrupt, MergeArena, Pass};
-use crate::stat::{with_model, StatModel};
 use crate::trace::LevelProfile;
 use crate::validate::{Issue, ValidationReport};
 use crate::validity::Validity;
@@ -449,25 +448,19 @@ impl InstaEngine {
             // aggregates are re-reduced over the whole slack vector in
             // endpoint order, the accumulation order of a fresh evaluate.
             let mut report = self.state.report.take().expect("synced: has a report");
-            with_model!(&self.backend, m => crate::metrics::refresh(
+            crate::metrics::refresh(
                 &self.st,
                 &self.state,
                 &mut report,
                 |node| self.cone.recomputed(node),
                 None,
                 self.cfg.cppr,
-                m,
-            ));
+            );
             self.state.report = Some(report);
             self.validity.cone_done();
             // The snapshot rows follow the arrays (see [`crate::snapshot`]).
-            with_model!(&self.backend, m => self.rows.follow(
-                &mut self.validity,
-                &self.st,
-                &self.state,
-                self.cone.swept(),
-                m,
-            ));
+            self.rows
+                .follow(&mut self.validity, &self.st, &self.state, self.cone.swept());
         } else {
             self.try_propagate()?;
         }
@@ -478,15 +471,14 @@ impl InstaEngine {
     fn run_cone(&mut self) -> Result<(), InstaError> {
         self.trace.begin("forward.cone");
         let log_budget = self.cone.log_cap;
-        let res = with_model!(&self.backend, m => cone_sweep(
+        let res = cone_sweep(
             &self.st,
             &mut self.state,
             &mut self.cone,
             self.interrupt.as_ref(),
             self.trace.profile_mut(Kernel::Forward),
             Some((log_budget, &mut self.validity)),
-            m,
-        ));
+        );
         let c = &self.cone;
         self.trace.end_with(&[
             ("seeds", c.seeds as f64),
@@ -525,14 +517,13 @@ pub(crate) fn seed_cone(
 /// module docs). Seeds are already on `cone`'s worklists. `log_budget` is
 /// how many recomputes the undo log may hold, judged once per level, and
 /// the ledger to tell when a sweep past it gives them up; a lane has none.
-pub(crate) fn cone_sweep<M: StatModel>(
+pub(crate) fn cone_sweep(
     st: &Static,
     state: &mut State,
     cone: &mut ConeScratch,
     interrupt: Option<&Interrupt>,
     prof: Option<&mut LevelProfile>,
     mut log_budget: Option<(usize, &mut Validity)>,
-    model: &M,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     // The cone runs on one thread: a dirty level is one inline cut.
     let mut pass = Pass::begin(Kernel::Forward, 1, interrupt, prof);
@@ -557,8 +548,7 @@ pub(crate) fn cone_sweep<M: StatModel>(
                 // that a half-written node no longer has its old entries
                 // to compare against, so the retry queues every fanout.
                 let panicked = launch.run(window, |_, (state, cone)| {
-                    let (recomputed, pruned) =
-                        cone_level(st, state, cone, &nodes, launch.retry, model);
+                    let (recomputed, pruned) = cone_level(st, state, cone, &nodes, launch.retry);
                     cone.nodes += recomputed;
                     cone.pruned += pruned;
                 });
@@ -585,13 +575,12 @@ pub(crate) fn cone_sweep<M: StatModel>(
 /// A virtual node on the worklist is a pass-through: it has no row to
 /// recompute, compare or log, and what its consumer reads of it moved with
 /// whatever put it on the list, so it always forwards to that consumer.
-fn cone_level<M: StatModel>(
+fn cone_level(
     st: &Static,
     state: &mut State,
     cone: &mut ConeScratch,
     nodes: &[u32],
     force: bool,
-    model: &M,
 ) -> (usize, usize) {
     let k = state.k;
     let (mut recomputed, mut pruned) = (0, 0);
@@ -620,7 +609,7 @@ fn cone_level<M: StatModel>(
             // A one-node window: every row before `v`'s is the done prefix
             // (its ancestors sit in earlier levels).
             let (done, (live_cur, mean_cur, sigma_cur, sp_cur)) = state.split_at_row(row);
-            level_chunk::<M, false>(
+            level_chunk::<false>(
                 st,
                 done,
                 v..v + 1,
@@ -629,7 +618,6 @@ fn cone_level<M: StatModel>(
                 &mut sigma_cur[..2 * k],
                 &mut sp_cur[..2 * k],
                 &mut cone.arena,
-                model,
             );
         }
         let changed = force || {
@@ -851,8 +839,7 @@ mod tests {
         for mean in [180.0, 20.0] {
             cone.annotate(st, &[delta(mean)]);
             assert!(super::seed_cone(st, cone, std::iter::once(g as u32)));
-            super::cone_sweep(st, state, cone, None, None, None, &crate::stat::GaussianPocv)
-                .expect("clean sweep");
+            super::cone_sweep(st, state, cone, None, None, None).expect("clean sweep");
             assert!(cone.nodes > cone.pruned, "the delta must move its cone");
         }
         cone.undo(st, state);

@@ -51,11 +51,9 @@
 //!   WNS/TNS, and epoch captured at commit time so the serve layer can
 //!   publish MVCC reads by pointer swap while a writer mutates the next
 //!   epoch (see DESIGN.md "Service architecture").
-//! * [`stat`] — the statistical numerics backends behind the kernels:
-//!   the [`StatModel`](stat::StatModel) trait seam with the paper's
-//!   Gaussian POCV as the default impl and a fixed-bin histogram impl
-//!   that converges to POCV as bins grow (see DESIGN.md "Statistical
-//!   backends").
+//! * `stat` — the statistical model: the paper's Gaussian POCV as five
+//!   inlined functions every kernel calls (see DESIGN.md "Statistical
+//!   model").
 //! * [`persist`] — the canonical binary codec for durable state: writer
 //!   ops and the engine's re-annotatable delay state, both bit-exact (`to_bits` floats) under the serve layer's write-ahead
 //!   log and checkpoints (see DESIGN.md "Durability and recovery").
@@ -102,7 +100,7 @@ pub mod persist;
 pub mod scalar_ref;
 pub mod session;
 pub mod snapshot;
-pub mod stat;
+pub(crate) mod stat;
 pub mod topk;
 pub mod trace;
 pub mod validate;
@@ -121,7 +119,6 @@ pub use metrics::{EngineCounters, InstaReport};
 pub use persist::{ByteSink, Dec, Enc, EngineDurableState, PersistError, WriterOp};
 pub use session::{SessionStatus, TimingSession};
 pub use snapshot::TimingSnapshot;
-pub use stat::{FixedBinHistogram, GaussianPocv, StatBackendKind, StatModel, StatModelConfig};
 pub use topk::TopKQueue;
 pub use trace::{LevelProfile, PerfReport, PerfRow};
 pub use validate::{ValidationMode, ValidationReport};

@@ -18,7 +18,7 @@
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
 use crate::parallel::{carve, Interrupt, Pass};
-use crate::stat::{with_model, StatModel};
+use crate::stat;
 use crate::trace::LevelProfile;
 
 impl InstaEngine {
@@ -42,15 +42,14 @@ impl InstaEngine {
         self.last_incident = None;
         self.validity.begin_lse();
         self.trace.begin("forward_lse");
-        let res = with_model!(&self.backend, m => forward_lse(
+        let res = forward_lse(
             &self.st,
             &mut self.state,
             self.cfg.lse_tau,
             self.cfg.n_threads,
             self.interrupt.as_ref(),
             self.trace.profile_mut(Kernel::ForwardLse),
-            m,
-        ));
+        );
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
         self.settle(res)?;
@@ -69,37 +68,31 @@ impl InstaEngine {
 
 /// Applies the corner launch arrivals for sources whose node lies in
 /// `range`.
-fn seed_lse_sources<M: StatModel>(
-    st: &Static,
-    state: &mut State,
-    range: std::ops::Range<usize>,
-    model: &M,
-) {
+fn seed_lse_sources(st: &Static, state: &mut State, range: std::ops::Range<usize>) {
     for s in &st.sources {
         let v = s.node as usize;
         if !range.contains(&v) {
             continue;
         }
         for rf in 0..2 {
-            state.lse_arrival[v * 2 + rf] = model.corner_late(s.mean[rf], s.sigma[rf], st.n_sigma);
+            state.lse_arrival[v * 2 + rf] = stat::corner_late(s.mean[rf], s.sigma[rf], st.n_sigma);
         }
     }
 }
 
-pub(crate) fn forward_lse<M: StatModel>(
+pub(crate) fn forward_lse(
     st: &Static,
     state: &mut State,
     tau: f64,
     n_threads: usize,
     interrupt: Option<&Interrupt>,
     prof: Option<&mut LevelProfile>,
-    model: &M,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     debug_assert!(tau > 0.0);
-    lse_reset_seed(st, state, model);
+    lse_reset_seed(st, state);
     let mut pass = Pass::begin(Kernel::ForwardLse, n_threads, interrupt, prof);
     for l in 1..st.num_levels() {
-        lse_level(st, state, &mut pass, tau, l, model)?;
+        lse_level(st, state, &mut pass, tau, l)?;
     }
     Ok(pass.finish())
 }
@@ -107,12 +100,12 @@ pub(crate) fn forward_lse<M: StatModel>(
 /// Resets the LSE arrival/weight buffers and applies the source seeds —
 /// the pre-sweep state both [`forward_lse`] and the fused sweep
 /// ([`crate::forward::forward_fused`]) start from.
-pub(crate) fn lse_reset_seed<M: StatModel>(st: &Static, state: &mut State, model: &M) {
+pub(crate) fn lse_reset_seed(st: &Static, state: &mut State) {
     state.lse_arrival.fill(f64::NEG_INFINITY);
     for w in state.lse_weight.iter_mut() {
         *w = [0.0; 2];
     }
-    seed_lse_sources(st, state, 0..st.n, model);
+    seed_lse_sources(st, state, 0..st.n);
 }
 
 /// One level of the differentiable forward pass, run through the level
@@ -120,13 +113,12 @@ pub(crate) fn lse_reset_seed<M: StatModel>(st: &Static, state: &mut State, model
 /// fused sweep — level `l` reads only earlier levels' smooth arrivals, so
 /// interleaving whole level bodies with the evaluation kernel changes
 /// nothing it computes.
-pub(crate) fn lse_level<M: StatModel>(
+pub(crate) fn lse_level(
     st: &Static,
     state: &mut State,
     pass: &mut Pass<'_>,
     tau: f64,
     l: usize,
-    model: &M,
 ) -> Result<(), InstaError> {
     let nodes = st.level_range(l);
     // The level's fanin arcs are contiguous because arcs are stored in
@@ -150,13 +142,13 @@ pub(crate) fn lse_level<M: StatModel>(
                 )
             });
             launch.run(windows, |cut, (cur, weights)| {
-                lse_chunk(st, tau, nodes.start, cut, done, cur, weights, model);
+                lse_chunk(st, tau, nodes.start, cut, done, cur, weights);
             })
         },
         |state| {
             state.lse_arrival[nodes.start * 2..nodes.end * 2].fill(f64::NEG_INFINITY);
             state.lse_weight[arcs.clone()].fill([0.0; 2]);
-            seed_lse_sources(st, state, nodes.clone(), model);
+            seed_lse_sources(st, state, nodes.clone());
         },
     )?;
     #[cfg(debug_assertions)]
@@ -167,9 +159,8 @@ pub(crate) fn lse_level<M: StatModel>(
 /// The body of one cut: nodes `range` of the level starting at
 /// `level_base`. `cur` holds the 2-per-node arrivals of the range;
 /// `weights` holds the fanin-arc weights of the range.
-#[allow(clippy::too_many_arguments)]
 #[allow(clippy::needless_range_loop)] // rf indexes parallel [f64; 2] slots
-fn lse_chunk<M: StatModel>(
+fn lse_chunk(
     st: &Static,
     tau: f64,
     level_base: usize,
@@ -177,7 +168,6 @@ fn lse_chunk<M: StatModel>(
     done: &[f64],
     cur: &mut [f64],
     weights: &mut [[f64; 2]],
-    model: &M,
 ) {
     let chunk_node_base = range.start;
     let w_base = st.fanin_start[chunk_node_base] as usize;
@@ -197,7 +187,7 @@ fn lse_chunk<M: StatModel>(
                 let c = if pa == f64::NEG_INFINITY {
                     f64::NEG_INFINITY
                 } else {
-                    model.lse_candidate(pa, st.arc_mean[ai][rf], st.arc_sigma[ai][rf], st.n_sigma)
+                    stat::lse_candidate(pa, st.arc_mean[ai][rf], st.arc_sigma[ai][rf], st.n_sigma)
                 };
                 weights[ai - w_base][rf] = c;
                 if c > m {

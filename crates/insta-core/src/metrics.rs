@@ -10,7 +10,7 @@
 use crate::engine::{Queue, State, Static};
 use crate::forward::queue_of;
 use crate::parallel::VirtualQueue;
-use crate::stat::{StatBackendKind, StatModel};
+use crate::stat;
 use crate::topk::NO_SP;
 use insta_refsta::{EpId, SpId};
 
@@ -78,15 +78,14 @@ impl InstaReport {
     }
 
     /// Evaluates endpoint `i` from its node's two queues (rise, fall),
-    /// each corner being the backend's late corner of the entry.
+    /// each corner being the late corner of the entry.
     #[inline]
-    pub(crate) fn set_endpoint<M: StatModel>(
+    pub(crate) fn set_endpoint(
         &mut self,
         st: &Static,
         i: usize,
         queues: [Queue<'_>; 2],
         cppr: bool,
-        model: &M,
     ) {
         let ep = &st.endpoints[i];
         let ep_id = EpId(ep.ep);
@@ -107,8 +106,8 @@ impl InstaReport {
                 if cppr {
                     req += st.cppr_credit(st.sp_leaf[sp as usize], ep.leaf);
                 }
-                let corner = model.corner_late(mean, sigma, st.n_sigma);
-                let s = model.slack(req, corner);
+                let corner = stat::corner_late(mean, sigma, st.n_sigma);
+                let s = req - corner;
                 if s < slack {
                     (slack, arrival, required) = (s, corner, req);
                     (worst_sp, worst_rf) = (sp, rf as u8);
@@ -124,12 +123,7 @@ impl InstaReport {
 }
 
 /// Evaluates endpoint slacks from the current Top-K state.
-pub(crate) fn evaluate<M: StatModel>(
-    st: &Static,
-    state: &State,
-    cppr: bool,
-    model: &M,
-) -> InstaReport {
+pub(crate) fn evaluate(st: &Static, state: &State, cppr: bool) -> InstaReport {
     let n_ep = st.endpoints.len();
     // Every field is overwritten below; only the lengths matter.
     let mut report = InstaReport {
@@ -142,7 +136,7 @@ pub(crate) fn evaluate<M: StatModel>(
         worst_sp: vec![NO_SP; n_ep],
         worst_rf: vec![0u8; n_ep],
     };
-    refresh(st, state, &mut report, |_| true, None, cppr, model);
+    refresh(st, state, &mut report, |_| true, None, cppr);
     report
 }
 
@@ -151,14 +145,13 @@ pub(crate) fn evaluate<M: StatModel>(
 /// this *is* [`evaluate`]; a cone update — and a batched lane, which
 /// starts from a copy of its base's report — selects the nodes it
 /// recomputed.
-pub(crate) fn refresh<M: StatModel>(
+pub(crate) fn refresh(
     st: &Static,
     state: &State,
     report: &mut InstaReport,
     selected: impl Fn(u32) -> bool,
     mask: Option<&crate::batch::ModeMask>,
     cppr: bool,
-    model: &M,
 ) {
     // An endpoint is never virtual, so the accessor never touches these.
     let (mut rise, mut fall) = (VirtualQueue::default(), VirtualQueue::default());
@@ -167,10 +160,10 @@ pub(crate) fn refresh<M: StatModel>(
         if selected(ep.node) {
             let v = ep.node as usize;
             let queues = [
-                queue_of::<M, false>(st, lanes, v, 0, &mut rise, model),
-                queue_of::<M, false>(st, lanes, v, 1, &mut fall, model),
+                queue_of::<false>(st, lanes, v, 0, &mut rise),
+                queue_of::<false>(st, lanes, v, 1, &mut fall),
             ];
-            report.set_endpoint(st, i, queues, cppr, model);
+            report.set_endpoint(st, i, queues, cppr);
         }
     }
     report.reduce(mask);
@@ -228,12 +221,6 @@ pub struct EngineCounters {
     /// Scenarios answered from a sibling lane's propagation by the MCMM
     /// `(deltas, corner)` dedup — the saved sweeps of a C × M sweep.
     pub mcmm_deduped: u64,
-    /// The statistical numerics backend the engine propagates with (see
-    /// [`crate::stat`]). Fixed at construction; surfaced here so
-    /// operators can tell which numerics a snapshot was computed under.
-    pub stat_backend: StatBackendKind,
-    /// Bin count of a discretized backend (`0` for closed-form Gaussian).
-    pub stat_bins: u32,
 }
 
 impl crate::engine::InstaEngine {
@@ -257,8 +244,6 @@ impl crate::engine::InstaEngine {
             mcmm_evaluations: self.stats.mcmm_evaluations,
             mcmm_corner_lanes: self.stats.mcmm_corner_lanes,
             mcmm_deduped: self.stats.mcmm_deduped,
-            stat_backend: self.backend.kind(),
-            stat_bins: self.backend.bins(),
         }
     }
 

@@ -24,7 +24,6 @@ use crate::forward::{corner, queue_of};
 use crate::hold::HoldAttributes;
 use crate::metrics::InstaReport;
 use crate::parallel::VirtualQueue;
-use crate::stat::{with_model, StatModel};
 use crate::topk::{Candidate, NO_SP};
 
 /// The arrays the kernels below were frozen over: one dense K-slot queue
@@ -89,18 +88,14 @@ impl DenseTopK {
 /// a virtual node's materialised — its corners recomputed, its tail empty
 /// (`-INF`, zero mean / sigma, [`NO_SP`]). `MIN` is the order the rows are
 /// in.
-pub(crate) fn dense_view<M: StatModel, const MIN: bool>(
-    st: &Static,
-    state: &State,
-    model: &M,
-) -> DenseTopK {
+pub(crate) fn dense_view<const MIN: bool>(st: &Static, state: &State) -> DenseTopK {
     let k = state.k;
     let mut dense = DenseTopK::empty(st.n, k);
     let mut scratch = VirtualQueue::new(state.k);
     for q in 0..st.n * 2 {
-        let queue = queue_of::<M, MIN>(st, state.lanes(), q / 2, q % 2, &mut scratch, model);
+        let queue = queue_of::<MIN>(st, state.lanes(), q / 2, q % 2, &mut scratch);
         for (at, (sp, mean, sigma)) in (q * k..).zip(queue.entries()) {
-            dense.topk_arrival[at] = corner::<M, MIN>(model, mean, sigma, st.n_sigma);
+            dense.topk_arrival[at] = corner::<MIN>(mean, sigma, st.n_sigma);
             dense.topk_mean[at] = mean;
             dense.topk_sigma[at] = sigma;
             dense.topk_sp[at] = sp;
@@ -197,7 +192,10 @@ pub fn ref_update_topk(
 /// The pre-overhaul `merge_node_queue`, frozen: single-fanin vectorized
 /// transform with nearly-sorted insertion restore, multi-fanin j-major /
 /// arc-minor interleaved merge pushing one [`Candidate`] at a time
-/// through [`ref_update_topk`].
+/// through [`ref_update_topk`]. A launch seed already in slot 0 is merged
+/// like any candidate, so a seeded node never takes the single-fanin
+/// transform (the one semantic change since the freeze: that transform
+/// used to overwrite the seed).
 #[allow(clippy::too_many_arguments)]
 fn ref_merge_node_queue(
     st: &Static,
@@ -213,7 +211,7 @@ fn ref_merge_node_queue(
     qs: &mut [f64],
     qsp: &mut [u32],
 ) {
-    if fanin.len() == 1 {
+    if fanin.len() == 1 && qsp[0] == NO_SP {
         let ai = fanin.start;
         let p = st.arc_parent[ai] as usize;
         let prf = if st.arc_neg[ai] { 1 - rf } else { rf };
@@ -429,7 +427,7 @@ fn ref_forward_min(st: &Static, k: usize, attrs: &HoldAttributes) -> DenseTopK {
 /// The frozen serial differentiable forward pass: the numerically stable
 /// three-pass Log-Sum-Exp merge, one node at a time.
 fn ref_forward_lse(st: &Static, state: &mut State, tau: f64) {
-    crate::lse::lse_reset_seed(st, state, &crate::stat::GaussianPocv);
+    crate::lse::lse_reset_seed(st, state);
     for l in 1..st.num_levels() {
         for v in st.level_range(l) {
             let fanin = st.fanin_range(v);
@@ -497,8 +495,7 @@ impl InstaEngine {
         let dense = ref_forward(&self.st, self.state.k);
         dense.install(&self.st, &mut self.state, false);
         self.scalar_topk = Some(dense);
-        let report =
-            crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr, &crate::stat::GaussianPocv);
+        let report = crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr);
         self.state.report = Some(report);
         self.validity.setup_done();
         self.state.report.as_ref().expect("just set")
@@ -522,7 +519,7 @@ impl InstaEngine {
         let dense = ref_forward_min(&self.st, self.state.k, attrs);
         dense.install(&self.st, &mut self.state, true);
         self.scalar_topk = Some(dense);
-        crate::hold::evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr, &crate::stat::GaussianPocv)
+        crate::hold::evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr)
     }
 
     /// The engine's Top-K state `(arrival, mean, sigma, sp)` in the
@@ -531,11 +528,11 @@ impl InstaEngine {
     /// recomputed and its tail empty (`-INF`, zero mean / sigma, `NO_SP`).
     pub fn topk_snapshot(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>) {
         let (st, state) = (&self.st, &self.state);
-        let d = with_model!(&self.backend, m => if state.early {
-            dense_view::<_, true>(st, state, m)
+        let d = if state.early {
+            dense_view::<true>(st, state)
         } else {
-            dense_view::<_, false>(st, state, m)
-        });
+            dense_view::<false>(st, state)
+        };
         (d.topk_arrival, d.topk_mean, d.topk_sigma, d.topk_sp)
     }
 

@@ -44,7 +44,7 @@ use crate::engine::{InstaEngine, State, Static};
 use crate::forward::queue_of;
 use crate::metrics::{EngineCounters, InstaReport};
 use crate::parallel::VirtualQueue;
-use crate::stat::{with_model, StatModel};
+use crate::stat;
 use crate::topk::NO_SP;
 use crate::trace::PerfReport;
 use crate::validity::Validity;
@@ -101,26 +101,27 @@ fn rows_from(arrival: &[f64], sp: &[u32]) -> Rows {
 /// The worst entry of `(v, rf)` as a row: its late corner and startpoint,
 /// unreached when the queue is empty. A virtual node's queue is
 /// materialised for it.
-fn worst_row<M: StatModel>(
+fn worst_row(
     st: &Static,
     state: &State,
     v: usize,
     rf: usize,
     scratch: &mut VirtualQueue,
-    model: &M,
 ) -> (f64, u32) {
-    let q = queue_of::<M, false>(st, state.lanes(), v, rf, scratch, model);
-    q.entries().next().map_or((f64::NEG_INFINITY, NO_SP), |(sp, mean, sigma)| {
-        (model.corner_late(mean, sigma, st.n_sigma), sp)
-    })
+    let q = queue_of::<false>(st, state.lanes(), v, rf, scratch);
+    q.entries()
+        .next()
+        .map_or((f64::NEG_INFINITY, NO_SP), |(sp, mean, sigma)| {
+            (stat::corner_late(mean, sigma, st.n_sigma), sp)
+        })
 }
 
 /// Every queue's worst entry: what a capture used to gather per commit,
 /// now done once after a full pass.
-fn gather_rows<M: StatModel>(st: &Static, state: &State, model: &M) -> Rows {
+fn gather_rows(st: &Static, state: &State) -> Rows {
     let mut scratch = VirtualQueue::new(state.k);
     let (arrival, sp): (Vec<f64>, Vec<u32>) = (0..st.n * 2)
-        .map(|row| worst_row(st, state, row / 2, row % 2, &mut scratch, model))
+        .map(|row| worst_row(st, state, row / 2, row % 2, &mut scratch))
         .unzip();
     rows_from(&arrival, &sp)
 }
@@ -159,19 +160,18 @@ impl RowStore {
     /// mirrored the arrays before: their rows are rewritten, a chunk a
     /// snapshot still shares being copied first — or, the stamp cleared by
     /// a full pass or never set, all are gathered afresh and stamped.
-    pub(crate) fn follow<M: StatModel>(
+    pub(crate) fn follow(
         &mut self,
         ledger: &mut Validity,
         st: &Static,
         state: &State,
         nodes: impl Iterator<Item = u32>,
-        model: &M,
     ) {
         if !self.kept() {
             return;
         }
         if !ledger.rows_current() {
-            self.chunks = gather_rows(st, state, model);
+            self.chunks = gather_rows(st, state);
             ledger.rows_gathered();
             return;
         }
@@ -183,7 +183,7 @@ impl RowStore {
             for rf in 0..2 {
                 let at = row % CHUNK_ROWS + rf;
                 (chunk.arrival[at], chunk.sp[at]) =
-                    worst_row(st, state, v as usize, rf, &mut scratch, model);
+                    worst_row(st, state, v as usize, rf, &mut scratch);
             }
         }
     }
@@ -294,7 +294,7 @@ impl InstaEngine {
         // From now on cone sweeps keep the chunks for the next capture.
         self.rows.wanted.store(true, Ordering::Relaxed);
         let n_rows = self.num_nodes() * 2;
-        let gather = || with_model!(&self.backend, m => gather_rows(&self.st, &self.state, m));
+        let gather = || gather_rows(&self.st, &self.state);
         let rows = if !self.validity.topk_current() {
             blank_rows(n_rows)
         } else if self.validity.rows_current() {

@@ -36,19 +36,11 @@ pub struct Candidate {
 
 impl Candidate {
     /// Builds a candidate from an arrival distribution, deriving the
-    /// ordering corner through the active statistical backend — the same
-    /// [`corner_late`](crate::stat::StatModel::corner_late) rule the
-    /// kernels use, so hand-built queues order exactly like kernel-built
-    /// ones under either backend.
-    pub fn from_distribution<M: crate::stat::StatModel>(
-        model: &M,
-        mean: f64,
-        sigma: f64,
-        n_sigma: f64,
-        sp: u32,
-    ) -> Self {
+    /// ordering corner by the late-corner rule the kernels use, so
+    /// hand-built queues order exactly like kernel-built ones.
+    pub fn from_distribution(mean: f64, sigma: f64, n_sigma: f64, sp: u32) -> Self {
         Self {
-            arrival: model.corner_late(mean, sigma, n_sigma),
+            arrival: crate::stat::corner_late(mean, sigma, n_sigma),
             mean,
             sigma,
             sp,
@@ -143,16 +135,14 @@ pub(crate) fn restore_topk_desc(
 ///
 /// ```
 /// use insta_engine::topk::{Candidate, TopKQueue};
-/// use insta_engine::GaussianPocv;
 ///
-/// // Corner arrivals come from the statistical backend: under Gaussian
-/// // POCV, `mean + n_sigma * sigma` (here n_sigma = 3).
-/// let m = GaussianPocv;
+/// // The ordering corner is the Gaussian POCV late corner,
+/// // `mean + n_sigma * sigma` (here n_sigma = 3).
 /// let mut q = TopKQueue::new(2);
-/// q.push(Candidate::from_distribution(&m, 5.0, 0.0, 3.0, 1));
-/// q.push(Candidate::from_distribution(&m, 8.5, 0.5, 3.0, 2)); // corner 10.0
-/// q.push(Candidate::from_distribution(&m, 7.0, 0.0, 3.0, 3)); // evicts sp 1
-/// q.push(Candidate::from_distribution(&m, 6.0, 0.0, 3.0, 2)); // ignored: smaller
+/// q.push(Candidate::from_distribution(5.0, 0.0, 3.0, 1));
+/// q.push(Candidate::from_distribution(8.5, 0.5, 3.0, 2)); // corner 10.0
+/// q.push(Candidate::from_distribution(7.0, 0.0, 3.0, 3)); // evicts sp 1
+/// q.push(Candidate::from_distribution(6.0, 0.0, 3.0, 2)); // ignored: smaller
 /// let sps: Vec<u32> = q.entries().map(|c| c.sp).collect();
 /// assert_eq!(sps, vec![2, 3]);
 /// ```
@@ -574,7 +564,6 @@ mod tests {
 mod batched_tests {
     use crate::batch::{DeltaSet, LaneUndo};
     use crate::engine::{InstaConfig, InstaEngine};
-    use crate::stat::GaussianPocv;
     use insta_netlist::generator::{generate_design, GeneratorConfig};
     use insta_refsta::eco::ArcDelta;
     use insta_refsta::{RefSta, StaConfig};
@@ -648,7 +637,7 @@ mod batched_tests {
     fn image(engine: &InstaEngine, scratch: &crate::engine::State) -> Vec<u64> {
         let mut bits = Vec::new();
         for s in [&engine.state, scratch] {
-            bits.extend(crate::scalar_ref::dense_view::<_, false>(&engine.st, s, &GaussianPocv).bits());
+            bits.extend(crate::scalar_ref::dense_view::<false>(&engine.st, s).bits());
         }
         let ann = engine.st.arc_mean.iter().chain(&engine.st.arc_sigma);
         bits.extend(ann.flatten().map(|v| v.to_bits()));
@@ -685,7 +674,6 @@ mod batched_tests {
                         &mut engine.cone,
                         &set.deltas,
                         None,
-                        &GaussianPocv,
                     );
                     prop_assert!(matches!(swept, Ok(None)), "clean sweep");
                     for v in 0..lane.st.n {
@@ -765,17 +753,16 @@ mod batched_tests {
                     let mut twin = engine.clone();
                     twin.reannotate(&set.deltas).expect("valid deltas");
                     let st = &twin.st;
-                    crate::forward::forward::<_, false>(
+                    crate::forward::forward::<false>(
                         st,
                         &mut twin.state,
                         1,
                         None,
                         None,
-                        &GaussianPocv,
                         &|state, nodes| crate::forward::seed_sources(st, state, nodes),
                     )
                     .expect("clean pass");
-                    let want = crate::metrics::evaluate(&twin.st, &twin.state, cppr, &GaussianPocv);
+                    let want = crate::metrics::evaluate(&twin.st, &twin.state, cppr);
                     let got = got[lane].outcome.as_ref().expect("valid lane");
                     prop_assert!(
                         report_bits(got) == report_bits(&want),

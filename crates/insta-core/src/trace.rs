@@ -217,12 +217,6 @@ pub struct PerfReport {
     pub lse_passes: u64,
     /// Backward passes accumulated.
     pub backward_passes: u64,
-    /// The statistical backend the kernels ran with (satellite surface:
-    /// a perf report is only comparable to another one taken under the
-    /// same backend).
-    pub stat_backend: crate::stat::StatBackendKind,
-    /// Histogram bin count (0 under the closed-form Gaussian backend).
-    pub stat_bins: u32,
 }
 
 impl PerfReport {
@@ -262,16 +256,6 @@ impl fmt::Display for PerfReport {
             "per-level kernel breakdown ({} forward / {} lse / {} backward passes, cumulative)",
             self.forward_passes, self.lse_passes, self.backward_passes
         )?;
-        if self.stat_bins > 0 {
-            writeln!(
-                f,
-                "stat backend: {} ({} bins)",
-                self.stat_backend.name(),
-                self.stat_bins
-            )?;
-        } else {
-            writeln!(f, "stat backend: {}", self.stat_backend.name())?;
-        }
         writeln!(
             f,
             "{:>5} {:>8} {:>10} {:>10} {:>10}",
@@ -325,11 +309,6 @@ impl ToJson for PerfReport {
                 "backward_passes".into(),
                 (self.backward_passes as f64).to_json(),
             ),
-            (
-                "stat_backend".into(),
-                Json::Str(self.stat_backend.name().to_owned()),
-            ),
-            ("stat_bins".into(), (self.stat_bins as f64).to_json()),
             ("rows".into(), self.rows.to_json()),
         ])
     }
@@ -377,11 +356,7 @@ impl crate::engine::InstaEngine {
     /// is disabled or no kernel pass has run since.
     pub fn perf_report(&self) -> PerfReport {
         let Some(t) = self.trace.state() else {
-            return PerfReport {
-                stat_backend: self.backend.kind(),
-                stat_bins: self.backend.bins(),
-                ..PerfReport::default()
-            };
+            return PerfReport::default();
         };
         let n_levels = t
             .forward
@@ -428,8 +403,6 @@ impl crate::engine::InstaEngine {
             forward_passes: t.forward.passes,
             lse_passes: t.lse.passes,
             backward_passes: t.backward.passes,
-            stat_backend: self.backend.kind(),
-            stat_bins: self.backend.bins(),
         }
     }
 }

@@ -8,8 +8,8 @@
 //! applies the same annotations with `reannotate` + `propagate()`, the
 //! full pass. After *every* step of a seeded sequence the complete Top-K
 //! arrays (stale mean/sigma tails included) and every bit of the report
-//! must be equal; under the Gaussian backend a third engine runs the
-//! frozen scalar reference kernel beside them.
+//! must be equal, and a third engine runs the frozen scalar reference
+//! kernel beside them.
 //!
 //! The sequence mixes what sessions see in practice and what could break
 //! the cone: single- and multi-arc batches, an arc repeated inside a batch
@@ -32,8 +32,8 @@
 use insta_engine::parallel::chaos;
 use insta_engine::{
     hold_attributes, BatchOptions, CancelToken, CornerTransform, DeltaSet, DriftPolicy,
-    FixedBinHistogram, HoldAttributes, InstaConfig, InstaEngine, InstaError, InstaReport, Kernel,
-    ModeMask, Scenario, ScenarioReport, SessionStatus, StatModelConfig,
+    HoldAttributes, InstaConfig, InstaEngine, InstaError, InstaReport, Kernel, ModeMask, Scenario,
+    ScenarioReport, SessionStatus,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
@@ -135,7 +135,7 @@ fn fixture(gen: &GeneratorConfig) -> Fixture {
     }
 }
 
-fn config(k: usize, cppr: bool, n_threads: usize, histogram: bool) -> InstaConfig {
+fn config(k: usize, cppr: bool, n_threads: usize) -> InstaConfig {
     InstaConfig {
         top_k: k,
         cppr,
@@ -143,14 +143,6 @@ fn config(k: usize, cppr: bool, n_threads: usize, histogram: bool) -> InstaConfi
         // B re-annotates on every revert as well; neither side may drift
         // into the degraded path the other does not take.
         drift_policy: DriftPolicy::unlimited(),
-        stat_model: if histogram {
-            StatModelConfig::FixedBinHistogram {
-                bins: 64,
-                support_sigmas: FixedBinHistogram::DEFAULT_SUPPORT_SIGMAS,
-            }
-        } else {
-            StatModelConfig::GaussianPocv
-        },
         ..InstaConfig::default()
     }
 }
@@ -298,8 +290,8 @@ fn span_count(a: &InstaEngine, name: &str) -> usize {
 /// [`STEPS`] steps, comparing everything after every step.
 fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
     let tag = format!(
-        "k={} cppr={} threads={} {:?}",
-        cfg.top_k, cfg.cppr, cfg.n_threads, cfg.stat_model
+        "k={} cppr={} threads={}",
+        cfg.top_k, cfg.cppr, cfg.n_threads
     );
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ seed);
     let mut ann = fx.ann.clone();
@@ -310,13 +302,9 @@ fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
     // A is traced, the twins are not: the journal says which path each
     // update took, and tracing must not move a bit.
     a.enable_tracing_with_capacity(16 * STEPS);
-    // The frozen scalar kernel is Gaussian arithmetic.
-    let mut c = matches!(cfg.stat_model, StatModelConfig::GaussianPocv).then(|| {
-        let mut c = engine(fx, cfg);
-        c.forward_scalar_reference();
-        c
-    });
-    assert_same(&a, &b, c.as_ref(), &format!("{tag} initial"));
+    let mut c = engine(fx, cfg);
+    c.forward_scalar_reference();
+    assert_same(&a, &b, Some(&c), &format!("{tag} initial"));
 
     let mut prev: Vec<ArcDelta> = Vec::new();
     let (mut commits, mut rollbacks, mut drops, mut rows_checked, mut outgrown) = (0, 0, 0, 0, 0);
@@ -331,15 +319,13 @@ fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
                 report_bits(&rb),
                 "{tag} step {step}: hold report"
             );
-            if let Some(c) = &mut c {
-                let rc = c.hold_scalar_reference(&fx.hold);
-                assert_eq!(
-                    report_bits(&ra),
-                    report_bits(&rc),
-                    "{tag} step {step}: hold reference"
-                );
-            }
-            assert_same(&a, &b, c.as_ref(), &format!("{tag} step {step} after hold"));
+            let rc = c.hold_scalar_reference(&fx.hold);
+            assert_eq!(
+                report_bits(&ra),
+                report_bits(&rc),
+                "{tag} step {step}: hold reference"
+            );
+            assert_same(&a, &b, Some(&c), &format!("{tag} step {step} after hold"));
             continue;
         }
         // One update per session is the traffic; the pinned kinds stack
@@ -385,7 +371,7 @@ fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
         let mut session = a.begin_session();
         for (i, deltas) in updates.iter().enumerate() {
             let ra = session.update_timing(deltas).expect("valid batch");
-            full_pass(&mut b, c.as_mut(), deltas);
+            full_pass(&mut b, Some(&mut c), deltas);
             assert_eq!(
                 report_bits(&ra),
                 report_bits(b.report()),
@@ -394,7 +380,7 @@ fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
             assert_same(
                 session.engine(),
                 &b,
-                c.as_ref(),
+                Some(&c),
                 &format!("{tag} step {step}.{i} in session"),
             );
         }
@@ -418,15 +404,10 @@ fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
                     drop(session);
                     drops += 1;
                 }
-                full_pass(&mut b, c.as_mut(), &undo);
+                full_pass(&mut b, Some(&mut c), &undo);
             }
         }
-        assert_same(
-            &a,
-            &b,
-            c.as_ref(),
-            &format!("{tag} step {step} after close"),
-        );
+        assert_same(&a, &b, Some(&c), &format!("{tag} step {step} after close"));
         // A session of cone sweeps only is taken back by copy — unless its
         // log outgrew the budget, which costs the rollback a full pass.
         if all_cones && span_count(&a, "forward") > full_before_close {
@@ -489,24 +470,7 @@ fn gaussian_cone_equals_full_pass_and_scalar_reference() {
     let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
     let fx = fixture(&mid_config(3));
     for (k, cppr) in K_CPPR_SWEEP {
-        run_sequence(
-            &fx,
-            &config(k, cppr, 1, false),
-            k as u64 * 2 + u64::from(cppr),
-        );
-    }
-}
-
-#[test]
-fn histogram_cone_equals_full_pass() {
-    let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
-    let fx = fixture(&mid_config(5));
-    for (k, cppr) in K_CPPR_SWEEP {
-        run_sequence(
-            &fx,
-            &config(k, cppr, 1, true),
-            100 + k as u64 * 2 + u64::from(cppr),
-        );
+        run_sequence(&fx, &config(k, cppr, 1), k as u64 * 2 + u64::from(cppr));
     }
 }
 
@@ -514,8 +478,8 @@ fn histogram_cone_equals_full_pass() {
 fn two_threads_cone_equals_full_pass_on_a_wide_design() {
     let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
     let fx = fixture(&wide_config(7));
-    for (k, histogram) in [(2usize, false), (8, true)] {
-        run_sequence(&fx, &config(k, true, 2, histogram), 200 + k as u64);
+    for k in [2usize, 8] {
+        run_sequence(&fx, &config(k, true, 2), 200 + k as u64);
     }
 }
 
@@ -565,7 +529,7 @@ fn dirty_levels(fx: &Fixture, cfg: &InstaConfig, deltas: &[ArcDelta]) -> Vec<usi
 fn cancel_mid_cone_stops_at_the_next_dirty_level() {
     let _exclusive = CHAOS.write().unwrap_or_else(|p| p.into_inner());
     let fx = fixture(&mid_config(11));
-    let cfg = config(8, true, 1, false);
+    let cfg = config(8, true, 1);
     let mut a = engine(&fx, &cfg);
     let mut b = engine(&fx, &cfg);
     a.propagate();
@@ -630,7 +594,7 @@ fn cancel_mid_cone_stops_at_the_next_dirty_level() {
 fn persistent_panic_in_a_dirty_level_is_typed_and_rolls_back() {
     let _exclusive = CHAOS.write().unwrap_or_else(|p| p.into_inner());
     let fx = fixture(&mid_config(13));
-    let cfg = config(8, true, 1, false);
+    let cfg = config(8, true, 1);
     let mut a = engine(&fx, &cfg);
     let mut b = engine(&fx, &cfg);
     a.propagate();
@@ -685,7 +649,7 @@ fn persistent_panic_in_a_dirty_level_is_typed_and_rolls_back() {
 fn cone_updates_and_rollbacks_are_traced() {
     let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
     let fx = fixture(&mid_config(17));
-    let mut a = engine(&fx, &config(8, true, 1, false));
+    let mut a = engine(&fx, &config(8, true, 1));
     a.propagate();
     a.enable_tracing();
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 3);
@@ -727,7 +691,7 @@ fn cone_updates_and_rollbacks_are_traced() {
     assert_eq!(span_count(&a, "forward"), 1);
 }
 
-/// The cone through virtual nodes, both backends: a delta on an arc whose
+/// The cone through virtual nodes: a delta on an arc whose
 /// child is virtual, and one on an arc in mid-chain (virtual parent and
 /// virtual child). The nodes have no row, so nothing of theirs is
 /// recomputed, compared or logged — the sweep passes through to the one
@@ -753,61 +717,63 @@ fn the_cone_passes_through_virtual_nodes() {
             }
         }
     };
-    for histogram in [false, true] {
-        let cfg = config(8, true, 1, histogram);
-        let (mut a, mut b) = (engine(&fx, &cfg), engine(&fx, &cfg));
-        a.propagate();
-        b.propagate();
-        a.enable_tracing();
-        // From the first capture on, the row chunks follow the sweeps.
-        rows_match(&a, &b, "initial");
-        let into_virtual = (0..fx.init.n_nodes)
-            .filter(|&v| a.is_virtual(v as u32))
-            .map(|v| &fanin_of(v)[0]);
-        let (mut head, mut mid) = (None, None);
-        for arc in into_virtual {
-            let slot = if a.is_virtual(arc.parent) { &mut mid } else { &mut head };
-            slot.get_or_insert(arc.source_arc);
-        }
-        let cases = [
-            ("into a virtual node", head.expect("fixture: a chain")),
-            ("mid-chain", mid.expect("fixture: a chain two deep")),
-        ];
-        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 19);
-        for (name, arc) in cases {
-            for commit in [false, true] {
-                let what = format!("histogram={histogram} {name} commit={commit}");
-                let before = fx.ann[arc as usize];
-                let delta = jittered(&mut rng, arc, before);
-                let cones = span_count(&a, "forward.cone");
-                let mut session = a.begin_session();
-                session.update_timing(&[delta]).expect("valid batch");
-                full_pass(&mut b, None, &[delta]);
-                let eng = session.engine();
-                assert_eq!(span_count(eng, "forward.cone"), cones + 1, "{what}: a cone");
-                assert_same(eng, &b, None, &format!("{what}: in session"));
-                rows_match(eng, &b, &format!("{what}: in session"));
-                let logged = eng.undo_log_nodes();
-                assert!(!logged.is_empty(), "{what}: the delta moved nothing");
-                assert!(
-                    logged.iter().all(|&v| !eng.is_virtual(v)),
-                    "{what}: the undo log holds a virtual node"
-                );
-                if commit {
-                    session.commit().expect("open session");
-                } else {
-                    session.rollback();
-                    let undo = ArcDelta {
-                        arc,
-                        mean: before.0,
-                        sigma: before.1,
-                    };
-                    full_pass(&mut b, None, &[undo]);
-                }
-                assert_same(&a, &b, None, &format!("{what}: after close"));
-                rows_match(&a, &b, &format!("{what}: after close"));
-                // The committed delta stays for the next case on both sides.
+    let cfg = config(8, true, 1);
+    let (mut a, mut b) = (engine(&fx, &cfg), engine(&fx, &cfg));
+    a.propagate();
+    b.propagate();
+    a.enable_tracing();
+    // From the first capture on, the row chunks follow the sweeps.
+    rows_match(&a, &b, "initial");
+    let into_virtual = (0..fx.init.n_nodes)
+        .filter(|&v| a.is_virtual(v as u32))
+        .map(|v| &fanin_of(v)[0]);
+    let (mut head, mut mid) = (None, None);
+    for arc in into_virtual {
+        let slot = if a.is_virtual(arc.parent) {
+            &mut mid
+        } else {
+            &mut head
+        };
+        slot.get_or_insert(arc.source_arc);
+    }
+    let cases = [
+        ("into a virtual node", head.expect("fixture: a chain")),
+        ("mid-chain", mid.expect("fixture: a chain two deep")),
+    ];
+    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 19);
+    for (name, arc) in cases {
+        for commit in [false, true] {
+            let what = format!("{name} commit={commit}");
+            let before = fx.ann[arc as usize];
+            let delta = jittered(&mut rng, arc, before);
+            let cones = span_count(&a, "forward.cone");
+            let mut session = a.begin_session();
+            session.update_timing(&[delta]).expect("valid batch");
+            full_pass(&mut b, None, &[delta]);
+            let eng = session.engine();
+            assert_eq!(span_count(eng, "forward.cone"), cones + 1, "{what}: a cone");
+            assert_same(eng, &b, None, &format!("{what}: in session"));
+            rows_match(eng, &b, &format!("{what}: in session"));
+            let logged = eng.undo_log_nodes();
+            assert!(!logged.is_empty(), "{what}: the delta moved nothing");
+            assert!(
+                logged.iter().all(|&v| !eng.is_virtual(v)),
+                "{what}: the undo log holds a virtual node"
+            );
+            if commit {
+                session.commit().expect("open session");
+            } else {
+                session.rollback();
+                let undo = ArcDelta {
+                    arc,
+                    mean: before.0,
+                    sigma: before.1,
+                };
+                full_pass(&mut b, None, &[undo]);
             }
+            assert_same(&a, &b, None, &format!("{what}: after close"));
+            rows_match(&a, &b, &format!("{what}: after close"));
+            // The committed delta stays for the next case on both sides.
         }
     }
 }
@@ -950,67 +916,65 @@ fn candidates_by_corners(
     out
 }
 
-/// Clean calls of all three entry points (and a gradient call), both
-/// backends, K ∈ {1, 8, 32}: every lane equals its serial twin, the engine
+/// Clean calls of all three entry points (and a gradient call),
+/// K ∈ {1, 8, 32}: every lane equals its serial twin, the engine
 /// holds its pre-call bits — LSE tag included — and stays on the cone path.
 #[test]
 fn batched_calls_leave_no_trace() {
     let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
     let fx = fixture(&mid_config(19));
-    for histogram in [false, true] {
-        for k in [1usize, 8, 32] {
-            let what = format!("k={k} histogram={histogram}");
-            let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xBA7C ^ k as u64);
-            let mut a = engine(&fx, &config(k, true, 1, histogram));
-            a.propagate();
-            a.forward_lse(); // a live LSE tag the calls must not clear
-            let n_eps = a.report().slacks.len();
-            let before = a.undo_image();
+    for k in [1usize, 8, 32] {
+        let what = format!("k={k}");
+        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xBA7C ^ k as u64);
+        let mut a = engine(&fx, &config(k, true, 1));
+        a.propagate();
+        a.forward_lse(); // a live LSE tag the calls must not clear
+        let n_eps = a.report().slacks.len();
+        let before = a.undo_image();
 
-            // evaluate_batch: sparse sets, the base scenario, a repeated arc.
-            let mut sets: Vec<Vec<ArcDelta>> = (0..6).map(|_| few_deltas(&mut rng, &fx)).collect();
-            sets.push(Vec::new());
-            let first = random_delta(&mut rng, &fx.ann);
-            let again = jittered(&mut rng, first.arc, fx.ann[first.arc as usize]);
-            sets.push(vec![first, random_delta(&mut rng, &fx.ann), again]);
-            let as_scenarios: Vec<Scenario> = sets.iter().cloned().map(Scenario::from).collect();
-            let as_sets: Vec<DeltaSet> = sets.into_iter().map(DeltaSet::from).collect();
-            let got = a.evaluate_batch(&as_sets);
-            assert_lanes_equal_twins(&got, &a, &as_scenarios, &format!("{what} evaluate_batch"));
-            assert_untouched(&before, &a, &format!("{what} evaluate_batch"));
+        // evaluate_batch: sparse sets, the base scenario, a repeated arc.
+        let mut sets: Vec<Vec<ArcDelta>> = (0..6).map(|_| few_deltas(&mut rng, &fx)).collect();
+        sets.push(Vec::new());
+        let first = random_delta(&mut rng, &fx.ann);
+        let again = jittered(&mut rng, first.arc, fx.ann[first.arc as usize]);
+        sets.push(vec![first, random_delta(&mut rng, &fx.ann), again]);
+        let as_scenarios: Vec<Scenario> = sets.iter().cloned().map(Scenario::from).collect();
+        let as_sets: Vec<DeltaSet> = sets.into_iter().map(DeltaSet::from).collect();
+        let got = a.evaluate_batch(&as_sets);
+        assert_lanes_equal_twins(&got, &a, &as_scenarios, &format!("{what} evaluate_batch"));
+        assert_untouched(&before, &a, &format!("{what} evaluate_batch"));
 
-            let opts = BatchOptions {
-                gradients: true,
-                ..BatchOptions::default()
-            };
-            let got = a.evaluate_batch_with(&as_sets[..3], &opts);
-            assert!(got
-                .iter()
-                .all(|r| r.outcome.is_ok() && r.gradients.is_some()));
-            assert_untouched(&before, &a, &format!("{what} gradients"));
+        let opts = BatchOptions {
+            gradients: true,
+            ..BatchOptions::default()
+        };
+        let got = a.evaluate_batch_with(&as_sets[..3], &opts);
+        assert!(got
+            .iter()
+            .all(|r| r.outcome.is_ok() && r.gradients.is_some()));
+        assert_untouched(&before, &a, &format!("{what} gradients"));
 
-            // evaluate_scenarios: candidates × (identity + corners), modes mixed in.
-            let scs = candidates_by_corners(&mut rng, &fx, 4, n_eps);
-            let got = a.evaluate_scenarios(&scs);
-            assert_lanes_equal_twins(&got, &a, &scs, &format!("{what} evaluate_scenarios"));
-            assert_untouched(&before, &a, &format!("{what} evaluate_scenarios"));
+        // evaluate_scenarios: candidates × (identity + corners), modes mixed in.
+        let scs = candidates_by_corners(&mut rng, &fx, 4, n_eps);
+        let got = a.evaluate_scenarios(&scs);
+        assert_lanes_equal_twins(&got, &a, &scs, &format!("{what} evaluate_scenarios"));
+        assert_untouched(&before, &a, &format!("{what} evaluate_scenarios"));
 
-            // evaluate_mcmm: the same batch plus mode-only variants that dedup.
-            let mut sweep = scs.clone();
-            for sc in &scs[..4] {
-                let mut dup = sc.clone();
-                dup.mode = Some(ModeMask::disabling([0, n_eps - 1]));
-                sweep.push(dup);
-            }
-            let deduped = a.counters().mcmm_deduped;
-            let got = a.evaluate_mcmm(&sweep);
-            assert!(a.counters().mcmm_deduped >= deduped + 4, "{what}: dedup");
-            assert_lanes_equal_twins(&got.scenarios, &a, &sweep, &format!("{what} evaluate_mcmm"));
-            assert_untouched(&before, &a, &format!("{what} evaluate_mcmm"));
-
-            assert_next_update_is_a_cone(&mut a, &fx, &what);
-            assert_untouched(&before, &a, &format!("{what} after the cone update"));
+        // evaluate_mcmm: the same batch plus mode-only variants that dedup.
+        let mut sweep = scs.clone();
+        for sc in &scs[..4] {
+            let mut dup = sc.clone();
+            dup.mode = Some(ModeMask::disabling([0, n_eps - 1]));
+            sweep.push(dup);
         }
+        let deduped = a.counters().mcmm_deduped;
+        let got = a.evaluate_mcmm(&sweep);
+        assert!(a.counters().mcmm_deduped >= deduped + 4, "{what}: dedup");
+        assert_lanes_equal_twins(&got.scenarios, &a, &sweep, &format!("{what} evaluate_mcmm"));
+        assert_untouched(&before, &a, &format!("{what} evaluate_mcmm"));
+
+        assert_next_update_is_a_cone(&mut a, &fx, &what);
+        assert_untouched(&before, &a, &format!("{what} after the cone update"));
     }
 }
 
@@ -1022,35 +986,33 @@ fn batched_calls_leave_no_trace() {
 fn batches_interleaved_with_committed_sessions_leave_no_trace() {
     let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
     let fx = fixture(&mid_config(31));
-    for histogram in [false, true] {
-        let what = format!("histogram={histogram}");
-        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x512E);
-        let mut a = engine(&fx, &config(8, true, 1, histogram));
-        a.propagate();
-        for round in 0..12 {
-            let scs: Vec<Scenario> = (0..4)
-                .map(|i| {
-                    let sc = Scenario::from(few_deltas(&mut rng, &fx));
-                    if i == 3 {
-                        sc.with_corner(CORNERS[round % 2])
-                    } else {
-                        sc
-                    }
-                })
-                .collect();
-            let before = a.undo_image();
-            let got = a.evaluate_scenarios(&scs);
-            assert_lanes_equal_twins(&got, &a, &scs, &format!("{what} round {round}"));
-            assert_untouched(&before, &a, &format!("{what} round {round}"));
-            let mut session = a.begin_session();
-            session
-                .update_timing(&scs[round % 3].deltas)
-                .expect("valid batch");
-            if round % 4 == 3 {
-                session.rollback();
-            } else {
-                session.commit().expect("open session");
-            }
+    let what = String::from("K=8");
+    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x512E);
+    let mut a = engine(&fx, &config(8, true, 1));
+    a.propagate();
+    for round in 0..12 {
+        let scs: Vec<Scenario> = (0..4)
+            .map(|i| {
+                let sc = Scenario::from(few_deltas(&mut rng, &fx));
+                if i == 3 {
+                    sc.with_corner(CORNERS[round % 2])
+                } else {
+                    sc
+                }
+            })
+            .collect();
+        let before = a.undo_image();
+        let got = a.evaluate_scenarios(&scs);
+        assert_lanes_equal_twins(&got, &a, &scs, &format!("{what} round {round}"));
+        assert_untouched(&before, &a, &format!("{what} round {round}"));
+        let mut session = a.begin_session();
+        session
+            .update_timing(&scs[round % 3].deltas)
+            .expect("valid batch");
+        if round % 4 == 3 {
+            session.rollback();
+        } else {
+            session.commit().expect("open session");
         }
     }
 }
@@ -1061,7 +1023,7 @@ fn batches_interleaved_with_committed_sessions_leave_no_trace() {
 fn one_base_pass_per_distinct_corner() {
     let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
     let fx = fixture(&mid_config(23));
-    let mut a = engine(&fx, &config(8, true, 1, false));
+    let mut a = engine(&fx, &config(8, true, 1));
     a.propagate();
     let n_eps = a.report().slacks.len();
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xC0A7);
@@ -1094,52 +1056,50 @@ fn one_base_pass_per_distinct_corner() {
 
 /// Quarantined lanes (a bad arc id, a corner that drives annotations
 /// non-finite) and a lane past the cone's seed switch (replayed as a real
-/// session: two full passes) beside healthy ones, both backends.
+/// session: two full passes) beside healthy ones.
 #[test]
 fn quarantined_and_oversized_lanes_leave_no_trace() {
     let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
     let fx = fixture(&mid_config(29));
-    for histogram in [false, true] {
-        let what = format!("histogram={histogram}");
-        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x0DD);
-        let mut a = engine(&fx, &config(8, true, 1, histogram));
-        a.propagate();
-        a.forward_lse();
-        let before = a.undo_image();
-        let oversized: Vec<ArcDelta> = (0..fx.ann.len() / 4)
-            .map(|_| random_delta(&mut rng, &fx.ann))
-            .collect();
-        let scs = vec![
-            Scenario::from(few_deltas(&mut rng, &fx)),
-            Scenario::from(vec![ArcDelta {
-                arc: u32::MAX - 1,
-                mean: [1.0; 2],
-                sigma: [0.1; 2],
-            }]),
-            Scenario::from(few_deltas(&mut rng, &fx)).with_corner(CORNERS[0]),
-            Scenario::from(few_deltas(&mut rng, &fx))
-                .with_corner(CornerTransform::scale(f64::INFINITY, 1.0)),
-            Scenario::from(oversized.clone()),
-            Scenario::from(oversized).with_corner(CORNERS[1]),
-            Scenario::from(few_deltas(&mut rng, &fx)).with_corner(CORNERS[1]),
-        ];
-        let sessions = a.counters().sessions_begun;
-        let got = a.evaluate_scenarios(&scs);
-        for bad in [1, 3] {
-            assert!(
-                matches!(got[bad].outcome, Err(InstaError::Validate(_))),
-                "{what}: lane {bad} must be quarantined"
-            );
-        }
-        assert_lanes_equal_twins(&got, &a, &scs, &what);
-        assert_eq!(
-            a.counters().sessions_begun,
-            sessions + 2,
-            "{what}: exactly the two oversized lanes ran as sessions"
+    let what = String::from("K=8");
+    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x0DD);
+    let mut a = engine(&fx, &config(8, true, 1));
+    a.propagate();
+    a.forward_lse();
+    let before = a.undo_image();
+    let oversized: Vec<ArcDelta> = (0..fx.ann.len() / 4)
+        .map(|_| random_delta(&mut rng, &fx.ann))
+        .collect();
+    let scs = vec![
+        Scenario::from(few_deltas(&mut rng, &fx)),
+        Scenario::from(vec![ArcDelta {
+            arc: u32::MAX - 1,
+            mean: [1.0; 2],
+            sigma: [0.1; 2],
+        }]),
+        Scenario::from(few_deltas(&mut rng, &fx)).with_corner(CORNERS[0]),
+        Scenario::from(few_deltas(&mut rng, &fx))
+            .with_corner(CornerTransform::scale(f64::INFINITY, 1.0)),
+        Scenario::from(oversized.clone()),
+        Scenario::from(oversized).with_corner(CORNERS[1]),
+        Scenario::from(few_deltas(&mut rng, &fx)).with_corner(CORNERS[1]),
+    ];
+    let sessions = a.counters().sessions_begun;
+    let got = a.evaluate_scenarios(&scs);
+    for bad in [1, 3] {
+        assert!(
+            matches!(got[bad].outcome, Err(InstaError::Validate(_))),
+            "{what}: lane {bad} must be quarantined"
         );
-        assert_untouched(&before, &a, &what);
-        assert_next_update_is_a_cone(&mut a, &fx, &what);
     }
+    assert_lanes_equal_twins(&got, &a, &scs, &what);
+    assert_eq!(
+        a.counters().sessions_begun,
+        sessions + 2,
+        "{what}: exactly the two oversized lanes ran as sessions"
+    );
+    assert_untouched(&before, &a, &what);
+    assert_next_update_is_a_cone(&mut a, &fx, &what);
 }
 
 /// The level a pre-fired token cancels a single-lane call at — the lane's
@@ -1172,67 +1132,65 @@ fn first_dirty_level(a: &mut InstaEngine, deltas: &[ArcDelta]) -> usize {
 fn a_lane_cancelled_between_dirty_levels_leaves_no_trace() {
     let _exclusive = CHAOS.write().unwrap_or_else(|p| p.into_inner());
     let fx = fixture(&mid_config(11));
-    for histogram in [false, true] {
-        let what = format!("histogram={histogram}");
-        let cfg = config(8, true, 1, histogram);
-        let mut a = engine(&fx, &cfg);
-        a.propagate();
-        let (deltas, first) = probe(&fx, &mut a, 1);
-        let dirty = dirty_levels(&fx, &cfg, &deltas);
-        assert!(dirty.len() >= 2 && dirty[0] == first);
-        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xCA9C);
-        let others: Vec<Vec<ArcDelta>> = (0..3).map(|_| few_deltas(&mut rng, &fx)).collect();
-        let firsts: Vec<usize> = others
-            .iter()
-            .map(|d| first_dirty_level(&mut a, d))
-            .collect();
-        let before = a.undo_image();
-        let incidents = a.incident_log().total();
+    let what = String::from("K=8");
+    let cfg = config(8, true, 1);
+    let mut a = engine(&fx, &cfg);
+    a.propagate();
+    let (deltas, first) = probe(&fx, &mut a, 1);
+    let dirty = dirty_levels(&fx, &cfg, &deltas);
+    assert!(dirty.len() >= 2 && dirty[0] == first);
+    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xCA9C);
+    let others: Vec<Vec<ArcDelta>> = (0..3).map(|_| few_deltas(&mut rng, &fx)).collect();
+    let firsts: Vec<usize> = others
+        .iter()
+        .map(|d| first_dirty_level(&mut a, d))
+        .collect();
+    let before = a.undo_image();
+    let incidents = a.incident_log().total();
 
-        let mut scs = vec![Scenario::from(deltas)];
-        scs.extend(others.iter().cloned().map(Scenario::from));
-        scs.push(Scenario::from(others[0].clone()).with_corner(CORNERS[0]));
-        scs.push(Scenario::default());
-        let token = CancelToken::new();
-        let fire = token.clone();
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |_| fire.cancel()));
-        chaos::arm(Kernel::Forward, first, false);
-        let got = a.evaluate_scenarios_with(
-            &scs,
-            &BatchOptions {
-                cancel: Some(token),
-                ..BatchOptions::default()
-            },
-        );
-        chaos::disarm();
-        std::panic::set_hook(prev_hook);
+    let mut scs = vec![Scenario::from(deltas)];
+    scs.extend(others.iter().cloned().map(Scenario::from));
+    scs.push(Scenario::from(others[0].clone()).with_corner(CORNERS[0]));
+    scs.push(Scenario::default());
+    let token = CancelToken::new();
+    let fire = token.clone();
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |_| fire.cancel()));
+    chaos::arm(Kernel::Forward, first, false);
+    let got = a.evaluate_scenarios_with(
+        &scs,
+        &BatchOptions {
+            cancel: Some(token),
+            ..BatchOptions::default()
+        },
+    );
+    chaos::disarm();
+    std::panic::set_hook(prev_hook);
 
-        let mut want = vec![dirty[1]];
-        want.extend(&firsts);
-        want.push(1); // the corner's base pass polls every level
-        for (i, level) in want.into_iter().enumerate() {
-            match &got[i].outcome {
-                Err(InstaError::Cancelled {
-                    kernel: Kernel::Forward,
-                    level: got,
-                    ..
-                }) => assert_eq!(*got, level, "{what}: lane {i} cancel level"),
-                other => panic!("{what}: lane {i}: expected a forward cancel, got {other:?}"),
-            }
+    let mut want = vec![dirty[1]];
+    want.extend(&firsts);
+    want.push(1); // the corner's base pass polls every level
+    for (i, level) in want.into_iter().enumerate() {
+        match &got[i].outcome {
+            Err(InstaError::Cancelled {
+                kernel: Kernel::Forward,
+                level: got,
+                ..
+            }) => assert_eq!(*got, level, "{what}: lane {i} cancel level"),
+            other => panic!("{what}: lane {i}: expected a forward cancel, got {other:?}"),
         }
-        // No dirty level, no poll: the base scenario is still its twin.
-        let base = got[5]
-            .outcome
-            .as_ref()
-            .expect("an empty lane has nothing to cancel");
-        assert!(report_bits(base) == report_bits(a.report()));
-        // A sweep that ends cancelled reports only the cancel, like the
-        // session path: the panic it recovered from on the way is dropped.
-        assert_eq!(a.incident_log().total(), incidents, "{what}");
-        assert_untouched(&before, &a, &what);
-        assert_next_update_is_a_cone(&mut a, &fx, &what);
     }
+    // No dirty level, no poll: the base scenario is still its twin.
+    let base = got[5]
+        .outcome
+        .as_ref()
+        .expect("an empty lane has nothing to cancel");
+    assert!(report_bits(base) == report_bits(a.report()));
+    // A sweep that ends cancelled reports only the cancel, like the
+    // session path: the panic it recovered from on the way is dropped.
+    assert_eq!(a.incident_log().total(), incidents, "{what}");
+    assert_untouched(&before, &a, &what);
+    assert_next_update_is_a_cone(&mut a, &fx, &what);
 }
 
 /// A one-shot injected panic in a lane's dirty level (identity and corner
@@ -1243,41 +1201,39 @@ fn a_lane_cancelled_between_dirty_levels_leaves_no_trace() {
 fn a_recovered_panic_in_a_lane_leaves_no_trace() {
     let _exclusive = CHAOS.write().unwrap_or_else(|p| p.into_inner());
     let fx = fixture(&mid_config(13));
-    for histogram in [false, true] {
-        let what = format!("histogram={histogram}");
-        let mut a = engine(&fx, &config(8, true, 1, histogram));
-        a.propagate();
-        let (deltas, first) = probe(&fx, &mut a, 2);
-        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x1507);
-        let scs = vec![
-            Scenario::from(deltas.clone()),
-            Scenario::from(few_deltas(&mut rng, &fx)),
-            Scenario::from(deltas).with_corner(CORNERS[1]),
-        ];
-        let before = a.undo_image();
-        let incidents = a.incident_log().total();
+    let what = String::from("K=8");
+    let mut a = engine(&fx, &config(8, true, 1));
+    a.propagate();
+    let (deltas, first) = probe(&fx, &mut a, 2);
+    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x1507);
+    let scs = vec![
+        Scenario::from(deltas.clone()),
+        Scenario::from(few_deltas(&mut rng, &fx)),
+        Scenario::from(deltas).with_corner(CORNERS[1]),
+    ];
+    let before = a.undo_image();
+    let incidents = a.incident_log().total();
 
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        chaos::arm(Kernel::Forward, first, false);
-        let got = a.evaluate_scenarios(&scs);
-        chaos::disarm();
-        std::panic::set_hook(prev_hook);
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    chaos::arm(Kernel::Forward, first, false);
+    let got = a.evaluate_scenarios(&scs);
+    chaos::disarm();
+    std::panic::set_hook(prev_hook);
 
-        assert_lanes_equal_twins(&got, &a, &scs, &what);
-        assert_eq!(
-            a.incident_log().total(),
-            incidents + 1,
-            "{what}: booked once"
-        );
-        let inc = a.last_incident().expect("recovered incident");
-        assert_eq!(
-            (inc.kernel, inc.level, inc.serial_retry_failed),
-            (Kernel::Forward, first, false)
-        );
-        assert_untouched(&before, &a, &what);
-        assert_next_update_is_a_cone(&mut a, &fx, &what);
-    }
+    assert_lanes_equal_twins(&got, &a, &scs, &what);
+    assert_eq!(
+        a.incident_log().total(),
+        incidents + 1,
+        "{what}: booked once"
+    );
+    let inc = a.last_incident().expect("recovered incident");
+    assert_eq!(
+        (inc.kernel, inc.level, inc.serial_retry_failed),
+        (Kernel::Forward, first, false)
+    );
+    assert_untouched(&before, &a, &what);
+    assert_next_update_is_a_cone(&mut a, &fx, &what);
 }
 
 /// A panic that also kills the retry: the lane whose cone holds the armed
@@ -1288,64 +1244,62 @@ fn a_recovered_panic_in_a_lane_leaves_no_trace() {
 fn a_fatal_panic_in_a_lane_is_typed_and_leaves_no_trace() {
     let _exclusive = CHAOS.write().unwrap_or_else(|p| p.into_inner());
     let fx = fixture(&mid_config(13));
-    for histogram in [false, true] {
-        let what = format!("histogram={histogram}");
-        let mut a = engine(&fx, &config(8, true, 1, histogram));
-        a.propagate();
-        // Single-arc lanes by first dirty level; the victim is the one
-        // unique shallowest, armed at its first level.
-        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xFA7A);
-        let mut lanes: Vec<(usize, Vec<ArcDelta>)> = (0..12)
-            .map(|_| vec![random_delta(&mut rng, &fx.ann)])
-            .map(|d| (first_dirty_level(&mut a, &d), d))
-            .collect();
-        lanes.sort_by_key(|(level, _)| *level);
-        let armed = lanes[0].0;
-        let victim = lanes[0].1.clone();
-        let siblings: Vec<Vec<ArcDelta>> = lanes
-            .into_iter()
-            .filter(|(level, _)| *level > armed)
-            .map(|(_, d)| d)
-            .take(4)
-            .collect();
-        assert!(siblings.len() >= 2, "{what}: fixture needs deeper lanes");
-        let mut scs = vec![Scenario::from(siblings[0].clone()), Scenario::from(victim)];
-        scs.extend(siblings[1..].iter().cloned().map(Scenario::from));
-        let before = a.undo_image();
-        let incidents = a.incident_log().total();
-        let quarantined = a.counters().batch_quarantined;
+    let what = String::from("K=8");
+    let mut a = engine(&fx, &config(8, true, 1));
+    a.propagate();
+    // Single-arc lanes by first dirty level; the victim is the one
+    // unique shallowest, armed at its first level.
+    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xFA7A);
+    let mut lanes: Vec<(usize, Vec<ArcDelta>)> = (0..12)
+        .map(|_| vec![random_delta(&mut rng, &fx.ann)])
+        .map(|d| (first_dirty_level(&mut a, &d), d))
+        .collect();
+    lanes.sort_by_key(|(level, _)| *level);
+    let armed = lanes[0].0;
+    let victim = lanes[0].1.clone();
+    let siblings: Vec<Vec<ArcDelta>> = lanes
+        .into_iter()
+        .filter(|(level, _)| *level > armed)
+        .map(|(_, d)| d)
+        .take(4)
+        .collect();
+    assert!(siblings.len() >= 2, "{what}: fixture needs deeper lanes");
+    let mut scs = vec![Scenario::from(siblings[0].clone()), Scenario::from(victim)];
+    scs.extend(siblings[1..].iter().cloned().map(Scenario::from));
+    let before = a.undo_image();
+    let incidents = a.incident_log().total();
+    let quarantined = a.counters().batch_quarantined;
 
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        chaos::arm(Kernel::Forward, armed, true);
-        let got = a.evaluate_scenarios(&scs);
-        chaos::disarm();
-        std::panic::set_hook(prev_hook);
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    chaos::arm(Kernel::Forward, armed, true);
+    let got = a.evaluate_scenarios(&scs);
+    chaos::disarm();
+    std::panic::set_hook(prev_hook);
 
-        match &got[1].outcome {
-            Err(InstaError::Runtime(inc)) => {
-                assert_eq!((inc.kernel, inc.level), (Kernel::Forward, armed));
-                assert!(inc.serial_retry_failed);
-            }
-            other => panic!("{what}: expected Runtime, got {other:?}"),
+    match &got[1].outcome {
+        Err(InstaError::Runtime(inc)) => {
+            assert_eq!((inc.kernel, inc.level), (Kernel::Forward, armed));
+            assert!(inc.serial_retry_failed);
         }
-        for i in (0..scs.len()).filter(|&i| i != 1) {
-            let w = serial_twin(&a, &scs[i]).expect("healthy twin");
-            let g = got[i].outcome.as_ref().expect("sibling completes");
-            assert!(report_bits(g) == report_bits(&w), "{what}: sibling {i}");
-        }
-        assert_eq!(
-            a.incident_log().total(),
-            incidents + 1,
-            "{what}: booked once"
-        );
-        assert_eq!(
-            a.counters().batch_quarantined,
-            quarantined + 1,
-            "{what}: one quarantined lane"
-        );
-        assert_untouched(&before, &a, &what);
-        a.health_check().expect("healthy after the call");
-        assert_next_update_is_a_cone(&mut a, &fx, &what);
+        other => panic!("{what}: expected Runtime, got {other:?}"),
     }
+    for i in (0..scs.len()).filter(|&i| i != 1) {
+        let w = serial_twin(&a, &scs[i]).expect("healthy twin");
+        let g = got[i].outcome.as_ref().expect("sibling completes");
+        assert!(report_bits(g) == report_bits(&w), "{what}: sibling {i}");
+    }
+    assert_eq!(
+        a.incident_log().total(),
+        incidents + 1,
+        "{what}: booked once"
+    );
+    assert_eq!(
+        a.counters().batch_quarantined,
+        quarantined + 1,
+        "{what}: one quarantined lane"
+    );
+    assert_untouched(&before, &a, &what);
+    a.health_check().expect("healthy after the call");
+    assert_next_update_is_a_cone(&mut a, &fx, &what);
 }

@@ -22,7 +22,7 @@
 
 use insta_engine::{
     hold_attributes, DeltaSet, HoldAttributes, InstaConfig, InstaEngine, InstaReport,
-    StatModelConfig, ValidationMode,
+    ValidationMode,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_netlist::Design;
@@ -193,6 +193,7 @@ fn fused_sweep_matches_separate_passes_and_scalar_reference() {
     for (gen, tau) in [
         (GeneratorConfig::small("keq_fused", 19), 8.0),
         (GeneratorConfig::medium("keq_fused_m", 23), 3.0),
+        (GeneratorConfig::medium("keq_fused_m", 23), 5.0),
     ] {
         let cfg = InstaConfig {
             lse_tau: tau,
@@ -397,14 +398,10 @@ fn stat(rng: &mut Rng) -> (f64, f64) {
 /// nodes (it stays stored), a startpoint on a merge node and on a chain
 /// node (a startpoint with fanin stays stored), and endpoints in and at
 /// the cut-off end of a chain (a single-fanin endpoint stays stored). Returns the graph, the
-/// chain nodes that must come out virtual, and whether some startpoint has
-/// exactly one fanin arc: the single-fanin transform overwrites a launch
-/// seed — in the frozen setup kernel too — but the frozen min kernel has no
-/// such path and merges it, so on those graphs hold is compared with the
-/// stored twin only. Last, how often each case came up: a chain node
-/// behind a chain node, a two-reader pin, a startpoint with fanin, a chain
-/// node that is an endpoint.
-fn chain_graph(seed: u64, levels: usize, width: usize) -> (InstaInit, Vec<u32>, bool, [usize; 4]) {
+/// chain nodes that must come out virtual, and how often each case came
+/// up: a chain node behind a chain node, a two-reader pin, a startpoint
+/// with fanin, a chain node that is an endpoint.
+fn chain_graph(seed: u64, levels: usize, width: usize) -> (InstaInit, Vec<u32>, [usize; 4]) {
     let mut rng = Rng::seed_from_u64(seed);
     let (levels, width) = (levels.max(3), width.max(2));
     let mut fanin: Vec<Vec<(u32, bool)>> = Vec::new();
@@ -415,7 +412,7 @@ fn chain_graph(seed: u64, levels: usize, width: usize) -> (InstaInit, Vec<u32>, 
     let mut must: Vec<u32> = Vec::new();
     let mut chains: Vec<(u32, usize)> = Vec::new();
     let (mut interior, mut seeded, mut cut) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut seeded_single, mut pins) = (false, 0);
+    let mut pins = 0;
     for _ in 0..width + 2 {
         pool.push(fanin.len() as u32);
         fanin.push(Vec::new());
@@ -476,7 +473,6 @@ fn chain_graph(seed: u64, levels: usize, width: usize) -> (InstaInit, Vec<u32>, 
                         // A startpoint with fanin is stored.
                         interior.retain(|&u| u != v);
                         seeded.push(v);
-                        seeded_single = true;
                     }
                 }
                 // A single-fanin pin with two readers is stored.
@@ -554,12 +550,33 @@ fn chain_graph(seed: u64, levels: usize, width: usize) -> (InstaInit, Vec<u32>, 
             leaf: NO_LEAF,
         })
         .collect();
-    let init = InstaInit {
+    let init = unclocked_init(level_start, fanin_start, arcs, sources, endpoints);
+    let behind = |v: &&u32| interior.contains(&init.fanin[init.fanin_start[**v as usize] as usize].parent);
+    let seen = [
+        interior.iter().filter(behind).count(),
+        pins,
+        init.sources.len() - n_launch,
+        init.endpoints.iter().filter(|e| fanin[e.node as usize].len() == 1).count(),
+    ];
+    (init, interior, seen)
+}
+
+/// A snapshot numbered in creation order (level-major already), with no
+/// clock tree, no exceptions and `n_sigma` = 3.
+fn unclocked_init(
+    level_start: Vec<u32>,
+    fanin_start: Vec<u32>,
+    fanin: Vec<ExportedArc>,
+    sources: Vec<SourceInit>,
+    endpoints: Vec<EndpointInit>,
+) -> InstaInit {
+    let n = fanin_start.len() - 1;
+    InstaInit {
         n_nodes: n,
         level_start,
         order: (0..n as u32).collect(),
         fanin_start,
-        fanin: arcs,
+        fanin,
         sp_leaf: vec![NO_LEAF; sources.len()],
         sources,
         endpoints,
@@ -569,15 +586,7 @@ fn chain_graph(seed: u64, levels: usize, width: usize) -> (InstaInit, Vec<u32>, 
         n_sigma: 3.0,
         period_ps: 1000.0,
         exceptions: Default::default(),
-    };
-    let behind = |v: &&u32| interior.contains(&init.fanin[init.fanin_start[**v as usize] as usize].parent);
-    let seen = [
-        interior.iter().filter(behind).count(),
-        pins,
-        init.sources.len() - n_launch,
-        init.endpoints.iter().filter(|e| fanin[e.node as usize].len() == 1).count(),
-    ];
-    (init, interior, seeded_single, seen)
+    }
 }
 
 /// `init` with an endpoint on every node: no node is virtual, so every
@@ -598,26 +607,17 @@ fn all_stored(init: &InstaInit) -> InstaInit {
 }
 
 /// Generated virtual chains against two oracles, for K ∈ {1, 2, 4, 8, 32},
-/// setup and hold, both backends: the twin with every node stored (either
-/// backend) and the frozen scalar kernels' own dense arrays (Gaussian).
-/// Dense view, and every node's `arrival_at` / `distribution_at` /
-/// snapshot row, on `to_bits`.
+/// setup and hold: the twin with every node stored and the frozen scalar
+/// kernels' own dense arrays. Dense view, and every node's `arrival_at` /
+/// `distribution_at` / snapshot row, on `to_bits`.
 #[test]
 fn virtual_chains_read_exactly_like_stored_queues() {
-    let backends = [
-        StatModelConfig::GaussianPocv,
-        StatModelConfig::FixedBinHistogram {
-            bins: 32,
-            support_sigmas: 4.0,
-        },
-    ];
     let seen = std::cell::Cell::new([0usize; 4]);
     for_all(
         Config::cases(40).seed(SUITE_SEED ^ 0xC4A1),
         |rng| (rng.next_u64(), 3 + rng.bounded_u64(7), 2 + rng.bounded_u64(4)),
         |&(seed, levels, width)| {
-            let (init, interior, seeded_single, cases) =
-                chain_graph(seed, levels as usize, width as usize);
+            let (init, interior, cases) = chain_graph(seed, levels as usize, width as usize);
             let so_far = seen.get();
             seen.set(std::array::from_fn(|i| so_far[i] + cases[i]));
             let twin_init = all_stored(&init);
@@ -635,17 +635,13 @@ fn virtual_chains_read_exactly_like_stored_queues() {
                 ..attrs.clone()
             };
             attrs.required_base[0] = f64::NEG_INFINITY;
-            for (stat_model, top_k) in backends
-                .into_iter()
-                .flat_map(|b| [1usize, 2, 4, 8, 32].map(|k| (b, k)))
-            {
+            for top_k in [1usize, 2, 4, 8, 32] {
                 let cfg = InstaConfig {
                     top_k,
-                    stat_model,
                     validation: ValidationMode::Strict,
                     ..InstaConfig::default()
                 };
-                let what = format!("{stat_model:?} K={top_k}");
+                let what = format!("K={top_k}");
                 let mut a = InstaEngine::new(init.clone(), cfg.clone()).map_err(|e| e.to_string())?;
                 let mut twin = InstaEngine::new(twin_init.clone(), cfg.clone()).expect("valid twin");
                 for &v in &interior {
@@ -653,16 +649,22 @@ fn virtual_chains_read_exactly_like_stored_queues() {
                 }
                 prop_assert_eq!(a.num_rows() + interior.len(), a.num_nodes());
                 prop_assert_eq!(twin.num_rows(), twin.num_nodes());
-                let mut reference = matches!(stat_model, StatModelConfig::GaussianPocv)
-                    .then(|| InstaEngine::new(init.clone(), cfg).expect("valid"));
+                let mut r = InstaEngine::new(init.clone(), cfg).expect("valid");
 
                 let report = report_bits(a.propagate());
                 twin.propagate();
-                prop_assert!(topk_bits(&a) == topk_bits(&twin), "{what}: dense view vs stored twin");
-                if let Some(r) = &mut reference {
-                    prop_assert!(report == report_bits(r.forward_scalar_reference()), "{what}: report");
-                    prop_assert!(topk_bits(&a) == scalar_bits(r), "{what}: dense view vs scalar reference");
-                }
+                prop_assert!(
+                    topk_bits(&a) == topk_bits(&twin),
+                    "{what}: dense view vs stored twin"
+                );
+                prop_assert!(
+                    report == report_bits(r.forward_scalar_reference()),
+                    "{what}: report"
+                );
+                prop_assert!(
+                    topk_bits(&a) == scalar_bits(&r),
+                    "{what}: dense view vs scalar reference"
+                );
                 let (sa, st) = (a.snapshot(), twin.snapshot());
                 let bits = |x: Option<f64>| x.map(f64::to_bits);
                 for v in 0..init.n_nodes as u32 {
@@ -681,11 +683,18 @@ fn virtual_chains_read_exactly_like_stored_queues() {
 
                 let hold = report_bits(&a.propagate_hold(&attrs));
                 twin.propagate_hold(&twin_attrs);
-                prop_assert!(topk_bits(&a) == topk_bits(&twin), "{what}: min-mode dense view vs stored twin");
-                if let Some(r) = reference.as_mut().filter(|_| !seeded_single) {
-                    prop_assert!(hold == report_bits(&r.hold_scalar_reference(&attrs)), "{what}: hold report");
-                    prop_assert!(topk_bits(&a) == scalar_bits(r), "{what}: min-mode dense view vs scalar reference");
-                }
+                prop_assert!(
+                    topk_bits(&a) == topk_bits(&twin),
+                    "{what}: min-mode dense view vs stored twin"
+                );
+                prop_assert!(
+                    hold == report_bits(&r.hold_scalar_reference(&attrs)),
+                    "{what}: hold report"
+                );
+                prop_assert!(
+                    topk_bits(&a) == scalar_bits(&r),
+                    "{what}: min-mode dense view vs scalar reference"
+                );
             }
             Ok(())
         },
@@ -694,5 +703,195 @@ fn virtual_chains_read_exactly_like_stored_queues() {
         seen.get().iter().all(|&n| n >= 10),
         "deep chain nodes / pins / startpoints with fanin / single-fanin endpoints: {:?}",
         seen.get()
+    );
+}
+
+/// A startpoint with exactly one fanin arc keeps its launch seed: the
+/// queue is the merge of the seed and the arc's run, as at any other seeded
+/// node. `L → S → E` with `S` also a startpoint, every arrival computed by
+/// hand. The seed of `S` decides `E`'s worst setup entry (late corner 126
+/// against 44 through `L`) and, launched earlier, its hold entry (early
+/// corner 22 against 26). The frozen kernels agree on every array.
+#[test]
+fn a_startpoint_with_one_fanin_arc_keeps_its_launch_seed() {
+    let arc = |parent: u32, mean: f64, sigma: f64| ExportedArc {
+        parent,
+        mean: [mean; 2],
+        sigma: [sigma; 2],
+        negative_unate: false,
+        source_arc: parent,
+    };
+    let source = |node: u32, mean: [f64; 2], sigma: [f64; 2]| SourceInit {
+        node,
+        sp: node,
+        mean,
+        sigma,
+    };
+    let init = unclocked_init(
+        vec![0, 1, 2, 3],
+        vec![0, 0, 1, 2],
+        vec![arc(0, 5.0, 3.0), arc(1, 20.0, 0.0)],
+        vec![
+            source(0, [10.0; 2], [0.0; 2]),
+            source(1, [100.0, 90.0], [2.0, 4.0]),
+        ],
+        vec![EndpointInit {
+            node: 2,
+            ep: 0,
+            required_base: 200.0,
+            leaf: NO_LEAF,
+        }],
+    );
+    let attrs = HoldAttributes {
+        source_mean: vec![[10.0; 2], [5.0; 2]],
+        source_sigma: vec![[0.0; 2], [1.0; 2]],
+        required_base: vec![10.0],
+    };
+    for top_k in [1usize, 2, 32] {
+        let cfg = InstaConfig {
+            top_k,
+            ..InstaConfig::default()
+        };
+        let mut fast = InstaEngine::new(init.clone(), cfg.clone()).expect("valid");
+        let mut reference = InstaEngine::new(init.clone(), cfg).expect("valid");
+        let what = format!("K={top_k}");
+
+        // Setup. S: seed (100, 2) ahead of L's (10 + 5, 3); E adds (20, 0).
+        let setup = fast.propagate().clone();
+        assert_eq!(
+            fast.distribution_at(2, 0),
+            Some((120.0, 2.0)),
+            "{what}: rise"
+        );
+        assert_eq!(
+            fast.distribution_at(2, 1),
+            Some((110.0, 4.0)),
+            "{what}: fall"
+        );
+        assert_eq!(fast.arrival_at(2, 0), Some(126.0), "{what}: rise corner");
+        assert_eq!(fast.arrival_at(1, 0), Some(106.0), "{what}: the seed at S");
+        assert_eq!(
+            (setup.slacks[0], setup.worst_sp[0]),
+            (74.0, 1),
+            "{what}: setup slack"
+        );
+        let want = report_bits(reference.forward_scalar_reference());
+        assert_eq!(report_bits(&setup), want, "{what}: frozen setup report");
+        assert_eq!(
+            topk_bits(&fast),
+            scalar_bits(&reference),
+            "{what}: frozen setup arrays"
+        );
+
+        // Hold. S: seed (5, 1) launches at early corner 2, L's path reaches S
+        // at 15 − 9 = 6; E adds (20, 0): early corners 22 and 26.
+        let hold = fast.propagate_hold(&attrs);
+        assert_eq!(
+            (hold.arrivals[0], hold.slacks[0], hold.worst_sp[0]),
+            (22.0, 12.0, 1),
+            "{what}: hold"
+        );
+        let want = report_bits(&reference.hold_scalar_reference(&attrs));
+        assert_eq!(report_bits(&hold), want, "{what}: frozen hold report");
+        assert_eq!(
+            topk_bits(&fast),
+            scalar_bits(&reference),
+            "{what}: frozen hold arrays"
+        );
+    }
+}
+
+/// Truth that shares no arithmetic with the kernels: on a merge-free chain
+/// (one launch, 1–60 arcs, random unateness) the Gaussian model is exact,
+/// so the endpoint's distribution is the launch plus every arc on the
+/// transitions the chain selects — means summed, variances summed. The
+/// test tracks the rise/fall flips itself and sums each sorted list of
+/// terms, an order the kernels never use. A model that inflates variance
+/// per arc sum fails at once.
+#[test]
+fn merge_free_chains_sum_means_and_variances_exactly() {
+    for_all(
+        Config::cases(64).seed(SUITE_SEED ^ 0x7247),
+        |rng| (rng.bounded_u64(60) as usize, rng.next_u64()),
+        |&(extra, seed)| {
+            // A shrunk case keeps at least one arc.
+            let n_arcs = 1 + extra;
+            let mut rng = Rng::seed_from_u64(seed);
+            let draw = |rng: &mut Rng| [1.0 + 49.0 * rng.next_f64(), 10.0 * rng.next_f64()];
+            let (rise, fall) = (draw(&mut rng), draw(&mut rng));
+            let launch = SourceInit {
+                node: 0,
+                sp: 0,
+                mean: [rise[0], fall[0]],
+                sigma: [rise[1], fall[1]],
+            };
+            let arcs: Vec<ExportedArc> = (0..n_arcs)
+                .map(|a| {
+                    let (rise, fall) = (draw(&mut rng), draw(&mut rng));
+                    ExportedArc {
+                        parent: a as u32,
+                        mean: [rise[0], fall[0]],
+                        sigma: [rise[1], fall[1]],
+                        negative_unate: rng.gen_bool(0.5),
+                        source_arc: a as u32,
+                    }
+                })
+                .collect();
+            let n = n_arcs + 1;
+            let init = unclocked_init(
+                (0..=n as u32).collect(),
+                std::iter::once(0).chain(0..n as u32).collect(),
+                arcs.clone(),
+                vec![launch],
+                vec![EndpointInit {
+                    node: n_arcs as u32,
+                    ep: 0,
+                    required_base: 0.0,
+                    leaf: NO_LEAF,
+                }],
+            );
+            for rf_end in 0..2 {
+                // Walk back from the endpoint: an arc into a node on
+                // transition `rf` reads its parent on the flipped one when
+                // it is negative-unate.
+                let (mut means, mut vars) = (Vec::new(), Vec::new());
+                let mut rf = rf_end;
+                for arc in arcs.iter().rev() {
+                    means.push(arc.mean[rf]);
+                    vars.push(arc.sigma[rf] * arc.sigma[rf]);
+                    if arc.negative_unate {
+                        rf = 1 - rf;
+                    }
+                }
+                means.push(launch.mean[rf]);
+                vars.push(launch.sigma[rf] * launch.sigma[rf]);
+                let sorted_sum = |mut v: Vec<f64>| {
+                    v.sort_by(f64::total_cmp);
+                    v.into_iter().sum::<f64>()
+                };
+                let mean = sorted_sum(means);
+                let sigma = sorted_sum(vars).sqrt();
+                let corner = mean + 3.0 * sigma;
+                let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * want.abs();
+                for top_k in [1usize, 32] {
+                    let cfg = InstaConfig {
+                        top_k,
+                        ..InstaConfig::default()
+                    };
+                    let mut engine =
+                        InstaEngine::new(init.clone(), cfg).map_err(|e| e.to_string())?;
+                    engine.propagate();
+                    let what = format!("{n_arcs} arcs, rf {rf_end}, K={top_k}");
+                    let (m, s) = engine
+                        .distribution_at(n_arcs as u32, rf_end)
+                        .ok_or_else(|| format!("{what}: endpoint unreached"))?;
+                    prop_assert!(close(m, mean), "{what}: mean {m}, truth {mean}");
+                    prop_assert!(close(s, sigma), "{what}: sigma {s}, truth {sigma}");
+                    let a = engine.arrival_at(n_arcs as u32, rf_end).expect("reached");
+                    prop_assert!(close(a, corner), "{what}: corner {a}, truth {corner}");
+                }
+            }
+            Ok(())
+        },
     );
 }

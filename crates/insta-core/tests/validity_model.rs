@@ -21,8 +21,8 @@
 use insta_engine::parallel::chaos;
 use insta_engine::{
     hold_attributes, BatchOptions, CancelToken, DeltaSet, DriftPolicy, EngineDurableState,
-    FixedBinHistogram, HoldAttributes, InstaConfig, InstaEngine, InstaError, InstaReport, Kernel,
-    SessionStatus, StatModelConfig, TimingSession,
+    HoldAttributes, InstaConfig, InstaEngine, InstaError, InstaReport, Kernel, SessionStatus,
+    TimingSession,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 /// The chaos hook and the panic hook are process-global.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// What one backend's generated cases may take (debug build).
+/// What the generated cases may take (debug build).
 const TIME_BOX: Duration = Duration::from_secs(8);
 
 const TAUS: [f64; 3] = [8.0, 2.0, 20.0];
@@ -95,21 +95,13 @@ fn fixture() -> Fixture {
     }
 }
 
-fn config(histogram: bool, tau: f64) -> InstaConfig {
+fn config(tau: f64) -> InstaConfig {
     InstaConfig {
         top_k: 4,
         n_threads: 1,
         lse_tau: tau,
         // The model has no drift odometer: nothing may degrade.
         drift_policy: DriftPolicy::unlimited(),
-        stat_model: if histogram {
-            StatModelConfig::FixedBinHistogram {
-                bins: 16,
-                support_sigmas: FixedBinHistogram::DEFAULT_SUPPORT_SIGMAS,
-            }
-        } else {
-            StatModelConfig::GaussianPocv
-        },
         ..InstaConfig::default()
     }
 }
@@ -252,10 +244,9 @@ fn gen_step(rng: &mut Rng, n_arcs: usize) -> Step {
 // The model and its twin
 // ---------------------------------------------------------------------
 
-/// The fixture and the backend under test.
+/// The fixture under test.
 struct Ctx<'f> {
     fx: &'f Fixture,
-    histogram: bool,
 }
 
 impl Ctx<'_> {
@@ -285,8 +276,7 @@ impl Ctx<'_> {
 
     /// An engine built from scratch over `table`, propagated.
     fn twin(&self, tau: f64, table: &Table) -> InstaEngine {
-        let mut t = InstaEngine::new(self.fx.init.clone(), config(self.histogram, tau))
-            .expect("valid snapshot");
+        let mut t = InstaEngine::new(self.fx.init.clone(), config(tau)).expect("valid snapshot");
         let all: Vec<ArcDelta> = table
             .iter()
             .enumerate()
@@ -632,8 +622,7 @@ fn run_step(cx: &Ctx, m: &mut Model, a: &mut InstaEngine, step: &Step) -> Result
 }
 
 fn run_case(cx: &Ctx, steps: &[Step]) -> Result<(), String> {
-    let mut a = InstaEngine::new(cx.fx.init.clone(), config(cx.histogram, TAUS[0]))
-        .expect("valid snapshot");
+    let mut a = InstaEngine::new(cx.fx.init.clone(), config(TAUS[0])).expect("valid snapshot");
     a.enable_tracing_with_capacity(1 << 14);
     let mut m = Model {
         table: cx.fx.table.clone(),
@@ -649,10 +638,10 @@ fn run_case(cx: &Ctx, steps: &[Step]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_model(histogram: bool, seed: u64) {
+fn run_model(seed: u64) {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let fx = fixture();
-    let cx = Ctx { fx: &fx, histogram };
+    let cx = Ctx { fx: &fx };
     let n_arcs = fx.table.len();
     // The box ends the run, not a shrink: the first failure lifts it.
     let deadline = Cell::new(Some(Instant::now() + TIME_BOX));
@@ -677,13 +666,8 @@ fn run_model(histogram: bool, seed: u64) {
 }
 
 #[test]
-fn every_read_is_none_or_the_from_scratch_twins_gaussian() {
-    run_model(false, 0x1ED6_E201);
-}
-
-#[test]
-fn every_read_is_none_or_the_from_scratch_twins_histogram() {
-    run_model(true, 0x1ED6_E202);
+fn every_read_is_none_or_the_from_scratch_twins() {
+    run_model(0x1ED6_E201);
 }
 
 /// Regression: `backward_tns` after a bare `reannotate` refreshed the stale
@@ -694,38 +678,32 @@ fn every_read_is_none_or_the_from_scratch_twins_histogram() {
 fn backward_after_a_bare_reannotate_differentiates_the_current_report() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let fx = fixture();
-    for histogram in [false, true] {
-        let cx = Ctx { fx: &fx, histogram };
-        let slowed: Vec<ArcDelta> = (0..fx.table.len() as u32)
-            .step_by(3)
-            .map(|arc| cx.delta(D(arc, 5)))
-            .collect();
-        let mut table = fx.table.clone();
-        apply(&mut table, &slowed);
-        let mut a =
-            InstaEngine::new(fx.init.clone(), config(histogram, TAUS[0])).expect("valid snapshot");
-        a.propagate();
-        a.forward_lse();
-        a.backward_tns();
-        a.reannotate(&slowed).expect("valid batch");
-        a.backward_tns();
+    let cx = Ctx { fx: &fx };
+    let slowed: Vec<ArcDelta> = (0..fx.table.len() as u32)
+        .step_by(3)
+        .map(|arc| cx.delta(D(arc, 5)))
+        .collect();
+    let mut table = fx.table.clone();
+    apply(&mut table, &slowed);
+    let mut a = InstaEngine::new(fx.init.clone(), config(TAUS[0])).expect("valid snapshot");
+    a.propagate();
+    a.forward_lse();
+    a.backward_tns();
+    a.reannotate(&slowed).expect("valid batch");
+    a.backward_tns();
 
-        let mut t = cx.twin(TAUS[0], &table);
-        t.forward_lse();
-        t.backward_tns();
-        let state = |e: &InstaEngine| {
-            let (arrival, arc) = e.grad_snapshot();
-            (bits(&arrival), bits(arc.as_flattened()))
-        };
-        assert!(
-            state(&a) == state(&t),
-            "histogram={histogram}: gradients of a stale report"
-        );
-        assert!(
-            bits(&a.arc_gradients()).iter().any(|&g| g != 0),
-            "the fixture must violate"
-        );
-    }
+    let mut t = cx.twin(TAUS[0], &table);
+    t.forward_lse();
+    t.backward_tns();
+    let state = |e: &InstaEngine| {
+        let (arrival, arc) = e.grad_snapshot();
+        (bits(&arrival), bits(arc.as_flattened()))
+    };
+    assert!(state(&a) == state(&t), "gradients of a stale report");
+    assert!(
+        bits(&a.arc_gradients()).iter().any(|&g| g != 0),
+        "the fixture must violate"
+    );
 }
 
 /// A drift-degraded update is a fused pass — the one whole-array pass a
@@ -737,10 +715,7 @@ fn backward_after_a_bare_reannotate_differentiates_the_current_report() {
 fn a_failed_degraded_refresh_is_taken_back() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let fx = fixture();
-    let cx = Ctx {
-        fx: &fx,
-        histogram: false,
-    };
+    let cx = Ctx { fx: &fx };
     let arc = fx
         .arc_level
         .iter()
@@ -753,7 +728,7 @@ fn a_failed_degraded_refresh_is_taken_back() {
                 max_updates: 1,
                 max_touched_mass: 0.0,
             },
-            ..config(false, TAUS[0])
+            ..config(TAUS[0])
         },
     )
     .expect("valid snapshot");
@@ -789,7 +764,7 @@ fn a_failed_degraded_refresh_is_taken_back() {
 fn a_hold_pass_leaves_the_report_current() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let fx = fixture();
-    let mut a = InstaEngine::new(fx.init.clone(), config(false, TAUS[0])).expect("valid snapshot");
+    let mut a = InstaEngine::new(fx.init.clone(), config(TAUS[0])).expect("valid snapshot");
     a.enable_tracing();
     a.propagate_fused();
     a.backward_tns();

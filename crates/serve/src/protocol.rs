@@ -154,9 +154,7 @@ pub fn read_frame(r: &mut impl BufRead, max_bytes: usize) -> Result<Vec<u8>, Fra
 pub enum Op {
     /// Liveness probe.
     Ping,
-    /// Engine + service counters and the current degradation tier. The
-    /// `engine` object includes the active statistical backend
-    /// (`stat_backend`, with `stat_bins` for the histogram backend).
+    /// Engine + service counters and the current degradation tier.
     Stats,
     /// Endpoint slacks / WNS / TNS from the committed snapshot.
     ReportSlack,

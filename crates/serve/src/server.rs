@@ -640,11 +640,6 @@ impl Server {
             ("mcmm_evaluations", ec.mcmm_evaluations.to_json()),
             ("mcmm_corner_lanes", ec.mcmm_corner_lanes.to_json()),
             ("mcmm_deduped", ec.mcmm_deduped.to_json()),
-            (
-                "stat_backend",
-                Json::Str(ec.stat_backend.name().to_owned()),
-            ),
-            ("stat_bins", (ec.stat_bins as u64).to_json()),
         ]);
         let service = Json::Obj(
             sh.counters

@@ -2,14 +2,13 @@
 //! corner transform `C` and mode mask `M` must be **bit-identical** to a
 //! serial session whose annotations were pre-scaled by `C`
 //! ([`InstaEngine::scenario_twin_deltas`]) and whose report was masked by
-//! `M` ([`InstaReport::masked`]) — under both statistical backends,
-//! at any batch width (S > 64 included), with quarantine, cancellation,
+//! `M` ([`InstaReport::masked`]) — at any batch width (S > 64 included), with quarantine, cancellation,
 //! dedup, and the merged worst-corner view all behaving per-lane exactly
 //! like the serial twins.
 
 use insta_engine::{
     BatchOptions, CancelToken, CornerTransform, InstaConfig, InstaEngine, InstaError, InstaReport,
-    ModeMask, Scenario, ScenarioReport, StatModelConfig,
+    ModeMask, Scenario, ScenarioReport,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
@@ -18,17 +17,6 @@ use insta_sta::support::prop::{for_all, Config};
 use insta_support::rng::Rng;
 
 const SUITE_SEED: u64 = 0x3CC1_70AE_5;
-
-/// The two statistical backends the identity contract must hold under.
-fn backends() -> [StatModelConfig; 2] {
-    [
-        StatModelConfig::GaussianPocv,
-        StatModelConfig::FixedBinHistogram {
-            bins: 32,
-            support_sigmas: 6.0,
-        },
-    ]
-}
 
 fn build(seed: u64, cfg: InstaConfig) -> (RefSta, InstaEngine) {
     let design = generate_design(&GeneratorConfig::small("mcmm_eq", seed));
@@ -180,46 +168,42 @@ fn assert_lanes_match(
 }
 
 /// The tentpole identity contract: across generated designs, corner and
-/// mode mixes, serial-vs-parallel runners, and **both statistical
-/// backends**, every lane of `evaluate_scenarios` is bit-identical to
+/// mode mixes, and serial-vs-parallel runners, every lane of `evaluate_scenarios` is bit-identical to
 /// its pre-scaled, masked serial-session twin — and the sweep leaves the
 /// engine's own report untouched.
 #[test]
 fn mcmm_lanes_match_prescaled_masked_serial_twins() {
-    for backend in backends() {
-        for_all(
-            Config::cases(10).seed(SUITE_SEED),
-            |rng| {
-                (
-                    rng.bounded_u64(64),         // design seed
-                    rng.next_u64(),              // scenario stream
-                    rng.bounded_u64(2) as usize, // thread pick
-                )
-            },
-            |&(dseed, stream, threads_idx)| {
-                let cfg = InstaConfig {
-                    n_threads: [1usize, 4][threads_idx],
-                    stat_model: backend.clone(),
-                    ..InstaConfig::default()
-                };
-                let (golden, mut engine) = build(dseed, cfg);
-                engine.propagate();
-                let base_bits = report_bits(engine.report());
-                let n_eps = engine.report().slacks.len();
+    for_all(
+        Config::cases(10).seed(SUITE_SEED),
+        |rng| {
+            (
+                rng.bounded_u64(64),         // design seed
+                rng.next_u64(),              // scenario stream
+                rng.bounded_u64(2) as usize, // thread pick
+            )
+        },
+        |&(dseed, stream, threads_idx)| {
+            let cfg = InstaConfig {
+                n_threads: [1usize, 4][threads_idx],
+                ..InstaConfig::default()
+            };
+            let (golden, mut engine) = build(dseed, cfg);
+            engine.propagate();
+            let base_bits = report_bits(engine.report());
+            let n_eps = engine.report().slacks.len();
 
-                let mut rng = Rng::seed_from_u64(stream);
-                let scenarios = random_scenarios(&golden, n_eps, &mut rng, 7);
-                let want = serial_twin_reference(&engine, &scenarios);
-                let got = engine.evaluate_scenarios(&scenarios);
-                assert_lanes_match(&got, &want)?;
+            let mut rng = Rng::seed_from_u64(stream);
+            let scenarios = random_scenarios(&golden, n_eps, &mut rng, 7);
+            let want = serial_twin_reference(&engine, &scenarios);
+            let got = engine.evaluate_scenarios(&scenarios);
+            assert_lanes_match(&got, &want)?;
 
-                if report_bits(engine.report()) != base_bits {
-                    return Err("MCMM sweep mutated the engine's own report".into());
-                }
-                Ok(())
-            },
-        );
-    }
+            if report_bits(engine.report()) != base_bits {
+                return Err("MCMM sweep mutated the engine's own report".into());
+            }
+            Ok(())
+        },
+    );
 }
 
 /// Lane index integrity (satellite): lanes run grouped by corner, not in
@@ -506,67 +490,57 @@ fn mode_sweeps_dedup_to_corner_lanes_with_identical_reports() {
 }
 
 /// Zero-width corners (satellite): `sigma_scale = 0` collapses every
-/// arc distribution to zero width. Across both backends the lane must
-/// stay finite (the histogram quantile path clamps instead of dividing
-/// by a zero bin width) and bit-identical to its serial twin, whose
-/// arrival distributions report σ = 0 exactly.
+/// arc distribution to zero width. The lane must stay finite and
+/// bit-identical to its serial twin, whose arrival distributions report
+/// σ = 0 exactly.
 #[test]
-fn zero_sigma_corners_stay_finite_under_both_backends() {
-    for backend in backends() {
-        for_all(
-            Config::cases(6).seed(SUITE_SEED ^ 0x5160),
-            |rng| (rng.bounded_u64(64), rng.next_u64()),
-            |&(dseed, stream)| {
-                let cfg = InstaConfig {
-                    stat_model: backend.clone(),
-                    ..InstaConfig::default()
-                };
-                let (golden, mut engine) = build(dseed, cfg);
-                engine.propagate();
-                let mut rng = Rng::seed_from_u64(stream);
-                let zero = CornerTransform {
-                    mean_scale: 1.0,
-                    mean_offset_ps: 0.0,
-                    sigma_scale: 0.0,
-                    sigma_offset_ps: 0.0,
-                };
-                let scenarios =
-                    [Scenario::from(random_deltas(&golden, &mut rng)).with_corner(zero)];
-                let want = serial_twin_reference(&engine, &scenarios);
-                let got = engine.evaluate_scenarios(&scenarios);
-                assert_lanes_match(&got, &want)?;
+fn zero_sigma_corners_stay_finite() {
+    for_all(
+        Config::cases(6).seed(SUITE_SEED ^ 0x5160),
+        |rng| (rng.bounded_u64(64), rng.next_u64()),
+        |&(dseed, stream)| {
+            let (golden, mut engine) = build(dseed, InstaConfig::default());
+            engine.propagate();
+            let mut rng = Rng::seed_from_u64(stream);
+            let zero = CornerTransform {
+                mean_scale: 1.0,
+                mean_offset_ps: 0.0,
+                sigma_scale: 0.0,
+                sigma_offset_ps: 0.0,
+            };
+            let scenarios = [Scenario::from(random_deltas(&golden, &mut rng)).with_corner(zero)];
+            let want = serial_twin_reference(&engine, &scenarios);
+            let got = engine.evaluate_scenarios(&scenarios);
+            assert_lanes_match(&got, &want)?;
 
-                let r = got[0].outcome.as_ref().map_err(|e| e.to_string())?;
-                if !r.slacks.iter().chain(&r.arrivals).all(|v| v.is_finite()) {
-                    return Err("zero-width lane produced a non-finite value".into());
-                }
-                // The twin's propagated distributions must come out
-                // finite with a non-negative σ: every arc's σ is scaled
-                // to exactly 0 (launch seeds stay corner-invariant), so
-                // a quantile path dividing by a zero bin width would
-                // surface here as NaN.
-                let mut twin = engine.clone();
-                twin.reannotate(&twin.scenario_twin_deltas(&scenarios[0]).clone())
-                    .map_err(|e| e.to_string())?;
-                twin.propagate();
-                let mut seen = 0usize;
-                for node in 0..64u32 {
-                    for rf in 0..2 {
-                        if let Some((m, s)) = twin.distribution_at(node, rf) {
-                            seen += 1;
-                            if !m.is_finite() || !s.is_finite() || s < 0.0 {
-                                return Err(format!(
-                                    "node {node}/{rf}: ({m}, {s}) not a finite distribution"
-                                ));
-                            }
+            let r = got[0].outcome.as_ref().map_err(|e| e.to_string())?;
+            if !r.slacks.iter().chain(&r.arrivals).all(|v| v.is_finite()) {
+                return Err("zero-width lane produced a non-finite value".into());
+            }
+            // The twin's propagated distributions must come out
+            // finite with a non-negative σ: every arc's σ is scaled
+            // to exactly 0 (launch seeds stay corner-invariant).
+            let mut twin = engine.clone();
+            twin.reannotate(&twin.scenario_twin_deltas(&scenarios[0]).clone())
+                .map_err(|e| e.to_string())?;
+            twin.propagate();
+            let mut seen = 0usize;
+            for node in 0..64u32 {
+                for rf in 0..2 {
+                    if let Some((m, s)) = twin.distribution_at(node, rf) {
+                        seen += 1;
+                        if !m.is_finite() || !s.is_finite() || s < 0.0 {
+                            return Err(format!(
+                                "node {node}/{rf}: ({m}, {s}) not a finite distribution"
+                            ));
                         }
                     }
                 }
-                if seen == 0 {
-                    return Err("no propagated distributions sampled".into());
-                }
-                Ok(())
-            },
-        );
-    }
+            }
+            if seen == 0 {
+                return Err("no propagated distributions sampled".into());
+            }
+            Ok(())
+        },
+    );
 }
