@@ -67,8 +67,8 @@ impl DriftPolicy {
     }
 }
 
-/// Accumulated incremental-drift odometer (checkpointed and restored with
-/// the timing state, so a rolled-back session doesn't count).
+/// Accumulated incremental-drift odometer (captured and restored by a
+/// session's transaction, so a rolled-back session doesn't count).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct DriftState {
     /// Incremental updates applied since the last [`InstaEngine::reset_drift`].
@@ -86,15 +86,13 @@ pub(crate) struct SessionStats {
     pub cancelled: u64,
     pub degraded_passes: u64,
     pub incremental_updates: u64,
-    /// `evaluate_batch` calls.
+    /// `evaluate` calls.
     pub batches: u64,
     /// Scenarios submitted across all batches.
     pub batch_scenarios: u64,
     /// Scenarios that returned an error from a batch (validation-rejected,
     /// cancelled, or numerically poisoned) while their siblings completed.
     pub batch_quarantined: u64,
-    /// `evaluate_mcmm` calls.
-    pub mcmm_evaluations: u64,
     /// Lanes that carried a (non-identity) corner transform.
     pub mcmm_corner_lanes: u64,
     /// Scenarios served from another lane's propagation by the MCMM
@@ -475,7 +473,7 @@ pub struct InstaEngine {
     pub(crate) interrupt: Option<Interrupt>,
     /// Commit counter: bumped by every committed session.
     pub(crate) epoch: u64,
-    /// Incremental-drift odometer (checkpointed with the timing state).
+    /// Incremental-drift odometer (a rolled-back session restores it).
     pub(crate) drift: DriftState,
     /// Monotonic session statistics.
     pub(crate) stats: SessionStats,

@@ -187,7 +187,7 @@ impl InstaError {
     }
 
     /// Whether this error means engine state may be half-updated — i.e. a
-    /// session must roll back to its checkpoint. `Ingest`/`Validate` are
+    /// session must roll back. `Ingest`/`Validate` are
     /// raised *before* anything is mutated and leave the engine untouched.
     pub fn poisons_state(&self) -> bool {
         matches!(

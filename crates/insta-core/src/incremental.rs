@@ -70,12 +70,24 @@
 //! [`ConeScratch::undo`] copies the log back newest first, so a node logged
 //! twice — by stacked updates of a session, or by the forced retry of a
 //! level after a contained panic, whose second copy is half-new — gets its
-//! first, true copy back last. Whoever ran the sweep decides what becomes
-//! of the log: a what-if lane ([`crate::batch`]) and a session rollback
-//! ([`crate::checkpoint`]) take it back — the rollback also has the
-//! snapshot rows follow [`undone`](ConeScratch::undone), the logged nodes
-//! and the virtual nodes reading them — a session commit and an update
-//! outside any session [`forget`](ConeScratch::forget) it.
+//! first, true copy back last.
+//!
+//! **One transaction.** The log belongs to the one open [`Txn`], which
+//! decides what becomes of it: [`commit`](Txn::commit) forgets it,
+//! [`undo`](Txn::undo) copies it back. A plain
+//! [`update_timing`](InstaEngine::update_timing) is a `Txn` committed at
+//! once; a what-if lane ([`crate::batch`]) is one that is undone when
+//! dropped; a [session](crate::session) is one that also captures, before
+//! its first mutating call, what the log does not cover — the validity
+//! ledger by value, the report and the drift odometer (τ, which no session
+//! call sets, needs no saving) and, before its first backward pass, the
+//! gradient buffers, the one bulk array a client reads with no ledger row.
+//! LSE buffers are neither copied nor tagged: their stamp names the
+//! generation they were computed from, which after the undo either is the
+//! restored one or never comes back. A session's undo applies the
+//! ledger's rollback rule ([`crate::validity`]) and has the snapshot rows
+//! follow [`undone`](ConeScratch::undone), the logged nodes and the virtual
+//! nodes reading them.
 //!
 //! **Its budget.** Logged whole, the rare resize that moves a quarter of
 //! the graph put 4 MB (9.8 %) on `eco_block5_k8`'s peak RSS, so a session
@@ -87,7 +99,7 @@
 //! way out: its base may be a corner's scratch arrays, and its undo must
 //! not fail.
 
-use crate::engine::{InstaEngine, State, Static};
+use crate::engine::{DriftState, InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
 use crate::forward::{level_chunk, seed_queues};
 use crate::metrics::InstaReport;
@@ -126,7 +138,7 @@ pub(crate) struct ConeScratch {
     /// Per-level worklists. A completed sweep leaves on them the nodes it
     /// recomputed, until the next sweep opens.
     frontier: Vec<Vec<u32>>,
-    /// The undo log, empty outside a session or lane: one run per
+    /// The undo log, empty outside a [`Txn`]: one run per
     /// recompute of a stored node — its two old live counts and its old
     /// live entries, rise then fall. The change compare reads the last
     /// run. A virtual node has no row, hence no run.
@@ -417,54 +429,10 @@ impl InstaEngine {
     /// [`TimingSession`](crate::session::TimingSession) to get automatic
     /// rollback).
     pub fn update_timing(&mut self, deltas: &[ArcDelta]) -> Result<InstaReport, InstaError> {
-        let result = self.update_timing_logged(deltas);
-        // Outside a session nobody takes the update back.
-        self.cone.forget();
+        let mut txn = Txn::begin(self);
+        let result = txn.update_timing(deltas);
+        txn.commit();
         result
-    }
-
-    /// [`update_timing`](Self::update_timing) with the undo log kept, for
-    /// the session layer to forget at commit or copy back at rollback.
-    pub(crate) fn update_timing_logged(
-        &mut self,
-        deltas: &[ArcDelta],
-    ) -> Result<InstaReport, InstaError> {
-        self.validate_deltas(deltas)?;
-        let synced = self.validity.topk_current();
-        self.reannotate_unchecked(deltas);
-        if self.drift_exceeded() {
-            // Degraded path: the incremental result is no longer trusted
-            // blind — refresh the differentiable state and gate the pass
-            // on a full poison scan. The fused sweep computes both output
-            // families in one pass over the levels, bit-identical to
-            // `try_propagate` + `try_forward_lse` back to back.
-            self.stats.degraded_passes += 1;
-            self.try_propagate_fused()?;
-            self.health_check()?;
-        } else if synced && seed_cone(&self.st, &mut self.cone, deltas.iter().map(|d| d.arc)) {
-            self.last_incident = None;
-            self.run_cone()?;
-            // Only endpoints on recomputed nodes can have moved; the
-            // aggregates are re-reduced over the whole slack vector in
-            // endpoint order, the accumulation order of a fresh evaluate.
-            let mut report = self.state.report.take().expect("synced: has a report");
-            crate::metrics::refresh(
-                &self.st,
-                &self.state,
-                &mut report,
-                |node| self.cone.recomputed(node),
-                None,
-                self.cfg.cppr,
-            );
-            self.state.report = Some(report);
-            self.validity.cone_done();
-            // The snapshot rows follow the arrays (see [`crate::snapshot`]).
-            self.rows
-                .follow(&mut self.validity, &self.st, &self.state, self.cone.swept());
-        } else {
-            self.try_propagate()?;
-        }
-        Ok(self.state.report.clone().expect("just propagated"))
     }
 
     /// Runs the seeded sweep under its `forward.cone` span.
@@ -488,6 +456,186 @@ impl InstaEngine {
             ("ok", if res.is_ok() { 1.0 } else { 0.0 }),
         ]);
         self.settle(res)
+    }
+}
+
+/// The begin-time observables of a session (module docs, "One transaction").
+#[derive(Debug)]
+struct Observed {
+    ledger: Validity,
+    report: Option<InstaReport>,
+    drift: DriftState,
+}
+
+/// The begin-time gradient buffers of a session that ran a backward pass.
+#[derive(Debug)]
+struct Grads {
+    arrival: Vec<f64>,
+    arc: Vec<[f64; 2]>,
+    fanout: Vec<[f64; 2]>,
+}
+
+/// One timing transaction on an engine (module docs, "One transaction"):
+/// the cone's undo log from [`begin`](Self::begin) on, and what a session
+/// captured besides. Dropped while open, it is undone.
+#[derive(Debug)]
+pub(crate) struct Txn<'e> {
+    pub(crate) eng: &'e mut InstaEngine,
+    observed: Option<Observed>,
+    grads: Option<Grads>,
+    open: bool,
+}
+
+impl<'e> Txn<'e> {
+    /// Opens a transaction on an emptied undo log (an unwound update may
+    /// have left one).
+    pub(crate) fn begin(eng: &'e mut InstaEngine) -> Self {
+        eng.cone.forget();
+        Txn {
+            eng,
+            observed: None,
+            grads: None,
+            open: true,
+        }
+    }
+
+    /// Captures, once each: the begin-time observables, ahead of the first
+    /// state-mutating call (only the first still sees the undo target); and,
+    /// with `grads`, the gradient buffers ahead of the first backward pass.
+    pub(crate) fn observe(&mut self, grads: bool) {
+        let eng = &*self.eng;
+        self.observed.get_or_insert_with(|| Observed {
+            ledger: eng.validity,
+            report: eng.state.report.clone(),
+            drift: eng.drift,
+        });
+        if grads {
+            self.grads.get_or_insert_with(|| Grads {
+                arrival: eng.state.grad_arrival.clone(),
+                arc: eng.state.grad_arc.clone(),
+                fanout: eng.state.grad_fanout.clone(),
+            });
+        }
+    }
+
+    /// A what-if lane's write: `deltas`, then their cone swept over the
+    /// engine's rows, which must be the full pass's output for the
+    /// annotations before the write. No `forward.cone` span and no level
+    /// profile (the call's one `batch.sweep` span carries the totals), and
+    /// no log budget: the log is the lane's only way back.
+    pub(crate) fn sweep(
+        &mut self,
+        deltas: &[ArcDelta],
+        interrupt: Option<&Interrupt>,
+    ) -> Result<Option<RuntimeIncident>, InstaError> {
+        let InstaEngine {
+            st, state, cone, ..
+        } = &mut *self.eng;
+        cone.annotate(st, deltas);
+        let seeded = seed_cone(st, cone, deltas.iter().map(|d| d.arc));
+        debug_assert!(seeded, "lanes past the seed switch run as full passes");
+        cone_sweep(st, state, cone, interrupt, None, None)
+    }
+
+    /// Validates, re-annotates and re-propagates: the body of
+    /// [`InstaEngine::update_timing`], for the caller to keep or take back.
+    pub(crate) fn update_timing(&mut self, deltas: &[ArcDelta]) -> Result<InstaReport, InstaError> {
+        let eng = &mut *self.eng;
+        eng.validate_deltas(deltas)?;
+        let synced = eng.validity.topk_current();
+        eng.reannotate_unchecked(deltas);
+        if eng.drift_exceeded() {
+            // Degraded path: the incremental result is no longer trusted
+            // blind — refresh the differentiable state and gate the pass
+            // on a full poison scan. The fused sweep computes both output
+            // families in one pass over the levels, bit-identical to
+            // `try_propagate` + `try_forward_lse` back to back.
+            eng.stats.degraded_passes += 1;
+            eng.try_propagate_fused()?;
+            eng.health_check()?;
+        } else if synced && seed_cone(&eng.st, &mut eng.cone, deltas.iter().map(|d| d.arc)) {
+            eng.last_incident = None;
+            eng.run_cone()?;
+            // Only endpoints on recomputed nodes can have moved; the
+            // aggregates are re-reduced over the whole slack vector in
+            // endpoint order, the accumulation order of a fresh evaluate.
+            let mut report = eng.state.report.take().expect("synced: has a report");
+            crate::metrics::refresh(
+                &eng.st,
+                &eng.state,
+                &mut report,
+                |node| eng.cone.recomputed(node),
+                eng.cfg.cppr,
+            );
+            eng.state.report = Some(report);
+            eng.validity.cone_done();
+            // The snapshot rows follow the arrays (see [`crate::snapshot`]).
+            eng.rows
+                .follow(&mut eng.validity, &eng.st, &eng.state, eng.cone.swept());
+        } else {
+            eng.try_propagate()?;
+        }
+        Ok(eng.state.report.clone().expect("just propagated"))
+    }
+
+    /// Keeps everything written: the log is forgotten.
+    pub(crate) fn commit(&mut self) {
+        self.open = false;
+        self.eng.cone.forget();
+    }
+
+    /// Takes everything back, bit-identically: the log is copied over the
+    /// arrays and annotations, then what [`observe`](Self::observe)
+    /// captured is put back. Returns how many recomputes and annotation
+    /// writes the log restored. While the ledger is covered this is copies
+    /// only — no kernel, no interrupt poll, nothing that can fail.
+    pub(crate) fn undo(&mut self) -> (usize, usize) {
+        self.open = false;
+        let eng = &mut *self.eng;
+        eng.cone.undo(&mut eng.st, &mut eng.state);
+        let restored = (eng.cone.log_node.len(), eng.cone.log_arc.len());
+        if let Some(o) = self.observed.take() {
+            // Still the session's ledger: current ⇔ its passes all completed.
+            let resynced = eng.validity.covered()
+                || (eng.validity.topk_current() && eng.try_propagate().is_ok());
+            eng.validity.rewind(&o.ledger, resynced);
+            eng.state.report = o.report;
+            eng.drift = o.drift;
+            if eng.validity.topk_current() && eng.rows.kept() {
+                let undone = eng.cone.undone(&eng.st);
+                eng.rows
+                    .follow(&mut eng.validity, &eng.st, &eng.state, undone.into_iter());
+            }
+        }
+        if let Some(g) = self.grads.take() {
+            eng.state.grad_arrival = g.arrival;
+            eng.state.grad_arc = g.arc;
+            eng.state.grad_fanout = g.fanout;
+        }
+        eng.cone.forget();
+        restored
+    }
+
+    /// Approximate bytes held for an undo right now: the captured report
+    /// and gradients, and the undo log.
+    pub(crate) fn bytes(&self) -> usize {
+        let report = self
+            .observed
+            .as_ref()
+            .and_then(|o| o.report.as_ref())
+            .map_or(0, |r| r.slacks.len() * (8 + 8 + 8 + 4 + 1));
+        let grads = self.grads.as_ref().map_or(0, |g| {
+            g.arrival.len() * 8 + (g.arc.len() + g.fanout.len()) * 16
+        });
+        report + grads + self.eng.cone.log_bytes()
+    }
+}
+
+impl Drop for Txn<'_> {
+    fn drop(&mut self) {
+        if self.open {
+            self.undo();
+        }
     }
 }
 

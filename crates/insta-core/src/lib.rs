@@ -37,13 +37,14 @@
 //!   untrusted-input and runtime paths.
 //! * [`validate`] — snapshot validation with Strict / Trust modes (see
 //!   DESIGN.md "Error taxonomy and failure policy").
-//! * [`session`] / [`checkpoint`] — transactional timing sessions:
-//!   copy-on-write epoch checkpoints, bit-identical rollback on poison,
+//! * [`session`] — transactional timing sessions: a timing transaction
+//!   (`incremental::Txn`) with bit-identical rollback on poison,
 //!   cooperative per-level cancellation with deadlines, and drift-audited
 //!   degradation (see DESIGN.md "Session lifecycle and failure policy").
-//! * [`batch`] — batched what-if evaluation: each scenario is the
-//!   session's cone sweep run in place with an undo log (a corner is one
-//!   full pass into a scratch base first), bit-identical per scenario to S
+//! * [`batch`] — batched what-if evaluation through one entry point,
+//!   [`evaluate`](InstaEngine::evaluate): each scenario is a transaction
+//!   whose cone sweep runs in place and is undone (a corner is one full
+//!   pass into a scratch base first), bit-identical per scenario to S
 //!   serial sessions, with per-scenario quarantine (see DESIGN.md "Batched
 //!   scenario evaluation").
 //! * [`snapshot`] — the immutable committed-epoch view
@@ -84,7 +85,6 @@
 
 pub mod backward;
 pub mod batch;
-pub mod checkpoint;
 pub mod correlate;
 pub mod engine;
 pub mod error;

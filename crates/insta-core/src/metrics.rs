@@ -59,22 +59,7 @@ impl InstaReport {
     /// of a report ends here, so a report patched in place carries the
     /// aggregate bits of one evaluated from scratch.
     pub(crate) fn reduce(&mut self, mask: Option<&crate::batch::ModeMask>) {
-        let mut wns = f64::INFINITY;
-        let mut tns = 0.0;
-        let mut viol = 0usize;
-        for (i, &s) in self.slacks.iter().enumerate() {
-            if mask.is_some_and(|m| m.is_disabled(i)) {
-                continue;
-            }
-            if s < 0.0 {
-                tns += s;
-                viol += 1;
-            }
-            if s < wns {
-                wns = s;
-            }
-        }
-        (self.wns_ps, self.tns_ps, self.n_violations) = (wns, tns, viol);
+        (self.wns_ps, self.tns_ps, self.n_violations) = aggregate(&self.slacks, mask);
     }
 
     /// Evaluates endpoint `i` from its node's two queues (rise, fall),
@@ -122,6 +107,31 @@ impl InstaReport {
     }
 }
 
+/// WNS, TNS and violations over `slacks`, accumulated in endpoint order and
+/// skipping the endpoints `mask` disables (an infinite slack — an
+/// endpoint nothing reaches — counts toward neither).
+pub(crate) fn aggregate(
+    slacks: &[f64],
+    mask: Option<&crate::batch::ModeMask>,
+) -> (f64, f64, usize) {
+    let mut wns = f64::INFINITY;
+    let mut tns = 0.0;
+    let mut viol = 0usize;
+    for (i, &s) in slacks.iter().enumerate() {
+        if mask.is_some_and(|m| m.is_disabled(i)) {
+            continue;
+        }
+        if s < 0.0 {
+            tns += s;
+            viol += 1;
+        }
+        if s < wns {
+            wns = s;
+        }
+    }
+    (wns, tns, viol)
+}
+
 /// Evaluates endpoint slacks from the current Top-K state.
 pub(crate) fn evaluate(st: &Static, state: &State, cppr: bool) -> InstaReport {
     let n_ep = st.endpoints.len();
@@ -136,12 +146,12 @@ pub(crate) fn evaluate(st: &Static, state: &State, cppr: bool) -> InstaReport {
         worst_sp: vec![NO_SP; n_ep],
         worst_rf: vec![0u8; n_ep],
     };
-    refresh(st, state, &mut report, |_| true, None, cppr);
+    refresh(st, state, &mut report, |_| true, cppr);
     report
 }
 
 /// Re-evaluates the endpoints whose node `selected` names, in place, and
-/// re-reduces the aggregates under `mask`. With every endpoint selected
+/// re-reduces the aggregates. With every endpoint selected
 /// this *is* [`evaluate`]; a cone update — and a batched lane, which
 /// starts from a copy of its base's report — selects the nodes it
 /// recomputed.
@@ -150,7 +160,6 @@ pub(crate) fn refresh(
     state: &State,
     report: &mut InstaReport,
     selected: impl Fn(u32) -> bool,
-    mask: Option<&crate::batch::ModeMask>,
     cppr: bool,
 ) {
     // An endpoint is never virtual, so the accessor never touches these.
@@ -166,7 +175,7 @@ pub(crate) fn refresh(
             report.set_endpoint(st, i, queues, cppr);
         }
     }
-    report.reduce(mask);
+    report.reduce(None);
 }
 
 /// Monotonic runtime counters for observability: session lifecycle, drift
@@ -204,21 +213,17 @@ pub struct EngineCounters {
     /// Incidents evicted from the bounded ring
     /// ([`IncidentLog`](crate::error::IncidentLog)).
     pub incidents_dropped: u64,
-    /// [`evaluate_batch`](crate::engine::InstaEngine::evaluate_batch)
-    /// calls.
+    /// [`evaluate`](crate::engine::InstaEngine::evaluate) calls.
     pub batches: u64,
     /// Scenarios submitted across all batches.
     pub batch_scenarios: u64,
     /// Scenarios quarantined inside a batch (returned an error while
     /// sibling scenarios completed normally).
     pub batch_quarantined: u64,
-    /// [`evaluate_mcmm`](crate::engine::InstaEngine::evaluate_mcmm)
-    /// calls.
-    pub mcmm_evaluations: u64,
     /// Batched lanes that carried a non-identity
     /// [`CornerTransform`](crate::batch::CornerTransform).
     pub mcmm_corner_lanes: u64,
-    /// Scenarios answered from a sibling lane's propagation by the MCMM
+    /// Scenarios answered from a sibling lane's propagation by the
     /// `(deltas, corner)` dedup — the saved sweeps of a C × M sweep.
     pub mcmm_deduped: u64,
 }
@@ -241,7 +246,6 @@ impl crate::engine::InstaEngine {
             batches: self.stats.batches,
             batch_scenarios: self.stats.batch_scenarios,
             batch_quarantined: self.stats.batch_quarantined,
-            mcmm_evaluations: self.stats.mcmm_evaluations,
             mcmm_corner_lanes: self.stats.mcmm_corner_lanes,
             mcmm_deduped: self.stats.mcmm_deduped,
         }

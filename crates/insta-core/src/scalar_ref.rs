@@ -564,7 +564,7 @@ impl InstaEngine {
         nodes.map(|&v| self.st.node_orig[v as usize]).collect()
     }
 
-    /// Everything a batched `evaluate_*` call must give back, as named
+    /// Everything a batched `evaluate` call must give back, as named
     /// bit vectors: the Top-K queues (dense view), the annotations, the report, and the
     /// bookkeeping — the observable validity ledger (current generation and
     /// the products' stamps) and the drift odometer.

@@ -1,14 +1,14 @@
-//! Transactional timing sessions: checkpoint, mutate, commit — or roll
-//! back bit-identically.
+//! Transactional timing sessions: mutate, commit — or roll back
+//! bit-identically.
 //!
-//! A [`TimingSession`] borrows the engine exclusively and anchors an
-//! [`EpochCheckpoint`](crate::checkpoint::EpochCheckpoint) at the current
-//! epoch. Every mutating call is then guarded:
+//! A [`TimingSession`] is a [`Txn`](crate::incremental::Txn) on an engine
+//! it borrows exclusively, plus cancellation and a lifecycle status. Every
+//! mutating call is guarded:
 //!
 //! * **poison ⇒ rollback.** Any error whose
 //!   [`poisons_state`](InstaError::poisons_state) is true (numeric poison,
-//!   worker-panic runtime failures, cancellation) automatically restores
-//!   the checkpoint and closes the session. `Validate` errors are raised
+//!   worker-panic runtime failures, cancellation) automatically undoes the
+//!   transaction and closes the session. `Validate` errors are raised
 //!   before anything is mutated and leave the session open.
 //! * **cancellation is bounded.** [`with_cancel`](TimingSession::with_cancel)
 //!   / [`with_deadline`](TimingSession::with_deadline) arm a per-level
@@ -23,19 +23,19 @@
 //! [`rollback`](TimingSession::rollback) (or dropping the session while
 //! still open, or a poisoning error) restores the pre-session state
 //! bit-for-bit: the Top-K arrays and arc annotations from the cone's undo
-//! log, the validity ledger, report, drift and gradients from the
-//! checkpoint. Reads (`arrival_at`, `snapshot()`) never see a rolled-back
-//! pass, and the next update is a cone update again — also after a cancel,
-//! a deadline, a NaN or a worker panic inside a cone sweep. Only a write
-//! the log does not cover (a full pass inside the session) costs a full
-//! pass to take back: the ledger's rollback rule, [`crate::validity`].
-//! The sizer's candidate-move loop is the canonical client: speculative
-//! moves run in a session, rejected moves roll back instead of replaying
-//! inverse deltas.
+//! log, the validity ledger, report, drift and gradients from what the
+//! transaction captured. Reads (`arrival_at`, `snapshot()`) never see a
+//! rolled-back pass, and the next update is a cone update again — also
+//! after a cancel, a deadline, a NaN or a worker panic inside a cone
+//! sweep. Only a write the log does not cover (a full pass inside the
+//! session) costs a full pass to take back: the ledger's rollback rule,
+//! [`crate::validity`]. The sizer's candidate-move loop is the canonical
+//! client: speculative moves run in a session, rejected moves roll back
+//! instead of replaying inverse deltas.
 
-use crate::checkpoint::EpochCheckpoint;
 use crate::engine::InstaEngine;
 use crate::error::InstaError;
+use crate::incremental::Txn;
 use crate::metrics::InstaReport;
 use crate::parallel::Interrupt;
 use crate::validate::{Issue, ValidationReport};
@@ -50,7 +50,7 @@ pub enum SessionStatus {
     Open,
     /// Work promoted into the engine's new epoch.
     Committed,
-    /// Checkpoint restored (explicitly, on poison, or on drop-while-open).
+    /// Undone (explicitly, on poison, or on drop-while-open).
     RolledBack,
     /// Rolled back because a cancel token fired or a deadline expired.
     Cancelled,
@@ -62,8 +62,7 @@ pub enum SessionStatus {
 /// failure policy.
 #[derive(Debug)]
 pub struct TimingSession<'e> {
-    eng: &'e mut InstaEngine,
-    cp: EpochCheckpoint,
+    txn: Txn<'e>,
     status: SessionStatus,
     cancel: Option<CancelToken>,
     deadline: Option<Deadline>,
@@ -76,12 +75,9 @@ impl InstaEngine {
     /// rolled back, or dropped (drop-while-open rolls back).
     pub fn begin_session(&mut self) -> TimingSession<'_> {
         self.stats.begun += 1;
-        // The log is this session's now (an unwound update may have left one).
-        self.cone.forget();
         self.validity.session_began();
         TimingSession {
-            cp: EpochCheckpoint::default(),
-            eng: self,
+            txn: Txn::begin(self),
             status: SessionStatus::Open,
             cancel: None,
             deadline: None,
@@ -99,14 +95,8 @@ impl<'e> TimingSession<'e> {
 
     /// Arms a wall-clock budget for the whole session, measured from this
     /// call. Checked at the same per-level poll points as the token.
-    pub fn with_deadline(self, budget: Duration) -> Self {
-        self.with_deadline_at(Deadline::after(budget))
-    }
-
-    /// Arms an absolute deadline — how a batched call hands every serial
-    /// lane the one instant its own budget ends at.
-    pub(crate) fn with_deadline_at(mut self, deadline: Deadline) -> Self {
-        self.deadline = Some(deadline);
+    pub fn with_deadline(mut self, budget: Duration) -> Self {
+        self.deadline = Some(Deadline::after(budget));
         self
     }
 
@@ -122,52 +112,48 @@ impl<'e> TimingSession<'e> {
 
     /// Read access to the underlying engine (reports, counters, drift).
     pub fn engine(&self) -> &InstaEngine {
-        self.eng
+        self.txn.eng
     }
 
-    /// Approximate bytes held for a rollback right now: the checkpoint
-    /// and the undo log of the session's cone sweeps.
+    /// Approximate bytes held for a rollback right now: the captured
+    /// begin-time state and the undo log of the session's cone sweeps.
     pub fn checkpoint_bytes(&self) -> usize {
-        self.cp.bytes() + self.eng.cone.log_bytes()
+        self.txn.bytes()
     }
 
-    /// Validates, checkpoints, then re-annotates + re-propagates the
-    /// changed cone (the session form of [`InstaEngine::update_timing`]).
+    /// Validates, then re-annotates + re-propagates the changed cone (the
+    /// session form of [`InstaEngine::update_timing`]).
     ///
     /// # Errors
     ///
     /// [`InstaError::Validate`] rejects the batch atomically and leaves
     /// the session **open**; any poisoning error (numeric, runtime,
-    /// cancelled) rolls back to the checkpoint and closes the session.
+    /// cancelled) rolls back and closes the session.
     pub fn update_timing(&mut self, deltas: &[ArcDelta]) -> Result<InstaReport, InstaError> {
-        let report = self.run(false, |eng| eng.update_timing_logged(deltas))?;
+        let report = self.run(false, |txn| txn.update_timing(deltas))?;
         self.gate_report(report)
     }
 
     /// Session form of [`InstaEngine::try_propagate`]: full forward pass
-    /// under the checkpoint/rollback guard.
+    /// under the rollback guard.
     pub fn propagate(&mut self) -> Result<InstaReport, InstaError> {
-        let report = self.run(false, |eng| eng.try_propagate().map(|r| r.clone()))?;
+        let report = self.run(false, |txn| txn.eng.try_propagate().cloned())?;
         self.gate_report(report)
     }
 
     /// Session form of [`InstaEngine::try_forward_lse`].
     pub fn forward_lse(&mut self) -> Result<(), InstaError> {
-        self.run(false, |eng| eng.try_forward_lse())
+        self.run(false, |txn| txn.eng.try_forward_lse())
     }
 
     /// Session form of [`InstaEngine::try_backward_tns`].
     pub fn backward_tns(&mut self) -> Result<(), InstaError> {
-        self.run(true, |eng| eng.try_backward_tns())
+        self.run(true, |txn| txn.eng.try_backward_tns())
     }
 
-    /// Session form of [`InstaEngine::try_backward_wns`].
-    pub fn backward_wns(&mut self) -> Result<(), InstaError> {
-        self.run(true, |eng| eng.try_backward_wns())
-    }
-
-    /// Promotes the session's work: the checkpoint and the undo log are
-    /// discarded and the engine's epoch is bumped. Returns the new epoch.
+    /// Promotes the session's work: the captured state and the undo log
+    /// are discarded and the engine's epoch is bumped. Returns the new
+    /// epoch.
     ///
     /// # Errors
     ///
@@ -176,17 +162,17 @@ impl<'e> TimingSession<'e> {
     pub fn commit(mut self) -> Result<u64, InstaError> {
         self.ensure_open()?;
         self.status = SessionStatus::Committed;
-        self.eng.cone.forget();
-        self.eng.epoch += 1;
-        self.eng.stats.committed += 1;
-        self.eng
-            .trace
-            .event("session.commit", &[("epoch", self.eng.epoch as f64)]);
-        Ok(self.eng.epoch)
+        self.txn.commit();
+        let eng = &mut *self.txn.eng;
+        eng.epoch += 1;
+        eng.stats.committed += 1;
+        eng.trace
+            .event("session.commit", &[("epoch", eng.epoch as f64)]);
+        Ok(eng.epoch)
     }
 
-    /// Restores the checkpoint bit-identically and closes the session.
-    /// No-op if the session was already closed.
+    /// Restores the pre-session state bit-identically and closes the
+    /// session. No-op if the session was already closed.
     pub fn rollback(mut self) {
         self.rollback_in_place(SessionStatus::RolledBack);
     }
@@ -202,28 +188,23 @@ impl<'e> TimingSession<'e> {
         Err(InstaError::Validate(report))
     }
 
-    /// Arms the engine's per-level interrupt poll for one kernel pass, if
-    /// the session has a token or deadline.
-    fn arm(&mut self) {
-        if self.cancel.is_some() || self.deadline.is_some() {
-            self.eng
-                .set_interrupt(Interrupt::new(self.cancel.clone(), self.deadline));
-        }
-    }
-
-    /// Checkpoint-guarded wrapper shared by every mutating call. `grads`
-    /// marks passes that rewrite the gradient buffers, which are
-    /// checkpointed by copy (the ledger has no row for them).
+    /// Guarded wrapper shared by every mutating call: the transaction
+    /// captures its begin-time state first — `grads` marks passes that
+    /// rewrite the gradient buffers — and the engine's per-level interrupt
+    /// poll is armed for the call if the session has a token or deadline.
     fn run<T>(
         &mut self,
         grads: bool,
-        f: impl FnOnce(&mut InstaEngine) -> Result<T, InstaError>,
+        f: impl FnOnce(&mut Txn<'e>) -> Result<T, InstaError>,
     ) -> Result<T, InstaError> {
         self.ensure_open()?;
-        self.cp.capture(self.eng, grads);
-        self.arm();
-        let result = f(self.eng);
-        self.eng.clear_interrupt();
+        self.txn.observe(grads);
+        if self.cancel.is_some() || self.deadline.is_some() {
+            let interrupt = Interrupt::new(self.cancel.clone(), self.deadline);
+            self.txn.eng.set_interrupt(interrupt);
+        }
+        let result = f(&mut self.txn);
+        self.txn.eng.clear_interrupt();
         result.map_err(|e| self.close_on(e))
     }
 
@@ -231,11 +212,11 @@ impl<'e> TimingSession<'e> {
     /// have finite-or-infinite slacks. NaN is treated as a poisoning
     /// numeric error (rollback + close).
     fn gate_report(&mut self, report: InstaReport) -> Result<InstaReport, InstaError> {
-        let Some(synthesized) = crate::health::nan_slack(&self.eng.st, &report) else {
+        let Some(synthesized) = crate::health::nan_slack(&self.txn.eng.st, &report) else {
             return Ok(report);
         };
         // Prefer the engine's own diagnosis (names the poisoned array).
-        let err = self.eng.health_check().err().unwrap_or(synthesized);
+        let err = self.txn.eng.health_check().err().unwrap_or(synthesized);
         Err(self.close_on(err))
     }
 
@@ -257,14 +238,15 @@ impl<'e> TimingSession<'e> {
         if !self.is_open() {
             return;
         }
-        let (nodes, arcs) = self.cp.restore(self.eng);
+        let (nodes, arcs) = self.txn.undo();
         self.status = status;
         let cancelled = matches!(status, SessionStatus::Cancelled);
+        let eng = &mut *self.txn.eng;
         match status {
-            SessionStatus::Cancelled => self.eng.stats.cancelled += 1,
-            _ => self.eng.stats.rolled_back += 1,
+            SessionStatus::Cancelled => eng.stats.cancelled += 1,
+            _ => eng.stats.rolled_back += 1,
         }
-        self.eng.trace.event(
+        eng.trace.event(
             "session.rollback",
             &[
                 ("cancelled", if cancelled { 1.0 } else { 0.0 }),
@@ -276,7 +258,7 @@ impl<'e> TimingSession<'e> {
 }
 
 impl Drop for TimingSession<'_> {
-    /// Dropping an open session abandons it: the checkpoint is restored
+    /// Dropping an open session abandons it: the transaction is undone
     /// exactly as if [`rollback`](Self::rollback) had been called.
     fn drop(&mut self) {
         self.rollback_in_place(SessionStatus::RolledBack);

@@ -562,8 +562,9 @@ mod tests {
 /// agree with the dense `metrics::evaluate` on a re-annotated twin.
 #[cfg(test)]
 mod batched_tests {
-    use crate::batch::{DeltaSet, LaneUndo};
+    use crate::batch::DeltaSet;
     use crate::engine::{InstaConfig, InstaEngine};
+    use crate::incremental::Txn;
     use insta_netlist::generator::{generate_design, GeneratorConfig};
     use insta_refsta::eco::ArcDelta;
     use insta_refsta::{RefSta, StaConfig};
@@ -647,8 +648,9 @@ mod batched_tests {
     /// Queue invariants per recomputed stored node, read off the swept
     /// rows *before* the undo: descending corner arrivals and unique
     /// startpoints over the live entries. Lanes run alternately on the
-    /// engine's live arrays and on a scratch copy (a corner group's base);
-    /// dropping the lane gives every queue and annotation bit back.
+    /// engine's live arrays and on a scratch copy standing in for them (a
+    /// corner group's base); dropping the lane's transaction gives every
+    /// queue and annotation bit back.
     #[test]
     fn batched_lane_queues_keep_algorithm2_invariants() {
         for_all(
@@ -663,19 +665,14 @@ mod batched_tests {
                 let k = engine.state.k;
                 let mut recomputed = 0usize;
                 for (lane_no, set) in sets.iter().enumerate() {
-                    let state = if lane_no % 2 == 0 {
-                        &mut engine.state
-                    } else {
-                        &mut scratch
-                    };
-                    let (lane, swept) = LaneUndo::sweep(
-                        &mut engine.st,
-                        state,
-                        &mut engine.cone,
-                        &set.deltas,
-                        None,
-                    );
+                    let on_scratch = lane_no % 2 == 1;
+                    if on_scratch {
+                        std::mem::swap(&mut engine.state, &mut scratch);
+                    }
+                    let mut txn = Txn::begin(&mut engine);
+                    let swept = txn.sweep(&set.deltas, None);
                     prop_assert!(matches!(swept, Ok(None)), "clean sweep");
+                    let lane = &*txn.eng;
                     for v in 0..lane.st.n {
                         let Some(row) = lane.st.row_of(v) else { continue };
                         if !lane.cone.recomputed(v as u32) {
@@ -695,7 +692,10 @@ mod batched_tests {
                             }
                         }
                     }
-                    drop(lane);
+                    drop(txn);
+                    if on_scratch {
+                        std::mem::swap(&mut engine.state, &mut scratch);
+                    }
                     prop_assert!(
                         image(&engine, &scratch) == before,
                         "lane {lane_no}: the undo left a trace"

@@ -10,15 +10,15 @@
 //! * a **span** per kernel pass (`"forward"`, `"forward_lse"`,
 //!   `"backward"`, and `"forward.cone"` — one per cone update, with its
 //!   `seeds`, dirty `levels`, recomputed `nodes` and `pruned` nodes) and
-//!   one `"batch.sweep"` span per batched `evaluate_*` call, in a bounded
+//!   one `"batch.sweep"` span per batched `evaluate` call, in a bounded
 //!   [`Recorder`](insta_support::obs::Recorder) journal. A batched lane
-//!   is a cone sweep but emits no `forward.cone` span of its own (64 per
-//!   call would eat the ring) and a corner's base pass no `forward` span;
-//!   the call's span carries the totals instead: `lanes` run in place,
-//!   how many of them were `corner_lanes` / `masked_lanes`, `cone_lanes`
-//!   (lanes that swept a cone — a lane without deltas is its base's
-//!   report), `base_passes` (one full pass per distinct corner), the
-//!   `nodes` recomputed and `pruned` over all lanes, and `ok`,
+//!   emits no `forward.cone` span of its own (64 per call would eat the
+//!   ring) and a full pass of the call no `forward` span; the call's span
+//!   carries the totals instead: the `lanes` it ran, how many of them were
+//!   `corner_lanes`, the scenarios answered under a mode (`masked_lanes`),
+//!   `cone_lanes` (lanes that swept a cone — a lane without deltas is its
+//!   base's report), `base_passes` (one full pass per distinct corner),
+//!   the `nodes` recomputed and `pruned` over all lanes, and `ok`,
 //! * a **per-level profile** ([`LevelProfile`]) of cumulative duration and
 //!   touched nodes per level per kernel — the data behind
 //!   [`InstaEngine::perf_report`]. Top-K merge cost is part of the forward
@@ -67,11 +67,6 @@ impl LevelProfile {
         }
         self.level_ns[level] += ns;
         self.level_nodes[level] += nodes;
-    }
-
-    /// Total nanoseconds across all levels.
-    pub fn total_ns(&self) -> u64 {
-        self.level_ns.iter().sum()
     }
 }
 

@@ -16,10 +16,12 @@
 //! a number no stamp has ever held. A product stamped on an abandoned
 //! timeline can therefore never compare equal to a later table.
 //!
-//! **The rollback rule.** [`covered`](Validity::covered) ⇒ the undo log is
-//! the whole way back. Uncovered ⇒ the log restores the annotations and one
-//! `try_propagate` re-syncs, iff the session's own passes all completed.
-//! Either way Top-K is current afterwards only if it was at begin.
+//! **The rollback rule**, which a session's undo
+//! ([`Txn::undo`](crate::incremental::Txn::undo)) executes.
+//! [`covered`](Validity::covered) ⇒ the undo log is the whole way back.
+//! Uncovered ⇒ the log restores the annotations and one `try_propagate`
+//! re-syncs, iff the session's own passes all completed. Either way Top-K
+//! is current afterwards only if it was at begin.
 
 /// One state of the annotation table.
 type Gen = u64;

@@ -22,8 +22,8 @@
 //! that clobbers the arrays.
 //!
 //! The second half of the file is the **undo-exactness suite** of the
-//! batched entry points: a what-if lane is the same cone sweep run in place
-//! with an undo log, so after any `evaluate_*` call — clean, quarantined,
+//! batched entry point: a what-if lane is the same cone sweep run in place
+//! with an undo log, so after any `evaluate` call — clean, quarantined,
 //! cancelled, panicked — the engine must hold its pre-call bits and its
 //! next update must still be a cone update.
 //!
@@ -948,17 +948,17 @@ fn batched_calls_leave_no_trace() {
             gradients: true,
             ..BatchOptions::default()
         };
-        let got = a.evaluate_batch_with(&as_sets[..3], &opts);
+        let got = a.evaluate(&as_sets[..3], &opts).scenarios;
         assert!(got
             .iter()
             .all(|r| r.outcome.is_ok() && r.gradients.is_some()));
         assert_untouched(&before, &a, &format!("{what} gradients"));
 
-        // evaluate_scenarios: candidates × (identity + corners), modes mixed in.
+        // evaluate: candidates × (identity + corners), modes mixed in.
         let scs = candidates_by_corners(&mut rng, &fx, 4, n_eps);
-        let got = a.evaluate_scenarios(&scs);
-        assert_lanes_equal_twins(&got, &a, &scs, &format!("{what} evaluate_scenarios"));
-        assert_untouched(&before, &a, &format!("{what} evaluate_scenarios"));
+        let got = a.evaluate(&scs, &BatchOptions::default()).scenarios;
+        assert_lanes_equal_twins(&got, &a, &scs, &format!("{what} evaluate"));
+        assert_untouched(&before, &a, &format!("{what} evaluate"));
 
         // evaluate_mcmm: the same batch plus mode-only variants that dedup.
         let mut sweep = scs.clone();
@@ -1002,7 +1002,7 @@ fn batches_interleaved_with_committed_sessions_leave_no_trace() {
             })
             .collect();
         let before = a.undo_image();
-        let got = a.evaluate_scenarios(&scs);
+        let got = a.evaluate(&scs, &BatchOptions::default()).scenarios;
         assert_lanes_equal_twins(&got, &a, &scs, &format!("{what} round {round}"));
         assert_untouched(&before, &a, &format!("{what} round {round}"));
         let mut session = a.begin_session();
@@ -1033,7 +1033,7 @@ fn one_base_pass_per_distinct_corner() {
     scs.push(Scenario::default().with_corner(CORNERS[1]));
     scs.push(Scenario::default().with_corner(CornerTransform::IDENTITY));
     a.enable_tracing();
-    let got = a.evaluate_scenarios(&scs);
+    let got = a.evaluate(&scs, &BatchOptions::default()).scenarios;
     assert!(got.iter().all(|r| r.outcome.is_ok()));
     assert_eq!(sweep_span(&a, "lanes"), 18.0);
     assert_eq!(sweep_span(&a, "base_passes"), 2.0);
@@ -1055,8 +1055,8 @@ fn one_base_pass_per_distinct_corner() {
 }
 
 /// Quarantined lanes (a bad arc id, a corner that drives annotations
-/// non-finite) and a lane past the cone's seed switch (replayed as a real
-/// session: two full passes) beside healthy ones.
+/// non-finite) and a lane past the cone's seed switch (a full pass of its
+/// own into the scratch rows, no session) beside healthy ones.
 #[test]
 fn quarantined_and_oversized_lanes_leave_no_trace() {
     let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());
@@ -1085,7 +1085,7 @@ fn quarantined_and_oversized_lanes_leave_no_trace() {
         Scenario::from(few_deltas(&mut rng, &fx)).with_corner(CORNERS[1]),
     ];
     let sessions = a.counters().sessions_begun;
-    let got = a.evaluate_scenarios(&scs);
+    let got = a.evaluate(&scs, &BatchOptions::default()).scenarios;
     for bad in [1, 3] {
         assert!(
             matches!(got[bad].outcome, Err(InstaError::Validate(_))),
@@ -1095,8 +1095,8 @@ fn quarantined_and_oversized_lanes_leave_no_trace() {
     assert_lanes_equal_twins(&got, &a, &scs, &what);
     assert_eq!(
         a.counters().sessions_begun,
-        sessions + 2,
-        "{what}: exactly the two oversized lanes ran as sessions"
+        sessions,
+        "{what}: no lane ran as a session"
     );
     assert_untouched(&before, &a, &what);
     assert_next_update_is_a_cone(&mut a, &fx, &what);
@@ -1112,7 +1112,9 @@ fn first_dirty_level(a: &mut InstaEngine, deltas: &[ArcDelta]) -> usize {
         cancel: Some(token),
         ..BatchOptions::default()
     };
-    let got = a.evaluate_batch_with(&[DeltaSet::from(deltas.to_vec())], &opts);
+    let got = a
+        .evaluate(&[DeltaSet::from(deltas.to_vec())], &opts)
+        .scenarios;
     match &got[0].outcome {
         Err(InstaError::Cancelled {
             kernel: Kernel::Forward,
@@ -1157,13 +1159,15 @@ fn a_lane_cancelled_between_dirty_levels_leaves_no_trace() {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |_| fire.cancel()));
     chaos::arm(Kernel::Forward, first, false);
-    let got = a.evaluate_scenarios_with(
-        &scs,
-        &BatchOptions {
-            cancel: Some(token),
-            ..BatchOptions::default()
-        },
-    );
+    let got = a
+        .evaluate(
+            &scs,
+            &BatchOptions {
+                cancel: Some(token),
+                ..BatchOptions::default()
+            },
+        )
+        .scenarios;
     chaos::disarm();
     std::panic::set_hook(prev_hook);
 
@@ -1217,7 +1221,7 @@ fn a_recovered_panic_in_a_lane_leaves_no_trace() {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     chaos::arm(Kernel::Forward, first, false);
-    let got = a.evaluate_scenarios(&scs);
+    let got = a.evaluate(&scs, &BatchOptions::default()).scenarios;
     chaos::disarm();
     std::panic::set_hook(prev_hook);
 
@@ -1273,7 +1277,7 @@ fn a_fatal_panic_in_a_lane_is_typed_and_leaves_no_trace() {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     chaos::arm(Kernel::Forward, armed, true);
-    let got = a.evaluate_scenarios(&scs);
+    let got = a.evaluate(&scs, &BatchOptions::default()).scenarios;
     chaos::disarm();
     std::panic::set_hook(prev_hook);
 

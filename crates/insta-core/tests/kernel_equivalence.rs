@@ -293,7 +293,7 @@ fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<DeltaSet> {
     (0..s)
         .map(|_| {
             let len = rng.bounded_u64(6) as usize;
-            let deltas = (0..len)
+            let deltas: Vec<ArcDelta> = (0..len)
                 .map(|_| {
                     let arc = rng.bounded_u64(n_arcs) as u32;
                     let mean = delays.mean[arc as usize];
@@ -311,7 +311,7 @@ fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<DeltaSet> {
                     }
                 })
                 .collect();
-            DeltaSet { deltas }
+            DeltaSet::from(deltas)
         })
         .collect()
 }

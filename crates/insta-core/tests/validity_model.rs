@@ -596,7 +596,7 @@ fn run_step(cx: &Ctx, m: &mut Model, a: &mut InstaEngine, step: &Step) -> Result
                 gradients: *gradients,
                 ..BatchOptions::default()
             };
-            let got = a.evaluate_batch_with(&lanes, &opts);
+            let got = a.evaluate(&lanes, &opts).scenarios;
             // The lanes diverge from a base the call synced if it had to.
             (m.synced, m.report_fresh) = (true, true);
             for (lane, ds) in got.iter().zip(sets) {

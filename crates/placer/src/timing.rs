@@ -216,7 +216,7 @@ fn refresh_timing_with(
                 cancel: guard.cancel.clone(),
                 deadline: guard.budget,
             };
-            let mut reports = engine.evaluate_batch_with(&[DeltaSet::default()], &opts);
+            let mut reports = engine.evaluate(&[DeltaSet::default()], &opts).scenarios;
             breakdown.insta_grad_s = t.elapsed().as_secs_f64();
             if let Some(r) = rec.as_deref_mut() {
                 r.end();
