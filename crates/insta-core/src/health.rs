@@ -30,16 +30,9 @@ pub(crate) fn level_of(st: &Static, v: usize) -> usize {
 /// poison error for the first NaN slack of `report`, if it has one.
 pub(crate) fn nan_slack(st: &Static, report: &InstaReport) -> Option<InstaError> {
     let ep = report.slacks.iter().position(|s| s.is_nan())?;
-    let node = st.endpoints[ep].node;
-    Some(InstaError::Numeric {
-        kernel: Kernel::Forward,
-        array: PoisonedArray::TopKArrival,
-        node,
-        orig_node: st.node_orig[node as usize],
-        level: level_of(st, node as usize),
-        rf: 0,
-        value: f64::NAN,
-    })
+    let node = st.endpoints[ep].node as usize;
+    let array = PoisonedArray::TopKArrival;
+    Some(numeric(st, Kernel::Forward, array, node, 0, f64::NAN))
 }
 
 impl InstaEngine {
@@ -57,46 +50,63 @@ impl InstaEngine {
     pub fn health_check(&self) -> Result<(), InstaError> {
         let st = &self.st;
         let state = &self.state;
-        let numeric = |kernel, array, idx_node: usize, rf: usize, value: f64| {
-            Err(InstaError::Numeric {
-                kernel,
-                array,
-                node: idx_node as u32,
-                orig_node: st.node_orig[idx_node],
-                level: level_of(st, idx_node),
-                rf: rf as u8,
-                value,
-            })
-        };
         let poisoned = if state.early {
             poisoned_entry::<true>(st, state)
         } else {
             poisoned_entry::<false>(st, state)
         };
         if let Some((array, node, rf, value)) = poisoned {
-            return numeric(Kernel::Forward, array, node, rf, value);
+            return Err(numeric(st, Kernel::Forward, array, node, rf, value));
         }
-        // Smooth arrivals: -inf = unreached (healthy), NaN/+inf = poison.
-        for (i, &a) in state.lse_arrival.iter().enumerate() {
-            if a.is_nan() || a == f64::INFINITY {
-                return numeric(Kernel::ForwardLse, PoisonedArray::LseArrival, i / 2, i % 2, a);
-            }
-        }
+        lse_poison(st, &state.lse_arrival)?;
         // Gradients must always be finite (zero when unseeded).
         for (i, &g) in state.grad_arrival.iter().enumerate() {
             if !g.is_finite() {
-                return numeric(Kernel::Backward, PoisonedArray::GradArrival, i / 2, i % 2, g);
+                let array = PoisonedArray::GradArrival;
+                return Err(numeric(st, Kernel::Backward, array, i / 2, i % 2, g));
             }
         }
         for (ai, g) in state.grad_arc.iter().enumerate() {
             for rf in 0..2 {
                 if !g[rf].is_finite() {
                     let node = st.arc_child[ai] as usize;
-                    return numeric(Kernel::Backward, PoisonedArray::GradArc, node, rf, g[rf]);
+                    let array = PoisonedArray::GradArc;
+                    return Err(numeric(st, Kernel::Backward, array, node, rf, g[rf]));
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// [`InstaEngine::health_check`]'s scan of the smooth arrivals, where
+/// `-inf` means unreached (healthy) and NaN or `+inf` is poison.
+pub(crate) fn lse_poison(st: &Static, lse: &[f64]) -> Result<(), InstaError> {
+    let Some(i) = lse.iter().position(|a| a.is_nan() || *a == f64::INFINITY) else {
+        return Ok(());
+    };
+    let array = PoisonedArray::LseArrival;
+    Err(numeric(st, Kernel::ForwardLse, array, i / 2, i % 2, lse[i]))
+}
+
+/// The [`InstaError::Numeric`] for `value` at transition `rf` of
+/// (renumbered) node `node`.
+fn numeric(
+    st: &Static,
+    kernel: Kernel,
+    array: PoisonedArray,
+    node: usize,
+    rf: usize,
+    value: f64,
+) -> InstaError {
+    InstaError::Numeric {
+        kernel,
+        array,
+        node: node as u32,
+        orig_node: st.node_orig[node],
+        level: level_of(st, node),
+        rf: rf as u8,
+        value,
     }
 }
 
