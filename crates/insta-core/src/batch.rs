@@ -664,6 +664,7 @@ impl InstaEngine {
             base_passes: 0,
             nodes: 0,
             pruned: 0,
+            fallbacks: 0,
             incident: None,
         };
         for group in routed.chunk_by(|a, b| lanes[a.lane].corner == lanes[b.lane].corner) {
@@ -685,6 +686,7 @@ impl InstaEngine {
             ("base_passes", call.base_passes as f64),
             ("nodes", call.nodes as f64),
             ("pruned", call.pruned as f64),
+            ("fallbacks", call.fallbacks as f64),
             ("ok", if ok { 1.0 } else { 0.0 }),
         ]);
         // A panic is booked once per call, whichever lane hit it; the lanes
@@ -804,6 +806,8 @@ struct LaneCall<'a> {
     base_passes: usize,
     nodes: usize,
     pruned: usize,
+    /// Virtual parents materialised, over every pass and sweep of the call.
+    fallbacks: u64,
     /// The first contained (or fatal) worker panic of the call.
     incident: Option<RuntimeIncident>,
 }
@@ -861,6 +865,7 @@ impl LaneCall<'_> {
         self.cone_lanes += 1;
         self.nodes += eng.cone.nodes;
         self.pruned += eng.cone.pruned;
+        self.fallbacks += eng.cone.fallbacks();
         if let Err(e) = self.book(swept) {
             return (Err(e), None);
         }
@@ -924,6 +929,7 @@ impl LaneCall<'_> {
             self.interrupt,
             None,
             &seed,
+            &mut self.fallbacks,
         );
         self.book(passed)?;
         Ok(crate::metrics::evaluate(st, &eng.state, eng.cfg.cppr))

@@ -13,12 +13,19 @@
 //! ([`Static::row_base`]): a node owns one unless it is *virtual* — exactly
 //! one fanin arc, exactly one fanout arc, neither startpoint nor endpoint.
 //! A virtual node's queue is a pure function of its parent's, read by one
-//! consumer, so it is not stored: [`queue_of`] computes it where it is
-//! read, by the code that used to store it, and the consumer gathers from
-//! the result exactly as from a stored parent. Every stored bit is what it
-//! would be with every node stored. A row is a live count plus
-//! `(sp, mean, sigma)` entries; a corner is computed from the two values
-//! beside it ([`corner`]) and is never stored.
+//! consumer, so it is not stored. The level body does not materialise it
+//! either: its consumer gathers straight from the nearest stored ancestor
+//! through the hops ([`gather_fanin`]), bit-identically, and falls back to
+//! materialising only where a hop would reorder the queue or the chain is
+//! longer than [`MAX_HOPS`]; the pass's trace span counts those
+//! `fallbacks` (block-1 at K=32: 105 of the 82 776 reads through a virtual
+//! parent in a setup pass, 51 of them reorders; 138 in hold, 85 reorders).
+//! Every other reader — point reads, snapshot rows, `health_check`, hold's
+//! and the report's endpoint scan, the dense test view — gets the queue
+//! from [`queue_of`], which computes it by the code that used to store it.
+//! Every stored bit is what it would be with every node stored. A row is a
+//! live count plus `(sp, mean, sigma)` entries; a corner is computed from
+//! the two values beside it ([`corner`]) and is never stored.
 //!
 //! Because the engine renumbered nodes level-major and rows follow node
 //! order, the level's state is a contiguous window of rows: the lanes split
@@ -72,6 +79,7 @@ impl InstaEngine {
         self.last_incident = None;
         self.validity.begin_full_pass();
         self.trace.begin("forward");
+        let mut fallbacks = 0;
         let res = forward::<false>(
             &self.st,
             &mut self.state,
@@ -79,9 +87,9 @@ impl InstaEngine {
             self.interrupt.as_ref(),
             self.trace.profile_mut(Kernel::Forward),
             &|state, range| seed_sources(&self.st, state, range),
+            &mut fallbacks,
         );
-        self.trace
-            .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
+        self.trace.end_with(&pass_fields(&res, fallbacks));
         self.settle(res)?;
         let report = crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr);
         self.state.report = Some(report);
@@ -144,6 +152,7 @@ impl InstaEngine {
         self.validity.begin_lse();
         self.trace.begin("forward_fused");
         let (prof_fwd, prof_lse) = self.trace.profiles_fused();
+        let mut fallbacks = 0;
         let res = forward_fused(
             &self.st,
             &mut self.state,
@@ -152,9 +161,9 @@ impl InstaEngine {
             self.interrupt.as_ref(),
             prof_fwd,
             prof_lse,
+            &mut fallbacks,
         );
-        self.trace
-            .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
+        self.trace.end_with(&pass_fields(&res, fallbacks));
         self.settle(res)?;
         self.validity.lse_done(self.cfg.lse_tau);
         let report = crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr);
@@ -162,6 +171,19 @@ impl InstaEngine {
         self.validity.setup_done();
         Ok(self.state.report.as_ref().expect("just set"))
     }
+}
+
+/// The payload of a full evaluation pass's span: whether it completed,
+/// and how many virtual parents it materialised (a design on which
+/// gathering through the hops stops paying shows here).
+pub(crate) fn pass_fields<T>(
+    res: &Result<T, InstaError>,
+    fallbacks: u64,
+) -> [(&'static str, f64); 2] {
+    [
+        ("ok", if res.is_ok() { 1.0 } else { 0.0 }),
+        ("fallbacks", fallbacks as f64),
+    ]
 }
 
 /// Applies the startpoint launch arrivals (cloned from the reference tool)
@@ -213,7 +235,9 @@ fn reset_and_seed(
 /// The full evaluation pass: `MIN = false` is setup (the K worst late
 /// corners), `MIN = true` is hold's min pass over negated early corners
 /// ([`crate::hold`]). `seed(state, nodes)` writes the caller's launch
-/// arrivals for the startpoints whose node lies in `nodes`.
+/// arrivals for the startpoints whose node lies in `nodes`. Adds to
+/// `fallbacks` how many virtual parents the pass materialised
+/// ([`gather_fanin`]), a failed pass's levels so far included.
 pub(crate) fn forward<const MIN: bool>(
     st: &Static,
     state: &mut State,
@@ -221,16 +245,17 @@ pub(crate) fn forward<const MIN: bool>(
     interrupt: Option<&Interrupt>,
     prof: Option<&mut LevelProfile>,
     seed: &impl Fn(&mut State, std::ops::Range<usize>),
+    fallbacks: &mut u64,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     state.early = MIN;
     reset_and_seed(st, state, seed);
     let mut pass = Pass::begin(Kernel::Forward, n_threads, interrupt, prof);
     // One merge arena per worker, reused across every level of the pass.
     let mut arenas = MergeArena::bank(pass.threads());
-    for l in 1..st.num_levels() {
-        forward_level::<MIN>(st, state, &mut pass, &mut arenas, l, seed)?;
-    }
-    Ok(pass.finish())
+    let swept = (1..st.num_levels())
+        .try_for_each(|l| forward_level::<MIN>(st, state, &mut pass, &mut arenas, l, seed));
+    *fallbacks += arenas.iter().map(|a| a.fallbacks).sum::<u64>();
+    swept.map(|()| pass.finish())
 }
 
 /// One level of the evaluation forward pass, run through the level runner
@@ -298,7 +323,8 @@ pub(crate) fn forward_level<const MIN: bool>(
 ///
 /// Each kernel is a [`Pass`] of its own, so a level is polled once per
 /// kernel and cancels, incidents and profile rows carry the same `Kernel`
-/// attribution as the unfused passes.
+/// attribution as the unfused passes. `fallbacks` as in [`forward`].
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_fused(
     st: &Static,
     state: &mut State,
@@ -307,6 +333,7 @@ pub(crate) fn forward_fused(
     interrupt: Option<&Interrupt>,
     prof_fwd: Option<&mut LevelProfile>,
     prof_lse: Option<&mut LevelProfile>,
+    fallbacks: &mut u64,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     // Pre-sweep state of both kernels, exactly as the unfused passes.
     let seed = |state: &mut State, nodes| seed_sources(st, state, nodes);
@@ -317,10 +344,12 @@ pub(crate) fn forward_fused(
     let mut fwd = Pass::begin(Kernel::Forward, n_threads, interrupt, prof_fwd);
     let mut lse = Pass::begin(Kernel::ForwardLse, n_threads, interrupt, prof_lse);
     let mut arenas = MergeArena::bank(fwd.threads());
-    for l in 1..st.num_levels() {
+    let swept = (1..st.num_levels()).try_for_each(|l| {
         forward_level::<false>(st, state, &mut fwd, &mut arenas, l, &seed)?;
-        crate::lse::lse_level(st, state, &mut lse, tau, l)?;
-    }
+        crate::lse::lse_level(st, state, &mut lse, tau, l)
+    });
+    *fallbacks += arenas.iter().map(|a| a.fallbacks).sum::<u64>();
+    swept?;
     // The sweep's first incident: the lower level, the evaluation kernel
     // (which runs first within a level) on a tie.
     Ok([fwd.finish(), lse.finish()]
@@ -372,6 +401,113 @@ fn gather_arc<const MIN: bool>(
     live
 }
 
+/// The parent fanin arc `ai` reads into a queue on transition `rf`, and
+/// the transition it reads it on (flipped by a negative-unate arc).
+#[inline(always)]
+fn parent_of(st: &Static, ai: usize, rf: usize) -> (usize, usize) {
+    let prf = if st.arc_neg[ai] { 1 - rf } else { rf };
+    (st.arc_parent[ai] as usize, prf)
+}
+
+/// The most hops [`gather_fanin`] walks through, with one arm per count. A
+/// virtual parent further from its stored ancestor is materialised
+/// (block-1: 28 of 41 388 chains).
+const MAX_HOPS: usize = 3;
+
+/// Gathers fanin arc `ai` of a transition-`rf` queue — [`gather_arc`] of
+/// its parent's queue — into the first `live` slots of the four `dest`
+/// slices, and returns `live`.
+///
+/// A virtual parent is not materialised: the loop starts at its nearest
+/// stored ancestor and, per entry, runs `arc_sum` and the corner of every
+/// hop down to the parent, then `arc_sum` and the corner of `ai` — the
+/// float expressions [`queue_of`] would evaluate, in the same order. What
+/// `queue_of` adds is each hop's stable restore, which moves nothing unless
+/// some entry's hop corner beats the one before it; the loop checks that
+/// per hop (`prev < corner`), so the parent's order is its ancestor's and
+/// every output bit is what gathering from the materialised queue gives.
+/// When a hop would reorder, or the parent is more than [`MAX_HOPS`] hops
+/// from its ancestor, the parent is materialised after all into `virt` and
+/// gathered from, and `fallbacks` counts it.
+#[inline(always)]
+fn gather_fanin<const MIN: bool>(
+    st: &Static,
+    done: Lanes<'_>,
+    (ai, rf): (usize, usize),
+    virt: &mut VirtualQueue,
+    fallbacks: &mut u64,
+    (key, mean, sigma, sp): (&mut [f64], &mut [f64], &mut [f64], &mut [u32]),
+) -> usize {
+    let n_sigma = st.n_sigma;
+    let arc = (st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
+    let parent = parent_of(st, ai, rf);
+    // The hops up to the stored ancestor, parent first.
+    let mut chain = [[0.0; 2]; MAX_HOPS];
+    let (mut depth, (mut p, mut prf)) = (0, parent);
+    let row = loop {
+        match st.row_of(p) {
+            Some(row) => break Some(row),
+            None if depth == MAX_HOPS => break None,
+            None => {
+                let hi = st.fanin_start[p] as usize;
+                chain[depth] = [st.arc_mean[hi][prf], st.arc_sigma[hi][prf]];
+                depth += 1;
+                (p, prf) = parent_of(st, hi, prf);
+            }
+        }
+    };
+    if let Some(row) = row {
+        let from = done.row(row, prf);
+        let dest = (&mut *key, &mut *mean, &mut *sigma, &mut *sp);
+        let ordered = match depth {
+            0 => return gather_arc::<MIN>(n_sigma, from, arc, key, mean, sigma, sp),
+            1 => gather_through::<MIN, 1>(n_sigma, from, &chain, arc, dest),
+            2 => gather_through::<MIN, 2>(n_sigma, from, &chain, arc, dest),
+            3 => gather_through::<MIN, 3>(n_sigma, from, &chain, arc, dest),
+            _ => unreachable!("the walk stops at MAX_HOPS"),
+        };
+        if ordered {
+            return from.sp.len();
+        }
+    }
+    *fallbacks += 1;
+    let queue = materialise::<MIN>(st, done, parent.0, parent.1, virt);
+    gather_arc::<MIN>(n_sigma, queue, arc, key, mean, sigma, sp)
+}
+
+/// [`gather_fanin`]'s walk: the stored ancestor's entries `from` through
+/// the first `N` hops of `chain` (parent first), then the arc, into `dest`.
+/// Returns whether no hop reordered; `dest` is garbage when one did. No
+/// early exit and the hop count fixed: the loop vectorizes like
+/// [`gather_arc`]'s.
+#[inline(always)]
+fn gather_through<const MIN: bool, const N: usize>(
+    n_sigma: f64,
+    from: Queue<'_>,
+    chain: &[[f64; 2]; MAX_HOPS],
+    (a_mean, a_sigma): (f64, f64),
+    (key, mean, sigma, sp): (&mut [f64], &mut [f64], &mut [f64], &mut [u32]),
+) -> bool {
+    let mut prev = [f64::INFINITY; N];
+    let mut ordered = true;
+    let out = key.iter_mut().zip(mean.iter_mut()).zip(sigma.iter_mut());
+    for ((&pm, &ps), ((a, m_out), s_out)) in from.mean.iter().zip(from.sigma).zip(out) {
+        let (mut m, mut s) = (pm, ps);
+        for h in (0..N).rev() {
+            (m, s) = stat::arc_sum(m, s, chain[h][0], chain[h][1]);
+            let c = corner::<MIN>(m, s, n_sigma);
+            // The restore's own test for moving an entry, NaN included.
+            let moves = prev[h] < c;
+            ordered &= !moves;
+            prev[h] = c;
+        }
+        (*m_out, *s_out) = stat::arc_sum(m, s, a_mean, a_sigma);
+        *a = corner::<MIN>(*m_out, *s_out, n_sigma);
+    }
+    sp[..from.sp.len()].copy_from_slice(from.sp);
+    ordered
+}
+
 /// The queue of `(v, rf)` as every reader sees it: a stored node's row of
 /// `lanes`, or — for a virtual node, which has no row — what the level body
 /// would have stored, computed here by the code that used to store it.
@@ -380,12 +516,13 @@ fn gather_arc<const MIN: bool>(
 /// transform of its parent's: [`gather_arc`], then one stable restore of
 /// corner order ([`restore_topk_desc`]). That is applied from the nearest
 /// stored ancestor down the chain of virtual nodes to `v`, into `scratch`,
-/// and the consumer then gathers from the result exactly as from a stored
-/// parent — the same float expressions in the same order, the intermediate
-/// stable order kept as the tie-break, so no stored bit depends on which
-/// nodes are virtual. `lanes` must hold every ancestor of `v` (the rows
-/// ahead of a level's window do: ancestors sit in earlier levels). `MIN`
-/// is the order the rows are in.
+/// and the reader reads the result exactly as a stored row — the same
+/// float expressions in the same order, the intermediate stable order kept
+/// as the tie-break, so no stored bit depends on which nodes are virtual.
+/// The level body does not come here: it gathers through a virtual parent
+/// ([`gather_fanin`]) and materialises only when a hop reorders. `lanes`
+/// must hold every ancestor of `v` (the rows ahead of a level's window do:
+/// ancestors sit in earlier levels). `MIN` is the order the rows are in.
 #[inline(always)]
 pub(crate) fn queue_of<'a, const MIN: bool>(
     st: &Static,
@@ -430,7 +567,7 @@ fn materialise_into<const MIN: bool>(
 ) -> usize {
     let k = lanes.k;
     let ai = st.fanin_start[v] as usize;
-    let (p, prf) = (st.arc_parent[ai] as usize, if st.arc_neg[ai] { 1 - rf } else { rf });
+    let (p, prf) = parent_of(st, ai, rf);
     let parent = match st.row_of(p) {
         Some(row) => lanes.row(row, prf),
         None => {
@@ -459,10 +596,10 @@ fn materialise_into<const MIN: bool>(
 /// position in *P* ascending), truncated to K (DESIGN.md "Kernel
 /// architecture" has the induction). That is a plain selection:
 ///
-/// 1. **Gather** ([`gather_arc`]) every arc's candidates into the arena,
+/// 1. **Gather** ([`gather_fanin`]) every arc's candidates into the arena,
 ///    arc-major, one run per arc; the seed is a run of one ahead of them.
-///    A parent's queue is read through [`queue_of`], so a virtual parent
-///    is gathered exactly as a stored one.
+///    A virtual parent is gathered straight from its stored ancestor,
+///    bit-identically to gathering from its materialised queue.
 /// 2. **Order** each run by corner descending with a *stable* insertion
 ///    pass over `(corner, original slot j)` pairs. A parent queue is
 ///    already sorted and RSS sigma composition perturbs it only slightly,
@@ -473,7 +610,7 @@ fn materialise_into<const MIN: bool>(
 ///    its startpoint was already emitted (the arena's stamp table, O(1)),
 ///    otherwise write it to the next output slot. Stop at K outputs or
 ///    when the runs are dry. Two runs (most merges) compare their two
-///    heads directly instead of scanning for the best.
+///    heads directly, without a branch, instead of scanning for the best.
 ///
 /// Nothing is cleared: the returned count is the queue's extent, and
 /// slots at or past it are never read.
@@ -501,18 +638,12 @@ fn merge_node_queue<const MIN: bool>(
     qsp: &mut [u32],
 ) -> usize {
     let k = done.k;
-    let parent_of = |ai: usize| {
-        let prf = if st.arc_neg[ai] { 1 - rf } else { rf };
-        (st.arc_parent[ai] as usize, prf)
-    };
-    let arc = |ai: usize| (st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
     if fanin.len() == 1 && !seeded {
-        let ai = fanin.start;
-        let (p, prf) = parent_of(ai);
-        let parent = queue_of::<MIN>(st, done, p, prf, &mut arena.virt);
         // The corners are sort keys only: they live in the arena.
         let key = &mut arena.arrival[..k];
-        let live = gather_arc::<MIN>(st.n_sigma, parent, arc(ai), key, qm, qs, qsp);
+        let dest = (&mut *key, &mut *qm, &mut *qs, &mut *qsp);
+        let (virt, fallbacks) = (&mut arena.virt, &mut arena.fallbacks);
+        let live = gather_fanin::<MIN>(st, done, (fanin.start, rf), virt, fallbacks, dest);
         restore_topk_desc(key, qm, qs, qsp, live);
         return live;
     }
@@ -531,16 +662,14 @@ fn merge_node_queue<const MIN: bool>(
     }
     for (r, ai) in (first..).zip(fanin) {
         let o = r * k..(r + 1) * k;
-        let (p, prf) = parent_of(ai);
-        let live = gather_arc::<MIN>(
-            st.n_sigma,
-            queue_of::<MIN>(st, done, p, prf, &mut arena.virt),
-            arc(ai),
+        let dest = (
             &mut arena.arrival[o.clone()],
             &mut arena.mean[o.clone()],
             &mut arena.sigma[o.clone()],
             &mut arena.sp[o.clone()],
         );
+        let (virt, fallbacks) = (&mut arena.virt, &mut arena.fallbacks);
+        let live = gather_fanin::<MIN>(st, done, (ai, rf), virt, fallbacks, dest);
         // Mean / sigma / sp stay in slot order; only the keys move.
         let (key, slot) = (&mut arena.arrival[o.clone()][..live], &mut arena.slot[o][..live]);
         for j in 0..live {
@@ -568,24 +697,21 @@ fn merge_node_queue<const MIN: bool>(
     };
     if n_runs == 2 {
         // The scan below with its two candidates written out: run 1's head
-        // is taken only when it beats run 0's outright.
+        // is taken when run 0 is dry or it beats run 0's head outright.
+        // Without a data-dependent branch: a dry run's head is read at a
+        // clamped slot and masked out, and the heads advance by the verdict.
         let (l0, l1) = (arena.live[0] as usize, arena.live[1] as usize);
         let (mut h0, mut h1) = (0, 0);
         while out < k && (h0 < l0 || h1 < l1) {
-            let second = h0 == l0
-                || (h1 < l1 && {
-                    let (c0, j0) = (arena.arrival[h0], arena.slot[h0]);
-                    let (c1, j1) = (arena.arrival[k + h1], arena.slot[k + h1]);
-                    c1 > c0 || (c1 == c0 && j1 < j0)
-                });
-            let at = if second {
-                h1 += 1;
-                k + arena.slot[k + h1 - 1] as usize
-            } else {
-                h0 += 1;
-                arena.slot[h0 - 1] as usize
-            };
-            emit(arena, at, &mut out);
+            let (i0, i1) = (h0.min(k - 1), k + h1.min(k - 1));
+            let (c0, j0) = (arena.arrival[i0], arena.slot[i0]);
+            let (c1, j1) = (arena.arrival[i1], arena.slot[i1]);
+            let beats = (c1 > c0) | ((c1 == c0) & (j1 < j0));
+            let second = (h0 == l0) | ((h1 < l1) & beats);
+            let (base, head) = if second { (k, i1) } else { (0, i0) };
+            h0 += usize::from(!second);
+            h1 += usize::from(second);
+            emit(arena, base + arena.slot[head] as usize, &mut out);
         }
         return out;
     }
@@ -822,7 +948,7 @@ mod tests {
 #[cfg(test)]
 mod merge_tests {
     use super::{corner, level_chunk};
-    use crate::engine::{InstaConfig, InstaEngine, Lanes};
+    use crate::engine::{InstaConfig, InstaEngine, Lanes, Static};
     use crate::hold::hold_attributes;
     use crate::parallel::MergeArena;
     use crate::stat;
@@ -848,11 +974,60 @@ mod merge_tests {
         )
     }
 
+    /// What the level body must read as the queue of `(v, rf)`: a stored
+    /// node's row as written, a virtual node's the literal Algorithm 2 fed
+    /// its one arc's run — the parent's queue (this oracle's, recursively)
+    /// plus the arc, slot by slot.
+    fn oracle_queue<const MIN: bool>(
+        st: &Static,
+        rows: Lanes<'_>,
+        v: usize,
+        rf: usize,
+    ) -> Vec<Candidate> {
+        if let Some(row) = st.row_of(v) {
+            let q = rows.row(row, rf);
+            return q
+                .entries()
+                .map(|(sp, mean, sigma)| Candidate {
+                    arrival: corner::<MIN>(mean, sigma, st.n_sigma),
+                    mean,
+                    sigma,
+                    sp,
+                })
+                .collect();
+        }
+        let ai = st.fanin_start[v] as usize;
+        let (p, prf) = super::parent_of(st, ai, rf);
+        let mut queue = TopKQueue::new(rows.k);
+        for c in oracle_queue::<MIN>(st, rows, p, prf) {
+            queue.push(extended::<MIN>(st, c, ai, rf));
+        }
+        queue.entries().collect()
+    }
+
+    /// Candidate `c` of a parent's queue carried over fanin arc `ai` into
+    /// a transition-`rf` queue.
+    fn extended<const MIN: bool>(st: &Static, c: Candidate, ai: usize, rf: usize) -> Candidate {
+        let (mean, sigma) =
+            stat::arc_sum(c.mean, c.sigma, st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
+        Candidate {
+            arrival: corner::<MIN>(mean, sigma, st.n_sigma),
+            mean,
+            sigma,
+            sp: c.sp,
+        }
+    }
+
     /// One `(node, transition)` queue through [`level_chunk`] against the
     /// literal Algorithm 2 ([`TopKQueue::push`]) fed the push sequence *P*:
     /// the live count, the three lanes on raw bits, and every dead slot
-    /// exactly as it was.
-    fn queue_matches_oracle<const MIN: bool>(k: usize, seed: u64) -> Result<(), String> {
+    /// exactly as it was. A fanin arc may reach its stored parent through
+    /// a chain of zero to four one-in/one-out hops (virtual nodes, read
+    /// through [`oracle_queue`]), so the body gathers through hops that
+    /// keep the parent's order, and falls back where one reorders or the
+    /// chain is too long. Returns the reads through a virtual parent and
+    /// how many of them fell back.
+    fn queue_matches_oracle<const MIN: bool>(k: usize, seed: u64) -> Result<(u64, u64), String> {
         let mut rng = Rng::seed_from_u64(seed);
         let n_parents = 1 + rng.bounded_u64(3) as usize;
         let n_arcs = 1 + rng.bounded_u64(4) as usize;
@@ -860,19 +1035,50 @@ mod merge_tests {
         // Many: full parent queues at every K.
         let n_sp = if rng.gen_bool(0.5) { 3 } else { 2 * k + 2 };
         let seeded = rng.gen_bool(0.3);
-        let child = n_parents;
-        let arcs: Vec<ExportedArc> = (0..n_arcs)
-            .map(|a| {
-                let (rise, fall) = (stat(&mut rng), stat(&mut rng));
-                ExportedArc {
-                    parent: rng.bounded_u64(n_parents as u64) as u32,
-                    mean: [rise.0, fall.0],
-                    sigma: [rise.1, fall.1],
-                    negative_unate: rng.gen_bool(0.5),
-                    source_arc: a as u32,
-                }
-            })
+        let arc = |rng: &mut Rng, parent: usize| {
+            let (rise, fall) = (stat(rng), stat(rng));
+            (
+                parent as u32,
+                [rise.0, fall.0],
+                [rise.1, fall.1],
+                rng.gen_bool(0.5),
+            )
+        };
+        // Level 0 is the parents; level `h` holds the `h`-th hop of every
+        // chain at least `h` long; the child comes last, alone on its level.
+        let mut fanin: Vec<Vec<_>> = vec![Vec::new(); n_parents];
+        let mut level_start = vec![0, n_parents as u32];
+        let depth: Vec<usize> = (0..n_arcs)
+            .map(|_| [0, 0, 1, 1, 2, 3, 4][rng.bounded_u64(7) as usize])
             .collect();
+        let mut tail: Vec<usize> = (0..n_arcs)
+            .map(|_| rng.bounded_u64(n_parents as u64) as usize)
+            .collect();
+        for h in 1..=depth.iter().copied().max().unwrap_or(0) {
+            for a in (0..n_arcs).filter(|&a| depth[a] >= h) {
+                fanin.push(vec![arc(&mut rng, tail[a])]);
+                tail[a] = fanin.len() - 1;
+            }
+            level_start.push(fanin.len() as u32);
+        }
+        let child = fanin.len();
+        fanin.push(tail.iter().map(|&p| arc(&mut rng, p)).collect());
+        level_start.push(fanin.len() as u32);
+        let mut fanin_start = vec![0u32];
+        let mut arcs = Vec::new();
+        for node in fanin {
+            for (parent, mean, sigma, negative_unate) in node {
+                let source_arc = arcs.len() as u32;
+                arcs.push(ExportedArc {
+                    parent,
+                    mean,
+                    sigma,
+                    negative_unate,
+                    source_arc,
+                });
+            }
+            fanin_start.push(arcs.len() as u32);
+        }
         let launch = stat(&mut rng);
         let sources: Vec<SourceInit> = (0..n_sp)
             .map(|i| SourceInit {
@@ -886,11 +1092,9 @@ mod merge_tests {
                 sigma: [launch.1; 2],
             })
             .collect();
-        let mut fanin_start = vec![0u32; child + 2];
-        fanin_start[child + 1] = n_arcs as u32;
         let init = InstaInit {
             n_nodes: child + 1,
-            level_start: vec![0, child as u32, child as u32 + 1],
+            level_start,
             order: (0..=child as u32).collect(),
             fanin_start,
             fanin: arcs,
@@ -914,9 +1118,10 @@ mod merge_tests {
 
         // Parent queues, written directly: 0 / 1 / < K / K live entries,
         // unique startpoints, not necessarily in corner order (a run the
-        // stable insertion pass has real work on). Every node of the
-        // fixture is stored, so rows are nodes.
-        assert_eq!(st.n_rows(), st.n);
+        // stable insertion pass has real work on, a hop a reorder). The
+        // parents are rows 0.., every hop is virtual, the child is stored.
+        assert_eq!(st.n_rows(), n_parents + 1);
+        assert_eq!(st.row_of(child), Some(n_parents));
         let done = n_parents * 2 * k;
         let (mut p_mean, mut p_sigma) = (vec![STALE.0; done], vec![STALE.1; done]);
         let mut p_sp = vec![STALE_SP; done];
@@ -969,6 +1174,7 @@ mod merge_tests {
             mean: &p_mean,
             sigma: &p_sigma,
         };
+        let mut arena = MergeArena::default();
         level_chunk::<MIN>(
             st,
             parents,
@@ -977,7 +1183,7 @@ mod merge_tests {
             &mut qm,
             &mut qs,
             &mut qsp,
-            &mut MergeArena::default(),
+            &mut arena,
         );
 
         for rf in 0..2 {
@@ -985,23 +1191,11 @@ mod merge_tests {
             let runs: Vec<Vec<Candidate>> = st
                 .fanin_range(child)
                 .map(|ai| {
-                    let prf = if st.arc_neg[ai] { 1 - rf } else { rf };
-                    let parent = parents.row(st.arc_parent[ai] as usize, prf);
-                    (0..parent.sp.len())
-                        .map(|j| {
-                            let (mean, sigma) = stat::arc_sum(
-                                parent.mean[j],
-                                parent.sigma[j],
-                                st.arc_mean[ai][rf],
-                                st.arc_sigma[ai][rf],
-                            );
-                            Candidate {
-                                arrival: corner::<MIN>(mean, sigma, st.n_sigma),
-                                mean,
-                                sigma,
-                                sp: parent.sp[j],
-                            }
-                        })
+                    let (p, prf) = super::parent_of(st, ai, rf);
+                    let parent = oracle_queue::<MIN>(st, parents, p, prf);
+                    parent
+                        .into_iter()
+                        .map(|c| extended::<MIN>(st, c, ai, rf))
                         .collect()
                 })
                 .collect();
@@ -1045,19 +1239,33 @@ mod merge_tests {
                 );
             }
         }
-        Ok(())
+        let through_hops = depth.iter().filter(|&&d| d > 0).count() as u64 * 2;
+        Ok((through_hops, arena.fallbacks))
     }
 
     #[test]
     fn merged_queue_equals_algorithm_2_over_the_push_sequence() {
+        let reads = std::cell::Cell::new((0, 0));
         for_all(
             Config::cases(400).seed(0xF0_54D2),
             |rng| (rng.bounded_u64(5), rng.next_u64()),
             |&(ki, seed)| {
                 let k = [1, 2, 3, 8, 32][ki as usize % 5];
-                queue_matches_oracle::<false>(k, seed)?;
-                queue_matches_oracle::<true>(k, seed)
+                for (through, fell_back) in [
+                    queue_matches_oracle::<false>(k, seed)?,
+                    queue_matches_oracle::<true>(k, seed)?,
+                ] {
+                    let (t, f) = reads.get();
+                    reads.set((t + through, f + fell_back));
+                }
+                Ok(())
             },
+        );
+        // Both sides of the order check ran, many times over.
+        let (through, fell_back) = reads.get();
+        assert!(
+            fell_back >= 100 && through - fell_back >= 100,
+            "{fell_back} of {through} reads fell back"
         );
     }
 

@@ -25,7 +25,7 @@
 //! [`InstaConfig::n_threads`]: crate::engine::InstaConfig::n_threads
 
 use crate::engine::{InstaEngine, State, Static};
-use crate::forward::{forward, queue_of, seed_queues};
+use crate::forward::{forward, pass_fields, queue_of, seed_queues};
 use crate::metrics::InstaReport;
 use crate::parallel::VirtualQueue;
 use crate::stat;
@@ -145,6 +145,7 @@ impl InstaEngine {
         self.validity.begin_full_pass();
         self.trace.begin("hold");
         // No level profile: `forward.kernel_ms` stays the setup kernel's.
+        let mut fallbacks = 0;
         let res = forward::<true>(
             &self.st,
             &mut self.state,
@@ -152,9 +153,9 @@ impl InstaEngine {
             None,
             None,
             &|state, nodes| seed_early_launches(&self.st, state, attrs, nodes),
+            &mut fallbacks,
         );
-        self.trace
-            .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
+        self.trace.end_with(&pass_fields(&res, fallbacks));
         if let Err(e) = self.settle(res) {
             panic!("propagate_hold failed: {e}");
         }

@@ -26,13 +26,13 @@
 //!
 //! **Virtual nodes pass through.** A node without a row (one fanin arc,
 //! one fanout arc, neither startpoint nor endpoint) has nothing to
-//! recompute: its queue is computed by whoever reads it
-//! ([`queue_of`](crate::forward::queue_of)), from its parent's row and its
-//! arc's annotation. It is still visited — so the snapshot rows, which are
-//! per node, follow it — but never compared and never logged, and it
-//! always forwards to its one consumer: what put it on the worklist (a
-//! re-annotated fanin arc, a parent that changed) is exactly what its
-//! consumer reads through it.
+//! recompute: its queue is computed by whoever reads it (its consumer's
+//! gather, or [`queue_of`](crate::forward::queue_of)), from its ancestor's
+//! row and the annotations down its chain. It is still visited — so the
+//! snapshot rows, which are per node, follow it — but never compared and
+//! never logged, and it always forwards to its one consumer: what put it
+//! on the worklist (a re-annotated fanin arc, a parent that changed) is
+//! exactly what its consumer reads through it.
 //!
 //! **Why this equals the full pass (induction over levels).** A stored
 //! node's queues are a pure function of its fanin arcs' annotations, of
@@ -194,6 +194,7 @@ impl ConeScratch {
         self.epoch += 1;
         self.frontier.iter_mut().for_each(Vec::clear);
         (self.seeds, self.levels, self.nodes, self.pruned) = (0, 0, 0, 0);
+        self.arena.fallbacks = 0;
     }
 
     /// Queues `v` on its level's worklist unless this sweep already did.
@@ -205,6 +206,11 @@ impl ConeScratch {
             self.frontier[crate::health::level_of(st, v as usize)].push(v);
         }
         fresh
+    }
+
+    /// How many virtual parents the last sweep materialised.
+    pub(crate) fn fallbacks(&self) -> u64 {
+        self.arena.fallbacks
     }
 
     /// Whether the current sweep recomputed node `v`.
@@ -453,6 +459,7 @@ impl InstaEngine {
             ("levels", c.levels as f64),
             ("nodes", c.nodes as f64),
             ("pruned", c.pruned as f64),
+            ("fallbacks", c.fallbacks() as f64),
             ("ok", if res.is_ok() { 1.0 } else { 0.0 }),
         ]);
         self.settle(res)

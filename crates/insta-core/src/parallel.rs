@@ -384,8 +384,12 @@ pub(crate) struct MergeArena {
     /// into the queue being selected. O(startpoints) per arena.
     stamp: Vec<u32>,
     generation: u32,
-    /// Where the merge reads a virtual parent's queue from.
+    /// Where the merge materialises a virtual parent it cannot gather
+    /// through ([`gather_fanin`](crate::forward::gather_fanin)).
     pub virt: VirtualQueue,
+    /// Virtual parents materialised since the arena was made (the cone
+    /// sweep's arena: since its sweep began).
+    pub fallbacks: u64,
 }
 
 impl MergeArena {

@@ -760,6 +760,7 @@ mod batched_tests {
                         None,
                         None,
                         &|state, nodes| crate::forward::seed_sources(st, state, nodes),
+                        &mut 0,
                     )
                     .expect("clean pass");
                     let want = crate::metrics::evaluate(&twin.st, &twin.state, cppr);

@@ -7,18 +7,23 @@
 //! of ad-hoc timers around the public entry points. One [`TraceSink`] is
 //! owned by the engine and threaded through every kernel pass:
 //!
-//! * a **span** per kernel pass (`"forward"`, `"forward_lse"`,
-//!   `"backward"`, and `"forward.cone"` — one per cone update, with its
-//!   `seeds`, dirty `levels`, recomputed `nodes` and `pruned` nodes) and
-//!   one `"batch.sweep"` span per batched `evaluate` call, in a bounded
-//!   [`Recorder`](insta_support::obs::Recorder) journal. A batched lane
-//!   emits no `forward.cone` span of its own (64 per call would eat the
-//!   ring) and a full pass of the call no `forward` span; the call's span
-//!   carries the totals instead: the `lanes` it ran, how many of them were
-//!   `corner_lanes`, the scenarios answered under a mode (`masked_lanes`),
-//!   `cone_lanes` (lanes that swept a cone — a lane without deltas is its
-//!   base's report), `base_passes` (one full pass per distinct corner),
-//!   the `nodes` recomputed and `pruned` over all lanes, and `ok`,
+//! * a **span** per kernel pass (`"forward"`, `"forward_fused"`, `"hold"`,
+//!   `"forward_lse"`, `"backward"`, and `"forward.cone"` — one per cone
+//!   update, with its `seeds`, dirty `levels`, recomputed `nodes` and
+//!   `pruned` nodes) and one `"batch.sweep"` span per batched `evaluate`
+//!   call, in a bounded [`Recorder`](insta_support::obs::Recorder) journal.
+//!   Every span whose pass runs the evaluation level body also carries its
+//!   `fallbacks`: how many virtual parents it had to materialise instead of
+//!   gathering through them ([`crate::forward`], "Rows, not nodes") — the
+//!   count that rises when a design stops paying for the fast path. A
+//!   batched lane emits no `forward.cone` span of its own (64 per call
+//!   would eat the ring) and a full pass of the call no `forward` span; the
+//!   call's span carries the totals instead: the `lanes` it ran, how many
+//!   of them were `corner_lanes`, the scenarios answered under a mode
+//!   (`masked_lanes`), `cone_lanes` (lanes that swept a cone — a lane
+//!   without deltas is its base's report), `base_passes` (one full pass per
+//!   distinct corner), the `nodes` recomputed, `pruned` and `fallbacks`
+//!   over all lanes, and `ok`,
 //! * a **per-level profile** ([`LevelProfile`]) of cumulative duration and
 //!   touched nodes per level per kernel — the data behind
 //!   [`InstaEngine::perf_report`]. Top-K merge cost is part of the forward

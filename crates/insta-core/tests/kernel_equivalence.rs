@@ -801,6 +801,162 @@ fn a_startpoint_with_one_fanin_arc_keeps_its_launch_seed() {
     }
 }
 
+/// A virtual hop that reorders its parent's queue, by hand. `A`, `B`, `C`
+/// launch; `M` merges `A` and `B`; `H` is the one-in/one-out hop from `M`
+/// to the endpoint `E`, which merges `H` (run 0) and `C` (run 1). Setup:
+/// `M` holds `Y` (sp 1, 90 ± 4, late corner 102) ahead of `X` (sp 0,
+/// 100 ± 0, corner 100). A hop of σ 3 takes `X` to 109 and `Y` to 105, so
+/// it reorders: `E`'s gather falls back to materialising `H`, where `X` is
+/// slot 0. `C` launches `Z` (sp 2) at exactly 109, slot 0 of run 1, and the
+/// corner tie goes to the lower slot, then the earlier run: `X` — at its
+/// ancestor's rank, slot 1, it would lose to `Z`. Hold launches `X` at
+/// 100 ± 4 and `Y` at 90 ± 0 and has the same shape, `Y` against `Z` at
+/// early corner 81. A σ-0 hop reorders nothing, nothing falls back, and
+/// `Z` leads. The frozen kernels agree on every array, every pass span
+/// counts the fallbacks, and so does the `batch.sweep` span of a lane that
+/// turns the σ-0 hop into the σ-3 one.
+#[test]
+fn a_reordering_hop_falls_back_and_its_rank_breaks_a_corner_tie() {
+    let arc = |parent: u32, sigma: f64, source_arc: u32| ExportedArc {
+        parent,
+        mean: [0.0; 2],
+        sigma: [sigma; 2],
+        negative_unate: false,
+        source_arc,
+    };
+    let source = |node: u32, mean: f64, sigma: f64| SourceInit {
+        node,
+        sp: node,
+        mean: [mean; 2],
+        sigma: [sigma; 2],
+    };
+    // A B C | M | H | E, and the hop is graph arc 2.
+    let init = |hop_sigma: f64| {
+        unclocked_init(
+            vec![0, 3, 4, 5, 6],
+            vec![0, 0, 0, 0, 2, 3, 5],
+            vec![
+                arc(0, 0.0, 0),
+                arc(1, 0.0, 1),
+                arc(3, hop_sigma, 2),
+                arc(4, 0.0, 3),
+                arc(2, 0.0, 4),
+            ],
+            vec![
+                source(0, 100.0, 0.0),
+                source(1, 90.0, 4.0),
+                source(2, 109.0, 0.0),
+            ],
+            vec![EndpointInit {
+                node: 5,
+                ep: 0,
+                required_base: 200.0,
+                leaf: NO_LEAF,
+            }],
+        )
+    };
+    let attrs = HoldAttributes {
+        source_mean: vec![[100.0; 2], [90.0; 2], [81.0; 2]],
+        source_sigma: vec![[4.0; 2], [0.0; 2], [0.0; 2]],
+        required_base: vec![10.0],
+    };
+    let fallbacks = |e: &InstaEngine, span: &str| {
+        let journal = e.trace_journal().expect("tracing on");
+        let last = journal.events().filter(|ev| ev.name == span).last();
+        last.and_then(|ev| ev.field("fallbacks"))
+            .expect("span with a fallback count")
+    };
+    // σ of the hop, then E's worst setup entry, its startpoint, hold's
+    // worst startpoint, and the fallbacks of every pass.
+    let cases = [
+        (3.0, (100.0, 3.0), 0, 1, 2.0),
+        (0.0, (109.0, 0.0), 2, 2, 0.0),
+    ];
+    for top_k in [2usize, 3, 32] {
+        let cfg = InstaConfig {
+            top_k,
+            ..InstaConfig::default()
+        };
+        let mut setups = Vec::new();
+        for (hop_sigma, first, setup_sp, hold_sp, fell_back) in cases {
+            let what = format!("K={top_k}, hop σ {hop_sigma}");
+            let mut fast = InstaEngine::new(init(hop_sigma), cfg.clone()).expect("valid");
+            let mut reference = InstaEngine::new(init(hop_sigma), cfg.clone()).expect("valid");
+            assert!(
+                fast.is_virtual(4) && fast.num_rows() == 5,
+                "{what}: H is the only virtual node"
+            );
+            fast.enable_tracing();
+
+            let setup = fast.propagate().clone();
+            assert_eq!(
+                fast.distribution_at(5, 0),
+                Some(first),
+                "{what}: E's worst entry"
+            );
+            assert_eq!(fast.arrival_at(5, 1), Some(109.0), "{what}: E's corner");
+            assert_eq!(setup.worst_sp[0], setup_sp, "{what}: setup tie");
+            assert_eq!(
+                fallbacks(&fast, "forward"),
+                fell_back,
+                "{what}: forward span"
+            );
+            let want = report_bits(reference.forward_scalar_reference());
+            assert_eq!(report_bits(&setup), want, "{what}: frozen setup report");
+            assert_eq!(
+                topk_bits(&fast),
+                scalar_bits(&reference),
+                "{what}: frozen setup arrays"
+            );
+            fast.propagate_fused();
+            assert_eq!(
+                topk_bits(&fast),
+                scalar_bits(&reference),
+                "{what}: fused arrays"
+            );
+            assert_eq!(
+                fallbacks(&fast, "forward_fused"),
+                fell_back,
+                "{what}: fused span"
+            );
+            setups.push(report_bits(&setup));
+
+            let hold = fast.propagate_hold(&attrs);
+            assert_eq!(
+                (hold.arrivals[0], hold.worst_sp[0]),
+                (81.0, hold_sp),
+                "{what}: hold tie"
+            );
+            assert_eq!(fallbacks(&fast, "hold"), fell_back, "{what}: hold span");
+            let want = report_bits(&reference.hold_scalar_reference(&attrs));
+            assert_eq!(report_bits(&hold), want, "{what}: frozen hold report");
+            assert_eq!(
+                topk_bits(&fast),
+                scalar_bits(&reference),
+                "{what}: frozen hold arrays"
+            );
+        }
+
+        // A lane that turns the σ-0 hop into the σ-3 one is the σ-3 engine.
+        let mut plain = InstaEngine::new(init(0.0), cfg).expect("valid");
+        plain.propagate();
+        plain.enable_tracing();
+        let lane = DeltaSet::from(vec![ArcDelta {
+            arc: 2,
+            mean: [0.0; 2],
+            sigma: [3.0; 2],
+        }]);
+        let got = plain.evaluate_batch(&[lane]);
+        let report = got[0].outcome.as_ref().expect("valid lane");
+        assert_eq!(report_bits(report), setups[0], "K={top_k}: lane");
+        assert_eq!(
+            fallbacks(&plain, "batch.sweep"),
+            2.0,
+            "K={top_k}: batch.sweep span"
+        );
+    }
+}
+
 /// Truth that shares no arithmetic with the kernels: on a merge-free chain
 /// (one launch, 1–60 arcs, random unateness) the Gaussian model is exact,
 /// so the endpoint's distribution is the launch plus every arc on the
