@@ -2,7 +2,8 @@
 //! sessions use to talk to the daemon.
 
 use crate::protocol::{
-    read_frame, write_frame, write_frame_bytes, FrameError, Op, Request, PROTOCOL_VERSION,
+    read_frame, take_member, write_frame, write_frame_bytes, FrameError, Op, Request,
+    PROTOCOL_VERSION,
 };
 use insta_support::json::{parse, Json};
 use std::io::{BufReader, Read, Write};
@@ -136,15 +137,7 @@ impl<R: Read, W: Write> Client<R, W> {
             ))
         };
         let (id, epoch) = (doc.get("id").unwrap_or(0), doc.get("epoch").unwrap_or(0));
-        // The result is moved out of the parsed reply, not cloned: it can
-        // be a whole endpoint report.
-        let result = match doc {
-            Json::Obj(pairs) => pairs
-                .into_iter()
-                .find(|(k, _)| k == "result")
-                .map_or(Json::Null, |(_, v)| v),
-            _ => Json::Null,
-        };
+        let result = take_member(doc, "result");
         Ok(Response {
             id,
             epoch,

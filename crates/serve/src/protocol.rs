@@ -198,25 +198,27 @@ pub enum OpKind {
 }
 
 impl Op {
+    /// Every op, in declaration order (`Op::ALL[op as usize] == op`).
+    pub const ALL: [Op; 14] = [
+        Op::Ping,
+        Op::Stats,
+        Op::ReportSlack,
+        Op::ReportAt,
+        Op::PerfReport,
+        Op::Incidents,
+        Op::Journal,
+        Op::Update,
+        Op::Propagate,
+        Op::Batch,
+        Op::Gradient,
+        Op::Shutdown,
+        Op::DebugStall,
+        Op::DebugPanic,
+    ];
+
     /// Parses the wire name.
     pub fn from_name(name: &str) -> Option<Op> {
-        Some(match name {
-            "ping" => Op::Ping,
-            "stats" => Op::Stats,
-            "report_slack" => Op::ReportSlack,
-            "report_at" => Op::ReportAt,
-            "perf_report" => Op::PerfReport,
-            "incidents" => Op::Incidents,
-            "journal" => Op::Journal,
-            "update" => Op::Update,
-            "propagate" => Op::Propagate,
-            "batch" => Op::Batch,
-            "gradient" => Op::Gradient,
-            "shutdown" => Op::Shutdown,
-            "debug_stall" => Op::DebugStall,
-            "debug_panic" => Op::DebugPanic,
-        _ => return None,
-        })
+        Op::ALL.into_iter().find(|op| op.name() == name)
     }
 
     /// The wire name (also the journal event name).
@@ -308,7 +310,7 @@ impl Request {
             Ok(j) => Some(j.as_u64().map_err(|e| fail(format!("bad version: {e}")))?),
             Err(_) => None,
         };
-        let params = doc.field("params").cloned().unwrap_or(Json::Null);
+        let params = take_member(doc, "params");
         Ok(Request {
             id,
             op,
@@ -342,6 +344,19 @@ impl Request {
         }
         out.push('}');
         out
+    }
+}
+
+/// Moves the first member `key` out of a decoded object (`Null` when
+/// absent): a request's `params` and a reply's `result` can be a whole
+/// delta set or endpoint report, so they are taken, never cloned.
+pub(crate) fn take_member(doc: Json, key: &str) -> Json {
+    match doc {
+        Json::Obj(pairs) => pairs
+            .into_iter()
+            .find(|(k, _)| k == key)
+            .map_or(Json::Null, |(_, v)| v),
+        _ => Json::Null,
     }
 }
 
@@ -632,22 +647,8 @@ mod tests {
 
     #[test]
     fn every_op_name_round_trips_and_has_a_kind() {
-        for op in [
-            Op::Ping,
-            Op::Stats,
-            Op::ReportSlack,
-            Op::ReportAt,
-            Op::PerfReport,
-            Op::Incidents,
-            Op::Journal,
-            Op::Update,
-            Op::Propagate,
-            Op::Batch,
-            Op::Gradient,
-            Op::Shutdown,
-            Op::DebugStall,
-            Op::DebugPanic,
-        ] {
+        for (i, op) in Op::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i, "Op::ALL is in declaration order");
             assert_eq!(Op::from_name(op.name()), Some(op));
             let _ = op.kind();
         }

@@ -47,7 +47,7 @@ use insta_engine::{
 };
 use insta_refsta::eco::ArcDelta;
 use insta_support::json::{obj, write_f64, Json, ToJson};
-use insta_support::obs::Recorder;
+use insta_support::obs::{LatencyHistogram, Recorder};
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -257,6 +257,9 @@ struct Shared {
     shutdown: CancelToken,
     /// The durability layer (`None` = ephemeral daemon, PR 7 behavior).
     durability: Option<Durability>,
+    /// Per op, indexed by `Op as usize`: each request's time from decode
+    /// start to reply written.
+    latency: [LatencyHistogram; Op::ALL.len()],
 }
 
 /// The timing service. Cheap to clone (an `Arc` handle) — hand clones to
@@ -320,6 +323,7 @@ impl Server {
                 journal,
                 shutdown: CancelToken::new(),
                 durability,
+                latency: Default::default(),
             }),
         }
     }
@@ -396,9 +400,13 @@ impl Server {
                     break;
                 }
             };
-            let (response, close) = self.handle_request(&body);
+            let started = Instant::now();
+            let (response, close, op) = self.respond(&body, started);
             if write_frame(&mut writer, &response).is_err() {
                 break;
+            }
+            if let Some(op) = op {
+                sh.latency[op as usize].record(started.elapsed());
             }
             if close {
                 break;
@@ -494,11 +502,19 @@ impl Server {
         }
     }
 
-    /// Decodes, admits, dispatches (panic-isolated), and renders one
-    /// request. Returns `(response body, close connection)`.
+    /// The response body and close flag [`respond`](Self::respond) gives
+    /// for one request body.
+    #[cfg(test)]
     fn handle_request(&self, body: &[u8]) -> (String, bool) {
+        let (response, close, _) = self.respond(body, Instant::now());
+        (response, close)
+    }
+
+    /// Decodes, admits, dispatches (panic-isolated), and renders one
+    /// request whose decode starts at `started`. Returns `(response body,
+    /// close connection, the op if the body decoded)`.
+    fn respond(&self, body: &[u8], started: Instant) -> (String, bool, Option<Op>) {
         let sh = &self.shared;
-        let started = Instant::now();
         let req = match Request::decode(body) {
             Ok(r) => r,
             Err(e) => {
@@ -509,7 +525,7 @@ impl Server {
                 sh.counters.rejected_protocol.fetch_add(1, Ordering::Relaxed);
                 self.record_incident(e.id, code, &e.message);
                 let epoch = sh.cell.epoch();
-                return (err_response(e.id, epoch, code, &e.message, None), false);
+                return (err_response(e.id, epoch, code, &e.message, None), false, None);
             }
         };
         // Version gate (satellite): a client that declares a different
@@ -526,6 +542,7 @@ impl Server {
                 return (
                     err_response(req.id, epoch, code::VERSION_MISMATCH, &msg, None),
                     false,
+                    Some(req.op),
                 );
             }
         }
@@ -544,7 +561,8 @@ impl Server {
         if let Err(e) = &outcome {
             self.note_failure(&req, e);
         }
-        (render(req.id, epoch, outcome), req.op == Op::Shutdown && ok)
+        let close = req.op == Op::Shutdown && ok;
+        (render(req.id, epoch, outcome), close, Some(req.op))
     }
 
     /// Counts and records a typed failure (satellite: every server-side
@@ -705,6 +723,22 @@ impl Server {
                 obj(rows)
             }
         };
+        // Server-side time per op, decode start to reply written: beside a
+        // client's round trip, what the daemon spent and what it did not.
+        let latency = Json::Obj(
+            Op::ALL
+                .iter()
+                .map(|&op| {
+                    let h = &sh.latency[op as usize];
+                    let row = obj([
+                        ("p50", h.quantile_us(0.50).to_json()),
+                        ("p99", h.quantile_us(0.99).to_json()),
+                        ("max", h.max_us().to_json()),
+                    ]);
+                    (op.name().to_owned(), row)
+                })
+                .collect(),
+        );
         let log = lock(&sh.incidents);
         obj([
             ("epoch", snap.epoch().to_json()),
@@ -715,6 +749,7 @@ impl Server {
             ("engine", engine),
             ("service", service),
             ("durability", durability),
+            ("latency_us", latency),
             ("service_incidents", (log.total()).to_json()),
         ])
     }

@@ -108,6 +108,7 @@
 use insta_engine::{ByteSink, Dec, Enc, EngineDurableState, TimingSnapshot, WriterOp};
 use insta_support::fault::{CrashPoint, CrashSwitch};
 use insta_support::hash::{crc32, Crc32};
+use insta_support::obs::LatencyHistogram;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::os::unix::fs::FileExt;
@@ -190,50 +191,6 @@ impl DurabilityConfig {
             checkpoint_every: 64,
             crash: None,
         }
-    }
-}
-
-/// A latency distribution in log2 buckets of microseconds: bucket `b`
-/// counts samples in `[2^(b-1), 2^b)` µs (bucket 0: under 1 µs), the last
-/// one everything from ~4 s up. Lock-free; a quantile reads as the upper
-/// edge of its bucket.
-#[derive(Debug, Default)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; 24],
-    max_us: AtomicU64,
-}
-
-impl LatencyHistogram {
-    fn record(&self, d: Duration) {
-        let us = d.as_micros() as u64;
-        let b = (64 - us.leading_zeros() as usize).min(self.buckets.len() - 1);
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-        self.max_us.fetch_max(us, Ordering::Relaxed);
-    }
-
-    /// The bucket edge (µs) below which a `q` share of the samples fall;
-    /// 0 with no samples.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        let rank = (total as f64 * q).ceil() as u64;
-        let mut seen = 0;
-        for (b, n) in counts.iter().enumerate() {
-            seen += n;
-            if total > 0 && seen >= rank.max(1) {
-                return 1 << b;
-            }
-        }
-        0
-    }
-
-    /// The largest sample (µs), exact.
-    pub fn max_us(&self) -> u64 {
-        self.max_us.load(Ordering::Relaxed)
     }
 }
 

@@ -390,6 +390,52 @@ fn stats_journal_and_perf_surfaces_are_live() {
     h.join().unwrap();
 }
 
+/// `stats` shows, per op, the daemon's own time from decode start to reply
+/// written: a stalled op reads as its stall, an op never sent as zeros,
+/// and a body that never decoded counts for no op.
+#[test]
+fn stats_shows_each_ops_server_side_latency() {
+    let cfg = ServeConfig {
+        enable_debug_ops: true,
+        ..ServeConfig::default()
+    };
+    let server = Server::new(build_engine(27, 4), cfg);
+    let (mut cl, h) = connect(&server);
+    for _ in 0..3 {
+        assert!(cl.call(Op::ReportSlack, None, Json::Null).unwrap().ok);
+    }
+    let at = cl.call(Op::ReportAt, None, obj([("node", 0_u64.to_json())]));
+    assert!(at.unwrap().ok);
+    let stall = cl.call(Op::DebugStall, None, obj([("ms", 20_u64.to_json())]));
+    assert!(stall.unwrap().ok);
+    cl.send_raw(b"{not json").unwrap();
+    assert_eq!(cl.read_response().unwrap().code(), Some("protocol"));
+
+    let stats = cl.call(Op::Stats, None, Json::Null).unwrap();
+    let latency = stats.result.field("latency_us").unwrap();
+    let row = |op: Op| {
+        let r = latency.field(op.name()).unwrap();
+        let get = |k: &str| r.get::<u64>(k).unwrap();
+        (get("p50"), get("p99"), get("max"))
+    };
+    for op in [Op::ReportSlack, Op::ReportAt] {
+        let (p50, p99, max) = row(op);
+        assert!(p50 >= 1 && p50 <= p99, "{}: p50 {p50} p99 {p99}", op.name());
+        assert!(max < p99, "{}: max {max} p99 {p99}", op.name());
+    }
+    // Buckets are powers of two: a 20 ms stall lands in [16.4, 32.8) ms.
+    let (p50, _, max) = row(Op::DebugStall);
+    assert_eq!(p50, 1 << 15);
+    assert!((20_000..1 << 15).contains(&max), "stall max {max}");
+    for op in [Op::Batch, Op::Update, Op::Stats] {
+        assert_eq!(row(op), (0, 0, 0), "{} was never answered", op.name());
+    }
+    assert_eq!(latency.as_obj().unwrap().len(), Op::ALL.len());
+
+    drop(cl);
+    h.join().unwrap();
+}
+
 /// One request on a fresh connection, and its reply frame byte for byte.
 fn reply_bytes(server: &Server, body: &str) -> Vec<u8> {
     let (ours, theirs) = UnixStream::pair().expect("socketpair");

@@ -9,6 +9,24 @@
 //!   `"nan"` (plain JSON has no spelling for them),
 //! * objects preserve insertion order,
 //! * the parser rejects trailing garbage and reports line/column positions.
+//!
+//! # Numbers
+//!
+//! The parser takes exactly RFC 8259's number grammar,
+//! `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, and refuses
+//! with a positioned [`JsonError`] what it does not spell: `01`, `00.5`,
+//! `1.`, `1.e5`, `-.5`. A [`Json::Num`] is always finite: a literal whose
+//! value overflows `f64` (`1e400`) is an error, not `inf` — which the
+//! writer would send back as the string `"inf"`. (Underflow rounds to a
+//! finite value, as the RFC allows.) Nothing [`write_f64`] produces is
+//! refused: Rust's `{:?}` spells every finite `f64` inside the grammar.
+//!
+//! A literal is scanned once. Each digit run is found eight bytes at a
+//! time, with a branch-free test on a `u64` word (one byte at a time in the
+//! last seven bytes of the input), and the literal is a slice of the source
+//! `&str` handed to `str::parse::<f64>`, so a value's bits are exactly that
+//! conversion's. A daemon reply carrying hundreds of slacks spends most of
+//! its decode on its numbers.
 
 use std::fmt::Write as _;
 
@@ -321,6 +339,19 @@ pub fn parse(src: &str) -> Result<Json, JsonError> {
 /// Maximum nesting depth the parser accepts (stack-overflow guard).
 const MAX_DEPTH: usize = 128;
 
+/// Marks the bytes of `word` that are not ASCII digits: the high bit of
+/// each such byte is set, every other bit is clear, so on a word loaded
+/// little-endian `trailing_zeros() / 8` is the length of its leading digit
+/// run (8 when all are digits). A byte is a digit iff `x = b ^ b'0'` is
+/// below 10: adding 0x76 to the low seven bits of `x` sets bit 7 iff they
+/// are 10 or more, and never carries into the next byte; `| x` marks an
+/// `x` whose own bit 7 is set.
+fn non_digits(word: u64) -> u64 {
+    const LANES: u64 = 0x0101_0101_0101_0101;
+    let x = word ^ (LANES * u64::from(b'0'));
+    (((x & (LANES * 0x7F)) + LANES * 0x76) | x) & (LANES * 0x80)
+}
+
 struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
@@ -328,6 +359,8 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    #[cold]
+    #[inline(never)]
     fn err(&self, msg: impl Into<String>) -> JsonError {
         let mut line = 1;
         let mut col = 1;
@@ -404,18 +437,42 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Advances past a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while let Some(word) = self.bytes[self.pos..].first_chunk::<8>() {
+            let run = (non_digits(u64::from_le_bytes(*word)).trailing_zeros() / 8) as usize;
+            self.pos += run;
+            if run < 8 {
+                return self.pos - start;
+            }
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// One RFC 8259 number literal (module docs, "Numbers").
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        let int = self.pos;
+        match self.digits() {
+            0 => return Err(self.err("expected a digit")),
+            1 => {}
+            _ if self.bytes[int] == b'0' => {
+                self.pos = int + 1;
+                return Err(self.err("leading zero in a number"));
+            }
+            _ => {}
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit after the decimal point"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -423,20 +480,23 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit in the exponent"));
             }
         }
-        // The scanned range is ASCII by construction, but surface a typed
-        // error rather than trusting that on untrusted input.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-ASCII bytes inside a number"))?;
-        if text.is_empty() || text == "-" {
-            return Err(self.err("expected a number, found no digits"));
+        // Every byte from `start` on is ASCII, so both ends are char
+        // boundaries; `get` keeps even a broken invariant a typed error.
+        let text = self.src.get(start..self.pos).unwrap_or_default();
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            parsed => {
+                self.pos = start;
+                Err(self.err(match parsed {
+                    Ok(_) => format!("number `{text}` is out of range for f64"),
+                    Err(_) => format!("invalid number `{text}`"),
+                }))
+            }
         }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(format!("invalid number `{text}`")))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -798,6 +858,87 @@ mod tests {
             "[\"\\u12\"]",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    /// Where the parser refuses `src` (byte offset), with what message.
+    fn refusal(src: &str) -> (usize, String) {
+        let err = parse(src).expect_err(src);
+        assert!(err.has_position(), "{src:?}: {err}");
+        (err.offset, err.msg)
+    }
+
+    #[test]
+    fn rejects_a_leading_zero() {
+        assert_eq!(refusal("01").0, 1);
+        assert_eq!(refusal("[-01]").0, 3);
+    }
+
+    #[test]
+    fn rejects_a_leading_zero_before_a_fraction() {
+        assert_eq!(refusal("00.5").0, 1);
+    }
+
+    #[test]
+    fn rejects_a_fraction_without_digits() {
+        assert_eq!(refusal("1.").0, 2);
+        assert_eq!(refusal("[1.,2]").0, 3);
+    }
+
+    #[test]
+    fn rejects_an_exponent_after_an_empty_fraction() {
+        assert_eq!(refusal("1.e5").0, 2);
+    }
+
+    #[test]
+    fn rejects_a_minus_without_an_integer_part() {
+        assert_eq!(refusal("-.5").0, 1);
+        assert_eq!(refusal("-").0, 1);
+    }
+
+    #[test]
+    fn rejects_a_number_that_overflows_f64() {
+        let (offset, msg) = refusal("{\"x\": -1e400}");
+        assert_eq!(offset, 6);
+        assert!(msg.contains("out of range"), "{msg}");
+        assert_eq!(refusal("1e400").0, 0);
+        // Past f64::MAX by its mantissa, not only by its exponent.
+        assert_eq!(refusal("1.8e308").0, 0);
+        assert!(parse("1.7976931348623157e308").is_ok());
+    }
+
+    #[test]
+    fn accepts_the_whole_number_grammar() {
+        for (src, want) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("0.5", 0.5),
+            ("-0.0e-0", -0.0),
+            ("10", 10.0),
+            ("1E+2", 100.0),
+            ("1e-400", 0.0),
+            ("12345678.87654321", 12345678.87654321),
+            ("-123456789012345678901234567890", -1.2345678901234568e29),
+            ("2.2250738585072014E-308", f64::MIN_POSITIVE),
+            ("5e-324", 5e-324),
+        ] {
+            let Json::Num(x) = parse(src).expect(src) else {
+                panic!("{src} is not a number")
+            };
+            assert_eq!(x.to_bits(), want.to_bits(), "{src}");
+        }
+    }
+
+    #[test]
+    fn digit_runs_end_where_the_first_non_digit_is() {
+        let all = u64::from_le_bytes(*b"01234567");
+        assert_eq!(non_digits(all), 0);
+        for (i, stop) in [b'/', b':', b'.', b'e', b' ', 0x80, 0xB0, 0xFF, 0].iter().enumerate() {
+            let mut word = *b"98765432";
+            word[i % 8] = *stop;
+            let mask = non_digits(u64::from_le_bytes(word));
+            assert_eq!(mask.trailing_zeros() / 8, (i % 8) as u32, "{word:?}");
+            assert_eq!(mask.count_ones(), 1, "{word:?}");
         }
     }
 

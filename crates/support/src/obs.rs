@@ -26,10 +26,60 @@
 //! Numeric payloads ride on spans as `(&'static str, f64)` fields — enough
 //! for counters, durations, and occupancies without dragging in a dynamic
 //! value model.
+//!
+//! Beside the journal, a [`LatencyHistogram`] keeps a whole distribution
+//! in relaxed atomics, for a path too hot or too shared to journal every
+//! sample: the daemon's WAL `fdatasync` and its per-op request times.
 
 use crate::json::{Json, ToJson};
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+/// A latency distribution in log2 buckets of microseconds: bucket `b`
+/// counts samples in `[2^(b-1), 2^b)` µs (bucket 0: under 1 µs), the last
+/// one everything from ~4 s up. Lock-free; a quantile reads as the upper
+/// edge of its bucket.
+#[derive(Debug, Default)]
+pub struct LatencyHistogram {
+    buckets: [AtomicU64; 24],
+    max_us: AtomicU64,
+}
+
+impl LatencyHistogram {
+    /// Adds one sample.
+    pub fn record(&self, d: Duration) {
+        let us = d.as_micros() as u64;
+        let b = (64 - us.leading_zeros() as usize).min(self.buckets.len() - 1);
+        self.buckets[b].fetch_add(1, Ordering::Relaxed);
+        self.max_us.fetch_max(us, Ordering::Relaxed);
+    }
+
+    /// The bucket edge (µs) below which a `q` share of the samples fall;
+    /// 0 with no samples.
+    pub fn quantile_us(&self, q: f64) -> u64 {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let total: u64 = counts.iter().sum();
+        let rank = (total as f64 * q).ceil() as u64;
+        let mut seen = 0;
+        for (b, n) in counts.iter().enumerate() {
+            seen += n;
+            if total > 0 && seen >= rank.max(1) {
+                return 1 << b;
+            }
+        }
+        0
+    }
+
+    /// The largest sample (µs), exact.
+    pub fn max_us(&self) -> u64 {
+        self.max_us.load(Ordering::Relaxed)
+    }
+}
 
 /// Default bound on the journaled event ring.
 pub const DEFAULT_CAPACITY: usize = 4096;
@@ -325,6 +375,21 @@ mod tests {
         // contract by checking the journal is untouched by a guarded pop.
         assert_eq!(r.open_depth(), 0);
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn latency_quantiles_read_as_bucket_edges() {
+        let h = LatencyHistogram::default();
+        assert_eq!((h.quantile_us(0.5), h.max_us()), (0, 0));
+        for us in [0, 3, 3, 5, 900] {
+            h.record(Duration::from_micros(us));
+        }
+        // Buckets: [<1], [2,4) x2, [4,8), [512,1024).
+        assert_eq!(h.quantile_us(0.2), 1);
+        assert_eq!(h.quantile_us(0.5), 4);
+        assert_eq!(h.quantile_us(0.8), 8);
+        assert_eq!(h.quantile_us(0.99), 1024);
+        assert_eq!(h.max_us(), 900);
     }
 
     #[test]
