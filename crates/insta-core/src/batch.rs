@@ -394,10 +394,10 @@ impl InstaEngine {
         let interrupt = (opts.cancel.is_some() || deadline.is_some())
             .then(|| Interrupt::new(opts.cancel.clone(), deadline));
         let (mut tables, lanes, lane_of) = self.prepare_lanes(scenarios);
-        self.stats.batches += 1;
-        self.stats.batch_scenarios += scenarios.len() as u64;
-        self.stats.mcmm_deduped += (scenarios.len() - lanes.len()) as u64;
-        self.stats.mcmm_corner_lanes += lanes.iter().filter(|l| l.corner.is_some()).count() as u64;
+        self.counters.batches += 1;
+        self.counters.batch_scenarios += scenarios.len() as u64;
+        self.counters.mcmm_deduped += (scenarios.len() - lanes.len()) as u64;
+        self.counters.mcmm_corner_lanes += lanes.iter().filter(|l| l.corner.is_some()).count() as u64;
         let masked = scenarios.iter().filter(|sc| sc.effective_mode().is_some());
         let mut results = self.run_lanes(
             &lanes,
@@ -438,7 +438,7 @@ impl InstaEngine {
                 gradients,
             });
         }
-        self.stats.batch_quarantined += out.iter().filter(|r| r.outcome.is_err()).count() as u64;
+        self.counters.batch_quarantined += out.iter().filter(|r| r.outcome.is_err()).count() as u64;
 
         // Merged worst-corner slack: per endpoint, the min over every
         // successful scenario in which the endpoint is mode-enabled. Strict
@@ -886,8 +886,8 @@ impl LaneCall<'_> {
         deltas: &[ArcDelta],
         degraded: bool,
     ) -> LaneResult {
-        eng.stats.incremental_updates += 1;
-        eng.stats.degraded_passes += u64::from(degraded);
+        eng.counters.incremental_updates += 1;
+        eng.counters.degraded_passes += u64::from(degraded);
         let txn = Txn::begin(eng);
         let eng = &mut *txn.eng;
         eng.cone.annotate(&mut eng.st, deltas);

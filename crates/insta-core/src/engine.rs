@@ -12,6 +12,7 @@
 use crate::error::{IncidentLog, InstaError, RuntimeIncident};
 use crate::forward::queue_of;
 use crate::incremental::ConeScratch;
+use crate::metrics::EngineCounters;
 use crate::parallel::{Interrupt, VirtualQueue};
 use crate::snapshot::RowStore;
 use crate::stat;
@@ -75,29 +76,6 @@ pub(crate) struct DriftState {
     pub updates: u64,
     /// Accumulated touched-arc mass (Σ deltas / graph arcs).
     pub mass: f64,
-}
-
-/// Monotonic session/rollback/cancel counters (never rolled back).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct SessionStats {
-    pub begun: u64,
-    pub committed: u64,
-    pub rolled_back: u64,
-    pub cancelled: u64,
-    pub degraded_passes: u64,
-    pub incremental_updates: u64,
-    /// `evaluate` calls.
-    pub batches: u64,
-    /// Scenarios submitted across all batches.
-    pub batch_scenarios: u64,
-    /// Scenarios that returned an error from a batch (validation-rejected,
-    /// cancelled, or numerically poisoned) while their siblings completed.
-    pub batch_quarantined: u64,
-    /// Lanes that carried a (non-identity) corner transform.
-    pub mcmm_corner_lanes: u64,
-    /// Scenarios served from another lane's propagation by the MCMM
-    /// `(deltas, corner)` dedup (mode-only variants).
-    pub mcmm_deduped: u64,
 }
 
 /// Configuration of the INSTA engine.
@@ -467,7 +445,7 @@ pub struct InstaEngine {
     pub(crate) last_incident: Option<RuntimeIncident>,
     /// Bounded history of every recovered or fatal worker panic (see
     /// [`IncidentLog`]).
-    pub(crate) incidents: IncidentLog,
+    pub(crate) incidents: IncidentLog<RuntimeIncident>,
     /// Cooperative interruption polled once per level by the kernels
     /// (armed by the session layer, `None` on the plain entry points).
     pub(crate) interrupt: Option<Interrupt>,
@@ -475,8 +453,9 @@ pub struct InstaEngine {
     pub(crate) epoch: u64,
     /// Incremental-drift odometer (a rolled-back session restores it).
     pub(crate) drift: DriftState,
-    /// Monotonic session statistics.
-    pub(crate) stats: SessionStats,
+    /// The counters bumped in place; [`counters`](Self::counters()) fills
+    /// in the derived ones.
+    pub(crate) counters: EngineCounters,
     /// Which derived product — Top-K arrays, report, LSE buffers, snapshot
     /// rows — is current with the annotations (see [`crate::validity`]).
     pub(crate) validity: Validity,
@@ -687,11 +666,11 @@ impl InstaEngine {
             cfg,
             validation,
             last_incident: None,
-            incidents: IncidentLog::default(),
+            incidents: IncidentLog::with_capacity(IncidentLog::CAPACITY),
             interrupt: None,
             epoch: 0,
             drift: DriftState::default(),
-            stats: SessionStats::default(),
+            counters: EngineCounters::default(),
             validity: Validity::default(),
             cone: ConeScratch::new(n, num_levels, k),
             rows: RowStore::default(),
@@ -707,7 +686,7 @@ impl InstaEngine {
     /// point reports worker-panic incidents through, so the incident ring
     /// and the trace journal can never disagree on totals.
     pub(crate) fn record_incident(&mut self, inc: &RuntimeIncident) {
-        self.incidents.record_worker(inc.clone());
+        self.incidents.record(inc.clone());
         self.trace.event(
             "incident",
             &[
@@ -791,7 +770,7 @@ impl InstaEngine {
     /// The bounded history of worker-panic incidents — both recovered and
     /// fatal — across the engine's whole lifetime (capacity
     /// [`IncidentLog::CAPACITY`]; evictions are counted, not lost).
-    pub fn incident_log(&self) -> &IncidentLog {
+    pub fn incident_log(&self) -> &IncidentLog<RuntimeIncident> {
         &self.incidents
     }
 

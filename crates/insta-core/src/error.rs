@@ -249,88 +249,30 @@ pub struct ServiceIncident {
     pub message: String,
 }
 
-impl std::fmt::Display for ServiceIncident {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "service incident ({}) on request {}: {}",
-            self.category, self.request_id, self.message
-        )
-    }
-}
-
-/// One entry of the [`IncidentLog`]: either a kernel worker panic or a
-/// service-layer request failure.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Incident {
-    /// A data-parallel worker panicked (recovered or fatal).
-    Worker(RuntimeIncident),
-    /// The service layer rejected or failed a request.
-    Service(ServiceIncident),
-}
-
-impl Incident {
-    /// The worker incident, if this is one.
-    pub fn as_worker(&self) -> Option<&RuntimeIncident> {
-        match self {
-            Incident::Worker(w) => Some(w),
-            Incident::Service(_) => None,
-        }
-    }
-
-    /// The service incident, if this is one.
-    pub fn as_service(&self) -> Option<&ServiceIncident> {
-        match self {
-            Incident::Service(s) => Some(s),
-            Incident::Worker(_) => None,
-        }
-    }
-
-    /// Short machine-readable class name.
-    pub fn category(&self) -> &'static str {
-        match self {
-            Incident::Worker(_) => "worker",
-            Incident::Service(s) => s.category,
-        }
-    }
-}
-
-impl std::fmt::Display for Incident {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Incident::Worker(w) => w.fmt(f),
-            Incident::Service(s) => s.fmt(f),
-        }
-    }
-}
-
-/// A bounded ring of [`Incident`]s with monotonic counters.
+/// A bounded ring of incident records with monotonic counters: the
+/// engine's holds [`RuntimeIncident`]s, the daemon's [`ServiceIncident`]s.
 ///
 /// A long optimization session can trip many recovered worker panics, and
 /// a long-lived daemon rejects many requests under overload; keeping only
 /// the most recent one silently overwrites history. The log keeps the
-/// newest `capacity` incidents (the engine's: [`IncidentLog::CAPACITY`];
-/// other owners pick theirs with [`IncidentLog::with_capacity`]) and
-/// counts everything ever recorded,
-/// so `total() - len()` is the number dropped.
+/// newest `capacity` records (the engine's: [`IncidentLog::CAPACITY`])
+/// and counts everything ever recorded, so `total() - len()` is the
+/// number dropped.
 #[derive(Debug, Clone)]
-pub struct IncidentLog {
-    ring: VecDeque<Incident>,
+pub struct IncidentLog<T> {
+    ring: VecDeque<T>,
     capacity: usize,
     total: u64,
 }
 
-impl Default for IncidentLog {
-    fn default() -> Self {
-        Self::with_capacity(Self::CAPACITY)
-    }
+impl IncidentLog<RuntimeIncident> {
+    /// The engine's retention bound; older incidents are dropped (but
+    /// counted).
+    pub const CAPACITY: usize = 32;
 }
 
-impl IncidentLog {
-    /// Default retention bound; older incidents are dropped (but counted).
-    pub const CAPACITY: usize = 32;
-
-    /// A log retaining at most `capacity` incidents (≥ 1).
+impl<T> IncidentLog<T> {
+    /// A log retaining at most `capacity` records (≥ 1).
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             ring: VecDeque::new(),
@@ -339,13 +281,8 @@ impl IncidentLog {
         }
     }
 
-    /// The retention bound this log was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Appends an incident, evicting the oldest past capacity.
-    pub fn record(&mut self, incident: Incident) {
+    /// Appends a record, evicting the oldest past capacity.
+    pub fn record(&mut self, incident: T) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
@@ -353,59 +290,34 @@ impl IncidentLog {
         self.total += 1;
     }
 
-    /// Appends a worker-panic incident (the kernel funnel).
-    pub(crate) fn record_worker(&mut self, incident: RuntimeIncident) {
-        self.record(Incident::Worker(incident));
-    }
-
-    /// Appends a service-layer incident (the daemon funnel).
-    pub fn record_service(&mut self, incident: ServiceIncident) {
-        self.record(Incident::Service(incident));
-    }
-
-    /// Retained incidents, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Incident> {
+    /// Retained records, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.ring.iter()
     }
 
-    /// Retained worker-panic incidents, oldest first.
-    pub fn workers(&self) -> impl Iterator<Item = &RuntimeIncident> {
-        self.ring.iter().filter_map(Incident::as_worker)
-    }
-
-    /// Retained service incidents, oldest first.
-    pub fn services(&self) -> impl Iterator<Item = &ServiceIncident> {
-        self.ring.iter().filter_map(Incident::as_service)
-    }
-
-    /// Number of retained incidents.
+    /// Number of retained records.
     pub fn len(&self) -> usize {
         self.ring.len()
     }
 
-    /// Whether nothing has ever been recorded *or* retained.
+    /// Whether nothing is retained.
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
     }
 
-    /// Incidents ever recorded (monotonic; survives eviction).
+    /// Records ever made (monotonic; survives eviction).
     pub fn total(&self) -> u64 {
         self.total
     }
 
-    /// Incidents evicted by the capacity bound.
+    /// Records evicted by the capacity bound.
     pub fn dropped(&self) -> u64 {
         self.total - self.ring.len() as u64
     }
 
-    /// The newest retained incident.
-    pub fn last(&self) -> Option<&Incident> {
+    /// The newest retained record.
+    pub fn last(&self) -> Option<&T> {
         self.ring.back()
-    }
-
-    /// The newest retained worker-panic incident.
-    pub fn last_worker(&self) -> Option<&RuntimeIncident> {
-        self.ring.iter().rev().find_map(Incident::as_worker)
     }
 }
 
@@ -479,75 +391,52 @@ mod tests {
             message: format!("panic {i}"),
             serial_retry_failed: false,
         };
-        let mut log = IncidentLog::default();
-        assert_eq!(log.capacity(), IncidentLog::CAPACITY);
+        let mut log = IncidentLog::with_capacity(IncidentLog::CAPACITY);
         assert!(log.is_empty());
+        assert!(log.last().is_none());
         for i in 0..IncidentLog::CAPACITY + 10 {
-            log.record(Incident::Worker(mk(i)));
+            log.record(mk(i));
         }
         assert_eq!(log.len(), IncidentLog::CAPACITY);
         assert_eq!(log.total(), (IncidentLog::CAPACITY + 10) as u64);
         assert_eq!(log.dropped(), 10);
         // Oldest retained is the 11th recorded; newest is the last.
-        assert_eq!(
-            log.workers().next().expect("front").level,
-            10
-        );
-        assert_eq!(
-            log.last_worker().expect("back").level,
-            IncidentLog::CAPACITY + 9
-        );
+        assert_eq!(log.iter().next().expect("front").level, 10);
+        assert_eq!(log.last().expect("back").level, IncidentLog::CAPACITY + 9);
     }
 
     #[test]
-    fn incident_log_capacity_is_configurable_and_mixes_kinds() {
+    fn incident_log_capacity_is_configurable_and_evicts_oldest_first() {
+        let service = |request_id: u64, category: &'static str| ServiceIncident {
+            request_id,
+            category,
+            message: format!("request {request_id} failed"),
+        };
         let mut log = IncidentLog::with_capacity(3);
-        assert_eq!(log.capacity(), 3);
-        log.record_service(ServiceIncident {
-            request_id: 7,
-            category: "overloaded",
-            message: "queue full".into(),
-        });
-        log.record(Incident::Worker(RuntimeIncident {
-            kernel: Kernel::Forward,
-            level: 1,
-            chunk: 0..1,
-            message: "boom".into(),
-            serial_retry_failed: false,
-        }));
-        log.record_service(ServiceIncident {
-            request_id: 9,
-            category: "deadline",
-            message: "overshoot".into(),
-        });
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.services().count(), 2);
-        assert_eq!(log.workers().count(), 1);
-        assert_eq!(log.last().expect("kept").category(), "deadline");
+        log.record(service(7, "overloaded"));
+        log.record(service(8, "shed"));
+        log.record(service(9, "deadline"));
+        assert_eq!((log.len(), log.total(), log.dropped()), (3, 3, 0));
+        assert_eq!(log.last().expect("kept").category, "deadline");
         assert_eq!(
-            log.last().unwrap().as_service().expect("service").request_id,
-            9
+            log.iter().next().expect("front").message,
+            "request 7 failed"
         );
-        let text = log.services().next().expect("front").to_string();
-        assert!(text.contains("request 7"), "{text}");
-        // A fourth record evicts the oldest; the worker incident survives.
-        log.record_service(ServiceIncident {
-            request_id: 11,
-            category: "protocol",
-            message: "bad frame".into(),
-        });
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped(), 1);
-        assert_eq!(log.last_worker().expect("kept").level, 1);
-        // Capacity 0 clamps to 1 instead of panicking on record.
-        let mut tiny = IncidentLog::with_capacity(0);
-        assert_eq!(tiny.capacity(), 1);
-        tiny.record_service(ServiceIncident {
-            request_id: 1,
-            category: "overloaded",
-            message: String::new(),
-        });
-        assert_eq!(tiny.len(), 1);
+        // A fourth record evicts the oldest; the counters keep it.
+        log.record(service(11, "protocol"));
+        assert_eq!((log.len(), log.total(), log.dropped()), (3, 4, 1));
+        let ids: Vec<u64> = log.iter().map(|s| s.request_id).collect();
+        assert_eq!(ids, [8, 9, 11]);
+        // Capacity 1 keeps only the newest record, and capacity 0 clamps
+        // to 1 instead of panicking on record.
+        for capacity in [1, 0] {
+            let mut tiny = IncidentLog::with_capacity(capacity);
+            for message in ["first", "second"] {
+                tiny.record(message.to_owned());
+            }
+            assert_eq!((tiny.len(), tiny.total(), tiny.dropped()), (1, 2, 1));
+            assert_eq!(tiny.last().map(String::as_str), Some("second"));
+        }
     }
 
     #[test]

@@ -405,7 +405,7 @@ impl InstaEngine {
         // Drift odometer: one update, batch-size/graph fraction of mass.
         self.drift.updates += 1;
         self.drift.mass += deltas.len() as f64 / self.st.n_graph_arcs.max(1) as f64;
-        self.stats.incremental_updates += 1;
+        self.counters.incremental_updates += 1;
     }
 
     /// Re-annotates and re-propagates in one call, returning the fresh
@@ -557,7 +557,7 @@ impl<'e> Txn<'e> {
             // on a full poison scan. The fused sweep computes both output
             // families in one pass over the levels, bit-identical to
             // `try_propagate` + `try_forward_lse` back to back.
-            eng.stats.degraded_passes += 1;
+            eng.counters.degraded_passes += 1;
             eng.try_propagate_fused()?;
             eng.health_check()?;
         } else if synced && seed_cone(&eng.st, &mut eng.cone, deltas.iter().map(|d| d.arc)) {

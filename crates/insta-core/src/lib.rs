@@ -111,9 +111,7 @@ pub use batch::{
 };
 pub use correlate::{pearson, MismatchStats};
 pub use engine::{DriftPolicy, InstaConfig, InstaEngine};
-pub use error::{
-    Incident, IncidentLog, InstaError, Kernel, PoisonedArray, RuntimeIncident, ServiceIncident,
-};
+pub use error::{IncidentLog, InstaError, Kernel, PoisonedArray, RuntimeIncident, ServiceIncident};
 pub use hold::{hold_attributes, HoldAttributes};
 pub use metrics::{EngineCounters, InstaReport};
 pub use persist::{ByteSink, Dec, Enc, EngineDurableState, PersistError, WriterOp};

@@ -178,10 +178,14 @@ pub(crate) fn refresh(
     report.reduce(None);
 }
 
-/// Monotonic runtime counters for observability: session lifecycle, drift
-/// odometer, and incident-ring totals. Counters never roll back — a
-/// rolled-back session still *happened* — so dashboards can difference
-/// consecutive scrapes.
+/// Runtime counters for observability: session lifecycle, batches, drift
+/// odometer, and incident-ring totals — the `stats.engine` section, one
+/// row per field (see [`rows`](Self::rows)).
+///
+/// Every field but two is monotonic — a rolled-back session still
+/// *happened* — so dashboards can difference consecutive scrapes. The two
+/// drift fields are gauges: [`reset_drift`](crate::engine::InstaEngine::reset_drift)
+/// zeroes them and a rolled-back session restores them.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineCounters {
     /// Committed-session count; bumped once per successful
@@ -228,26 +232,61 @@ pub struct EngineCounters {
     pub mcmm_deduped: u64,
 }
 
+impl EngineCounters {
+    /// The counters as `(name, value)` rows, in field order — the
+    /// `stats.engine` surface. `drift_updates` and `drift_mass` are gauges;
+    /// every other row is monotonic.
+    pub fn rows(&self) -> [(&'static str, f64); 16] {
+        // Exhaustive: a field added without a row does not compile.
+        let EngineCounters {
+            epoch,
+            sessions_begun,
+            sessions_committed,
+            sessions_rolled_back,
+            sessions_cancelled,
+            degraded_passes,
+            incremental_updates,
+            drift_updates,
+            drift_mass,
+            incidents_total,
+            incidents_dropped,
+            batches,
+            batch_scenarios,
+            batch_quarantined,
+            mcmm_corner_lanes,
+            mcmm_deduped,
+        } = *self;
+        [
+            ("epoch", epoch as f64),
+            ("sessions_begun", sessions_begun as f64),
+            ("sessions_committed", sessions_committed as f64),
+            ("sessions_rolled_back", sessions_rolled_back as f64),
+            ("sessions_cancelled", sessions_cancelled as f64),
+            ("degraded_passes", degraded_passes as f64),
+            ("incremental_updates", incremental_updates as f64),
+            ("drift_updates", drift_updates as f64),
+            ("drift_mass", drift_mass),
+            ("incidents_total", incidents_total as f64),
+            ("incidents_dropped", incidents_dropped as f64),
+            ("batches", batches as f64),
+            ("batch_scenarios", batch_scenarios as f64),
+            ("batch_quarantined", batch_quarantined as f64),
+            ("mcmm_corner_lanes", mcmm_corner_lanes as f64),
+            ("mcmm_deduped", mcmm_deduped as f64),
+        ]
+    }
+}
+
 impl crate::engine::InstaEngine {
-    /// A snapshot of the engine's monotonic observability counters.
+    /// A copy of the engine's observability counters.
     pub fn counters(&self) -> EngineCounters {
         EngineCounters {
             epoch: self.epoch,
-            sessions_begun: self.stats.begun,
-            sessions_committed: self.stats.committed,
-            sessions_rolled_back: self.stats.rolled_back,
-            sessions_cancelled: self.stats.cancelled,
-            degraded_passes: self.stats.degraded_passes,
-            incremental_updates: self.stats.incremental_updates,
             drift_updates: self.drift.updates,
             drift_mass: self.drift.mass,
             incidents_total: self.incidents.total(),
             incidents_dropped: self.incidents.dropped(),
-            batches: self.stats.batches,
-            batch_scenarios: self.stats.batch_scenarios,
-            batch_quarantined: self.stats.batch_quarantined,
-            mcmm_corner_lanes: self.stats.mcmm_corner_lanes,
-            mcmm_deduped: self.stats.mcmm_deduped,
+            ..self.counters
         }
     }
 

@@ -74,7 +74,7 @@ impl InstaEngine {
     /// The session borrows the engine exclusively until it is committed,
     /// rolled back, or dropped (drop-while-open rolls back).
     pub fn begin_session(&mut self) -> TimingSession<'_> {
-        self.stats.begun += 1;
+        self.counters.sessions_begun += 1;
         self.validity.session_began();
         TimingSession {
             txn: Txn::begin(self),
@@ -165,7 +165,7 @@ impl<'e> TimingSession<'e> {
         self.txn.commit();
         let eng = &mut *self.txn.eng;
         eng.epoch += 1;
-        eng.stats.committed += 1;
+        eng.counters.sessions_committed += 1;
         eng.trace
             .event("session.commit", &[("epoch", eng.epoch as f64)]);
         Ok(eng.epoch)
@@ -243,8 +243,8 @@ impl<'e> TimingSession<'e> {
         let cancelled = matches!(status, SessionStatus::Cancelled);
         let eng = &mut *self.txn.eng;
         match status {
-            SessionStatus::Cancelled => eng.stats.cancelled += 1,
-            _ => eng.stats.rolled_back += 1,
+            SessionStatus::Cancelled => eng.counters.sessions_cancelled += 1,
+            _ => eng.counters.sessions_rolled_back += 1,
         }
         eng.trace.event(
             "session.rollback",

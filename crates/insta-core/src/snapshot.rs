@@ -5,7 +5,7 @@
 //! forces: [`InstaEngine`] holds session-private mutable kernel state
 //! (Top-K queues, LSE buffers, gradients) that a writer mutates in place,
 //! while a [`TimingSnapshot`] holds only the committed observables —
-//! endpoint report, worst arrivals, counters, the perf breakdown — copied
+//! endpoint report, worst arrivals, the perf breakdown — copied
 //! out at commit time. A snapshot is plain owned data with no interior
 //! mutability, so wrapping one in an `Arc` and handing clones to N reader
 //! threads is safe by construction: readers can never see a half-written
@@ -42,7 +42,7 @@
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::forward::queue_of;
-use crate::metrics::{EngineCounters, InstaReport};
+use crate::metrics::InstaReport;
 use crate::parallel::VirtualQueue;
 use crate::stat;
 use crate::topk::NO_SP;
@@ -197,7 +197,6 @@ impl RowStore {
 pub struct TimingSnapshot {
     epoch: u64,
     report: Option<InstaReport>,
-    counters: EngineCounters,
     /// Worst corner arrival and its startpoint per `(node, rf)`
     /// (renumbered node order), `n_rows` of them.
     rows: Rows,
@@ -250,11 +249,6 @@ impl TimingSnapshot {
         (chunk.sp[at] != NO_SP).then(|| chunk.arrival[at])
     }
 
-    /// The engine's monotonic counters as of the capture.
-    pub fn counters(&self) -> &EngineCounters {
-        &self.counters
-    }
-
     /// The levelized kernel breakdown as of the capture (empty when the
     /// engine was not tracing).
     pub fn perf_report(&self) -> &PerfReport {
@@ -278,8 +272,8 @@ impl InstaEngine {
     ///
     /// Callers are expected to capture **after a commit** (or after a
     /// plain `propagate` on an engine they own exclusively), so the
-    /// capture is internally consistent: report, arrivals, and counters
-    /// all describe the same epoch.
+    /// capture is internally consistent: report and arrivals describe the
+    /// same epoch.
     ///
     /// The arrival rows come only from Top-K arrays the ledger calls current
     /// (`topk_current()`). After a hold pass (negated early corners), a bare
@@ -309,7 +303,6 @@ impl InstaEngine {
         TimingSnapshot {
             epoch: self.epoch(),
             report: self.try_report().cloned(),
-            counters: self.counters(),
             rows,
             n_rows,
             orig_index: Arc::clone(&self.st.new_id),
@@ -440,7 +433,7 @@ mod tests {
     }
 
     /// A snapshot taken before any propagation has no report but still
-    /// carries the epoch and counters.
+    /// carries the epoch.
     #[test]
     fn pre_propagation_snapshot_is_empty_but_typed() {
         let (_d, _sta, eng) = build_engine(12, 4);
@@ -449,7 +442,6 @@ mod tests {
         assert_eq!(snap.num_endpoints(), 0);
         assert_eq!(snap.slack(0), None);
         assert_eq!(snap.epoch(), 0);
-        assert_eq!(snap.counters().epoch, 0);
         assert!(snap.perf_report().is_empty());
     }
 

@@ -292,7 +292,7 @@ fn incident_ring_outlives_passes_and_counts_evictions() {
     assert!(eng.last_incident().is_none());
     assert_eq!(eng.incident_log().total(), 1);
     assert!(!eng.incident_log().is_empty());
-    assert_eq!(eng.incident_log().last_worker().expect("kept").kernel, Kernel::Forward);
+    assert_eq!(eng.incident_log().last().expect("kept").kernel, Kernel::Forward);
 
     // A fatal (persistent) incident is recorded too.
     with_quiet_panics(|| {
@@ -301,7 +301,7 @@ fn incident_ring_outlives_passes_and_counts_evictions() {
         chaos::disarm();
     });
     assert_eq!(eng.incident_log().total(), 2);
-    assert!(eng.incident_log().last_worker().expect("kept").serial_retry_failed);
+    assert!(eng.incident_log().last().expect("kept").serial_retry_failed);
 
     // Drive the ring past capacity: totals keep counting, length caps,
     // evictions are visible.
@@ -317,7 +317,7 @@ fn incident_ring_outlives_passes_and_counts_evictions() {
     assert_eq!(log.total(), 2 + capacity);
     assert_eq!(log.len(), insta_engine::IncidentLog::CAPACITY);
     assert_eq!(log.dropped(), 2);
-    assert!(log.workers().all(|i| i.kernel == Kernel::Forward));
+    assert!(log.iter().all(|i| i.kernel == Kernel::Forward));
 }
 
 /// Incident unification (ISSUE 5): with tracing enabled, every
@@ -348,7 +348,7 @@ fn incidents_are_mirrored_into_the_trace_journal() {
     let journal = eng.trace_journal().expect("tracing enabled");
     let mirrored: Vec<_> = journal.events().filter(|e| e.name == "incident").collect();
     assert_eq!(mirrored.len() as u64, log.total(), "one event per incident");
-    for (ev, inc) in mirrored.iter().zip(log.workers()) {
+    for (ev, inc) in mirrored.iter().zip(log.iter()) {
         assert_eq!(ev.field("level"), Some(inc.level as f64));
         assert_eq!(
             ev.field("serial_retry_failed"),

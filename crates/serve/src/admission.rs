@@ -319,9 +319,9 @@ pub struct ServeCounters {
 }
 
 impl ServeCounters {
-    /// The counters as `(name, value)` rows — the JSON/stats surface.
-    pub fn rows(&self) -> [(&'static str, u64); 13] {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    /// The counters as `(name, value)` rows — the `stats.service` surface.
+    pub fn rows(&self) -> [(&'static str, f64); 13] {
+        let g = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64;
         [
             ("accepted", g(&self.accepted)),
             ("rejected_overload", g(&self.rejected_overload)),

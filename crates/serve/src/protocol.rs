@@ -154,7 +154,7 @@ pub fn read_frame(r: &mut impl BufRead, max_bytes: usize) -> Result<Vec<u8>, Fra
 pub enum Op {
     /// Liveness probe.
     Ping,
-    /// Engine + service counters and the current degradation tier.
+    /// Engine, service and durability counters, tier and per-op latency.
     Stats,
     /// Endpoint slacks / WNS / TNS from the committed snapshot.
     ReportSlack,

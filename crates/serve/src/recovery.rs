@@ -39,12 +39,10 @@
 //! (`f64::to_bits`) to a twin that never crashed — the contract the
 //! chaos suite in `tests/recovery.rs` enforces at every crash point.
 
+use crate::protocol::code;
 use crate::wal::{self, DurabilityConfig};
 use insta_engine::{EngineDurableState, InstaEngine, InstaError, ServiceIncident, WriterOp};
 use std::io;
-
-/// Incident category for everything the durability layer reports.
-pub const INCIDENT_CATEGORY: &str = "durability";
 
 /// What recovery did, for the startup log and the stats surface.
 #[derive(Debug)]
@@ -66,7 +64,7 @@ pub struct RecoveryReport {
 fn incident(message: String) -> ServiceIncident {
     ServiceIncident {
         request_id: 0,
-        category: INCIDENT_CATEGORY,
+        category: code::DURABILITY,
         message,
     }
 }

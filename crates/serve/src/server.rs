@@ -41,9 +41,9 @@ use crate::protocol::{
 use crate::recovery::{self, RecoveryReport};
 use crate::wal::{panic_message, Durability, DurabilityConfig};
 use insta_engine::{
-    BatchOptions, CancelToken, CornerTransform, Deadline, EngineDurableState, IncidentLog,
-    InstaEngine, InstaError, InstaReport, ModeMask, Scenario, ServiceIncident, TimingSnapshot,
-    WriterOp,
+    BatchOptions, CancelToken, CornerTransform, Deadline, EngineCounters, EngineDurableState,
+    IncidentLog, InstaEngine, InstaError, InstaReport, ModeMask, Scenario, ServiceIncident,
+    TimingSnapshot, WriterOp,
 };
 use insta_refsta::eco::ArcDelta;
 use insta_support::json::{obj, write_f64, Json, ToJson};
@@ -250,9 +250,12 @@ struct Shared {
     cfg: ServeConfig,
     cell: SnapshotCell,
     writer: Mutex<InstaEngine>,
+    /// The writer's counters as its last op left them (see
+    /// [`Server::with_writer`]): what `stats.engine` shows.
+    engine_counters: Mutex<EngineCounters>,
     admission: Admission,
     counters: ServeCounters,
-    incidents: Mutex<IncidentLog>,
+    incidents: Mutex<IncidentLog<ServiceIncident>>,
     journal: Mutex<Recorder>,
     shutdown: CancelToken,
     /// The durability layer (`None` = ephemeral daemon, PR 7 behavior).
@@ -309,13 +312,14 @@ impl Server {
         let admission = Admission::new(&cfg);
         let mut log = IncidentLog::with_capacity(INCIDENT_LOG_CAP);
         for inc in seed_incidents {
-            log.record_service(inc.clone());
+            log.record(inc.clone());
         }
         let journal = Mutex::new(Recorder::with_capacity(JOURNAL_CAPACITY));
         Server {
             shared: Arc::new(Shared {
                 cfg,
                 cell,
+                engine_counters: Mutex::new(engine.counters()),
                 writer: Mutex::new(engine),
                 admission,
                 counters: ServeCounters::default(),
@@ -483,7 +487,7 @@ impl Server {
     }
 
     fn record_incident(&self, request_id: u64, category: &'static str, message: &str) {
-        lock(&self.shared.incidents).record_service(ServiceIncident {
+        lock(&self.shared.incidents).record(ServiceIncident {
             request_id,
             category,
             message: message.to_owned(),
@@ -496,8 +500,8 @@ impl Server {
     /// committed records.
     fn drain_durability_incidents(&self) {
         if let Some(dur) = &self.shared.durability {
-            for message in dur.take_incidents() {
-                self.record_incident(0, code::DURABILITY, &message);
+            for message in dur.take_incidents().iter() {
+                self.record_incident(0, code::DURABILITY, message);
             }
         }
     }
@@ -678,50 +682,23 @@ impl Server {
         Ok(Reply::Tree(tree))
     }
 
-    /// Engine + service counters, tier, and ring occupancy (satellite:
-    /// the `stats` surface). A `gradient` request counts as one
+    /// Engine, service and durability counters, tier, per-op latency and
+    /// ring occupancy. `engine` is the writer's counters as its last op
+    /// left them, committed or not; a `gradient` request counts as one
     /// `batches` call of one `batch_scenarios` lane.
     fn stats(&self) -> Json {
         self.drain_durability_incidents();
         let sh = &self.shared;
-        let snap = self.snapshot();
-        let ec = snap.counters();
-        let engine = obj([
-            ("epoch", ec.epoch.to_json()),
-            ("sessions_begun", ec.sessions_begun.to_json()),
-            ("sessions_committed", ec.sessions_committed.to_json()),
-            ("sessions_rolled_back", ec.sessions_rolled_back.to_json()),
-            ("sessions_cancelled", ec.sessions_cancelled.to_json()),
-            ("degraded_passes", ec.degraded_passes.to_json()),
-            ("incremental_updates", ec.incremental_updates.to_json()),
-            ("drift_updates", ec.drift_updates.to_json()),
-            ("drift_mass", ec.drift_mass.to_json()),
-            ("incidents_total", ec.incidents_total.to_json()),
-            ("incidents_dropped", ec.incidents_dropped.to_json()),
-            ("batches", ec.batches.to_json()),
-            ("batch_scenarios", ec.batch_scenarios.to_json()),
-            ("batch_quarantined", ec.batch_quarantined.to_json()),
-            ("mcmm_corner_lanes", ec.mcmm_corner_lanes.to_json()),
-            ("mcmm_deduped", ec.mcmm_deduped.to_json()),
-        ]);
-        let service = Json::Obj(
-            sh.counters
-                .rows()
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), v.to_json()))
-                .collect(),
-        );
+        let engine = lock(&sh.engine_counters).rows();
         let durability = match &sh.durability {
-            None => obj([("enabled", Json::Bool(false))]),
-            Some(d) => {
-                let mut rows = vec![
+            None => section([("enabled", Json::Bool(false))], &[]),
+            Some(d) => section(
+                [
                     ("enabled", Json::Bool(true)),
                     ("fsync", Json::Bool(d.fsync_enabled())),
-                ];
-                let stat_rows = d.stats.rows();
-                rows.extend(stat_rows.iter().map(|(k, v)| (*k, v.to_json())));
-                obj(rows)
-            }
+                ],
+                &d.stats.rows(),
+            ),
         };
         // Server-side time per op, decode start to reply written: beside a
         // client's round trip, what the daemon spent and what it did not.
@@ -741,13 +718,13 @@ impl Server {
         );
         let log = lock(&sh.incidents);
         obj([
-            ("epoch", snap.epoch().to_json()),
+            ("epoch", sh.cell.epoch().to_json()),
             ("version", PROTOCOL_VERSION.to_json()),
             ("tier", Json::Str(sh.admission.tier().name().to_owned())),
             ("pressure", sh.admission.pressure().to_json()),
             ("inflight", (sh.admission.inflight() as u64).to_json()),
-            ("engine", engine),
-            ("service", service),
+            ("engine", section([], &engine)),
+            ("service", section([], &sh.counters.rows())),
             ("durability", durability),
             ("latency_us", latency),
             ("service_incidents", (log.total()).to_json()),
@@ -758,7 +735,7 @@ impl Server {
         self.drain_durability_incidents();
         let log = lock(&self.shared.incidents);
         let rows: Vec<Json> = log
-            .services()
+            .iter()
             .map(|s| {
                 obj([
                     ("request_id", s.request_id.to_json()),
@@ -860,6 +837,17 @@ impl Server {
         Ok(Reply::Text { head, image: None })
     }
 
+    /// Runs one writer op under the writer lock and, before releasing it,
+    /// leaves the engine's counters where `stats` reads them, whichever
+    /// way the op returns (an `Err` included).
+    fn with_writer<T>(&self, op: impl FnOnce(&mut InstaEngine) -> T) -> T {
+        let sh = &self.shared;
+        let mut eng = lock(&sh.writer);
+        let out = op(&mut eng);
+        *lock(&sh.engine_counters) = eng.counters();
+        out
+    }
+
     /// The writer path: `update` (apply deltas) or `propagate` (full
     /// refresh), committed transactionally and published atomically.
     fn write_epoch(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Json, ErrReply> {
@@ -869,69 +857,70 @@ impl Server {
         } else {
             Vec::new()
         };
-        let mut eng = lock(&sh.writer);
-        let mut session = eng.begin_session().with_cancel(sh.shutdown.clone());
-        if let Some(d) = deadline {
-            session = session.with_deadline(d.remaining());
-        }
-        let outcome = if req.op == Op::Update {
-            session.update_timing(&deltas)
-        } else {
-            session.propagate()
-        };
-        let report = outcome.map_err(map_engine_err)?;
-        let (wns, tns, viol) = (report.wns_ps, report.tns_ps, report.n_violations);
-        if sh.cfg.stall_writer_ms > 0 {
-            // Test hook: a stall in the blind spot between the last
-            // per-level poll and the commit decision.
-            std::thread::sleep(Duration::from_millis(sh.cfg.stall_writer_ms));
-        }
-        if deadline.is_some_and(|d| d.expired()) {
-            // The work finished but the budget is blown: commit would
-            // publish a result the client already gave up on. Roll back —
-            // never half-commit — and say exactly what happened.
-            session.rollback();
-            return Err(ErrReply::new(
-                code::DEADLINE_OVERSHOOT,
-                "propagation finished past the deadline; rolled back uncommitted",
-            ));
-        }
-        // Durability point: the commit is appended to the WAL and synced
-        // *before* it happens, so the log is a superset of anything a
-        // client ever observed. An append failure rolls back — the
-        // not-yet-durable epoch must never publish.
-        if let Some(dur) = &sh.durability {
-            let next_epoch = session.engine().epoch() + 1;
-            let op = if req.op == Op::Update {
-                WriterOp::Update(std::mem::take(&mut deltas))
+        let (epoch, wns, tns, viol) = self.with_writer(|eng| {
+            let mut session = eng.begin_session().with_cancel(sh.shutdown.clone());
+            if let Some(d) = deadline {
+                session = session.with_deadline(d.remaining());
+            }
+            let outcome = if req.op == Op::Update {
+                session.update_timing(&deltas)
             } else {
-                WriterOp::Propagate
+                session.propagate()
             };
-            if let Err(e) = dur.log_commit(next_epoch, &op) {
+            let report = outcome.map_err(map_engine_err)?;
+            let (wns, tns, viol) = (report.wns_ps, report.tns_ps, report.n_violations);
+            if sh.cfg.stall_writer_ms > 0 {
+                // Test hook: a stall in the blind spot between the last
+                // per-level poll and the commit decision.
+                std::thread::sleep(Duration::from_millis(sh.cfg.stall_writer_ms));
+            }
+            if deadline.is_some_and(|d| d.expired()) {
+                // The work finished but the budget is blown: commit would
+                // publish a result the client already gave up on. Roll back —
+                // never half-commit — and say exactly what happened.
                 session.rollback();
                 return Err(ErrReply::new(
-                    code::DURABILITY,
-                    format!("write-ahead log append failed: {e}; rolled back uncommitted"),
+                    code::DEADLINE_OVERSHOOT,
+                    "propagation finished past the deadline; rolled back uncommitted",
                 ));
             }
-        }
-        let epoch = session.commit().map_err(map_engine_err)?;
-        let snap = Arc::new(eng.snapshot());
-        // Publish before releasing the writer lock: commit order and
-        // publication order must agree, or a preempted writer could
-        // publish its older epoch over a successor's newer one.
-        sh.cell.publish(Arc::clone(&snap));
-        if let Some(dur) = &sh.durability {
-            // Checkpoint cadence, still under the writer lock so the
-            // captured state is exactly the epoch just published. Only the
-            // capture (a clone of the annotations) happens here, and only
-            // on the commits the cadence selects; encoding and every byte
-            // of checkpoint I/O belong to the layer's background writer.
-            if dur.checkpoint_due() {
-                dur.submit_checkpoint(EngineDurableState::capture(&eng), snap);
+            // Durability point: the commit is appended to the WAL and synced
+            // *before* it happens, so the log is a superset of anything a
+            // client ever observed. An append failure rolls back — the
+            // not-yet-durable epoch must never publish.
+            if let Some(dur) = &sh.durability {
+                let next_epoch = session.engine().epoch() + 1;
+                let op = if req.op == Op::Update {
+                    WriterOp::Update(std::mem::take(&mut deltas))
+                } else {
+                    WriterOp::Propagate
+                };
+                if let Err(e) = dur.log_commit(next_epoch, &op) {
+                    session.rollback();
+                    return Err(ErrReply::new(
+                        code::DURABILITY,
+                        format!("write-ahead log append failed: {e}; rolled back uncommitted"),
+                    ));
+                }
             }
-        }
-        drop(eng);
+            let epoch = session.commit().map_err(map_engine_err)?;
+            let snap = Arc::new(eng.snapshot());
+            // Publish before releasing the writer lock: commit order and
+            // publication order must agree, or a preempted writer could
+            // publish its older epoch over a successor's newer one.
+            sh.cell.publish(Arc::clone(&snap));
+            if let Some(dur) = &sh.durability {
+                // Checkpoint cadence, still under the writer lock so the
+                // captured state is exactly the epoch just published. Only the
+                // capture (a clone of the annotations) happens here, and only
+                // on the commits the cadence selects; encoding and every byte
+                // of checkpoint I/O belong to the layer's background writer.
+                if dur.checkpoint_due() {
+                    dur.submit_checkpoint(EngineDurableState::capture(eng), snap);
+                }
+            }
+            Ok((epoch, wns, tns, viol))
+        })?;
         self.drain_durability_incidents();
         ServeCounters::bump(&sh.counters.snapshot_swaps);
         Ok(obj([
@@ -976,7 +965,7 @@ impl Server {
         for s in scenarios_json {
             scs.push(parse_scenario(s)?);
         }
-        let rep = lock(&sh.writer).evaluate(&scs, &opts);
+        let rep = self.with_writer(|eng| eng.evaluate(&scs, &opts));
         let rows: Vec<Json> = rep
             .scenarios
             .iter()
@@ -1018,7 +1007,7 @@ impl Server {
             cancel: Some(sh.shutdown.clone()),
             deadline: deadline.map(|d| d.remaining()),
         };
-        let mut rep = lock(&sh.writer).evaluate(&[Scenario::default()], &opts);
+        let mut rep = self.with_writer(|eng| eng.evaluate(&[Scenario::default()], &opts));
         let lane = rep.scenarios.pop().expect("one scenario, one report");
         lane.outcome.map_err(map_engine_err)?;
         let grads = lane.gradients.expect("a clean lane carries its gradients");
@@ -1084,6 +1073,13 @@ impl<R: Read> Read for Polled<'_, R> {
             }
         }
     }
+}
+
+/// A `stats` section: the `head` members, then one member per counter row.
+fn section<const N: usize>(head: [(&'static str, Json); N], rows: &[(&'static str, f64)]) -> Json {
+    obj(head
+        .into_iter()
+        .chain(rows.iter().map(|&(name, value)| (name, value.to_json()))))
 }
 
 /// The `report_slack` result for one resolved epoch: the per-request head
@@ -1762,7 +1758,7 @@ mod reply_identity {
         assert_eq!(counters, twin.counters());
         assert_eq!((counters.batch_scenarios, counters.batch_quarantined), (5, 2));
 
-        // The `stats` op shows the counters once a commit publishes them.
+        // The `stats` op shows the writer's counters, a commit's included.
         let commit = request(2, Op::Propagate, Json::Null);
         assert!(decoded(&served(&server, &commit)).ok);
         let mut s = twin.begin_session();

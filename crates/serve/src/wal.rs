@@ -105,7 +105,7 @@
 //! commit rate. `sync_interval = 0` is fsync-per-append as fast as the
 //! caller can go.
 
-use insta_engine::{ByteSink, Dec, Enc, EngineDurableState, TimingSnapshot, WriterOp};
+use insta_engine::{ByteSink, Dec, Enc, EngineDurableState, IncidentLog, TimingSnapshot, WriterOp};
 use insta_support::fault::{CrashPoint, CrashSwitch};
 use insta_support::hash::{crc32, Crc32};
 use insta_support::obs::LatencyHistogram;
@@ -228,10 +228,11 @@ pub struct DurabilityStats {
 }
 
 impl DurabilityStats {
-    /// Snapshot rows for the stats surface.
-    pub fn rows(&self) -> Vec<(&'static str, u64)> {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        vec![
+    /// The counters as `(name, value)` rows — the `stats.durability`
+    /// surface after its `enabled` and `fsync` flags.
+    pub fn rows(&self) -> [(&'static str, f64); 15] {
+        let g = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64;
+        [
             ("wal_records", g(&self.wal_records)),
             ("wal_bytes", g(&self.wal_bytes)),
             ("fsyncs", g(&self.fsyncs)),
@@ -244,9 +245,9 @@ impl DurabilityStats {
             ("checkpoints_superseded", g(&self.checkpoints_superseded)),
             ("wal_segments", g(&self.wal_segments)),
             ("last_checkpoint_ms", g(&self.last_checkpoint_ms)),
-            ("fdatasync_p50_us", self.fdatasync.quantile_us(0.50)),
-            ("fdatasync_p99_us", self.fdatasync.quantile_us(0.99)),
-            ("fdatasync_max_us", self.fdatasync.max_us()),
+            ("fdatasync_p50_us", self.fdatasync.quantile_us(0.50) as f64),
+            ("fdatasync_p99_us", self.fdatasync.quantile_us(0.99) as f64),
+            ("fdatasync_max_us", self.fdatasync.max_us() as f64),
         ]
     }
 }
@@ -311,7 +312,7 @@ struct Core {
     /// Wakes [`Durability::wait_idle`]: the writer found nothing to do.
     idle: Condvar,
     /// Failures of the background writer, until the server takes them.
-    incidents: Mutex<Vec<String>>,
+    incidents: Mutex<IncidentLog<String>>,
     /// Test hook: the next checkpoint panics mid-stream.
     panic_next: AtomicBool,
 }
@@ -472,7 +473,7 @@ impl Durability {
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
-            incidents: Mutex::new(Vec::new()),
+            incidents: Mutex::new(IncidentLog::with_capacity(INCIDENT_BACKLOG)),
             panic_next: AtomicBool::new(false),
         });
         let worker = {
@@ -564,8 +565,9 @@ impl Durability {
 
     /// Takes the background writer's failure messages recorded since the
     /// last call (each names the epoch it was for).
-    pub fn take_incidents(&self) -> Vec<String> {
-        std::mem::take(&mut *lock(&self.core.incidents))
+    pub fn take_incidents(&self) -> IncidentLog<String> {
+        let fresh = IncidentLog::with_capacity(INCIDENT_BACKLOG);
+        std::mem::replace(&mut *lock(&self.core.incidents), fresh)
     }
 
     /// Test hook: the next checkpoint the layer writes panics in the
@@ -603,11 +605,7 @@ impl Core {
     }
 
     fn incident(&self, message: String) {
-        let mut log = lock(&self.incidents);
-        if log.len() == INCIDENT_BACKLOG {
-            log.remove(0);
-        }
-        log.push(message);
+        lock(&self.incidents).record(message);
     }
 
     /// Waits for this append's slot on the sync schedule and books the
@@ -1316,9 +1314,9 @@ mod tests {
         assert_eq!(logged_epochs(&dir).len(), 10);
         let rows = d.stats.rows();
         let row = |k: &str| rows.iter().find(|(name, _)| *name == k).unwrap().1;
-        assert!(row("fdatasync_p50_us") > 0);
+        assert!(row("fdatasync_p50_us") > 0.0);
         assert!(row("fdatasync_p50_us") <= row("fdatasync_p99_us"));
-        assert!(row("fdatasync_max_us") > 0);
+        assert!(row("fdatasync_max_us") > 0.0);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1433,7 +1431,8 @@ mod tests {
         append(&d, 3..=3);
         let incidents = d.take_incidents();
         assert_eq!(incidents.len(), 1, "{incidents:?}");
-        assert!(incidents[0].contains("rotation refused"), "{incidents:?}");
+        let message = incidents.last().expect("one incident");
+        assert!(message.contains("rotation refused"), "{incidents:?}");
         drop(d);
         assert_eq!(logged_epochs(&dir), vec![1, 2, 3]);
         let _ = std::fs::remove_dir_all(dir);

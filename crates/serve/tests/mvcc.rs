@@ -178,7 +178,6 @@ fn a_pinned_epoch_keeps_its_rows_while_later_commits_rewrite_chunks() {
             while loads == 0 || !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 let snap = server.snapshot();
                 assert!(snap.epoch() >= last, "epoch went back");
-                assert_eq!(snap.epoch(), snap.counters().epoch, "a blended snapshot");
                 last = snap.epoch();
                 loads += 1;
             }

@@ -4,10 +4,10 @@
 
 mod common;
 
-use common::{build_engine, connect, slack_bits};
+use common::{build_engine, connect, slack_bits, Conn};
 use insta_serve::admission::{REJECTION_PRESSURE, SHED_PRESSURE, SNAPSHOT_ONLY_PRESSURE};
 use insta_serve::protocol::{read_frame, write_frame, FrameError};
-use insta_serve::{Client, Op, ServeConfig, Server};
+use insta_serve::{Client, DurabilityConfig, Op, ServeConfig, Server};
 use insta_support::json::{obj, parse, Json, ToJson};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -374,7 +374,7 @@ fn stats_journal_and_perf_surfaces_are_live() {
         insta_support::json::parse(line).expect("journal lines parse");
     }
 
-    // Gradients run in a rolled-back session: committed state unmoved.
+    // A gradient is a one-lane `evaluate`: committed state unmoved.
     let g = cl.call(Op::Gradient, None, Json::Null).unwrap();
     assert!(g.ok, "{:?}", g.error);
     assert!(g.result.get::<u64>("n_arcs").unwrap() > 0);
@@ -434,6 +434,211 @@ fn stats_shows_each_ops_server_side_latency() {
 
     drop(cl);
     h.join().unwrap();
+}
+
+/// The `engine` section of a fresh `stats` reply.
+fn engine_stats(cl: &mut Conn) -> Json {
+    let stats = cl.call(Op::Stats, None, Json::Null).unwrap();
+    stats.result.field("engine").unwrap().clone()
+}
+
+/// `stats.engine` is the writer's counters as its last op left them: a
+/// batch, a gradient and a refused update each show in the very next
+/// `stats`, with no commit between them to publish a snapshot.
+#[test]
+fn stats_engine_shows_the_writers_last_op_without_a_commit() {
+    let server = Server::new(build_engine(28, 4), ServeConfig::default());
+    let (mut cl, h) = connect(&server);
+    let count = |section: &Json, key: &str| section.get::<u64>(key).unwrap();
+    let scenario = |arc: u64| {
+        let params = delta_params(arc, 15.0 + arc as f64, 1.5);
+        params.field("deltas").unwrap().clone()
+    };
+    let before = engine_stats(&mut cl);
+
+    let scenarios = Json::Arr((0..3).map(scenario).collect());
+    let batch = cl
+        .call(Op::Batch, None, obj([("scenarios", scenarios)]))
+        .unwrap();
+    assert!(batch.ok, "{:?}", batch.error);
+    let after_batch = engine_stats(&mut cl);
+    assert_eq!(
+        count(&after_batch, "batches"),
+        count(&before, "batches") + 1
+    );
+    assert_eq!(
+        count(&after_batch, "batch_scenarios"),
+        count(&before, "batch_scenarios") + 3
+    );
+
+    let gradient = cl.call(Op::Gradient, None, Json::Null).unwrap();
+    assert!(gradient.ok, "{:?}", gradient.error);
+    let after_gradient = engine_stats(&mut cl);
+    assert_eq!(
+        count(&after_gradient, "batches"),
+        count(&after_batch, "batches") + 1
+    );
+
+    // An arc past the graph's is refused inside the session it opened.
+    let refused = cl
+        .call(Op::Update, None, delta_params(4_000_000, 15.0, 1.5))
+        .unwrap();
+    assert!(!refused.ok, "an out-of-range arc must be refused");
+    let after_refusal = engine_stats(&mut cl);
+    for key in ["sessions_begun", "sessions_rolled_back"] {
+        assert_eq!(
+            count(&after_refusal, key),
+            count(&after_gradient, key) + 1,
+            "{key}"
+        );
+    }
+    assert_eq!(count(&after_refusal, "epoch"), 0, "nothing committed");
+    assert_eq!(server.snapshot().epoch(), 0);
+
+    drop(cl);
+    h.join().unwrap();
+}
+
+/// Every leaf key path of a JSON object, in member order
+/// (`engine.epoch`, `latency_us.ping.p50`, ...).
+fn key_paths(value: &Json, prefix: &str, out: &mut Vec<String>) {
+    let Json::Obj(members) = value else {
+        out.push(prefix.to_owned());
+        return;
+    };
+    for (key, member) in members {
+        let path = if prefix.is_empty() {
+            key.clone()
+        } else {
+            format!("{prefix}.{key}")
+        };
+        key_paths(member, &path, out);
+    }
+}
+
+/// The `stats` layout of a durable daemon, pinned: no key moves, is
+/// renamed, or disappears — dashboards and the benchmark read these paths.
+#[test]
+fn a_durable_daemons_stats_layout_is_pinned() {
+    const LAYOUT: &[&str] = &[
+        "epoch",
+        "version",
+        "tier",
+        "pressure",
+        "inflight",
+        "engine.epoch",
+        "engine.sessions_begun",
+        "engine.sessions_committed",
+        "engine.sessions_rolled_back",
+        "engine.sessions_cancelled",
+        "engine.degraded_passes",
+        "engine.incremental_updates",
+        "engine.drift_updates",
+        "engine.drift_mass",
+        "engine.incidents_total",
+        "engine.incidents_dropped",
+        "engine.batches",
+        "engine.batch_scenarios",
+        "engine.batch_quarantined",
+        "engine.mcmm_corner_lanes",
+        "engine.mcmm_deduped",
+        "service.accepted",
+        "service.rejected_overload",
+        "service.shed",
+        "service.rejected_protocol",
+        "service.deadline_cancelled",
+        "service.deadline_overshoot",
+        "service.degraded_reports",
+        "service.panics_isolated",
+        "service.snapshot_swaps",
+        "service.connections_opened",
+        "service.connections_closed",
+        "service.slack_images_built",
+        "service.slack_image_hits",
+        "durability.enabled",
+        "durability.fsync",
+        "durability.wal_records",
+        "durability.wal_bytes",
+        "durability.fsyncs",
+        "durability.wal_append_failures",
+        "durability.checkpoints_written",
+        "durability.checkpoint_failures",
+        "durability.last_checkpoint_epoch",
+        "durability.sync_wait_us",
+        "durability.checkpoint_inflight",
+        "durability.checkpoints_superseded",
+        "durability.wal_segments",
+        "durability.last_checkpoint_ms",
+        "durability.fdatasync_p50_us",
+        "durability.fdatasync_p99_us",
+        "durability.fdatasync_max_us",
+        "latency_us.ping.p50",
+        "latency_us.ping.p99",
+        "latency_us.ping.max",
+        "latency_us.stats.p50",
+        "latency_us.stats.p99",
+        "latency_us.stats.max",
+        "latency_us.report_slack.p50",
+        "latency_us.report_slack.p99",
+        "latency_us.report_slack.max",
+        "latency_us.report_at.p50",
+        "latency_us.report_at.p99",
+        "latency_us.report_at.max",
+        "latency_us.perf_report.p50",
+        "latency_us.perf_report.p99",
+        "latency_us.perf_report.max",
+        "latency_us.incidents.p50",
+        "latency_us.incidents.p99",
+        "latency_us.incidents.max",
+        "latency_us.journal.p50",
+        "latency_us.journal.p99",
+        "latency_us.journal.max",
+        "latency_us.update.p50",
+        "latency_us.update.p99",
+        "latency_us.update.max",
+        "latency_us.propagate.p50",
+        "latency_us.propagate.p99",
+        "latency_us.propagate.max",
+        "latency_us.batch.p50",
+        "latency_us.batch.p99",
+        "latency_us.batch.max",
+        "latency_us.gradient.p50",
+        "latency_us.gradient.p99",
+        "latency_us.gradient.max",
+        "latency_us.shutdown.p50",
+        "latency_us.shutdown.p99",
+        "latency_us.shutdown.max",
+        "latency_us.debug_stall.p50",
+        "latency_us.debug_stall.p99",
+        "latency_us.debug_stall.max",
+        "latency_us.debug_panic.p50",
+        "latency_us.debug_panic.p99",
+        "latency_us.debug_panic.max",
+        "service_incidents",
+    ];
+    let dir = std::env::temp_dir().join(format!("insta-stats-layout-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (server, _) = Server::with_durability(
+        build_engine(29, 4),
+        ServeConfig::default(),
+        DurabilityConfig::new(&dir),
+    )
+    .unwrap();
+    let (mut cl, h) = connect(&server);
+    let up = cl
+        .call(Op::Update, None, delta_params(1, 20.0, 2.0))
+        .unwrap();
+    assert!(up.ok, "{:?}", up.error);
+    let stats = cl.call(Op::Stats, None, Json::Null).unwrap();
+    let mut paths = Vec::new();
+    key_paths(&stats.result, "", &mut paths);
+    assert_eq!(paths, LAYOUT);
+    let durability = stats.result.field("durability").unwrap();
+    assert_eq!(durability.get::<u64>("wal_records").unwrap(), 1);
+    drop(cl);
+    h.join().unwrap();
+    drop(server);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// One request on a fresh connection, and its reply frame byte for byte.

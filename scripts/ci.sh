@@ -32,6 +32,7 @@ echo "    validity gate (generated state machine over every annotation- and prod
 echo "    cone-equivalence gate (session cone updates bit-identical to reannotate + full pass, rollbacks by the undo log bit-identical to never having run, arrays and report; batched calls and failed cone sessions leave the engine's bits untouched after clean, quarantined, cancelled and panicked sweeps): insta-engine cone_equivalence"
 echo "    kernel-equivalence gate (production kernels bit-identical to the frozen scalar kernels across K, threads, fused passes, hold, gradients and batch lanes; a startpoint with one fanin arc keeps its launch seed; a virtual hop that reorders falls back to materialising, its rank breaks a corner tie, and every pass span counts the fallback; merge-free chains equal the sorted sums of means and variances): insta-engine kernel_equivalence"
 echo "    server-chaos gate (protocol-fault storm: no hangs, no panics, typed errors, bit-identical post-storm commit; TCP round trip: 50 pings over loopback p50 < 5 ms; TCP connections: one past the 64-connection cap gets one typed overloaded frame and is closed, one silent 5 s (between frames or inside one, 64 such fill and then free the cap) or open at shutdown is closed, a frame written in pieces keeps sync, closed == opened; gradient replies equal a twin's gradients bit for bit and move no later commit; reply byte identity: image-spliced replies equal the tree encoder's bytes on generated reports and a live daemon, one image per epoch read under 8 racing readers): insta-serve"
+echo "    stats-surface gate (stats.engine shows a batch, a gradient and a refused update with no commit between them; a durable daemon's stats key paths equal a pinned literal list, in order): insta-serve service stats_engine_shows_the_writers_last_op_without_a_commit, a_durable_daemons_stats_layout_is_pinned"
 echo "    decoder gate (generated and mutated JSON documents equal the frozen pre-one-pass parser on to_bits wherever it read a valid, finite document, and are a positioned JsonError otherwise, never a panic; written trees parse back bit for bit; digit runs across 8-byte words and at the last byte; frame streams give a body or a typed FrameError within max_bytes; the strict number grammar refuses 01, 00.5, 1., 1.e5, -.5 and 1e400, one case each): insta-serve decoders, insta-support json"
 echo "    crash-recovery gate (kill -9 chaos: every crash point + durability fault recovers the durable prefix bit-exactly, incl. a real SIGKILL of the insta-serve binary; an unreplayable record is cut out of the log and a segment the cut empties is renamed, so no rotation replaces it; an engine failure stops recovery with every file byte-identical; a flipped stored slack bit makes a checkpoint stale and the log rebuilds): insta-serve recovery, engine_failure, checkpoint"
 cargo test -q --workspace --offline
