@@ -365,30 +365,6 @@ impl TimingGraph {
     pub fn clock_tree(&self) -> &ClockTree {
         &self.clock_tree
     }
-
-    /// Collects every node reachable from `seeds` (inclusive) in fanout
-    /// direction — the "dirty cone" used by incremental updates.
-    pub fn fanout_cone(&self, seeds: &[NodeId]) -> Vec<NodeId> {
-        let mut seen = vec![false; self.num_nodes()];
-        let mut stack: Vec<NodeId> = seeds.to_vec();
-        let mut cone = Vec::new();
-        while let Some(v) = stack.pop() {
-            if seen[v.index()] {
-                continue;
-            }
-            seen[v.index()] = true;
-            cone.push(v);
-            for &ai in self.fanout(v) {
-                let w = self.arcs[ai as usize].to;
-                if !seen[w.index()] {
-                    stack.push(w);
-                }
-            }
-        }
-        // Level-major order so the caller can re-propagate in one pass.
-        cone.sort_by_key(|&v| (self.level_of(v), v.0));
-        cone
-    }
 }
 
 /// Builds a CSR from `n` buckets and an iterator of bucket assignments
@@ -515,23 +491,5 @@ mod tests {
         d.connect("b", d.cell_pin(g1, "Y"), vec![d.cell_pin(g0, "A")]);
         let err = TimingGraph::build(&d).unwrap_err();
         assert!(matches!(err, BuildGraphError::CombinationalLoop { unlevelized: 4 }));
-    }
-
-    #[test]
-    fn fanout_cone_collects_downstream_nodes_in_level_order() {
-        let d = small_design();
-        let g = TimingGraph::build(&d).expect("build");
-        let q = g
-            .sources()
-            .iter()
-            .copied()
-            .find(|&s| d.pin(g.pin_of(s)).name == "f0/Q")
-            .expect("flop Q source");
-        let cone = g.fanout_cone(&[q]);
-        // Q -> g0/B -> g0/Y -> g1/A -> g1/Y -> {out, f0/D} = 7 nodes.
-        assert_eq!(cone.len(), 7);
-        for w in cone.windows(2) {
-            assert!(g.level_of(w[0]) <= g.level_of(w[1]));
-        }
     }
 }

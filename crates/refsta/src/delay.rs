@@ -89,23 +89,9 @@ impl DelayCalc {
         out
     }
 
-    /// Re-annotates only the given nodes (must be in level order); used by
-    /// the incremental path.
-    pub fn annotate_nodes(
-        &self,
-        design: &Design,
-        graph: &TimingGraph,
-        nodes: &[NodeId],
-        out: &mut ArcDelays,
-    ) {
-        for &node in nodes {
-            self.annotate_node(design, graph, node, out);
-        }
-    }
-
     /// Computes incoming-arc delays and the worst slew of one node, given
     /// that every fanin node has already been processed.
-    fn annotate_node(
+    pub(crate) fn annotate_node(
         &self,
         design: &Design,
         graph: &TimingGraph,

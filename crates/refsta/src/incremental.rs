@@ -1,69 +1,173 @@
 //! Incremental timing update — the `update_timing` analogue.
 //!
-//! After a set of cells change (gate sizing), only the *dirty cone* needs
-//! re-analysis: the fanout cones of the drivers feeding the changed cells
-//! (their loads, and hence their delays and output slews, changed) plus the
-//! changed cells themselves. Delay re-annotation and arrival re-propagation
-//! run over that cone in level order; endpoint evaluation is then refreshed
-//! from the (partially updated) arrival maps.
+//! Resizing a cell changes three inputs of the delay calculation: the
+//! cell's own library arcs, the capacitance of its input pins, and so the
+//! load seen by the drivers of the nets those pins sit on. Nothing else a
+//! node's annotation reads — wire parasitics, other cells' tables and
+//! loads — moves. The nodes a resize changes *directly* are therefore the
+//! **seeds**: the resized cells' pins and the drivers of the nets those
+//! pins load.
+//!
+//! # The frontier sweep
+//!
+//! Level-bucketed worklists start from the seeds and are visited in level
+//! order. A queued node has its fanin arcs and slew re-annotated by the
+//! body the full annotation runs, and its two arrival maps recomputed — a
+//! startpoint's from its launch, any other node's by the full propagation's
+//! own reduction. Its fanout is queued only if the slew or a map entry
+//! changed on `to_bits`. Only the endpoints on changed nodes are
+//! re-evaluated; WNS, TNS and the violation count are then re-reduced over
+//! every endpoint in endpoint order, as the full update sums them.
+//!
+//! **Why this equals [`RefSta::full_update`] (induction over levels).**
+//! Away from the seeds, a node's arc delays, slew and arrival maps are pure
+//! functions of its fanins' slews and maps. Assume every node below level
+//! `l` holds the full update's bits. A level-`l` node that was not queued
+//! is no seed and has no changed fanin, so its old bits are the full
+//! update's; a queued one is recomputed by the full update's expressions
+//! from fanins that are final. Hence level `l` is final too. The sweep is
+//! bounded by changed *values*, not by the structural fanout cone.
+//!
+//! **What re-times in full.** A flop or a cell on the clock network moves
+//! clock arrivals, launch and required times and CPPR credit, which reach
+//! endpoints the data graph does not connect to the change. A changelist
+//! that touches one re-times through [`RefSta::full_update`], as does the
+//! first update after the configuration or the exceptions were handed out
+//! mutably.
 //!
 //! This is the "in-house, highly-optimized CPU STA engine" role in the
 //! paper's Figure 7 comparison; the full [`RefSta::full_update`] plays the
 //! commercial-tool role.
 
-use crate::sta::{RefSta, StaReport};
-use insta_netlist::{CellId, Design, NodeId};
+use crate::sta::{EpInfo, RefSta, SpArrival, SpInfo, StaReport};
+use insta_netlist::{CellId, Design, NodeId, TimingGraph};
 
-impl RefSta {
-    /// Collects the dirty nodes implied by resizing `changed_cells`:
-    /// the fanout cones of every net driver feeding a changed cell, plus
-    /// the cells' own pins. Returned in level-major order.
-    pub fn dirty_cone(&self, design: &Design, changed_cells: &[CellId]) -> Vec<NodeId> {
-        let mut seeds: Vec<NodeId> = Vec::new();
-        for &c in changed_cells {
-            for &pin in &design.cell(c).pins {
-                if let Some(node) = self.graph.node_of(pin) {
-                    seeds.push(node);
-                }
-                let p = design.pin(pin);
-                if !p.is_driver() {
-                    if let Some(net) = p.net {
-                        let drv = design.net(net).driver;
-                        if let Some(node) = self.graph.node_of(drv) {
-                            seeds.push(node);
-                        }
-                    }
-                }
-            }
+/// Marks a node that is no startpoint (or no endpoint).
+const NONE: u32 = u32::MAX;
+
+/// Persistent scratch of the incremental update, sized once per graph.
+#[derive(Debug, Default)]
+pub(crate) struct Frontier {
+    /// Per level: the nodes queued for the current update.
+    buckets: Vec<Vec<NodeId>>,
+    /// Per node: whether it sits in a bucket.
+    queued: Vec<bool>,
+    /// Per node: its startpoint index, or [`NONE`].
+    sp_of: Vec<u32>,
+    /// Per node: its endpoint index, or [`NONE`].
+    ep_of: Vec<u32>,
+    /// Candidate buffer of the arrival-map reduction, reused by every node.
+    cands: Vec<SpArrival>,
+}
+
+impl Frontier {
+    pub(crate) fn new(graph: &TimingGraph, sp_infos: &[SpInfo], ep_infos: &[EpInfo]) -> Self {
+        let n = graph.num_nodes();
+        let mut sp_of = vec![NONE; n];
+        for (i, sp) in sp_infos.iter().enumerate() {
+            sp_of[sp.node.index()] = i as u32;
         }
-        self.graph.fanout_cone(&seeds)
+        let mut ep_of = vec![NONE; n];
+        for (i, ep) in ep_infos.iter().enumerate() {
+            ep_of[ep.node.index()] = i as u32;
+        }
+        Self {
+            buckets: vec![Vec::new(); graph.num_levels()],
+            queued: vec![false; n],
+            sp_of,
+            ep_of,
+            cands: Vec::new(),
+        }
     }
 
+    /// Queues `node` in its level's bucket unless it is already there.
+    fn queue(&mut self, graph: &TimingGraph, node: NodeId) {
+        if !std::mem::replace(&mut self.queued[node.index()], true) {
+            self.buckets[graph.level_of(node) as usize].push(node);
+        }
+    }
+}
+
+impl RefSta {
     /// Incrementally re-times the design after the given cells were
     /// resized. Topology must be unchanged (same pins/nets); only library
     /// cells may differ from the last update.
     ///
-    /// Returns the refreshed design report. The result matches
-    /// [`RefSta::full_update`] exactly (it is a pruning of the same
-    /// computation, not an approximation) as long as clock-network cells
-    /// were not touched.
+    /// Returns the refreshed design report, bit-identical to
+    /// [`RefSta::full_update`]: it is a pruning of the same computation,
+    /// not an approximation (see the module docs).
     pub fn incremental_update(&mut self, design: &Design, changed_cells: &[CellId]) -> StaReport {
-        let dirty = self.dirty_cone(design, changed_cells);
-        // Re-annotate delays and slews over the cone (level order).
-        let calc = self.config.delay_calc.clone();
-        calc.annotate_nodes(design, &self.graph, &dirty, &mut self.delays);
-        // Dirty source nodes (flop Q loads may have changed) need their
-        // launch arrivals refreshed; re-initializing all sources is cheap
-        // and exact.
-        let any_source_dirty = dirty
-            .iter()
-            .any(|&v| self.graph.fanin(v).is_empty());
-        if any_source_dirty {
-            self.init_sources(design);
+        // The data graph leaves out exactly the pins whose timing comes
+        // from the clock network: flop CK pins and every pin on a clock
+        // net. A cell with such a pin re-times in full.
+        let touches_clock = changed_cells.iter().any(|&c| {
+            design
+                .cell(c)
+                .pins
+                .iter()
+                .any(|&p| self.graph.node_of(p).is_none())
+        });
+        if self.full_pending || touches_clock {
+            return self.full_update(design);
         }
-        self.propagate_nodes(&dirty);
-        self.evaluate_endpoints();
+        for &c in changed_cells {
+            for &pin in &design.cell(c).pins {
+                let p = design.pin(pin);
+                let loaded = p
+                    .net
+                    .filter(|_| !p.is_driver())
+                    .map(|net| design.net(net).driver);
+                for seed in std::iter::once(pin).chain(loaded) {
+                    if let Some(node) = self.graph.node_of(seed) {
+                        self.frontier.queue(&self.graph, node);
+                    }
+                }
+            }
+        }
+        let mut cands = std::mem::take(&mut self.frontier.cands);
+        for level in 0..self.frontier.buckets.len() {
+            let mut bucket = std::mem::take(&mut self.frontier.buckets[level]);
+            for &node in &bucket {
+                // Nothing below this level is left to queue it again.
+                self.frontier.queued[node.index()] = false;
+                if !self.retime_node(design, node, &mut cands) {
+                    continue;
+                }
+                let ep = self.frontier.ep_of[node.index()];
+                if ep != NONE {
+                    self.report.endpoints[ep as usize] = self.evaluate_endpoint(ep as usize);
+                }
+                for &ai in self.graph.fanout(node) {
+                    self.frontier.queue(&self.graph, self.graph.arc(ai).to);
+                }
+            }
+            bucket.clear();
+            self.frontier.buckets[level] = bucket;
+        }
+        self.frontier.cands = cands;
+        self.summarize_endpoints();
         self.report.clone()
+    }
+
+    /// Re-annotates one node and recomputes its arrival maps; returns
+    /// whether its slew or any map entry changed bits.
+    fn retime_node(&mut self, design: &Design, node: NodeId, cands: &mut Vec<SpArrival>) -> bool {
+        let old_slew = self.delays.node_slew[node.index()];
+        self.config
+            .delay_calc
+            .annotate_node(design, &self.graph, node, &mut self.delays);
+        let new_slew = self.delays.node_slew[node.index()];
+        let slew_changed = old_slew
+            .iter()
+            .zip(&new_slew)
+            .any(|(a, b)| a.to_bits() != b.to_bits());
+        let sp = self.frontier.sp_of[node.index()];
+        let maps_changed = if sp != NONE {
+            self.init_source(design, sp as usize)
+        } else {
+            self.propagate_node(node, cands)
+        };
+        slew_changed | maps_changed
     }
 }
 
@@ -110,21 +214,13 @@ mod tests {
         let mut fresh = RefSta::new(&design, StaConfig::default()).expect("build");
         let full_report = fresh.full_update(&design);
 
-        assert!(
-            (inc_report.wns_ps - full_report.wns_ps).abs() < 1e-6,
-            "WNS mismatch: {} vs {}",
-            inc_report.wns_ps,
-            full_report.wns_ps
-        );
-        assert!(
-            (inc_report.tns_ps - full_report.tns_ps).abs() < 1e-6,
-            "TNS mismatch: {} vs {}",
-            inc_report.tns_ps,
-            full_report.tns_ps
-        );
+        assert_eq!(inc_report.wns_ps.to_bits(), full_report.wns_ps.to_bits());
+        assert_eq!(inc_report.tns_ps.to_bits(), full_report.tns_ps.to_bits());
+        assert_eq!(inc_report.n_violations, full_report.n_violations);
         for (a, b) in inc_report.endpoints.iter().zip(&full_report.endpoints) {
-            assert!(
-                (a.slack_ps - b.slack_ps).abs() < 1e-6,
+            assert_eq!(
+                a.slack_ps.to_bits(),
+                b.slack_ps.to_bits(),
                 "endpoint slack mismatch at {:?}: {} vs {}",
                 a.ep,
                 a.slack_ps,
@@ -141,25 +237,5 @@ mod tests {
         let after = sta.incremental_update(&design, &[]);
         assert_eq!(before.wns_ps, after.wns_ps);
         assert_eq!(before.tns_ps, after.tns_ps);
-    }
-
-    #[test]
-    fn dirty_cone_is_a_small_subset() {
-        let design = generate_design(&GeneratorConfig::medium("inc3", 8));
-        let sta = RefSta::new(&design, StaConfig::default()).expect("build");
-        // A cell near the end of the netlist (late level) has a small cone.
-        let last_comb = (0..design.cells().len() as u32)
-            .rev()
-            .map(CellId)
-            .find(|&c| !design.lib_cell_of(c).is_sequential())
-            .expect("comb cell");
-        let cone = sta.dirty_cone(&design, &[last_comb]);
-        assert!(!cone.is_empty());
-        assert!(
-            cone.len() < sta.graph().num_nodes() / 2,
-            "cone {} should be far smaller than the graph {}",
-            cone.len(),
-            sta.graph().num_nodes()
-        );
     }
 }

@@ -14,6 +14,7 @@
 use crate::clocktime::{ClockModelError, ClockTiming};
 use crate::delay::{ArcDelays, DelayCalc};
 use crate::exceptions::{EpId, ExceptionSet, SpId};
+use crate::incremental::Frontier;
 use insta_liberty::{ArcKind, TimingSense, Transition};
 use insta_netlist::{BuildGraphError, CellId, Design, NodeId, PinId, TimingGraph};
 use insta_support::obs::Recorder;
@@ -171,6 +172,12 @@ pub struct RefSta {
     pub(crate) prune_window: f64,
     pub(crate) period: f64,
     pub(crate) report: StaReport,
+    /// Set until the first full update and whenever the configuration or
+    /// the exceptions are handed out mutably: the next incremental update
+    /// then runs as a full one.
+    pub(crate) full_pending: bool,
+    /// Persistent scratch of the incremental update.
+    pub(crate) frontier: Frontier,
 }
 
 impl RefSta {
@@ -200,8 +207,11 @@ impl RefSta {
             prune_window: 0.0,
             period: f64::INFINITY,
             report: StaReport::default(),
+            full_pending: true,
+            frontier: Frontier::default(),
         };
         engine.index_points(design);
+        engine.frontier = Frontier::new(&engine.graph, &engine.sp_infos, &engine.ep_infos);
         Ok(engine)
     }
 
@@ -253,12 +263,14 @@ impl RefSta {
 
     /// Mutable access to the exceptions (changes apply on the next update).
     pub fn exceptions_mut(&mut self) -> &mut ExceptionSet {
+        self.full_pending = true;
         &mut self.config.exceptions
     }
 
     /// Mutable access to the configuration (changes apply on the next
     /// update); used by the SDC front end.
     pub fn config_mut(&mut self) -> &mut StaConfig {
+        self.full_pending = true;
         &mut self.config
     }
 
@@ -409,6 +421,7 @@ impl RefSta {
             r.begin("refsta.endpoints");
         }
         self.evaluate_endpoints();
+        self.full_pending = false;
         if let Some(r) = rec.as_deref_mut() {
             r.end_with(&[("endpoints", self.report.endpoints.len() as f64)]);
             r.end_with(&[
@@ -452,145 +465,170 @@ impl RefSta {
     /// clock plus the CK→Q arc; primary inputs from the configured input
     /// delay.
     pub(crate) fn init_sources(&mut self, design: &Design) {
-        for (sp_idx, sp) in self.sp_infos.iter().enumerate() {
-            let maps = &mut self.arrivals[sp.node.index()];
-            match sp.flop {
-                Some(flop) => {
-                    let fc = *self.clock.flop(flop).expect("flop is clocked");
-                    let lc = design.lib_cell_of(flop);
-                    let launch = lc
-                        .arcs()
-                        .iter()
-                        .find(|a| a.kind == ArcKind::Launch)
-                        .expect("flop has a launch arc");
-                    let load = design.driver_load_ff(sp.pin);
-                    for tr in Transition::BOTH {
-                        let d = launch.delay(tr).lookup(fc.slew, load);
-                        let s = launch.sigma_coeff * d;
-                        maps[tr.index()] = vec![SpArrival {
-                            sp: sp_idx as u32,
-                            mean: fc.mean * self.config.derate_late + d,
-                            sigma: rss(fc.sigma, s),
-                        }];
-                    }
-                }
-                None => {
-                    for tr in Transition::BOTH {
-                        maps[tr.index()] = vec![SpArrival {
-                            sp: sp_idx as u32,
-                            mean: self.config.input_delay_ps,
-                            sigma: 0.0,
-                        }];
-                    }
-                }
-            }
+        for sp_idx in 0..self.sp_infos.len() {
+            self.init_source(design, sp_idx);
         }
+    }
+
+    /// Initializes the arrival maps of startpoint `sp_idx`; returns whether
+    /// any entry changed bits.
+    pub(crate) fn init_source(&mut self, design: &Design, sp_idx: usize) -> bool {
+        let sp = self.sp_infos[sp_idx];
+        let entries = match sp.flop {
+            Some(flop) => {
+                let fc = *self.clock.flop(flop).expect("flop is clocked");
+                let lc = design.lib_cell_of(flop);
+                let launch = lc
+                    .arcs()
+                    .iter()
+                    .find(|a| a.kind == ArcKind::Launch)
+                    .expect("flop has a launch arc");
+                let load = design.driver_load_ff(sp.pin);
+                Transition::BOTH.map(|tr| {
+                    let d = launch.delay(tr).lookup(fc.slew, load);
+                    let s = launch.sigma_coeff * d;
+                    SpArrival {
+                        sp: sp_idx as u32,
+                        mean: fc.mean * self.config.derate_late + d,
+                        sigma: rss(fc.sigma, s),
+                    }
+                })
+            }
+            None => {
+                [SpArrival {
+                    sp: sp_idx as u32,
+                    mean: self.config.input_delay_ps,
+                    sigma: 0.0,
+                }; 2]
+            }
+        };
+        let mut changed = false;
+        for (map, e) in self.arrivals[sp.node.index()].iter_mut().zip(&entries) {
+            changed |= store_map(map, std::slice::from_ref(e));
+        }
+        changed
     }
 
     /// Re-propagates arrival maps for the given nodes, which must be in
     /// level-major order and closed under fanin-dirtiness (every dirty
     /// fanin appears earlier in the slice).
     pub fn propagate_nodes(&mut self, nodes: &[NodeId]) {
-        let n_sigma = self.config.n_sigma;
         let mut cands: Vec<SpArrival> = Vec::new();
         for &node in nodes {
-            let fanin = self.graph.fanin(node);
-            if fanin.is_empty() {
-                continue; // sources keep their initialization
-            }
-            for tr in Transition::BOTH {
-                cands.clear();
-                for &ai in fanin {
-                    let from = self.graph.arc(ai).from;
-                    let mean = self.delays.mean[ai as usize][tr.index()];
-                    let sigma = self.delays.sigma[ai as usize][tr.index()];
-                    for ptr in input_transitions(self.delays.sense[ai as usize], tr) {
-                        for e in &self.arrivals[from.index()][ptr.index()] {
-                            cands.push(SpArrival {
-                                sp: e.sp,
-                                mean: e.mean + mean,
-                                sigma: rss(e.sigma, sigma),
-                            });
-                        }
+            self.propagate_node(node, &mut cands);
+        }
+    }
+
+    /// Recomputes the arrival maps of one non-source node from its fanins'
+    /// maps and its fanin arcs' delays, in place; returns whether any entry
+    /// changed bits. Sources keep their initialization.
+    pub(crate) fn propagate_node(&mut self, node: NodeId, cands: &mut Vec<SpArrival>) -> bool {
+        let fanin = self.graph.fanin(node);
+        if fanin.is_empty() {
+            return false;
+        }
+        let mut changed = false;
+        for tr in Transition::BOTH {
+            cands.clear();
+            for &ai in fanin {
+                let from = self.graph.arc(ai).from;
+                let mean = self.delays.mean[ai as usize][tr.index()];
+                let sigma = self.delays.sigma[ai as usize][tr.index()];
+                for ptr in input_transitions(self.delays.sense[ai as usize], tr) {
+                    for e in &self.arrivals[from.index()][ptr.index()] {
+                        cands.push(SpArrival {
+                            sp: e.sp,
+                            mean: e.mean + mean,
+                            sigma: rss(e.sigma, sigma),
+                        });
                     }
                 }
-                let reduced = reduce_map(
-                    &mut cands,
-                    n_sigma,
-                    self.config.sp_cap,
-                    self.config.sp_keep_min,
-                    self.prune_window,
-                );
-                self.arrivals[node.index()][tr.index()] = reduced;
             }
+            reduce_map(
+                cands,
+                self.config.n_sigma,
+                self.config.sp_cap,
+                self.config.sp_keep_min,
+                self.prune_window,
+            );
+            changed |= store_map(&mut self.arrivals[node.index()][tr.index()], cands);
         }
+        changed
     }
 
     /// Recomputes endpoint slacks and the design report from the current
     /// arrival maps.
     pub fn evaluate_endpoints(&mut self) {
+        self.report.endpoints = (0..self.ep_infos.len())
+            .map(|ep_idx| self.evaluate_endpoint(ep_idx))
+            .collect();
+        self.summarize_endpoints();
+    }
+
+    /// The worst-slack report of endpoint `ep_idx` from its arrival maps.
+    pub(crate) fn evaluate_endpoint(&self, ep_idx: usize) -> EndpointReport {
         let n_sigma = self.config.n_sigma;
         let tree = self.graph.clock_tree();
-        let mut endpoints = Vec::with_capacity(self.ep_infos.len());
+        let ep = &self.ep_infos[ep_idx];
+        let ep_id = EpId(ep_idx as u32);
+        let mut best = EndpointReport {
+            ep: ep_id,
+            pin: ep.pin,
+            slack_ps: f64::INFINITY,
+            arrival_ps: f64::NEG_INFINITY,
+            required_ps: f64::INFINITY,
+            worst_sp: None,
+            transition: Transition::Rise,
+        };
+        for tr in Transition::BOTH {
+            for e in &self.arrivals[ep.node.index()][tr.index()] {
+                let sp_id = SpId(e.sp);
+                if self.config.exceptions.is_false(sp_id, ep_id) {
+                    continue;
+                }
+                let mut required = ep.required_base;
+                let mcp = self.config.exceptions.multicycle_factor(sp_id, ep_id);
+                if mcp > 1 {
+                    // Extra capture cycles; the period is recoverable
+                    // from required_base only for PO endpoints, so use
+                    // the credit-free form: add (n-1) periods directly.
+                    required += (mcp - 1) as f64 * self.period_hint();
+                }
+                if self.config.cppr_enabled {
+                    if let (Some(la), Some(lb)) = (self.sp_infos[e.sp as usize].leaf, ep.leaf) {
+                        required += self.clock.cppr_credit(tree, la, lb);
+                    }
+                }
+                let arrival = e.corner(n_sigma);
+                let slack = required - arrival;
+                if slack < best.slack_ps {
+                    best.slack_ps = slack;
+                    best.arrival_ps = arrival;
+                    best.required_ps = required;
+                    best.worst_sp = Some(sp_id);
+                    best.transition = tr;
+                }
+            }
+        }
+        best
+    }
+
+    /// Re-reduces WNS, TNS and the violation count over every endpoint
+    /// report, in endpoint order.
+    pub(crate) fn summarize_endpoints(&mut self) {
         let mut wns = f64::INFINITY;
         let mut tns = 0.0;
         let mut viol = 0usize;
-        for (ep_idx, ep) in self.ep_infos.iter().enumerate() {
-            let ep_id = EpId(ep_idx as u32);
-            let mut best = EndpointReport {
-                ep: ep_id,
-                pin: ep.pin,
-                slack_ps: f64::INFINITY,
-                arrival_ps: f64::NEG_INFINITY,
-                required_ps: f64::INFINITY,
-                worst_sp: None,
-                transition: Transition::Rise,
-            };
-            for tr in Transition::BOTH {
-                for e in &self.arrivals[ep.node.index()][tr.index()] {
-                    let sp_id = SpId(e.sp);
-                    if self.config.exceptions.is_false(sp_id, ep_id) {
-                        continue;
-                    }
-                    let mut required = ep.required_base;
-                    let mcp = self.config.exceptions.multicycle_factor(sp_id, ep_id);
-                    if mcp > 1 {
-                        // Extra capture cycles; the period is recoverable
-                        // from required_base only for PO endpoints, so use
-                        // the credit-free form: add (n-1) periods directly.
-                        required += (mcp - 1) as f64 * self.period_hint();
-                    }
-                    if self.config.cppr_enabled {
-                        if let (Some(la), Some(lb)) =
-                            (self.sp_infos[e.sp as usize].leaf, ep.leaf)
-                        {
-                            required += self.clock.cppr_credit(tree, la, lb);
-                        }
-                    }
-                    let arrival = e.corner(n_sigma);
-                    let slack = required - arrival;
-                    if slack < best.slack_ps {
-                        best.slack_ps = slack;
-                        best.arrival_ps = arrival;
-                        best.required_ps = required;
-                        best.worst_sp = Some(sp_id);
-                        best.transition = tr;
-                    }
-                }
-            }
-            if best.slack_ps < 0.0 {
-                tns += best.slack_ps;
+        for r in &self.report.endpoints {
+            if r.slack_ps < 0.0 {
+                tns += r.slack_ps;
                 viol += 1;
             }
-            wns = wns.min(best.slack_ps);
-            endpoints.push(best);
+            wns = wns.min(r.slack_ps);
         }
-        self.report = StaReport {
-            wns_ps: wns,
-            tns_ps: tns,
-            n_violations: viol,
-            endpoints,
-        };
+        self.report.wns_ps = wns;
+        self.report.tns_ps = tns;
+        self.report.n_violations = viol;
     }
 
     fn period_hint(&self) -> f64 {
@@ -677,17 +715,11 @@ pub fn input_transitions(sense: TimingSense, out: Transition) -> &'static [Trans
     }
 }
 
-/// Reduces a candidate list to a unique-startpoint map sorted by descending
-/// corner: window-pruned beyond `keep_min`, capped at `cap`.
-fn reduce_map(
-    cands: &mut Vec<SpArrival>,
-    n_sigma: f64,
-    cap: usize,
-    keep_min: usize,
-    window: f64,
-) -> SpMap {
+/// Reduces a candidate list in place to a unique-startpoint map sorted by
+/// descending corner: window-pruned beyond `keep_min`, capped at `cap`.
+fn reduce_map(cands: &mut Vec<SpArrival>, n_sigma: f64, cap: usize, keep_min: usize, window: f64) {
     if cands.is_empty() {
-        return Vec::new();
+        return;
     }
     // Unique per startpoint: keep the max corner.
     cands.sort_unstable_by(|a, b| {
@@ -698,17 +730,30 @@ fn reduce_map(
     // Sort by criticality.
     cands.sort_unstable_by(|a, b| b.corner(n_sigma).total_cmp(&a.corner(n_sigma)));
     let best = cands[0].corner(n_sigma);
-    let mut out: SpMap = Vec::with_capacity(cands.len().min(cap));
-    for (i, e) in cands.iter().enumerate() {
-        if i >= cap {
-            break;
-        }
+    let mut kept = 0;
+    for (i, e) in cands.iter().enumerate().take(cap) {
         if i >= keep_min && best - e.corner(n_sigma) > window {
             break;
         }
-        out.push(*e);
+        kept = i + 1;
     }
-    out
+    cands.truncate(kept);
+}
+
+/// Overwrites `map` with `new` (keeping its capacity) if the two differ in
+/// length or in any entry's bits; returns whether they differed.
+fn store_map(map: &mut SpMap, new: &[SpArrival]) -> bool {
+    let same = map.len() == new.len()
+        && map.iter().zip(new).all(|(a, b)| {
+            a.sp == b.sp
+                && a.mean.to_bits() == b.mean.to_bits()
+                && a.sigma.to_bits() == b.sigma.to_bits()
+        });
+    if !same {
+        map.clear();
+        map.extend_from_slice(new);
+    }
+    !same
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //!
 //! * **full** — the reference engine's from-scratch `full_update` (the
 //!   commercial-tool role of Fig. 7),
-//! * **incremental** — the reference engine's dirty-cone
-//!   `incremental_update` (the "in-house, highly-optimized CPU STA" role),
+//! * **incremental** — the reference engine's `incremental_update`, which
+//!   re-times only the nodes whose slew or arrivals a resize changed (the
+//!   "in-house, highly-optimized CPU STA" role),
 //! * **INSTA** — `estimate_eco` re-annotation plus INSTA's update, which
 //!   re-propagates the changed fanout cone and lands on the full-graph
 //!   pass's bits (re-annotation time *included*, as in the paper).
