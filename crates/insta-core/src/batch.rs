@@ -25,15 +25,13 @@
 //!   over its transformed annotation table into the kept scratch rows, and
 //!   that corner's lanes are then cone lanes over *that* base. C corners ×
 //!   S candidates cost C full passes + C·S cones.
-//! * **A lane whose serial run is no cone update is a full pass too.** The
-//!   degraded drift path, or more distinct seeds than the cone's full-pass
-//!   switch allows: the lane writes its deltas and runs one full pass into
-//!   the scratch rows, exactly like a corner's base pass; a drift-degraded
-//!   lane then adds the serial update's gate: the smooth (LSE) arrivals
-//!   its fused pass refreshes, on scratch, and the health scan of those
-//!   rows and arrivals. Either
-//!   counts one incremental update (and a degraded one a degraded pass), as
-//!   its serial twin does; the drift odometer is not touched.
+//! * **A lane whose serial run is no cone update is a full pass too.** A
+//!   lane with more distinct seeds than the cone's full-pass switch allows
+//!   writes its deltas and runs one full pass into the scratch rows,
+//!   exactly like a corner's base pass, and counts one incremental update
+//!   as its serial twin does; the drift odometer is not touched. As for
+//!   its twin's `update_timing`, the drift budget plays no part in the
+//!   route.
 //!
 //! **Why a lane equals its serial twin.** The cone sweep lands on the full
 //! pass's bits for any base that is the full pass's output over the
@@ -365,7 +363,6 @@ struct Lane<'a> {
 struct Routed {
     lane: usize,
     cone: bool,
-    degraded: bool,
 }
 
 /// A lane's report (or typed error) and, when asked for, its gradients.
@@ -615,8 +612,8 @@ impl InstaEngine {
     /// then the base sync, then the lanes grouped by corner — identity
     /// first, a group's lanes in submission order — one after another on
     /// the calling thread. Corner pre-scaling is a lane-local *view*, not
-    /// an annotation update, so only a lane's own deltas count toward drift
-    /// and toward the seed switch. One `batch.sweep` span per call.
+    /// an annotation update, so only a lane's own deltas count toward the
+    /// seed switch. One `batch.sweep` span per call.
     fn run_lanes(
         &mut self,
         lanes: &[Lane<'_>],
@@ -636,14 +633,9 @@ impl InstaEngine {
                 out[i] = Some((Err(e), None));
                 continue;
             }
-            let degraded = self.would_degrade(lane.deltas.len());
             let arcs = lane.deltas.iter().map(|d| d.arc);
-            let cone = !degraded && seed_cone(&self.st, &mut self.cone, arcs);
-            routed.push(Routed {
-                lane: i,
-                cone,
-                degraded,
-            });
+            let cone = seed_cone(&self.st, &mut self.cone, arcs);
+            routed.push(Routed { lane: i, cone });
         }
         if routed.is_empty() {
             return out;
@@ -693,15 +685,6 @@ impl InstaEngine {
         // carry their own errors.
         let _ = self.settle(Ok(call.incident));
         out
-    }
-
-    /// Whether a serial `update_timing` of a batch this size would take
-    /// the degraded drift path. Mirrors the serial check, which runs
-    /// *after* the batch's own odometer contribution is added.
-    fn would_degrade(&self, batch_len: usize) -> bool {
-        let updates = self.drift.updates + 1;
-        let mass = self.drift.mass + batch_len as f64 / self.st.n_graph_arcs.max(1) as f64;
-        self.cfg.drift_policy.exceeded(updates, mass)
     }
 
     /// Makes sure the Top-K arrays are the synced output of the current
@@ -843,7 +826,7 @@ impl LaneCall<'_> {
         }
         for r in group.iter().filter(|r| !r.cone) {
             base.scratch();
-            out[r.lane] = Some(self.full_lane(base.eng, &lanes[r.lane].deltas, r.degraded));
+            out[r.lane] = Some(self.full_lane(base.eng, &lanes[r.lane].deltas));
         }
     }
 
@@ -877,44 +860,17 @@ impl LaneCall<'_> {
         self.finish(eng, report)
     }
 
-    /// A lane whose serial run is no cone update: its deltas, one full
-    /// pass into the scratch rows and, drift-degraded, the gate the serial
-    /// update puts on its fused pass. Counted as its serial twin counts it.
-    fn full_lane(
-        &mut self,
-        eng: &mut InstaEngine,
-        deltas: &[ArcDelta],
-        degraded: bool,
-    ) -> LaneResult {
+    /// A lane whose serial run is no cone update: its deltas and one full
+    /// pass into the scratch rows. Counted as its serial twin counts it.
+    fn full_lane(&mut self, eng: &mut InstaEngine, deltas: &[ArcDelta]) -> LaneResult {
         eng.counters.incremental_updates += 1;
-        eng.counters.degraded_passes += u64::from(degraded);
         let txn = Txn::begin(eng);
         let eng = &mut *txn.eng;
         eng.cone.annotate(&mut eng.st, deltas);
-        let report = self.full_pass(eng).and_then(|report| {
-            if degraded {
-                self.degraded_gate(eng)?;
-            }
-            Ok(report)
-        });
-        match report {
+        match self.full_pass(eng) {
             Ok(report) => self.finish(eng, report),
             Err(e) => (Err(e), None),
         }
-    }
-
-    /// The serial degraded update's gate, on a lane's rows (the engine's
-    /// state *is* them here): its fused pass's smooth arrivals, recomputed
-    /// on scratch, then the poison scan of the rows and of those arrivals.
-    /// A NaN never wins a Top-K max but does spread through an LSE sum.
-    fn degraded_gate(&mut self, eng: &InstaEngine) -> Result<(), InstaError> {
-        let (st, cfg) = (&eng.st, &eng.cfg);
-        let mut smooth = grad_scratch(st, eng.state.k);
-        let (tau, threads) = (cfg.lse_tau, cfg.n_threads);
-        let passed = crate::lse::forward_lse(st, &mut smooth, tau, threads, self.interrupt, None);
-        self.book(passed)?;
-        eng.health_check()?;
-        crate::health::lse_poison(st, &smooth.lse_arrival)
     }
 
     /// One ordinary full pass over the engine's annotations into its rows,

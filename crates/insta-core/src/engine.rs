@@ -23,23 +23,24 @@ use insta_refsta::export::{EndpointInit, InstaInit, SourceInit, NO_LEAF};
 use insta_refsta::ExceptionSet;
 use std::sync::Arc;
 
-/// Budget after which incremental re-annotation is no longer trusted and
-/// updates degrade to an audited full refresh (see
-/// `DESIGN.md` "Session lifecycle and failure policy").
+/// An advisory budget on incremental re-annotation: how many estimated
+/// updates a caller applies before it resyncs annotations from its golden
+/// reference (see `DESIGN.md` "Session lifecycle and failure policy").
 ///
-/// Repeated approximate updates can compound error silently — the classic
-/// incremental-STA drift failure mode — so the engine counts updates and
-/// accumulated *touched-arc mass* (Σ batch-size / total-graph-arcs, i.e.
-/// how many times over the whole graph has been re-annotated). Past either
-/// bound, `update_timing` additionally runs a `health_check()` gate and a
-/// fresh differentiable forward pass, and callers are expected to resync
-/// from the golden reference and call
-/// [`InstaEngine::reset_drift`].
+/// Propagation is exact — a cone update lands on the full pass's bits —
+/// but the deltas a caller writes are estimates (`estimate_eco`), and
+/// estimates drift from what the golden engine would annotate. The engine
+/// counts updates and accumulated *touched-arc mass* (Σ batch-size /
+/// total-graph-arcs, i.e. how many times over the whole graph has been
+/// re-annotated); past either bound
+/// [`InstaEngine::drift_exceeded`] turns true, and the caller is expected
+/// to resync and call [`InstaEngine::reset_drift`], as INSTA-Size does
+/// per round. The engine never changes how it propagates on it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftPolicy {
-    /// Maximum incremental updates before degradation (`0` = unlimited).
+    /// Maximum incremental updates before a resync is due (`0` = unlimited).
     pub max_updates: u64,
-    /// Maximum accumulated touched-arc mass before degradation
+    /// Maximum accumulated touched-arc mass before a resync is due
     /// (`0.0` = unlimited).
     pub max_touched_mass: f64,
 }
@@ -54,7 +55,7 @@ impl Default for DriftPolicy {
 }
 
 impl DriftPolicy {
-    /// A policy that never degrades (pre-drift-auditing behavior).
+    /// A policy that never asks for a resync.
     pub fn unlimited() -> Self {
         Self {
             max_updates: 0,
@@ -97,7 +98,7 @@ pub struct InstaConfig {
     /// (validate, reject anything broken — the default) or `Trust` (skip
     /// validation entirely, zero overhead).
     pub validation: ValidationMode,
-    /// When repeated incremental updates stop being trusted (see
+    /// When repeated incremental updates call for a resync (see
     /// [`DriftPolicy`]).
     pub drift_policy: DriftPolicy,
 }
@@ -780,8 +781,9 @@ impl InstaEngine {
     }
 
     /// Whether the accumulated incremental drift exceeds
-    /// [`InstaConfig::drift_policy`] — once true, `update_timing` runs its
-    /// degraded (audited) path until [`reset_drift`](Self::reset_drift).
+    /// [`InstaConfig::drift_policy`] — advisory: once true, the caller
+    /// should resync annotations from its golden reference and call
+    /// [`reset_drift`](Self::reset_drift). Updates route the same either way.
     pub fn drift_exceeded(&self) -> bool {
         self.cfg
             .drift_policy

@@ -55,7 +55,9 @@
 //! copy, the compare and the worklist, and it runs on one thread; a batch
 //! that re-annotates a large share of the graph (a corner twin touches
 //! every arc) is cheaper as the ordinary full pass. The switch is
-//! [`CONE_SEED_SHARE`], judged on the deduplicated seed count.
+//! [`CONE_SEED_SHARE`], judged on the deduplicated seed count. Those are
+//! an update's only two routes, both landing on the same bits; the drift
+//! odometer it advances is advisory and picks neither.
 //!
 //! A dirty level runs through the same level runner as a full pass's
 //! ([`crate::parallel`]: poll, containment, one retry, profile row), with
@@ -414,17 +416,11 @@ impl InstaEngine {
     ///
     /// On an engine whose last pass completed, only the fanout cone of
     /// the re-annotated arcs is recomputed (see the [module docs](self));
-    /// the result is bit-identical to [`reannotate`](Self::reannotate) +
-    /// [`propagate`](Self::propagate).
-    ///
-    /// Once the accumulated drift exceeds
-    /// [`InstaConfig::drift_policy`](crate::engine::InstaConfig), updates
-    /// degrade gracefully: the re-propagation is a full fused pass — a
-    /// fresh differentiable forward included — followed by a full
-    /// [`health_check`](Self::health_check) gate, and
-    /// [`drift_exceeded`](Self::drift_exceeded) stays `true` until the
-    /// caller resyncs annotations from its golden reference and calls
-    /// [`reset_drift`](Self::reset_drift).
+    /// otherwise, or past the [`CONE_SEED_SHARE`] switch, the ordinary
+    /// full pass runs. Either way the result is bit-identical to
+    /// [`reannotate`](Self::reannotate) + [`propagate`](Self::propagate).
+    /// The drift odometer this call advances is advisory
+    /// ([`drift_exceeded`](Self::drift_exceeded)): it never picks the route.
     ///
     /// # Errors
     ///
@@ -551,16 +547,7 @@ impl<'e> Txn<'e> {
         eng.validate_deltas(deltas)?;
         let synced = eng.validity.topk_current();
         eng.reannotate_unchecked(deltas);
-        if eng.drift_exceeded() {
-            // Degraded path: the incremental result is no longer trusted
-            // blind — refresh the differentiable state and gate the pass
-            // on a full poison scan. The fused sweep computes both output
-            // families in one pass over the levels, bit-identical to
-            // `try_propagate` + `try_forward_lse` back to back.
-            eng.counters.degraded_passes += 1;
-            eng.try_propagate_fused()?;
-            eng.health_check()?;
-        } else if synced && seed_cone(&eng.st, &mut eng.cone, deltas.iter().map(|d| d.arc)) {
+        if synced && seed_cone(&eng.st, &mut eng.cone, deltas.iter().map(|d| d.arc)) {
             eng.last_incident = None;
             eng.run_cone()?;
             // Only endpoints on recomputed nodes can have moved; the

@@ -39,8 +39,9 @@
 //!   DESIGN.md "Error taxonomy and failure policy").
 //! * [`session`] — transactional timing sessions: a timing transaction
 //!   (`incremental::Txn`) with bit-identical rollback on poison,
-//!   cooperative per-level cancellation with deadlines, and drift-audited
-//!   degradation (see DESIGN.md "Session lifecycle and failure policy").
+//!   cooperative per-level cancellation with deadlines, and an advisory
+//!   drift budget that says when to resync annotations (see DESIGN.md
+//!   "Session lifecycle and failure policy").
 //! * [`batch`] — batched what-if evaluation through one entry point,
 //!   [`evaluate`](InstaEngine::evaluate): each scenario is a transaction
 //!   whose cone sweep runs in place and is undone (a corner is one full

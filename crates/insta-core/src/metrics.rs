@@ -201,9 +201,6 @@ pub struct EngineCounters {
     /// Sessions rolled back because a cancel token fired or a deadline
     /// expired.
     pub sessions_cancelled: u64,
-    /// Incremental updates that took the degraded full-refresh path
-    /// because the drift budget was exhausted.
-    pub degraded_passes: u64,
     /// Total incremental updates (`reannotate` / `update_timing`).
     pub incremental_updates: u64,
     /// Re-annotation batches since the last
@@ -236,7 +233,7 @@ impl EngineCounters {
     /// The counters as `(name, value)` rows, in field order — the
     /// `stats.engine` surface. `drift_updates` and `drift_mass` are gauges;
     /// every other row is monotonic.
-    pub fn rows(&self) -> [(&'static str, f64); 16] {
+    pub fn rows(&self) -> [(&'static str, f64); 15] {
         // Exhaustive: a field added without a row does not compile.
         let EngineCounters {
             epoch,
@@ -244,7 +241,6 @@ impl EngineCounters {
             sessions_committed,
             sessions_rolled_back,
             sessions_cancelled,
-            degraded_passes,
             incremental_updates,
             drift_updates,
             drift_mass,
@@ -262,7 +258,6 @@ impl EngineCounters {
             ("sessions_committed", sessions_committed as f64),
             ("sessions_rolled_back", sessions_rolled_back as f64),
             ("sessions_cancelled", sessions_cancelled as f64),
-            ("degraded_passes", degraded_passes as f64),
             ("incremental_updates", incremental_updates as f64),
             ("drift_updates", drift_updates as f64),
             ("drift_mass", drift_mass),

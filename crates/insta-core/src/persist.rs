@@ -346,9 +346,9 @@ impl WriterOp {
 /// deterministic function of these via [`InstaEngine::propagate`], so
 /// restore is `restore()` + one propagation — the same recomputation
 /// `update_timing` performs on every commit, guaranteeing the restored
-/// engine continues the timeline bit-exactly. The drift odometer must be
-/// carried because it decides *when* the degraded fused path runs, which
-/// changes which code produced the committed bits.
+/// engine continues the timeline bit-exactly. The drift odometer is
+/// carried so that [`InstaEngine::drift_exceeded`] — the advisory resync
+/// budget — reads the same after a restore as before it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineDurableState {
     /// The committed epoch.

@@ -15,8 +15,9 @@
 //!
 //! The pinned tests are the bug the ledger's report row exposed (a backward
 //! pass after a bare `reannotate` differentiated the old report), the pass
-//! count of the `e2e` signoff sequence, and the one pass the generated
-//! sequences cannot fail: the drift-degraded fused refresh.
+//! count of the `e2e` signoff sequence, and the one failure the generated
+//! sequences never reach: a worker panic inside a session update past the
+//! cone's full-pass switch (their armed update is a single arc).
 
 use insta_engine::parallel::chaos;
 use insta_engine::{
@@ -100,7 +101,7 @@ fn config(tau: f64) -> InstaConfig {
         top_k: 4,
         n_threads: 1,
         lse_tau: tau,
-        // The model has no drift odometer: nothing may degrade.
+        // The model has no drift odometer.
         drift_policy: DriftPolicy::unlimited(),
         ..InstaConfig::default()
     }
@@ -706,44 +707,37 @@ fn backward_after_a_bare_reannotate_differentiates_the_current_report() {
     );
 }
 
-/// A drift-degraded update is a fused pass — the one whole-array pass a
-/// session runs over *new* annotations without being asked to. Cut by a
-/// worker panic one level above the re-annotated arc, it leaves both
-/// output families half-rewritten: the rollback must not call either
-/// current.
+/// An update past the cone's full-pass switch is the one whole-array pass
+/// a session runs over *new* annotations without being asked to — no undo
+/// log covers it. Cut by a worker panic one level above the re-annotated
+/// arcs, it leaves the Top-K rows half-rewritten: the rollback must not
+/// call them current, and every read must still agree with the twin.
 #[test]
-fn a_failed_degraded_refresh_is_taken_back() {
+fn a_failed_past_the_switch_update_is_taken_back() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let fx = fixture();
     let cx = Ctx { fx: &fx };
-    let arc = fx
-        .arc_level
-        .iter()
-        .position(|&l| l == 1)
-        .expect("a level-1 arc") as u32;
-    let mut a = InstaEngine::new(
-        fx.init.clone(),
-        InstaConfig {
-            drift_policy: DriftPolicy {
-                max_updates: 1,
-                max_touched_mass: 0.0,
-            },
-            ..config(TAUS[0])
-        },
-    )
-    .expect("valid snapshot");
+    let mut a = InstaEngine::new(fx.init.clone(), config(TAUS[0])).expect("valid snapshot");
+    a.enable_tracing();
     a.propagate_fused();
+    let flood = cx.deltas(&Batch::Flood(5));
+    assert!(
+        flood.iter().any(|d| fx.arc_level[d.arc as usize] == 1),
+        "fixture: the flood re-annotates level 1"
+    );
 
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     chaos::arm(Kernel::Forward, 2, true);
     let mut s = a.begin_session();
-    let r = s.update_timing(&[cx.delta(D(arc, 5))]);
+    let r = s.update_timing(&flood);
     chaos::disarm();
     std::panic::set_hook(prev);
     assert!(matches!(r, Err(InstaError::Runtime(_))), "{r:?}");
     assert_eq!(s.status(), SessionStatus::RolledBack);
     drop(s);
+    // The fused setup pass, then the flood's full pass: no cone.
+    assert_eq!(passes(&a), (0, 2), "the flood is past the switch");
 
     let m = Model {
         table: fx.table.clone(),

@@ -531,7 +531,6 @@ fn a_durable_daemons_stats_layout_is_pinned() {
         "engine.sessions_committed",
         "engine.sessions_rolled_back",
         "engine.sessions_cancelled",
-        "engine.degraded_passes",
         "engine.incremental_updates",
         "engine.drift_updates",
         "engine.drift_mass",

@@ -419,6 +419,34 @@ mod tests {
         assert_eq!(run.name, "sizer.run");
         assert_eq!(run.field("cells_sized"), Some(outcome.cells_sized as f64));
         assert!(run.field("backward_s").is_some_and(|s| s > 0.0));
+
+        // A small drift budget: the run resyncs every arc from the golden
+        // engine between rounds, and still improves TNS.
+        let mut design = violating_design(7);
+        let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
+        golden.full_update(&design);
+        let n_arcs = golden.delays().mean.len() as f64;
+        let cfg = InstaSizeConfig {
+            engine: InstaConfig {
+                drift_policy: insta_engine::DriftPolicy {
+                    max_updates: 2,
+                    max_touched_mass: 0.0,
+                },
+                ..InstaSizeConfig::default().engine
+            },
+            ..InstaSizeConfig::default()
+        };
+        let mut rec = Recorder::new();
+        let outcome = insta_size_traced(&mut design, &mut golden, &cfg, &mut rec);
+        let resyncs: Vec<_> = rec.events().filter(|e| e.name == "sizer.resync").collect();
+        assert!(!resyncs.is_empty(), "the budget must run out");
+        assert!(resyncs.iter().all(|e| e.field("arcs") == Some(n_arcs)));
+        assert!(
+            outcome.tns_after_ps > outcome.tns_before_ps,
+            "TNS {} -> {}",
+            outcome.tns_before_ps,
+            outcome.tns_after_ps
+        );
     }
 
     #[test]

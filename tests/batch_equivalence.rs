@@ -7,9 +7,7 @@
 //! (annotations, report, drift odometer) untouched, like S rolled-back
 //! sessions.
 
-use insta_engine::{
-    BatchOptions, DeltaSet, InstaConfig, InstaEngine, InstaError, InstaReport, ScenarioReport,
-};
+use insta_engine::{BatchOptions, DeltaSet, InstaConfig, InstaEngine, InstaReport, ScenarioReport};
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
 use insta_refsta::{RefSta, StaConfig};
@@ -280,8 +278,40 @@ fn batches_wider_than_a_lane_chunk_match_serial() {
     assert_batch_matches(&got, &want).expect("chunked equivalence");
 }
 
-/// A batch on a drift-exhausted engine routes scenarios through the
-/// degraded serial path and still matches the serial reference.
+/// A scenario that re-annotates every other graph arc: far more distinct
+/// seeds than the cone's full-pass switch allows, so its lane (and its
+/// serial twin) is one full pass. Jittered, so two such scenarios are two
+/// lanes.
+fn past_the_switch(golden: &RefSta, rng: &mut Rng) -> DeltaSet {
+    let delays = golden.delays();
+    let wide: Vec<ArcDelta> = (0..delays.mean.len())
+        .step_by(2)
+        .map(|arc| ArcDelta {
+            arc: arc as u32,
+            mean: [
+                delays.mean[arc][0] + rng.next_f64() * 10.0,
+                delays.mean[arc][1] + rng.next_f64() * 10.0,
+            ],
+            sigma: delays.sigma[arc],
+        })
+        .collect();
+    DeltaSet::from(wide)
+}
+
+/// The one `batch.sweep` span of the last call's trace (tracing cleared
+/// before the call), as (lanes, cone lanes).
+fn sweep_lanes(engine: &InstaEngine) -> (f64, f64) {
+    let journal = engine.trace_journal().expect("tracing on");
+    let mut spans = journal.events().filter(|e| e.name == "batch.sweep");
+    let span = spans.next().expect("one batch.sweep span");
+    assert!(spans.next().is_none(), "one batch.sweep span per call");
+    let field = |name| span.field(name).expect("batch.sweep field");
+    (field("lanes"), field("cone_lanes"))
+}
+
+/// A batch on a drift-exhausted engine still matches the serial reference,
+/// cone lanes and a lane past the full-pass switch alike: the budget is
+/// advisory and routes no lane.
 #[test]
 fn drift_exhausted_batches_match_serial() {
     let cfg = InstaConfig {
@@ -294,186 +324,119 @@ fn drift_exhausted_batches_match_serial() {
     let (golden, mut engine) = build(63, cfg);
     engine.propagate();
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xD21F);
-    // Exhaust the drift budget so every scenario would degrade serially.
     let warm = random_scenarios(&golden, &mut rng, 1);
     engine.reannotate(&warm[0].deltas).expect("valid warm-up deltas");
     engine.propagate();
     assert!(engine.drift_exceeded() || engine.counters().drift_updates >= 1);
 
-    let scenarios = random_scenarios(&golden, &mut rng, 4);
+    let mut scenarios = random_scenarios(&golden, &mut rng, 4);
+    scenarios.push(past_the_switch(&golden, &mut rng));
     let want = serial_reference(&engine, &scenarios, false);
     let got = engine.evaluate_batch(&scenarios);
-    assert_batch_matches(&got, &want).expect("degraded-path equivalence");
+    assert_batch_matches(&got, &want).expect("exhausted-budget equivalence");
 }
 
-/// A drift-degraded lane gates on what its serial twin's fused pass
-/// refreshes. At K = 1 a Trust-mode NaN annotation on a merge node's last
-/// fanin never displaces the entry already in the slot (NaN wins no max),
-/// but it does spread through the LSE sum, so the twin fails on the smooth
-/// arrivals, and the lane must fail the same way. (A debug build's hot-path
-/// poison assert stops both at the first poisoned LSE level instead.)
+/// Past its drift budget an engine's lanes stay cone lanes: the call's
+/// `batch.sweep` span counts every lane as one, and each still equals its
+/// serial twin.
 #[test]
-fn degraded_lanes_gate_on_smooth_arrivals_like_serial() {
-    let design = generate_design(&GeneratorConfig::small("batch_eq", 91));
+fn an_exhausted_drift_budget_keeps_every_lane_on_the_cone() {
+    let design = generate_design(&GeneratorConfig {
+        n_flops: 32,
+        logic_levels: 6,
+        gates_per_level: 36,
+        ..GeneratorConfig::small("batch_eq", 67)
+    });
     let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
     golden.full_update(&design);
-    let init = golden.export_insta_init();
     let cfg = InstaConfig {
-        validation: insta_engine::ValidationMode::Trust,
         drift_policy: insta_engine::DriftPolicy {
             max_updates: 1,
             ..insta_engine::DriftPolicy::default()
         },
-        top_k: 1,
         ..InstaConfig::default()
     };
-    let delays = golden.delays();
-    let nudge = |arc: usize| {
-        vec![ArcDelta {
-            arc: arc as u32,
-            mean: [delays.mean[arc][0] + 5.0, delays.mean[arc][1] + 5.0],
-            sigma: delays.sigma[arc],
-        }]
-    };
-    // A report's bits, a typed error's text, or a panic.
-    let outcome = |run: &mut dyn FnMut() -> Result<InstaReport, InstaError>| {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
-        match caught {
-            Ok(Ok(report)) => format!("ok {:?}", report_bits(&report)),
-            Ok(Err(e)) => e.to_string(),
-            Err(_) => "panic".to_string(),
-        }
-    };
+    let mut engine = InstaEngine::new(golden.export_insta_init(), cfg).expect("valid snapshot");
+    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xC04E);
+    let warm = random_scenarios(&golden, &mut rng, 1);
+    engine
+        .update_timing(&warm[0].deltas)
+        .expect("valid warm-up deltas");
+    assert!(engine.drift_exceeded());
 
-    let merge_fanins = (0..init.n_nodes)
-        .filter(|&v| init.fanin_start[v + 1] - init.fanin_start[v] >= 2)
-        .map(|v| init.fanin_start[v + 1] as usize - 1);
-    let mut poisoned = 0;
-    for entry in merge_fanins.take(4) {
-        let mut nan = init.clone();
-        nan.fanin[entry].mean = [f64::NAN; 2];
-        // Nudges that leave the poisoned arc alone.
-        let poisoned_arc = nan.fanin[entry].source_arc as usize;
-        let mut others = (0..delays.mean.len()).filter(|&a| a != poisoned_arc);
-        let (warm, lane) = (others.next().unwrap(), others.next().unwrap());
-        let mut engine = InstaEngine::new(nan, cfg.clone()).expect("trust skips validation");
-        // Only a NaN the Top-K rows keep out is this test's case.
-        let warmed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine
-                .reannotate(&nudge(warm))
-                .expect("valid warm-up deltas");
-            engine.propagate();
-        }));
-        if warmed.is_err() || engine.health_check().is_err() {
-            continue;
-        }
-        assert!(engine.drift_exceeded());
-        let scenario = [DeltaSet::from(nudge(lane))];
-
-        let mut twin = engine.clone();
-        let want = outcome(&mut || {
-            let mut session = twin.begin_session();
-            let report = session.update_timing(&scenario[0].deltas);
-            session.rollback();
-            report
-        });
-        let got = outcome(&mut || {
-            let mut rep = engine.evaluate(&scenario, &BatchOptions::default());
-            rep.scenarios.pop().expect("one lane").outcome
-        });
-        assert_eq!(got, want, "NaN on fanin entry {entry}");
-        poisoned += usize::from(!want.starts_with("ok"));
-    }
-    assert!(
-        poisoned > 0,
-        "fixture: some NaN reaches only the smooth arrivals"
+    let scenarios: Vec<DeltaSet> = random_scenarios(&golden, &mut rng, 16)
+        .into_iter()
+        .filter(|s| !s.deltas.is_empty())
+        .take(4)
+        .collect();
+    let want = serial_reference(&engine, &scenarios, false);
+    engine.enable_tracing();
+    let got = engine.evaluate_batch(&scenarios);
+    assert_batch_matches(&got, &want).expect("cone lanes equal their twins");
+    assert_eq!(
+        sweep_lanes(&engine),
+        (4.0, 4.0),
+        "every lane is a cone lane"
     );
 }
 
-/// Counter accounting on the degraded batch path (ISSUE 5 satellite):
-/// on a drift-exhausted engine every lane takes the degraded path, and
-/// each must bump `incremental_updates` and `degraded_passes` exactly once,
+/// Counter accounting on the full-pass batch path: every lane past the
+/// cone's full-pass switch must bump `incremental_updates` exactly once,
 /// as its serial session does, while the drift odometer (`drift_updates` /
 /// `drift_mass`) is left alone — the batch as a whole leaves it
 /// bit-untouched.
 #[test]
-fn degraded_batch_accounting_is_exact_and_drift_neutral() {
-    let cfg = InstaConfig {
-        drift_policy: insta_engine::DriftPolicy {
-            max_updates: 1,
-            ..insta_engine::DriftPolicy::default()
-        },
-        ..InstaConfig::default()
-    };
-    let (golden, mut engine) = build(77, cfg);
+fn full_pass_batch_accounting_is_exact_and_drift_neutral() {
+    let (golden, mut engine) = build(77, InstaConfig::default());
     engine.propagate();
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x5EED);
-    // Exhaust the drift budget so every batch scenario degrades.
     let warm = random_scenarios(&golden, &mut rng, 1);
-    engine.reannotate(&warm[0].deltas).expect("valid warm-up deltas");
-    engine.propagate();
-    assert!(engine.drift_exceeded());
+    engine
+        .update_timing(&warm[0].deltas)
+        .expect("valid warm-up deltas");
+    assert_eq!(engine.counters().drift_updates, 1);
 
-    let scenarios = random_scenarios(&golden, &mut rng, 3);
+    let scenarios: Vec<DeltaSet> = (0..3).map(|_| past_the_switch(&golden, &mut rng)).collect();
     let before = engine.counters();
+    engine.enable_tracing();
     let got = engine.evaluate_batch(&scenarios);
     let after = engine.counters();
+    assert_eq!(
+        sweep_lanes(&engine),
+        (3.0, 0.0),
+        "every lane is a full pass"
+    );
     let succeeded = got.iter().filter(|r| r.outcome.is_ok()).count() as u64;
-    assert_eq!(succeeded, 3, "all degraded scenarios should evaluate");
-    // Exactly one degraded pass and one incremental update per scenario —
-    // no double-counting from the session wrapper or the health gate.
-    assert_eq!(after.degraded_passes, before.degraded_passes + 3);
+    assert_eq!(succeeded, 3, "all full-pass scenarios should evaluate");
+    // Exactly one incremental update per scenario — no double-counting
+    // from the session wrapper.
     assert_eq!(after.incremental_updates, before.incremental_updates + 3);
     // The drift odometer is checkpointed state: the rolled-back sessions
     // restore it bit-exactly, so the batch is drift-neutral.
     assert_eq!(after.drift_updates, before.drift_updates);
     assert_eq!(after.drift_mass.to_bits(), before.drift_mass.to_bits());
-    // And the engine still reports the pre-existing exhaustion.
-    assert!(engine.drift_exceeded());
 }
 
 /// Regression (ISSUE 14): `BatchOptions::deadline` is one wall-clock budget
 /// for the whole call. It used to be re-armed for the base sync, for the
-/// lane sweep and for *each* drift-degraded lane, so N such lanes with
-/// budget D could run for (N + 2)·D. With a drift policy that
-/// degrades every lane, a budget of three measured lanes and twenty lanes,
-/// the tail must be cut and the call must return near its budget.
+/// lane sweep and for *each* full-pass lane, so N such lanes with budget D
+/// could run for (N + 2)·D. With twenty lanes past the cone's full-pass
+/// switch and a budget of three measured lanes, the tail must be cut and
+/// the call must return near its budget.
 #[test]
 fn a_batch_deadline_is_one_budget_for_the_whole_call() {
-    let cfg = InstaConfig {
-        drift_policy: insta_engine::DriftPolicy {
-            max_updates: 1,
-            ..insta_engine::DriftPolicy::default()
-        },
-        ..InstaConfig::default()
-    };
-    // A medium design, so that one degraded lane (a fused full pass plus
-    // a health check) is milliseconds, far above timer and scheduler noise.
+    // A medium design, so that one full-pass lane is milliseconds, far
+    // above timer and scheduler noise.
     let design = generate_design(&GeneratorConfig::medium("batch_deadline", 5));
     let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
     golden.full_update(&design);
-    let mut engine = InstaEngine::new(golden.export_insta_init(), cfg).expect("valid snapshot");
+    let mut engine = InstaEngine::new(golden.export_insta_init(), InstaConfig::default())
+        .expect("valid snapshot");
     engine.propagate();
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xDEAD);
-    let mut nonempty = |n: usize| -> Vec<DeltaSet> {
-        let mut out = Vec::new();
-        while out.len() < n {
-            out.extend(
-                random_scenarios(&golden, &mut rng, n)
-                    .into_iter()
-                    .filter(|s| !s.deltas.is_empty()),
-            );
-        }
-        out.truncate(n);
-        out
-    };
-    let warm = nonempty(1);
-    engine
-        .reannotate(&warm[0].deltas)
-        .expect("valid warm-up deltas");
-    engine.propagate();
-    assert!(engine.drift_exceeded());
-    let scenarios = nonempty(20);
+    let scenarios: Vec<DeltaSet> = (0..20)
+        .map(|_| past_the_switch(&golden, &mut rng))
+        .collect();
 
     // One serial lane, measured: the median of three single-lane calls.
     let mut lane_times: Vec<std::time::Duration> = (0..3)
@@ -487,7 +450,7 @@ fn a_batch_deadline_is_one_budget_for_the_whole_call() {
     lane_times.sort();
     let budget = 3 * lane_times[1];
 
-    let degraded = engine.counters().degraded_passes;
+    let updates = engine.counters().incremental_updates;
     let t = std::time::Instant::now();
     let got = engine
         .evaluate(
@@ -500,9 +463,9 @@ fn a_batch_deadline_is_one_budget_for_the_whole_call() {
         .scenarios;
     let elapsed = t.elapsed();
     assert_eq!(
-        engine.counters().degraded_passes,
-        degraded + 20,
-        "every lane degrades"
+        engine.counters().incremental_updates,
+        updates + 20,
+        "every lane is a full pass"
     );
     let done = got.iter().take_while(|r| r.outcome.is_ok()).count();
     assert!(
@@ -546,12 +509,12 @@ fn batch_counters_account_for_every_scenario() {
     assert_eq!(got.iter().filter(|r| r.outcome.is_ok()).count(), 4);
 }
 
-/// No `evaluate` call opens a session: not on a drift-exhausted engine
-/// (every lane degrades), not for a lane whose deltas seed more than
-/// `n / 64` nodes (past the cone's full-pass switch), not when a pre-fired
-/// token cancels the base sync. Every lane still equals its serial-session
-/// twin, a degraded lane still counts one degraded pass and one incremental
-/// update, and the drift odometer stays bit-unchanged.
+/// No `evaluate` call opens a session: not for lanes whose deltas seed
+/// more than `n / 64` nodes (past the cone's full-pass switch), alone or
+/// beside a cone lane, not when a pre-fired token cancels the base sync.
+/// Every lane still equals its serial-session twin, a full-pass lane still
+/// counts one incremental update, and the drift odometer stays
+/// bit-unchanged.
 #[test]
 fn no_evaluate_call_opens_a_session() {
     let sessions = |e: &InstaEngine| {
@@ -563,16 +526,9 @@ fn no_evaluate_call_opens_a_session() {
         ..BatchOptions::default()
     };
 
-    // A drift-exhausted engine; the last scenario repeats the first, so
-    // four scenarios are three lanes.
-    let cfg = InstaConfig {
-        drift_policy: insta_engine::DriftPolicy {
-            max_updates: 1,
-            ..insta_engine::DriftPolicy::default()
-        },
-        ..InstaConfig::default()
-    };
-    let (golden, mut engine) = build(81, cfg);
+    // Lanes past the switch; the last scenario repeats the first, so four
+    // scenarios are three lanes.
+    let (golden, mut engine) = build(81, InstaConfig::default());
     engine.propagate();
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x5E55);
     let warm = random_scenarios(&golden, &mut rng, 1);
@@ -580,23 +536,17 @@ fn no_evaluate_call_opens_a_session() {
         .reannotate(&warm[0].deltas)
         .expect("valid warm-up deltas");
     engine.propagate();
-    assert!(engine.drift_exceeded());
-    let mut scenarios: Vec<DeltaSet> = random_scenarios(&golden, &mut rng, 8)
-        .into_iter()
-        .filter(|s| !s.deltas.is_empty())
-        .take(3)
-        .collect();
+    let mut scenarios: Vec<DeltaSet> = (0..3).map(|_| past_the_switch(&golden, &mut rng)).collect();
     scenarios.push(scenarios[0].clone());
     let want = serial_reference(&engine, &scenarios, true);
     let before = engine.counters();
     let got = engine.evaluate(&scenarios, &gradients).scenarios;
     let after = engine.counters();
-    assert_batch_matches(&got, &want).expect("degraded lanes equal their twins");
+    assert_batch_matches(&got, &want).expect("full-pass lanes equal their twins");
     assert_eq!(
         sessions(&engine),
         (before.sessions_begun, before.sessions_rolled_back)
     );
-    assert_eq!(after.degraded_passes, before.degraded_passes + 3);
     assert_eq!(after.incremental_updates, before.incremental_updates + 3);
     assert_eq!(after.drift_updates, before.drift_updates);
     assert_eq!(after.drift_mass.to_bits(), before.drift_mass.to_bits());
@@ -604,21 +554,13 @@ fn no_evaluate_call_opens_a_session() {
     // A lane past the seed switch beside a cone lane.
     let (golden, mut engine) = build(83, InstaConfig::default());
     engine.propagate();
-    let delays = golden.delays();
-    let wide: Vec<ArcDelta> = (0..delays.mean.len())
-        .step_by(2)
-        .map(|arc| ArcDelta {
-            arc: arc as u32,
-            mean: [delays.mean[arc][0] + 7.0, delays.mean[arc][1] + 3.0],
-            sigma: delays.sigma[arc],
-        })
-        .collect();
+    let wide = past_the_switch(&golden, &mut rng);
     assert!(
-        wide.len() > engine.num_nodes() / 64,
+        wide.deltas.len() > engine.num_nodes() / 64,
         "fixture: past the switch"
     );
     let mut scenarios = random_scenarios(&golden, &mut rng, 2);
-    scenarios.push(DeltaSet::from(wide));
+    scenarios.push(wide);
     let want = serial_reference(&engine, &scenarios, true);
     let before = engine.counters();
     let got = engine.evaluate(&scenarios, &gradients).scenarios;
