@@ -91,6 +91,10 @@ impl DelayCalc {
 
     /// Computes incoming-arc delays and the worst slew of one node, given
     /// that every fanin node has already been processed.
+    ///
+    /// Every cell arc into a node drives the same net, so the node's driver
+    /// load is summed once, at its first cell arc, and shared by the rest;
+    /// a node with only net arcs never sums it.
     pub(crate) fn annotate_node(
         &self,
         design: &Design,
@@ -106,6 +110,7 @@ impl DelayCalc {
             return;
         }
         let mut worst = [0.0_f64; 2];
+        let mut load = None;
         for &ai in fanin {
             let arc = graph.arc(ai);
             match arc.kind {
@@ -129,8 +134,8 @@ impl DelayCalc {
                 TimingArcKind::Cell { cell, lib_arc } => {
                     let lc = design.lib_cell_of(cell);
                     let la = &lc.arcs()[lib_arc as usize];
-                    let load = design
-                        .driver_load_ff(graph.pin_of(node));
+                    let load =
+                        *load.get_or_insert_with(|| design.driver_load_ff(graph.pin_of(node)));
                     out.sense[ai as usize] = la.sense;
                     for tr in Transition::BOTH {
                         let ti = tr.index();

@@ -7,14 +7,14 @@
 //! analysis mirrors every setup mechanism with the polarities flipped:
 //!
 //! * launch clock uses the **early** derate, capture uses **late**,
-//! * arrival corners are `mean − N_σ·σ` and merging keeps the **minimum**,
+//! * arrival corners are `mean − N_σ·σ` and merging keeps the **minimum**
+//!   (the setup reduction run on the early corner),
 //! * CPPR credit *reduces* the hold requirement on the shared clock prefix.
 
 use crate::exceptions::{EpId, SpId};
-use crate::sta::{input_transitions, RefSta, SpArrival, SpMap, StaReport};
-use crate::sta::EndpointReport;
+use crate::sta::{EndpointReport, RefSta, Side, SpArrival, SpMap, StaReport};
 use insta_liberty::{ArcKind, Transition};
-use insta_netlist::{Design, NodeId};
+use insta_netlist::Design;
 
 impl RefSta {
     /// Runs hold analysis. Requires a prior [`RefSta::full_update`] (the
@@ -64,37 +64,20 @@ impl RefSta {
         }
 
         // ---- Min propagation ---------------------------------------------
-        let n_sigma = self.config.n_sigma;
-        let order: Vec<NodeId> = self.graph.topo_order().to_vec();
-        let mut cands: Vec<SpArrival> = Vec::new();
-        for node in order {
-            let fanin = self.graph.fanin(node);
-            if fanin.is_empty() {
-                continue;
-            }
+        let rule = self.prune_rule(Side::Early);
+        for &node in self.graph.topo_order() {
             for tr in Transition::BOTH {
-                cands.clear();
-                for &ai in fanin {
-                    let from = self.graph.arc(ai).from;
-                    let mean = self.delays.mean[ai as usize][tr.index()];
-                    let sigma = self.delays.sigma[ai as usize][tr.index()];
-                    for ptr in input_transitions(self.delays.sense[ai as usize], tr) {
-                        for e in &arrivals[from.index()][ptr.index()] {
-                            cands.push(SpArrival {
-                                sp: e.sp,
-                                mean: e.mean + mean,
-                                sigma: (e.sigma * e.sigma + sigma * sigma).sqrt(),
-                            });
-                        }
-                    }
-                }
-                arrivals[node.index()][tr.index()] = reduce_min(
-                    &mut cands,
-                    n_sigma,
-                    self.config.sp_cap,
-                    self.config.sp_keep_min,
-                    self.prune_window,
+                let map = self.reducer.reduce_fanin(
+                    &self.graph,
+                    &self.delays,
+                    &arrivals,
+                    node,
+                    tr,
+                    &rule,
                 );
+                if let Some(map) = map {
+                    arrivals[node.index()][tr.index()].extend_from_slice(map);
+                }
             }
         }
 
@@ -168,36 +151,6 @@ impl RefSta {
             endpoints,
         }
     }
-}
-
-/// Min-merge reduction: unique startpoints sorted by *ascending* early
-/// corner, window-pruned and capped (the mirror of the setup reducer).
-fn reduce_min(
-    cands: &mut Vec<SpArrival>,
-    n_sigma: f64,
-    cap: usize,
-    keep_min: usize,
-    window: f64,
-) -> SpMap {
-    if cands.is_empty() {
-        return Vec::new();
-    }
-    let corner = |e: &SpArrival| e.mean - n_sigma * e.sigma;
-    cands.sort_unstable_by(|a, b| a.sp.cmp(&b.sp).then(corner(a).total_cmp(&corner(b))));
-    cands.dedup_by_key(|e| e.sp);
-    cands.sort_unstable_by(|a, b| corner(a).total_cmp(&corner(b)));
-    let best = corner(&cands[0]);
-    let mut out: SpMap = Vec::with_capacity(cands.len().min(cap));
-    for (i, e) in cands.iter().enumerate() {
-        if i >= cap {
-            break;
-        }
-        if i >= keep_min && corner(e) - best > window {
-            break;
-        }
-        out.push(*e);
-    }
-    out
 }
 
 #[cfg(test)]

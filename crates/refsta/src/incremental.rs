@@ -11,22 +11,33 @@
 //! # The frontier sweep
 //!
 //! Level-bucketed worklists start from the seeds and are visited in level
-//! order. A queued node has its fanin arcs and slew re-annotated by the
-//! body the full annotation runs, and its two arrival maps recomputed — a
-//! startpoint's from its launch, any other node's by the full propagation's
-//! own reduction. Its fanout is queued only if the slew or a map entry
-//! changed on `to_bits`. Only the endpoints on changed nodes are
+//! order. A node is queued for one of two reasons:
+//!
+//! * **re-annotate** — it is a seed, or a fanin's slew changed bits. Its
+//!   fanin arcs and slew are re-annotated by the body the full annotation
+//!   runs, and then its maps are re-reduced.
+//! * **re-reduce** — a fanin's map changed bits. Its two arrival maps are
+//!   recomputed (a startpoint's from its launch, any other node's by the
+//!   full propagation's own reduction); delay calculation is skipped.
+//!
+//! A node passes re-annotate to its fanout if its slew changed bits, and
+//! re-reduce if a map entry did; re-annotate includes re-reduce, since a
+//! node's arcs feed its own maps. Only the endpoints whose maps changed are
 //! re-evaluated; WNS, TNS and the violation count are then re-reduced over
 //! every endpoint in endpoint order, as the full update sums them.
 //!
 //! **Why this equals [`RefSta::full_update`] (induction over levels).**
-//! Away from the seeds, a node's arc delays, slew and arrival maps are pure
-//! functions of its fanins' slews and maps. Assume every node below level
-//! `l` holds the full update's bits. A level-`l` node that was not queued
-//! is no seed and has no changed fanin, so its old bits are the full
-//! update's; a queued one is recomputed by the full update's expressions
-//! from fanins that are final. Hence level `l` is final too. The sweep is
-//! bounded by changed *values*, not by the structural fanout cone.
+//! Away from the seeds, a node's arc delays and slew are pure functions of
+//! its fanins' slews, and its arrival maps of its arc delays and its
+//! fanins' maps. Assume every node below level `l` holds the full update's
+//! bits. A level-`l` node that was not re-annotated is no seed and no
+//! fanin's slew moved, so its arcs and slew are the full update's; one
+//! that was is recomputed by the full update's expressions from final
+//! fanin slews. Likewise a node that was not queued at all has final arcs
+//! and no fanin map moved, so its maps are the full update's; a queued one
+//! is reduced from final arcs and final fanin maps. Hence level `l` is
+//! final too. The sweep is bounded by changed *values*, not by the
+//! structural fanout cone, and delay calculation by changed slews.
 //!
 //! **What re-times in full.** A flop or a cell on the clock network moves
 //! clock arrivals, launch and required times and CPPR credit, which reach
@@ -39,25 +50,31 @@
 //! paper's Figure 7 comparison; the full [`RefSta::full_update`] plays the
 //! commercial-tool role.
 
-use crate::sta::{EpInfo, RefSta, SpArrival, SpInfo, StaReport};
+use crate::sta::{EpInfo, RefSta, SpInfo, StaReport};
 use insta_netlist::{CellId, Design, NodeId, TimingGraph};
 
 /// Marks a node that is no startpoint (or no endpoint).
 const NONE: u32 = u32::MAX;
+
+/// Why a node is queued, weakest first (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Reason {
+    Idle,
+    Rereduce,
+    Reannotate,
+}
 
 /// Persistent scratch of the incremental update, sized once per graph.
 #[derive(Debug, Default)]
 pub(crate) struct Frontier {
     /// Per level: the nodes queued for the current update.
     buckets: Vec<Vec<NodeId>>,
-    /// Per node: whether it sits in a bucket.
-    queued: Vec<bool>,
+    /// Per node: why it sits in a bucket, or [`Reason::Idle`].
+    why: Vec<Reason>,
     /// Per node: its startpoint index, or [`NONE`].
     sp_of: Vec<u32>,
     /// Per node: its endpoint index, or [`NONE`].
     ep_of: Vec<u32>,
-    /// Candidate buffer of the arrival-map reduction, reused by every node.
-    cands: Vec<SpArrival>,
 }
 
 impl Frontier {
@@ -73,18 +90,20 @@ impl Frontier {
         }
         Self {
             buckets: vec![Vec::new(); graph.num_levels()],
-            queued: vec![false; n],
+            why: vec![Reason::Idle; n],
             sp_of,
             ep_of,
-            cands: Vec::new(),
         }
     }
 
-    /// Queues `node` in its level's bucket unless it is already there.
-    fn queue(&mut self, graph: &TimingGraph, node: NodeId) {
-        if !std::mem::replace(&mut self.queued[node.index()], true) {
+    /// Queues `node` in its level's bucket unless it is already there, for
+    /// the stronger of `why` and the reason it is queued for.
+    fn queue(&mut self, graph: &TimingGraph, node: NodeId, why: Reason) {
+        let slot = &mut self.why[node.index()];
+        if *slot == Reason::Idle {
             self.buckets[graph.level_of(node) as usize].push(node);
         }
+        *slot = (*slot).max(why);
     }
 }
 
@@ -119,55 +138,58 @@ impl RefSta {
                     .map(|net| design.net(net).driver);
                 for seed in std::iter::once(pin).chain(loaded) {
                     if let Some(node) = self.graph.node_of(seed) {
-                        self.frontier.queue(&self.graph, node);
+                        self.frontier.queue(&self.graph, node, Reason::Reannotate);
                     }
                 }
             }
         }
-        let mut cands = std::mem::take(&mut self.frontier.cands);
         for level in 0..self.frontier.buckets.len() {
             let mut bucket = std::mem::take(&mut self.frontier.buckets[level]);
             for &node in &bucket {
                 // Nothing below this level is left to queue it again.
-                self.frontier.queued[node.index()] = false;
-                if !self.retime_node(design, node, &mut cands) {
-                    continue;
-                }
+                let why = std::mem::replace(&mut self.frontier.why[node.index()], Reason::Idle);
+                let slew_changed = why == Reason::Reannotate && self.reannotate_node(design, node);
+                let sp = self.frontier.sp_of[node.index()];
+                let maps_changed = if sp != NONE {
+                    self.init_source(design, sp as usize)
+                } else {
+                    self.propagate_node(node)
+                };
                 let ep = self.frontier.ep_of[node.index()];
-                if ep != NONE {
+                if maps_changed && ep != NONE {
                     self.report.endpoints[ep as usize] = self.evaluate_endpoint(ep as usize);
                 }
+                let pass = if slew_changed {
+                    Reason::Reannotate
+                } else if maps_changed {
+                    Reason::Rereduce
+                } else {
+                    continue;
+                };
                 for &ai in self.graph.fanout(node) {
-                    self.frontier.queue(&self.graph, self.graph.arc(ai).to);
+                    self.frontier
+                        .queue(&self.graph, self.graph.arc(ai).to, pass);
                 }
             }
             bucket.clear();
             self.frontier.buckets[level] = bucket;
         }
-        self.frontier.cands = cands;
         self.summarize_endpoints();
         self.report.clone()
     }
 
-    /// Re-annotates one node and recomputes its arrival maps; returns
-    /// whether its slew or any map entry changed bits.
-    fn retime_node(&mut self, design: &Design, node: NodeId, cands: &mut Vec<SpArrival>) -> bool {
+    /// Re-annotates one node's fanin arcs and slew; returns whether the
+    /// slew changed bits.
+    fn reannotate_node(&mut self, design: &Design, node: NodeId) -> bool {
         let old_slew = self.delays.node_slew[node.index()];
         self.config
             .delay_calc
             .annotate_node(design, &self.graph, node, &mut self.delays);
         let new_slew = self.delays.node_slew[node.index()];
-        let slew_changed = old_slew
+        old_slew
             .iter()
             .zip(&new_slew)
-            .any(|(a, b)| a.to_bits() != b.to_bits());
-        let sp = self.frontier.sp_of[node.index()];
-        let maps_changed = if sp != NONE {
-            self.init_source(design, sp as usize)
-        } else {
-            self.propagate_node(node, cands)
-        };
-        slew_changed | maps_changed
+            .any(|(a, b)| a.to_bits() != b.to_bits())
     }
 }
 

@@ -10,6 +10,24 @@
 //! everything below `best - prune_window` (beyond a safety count) is
 //! dropped. With a zero-credit clock (no derate spread) this degenerates to
 //! plain worst-arrival propagation.
+//!
+//! # The reduction
+//!
+//! A node's map is built from *runs*, one per (fanin arc, input
+//! transition): the fanin's map with the arc's mean added and its sigma
+//! combined in quadrature. The shift keeps a run nearly in corner order, so
+//! one insertion pass sorts it; the runs are then merged, and a
+//! per-startpoint stamp keeps each startpoint's first — latest-corner —
+//! entry. The merge stops at `sp_cap`, or at the first entry past
+//! `sp_keep_min` that falls outside the pruning window of the map's best.
+//! Hold runs the same reduction on the early corner (`Side::Early`).
+//!
+//! **Tie rule.** Entries are ordered by corner under `f64::total_cmp`,
+//! then by startpoint ascending; of two entries of one startpoint with the
+//! same corner, the one from the earlier run (fanin arc order, then input
+//! transition order) is kept. The order is defined, so no sort
+//! implementation decides which entry a reader that takes a map's
+//! `first()` sees.
 
 use crate::clocktime::{ClockModelError, ClockTiming};
 use crate::delay::{ArcDelays, DelayCalc};
@@ -83,7 +101,8 @@ impl SpArrival {
 }
 
 /// Arrival map of one (node, transition): unique startpoints, sorted by
-/// descending corner value.
+/// descending corner value, ties by ascending startpoint (the module docs'
+/// tie rule).
 pub type SpMap = Vec<SpArrival>;
 
 /// Static data of one startpoint.
@@ -178,6 +197,8 @@ pub struct RefSta {
     pub(crate) full_pending: bool,
     /// Persistent scratch of the incremental update.
     pub(crate) frontier: Frontier,
+    /// Persistent scratch of the arrival-map reduction.
+    pub(crate) reducer: Reducer,
 }
 
 impl RefSta {
@@ -209,9 +230,11 @@ impl RefSta {
             report: StaReport::default(),
             full_pending: true,
             frontier: Frontier::default(),
+            reducer: Reducer::default(),
         };
         engine.index_points(design);
         engine.frontier = Frontier::new(&engine.graph, &engine.sp_infos, &engine.ep_infos);
+        engine.reducer = Reducer::new(engine.sp_infos.len());
         Ok(engine)
     }
 
@@ -513,47 +536,42 @@ impl RefSta {
     /// level-major order and closed under fanin-dirtiness (every dirty
     /// fanin appears earlier in the slice).
     pub fn propagate_nodes(&mut self, nodes: &[NodeId]) {
-        let mut cands: Vec<SpArrival> = Vec::new();
         for &node in nodes {
-            self.propagate_node(node, &mut cands);
+            self.propagate_node(node);
         }
     }
 
     /// Recomputes the arrival maps of one non-source node from its fanins'
     /// maps and its fanin arcs' delays, in place; returns whether any entry
     /// changed bits. Sources keep their initialization.
-    pub(crate) fn propagate_node(&mut self, node: NodeId, cands: &mut Vec<SpArrival>) -> bool {
-        let fanin = self.graph.fanin(node);
-        if fanin.is_empty() {
-            return false;
-        }
+    pub(crate) fn propagate_node(&mut self, node: NodeId) -> bool {
+        let rule = self.prune_rule(Side::Late);
         let mut changed = false;
         for tr in Transition::BOTH {
-            cands.clear();
-            for &ai in fanin {
-                let from = self.graph.arc(ai).from;
-                let mean = self.delays.mean[ai as usize][tr.index()];
-                let sigma = self.delays.sigma[ai as usize][tr.index()];
-                for ptr in input_transitions(self.delays.sense[ai as usize], tr) {
-                    for e in &self.arrivals[from.index()][ptr.index()] {
-                        cands.push(SpArrival {
-                            sp: e.sp,
-                            mean: e.mean + mean,
-                            sigma: rss(e.sigma, sigma),
-                        });
-                    }
-                }
-            }
-            reduce_map(
-                cands,
-                self.config.n_sigma,
-                self.config.sp_cap,
-                self.config.sp_keep_min,
-                self.prune_window,
+            let map = self.reducer.reduce_fanin(
+                &self.graph,
+                &self.delays,
+                &self.arrivals,
+                node,
+                tr,
+                &rule,
             );
-            changed |= store_map(&mut self.arrivals[node.index()][tr.index()], cands);
+            if let Some(map) = map {
+                changed |= store_map(&mut self.arrivals[node.index()][tr.index()], map);
+            }
         }
         changed
+    }
+
+    /// The reduction rule of this engine's maps on `side`.
+    pub(crate) fn prune_rule(&self, side: Side) -> PruneRule {
+        PruneRule {
+            side,
+            n_sigma: self.config.n_sigma,
+            cap: self.config.sp_cap,
+            keep_min: self.config.sp_keep_min,
+            window: self.prune_window,
+        }
     }
 
     /// Recomputes endpoint slacks and the design report from the current
@@ -715,29 +733,160 @@ pub fn input_transitions(sense: TimingSense, out: Transition) -> &'static [Trans
     }
 }
 
-/// Reduces a candidate list in place to a unique-startpoint map sorted by
-/// descending corner: window-pruned beyond `keep_min`, capped at `cap`.
-fn reduce_map(cands: &mut Vec<SpArrival>, n_sigma: f64, cap: usize, keep_min: usize, window: f64) {
-    if cands.is_empty() {
-        return;
-    }
-    // Unique per startpoint: keep the max corner.
-    cands.sort_unstable_by(|a, b| {
-        a.sp.cmp(&b.sp)
-            .then(b.corner(n_sigma).total_cmp(&a.corner(n_sigma)))
-    });
-    cands.dedup_by_key(|e| e.sp);
-    // Sort by criticality.
-    cands.sort_unstable_by(|a, b| b.corner(n_sigma).total_cmp(&a.corner(n_sigma)));
-    let best = cands[0].corner(n_sigma);
-    let mut kept = 0;
-    for (i, e) in cands.iter().enumerate().take(cap) {
-        if i >= keep_min && best - e.corner(n_sigma) > window {
-            break;
+/// Which end of the arrival distribution a map keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Side {
+    /// Setup: the latest corner `mean + n_sigma * sigma`, largest first.
+    Late,
+    /// Hold: the earliest corner `mean - n_sigma * sigma`, smallest first.
+    Early,
+}
+
+impl Side {
+    /// The merge key, largest first. The early corner is negated: negation
+    /// is exact and reverses `total_cmp`, and `(-best) - (-c)` is `c - best`
+    /// in every bit, so both the order and the window test are the
+    /// ascending early corner's.
+    #[inline]
+    fn key(self, e: &SpArrival, n_sigma: f64) -> f64 {
+        match self {
+            Side::Late => e.mean + n_sigma * e.sigma,
+            Side::Early => -(e.mean - n_sigma * e.sigma),
         }
-        kept = i + 1;
     }
-    cands.truncate(kept);
+}
+
+/// How a reduction orders and prunes one map.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PruneRule {
+    pub(crate) side: Side,
+    pub(crate) n_sigma: f64,
+    /// At most this many entries.
+    pub(crate) cap: usize,
+    /// Entries kept whatever their distance from the best.
+    pub(crate) keep_min: usize,
+    /// Past `keep_min`, an entry whose key trails the best by more than
+    /// this ends the map.
+    pub(crate) window: f64,
+}
+
+/// `a` goes before `b`: larger key, then smaller startpoint.
+#[inline]
+fn ahead(a: &(f64, SpArrival), b: &(f64, SpArrival)) -> bool {
+    a.0.total_cmp(&b.0).then(b.1.sp.cmp(&a.1.sp)).is_gt()
+}
+
+/// Scratch of the arrival-map reduction (module docs), reused by every
+/// map: nothing is allocated once the buffers have grown to the largest
+/// map.
+#[derive(Debug, Default)]
+pub(crate) struct Reducer {
+    /// The current map's candidates with their merge keys, run after run.
+    cands: Vec<(f64, SpArrival)>,
+    /// Per run: its next unmerged candidate and its end in `cands`.
+    runs: Vec<(usize, usize)>,
+    /// Per startpoint: the stamp of the last map that took it.
+    seen: Vec<u32>,
+    /// The current map's stamp in `seen`.
+    stamp: u32,
+    /// The reduced map.
+    out: SpMap,
+}
+
+impl Reducer {
+    /// A reducer for startpoints `0..num_sps`.
+    pub(crate) fn new(num_sps: usize) -> Self {
+        Self {
+            seen: vec![0; num_sps],
+            ..Self::default()
+        }
+    }
+
+    /// Reduces the map of `node` toward output transition `tr` from its
+    /// fanins' `arrivals` and its fanin arcs' `delays`; `None` for a node
+    /// without fanin arcs (a source, whose map is its launch).
+    pub(crate) fn reduce_fanin(
+        &mut self,
+        graph: &TimingGraph,
+        delays: &ArcDelays,
+        arrivals: &[[SpMap; 2]],
+        node: NodeId,
+        tr: Transition,
+        rule: &PruneRule,
+    ) -> Option<&[SpArrival]> {
+        let fanin = graph.fanin(node);
+        if fanin.is_empty() {
+            return None;
+        }
+        self.cands.clear();
+        self.runs.clear();
+        for &ai in fanin {
+            let from = graph.arc(ai).from;
+            let mean = delays.mean[ai as usize][tr.index()];
+            let sigma = delays.sigma[ai as usize][tr.index()];
+            for ptr in input_transitions(delays.sense[ai as usize], tr) {
+                self.push_run(&arrivals[from.index()][ptr.index()], mean, sigma, rule);
+            }
+        }
+        Some(self.merge(rule))
+    }
+
+    /// Appends one run: `parent` with `mean` added and `sigma` combined in
+    /// quadrature, put in merge order by an insertion pass (a sorted
+    /// parent stays nearly sorted under the shift, so entries move little).
+    fn push_run(&mut self, parent: &[SpArrival], mean: f64, sigma: f64, rule: &PruneRule) {
+        if parent.is_empty() {
+            return;
+        }
+        let start = self.cands.len();
+        for e in parent {
+            let a = SpArrival {
+                sp: e.sp,
+                mean: e.mean + mean,
+                sigma: rss(e.sigma, sigma),
+            };
+            let mut j = self.cands.len();
+            self.cands.push((rule.side.key(&a, rule.n_sigma), a));
+            while j > start && ahead(&self.cands[j], &self.cands[j - 1]) {
+                self.cands.swap(j, j - 1);
+                j -= 1;
+            }
+        }
+        self.runs.push((start, self.cands.len()));
+    }
+
+    /// Merges the runs by (key, startpoint, run), keeping each startpoint's
+    /// first entry, until the cap or the pruning window ends the map.
+    fn merge(&mut self, rule: &PruneRule) -> &[SpArrival] {
+        self.out.clear();
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        let mut best = None;
+        while self.out.len() < rule.cap {
+            let mut pick: Option<(usize, (f64, SpArrival))> = None;
+            for (r, &(next, end)) in self.runs.iter().enumerate() {
+                if next < end && pick.is_none_or(|(_, head)| ahead(&self.cands[next], &head)) {
+                    pick = Some((r, self.cands[next]));
+                }
+            }
+            let Some((r, (key, e))) = pick else { break };
+            self.runs[r].0 += 1;
+            let seen = &mut self.seen[e.sp as usize];
+            if *seen == self.stamp {
+                continue;
+            }
+            *seen = self.stamp;
+            let best = *best.get_or_insert(key);
+            if self.out.len() >= rule.keep_min && best - key > rule.window {
+                break;
+            }
+            self.out.push(e);
+        }
+        &self.out
+    }
 }
 
 /// Overwrites `map` with `new` (keeping its capacity) if the two differ in
@@ -1054,5 +1203,328 @@ mod tests {
         let rb = b.full_update(&d);
         assert_eq!(ra.wns_ps, rb.wns_ps);
         assert_eq!(ra.tns_ps, rb.tns_ps);
+    }
+
+    // ---- The run-merge reduction against the two-sort reducers it replaced
+
+    /// The setup reducer before the run merge, verbatim: the oracle.
+    fn reduce_map(
+        cands: &mut Vec<SpArrival>,
+        n_sigma: f64,
+        cap: usize,
+        keep_min: usize,
+        window: f64,
+    ) {
+        if cands.is_empty() {
+            return;
+        }
+        // Unique per startpoint: keep the max corner.
+        cands.sort_unstable_by(|a, b| {
+            a.sp.cmp(&b.sp)
+                .then(b.corner(n_sigma).total_cmp(&a.corner(n_sigma)))
+        });
+        cands.dedup_by_key(|e| e.sp);
+        // Sort by criticality.
+        cands.sort_unstable_by(|a, b| b.corner(n_sigma).total_cmp(&a.corner(n_sigma)));
+        let best = cands[0].corner(n_sigma);
+        let mut kept = 0;
+        for (i, e) in cands.iter().enumerate().take(cap) {
+            if i >= keep_min && best - e.corner(n_sigma) > window {
+                break;
+            }
+            kept = i + 1;
+        }
+        cands.truncate(kept);
+    }
+
+    /// The hold reducer before the run merge, verbatim: the oracle.
+    fn reduce_min(
+        cands: &mut Vec<SpArrival>,
+        n_sigma: f64,
+        cap: usize,
+        keep_min: usize,
+        window: f64,
+    ) -> SpMap {
+        if cands.is_empty() {
+            return Vec::new();
+        }
+        let corner = |e: &SpArrival| e.mean - n_sigma * e.sigma;
+        cands.sort_unstable_by(|a, b| a.sp.cmp(&b.sp).then(corner(a).total_cmp(&corner(b))));
+        cands.dedup_by_key(|e| e.sp);
+        cands.sort_unstable_by(|a, b| corner(a).total_cmp(&corner(b)));
+        let best = corner(&cands[0]);
+        let mut out: SpMap = Vec::with_capacity(cands.len().min(cap));
+        for (i, e) in cands.iter().enumerate() {
+            if i >= cap {
+                break;
+            }
+            if i >= keep_min && corner(e) - best > window {
+                break;
+            }
+            out.push(*e);
+        }
+        out
+    }
+
+    /// Runs of one map: each a parent map (in any order, unique
+    /// startpoints) with the arc's mean and sigma.
+    #[derive(Debug, Clone)]
+    struct Runs {
+        num_sps: u32,
+        runs: Vec<(Vec<SpArrival>, f64, f64)>,
+    }
+
+    impl insta_support::prop::Shrink for Runs {}
+
+    fn shifted(e: &SpArrival, mean: f64, sigma: f64) -> SpArrival {
+        SpArrival {
+            sp: e.sp,
+            mean: e.mean + mean,
+            sigma: rss(e.sigma, sigma),
+        }
+    }
+
+    /// Tie-heavy runs: quarter-step means and sigmas (zero arc sigma keeps a
+    /// shifted sigma exact), startpoints shared by several runs with one
+    /// corner but different (mean, sigma) bits, empty runs, shuffled
+    /// parents, now and then a NaN sigma.
+    fn gen_runs(rng: &mut insta_support::Rng) -> Runs {
+        let q = |rng: &mut insta_support::Rng, hi: u32| rng.gen_range(0..hi) as f64 * 0.25;
+        let num_sps = rng.gen_range(1u32..13);
+        let mut runs = Vec::new();
+        for _ in 0..rng.gen_range(0usize..7) {
+            let mean = q(rng, 16);
+            let sigma = match rng.gen_range(0u32..4) {
+                0 | 1 => 0.0,
+                2 => 0.75,
+                _ => q(rng, 8),
+            };
+            let mut parent = Vec::new();
+            if !rng.gen_bool(0.15) {
+                for sp in 0..num_sps {
+                    if rng.gen_bool(0.6) {
+                        parent.push(SpArrival {
+                            sp,
+                            mean: q(rng, 40),
+                            sigma: q(rng, 8),
+                        });
+                    }
+                }
+            }
+            runs.push((parent, mean, sigma));
+        }
+        // One startpoint at one corner through several zero-sigma runs, each
+        // time with another (mean, sigma): the late corner `c` ties in
+        // `mean + 3 sigma`, the early corner in `mean - 3 sigma`.
+        if !runs.is_empty() && rng.gen_bool(0.7) {
+            let sp = rng.gen_range(0..num_sps);
+            let c = q(rng, 40) + 8.0;
+            let late = rng.gen_bool(0.5);
+            for (k, (parent, mean, sigma)) in runs.iter_mut().enumerate() {
+                if *sigma != 0.0 || rng.gen_bool(0.3) {
+                    continue;
+                }
+                let s = (k % 4) as f64 * 0.5;
+                let m = if late {
+                    c - *mean - 3.0 * s
+                } else {
+                    c - *mean + 3.0 * s
+                };
+                parent.retain(|e| e.sp != sp);
+                parent.push(SpArrival {
+                    sp,
+                    mean: m,
+                    sigma: s,
+                });
+            }
+        }
+        if rng.gen_bool(0.1) {
+            if let Some(e) = runs.iter_mut().flat_map(|r| r.0.iter_mut()).next() {
+                e.sigma = f64::NAN;
+            }
+        }
+        for (parent, _, _) in &mut runs {
+            rng.shuffle(parent);
+        }
+        Runs { num_sps, runs }
+    }
+
+    /// The tie rule spelled out: per startpoint the largest key, the first
+    /// run on a tie; then key descending, startpoint ascending; then the
+    /// cap and the window.
+    fn defined_rule(runs: &Runs, rule: &PruneRule) -> SpMap {
+        let key = |e: &SpArrival| rule.side.key(e, rule.n_sigma);
+        let mut winners: Vec<SpArrival> = Vec::new();
+        for (parent, mean, sigma) in &runs.runs {
+            for e in parent.iter().map(|e| shifted(e, *mean, *sigma)) {
+                match winners.iter_mut().find(|w| w.sp == e.sp) {
+                    Some(w) if key(&e).total_cmp(&key(w)).is_gt() => *w = e,
+                    Some(_) => {}
+                    None => winners.push(e),
+                }
+            }
+        }
+        winners.sort_by(|a, b| key(b).total_cmp(&key(a)).then(a.sp.cmp(&b.sp)));
+        let mut out = Vec::new();
+        for (i, e) in winners.iter().enumerate() {
+            if i >= rule.cap || (i >= rule.keep_min && key(&winners[0]) - key(e) > rule.window) {
+                break;
+            }
+            out.push(*e);
+        }
+        out
+    }
+
+    fn bits(e: &SpArrival) -> (u32, u64, u64) {
+        (e.sp, e.mean.to_bits(), e.sigma.to_bits())
+    }
+
+    /// One reduction of `runs` under `rule`, checked against the oracle
+    /// and the tie rule.
+    fn check_reduction(red: &mut Reducer, runs: &Runs, rule: &PruneRule) -> Result<(), String> {
+        red.cands.clear();
+        red.runs.clear();
+        for (parent, mean, sigma) in &runs.runs {
+            red.push_run(parent, *mean, *sigma, rule);
+        }
+        let ours: Vec<_> = red.merge(rule).iter().map(bits).collect();
+        let spec: Vec<_> = defined_rule(runs, rule).iter().map(bits).collect();
+        if ours != spec {
+            return Err(format!("{rule:?}: merge {ours:?} != tie rule {spec:?}"));
+        }
+        let n = rule.n_sigma;
+        let all: Vec<SpArrival> = runs
+            .runs
+            .iter()
+            .flat_map(|(p, m, s)| p.iter().map(move |e| shifted(e, *m, *s)))
+            .collect();
+        let (oracle, corner): (SpMap, fn(&SpArrival, f64) -> f64) = match rule.side {
+            Side::Late => {
+                let mut c = all.clone();
+                reduce_map(&mut c, n, rule.cap, rule.keep_min, rule.window);
+                (c, |e, n| e.mean + n * e.sigma)
+            }
+            Side::Early => {
+                let o = reduce_min(&mut all.clone(), n, rule.cap, rule.keep_min, rule.window);
+                (o, |e, n| e.mean - n * e.sigma)
+            }
+        };
+        if oracle.len() != ours.len() {
+            return Err(format!(
+                "{rule:?}: {} entries, oracle {}",
+                ours.len(),
+                oracle.len()
+            ));
+        }
+        let best_of = |sp: u32| {
+            all.iter()
+                .filter(|e| e.sp == sp)
+                .map(|e| rule.side.key(e, n))
+                .max_by(f64::total_cmp)
+                .expect("a candidate")
+        };
+        let mut sps: Vec<u32> = all.iter().map(|e| e.sp).collect();
+        sps.sort_unstable();
+        sps.dedup();
+        for (i, (o, e)) in oracle.iter().zip(red.out.iter()).enumerate() {
+            let c = corner(o, n);
+            if c.to_bits() != corner(e, n).to_bits() {
+                return Err(format!("{rule:?}: corner {i} {c} vs oracle's"));
+            }
+            // The oracle's pick is its sort's unless the corner is one
+            // startpoint's alone and that startpoint reaches it one way.
+            let key = rule.side.key(o, n);
+            let tied = sps
+                .iter()
+                .filter(|&&sp| best_of(sp).to_bits() == key.to_bits())
+                .count();
+            let ways = all
+                .iter()
+                .filter(|x| x.sp == o.sp && rule.side.key(x, n).to_bits() == key.to_bits())
+                .map(bits)
+                .collect::<std::collections::BTreeSet<_>>()
+                .len();
+            if tied == 1 && ways == 1 && bits(o) != bits(e) {
+                return Err(format!("{rule:?}: entry {i} {e:?} vs oracle {o:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The run merge equals the two-sort reducers on `to_bits` and in order
+    /// wherever the order is defined by value, and follows the tie rule
+    /// everywhere — setup and hold, with `sp_cap`, `sp_keep_min` and the
+    /// window at and around every boundary of each generated map.
+    #[test]
+    fn run_merge_equals_the_two_sort_oracle_and_pins_ties() {
+        use insta_support::prop::{for_all, Config};
+        for_all(Config::cases(96).seed(0x5EED_2ED0), gen_runs, |runs| {
+            let mut red = Reducer::new(runs.num_sps as usize);
+            for side in [Side::Late, Side::Early] {
+                let unbounded = PruneRule {
+                    side,
+                    n_sigma: 3.0,
+                    cap: usize::MAX,
+                    keep_min: usize::MAX,
+                    window: f64::INFINITY,
+                };
+                let keys: Vec<f64> = defined_rule(runs, &unbounded)
+                    .iter()
+                    .map(|e| side.key(e, 3.0))
+                    .collect();
+                let u = keys.len();
+                let mut windows = vec![0.0, -0.25, f64::INFINITY];
+                for k in &keys {
+                    let d = keys[0] - k;
+                    if d.is_finite() {
+                        windows.extend([d, d.next_down(), d.next_up()]);
+                    }
+                }
+                for cap in [0, 1, 2, u.saturating_sub(1), u, u + 1, 128] {
+                    for keep_min in [0, 1, cap.saturating_sub(1), cap, u, u + 1, 8] {
+                        for &window in &windows {
+                            let rule = PruneRule {
+                                window,
+                                cap,
+                                keep_min,
+                                ..unbounded
+                            };
+                            check_reduction(&mut red, runs, &rule)?;
+                        }
+                    }
+                }
+            }
+            Ok(())
+        });
+    }
+
+    /// A map past the reducer's stamp wrap keeps deduplicating.
+    #[test]
+    fn stamps_survive_the_wrap() {
+        let mut red = Reducer::new(2);
+        red.stamp = u32::MAX - 1;
+        let a = |sp, mean| SpArrival {
+            sp,
+            mean,
+            sigma: 0.0,
+        };
+        let runs = Runs {
+            num_sps: 2,
+            runs: vec![
+                (vec![a(0, 1.0), a(1, 2.0)], 0.0, 0.0),
+                (vec![a(1, 3.0), a(0, 1.0)], 0.0, 0.0),
+            ],
+        };
+        let rule = PruneRule {
+            side: Side::Late,
+            n_sigma: 3.0,
+            cap: 8,
+            keep_min: 8,
+            window: 0.0,
+        };
+        for _ in 0..4 {
+            check_reduction(&mut red, &runs, &rule).expect("same as the oracle");
+            assert_eq!(red.out.len(), 2);
+        }
     }
 }

@@ -7,7 +7,9 @@
 //! downsizing, a cell resized back, a no-op resize, an empty list, cells
 //! whose nets feed flops and primary outputs, cells that load a flop's Q
 //! net, and — where the update has to re-time clock and launch timing —
-//! flops and clock buffers.
+//! flops and clock buffers. One case picks resizes whose slew change stops
+//! within a few levels while their arrival change runs to the last levels,
+//! so most of the sweep only re-reduces maps without re-annotating.
 
 use insta_liberty::GateClass;
 use insta_netlist::generator::{generate_design, GeneratorConfig};
@@ -371,5 +373,90 @@ fn exceptions_changed_between_updates_apply_on_the_next_incremental_update() {
             "endpoint {:?}",
             e.ep
         );
+    }
+}
+
+/// The deepest graph level at which `a` and `b` differ in a node's slew,
+/// and the deepest at which they differ in an arrival-map entry.
+fn reach(a: &RefSta, b: &RefSta) -> (Option<u32>, Option<u32>) {
+    let g = a.graph();
+    let (mut slew, mut maps) = (None, None);
+    for v in 0..g.num_nodes() {
+        let node = NodeId(v as u32);
+        let level = Some(g.level_of(node));
+        let (x, y) = (a.delays().node_slew[v], b.delays().node_slew[v]);
+        if (0..2).any(|t| x[t].to_bits() != y[t].to_bits()) {
+            slew = slew.max(level);
+        }
+        let same = a.arrivals(node).iter().zip(b.arrivals(node)).all(|(m, n)| {
+            m.len() == n.len()
+                && m.iter().zip(n).all(|(e, f)| {
+                    (e.sp, e.mean.to_bits(), e.sigma.to_bits())
+                        == (f.sp, f.mean.to_bits(), f.sigma.to_bits())
+                })
+        });
+        if !same {
+            maps = maps.max(level);
+        }
+    }
+    (slew, maps)
+}
+
+/// Resizes whose slew change dies out within a few levels while their
+/// arrival changes run on to the last levels: the update re-annotates the
+/// first stretch and only re-reduces the rest. Every update — each cell
+/// alone, both together, and back — equals a fresh full update on every
+/// arc delay, slew and map entry.
+#[test]
+fn shallow_slew_changes_with_deep_arrival_changes_match_full_update() {
+    let mut design = generate_design(&GeneratorConfig::medium("eq-deep", 6));
+    let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
+    sta.full_update(&design);
+    let mut rng = Rng::seed_from_u64(6);
+    // (arrival reach - slew reach, cell, new size), over the first cells
+    // whose slew change stops within four levels of the cell.
+    let mut picks = Vec::new();
+    for &c in resizable(&design).iter().take(60) {
+        let orig = design.cell(c).lib_cell;
+        let to = other_size(&design, c, true, &mut rng);
+        design.resize_cell(c, to);
+        let mut fresh = RefSta::new(&design, StaConfig::default()).expect("build");
+        fresh.full_update(&design);
+        design.resize_cell(c, orig);
+        let g = sta.graph();
+        let level = design
+            .cell(c)
+            .pins
+            .iter()
+            .filter_map(|&p| g.node_of(p))
+            .map(|n| g.level_of(n))
+            .min()
+            .expect("a timed pin");
+        if let (Some(slew), Some(maps)) = reach(&sta, &fresh) {
+            if slew <= level + 4 {
+                picks.push((maps.saturating_sub(slew), c, to));
+            }
+        }
+    }
+    picks.sort_by_key(|p| std::cmp::Reverse(p.0));
+    assert!(
+        picks.len() >= 2 && picks[1].0 >= 12,
+        "two cells whose arrivals run 12+ levels past their slews: {picks:?}"
+    );
+    let (a, b) = ((picks[0].1, picks[0].2), (picks[1].1, picks[1].2));
+    let orig = [design.cell(a.0).lib_cell, design.cell(b.0).lib_cell];
+    let steps: [(&str, &[(CellId, insta_liberty::LibCellId)]); 4] = [
+        ("first cell", &[a]),
+        ("first cell back", &[(a.0, orig[0])]),
+        ("both cells", &[a, b]),
+        ("both back", &[(a.0, orig[0]), (b.0, orig[1])]),
+    ];
+    for (what, resizes) in steps {
+        for &(c, to) in resizes {
+            design.resize_cell(c, to);
+        }
+        let cells: Vec<CellId> = resizes.iter().map(|r| r.0).collect();
+        sta.incremental_update(&design, &cells);
+        assert_matches_fresh(&design, &sta, what);
     }
 }

@@ -7,8 +7,9 @@
 //! * **full** — the reference engine's from-scratch `full_update` (the
 //!   commercial-tool role of Fig. 7),
 //! * **incremental** — the reference engine's `incremental_update`, which
-//!   re-times only the nodes whose slew or arrivals a resize changed (the
-//!   "in-house, highly-optimized CPU STA" role),
+//!   re-runs delay calculation only on the resized cells' nodes and those
+//!   whose fanin slews moved, and re-reduces only the arrival maps a moved
+//!   delay or map reaches (the "in-house, highly-optimized CPU STA" role),
 //! * **INSTA** — `estimate_eco` re-annotation plus INSTA's update, which
 //!   re-propagates the changed fanout cone and lands on the full-graph
 //!   pass's bits (re-annotation time *included*, as in the paper).
