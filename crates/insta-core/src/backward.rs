@@ -25,7 +25,7 @@ impl InstaEngine {
     /// Call order: [`propagate`](InstaEngine::propagate) (for required
     /// times), [`forward_lse`](InstaEngine::forward_lse) (for weights),
     /// then this; whichever of the two is not current with the annotations
-    /// (or with τ) is run first.
+    /// is run first.
     ///
     /// # Panics
     ///
@@ -41,42 +41,14 @@ impl InstaEngine {
     /// worker-panic containment contract as
     /// [`try_propagate`](InstaEngine::try_propagate).
     pub fn try_backward_tns(&mut self) -> Result<(), InstaError> {
-        self.try_backward(Objective::Tns)
-    }
-
-    /// Backpropagates a smooth **WNS** objective instead of TNS: endpoint
-    /// seeds are *softmin* weights over the endpoint slacks (temperature
-    /// `lse_tau`), so the gradient concentrates on the worst endpoint and
-    /// spreads over near-worst ones as τ grows. Same call order as
-    /// [`backward_tns`](InstaEngine::backward_tns); the per-arc result is
-    /// read with [`arc_gradients`](InstaEngine::arc_gradients).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker panic could not be contained (see
-    /// [`try_backward_wns`](InstaEngine::try_backward_wns)).
-    pub fn backward_wns(&mut self) {
-        if let Err(e) = self.try_backward_wns() {
-            panic!("backward_wns failed: {e}");
-        }
-    }
-
-    /// Fallible [`backward_wns`](InstaEngine::backward_wns) with the same
-    /// worker-panic containment contract as
-    /// [`try_propagate`](InstaEngine::try_propagate).
-    pub fn try_backward_wns(&mut self) -> Result<(), InstaError> {
-        self.try_backward(Objective::Wns)
-    }
-
-    fn try_backward(&mut self, objective: Objective) -> Result<(), InstaError> {
         // The backward pass consumes the report (required times) and the
         // LSE arrivals/weights; what the ledger calls stale (never computed,
-        // arcs re-annotated since, τ changed via set_lse_tau) is recomputed
-        // rather than silently read.
+        // or arcs re-annotated since) is recomputed rather than silently
+        // read.
         if !self.validity.report_current() {
             self.try_propagate()?;
         }
-        if !self.validity.lse_current(self.cfg.lse_tau) {
+        if !self.validity.lse_current() {
             self.try_forward_lse()?;
         }
         let report = self.state.report.clone().expect("current: has a report");
@@ -86,7 +58,6 @@ impl InstaEngine {
             &self.st,
             &mut self.state,
             &report,
-            objective,
             self.cfg.lse_tau,
             self.cfg.n_threads,
             self.interrupt.as_ref(),
@@ -126,26 +97,15 @@ pub(crate) fn graph_arc_gradients(st: &Static, grad_arc: &[[f64; 2]]) -> Vec<f64
         .collect()
 }
 
-/// The objective a backward pass differentiates: which endpoint seeds it
-/// plants before the sweep.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Objective {
-    /// `TNS = Σ_ep min(0, slack_ep)`: every violating endpoint seeds −1.
-    Tns,
-    /// Smooth WNS: softmin weights over the finite endpoint slacks,
-    /// `w_i ∝ exp(−(s_i − min)/τ)`.
-    Wns,
-}
-
-/// One backward pass: gradients reset, the objective's endpoint seeds
-/// planted (`slack_ep = required − LSE(arr_r, arr_f)`, hence the softmax
-/// split `w_rf` of every seed), then the reverse level sweep.
-#[allow(clippy::too_many_arguments)]
+/// One backward pass: gradients reset, the TNS seeds planted — every
+/// violating endpoint seeds −1 (`TNS = Σ_ep min(0, slack_ep)`), split over
+/// its rise/fall smooth arrivals by the softmax `w_rf` of
+/// `slack_ep = required − LSE(arr_r, arr_f)` — then the reverse level
+/// sweep.
 pub(crate) fn backward(
     st: &Static,
     state: &mut State,
     report: &crate::metrics::InstaReport,
-    objective: Objective,
     tau: f64,
     n_threads: usize,
     interrupt: Option<&Interrupt>,
@@ -155,45 +115,20 @@ pub(crate) fn backward(
     for g in state.grad_fanout.iter_mut() {
         *g = [0.0; 2];
     }
-    // An endpoint's seed splits over its rise/fall smooth arrivals.
-    let rise_fall = |state: &State, v: usize| {
-        stat::softmax2(state.lse_arrival[v * 2], state.lse_arrival[v * 2 + 1], tau)
-    };
-    match objective {
-        Objective::Tns => {
-            for (i, ep) in st.endpoints.iter().enumerate() {
-                if report.slacks[i] >= 0.0 || !report.slacks[i].is_finite() {
-                    continue;
-                }
-                let v = ep.node as usize;
-                let (wr, wf) = rise_fall(state, v);
-                state.grad_arrival[v * 2] = -wr;
-                state.grad_arrival[v * 2 + 1] = -wf;
-            }
+    for (i, ep) in st.endpoints.iter().enumerate() {
+        if report.slacks[i] >= 0.0 || !report.slacks[i].is_finite() {
+            continue;
         }
-        Objective::Wns => {
-            let finite = || report.slacks.iter().filter(|s| s.is_finite());
-            let min_slack = finite().copied().fold(f64::INFINITY, f64::min);
-            if min_slack.is_finite() {
-                let denom: f64 = finite().map(|&s| (-(s - min_slack) / tau).exp()).sum();
-                for (i, ep) in st.endpoints.iter().enumerate() {
-                    let s = report.slacks[i];
-                    if !s.is_finite() {
-                        continue;
-                    }
-                    let w = (-(s - min_slack) / tau).exp() / denom;
-                    let v = ep.node as usize;
-                    let (wr, wf) = rise_fall(state, v);
-                    state.grad_arrival[v * 2] = -w * wr;
-                    state.grad_arrival[v * 2 + 1] = -w * wf;
-                }
-            }
-        }
+        let v = ep.node as usize;
+        let (wr, wf) =
+            stat::softmax2(state.lse_arrival[v * 2], state.lse_arrival[v * 2 + 1], tau);
+        state.grad_arrival[v * 2] = -wr;
+        state.grad_arrival[v * 2 + 1] = -wf;
     }
     sweep(st, state, n_threads, interrupt, prof)
 }
 
-/// The shared reverse level sweep (pull from children) plus the final
+/// The reverse level sweep (pull from children) plus the final
 /// scatter of fanout-slot gradients back into arc order. Seeds must
 /// already be planted in `state.grad_arrival`.
 fn sweep(
@@ -325,28 +260,6 @@ mod tests {
         eng
     }
 
-    /// Regression: `set_lse_tau` must not let a later backward pass read
-    /// LSE arrivals/weights computed at the old τ. The ledger's LSE
-    /// stamp forces a recompute, so τ-change-then-backward is
-    /// bit-identical to an engine that ran the differentiable forward
-    /// pass at the new τ from the start.
-    #[test]
-    fn set_lse_tau_invalidates_stale_lse_state() {
-        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let mut changed = gradient_engine(7, 8.0);
-        let stale = bits(&changed.arc_gradients());
-        changed.set_lse_tau(2.0);
-        changed.backward_tns(); // must recompute the LSE state at τ = 2
-        let after = bits(&changed.arc_gradients());
-
-        let fresh = gradient_engine(7, 2.0);
-        assert_eq!(after, bits(&fresh.arc_gradients()));
-        assert_ne!(
-            after, stale,
-            "a 4× τ change must actually move the gradients on a violating design"
-        );
-    }
-
     #[test]
     fn gradients_are_nonpositive_and_finite() {
         let eng = gradient_engine(1, 1.0);
@@ -430,33 +343,6 @@ mod tests {
         eng.forward_lse();
         eng.backward_tns();
         assert!(eng.arc_gradients().iter().all(|&g| g == 0.0));
-    }
-
-    /// The WNS objective concentrates gradient on the worst endpoint's
-    /// cone: at tiny τ, the arcs of other endpoints' exclusive cones carry
-    /// (nearly) nothing, and total |gradient| is bounded by 1 per level.
-    #[test]
-    fn wns_gradient_concentrates_on_worst_endpoint() {
-        let mut eng = gradient_engine(6, 0.05);
-        eng.backward_wns();
-        let wns_grads = eng.arc_gradients();
-        assert!(wns_grads.iter().all(|g| g.is_finite() && *g <= 1e-12));
-        let total: f64 = wns_grads.iter().map(|g| g.abs()).sum();
-        assert!(total > 0.0, "violating design must flow WNS gradient");
-        // TNS gradients cover at least as many arcs as WNS gradients.
-        eng.backward_tns();
-        let tns_grads = eng.arc_gradients();
-        let nz = |gs: &[f64]| gs.iter().filter(|g| g.abs() > 1e-12).count();
-        assert!(
-            nz(&tns_grads) >= nz(&wns_grads),
-            "TNS covers {} arcs, WNS {}",
-            nz(&tns_grads),
-            nz(&wns_grads)
-        );
-        // Seed weights are a distribution: the endpoint-level gradient
-        // magnitudes sum to ~1 for WNS.
-        let ep_total: f64 = wns_grads.iter().map(|g| g.abs()).fold(0.0, f64::max);
-        assert!(ep_total <= 1.0 + 1e-9);
     }
 
     /// Gradient magnitude orders arcs by criticality: arcs on violating

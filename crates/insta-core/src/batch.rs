@@ -73,7 +73,7 @@
 //! deltas)` share one lane, and every call merges a worst-corner slack per
 //! endpoint.
 
-use crate::backward::{graph_arc_gradients, Objective};
+use crate::backward::graph_arc_gradients;
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, RuntimeIncident};
 use crate::forward::{forward, seed_sources};
@@ -915,9 +915,9 @@ impl LaneCall<'_> {
 
     /// The session layer's no-NaN-escapes gate, then the optional
     /// differentiable passes against the engine's current annotations —
-    /// bit-identical to a serial session running `update_timing` +
-    /// `forward_lse` + `backward_tns`, because it *is* the same kernel
-    /// code reading the same values.
+    /// bit-identical to `update_timing` + `forward_lse` + `backward_tns`
+    /// on a twin engine, because it *is* the same kernel code reading the
+    /// same values.
     fn finish(&mut self, eng: &InstaEngine, report: InstaReport) -> LaneResult {
         let (st, cfg) = (&eng.st, &eng.cfg);
         if let Some(err) = crate::health::nan_slack(st, &report) {
@@ -941,7 +941,6 @@ impl LaneCall<'_> {
                 st,
                 scratch,
                 &report,
-                Objective::Tns,
                 cfg.lse_tau,
                 cfg.n_threads,
                 self.interrupt,

@@ -17,7 +17,7 @@ use crate::parallel::{Interrupt, VirtualQueue};
 use crate::snapshot::RowStore;
 use crate::stat;
 use crate::trace::{kernel_code, TraceSink};
-use crate::validate::{self, Issue, ValidationMode, ValidationReport};
+use crate::validate::{self, Issue, ValidationReport};
 use crate::validity::Validity;
 use insta_refsta::export::{EndpointInit, InstaInit, SourceInit, NO_LEAF};
 use insta_refsta::ExceptionSet;
@@ -94,10 +94,6 @@ pub struct InstaConfig {
     /// Whether endpoint evaluation applies CPPR credit (Fig. 6 contrasts
     /// Top-K=1 without CPPR against Top-K=128 with it).
     pub cppr: bool,
-    /// How [`InstaEngine::new`] treats the incoming snapshot: `Strict`
-    /// (validate, reject anything broken — the default) or `Trust` (skip
-    /// validation entirely, zero overhead).
-    pub validation: ValidationMode,
     /// When repeated incremental updates call for a resync (see
     /// [`DriftPolicy`]).
     pub drift_policy: DriftPolicy,
@@ -110,7 +106,6 @@ impl Default for InstaConfig {
             n_threads: 0,
             lse_tau: 1.0,
             cppr: true,
-            validation: ValidationMode::Strict,
             drift_policy: DriftPolicy::default(),
         }
     }
@@ -438,9 +433,8 @@ pub struct InstaEngine {
     pub(crate) st: Static,
     pub(crate) state: State,
     pub(crate) cfg: InstaConfig,
-    /// Report of the construction-time validation pass (`None` in
-    /// [`ValidationMode::Trust`]).
-    validation: Option<ValidationReport>,
+    /// Report of the construction-time validation pass.
+    validation: ValidationReport,
     /// The worker-panic incident of the most recent kernel pass, if it
     /// had one that serial re-execution recovered from.
     pub(crate) last_incident: Option<RuntimeIncident>,
@@ -482,11 +476,9 @@ impl InstaEngine {
     /// # Errors
     ///
     /// Returns [`InstaError::Validate`] when the configuration is invalid
-    /// (`top_k == 0` or above `u16::MAX`, non-positive `lse_tau`) or — in `Strict`
-    /// mode — when the snapshot violates the engine's contract (see
-    /// [`crate::validate`]). In [`ValidationMode::Trust`] the snapshot is
-    /// not inspected at all and a malformed one panics exactly as before
-    /// validation existed.
+    /// (`top_k == 0` or above `u16::MAX`, non-positive `lse_tau`) or when
+    /// the snapshot violates the engine's contract (see
+    /// [`crate::validate`]).
     pub fn new(mut init: InstaInit, cfg: InstaConfig) -> Result<Self, InstaError> {
         let mut config_issues = ValidationReport::default();
         if cfg.top_k == 0 {
@@ -510,16 +502,10 @@ impl InstaEngine {
         if config_issues.total() > 0 {
             return Err(InstaError::Validate(config_issues));
         }
-        let validation = match cfg.validation {
-            ValidationMode::Trust => None,
-            ValidationMode::Strict => {
-                let report = validate::validate(&init);
-                if report.rejects_strict() {
-                    return Err(InstaError::Validate(report));
-                }
-                Some(report)
-            }
-        };
+        let validation = validate::validate(&init);
+        if validation.rejects_strict() {
+            return Err(InstaError::Validate(validation));
+        }
         let n = init.n_nodes;
         // Renumbering: new id = position in level-major order, refined by
         // a level-blocked reorder. Within each level, nodes are
@@ -701,11 +687,10 @@ impl InstaEngine {
         );
     }
 
-    /// The construction-time validation report: `None` in
-    /// [`ValidationMode::Trust`], otherwise the issues (warnings only) found
-    /// before the engine accepted the snapshot.
-    pub fn validation_report(&self) -> Option<&ValidationReport> {
-        self.validation.as_ref()
+    /// The construction-time validation report: the issues (warnings
+    /// only) found before the engine accepted the snapshot.
+    pub fn validation_report(&self) -> &ValidationReport {
+        &self.validation
     }
 
     /// The worker-panic incident of the most recent kernel pass, if that
@@ -745,17 +730,6 @@ impl InstaEngine {
     /// The engine configuration.
     pub fn config(&self) -> &InstaConfig {
         &self.cfg
-    }
-
-    /// Sets the LSE temperature for subsequent differentiable passes.
-    ///
-    /// Previously computed LSE arrivals/weights become stale (they were
-    /// computed with the old τ); the backward entry points ask the
-    /// validity ledger (`lse_current(τ)`) and rerun the differentiable
-    /// forward pass before consuming them.
-    pub fn set_lse_tau(&mut self, tau: f64) {
-        assert!(tau > 0.0, "tau must be positive");
-        self.cfg.lse_tau = tau;
     }
 
     /// Arms a cooperative interruption for subsequent kernel passes.
@@ -1027,19 +1001,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn strict_mode_records_a_clean_report_and_trust_skips_it() {
-        let (_d, sta, eng) = build_engine(6, 4);
-        let report = eng.validation_report().expect("strict validates");
+    fn construction_records_a_clean_validation_report() {
+        let (_d, _sta, eng) = build_engine(6, 4);
+        let report = eng.validation_report();
         assert!(report.is_clean(), "{report}");
-        let trusted = InstaEngine::new(
-            sta.export_insta_init(),
-            InstaConfig {
-                validation: crate::validate::ValidationMode::Trust,
-                ..InstaConfig::default()
-            },
-        )
-        .expect("trusted snapshot");
-        assert!(trusted.validation_report().is_none());
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl InstaEngine {
         );
         self.trace.end_with(&pass_fields(&res, fallbacks));
         self.settle(res)?;
-        self.validity.lse_done(self.cfg.lse_tau);
+        self.validity.lse_done();
         let report = crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr);
         self.state.report = Some(report);
         self.validity.setup_done();
@@ -953,7 +953,6 @@ mod merge_tests {
     use crate::parallel::MergeArena;
     use crate::stat;
     use crate::topk::{Candidate, TopKQueue};
-    use crate::validate::ValidationMode;
     use insta_netlist::generator::{generate_design, GeneratorConfig};
     use insta_refsta::export::{ExportedArc, InstaInit, SourceInit, NO_LEAF};
     use insta_refsta::{RefSta, StaConfig};
@@ -1110,10 +1109,9 @@ mod merge_tests {
         };
         let cfg = InstaConfig {
             top_k: k,
-            validation: ValidationMode::Trust,
             ..InstaConfig::default()
         };
-        let eng = InstaEngine::new(init, cfg).expect("trust accepts");
+        let eng = InstaEngine::new(init, cfg).expect("a valid snapshot");
         let st = &eng.st;
 
         // Parent queues, written directly: 0 / 1 / < K / K live entries,

@@ -1,10 +1,9 @@
 //! Numeric containment: poison detection over the propagation state.
 //!
-//! Validation keeps non-finite statistics out of the snapshot, but
-//! [`ValidationMode::Trust`](crate::validate::ValidationMode::Trust) skips
-//! it and re-annotation ([`InstaEngine::reannotate`]) writes new deltas
-//! after construction — so NaN can still enter the engine. This module
-//! provides two containment layers:
+//! Validation keeps non-finite statistics out of the snapshot and out of
+//! every delta batch ([`InstaEngine::validate_deltas`]), so NaN reaches the
+//! propagation state only from arithmetic (an overflow) or a bug. This
+//! module provides two containment layers for it:
 //!
 //! * **Debug asserts in the hot path**: after each level, the kernels
 //!   (in debug builds only) scan the level window they just wrote and
@@ -44,9 +43,8 @@ impl InstaEngine {
     /// sigma; a virtual node's queue is materialised for the scan — then
     /// smooth (LSE) arrivals (where `-inf` means "unreached" and is
     /// healthy), and both gradient arrays. The scan is read-only and
-    /// O(state size); run it after a propagation over data that bypassed
-    /// validation (Trust mode, [`reannotate`](InstaEngine::reannotate)) or
-    /// before consuming gradients in an optimizer step.
+    /// O(state size); run it before consuming gradients in an optimizer
+    /// step, or whenever a report looks wrong.
     pub fn health_check(&self) -> Result<(), InstaError> {
         let st = &self.st;
         let state = &self.state;
@@ -188,7 +186,6 @@ pub(crate) fn debug_assert_grad_level_clean(st: &Static, state: &State, l: usize
 mod tests {
     use crate::engine::{InstaConfig, InstaEngine};
     use crate::error::InstaError;
-    use crate::validate::ValidationMode;
     use insta_netlist::generator::{generate_design, GeneratorConfig};
     use insta_refsta::{RefSta, StaConfig};
 
@@ -213,9 +210,9 @@ mod tests {
     fn poison_is_localized_to_node_and_level() {
         let mut eng = engine(62);
         eng.propagate();
-        // Poison a live top-k entry directly (simulating what Trust mode
-        // or a corrupt re-annotation would let through): slot 0 of the
-        // first node with anything in its rise queue.
+        // Poison a live top-k entry directly (simulating what an
+        // overflow or a bug would let through): slot 0 of the first node
+        // with anything in its rise queue.
         let (poisoned, row) = (0..eng.st.n)
             .filter_map(|v| Some((v, eng.st.row_of(v)?)))
             .find(|&(_, row)| eng.state.live[row * 2] > 0)
@@ -236,27 +233,17 @@ mod tests {
     }
 
     #[test]
-    fn trust_mode_nan_is_caught_by_health_check_not_a_panic() {
-        let d = generate_design(&GeneratorConfig::small("health", 63));
-        let mut sta = RefSta::new(&d, StaConfig::default()).expect("build");
-        sta.full_update(&d);
-        let mut init = sta.export_insta_init();
-        init.fanin[0].mean[0] = f64::NAN;
-        let mut eng = InstaEngine::new(
-            init,
-            InstaConfig {
-                validation: ValidationMode::Trust,
-                // Debug asserts in the hot path would catch the NaN first
-                // in debug builds; a single thread keeps this test about
-                // the health_check API (NaN arrivals never win a max, so
-                // NaN only reaches the queues through the single-fanin
-                // fast path, which release builds propagate silently).
-                ..InstaConfig::default()
-            },
-        )
-        .expect("trust skips validation");
-        // NaN never compares greater, so propagation completes without
-        // panicking; the poison surfaces in the state scan.
+    fn a_nan_annotation_is_caught_by_health_check_not_a_panic() {
+        let mut eng = engine(63);
+        // Validation keeps NaN out of the snapshot, so the poison goes
+        // into the engine's own annotations after construction.
+        eng.st.arc_mean[0][0] = f64::NAN;
+        // Debug asserts in the hot path would catch the NaN first in
+        // debug builds; this test is about the health_check API. NaN
+        // never compares greater, so propagation completes without
+        // panicking (NaN only reaches the queues through the single-fanin
+        // fast path, which release builds propagate silently); the poison
+        // surfaces in the state scan.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             eng.propagate();
         }));

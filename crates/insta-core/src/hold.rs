@@ -4,9 +4,11 @@
 //! The min pass is the setup pass with two things swapped: it runs the
 //! shared full-pass driver ([`crate::forward::forward`]) in its `MIN`
 //! instantiation, and it seeds the early launch arrivals of
-//! [`HoldAttributes`]. `MIN` orders candidates by **negated early
-//! corners** (`-(mean − N_σ·σ)`), so the same unique-startpoint Top-K
-//! selection keeps the *smallest* early arrivals. Everything else — the
+//! [`HoldAttributes`] — like the setup snapshot, an export of the
+//! reference engine ([`hold_attributes`]); the engine computes no delay.
+//! `MIN` orders candidates by **negated early corners**
+//! (`-(mean − N_σ·σ)`), so the same unique-startpoint Top-K selection
+//! keeps the *smallest* early arrivals. Everything else — the
 //! level loop on [`InstaConfig::n_threads`] threads through the level
 //! runner ([`crate::parallel`]), rows for merge nodes only behind live
 //! counts, virtual queues computed where they are read
@@ -33,81 +35,12 @@ use crate::topk::NO_SP;
 use insta_refsta::export::NO_LEAF;
 use insta_refsta::{EpId, SpId};
 
-/// Hold-side attributes the engine needs beyond the setup snapshot:
-/// per-startpoint early launch arrivals and per-endpoint hold
-/// requirements. Produced by [`hold_attributes`] from a reference engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HoldAttributes {
-    /// Early launch mean per startpoint per transition (ps).
-    pub source_mean: Vec<[f64; 2]>,
-    /// Launch sigma per startpoint per transition (ps).
-    pub source_sigma: Vec<[f64; 2]>,
-    /// Hold requirement per endpoint *before* CPPR credit:
-    /// `capture_late + hold_margin` (ps); `NEG_INFINITY` for
-    /// hold-unconstrained endpoints (primary outputs).
-    pub required_base: Vec<f64>,
-}
-
-/// Extracts hold attributes from a timed reference engine (the hold-side
-/// counterpart of the setup export).
-pub fn hold_attributes(
-    design: &insta_netlist::Design,
-    golden: &insta_refsta::RefSta,
-) -> HoldAttributes {
-    use insta_liberty::{ArcKind, Transition};
-    let cfg = golden.config();
-    let mut source_mean = Vec::with_capacity(golden.sp_infos().len());
-    let mut source_sigma = Vec::with_capacity(golden.sp_infos().len());
-    for sp in golden.sp_infos() {
-        match sp.flop.and_then(|f| golden.clock().flop(f).copied()) {
-            Some(fc) => {
-                let lc = design.lib_cell_of(sp.flop.expect("clocked flop"));
-                let launch = lc
-                    .arcs()
-                    .iter()
-                    .find(|a| a.kind == ArcKind::Launch)
-                    .expect("flop has a launch arc");
-                let load = design.driver_load_ff(sp.pin);
-                let mut mean = [0.0; 2];
-                let mut sigma = [0.0; 2];
-                for tr in Transition::BOTH {
-                    let d = launch.delay(tr).lookup(fc.slew, load);
-                    let s = launch.sigma_coeff * d;
-                    mean[tr.index()] = fc.mean * cfg.derate_early + d;
-                    sigma[tr.index()] = (fc.sigma * fc.sigma + s * s).sqrt();
-                }
-                source_mean.push(mean);
-                source_sigma.push(sigma);
-            }
-            None => {
-                source_mean.push([cfg.input_delay_ps; 2]);
-                source_sigma.push([0.0; 2]);
-            }
-        }
-    }
-    let required_base = golden
-        .ep_infos()
-        .iter()
-        .map(|ep| match ep.capture.and_then(|f| golden.clock().flop(f).copied()) {
-            Some(fc) => {
-                let lc = design.lib_cell_of(ep.capture.expect("capture flop"));
-                let hold_margin = lc
-                    .arcs()
-                    .iter()
-                    .find(|a| a.kind == ArcKind::Hold)
-                    .map(|a| a.delay(Transition::Rise).lookup(fc.slew, 0.0))
-                    .unwrap_or(0.0);
-                fc.mean * cfg.derate_late + cfg.n_sigma * fc.sigma + hold_margin
-            }
-            None => f64::NEG_INFINITY,
-        })
-        .collect();
-    HoldAttributes {
-        source_mean,
-        source_sigma,
-        required_base,
-    }
-}
+/// The hold-side export the pass takes, re-exported from the reference
+/// engine's export module, where [`RefSta::hold_update`] reads the same
+/// values.
+///
+/// [`RefSta::hold_update`]: insta_refsta::RefSta::hold_update
+pub use insta_refsta::export::{hold_attributes, HoldAttributes};
 
 impl InstaEngine {
     /// Runs the hold (min) forward pass and evaluates hold checks.

@@ -81,15 +81,14 @@
 //! once; a what-if lane ([`crate::batch`]) is one that is undone when
 //! dropped; a [session](crate::session) is one that also captures, before
 //! its first mutating call, what the log does not cover — the validity
-//! ledger by value, the report and the drift odometer (τ, which no session
-//! call sets, needs no saving) and, before its first backward pass, the
-//! gradient buffers, the one bulk array a client reads with no ledger row.
-//! LSE buffers are neither copied nor tagged: their stamp names the
-//! generation they were computed from, which after the undo either is the
-//! restored one or never comes back. A session's undo applies the
-//! ledger's rollback rule ([`crate::validity`]) and has the snapshot rows
-//! follow [`undone`](ConeScratch::undone), the logged nodes and the virtual
-//! nodes reading them.
+//! ledger by value, the report and the drift odometer. No session call
+//! writes the LSE or gradient buffers, so nothing of theirs is captured:
+//! the LSE stamp names the generation the buffers were computed from,
+//! which after the undo either is the restored one or never comes back.
+//! A session's undo applies the ledger's rollback rule
+//! ([`crate::validity`]) and has the snapshot rows follow
+//! [`undone`](ConeScratch::undone), the logged nodes and the virtual nodes
+//! reading them.
 //!
 //! **Its budget.** Logged whole, the rare resize that moves a quarter of
 //! the graph put 4 MB (9.8 %) on `eco_block5_k8`'s peak RSS, so a session
@@ -337,22 +336,6 @@ impl InstaEngine {
                     arc: d.arc,
                     n_graph_arcs: self.st.n_graph_arcs,
                 });
-            } else {
-                // The cone sweep seeds the children of the expansion arcs
-                // and walks the worklists from level 1 upward; a child at
-                // level 0 (only possible in a Trust-mode snapshot with a
-                // corrupt level CSR) would silently fall outside the
-                // sweep, so it is rejected here instead.
-                for &e in self.st.expansion(d.arc as usize) {
-                    let child = self.st.arc_child[e as usize];
-                    if crate::health::level_of(&self.st, child as usize) == 0 {
-                        report.record(Issue::DeltaChildAtLevelZero {
-                            index,
-                            arc: d.arc,
-                            child: self.st.node_orig[child as usize],
-                        });
-                    }
-                }
             }
             for rf in 0..2 {
                 if !d.mean[rf].is_finite() {
@@ -470,14 +453,6 @@ struct Observed {
     drift: DriftState,
 }
 
-/// The begin-time gradient buffers of a session that ran a backward pass.
-#[derive(Debug)]
-struct Grads {
-    arrival: Vec<f64>,
-    arc: Vec<[f64; 2]>,
-    fanout: Vec<[f64; 2]>,
-}
-
 /// One timing transaction on an engine (module docs, "One transaction"):
 /// the cone's undo log from [`begin`](Self::begin) on, and what a session
 /// captured besides. Dropped while open, it is undone.
@@ -485,7 +460,6 @@ struct Grads {
 pub(crate) struct Txn<'e> {
     pub(crate) eng: &'e mut InstaEngine,
     observed: Option<Observed>,
-    grads: Option<Grads>,
     open: bool,
 }
 
@@ -497,28 +471,19 @@ impl<'e> Txn<'e> {
         Txn {
             eng,
             observed: None,
-            grads: None,
             open: true,
         }
     }
 
-    /// Captures, once each: the begin-time observables, ahead of the first
-    /// state-mutating call (only the first still sees the undo target); and,
-    /// with `grads`, the gradient buffers ahead of the first backward pass.
-    pub(crate) fn observe(&mut self, grads: bool) {
+    /// Captures the begin-time observables once, ahead of the first
+    /// state-mutating call (only the first still sees the undo target).
+    pub(crate) fn observe(&mut self) {
         let eng = &*self.eng;
         self.observed.get_or_insert_with(|| Observed {
             ledger: eng.validity,
             report: eng.state.report.clone(),
             drift: eng.drift,
         });
-        if grads {
-            self.grads.get_or_insert_with(|| Grads {
-                arrival: eng.state.grad_arrival.clone(),
-                arc: eng.state.grad_arc.clone(),
-                fanout: eng.state.grad_fanout.clone(),
-            });
-        }
     }
 
     /// A what-if lane's write: `deltas`, then their cone swept over the
@@ -601,27 +566,19 @@ impl<'e> Txn<'e> {
                     .follow(&mut eng.validity, &eng.st, &eng.state, undone.into_iter());
             }
         }
-        if let Some(g) = self.grads.take() {
-            eng.state.grad_arrival = g.arrival;
-            eng.state.grad_arc = g.arc;
-            eng.state.grad_fanout = g.fanout;
-        }
         eng.cone.forget();
         restored
     }
 
     /// Approximate bytes held for an undo right now: the captured report
-    /// and gradients, and the undo log.
+    /// and the undo log.
     pub(crate) fn bytes(&self) -> usize {
         let report = self
             .observed
             .as_ref()
             .and_then(|o| o.report.as_ref())
             .map_or(0, |r| r.slacks.len() * (8 + 8 + 8 + 4 + 1));
-        let grads = self.grads.as_ref().map_or(0, |g| {
-            g.arrival.len() * 8 + (g.arc.len() + g.fanout.len()) * 16
-        });
-        report + grads + self.eng.cone.log_bytes()
+        report + self.eng.cone.log_bytes()
     }
 }
 
@@ -859,65 +816,6 @@ mod tests {
         for (a, b) in before.slacks.iter().zip(&after.slacks) {
             assert!((a - b).abs() < 1e-9);
         }
-    }
-
-    /// Regression (ISSUE 5): the cone sweep seeds the expansion arcs'
-    /// children and starts at level 1, so a delta child at level 0 would
-    /// be silently skipped. Only a corrupt
-    /// Trust-mode level CSR can produce one — `validate_deltas` must
-    /// reject it as a typed fatal issue instead of sweeping past it.
-    #[test]
-    fn trust_mode_level_zero_delta_child_is_a_typed_fatal_rejection() {
-        let design = generate_design(&GeneratorConfig::small("incr", 41));
-        let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
-        golden.full_update(&design);
-        let mut eng = InstaEngine::new(
-            golden.export_insta_init(),
-            InstaConfig {
-                validation: crate::validate::ValidationMode::Trust,
-                ..InstaConfig::default()
-            },
-        )
-        .expect("trust accepts");
-
-        // Pick a graph arc with an expansion child at level 1, then
-        // corrupt the level CSR (Trust mode never re-checks it) so that
-        // child reads as level 0.
-        let mut found = None;
-        'outer: for g in 0..eng.st.n_graph_arcs {
-            let r = eng.st.expansion_start[g] as usize..eng.st.expansion_start[g + 1] as usize;
-            for &e in &eng.st.expansion_arc[r] {
-                let c = eng.st.arc_child[e as usize];
-                if crate::health::level_of(&eng.st, c as usize) == 1 {
-                    found = Some((g, c));
-                    break 'outer;
-                }
-            }
-        }
-        let (g, child) = found.expect("a level-1 arc child");
-        // `child` is at level 1, so `child + 1 <= level_start[2]`: the
-        // CSR stays sorted and only the level-0/1 boundary moves.
-        eng.st.level_start[1] = child + 1;
-
-        let deltas = [insta_refsta::eco::ArcDelta {
-            arc: g as u32,
-            mean: [1.0; 2],
-            sigma: [0.1; 2],
-        }];
-        let err = eng.validate_deltas(&deltas).expect_err("level-0 child");
-        let crate::error::InstaError::Validate(report) = &err else {
-            panic!("expected Validate, got {err:?}");
-        };
-        assert!(report.n_fatal > 0, "must be fatal: {report}");
-        assert!(matches!(
-            report.issues[0],
-            crate::validate::Issue::DeltaChildAtLevelZero { index: 0, .. }
-        ));
-        assert!(err.to_string().contains("timing level 0"), "{err}");
-        // update_timing routes through the same validation: annotations
-        // stay untouched.
-        let err2 = eng.update_timing(&deltas).expect_err("same rejection");
-        assert_eq!(err2.category(), "validate");
     }
 
     /// The cone polls once per *dirty* level: a pre-fired interrupt is

@@ -35,8 +35,9 @@
 //!   paper's Fig. 6 / Table I style comparisons.
 //! * [`error`] — the typed error taxonomy ([`InstaError`]) of the
 //!   untrusted-input and runtime paths.
-//! * [`validate`] — snapshot validation with Strict / Trust modes (see
-//!   DESIGN.md "Error taxonomy and failure policy").
+//! * [`validate`] — snapshot validation: every snapshot is checked, and
+//!   one with a fatal or repairable issue is rejected (see DESIGN.md
+//!   "Error taxonomy and failure policy").
 //! * [`session`] — transactional timing sessions: a timing transaction
 //!   (`incremental::Txn`) with bit-identical rollback on poison,
 //!   cooperative per-level cancellation with deadlines, and an advisory
@@ -120,7 +121,7 @@ pub use session::{SessionStatus, TimingSession};
 pub use snapshot::TimingSnapshot;
 pub use topk::TopKQueue;
 pub use trace::{LevelProfile, PerfReport, PerfRow};
-pub use validate::{ValidationMode, ValidationReport};
+pub use validate::ValidationReport;
 // Session control handles, re-exported so engine clients don't need a
 // direct `insta_support` dependency.
 pub use insta_support::timer::{CancelToken, Deadline};

@@ -53,7 +53,7 @@ impl InstaEngine {
         self.trace
             .end_with(&[("ok", if res.is_ok() { 1.0 } else { 0.0 })]);
         self.settle(res)?;
-        self.validity.lse_done(self.cfg.lse_tau);
+        self.validity.lse_done();
         Ok(())
     }
 

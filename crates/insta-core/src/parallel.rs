@@ -347,7 +347,7 @@ impl VirtualQueue {
 }
 
 /// Reusable per-thread scratch of the forward merge
-/// ([`merge_node_queue`](crate::forward::merge_node_queue)).
+/// (`forward::merge_node_queue`).
 ///
 /// The multi-fanin merge gathers every candidate of a `(node, transition)`
 /// queue into SoA buffers — one run of `k` slots per fanin arc, a launch
@@ -385,7 +385,7 @@ pub(crate) struct MergeArena {
     stamp: Vec<u32>,
     generation: u32,
     /// Where the merge materialises a virtual parent it cannot gather
-    /// through ([`gather_fanin`](crate::forward::gather_fanin)).
+    /// through (`forward::gather_fanin`).
     pub virt: VirtualQueue,
     /// Virtual parents materialised since the arena was made (the cone
     /// sweep's arena: since its sweep began).
@@ -440,7 +440,7 @@ impl MergeArena {
 
     /// Whether startpoint `sp` has not been emitted into the open queue
     /// yet; marks it emitted. Validated startpoint ids index the table;
-    /// anything else (a Trust-mode snapshot) is simply never deduplicated.
+    /// an id past it is simply never deduplicated.
     #[inline]
     pub(crate) fn first_emit(&mut self, sp: u32) -> bool {
         match self.stamp.get_mut(sp as usize) {

@@ -506,7 +506,7 @@ impl InstaEngine {
     pub fn forward_lse_scalar_reference(&mut self) {
         self.validity.begin_lse();
         ref_forward_lse(&self.st, &mut self.state, self.cfg.lse_tau);
-        self.validity.lse_done(self.cfg.lse_tau);
+        self.validity.lse_done();
     }
 
     /// Runs the frozen scalar min-mode pass and evaluates hold checks —

@@ -23,8 +23,11 @@
 //! [`rollback`](TimingSession::rollback) (or dropping the session while
 //! still open, or a poisoning error) restores the pre-session state
 //! bit-for-bit: the Top-K arrays and arc annotations from the cone's undo
-//! log, the validity ledger, report, drift and gradients from what the
-//! transaction captured. Reads (`arrival_at`, `snapshot()`) never see a
+//! log, the validity ledger, report and drift from what the transaction
+//! captured. A session updates and propagates; it runs no differentiable
+//! pass, so the LSE and gradient buffers are never a session's to take
+//! back — gradients come from the engine itself or from a batched lane
+//! ([`crate::batch`]). Reads (`arrival_at`, `snapshot()`) never see a
 //! rolled-back pass, and the next update is a cone update again — also
 //! after a cancel, a deadline, a NaN or a worker panic inside a cone
 //! sweep. Only a write the log does not cover (a full pass inside the
@@ -130,25 +133,15 @@ impl<'e> TimingSession<'e> {
     /// the session **open**; any poisoning error (numeric, runtime,
     /// cancelled) rolls back and closes the session.
     pub fn update_timing(&mut self, deltas: &[ArcDelta]) -> Result<InstaReport, InstaError> {
-        let report = self.run(false, |txn| txn.update_timing(deltas))?;
+        let report = self.run(|txn| txn.update_timing(deltas))?;
         self.gate_report(report)
     }
 
     /// Session form of [`InstaEngine::try_propagate`]: full forward pass
     /// under the rollback guard.
     pub fn propagate(&mut self) -> Result<InstaReport, InstaError> {
-        let report = self.run(false, |txn| txn.eng.try_propagate().cloned())?;
+        let report = self.run(|txn| txn.eng.try_propagate().cloned())?;
         self.gate_report(report)
-    }
-
-    /// Session form of [`InstaEngine::try_forward_lse`].
-    pub fn forward_lse(&mut self) -> Result<(), InstaError> {
-        self.run(false, |txn| txn.eng.try_forward_lse())
-    }
-
-    /// Session form of [`InstaEngine::try_backward_tns`].
-    pub fn backward_tns(&mut self) -> Result<(), InstaError> {
-        self.run(true, |txn| txn.eng.try_backward_tns())
     }
 
     /// Promotes the session's work: the captured state and the undo log
@@ -189,16 +182,15 @@ impl<'e> TimingSession<'e> {
     }
 
     /// Guarded wrapper shared by every mutating call: the transaction
-    /// captures its begin-time state first — `grads` marks passes that
-    /// rewrite the gradient buffers — and the engine's per-level interrupt
-    /// poll is armed for the call if the session has a token or deadline.
+    /// captures its begin-time state first, and the engine's per-level
+    /// interrupt poll is armed for the call if the session has a token or
+    /// deadline.
     fn run<T>(
         &mut self,
-        grads: bool,
         f: impl FnOnce(&mut Txn<'e>) -> Result<T, InstaError>,
     ) -> Result<T, InstaError> {
         self.ensure_open()?;
-        self.txn.observe(grads);
+        self.txn.observe();
         if self.cancel.is_some() || self.deadline.is_some() {
             let interrupt = Interrupt::new(self.cancel.clone(), self.deadline);
             self.txn.eng.set_interrupt(interrupt);

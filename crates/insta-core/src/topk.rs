@@ -7,9 +7,9 @@
 //! hardware. On one CPU core that pattern was the bill, so the kernels no
 //! longer push: a queue is a *function* of its candidates — per startpoint
 //! the largest corner, the K best of those in (corner descending, push
-//! order ascending) order — and
-//! [`merge_node_queue`](crate::forward::merge_node_queue) computes that
-//! selection directly over the SoA array slices, writing each queue once.
+//! order ascending) order — and `forward::merge_node_queue` computes
+//! that selection directly over the SoA array slices, writing each queue
+//! once.
 //!
 //! What the kernels use from here: the [`NO_SP`] sentinel and
 //! [`restore_topk_desc`], the stable corner-order restore of the

@@ -26,8 +26,9 @@
 //!   over all lanes, and `ok`,
 //! * a **per-level profile** ([`LevelProfile`]) of cumulative duration and
 //!   touched nodes per level per kernel — the data behind
-//!   [`InstaEngine::perf_report`]. Top-K merge cost is part of the forward
-//!   kernel's level body, so it is attributed to the forward profile,
+//!   [`InstaEngine::perf_report`](crate::InstaEngine::perf_report). Top-K
+//!   merge cost is part of the forward kernel's level body, so it is
+//!   attributed to the forward profile,
 //! * **events** for session outcomes (`"session.commit"`, and
 //!   `"session.rollback"` with the `nodes` and `arcs` its undo log put
 //!   back — a rollback is a copy, not a span) and every
@@ -152,7 +153,8 @@ impl TraceSink {
     /// Both forward-family profiles at once, for the fused sweep (which
     /// accumulates evaluation time into the forward profile and LSE time
     /// into the LSE profile — the per-kernel attribution of
-    /// [`InstaEngine::perf_report`] is independent of fusion).
+    /// [`InstaEngine::perf_report`](crate::InstaEngine::perf_report) is
+    /// independent of fusion).
     #[inline]
     pub(crate) fn profiles_fused(
         &mut self,

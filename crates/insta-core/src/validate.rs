@@ -8,10 +8,9 @@
 //! bounds-checks, so violations panic instead of corrupting memory; they
 //! must never reach the kernels either way). A snapshot cloned from an
 //! external tool is untrusted: this module checks the full contract in a
-//! single O(nodes + arcs + endpoints + tree) pass and either rejects
-//! ([`ValidationMode::Strict`]) or skips the pass entirely
-//! ([`ValidationMode::Trust`], the pre-validation behavior with zero
-//! overhead for callers that produced the snapshot themselves).
+//! single O(nodes + arcs + endpoints + tree) pass, and
+//! [`InstaEngine::new`](crate::InstaEngine::new) rejects any snapshot it
+//! finds a fatal or repairable issue in.
 //!
 //! Issue severities:
 //!
@@ -19,25 +18,12 @@
 //!   not a permutation).
 //! * **repairable** — element-level damage the exporter could fix
 //!   locally (an out-of-range reference, a level inversion, a duplicate
-//!   arc, a non-finite statistic, an inconsistent clock tree). Strict
+//!   arc, a non-finite statistic, an inconsistent clock tree). The engine
 //!   rejects it like a fatal issue.
 //! * **warning** — suspicious but representable (an endpoint no path can
 //!   reach): reported, never rejected.
 
 use insta_refsta::export::{InstaInit, NO_LEAF};
-
-/// When and how [`InstaEngine::new`](crate::InstaEngine::new) validates
-/// its snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ValidationMode {
-    /// Validate and reject on any fatal or repairable issue (default).
-    #[default]
-    Strict,
-    /// Skip validation (zero overhead). Malformed snapshots will panic
-    /// the constructor or kernels exactly as before this module existed;
-    /// only use it for snapshots this process exported itself.
-    Trust,
-}
 
 /// Issue severity class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,20 +83,6 @@ pub enum Issue {
         arc: u32,
         /// Number of graph arcs in the snapshot (exclusive bound).
         n_graph_arcs: usize,
-    },
-    /// An incremental update delta expands to an arc whose child sits at
-    /// timing level 0. The cone sweep seeds the arcs' children and walks
-    /// its worklists from level 1, so a level-0 child would be silently
-    /// skipped — it can only arise from a
-    /// malformed snapshot (a level-0 node with fanin), so it is rejected
-    /// as fatal before any annotation is written.
-    DeltaChildAtLevelZero {
-        /// Position of the delta in the caller's batch.
-        index: usize,
-        /// The graph-arc id the delta targets.
-        arc: u32,
-        /// The offending expanded-arc child (original node id).
-        child: u32,
     },
     /// An arc's parent is not in a strictly earlier level than its child
     /// (mis-levelization or a combinational cycle squeezed into the CSR).
@@ -255,8 +227,7 @@ impl Issue {
             | Issue::OrderNotPermutation { .. }
             | Issue::LevelCsrBroken { .. }
             | Issue::FaninCsrBroken { .. }
-            | Issue::DeltaArcOutOfRange { .. }
-            | Issue::DeltaChildAtLevelZero { .. } => Severity::Fatal,
+            | Issue::DeltaArcOutOfRange { .. } => Severity::Fatal,
             Issue::UnreachableEndpoint { .. } => Severity::Warning,
             _ => Severity::Repairable,
         }
@@ -285,11 +256,6 @@ impl std::fmt::Display for Issue {
             } => write!(
                 f,
                 "delta {index}: arc {arc} out of range (snapshot has {n_graph_arcs} graph arcs)"
-            ),
-            Issue::DeltaChildAtLevelZero { index, arc, child } => write!(
-                f,
-                "delta {index}: arc {arc} expands to child {child} at timing level 0 \
-                 (outside the cone sweep)"
             ),
             Issue::ArcLevelInversion { arc, parent, child } => write!(
                 f,
@@ -371,7 +337,8 @@ impl ValidationReport {
         }
     }
 
-    /// Whether a Strict pass rejects this snapshot.
+    /// Whether the engine rejects this snapshot (any fatal or repairable
+    /// issue).
     pub fn rejects_strict(&self) -> bool {
         self.n_fatal > 0 || self.n_repairable > 0
     }

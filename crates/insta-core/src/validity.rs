@@ -41,9 +41,9 @@ pub(crate) struct Validity {
     topk: Option<Gen>,
     /// The endpoint report (a hold pass leaves it alone).
     report: Option<Gen>,
-    /// LSE arrivals and weights, with the bits of the τ they were computed
-    /// at; `None` while a pass rewrites them and after one failed.
-    lse: Option<(Gen, u64)>,
+    /// LSE arrivals and weights; `None` while a pass rewrites them and
+    /// after one failed.
+    lse: Option<Gen>,
     /// The snapshot row chunks. A set stamp travels with the Top-K arrays
     /// through a cone sweep and an undo; `RowStore::follow` is handed the
     /// rewritten nodes before anyone can read.
@@ -62,9 +62,9 @@ impl Validity {
         self.report == Some(self.gen)
     }
 
-    /// Whether the LSE buffers belong to the current annotations *and* τ.
-    pub(crate) fn lse_current(&self, tau: f64) -> bool {
-        self.lse == Some((self.gen, tau.to_bits()))
+    /// Whether the LSE buffers belong to the current annotations.
+    pub(crate) fn lse_current(&self) -> bool {
+        self.lse == Some(self.gen)
     }
 
     pub(crate) fn rows_current(&self) -> bool {
@@ -78,10 +78,9 @@ impl Validity {
     /// What a reader can tell apart: the current generation and the stamps
     /// (the row stamp only picks between two equal answers of `snapshot()`).
     #[cfg(any(test, feature = "scalar-reference"))]
-    pub(crate) fn observable(&self) -> [u64; 5] {
-        let (lse, tau) = self.lse.unwrap_or((u64::MAX, u64::MAX));
+    pub(crate) fn observable(&self) -> [u64; 4] {
         let stamp = |s: Option<Gen>| s.unwrap_or(u64::MAX);
-        [self.gen, stamp(self.topk), stamp(self.report), lse, tau]
+        [self.gen, stamp(self.topk), stamp(self.report), stamp(self.lse)]
     }
 
     /// An annotation write: a generation nothing was ever stamped with.
@@ -135,9 +134,9 @@ impl Validity {
         self.lse = None;
     }
 
-    /// It completed, at temperature `tau`.
-    pub(crate) fn lse_done(&mut self, tau: f64) {
-        self.lse = Some((self.gen, tau.to_bits()));
+    /// It completed.
+    pub(crate) fn lse_done(&mut self) {
+        self.lse = Some(self.gen);
     }
 
     /// `RowStore::follow` gathered the chunks afresh from current arrays.

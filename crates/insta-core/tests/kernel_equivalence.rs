@@ -22,7 +22,6 @@
 
 use insta_engine::{
     hold_attributes, DeltaSet, HoldAttributes, InstaConfig, InstaEngine, InstaReport,
-    ValidationMode,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_netlist::Design;
@@ -638,7 +637,6 @@ fn virtual_chains_read_exactly_like_stored_queues() {
             for top_k in [1usize, 2, 4, 8, 32] {
                 let cfg = InstaConfig {
                     top_k,
-                    validation: ValidationMode::Strict,
                     ..InstaConfig::default()
                 };
                 let what = format!("K={top_k}");

@@ -3,7 +3,7 @@
 //!
 //! Random sequences of every call that writes annotations or a derived
 //! product — `reannotate`, `update_timing`, the full / fused / hold / LSE /
-//! backward passes, `set_lse_tau`, `evaluate_batch`, `snapshot()`, and
+//! backward passes, `evaluate_batch`, `snapshot()`, and
 //! sessions that commit, roll back, are cancelled by a pre-fired token or a
 //! zero deadline, or lose a worker to an injected panic — run against a
 //! model that knows one thing: the committed annotation table. After every
@@ -42,6 +42,8 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// What the generated cases may take (debug build).
 const TIME_BOX: Duration = Duration::from_secs(8);
 
+/// The LSE temperatures a case's engine may be built with, one per case
+/// (τ is construction-time config).
 const TAUS: [f64; 3] = [8.0, 2.0, 20.0];
 
 type Table = Vec<([f64; 2], [f64; 2])>;
@@ -128,8 +130,6 @@ enum Batch {
 enum Op {
     Update(Batch),
     Propagate,
-    ForwardLse,
-    Backward,
 }
 
 /// How a session ends. Everything but `Commit` leaves the model untouched.
@@ -157,7 +157,6 @@ enum Step {
     Hold,
     ForwardLse,
     Backward,
-    SetTau(usize),
     Lanes {
         sets: Vec<Vec<D>>,
         gradients: bool,
@@ -204,7 +203,7 @@ fn gen_batch(rng: &mut Rng, n_arcs: usize) -> Batch {
 }
 
 fn gen_step(rng: &mut Rng, n_arcs: usize) -> Step {
-    match rng.bounded_u64(18) {
+    match rng.bounded_u64(17) {
         0 => Step::Reannotate(gen_batch(rng, n_arcs)),
         1..=3 => Step::Update(gen_batch(rng, n_arcs)),
         4 => Step::Restore(gen_batch(rng, n_arcs)),
@@ -213,20 +212,17 @@ fn gen_step(rng: &mut Rng, n_arcs: usize) -> Step {
         7 => Step::Hold,
         8 => Step::ForwardLse,
         9 => Step::Backward,
-        10 => Step::SetTau(rng.bounded_u64(TAUS.len() as u64) as usize),
-        11 => Step::Lanes {
+        10 => Step::Lanes {
             sets: (0..1 + rng.bounded_u64(3))
                 .map(|_| gen_few(rng, n_arcs))
                 .collect(),
             gradients: rng.bounded_u64(2) == 0,
         },
-        12 => Step::Snapshot,
+        11 => Step::Snapshot,
         _ => Step::Session {
             ops: (0..rng.bounded_u64(4))
-                .map(|_| match rng.bounded_u64(6) {
+                .map(|_| match rng.bounded_u64(4) {
                     0 => Op::Propagate,
-                    1 => Op::ForwardLse,
-                    2 => Op::Backward,
                     _ => Op::Update(gen_batch(rng, n_arcs)),
                 })
                 .collect(),
@@ -460,18 +456,6 @@ fn session_op(
             }
             r
         }
-        Op::ForwardLse => s.forward_lse(),
-        Op::Backward => {
-            let r = s.backward_tns();
-            if r.is_ok() {
-                m.differentiated();
-                prop_assert!(
-                    bits(&s.engine().arc_gradients()) == cx.twin_gradients(m.tau, pending),
-                    "gradients inside the session differ from the twin's"
-                );
-            }
-            r
-        }
     };
     Ok(r)
 }
@@ -587,10 +571,6 @@ fn run_step(cx: &Ctx, m: &mut Model, a: &mut InstaEngine, step: &Step) -> Result
                 "arc_gradients() differs from the twin's"
             );
         }
-        Step::SetTau(i) => {
-            m.tau = TAUS[*i];
-            a.set_lse_tau(m.tau);
-        }
         Step::Lanes { sets, gradients } => {
             let lanes: Vec<DeltaSet> = sets.iter().map(|ds| cx.few(ds).into()).collect();
             let opts = BatchOptions {
@@ -622,12 +602,12 @@ fn run_step(cx: &Ctx, m: &mut Model, a: &mut InstaEngine, step: &Step) -> Result
     Ok(())
 }
 
-fn run_case(cx: &Ctx, steps: &[Step]) -> Result<(), String> {
-    let mut a = InstaEngine::new(cx.fx.init.clone(), config(TAUS[0])).expect("valid snapshot");
+fn run_case(cx: &Ctx, tau: f64, steps: &[Step]) -> Result<(), String> {
+    let mut a = InstaEngine::new(cx.fx.init.clone(), config(tau)).expect("valid snapshot");
     a.enable_tracing_with_capacity(1 << 14);
     let mut m = Model {
         table: cx.fx.table.clone(),
-        tau: TAUS[0],
+        tau,
         synced: false,
         report_fresh: false,
         capturing: false,
@@ -649,17 +629,19 @@ fn run_model(seed: u64) {
     let ran = Cell::new(0u32);
     for_all(
         Config::cases(1000).seed(seed),
-        |rng| -> Vec<Step> {
-            (0..4 + rng.bounded_u64(10))
+        |rng| -> (usize, Vec<Step>) {
+            let tau = rng.bounded_u64(TAUS.len() as u64) as usize;
+            let steps = (0..4 + rng.bounded_u64(10))
                 .map(|_| gen_step(rng, n_arcs))
-                .collect()
+                .collect();
+            (tau, steps)
         },
-        |steps| {
+        |(tau, steps)| {
             if deadline.get().is_some_and(|d| Instant::now() > d) {
                 return Ok(());
             }
             ran.set(ran.get() + 1);
-            run_case(&cx, steps).inspect_err(|_| deadline.set(None))
+            run_case(&cx, TAUS[*tau], steps).inspect_err(|_| deadline.set(None))
         },
     );
     println!("{} cases in the time box", ran.get());

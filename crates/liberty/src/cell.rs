@@ -249,11 +249,6 @@ impl GateClass {
         matches!(self, GateClass::Dff)
     }
 
-    /// Whether the class is combinational (usable in random logic clouds).
-    pub fn is_combinational(self) -> bool {
-        !self.is_sequential()
-    }
-
     /// Default unateness of input `i` toward the output.
     pub fn input_sense(self, i: usize) -> TimingSense {
         match self {

@@ -6,7 +6,7 @@
 //! (`add_cell`, `add_input_port`, `connect`, …); [`Design::validate`]
 //! checks structural invariants after construction.
 
-use insta_liberty::{GateClass, LibCell, LibCellId, LibPinId, Library, PinDirection};
+use insta_liberty::{LibCell, LibCellId, LibPinId, Library, PinDirection};
 use std::sync::Arc;
 
 /// Identifier of a [`Cell`] within a [`Design`].
@@ -594,11 +594,6 @@ impl Design {
         (0..self.cells.len() as u32)
             .map(CellId)
             .filter(move |&c| self.is_sequential(c))
-    }
-
-    /// Whether the gate class of an instance matches `class`.
-    pub fn class_of(&self, cell: CellId) -> GateClass {
-        self.lib_cell_of(cell).class
     }
 }
 

@@ -134,11 +134,6 @@ impl GeneratorConfig {
             ..Self::small(name, seed)
         }
     }
-
-    /// Expected number of combinational gates.
-    pub fn expected_gates(&self) -> usize {
-        self.logic_levels * self.gates_per_level
-    }
 }
 
 /// Weighted gate-class palette for the random logic cloud.

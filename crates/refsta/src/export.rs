@@ -13,10 +13,15 @@
 //! * endpoint base required times, capture leaves, and exceptions,
 //! * the clock-tree parent/depth arrays plus per-node cumulative CPPR
 //!   credit, so the engine can resolve per-(SP, EP) credit by LCA walks.
+//!
+//! [`hold_attributes`] is the hold-side counterpart: early launches and
+//! hold requirements, the one computation of them that
+//! [`RefSta::hold_update`] and the engine's hold pass both read.
 
 use crate::exceptions::ExceptionSet;
-use crate::sta::RefSta;
-use insta_liberty::{TimingSense, Transition};
+use crate::sta::{EpInfo, RefSta, SpInfo};
+use insta_liberty::{ArcKind, TimingSense, Transition};
+use insta_netlist::Design;
 use insta_support::json::{obj, FromJson, Json, JsonError, ToJson};
 use std::path::Path;
 
@@ -417,6 +422,86 @@ impl RefSta {
             exceptions: self.config.exceptions.clone(),
         }
     }
+}
+
+/// Hold-side attributes beyond the setup snapshot: per-startpoint early
+/// launch arrivals and per-endpoint hold requirements. They are the values
+/// [`RefSta::hold_update`] seeds its early maps with and checks its
+/// endpoints against, and what the INSTA engine's hold pass takes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HoldAttributes {
+    /// Early launch mean per startpoint per transition (ps).
+    pub source_mean: Vec<[f64; 2]>,
+    /// Launch sigma per startpoint per transition (ps).
+    pub source_sigma: Vec<[f64; 2]>,
+    /// Hold requirement per endpoint *before* CPPR credit:
+    /// `capture_late + hold_margin` (ps); `NEG_INFINITY` for
+    /// hold-unconstrained endpoints (primary outputs and flops with no
+    /// clock timing).
+    pub required_base: Vec<f64>,
+}
+
+/// Extracts hold attributes from a timed reference engine (the hold-side
+/// counterpart of [`RefSta::export_insta_init`]).
+///
+/// A startpoint launches as a primary input does — at the input delay,
+/// with zero sigma — unless it is a flop with clock timing and a launch
+/// arc; then it launches at its early CK arrival plus the launch arc at
+/// its Q pin's load.
+pub fn hold_attributes(design: &Design, golden: &RefSta) -> HoldAttributes {
+    let input = golden.config.input_delay_ps;
+    let (source_mean, source_sigma) = golden
+        .sp_infos
+        .iter()
+        .map(|sp| early_launch(design, golden, sp).unwrap_or(([input; 2], [0.0; 2])))
+        .unzip();
+    let required_base = golden
+        .ep_infos
+        .iter()
+        .map(|ep| hold_requirement(design, golden, ep).unwrap_or(f64::NEG_INFINITY))
+        .collect();
+    HoldAttributes {
+        source_mean,
+        source_sigma,
+        required_base,
+    }
+}
+
+/// The hold requirement of a flop endpoint before CPPR credit: the late
+/// capture edge plus the hold margin; `None` for a primary output and for
+/// a flop with no clock timing.
+fn hold_requirement(design: &Design, golden: &RefSta, ep: &EpInfo) -> Option<f64> {
+    let capture = ep.capture?;
+    let fc = golden.clock.flop(capture)?;
+    let hold_margin = design
+        .lib_cell_of(capture)
+        .arcs()
+        .iter()
+        .find(|a| a.kind == ArcKind::Hold)
+        .map(|a| a.delay(Transition::Rise).lookup(fc.slew, 0.0))
+        .unwrap_or(0.0);
+    let cfg = &golden.config;
+    Some(fc.mean * cfg.derate_late + cfg.n_sigma * fc.sigma + hold_margin)
+}
+
+/// The early launch `(mean, sigma)` per transition of a flop startpoint;
+/// `None` for a primary input and for a flop with no clock timing or no
+/// launch arc.
+fn early_launch(design: &Design, golden: &RefSta, sp: &SpInfo) -> Option<([f64; 2], [f64; 2])> {
+    let flop = sp.flop?;
+    let fc = golden.clock.flop(flop)?;
+    let lc = design.lib_cell_of(flop);
+    let launch = lc.arcs().iter().find(|a| a.kind == ArcKind::Launch)?;
+    let load = design.driver_load_ff(sp.pin);
+    let mut mean = [0.0; 2];
+    let mut sigma = [0.0; 2];
+    for tr in Transition::BOTH {
+        let d = launch.delay(tr).lookup(fc.slew, load);
+        let s = launch.sigma_coeff * d;
+        mean[tr.index()] = fc.mean * golden.config.derate_early + d;
+        sigma[tr.index()] = (fc.sigma * fc.sigma + s * s).sqrt();
+    }
+    Some((mean, sigma))
 }
 
 #[cfg(test)]

@@ -12,54 +12,32 @@
 //! * CPPR credit *reduces* the hold requirement on the shared clock prefix.
 
 use crate::exceptions::{EpId, SpId};
+use crate::export::hold_attributes;
 use crate::sta::{EndpointReport, RefSta, Side, SpArrival, SpMap, StaReport};
-use insta_liberty::{ArcKind, Transition};
+use insta_liberty::Transition;
 use insta_netlist::Design;
 
 impl RefSta {
     /// Runs hold analysis. Requires a prior [`RefSta::full_update`] (the
-    /// delay annotation and clock timing are shared with setup).
+    /// delay annotation and clock timing are shared with setup). Early
+    /// launches and hold requirements are [`hold_attributes`]'s.
     ///
     /// Returns the hold report; endpoints are the same set as setup (hold
     /// slack for primary outputs is unconstrained and reported as
     /// `INFINITY`).
     pub fn hold_update(&mut self, design: &Design) -> StaReport {
+        let attrs = hold_attributes(design, self);
         let n = self.graph.num_nodes();
         let mut arrivals: Vec<[SpMap; 2]> = vec![[Vec::new(), Vec::new()]; n];
 
         // ---- Early launch initialization --------------------------------
         for (sp_idx, sp) in self.sp_infos.iter().enumerate() {
-            let maps = &mut arrivals[sp.node.index()];
-            match sp.flop {
-                Some(flop) => {
-                    let Some(fc) = self.clock.flop(flop).copied() else {
-                        continue;
-                    };
-                    let lc = design.lib_cell_of(flop);
-                    let Some(launch) = lc.arcs().iter().find(|a| a.kind == ArcKind::Launch)
-                    else {
-                        continue;
-                    };
-                    let load = design.driver_load_ff(sp.pin);
-                    for tr in Transition::BOTH {
-                        let d = launch.delay(tr).lookup(fc.slew, load);
-                        let s = launch.sigma_coeff * d;
-                        maps[tr.index()] = vec![SpArrival {
-                            sp: sp_idx as u32,
-                            mean: fc.mean * self.config.derate_early + d,
-                            sigma: (fc.sigma * fc.sigma + s * s).sqrt(),
-                        }];
-                    }
-                }
-                None => {
-                    for tr in Transition::BOTH {
-                        maps[tr.index()] = vec![SpArrival {
-                            sp: sp_idx as u32,
-                            mean: self.config.input_delay_ps,
-                            sigma: 0.0,
-                        }];
-                    }
-                }
+            for tr in Transition::BOTH {
+                arrivals[sp.node.index()][tr.index()] = vec![SpArrival {
+                    sp: sp_idx as u32,
+                    mean: attrs.source_mean[sp_idx][tr.index()],
+                    sigma: attrs.source_sigma[sp_idx][tr.index()],
+                }];
             }
         }
 
@@ -98,41 +76,31 @@ impl RefSta {
                 worst_sp: None,
                 transition: Transition::Rise,
             };
-            // Hold constrains flop data pins only.
-            if let Some(capture) = ep.capture {
-                if let Some(fc) = self.clock.flop(capture).copied() {
-                    let lc = design.lib_cell_of(capture);
-                    let hold_margin = lc
-                        .arcs()
-                        .iter()
-                        .find(|a| a.kind == ArcKind::Hold)
-                        .map(|a| a.delay(Transition::Rise).lookup(fc.slew, 0.0))
-                        .unwrap_or(0.0);
-                    let capture_late = fc.mean * self.config.derate_late
-                        + self.config.n_sigma * fc.sigma;
-                    for tr in Transition::BOTH {
-                        for e in &arrivals[ep.node.index()][tr.index()] {
-                            let sp_id = SpId(e.sp);
-                            if self.config.exceptions.is_false(sp_id, ep_id) {
-                                continue;
+            // Hold constrains clocked flop data pins only.
+            let base = attrs.required_base[ep_idx];
+            if base != f64::NEG_INFINITY {
+                for tr in Transition::BOTH {
+                    for e in &arrivals[ep.node.index()][tr.index()] {
+                        let sp_id = SpId(e.sp);
+                        if self.config.exceptions.is_false(sp_id, ep_id) {
+                            continue;
+                        }
+                        let mut required = base;
+                        if self.config.cppr_enabled {
+                            if let (Some(la), Some(lb)) =
+                                (self.sp_infos[e.sp as usize].leaf, ep.leaf)
+                            {
+                                required -= self.clock.cppr_credit(tree, la, lb);
                             }
-                            let mut required = capture_late + hold_margin;
-                            if self.config.cppr_enabled {
-                                if let (Some(la), Some(lb)) =
-                                    (self.sp_infos[e.sp as usize].leaf, ep.leaf)
-                                {
-                                    required -= self.clock.cppr_credit(tree, la, lb);
-                                }
-                            }
-                            let arrival = e.mean - self.config.n_sigma * e.sigma;
-                            let slack = arrival - required;
-                            if slack < best.slack_ps {
-                                best.slack_ps = slack;
-                                best.arrival_ps = arrival;
-                                best.required_ps = required;
-                                best.worst_sp = Some(sp_id);
-                                best.transition = tr;
-                            }
+                        }
+                        let arrival = e.mean - self.config.n_sigma * e.sigma;
+                        let slack = arrival - required;
+                        if slack < best.slack_ps {
+                            best.slack_ps = slack;
+                            best.arrival_ps = arrival;
+                            best.required_ps = required;
+                            best.worst_sp = Some(sp_id);
+                            best.transition = tr;
                         }
                     }
                 }
@@ -155,6 +123,7 @@ impl RefSta {
 
 #[cfg(test)]
 mod tests {
+    use crate::export::hold_attributes;
     use crate::sta::{RefSta, StaConfig};
     use insta_netlist::generator::{generate_design, GeneratorConfig};
 
@@ -219,6 +188,28 @@ mod tests {
             h1.wns_ps,
             h2.wns_ps
         );
+    }
+
+    /// A flop with no clock timing launches on the hold side as a primary
+    /// input does — at the input delay, zero sigma — and captures nothing:
+    /// the export and `hold_update` read the same attributes, and neither
+    /// panics.
+    #[test]
+    fn an_unclocked_flop_launches_as_a_primary_input() {
+        let d = generate_design(&GeneratorConfig::small("hold", 17));
+        let mut sta = RefSta::new(&d, StaConfig::default()).expect("build");
+        sta.full_update(&d);
+        // Every flop loses its clock timing; delays and slews stay.
+        sta.clock = crate::clocktime::ClockTiming::default();
+        let attrs = hold_attributes(&d, &sta);
+        assert!(sta.sp_infos().iter().any(|sp| sp.flop.is_some()));
+        let input = sta.config().input_delay_ps;
+        assert!(attrs.source_mean.iter().all(|&m| m == [input; 2]));
+        assert!(attrs.source_sigma.iter().all(|&s| s == [0.0; 2]));
+        assert!(attrs.required_base.iter().all(|&r| r == f64::NEG_INFINITY));
+        let hold = sta.hold_update(&d);
+        assert!(hold.endpoints.iter().all(|e| e.slack_ps == f64::INFINITY));
+        assert_eq!(hold.n_violations, 0);
     }
 
     /// CPPR credit relaxes hold checks (same-leaf launch/capture pairs get

@@ -653,11 +653,6 @@ impl RefSta {
         self.period
     }
 
-    /// Slack of one endpoint from the last update.
-    pub fn endpoint_slack(&self, ep: EpId) -> Option<f64> {
-        self.report.endpoints.get(ep.index()).map(|r| r.slack_ps)
-    }
-
     /// Worst slack per graph node via a backward required-time pass.
     ///
     /// Endpoint required times are seeded from the last report's

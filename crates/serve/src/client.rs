@@ -109,12 +109,6 @@ impl<R: Read, W: Write> Client<R, W> {
         write_frame_bytes(&mut self.writer, body).map_err(ClientError::Io)
     }
 
-    /// Writes pre-framed bytes verbatim — corrupted frames included.
-    pub fn send_frame_bytes(&mut self, frame: &[u8]) -> Result<(), ClientError> {
-        self.writer.write_all(frame).map_err(ClientError::Io)?;
-        self.writer.flush().map_err(ClientError::Io)
-    }
-
     /// Reads and decodes the next response frame.
     pub fn read_response(&mut self) -> Result<Response, ClientError> {
         let body = read_frame(&mut self.reader, self.max_frame_bytes).map_err(ClientError::Frame)?;

@@ -13,10 +13,9 @@
 
 use crate::stage::{cell_neighborhood, stage_gradients};
 use insta_engine::{CornerTransform, DeltaSet, InstaConfig, InstaEngine, Scenario};
-use insta_netlist::{CellId, Design, NodeId, TimingArcKind};
+use insta_netlist::{CellId, Design, TimingArcKind};
 use insta_refsta::eco::ArcDelta;
 use insta_refsta::{estimate_eco, RefSta};
-use insta_liberty::Transition;
 use insta_support::obs::Recorder;
 use std::collections::HashSet;
 use std::time::Instant;
@@ -339,19 +338,6 @@ pub fn golden_slacks(golden: &RefSta) -> Vec<f64> {
         .iter()
         .map(|e| e.slack_ps)
         .collect()
-}
-
-/// The worst data transition helper re-exported for reporting.
-pub fn transition_name(tr: Transition) -> &'static str {
-    match tr {
-        Transition::Rise => "rise",
-        Transition::Fall => "fall",
-    }
-}
-
-/// A node-id helper used by reports (original graph node of an endpoint).
-pub fn endpoint_node(golden: &RefSta, ep: usize) -> NodeId {
-    golden.ep_infos()[ep].node
 }
 
 #[cfg(test)]

@@ -3,10 +3,11 @@
 //! The workspace's property suites (LSE bounds, Top-K queue invariants,
 //! correlation identities, parser fuzzing) run through
 //! [`for_all`]: a closure generator draws a case from a seeded [`Rng`], the
-//! property returns `Ok(())` or a failure message (use [`prop_assert!`] /
-//! [`prop_assert_eq!`]), and on failure the harness greedily shrinks the
-//! case via the [`Shrink`] trait before panicking with the minimal
-//! counterexample and its seed.
+//! property returns `Ok(())` or a failure message (use
+//! [`prop_assert!`](crate::prop_assert) /
+//! [`prop_assert_eq!`](crate::prop_assert_eq)), and on failure the
+//! harness greedily shrinks the case via the [`Shrink`] trait before
+//! panicking with the minimal counterexample and its seed.
 //!
 //! Every run is fully deterministic: case `i` of a suite with seed `s` is
 //! generated from `Rng::seed_from_u64(s ^ i)`, so a failure message's

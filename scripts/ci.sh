@@ -23,6 +23,9 @@ echo "==> DESIGN.md size line (what the code and its module docs already say doe
 design_bytes=$(wc -c < DESIGN.md)
 [ "$design_bytes" -le 58000 ] || { echo "DESIGN.md is $design_bytes bytes, over the 58000-byte line: cut, or move the text into the module it describes" >&2; exit 1; }
 
+echo "==> doc links (an intra-doc link to a missing item — a deleted function, a renamed type — fails the build)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --document-private-items --offline
+
 echo "==> tests (offline; debug profile keeps the hot-path poison asserts on) — one run of the whole workspace, which is every gate named below"
 echo "    fault-injection gate (fixed seed, zero panics): tests/fault_injection, insta-engine fault_tolerance"
 echo "    session-chaos gate (rollback bit-identity under seeded corruption + worker panics; a fired token/deadline stops at the next level poll): tests/sessions"

@@ -7,7 +7,9 @@
 //! (annotations, report, drift odometer) untouched, like S rolled-back
 //! sessions.
 
-use insta_engine::{BatchOptions, DeltaSet, InstaConfig, InstaEngine, InstaReport, ScenarioReport};
+use insta_engine::{
+    BatchOptions, DeltaSet, InstaConfig, InstaEngine, InstaError, InstaReport, ScenarioReport,
+};
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
 use insta_refsta::{RefSta, StaConfig};
@@ -69,7 +71,9 @@ fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<DeltaSet> {
 }
 
 /// The serial reference: one checkpoint/rollback session per scenario, in
-/// order, on a clone of the engine.
+/// order, on a clone of the engine. A scenario's gradients come from a
+/// twin of its own: a fresh clone of the engine that runs `update_timing`
+/// of the scenario's deltas, then `backward_tns`.
 fn serial_reference(
     engine: &InstaEngine,
     scenarios: &[DeltaSet],
@@ -80,17 +84,22 @@ fn serial_reference(
         .iter()
         .map(|sc| {
             let mut session = clone.begin_session();
-            let mut grads = None;
-            let outcome = session.update_timing(&sc.deltas).and_then(|report| {
-                if gradients {
-                    session.forward_lse()?;
-                    session.backward_tns()?;
-                    grads = Some(session.engine().arc_gradients());
-                }
-                Ok(report)
-            });
+            let outcome = session.update_timing(&sc.deltas);
             session.rollback();
-            (outcome.map_err(|e| e.category().to_string()), grads)
+            let twin_gradients = || {
+                let mut twin = engine.clone();
+                twin.update_timing(&sc.deltas)?;
+                twin.try_backward_tns()?;
+                Ok(twin.arc_gradients())
+            };
+            let (outcome, grads) = match outcome {
+                Ok(report) if gradients => match twin_gradients() {
+                    Ok(g) => (Ok(report), Some(g)),
+                    Err(e) => (Err(e), None),
+                },
+                other => (other, None),
+            };
+            (outcome.map_err(|e: InstaError| e.category().to_string()), grads)
         })
         .collect()
 }
@@ -184,8 +193,8 @@ fn batch_is_bit_identical_to_serial_sessions() {
 }
 
 /// Gradient equivalence: `evaluate(gradients: true)` returns,
-/// per scenario, the exact ∂TNS/∂delay vector a serial session's
-/// `forward_lse` + `backward_tns` + `arc_gradients` produces.
+/// per scenario, the exact ∂TNS/∂delay vector a twin engine's
+/// `update_timing` + `backward_tns` + `arc_gradients` produces.
 #[test]
 fn batch_gradients_match_serial_sessions() {
     for &n_threads in &[1usize, 4] {

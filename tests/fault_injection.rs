@@ -5,16 +5,11 @@
 //!
 //! The pipeline under attack is the real one: snapshot text → JSON parse
 //! (`insta_support::json`) → `InstaInit` decode → validation
-//! (`InstaEngine::new` in Strict mode) → propagation →
-//! `health_check`. Each stage is allowed to reject with its typed error;
-//! whatever survives all of them must produce NaN-free slacks and
-//! gradients.
-//!
-//! Trust mode is deliberately absent here: it is the documented opt-out
-//! of exactly these guarantees (see DESIGN.md "Error taxonomy and
-//! failure policy").
+//! (`InstaEngine::new`) → propagation → `health_check`. Each stage is
+//! allowed to reject with its typed error; whatever survives all of them
+//! must produce NaN-free slacks and gradients.
 
-use insta_sta::engine::{InstaConfig, InstaEngine, ValidationMode};
+use insta_sta::engine::{InstaConfig, InstaEngine};
 use insta_sta::netlist::generator::{generate_design, GeneratorConfig};
 use insta_sta::refsta::export::InstaInit;
 use insta_sta::refsta::{RefSta, StaConfig};
@@ -46,7 +41,7 @@ fn clean_init() -> &'static InstaInit {
 type Outcome = &'static str;
 
 /// Drives corrupted snapshot *bytes* through the full ingest pipeline.
-fn drive_bytes(bytes: &[u8], mode: ValidationMode) -> Result<Outcome, String> {
+fn drive_bytes(bytes: &[u8]) -> Result<Outcome, String> {
     let Ok(text) = std::str::from_utf8(bytes) else {
         return Ok("rejected:utf8");
     };
@@ -62,18 +57,14 @@ fn drive_bytes(bytes: &[u8], mode: ValidationMode) -> Result<Outcome, String> {
     };
     match InstaInit::from_json(&v) {
         Err(_) => Ok("rejected:decode"),
-        Ok(init) => drive_init(init, mode),
+        Ok(init) => drive_init(init),
     }
 }
 
 /// Drives a (possibly corrupted) in-memory snapshot through build,
 /// propagation, gradients, and the poison scan.
-fn drive_init(init: InstaInit, mode: ValidationMode) -> Result<Outcome, String> {
-    let cfg = InstaConfig {
-        validation: mode,
-        ..InstaConfig::default()
-    };
-    let mut eng = match InstaEngine::new(init, cfg) {
+fn drive_init(init: InstaInit) -> Result<Outcome, String> {
+    let mut eng = match InstaEngine::new(init, InstaConfig::default()) {
         Err(_) => return Ok("rejected:validate"),
         Ok(e) => e,
     };
@@ -121,7 +112,7 @@ fn textual_corruption_never_panics_and_is_mostly_rejected() {
         for case in 0..CASES_PER_FAULT {
             let bytes = plan.corrupt_text(case, fault, &text);
             let o = no_panic(fault, case, "strict", || {
-                drive_bytes(&bytes, ValidationMode::Strict)
+                drive_bytes(&bytes)
             });
             *outcomes.entry(o).or_default() += 1;
         }
@@ -160,7 +151,7 @@ fn tree_corruption_never_panics_in_strict_mode() {
                 Ok(init) => init,
             };
             let strict = no_panic(fault, case, "strict", || {
-                drive_init(init, ValidationMode::Strict)
+                drive_init(init)
             });
             if strict == "rejected:validate" {
                 strict_rejects += 1;
@@ -186,7 +177,7 @@ fn struct_level_corruption_never_panics() {
             let mut init = clean_init().clone();
             corrupt_struct(&mut init, class, pick);
             let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                drive_init(init, ValidationMode::Strict)
+                drive_init(init)
             })) {
                 Ok(r) => r?,
                 Err(_) => return Err(format!("class {class} pick {pick:#x} panicked")),

@@ -472,8 +472,10 @@ fn drift_budget_is_advisory_and_never_changes_the_route() {
     assert_eq!(engine.counters().drift_updates, 0);
 }
 
-/// Gradients are part of the checkpoint: the differentiable state after a
-/// rollback reproduces the pre-session gradients bit-for-bit.
+/// Gradients are the engine's, not a session's: a session's update and
+/// its rollback leave the `arc_gradients()` bits untouched, and a backward
+/// pass after the rollback — on the restored report and LSE buffers —
+/// reproduces them.
 #[test]
 fn rollback_restores_differentiable_state() {
     let _serial = serial();
@@ -481,24 +483,21 @@ fn rollback_restores_differentiable_state() {
     engine.propagate();
     engine.forward_lse();
     engine.backward_tns();
-    let grads_before: Vec<u64> = engine
-        .arc_gradients()
-        .iter()
-        .map(|g| g.to_bits())
-        .collect();
+    let bits = |g: Vec<f64>| g.iter().map(|g| g.to_bits()).collect::<Vec<u64>>();
+    let grads_before = bits(engine.arc_gradients());
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x6AD);
     let batch = random_valid_batch(&golden, &mut rng, 6);
 
     let mut session = engine.begin_session();
     session.update_timing(&batch).expect("valid batch");
-    session.forward_lse().expect("lse");
-    session.backward_tns().expect("backward");
+    assert_eq!(
+        bits(session.engine().arc_gradients()),
+        grads_before,
+        "an update writes no gradient"
+    );
     session.rollback();
+    assert_eq!(bits(engine.arc_gradients()), grads_before);
 
-    let grads_after: Vec<u64> = engine
-        .arc_gradients()
-        .iter()
-        .map(|g| g.to_bits())
-        .collect();
-    assert_eq!(grads_before, grads_after);
+    engine.backward_tns();
+    assert_eq!(bits(engine.arc_gradients()), grads_before);
 }
