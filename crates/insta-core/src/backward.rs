@@ -14,7 +14,7 @@
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
-use crate::parallel::{carve, Interrupt, Pass};
+use crate::parallel::{carve, Interrupt, Pass, PassOptions};
 use crate::stat;
 use crate::trace::LevelProfile;
 
@@ -29,18 +29,35 @@ impl InstaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if a worker panic could not be contained (see
+    /// Panics if the call fails (see
     /// [`try_backward_tns`](InstaEngine::try_backward_tns)).
     pub fn backward_tns(&mut self) {
-        if let Err(e) = self.try_backward_tns() {
+        if let Err(e) = self.try_backward_tns(&PassOptions::default()) {
             panic!("backward_tns failed: {e}");
         }
     }
 
-    /// Fallible [`backward_tns`](InstaEngine::backward_tns) with the same
-    /// worker-panic containment contract as
-    /// [`try_propagate`](InstaEngine::try_propagate).
-    pub fn try_backward_tns(&mut self) -> Result<(), InstaError> {
+    /// Fallible [`backward_tns`](InstaEngine::backward_tns) — the one
+    /// producer of timing gradients — with the same worker-panic
+    /// containment contract as [`try_propagate`](InstaEngine::try_propagate).
+    ///
+    /// `opts` arms one interrupt for every pass the call runs — a stale
+    /// propagation, a stale LSE pass, then the backward sweep — and a fired
+    /// token or an expired deadline returns [`InstaError::Cancelled`]. The
+    /// call writes only what those passes write: on a current report, the
+    /// LSE and gradient buffers and nothing a report, a snapshot or an
+    /// epoch reads. A NaN slack refuses the call with the session layer's
+    /// [`InstaError::Numeric`] before any differentiable pass runs.
+    pub fn try_backward_tns(&mut self, opts: &PassOptions) -> Result<(), InstaError> {
+        if let Some(i) = opts.interrupt() {
+            self.set_interrupt(i);
+        }
+        let res = self.backward_passes();
+        self.clear_interrupt();
+        res
+    }
+
+    fn backward_passes(&mut self) -> Result<(), InstaError> {
         // The backward pass consumes the report (required times) and the
         // LSE arrivals/weights; what the ledger calls stale (never computed,
         // or arcs re-annotated since) is recomputed rather than silently
@@ -48,10 +65,13 @@ impl InstaEngine {
         if !self.validity.report_current() {
             self.try_propagate()?;
         }
+        let report = self.state.report.clone().expect("current: has a report");
+        if let Some(err) = crate::health::nan_slack(&self.st, &report) {
+            return Err(err);
+        }
         if !self.validity.lse_current() {
             self.try_forward_lse()?;
         }
-        let report = self.state.report.clone().expect("current: has a report");
         self.last_incident = None;
         self.trace.begin("backward");
         let res = backward(
@@ -72,7 +92,15 @@ impl InstaEngine {
     /// and both destination transitions). Values are ≤ 0: increasing any
     /// arc delay can only worsen TNS.
     pub fn arc_gradients(&self) -> Vec<f64> {
-        graph_arc_gradients(&self.st, &self.state.grad_arc)
+        let (st, grad_arc) = (&self.st, &self.state.grad_arc);
+        (0..st.n_graph_arcs)
+            .map(|g| {
+                st.expansion(g).iter().fold(0.0, |acc, &e| {
+                    let ga = grad_arc[e as usize];
+                    acc + (ga[0] + ga[1])
+                })
+            })
+            .collect()
     }
 
     /// ∂TNS/∂arrival at an *original* graph node id per transition index
@@ -84,25 +112,12 @@ impl InstaEngine {
     }
 }
 
-/// Folds per-expanded-arc gradients onto graph arcs: over a graph arc's
-/// non-unate expansions and both destination transitions.
-pub(crate) fn graph_arc_gradients(st: &Static, grad_arc: &[[f64; 2]]) -> Vec<f64> {
-    (0..st.n_graph_arcs)
-        .map(|g| {
-            st.expansion(g).iter().fold(0.0, |acc, &e| {
-                let ga = grad_arc[e as usize];
-                acc + (ga[0] + ga[1])
-            })
-        })
-        .collect()
-}
-
 /// One backward pass: gradients reset, the TNS seeds planted — every
 /// violating endpoint seeds −1 (`TNS = Σ_ep min(0, slack_ep)`), split over
 /// its rise/fall smooth arrivals by the softmax `w_rf` of
 /// `slack_ep = required − LSE(arr_r, arr_f)` — then the reverse level
 /// sweep.
-pub(crate) fn backward(
+fn backward(
     st: &Static,
     state: &mut State,
     report: &crate::metrics::InstaReport,
@@ -235,29 +250,131 @@ fn backward_chunk(
 #[cfg(test)]
 mod tests {
     use crate::engine::{InstaConfig, InstaEngine};
+    use crate::error::{InstaError, Kernel};
+    use crate::parallel::PassOptions;
+    use crate::snapshot::TimingSnapshot;
     use insta_netlist::generator::{generate_design, GeneratorConfig};
     use insta_refsta::{RefSta, StaConfig};
+    use insta_support::timer::CancelToken;
+    use std::time::Duration;
 
-    fn gradient_engine(seed: u64, tau: f64) -> InstaEngine {
-        // A tight clock so the design actually violates (TNS < 0) and
-        // gradients flow.
+    /// An engine over a design with a tight clock, so that it violates
+    /// (TNS < 0) and gradients flow; no pass has run yet.
+    fn violating_engine(seed: u64, tau: f64) -> InstaEngine {
         let mut cfg = GeneratorConfig::small("bwd", seed);
         cfg.clock_period_ps = 120.0;
         let d = generate_design(&cfg);
         let mut sta = RefSta::new(&d, StaConfig::default()).expect("build");
         let report = sta.full_update(&d);
         assert!(report.n_violations > 0, "test design must violate");
-        let mut eng = InstaEngine::new(
+        InstaEngine::new(
             sta.export_insta_init(),
             InstaConfig {
                 lse_tau: tau,
                 ..InstaConfig::default()
             },
-        ).expect("valid snapshot");
+        )
+        .expect("valid snapshot")
+    }
+
+    fn gradient_engine(seed: u64, tau: f64) -> InstaEngine {
+        let mut eng = violating_engine(seed, tau);
         eng.propagate();
         eng.forward_lse();
         eng.backward_tns();
         eng
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every bit a snapshot reader can see: epoch, slacks, arrivals.
+    fn snapshot_bits(snap: &TimingSnapshot, n_nodes: u32) -> Vec<u64> {
+        let mut out = vec![snap.epoch()];
+        out.extend(bits(&snap.report().expect("synced").slacks));
+        for v in 0..n_nodes {
+            for rf in 0..2 {
+                out.push(snap.arrival_at(v, rf).map_or(u64::MAX, f64::to_bits));
+            }
+        }
+        out
+    }
+
+    /// A pre-fired token and a zero deadline both cancel the call — in the
+    /// LSE pass when it is stale, in the backward sweep when it is not —
+    /// and move no bit of the epoch, the report, the Top-K arrays, the
+    /// annotations, the ledger or a snapshot; the next default call's
+    /// gradients equal a fresh twin's.
+    #[test]
+    fn a_cancelled_gradient_call_moves_nothing_a_reader_sees() {
+        let token = CancelToken::new();
+        token.cancel();
+        let cancels = [
+            PassOptions {
+                cancel: Some(token),
+                deadline: None,
+            },
+            PassOptions {
+                cancel: None,
+                deadline: Some(Duration::ZERO),
+            },
+        ];
+        let mut twin = violating_engine(5, 1.0);
+        twin.backward_tns();
+        let want = bits(&twin.arc_gradients());
+        assert!(want.iter().any(|&g| f64::from_bits(g) != 0.0));
+        for lse_current in [false, true] {
+            for opts in &cancels {
+                let mut eng = violating_engine(5, 1.0);
+                let mut session = eng.begin_session();
+                session.propagate().expect("propagate");
+                session.commit().expect("commit");
+                if lse_current {
+                    eng.forward_lse();
+                }
+                let n_nodes = eng.num_nodes() as u32;
+                let epoch = eng.epoch();
+                let image = eng.undo_image();
+                let snap = snapshot_bits(&eng.snapshot(), n_nodes);
+
+                let stopped_in = if lse_current {
+                    Kernel::Backward
+                } else {
+                    Kernel::ForwardLse
+                };
+                match eng.try_backward_tns(opts) {
+                    Err(InstaError::Cancelled { kernel, .. }) => assert_eq!(kernel, stopped_in),
+                    other => panic!("expected a cancel, got {other:?}"),
+                }
+                assert_eq!(eng.epoch(), epoch);
+                assert!(eng.undo_image() == image, "lse current: {lse_current}");
+                assert_eq!(snapshot_bits(&eng.snapshot(), n_nodes), snap);
+
+                eng.try_backward_tns(&PassOptions::default())
+                    .expect("an uncancelled call");
+                assert_eq!(bits(&eng.arc_gradients()), want);
+            }
+        }
+    }
+
+    /// A NaN slack refuses the call with the session layer's numeric
+    /// error, before any differentiable pass runs.
+    #[test]
+    fn a_nan_slack_refuses_the_gradient_call() {
+        let mut eng = violating_engine(6, 1.0);
+        eng.propagate();
+        // The kernels keep NaN out of a report, so the poison goes into
+        // the engine's own report after the pass.
+        let report = eng.state.report.as_mut().expect("propagated");
+        report.slacks[0] = f64::NAN;
+        let lse = eng.validity.lse_current();
+        let err = eng
+            .try_backward_tns(&PassOptions::default())
+            .expect_err("a NaN slack must be refused");
+        assert!(matches!(err, InstaError::Numeric { .. }), "{err}");
+        assert_eq!(err.category(), "numeric");
+        assert_eq!(eng.validity.lse_current(), lse, "no LSE pass ran");
     }
 
     #[test]

@@ -44,11 +44,11 @@
 //! writes. A full-pass lane *is* that full pass.
 //!
 //! **The call leaves no trace.** The undo is unconditional: it runs after
-//! a completed lane, a cancelled or failed sweep, a NaN or gradient
-//! failure, and from the transaction's drop if anything unwinds. After an
-//! `evaluate` call the engine's Top-K arrays (stale mean/sigma tails
-//! included), annotations, report, drift odometer, validity ledger and LSE
-//! state are their pre-call bits — the only state a call may write is the
+//! a completed lane, a cancelled or failed sweep, a NaN slack, and from
+//! the transaction's drop if anything unwinds. After an `evaluate` call
+//! the engine's Top-K arrays (stale mean/sigma tails included),
+//! annotations, report, drift odometer, validity ledger and LSE state are
+//! their pre-call bits — the only state a call may write is the
 //! base sync itself (identical to the caller running
 //! [`propagate`](InstaEngine::propagate) first) and the monotonic batch
 //! counters. A failed lane does not force the next update onto a full
@@ -72,20 +72,21 @@
 //! Mode is a report-time filter, so scenarios that agree on `(corner,
 //! deltas)` share one lane, and every call merges a worst-corner slack per
 //! endpoint.
+//!
+//! **It scores, it does not differentiate.** A report is all a lane
+//! returns; ∂TNS/∂(arc delay) has one producer, the engine's own
+//! [`try_backward_tns`](InstaEngine::try_backward_tns).
 
-use crate::backward::graph_arc_gradients;
-use crate::engine::{InstaEngine, State, Static};
+use crate::engine::{InstaEngine, State};
 use crate::error::{InstaError, RuntimeIncident};
 use crate::forward::{forward, seed_sources};
 use crate::incremental::{seed_cone, Txn};
 use crate::metrics::InstaReport;
-use crate::parallel::Interrupt;
+use crate::parallel::{Interrupt, PassOptions};
 use crate::validate::{Issue, ValidationReport};
 use insta_refsta::eco::ArcDelta;
-use insta_support::timer::Deadline;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::time::Duration;
 
 /// One scenario of a plain what-if batch: a [`Scenario`] with neither
 /// corner nor mode, built `DeltaSet::from(deltas)`.
@@ -306,26 +307,6 @@ pub struct ScenarioReport {
     /// The scenario's endpoint report, or the same typed error a serial
     /// session running this scenario alone would have raised.
     pub outcome: Result<InstaReport, InstaError>,
-    /// ∂TNS/∂(arc delay) per graph arc, when
-    /// [`BatchOptions::gradients`] was requested and the scenario
-    /// succeeded.
-    pub gradients: Option<Vec<f64>>,
-}
-
-/// Options of [`InstaEngine::evaluate`].
-#[derive(Debug, Clone, Default)]
-pub struct BatchOptions {
-    /// Also run the differentiable forward + backward passes per scenario
-    /// and return [`ScenarioReport::gradients`].
-    pub gradients: bool,
-    /// Cooperative cancel token, polled once per timing level (the
-    /// session-layer contract): at most one level's work runs after it
-    /// fires, then every unfinished scenario reports
-    /// [`InstaError::Cancelled`].
-    pub cancel: Option<insta_support::timer::CancelToken>,
-    /// Wall-clock budget for the whole call, measured from the call: the
-    /// base sync and every lane are cut at that one instant.
-    pub deadline: Option<Duration>,
 }
 
 /// One distinct corner's transformed base annotations, indexed by
@@ -365,9 +346,6 @@ struct Routed {
     cone: bool,
 }
 
-/// A lane's report (or typed error) and, when asked for, its gradients.
-type LaneResult = (Result<InstaReport, InstaError>, Option<Vec<f64>>);
-
 impl InstaEngine {
     /// Evaluates S what-if scenarios (deltas × corner × mode) against the
     /// current engine state. Each scenario's report is bit-identical to a
@@ -386,23 +364,19 @@ impl InstaEngine {
     /// costs C lanes, not C × M (the `mcmm_deduped` counter); the sharing
     /// is invisible in the results. The merged view is, per endpoint, the
     /// worst slack over every successful scenario that covers it.
-    pub fn evaluate(&mut self, scenarios: &[Scenario], opts: &BatchOptions) -> McmmReport {
-        let deadline = opts.deadline.map(Deadline::after);
-        let interrupt = (opts.cancel.is_some() || deadline.is_some())
-            .then(|| Interrupt::new(opts.cancel.clone(), deadline));
+    ///
+    /// `opts` is one budget for the whole call: the base sync and every
+    /// lane are cut at the same instant, and every unfinished scenario
+    /// reports [`InstaError::Cancelled`].
+    pub fn evaluate(&mut self, scenarios: &[Scenario], opts: &PassOptions) -> McmmReport {
+        let interrupt = opts.interrupt();
         let (mut tables, lanes, lane_of) = self.prepare_lanes(scenarios);
         self.counters.batches += 1;
         self.counters.batch_scenarios += scenarios.len() as u64;
         self.counters.mcmm_deduped += (scenarios.len() - lanes.len()) as u64;
         self.counters.mcmm_corner_lanes += lanes.iter().filter(|l| l.corner.is_some()).count() as u64;
         let masked = scenarios.iter().filter(|sc| sc.effective_mode().is_some());
-        let mut results = self.run_lanes(
-            &lanes,
-            &mut tables,
-            opts.gradients,
-            interrupt.as_ref(),
-            masked.count(),
-        );
+        let mut results = self.run_lanes(&lanes, &mut tables, interrupt.as_ref(), masked.count());
 
         // A lane's report moves into its first scenario; a later scenario
         // sharing the lane gets a copy. Every report is re-reduced under
@@ -412,16 +386,12 @@ impl InstaEngine {
         for (i, sc) in scenarios.iter().enumerate() {
             let mode = sc.effective_mode();
             let lane = &lanes[lane_of[i]];
-            let (outcome, gradients) = match results[lane_of[i]].take() {
-                Some((outcome, gradients)) => (outcome, gradients),
-                None => {
-                    let first = &out[lane.first];
-                    let outcome = match &first.outcome {
-                        Ok(r) => Ok(r.clone()),
-                        Err(e) => Err(clone_lane_error(e)),
-                    };
-                    (outcome, first.gradients.clone())
-                }
+            let outcome = match results[lane_of[i]].take() {
+                Some(outcome) => outcome,
+                None => match &out[lane.first].outcome {
+                    Ok(r) => Ok(r.clone()),
+                    Err(e) => Err(clone_lane_error(e)),
+                },
             };
             let outcome = outcome.map(|mut r| {
                 if mode.is_some() || lane.first != i {
@@ -432,7 +402,6 @@ impl InstaEngine {
             out.push(ScenarioReport {
                 scenario: i,
                 outcome,
-                gradients,
             });
         }
         self.counters.batch_quarantined += out.iter().filter(|r| r.outcome.is_err()).count() as u64;
@@ -473,12 +442,12 @@ impl InstaEngine {
     /// [`evaluate`](Self::evaluate) with default options, per-scenario
     /// reports only.
     pub fn evaluate_batch(&mut self, scenarios: &[DeltaSet]) -> Vec<ScenarioReport> {
-        self.evaluate(scenarios, &BatchOptions::default()).scenarios
+        self.evaluate(scenarios, &PassOptions::default()).scenarios
     }
 
     /// [`evaluate`](Self::evaluate) with default options.
     pub fn evaluate_mcmm(&mut self, scenarios: &[Scenario]) -> McmmReport {
-        self.evaluate(scenarios, &BatchOptions::default())
+        self.evaluate(scenarios, &PassOptions::default())
     }
 
     /// The serial twin of a scenario: the delta list that pre-scales every
@@ -597,7 +566,7 @@ impl InstaEngine {
             mean.push(m);
             sigma.push(s);
         }
-        if report.n_fatal > 0 || report.n_repairable > 0 || report.n_warning > 0 {
+        if report.total() > 0 {
             Err(report)
         } else {
             Ok(CornerTable { mean, sigma })
@@ -618,11 +587,10 @@ impl InstaEngine {
         &mut self,
         lanes: &[Lane<'_>],
         tables: &mut [CornerResult],
-        gradients: bool,
         interrupt: Option<&Interrupt>,
         masked: usize,
-    ) -> Vec<Option<LaneResult>> {
-        let mut out: Vec<Option<LaneResult>> = lanes.iter().map(|_| None).collect();
+    ) -> Vec<Option<Result<InstaReport, InstaError>>> {
+        let mut out: Vec<_> = lanes.iter().map(|_| None).collect();
         let mut routed = Vec::new();
         for (i, lane) in lanes.iter().enumerate() {
             let err = match lane.corner.map(|ci| &tables[ci]) {
@@ -630,7 +598,7 @@ impl InstaEngine {
                 _ => self.validate_deltas(&lane.deltas).err(),
             };
             if let Some(e) = err {
-                out[i] = Some((Err(e), None));
+                out[i] = Some(Err(e));
                 continue;
             }
             let arcs = lane.deltas.iter().map(|d| d.arc);
@@ -642,7 +610,7 @@ impl InstaEngine {
         }
         if let Err(e) = self.sync_base(interrupt) {
             for r in &routed {
-                out[r.lane] = Some((Err(clone_lane_error(&e)), None));
+                out[r.lane] = Some(Err(clone_lane_error(&e)));
             }
             return out;
         }
@@ -651,7 +619,6 @@ impl InstaEngine {
         self.trace.begin("batch.sweep");
         let mut call = LaneCall {
             interrupt,
-            grads: gradients.then(|| grad_scratch(&self.st, self.state.k)),
             cone_lanes: 0,
             base_passes: 0,
             nodes: 0,
@@ -667,9 +634,7 @@ impl InstaEngine {
             call.run_group(&mut Base::new(self, table), lanes, group, &mut out);
         }
         let corner_lanes = routed.iter().filter(|r| lanes[r.lane].corner.is_some());
-        let ok = routed
-            .iter()
-            .all(|r| matches!(out[r.lane], Some((Ok(_), _))));
+        let ok = routed.iter().all(|r| matches!(out[r.lane], Some(Ok(_))));
         self.trace.end_with(&[
             ("lanes", routed.len() as f64),
             ("corner_lanes", corner_lanes.count() as f64),
@@ -700,21 +665,6 @@ impl InstaEngine {
         let synced = self.try_propagate().map(|_| ());
         self.clear_interrupt();
         synced
-    }
-}
-
-/// Scratch of a call's differentiable passes (they never touch the Top-K
-/// arrays), so the engine's own LSE/gradient state stays untouched. Every
-/// pass resets what it reads, so one allocation serves every lane.
-fn grad_scratch(st: &Static, k: usize) -> State {
-    let n_exp = st.arc_parent.len();
-    State {
-        lse_arrival: vec![f64::NEG_INFINITY; st.n * 2],
-        lse_weight: vec![[0.0; 2]; n_exp],
-        grad_arrival: vec![0.0; st.n * 2],
-        grad_arc: vec![[0.0; 2]; n_exp],
-        grad_fanout: vec![[0.0; 2]; n_exp],
-        ..State::with_rows(0, k)
     }
 }
 
@@ -779,12 +729,10 @@ impl Drop for Base<'_> {
     }
 }
 
-/// What the lanes of one call share: the call's one interrupt, the
-/// gradient scratch, and the `batch.sweep` span's tallies.
+/// What the lanes of one call share: the call's one interrupt and the
+/// `batch.sweep` span's tallies.
 struct LaneCall<'a> {
     interrupt: Option<&'a Interrupt>,
-    /// Present when the call asked for gradients.
-    grads: Option<State>,
     cone_lanes: usize,
     base_passes: usize,
     nodes: usize,
@@ -804,7 +752,7 @@ impl LaneCall<'_> {
         base: &mut Base<'_>,
         lanes: &[Lane<'_>],
         group: &[Routed],
-        out: &mut [Option<LaneResult>],
+        out: &mut [Option<Result<InstaReport, InstaError>>],
     ) {
         if group.iter().any(|r| r.cone) {
             let report = if base.table.is_some() {
@@ -820,7 +768,7 @@ impl LaneCall<'_> {
                     // The base pass died (cancelled, or a worker panic the
                     // serial retry couldn't contain): every lane of the
                     // corner reports its own copy of the error.
-                    Err(e) => (Err(clone_lane_error(e)), None),
+                    Err(e) => Err(clone_lane_error(e)),
                 });
             }
         }
@@ -837,10 +785,10 @@ impl LaneCall<'_> {
         eng: &mut InstaEngine,
         base: &InstaReport,
         deltas: &[ArcDelta],
-    ) -> LaneResult {
+    ) -> Result<InstaReport, InstaError> {
         if deltas.is_empty() {
             // Nothing to sweep: the lane is its base.
-            return self.finish(eng, base.clone());
+            return nan_gate(eng, base.clone());
         }
         let mut txn = Txn::begin(eng);
         let swept = txn.sweep(deltas, self.interrupt);
@@ -849,28 +797,27 @@ impl LaneCall<'_> {
         self.nodes += eng.cone.nodes;
         self.pruned += eng.cone.pruned;
         self.fallbacks += eng.cone.fallbacks();
-        if let Err(e) = self.book(swept) {
-            return (Err(e), None);
-        }
+        self.book(swept)?;
         // Only endpoints on recomputed nodes can differ from the base.
         let mut report = base.clone();
         let recomputed = |node| eng.cone.recomputed(node);
         crate::metrics::refresh(&eng.st, &eng.state, &mut report, recomputed, eng.cfg.cppr);
-        // Gradients read the lane's annotations: before the undo.
-        self.finish(eng, report)
+        nan_gate(eng, report)
     }
 
     /// A lane whose serial run is no cone update: its deltas and one full
     /// pass into the scratch rows. Counted as its serial twin counts it.
-    fn full_lane(&mut self, eng: &mut InstaEngine, deltas: &[ArcDelta]) -> LaneResult {
+    fn full_lane(
+        &mut self,
+        eng: &mut InstaEngine,
+        deltas: &[ArcDelta],
+    ) -> Result<InstaReport, InstaError> {
         eng.counters.incremental_updates += 1;
         let txn = Txn::begin(eng);
         let eng = &mut *txn.eng;
         eng.cone.annotate(&mut eng.st, deltas);
-        match self.full_pass(eng) {
-            Ok(report) => self.finish(eng, report),
-            Err(e) => (Err(e), None),
-        }
+        let report = self.full_pass(eng)?;
+        nan_gate(eng, report)
     }
 
     /// One ordinary full pass over the engine's annotations into its rows,
@@ -912,46 +859,13 @@ impl LaneCall<'_> {
             }
         }
     }
+}
 
-    /// The session layer's no-NaN-escapes gate, then the optional
-    /// differentiable passes against the engine's current annotations —
-    /// bit-identical to `update_timing` + `forward_lse` + `backward_tns`
-    /// on a twin engine, because it *is* the same kernel code reading the
-    /// same values.
-    fn finish(&mut self, eng: &InstaEngine, report: InstaReport) -> LaneResult {
-        let (st, cfg) = (&eng.st, &eng.cfg);
-        if let Some(err) = crate::health::nan_slack(st, &report) {
-            return (Err(err), None);
-        }
-        let Some(scratch) = &mut self.grads else {
-            return (Ok(report), None);
-        };
-        // Lane passes run on scratch buffers; they never feed the engine's
-        // per-level kernel profiles.
-        let passes = crate::lse::forward_lse(
-            st,
-            scratch,
-            cfg.lse_tau,
-            cfg.n_threads,
-            self.interrupt,
-            None,
-        )
-        .and_then(|_| {
-            crate::backward::backward(
-                st,
-                scratch,
-                &report,
-                cfg.lse_tau,
-                cfg.n_threads,
-                self.interrupt,
-                None,
-            )
-        });
-        if let Err(e) = passes {
-            return (Err(e), None);
-        }
-        let gradients = graph_arc_gradients(st, &scratch.grad_arc);
-        (Ok(report), Some(gradients))
+/// The session layer's no-NaN-escapes gate on a lane's report.
+fn nan_gate(eng: &InstaEngine, report: InstaReport) -> Result<InstaReport, InstaError> {
+    match crate::health::nan_slack(&eng.st, &report) {
+        Some(err) => Err(err),
+        None => Ok(report),
     }
 }
 

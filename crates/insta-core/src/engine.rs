@@ -1020,7 +1020,7 @@ pub(crate) mod tests {
         let crate::error::InstaError::Validate(report) = err else {
             unreachable!("category says validate");
         };
-        assert!(report.n_repairable >= 2, "{report}");
+        assert!(report.n_fatal >= 2, "{report}");
     }
 
     /// Regression: an interrupt armed once and reused across several

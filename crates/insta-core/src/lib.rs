@@ -36,8 +36,8 @@
 //! * [`error`] — the typed error taxonomy ([`InstaError`]) of the
 //!   untrusted-input and runtime paths.
 //! * [`validate`] — snapshot validation: every snapshot is checked, and
-//!   one with a fatal or repairable issue is rejected (see DESIGN.md
-//!   "Error taxonomy and failure policy").
+//!   one with a fatal issue is rejected (see DESIGN.md "Error taxonomy and
+//!   failure policy").
 //! * [`session`] — transactional timing sessions: a timing transaction
 //!   (`incremental::Txn`) with bit-identical rollback on poison,
 //!   cooperative per-level cancellation with deadlines, and an advisory
@@ -47,8 +47,9 @@
 //!   [`evaluate`](InstaEngine::evaluate): each scenario is a transaction
 //!   whose cone sweep runs in place and is undone (a corner is one full
 //!   pass into a scratch base first), bit-identical per scenario to S
-//!   serial sessions, with per-scenario quarantine (see DESIGN.md "Batched
-//!   scenario evaluation").
+//!   serial sessions, with per-scenario quarantine; it scores, and the
+//!   engine's backward pass is the one gradient producer (see DESIGN.md
+//!   "Batched scenario evaluation").
 //! * [`snapshot`] — the immutable committed-epoch view
 //!   ([`TimingSnapshot`](snapshot::TimingSnapshot)): slacks, arrivals,
 //!   WNS/TNS, and epoch captured at commit time so the serve layer can
@@ -108,14 +109,13 @@ pub mod trace;
 pub mod validate;
 pub(crate) mod validity;
 
-pub use batch::{
-    BatchOptions, CornerTransform, DeltaSet, McmmReport, ModeMask, Scenario, ScenarioReport,
-};
+pub use batch::{CornerTransform, DeltaSet, McmmReport, ModeMask, Scenario, ScenarioReport};
 pub use correlate::{pearson, MismatchStats};
 pub use engine::{DriftPolicy, InstaConfig, InstaEngine};
 pub use error::{IncidentLog, InstaError, Kernel, PoisonedArray, RuntimeIncident, ServiceIncident};
 pub use hold::{hold_attributes, HoldAttributes};
 pub use metrics::{EngineCounters, InstaReport};
+pub use parallel::PassOptions;
 pub use persist::{ByteSink, Dec, Enc, EngineDurableState, PersistError, WriterOp};
 pub use session::{SessionStatus, TimingSession};
 pub use snapshot::TimingSnapshot;

@@ -80,7 +80,7 @@ fn seed_lse_sources(st: &Static, state: &mut State, range: std::ops::Range<usize
     }
 }
 
-pub(crate) fn forward_lse(
+fn forward_lse(
     st: &Static,
     state: &mut State,
     tau: f64,

@@ -106,6 +106,29 @@ impl Interrupt {
     }
 }
 
+/// The cancel/deadline contract of one fallible call,
+/// [`evaluate`](crate::InstaEngine::evaluate) or
+/// [`try_backward_tns`](crate::InstaEngine::try_backward_tns): one
+/// [`Interrupt`] armed for every pass the call runs, polled once per level,
+/// so at most one level's work runs after it fires and the call returns
+/// [`InstaError::Cancelled`].
+#[derive(Debug, Clone, Default)]
+pub struct PassOptions {
+    /// Cooperative cancel token.
+    pub cancel: Option<CancelToken>,
+    /// Wall-clock budget for the whole call, measured from the call.
+    pub deadline: Option<std::time::Duration>,
+}
+
+impl PassOptions {
+    /// The call's interrupt, its deadline starting now; `None` when
+    /// neither trigger is set.
+    pub(crate) fn interrupt(&self) -> Option<Interrupt> {
+        (self.cancel.is_some() || self.deadline.is_some())
+            .then(|| Interrupt::new(self.cancel.clone(), self.deadline.map(Deadline::after)))
+    }
+}
+
 /// Number of worker threads a launch uses (`0` = all available cores).
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {

@@ -26,8 +26,8 @@
 //! log, the validity ledger, report and drift from what the transaction
 //! captured. A session updates and propagates; it runs no differentiable
 //! pass, so the LSE and gradient buffers are never a session's to take
-//! back — gradients come from the engine itself or from a batched lane
-//! ([`crate::batch`]). Reads (`arrival_at`, `snapshot()`) never see a
+//! back — gradients come from the engine itself
+//! ([`try_backward_tns`](InstaEngine::try_backward_tns)). Reads (`arrival_at`, `snapshot()`) never see a
 //! rolled-back pass, and the next update is a cone update again — also
 //! after a cancel, a deadline, a NaN or a worker panic inside a cone
 //! sweep. Only a write the log does not cover (a full pass inside the

@@ -10,16 +10,14 @@
 //! external tool is untrusted: this module checks the full contract in a
 //! single O(nodes + arcs + endpoints + tree) pass, and
 //! [`InstaEngine::new`](crate::InstaEngine::new) rejects any snapshot it
-//! finds a fatal or repairable issue in.
+//! finds a fatal issue in.
 //!
 //! Issue severities:
 //!
-//! * **fatal** — the snapshot's structure is unusable (broken CSR, order
-//!   not a permutation).
-//! * **repairable** — element-level damage the exporter could fix
-//!   locally (an out-of-range reference, a level inversion, a duplicate
-//!   arc, a non-finite statistic, an inconsistent clock tree). The engine
-//!   rejects it like a fatal issue.
+//! * **fatal** — the kernels cannot index the snapshot: broken structure
+//!   (a CSR, an order that is not a permutation) or element-level damage
+//!   (an out-of-range reference, a level inversion, a duplicate arc, a
+//!   non-finite statistic, an inconsistent clock tree). Rejected.
 //! * **warning** — suspicious but representable (an endpoint no path can
 //!   reach): reported, never rejected.
 
@@ -28,10 +26,8 @@ use insta_refsta::export::{InstaInit, NO_LEAF};
 /// Issue severity class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
-    /// Unusable structure.
+    /// Unusable structure or element; rejected.
     Fatal,
-    /// Element-level damage with a local fix; rejected all the same.
-    Repairable,
     /// Reported only.
     Warning,
 }
@@ -222,14 +218,8 @@ impl Issue {
     /// The severity class of this issue.
     pub fn severity(&self) -> Severity {
         match self {
-            Issue::BadConfig { .. }
-            | Issue::NodeCountMismatch { .. }
-            | Issue::OrderNotPermutation { .. }
-            | Issue::LevelCsrBroken { .. }
-            | Issue::FaninCsrBroken { .. }
-            | Issue::DeltaArcOutOfRange { .. } => Severity::Fatal,
             Issue::UnreachableEndpoint { .. } => Severity::Warning,
-            _ => Severity::Repairable,
+            _ => Severity::Fatal,
         }
     }
 }
@@ -317,8 +307,6 @@ pub struct ValidationReport {
     pub issues: Vec<Issue>,
     /// Total fatal issues (may exceed the recorded list).
     pub n_fatal: usize,
-    /// Total repairable issues.
-    pub n_repairable: usize,
     /// Total warnings.
     pub n_warning: usize,
 }
@@ -329,7 +317,6 @@ impl ValidationReport {
     pub fn record(&mut self, issue: Issue) {
         match issue.severity() {
             Severity::Fatal => self.n_fatal += 1,
-            Severity::Repairable => self.n_repairable += 1,
             Severity::Warning => self.n_warning += 1,
         }
         if self.issues.len() < MAX_RECORDED_ISSUES {
@@ -337,10 +324,9 @@ impl ValidationReport {
         }
     }
 
-    /// Whether the engine rejects this snapshot (any fatal or repairable
-    /// issue).
+    /// Whether the engine rejects this snapshot (any fatal issue).
     pub fn rejects_strict(&self) -> bool {
-        self.n_fatal > 0 || self.n_repairable > 0
+        self.n_fatal > 0
     }
 
     /// Whether the snapshot is fully clean (warnings allowed).
@@ -350,17 +336,13 @@ impl ValidationReport {
 
     /// Total issues of every severity.
     pub fn total(&self) -> usize {
-        self.n_fatal + self.n_repairable + self.n_warning
+        self.n_fatal + self.n_warning
     }
 }
 
 impl std::fmt::Display for ValidationReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} fatal, {} repairable, {} warnings",
-            self.n_fatal, self.n_repairable, self.n_warning
-        )?;
+        write!(f, "{} fatal, {} warnings", self.n_fatal, self.n_warning)?;
         for issue in self.issues.iter().take(8) {
             write!(f, "; {issue}")?;
         }
@@ -713,7 +695,6 @@ mod tests {
         let report = validate(&clean_init());
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.n_fatal, 0);
-        assert_eq!(report.n_repairable, 0);
     }
 
     #[test]
@@ -734,7 +715,7 @@ mod tests {
         init.fanin[2].mean[1] = f64::INFINITY;
         let report = validate(&init);
         assert!(report.rejects_strict());
-        assert_eq!((report.n_fatal, report.n_repairable), (0, 3), "{report}");
+        assert_eq!((report.n_fatal, report.n_warning), (3, 0), "{report}");
     }
 
     #[test]
@@ -820,6 +801,6 @@ mod tests {
         }
         let report = validate(&init);
         assert!(report.issues.len() <= MAX_RECORDED_ISSUES);
-        assert!(report.n_repairable >= init.fanin.len());
+        assert!(report.n_fatal >= init.fanin.len());
     }
 }

@@ -31,8 +31,8 @@
 
 use insta_engine::parallel::chaos;
 use insta_engine::{
-    hold_attributes, BatchOptions, CancelToken, CornerTransform, DeltaSet, DriftPolicy,
-    HoldAttributes, InstaConfig, InstaEngine, InstaError, InstaReport, Kernel, ModeMask, Scenario,
+    hold_attributes, CancelToken, CornerTransform, DeltaSet, DriftPolicy, HoldAttributes,
+    InstaConfig, InstaEngine, InstaError, InstaReport, Kernel, ModeMask, PassOptions, Scenario,
     ScenarioReport, SessionStatus,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
@@ -916,8 +916,8 @@ fn candidates_by_corners(
     out
 }
 
-/// Clean calls of all three entry points (and a gradient call),
-/// K ∈ {1, 8, 32}: every lane equals its serial twin, the engine
+/// Clean calls of all three entry points, K ∈ {1, 8, 32}: every lane
+/// equals its serial twin, the engine
 /// holds its pre-call bits — LSE tag included — and stays on the cone path.
 #[test]
 fn batched_calls_leave_no_trace() {
@@ -944,19 +944,9 @@ fn batched_calls_leave_no_trace() {
         assert_lanes_equal_twins(&got, &a, &as_scenarios, &format!("{what} evaluate_batch"));
         assert_untouched(&before, &a, &format!("{what} evaluate_batch"));
 
-        let opts = BatchOptions {
-            gradients: true,
-            ..BatchOptions::default()
-        };
-        let got = a.evaluate(&as_sets[..3], &opts).scenarios;
-        assert!(got
-            .iter()
-            .all(|r| r.outcome.is_ok() && r.gradients.is_some()));
-        assert_untouched(&before, &a, &format!("{what} gradients"));
-
         // evaluate: candidates × (identity + corners), modes mixed in.
         let scs = candidates_by_corners(&mut rng, &fx, 4, n_eps);
-        let got = a.evaluate(&scs, &BatchOptions::default()).scenarios;
+        let got = a.evaluate(&scs, &PassOptions::default()).scenarios;
         assert_lanes_equal_twins(&got, &a, &scs, &format!("{what} evaluate"));
         assert_untouched(&before, &a, &format!("{what} evaluate"));
 
@@ -1002,7 +992,7 @@ fn batches_interleaved_with_committed_sessions_leave_no_trace() {
             })
             .collect();
         let before = a.undo_image();
-        let got = a.evaluate(&scs, &BatchOptions::default()).scenarios;
+        let got = a.evaluate(&scs, &PassOptions::default()).scenarios;
         assert_lanes_equal_twins(&got, &a, &scs, &format!("{what} round {round}"));
         assert_untouched(&before, &a, &format!("{what} round {round}"));
         let mut session = a.begin_session();
@@ -1033,7 +1023,7 @@ fn one_base_pass_per_distinct_corner() {
     scs.push(Scenario::default().with_corner(CORNERS[1]));
     scs.push(Scenario::default().with_corner(CornerTransform::IDENTITY));
     a.enable_tracing();
-    let got = a.evaluate(&scs, &BatchOptions::default()).scenarios;
+    let got = a.evaluate(&scs, &PassOptions::default()).scenarios;
     assert!(got.iter().all(|r| r.outcome.is_ok()));
     assert_eq!(sweep_span(&a, "lanes"), 18.0);
     assert_eq!(sweep_span(&a, "base_passes"), 2.0);
@@ -1085,7 +1075,7 @@ fn quarantined_and_oversized_lanes_leave_no_trace() {
         Scenario::from(few_deltas(&mut rng, &fx)).with_corner(CORNERS[1]),
     ];
     let sessions = a.counters().sessions_begun;
-    let got = a.evaluate(&scs, &BatchOptions::default()).scenarios;
+    let got = a.evaluate(&scs, &PassOptions::default()).scenarios;
     for bad in [1, 3] {
         assert!(
             matches!(got[bad].outcome, Err(InstaError::Validate(_))),
@@ -1108,9 +1098,9 @@ fn quarantined_and_oversized_lanes_leave_no_trace() {
 fn first_dirty_level(a: &mut InstaEngine, deltas: &[ArcDelta]) -> usize {
     let token = CancelToken::new();
     token.cancel();
-    let opts = BatchOptions {
+    let opts = PassOptions {
         cancel: Some(token),
-        ..BatchOptions::default()
+        ..PassOptions::default()
     };
     let got = a
         .evaluate(&[DeltaSet::from(deltas.to_vec())], &opts)
@@ -1162,9 +1152,9 @@ fn a_lane_cancelled_between_dirty_levels_leaves_no_trace() {
     let got = a
         .evaluate(
             &scs,
-            &BatchOptions {
+            &PassOptions {
                 cancel: Some(token),
-                ..BatchOptions::default()
+                ..PassOptions::default()
             },
         )
         .scenarios;
@@ -1221,7 +1211,7 @@ fn a_recovered_panic_in_a_lane_leaves_no_trace() {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     chaos::arm(Kernel::Forward, first, false);
-    let got = a.evaluate(&scs, &BatchOptions::default()).scenarios;
+    let got = a.evaluate(&scs, &PassOptions::default()).scenarios;
     chaos::disarm();
     std::panic::set_hook(prev_hook);
 
@@ -1277,7 +1267,7 @@ fn a_fatal_panic_in_a_lane_is_typed_and_leaves_no_trace() {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     chaos::arm(Kernel::Forward, armed, true);
-    let got = a.evaluate(&scs, &BatchOptions::default()).scenarios;
+    let got = a.evaluate(&scs, &PassOptions::default()).scenarios;
     chaos::disarm();
     std::panic::set_hook(prev_hook);
 

@@ -7,7 +7,7 @@
 //! These tests share that global hook, so they serialize on a mutex.
 
 use insta_engine::parallel::chaos;
-use insta_engine::{InstaConfig, InstaEngine, InstaError, Kernel};
+use insta_engine::{InstaConfig, InstaEngine, InstaError, Kernel, PassOptions};
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::{RefSta, StaConfig};
 use std::sync::Mutex;
@@ -161,7 +161,9 @@ fn lse_and_backward_worker_panics_are_recovered_bit_identically() {
 
     with_quiet_panics(|| {
         chaos::arm(Kernel::Backward, 2, false);
-        faulty.try_backward_tns().expect("backward recovered");
+        faulty
+            .try_backward_tns(&PassOptions::default())
+            .expect("backward recovered");
         chaos::disarm();
     });
     let incident = faulty.last_incident().expect("backward incident").clone();
@@ -211,7 +213,7 @@ fn single_threaded_level_panics_are_recovered_bit_identically() {
             let ran = match kernel {
                 Kernel::Forward => faulty.try_propagate().map(|_| ()),
                 Kernel::ForwardLse => faulty.try_forward_lse(),
-                Kernel::Backward => faulty.try_backward_tns(),
+                Kernel::Backward => faulty.try_backward_tns(&PassOptions::default()),
             };
             chaos::disarm();
             ran.unwrap_or_else(|e| panic!("{kernel} panic not recovered: {e}"));
@@ -339,7 +341,8 @@ fn incidents_are_mirrored_into_the_trace_journal() {
         eng.try_forward_lse().expect("recovered");
         chaos::disarm();
         chaos::arm(Kernel::Backward, 2, false);
-        eng.try_backward_tns().expect("recovered");
+        eng.try_backward_tns(&PassOptions::default())
+            .expect("recovered");
         chaos::disarm();
     });
 

@@ -21,9 +21,8 @@
 
 use insta_engine::parallel::chaos;
 use insta_engine::{
-    hold_attributes, BatchOptions, CancelToken, DeltaSet, DriftPolicy, EngineDurableState,
-    HoldAttributes, InstaConfig, InstaEngine, InstaError, InstaReport, Kernel, SessionStatus,
-    TimingSession,
+    hold_attributes, CancelToken, DeltaSet, DriftPolicy, EngineDurableState, HoldAttributes,
+    InstaConfig, InstaEngine, InstaError, InstaReport, Kernel, SessionStatus, TimingSession,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
@@ -157,10 +156,7 @@ enum Step {
     Hold,
     ForwardLse,
     Backward,
-    Lanes {
-        sets: Vec<Vec<D>>,
-        gradients: bool,
-    },
+    Lanes(Vec<Vec<D>>),
     /// The first capture: from here on every step reads a snapshot too.
     Snapshot,
     Session {
@@ -212,12 +208,11 @@ fn gen_step(rng: &mut Rng, n_arcs: usize) -> Step {
         7 => Step::Hold,
         8 => Step::ForwardLse,
         9 => Step::Backward,
-        10 => Step::Lanes {
-            sets: (0..1 + rng.bounded_u64(3))
+        10 => Step::Lanes(
+            (0..1 + rng.bounded_u64(3))
                 .map(|_| gen_few(rng, n_arcs))
                 .collect(),
-            gradients: rng.bounded_u64(2) == 0,
-        },
+        ),
         11 => Step::Snapshot,
         _ => Step::Session {
             ops: (0..rng.bounded_u64(4))
@@ -571,29 +566,17 @@ fn run_step(cx: &Ctx, m: &mut Model, a: &mut InstaEngine, step: &Step) -> Result
                 "arc_gradients() differs from the twin's"
             );
         }
-        Step::Lanes { sets, gradients } => {
+        Step::Lanes(sets) => {
             let lanes: Vec<DeltaSet> = sets.iter().map(|ds| cx.few(ds).into()).collect();
-            let opts = BatchOptions {
-                gradients: *gradients,
-                ..BatchOptions::default()
-            };
-            let got = a.evaluate(&lanes, &opts).scenarios;
+            let got = a.evaluate_batch(&lanes);
             // The lanes diverge from a base the call synced if it had to.
             (m.synced, m.report_fresh) = (true, true);
-            for (lane, ds) in got.iter().zip(sets) {
+            for lane in &got {
                 prop_assert!(
                     lane.outcome.is_ok(),
                     "a valid lane failed: {:?}",
                     lane.outcome
                 );
-                if let Some(g) = &lane.gradients {
-                    let mut table = m.table.clone();
-                    apply(&mut table, &cx.few(ds));
-                    prop_assert!(
-                        bits(g) == cx.twin_gradients(m.tau, &table),
-                        "lane gradients differ from the twin's"
-                    );
-                }
             }
         }
         Step::Snapshot => m.capturing = true,

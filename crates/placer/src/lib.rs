@@ -32,7 +32,6 @@ pub use global::{place, PlaceResult, PlacerConfig, PlacerMode};
 pub use legalize::legalize;
 pub use optimizer::{Adam, NormalizedMomentum};
 pub use timing::{
-    refresh_timing, refresh_timing_guarded, refresh_timing_traced, RefreshBreakdown,
-    RefreshGuard, TimingMode, TimingRefresh,
+    refresh_timing, refresh_timing_traced, RefreshBreakdown, TimingMode, TimingRefresh,
 };
 pub use wirelength::WaWirelength;

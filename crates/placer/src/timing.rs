@@ -9,11 +9,11 @@
 //! transfer components — recorded here as [`RefreshBreakdown`].
 
 use crate::db::PlacementDb;
-use insta_engine::{BatchOptions, CancelToken, DeltaSet, InstaConfig, InstaEngine};
+use insta_engine::{InstaConfig, InstaEngine, PassOptions};
 use insta_netlist::{Design, PinId, TimingArcKind};
 use insta_refsta::RefSta;
 use insta_support::obs::Recorder;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What the refresh computes beyond plain timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,18 +60,6 @@ pub struct ArcWeight {
     pub weight: f64,
 }
 
-/// Optional cooperative-interruption guard for the INSTA gradient block:
-/// a shared cancel token and/or a wall-clock budget, both observed at
-/// INSTA's per-level poll points (at most one level's work runs after
-/// either fires).
-#[derive(Debug, Clone, Default)]
-pub struct RefreshGuard {
-    /// Fired by the caller (e.g. an interactive abort).
-    pub cancel: Option<CancelToken>,
-    /// Wall-clock budget for the gradient block, measured from its start.
-    pub budget: Option<Duration>,
-}
-
 /// Result of a timing refresh.
 #[derive(Debug, Clone)]
 pub struct TimingRefresh {
@@ -84,9 +72,9 @@ pub struct TimingRefresh {
     /// Per-net criticality in `[0, 1]` (NetWeighting mode; empty
     /// otherwise).
     pub net_crit: Vec<f64>,
-    /// The INSTA gradient block was cancelled or poisoned and rolled back;
-    /// `arc_weights` is empty and the placer should reuse its last
-    /// gradients (the paper's between-refresh behaviour).
+    /// The INSTA gradient block failed (a NaN slack or an uncontained
+    /// worker panic); `arc_weights` is empty and the placer should reuse
+    /// its last gradients (the paper's between-refresh behaviour).
     pub degraded: bool,
     /// Runtime breakdown.
     pub breakdown: RefreshBreakdown,
@@ -103,25 +91,10 @@ pub fn refresh_timing(
     mode: TimingMode,
     insta_cfg: &InstaConfig,
 ) -> TimingRefresh {
-    refresh_timing_guarded(design, db, sta, mode, insta_cfg, &RefreshGuard::default())
+    refresh_timing_with(design, db, sta, mode, insta_cfg, None)
 }
 
-/// [`refresh_timing`] with a cancellation/deadline guard on the INSTA
-/// gradient block. A cancelled or poisoned block rolls the engine back and
-/// returns a refresh with [`TimingRefresh::degraded`] set instead of
-/// failing the whole placement iteration.
-pub fn refresh_timing_guarded(
-    design: &mut Design,
-    db: &PlacementDb,
-    sta: &mut RefSta,
-    mode: TimingMode,
-    insta_cfg: &InstaConfig,
-    guard: &RefreshGuard,
-) -> TimingRefresh {
-    refresh_timing_with(design, db, sta, mode, insta_cfg, guard, None)
-}
-
-/// [`refresh_timing_guarded`] with a span recorder: each refresh stage
+/// [`refresh_timing`] with a span recorder: each refresh stage
 /// (`placer.wire_update`, `placer.reference_sta`, `placer.transfer`,
 /// `placer.insta_grad`) is journaled as a child of one `placer.refresh`
 /// span — the same taxonomy the engine's own trace sink uses, so a placer
@@ -132,10 +105,9 @@ pub fn refresh_timing_traced(
     sta: &mut RefSta,
     mode: TimingMode,
     insta_cfg: &InstaConfig,
-    guard: &RefreshGuard,
     recorder: &mut Recorder,
 ) -> TimingRefresh {
-    refresh_timing_with(design, db, sta, mode, insta_cfg, guard, Some(recorder))
+    refresh_timing_with(design, db, sta, mode, insta_cfg, Some(recorder))
 }
 
 fn refresh_timing_with(
@@ -144,7 +116,6 @@ fn refresh_timing_with(
     sta: &mut RefSta,
     mode: TimingMode,
     insta_cfg: &InstaConfig,
-    guard: &RefreshGuard,
     mut rec: Option<&mut Recorder>,
 ) -> TimingRefresh {
     let mut breakdown = RefreshBreakdown::default();
@@ -207,24 +178,18 @@ fn refresh_timing_with(
             }
 
             let t = Instant::now();
-            // The gradient block runs through the batched evaluator (with
-            // a single base scenario): a fired cancel token, an expired
-            // budget, or a numeric/runtime poison quarantines the scenario
-            // and leaves the engine untouched instead of half-propagated.
-            let opts = BatchOptions {
-                gradients: true,
-                cancel: guard.cancel.clone(),
-                deadline: guard.budget,
-            };
-            let mut reports = engine.evaluate(&[DeltaSet::default()], &opts).scenarios;
+            // Forward, LSE and backward on the throw-away engine; a NaN
+            // slack or an uncontained worker panic degrades the refresh.
+            let grads = engine
+                .try_backward_tns(&PassOptions::default())
+                .map(|()| engine.arc_gradients());
             breakdown.insta_grad_s = t.elapsed().as_secs_f64();
             if let Some(r) = rec.as_deref_mut() {
                 r.end();
             }
 
-            let base = reports.pop().expect("one scenario in, one report out");
-            match (base.outcome, base.gradients) {
-                (Ok(_), Some(grads)) => {
+            match grads {
+                Ok(grads) => {
                     let graph = sta.graph();
                     for (ai, arc) in graph.arcs().iter().enumerate() {
                         // Only interconnect arcs respond to placement
@@ -243,7 +208,7 @@ fn refresh_timing_with(
                         });
                     }
                 }
-                _ => degraded = true,
+                Err(_) => degraded = true,
             }
         }
     }
@@ -276,6 +241,9 @@ mod tests {
         generate_design(&cfg)
     }
 
+    /// The weights are the engine's own gradients: every one equals
+    /// `|arc_gradients()[arc]|` of a twin engine built from the same
+    /// export, on `to_bits`, in graph-arc order.
     #[test]
     fn insta_mode_yields_weighted_net_arcs() {
         let mut design = tight_design(3);
@@ -288,13 +256,35 @@ mod tests {
             TimingMode::InstaPlace,
             &InstaConfig::default(),
         );
-        if r.tns_ps < 0.0 {
-            assert!(!r.arc_weights.is_empty());
-            for aw in &r.arc_weights {
-                assert!(aw.weight > 0.0);
-                assert_ne!(aw.from, aw.to);
-            }
+        assert!(r.tns_ps < 0.0, "fixture: the design violates");
+        assert!(!r.degraded);
+        assert!(!r.arc_weights.is_empty());
+        for aw in &r.arc_weights {
+            assert!(aw.weight > 0.0);
+            assert_ne!(aw.from, aw.to);
         }
+
+        let mut twin =
+            InstaEngine::new(sta.export_insta_init(), InstaConfig::default()).expect("valid");
+        twin.backward_tns();
+        let grads = twin.arc_gradients();
+        let graph = sta.graph();
+        let want: Vec<(PinId, PinId, u64)> = graph
+            .arcs()
+            .iter()
+            .enumerate()
+            .filter(|(ai, arc)| matches!(arc.kind, TimingArcKind::Net { .. }) && grads[*ai] != 0.0)
+            .map(|(ai, arc)| {
+                let (from, to) = (graph.pin_of(arc.from), graph.pin_of(arc.to));
+                (from, to, grads[ai].abs().to_bits())
+            })
+            .collect();
+        let got: Vec<(PinId, PinId, u64)> = r
+            .arc_weights
+            .iter()
+            .map(|aw| (aw.from, aw.to, aw.weight.to_bits()))
+            .collect();
+        assert_eq!(got, want, "the weights differ from a twin's gradients");
         assert!(r.breakdown.reference_sta_s > 0.0);
         assert!(r.breakdown.total_s() >= r.breakdown.reference_sta_s);
     }
@@ -332,7 +322,6 @@ mod tests {
             &mut sta,
             TimingMode::InstaPlace,
             &InstaConfig::default(),
-            &RefreshGuard::default(),
             &mut rec,
         );
         assert_eq!(rec.open_depth(), 0, "all spans closed");

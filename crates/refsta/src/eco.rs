@@ -12,6 +12,7 @@
 use crate::sta::RefSta;
 use insta_liberty::{LibCellId, Transition};
 use insta_netlist::{CellId, Design, TimingArcKind};
+use insta_support::json::{obj, FromJson, Json, JsonError, ToJson};
 
 /// Replacement delay annotation for one timing arc.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,6 +23,30 @@ pub struct ArcDelta {
     pub mean: [f64; 2],
     /// New sigma per destination transition (ps).
     pub sigma: [f64; 2],
+}
+
+/// The wire form `{"arc": N, "mean": [rise, fall], "sigma": [rise, fall]}`.
+impl ToJson for ArcDelta {
+    fn to_json(&self) -> Json {
+        obj([
+            ("arc", self.arc.to_json()),
+            ("mean", self.mean.to_json()),
+            ("sigma", self.sigma.to_json()),
+        ])
+    }
+}
+
+/// Refuses an arc id that does not fit `u32` (`2^32 + a valid id` must not
+/// wrap onto it) and a `mean` or `sigma` that is not a two-element array;
+/// every error names its field.
+impl FromJson for ArcDelta {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Ok(Self {
+            arc: v.get("arc")?,
+            mean: v.get("mean")?,
+            sigma: v.get("sigma")?,
+        })
+    }
 }
 
 /// The result of a local resize estimate.
@@ -293,5 +318,36 @@ mod tests {
             .map(|i| LibCellId(i as u32))
             .expect("other class");
         estimate_eco(&d, &sta, cell, other);
+    }
+
+    #[test]
+    fn a_delta_round_trips_its_wire_form_and_refuses_a_malformed_one() {
+        let d = ArcDelta {
+            arc: u32::MAX,
+            mean: [12.5, -0.0],
+            sigma: [1.25, f64::INFINITY],
+        };
+        let text = d.to_json().to_string();
+        assert_eq!(
+            text,
+            r#"{"arc":4294967295.0,"mean":[12.5,-0.0],"sigma":[1.25,"inf"]}"#
+        );
+        let back = ArcDelta::from_json(&insta_support::json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back.arc, d.arc);
+        assert_eq!(back.mean.map(f64::to_bits), d.mean.map(f64::to_bits));
+        assert_eq!(back.sigma.map(f64::to_bits), d.sigma.map(f64::to_bits));
+
+        for (bad, field) in [
+            (r#"{"arc":4294967296,"mean":[1,1],"sigma":[1,1]}"#, "arc"),
+            (r#"{"arc":3,"mean":[1],"sigma":[1,1]}"#, "mean"),
+            (r#"{"arc":3,"mean":[1,1],"sigma":[1,1,1]}"#, "sigma"),
+            (r#"{"arc":3,"mean":[1,1],"sigma":1}"#, "sigma"),
+        ] {
+            let err = ArcDelta::from_json(&insta_support::json::parse(bad).unwrap()).unwrap_err();
+            assert!(
+                err.msg.contains(&format!("field `{field}`")),
+                "{bad}: {err}"
+            );
+        }
     }
 }

@@ -41,12 +41,12 @@ use crate::protocol::{
 use crate::recovery::{self, RecoveryReport};
 use crate::wal::{panic_message, Durability, DurabilityConfig};
 use insta_engine::{
-    BatchOptions, CancelToken, CornerTransform, Deadline, EngineCounters, EngineDurableState,
-    IncidentLog, InstaEngine, InstaError, InstaReport, ModeMask, Scenario, ServiceIncident,
+    CancelToken, CornerTransform, Deadline, EngineCounters, EngineDurableState, IncidentLog,
+    InstaEngine, InstaError, InstaReport, ModeMask, PassOptions, Scenario, ServiceIncident,
     TimingSnapshot, WriterOp,
 };
 use insta_refsta::eco::ArcDelta;
-use insta_support::json::{obj, write_f64, Json, ToJson};
+use insta_support::json::{obj, write_f64, FromJson, Json, ToJson};
 use insta_support::obs::{LatencyHistogram, Recorder};
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -948,8 +948,7 @@ impl Server {
                 ),
             ));
         }
-        let opts = BatchOptions {
-            gradients: false,
+        let opts = PassOptions {
             cancel: Some(sh.shutdown.clone()),
             deadline: deadline.map(|d| d.remaining()),
         };
@@ -996,21 +995,19 @@ impl Server {
         Ok(obj(fields))
     }
 
-    /// The differentiable pass: the gradients of the base scenario, one
-    /// what-if lane with LSE forward + TNS backward on scratch buffers —
-    /// the committed epoch is never perturbed. A NaN slack refuses it like
-    /// any lane.
+    /// The differentiable pass: the writer engine's own LSE forward + TNS
+    /// backward over its committed annotations. It writes only the LSE and
+    /// gradient buffers, which no snapshot, epoch, report or Top-K row
+    /// reads, so the committed epoch is never perturbed. A NaN slack
+    /// refuses it.
     fn gradient(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Json, ErrReply> {
-        let sh = &self.shared;
-        let opts = BatchOptions {
-            gradients: true,
-            cancel: Some(sh.shutdown.clone()),
+        let opts = PassOptions {
+            cancel: Some(self.shared.shutdown.clone()),
             deadline: deadline.map(|d| d.remaining()),
         };
-        let mut rep = self.with_writer(|eng| eng.evaluate(&[Scenario::default()], &opts));
-        let lane = rep.scenarios.pop().expect("one scenario, one report");
-        lane.outcome.map_err(map_engine_err)?;
-        let grads = lane.gradients.expect("a clean lane carries its gradients");
+        let grads = self
+            .with_writer(|eng| eng.try_backward_tns(&opts).map(|()| eng.arc_gradients()))
+            .map_err(map_engine_err)?;
         let result = match req.params.field("arcs") {
             Ok(list) => {
                 let idx = list
@@ -1226,37 +1223,11 @@ fn parse_scenario(j: &Json) -> Result<Scenario, ErrReply> {
     Ok(sc)
 }
 
-/// Decodes `[{"arc":N,"mean":[r,f],"sigma":[r,f]}, ...]`.
+/// Decodes `[{"arc":N,"mean":[r,f],"sigma":[r,f]}, ...]`, the wire form
+/// of [`ArcDelta`].
 fn parse_deltas(j: &Json) -> Result<Vec<ArcDelta>, ErrReply> {
-    let bad = |m: String| ErrReply::new(code::BAD_REQUEST, m);
-    let arr = j
-        .as_arr()
-        .map_err(|e| bad(format!("deltas: {e}")))?;
-    let pair = |d: &Json, key: &str| -> Result<[f64; 2], ErrReply> {
-        let v = d
-            .field(key)
-            .and_then(|f| f.as_arr())
-            .map_err(|e| bad(format!("delta {key}: {e}")))?;
-        if v.len() != 2 {
-            return Err(bad(format!("delta {key}: want [rise, fall]")));
-        }
-        Ok([
-            v[0].as_f64().map_err(|e| bad(format!("delta {key}: {e}")))?,
-            v[1].as_f64().map_err(|e| bad(format!("delta {key}: {e}")))?,
-        ])
-    };
-    let mut out = Vec::with_capacity(arr.len());
-    for d in arr {
-        out.push(ArcDelta {
-            // Arc ids are u32: `2^32 + a valid id` must not wrap onto it.
-            arc: d
-                .get::<u32>("arc")
-                .map_err(|e| bad(format!("delta arc: {e}")))?,
-            mean: pair(d, "mean")?,
-            sigma: pair(d, "sigma")?,
-        });
-    }
-    Ok(out)
+    Vec::<ArcDelta>::from_json(j)
+        .map_err(|e| ErrReply::new(code::BAD_REQUEST, format!("deltas: {e}")))
 }
 
 #[cfg(test)]
@@ -1713,22 +1684,11 @@ mod reply_identity {
             vec![delta(4_000_000, 2.0)], // past the graph's arcs: quarantined
             vec![delta(2, 2.0), delta(3, 0.5)],
         ];
-        let wire = |d: &ArcDelta| {
-            obj([
-                ("arc", u64::from(d.arc).to_json()),
-                ("mean", d.mean.to_json()),
-                ("sigma", d.sigma.to_json()),
-            ])
-        };
-        let scenarios = sets
-            .iter()
-            .map(|s| Json::Arr(s.iter().map(wire).collect()))
-            .collect();
+        let scenarios = sets.iter().map(ToJson::to_json).collect();
         let req = request(1, Op::Batch, obj([("scenarios", Json::Arr(scenarios))]));
         let body = served(&server, &req);
 
-        let opts = insta_engine::BatchOptions {
-            gradients: false,
+        let opts = insta_engine::PassOptions {
             cancel: Some(CancelToken::new()),
             deadline: None,
         };
@@ -1789,6 +1749,10 @@ mod reply_identity {
             &request(4, Op::Batch, obj([("scenarios", scenarios)])),
         ));
         assert_eq!(reply.code(), Some(code::BAD_REQUEST));
-        assert!(reply.error.unwrap().1.contains("delta arc"));
+        let message = reply.error.unwrap().1;
+        assert!(
+            message.contains("deltas: index 0: field `arc`"),
+            "{message}"
+        );
     }
 }

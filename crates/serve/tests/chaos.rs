@@ -8,7 +8,8 @@
 
 mod common;
 
-use common::{build_engine, connect, slack_bits};
+use common::{build_engine, connect, deltas_params, slack_bits};
+use insta_refsta::eco::ArcDelta;
 use insta_serve::protocol::{self, Op, Request};
 use insta_serve::{ServeConfig, Server};
 use insta_support::fault::{FaultPlan, ProtocolFault};
@@ -38,14 +39,11 @@ fn clean_frame() -> Vec<u8> {
 }
 
 fn update_params() -> Json {
-    obj([(
-        "deltas",
-        Json::Arr(vec![obj([
-            ("arc", 0_u64.to_json()),
-            ("mean", Json::Arr(vec![35.0.to_json(), 35.0.to_json()])),
-            ("sigma", Json::Arr(vec![3.5.to_json(), 3.5.to_json()])),
-        ])]),
-    )])
+    deltas_params(&[ArcDelta {
+        arc: 0,
+        mean: [35.0; 2],
+        sigma: [3.5; 2],
+    }])
 }
 
 /// Raw socket pair against the daemon, for episodes that need direct

@@ -5,8 +5,10 @@
 
 use insta_engine::{InstaConfig, InstaEngine};
 use insta_netlist::generator::{generate_design, GeneratorConfig};
+use insta_refsta::eco::ArcDelta;
 use insta_refsta::{RefSta, StaConfig};
 use insta_serve::{Client, Server};
+use insta_support::json::{obj, Json, ToJson};
 use std::os::unix::net::UnixStream;
 use std::thread::JoinHandle;
 
@@ -44,8 +46,16 @@ pub fn connect(server: &Server) -> (Conn, JoinHandle<()>) {
     (Client::new(r, ours), handle)
 }
 
+/// An `update` request's params: the deltas in their wire form.
+pub fn deltas_params(deltas: &[ArcDelta]) -> Json {
+    obj([(
+        "deltas",
+        Json::Arr(deltas.iter().map(ToJson::to_json).collect()),
+    )])
+}
+
 /// Raw bits of a response's `result.slacks` array.
-pub fn slack_bits(result: &insta_support::json::Json) -> Vec<u64> {
+pub fn slack_bits(result: &Json) -> Vec<u64> {
     result
         .field("slacks")
         .expect("slacks")

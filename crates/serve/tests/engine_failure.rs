@@ -9,12 +9,13 @@
 
 mod common;
 
-use common::{build_engine, connect, slack_bits};
+use common::{build_engine, connect, deltas_params, slack_bits};
 use insta_engine::parallel::chaos;
 use insta_engine::Kernel;
+use insta_refsta::eco::ArcDelta;
 use insta_serve::wal::list_checkpoints;
 use insta_serve::{recover, DurabilityConfig, Op, ServeConfig, Server};
-use insta_support::json::{obj, Json, ToJson};
+use insta_support::json::Json;
 use std::path::{Path, PathBuf};
 
 const SEED: u64 = 53;
@@ -34,12 +35,12 @@ fn commit(i: u64) -> (Op, Json) {
     if i % 3 == 2 {
         return (Op::Propagate, Json::Null);
     }
-    let delta = obj([
-        ("arc", (i % 3).to_json()),
-        ("mean", [40.0 + i as f64, 42.5].to_json()),
-        ("sigma", [4.0, 3.25].to_json()),
-    ]);
-    (Op::Update, obj([("deltas", Json::Arr(vec![delta]))]))
+    let delta = ArcDelta {
+        arc: (i % 3) as u32,
+        mean: [40.0 + i as f64, 42.5],
+        sigma: [4.0, 3.25],
+    };
+    (Op::Update, deltas_params(&[delta]))
 }
 
 /// Runs the commits against a durable daemon in `cfg.dir` and returns the

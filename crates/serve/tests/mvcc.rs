@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{build_engine, connect, slack_bits};
+use common::{build_engine, connect, deltas_params, slack_bits};
 use insta_refsta::eco::ArcDelta;
 use insta_serve::{Op, ServeConfig, Server};
 use insta_support::json::{obj, Json, ToJson};
@@ -83,18 +83,7 @@ fn concurrent_readers_see_whole_epochs_never_blends() {
     barrier.wait();
     std::thread::sleep(std::time::Duration::from_millis(5));
     let up = writer
-        .call(
-            Op::Update,
-            None,
-            obj([(
-                "deltas",
-                Json::Arr(vec![obj([
-                    ("arc", 0_u64.to_json()),
-                    ("mean", Json::Arr(vec![60.0.to_json(), 60.0.to_json()])),
-                    ("sigma", Json::Arr(vec![6.0.to_json(), 6.0.to_json()])),
-                ])]),
-            )]),
-        )
+        .call(Op::Update, None, deltas_params(&[delta()]))
         .expect("writer update");
     assert!(up.ok, "{:?}", up.error);
     assert_eq!(up.result.get::<u64>("epoch").unwrap(), 1);
@@ -141,19 +130,13 @@ fn a_pinned_epoch_keeps_its_rows_while_later_commits_rewrite_chunks() {
     let (mut writer, wh) = connect(&server);
     let commit = |writer: &mut common::Conn, i: u64| {
         let mean = 45.0 + i as f64;
+        let delta = ArcDelta {
+            arc: (i % 5) as u32,
+            mean: [mean; 2],
+            sigma: [4.5; 2],
+        };
         let up = writer
-            .call(
-                Op::Update,
-                None,
-                obj([(
-                    "deltas",
-                    Json::Arr(vec![obj([
-                        ("arc", (i % 5).to_json()),
-                        ("mean", Json::Arr(vec![mean.to_json(), mean.to_json()])),
-                        ("sigma", Json::Arr(vec![4.5.to_json(), 4.5.to_json()])),
-                    ])]),
-                )]),
-            )
+            .call(Op::Update, None, deltas_params(&[delta]))
             .expect("writer update");
         assert!(up.ok, "{:?}", up.error);
     };
@@ -292,13 +275,13 @@ fn racing_readers_share_one_image_per_epoch_and_it_dies_with_the_epoch() {
         let mut images = vec![image_once_read(&server)];
         for i in 0..EPOCHS {
             let mean = 45.0 + (i % 40) as f64;
-            let delta = obj([
-                ("arc", (i % 5).to_json()),
-                ("mean", Json::Arr(vec![mean.to_json(), mean.to_json()])),
-                ("sigma", Json::Arr(vec![4.5.to_json(), 4.5.to_json()])),
-            ]);
+            let delta = ArcDelta {
+                arc: (i % 5) as u32,
+                mean: [mean; 2],
+                sigma: [4.5; 2],
+            };
             let up = writer
-                .call(Op::Update, None, obj([("deltas", Json::Arr(vec![delta]))]))
+                .call(Op::Update, None, deltas_params(&[delta]))
                 .expect("writer update");
             assert!(up.ok, "{:?}", up.error);
             truth.push(bits_of(&server));
@@ -382,19 +365,13 @@ fn racing_writers_never_regress_the_published_epoch() {
         writers.push(std::thread::spawn(move || {
             for i in 0..COMMITS_PER_WRITER {
                 let mean = 30.0 + (w * COMMITS_PER_WRITER + i) as f64;
+                let delta = ArcDelta {
+                    arc: (w % 3) as u32,
+                    mean: [mean; 2],
+                    sigma: [3.0; 2],
+                };
                 let up = cl
-                    .call(
-                        Op::Update,
-                        None,
-                        obj([(
-                            "deltas",
-                            Json::Arr(vec![obj([
-                                ("arc", ((w % 3) as u64).to_json()),
-                                ("mean", Json::Arr(vec![mean.to_json(), mean.to_json()])),
-                                ("sigma", Json::Arr(vec![3.0.to_json(), 3.0.to_json()])),
-                            ])]),
-                        )]),
-                    )
+                    .call(Op::Update, None, deltas_params(&[delta]))
                     .unwrap_or_else(|e| panic!("writer {w} commit {i}: {e}"));
                 assert!(up.ok, "writer {w} commit {i}: {:?}", up.error);
             }

@@ -18,7 +18,7 @@
 
 mod common;
 
-use common::{build_engine, connect, slack_bits, Conn};
+use common::{build_engine, connect, deltas_params, slack_bits, Conn};
 use insta_engine::{InstaConfig, InstaEngine};
 use insta_refsta::eco::ArcDelta;
 use insta_serve::wal::{list_checkpoints, list_segments, scan_segment, segment_path};
@@ -58,18 +58,7 @@ fn storm_request(i: u64) -> (Op, Json) {
     if i % 3 == 2 {
         return (Op::Propagate, Json::Null);
     }
-    let d = storm_delta(i);
-    (
-        Op::Update,
-        obj([(
-            "deltas",
-            Json::Arr(vec![obj([
-                ("arc", u64::from(d.arc).to_json()),
-                ("mean", Json::Arr(vec![d.mean[0].to_json(), d.mean[1].to_json()])),
-                ("sigma", Json::Arr(vec![d.sigma[0].to_json(), d.sigma[1].to_json()])),
-            ])]),
-        )]),
-    )
+    (Op::Update, deltas_params(&[storm_delta(i)]))
 }
 
 /// A crash-free twin: a fresh engine with the first `k` storm commits
@@ -662,23 +651,7 @@ fn torn_tail_restart_seeds_the_incident_ring_and_serves_the_prefix() {
 
     // A post-recovery commit appends to the repaired log...
     let extra = storm_delta(9);
-    let r = cl
-        .call(
-            Op::Update,
-            None,
-            obj([(
-                "deltas",
-                Json::Arr(vec![obj([
-                    ("arc", u64::from(extra.arc).to_json()),
-                    ("mean", Json::Arr(vec![extra.mean[0].to_json(), extra.mean[1].to_json()])),
-                    (
-                        "sigma",
-                        Json::Arr(vec![extra.sigma[0].to_json(), extra.sigma[1].to_json()]),
-                    ),
-                ])]),
-            )]),
-        )
-        .unwrap();
+    let r = cl.call(Op::Update, None, deltas_params(&[extra])).unwrap();
     assert!(r.ok, "{:?}", r.error);
     assert_eq!(r.result.get::<u64>("epoch").unwrap(), 4);
     let stats = cl.call(Op::Stats, None, Json::Null).unwrap();

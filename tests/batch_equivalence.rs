@@ -2,13 +2,14 @@
 //! must be **bit-identical**, per scenario, to S independent serial
 //! `update_timing` sessions run from the same engine state — across
 //! generated designs, batch sizes {1, 2, 7, 16}, serial and parallel
-//! runners, CPPR on/off, duplicate-arc delta sets, empty scenarios, and
-//! the gradient passes. The batch must also leave the engine's own state
-//! (annotations, report, drift odometer) untouched, like S rolled-back
-//! sessions.
+//! runners, CPPR on/off, duplicate-arc delta sets and empty scenarios. The
+//! batch must also leave the engine's own state (annotations, report,
+//! drift odometer) untouched, like S rolled-back sessions. A lane returns
+//! a report and no gradients: the engine's own backward pass is the one
+//! gradient producer.
 
 use insta_engine::{
-    BatchOptions, DeltaSet, InstaConfig, InstaEngine, InstaError, InstaReport, ScenarioReport,
+    DeltaSet, InstaConfig, InstaEngine, InstaError, InstaReport, PassOptions, ScenarioReport,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
@@ -71,14 +72,11 @@ fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<DeltaSet> {
 }
 
 /// The serial reference: one checkpoint/rollback session per scenario, in
-/// order, on a clone of the engine. A scenario's gradients come from a
-/// twin of its own: a fresh clone of the engine that runs `update_timing`
-/// of the scenario's deltas, then `backward_tns`.
+/// order, on a clone of the engine.
 fn serial_reference(
     engine: &InstaEngine,
     scenarios: &[DeltaSet],
-    gradients: bool,
-) -> Vec<(Result<InstaReport, String>, Option<Vec<f64>>)> {
+) -> Vec<Result<InstaReport, String>> {
     let mut clone = engine.clone();
     scenarios
         .iter()
@@ -86,27 +84,14 @@ fn serial_reference(
             let mut session = clone.begin_session();
             let outcome = session.update_timing(&sc.deltas);
             session.rollback();
-            let twin_gradients = || {
-                let mut twin = engine.clone();
-                twin.update_timing(&sc.deltas)?;
-                twin.try_backward_tns()?;
-                Ok(twin.arc_gradients())
-            };
-            let (outcome, grads) = match outcome {
-                Ok(report) if gradients => match twin_gradients() {
-                    Ok(g) => (Ok(report), Some(g)),
-                    Err(e) => (Err(e), None),
-                },
-                other => (other, None),
-            };
-            (outcome.map_err(|e: InstaError| e.category().to_string()), grads)
+            outcome.map_err(|e: InstaError| e.category().to_string())
         })
         .collect()
 }
 
 fn assert_batch_matches(
     got: &[ScenarioReport],
-    want: &[(Result<InstaReport, String>, Option<Vec<f64>>)],
+    want: &[Result<InstaReport, String>],
 ) -> Result<(), String> {
     if got.len() != want.len() {
         return Err(format!("{} reports for {} scenarios", got.len(), want.len()));
@@ -115,7 +100,7 @@ fn assert_batch_matches(
         if g.scenario != i {
             return Err(format!("scenario index {} at position {i}", g.scenario));
         }
-        match (&g.outcome, &w.0) {
+        match (&g.outcome, w) {
             (Ok(gr), Ok(wr)) => {
                 if report_bits(gr) != report_bits(wr) {
                     return Err(format!("scenario {i}: report differs from serial run"));
@@ -133,17 +118,6 @@ fn assert_batch_matches(
             (Err(ge), Ok(_)) => {
                 return Err(format!("scenario {i}: {}, serial succeeded", ge.category()))
             }
-        }
-        match (&g.gradients, &w.1) {
-            (Some(gg), Some(wg)) => {
-                let gb: Vec<u64> = gg.iter().map(|v| v.to_bits()).collect();
-                let wb: Vec<u64> = wg.iter().map(|v| v.to_bits()).collect();
-                if gb != wb {
-                    return Err(format!("scenario {i}: gradients differ from serial run"));
-                }
-            }
-            (None, None) => {}
-            _ => return Err(format!("scenario {i}: gradient presence differs")),
         }
     }
     Ok(())
@@ -178,7 +152,7 @@ fn batch_is_bit_identical_to_serial_sessions() {
 
             let mut rng = Rng::seed_from_u64(stream);
             let scenarios = random_scenarios(&golden, &mut rng, s);
-            let want = serial_reference(&engine, &scenarios, false);
+            let want = serial_reference(&engine, &scenarios);
             let got = engine.evaluate_batch(&scenarios);
             assert_batch_matches(&got, &want)?;
 
@@ -190,35 +164,6 @@ fn batch_is_bit_identical_to_serial_sessions() {
             Ok(())
         },
     );
-}
-
-/// Gradient equivalence: `evaluate(gradients: true)` returns,
-/// per scenario, the exact ∂TNS/∂delay vector a twin engine's
-/// `update_timing` + `backward_tns` + `arc_gradients` produces.
-#[test]
-fn batch_gradients_match_serial_sessions() {
-    for &n_threads in &[1usize, 4] {
-        let cfg = InstaConfig {
-            n_threads,
-            ..InstaConfig::default()
-        };
-        let (golden, mut engine) = build(21, cfg);
-        engine.propagate();
-        let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x66AD);
-        let scenarios = random_scenarios(&golden, &mut rng, 7);
-        let want = serial_reference(&engine, &scenarios, true);
-        let got = engine
-            .evaluate(
-                &scenarios,
-                &BatchOptions {
-                    gradients: true,
-                    ..BatchOptions::default()
-                },
-            )
-            .scenarios;
-        assert_batch_matches(&got, &want).expect("gradient equivalence");
-        assert!(got.iter().all(|r| r.gradients.is_some()));
-    }
 }
 
 /// Duplicate-arc delta sets (last write wins, like `reannotate`) and the
@@ -248,7 +193,7 @@ fn duplicate_arcs_and_empty_scenarios_match_serial() {
             },
         ]),
     ];
-    let want = serial_reference(&engine, &scenarios, false);
+    let want = serial_reference(&engine, &scenarios);
     let got = engine.evaluate_batch(&scenarios);
     assert_batch_matches(&got, &want).expect("duplicate/empty equivalence");
     // The empty scenario reproduces the base report exactly.
@@ -269,7 +214,7 @@ fn batch_matches_serial_with_cppr_disabled() {
     engine.propagate();
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x3355);
     let scenarios = random_scenarios(&golden, &mut rng, 7);
-    let want = serial_reference(&engine, &scenarios, false);
+    let want = serial_reference(&engine, &scenarios);
     let got = engine.evaluate_batch(&scenarios);
     assert_batch_matches(&got, &want).expect("no-CPPR equivalence");
 }
@@ -282,7 +227,7 @@ fn batches_wider_than_a_lane_chunk_match_serial() {
     engine.propagate();
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x7070);
     let scenarios = random_scenarios(&golden, &mut rng, 70);
-    let want = serial_reference(&engine, &scenarios, false);
+    let want = serial_reference(&engine, &scenarios);
     let got = engine.evaluate_batch(&scenarios);
     assert_batch_matches(&got, &want).expect("chunked equivalence");
 }
@@ -340,7 +285,7 @@ fn drift_exhausted_batches_match_serial() {
 
     let mut scenarios = random_scenarios(&golden, &mut rng, 4);
     scenarios.push(past_the_switch(&golden, &mut rng));
-    let want = serial_reference(&engine, &scenarios, false);
+    let want = serial_reference(&engine, &scenarios);
     let got = engine.evaluate_batch(&scenarios);
     assert_batch_matches(&got, &want).expect("exhausted-budget equivalence");
 }
@@ -378,7 +323,7 @@ fn an_exhausted_drift_budget_keeps_every_lane_on_the_cone() {
         .filter(|s| !s.deltas.is_empty())
         .take(4)
         .collect();
-    let want = serial_reference(&engine, &scenarios, false);
+    let want = serial_reference(&engine, &scenarios);
     engine.enable_tracing();
     let got = engine.evaluate_batch(&scenarios);
     assert_batch_matches(&got, &want).expect("cone lanes equal their twins");
@@ -426,7 +371,7 @@ fn full_pass_batch_accounting_is_exact_and_drift_neutral() {
     assert_eq!(after.drift_mass.to_bits(), before.drift_mass.to_bits());
 }
 
-/// Regression (ISSUE 14): `BatchOptions::deadline` is one wall-clock budget
+/// Regression: `PassOptions::deadline` is one wall-clock budget
 /// for the whole call. It used to be re-armed for the base sync, for the
 /// lane sweep and for *each* full-pass lane, so N such lanes with budget D
 /// could run for (N + 2)·D. With twenty lanes past the cone's full-pass
@@ -464,9 +409,9 @@ fn a_batch_deadline_is_one_budget_for_the_whole_call() {
     let got = engine
         .evaluate(
             &scenarios,
-            &BatchOptions {
+            &PassOptions {
                 deadline: Some(budget),
-                ..BatchOptions::default()
+                ..PassOptions::default()
             },
         )
         .scenarios;
@@ -530,11 +475,6 @@ fn no_evaluate_call_opens_a_session() {
         let c = e.counters();
         (c.sessions_begun, c.sessions_rolled_back)
     };
-    let gradients = BatchOptions {
-        gradients: true,
-        ..BatchOptions::default()
-    };
-
     // Lanes past the switch; the last scenario repeats the first, so four
     // scenarios are three lanes.
     let (golden, mut engine) = build(81, InstaConfig::default());
@@ -547,9 +487,9 @@ fn no_evaluate_call_opens_a_session() {
     engine.propagate();
     let mut scenarios: Vec<DeltaSet> = (0..3).map(|_| past_the_switch(&golden, &mut rng)).collect();
     scenarios.push(scenarios[0].clone());
-    let want = serial_reference(&engine, &scenarios, true);
+    let want = serial_reference(&engine, &scenarios);
     let before = engine.counters();
-    let got = engine.evaluate(&scenarios, &gradients).scenarios;
+    let got = engine.evaluate_batch(&scenarios);
     let after = engine.counters();
     assert_batch_matches(&got, &want).expect("full-pass lanes equal their twins");
     assert_eq!(
@@ -570,9 +510,9 @@ fn no_evaluate_call_opens_a_session() {
     );
     let mut scenarios = random_scenarios(&golden, &mut rng, 2);
     scenarios.push(wide);
-    let want = serial_reference(&engine, &scenarios, true);
+    let want = serial_reference(&engine, &scenarios);
     let before = engine.counters();
-    let got = engine.evaluate(&scenarios, &gradients).scenarios;
+    let got = engine.evaluate_batch(&scenarios);
     assert_batch_matches(&got, &want).expect("the wide lane equals its twin");
     assert_eq!(
         sessions(&engine),
@@ -588,9 +528,9 @@ fn no_evaluate_call_opens_a_session() {
         .expect("valid deltas");
     let mut twin = engine.clone();
     let before = sessions(&engine);
-    let cancel = BatchOptions {
+    let cancel = PassOptions {
         cancel: Some(token.clone()),
-        ..BatchOptions::default()
+        ..PassOptions::default()
     };
     let got = engine.evaluate(&scenarios, &cancel).scenarios;
     assert_eq!(sessions(&engine), before);

@@ -9,7 +9,7 @@
 //! allowed to reject with its typed error; whatever survives all of them
 //! must produce NaN-free slacks and gradients.
 
-use insta_sta::engine::{InstaConfig, InstaEngine};
+use insta_sta::engine::{InstaConfig, InstaEngine, PassOptions};
 use insta_sta::netlist::generator::{generate_design, GeneratorConfig};
 use insta_sta::refsta::export::InstaInit;
 use insta_sta::refsta::{RefSta, StaConfig};
@@ -76,7 +76,7 @@ fn drive_init(init: InstaInit) -> Result<Outcome, String> {
             return Err(format!("NaN slack at endpoint {i}"));
         }
     }
-    if eng.try_forward_lse().is_err() || eng.try_backward_tns().is_err() {
+    if eng.try_forward_lse().is_err() || eng.try_backward_tns(&PassOptions::default()).is_err() {
         return Ok("rejected:runtime");
     }
     if eng.health_check().is_err() {

@@ -7,8 +7,8 @@
 //! like the serial twins.
 
 use insta_engine::{
-    BatchOptions, CancelToken, CornerTransform, InstaConfig, InstaEngine, InstaError, InstaReport,
-    ModeMask, Scenario, ScenarioReport,
+    CancelToken, CornerTransform, InstaConfig, InstaEngine, InstaError, InstaReport, ModeMask,
+    PassOptions, Scenario, ScenarioReport,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
@@ -196,7 +196,7 @@ fn mcmm_lanes_match_prescaled_masked_serial_twins() {
             let scenarios = random_scenarios(&golden, n_eps, &mut rng, 7);
             let want = serial_twin_reference(&engine, &scenarios);
             let got = engine
-                .evaluate(&scenarios, &BatchOptions::default())
+                .evaluate(&scenarios, &PassOptions::default())
                 .scenarios;
             assert_lanes_match(&got, &want)?;
 
@@ -237,7 +237,7 @@ fn chunk_boundaries_preserve_scenario_indices() {
         }]);
         let want = serial_twin_reference(&engine, &scenarios);
         let got = engine
-            .evaluate(&scenarios, &BatchOptions::default())
+            .evaluate(&scenarios, &PassOptions::default())
             .scenarios;
         assert_eq!(got.len(), s);
         for (i, r) in got.iter().enumerate() {
@@ -325,7 +325,7 @@ fn masked_endpoints_leave_aggregates_but_keep_slacks() {
     let mask = ModeMask::disabling([worst]);
     let scenarios = [Scenario::default().with_mode(mask.clone())];
     let got = engine
-        .evaluate(&scenarios, &BatchOptions::default())
+        .evaluate(&scenarios, &PassOptions::default())
         .scenarios;
     let masked = got[0].outcome.as_ref().expect("valid scenario");
 
@@ -411,9 +411,9 @@ fn prefired_cancel_cancels_every_corner_lane() {
     let got = engine
         .evaluate(
             &scenarios,
-            &BatchOptions {
+            &PassOptions {
                 cancel: Some(token),
-                ..BatchOptions::default()
+                ..PassOptions::default()
             },
         )
         .scenarios;
@@ -512,7 +512,7 @@ fn zero_sigma_corners_stay_finite() {
             let scenarios = [Scenario::from(random_deltas(&golden, &mut rng)).with_corner(zero)];
             let want = serial_twin_reference(&engine, &scenarios);
             let got = engine
-                .evaluate(&scenarios, &BatchOptions::default())
+                .evaluate(&scenarios, &PassOptions::default())
                 .scenarios;
             assert_lanes_match(&got, &want)?;
 

@@ -3,6 +3,7 @@
 
 use insta_sta::engine::{InstaConfig, InstaEngine};
 use insta_sta::netlist::generator::{generate_design, GeneratorConfig};
+use insta_sta::refsta::eco::ArcDelta;
 use insta_sta::refsta::{RefSta, StaConfig};
 use insta_sta::serve::{Client, Op, ServeConfig, Server};
 use insta_sta::support::json::{obj, Json, ToJson};
@@ -45,11 +46,12 @@ fn service_round_trip_through_the_umbrella_crate() {
             Some(5_000),
             obj([(
                 "deltas",
-                Json::Arr(vec![obj([
-                    ("arc", 0_u64.to_json()),
-                    ("mean", Json::Arr(vec![20.0.to_json(), 20.0.to_json()])),
-                    ("sigma", Json::Arr(vec![2.0.to_json(), 2.0.to_json()])),
-                ])]),
+                vec![ArcDelta {
+                    arc: 0,
+                    mean: [20.0; 2],
+                    sigma: [2.0; 2],
+                }]
+                .to_json(),
             )]),
         )
         .expect("write");
