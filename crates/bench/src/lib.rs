@@ -160,6 +160,39 @@ mod tests {
         assert!(mib <= 48.0, "block-1 state is {mib:.1} MiB at K=32");
     }
 
+    /// The window pass's byte budget: on block-3 at K=8 (the
+    /// `whatif_block3_k8` design) a report-only corner pass keeps at most a
+    /// quarter of the stored rows in slots (13.0 % when the plan landed),
+    /// so its rows cannot grow back into a second row set silently.
+    #[test]
+    fn block3_window_plan_at_k8_keeps_under_a_quarter_of_the_rows() {
+        use insta_engine::{CornerTransform, InstaConfig, InstaEngine, Scenario};
+        use insta_refsta::{RefSta, StaConfig};
+        let design = block_specs()[2].build();
+        let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
+        sta.full_update(&design);
+        let cfg = InstaConfig {
+            top_k: 8,
+            n_threads: 1,
+            ..InstaConfig::default()
+        };
+        let mut engine = InstaEngine::new(sta.export_insta_init(), cfg).expect("valid");
+        engine.propagate();
+        engine.enable_tracing();
+        let corner = Scenario::default().with_corner(CornerTransform::scale(1.06, 1.15));
+        assert!(engine.evaluate_mcmm(&[corner]).scenarios[0].outcome.is_ok());
+        let journal = engine.trace_journal().expect("tracing on");
+        let sweep = journal.events().find(|e| e.name == "batch.sweep");
+        let slots = sweep
+            .and_then(|e| e.field("window_rows"))
+            .expect("a window pass");
+        let rows = engine.num_rows() as f64;
+        assert!(
+            slots > 0.0 && slots <= 0.25 * rows,
+            "{slots} slots for {rows} rows"
+        );
+    }
+
     #[test]
     fn suites_have_expected_cardinality() {
         assert_eq!(block_specs().len(), 5);

@@ -22,16 +22,21 @@
 //! * **A corner is one full pass.** A [`CornerTransform`] re-annotates
 //!   every arc, which is what the ordinary [`forward`](crate::forward)
 //!   pass is for: each *distinct* non-identity corner gets one full pass
-//!   over its transformed annotation table into the kept scratch rows, and
-//!   that corner's lanes are then cone lanes over *that* base. C corners ×
-//!   S candidates cost C full passes + C·S cones.
+//!   over its transformed annotation table, built while the corner's group
+//!   runs and dropped after it. A group whose lanes carry no deltas needs
+//!   only that pass's report, so it runs the *window pass*
+//!   ([`window_pass`]): each level is written into a small buffer and a
+//!   row is kept, in a shared slot, only until the last level that reads
+//!   it. A group with a delta-carrying lane needs the corner's whole row
+//!   set as its cones' base, so its pass writes the kept scratch rows and
+//!   its lanes are cone lanes over *that* base. C corners × S candidates
+//!   cost C full passes + C·S cones.
 //! * **A lane whose serial run is no cone update is a full pass too.** A
 //!   lane with more distinct seeds than the cone's full-pass switch allows
-//!   writes its deltas and runs one full pass into the scratch rows,
-//!   exactly like a corner's base pass, and counts one incremental update
-//!   as its serial twin does; the drift odometer is not touched. As for
-//!   its twin's `update_timing`, the drift budget plays no part in the
-//!   route.
+//!   writes its deltas and runs one window pass for its report, and counts
+//!   one incremental update as its serial twin does; the drift odometer is
+//!   not touched. As for its twin's `update_timing`, the drift budget
+//!   plays no part in the route.
 //!
 //! **Why a lane equals its serial twin.** The cone sweep lands on the full
 //! pass's bits for any base that is the full pass's output over the
@@ -41,7 +46,9 @@
 //! lane's base is the full pass over the corner table, so lane ≡ the full
 //! pass over "corner table, then the lane's transformed deltas" — the
 //! annotations [`scenario_twin_deltas`](InstaEngine::scenario_twin_deltas)
-//! writes. A full-pass lane *is* that full pass.
+//! writes. A full-pass lane *is* that full pass, and a window pass is the
+//! full pass's driver and level body reading its rows through a slot plan,
+//! so its report has the full pass's bits.
 //!
 //! **The call leaves no trace.** The undo is unconditional: it runs after
 //! a completed lane, a cancelled or failed sweep, a NaN slack, and from
@@ -79,7 +86,7 @@
 
 use crate::engine::{InstaEngine, State};
 use crate::error::{InstaError, RuntimeIncident};
-use crate::forward::{forward, seed_sources};
+use crate::forward::{forward, source_launch, window_pass, Window};
 use crate::incremental::{seed_cone, Txn};
 use crate::metrics::InstaReport;
 use crate::parallel::{Interrupt, PassOptions};
@@ -310,21 +317,21 @@ pub struct ScenarioReport {
 }
 
 /// One distinct corner's transformed base annotations, indexed by
-/// expanded arc — built once per call and shared by every lane carrying
-/// that corner. While the corner's lanes run, the table stands in for the
-/// engine's own annotation arrays (see [`Base`]), so the kernels read it
-/// with plain loads; the serial twin is re-annotated from the same values,
-/// so both see identical bits.
+/// expanded arc — built when the corner's group runs, shared by every lane
+/// carrying that corner and dropped after the group. While the corner's
+/// lanes run, the table stands in for the engine's own annotation arrays
+/// (see [`Base`]), so the kernels read it with plain loads; the serial twin
+/// is re-annotated from the same values, so both see identical bits.
 struct CornerTable {
     mean: Vec<[f64; 2]>,
     sigma: Vec<[f64; 2]>,
 }
 
-/// A corner either materializes as a table or fails validation (a
-/// transform that drives some annotation non-finite); the failure
+/// A distinct corner of a call: its transform, or — when the transform
+/// drives some annotation non-finite — the validation failure that
 /// quarantines every lane carrying it with the same `Validate` error the
 /// serial twin's `update_timing` would raise.
-type CornerResult = Result<CornerTable, ValidationReport>;
+type CornerResult = Result<CornerTransform, ValidationReport>;
 
 /// One propagated lane of a call: the scenarios that agree on its corner
 /// and effective delta bits share it.
@@ -370,13 +377,13 @@ impl InstaEngine {
     /// reports [`InstaError::Cancelled`].
     pub fn evaluate(&mut self, scenarios: &[Scenario], opts: &PassOptions) -> McmmReport {
         let interrupt = opts.interrupt();
-        let (mut tables, lanes, lane_of) = self.prepare_lanes(scenarios);
+        let (corners, lanes, lane_of) = self.prepare_lanes(scenarios);
         self.counters.batches += 1;
         self.counters.batch_scenarios += scenarios.len() as u64;
         self.counters.mcmm_deduped += (scenarios.len() - lanes.len()) as u64;
         self.counters.mcmm_corner_lanes += lanes.iter().filter(|l| l.corner.is_some()).count() as u64;
         let masked = scenarios.iter().filter(|sc| sc.effective_mode().is_some());
-        let mut results = self.run_lanes(&lanes, &mut tables, interrupt.as_ref(), masked.count());
+        let mut results = self.run_lanes(&lanes, &corners, interrupt.as_ref(), masked.count());
 
         // A lane's report moves into its first scenario; a later scenario
         // sharing the lane gets a copy. Every report is re-reduced under
@@ -480,12 +487,11 @@ impl InstaEngine {
         out
     }
 
-    /// Normalizes a call: distinct non-identity corners become shared
-    /// [`CornerTable`]s (validated once each), every scenario's deltas are
-    /// corner-transformed, and scenarios that agree on the corner and the
-    /// effective delta bits — the mode stays out of the key, it only
-    /// filters reports — share one lane. Returns the tables, the lanes and
-    /// each scenario's lane.
+    /// Normalizes a call: distinct non-identity corners are validated once
+    /// each, every scenario's deltas are corner-transformed, and scenarios
+    /// that agree on the corner and the effective delta bits — the mode
+    /// stays out of the key, it only filters reports — share one lane.
+    /// Returns the corners, the lanes and each scenario's lane.
     fn prepare_lanes<'a>(
         &self,
         scenarios: &'a [Scenario],
@@ -526,51 +532,49 @@ impl InstaEngine {
                 })
             })
             .collect();
-        let tables = corners.iter().map(|c| self.build_corner_table(c)).collect();
-        (tables, lanes, lane_of)
+        let corners = corners.into_iter().map(|c| self.check_corner(c)).collect();
+        (corners, lanes, lane_of)
     }
 
-    /// Materializes one corner's transformed base annotations, rejecting
-    /// transforms that drive any annotation non-finite (the same
-    /// `NonFiniteMean` / `InvalidSigma` issues — and therefore the same
-    /// `Validate` error category — the serial twin's `update_timing`
-    /// would raise on the pre-scaled delta list).
-    fn build_corner_table(&self, c: &CornerTransform) -> CornerResult {
+    /// Every expanded arc's `(mean, sigma)` annotation under corner `c`.
+    fn transformed<'s>(
+        &'s self,
+        c: &'s CornerTransform,
+    ) -> impl Iterator<Item = ([f64; 2], [f64; 2])> + 's {
         let st = &self.st;
-        let n = st.arc_mean.len();
-        let mut mean = Vec::with_capacity(n);
-        let mut sigma = Vec::with_capacity(n);
+        st.arc_mean.iter().zip(&st.arc_sigma).map(|(m, s)| {
+            let ((m0, s0), (m1, s1)) = (c.apply(m[0], s[0]), c.apply(m[1], s[1]));
+            ([m0, m1], [s0, s1])
+        })
+    }
+
+    /// Rejects a transform that drives any annotation non-finite (the same
+    /// `NonFiniteMean` / `InvalidSigma` issues — and therefore the same
+    /// `Validate` error category — the serial twin's `update_timing` would
+    /// raise on the pre-scaled delta list), keeping none of the values.
+    fn check_corner(&self, c: CornerTransform) -> CornerResult {
         let mut report = ValidationReport::default();
-        for e in 0..n {
-            let mut m = [0.0; 2];
-            let mut s = [0.0; 2];
-            for rf in 0..2 {
-                let (tm, ts) = c.apply(st.arc_mean[e][rf], st.arc_sigma[e][rf]);
-                if !tm.is_finite() {
-                    report.record(Issue::NonFiniteMean {
-                        arc: e,
-                        rf: rf as u8,
-                        value: tm,
-                    });
+        for (arc, (mean, sigma)) in self.transformed(&c).enumerate() {
+            for (rf, (&m, &s)) in (0u8..).zip(mean.iter().zip(&sigma)) {
+                if !m.is_finite() {
+                    report.record(Issue::NonFiniteMean { arc, rf, value: m });
                 }
-                if !ts.is_finite() || ts < 0.0 {
-                    report.record(Issue::InvalidSigma {
-                        arc: e,
-                        rf: rf as u8,
-                        value: ts,
-                    });
+                if !s.is_finite() || s < 0.0 {
+                    report.record(Issue::InvalidSigma { arc, rf, value: s });
                 }
-                m[rf] = tm;
-                s[rf] = ts;
             }
-            mean.push(m);
-            sigma.push(s);
         }
         if report.total() > 0 {
             Err(report)
         } else {
-            Ok(CornerTable { mean, sigma })
+            Ok(c)
         }
+    }
+
+    /// Materializes a checked corner's transformed base annotations.
+    fn corner_table(&self, c: &CornerTransform) -> CornerTable {
+        let (mean, sigma) = self.transformed(c).unzip();
+        CornerTable { mean, sigma }
     }
 
     /// Routes and runs a call's lanes, and returns each lane's result by
@@ -586,14 +590,14 @@ impl InstaEngine {
     fn run_lanes(
         &mut self,
         lanes: &[Lane<'_>],
-        tables: &mut [CornerResult],
+        corners: &[CornerResult],
         interrupt: Option<&Interrupt>,
         masked: usize,
     ) -> Vec<Option<Result<InstaReport, InstaError>>> {
         let mut out: Vec<_> = lanes.iter().map(|_| None).collect();
         let mut routed = Vec::new();
         for (i, lane) in lanes.iter().enumerate() {
-            let err = match lane.corner.map(|ci| &tables[ci]) {
+            let err = match lane.corner.map(|ci| &corners[ci]) {
                 Some(Err(report)) => Some(InstaError::Validate(report.clone())),
                 _ => self.validate_deltas(&lane.deltas).err(),
             };
@@ -621,17 +625,20 @@ impl InstaEngine {
             interrupt,
             cone_lanes: 0,
             base_passes: 0,
+            window_passes: 0,
+            window_rows: 0,
             nodes: 0,
             pruned: 0,
             fallbacks: 0,
             incident: None,
         };
         for group in routed.chunk_by(|a, b| lanes[a.lane].corner == lanes[b.lane].corner) {
-            let table = lanes[group[0].lane].corner.map(|ci| match &mut tables[ci] {
-                Ok(table) => table,
+            // One corner's table is alive at a time: the running group's.
+            let mut table = lanes[group[0].lane].corner.map(|ci| match &corners[ci] {
+                Ok(c) => self.corner_table(c),
                 Err(_) => unreachable!("invalid corners are quarantined before routing"),
             });
-            call.run_group(&mut Base::new(self, table), lanes, group, &mut out);
+            call.run_group(&mut Base::new(self, table.as_mut()), lanes, group, &mut out);
         }
         let corner_lanes = routed.iter().filter(|r| lanes[r.lane].corner.is_some());
         let ok = routed.iter().all(|r| matches!(out[r.lane], Some(Ok(_))));
@@ -641,6 +648,8 @@ impl InstaEngine {
             ("masked_lanes", masked as f64),
             ("cone_lanes", call.cone_lanes as f64),
             ("base_passes", call.base_passes as f64),
+            ("window_passes", call.window_passes as f64),
+            ("window_rows", call.window_rows as f64),
             ("nodes", call.nodes as f64),
             ("pruned", call.pruned as f64),
             ("fallbacks", call.fallbacks as f64),
@@ -670,7 +679,8 @@ impl InstaEngine {
 
 /// The engine as a group of lanes sees it: a corner's table standing in
 /// for its annotations and — once [`scratch`](Self::scratch) asks for
-/// them — the kept scratch rows standing in for its own Top-K state. Both
+/// them, for a corner's delta lanes — the kept scratch rows standing in
+/// for its own Top-K state. Both
 /// are O(1) swaps, so the kernels keep reading `st.arc_mean` /
 /// `state.topk_*` and no annotation or row parameter is threaded through
 /// them; both are swapped back on drop.
@@ -734,7 +744,11 @@ impl Drop for Base<'_> {
 struct LaneCall<'a> {
     interrupt: Option<&'a Interrupt>,
     cone_lanes: usize,
+    /// Corner base passes into the scratch rows.
     base_passes: usize,
+    window_passes: usize,
+    /// The window plan's slot count: the most rows a window pass keeps.
+    window_rows: usize,
     nodes: usize,
     pruned: usize,
     /// Virtual parents materialised, over every pass and sweep of the call.
@@ -744,9 +758,12 @@ struct LaneCall<'a> {
 }
 
 impl LaneCall<'_> {
-    /// One corner group: its cone lanes over the group's base — the
-    /// engine's own synced rows and report, or a corner's full pass into
-    /// the scratch rows — then its full-pass lanes in the scratch rows.
+    /// One corner group: its cone lanes over the group's base, then its
+    /// full-pass lanes, each a window pass. The base is the engine's own
+    /// synced rows and report, or a corner's full pass: into the scratch
+    /// rows when a cone lane carries deltas (its cone needs the corner's
+    /// whole row set), otherwise a window pass, whose report is every such
+    /// lane's.
     fn run_group(
         &mut self,
         base: &mut Base<'_>,
@@ -755,12 +772,15 @@ impl LaneCall<'_> {
         out: &mut [Option<Result<InstaReport, InstaError>>],
     ) {
         if group.iter().any(|r| r.cone) {
-            let report = if base.table.is_some() {
+            let swept = |r: &Routed| r.cone && !lanes[r.lane].deltas.is_empty();
+            let report = if base.table.is_none() {
+                Ok(base.eng.state.report.clone().expect("base synced"))
+            } else if group.iter().any(swept) {
                 base.scratch();
                 self.base_passes += 1;
                 self.full_pass(base.eng)
             } else {
-                Ok(base.eng.state.report.clone().expect("base synced"))
+                self.window_pass(base.eng)
             };
             for r in group.iter().filter(|r| r.cone) {
                 out[r.lane] = Some(match &report {
@@ -773,7 +793,6 @@ impl LaneCall<'_> {
             }
         }
         for r in group.iter().filter(|r| !r.cone) {
-            base.scratch();
             out[r.lane] = Some(self.full_lane(base.eng, &lanes[r.lane].deltas));
         }
     }
@@ -805,8 +824,8 @@ impl LaneCall<'_> {
         nan_gate(eng, report)
     }
 
-    /// A lane whose serial run is no cone update: its deltas and one full
-    /// pass into the scratch rows. Counted as its serial twin counts it.
+    /// A lane whose serial run is no cone update: its deltas and one window
+    /// pass. Counted as its serial twin counts it.
     fn full_lane(
         &mut self,
         eng: &mut InstaEngine,
@@ -816,7 +835,7 @@ impl LaneCall<'_> {
         let txn = Txn::begin(eng);
         let eng = &mut *txn.eng;
         eng.cone.annotate(&mut eng.st, deltas);
-        let report = self.full_pass(eng)?;
+        let report = self.window_pass(eng)?;
         nan_gate(eng, report)
     }
 
@@ -824,18 +843,37 @@ impl LaneCall<'_> {
     /// and their report.
     fn full_pass(&mut self, eng: &mut InstaEngine) -> Result<InstaReport, InstaError> {
         let st = &eng.st;
-        let seed = |state: &mut State, nodes| seed_sources(st, state, nodes);
         let passed = forward::<false>(
             st,
             &mut eng.state,
             eng.cfg.n_threads,
             self.interrupt,
             None,
-            &seed,
+            &source_launch(st),
             &mut self.fallbacks,
         );
         self.book(passed)?;
         Ok(crate::metrics::evaluate(st, &eng.state, eng.cfg.cppr))
+    }
+
+    /// One window pass over the engine's annotations: their report, without
+    /// reading or writing the engine's rows.
+    fn window_pass(&mut self, eng: &mut InstaEngine) -> Result<InstaReport, InstaError> {
+        let (st, k) = (&eng.st, eng.state.k);
+        let window = eng.window.0.get_or_insert_with(|| Window::new(st, k));
+        let (n_threads, cppr) = (eng.cfg.n_threads, eng.cfg.cppr);
+        let (report, passed) = window_pass(
+            st,
+            window,
+            n_threads,
+            self.interrupt,
+            cppr,
+            &mut self.fallbacks,
+        );
+        self.window_passes += 1;
+        self.window_rows = window.plan.slots;
+        self.book(passed)?;
+        Ok(report)
     }
 
     /// Keeps the call's first worker-panic incident, recovered or fatal,
@@ -904,5 +942,63 @@ fn clone_lane_error(e: &InstaError) -> InstaError {
             value: *value,
         },
         _ => unreachable!("lanes raise only Validate/Cancelled/Runtime/Numeric"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::build_engine;
+
+    /// Every graph arc's annotation, shifted: a lane far past the cone's
+    /// full-pass switch.
+    fn every_arc_slower(eng: &InstaEngine) -> Vec<ArcDelta> {
+        let st = &eng.st;
+        (0..st.n_graph_arcs)
+            .filter_map(|g| st.expansion(g).first().map(|&e| (g, e as usize)))
+            .map(|(g, e)| ArcDelta {
+                arc: g as u32,
+                mean: st.arc_mean[e].map(|m| m + 1.5),
+                sigma: st.arc_sigma[e],
+            })
+            .collect()
+    }
+
+    /// Report-only passes keep no second row set: a delta-free MCMM call
+    /// and full-pass lanes leave the corner rows unallocated, and only a
+    /// corner group with a delta lane allocates them.
+    #[test]
+    fn only_a_corner_group_with_a_delta_lane_allocates_corner_rows() {
+        let (_d, _sta, mut eng) = build_engine(5, 8);
+        eng.propagate();
+        let corner = CornerTransform::scale(1.05, 1.1);
+        let bare = Scenario::default().with_corner(corner);
+        let mcmm = eng.evaluate_mcmm(&[bare.clone(), bare.with_mode(ModeMask::disabling([0]))]);
+        assert!(mcmm.scenarios.iter().all(|r| r.outcome.is_ok()));
+        assert!(eng.corner_scratch.0.is_none(), "a delta-free corner group");
+        let plan = eng
+            .window
+            .0
+            .as_ref()
+            .expect("the window pass ran")
+            .plan
+            .slots;
+        assert!(plan > 0 && plan < eng.num_rows());
+
+        let big = every_arc_slower(&eng);
+        let full = [
+            Scenario::from(big.clone()),
+            Scenario::from(big).with_corner(corner),
+        ];
+        assert!(eng.evaluate_batch(&full).iter().all(|r| r.outcome.is_ok()));
+        assert!(eng.corner_scratch.0.is_none(), "full-pass lanes");
+
+        let one = every_arc_slower(&eng)[..1].to_vec();
+        let swept = [Scenario::from(one).with_corner(corner)];
+        assert!(eng.evaluate_batch(&swept)[0].outcome.is_ok());
+        assert!(
+            eng.corner_scratch.0.is_some(),
+            "a corner's delta lane sweeps its rows"
+        );
     }
 }

@@ -144,9 +144,8 @@ pub(crate) struct Static {
     /// Startpoint launch data (renumbered nodes).
     pub sources: Vec<SourceInit>,
     /// Node → index into `sources` (`u32::MAX` = not a startpoint; the
-    /// *last* source wins, like [`crate::forward::seed_sources`]' in-order
-    /// writes). What the cone sweep re-seeds a recomputed
-    /// startpoint node from.
+    /// *last* source on a node wins). What every pass seeds a startpoint
+    /// node's queues from ([`crate::forward::seed_level`]).
     pub source_of: Vec<u32>,
     /// Endpoint attributes (renumbered nodes).
     pub endpoints: Vec<EndpointInit>,
@@ -247,12 +246,6 @@ impl Static {
         self.arc_child[self.fanout(v)[0] as usize]
     }
 
-    /// The startpoint launching at node `v`, if any.
-    #[inline]
-    pub fn source_at(&self, v: usize) -> Option<&SourceInit> {
-        self.sources.get(self.source_of[v] as usize)
-    }
-
     /// The expanded arcs a graph arc derives into.
     #[inline]
     pub fn expansion(&self, g: usize) -> &[u32] {
@@ -296,11 +289,15 @@ pub(crate) struct State {
     pub report: Option<crate::metrics::InstaReport>,
 }
 
-/// A read view of Top-K rows: a whole [`State`], or the rows ahead of the
-/// window a kernel is writing.
+/// A read view of Top-K rows: a whole [`State`], the rows ahead of the
+/// window a kernel is writing, or a window pass's slots.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Lanes<'a> {
     pub k: usize,
+    /// Where stored row `r` sits in these lanes: at index `r` (`None`, the
+    /// identity plan), or at `slot[r]` (a window pass's slot plan, see
+    /// [`crate::forward::SlotPlan`]).
+    pub slot: Option<&'a [u32]>,
     pub live: &'a [u16],
     pub sp: &'a [u32],
     pub mean: &'a [f64],
@@ -325,10 +322,14 @@ impl<'a> Queue<'a> {
 }
 
 impl<'a> Lanes<'a> {
-    /// The queue of `(row, rf)`.
+    /// The queue of `(row, rf)`, wherever the plan keeps the row.
     #[inline(always)]
     pub fn row(&self, row: usize, rf: usize) -> Queue<'a> {
-        let q = row * 2 + rf;
+        let at = match self.slot {
+            Some(slot) => slot[row] as usize,
+            None => row,
+        };
+        let q = at * 2 + rf;
         let w = q * self.k..q * self.k + self.live[q] as usize;
         Queue {
             sp: &self.sp[w.clone()],
@@ -363,6 +364,7 @@ impl State {
     pub fn lanes(&self) -> Lanes<'_> {
         Lanes {
             k: self.k,
+            slot: None,
             live: &self.live,
             sp: &self.topk_sp,
             mean: &self.topk_mean,
@@ -371,13 +373,9 @@ impl State {
     }
 
     /// Splits the Top-K rows at `row`: the rows before it as a read view
-    /// (a kernel's `done` prefix) and the `(live, mean, sigma, sp)` lanes
-    /// from it on, for the kernel to carve its window from.
-    #[allow(clippy::type_complexity)]
-    pub fn split_at_row(
-        &mut self,
-        row: usize,
-    ) -> (Lanes<'_>, (&mut [u16], &mut [f64], &mut [f64], &mut [u32])) {
+    /// (a kernel's `done` prefix) and the rows from it on as a write view,
+    /// for the kernel to carve its window from.
+    pub fn split_at_row(&mut self, row: usize) -> (Lanes<'_>, RowsMut<'_>) {
         let k = self.k;
         let (live_done, live) = self.live.split_at_mut(row * 2);
         let (mean_done, mean) = self.topk_mean.split_at_mut(row * 2 * k);
@@ -385,12 +383,21 @@ impl State {
         let (sp_done, sp) = self.topk_sp.split_at_mut(row * 2 * k);
         let done = Lanes {
             k,
+            slot: None,
             live: live_done,
             sp: sp_done,
             mean: mean_done,
             sigma: sigma_done,
         };
-        (done, (live, mean, sigma, sp))
+        let rest = RowsMut {
+            k,
+            first: row,
+            live,
+            mean,
+            sigma,
+            sp,
+        };
+        (done, rest)
     }
 
     /// Bytes held by every array of the state.
@@ -410,12 +417,29 @@ impl State {
     }
 }
 
-/// A lazily allocated scratch [`State`] that a clone of its owner starts
-/// without: it holds no result, only pages worth keeping mapped.
-#[derive(Debug, Default)]
-pub(crate) struct CornerScratch(pub Option<State>);
+/// A write view of consecutive Top-K rows, row `first` at index 0: the
+/// window a full pass writes one level into.
+pub(crate) struct RowsMut<'a> {
+    pub k: usize,
+    pub first: usize,
+    pub live: &'a mut [u16],
+    pub mean: &'a mut [f64],
+    pub sigma: &'a mut [f64],
+    pub sp: &'a mut [u32],
+}
 
-impl Clone for CornerScratch {
+/// Lazily allocated scratch that a clone of its owner starts without: it
+/// holds no result, only pages worth keeping mapped.
+#[derive(Debug)]
+pub(crate) struct Scratch<T>(pub Option<T>);
+
+impl<T> Default for Scratch<T> {
+    fn default() -> Self {
+        Self(None)
+    }
+}
+
+impl<T> Clone for Scratch<T> {
     fn clone(&self) -> Self {
         Self(None)
     }
@@ -460,8 +484,12 @@ pub struct InstaEngine {
     /// kept current by cone sweeps (see [`crate::snapshot`]).
     pub(crate) rows: RowStore,
     /// Top-K arrays of a batched call's corner base passes (see
-    /// [`crate::batch`]): absent until the first corner lane, then kept.
-    pub(crate) corner_scratch: CornerScratch,
+    /// [`crate::batch`]): absent until the first corner group with a delta
+    /// lane, then kept.
+    pub(crate) corner_scratch: Scratch<State>,
+    /// The slot plan and rows of a batched call's window passes (see
+    /// [`crate::forward::Window`]): absent until the first one, then kept.
+    pub(crate) window: Scratch<crate::forward::Window>,
     /// The observability sink (disabled by default; see [`crate::trace`]).
     pub(crate) trace: TraceSink,
     /// The frozen kernels' dense arrays of the last reference pass (see
@@ -661,7 +689,8 @@ impl InstaEngine {
             validity: Validity::default(),
             cone: ConeScratch::new(n, num_levels, k),
             rows: RowStore::default(),
-            corner_scratch: CornerScratch::default(),
+            corner_scratch: Scratch::default(),
+            window: Scratch::default(),
             trace: TraceSink::disabled(),
             #[cfg(any(test, feature = "scalar-reference"))]
             scalar_topk: None,
@@ -823,7 +852,7 @@ impl InstaEngine {
 }
 
 /// Builds a CSR from bucket assignments.
-fn csr(n: usize, keys: impl Iterator<Item = usize> + Clone) -> (Vec<u32>, Vec<u32>) {
+pub(crate) fn csr(n: usize, keys: impl Iterator<Item = usize> + Clone) -> (Vec<u32>, Vec<u32>) {
     let mut start = vec![0u32; n + 1];
     for k in keys.clone() {
         start[k + 1] += 1;
@@ -974,7 +1003,7 @@ pub(crate) mod tests {
         for v in 0..st.n {
             let interior = st.fanin_range(v).len() == 1
                 && st.fanout_start[v + 1] - st.fanout_start[v] == 1
-                && st.source_at(v).is_none()
+                && st.source_of[v] == u32::MAX
                 && st.endpoints.iter().all(|e| e.node as usize != v);
             assert_eq!(st.row_of(v).is_none(), interior, "node {v}");
         }

@@ -28,9 +28,9 @@
 //! the two values beside it ([`corner`]) and is never stored.
 //!
 //! Because the engine renumbered nodes level-major and rows follow node
-//! order, the level's state is a contiguous window of rows: the lanes split
-//! into an immutable `done` prefix (all earlier levels — where every parent
-//! and every ancestor of a virtual parent lives) and a mutable `current`
+//! order, the level's state is a contiguous window of rows: the level body
+//! reads an immutable `done` view (every earlier level — where every parent
+//! and every ancestor of a virtual parent lives) and writes a mutable
 //! window, carved into disjoint chunks for the level runner
 //! ([`crate::parallel`]), which owns launch, panic containment and retry.
 //!
@@ -38,14 +38,31 @@
 //! cleared: a queue's extent is its live count, and slots at or past it
 //! are dead. The level body ([`level_chunk`]) owns every queue of a stored
 //! node with fanin that is not a startpoint: it writes the live entries
-//! and the count. A pass ([`forward`], the fused sweep, hold) only puts the
-//! queues the body does *not* fully own into their pre-pass state
-//! ([`reset_and_seed`]): level 0's live counts are zeroed, then every
-//! startpoint's queues become its one launch entry ([`seed_queues`])
-//! (DESIGN.md "Kernel architecture").
+//! and the count. The driver ([`forward`], shared by setup, hold, the
+//! window pass and, level by level, the fused sweep) puts only the queues
+//! the body does *not* own into their pre-pass state: level 0's live
+//! counts are zeroed, and before each level's body runs — on every
+//! attempt, the retry after a contained panic included — the level's
+//! startpoints get their one launch entry ([`seed_level`]) (DESIGN.md
+//! "Kernel architecture").
+//!
+//! **Two row stores.** Where the rows live is the driver's one parameter
+//! ([`PassRows`]). The *in-place* store is the engine's [`State`]: every
+//! level is written where it is kept, the `done` view is the rows ahead
+//! of the window (the identity plan), and nothing is copied. A *window
+//! pass* ([`window_pass`]) answers a report and keeps no row set: each
+//! level is written into a level buffer the size of the widest level,
+//! its endpoints are evaluated from the buffer, and a row some later level
+//! reads is copied into a slot it shares with rows whose readers are done
+//! ([`SlotPlan`]). Every read of a stored row goes through the plan
+//! ([`Lanes::row`]), so the level body, [`gather_fanin`] and [`queue_of`]
+//! are the in-place pass's, and the report has `metrics::evaluate`'s bits.
+//! On block-3 at K=8 the plan keeps 2 085 of 16 065 rows (13 %): 0.64 MiB
+//! of slots and a 0.32 MiB buffer where a row set is 4.96 MiB.
 
-use crate::engine::{InstaEngine, Lanes, Queue, State, Static};
+use crate::engine::{InstaEngine, Lanes, Queue, RowsMut, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
+use crate::metrics::InstaReport;
 use crate::parallel::{carve, Interrupt, MergeArena, Pass, QueueBuf, VirtualQueue};
 use crate::stat;
 use crate::topk::restore_topk_desc;
@@ -60,7 +77,7 @@ impl InstaEngine {
     /// Panics if a worker panic could not be contained (see
     /// [`try_propagate`](InstaEngine::try_propagate) for the fallible
     /// variant).
-    pub fn propagate(&mut self) -> &crate::metrics::InstaReport {
+    pub fn propagate(&mut self) -> &InstaReport {
         if let Err(e) = self.try_propagate() {
             panic!("propagate failed: {e}");
         }
@@ -75,7 +92,7 @@ impl InstaEngine {
     /// re-execution *also* fails does this return
     /// [`InstaError::Runtime`]; the engine state is then unusable until
     /// the next successful pass.
-    pub fn try_propagate(&mut self) -> Result<&crate::metrics::InstaReport, InstaError> {
+    pub fn try_propagate(&mut self) -> Result<&InstaReport, InstaError> {
         self.last_incident = None;
         self.validity.begin_full_pass();
         self.trace.begin("forward");
@@ -86,7 +103,7 @@ impl InstaEngine {
             self.cfg.n_threads,
             self.interrupt.as_ref(),
             self.trace.profile_mut(Kernel::Forward),
-            &|state, range| seed_sources(&self.st, state, range),
+            &source_launch(&self.st),
             &mut fallbacks,
         );
         self.trace.end_with(&pass_fields(&res, fallbacks));
@@ -131,7 +148,7 @@ impl InstaEngine {
     ///
     /// Panics if a worker panic could not be contained (see
     /// [`try_propagate_fused`](InstaEngine::try_propagate_fused)).
-    pub fn propagate_fused(&mut self) -> &crate::metrics::InstaReport {
+    pub fn propagate_fused(&mut self) -> &InstaReport {
         if let Err(e) = self.try_propagate_fused() {
             panic!("propagate_fused failed: {e}");
         }
@@ -144,7 +161,7 @@ impl InstaEngine {
     /// profiles keep attributing evaluation time to the forward profile
     /// and LSE time to the LSE profile — fusion interleaves the two level
     /// bodies, it does not blur them.
-    pub fn try_propagate_fused(&mut self) -> Result<&crate::metrics::InstaReport, InstaError> {
+    pub fn try_propagate_fused(&mut self) -> Result<&InstaReport, InstaError> {
         self.last_incident = None;
         // Both output families are rewritten whether the pass succeeds or
         // not; only a completed pass stamps them.
@@ -186,104 +203,144 @@ pub(crate) fn pass_fields<T>(
     ]
 }
 
-/// Applies the startpoint launch arrivals (cloned from the reference tool)
-/// for sources whose node lies in `range`.
-pub(crate) fn seed_sources(st: &Static, state: &mut State, range: std::ops::Range<usize>) {
-    for s in &st.sources {
-        if range.contains(&(s.node as usize)) {
-            seed_queues(st, state, s.node as usize, s.sp, s.mean, s.sigma);
+/// The snapshot's launch arrival of source `i`, `(mean, sigma)` per
+/// transition: the launches of a setup pass. Hold passes its own early
+/// ones ([`crate::hold`]).
+pub(crate) fn source_launch(st: &Static) -> impl Fn(usize) -> ([f64; 2], [f64; 2]) + '_ {
+    |i| (st.sources[i].mean, st.sources[i].sigma)
+}
+
+/// Makes both queues of every startpoint node in `nodes` its one launch
+/// entry `(sp, launches(source))`: the pre-pass state of the only queues
+/// the level body does not own. A node with several sources takes the last
+/// one's ([`Static::source_of`]).
+pub(crate) fn seed_level(
+    st: &Static,
+    rows: &mut RowsMut<'_>,
+    nodes: std::ops::Range<usize>,
+    launches: &impl Fn(usize) -> ([f64; 2], [f64; 2]),
+) {
+    let k = rows.k;
+    for v in nodes {
+        let i = st.source_of[v] as usize;
+        let Some(s) = st.sources.get(i) else { continue };
+        let (mean, sigma) = launches(i);
+        let row = st.row_of(v).expect("a startpoint is never virtual") - rows.first;
+        for rf in 0..2 {
+            let q = row * 2 + rf;
+            rows.live[q] = 1;
+            rows.mean[q * k] = mean[rf];
+            rows.sigma[q * k] = sigma[rf];
+            rows.sp[q * k] = s.sp;
         }
     }
 }
 
-/// Makes both queues of startpoint node `v` the one launch entry
-/// `(sp, mean[rf], sigma[rf])`: the pre-pass state of the only queues the
-/// level body does not fully own.
-pub(crate) fn seed_queues(
-    st: &Static,
-    state: &mut State,
-    v: usize,
-    sp: u32,
-    mean: [f64; 2],
-    sigma: [f64; 2],
-) {
-    let row = st.row_of(v).expect("a startpoint is never virtual");
-    for rf in 0..2 {
-        let q = row * 2 + rf;
-        state.live[q] = 1;
-        state.topk_mean[q * state.k] = mean[rf];
-        state.topk_sigma[q * state.k] = sigma[rf];
-        state.topk_sp[q * state.k] = sp;
-    }
+/// Where a full pass keeps its rows (module docs, "Two row stores"): the
+/// engine's [`State`] in place, or a window pass's level buffer and slots
+/// ([`Window`]). The driver ([`forward`]) and the level body are the same
+/// for both.
+pub(crate) trait PassRows {
+    /// Opens a pass: `early` is whether it is hold's min pass.
+    fn begin(&mut self, early: bool);
+    /// Level `l`'s rows as a write view, beside a read view holding every
+    /// row a level-`l` body reads.
+    fn level(&mut self, st: &Static, l: usize) -> (Lanes<'_>, RowsMut<'_>);
+    /// Level `l` is final.
+    fn retire(&mut self, st: &Static, l: usize);
 }
 
-/// The pre-pass state of the queues the level body does not fully own:
-/// the level-0 window emptied, then the launch arrivals seeded by
-/// `seed(state, nodes)` (a startpoint of a later level included: a seed
-/// *is* its queues' pre-pass state). O(level 0 + startpoints) live counts,
-/// where a pass-wide reset wrote all `2·K·nodes` slots.
-fn reset_and_seed(
-    st: &Static,
-    state: &mut State,
-    seed: &impl Fn(&mut State, std::ops::Range<usize>),
-) {
-    let level0 = st.level_start.get(1).map_or(st.n, |&end| end as usize);
-    state.live[..st.rows(0..level0).end * 2].fill(0);
-    seed(state, 0..st.n);
+/// The in-place store: the identity plan, every level written where it is
+/// kept, no buffer and no copy.
+impl PassRows for State {
+    fn begin(&mut self, early: bool) {
+        self.early = early;
+    }
+
+    fn level(&mut self, st: &Static, l: usize) -> (Lanes<'_>, RowsMut<'_>) {
+        self.split_at_row(st.rows(st.level_range(l)).start)
+    }
+
+    fn retire(&mut self, _: &Static, _: usize) {}
 }
 
 /// The full evaluation pass: `MIN = false` is setup (the K worst late
 /// corners), `MIN = true` is hold's min pass over negated early corners
-/// ([`crate::hold`]). `seed(state, nodes)` writes the caller's launch
-/// arrivals for the startpoints whose node lies in `nodes`. Adds to
-/// `fallbacks` how many virtual parents the pass materialised
+/// ([`crate::hold`]). `launches(source)` is a startpoint's launch arrival.
+/// Adds to `fallbacks` how many virtual parents the pass materialised
 /// ([`gather_fanin`]), a failed pass's levels so far included.
 pub(crate) fn forward<const MIN: bool>(
     st: &Static,
-    state: &mut State,
+    rows: &mut impl PassRows,
     n_threads: usize,
     interrupt: Option<&Interrupt>,
     prof: Option<&mut LevelProfile>,
-    seed: &impl Fn(&mut State, std::ops::Range<usize>),
+    launches: &impl Fn(usize) -> ([f64; 2], [f64; 2]),
     fallbacks: &mut u64,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
-    state.early = MIN;
-    reset_and_seed(st, state, seed);
+    begin_pass(st, rows, MIN, launches);
     let mut pass = Pass::begin(Kernel::Forward, n_threads, interrupt, prof);
     // One merge arena per worker, reused across every level of the pass.
     let mut arenas = MergeArena::bank(pass.threads());
     let swept = (1..st.num_levels())
-        .try_for_each(|l| forward_level::<MIN>(st, state, &mut pass, &mut arenas, l, seed));
+        .try_for_each(|l| forward_level::<MIN>(st, rows, &mut pass, &mut arenas, l, launches));
     *fallbacks += arenas.iter().map(|a| a.fallbacks).sum::<u64>();
     swept.map(|()| pass.finish())
 }
 
+/// Level 0 of a full pass, which the level body never runs (no node of it
+/// has a fanin arc): its live counts emptied, then its launches seeded.
+fn begin_pass(
+    st: &Static,
+    rows: &mut impl PassRows,
+    early: bool,
+    launches: &impl Fn(usize) -> ([f64; 2], [f64; 2]),
+) {
+    rows.begin(early);
+    if st.num_levels() == 0 {
+        return;
+    }
+    let nodes = st.level_range(0);
+    let (_, mut level0) = rows.level(st, 0);
+    level0.live[..st.rows(nodes.clone()).len() * 2].fill(0);
+    seed_level(st, &mut level0, nodes, launches);
+    rows.retire(st, 0);
+}
+
 /// One level of the evaluation forward pass, run through the level runner
-/// ([`Pass::level`]). Shared verbatim by [`forward`] (setup and hold) and
-/// the fused sweep ([`forward_fused`]) — fusion interleaves *whole level
-/// bodies*, so the state either kernel reads is exactly what the unfused
-/// pass would have produced, and bit-identity of the fused sweep is by
-/// construction.
+/// ([`Pass::level`]). Shared verbatim by [`forward`] (setup, hold and the
+/// window pass) and the fused sweep ([`forward_fused`]) — fusion
+/// interleaves *whole level bodies*, so the state either kernel reads is
+/// exactly what the unfused pass would have produced, and bit-identity of
+/// the fused sweep is by construction.
 pub(crate) fn forward_level<const MIN: bool>(
     st: &Static,
-    state: &mut State,
+    rows: &mut impl PassRows,
     pass: &mut Pass<'_>,
     arenas: &mut [MergeArena],
     l: usize,
-    seed: &impl Fn(&mut State, std::ops::Range<usize>),
+    launches: &impl Fn(usize) -> ([f64; 2], [f64; 2]),
 ) -> Result<(), InstaError> {
-    let k = state.k;
     let nodes = st.level_range(l);
     pass.level(
         l,
         nodes.clone(),
-        &mut (&mut *state, arenas),
-        |(state, arenas), launch| {
-            // Every row before the level's is the immutable `done` prefix;
-            // the level's rows are carved along the node cuts, one arena
+        &mut (&mut *rows, arenas),
+        |(rows, arenas), launch| {
+            // The launches landing in the window, on every attempt: the
+            // body rewrites every other queue of it whole.
+            let (done, mut window) = rows.level(st, l);
+            seed_level(st, &mut window, nodes.clone(), launches);
+            // The level's rows are carved along the node cuts, one arena
             // per cut.
-            let (done, (live, mean, sigma, sp)) =
-                state.split_at_row(st.rows(nodes.clone()).start);
+            let k = window.k;
+            let RowsMut {
+                live,
+                mean,
+                sigma,
+                sp,
+                ..
+            } = window;
             let mut rest = (live, mean, sigma, sp, &mut arenas[..]);
             let windows = launch.cuts().map(|cut| {
                 let queues = st.rows(cut).len() * 2;
@@ -299,13 +356,207 @@ pub(crate) fn forward_level<const MIN: bool>(
                 level_chunk::<MIN>(st, done, cut, live, mean, sigma, sp, &mut arena[0]);
             })
         },
-        // Re-apply the launch seeds landing inside the window: the body
-        // rewrites every other queue of it whole.
-        |(state, _)| seed(state, nodes.clone()),
+        |_| {},
     )?;
     #[cfg(debug_assertions)]
-    crate::health::debug_assert_topk_level_clean(st, state, l);
+    {
+        let (_, written) = rows.level(st, l);
+        let n_rows = st.rows(nodes).len();
+        crate::health::debug_assert_topk_level_clean(&written, n_rows, l);
+    }
+    rows.retire(st, l);
     Ok(())
+}
+
+/// No slot: the row is read by no level after its own.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Where a window pass keeps each stored row from the level that writes it
+/// to the last level that reads it (module docs, "Two row stores").
+///
+/// A row's *last reader* is the highest level of a stored node that reads
+/// it: a child that gathers it, or the consumer at the end of a chain of
+/// virtual nodes below it, which gathers or materialises from it
+/// ([`gather_fanin`], [`materialise`]). An endpoint row is read at its own
+/// level, from the level buffer. Slots are handed out greedily, level by
+/// level: the rows whose last reader is this level give theirs back (their
+/// reads are done), then the level's rows with a later reader take free
+/// ones. For intervals the greedy is optimal: the slot count is the peak
+/// number of rows live across a level boundary. O(rows + arcs) to build,
+/// 4 bytes a row to keep.
+#[derive(Debug)]
+pub(crate) struct SlotPlan {
+    /// Slot of each stored row; [`NO_SLOT`] when no later level reads it.
+    slot: Vec<u32>,
+    /// Endpoint indices in node order: the order their levels finish in.
+    endpoints: Vec<u32>,
+    /// Slots handed out.
+    pub slots: usize,
+    /// Rows of the widest level: the level buffer.
+    widest: usize,
+}
+
+impl SlotPlan {
+    pub(crate) fn new(st: &Static) -> Self {
+        let n_levels = st.num_levels();
+        let mut last = vec![0u32; st.n_rows()];
+        let mut widest = 0;
+        for l in 0..n_levels {
+            let nodes = st.level_range(l);
+            widest = widest.max(st.rows(nodes.clone()).len());
+            for v in nodes {
+                let Some(row) = st.row_of(v) else { continue };
+                last[row] = l as u32;
+                for ai in st.fanin_range(v) {
+                    // Up a virtual chain to the stored ancestor it reads.
+                    let mut p = st.arc_parent[ai] as usize;
+                    let read = loop {
+                        match st.row_of(p) {
+                            Some(read) => break read,
+                            None => p = st.arc_parent[st.fanin_start[p] as usize] as usize,
+                        }
+                    };
+                    last[read] = last[read].max(l as u32);
+                }
+            }
+        }
+        let (done_at, by_last) = crate::engine::csr(n_levels, last.iter().map(|&l| l as usize));
+        let mut slot = vec![NO_SLOT; last.len()];
+        let (mut free, mut slots) = (Vec::new(), 0);
+        for l in 0..n_levels {
+            let done = &by_last[done_at[l] as usize..done_at[l + 1] as usize];
+            free.extend(
+                done.iter()
+                    .map(|&r| slot[r as usize])
+                    .filter(|&s| s != NO_SLOT),
+            );
+            for row in st.rows(st.level_range(l)) {
+                if last[row] as usize > l {
+                    slot[row] = free.pop().unwrap_or_else(|| {
+                        slots += 1;
+                        slots as u32 - 1
+                    });
+                }
+            }
+        }
+        let mut endpoints: Vec<u32> = (0..st.endpoints.len() as u32).collect();
+        endpoints.sort_by_key(|&i| st.endpoints[i as usize].node);
+        SlotPlan {
+            slot,
+            endpoints,
+            slots,
+            widest,
+        }
+    }
+}
+
+/// What a window pass keeps between calls: its [`SlotPlan`], the slot rows
+/// and the level buffer, sized for the plan and the engine's K.
+#[derive(Debug)]
+pub(crate) struct Window {
+    pub plan: SlotPlan,
+    slots: State,
+    level: State,
+}
+
+impl Window {
+    pub(crate) fn new(st: &Static, k: usize) -> Self {
+        let plan = SlotPlan::new(st);
+        Window {
+            slots: State::with_rows(plan.slots, k),
+            level: State::with_rows(plan.widest, k),
+            plan,
+        }
+    }
+}
+
+/// One window pass's rows: each level is written into the level buffer,
+/// read from through the plan, and retired into the report and the slots.
+struct Windowed<'a> {
+    window: &'a mut Window,
+    report: InstaReport,
+    cppr: bool,
+    /// The next endpoint of the plan's order to evaluate.
+    next_ep: usize,
+}
+
+impl PassRows for Windowed<'_> {
+    fn begin(&mut self, early: bool) {
+        debug_assert!(!early, "a window pass evaluates setup endpoints");
+    }
+
+    fn level(&mut self, st: &Static, l: usize) -> (Lanes<'_>, RowsMut<'_>) {
+        let Window { plan, slots, level } = &mut *self.window;
+        let done = Lanes {
+            slot: Some(&plan.slot),
+            ..slots.lanes()
+        };
+        let (_, buffer) = level.split_at_row(0);
+        let first = st.rows(st.level_range(l)).start;
+        (done, RowsMut { first, ..buffer })
+    }
+
+    /// Evaluates the level's endpoints from the buffer, as
+    /// [`crate::metrics::refresh`] does from the rows, then copies the live
+    /// entries of every row a later level reads into its slot.
+    fn retire(&mut self, st: &Static, l: usize) {
+        let (nodes, rows) = (st.level_range(l), st.rows(st.level_range(l)));
+        let Window { plan, slots, level } = &mut *self.window;
+        let written = level.lanes();
+        while let Some(&i) = plan.endpoints.get(self.next_ep) {
+            let v = st.endpoints[i as usize].node as usize;
+            if v >= nodes.end {
+                break;
+            }
+            let row = st.row_of(v).expect("an endpoint is never virtual") - rows.start;
+            let queues = [written.row(row, 0), written.row(row, 1)];
+            self.report.set_endpoint(st, i as usize, queues, self.cppr);
+            self.next_ep += 1;
+        }
+        let k = level.k;
+        for (at, row) in rows.enumerate() {
+            let s = plan.slot[row];
+            if s == NO_SLOT {
+                continue;
+            }
+            for rf in 0..2 {
+                let (from, to) = (at * 2 + rf, s as usize * 2 + rf);
+                let live = usize::from(level.live[from]);
+                let (src, dst) = (from * k..from * k + live, to * k..to * k + live);
+                slots.live[to] = level.live[from];
+                slots.topk_mean[dst.clone()].copy_from_slice(&level.topk_mean[src.clone()]);
+                slots.topk_sigma[dst.clone()].copy_from_slice(&level.topk_sigma[src.clone()]);
+                slots.topk_sp[dst].copy_from_slice(&level.topk_sp[src]);
+            }
+        }
+    }
+}
+
+/// A report-only setup pass (module docs, "Two row stores"): [`forward`]
+/// over `window` and the report of its endpoints, on `metrics::evaluate`'s
+/// bits. The engine's own rows are not read or written; the report is
+/// whole only when the pass is `Ok`.
+pub(crate) fn window_pass(
+    st: &Static,
+    window: &mut Window,
+    n_threads: usize,
+    interrupt: Option<&Interrupt>,
+    cppr: bool,
+    fallbacks: &mut u64,
+) -> (InstaReport, Result<Option<RuntimeIncident>, InstaError>) {
+    let mut rows = Windowed {
+        window,
+        report: InstaReport::blank(st.endpoints.len()),
+        cppr,
+        next_ep: 0,
+    };
+    let launches = source_launch(st);
+    let passed = forward::<false>(
+        st, &mut rows, n_threads, interrupt, None, &launches, fallbacks,
+    );
+    // The aggregates in endpoint order, as every report sums them.
+    rows.report.reduce(None);
+    (rows.report, passed)
 }
 
 /// The fused forward + LSE sweep: one loop over the timing levels runs
@@ -336,16 +587,15 @@ pub(crate) fn forward_fused(
     fallbacks: &mut u64,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     // Pre-sweep state of both kernels, exactly as the unfused passes.
-    let seed = |state: &mut State, nodes| seed_sources(st, state, nodes);
-    state.early = false;
-    reset_and_seed(st, state, &seed);
+    let launches = source_launch(st);
+    begin_pass(st, state, false, &launches);
     crate::lse::lse_reset_seed(st, state);
 
     let mut fwd = Pass::begin(Kernel::Forward, n_threads, interrupt, prof_fwd);
     let mut lse = Pass::begin(Kernel::ForwardLse, n_threads, interrupt, prof_lse);
     let mut arenas = MergeArena::bank(fwd.threads());
     let swept = (1..st.num_levels()).try_for_each(|l| {
-        forward_level::<false>(st, state, &mut fwd, &mut arenas, l, &seed)?;
+        forward_level::<false>(st, state, &mut fwd, &mut arenas, l, &launches)?;
         crate::lse::lse_level(st, state, &mut lse, tau, l)
     });
     *fallbacks += arenas.iter().map(|a| a.fallbacks).sum::<u64>();
@@ -1167,6 +1417,7 @@ mod merge_tests {
         let pre = (qm.clone(), qs.clone(), qsp.clone());
         let parents = Lanes {
             k,
+            slot: None,
             live: &p_live,
             sp: &p_sp,
             mean: &p_mean,

@@ -14,6 +14,8 @@
 //!   [`InstaError::Numeric`] localizing the first poisoned value to its
 //!   array, node, original node id, level, and transition.
 
+#[cfg(debug_assertions)]
+use crate::engine::RowsMut;
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, PoisonedArray};
 use crate::forward::{corner, queue_of};
@@ -136,20 +138,19 @@ fn poisoned_entry<const MIN: bool>(
     None
 }
 
-/// Debug-build poison check over the Top-K rows of level `l`, run by the
-/// forward kernel right after writing them.
+/// Debug-build poison check over the first `n_rows` rows of `rows`, level
+/// `l`'s as the forward kernel just wrote them.
 #[cfg(debug_assertions)]
-pub(crate) fn debug_assert_topk_level_clean(st: &Static, state: &State, l: usize) {
-    let lanes = state.lanes();
-    for row in st.rows(st.level_range(l)) {
-        for rf in 0..2 {
-            let q = lanes.row(row, rf);
-            for (m, s) in q.mean.iter().zip(q.sigma) {
-                debug_assert!(
-                    m.is_finite() && s.is_finite(),
-                    "poisoned top-k entry ({m}, {s}) in row {row} (level {l})",
-                );
-            }
+pub(crate) fn debug_assert_topk_level_clean(rows: &RowsMut<'_>, n_rows: usize, l: usize) {
+    let k = rows.k;
+    for q in 0..n_rows * 2 {
+        let live = q * k..q * k + usize::from(rows.live[q]);
+        for (m, s) in rows.mean[live.clone()].iter().zip(&rows.sigma[live]) {
+            debug_assert!(
+                m.is_finite() && s.is_finite(),
+                "poisoned top-k entry ({m}, {s}) in row {} (level {l})",
+                rows.first + q / 2,
+            );
         }
     }
 }

@@ -27,11 +27,13 @@
 //! [`InstaConfig::n_threads`]: crate::engine::InstaConfig::n_threads
 
 use crate::engine::{InstaEngine, State, Static};
-use crate::forward::{forward, pass_fields, queue_of, seed_queues};
+use crate::error::InstaError;
+use crate::forward::{forward, pass_fields, queue_of};
 use crate::metrics::InstaReport;
-use crate::parallel::VirtualQueue;
+use crate::parallel::{PassOptions, VirtualQueue};
 use crate::stat;
 use crate::topk::NO_SP;
+use crate::validate::{Issue, ValidationReport};
 use insta_refsta::export::NO_LEAF;
 use insta_refsta::{EpId, SpId};
 
@@ -43,6 +45,20 @@ use insta_refsta::{EpId, SpId};
 pub use insta_refsta::export::{hold_attributes, HoldAttributes};
 
 impl InstaEngine {
+    /// Runs the hold (min) forward pass and evaluates hold checks:
+    /// [`try_propagate_hold`](Self::try_propagate_hold) with default
+    /// options.
+    ///
+    /// # Panics
+    ///
+    /// Panics where `try_propagate_hold` returns an error: attributes that
+    /// do not cover every startpoint and endpoint, or a worker panic that
+    /// could not be contained.
+    pub fn propagate_hold(&mut self, attrs: &HoldAttributes) -> InstaReport {
+        self.try_propagate_hold(attrs, &PassOptions::default())
+            .unwrap_or_else(|e| panic!("propagate_hold failed: {e}"))
+    }
+
     /// Runs the hold (min) forward pass and evaluates hold checks.
     ///
     /// Reuses the setup snapshot's arc delays and CPPR arrays; the
@@ -57,22 +73,34 @@ impl InstaEngine {
     /// [`Kernel::Forward`](crate::error::Kernel) incident — it is that
     /// kernel's level body).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `attrs` does not cover every startpoint and endpoint, or
-    /// if a worker panic could not be contained, exactly as
-    /// [`propagate`](InstaEngine::propagate) does.
-    pub fn propagate_hold(&mut self, attrs: &HoldAttributes) -> InstaReport {
-        assert_eq!(
-            attrs.source_mean.len(),
-            self.st.sources.len(),
-            "hold attributes must cover every startpoint"
-        );
-        assert_eq!(
-            attrs.required_base.len(),
-            self.st.endpoints.len(),
-            "hold attributes must cover every endpoint"
-        );
+    /// [`InstaError::Validate`] when `attrs` does not cover every
+    /// startpoint and endpoint, before anything is written;
+    /// [`InstaError::Cancelled`] when `opts` fires (polled once per level);
+    /// [`InstaError::Runtime`] when a worker panic's serial retry fails
+    /// too. After a pass error the Top-K rows are out of sync until the
+    /// next setup pass, as after any hold pass.
+    pub fn try_propagate_hold(
+        &mut self,
+        attrs: &HoldAttributes,
+        opts: &PassOptions,
+    ) -> Result<InstaReport, InstaError> {
+        let (n_sp, n_ep) = (self.st.sources.len(), self.st.endpoints.len());
+        let mut issues = ValidationReport::default();
+        for (what, got, want) in [
+            ("startpoint launch means", attrs.source_mean.len(), n_sp),
+            ("startpoint launch sigmas", attrs.source_sigma.len(), n_sp),
+            ("endpoint requirements", attrs.required_base.len(), n_ep),
+        ] {
+            if got != want {
+                let message = format!("hold attributes carry {got} {what}, the engine has {want}");
+                issues.record(Issue::BadConfig { message });
+            }
+        }
+        if issues.total() > 0 {
+            return Err(InstaError::Validate(issues));
+        }
         self.last_incident = None;
         // The min pass clobbers the setup Top-K arrays; the report stays.
         self.validity.begin_full_pass();
@@ -83,33 +111,14 @@ impl InstaEngine {
             &self.st,
             &mut self.state,
             self.cfg.n_threads,
+            opts.interrupt().as_ref(),
             None,
-            None,
-            &|state, nodes| seed_early_launches(&self.st, state, attrs, nodes),
+            &|i| (attrs.source_mean[i], attrs.source_sigma[i]),
             &mut fallbacks,
         );
         self.trace.end_with(&pass_fields(&res, fallbacks));
-        if let Err(e) = self.settle(res) {
-            panic!("propagate_hold failed: {e}");
-        }
-        evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr)
-    }
-}
-
-/// Makes the early launch arrival of every startpoint whose node lies in
-/// `nodes` the one entry of its queues (the hold counterpart of
-/// [`crate::forward::seed_sources`]).
-fn seed_early_launches(
-    st: &Static,
-    state: &mut State,
-    attrs: &HoldAttributes,
-    nodes: std::ops::Range<usize>,
-) {
-    for (sp_idx, s) in st.sources.iter().enumerate() {
-        if nodes.contains(&(s.node as usize)) {
-            let (mean, sigma) = (attrs.source_mean[sp_idx], attrs.source_sigma[sp_idx]);
-            seed_queues(st, state, s.node as usize, s.sp, mean, sigma);
-        }
+        self.settle(res)?;
+        Ok(evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr))
     }
 }
 
@@ -303,6 +312,57 @@ mod tests {
         let setup_after = eng.propagate().clone();
         assert_eq!(setup_before.slacks, setup_after.slacks);
         let _ = sta;
+    }
+
+    /// The fallible hold pass: short attributes are a typed error before
+    /// anything is written, a pre-fired token cancels at the first level
+    /// poll, and after either one the next setup pass lands on a fresh
+    /// twin's bits.
+    #[test]
+    fn hold_errors_are_typed_and_leave_setup_recoverable() {
+        use crate::parallel::PassOptions;
+        let (_d, _sta, mut eng, attrs) = setup(15);
+        let fresh = eng.clone().propagate().clone();
+        eng.propagate();
+        let reached = (0..eng.num_nodes() as u32)
+            .find(|&v| eng.arrival_at(v, 0).is_some())
+            .expect("a reached node");
+        let bits = |r: &InstaReport| r.slacks.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let short_sp = HoldAttributes {
+            source_mean: attrs.source_mean[1..].to_vec(),
+            ..attrs.clone()
+        };
+        let short_ep = HoldAttributes {
+            required_base: attrs.required_base[1..].to_vec(),
+            ..attrs.clone()
+        };
+        for short in [short_sp, short_ep] {
+            let err = eng
+                .try_propagate_hold(&short, &PassOptions::default())
+                .expect_err("attributes that miss one entry");
+            assert_eq!(err.category(), "validate", "{err}");
+            // Nothing was written: setup reads still answer.
+            assert!(eng.arrival_at(reached, 0).is_some());
+        }
+        let cancel = insta_support::timer::CancelToken::new();
+        cancel.cancel();
+        let opts = PassOptions {
+            cancel: Some(cancel),
+            deadline: None,
+        };
+        let err = eng
+            .try_propagate_hold(&attrs, &opts)
+            .expect_err("pre-fired token");
+        assert!(
+            matches!(err, InstaError::Cancelled { level: 1, .. }),
+            "{err:?}"
+        );
+        assert_eq!(bits(eng.propagate()), bits(&fresh));
+        let hold = eng
+            .try_propagate_hold(&attrs, &PassOptions::default())
+            .expect("clean");
+        assert_eq!(bits(&hold), bits(&eng.clone().propagate_hold(&attrs)));
+        assert_eq!(bits(eng.propagate()), bits(&fresh));
     }
 
     /// Hold and setup disagree on what is critical: the hold-worst

@@ -102,7 +102,7 @@
 
 use crate::engine::{DriftState, InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
-use crate::forward::{level_chunk, seed_queues};
+use crate::forward::{level_chunk, seed_level, source_launch};
 use crate::metrics::InstaReport;
 use crate::parallel::{Interrupt, MergeArena, Pass};
 use crate::trace::LevelProfile;
@@ -699,23 +699,21 @@ fn cone_level(
             cone.old_mean.extend_from_slice(&state.topk_mean[w.clone()]);
             cone.old_sigma.extend_from_slice(&state.topk_sigma[w]);
         }
-        // The full pass's pre-state of a startpoint node: its launch seed.
-        // The body owns every other queue outright.
-        if let Some(s) = st.source_at(v) {
-            seed_queues(st, state, v, s.sp, s.mean, s.sigma);
-        }
         {
             // A one-node window: every row before `v`'s is the done prefix
             // (its ancestors sit in earlier levels).
-            let (done, (live_cur, mean_cur, sigma_cur, sp_cur)) = state.split_at_row(row);
+            let (done, mut cur) = state.split_at_row(row);
+            // The full pass's pre-state of a startpoint node: its launch
+            // seed. The body owns every other queue outright.
+            seed_level(st, &mut cur, v..v + 1, &source_launch(st));
             level_chunk::<false>(
                 st,
                 done,
                 v..v + 1,
-                &mut live_cur[..2],
-                &mut mean_cur[..2 * k],
-                &mut sigma_cur[..2 * k],
-                &mut sp_cur[..2 * k],
+                &mut cur.live[..2],
+                &mut cur.mean[..2 * k],
+                &mut cur.sigma[..2 * k],
+                &mut cur.sp[..2 * k],
                 &mut cone.arena,
             );
         }

@@ -62,6 +62,21 @@ impl InstaReport {
         (self.wns_ps, self.tns_ps, self.n_violations) = aggregate(&self.slacks, mask);
     }
 
+    /// A report of `n_ep` unreached endpoints, for a producer that sets
+    /// every endpoint and then reduces.
+    pub(crate) fn blank(n_ep: usize) -> InstaReport {
+        InstaReport {
+            wns_ps: f64::INFINITY,
+            tns_ps: 0.0,
+            n_violations: 0,
+            slacks: vec![f64::INFINITY; n_ep],
+            arrivals: vec![f64::NEG_INFINITY; n_ep],
+            requireds: vec![f64::INFINITY; n_ep],
+            worst_sp: vec![NO_SP; n_ep],
+            worst_rf: vec![0u8; n_ep],
+        }
+    }
+
     /// Evaluates endpoint `i` from its node's two queues (rise, fall),
     /// each corner being the late corner of the entry.
     #[inline]
@@ -134,18 +149,7 @@ pub(crate) fn aggregate(
 
 /// Evaluates endpoint slacks from the current Top-K state.
 pub(crate) fn evaluate(st: &Static, state: &State, cppr: bool) -> InstaReport {
-    let n_ep = st.endpoints.len();
-    // Every field is overwritten below; only the lengths matter.
-    let mut report = InstaReport {
-        wns_ps: f64::INFINITY,
-        tns_ps: 0.0,
-        n_violations: 0,
-        slacks: vec![f64::INFINITY; n_ep],
-        arrivals: vec![f64::NEG_INFINITY; n_ep],
-        requireds: vec![f64::INFINITY; n_ep],
-        worst_sp: vec![NO_SP; n_ep],
-        worst_rf: vec![0u8; n_ep],
-    };
+    let mut report = InstaReport::blank(st.endpoints.len());
     refresh(st, state, &mut report, |_| true, cppr);
     report
 }

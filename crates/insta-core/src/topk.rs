@@ -759,7 +759,7 @@ mod batched_tests {
                         1,
                         None,
                         None,
-                        &|state, nodes| crate::forward::seed_sources(st, state, nodes),
+                        &crate::forward::source_launch(st),
                         &mut 0,
                     )
                     .expect("clean pass");

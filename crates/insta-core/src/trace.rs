@@ -21,9 +21,12 @@
 //!   call's span carries the totals instead: the `lanes` it ran, how many
 //!   of them were `corner_lanes`, the scenarios answered under a mode
 //!   (`masked_lanes`), `cone_lanes` (lanes that swept a cone — a lane
-//!   without deltas is its base's report), `base_passes` (one full pass per
-//!   distinct corner), the `nodes` recomputed, `pruned` and `fallbacks`
-//!   over all lanes, and `ok`,
+//!   without deltas is its base's report), `base_passes` (one full pass
+//!   into the corner rows per distinct corner a delta lane carries),
+//!   `window_passes` (report-only passes: a delta-free corner's base and
+//!   every lane past the cone's switch) and `window_rows` (their slot
+//!   plan's peak row count), the `nodes` recomputed, `pruned` and
+//!   `fallbacks` over all lanes, and `ok`,
 //! * a **per-level profile** ([`LevelProfile`]) of cumulative duration and
 //!   touched nodes per level per kernel — the data behind
 //!   [`InstaEngine::perf_report`](crate::InstaEngine::perf_report). Top-K

@@ -1046,7 +1046,7 @@ fn one_base_pass_per_distinct_corner() {
 
 /// Quarantined lanes (a bad arc id, a corner that drives annotations
 /// non-finite) and a lane past the cone's seed switch (a full pass of its
-/// own into the scratch rows, no session) beside healthy ones.
+/// own, a window pass, no session) beside healthy ones.
 #[test]
 fn quarantined_and_oversized_lanes_leave_no_trace() {
     let _shared = CHAOS.read().unwrap_or_else(|p| p.into_inner());

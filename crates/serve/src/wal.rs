@@ -142,7 +142,7 @@ pub const SEGMENT_HEADER_LEN: u64 = 12;
 pub const SEGMENT_BYTES: u64 = 256 << 10;
 /// Largest accepted WAL record payload — a corrupted length field must
 /// not drive a multi-gigabyte allocation.
-const MAX_RECORD_BYTES: u32 = 1 << 30;
+pub const MAX_RECORD_BYTES: u32 = 1 << 30;
 /// How far behind its schedule the log may be and still catch up at full
 /// speed; a larger debt is forgiven (the schedule is re-based on "now").
 pub const SYNC_CATCH_UP: Duration = Duration::from_millis(16);

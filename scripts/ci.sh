@@ -29,7 +29,8 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 echo "==> tests (offline; debug profile keeps the hot-path poison asserts on) — one run of the whole workspace, which is every gate named below"
 echo "    fault-injection gate (fixed seed, zero panics): tests/fault_injection, insta-engine fault_tolerance"
 echo "    session-chaos gate (rollback bit-identity under seeded corruption + worker panics; a fired token/deadline stops at the next level poll): tests/sessions"
-echo "    batch-equivalence gate (batched scenarios' reports bit-identical to serial sessions, and no lane carries gradients — the engine's backward pass is the one producer; one deadline for the whole call; no evaluate call opens a session — past-the-seed-switch and cancelled-base-sync lanes included; an exhausted drift budget leaves every lane on its serial route): tests/batch_equivalence"
+echo "    batch-equivalence gate (batched scenarios' reports bit-identical to serial sessions, and no lane carries gradients — the engine's backward pass is the one producer; one deadline for the whole call; no evaluate call opens a session — past-the-seed-switch lanes, which take the window route (a report-only full pass keeping a row only until its last reader), and cancelled-base-sync lanes included; an exhausted drift budget leaves every lane on its serial route): tests/batch_equivalence"
+echo "    window-pass gate (delta-free corner groups and full-pass lanes run the window route and equal their rolled-back serial twins on to_bits across K, threads, a startpoint above level 0, an endpoint with fanout and a virtual chain past the gather's hop limit; a worker panic in a window pass is contained; only a corner group with a delta lane allocates the corner rows): insta-engine window_pass, batch::tests"
 echo "    mcmm-equivalence gate (corner/mode lanes bit-identical to pre-scaled, masked serial twins): tests/mcmm_equivalence"
 echo "    validity gate (generated state machine over every annotation- and product-writing call: each read is None or a from-scratch twin's bits, current arrays take the cone path): insta-engine validity_model"
 echo "    refsta-incremental gate (the reference engine's change-pruned incremental update bit-identical to a fresh full update — every arrival-map entry, slew, arc delay and report field — over random resize sequences on generated designs and block-5, flop, clock-buffer and mixed changelists included; the frontier re-annotates a seed or a node under a moved slew and only re-reduces a node under a moved map, with a case whose slews settle in a few levels while its arrivals run to the last): insta-refsta incremental_equivalence"
@@ -38,7 +39,7 @@ echo "    cone-equivalence gate (session cone updates bit-identical to reannotat
 echo "    kernel-equivalence gate (production kernels bit-identical to the frozen scalar kernels across K, threads, fused passes, hold, gradients and batch lanes; a startpoint with one fanin arc keeps its launch seed; a virtual hop that reorders falls back to materialising, its rank breaks a corner tie, and every pass span counts the fallback; merge-free chains equal the sorted sums of means and variances): insta-engine kernel_equivalence"
 echo "    server-chaos gate (protocol-fault storm: no hangs, no panics, typed errors, bit-identical post-storm commit; TCP round trip: 50 pings over loopback p50 < 5 ms; TCP connections: one past the 64-connection cap gets one typed overloaded frame and is closed, one silent 5 s (between frames or inside one, 64 such fill and then free the cap) or open at shutdown is closed, a frame written in pieces keeps sync, closed == opened; gradient replies — the writer engine's own backward pass, no batch lane — equal a twin's gradients bit for bit and move no later commit; reply byte identity: image-spliced replies equal the tree encoder's bytes on generated reports and a live daemon, one image per epoch read under 8 racing readers): insta-serve"
 echo "    stats-surface gate (stats.engine shows a batch and a refused update with no commit between them, and a gradient leaves every stats.engine counter unchanged; a durable daemon's stats key paths equal a pinned literal list, in order): insta-serve service stats_engine_shows_the_writers_last_op_without_a_commit, a_durable_daemons_stats_layout_is_pinned"
-echo "    decoder gate (generated and mutated JSON documents equal the frozen pre-one-pass parser on to_bits wherever it read a valid, finite document, and are a positioned JsonError otherwise, never a panic; written trees parse back bit for bit; digit runs across 8-byte words and at the last byte; frame streams give a body or a typed FrameError within max_bytes; WriterOp and EngineDurableState payloads — cut at every byte, bit-flipped, lengths up to u64::MAX — give a typed PersistError (BadLength for a length past the bytes left) or a value that re-encodes to the same bytes; the strict number grammar refuses 01, 00.5, 1., 1.e5, -.5 and 1e400, one case each): insta-serve decoders, insta-support json"
+echo "    decoder gate (generated and mutated JSON documents equal the frozen pre-one-pass parser on to_bits wherever it read a valid, finite document, and are a positioned JsonError otherwise, never a panic; written trees parse back bit for bit; digit runs across 8-byte words and at the last byte; frame streams give a body or a typed FrameError within max_bytes; WriterOp and EngineDurableState payloads — cut at every byte, bit-flipped, lengths up to u64::MAX — give a typed PersistError (BadLength for a length past the bytes left) or a value that re-encodes to the same bytes; a WAL segment and a v4 checkpoint a real Durability wrote — cut at every byte, flipped with and without a re-sealed CRC, every length field at 0, MAX_RECORD_BYTES, +1 and u32::MAX — keep their untouched records, put damage at the end of the valid prefix, restore or fail typed, and refuse an impossible length at its guard; the strict number grammar refuses 01, 00.5, 1., 1.e5, -.5 and 1e400, one case each): insta-serve decoders, insta-support json"
 echo "    crash-recovery gate (kill -9 chaos: every crash point + durability fault recovers the durable prefix bit-exactly, incl. a real SIGKILL of the insta-serve binary; an unreplayable record is cut out of the log and a segment the cut empties is renamed, so no rotation replaces it; an engine failure stops recovery with every file byte-identical; a flipped stored slack bit makes a checkpoint stale and the log rebuilds): insta-serve recovery, engine_failure, checkpoint"
 cargo test -q --workspace --offline
 
@@ -56,7 +57,7 @@ INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench session_overhead
 echo "==> batch-throughput gate (parity: evaluate_batch S=16 >= 0.9x 16 sequential cone sessions — both take a sweep back by the one undo log; min of interleaved iterations, 3-round noise retry; bench exits non-zero on breach)"
 INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench batch_throughput | tail -1 | tee "$bench_out/BENCH_batch.json"
 
-echo "==> mcmm-throughput gate (CxM sweep >= 3x sequential per-corner sessions, best of three iterations per arm; bench exits non-zero on breach)"
+echo "==> mcmm-throughput gate (CxM sweep >= 3x sequential per-corner sessions — each delta-free corner one window-route pass, no second row set — best of three iterations per arm; bench exits non-zero on breach)"
 INSTA_BENCH_FAST=1 cargo bench --offline -p insta-bench --bench mcmm_throughput | tail -1 | tee "$bench_out/BENCH_mcmm.json"
 
 echo "==> serve-throughput smoke (reader p99 with a hot writer <= 2x idle p99; bench exits non-zero on breach)"
