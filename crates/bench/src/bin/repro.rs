@@ -10,6 +10,13 @@
 //! `ablation` (§III-E Top-K queue, §III-F LSE τ) is a wall-clock
 //! micro-bench on the in-tree harness rather than a table of the paper, so
 //! `all` leaves it out.
+//!
+//! A checked table also writes its deterministic outcome columns to
+//! `target/repro/<table>.json`, and `repro -- check <table>...` compares
+//! each with the checked-in `crates/bench/expected/<table>.json`, exiting
+//! non-zero on any difference (`check` alone checks every such table).
+//! Checked today: `table2` (WNS, TNS, #vio and cells sized per design and
+//! sizer).
 
 use insta_bench::{block_specs, fmt_ps, iwls_specs, superblue_specs};
 use insta_engine::topk::{Candidate, TopKQueue};
@@ -19,13 +26,75 @@ use insta_placer::{place, refresh_timing, PlacementDb, PlacerConfig, PlacerMode,
 use insta_refsta::{RefSta, StaConfig};
 use insta_sizer::{
     insta_size, random_changelist, reference_size, run_evaluator_flow, InstaSizeConfig,
-    ReferenceSizeConfig,
+    ReferenceSizeConfig, SizeOutcome,
 };
+use insta_support::json::{self, obj, Json, ToJson};
 use insta_support::timer::{black_box, Harness};
 use insta_support::Rng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::path::PathBuf;
 use std::time::Instant;
+
+/// The tables whose outcome columns `repro -- check` compares.
+const CHECKED: [&str; 1] = ["table2"];
+
+/// Where a run writes `table`'s outcome columns, and where the checked-in
+/// copy they must equal lives.
+fn outcome_paths(table: &str) -> (PathBuf, PathBuf) {
+    let bench = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let file = format!("{table}.json");
+    (
+        bench.join("../../target/repro").join(&file),
+        bench.join("expected").join(file),
+    )
+}
+
+/// Writes `rows` as `table`'s outcome file, one row per line.
+fn write_outcome(table: &str, rows: &[Json]) {
+    let (path, _) = outcome_paths(table);
+    let lines: Vec<String> = rows.iter().map(|r| format!("  {r}")).collect();
+    let text = format!("[\n{}\n]\n", lines.join(",\n"));
+    std::fs::create_dir_all(path.parent().expect("a directory"))
+        .and_then(|()| std::fs::write(&path, text))
+        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    println!("outcome columns: target/repro/{table}.json");
+}
+
+/// Compares each table's outcome file with its expected file, printing
+/// every row that differs; returns whether all of them are equal.
+fn check(tables: &[&str]) -> bool {
+    let read = |path: PathBuf| {
+        let text = std::fs::read_to_string(&path).map_err(|e| e.to_string());
+        text.and_then(|t| json::parse(&t).map_err(|e| e.to_string()))
+            .map_err(|e| format!("{}: {e}", path.display()))
+    };
+    let mut ok = true;
+    for &table in tables {
+        let (got, want) = outcome_paths(table);
+        match (read(got), read(want)) {
+            (Ok(got), Ok(want)) if got == want => println!("check {table}: ok"),
+            (Ok(got), Ok(want)) => {
+                ok = false;
+                println!("check {table}: outcome differs from the expected file");
+                let rows = |j: &Json| j.as_arr().map(<[Json]>::to_vec).unwrap_or_default();
+                let (got, want) = (rows(&got), rows(&want));
+                for i in 0..got.len().max(want.len()) {
+                    let (g, w) = (got.get(i), want.get(i));
+                    if g != w {
+                        println!("  expected {}", w.map_or("(none)".into(), Json::to_string));
+                        println!("  got      {}", g.map_or("(none)".into(), Json::to_string));
+                    }
+                }
+            }
+            (Err(e), _) | (_, Err(e)) => {
+                ok = false;
+                println!("check {table}: {e}");
+            }
+        }
+    }
+    ok
+}
 
 fn golden_slack_vec(sta: &RefSta) -> Vec<f64> {
     sta.report().endpoints.iter().map(|e| e.slack_ps).collect()
@@ -158,6 +227,21 @@ fn fig7() {
 /// circuits.
 fn table2() {
     println!("=== Table II: gate sizing for timing optimization (IWLS-like) ===");
+    // A row's deterministic columns; the initial row has no cells sized.
+    let columns = |wns: f64, tns: f64, vio: usize, sized: Option<usize>| {
+        let mut row = vec![
+            ("wns_ps", wns.to_json()),
+            ("tns_ps", tns.to_json()),
+            ("violations", vio.to_json()),
+        ];
+        row.extend(sized.map(|n| ("cells_sized", n.to_json())));
+        obj(row)
+    };
+    let sized = |o: &SizeOutcome| {
+        let n = Some(o.cells_sized);
+        columns(o.wns_after_ps, o.tns_after_ps, o.violations_after, n)
+    };
+    let mut rows = Vec::new();
     for spec in iwls_specs() {
         let design0 = spec.build();
         println!(
@@ -206,7 +290,15 @@ fn table2() {
             i.runtime_s,
             i.backward_runtime_s
         );
+        let initial = columns(r.wns_before_ps, r.tns_before_ps, r.violations_before, None);
+        rows.push(obj([
+            ("design", spec.name.to_string().to_json()),
+            ("initial", initial),
+            ("reference", sized(&r)),
+            ("insta_size", sized(&i)),
+        ]));
     }
+    write_outcome("table2", &rows);
     println!();
 }
 
@@ -355,12 +447,13 @@ fn extensions() {
     sta.full_update(&d);
     let p = power_recover(&mut d, &mut sta, &PowerRecoveryConfig::default());
     println!(
-        "power recovery ({} cells): leakage {:.0} -> {:.0} ({:.0}% recovered), {} downsizing commits, vio {} -> {}, {:.2} s",
+        "power recovery ({} cells): leakage {:.0} -> {:.0} ({:.0}% recovered), {} downsizing commits on {} cells, vio {} -> {}, {:.2} s",
         d.cells().len(),
         p.leakage_before,
         p.leakage_after,
         100.0 * p.recovery_frac(),
         p.cells_downsized,
+        p.timing.cells_sized,
         p.timing.violations_before,
         p.timing.violations_after,
         p.timing.runtime_s
@@ -501,9 +594,21 @@ const SUBCOMMANDS: [&str; 10] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "check") {
+        let mut tables: Vec<&str> = args[1..].iter().map(String::as_str).collect();
+        if let Some(unknown) = tables.iter().find(|t| !CHECKED.contains(t)) {
+            let checked = CHECKED.join(" ");
+            eprintln!("repro check: `{unknown}` has no checked outcome; checked: {checked}");
+            std::process::exit(2);
+        }
+        if tables.is_empty() {
+            tables = CHECKED.to_vec();
+        }
+        std::process::exit(if check(&tables) { 0 } else { 1 });
+    }
     if let Some(unknown) = args.iter().find(|a| !SUBCOMMANDS.contains(&a.as_str())) {
         eprintln!(
-            "repro: unknown subcommand `{unknown}`; known: {}",
+            "repro: unknown subcommand `{unknown}`; known: {} (or `check [table...]`)",
             SUBCOMMANDS.join(" ")
         );
         std::process::exit(2);

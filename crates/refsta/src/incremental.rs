@@ -46,10 +46,15 @@
 //! first update after the configuration or the exceptions were handed out
 //! mutably.
 //!
+//! **What changed.** Each update records the arcs whose delay bits moved,
+//! the startpoints whose launch moved and whether it re-timed in full
+//! ([`Changes`]): what a mirror of this engine's export must sync.
+//!
 //! This is the "in-house, highly-optimized CPU STA engine" role in the
 //! paper's Figure 7 comparison; the full [`RefSta::full_update`] plays the
 //! commercial-tool role.
 
+use crate::delay::ArcDelays;
 use crate::sta::{EpInfo, RefSta, SpInfo, StaReport};
 use insta_netlist::{CellId, Design, NodeId, TimingGraph};
 
@@ -64,6 +69,18 @@ enum Reason {
     Reannotate,
 }
 
+/// What the last update of a [`RefSta`] changed ([`RefSta::last_change`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Changes {
+    /// The update re-timed in full: anything may have changed, and `arcs`
+    /// and `launches` are empty.
+    pub full: bool,
+    /// Graph arcs whose mean or sigma changed bits, in update order.
+    pub arcs: Vec<u32>,
+    /// Startpoints whose launch arrival changed bits, in update order.
+    pub launches: Vec<u32>,
+}
+
 /// Persistent scratch of the incremental update, sized once per graph.
 #[derive(Debug, Default)]
 pub(crate) struct Frontier {
@@ -75,6 +92,8 @@ pub(crate) struct Frontier {
     sp_of: Vec<u32>,
     /// Per node: its endpoint index, or [`NONE`].
     ep_of: Vec<u32>,
+    /// A re-annotated node's fanin arcs before the re-annotation.
+    old_arcs: Vec<([u64; 2], [u64; 2])>,
 }
 
 impl Frontier {
@@ -93,6 +112,7 @@ impl Frontier {
             why: vec![Reason::Idle; n],
             sp_of,
             ep_of,
+            old_arcs: Vec::new(),
         }
     }
 
@@ -114,7 +134,8 @@ impl RefSta {
     ///
     /// Returns the refreshed design report, bit-identical to
     /// [`RefSta::full_update`]: it is a pruning of the same computation,
-    /// not an approximation (see the module docs).
+    /// not an approximation (see the module docs). What it changed is
+    /// [`last_change`](RefSta::last_change).
     pub fn incremental_update(&mut self, design: &Design, changed_cells: &[CellId]) -> StaReport {
         // The data graph leaves out exactly the pins whose timing comes
         // from the clock network: flop CK pins and every pin on a clock
@@ -129,6 +150,7 @@ impl RefSta {
         if self.full_pending || touches_clock {
             return self.full_update(design);
         }
+        self.changes = Changes::default();
         for &c in changed_cells {
             for &pin in &design.cell(c).pins {
                 let p = design.pin(pin);
@@ -151,7 +173,11 @@ impl RefSta {
                 let slew_changed = why == Reason::Reannotate && self.reannotate_node(design, node);
                 let sp = self.frontier.sp_of[node.index()];
                 let maps_changed = if sp != NONE {
-                    self.init_source(design, sp as usize)
+                    let moved = self.init_source(design, sp as usize);
+                    if moved {
+                        self.changes.launches.push(sp);
+                    }
+                    moved
                 } else {
                     self.propagate_node(node)
                 };
@@ -178,13 +204,29 @@ impl RefSta {
         self.report.clone()
     }
 
-    /// Re-annotates one node's fanin arcs and slew; returns whether the
-    /// slew changed bits.
+    /// What the last update changed.
+    pub fn last_change(&self) -> &Changes {
+        &self.changes
+    }
+
+    /// Re-annotates one node's fanin arcs and slew, recording the arcs
+    /// whose delay changed bits; returns whether the slew changed bits.
     fn reannotate_node(&mut self, design: &Design, node: NodeId) -> bool {
         let old_slew = self.delays.node_slew[node.index()];
+        let fanin = self.graph.fanin(node);
+        let bits = |d: &ArcDelays, a: u32| {
+            let a = a as usize;
+            (d.mean[a].map(f64::to_bits), d.sigma[a].map(f64::to_bits))
+        };
+        let before = &mut self.frontier.old_arcs;
+        before.clear();
+        before.extend(fanin.iter().map(|&a| bits(&self.delays, a)));
         self.config
             .delay_calc
             .annotate_node(design, &self.graph, node, &mut self.delays);
+        let arcs = fanin.iter().zip(&self.frontier.old_arcs);
+        let moved = arcs.filter(|&(&a, old)| bits(&self.delays, a) != *old);
+        self.changes.arcs.extend(moved.map(|(&a, _)| a));
         let new_slew = self.delays.node_slew[node.index()];
         old_slew
             .iter()

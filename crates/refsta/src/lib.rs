@@ -50,6 +50,7 @@ pub use clocktime::{ClockModelError, ClockTiming};
 pub use delay::{ArcDelays, DelayCalc};
 pub use eco::{estimate_eco, EcoEstimate};
 pub use exceptions::{EpId, ExceptionSet, SpId};
+pub use incremental::Changes;
 pub use export::{ExportedArc, InstaInit};
 pub use report::{PathReport, PathStage};
 pub use sdc::{apply_sdc, ParseSdcError};

@@ -32,7 +32,7 @@
 use crate::clocktime::{ClockModelError, ClockTiming};
 use crate::delay::{ArcDelays, DelayCalc};
 use crate::exceptions::{EpId, ExceptionSet, SpId};
-use crate::incremental::Frontier;
+use crate::incremental::{Changes, Frontier};
 use insta_liberty::{ArcKind, TimingSense, Transition};
 use insta_netlist::{BuildGraphError, CellId, Design, NodeId, PinId, TimingGraph};
 use insta_support::obs::Recorder;
@@ -197,6 +197,8 @@ pub struct RefSta {
     pub(crate) full_pending: bool,
     /// Persistent scratch of the incremental update.
     pub(crate) frontier: Frontier,
+    /// What the last update changed.
+    pub(crate) changes: Changes,
     /// Persistent scratch of the arrival-map reduction.
     pub(crate) reducer: Reducer,
 }
@@ -230,6 +232,7 @@ impl RefSta {
             report: StaReport::default(),
             full_pending: true,
             frontier: Frontier::default(),
+            changes: Changes::default(),
             reducer: Reducer::default(),
         };
         engine.index_points(design);
@@ -335,11 +338,6 @@ impl RefSta {
         &self.report
     }
 
-    /// The windowed pruning slack used by the per-startpoint maps.
-    pub fn prune_window(&self) -> f64 {
-        self.prune_window
-    }
-
     /// Full timing update: clock timing, delay annotation, arrival
     /// propagation over every level, endpoint evaluation.
     ///
@@ -389,6 +387,10 @@ impl RefSta {
             r.begin("refsta.full_update");
             r.begin("refsta.clock");
         }
+        self.changes = Changes {
+            full: true,
+            ..Changes::default()
+        };
         self.period = self
             .config
             .period_override_ps
@@ -432,13 +434,17 @@ impl RefSta {
         }
         self.delays = self.config.delay_calc.annotate(design, &self.graph);
         self.bind_clock_leaves(design);
-        self.init_sources(design);
+        for sp_idx in 0..self.sp_infos.len() {
+            self.init_source(design, sp_idx);
+        }
         let order: Vec<NodeId> = self.graph.topo_order().to_vec();
         if let Some(r) = rec.as_deref_mut() {
             r.end_with(&[("arcs", self.delays.mean.len() as f64)]);
             r.begin("refsta.propagate");
         }
-        self.propagate_nodes(&order);
+        for &node in &order {
+            self.propagate_node(node);
+        }
         if let Some(r) = rec.as_deref_mut() {
             r.end_with(&[("nodes", order.len() as f64)]);
             r.begin("refsta.endpoints");
@@ -484,17 +490,9 @@ impl RefSta {
         }
     }
 
-    /// Initializes source-node arrival maps: flop Q pins from late launch
-    /// clock plus the CK→Q arc; primary inputs from the configured input
-    /// delay.
-    pub(crate) fn init_sources(&mut self, design: &Design) {
-        for sp_idx in 0..self.sp_infos.len() {
-            self.init_source(design, sp_idx);
-        }
-    }
-
-    /// Initializes the arrival maps of startpoint `sp_idx`; returns whether
-    /// any entry changed bits.
+    /// Initializes the arrival maps of startpoint `sp_idx` — a flop's Q pin
+    /// from the late launch clock plus the CK→Q arc, a primary input from
+    /// the configured input delay; returns whether any entry changed bits.
     pub(crate) fn init_source(&mut self, design: &Design, sp_idx: usize) -> bool {
         let sp = self.sp_infos[sp_idx];
         let entries = match sp.flop {
@@ -530,15 +528,6 @@ impl RefSta {
             changed |= store_map(map, std::slice::from_ref(e));
         }
         changed
-    }
-
-    /// Re-propagates arrival maps for the given nodes, which must be in
-    /// level-major order and closed under fanin-dirtiness (every dirty
-    /// fanin appears earlier in the slice).
-    pub fn propagate_nodes(&mut self, nodes: &[NodeId]) {
-        for &node in nodes {
-            self.propagate_node(node);
-        }
     }
 
     /// Recomputes the arrival maps of one non-source node from its fanins'

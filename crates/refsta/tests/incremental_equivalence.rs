@@ -10,11 +10,16 @@
 //! flops and clock buffers. One case picks resizes whose slew change stops
 //! within a few levels while their arrival change runs to the last levels,
 //! so most of the sweep only re-reduces maps without re-annotating.
+//!
+//! Every update's change record ([`RefSta::last_change`]) is checked too:
+//! a changelist that touches the clock reports a full re-time, and any
+//! other names exactly the arcs whose delay bits moved and exactly the
+//! startpoints whose launch entries moved.
 
 use insta_liberty::GateClass;
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_netlist::{CellId, Design, NodeId, PinId, PinRole};
-use insta_refsta::{RefSta, StaConfig};
+use insta_refsta::{Changes, RefSta, StaConfig};
 use insta_support::Rng;
 
 /// Block-5 of the paper-reproduction suite (`insta-bench`'s
@@ -97,6 +102,68 @@ fn assert_matches_fresh(design: &Design, inc: &RefSta, what: &str) {
             "{what}: endpoint report"
         );
     }
+}
+
+/// Every arc's delay bits.
+fn arc_bits(sta: &RefSta) -> Vec<([u64; 2], [u64; 2])> {
+    let d = sta.delays();
+    d.mean
+        .iter()
+        .zip(&d.sigma)
+        .map(|(m, s)| (m.map(f64::to_bits), s.map(f64::to_bits)))
+        .collect()
+}
+
+/// Every startpoint's launch entries, on `to_bits`.
+fn launch_bits(sta: &RefSta) -> Vec<Vec<(u32, u64, u64)>> {
+    sta.sp_infos()
+        .iter()
+        .map(|sp| {
+            sta.arrivals(sp.node)
+                .iter()
+                .flatten()
+                .map(|e| (e.sp, e.mean.to_bits(), e.sigma.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+/// The indices at which `a` and `b` differ.
+fn moved<T: PartialEq>(a: &[T], b: &[T]) -> Vec<u32> {
+    (0..a.len())
+        .filter(|&i| a[i] != b[i])
+        .map(|i| i as u32)
+        .collect()
+}
+
+/// Re-times `cells` incrementally and checks the change record against
+/// the state before the update: a full re-time names nothing, and any
+/// other update names exactly the arcs whose delay bits moved and the
+/// startpoints whose launch entries moved. Returns the record.
+fn update(design: &Design, sta: &mut RefSta, cells: &[CellId], what: &str) -> Changes {
+    let (arcs, launches) = (arc_bits(sta), launch_bits(sta));
+    sta.incremental_update(design, cells);
+    let mut rec = sta.last_change().clone();
+    if rec.full {
+        assert!(
+            rec.arcs.is_empty() && rec.launches.is_empty(),
+            "{what}: full names nothing"
+        );
+        return rec;
+    }
+    rec.arcs.sort_unstable();
+    rec.launches.sort_unstable();
+    assert_eq!(
+        rec.arcs,
+        moved(&arcs, &arc_bits(sta)),
+        "{what}: recorded arcs"
+    );
+    assert_eq!(
+        rec.launches,
+        moved(&launches, &launch_bits(sta)),
+        "{what}: recorded launches"
+    );
+    rec
 }
 
 fn is_clock_side(design: &Design, c: CellId) -> bool {
@@ -192,6 +259,17 @@ fn run_sequence(mut design: Design, seed: u64, steps: usize) {
     for shape in [&pool, &to_flops, &to_outputs, &from_flops] {
         assert!(!shape.is_empty(), "seed {seed}: a cell of every shape");
     }
+    // No changelist here touches the clock, so none re-times in full.
+    let mut recorded = (0, 0);
+    let mut data_update = |design: &Design, sta: &mut RefSta, cells: &[CellId], what: &str| {
+        let rec = update(design, sta, cells, what);
+        assert!(
+            !rec.full,
+            "{what}: a data-side changelist re-times incrementally"
+        );
+        recorded.0 += rec.arcs.len();
+        recorded.1 += rec.launches.len();
+    };
     for step in 0..steps {
         // Cycle through the shapes so every sequence hits each of them.
         let changed: Vec<CellId> = match step % 8 {
@@ -209,7 +287,7 @@ fn run_sequence(mut design: Design, seed: u64, steps: usize) {
                 let same = design.cell(c).lib_cell;
                 design.resize_cell(c, same);
                 let what = format!("seed {seed} step {step}: no-op resize");
-                sta.incremental_update(&design, &[c]);
+                data_update(&design, &mut sta, &[c], &what);
                 assert_matches_fresh(&design, &sta, &what);
                 continue;
             }
@@ -218,12 +296,12 @@ fn run_sequence(mut design: Design, seed: u64, steps: usize) {
                 let c = pool[rng.gen_range(0..pool.len())];
                 let orig = design.cell(c).lib_cell;
                 let to = other_size(&design, c, rng.gen_bool(0.5), &mut rng);
-                design.resize_cell(c, to);
-                sta.incremental_update(&design, &[c]);
-                assert_matches_fresh(&design, &sta, &format!("seed {seed} step {step}: away"));
-                design.resize_cell(c, orig);
-                sta.incremental_update(&design, &[c]);
-                assert_matches_fresh(&design, &sta, &format!("seed {seed} step {step}: back"));
+                for (to, leg) in [(to, "away"), (orig, "back")] {
+                    let what = format!("seed {seed} step {step}: {leg}");
+                    design.resize_cell(c, to);
+                    data_update(&design, &mut sta, &[c], &what);
+                    assert_matches_fresh(&design, &sta, &what);
+                }
                 continue;
             }
         };
@@ -236,10 +314,14 @@ fn run_sequence(mut design: Design, seed: u64, steps: usize) {
             design.resize_cell(c, to);
             listed.push(c);
         }
-        sta.incremental_update(&design, &listed);
         let what = format!("seed {seed} step {step}: {} cells", listed.len());
+        data_update(&design, &mut sta, &listed, &what);
         assert_matches_fresh(&design, &sta, &what);
     }
+    assert!(
+        recorded.0 > 0 && recorded.1 > 0,
+        "seed {seed}: some update moved arcs and some a launch: {recorded:?}"
+    );
 }
 
 #[test]
@@ -264,12 +346,12 @@ fn random_resizes_match_full_update_on_block5() {
 }
 
 /// Resizes the first cell `pick` selects to another size, then re-times
-/// incrementally; returns the cell.
+/// incrementally; returns whether the update re-timed in full.
 fn resize_first(
     design: &mut Design,
     sta: &mut RefSta,
     pick: impl Fn(&Design, CellId) -> bool,
-) -> CellId {
+) -> bool {
     let c = (0..design.cells().len() as u32)
         .map(CellId)
         .find(|&c| pick(design, c))
@@ -277,8 +359,7 @@ fn resize_first(
     let mut rng = Rng::seed_from_u64(c.0 as u64);
     let to = other_size(design, c, true, &mut rng);
     design.resize_cell(c, to);
-    sta.incremental_update(design, &[c]);
-    c
+    update(design, sta, &[c], "resize").full
 }
 
 fn is_flop(design: &Design, c: CellId) -> bool {
@@ -296,11 +377,14 @@ fn a_flop_resize_matches_full_update() {
     let mut design = block5();
     let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
     sta.full_update(&design);
-    resize_first(&mut design, &mut sta, is_flop);
+    assert!(
+        resize_first(&mut design, &mut sta, is_flop),
+        "a flop re-times in full"
+    );
     assert_matches_fresh(&design, &sta, "flop resize");
     // A later combinational update must not keep any stale clock timing.
     let c = resizable(&design)[0];
-    resize_first(&mut design, &mut sta, |_, x| x == c);
+    assert!(!resize_first(&mut design, &mut sta, |_, x| x == c));
     assert_matches_fresh(&design, &sta, "combinational update after a flop resize");
 }
 
@@ -311,7 +395,10 @@ fn a_clock_buffer_resize_matches_full_update() {
     let mut design = block5();
     let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
     sta.full_update(&design);
-    resize_first(&mut design, &mut sta, is_clkbuf);
+    assert!(
+        resize_first(&mut design, &mut sta, is_clkbuf),
+        "a clock buffer re-times in full"
+    );
     assert_matches_fresh(&design, &sta, "clock-buffer resize");
 }
 
@@ -337,7 +424,11 @@ fn a_mixed_changelist_matches_full_update() {
         let to = other_size(&design, c, rng.gen_bool(0.5), &mut rng);
         design.resize_cell(c, to);
     }
-    sta.incremental_update(&design, &changed);
+    let rec = update(&design, &mut sta, &changed, "mixed changelist");
+    assert!(
+        rec.full,
+        "a changelist with a flop and a clock buffer re-times in full"
+    );
     assert_matches_fresh(&design, &sta, "mixed changelist");
 }
 
@@ -358,7 +449,10 @@ fn exceptions_changed_between_updates_apply_on_the_next_incremental_update() {
     sta.exceptions_mut()
         .add_false_path(worst.worst_sp.expect("worst startpoint"), worst.ep);
     let c = resizable(&design)[0];
-    resize_first(&mut design, &mut sta, |_, x| x == c);
+    assert!(
+        resize_first(&mut design, &mut sta, |_, x| x == c),
+        "the first update after the exceptions changed re-times in full"
+    );
     let mut fresh = RefSta::new(&design, StaConfig::default()).expect("build");
     fresh
         .exceptions_mut()
@@ -456,7 +550,7 @@ fn shallow_slew_changes_with_deep_arrival_changes_match_full_update() {
             design.resize_cell(c, to);
         }
         let cells: Vec<CellId> = resizes.iter().map(|r| r.0).collect();
-        sta.incremental_update(&design, &cells);
+        assert!(!update(&design, &mut sta, &cells, what).full);
         assert_matches_fresh(&design, &sta, what);
     }
 }

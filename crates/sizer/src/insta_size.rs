@@ -3,19 +3,21 @@
 //! One backward pass on INSTA's TNS yields every stage's timing gradient;
 //! stages above a magnitude threshold are visited in descending order.
 //! For each stage, every family member's `estimate_eco` what-if deltas are
-//! scored in **one batched INSTA evaluation** ([`InstaEngine::evaluate_batch`]
-//! — the paper's batched candidate scoring of §IV-B): the candidate with
-//! the best true design TNS wins, is committed, and the commit is verified
-//! against exact golden delays inside a transactional session, rolling
-//! back if TNS degrades. A committed stage blocks its 3-hop neighbourhood
-//! for the rest of the round, matching the paper's interference mitigation
-//! (`estimate_eco` assumes frozen neighbours).
+//! scored in **one batched INSTA evaluation**
+//! ([`InstaEngine::evaluate`](insta_engine::InstaEngine::evaluate)
+//! — the paper's batched candidate scoring of §IV-B). The candidate with
+//! the best true design TNS is tried as one [`Coupled::try_resize`]: the
+//! reference re-times it exactly, the engine syncs what changed, and the
+//! move is rolled back if TNS degrades. A committed stage blocks its 3-hop
+//! neighbourhood for the rest of the round, matching the paper's
+//! interference mitigation (`estimate_eco` assumes frozen neighbours).
 
+use crate::coupled::Coupled;
 use crate::stage::{cell_neighborhood, stage_gradients};
-use insta_engine::{CornerTransform, DeltaSet, InstaConfig, InstaEngine, Scenario};
-use insta_netlist::{CellId, Design, TimingArcKind};
-use insta_refsta::eco::ArcDelta;
-use insta_refsta::{estimate_eco, RefSta};
+use insta_engine::{CornerTransform, InstaConfig, PassOptions, Scenario};
+use insta_liberty::LibCellId;
+use insta_netlist::{CellId, Design};
+use insta_refsta::{estimate_eco, RefSta, StaReport};
 use insta_support::obs::Recorder;
 use std::collections::HashSet;
 use std::time::Instant;
@@ -82,37 +84,46 @@ pub struct SizeOutcome {
     pub backward_runtime_s: f64,
 }
 
-/// Reads exact replacement annotations for the given graph arcs from the
-/// reference engine's current state (used to sync INSTA after rollbacks).
-fn deltas_from_golden(golden: &RefSta, arcs: impl Iterator<Item = u32>) -> Vec<ArcDelta> {
-    let delays = golden.delays();
-    arcs.map(|a| ArcDelta {
-        arc: a,
-        mean: delays.mean[a as usize],
-        sigma: delays.sigma[a as usize],
-    })
-    .collect()
+/// Where a sizing run starts: its clock, the signoff report of the design
+/// and every cell's size.
+pub(crate) struct SizeRun {
+    t_start: Instant,
+    pub(crate) before: StaReport,
+    sizes: Vec<LibCellId>,
 }
 
-/// The graph arcs belonging to a cell's stage (its cell arcs plus the net
-/// arcs it drives) — re-synced from the golden engine after commits.
-fn stage_arcs(design: &Design, golden: &RefSta, cell: CellId) -> Vec<u32> {
-    let graph = golden.graph();
-    let mut arcs = Vec::new();
-    for &pin in &design.cell(cell).pins {
-        let Some(node) = graph.node_of(pin) else { continue };
-        for &ai in graph.fanin(node) {
-            arcs.push(ai);
-        }
-        if design.pin(pin).is_driver() {
-            for &ai in graph.fanout(node) {
-                if matches!(graph.arc(ai).kind, TimingArcKind::Net { .. }) {
-                    arcs.push(ai);
-                }
-            }
+impl SizeRun {
+    /// Times `design` in full and records where the run starts.
+    pub(crate) fn start(design: &Design, golden: &mut RefSta) -> Self {
+        Self {
+            t_start: Instant::now(),
+            before: golden.full_update(design),
+            sizes: design.cells().iter().map(|c| c.lib_cell).collect(),
         }
     }
-    arcs
+
+    /// Times the sized design in full: the run's outcome, counting each
+    /// cell whose size differs from the start once.
+    pub(crate) fn finish(
+        self,
+        design: &Design,
+        golden: &mut RefSta,
+        backward_s: f64,
+    ) -> SizeOutcome {
+        let after = golden.full_update(design);
+        let cells = design.cells().iter().zip(&self.sizes);
+        SizeOutcome {
+            wns_before_ps: self.before.wns_ps,
+            wns_after_ps: after.wns_ps,
+            tns_before_ps: self.before.tns_ps,
+            tns_after_ps: after.tns_ps,
+            violations_before: self.before.n_violations,
+            violations_after: after.n_violations,
+            cells_sized: cells.filter(|(c, &size)| c.lib_cell != size).count(),
+            runtime_s: self.t_start.elapsed().as_secs_f64(),
+            backward_runtime_s: backward_s,
+        }
+    }
 }
 
 /// Runs INSTA-Size on `design`, using `golden` for `estimate_eco` and
@@ -128,8 +139,8 @@ pub fn insta_size(
 
 /// [`insta_size`] with a span recorder: the run is journaled as one
 /// `sizer.run` span containing a `sizer.round` span per optimization round
-/// (fields: commits, TNS) and a `sizer.resync` span per drift-triggered
-/// golden resync — the same taxonomy the engine's own trace sink uses.
+/// (fields: commits, TNS) — the same taxonomy the engine's own trace sink
+/// uses.
 pub fn insta_size_traced(
     design: &mut Design,
     golden: &mut RefSta,
@@ -145,44 +156,26 @@ fn insta_size_with(
     cfg: &InstaSizeConfig,
     mut rec: Option<&mut Recorder>,
 ) -> SizeOutcome {
-    let t_start = Instant::now();
     if let Some(r) = rec.as_deref_mut() {
         r.begin("sizer.run");
     }
-    let before = golden.full_update(design);
-    let original: Vec<insta_liberty::LibCellId> =
-        design.cells().iter().map(|c| c.lib_cell).collect();
-
-    let mut engine = InstaEngine::new(golden.export_insta_init(), cfg.engine.clone()).expect("valid snapshot");
+    let run = SizeRun::start(design, golden);
+    let mut timer = Coupled::new(design, golden, cfg.engine.clone());
     let mut backward_s = 0.0;
-    let lib = design.library_arc();
+    let lib = timer.design().library_arc();
 
     for _round in 0..cfg.rounds {
         if let Some(r) = rec.as_deref_mut() {
             r.begin("sizer.round");
         }
-        if engine.drift_exceeded() {
-            // The incremental annotations have drifted past the configured
-            // budget: resync every arc from the golden engine's exact
-            // delays and reset the odometer.
-            if let Some(r) = rec.as_deref_mut() {
-                r.begin("sizer.resync");
-            }
-            let n_arcs = golden.delays().mean.len() as u32;
-            let resync = deltas_from_golden(golden, 0..n_arcs);
-            engine.reannotate(&resync).expect("golden arcs are in range");
-            engine.reset_drift();
-            if let Some(r) = rec.as_deref_mut() {
-                r.end_with(&[("arcs", f64::from(n_arcs))]);
-            }
-        }
+        let engine = timer.engine_mut();
         engine.propagate();
         engine.forward_lse();
         let t_b = Instant::now();
         engine.backward_tns();
         backward_s += t_b.elapsed().as_secs_f64();
 
-        let stages = stage_gradients(design, golden.graph(), &engine);
+        let stages = stage_gradients(timer.design(), timer.golden().graph(), timer.engine());
         let Some(max_mag) = stages.first().map(|s| s.magnitude) else {
             if let Some(r) = rec.as_deref_mut() {
                 r.end_with(&[("committed", 0.0), ("stalled", 1.0)]);
@@ -200,13 +193,12 @@ fn insta_size_with(
             if blocked.contains(&stage.cell) {
                 continue;
             }
+            let (design, golden) = (timer.design(), timer.golden());
             let cur_lib = design.cell(stage.cell).lib_cell;
             let class = design.lib_cell_of(stage.cell).class;
             // Score every family member's estimated what-if deltas in one
-            // batched INSTA evaluation: each candidate is a scenario, and
-            // the winner is the one with the best *true design TNS* — not
-            // the local stage-delay heuristic. A quarantined candidate
-            // (poisoned estimate) simply drops out of the race.
+            // batched INSTA evaluation: the winner is the candidate with
+            // the best *true design TNS*, not the best local stage delay.
             let candidates: Vec<_> = lib
                 .family(class)
                 .iter()
@@ -217,84 +209,45 @@ fn insta_size_with(
             if candidates.is_empty() {
                 continue;
             }
+            let engine = timer.engine_mut();
             let tns_prev = engine.report().tns_ps;
-            // With corners configured, each candidate gets an identity lane
-            // plus one lane per corner transform, and the race is ranked by
-            // worst-corner TNS — a move that helps nominally but regresses a
-            // pessimistic corner loses. The commit gate below still compares
-            // the identity-lane TNS against `tns_prev`, so corner pessimism
-            // never loosens the acceptance bar.
-            let best: Option<(usize, f64)> = if cfg.corners.is_empty() {
-                let scenarios: Vec<DeltaSet> = candidates
-                    .iter()
-                    .map(|(_, est)| DeltaSet::from(est.arc_deltas.clone()))
-                    .collect();
-                engine
-                    .evaluate_batch(&scenarios)
-                    .iter()
-                    .filter_map(|r| r.outcome.as_ref().ok().map(|rep| (r.scenario, rep.tns_ps)))
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-            } else {
-                let lanes_per = 1 + cfg.corners.len();
-                let mut scenarios = Vec::with_capacity(candidates.len() * lanes_per);
-                for (_, est) in &candidates {
-                    scenarios.push(Scenario::from(est.arc_deltas.clone()));
-                    for &c in &cfg.corners {
-                        scenarios.push(Scenario::from(est.arc_deltas.clone()).with_corner(c));
-                    }
-                }
-                let mcmm = engine.evaluate_mcmm(&scenarios);
-                let mut ranked: Option<(usize, f64, f64)> = None; // (pick, worst, identity)
-                for k in 0..candidates.len() {
-                    let group = &mcmm.scenarios[k * lanes_per..(k + 1) * lanes_per];
-                    let Some(tns) = group
-                        .iter()
-                        .map(|lr| lr.outcome.as_ref().ok().map(|rep| rep.tns_ps))
-                        .collect::<Option<Vec<f64>>>()
-                    else {
-                        continue; // a quarantined lane drops the candidate
-                    };
-                    let worst = tns.iter().copied().fold(f64::INFINITY, f64::min);
-                    if ranked.map_or(true, |r| worst > r.1) {
-                        ranked = Some((k, worst, tns[0]));
-                    }
-                }
-                ranked.map(|(k, _, identity)| (k, identity))
-            };
-            let Some((pick, batch_tns)) = best else { continue };
+            // Each candidate gets an identity lane plus one lane per
+            // configured corner, and the race is ranked by worst-corner
+            // TNS, the later candidate winning a tie: a move that helps
+            // nominally but regresses a pessimistic corner loses. The
+            // commit gate below still compares the identity-lane TNS with
+            // `tns_prev`, so corner pessimism never loosens the bar.
+            let lanes = 1 + cfg.corners.len();
+            let mut scenarios = Vec::with_capacity(candidates.len() * lanes);
+            for (_, est) in &candidates {
+                let identity = Scenario::from(est.arc_deltas.clone());
+                scenarios.push(identity.clone());
+                scenarios.extend(cfg.corners.iter().map(|&c| identity.clone().with_corner(c)));
+            }
+            let reports = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
+            let best = reports.chunks(lanes).enumerate().filter_map(|(k, group)| {
+                let tns = group.iter().map(|r| r.outcome.as_ref().ok().map(|rep| rep.tns_ps));
+                // A quarantined lane (poisoned estimate) drops the candidate.
+                let tns: Vec<f64> = tns.collect::<Option<_>>()?;
+                Some((k, tns.iter().copied().fold(f64::INFINITY, f64::min), tns[0]))
+            });
+            let best = best.max_by(|a, b| a.1.total_cmp(&b.1));
+            let Some((pick, _, batch_tns)) = best else { continue };
             if batch_tns <= tns_prev {
                 continue; // no candidate improves the design TNS
             }
-            let cand = candidates[pick].0;
-            design.resize_cell(stage.cell, cand);
-            golden.incremental_update(design, &[stage.cell]);
-            // Sync INSTA from the (now exact) golden annotation of the
-            // whole stage — tighter than the raw estimate — inside a
-            // transactional session: a rejected or poisoned move rolls the
-            // engine back bit-identically instead of replaying inverse
-            // deltas through a second update.
-            let sync = deltas_from_golden(golden, stage_arcs(design, golden, stage.cell).into_iter());
-            let mut session = engine.begin_session();
-            let accept =
-                matches!(session.update_timing(&sync), Ok(report) if report.tns_ps >= tns_prev);
-            if accept {
-                session.commit().expect("session is open");
+            // Commit the winner at exact golden delays; a move that
+            // degrades TNS (paper §III-H) or poisons the engine is undone.
+            let cell = stage.cell;
+            if timer.try_resize(cell, candidates[pick].0, |r| r.tns_ps >= tns_prev) {
                 committed_this_round += 1;
-                blocked.extend(cell_neighborhood(design, stage.cell, cfg.block_hops));
-            } else {
-                // TNS degraded (paper §III-H) or the update poisoned the
-                // engine (already auto-rolled-back; rollback() is then a
-                // no-op).
-                session.rollback();
-                design.resize_cell(stage.cell, cur_lib);
-                golden.incremental_update(design, &[stage.cell]);
-                continue;
+                blocked.extend(cell_neighborhood(timer.design(), cell, cfg.block_hops));
             }
         }
         if let Some(r) = rec.as_deref_mut() {
             r.end_with(&[
                 ("committed", committed_this_round as f64),
-                ("tns_ps", engine.report().tns_ps),
+                ("tns_ps", timer.engine().report().tns_ps),
             ]);
         }
         if committed_this_round == 0 {
@@ -302,42 +255,15 @@ fn insta_size_with(
         }
     }
 
-    let after = golden.full_update(design);
-    let cells_sized = design
-        .cells()
-        .iter()
-        .zip(&original)
-        .filter(|(c, &orig)| c.lib_cell != orig)
-        .count();
-    if let Some(r) = rec.as_deref_mut() {
+    let outcome = run.finish(design, golden, backward_s);
+    if let Some(r) = rec {
         r.end_with(&[
-            ("cells_sized", cells_sized as f64),
-            ("tns_after_ps", after.tns_ps),
+            ("cells_sized", outcome.cells_sized as f64),
+            ("tns_after_ps", outcome.tns_after_ps),
             ("backward_s", backward_s),
         ]);
     }
-    SizeOutcome {
-        wns_before_ps: before.wns_ps,
-        wns_after_ps: after.wns_ps,
-        tns_before_ps: before.tns_ps,
-        tns_after_ps: after.tns_ps,
-        violations_before: before.n_violations,
-        violations_after: after.n_violations,
-        cells_sized,
-        runtime_s: t_start.elapsed().as_secs_f64(),
-        backward_runtime_s: backward_s,
-    }
-}
-
-/// Convenience: the per-endpoint slack vector of the golden engine (used
-/// by flows comparing sizers on identical metrics).
-pub fn golden_slacks(golden: &RefSta) -> Vec<f64> {
-    golden
-        .report()
-        .endpoints
-        .iter()
-        .map(|e| e.slack_ps)
-        .collect()
+    outcome
 }
 
 #[cfg(test)]
@@ -405,34 +331,6 @@ mod tests {
         assert_eq!(run.name, "sizer.run");
         assert_eq!(run.field("cells_sized"), Some(outcome.cells_sized as f64));
         assert!(run.field("backward_s").is_some_and(|s| s > 0.0));
-
-        // A small drift budget: the run resyncs every arc from the golden
-        // engine between rounds, and still improves TNS.
-        let mut design = violating_design(7);
-        let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
-        golden.full_update(&design);
-        let n_arcs = golden.delays().mean.len() as f64;
-        let cfg = InstaSizeConfig {
-            engine: InstaConfig {
-                drift_policy: insta_engine::DriftPolicy {
-                    max_updates: 2,
-                    max_touched_mass: 0.0,
-                },
-                ..InstaSizeConfig::default().engine
-            },
-            ..InstaSizeConfig::default()
-        };
-        let mut rec = Recorder::new();
-        let outcome = insta_size_traced(&mut design, &mut golden, &cfg, &mut rec);
-        let resyncs: Vec<_> = rec.events().filter(|e| e.name == "sizer.resync").collect();
-        assert!(!resyncs.is_empty(), "the budget must run out");
-        assert!(resyncs.iter().all(|e| e.field("arcs") == Some(n_arcs)));
-        assert!(
-            outcome.tns_after_ps > outcome.tns_before_ps,
-            "TNS {} -> {}",
-            outcome.tns_before_ps,
-            outcome.tns_after_ps
-        );
     }
 
     #[test]

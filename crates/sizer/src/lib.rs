@@ -1,5 +1,7 @@
 //! Gate-sizing systems of the INSTA reproduction.
 //!
+//! * [`coupled`] — the one timer INSTA-Size and power recovery move:
+//!   design, reference engine and an INSTA engine equal to a fresh build.
 //! * [`changelist`] — deterministic resize changelists (the shared input of
 //!   the paper's Fig. 7 runtime comparison).
 //! * [`flow`] — Application 1: INSTA as the fast timing evaluator inside a
@@ -20,6 +22,7 @@
 
 pub mod buffering;
 pub mod changelist;
+pub mod coupled;
 pub mod flow;
 pub mod insta_size;
 pub mod power;
@@ -28,6 +31,7 @@ pub mod stage;
 
 pub use buffering::{insta_buffer, BufferingConfig, BufferingOutcome};
 pub use changelist::{random_changelist, ResizeOp};
+pub use coupled::Coupled;
 pub use flow::{run_evaluator_flow, EvaluatorFlowResult, IterationTiming};
 pub use insta_size::{insta_size, insta_size_traced, InstaSizeConfig, SizeOutcome};
 pub use power::{power_recover, PowerOutcome, PowerRecoveryConfig};

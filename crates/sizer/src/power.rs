@@ -2,18 +2,18 @@
 //! actually serves (paper §IV-B: "a commercial gate sizing flow for
 //! timing-constrained power optimization").
 //!
-//! Cells with positive slack headroom are downsized greedily (largest
-//! leakage saving first); each candidate is scored with `estimate_eco`,
-//! committed, evaluated with INSTA's cone-bounded update, and rolled back
-//! if TNS degrades below the floor. Leakage falls; timing is held.
+//! Combinational cells are downsized greedily, one notch at a time and
+//! largest leakage saving first. Each downsizing is one
+//! [`Coupled::try_resize`]: the reference re-times it exactly, INSTA
+//! evaluates what changed, and the move is rolled back if TNS falls below
+//! the floor. Leakage falls; timing is held.
 
-use crate::insta_size::SizeOutcome;
-use insta_engine::{InstaConfig, InstaEngine};
+use crate::coupled::Coupled;
+use crate::insta_size::{SizeOutcome, SizeRun};
+use insta_engine::InstaConfig;
 use insta_liberty::GateClass;
 use insta_netlist::{CellId, Design};
-use insta_refsta::eco::ArcDelta;
-use insta_refsta::{estimate_eco, RefSta};
-use std::time::Instant;
+use insta_refsta::RefSta;
 
 /// Configuration of the power-recovery flow.
 #[derive(Debug, Clone)]
@@ -49,7 +49,7 @@ pub struct PowerOutcome {
     pub leakage_before: f64,
     /// Total leakage after.
     pub leakage_after: f64,
-    /// Number of downsizing commits.
+    /// Number of downsizing commits (a cell downsized twice counts twice).
     pub cells_downsized: usize,
 }
 
@@ -64,40 +64,26 @@ impl PowerOutcome {
     }
 }
 
-/// Reads exact replacement annotations for the given arcs from the golden
-/// engine (post-commit synchronization of INSTA).
-fn sync_deltas(golden: &RefSta, arcs: &[u32]) -> Vec<ArcDelta> {
-    let delays = golden.delays();
-    arcs.iter()
-        .map(|&a| ArcDelta {
-            arc: a,
-            mean: delays.mean[a as usize],
-            sigma: delays.sigma[a as usize],
-        })
-        .collect()
-}
-
 /// Runs timing-constrained power recovery on `design`.
 ///
-/// The golden engine provides `estimate_eco` and exact commits; INSTA is
-/// the per-commit evaluator (the Application-1 role).
+/// The golden engine re-times each move exactly; INSTA is the per-commit
+/// evaluator (the Application-1 role).
 pub fn power_recover(
     design: &mut Design,
     golden: &mut RefSta,
     cfg: &PowerRecoveryConfig,
 ) -> PowerOutcome {
-    let t_start = Instant::now();
-    let before = golden.full_update(design);
+    let run = SizeRun::start(design, golden);
     let leakage_before = design.total_leakage();
-    let tns_floor = before.tns_ps - cfg.tns_margin_ps;
-    let mut engine = InstaEngine::new(golden.export_insta_init(), cfg.engine.clone()).expect("valid snapshot");
-    engine.propagate();
-    let lib = design.library_arc();
+    let tns_floor = run.before.tns_ps - cfg.tns_margin_ps;
+    let mut timer = Coupled::new(design, golden, cfg.engine.clone());
+    let lib = timer.design().library_arc();
     let mut downsized = 0usize;
 
     for _pass in 0..cfg.max_passes {
         // Candidates: combinational non-clock cells above minimum drive,
         // sorted by the leakage saved by one downsizing notch.
+        let design = timer.design();
         let mut cands: Vec<(f64, CellId, insta_liberty::LibCellId)> = Vec::new();
         for i in 0..design.cells().len() as u32 {
             let c = CellId(i);
@@ -123,28 +109,7 @@ pub fn power_recover(
 
         let mut committed = 0usize;
         for (_, cell, smaller) in cands {
-            let cur = design.cell(cell).lib_cell;
-            let est = estimate_eco(design, golden, cell, smaller);
-            // Commit, evaluate with INSTA inside a session, roll back on
-            // TNS floor breach (session rollback restores the engine
-            // bit-identically; no inverse-delta replay).
-            design.resize_cell(cell, smaller);
-            golden.incremental_update(design, &[cell]);
-            let arcs: Vec<u32> = est.arc_deltas.iter().map(|d| d.arc).collect();
-            let mut session = engine.begin_session();
-            let accept = matches!(
-                session.update_timing(&sync_deltas(golden, &arcs)),
-                Ok(report) if report.tns_ps >= tns_floor
-            );
-            if accept {
-                session.commit().expect("session is open");
-                committed += 1;
-            } else {
-                session.rollback();
-                design.resize_cell(cell, cur);
-                golden.incremental_update(design, &[cell]);
-                continue;
-            }
+            committed += usize::from(timer.try_resize(cell, smaller, |r| r.tns_ps >= tns_floor));
         }
         downsized += committed;
         if committed == 0 {
@@ -152,19 +117,8 @@ pub fn power_recover(
         }
     }
 
-    let after = golden.full_update(design);
     PowerOutcome {
-        timing: SizeOutcome {
-            wns_before_ps: before.wns_ps,
-            wns_after_ps: after.wns_ps,
-            tns_before_ps: before.tns_ps,
-            tns_after_ps: after.tns_ps,
-            violations_before: before.n_violations,
-            violations_after: after.n_violations,
-            cells_sized: downsized,
-            runtime_s: t_start.elapsed().as_secs_f64(),
-            backward_runtime_s: 0.0,
-        },
+        timing: run.finish(design, golden, 0.0),
         leakage_before,
         leakage_after: design.total_leakage(),
         cells_downsized: downsized,
@@ -188,9 +142,15 @@ mod tests {
         let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
         let before = golden.full_update(&design);
         assert_eq!(before.n_violations, 0);
+        let sizes: Vec<_> = design.cells().iter().map(|c| c.lib_cell).collect();
 
         let out = power_recover(&mut design, &mut golden, &PowerRecoveryConfig::default());
         assert!(out.cells_downsized > 0, "headroom must be harvested");
+        // A cell downsized twice is one cell sized and two commits.
+        let cells = design.cells().iter().zip(&sizes);
+        let changed = cells.filter(|(c, &s)| c.lib_cell != s).count();
+        assert_eq!(out.timing.cells_sized, changed, "distinct cells");
+        assert!(out.cells_downsized > changed, "some cell took two notches");
         assert!(
             out.leakage_after < out.leakage_before,
             "leakage {} -> {}",

@@ -9,12 +9,12 @@
 //! targeting or neighbourhood blocking this touches many more cells than
 //! INSTA-Size for comparable TNS — the contrast Table II reports.
 
-use crate::insta_size::SizeOutcome;
-use insta_liberty::{GateClass, TimingSense, Transition};
+use crate::insta_size::{SizeOutcome, SizeRun};
+use insta_liberty::{GateClass, Transition};
 use insta_netlist::{CellId, Design, NodeId, TimingArcKind};
+use insta_refsta::sta::input_transitions;
 use insta_refsta::{estimate_eco, RefSta};
 use std::collections::HashSet;
-use std::time::Instant;
 
 /// Configuration of the reference sizer.
 #[derive(Debug, Clone)]
@@ -54,7 +54,7 @@ fn backtrace_cells(design: &Design, sta: &RefSta, ep_node: NodeId, mut rf: usize
         for &ai in fanin {
             let arc = graph.arc(ai);
             let tr = if rf == 0 { Transition::Rise } else { Transition::Fall };
-            for &ptr in parent_transitions(delays.sense[ai as usize], tr) {
+            for &ptr in input_transitions(delays.sense[ai as usize], tr) {
                 let Some(top) = sta.arrivals(arc.from)[ptr.index()].first() else {
                     continue;
                 };
@@ -78,30 +78,13 @@ fn backtrace_cells(design: &Design, sta: &RefSta, ep_node: NodeId, mut rf: usize
     cells
 }
 
-fn parent_transitions(sense: TimingSense, out: Transition) -> &'static [Transition] {
-    match sense {
-        TimingSense::PositiveUnate => match out {
-            Transition::Rise => &[Transition::Rise],
-            Transition::Fall => &[Transition::Fall],
-        },
-        TimingSense::NegativeUnate => match out {
-            Transition::Rise => &[Transition::Fall],
-            Transition::Fall => &[Transition::Rise],
-        },
-        TimingSense::NonUnate => &Transition::BOTH,
-    }
-}
-
 /// Runs the greedy reference sizer.
 pub fn reference_size(
     design: &mut Design,
     sta: &mut RefSta,
     cfg: &ReferenceSizeConfig,
 ) -> SizeOutcome {
-    let t_start = Instant::now();
-    let before = sta.full_update(design);
-    let original: Vec<insta_liberty::LibCellId> =
-        design.cells().iter().map(|c| c.lib_cell).collect();
+    let run = SizeRun::start(design, sta);
     let lib = design.library_arc();
 
     for _pass in 0..cfg.max_passes {
@@ -157,24 +140,7 @@ pub fn reference_size(
         }
     }
 
-    let after = sta.full_update(design);
-    let cells_sized = design
-        .cells()
-        .iter()
-        .zip(&original)
-        .filter(|(c, &orig)| c.lib_cell != orig)
-        .count();
-    SizeOutcome {
-        wns_before_ps: before.wns_ps,
-        wns_after_ps: after.wns_ps,
-        tns_before_ps: before.tns_ps,
-        tns_after_ps: after.tns_ps,
-        violations_before: before.n_violations,
-        violations_after: after.n_violations,
-        cells_sized,
-        runtime_s: t_start.elapsed().as_secs_f64(),
-        backward_runtime_s: 0.0,
-    }
+    run.finish(design, sta, 0.0)
 }
 
 #[cfg(test)]

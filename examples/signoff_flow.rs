@@ -54,12 +54,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Recover power with INSTA as the incremental evaluator.
     let out = power_recover(&mut design, &mut sta, &PowerRecoveryConfig::default());
     println!(
-        "power recovery: leakage {:.1} -> {:.1} ({:.0}% recovered), {} cells downsized, \
-         WNS {:.1} ps, {} violations, {:.2} s",
+        "power recovery: leakage {:.1} -> {:.1} ({:.0}% recovered), {} downsizing commits \
+         on {} cells, WNS {:.1} ps, {} violations, {:.2} s",
         out.leakage_before,
         out.leakage_after,
         100.0 * out.recovery_frac(),
         out.cells_downsized,
+        out.timing.cells_sized,
         out.timing.wns_after_ps,
         out.timing.violations_after,
         out.timing.runtime_s

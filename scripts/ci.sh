@@ -43,6 +43,10 @@ echo "    decoder gate (generated and mutated JSON documents equal the frozen pr
 echo "    crash-recovery gate (kill -9 chaos: every crash point + durability fault recovers the durable prefix bit-exactly, incl. a real SIGKILL of the insta-serve binary; an unreplayable record is cut out of the log and a segment the cut empties is renamed, so no rotation replaces it; an engine failure stops recovery with every file byte-identical; a flipped stored slack bit makes a checkpoint stale and the log rebuilds): insta-serve recovery, engine_failure, checkpoint"
 cargo test -q --workspace --offline
 
+echo "==> Table II outcome check (WNS, TNS, #vio and cells sized per design and sizer equal crates/bench/expected/table2.json; a PR that moves one updates that file and says why)"
+cargo run -q --release --offline -p insta-bench --bin repro -- table2
+cargo run -q --release --offline -p insta-bench --bin repro -- check table2
+
 echo "==> benches compile (offline)"
 cargo build --release --offline --benches -p insta-bench
 
