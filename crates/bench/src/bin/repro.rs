@@ -15,8 +15,10 @@
 //! `target/repro/<table>.json`, and `repro -- check <table>...` compares
 //! each with the checked-in `crates/bench/expected/<table>.json`, exiting
 //! non-zero on any difference (`check` alone checks every such table).
-//! Checked today: `table2` (WNS, TNS, #vio and cells sized per design and
-//! sizer).
+//! Checked today: `table1` (size, correlation, mismatch and #vio per
+//! block), `fig8` (correlation and mismatch before and after the flow) and
+//! `table2` (WNS, TNS, #vio and cells sized per design and sizer). Timing
+//! and memory columns are printed only.
 
 use insta_bench::{block_specs, fmt_ps, iwls_specs, superblue_specs};
 use insta_engine::topk::{Candidate, TopKQueue};
@@ -37,7 +39,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// The tables whose outcome columns `repro -- check` compares.
-const CHECKED: [&str; 1] = ["table2"];
+const CHECKED: [&str; 3] = ["table1", "fig8", "table2"];
 
 /// Where a run writes `table`'s outcome columns, and where the checked-in
 /// copy they must equal lives.
@@ -96,6 +98,15 @@ fn check(tables: &[&str]) -> bool {
     ok
 }
 
+/// The outcome columns of an INSTA-vs-reference slack comparison.
+fn mismatch_columns(stats: &MismatchStats) -> [(&'static str, Json); 3] {
+    [
+        ("correlation", stats.correlation.to_json()),
+        ("avg_mismatch_ps", stats.avg_abs_ps.to_json()),
+        ("worst_mismatch_ps", stats.worst_abs_ps.to_json()),
+    ]
+}
+
 fn golden_slack_vec(sta: &RefSta) -> Vec<f64> {
     sta.report().endpoints.iter().map(|e| e.slack_ps).collect()
 }
@@ -148,6 +159,7 @@ fn table1() {
         "{:<10} {:>9} {:>9} {:>8} {:>14} {:>10} {:>9} {:>22}",
         "design", "#cells", "#pins", "UT(s)", "ep slack corr", "rt (s)", "mem (GB)", "ep mismatch (avg,wst)"
     );
+    let mut rows = Vec::new();
     for spec in block_specs() {
         let design = spec.build();
         let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
@@ -174,7 +186,21 @@ fn table1() {
             stats.avg_abs_ps,
             stats.worst_abs_ps,
         );
+        let mut row = vec![
+            ("design", spec.name.to_string().to_json()),
+            ("cells", design.cells().len().to_json()),
+            ("pins", design.pins().len().to_json()),
+            ("endpoints", exact.len().to_json()),
+        ];
+        row.extend(mismatch_columns(&stats));
+        row.push(("insta_violations", report.n_violations.to_json()));
+        row.push((
+            "reference_violations",
+            golden.report().n_violations.to_json(),
+        ));
+        rows.push(obj(row));
     }
+    write_outcome("table1", &rows);
     println!();
 }
 
@@ -220,6 +246,18 @@ fn fig7() {
     println!("=== Fig. 8: correlation impact of estimate_eco re-annotation ===");
     println!("  before flow: {}", result.corr_before);
     println!("  after  flow: {}", result.corr_after);
+    let rows: Vec<Json> = [
+        ("before", &result.corr_before),
+        ("after", &result.corr_after),
+    ]
+    .into_iter()
+    .map(|(flow, stats)| {
+        let mut row = vec![("flow", flow.to_string().to_json())];
+        row.extend(mismatch_columns(stats));
+        obj(row)
+    })
+    .collect();
+    write_outcome("fig8", &rows);
     println!();
 }
 

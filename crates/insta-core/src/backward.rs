@@ -14,7 +14,7 @@
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
-use crate::parallel::{carve, Interrupt, Pass, PassOptions};
+use crate::parallel::{carve, Pass, PassOptions};
 use crate::stat;
 use crate::trace::LevelProfile;
 
@@ -41,36 +41,27 @@ impl InstaEngine {
     /// producer of timing gradients — with the same worker-panic
     /// containment contract as [`try_propagate`](InstaEngine::try_propagate).
     ///
-    /// `opts` arms one interrupt for every pass the call runs — a stale
-    /// propagation, a stale LSE pass, then the backward sweep — and a fired
-    /// token or an expired deadline returns [`InstaError::Cancelled`]. The
+    /// `opts` is polled by every pass the call runs — a stale propagation,
+    /// a stale LSE pass, then the backward sweep — and a fired token or an
+    /// expired deadline returns [`InstaError::Cancelled`]. The
     /// call writes only what those passes write: on a current report, the
     /// LSE and gradient buffers and nothing a report, a snapshot or an
     /// epoch reads. A NaN slack refuses the call with the session layer's
     /// [`InstaError::Numeric`] before any differentiable pass runs.
     pub fn try_backward_tns(&mut self, opts: &PassOptions) -> Result<(), InstaError> {
-        if let Some(i) = opts.interrupt() {
-            self.set_interrupt(i);
-        }
-        let res = self.backward_passes();
-        self.clear_interrupt();
-        res
-    }
-
-    fn backward_passes(&mut self) -> Result<(), InstaError> {
         // The backward pass consumes the report (required times) and the
         // LSE arrivals/weights; what the ledger calls stale (never computed,
         // or arcs re-annotated since) is recomputed rather than silently
         // read.
         if !self.validity.report_current() {
-            self.try_propagate()?;
+            self.try_propagate(opts)?;
         }
         let report = self.state.report.clone().expect("current: has a report");
         if let Some(err) = crate::health::nan_slack(&self.st, &report) {
             return Err(err);
         }
         if !self.validity.lse_current() {
-            self.try_forward_lse()?;
+            self.try_forward_lse(opts)?;
         }
         self.last_incident = None;
         self.trace.begin("backward");
@@ -80,7 +71,7 @@ impl InstaEngine {
             &report,
             self.cfg.lse_tau,
             self.cfg.n_threads,
-            self.interrupt.as_ref(),
+            opts,
             self.trace.profile_mut(Kernel::Backward),
         );
         self.trace
@@ -123,7 +114,7 @@ fn backward(
     report: &crate::metrics::InstaReport,
     tau: f64,
     n_threads: usize,
-    interrupt: Option<&Interrupt>,
+    opts: &PassOptions,
     prof: Option<&mut LevelProfile>,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     state.grad_arrival.fill(0.0);
@@ -140,7 +131,7 @@ fn backward(
         state.grad_arrival[v * 2] = -wr;
         state.grad_arrival[v * 2 + 1] = -wf;
     }
-    sweep(st, state, n_threads, interrupt, prof)
+    sweep(st, state, n_threads, opts, prof)
 }
 
 /// The reverse level sweep (pull from children) plus the final
@@ -150,10 +141,10 @@ fn sweep(
     st: &Static,
     state: &mut State,
     n_threads: usize,
-    interrupt: Option<&Interrupt>,
+    opts: &PassOptions,
     prof: Option<&mut LevelProfile>,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
-    let mut pass = Pass::begin(Kernel::Backward, n_threads, interrupt, prof);
+    let mut pass = Pass::begin(Kernel::Backward, n_threads, opts, prof);
     // `backward_chunk` *accumulates* onto the endpoint seeds already
     // planted in a level's window, so the retry after a contained panic
     // must put them back: each level's pre-level window is kept here.
@@ -255,7 +246,7 @@ mod tests {
     use crate::snapshot::TimingSnapshot;
     use insta_netlist::generator::{generate_design, GeneratorConfig};
     use insta_refsta::{RefSta, StaConfig};
-    use insta_support::timer::CancelToken;
+    use insta_support::timer::{CancelToken, Deadline};
     use std::time::Duration;
 
     /// An engine over a design with a tight clock, so that it violates
@@ -317,7 +308,7 @@ mod tests {
             },
             PassOptions {
                 cancel: None,
-                deadline: Some(Duration::ZERO),
+                deadline: Some(Deadline::after(Duration::ZERO)),
             },
         ];
         let mut twin = violating_engine(5, 1.0);

@@ -89,7 +89,7 @@ use crate::error::{InstaError, RuntimeIncident};
 use crate::forward::{forward, source_launch, window_pass, Window};
 use crate::incremental::{seed_cone, Txn};
 use crate::metrics::InstaReport;
-use crate::parallel::{Interrupt, PassOptions};
+use crate::parallel::PassOptions;
 use crate::validate::{Issue, ValidationReport};
 use insta_refsta::eco::ArcDelta;
 use std::borrow::Cow;
@@ -376,14 +376,13 @@ impl InstaEngine {
     /// lane are cut at the same instant, and every unfinished scenario
     /// reports [`InstaError::Cancelled`].
     pub fn evaluate(&mut self, scenarios: &[Scenario], opts: &PassOptions) -> McmmReport {
-        let interrupt = opts.interrupt();
         let (corners, lanes, lane_of) = self.prepare_lanes(scenarios);
         self.counters.batches += 1;
         self.counters.batch_scenarios += scenarios.len() as u64;
         self.counters.mcmm_deduped += (scenarios.len() - lanes.len()) as u64;
         self.counters.mcmm_corner_lanes += lanes.iter().filter(|l| l.corner.is_some()).count() as u64;
         let masked = scenarios.iter().filter(|sc| sc.effective_mode().is_some());
-        let mut results = self.run_lanes(&lanes, &corners, interrupt.as_ref(), masked.count());
+        let mut results = self.run_lanes(&lanes, &corners, opts, masked.count());
 
         // A lane's report moves into its first scenario; a later scenario
         // sharing the lane gets a copy. Every report is re-reduced under
@@ -591,7 +590,7 @@ impl InstaEngine {
         &mut self,
         lanes: &[Lane<'_>],
         corners: &[CornerResult],
-        interrupt: Option<&Interrupt>,
+        opts: &PassOptions,
         masked: usize,
     ) -> Vec<Option<Result<InstaReport, InstaError>>> {
         let mut out: Vec<_> = lanes.iter().map(|_| None).collect();
@@ -612,7 +611,7 @@ impl InstaEngine {
         if routed.is_empty() {
             return out;
         }
-        if let Err(e) = self.sync_base(interrupt) {
+        if let Err(e) = self.sync_base(opts) {
             for r in &routed {
                 out[r.lane] = Some(Err(clone_lane_error(&e)));
             }
@@ -622,7 +621,7 @@ impl InstaEngine {
         routed.sort_by_key(|r| lanes[r.lane].corner.map_or(0, |ci| ci + 1));
         self.trace.begin("batch.sweep");
         let mut call = LaneCall {
-            interrupt,
+            opts,
             cone_lanes: 0,
             base_passes: 0,
             window_passes: 0,
@@ -664,16 +663,11 @@ impl InstaEngine {
     /// Makes sure the Top-K arrays are the synced output of the current
     /// annotations — the shared base every identity lane diverges from.
     /// Equivalent to the caller running `propagate()` before the call.
-    fn sync_base(&mut self, interrupt: Option<&Interrupt>) -> Result<(), InstaError> {
+    fn sync_base(&mut self, opts: &PassOptions) -> Result<(), InstaError> {
         if self.validity.topk_current() {
             return Ok(());
         }
-        if let Some(i) = interrupt {
-            self.set_interrupt(i.clone());
-        }
-        let synced = self.try_propagate().map(|_| ());
-        self.clear_interrupt();
-        synced
+        self.try_propagate(opts).map(|_| ())
     }
 }
 
@@ -739,10 +733,10 @@ impl Drop for Base<'_> {
     }
 }
 
-/// What the lanes of one call share: the call's one interrupt and the
-/// `batch.sweep` span's tallies.
+/// What the lanes of one call share: the call's one [`PassOptions`] and
+/// the `batch.sweep` span's tallies.
 struct LaneCall<'a> {
-    interrupt: Option<&'a Interrupt>,
+    opts: &'a PassOptions,
     cone_lanes: usize,
     /// Corner base passes into the scratch rows.
     base_passes: usize,
@@ -810,7 +804,7 @@ impl LaneCall<'_> {
             return nan_gate(eng, base.clone());
         }
         let mut txn = Txn::begin(eng);
-        let swept = txn.sweep(deltas, self.interrupt);
+        let swept = txn.sweep(deltas, self.opts);
         let eng = &*txn.eng;
         self.cone_lanes += 1;
         self.nodes += eng.cone.nodes;
@@ -847,7 +841,7 @@ impl LaneCall<'_> {
             st,
             &mut eng.state,
             eng.cfg.n_threads,
-            self.interrupt,
+            self.opts,
             None,
             &source_launch(st),
             &mut self.fallbacks,
@@ -862,14 +856,8 @@ impl LaneCall<'_> {
         let (st, k) = (&eng.st, eng.state.k);
         let window = eng.window.0.get_or_insert_with(|| Window::new(st, k));
         let (n_threads, cppr) = (eng.cfg.n_threads, eng.cfg.cppr);
-        let (report, passed) = window_pass(
-            st,
-            window,
-            n_threads,
-            self.interrupt,
-            cppr,
-            &mut self.fallbacks,
-        );
+        let (report, passed) =
+            window_pass(st, window, n_threads, self.opts, cppr, &mut self.fallbacks);
         self.window_passes += 1;
         self.window_rows = window.plan.slots;
         self.book(passed)?;

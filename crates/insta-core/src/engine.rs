@@ -13,7 +13,7 @@ use crate::error::{IncidentLog, InstaError, RuntimeIncident};
 use crate::forward::queue_of;
 use crate::incremental::ConeScratch;
 use crate::metrics::EngineCounters;
-use crate::parallel::{Interrupt, VirtualQueue};
+use crate::parallel::VirtualQueue;
 use crate::snapshot::RowStore;
 use crate::stat;
 use crate::trace::{kernel_code, TraceSink};
@@ -33,9 +33,14 @@ use std::sync::Arc;
 /// counts updates and accumulated *touched-arc mass* (Σ batch-size /
 /// total-graph-arcs, i.e. how many times over the whole graph has been
 /// re-annotated); past either bound
-/// [`InstaEngine::drift_exceeded`] turns true, and the caller is expected
-/// to resync and call [`InstaEngine::reset_drift`], as INSTA-Size does
-/// per round. The engine never changes how it propagates on it.
+/// [`InstaEngine::drift_exceeded`] turns true, and a caller that writes
+/// estimates is expected to resync and call [`InstaEngine::reset_drift`].
+/// The engine never changes how it propagates on it. No application in
+/// the workspace needs it any more: INSTA-Size and power recovery write
+/// exact delays through `sizer::Coupled`, and the only caller that sets a
+/// policy is the end-to-end benchmark, which turns it off
+/// ([`unlimited`](Self::unlimited)). The type is kept for that caller and
+/// for the checkpoint format that stores the odometer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftPolicy {
     /// Maximum incremental updates before a resync is due (`0` = unlimited).
@@ -95,7 +100,7 @@ pub struct InstaConfig {
     /// Top-K=1 without CPPR against Top-K=128 with it).
     pub cppr: bool,
     /// When repeated incremental updates call for a resync (see
-    /// [`DriftPolicy`]).
+    /// [`DriftPolicy`]; advisory, and no application reads it).
     pub drift_policy: DriftPolicy,
 }
 
@@ -465,9 +470,6 @@ pub struct InstaEngine {
     /// Bounded history of every recovered or fatal worker panic (see
     /// [`IncidentLog`]).
     pub(crate) incidents: IncidentLog<RuntimeIncident>,
-    /// Cooperative interruption polled once per level by the kernels
-    /// (armed by the session layer, `None` on the plain entry points).
-    pub(crate) interrupt: Option<Interrupt>,
     /// Commit counter: bumped by every committed session.
     pub(crate) epoch: u64,
     /// Incremental-drift odometer (a rolled-back session restores it).
@@ -682,7 +684,6 @@ impl InstaEngine {
             validation,
             last_incident: None,
             incidents: IncidentLog::with_capacity(IncidentLog::CAPACITY),
-            interrupt: None,
             epoch: 0,
             drift: DriftState::default(),
             counters: EngineCounters::default(),
@@ -759,16 +760,6 @@ impl InstaEngine {
     /// The engine configuration.
     pub fn config(&self) -> &InstaConfig {
         &self.cfg
-    }
-
-    /// Arms a cooperative interruption for subsequent kernel passes.
-    pub(crate) fn set_interrupt(&mut self, interrupt: Interrupt) {
-        self.interrupt = Some(interrupt);
-    }
-
-    /// Disarms cooperative interruption.
-    pub(crate) fn clear_interrupt(&mut self) {
-        self.interrupt = None;
     }
 
     /// The bounded history of worker-panic incidents — both recovered and
@@ -1052,26 +1043,29 @@ pub(crate) mod tests {
         assert!(report.n_fatal >= 2, "{report}");
     }
 
-    /// Regression: an interrupt armed once and reused across several
-    /// kernel passes must report `Cancelled { elapsed }` relative to the
-    /// pass it cut, not to when the token was first armed.
+    /// Regression: options built once and reused across several kernel
+    /// passes must report `Cancelled { elapsed }` relative to the pass
+    /// they cut, not to when they were built.
     #[test]
     fn a_reused_interrupt_reports_cancellation_latency_per_pass() {
         let (_d, _r, mut eng) = build_engine(91, 4);
         eng.propagate();
         let tok = insta_support::timer::CancelToken::new();
-        eng.set_interrupt(crate::parallel::Interrupt::new(Some(tok.clone()), None));
-        // Age the armed interrupt well past what a small-design pass takes.
+        let opts = crate::PassOptions {
+            cancel: Some(tok.clone()),
+            deadline: None,
+        };
+        // Age the options well past what a small-design pass takes.
         std::thread::sleep(std::time::Duration::from_millis(40));
         tok.cancel();
         for pass in 0..2 {
-            let err = eng.try_propagate().expect_err("token fired");
+            let err = eng.try_propagate(&opts).expect_err("token fired");
             let crate::error::InstaError::Cancelled { elapsed, .. } = err else {
                 panic!("expected Cancelled, got {err:?}");
             };
             assert!(
                 elapsed < std::time::Duration::from_millis(40),
-                "pass {pass} reported elapsed since arming, not since entry: {elapsed:?}"
+                "pass {pass} reported elapsed since building, not since entry: {elapsed:?}"
             );
         }
     }

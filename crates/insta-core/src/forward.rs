@@ -63,7 +63,7 @@
 use crate::engine::{InstaEngine, Lanes, Queue, RowsMut, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
 use crate::metrics::InstaReport;
-use crate::parallel::{carve, Interrupt, MergeArena, Pass, QueueBuf, VirtualQueue};
+use crate::parallel::{carve, MergeArena, Pass, PassOptions, QueueBuf, VirtualQueue};
 use crate::stat;
 use crate::topk::restore_topk_desc;
 use crate::trace::LevelProfile;
@@ -78,7 +78,7 @@ impl InstaEngine {
     /// [`try_propagate`](InstaEngine::try_propagate) for the fallible
     /// variant).
     pub fn propagate(&mut self) -> &InstaReport {
-        if let Err(e) = self.try_propagate() {
+        if let Err(e) = self.try_propagate(&PassOptions::default()) {
             panic!("propagate failed: {e}");
         }
         self.state.report.as_ref().expect("just set")
@@ -91,8 +91,9 @@ impl InstaEngine {
     /// [`last_incident`](InstaEngine::last_incident). Only when the serial
     /// re-execution *also* fails does this return
     /// [`InstaError::Runtime`]; the engine state is then unusable until
-    /// the next successful pass.
-    pub fn try_propagate(&mut self) -> Result<&InstaReport, InstaError> {
+    /// the next successful pass. A fired `opts` returns
+    /// [`InstaError::Cancelled`] at the next level boundary.
+    pub fn try_propagate(&mut self, opts: &PassOptions) -> Result<&InstaReport, InstaError> {
         self.last_incident = None;
         self.validity.begin_full_pass();
         self.trace.begin("forward");
@@ -101,7 +102,7 @@ impl InstaEngine {
             &self.st,
             &mut self.state,
             self.cfg.n_threads,
-            self.interrupt.as_ref(),
+            opts,
             self.trace.profile_mut(Kernel::Forward),
             &source_launch(&self.st),
             &mut fallbacks,
@@ -149,7 +150,7 @@ impl InstaEngine {
     /// Panics if a worker panic could not be contained (see
     /// [`try_propagate_fused`](InstaEngine::try_propagate_fused)).
     pub fn propagate_fused(&mut self) -> &InstaReport {
-        if let Err(e) = self.try_propagate_fused() {
+        if let Err(e) = self.try_propagate_fused(&PassOptions::default()) {
             panic!("propagate_fused failed: {e}");
         }
         self.state.report.as_ref().expect("just set")
@@ -161,7 +162,7 @@ impl InstaEngine {
     /// profiles keep attributing evaluation time to the forward profile
     /// and LSE time to the LSE profile — fusion interleaves the two level
     /// bodies, it does not blur them.
-    pub fn try_propagate_fused(&mut self) -> Result<&InstaReport, InstaError> {
+    pub fn try_propagate_fused(&mut self, opts: &PassOptions) -> Result<&InstaReport, InstaError> {
         self.last_incident = None;
         // Both output families are rewritten whether the pass succeeds or
         // not; only a completed pass stamps them.
@@ -175,7 +176,7 @@ impl InstaEngine {
             &mut self.state,
             self.cfg.lse_tau,
             self.cfg.n_threads,
-            self.interrupt.as_ref(),
+            opts,
             prof_fwd,
             prof_lse,
             &mut fallbacks,
@@ -273,13 +274,13 @@ pub(crate) fn forward<const MIN: bool>(
     st: &Static,
     rows: &mut impl PassRows,
     n_threads: usize,
-    interrupt: Option<&Interrupt>,
+    opts: &PassOptions,
     prof: Option<&mut LevelProfile>,
     launches: &impl Fn(usize) -> ([f64; 2], [f64; 2]),
     fallbacks: &mut u64,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     begin_pass(st, rows, MIN, launches);
-    let mut pass = Pass::begin(Kernel::Forward, n_threads, interrupt, prof);
+    let mut pass = Pass::begin(Kernel::Forward, n_threads, opts, prof);
     // One merge arena per worker, reused across every level of the pass.
     let mut arenas = MergeArena::bank(pass.threads());
     let swept = (1..st.num_levels())
@@ -540,7 +541,7 @@ pub(crate) fn window_pass(
     st: &Static,
     window: &mut Window,
     n_threads: usize,
-    interrupt: Option<&Interrupt>,
+    opts: &PassOptions,
     cppr: bool,
     fallbacks: &mut u64,
 ) -> (InstaReport, Result<Option<RuntimeIncident>, InstaError>) {
@@ -551,9 +552,7 @@ pub(crate) fn window_pass(
         next_ep: 0,
     };
     let launches = source_launch(st);
-    let passed = forward::<false>(
-        st, &mut rows, n_threads, interrupt, None, &launches, fallbacks,
-    );
+    let passed = forward::<false>(st, &mut rows, n_threads, opts, None, &launches, fallbacks);
     // The aggregates in endpoint order, as every report sums them.
     rows.report.reduce(None);
     (rows.report, passed)
@@ -581,7 +580,7 @@ pub(crate) fn forward_fused(
     state: &mut State,
     tau: f64,
     n_threads: usize,
-    interrupt: Option<&Interrupt>,
+    opts: &PassOptions,
     prof_fwd: Option<&mut LevelProfile>,
     prof_lse: Option<&mut LevelProfile>,
     fallbacks: &mut u64,
@@ -591,8 +590,8 @@ pub(crate) fn forward_fused(
     begin_pass(st, state, false, &launches);
     crate::lse::lse_reset_seed(st, state);
 
-    let mut fwd = Pass::begin(Kernel::Forward, n_threads, interrupt, prof_fwd);
-    let mut lse = Pass::begin(Kernel::ForwardLse, n_threads, interrupt, prof_lse);
+    let mut fwd = Pass::begin(Kernel::Forward, n_threads, opts, prof_fwd);
+    let mut lse = Pass::begin(Kernel::ForwardLse, n_threads, opts, prof_lse);
     let mut arenas = MergeArena::bank(fwd.threads());
     let swept = (1..st.num_levels()).try_for_each(|l| {
         forward_level::<false>(st, state, &mut fwd, &mut arenas, l, &launches)?;

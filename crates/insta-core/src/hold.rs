@@ -111,7 +111,7 @@ impl InstaEngine {
             &self.st,
             &mut self.state,
             self.cfg.n_threads,
-            opts.interrupt().as_ref(),
+            opts,
             None,
             &|i| (attrs.source_mean[i], attrs.source_sigma[i]),
             &mut fallbacks,

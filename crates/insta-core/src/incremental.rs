@@ -104,7 +104,7 @@ use crate::engine::{DriftState, InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
 use crate::forward::{level_chunk, seed_level, source_launch};
 use crate::metrics::InstaReport;
-use crate::parallel::{Interrupt, MergeArena, Pass};
+use crate::parallel::{MergeArena, Pass, PassOptions};
 use crate::trace::LevelProfile;
 use crate::validate::{Issue, ValidationReport};
 use crate::validity::Validity;
@@ -415,20 +415,20 @@ impl InstaEngine {
     /// rollback).
     pub fn update_timing(&mut self, deltas: &[ArcDelta]) -> Result<InstaReport, InstaError> {
         let mut txn = Txn::begin(self);
-        let result = txn.update_timing(deltas);
+        let result = txn.update_timing(deltas, &PassOptions::default());
         txn.commit();
         result
     }
 
     /// Runs the seeded sweep under its `forward.cone` span.
-    fn run_cone(&mut self) -> Result<(), InstaError> {
+    fn run_cone(&mut self, opts: &PassOptions) -> Result<(), InstaError> {
         self.trace.begin("forward.cone");
         let log_budget = self.cone.log_cap;
         let res = cone_sweep(
             &self.st,
             &mut self.state,
             &mut self.cone,
-            self.interrupt.as_ref(),
+            opts,
             self.trace.profile_mut(Kernel::Forward),
             Some((log_budget, &mut self.validity)),
         );
@@ -494,7 +494,7 @@ impl<'e> Txn<'e> {
     pub(crate) fn sweep(
         &mut self,
         deltas: &[ArcDelta],
-        interrupt: Option<&Interrupt>,
+        opts: &PassOptions,
     ) -> Result<Option<RuntimeIncident>, InstaError> {
         let InstaEngine {
             st, state, cone, ..
@@ -502,19 +502,24 @@ impl<'e> Txn<'e> {
         cone.annotate(st, deltas);
         let seeded = seed_cone(st, cone, deltas.iter().map(|d| d.arc));
         debug_assert!(seeded, "lanes past the seed switch run as full passes");
-        cone_sweep(st, state, cone, interrupt, None, None)
+        cone_sweep(st, state, cone, opts, None, None)
     }
 
     /// Validates, re-annotates and re-propagates: the body of
-    /// [`InstaEngine::update_timing`], for the caller to keep or take back.
-    pub(crate) fn update_timing(&mut self, deltas: &[ArcDelta]) -> Result<InstaReport, InstaError> {
+    /// [`InstaEngine::update_timing`], for the caller to keep or take back;
+    /// `opts` is polled by whichever pass the update runs.
+    pub(crate) fn update_timing(
+        &mut self,
+        deltas: &[ArcDelta],
+        opts: &PassOptions,
+    ) -> Result<InstaReport, InstaError> {
         let eng = &mut *self.eng;
         eng.validate_deltas(deltas)?;
         let synced = eng.validity.topk_current();
         eng.reannotate_unchecked(deltas);
         if synced && seed_cone(&eng.st, &mut eng.cone, deltas.iter().map(|d| d.arc)) {
             eng.last_incident = None;
-            eng.run_cone()?;
+            eng.run_cone(opts)?;
             // Only endpoints on recomputed nodes can have moved; the
             // aggregates are re-reduced over the whole slack vector in
             // endpoint order, the accumulation order of a fresh evaluate.
@@ -532,7 +537,7 @@ impl<'e> Txn<'e> {
             eng.rows
                 .follow(&mut eng.validity, &eng.st, &eng.state, eng.cone.swept());
         } else {
-            eng.try_propagate()?;
+            eng.try_propagate(opts)?;
         }
         Ok(eng.state.report.clone().expect("just propagated"))
     }
@@ -547,7 +552,7 @@ impl<'e> Txn<'e> {
     /// arrays and annotations, then what [`observe`](Self::observe)
     /// captured is put back. Returns how many recomputes and annotation
     /// writes the log restored. While the ledger is covered this is copies
-    /// only — no kernel, no interrupt poll, nothing that can fail.
+    /// only — no kernel, no cancel poll, nothing that can fail.
     pub(crate) fn undo(&mut self) -> (usize, usize) {
         self.open = false;
         let eng = &mut *self.eng;
@@ -556,7 +561,8 @@ impl<'e> Txn<'e> {
         if let Some(o) = self.observed.take() {
             // Still the session's ledger: current ⇔ its passes all completed.
             let resynced = eng.validity.covered()
-                || (eng.validity.topk_current() && eng.try_propagate().is_ok());
+                || (eng.validity.topk_current()
+                    && eng.try_propagate(&PassOptions::default()).is_ok());
             eng.validity.rewind(&o.ledger, resynced);
             eng.state.report = o.report;
             eng.drift = o.drift;
@@ -620,12 +626,12 @@ pub(crate) fn cone_sweep(
     st: &Static,
     state: &mut State,
     cone: &mut ConeScratch,
-    interrupt: Option<&Interrupt>,
+    opts: &PassOptions,
     prof: Option<&mut LevelProfile>,
     mut log_budget: Option<(usize, &mut Validity)>,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     // The cone runs on one thread: a dirty level is one inline cut.
-    let mut pass = Pass::begin(Kernel::Forward, 1, interrupt, prof);
+    let mut pass = Pass::begin(Kernel::Forward, 1, opts, prof);
     for l in 1..st.num_levels() {
         if cone.frontier[l].is_empty() {
             continue;
@@ -744,7 +750,9 @@ fn cone_level(
 
 #[cfg(test)]
 mod tests {
+    use super::Txn;
     use crate::engine::{InstaConfig, InstaEngine};
+    use crate::parallel::PassOptions;
     use insta_netlist::generator::{generate_design, GeneratorConfig};
     use insta_netlist::CellId;
     use insta_refsta::{estimate_eco, RefSta, StaConfig};
@@ -816,7 +824,7 @@ mod tests {
         }
     }
 
-    /// The cone polls once per *dirty* level: a pre-fired interrupt is
+    /// The cone polls once per *dirty* level: a pre-fired token is
     /// cancelled at the lowest level holding a re-annotated arc's child,
     /// before anything is written.
     #[test]
@@ -836,14 +844,19 @@ mod tests {
         assert!(first_dirty > 1, "fixture: the seed must not sit on level 1");
         let tok = insta_support::timer::CancelToken::new();
         tok.cancel();
-        eng.set_interrupt(crate::parallel::Interrupt::new(Some(tok), None));
-        let err = eng
-            .update_timing(&[insta_refsta::eco::ArcDelta {
-                arc: g as u32,
-                mean: [77.0; 2],
-                sigma: [3.0; 2],
-            }])
-            .expect_err("token fired");
+        let opts = PassOptions {
+            cancel: Some(tok),
+            deadline: None,
+        };
+        let mut txn = Txn::begin(&mut eng);
+        let delta = insta_refsta::eco::ArcDelta {
+            arc: g as u32,
+            mean: [77.0; 2],
+            sigma: [3.0; 2],
+        };
+        let err = txn.update_timing(&[delta], &opts).expect_err("token fired");
+        txn.commit();
+        drop(txn);
         let crate::error::InstaError::Cancelled { kernel, level, .. } = err else {
             panic!("expected Cancelled, got {err:?}");
         };
@@ -877,7 +890,8 @@ mod tests {
         for mean in [180.0, 20.0] {
             cone.annotate(st, &[delta(mean)]);
             assert!(super::seed_cone(st, cone, std::iter::once(g as u32)));
-            super::cone_sweep(st, state, cone, None, None, None).expect("clean sweep");
+            super::cone_sweep(st, state, cone, &PassOptions::default(), None, None)
+                .expect("clean sweep");
             assert!(cone.nodes > cone.pruned, "the delta must move its cone");
         }
         cone.undo(st, state);

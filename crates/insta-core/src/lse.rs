@@ -17,7 +17,7 @@
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
-use crate::parallel::{carve, Interrupt, Pass};
+use crate::parallel::{carve, Pass, PassOptions};
 use crate::stat;
 use crate::trace::LevelProfile;
 
@@ -30,15 +30,16 @@ impl InstaEngine {
     /// Panics if a worker panic could not be contained (see
     /// [`try_forward_lse`](InstaEngine::try_forward_lse)).
     pub fn forward_lse(&mut self) {
-        if let Err(e) = self.try_forward_lse() {
+        if let Err(e) = self.try_forward_lse(&PassOptions::default()) {
             panic!("forward_lse failed: {e}");
         }
     }
 
     /// Fallible [`forward_lse`](InstaEngine::forward_lse) with the same
     /// worker-panic containment contract as
-    /// [`try_propagate`](InstaEngine::try_propagate).
-    pub fn try_forward_lse(&mut self) -> Result<(), InstaError> {
+    /// [`try_propagate`](InstaEngine::try_propagate), and the same
+    /// cancel/deadline poll.
+    pub fn try_forward_lse(&mut self, opts: &PassOptions) -> Result<(), InstaError> {
         self.last_incident = None;
         self.validity.begin_lse();
         self.trace.begin("forward_lse");
@@ -47,7 +48,7 @@ impl InstaEngine {
             &mut self.state,
             self.cfg.lse_tau,
             self.cfg.n_threads,
-            self.interrupt.as_ref(),
+            opts,
             self.trace.profile_mut(Kernel::ForwardLse),
         );
         self.trace
@@ -85,12 +86,12 @@ fn forward_lse(
     state: &mut State,
     tau: f64,
     n_threads: usize,
-    interrupt: Option<&Interrupt>,
+    opts: &PassOptions,
     prof: Option<&mut LevelProfile>,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     debug_assert!(tau > 0.0);
     lse_reset_seed(st, state);
-    let mut pass = Pass::begin(Kernel::ForwardLse, n_threads, interrupt, prof);
+    let mut pass = Pass::begin(Kernel::ForwardLse, n_threads, opts, prof);
     for l in 1..st.num_levels() {
         lse_level(st, state, &mut pass, tau, l)?;
     }

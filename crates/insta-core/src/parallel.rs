@@ -14,7 +14,7 @@
 //! forward pass, the backward sweep and the session's cone sweep all run
 //! their levels through it. The runner owns the whole protocol:
 //!
-//! 1. **Poll** the pass's [`Interrupt`] once — cancellation latency is one
+//! 1. **Poll** the pass's [`PassOptions`] once — cancellation latency is one
 //!    level's work and a cut pass stops on a level boundary.
 //! 2. **Cut** the level's work items: one cut when a single thread was
 //!    asked for or the level is narrower than [`PAR_THRESHOLD`] (thread
@@ -45,87 +45,32 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// A cooperative interruption request threaded through the level loops.
+/// The cancel/deadline contract of every fallible pass and of a session
+/// ([`TimingSession::with_options`](crate::TimingSession::with_options)):
+/// a cancel token and an absolute deadline, polled once per timing level
+/// (never inside the data-parallel chunk bodies). At most one level's work
+/// runs after either fires, and the pass returns [`InstaError::Cancelled`]
+/// cut at a level boundary — earlier levels fully written, later levels
+/// untouched. The partially refreshed state is still inconsistent *as a
+/// whole*, which is why the session layer treats a cancellation as
+/// poisoning (rollback).
 ///
-/// Kernels poll [`Interrupt::check`] once per timing level (never inside
-/// the data-parallel chunk bodies), so cancellation latency is bounded by
-/// one level's work and an interrupted pass is cut at a level boundary —
-/// earlier levels are fully written, later levels untouched. The partially
-/// refreshed state is still inconsistent *as a whole*, which is why the
-/// session layer treats [`InstaError::Cancelled`] as poisoning (rollback).
-#[derive(Debug, Clone)]
-pub struct Interrupt {
-    cancel: Option<CancelToken>,
-    deadline: Option<Deadline>,
-    started: Instant,
-}
-
-impl Interrupt {
-    /// An interrupt armed with a token and/or a deadline.
-    pub fn new(cancel: Option<CancelToken>, deadline: Option<Deadline>) -> Self {
-        Self {
-            cancel,
-            deadline,
-            started: Instant::now(),
-        }
-    }
-
-    /// A copy of this interrupt with the elapsed clock restarted at *now*.
-    ///
-    /// Kernel passes call this at entry so a token or deadline reused
-    /// across several passes reports `Cancelled { elapsed }` relative to
-    /// the pass it actually interrupted, not to when the interrupt was
-    /// first armed. The deadline itself is an absolute instant and is
-    /// carried over unchanged — only the reporting clock resets.
-    pub(crate) fn restarted(&self) -> Interrupt {
-        Interrupt {
-            cancel: self.cancel.clone(),
-            deadline: self.deadline,
-            started: Instant::now(),
-        }
-    }
-
-    /// Whether either trigger has fired.
-    pub fn fired(&self) -> bool {
-        self.cancel.as_ref().is_some_and(|c| c.is_cancelled())
-            || self.deadline.is_some_and(|d| d.expired())
-    }
-
-    /// Per-level poll: `Some(InstaError::Cancelled)` when a trigger fired.
-    #[inline]
-    pub(crate) fn check(&self, kernel: Kernel, level: usize) -> Option<InstaError> {
-        if self.fired() {
-            Some(InstaError::Cancelled {
-                kernel,
-                level,
-                elapsed: self.started.elapsed(),
-            })
-        } else {
-            None
-        }
-    }
-}
-
-/// The cancel/deadline contract of one fallible call,
-/// [`evaluate`](crate::InstaEngine::evaluate) or
-/// [`try_backward_tns`](crate::InstaEngine::try_backward_tns): one
-/// [`Interrupt`] armed for every pass the call runs, polled once per level,
-/// so at most one level's work runs after it fires and the call returns
-/// [`InstaError::Cancelled`].
+/// The deadline is an instant, not a budget, so one value spans every pass
+/// of a call or a session; `Cancelled { elapsed }` counts from the start of
+/// the pass that stopped.
 #[derive(Debug, Clone, Default)]
 pub struct PassOptions {
     /// Cooperative cancel token.
     pub cancel: Option<CancelToken>,
-    /// Wall-clock budget for the whole call, measured from the call.
-    pub deadline: Option<std::time::Duration>,
+    /// The instant after which no further level runs.
+    pub deadline: Option<Deadline>,
 }
 
 impl PassOptions {
-    /// The call's interrupt, its deadline starting now; `None` when
-    /// neither trigger is set.
-    pub(crate) fn interrupt(&self) -> Option<Interrupt> {
-        (self.cancel.is_some() || self.deadline.is_some())
-            .then(|| Interrupt::new(self.cancel.clone(), self.deadline.map(Deadline::after)))
+    /// Whether either trigger has fired.
+    pub(crate) fn fired(&self) -> bool {
+        self.cancel.as_ref().is_some_and(|c| c.is_cancelled())
+            || self.deadline.is_some_and(|d| d.expired())
     }
 }
 
@@ -153,18 +98,20 @@ pub(crate) type Panicked = (Range<usize>, String);
 pub(crate) struct Pass<'a> {
     kernel: Kernel,
     nt: usize,
-    interrupt: Option<Interrupt>,
+    opts: &'a PassOptions,
+    started: Instant,
     prof: Option<&'a mut LevelProfile>,
     recovered: Option<RuntimeIncident>,
 }
 
 impl<'a> Pass<'a> {
-    /// Opens a pass. The interrupt's reporting clock restarts here (see
-    /// [`Interrupt::restarted`]) and the profile counts the pass.
+    /// Opens a pass. Its cancellation clock starts here, so options reused
+    /// across passes report `Cancelled { elapsed }` relative to the pass
+    /// they cut; the profile counts the pass.
     pub(crate) fn begin(
         kernel: Kernel,
         n_threads: usize,
-        interrupt: Option<&Interrupt>,
+        opts: &'a PassOptions,
         mut prof: Option<&'a mut LevelProfile>,
     ) -> Self {
         if let Some(p) = prof.as_deref_mut() {
@@ -173,7 +120,8 @@ impl<'a> Pass<'a> {
         Pass {
             kernel,
             nt: resolve_threads(n_threads),
-            interrupt: interrupt.map(Interrupt::restarted),
+            opts,
+            started: Instant::now(),
             prof,
             recovered: None,
         }
@@ -201,12 +149,12 @@ impl<'a> Pass<'a> {
         attempt: impl Fn(&mut S, &Launch) -> Option<Panicked>,
         reset: impl FnOnce(&mut S),
     ) -> Result<(), InstaError> {
-        if let Some(e) = self
-            .interrupt
-            .as_ref()
-            .and_then(|i| i.check(self.kernel, level))
-        {
-            return Err(e);
+        if self.opts.fired() {
+            return Err(InstaError::Cancelled {
+                kernel: self.kernel,
+                level,
+                elapsed: self.started.elapsed(),
+            });
         }
         let len = items.len();
         if len == 0 {
@@ -616,7 +564,8 @@ mod tests {
         let mut prof = LevelProfile::default();
         let (left, resets) = (AtomicUsize::new(panics), AtomicUsize::new(0));
         let cuts = Mutex::new(Vec::new());
-        let mut pass = Pass::begin(Kernel::Forward, nt, None, Some(&mut prof));
+        let opts = PassOptions::default();
+        let mut pass = Pass::begin(Kernel::Forward, nt, &opts, Some(&mut prof));
         let ran = pass.level(
             LEVEL,
             base..base + len,
@@ -747,14 +696,18 @@ mod tests {
     #[test]
     fn an_empty_level_is_polled_but_neither_run_nor_profiled() {
         let mut prof = LevelProfile::default();
-        let mut pass = Pass::begin(Kernel::Backward, 2, None, Some(&mut prof));
+        let opts = PassOptions::default();
+        let mut pass = Pass::begin(Kernel::Backward, 2, &opts, Some(&mut prof));
         let attempt = |_: &mut (), _: &Launch| -> Option<Panicked> { panic!("nothing to run") };
         pass.level(3, 40..40, &mut (), attempt, |_| {})
             .expect("no work");
         let tok = CancelToken::new();
         tok.cancel();
-        let fired = Interrupt::new(Some(tok), None);
-        let mut pass = Pass::begin(Kernel::Backward, 2, Some(&fired), None);
+        let fired = PassOptions {
+            cancel: Some(tok),
+            deadline: None,
+        };
+        let mut pass = Pass::begin(Kernel::Backward, 2, &fired, None);
         let err = pass
             .level(3, 40..40, &mut (), attempt, |_| {})
             .expect_err("polled first");
@@ -773,26 +726,5 @@ mod tests {
     fn resolve_threads_defaults_to_cores() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(3), 3);
-    }
-
-    #[test]
-    fn restarted_resets_the_reporting_clock_but_keeps_the_triggers() {
-        let tok = insta_support::timer::CancelToken::new();
-        let armed = Interrupt::new(Some(tok.clone()), None);
-        std::thread::sleep(std::time::Duration::from_millis(25));
-        tok.cancel();
-        let stale = armed.check(Kernel::Forward, 3).expect("token fired");
-        let fresh = armed
-            .restarted()
-            .check(Kernel::Forward, 3)
-            .expect("restart must keep the cancelled token");
-        let InstaError::Cancelled { elapsed: aged, .. } = stale else {
-            panic!("expected Cancelled");
-        };
-        let InstaError::Cancelled { elapsed: reset, .. } = fresh else {
-            panic!("expected Cancelled");
-        };
-        assert!(aged >= std::time::Duration::from_millis(25), "{aged:?}");
-        assert!(reset < std::time::Duration::from_millis(25), "{reset:?}");
     }
 }

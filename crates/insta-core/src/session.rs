@@ -10,11 +10,11 @@
 //!   worker-panic runtime failures, cancellation) automatically undoes the
 //!   transaction and closes the session. `Validate` errors are raised
 //!   before anything is mutated and leave the session open.
-//! * **cancellation is bounded.** [`with_cancel`](TimingSession::with_cancel)
-//!   / [`with_deadline`](TimingSession::with_deadline) arm a per-level
-//!   poll in every kernel pass: at most one level's work runs after the
-//!   token fires or the deadline expires, then the pass returns
-//!   [`InstaError::Cancelled`] and the session rolls back.
+//! * **cancellation is bounded.** [`with_options`](TimingSession::with_options)
+//!   hands one [`PassOptions`] to every kernel pass of the session: at
+//!   most one level's work runs after its token fires or its deadline
+//!   passes, then the pass returns [`InstaError::Cancelled`] and the
+//!   session rolls back.
 //! * **no NaN escapes.** A committed report is gated on a cheap slack
 //!   scan; a NaN slack poisons the session exactly like a kernel error.
 //!
@@ -40,11 +40,9 @@ use crate::engine::InstaEngine;
 use crate::error::InstaError;
 use crate::incremental::Txn;
 use crate::metrics::InstaReport;
-use crate::parallel::Interrupt;
+use crate::parallel::PassOptions;
 use crate::validate::{Issue, ValidationReport};
 use insta_refsta::eco::ArcDelta;
-use insta_support::timer::{CancelToken, Deadline};
-use std::time::Duration;
 
 /// Where a session is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +65,7 @@ pub enum SessionStatus {
 pub struct TimingSession<'e> {
     txn: Txn<'e>,
     status: SessionStatus,
-    cancel: Option<CancelToken>,
-    deadline: Option<Deadline>,
+    opts: PassOptions,
 }
 
 impl InstaEngine {
@@ -82,24 +79,17 @@ impl InstaEngine {
         TimingSession {
             txn: Txn::begin(self),
             status: SessionStatus::Open,
-            cancel: None,
-            deadline: None,
+            opts: PassOptions::default(),
         }
     }
 }
 
 impl<'e> TimingSession<'e> {
-    /// Arms a shared cancel token: kernels poll it once per timing level,
-    /// so at most one level's work runs after [`CancelToken::cancel`].
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Arms a wall-clock budget for the whole session, measured from this
-    /// call. Checked at the same per-level poll points as the token.
-    pub fn with_deadline(mut self, budget: Duration) -> Self {
-        self.deadline = Some(Deadline::after(budget));
+    /// Polls `opts` in every kernel pass of the session, once per timing
+    /// level: its deadline is absolute, so it is one budget for the whole
+    /// session.
+    pub fn with_options(mut self, opts: PassOptions) -> Self {
+        self.opts = opts;
         self
     }
 
@@ -133,14 +123,14 @@ impl<'e> TimingSession<'e> {
     /// the session **open**; any poisoning error (numeric, runtime,
     /// cancelled) rolls back and closes the session.
     pub fn update_timing(&mut self, deltas: &[ArcDelta]) -> Result<InstaReport, InstaError> {
-        let report = self.run(|txn| txn.update_timing(deltas))?;
+        let report = self.run(|txn, opts| txn.update_timing(deltas, opts))?;
         self.gate_report(report)
     }
 
     /// Session form of [`InstaEngine::try_propagate`]: full forward pass
     /// under the rollback guard.
     pub fn propagate(&mut self) -> Result<InstaReport, InstaError> {
-        let report = self.run(|txn| txn.eng.try_propagate().cloned())?;
+        let report = self.run(|txn, opts| txn.eng.try_propagate(opts).cloned())?;
         self.gate_report(report)
     }
 
@@ -182,21 +172,15 @@ impl<'e> TimingSession<'e> {
     }
 
     /// Guarded wrapper shared by every mutating call: the transaction
-    /// captures its begin-time state first, and the engine's per-level
-    /// interrupt poll is armed for the call if the session has a token or
-    /// deadline.
+    /// captures its begin-time state first, and the call's passes poll the
+    /// session's options.
     fn run<T>(
         &mut self,
-        f: impl FnOnce(&mut Txn<'e>) -> Result<T, InstaError>,
+        f: impl FnOnce(&mut Txn<'e>, &PassOptions) -> Result<T, InstaError>,
     ) -> Result<T, InstaError> {
         self.ensure_open()?;
         self.txn.observe();
-        if self.cancel.is_some() || self.deadline.is_some() {
-            let interrupt = Interrupt::new(self.cancel.clone(), self.deadline);
-            self.txn.eng.set_interrupt(interrupt);
-        }
-        let result = f(&mut self.txn);
-        self.txn.eng.clear_interrupt();
+        let result = f(&mut self.txn, &self.opts);
         result.map_err(|e| self.close_on(e))
     }
 

@@ -670,7 +670,7 @@ mod batched_tests {
                         std::mem::swap(&mut engine.state, &mut scratch);
                     }
                     let mut txn = Txn::begin(&mut engine);
-                    let swept = txn.sweep(&set.deltas, None);
+                    let swept = txn.sweep(&set.deltas, &crate::PassOptions::default());
                     prop_assert!(matches!(swept, Ok(None)), "clean sweep");
                     let lane = &*txn.eng;
                     for v in 0..lane.st.n {
@@ -757,7 +757,7 @@ mod batched_tests {
                         st,
                         &mut twin.state,
                         1,
-                        None,
+                        &crate::PassOptions::default(),
                         None,
                         &crate::forward::source_launch(st),
                         &mut 0,

@@ -492,7 +492,10 @@ fn probe(fx: &Fixture, a: &mut InstaEngine, seed: u64) -> (Vec<ArcDelta>, usize)
     let before = a.undo_image();
     let token = CancelToken::new();
     token.cancel();
-    let mut session = a.begin_session().with_cancel(token);
+    let mut session = a.begin_session().with_options(PassOptions {
+        cancel: Some(token),
+        ..PassOptions::default()
+    });
     let level = match session.update_timing(&deltas) {
         Err(InstaError::Cancelled {
             kernel: Kernel::Forward,
@@ -555,7 +558,10 @@ fn cancel_mid_cone_stops_at_the_next_dirty_level() {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |_| fire.cancel()));
     chaos::arm(Kernel::Forward, first, false);
-    let mut session = a.begin_session().with_cancel(token);
+    let mut session = a.begin_session().with_options(PassOptions {
+        cancel: Some(token),
+        ..PassOptions::default()
+    });
     let result = session.update_timing(&deltas);
     chaos::disarm();
     std::panic::set_hook(prev_hook);

@@ -67,7 +67,10 @@ fn forward_worker_panic_is_recovered_bit_identically() {
     let level = 3; // a wide (parallel-dispatched) level
     with_quiet_panics(|| {
         chaos::arm(Kernel::Forward, level, false);
-        let report = faulty.try_propagate().expect("recovered").clone();
+        let report = faulty
+            .try_propagate(&PassOptions::default())
+            .expect("recovered")
+            .clone();
         chaos::disarm();
         for (i, (a, b)) in healthy_report.slacks.iter().zip(&report.slacks).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "slack {i}: {a} vs {b}");
@@ -152,7 +155,9 @@ fn lse_and_backward_worker_panics_are_recovered_bit_identically() {
     faulty.propagate();
     with_quiet_panics(|| {
         chaos::arm(Kernel::ForwardLse, 2, false);
-        faulty.try_forward_lse().expect("lse recovered");
+        faulty
+            .try_forward_lse(&PassOptions::default())
+            .expect("lse recovered");
         chaos::disarm();
     });
     let incident = faulty.last_incident().expect("lse incident").clone();
@@ -211,8 +216,8 @@ fn single_threaded_level_panics_are_recovered_bit_identically() {
         with_quiet_panics(|| {
             chaos::arm(kernel, level, false);
             let ran = match kernel {
-                Kernel::Forward => faulty.try_propagate().map(|_| ()),
-                Kernel::ForwardLse => faulty.try_forward_lse(),
+                Kernel::Forward => faulty.try_propagate(&PassOptions::default()).map(|_| ()),
+                Kernel::ForwardLse => faulty.try_forward_lse(&PassOptions::default()),
                 Kernel::Backward => faulty.try_backward_tns(&PassOptions::default()),
             };
             chaos::disarm();
@@ -253,7 +258,9 @@ fn persistent_panic_fails_the_serial_retry_with_a_typed_error() {
     let mut eng = engine(wide_init());
     let err = with_quiet_panics(|| {
         chaos::arm(Kernel::Forward, 3, true);
-        let err = eng.try_propagate().expect_err("retry must fail too");
+        let err = eng
+            .try_propagate(&PassOptions::default())
+            .expect_err("retry must fail too");
         chaos::disarm();
         err
     });
@@ -267,7 +274,10 @@ fn persistent_panic_fails_the_serial_retry_with_a_typed_error() {
         other => panic!("expected Runtime, got {other}"),
     }
     // The engine recovers on the next clean pass.
-    let report = eng.try_propagate().expect("clean pass").clone();
+    let report = eng
+        .try_propagate(&PassOptions::default())
+        .expect("clean pass")
+        .clone();
     assert!(!report.slacks.is_empty());
     assert!(eng.last_incident().is_none());
 }
@@ -287,7 +297,8 @@ fn incident_ring_outlives_passes_and_counts_evictions() {
     // the ring keeps the history.
     with_quiet_panics(|| {
         chaos::arm(Kernel::Forward, 3, false);
-        eng.try_propagate().expect("recovered");
+        eng.try_propagate(&PassOptions::default())
+            .expect("recovered");
         chaos::disarm();
     });
     eng.propagate();
@@ -299,7 +310,8 @@ fn incident_ring_outlives_passes_and_counts_evictions() {
     // A fatal (persistent) incident is recorded too.
     with_quiet_panics(|| {
         chaos::arm(Kernel::Forward, 3, true);
-        eng.try_propagate().expect_err("retry must fail too");
+        eng.try_propagate(&PassOptions::default())
+            .expect_err("retry must fail too");
         chaos::disarm();
     });
     assert_eq!(eng.incident_log().total(), 2);
@@ -311,7 +323,8 @@ fn incident_ring_outlives_passes_and_counts_evictions() {
     with_quiet_panics(|| {
         for _ in 0..capacity {
             chaos::arm(Kernel::Forward, 3, false);
-            eng.try_propagate().expect("recovered");
+            eng.try_propagate(&PassOptions::default())
+                .expect("recovered");
             chaos::disarm();
         }
     });
@@ -335,10 +348,12 @@ fn incidents_are_mirrored_into_the_trace_journal() {
 
     with_quiet_panics(|| {
         chaos::arm(Kernel::Forward, 3, false);
-        eng.try_propagate().expect("recovered");
+        eng.try_propagate(&PassOptions::default())
+            .expect("recovered");
         chaos::disarm();
         chaos::arm(Kernel::ForwardLse, 2, false);
-        eng.try_forward_lse().expect("recovered");
+        eng.try_forward_lse(&PassOptions::default())
+            .expect("recovered");
         chaos::disarm();
         chaos::arm(Kernel::Backward, 2, false);
         eng.try_backward_tns(&PassOptions::default())

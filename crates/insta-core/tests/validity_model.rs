@@ -21,8 +21,9 @@
 
 use insta_engine::parallel::chaos;
 use insta_engine::{
-    hold_attributes, CancelToken, DeltaSet, DriftPolicy, EngineDurableState, HoldAttributes,
-    InstaConfig, InstaEngine, InstaError, InstaReport, Kernel, SessionStatus, TimingSession,
+    hold_attributes, CancelToken, Deadline, DeltaSet, DriftPolicy, EngineDurableState,
+    HoldAttributes, InstaConfig, InstaEngine, InstaError, InstaReport, Kernel, PassOptions,
+    SessionStatus, TimingSession,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
@@ -471,9 +472,17 @@ fn run_session(
         End::Cancel => {
             let token = CancelToken::new();
             token.cancel();
-            s = s.with_cancel(token);
+            s = s.with_options(PassOptions {
+                cancel: Some(token),
+                ..PassOptions::default()
+            });
         }
-        End::Deadline => s = s.with_deadline(Duration::ZERO),
+        End::Deadline => {
+            s = s.with_options(PassOptions {
+                deadline: Some(Deadline::after(Duration::ZERO)),
+                ..PassOptions::default()
+            })
+        }
         _ => {}
     }
     let mut all_ok = true;

@@ -2,8 +2,8 @@
 //! INSTA-Place (paper §III-I, Eqs. 7–8).
 //!
 //! All three modes share the same substrate — WA wirelength + bilinear
-//! density, Adam descent, periodic timing refresh — and differ only in how
-//! timing feedback enters the objective:
+//! density, normalized-momentum descent, periodic timing refresh — and
+//! differ only in how timing feedback enters the objective:
 //!
 //! * **Wirelength** (the DREAMPlace role): no timing term.
 //! * **NetWeighting** (the DREAMPlace 4.0 role): per-net momentum weights
@@ -49,7 +49,8 @@ pub enum PlacerMode {
 pub struct PlacerConfig {
     /// Descent iterations.
     pub iterations: usize,
-    /// Adam learning rate (µm).
+    /// Descent step length (µm per iteration at RMS gradient; see
+    /// [`NormalizedMomentum`]).
     pub lr: f64,
     /// WA smoothing γ (µm).
     pub gamma: f64,

@@ -6,7 +6,8 @@
 //! * [`wirelength`] — the weighted-average (WA) smooth wirelength model
 //!   with analytic gradients and per-net weights.
 //! * [`density`] — bilinear bin-density penalty with analytic gradients.
-//! * [`optimizer`] — Adam over cell coordinates.
+//! * [`optimizer`] — momentum descent with global step normalization over
+//!   cell coordinates.
 //! * [`timing`] — the timing interface: refresh the reference engine from
 //!   placement-derived parasitics, compute INSTA arc gradients or
 //!   net-weighting criticalities, and record the runtime breakdown
@@ -30,8 +31,6 @@ pub use db::PlacementDb;
 pub use density::DensityGrid;
 pub use global::{place, PlaceResult, PlacerConfig, PlacerMode};
 pub use legalize::legalize;
-pub use optimizer::{Adam, NormalizedMomentum};
-pub use timing::{
-    refresh_timing, refresh_timing_traced, RefreshBreakdown, TimingMode, TimingRefresh,
-};
+pub use optimizer::NormalizedMomentum;
+pub use timing::{refresh_timing, RefreshBreakdown, TimingMode, TimingRefresh};
 pub use wirelength::WaWirelength;

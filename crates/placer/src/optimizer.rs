@@ -1,72 +1,11 @@
-//! Adam optimizer over flat coordinate vectors.
-
-/// Adam state for one parameter vector.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f64,
-    /// First-moment decay.
-    pub beta1: f64,
-    /// Second-moment decay.
-    pub beta2: f64,
-    /// Numerical floor.
-    pub eps: f64,
-    m: Vec<f64>,
-    v: Vec<f64>,
-    t: u64,
-}
-
-impl Adam {
-    /// Creates an optimizer for `n` parameters.
-    pub fn new(n: usize, lr: f64) -> Self {
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            m: vec![0.0; n],
-            v: vec![0.0; n],
-            t: 0,
-        }
-    }
-
-    /// Applies one descent step in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths disagree with the construction size.
-    #[allow(clippy::needless_range_loop)] // three parallel arrays
-    pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), self.m.len());
-        assert_eq!(grads.len(), self.m.len());
-        self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let mh = self.m[i] / b1t;
-            let vh = self.v[i] / b2t;
-            params[i] -= self.lr * mh / (vh.sqrt() + self.eps);
-        }
-    }
-
-    /// Resets the moments (used when the objective changes shape, e.g. at
-    /// timing-weight refreshes).
-    pub fn reset_moments(&mut self) {
-        self.m.fill(0.0);
-        self.v.fill(0.0);
-        self.t = 0;
-    }
-}
+//! The placer's descent step over flat coordinate vectors.
 
 /// Momentum gradient descent with *global* step normalization: the update
 /// is `x -= lr · v / rms(v)` with `v = μ·v + g`, per-coordinate clamped to
 /// `±step_clamp`.
 ///
-/// Unlike Adam's per-coordinate normalization (which equalizes step sizes
-/// and lets a tiny stale gradient override a large one), global
+/// Unlike a per-coordinate normalization (which equalizes step sizes and
+/// lets a tiny stale gradient override a large one), global
 /// normalization preserves *relative* gradient magnitudes — which is what
 /// makes the paper's gradient-norm matching (Eq. 8) between objective
 /// terms meaningful. This mirrors the Nesterov-style preconditioning
@@ -155,37 +94,5 @@ mod tests {
         let mut p = vec![1.0, 2.0];
         opt.step(&mut p, &[0.0, 0.0]);
         assert_eq!(p, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn converges_on_quadratic_bowl() {
-        let mut adam = Adam::new(2, 0.1);
-        let mut p = vec![5.0, -3.0];
-        for _ in 0..500 {
-            let g = vec![2.0 * (p[0] - 1.0), 2.0 * (p[1] + 2.0)];
-            adam.step(&mut p, &g);
-        }
-        assert!((p[0] - 1.0).abs() < 1e-2, "{p:?}");
-        assert!((p[1] + 2.0).abs() < 1e-2, "{p:?}");
-    }
-
-    #[test]
-    fn reset_restarts_bias_correction() {
-        let mut adam = Adam::new(1, 0.5);
-        let mut p = vec![0.0];
-        adam.step(&mut p, &[1.0]);
-        let after_first = p[0];
-        adam.reset_moments();
-        let mut q = vec![0.0];
-        adam.step(&mut q, &[1.0]);
-        assert_eq!(after_first, q[0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn wrong_length_panics() {
-        let mut adam = Adam::new(2, 0.1);
-        let mut p = vec![0.0];
-        adam.step(&mut p, &[1.0]);
     }
 }

@@ -12,7 +12,6 @@ use crate::db::PlacementDb;
 use insta_engine::{InstaConfig, InstaEngine, PassOptions};
 use insta_netlist::{Design, PinId, TimingArcKind};
 use insta_refsta::RefSta;
-use insta_support::obs::Recorder;
 use std::time::Instant;
 
 /// What the refresh computes beyond plain timing.
@@ -91,54 +90,16 @@ pub fn refresh_timing(
     mode: TimingMode,
     insta_cfg: &InstaConfig,
 ) -> TimingRefresh {
-    refresh_timing_with(design, db, sta, mode, insta_cfg, None)
-}
-
-/// [`refresh_timing`] with a span recorder: each refresh stage
-/// (`placer.wire_update`, `placer.reference_sta`, `placer.transfer`,
-/// `placer.insta_grad`) is journaled as a child of one `placer.refresh`
-/// span — the same taxonomy the engine's own trace sink uses, so a placer
-/// loop and its engine share one observability story.
-pub fn refresh_timing_traced(
-    design: &mut Design,
-    db: &PlacementDb,
-    sta: &mut RefSta,
-    mode: TimingMode,
-    insta_cfg: &InstaConfig,
-    recorder: &mut Recorder,
-) -> TimingRefresh {
-    refresh_timing_with(design, db, sta, mode, insta_cfg, Some(recorder))
-}
-
-fn refresh_timing_with(
-    design: &mut Design,
-    db: &PlacementDb,
-    sta: &mut RefSta,
-    mode: TimingMode,
-    insta_cfg: &InstaConfig,
-    mut rec: Option<&mut Recorder>,
-) -> TimingRefresh {
     let mut breakdown = RefreshBreakdown::default();
     let mut degraded = false;
-    if let Some(r) = rec.as_deref_mut() {
-        r.begin("placer.refresh");
-        r.begin("placer.wire_update");
-    }
 
     let t = Instant::now();
     db.update_wires(design);
     breakdown.wire_update_s = t.elapsed().as_secs_f64();
-    if let Some(r) = rec.as_deref_mut() {
-        r.end();
-        r.begin("placer.reference_sta");
-    }
 
     let t = Instant::now();
     let report = sta.full_update(design);
     breakdown.reference_sta_s = t.elapsed().as_secs_f64();
-    if let Some(r) = rec.as_deref_mut() {
-        r.end_with(&[("tns_ps", report.tns_ps)]);
-    }
 
     let mut arc_weights = Vec::new();
     let mut net_crit = Vec::new();
@@ -165,17 +126,10 @@ fn refresh_timing_with(
                 .collect();
         }
         TimingMode::InstaPlace => {
-            if let Some(r) = rec.as_deref_mut() {
-                r.begin("placer.transfer");
-            }
             let t = Instant::now();
             let init = sta.export_insta_init();
             let mut engine = InstaEngine::new(init, insta_cfg.clone()).expect("valid snapshot");
             breakdown.transfer_s = t.elapsed().as_secs_f64();
-            if let Some(r) = rec.as_deref_mut() {
-                r.end();
-                r.begin("placer.insta_grad");
-            }
 
             let t = Instant::now();
             // Forward, LSE and backward on the throw-away engine; a NaN
@@ -184,9 +138,6 @@ fn refresh_timing_with(
                 .try_backward_tns(&PassOptions::default())
                 .map(|()| engine.arc_gradients());
             breakdown.insta_grad_s = t.elapsed().as_secs_f64();
-            if let Some(r) = rec.as_deref_mut() {
-                r.end();
-            }
 
             match grads {
                 Ok(grads) => {
@@ -213,12 +164,6 @@ fn refresh_timing_with(
         }
     }
 
-    if let Some(r) = rec.as_deref_mut() {
-        r.end_with(&[
-            ("degraded", if degraded { 1.0 } else { 0.0 }),
-            ("total_s", breakdown.total_s()),
-        ]);
-    }
     TimingRefresh {
         wns_ps: report.wns_ps,
         tns_ps: report.tns_ps,
@@ -308,50 +253,6 @@ mod tests {
         if r.tns_ps < 0.0 {
             assert!(r.net_crit.iter().any(|&c| c > 0.0));
         }
-    }
-
-    #[test]
-    fn traced_refresh_journals_every_stage() {
-        let mut design = tight_design(9);
-        let db = PlacementDb::random(&design, 0.5, 4);
-        let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
-        let mut rec = Recorder::new();
-        let traced = refresh_timing_traced(
-            &mut design,
-            &db,
-            &mut sta,
-            TimingMode::InstaPlace,
-            &InstaConfig::default(),
-            &mut rec,
-        );
-        assert_eq!(rec.open_depth(), 0, "all spans closed");
-        let names: Vec<&str> = rec.events().map(|e| e.name).collect();
-        for stage in [
-            "placer.wire_update",
-            "placer.reference_sta",
-            "placer.transfer",
-            "placer.insta_grad",
-            "placer.refresh",
-        ] {
-            assert!(names.contains(&stage), "missing {stage} in {names:?}");
-        }
-        // The outer span closes last and carries the outcome payload.
-        let outer = rec.events().last().expect("journal non-empty");
-        assert_eq!(outer.name, "placer.refresh");
-        assert_eq!(outer.depth, 0);
-        assert_eq!(outer.field("degraded"), Some(0.0));
-        assert!(outer.field("total_s").is_some_and(|s| s > 0.0));
-        // Tracing is observation-only: the untraced call on the same
-        // inputs produces the same timing numbers.
-        let plain = refresh_timing(
-            &mut design,
-            &db,
-            &mut sta,
-            TimingMode::InstaPlace,
-            &InstaConfig::default(),
-        );
-        assert_eq!(traced.tns_ps.to_bits(), plain.tns_ps.to_bits());
-        assert_eq!(traced.wns_ps.to_bits(), plain.wns_ps.to_bits());
     }
 
     #[test]

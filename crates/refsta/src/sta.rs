@@ -35,7 +35,6 @@ use crate::exceptions::{EpId, ExceptionSet, SpId};
 use crate::incremental::{Changes, Frontier};
 use insta_liberty::{ArcKind, TimingSense, Transition};
 use insta_netlist::{BuildGraphError, CellId, Design, NodeId, PinId, TimingGraph};
-use insta_support::obs::Recorder;
 
 /// Configuration of the reference analysis.
 #[derive(Debug, Clone)]
@@ -354,39 +353,6 @@ impl RefSta {
     /// input pin or combinational arc, CK pin with no leaf or cell)
     /// instead of panicking.
     pub fn try_full_update(&mut self, design: &Design) -> Result<StaReport, ClockModelError> {
-        self.try_full_update_with(design, None)
-    }
-
-    /// [`full_update`](Self::full_update) journaled through an
-    /// [`obs::Recorder`](Recorder): one `refsta.full_update` span wrapping
-    /// `refsta.clock` / `refsta.annotate` / `refsta.propagate` /
-    /// `refsta.endpoints` children. The result is bit-identical to the
-    /// untraced update.
-    pub fn full_update_traced(&mut self, design: &Design, recorder: &mut Recorder) -> StaReport {
-        self.try_full_update_traced(design, recorder)
-            .expect("valid clock network")
-    }
-
-    /// Fallible [`full_update_traced`](Self::full_update_traced). Spans are
-    /// closed even on the clock-model error path, so the recorder's stack
-    /// always returns to its pre-call depth.
-    pub fn try_full_update_traced(
-        &mut self,
-        design: &Design,
-        recorder: &mut Recorder,
-    ) -> Result<StaReport, ClockModelError> {
-        self.try_full_update_with(design, Some(recorder))
-    }
-
-    fn try_full_update_with(
-        &mut self,
-        design: &Design,
-        mut rec: Option<&mut Recorder>,
-    ) -> Result<StaReport, ClockModelError> {
-        if let Some(r) = rec.as_deref_mut() {
-            r.begin("refsta.full_update");
-            r.begin("refsta.clock");
-        }
         self.changes = Changes {
             full: true,
             ..Changes::default()
@@ -396,28 +362,13 @@ impl RefSta {
             .period_override_ps
             .or(design.clock().map(|c| c.period_ps))
             .unwrap_or(f64::INFINITY);
-        let clock = ClockTiming::compute(
+        self.clock = ClockTiming::compute(
             design,
             self.graph.clock_tree(),
             &self.config.delay_calc,
             self.config.derate_early,
             self.config.derate_late,
-        );
-        self.clock = match clock {
-            Ok(c) => {
-                if let Some(r) = rec.as_deref_mut() {
-                    r.end_with(&[("ok", 1.0)]);
-                }
-                c
-            }
-            Err(e) => {
-                if let Some(r) = rec.as_deref_mut() {
-                    r.end_with(&[("ok", 0.0)]);
-                    r.end_with(&[("ok", 0.0)]);
-                }
-                return Err(e);
-            }
-        };
+        )?;
         // Max possible CPPR credit bounds the pruning window.
         let max_common = self
             .clock
@@ -429,36 +380,17 @@ impl RefSta {
         } else {
             1e-9
         };
-        if let Some(r) = rec.as_deref_mut() {
-            r.begin("refsta.annotate");
-        }
         self.delays = self.config.delay_calc.annotate(design, &self.graph);
         self.bind_clock_leaves(design);
         for sp_idx in 0..self.sp_infos.len() {
             self.init_source(design, sp_idx);
         }
         let order: Vec<NodeId> = self.graph.topo_order().to_vec();
-        if let Some(r) = rec.as_deref_mut() {
-            r.end_with(&[("arcs", self.delays.mean.len() as f64)]);
-            r.begin("refsta.propagate");
-        }
         for &node in &order {
             self.propagate_node(node);
         }
-        if let Some(r) = rec.as_deref_mut() {
-            r.end_with(&[("nodes", order.len() as f64)]);
-            r.begin("refsta.endpoints");
-        }
         self.evaluate_endpoints();
         self.full_pending = false;
-        if let Some(r) = rec.as_deref_mut() {
-            r.end_with(&[("endpoints", self.report.endpoints.len() as f64)]);
-            r.end_with(&[
-                ("ok", 1.0),
-                ("wns_ps", self.report.wns_ps),
-                ("tns_ps", self.report.tns_ps),
-            ]);
-        }
         Ok(self.report.clone())
     }
 
@@ -911,43 +843,6 @@ mod tests {
             report.n_violations,
             report.endpoints.iter().filter(|e| e.slack_ps < 0.0).count()
         );
-    }
-
-    #[test]
-    fn traced_full_update_journals_every_stage_and_matches_untraced() {
-        let (d, mut plain) = engine(6);
-        let (_d2, mut traced) = engine(6);
-        let untraced = plain.full_update(&d);
-        let mut rec = Recorder::new();
-        let report = traced.full_update_traced(&d, &mut rec);
-
-        assert_eq!(report.wns_ps.to_bits(), untraced.wns_ps.to_bits());
-        assert_eq!(report.tns_ps.to_bits(), untraced.tns_ps.to_bits());
-        assert_eq!(report.endpoints.len(), untraced.endpoints.len());
-
-        assert_eq!(rec.open_depth(), 0, "all spans closed");
-        for stage in [
-            "refsta.full_update",
-            "refsta.clock",
-            "refsta.annotate",
-            "refsta.propagate",
-            "refsta.endpoints",
-        ] {
-            assert!(
-                rec.events().any(|e| e.name == stage),
-                "missing span {stage}"
-            );
-        }
-        let outer = rec.events().last().expect("journal non-empty");
-        assert_eq!(outer.name, "refsta.full_update");
-        assert_eq!(outer.depth, 0);
-        assert_eq!(outer.field("ok"), Some(1.0));
-        assert_eq!(outer.field("wns_ps"), Some(report.wns_ps));
-        let eps = rec
-            .events()
-            .find(|e| e.name == "refsta.endpoints")
-            .expect("endpoints span");
-        assert_eq!(eps.field("endpoints"), Some(report.endpoints.len() as f64));
     }
 
     #[test]

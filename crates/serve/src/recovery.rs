@@ -41,7 +41,9 @@
 
 use crate::protocol::code;
 use crate::wal::{self, DurabilityConfig};
-use insta_engine::{EngineDurableState, InstaEngine, InstaError, ServiceIncident, WriterOp};
+use insta_engine::{
+    EngineDurableState, InstaEngine, InstaError, PassOptions, ServiceIncident, WriterOp,
+};
 use std::io;
 
 /// What recovery did, for the startup log and the stats surface.
@@ -143,7 +145,7 @@ pub fn recover(engine: &mut InstaEngine, cfg: &DurabilityConfig) -> io::Result<R
         // Self-verification: the re-derived slacks must match the bits
         // the checkpoint stored, or the checkpoint lies about this
         // engine (stale: wrong design/seed/config at startup).
-        let derived = match engine.try_propagate() {
+        let derived = match engine.try_propagate(&PassOptions::default()) {
             Ok(r) => bits(&r.slacks),
             Err(e) => return Err(engine_failure(&format!("checkpoint epoch {epoch}"), e)),
         };

@@ -848,6 +848,15 @@ impl Server {
         out
     }
 
+    /// What every engine pass of a writer-lock op polls: the daemon's
+    /// shutdown token and the request's own deadline.
+    fn pass_options(&self, deadline: Option<&Deadline>) -> PassOptions {
+        PassOptions {
+            cancel: Some(self.shared.shutdown.clone()),
+            deadline: deadline.copied(),
+        }
+    }
+
     /// The writer path: `update` (apply deltas) or `propagate` (full
     /// refresh), committed transactionally and published atomically.
     fn write_epoch(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Json, ErrReply> {
@@ -858,10 +867,9 @@ impl Server {
             Vec::new()
         };
         let (epoch, wns, tns, viol) = self.with_writer(|eng| {
-            let mut session = eng.begin_session().with_cancel(sh.shutdown.clone());
-            if let Some(d) = deadline {
-                session = session.with_deadline(d.remaining());
-            }
+            let mut session = eng
+                .begin_session()
+                .with_options(self.pass_options(deadline));
             let outcome = if req.op == Op::Update {
                 session.update_timing(&deltas)
             } else {
@@ -932,7 +940,6 @@ impl Server {
     }
 
     fn batch(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Json, ErrReply> {
-        let sh = &self.shared;
         let scenarios_json = req
             .params
             .field("scenarios")
@@ -948,10 +955,7 @@ impl Server {
                 ),
             ));
         }
-        let opts = PassOptions {
-            cancel: Some(sh.shutdown.clone()),
-            deadline: deadline.map(|d| d.remaining()),
-        };
+        let opts = self.pass_options(deadline);
         // `merged: true` asks for the MCMM worst-corner merge on top of
         // the per-scenario rows (protocol generation 2).
         let merged = matches!(
@@ -960,11 +964,14 @@ impl Server {
         );
         // A plain delta array is a scenario without corner or mode: the
         // same lanes, the same counters.
-        let mut scs = Vec::with_capacity(scenarios_json.len());
-        for s in scenarios_json {
-            scs.push(parse_scenario(s)?);
-        }
-        let rep = self.with_writer(|eng| eng.evaluate(&scs, &opts));
+        let rep = self.with_writer(|eng| {
+            let n_ep = eng.num_endpoints();
+            let scs = scenarios_json
+                .iter()
+                .map(|s| parse_scenario(s, n_ep))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(eng.evaluate(&scs, &opts))
+        })?;
         let rows: Vec<Json> = rep
             .scenarios
             .iter()
@@ -1001,10 +1008,7 @@ impl Server {
     /// reads, so the committed epoch is never perturbed. A NaN slack
     /// refuses it.
     fn gradient(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Json, ErrReply> {
-        let opts = PassOptions {
-            cancel: Some(self.shared.shutdown.clone()),
-            deadline: deadline.map(|d| d.remaining()),
-        };
+        let opts = self.pass_options(deadline);
         let grads = self
             .with_writer(|eng| eng.try_backward_tns(&opts).map(|()| eng.arc_gradients()))
             .map_err(map_engine_err)?;
@@ -1186,7 +1190,7 @@ fn map_engine_err(e: InstaError) -> ErrReply {
 /// object `{"deltas": [...], "corner": {"mean_scale", "mean_offset_ps",
 /// "sigma_scale", "sigma_offset_ps"}, "mode": {"disabled": [ep, ...]}}`
 /// — every field optional, corner fields defaulting to the identity.
-fn parse_scenario(j: &Json) -> Result<Scenario, ErrReply> {
+fn parse_scenario(j: &Json, n_endpoints: usize) -> Result<Scenario, ErrReply> {
     let bad = |m: String| ErrReply::new(code::BAD_REQUEST, m);
     if j.as_arr().is_ok() {
         return Ok(Scenario::from(parse_deltas(j)?));
@@ -1216,7 +1220,12 @@ fn parse_scenario(j: &Json) -> Result<Scenario, ErrReply> {
             .map_err(|e| bad(format!("mode disabled: {e}")))?;
         let mut eps = Vec::with_capacity(list.len());
         for v in list {
-            eps.push(v.as_u64().map_err(|e| bad(format!("mode disabled: {e}")))? as usize);
+            let ep = v.as_u64().map_err(|e| bad(format!("mode disabled: {e}")))?;
+            // An index past the last endpoint disables nothing
+            // (`ModeMask::is_disabled`); kept, it would size the mask.
+            if ep < n_endpoints as u64 {
+                eps.push(ep as usize);
+            }
         }
         sc.mode = Some(ModeMask::disabling(eps));
     }

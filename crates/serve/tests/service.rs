@@ -1133,3 +1133,25 @@ fn mcmm_batch_serves_scenario_objects_and_merged_view_bit_exactly() {
     drop(cl);
     h.join().unwrap();
 }
+
+/// A mode index past the last endpoint disables nothing, so the daemon
+/// drops it before it builds the mask: `1e18` would otherwise size the
+/// mask's bitset at ~1.25·10¹⁷ bytes, and a failed allocation aborts the
+/// process, past the connection supervisor. The reply keeps the bits of
+/// the same batch without that index, and the daemon serves on.
+#[test]
+fn a_mode_index_past_the_endpoints_disables_nothing_and_allocates_nothing() {
+    let server = Server::new(build_engine(33, 8), ServeConfig::default());
+    let batch = |disabled: &str| {
+        format!(
+            r#"{{"id":1,"op":"batch","params":{{"merged":true,"scenarios":[{{"mode":{{"disabled":[{disabled}]}}}}]}}}}"#
+        )
+    };
+    let far = reply_bytes(&server, &batch("1e18, 0"));
+    assert_eq!(far, reply_bytes(&server, &batch("0")));
+    let text = String::from_utf8(far).expect("utf-8 reply");
+    assert!(text.contains(r#""ok":true"#), "{text}");
+    let pong = reply_bytes(&server, r#"{"id":2,"op":"ping","params":null}"#);
+    let pong = String::from_utf8(pong).expect("utf-8 reply");
+    assert!(pong.contains(r#""pong":true"#), "{pong}");
+}

@@ -9,7 +9,7 @@
 //! export instead, kept only if the move is. A rejected move is undone in
 //! the design and the reference too.
 
-use insta_engine::{InstaConfig, InstaEngine, InstaReport};
+use insta_engine::{InstaConfig, InstaEngine, InstaReport, PassOptions};
 use insta_liberty::LibCellId;
 use insta_netlist::{CellId, Design};
 use insta_refsta::eco::ArcDelta;
@@ -73,7 +73,9 @@ impl<'a> Coupled<'a> {
         let change = self.golden.last_change();
         let accepted = if change.full || !change.launches.is_empty() {
             let mut candidate = build(self.golden, self.engine.config().clone());
-            let ok = candidate.try_propagate().is_ok_and(accept);
+            let ok = candidate
+                .try_propagate(&PassOptions::default())
+                .is_ok_and(accept);
             if ok {
                 self.engine = candidate;
             }

@@ -14,11 +14,10 @@
 
 use crate::coupled::Coupled;
 use crate::stage::{cell_neighborhood, stage_gradients};
-use insta_engine::{CornerTransform, InstaConfig, PassOptions, Scenario};
+use insta_engine::{InstaConfig, PassOptions, Scenario};
 use insta_liberty::LibCellId;
 use insta_netlist::{CellId, Design};
 use insta_refsta::{estimate_eco, RefSta, StaReport};
-use insta_support::obs::Recorder;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -36,12 +35,6 @@ pub struct InstaSizeConfig {
     pub block_hops: usize,
     /// INSTA engine settings (`lse_tau` is the paper's τ; 0.01 in §IV-C).
     pub engine: InstaConfig,
-    /// Extra analysis corners the candidate scorer sweeps. Empty (the
-    /// default) scores each candidate at the annotated corner only;
-    /// non-empty adds one MCMM lane per transform to every candidate and
-    /// ranks candidates by their **worst-corner** TNS, so a move that
-    /// helps nominally but regresses a pessimistic corner loses the race.
-    pub corners: Vec<CornerTransform>,
 }
 
 impl Default for InstaSizeConfig {
@@ -55,7 +48,6 @@ impl Default for InstaSizeConfig {
                 lse_tau: 0.01,
                 ..InstaConfig::default()
             },
-            corners: Vec::new(),
         }
     }
 }
@@ -129,45 +121,13 @@ impl SizeRun {
 /// Runs INSTA-Size on `design`, using `golden` for `estimate_eco` and
 /// exact delay refresh. Returns the outcome evaluated by the golden engine
 /// (the signoff view of Table II).
-pub fn insta_size(
-    design: &mut Design,
-    golden: &mut RefSta,
-    cfg: &InstaSizeConfig,
-) -> SizeOutcome {
-    insta_size_with(design, golden, cfg, None)
-}
-
-/// [`insta_size`] with a span recorder: the run is journaled as one
-/// `sizer.run` span containing a `sizer.round` span per optimization round
-/// (fields: commits, TNS) — the same taxonomy the engine's own trace sink
-/// uses.
-pub fn insta_size_traced(
-    design: &mut Design,
-    golden: &mut RefSta,
-    cfg: &InstaSizeConfig,
-    recorder: &mut Recorder,
-) -> SizeOutcome {
-    insta_size_with(design, golden, cfg, Some(recorder))
-}
-
-fn insta_size_with(
-    design: &mut Design,
-    golden: &mut RefSta,
-    cfg: &InstaSizeConfig,
-    mut rec: Option<&mut Recorder>,
-) -> SizeOutcome {
-    if let Some(r) = rec.as_deref_mut() {
-        r.begin("sizer.run");
-    }
+pub fn insta_size(design: &mut Design, golden: &mut RefSta, cfg: &InstaSizeConfig) -> SizeOutcome {
     let run = SizeRun::start(design, golden);
     let mut timer = Coupled::new(design, golden, cfg.engine.clone());
     let mut backward_s = 0.0;
     let lib = timer.design().library_arc();
 
     for _round in 0..cfg.rounds {
-        if let Some(r) = rec.as_deref_mut() {
-            r.begin("sizer.round");
-        }
         let engine = timer.engine_mut();
         engine.propagate();
         engine.forward_lse();
@@ -177,9 +137,6 @@ fn insta_size_with(
 
         let stages = stage_gradients(timer.design(), timer.golden().graph(), timer.engine());
         let Some(max_mag) = stages.first().map(|s| s.magnitude) else {
-            if let Some(r) = rec.as_deref_mut() {
-                r.end_with(&[("committed", 0.0), ("stalled", 1.0)]);
-            }
             break; // no gradient flow → nothing to fix
         };
         let threshold = max_mag * cfg.grad_threshold_frac;
@@ -211,28 +168,22 @@ fn insta_size_with(
             }
             let engine = timer.engine_mut();
             let tns_prev = engine.report().tns_ps;
-            // Each candidate gets an identity lane plus one lane per
-            // configured corner, and the race is ranked by worst-corner
-            // TNS, the later candidate winning a tie: a move that helps
-            // nominally but regresses a pessimistic corner loses. The
-            // commit gate below still compares the identity-lane TNS with
-            // `tns_prev`, so corner pessimism never loosens the bar.
-            let lanes = 1 + cfg.corners.len();
-            let mut scenarios = Vec::with_capacity(candidates.len() * lanes);
-            for (_, est) in &candidates {
-                let identity = Scenario::from(est.arc_deltas.clone());
-                scenarios.push(identity.clone());
-                scenarios.extend(cfg.corners.iter().map(|&c| identity.clone().with_corner(c)));
-            }
+            // One lane per candidate; the best TNS wins, the later
+            // candidate on a tie, and a quarantined lane (a poisoned
+            // estimate) drops its candidate.
+            let scenarios: Vec<Scenario> = candidates
+                .iter()
+                .map(|(_, est)| Scenario::from(est.arc_deltas.clone()))
+                .collect();
             let reports = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
-            let best = reports.chunks(lanes).enumerate().filter_map(|(k, group)| {
-                let tns = group.iter().map(|r| r.outcome.as_ref().ok().map(|rep| rep.tns_ps));
-                // A quarantined lane (poisoned estimate) drops the candidate.
-                let tns: Vec<f64> = tns.collect::<Option<_>>()?;
-                Some((k, tns.iter().copied().fold(f64::INFINITY, f64::min), tns[0]))
-            });
-            let best = best.max_by(|a, b| a.1.total_cmp(&b.1));
-            let Some((pick, _, batch_tns)) = best else { continue };
+            let best = reports
+                .iter()
+                .enumerate()
+                .filter_map(|(k, r)| r.outcome.as_ref().ok().map(|rep| (k, rep.tns_ps)))
+                .max_by(|a, b| a.1.total_cmp(&b.1));
+            let Some((pick, batch_tns)) = best else {
+                continue;
+            };
             if batch_tns <= tns_prev {
                 continue; // no candidate improves the design TNS
             }
@@ -244,26 +195,12 @@ fn insta_size_with(
                 blocked.extend(cell_neighborhood(timer.design(), cell, cfg.block_hops));
             }
         }
-        if let Some(r) = rec.as_deref_mut() {
-            r.end_with(&[
-                ("committed", committed_this_round as f64),
-                ("tns_ps", timer.engine().report().tns_ps),
-            ]);
-        }
         if committed_this_round == 0 {
             break;
         }
     }
 
-    let outcome = run.finish(design, golden, backward_s);
-    if let Some(r) = rec {
-        r.end_with(&[
-            ("cells_sized", outcome.cells_sized as f64),
-            ("tns_after_ps", outcome.tns_after_ps),
-            ("backward_s", backward_s),
-        ]);
-    }
-    outcome
+    run.finish(design, golden, backward_s)
 }
 
 #[cfg(test)]
@@ -311,54 +248,6 @@ mod tests {
         let report = fresh.full_update(&design);
         assert!((report.tns_ps - outcome.tns_after_ps).abs() < 1e-6);
         assert!((report.wns_ps - outcome.wns_after_ps).abs() < 1e-6);
-    }
-
-    #[test]
-    fn traced_sizing_journals_rounds_and_the_run() {
-        let mut design = violating_design(7);
-        let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
-        golden.full_update(&design);
-        let mut rec = Recorder::new();
-        let outcome =
-            insta_size_traced(&mut design, &mut golden, &InstaSizeConfig::default(), &mut rec);
-        assert!(outcome.cells_sized > 0);
-        assert_eq!(rec.open_depth(), 0, "all spans closed");
-        let rounds: Vec<_> = rec.events().filter(|e| e.name == "sizer.round").collect();
-        assert!(!rounds.is_empty());
-        assert!(rounds.iter().all(|e| e.depth == 1), "rounds nest in the run");
-        assert!(rounds.iter().any(|e| e.field("committed").unwrap_or(0.0) > 0.0));
-        let run = rec.events().last().expect("journal non-empty");
-        assert_eq!(run.name, "sizer.run");
-        assert_eq!(run.field("cells_sized"), Some(outcome.cells_sized as f64));
-        assert!(run.field("backward_s").is_some_and(|s| s > 0.0));
-    }
-
-    #[test]
-    fn corner_swept_sizing_improves_tns_under_pessimism() {
-        let mut design = violating_design(7);
-        let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
-        let before = golden.full_update(&design);
-        assert!(before.n_violations > 0, "need violations to fix");
-        let cfg = InstaSizeConfig {
-            corners: vec![
-                CornerTransform::scale(1.06, 1.15),
-                CornerTransform {
-                    mean_scale: 0.94,
-                    mean_offset_ps: 2.0,
-                    sigma_scale: 1.05,
-                    sigma_offset_ps: 0.0,
-                },
-            ],
-            ..InstaSizeConfig::default()
-        };
-        let outcome = insta_size(&mut design, &mut golden, &cfg);
-        assert!(
-            outcome.tns_after_ps > outcome.tns_before_ps,
-            "worst-corner ranked sizing must still improve nominal TNS: {} -> {}",
-            outcome.tns_before_ps,
-            outcome.tns_after_ps
-        );
-        assert!(outcome.cells_sized > 0);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use buffering::{insta_buffer, BufferingConfig, BufferingOutcome};
 pub use changelist::{random_changelist, ResizeOp};
 pub use coupled::Coupled;
 pub use flow::{run_evaluator_flow, EvaluatorFlowResult, IterationTiming};
-pub use insta_size::{insta_size, insta_size_traced, InstaSizeConfig, SizeOutcome};
+pub use insta_size::{insta_size, InstaSizeConfig, SizeOutcome};
 pub use power::{power_recover, PowerOutcome, PowerRecoveryConfig};
 pub use reference::{reference_size, ReferenceSizeConfig};
 pub use stage::{cell_neighborhood, stage_gradients, StageGradient};

@@ -72,11 +72,6 @@ impl Deadline {
     pub fn expired(&self) -> bool {
         Instant::now() >= self.at
     }
-
-    /// Time left before expiry (zero once expired).
-    pub fn remaining(&self) -> Duration {
-        self.at.saturating_duration_since(Instant::now())
-    }
 }
 
 /// Re-export of [`std::hint::black_box`] under the name bench code expects.
@@ -290,10 +285,8 @@ mod tests {
     fn deadline_expiry() {
         let d = Deadline::after(Duration::from_secs(3600));
         assert!(!d.expired());
-        assert!(d.remaining() > Duration::from_secs(3599));
         let past = Deadline::after(Duration::ZERO);
         assert!(past.expired());
-        assert_eq!(past.remaining(), Duration::ZERO);
         let at = Deadline::at(Instant::now());
         assert!(at.expired());
     }

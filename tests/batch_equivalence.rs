@@ -9,7 +9,8 @@
 //! gradient producer.
 
 use insta_engine::{
-    DeltaSet, InstaConfig, InstaEngine, InstaError, InstaReport, PassOptions, ScenarioReport,
+    Deadline, DeltaSet, InstaConfig, InstaEngine, InstaError, InstaReport, PassOptions,
+    ScenarioReport,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
@@ -410,7 +411,7 @@ fn a_batch_deadline_is_one_budget_for_the_whole_call() {
         .evaluate(
             &scenarios,
             &PassOptions {
-                deadline: Some(budget),
+                deadline: Some(Deadline::after(budget)),
                 ..PassOptions::default()
             },
         )
@@ -535,7 +536,10 @@ fn no_evaluate_call_opens_a_session() {
     let got = engine.evaluate(&scenarios, &cancel).scenarios;
     assert_eq!(sessions(&engine), before);
     for (g, sc) in got.iter().zip(&scenarios) {
-        let mut session = twin.begin_session().with_cancel(token.clone());
+        let mut session = twin.begin_session().with_options(PassOptions {
+            cancel: Some(token.clone()),
+            ..PassOptions::default()
+        });
         let w = session.update_timing(&sc.deltas);
         drop(session);
         match (&g.outcome, &w) {

@@ -68,7 +68,7 @@ fn drive_init(init: InstaInit) -> Result<Outcome, String> {
         Err(_) => return Ok("rejected:validate"),
         Ok(e) => e,
     };
-    if eng.try_propagate().is_err() {
+    if eng.try_propagate(&PassOptions::default()).is_err() {
         return Ok("rejected:runtime");
     }
     for (i, s) in eng.report().slacks.iter().enumerate() {
@@ -76,7 +76,9 @@ fn drive_init(init: InstaInit) -> Result<Outcome, String> {
             return Err(format!("NaN slack at endpoint {i}"));
         }
     }
-    if eng.try_forward_lse().is_err() || eng.try_backward_tns(&PassOptions::default()).is_err() {
+    if eng.try_forward_lse(&PassOptions::default()).is_err()
+        || eng.try_backward_tns(&PassOptions::default()).is_err()
+    {
         return Ok("rejected:runtime");
     }
     if eng.health_check().is_err() {

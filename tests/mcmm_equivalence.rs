@@ -392,7 +392,10 @@ fn prefired_cancel_cancels_every_corner_lane() {
         .iter()
         .map(|sc| {
             let twin = clone.scenario_twin_deltas(sc);
-            let mut session = clone.begin_session().with_cancel(token.clone());
+            let mut session = clone.begin_session().with_options(PassOptions {
+                cancel: Some(token.clone()),
+                ..PassOptions::default()
+            });
             let outcome = session.update_timing(&twin);
             drop(session);
             if sc.corner.is_some_and(|c| !c.is_identity()) {

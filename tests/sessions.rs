@@ -9,7 +9,8 @@
 
 use insta_engine::parallel::chaos;
 use insta_engine::{
-    CancelToken, InstaConfig, InstaEngine, InstaError, InstaReport, Kernel, SessionStatus,
+    CancelToken, Deadline, InstaConfig, InstaEngine, InstaError, InstaReport, Kernel, PassOptions,
+    Scenario, SessionStatus,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
@@ -215,7 +216,10 @@ fn topk_bits(e: &InstaEngine) -> Vec<u64> {
 fn first_dirty_level(engine: &mut InstaEngine, batch: &[ArcDelta]) -> usize {
     let token = CancelToken::new();
     token.cancel();
-    let mut session = engine.begin_session().with_cancel(token);
+    let mut session = engine.begin_session().with_options(PassOptions {
+        cancel: Some(token),
+        ..PassOptions::default()
+    });
     match session.update_timing(batch) {
         Err(InstaError::Cancelled { level, .. }) => level,
         other => panic!("expected Cancelled, got {other:?}"),
@@ -284,7 +288,10 @@ fn prefired_cancel_token_stops_at_the_first_level_poll() {
 
     let token = CancelToken::new();
     token.cancel();
-    let mut session = engine.begin_session().with_cancel(token.clone());
+    let mut session = engine.begin_session().with_options(PassOptions {
+        cancel: Some(token.clone()),
+        ..PassOptions::default()
+    });
     let err = session.update_timing(&batch).expect_err("token already fired");
     let InstaError::Cancelled { kernel, level, elapsed } = &err else {
         panic!("expected Cancelled, got {err}");
@@ -330,7 +337,10 @@ fn reads_after_rollback_see_the_committed_arrays() {
 
     engine.enable_tracing();
     let token = CancelToken::new();
-    let mut session = engine.begin_session().with_cancel(token.clone());
+    let mut session = engine.begin_session().with_options(PassOptions {
+        cancel: Some(token.clone()),
+        ..PassOptions::default()
+    });
     session.update_timing(&batch).expect("valid batch");
     assert_ne!(
         arrivals_before,
@@ -375,7 +385,10 @@ fn zero_deadline_cancels_and_rolls_back() {
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xDEAD);
     let batch = random_valid_batch(&golden, &mut rng, 3);
 
-    let mut session = engine.begin_session().with_deadline(Duration::ZERO);
+    let mut session = engine.begin_session().with_options(PassOptions {
+        deadline: Some(Deadline::after(Duration::ZERO)),
+        ..PassOptions::default()
+    });
     let err = session.update_timing(&batch).expect_err("deadline expired");
     assert_eq!(err.category(), "cancelled");
     assert_eq!(session.status(), SessionStatus::Cancelled);
@@ -383,6 +396,46 @@ fn zero_deadline_cancels_and_rolls_back() {
 
     assert_eq!(baseline_bits, report_bits(&engine.propagate().clone()));
     assert_eq!(engine.counters().sessions_cancelled, 1);
+}
+
+/// The deadline of a `PassOptions` is an instant, not a budget that
+/// restarts per call: one value whose deadline has passed cancels every
+/// entry point it is handed to — a pass, the gradient call, a batch and a
+/// session — however long after it was built.
+#[test]
+fn one_expired_deadline_cancels_every_entry_point() {
+    let _serial = serial();
+    let (golden, mut engine) = build(113);
+    let baseline_bits = report_bits(&engine.propagate().clone());
+    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xE4D);
+    let batch = random_valid_batch(&golden, &mut rng, 3);
+    let opts = PassOptions {
+        deadline: Some(Deadline::after(Duration::from_millis(1))),
+        ..PassOptions::default()
+    };
+    std::thread::sleep(Duration::from_millis(5));
+    let cancelled = |what: &str, err: Option<&InstaError>| {
+        assert!(
+            matches!(err, Some(InstaError::Cancelled { .. })),
+            "{what}: expected Cancelled, got {err:?}"
+        );
+    };
+
+    cancelled("try_propagate", engine.try_propagate(&opts).err().as_ref());
+    cancelled(
+        "try_backward_tns",
+        engine.try_backward_tns(&opts).err().as_ref(),
+    );
+    let scenarios = [Scenario::from(batch.clone()), Scenario::default()];
+    for r in engine.evaluate(&scenarios, &opts).scenarios {
+        cancelled("evaluate", r.outcome.as_ref().err());
+    }
+    let mut session = engine.begin_session().with_options(opts.clone());
+    cancelled("session", session.update_timing(&batch).err().as_ref());
+    assert_eq!(session.status(), SessionStatus::Cancelled);
+    drop(session);
+
+    assert_eq!(baseline_bits, report_bits(&engine.propagate().clone()));
 }
 
 /// A closed session refuses further work with a typed error instead of
@@ -396,7 +449,10 @@ fn session_lifecycle_contract() {
     let batch = random_valid_batch(&golden, &mut rng, 2);
 
     // Cancelled session refuses new work.
-    let mut session = engine.begin_session().with_deadline(Duration::ZERO);
+    let mut session = engine.begin_session().with_options(PassOptions {
+        deadline: Some(Deadline::after(Duration::ZERO)),
+        ..PassOptions::default()
+    });
     session.update_timing(&batch).expect_err("deadline expired");
     let err = session.update_timing(&batch).expect_err("session closed");
     assert_eq!(err.category(), "validate");
