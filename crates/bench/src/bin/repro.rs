@@ -15,20 +15,23 @@
 //! `target/repro/<table>.json`, and `repro -- check <table>...` compares
 //! each with the checked-in `crates/bench/expected/<table>.json`, exiting
 //! non-zero on any difference (`check` alone checks every such table).
-//! Checked today: `table1` (size, correlation, mismatch and #vio per
-//! block), `fig8` (correlation and mismatch before and after the flow) and
-//! `table2` (WNS, TNS, #vio and cells sized per design and sizer). Timing
-//! and memory columns are printed only.
+//! Checked today: `fig6` (correlation and mismatch per Top-K and CPPR
+//! setting), `table1` (size, correlation, mismatch, #vio and WNS per
+//! block), `fig8` (correlation and mismatch before and after the flow),
+//! `table2` (WNS, TNS, #vio and cells sized per design and sizer), `table3`
+//! (legalized HPWL and TNS per instance, mode and seed) and `extensions`
+//! (power recovery's leakage, commits and #vio; INSTA-Buffer's WNS, TNS
+//! and buffers). Timing and memory columns are printed only.
 
 use insta_bench::{block_specs, fmt_ps, iwls_specs, superblue_specs};
 use insta_engine::topk::{Candidate, TopKQueue};
 use insta_engine::{InstaConfig, InstaEngine, MismatchStats};
 use insta_netlist::{DesignStats, TimingGraph};
+use insta_placer::db::UTILIZATION;
 use insta_placer::{place, refresh_timing, PlacementDb, PlacerConfig, PlacerMode, TimingMode};
 use insta_refsta::{RefSta, StaConfig};
 use insta_sizer::{
-    insta_size, random_changelist, reference_size, run_evaluator_flow, InstaSizeConfig,
-    ReferenceSizeConfig, SizeOutcome,
+    insta_size, random_changelist, reference_size, run_evaluator_flow, InstaSizeConfig, SizeOutcome,
 };
 use insta_support::json::{self, obj, Json, ToJson};
 use insta_support::timer::{black_box, Harness};
@@ -39,7 +42,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// The tables whose outcome columns `repro -- check` compares.
-const CHECKED: [&str; 3] = ["table1", "fig8", "table2"];
+const CHECKED: [&str; 6] = ["fig6", "table1", "fig8", "table2", "table3", "extensions"];
 
 /// Where a run writes `table`'s outcome columns, and where the checked-in
 /// copy they must equal lives.
@@ -126,6 +129,7 @@ fn fig6() {
     let init = golden.export_insta_init();
     let exact = golden_slack_vec(&golden);
 
+    let mut rows = Vec::new();
     for (k, cppr, label) in [
         (1usize, false, "Top-K=1 (no CPPR handling)"),
         (128usize, true, "Top-K=128 (CPPR via unique startpoints)"),
@@ -147,7 +151,11 @@ fn fig6() {
             dt,
             eng.state_bytes() as f64 / 1e9
         );
+        let mut row = vec![("top_k", k.to_json()), ("cppr", cppr.to_json())];
+        row.extend(mismatch_columns(&stats));
+        rows.push(obj(row));
     }
+    write_outcome("fig6", &rows);
     println!();
 }
 
@@ -198,6 +206,8 @@ fn table1() {
             "reference_violations",
             golden.report().n_violations.to_json(),
         ));
+        row.push(("insta_wns_ps", report.wns_ps.to_json()));
+        row.push(("reference_wns_ps", golden.report().wns_ps.to_json()));
         rows.push(obj(row));
     }
     write_outcome("table1", &rows);
@@ -290,7 +300,7 @@ fn table2() {
 
         let mut d_ref = spec.build();
         let mut sta_ref = RefSta::new(&d_ref, StaConfig::default()).expect("build");
-        let r = reference_size(&mut d_ref, &mut sta_ref, &ReferenceSizeConfig::default());
+        let r = reference_size(&mut d_ref, &mut sta_ref);
 
         let mut d_ins = spec.build();
         let mut sta_ins = RefSta::new(&d_ins, StaConfig::default()).expect("build");
@@ -354,8 +364,9 @@ fn table3() {
     // Post-legalization TNS at this scale is noisy run-to-run, so every
     // (instance, mode) cell averages two placement seeds.
     const SEEDS: u64 = 2;
+    let mut rows = Vec::new();
     for spec in superblue_specs() {
-        let run = |mode: PlacerMode| -> (f64, f64) {
+        let mut run = |name: &str, mode: PlacerMode| -> (f64, f64) {
             let mut hpwl = 0.0;
             let mut tns = 0.0;
             for ds in 0..SEEDS {
@@ -368,15 +379,25 @@ fn table3() {
                 let r = place(&mut design, &cfg);
                 hpwl += r.hpwl_legal;
                 tns += r.tns_legal_ps;
+                rows.push(obj([
+                    ("instance", spec.name.to_string().to_json()),
+                    ("mode", name.to_string().to_json()),
+                    ("seed", cfg.seed.to_json()),
+                    ("hpwl_legal", r.hpwl_legal.to_json()),
+                    ("tns_legal_ps", r.tns_legal_ps.to_json()),
+                ]));
             }
             (hpwl / SEEDS as f64, tns / SEEDS as f64)
         };
-        let dp = run(PlacerMode::Wirelength);
-        let nw = run(PlacerMode::NetWeighting {
-            alpha: 1.0,
-            beta: 0.5,
-        });
-        let ip = run(PlacerMode::InstaPlace { lambda_rc: 0.01 });
+        let dp = run("wirelength", PlacerMode::Wirelength);
+        let nw = run(
+            "net_weighting",
+            PlacerMode::NetWeighting {
+                alpha: 1.0,
+                beta: 0.5,
+            },
+        );
+        let ip = run("insta_place", PlacerMode::InstaPlace { lambda_rc: 0.01 });
         // (INSTA-Place runs with the placement-tuned defaults: lse_tau=60,
         // timing_scale=0.4 — see PlacerConfig::default and EXPERIMENTS.md.)
         // TNS recovered relative to the timing-oblivious DP baseline.
@@ -416,6 +437,7 @@ fn table3() {
         );
     }
     println!("(recov%: fraction of the DP baseline's TNS recovered; dHPWL%: INSTA-Place HPWL relative to net-weighting)");
+    write_outcome("table3", &rows);
     println!();
 }
 
@@ -429,7 +451,7 @@ fn fig9() {
         .expect("largest instance");
     let mut design = spec.build();
     println!("instance: {} cells, {} pins", design.cells().len(), design.pins().len());
-    let db = PlacementDb::random(&design, 0.45, spec.seed);
+    let db = PlacementDb::random(&design, UTILIZATION, spec.seed);
     let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
 
     // Net-weighting baseline refresh ([19]'s role).
@@ -473,7 +495,7 @@ fn fig9() {
 /// serves) and gradient-guided buffering (the paper's stated future work).
 fn extensions() {
     use insta_netlist::generator::{generate_design, GeneratorConfig};
-    use insta_sizer::{insta_buffer, power_recover, BufferingConfig, PowerRecoveryConfig};
+    use insta_sizer::{insta_buffer, power_recover};
 
     println!("=== Extensions: power recovery + INSTA-Buffer ===");
     // Power recovery on an oversized, relaxed design.
@@ -483,7 +505,7 @@ fn extensions() {
     let mut d = generate_design(&gen);
     let mut sta = RefSta::new(&d, StaConfig::default()).expect("build");
     sta.full_update(&d);
-    let p = power_recover(&mut d, &mut sta, &PowerRecoveryConfig::default());
+    let p = power_recover(&mut d, &mut sta);
     println!(
         "power recovery ({} cells): leakage {:.0} -> {:.0} ({:.0}% recovered), {} downsizing commits on {} cells, vio {} -> {}, {:.2} s",
         d.cells().len(),
@@ -496,17 +518,36 @@ fn extensions() {
         p.timing.violations_after,
         p.timing.runtime_s
     );
+    let power = obj([
+        ("extension", "power_recovery".to_string().to_json()),
+        ("cells", d.cells().len().to_json()),
+        ("leakage_before", p.leakage_before.to_json()),
+        ("leakage_after", p.leakage_after.to_json()),
+        ("commits", p.cells_downsized.to_json()),
+        ("cells_sized", p.timing.cells_sized.to_json()),
+        ("violations_before", p.timing.violations_before.to_json()),
+        ("violations_after", p.timing.violations_after.to_json()),
+    ]);
 
     // Buffering on a wire-dominated design.
     let mut gen = GeneratorConfig::medium("ext_buf", 63);
     gen.mean_wire_um = 90.0;
     gen.clock_period_ps = 1500.0;
     let mut d = generate_design(&gen);
-    let b = insta_buffer(&mut d, &BufferingConfig::default());
+    let b = insta_buffer(&mut d);
     println!(
         "INSTA-Buffer: TNS {:.0} -> {:.0} ps, WNS {:.0} -> {:.0} ps, {} buffers, {:.2} s",
         b.tns_before_ps, b.tns_after_ps, b.wns_before_ps, b.wns_after_ps, b.buffers_added, b.runtime_s
     );
+    let buffer = obj([
+        ("extension", "insta_buffer".to_string().to_json()),
+        ("tns_before_ps", b.tns_before_ps.to_json()),
+        ("tns_after_ps", b.tns_after_ps.to_json()),
+        ("wns_before_ps", b.wns_before_ps.to_json()),
+        ("wns_after_ps", b.wns_after_ps.to_json()),
+        ("buffers_added", b.buffers_added.to_json()),
+    ]);
+    write_outcome("extensions", &[power, buffer]);
     println!();
 }
 

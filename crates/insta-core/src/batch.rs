@@ -7,8 +7,8 @@
 //! `update_timing` sessions from the current engine state, each rolled
 //! back, plus the worst-corner merge of them. There is no batch kernel and
 //! no session. The module is a router over the two kernels the engine
-//! already has, and every lane is one [`Txn`](crate::incremental::Txn)
-//! that captures nothing and is undone when dropped:
+//! already has, and every lane is one `Txn` that captures nothing and is
+//! undone when dropped:
 //!
 //! * **A cone lane is a cone sweep taken back.** All scenarios diverge
 //!   from the *same* synced base: the engine's live Top-K arrays and its
@@ -25,7 +25,7 @@
 //!   over its transformed annotation table, built while the corner's group
 //!   runs and dropped after it. A group whose lanes carry no deltas needs
 //!   only that pass's report, so it runs the *window pass*
-//!   ([`window_pass`]): each level is written into a small buffer and a
+//!   (`window_pass`): each level is written into a small buffer and a
 //!   row is kept, in a shared slot, only until the last level that reads
 //!   it. A group with a delta-carrying lane needs the corner's whole row
 //!   set as its cones' base, so its pass writes the kept scratch rows and

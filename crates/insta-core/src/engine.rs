@@ -131,10 +131,6 @@ pub(crate) struct Static {
     pub arc_child: Vec<u32>,
     /// Whether the arc inverts the parent transition.
     pub arc_neg: Vec<bool>,
-    /// Graph arc each expanded arc derives from (kept for diagnostics and
-    /// snapshot round-trips; the hot paths use the inverse expansion CSR).
-    #[allow(dead_code)]
-    pub arc_source: Vec<u32>,
     /// Cloned arc mean delays per destination transition (ps).
     pub arc_mean: Vec<[f64; 2]>,
     /// Cloned arc sigmas per destination transition (ps).
@@ -646,7 +642,6 @@ impl InstaEngine {
             arc_parent,
             arc_child,
             arc_neg,
-            arc_source,
             arc_mean,
             arc_sigma,
             fanout_start,
@@ -920,6 +915,19 @@ pub(crate) mod tests {
     fn expansion_csr_covers_every_expanded_arc() {
         let (_d, sta, eng) = build_engine(3, 4);
         let st = &eng.st;
+        // The export's source arc of each expanded arc, in renumbered
+        // fanin order.
+        let init = sta.export_insta_init();
+        let source_arc: Vec<u32> = st
+            .node_orig
+            .iter()
+            .flat_map(|&o| {
+                let o = o as usize;
+                let range = init.fanin_start[o] as usize..init.fanin_start[o + 1] as usize;
+                init.fanin[range].iter().map(|e| e.source_arc)
+            })
+            .collect();
+        assert_eq!(source_arc.len(), st.arc_parent.len());
         assert_eq!(st.n_graph_arcs, sta.graph().num_arcs());
         let total: usize = (0..st.n_graph_arcs)
             .map(|g| (st.expansion_start[g + 1] - st.expansion_start[g]) as usize)
@@ -929,7 +937,7 @@ pub(crate) mod tests {
             for &e in
                 &st.expansion_arc[st.expansion_start[g] as usize..st.expansion_start[g + 1] as usize]
             {
-                assert_eq!(st.arc_source[e as usize] as usize, g);
+                assert_eq!(source_arc[e as usize] as usize, g);
             }
         }
     }

@@ -7,25 +7,25 @@
 //! arc delay distribution (mean-additive, sigma in quadrature, Eqs. 1–3),
 //! and keeps the K worst corners over unique startpoints — what pushing
 //! every candidate through Algorithm 2 leaves, computed by
-//! [`merge_node_queue`] as one selection that writes the queue once.
+//! `merge_node_queue` as one selection that writes the queue once.
 //!
 //! **Rows, not nodes.** The Top-K lanes are indexed by *row*
-//! ([`Static::row_base`]): a node owns one unless it is *virtual* — exactly
+//! (`Static::row_base`): a node owns one unless it is *virtual* — exactly
 //! one fanin arc, exactly one fanout arc, neither startpoint nor endpoint.
 //! A virtual node's queue is a pure function of its parent's, read by one
 //! consumer, so it is not stored. The level body does not materialise it
 //! either: its consumer gathers straight from the nearest stored ancestor
-//! through the hops ([`gather_fanin`]), bit-identically, and falls back to
+//! through the hops (`gather_fanin`), bit-identically, and falls back to
 //! materialising only where a hop would reorder the queue or the chain is
-//! longer than [`MAX_HOPS`]; the pass's trace span counts those
+//! longer than `MAX_HOPS`; the pass's trace span counts those
 //! `fallbacks` (block-1 at K=32: 105 of the 82 776 reads through a virtual
 //! parent in a setup pass, 51 of them reorders; 138 in hold, 85 reorders).
 //! Every other reader — point reads, snapshot rows, `health_check`, hold's
 //! and the report's endpoint scan, the dense test view — gets the queue
-//! from [`queue_of`], which computes it by the code that used to store it.
+//! from `queue_of`, which computes it by the code that used to store it.
 //! Every stored bit is what it would be with every node stored. A row is a
 //! live count plus `(sp, mean, sigma)` entries; a corner is computed from
-//! the two values beside it ([`corner`]) and is never stored.
+//! the two values beside it (`corner`) and is never stored.
 //!
 //! Because the engine renumbered nodes level-major and rows follow node
 //! order, the level's state is a contiguous window of rows: the level body
@@ -36,26 +36,26 @@
 //!
 //! **Who writes what.** There is no pass-wide reset and nothing is ever
 //! cleared: a queue's extent is its live count, and slots at or past it
-//! are dead. The level body ([`level_chunk`]) owns every queue of a stored
+//! are dead. The level body (`level_chunk`) owns every queue of a stored
 //! node with fanin that is not a startpoint: it writes the live entries
-//! and the count. The driver ([`forward`], shared by setup, hold, the
+//! and the count. The driver (`forward`, shared by setup, hold, the
 //! window pass and, level by level, the fused sweep) puts only the queues
 //! the body does *not* own into their pre-pass state: level 0's live
 //! counts are zeroed, and before each level's body runs — on every
 //! attempt, the retry after a contained panic included — the level's
-//! startpoints get their one launch entry ([`seed_level`]) (DESIGN.md
+//! startpoints get their one launch entry (`seed_level`) (DESIGN.md
 //! "Kernel architecture").
 //!
 //! **Two row stores.** Where the rows live is the driver's one parameter
-//! ([`PassRows`]). The *in-place* store is the engine's [`State`]: every
+//! (`PassRows`). The *in-place* store is the engine's `State`: every
 //! level is written where it is kept, the `done` view is the rows ahead
 //! of the window (the identity plan), and nothing is copied. A *window
-//! pass* ([`window_pass`]) answers a report and keeps no row set: each
+//! pass* (`window_pass`) answers a report and keeps no row set: each
 //! level is written into a level buffer the size of the widest level,
 //! its endpoints are evaluated from the buffer, and a row some later level
 //! reads is copied into a slot it shares with rows whose readers are done
-//! ([`SlotPlan`]). Every read of a stored row goes through the plan
-//! ([`Lanes::row`]), so the level body, [`gather_fanin`] and [`queue_of`]
+//! (`SlotPlan`). Every read of a stored row goes through the plan
+//! (`Lanes::row`), so the level body, `gather_fanin` and `queue_of`
 //! are the in-place pass's, and the report has `metrics::evaluate`'s bits.
 //! On block-3 at K=8 the plan keeps 2 085 of 16 065 rows (13 %): 0.64 MiB
 //! of slots and a 0.32 MiB buffer where a row set is 4.96 MiB.

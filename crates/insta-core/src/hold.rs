@@ -2,7 +2,7 @@
 //! the reference's hold analysis, beyond the paper's setup-only scope.
 //!
 //! The min pass is the setup pass with two things swapped: it runs the
-//! shared full-pass driver ([`crate::forward::forward`]) in its `MIN`
+//! shared full-pass driver (`crate::forward::forward`) in its `MIN`
 //! instantiation, and it seeds the early launch arrivals of
 //! [`HoldAttributes`] — like the setup snapshot, an export of the
 //! reference engine ([`hold_attributes`]); the engine computes no delay.
@@ -12,14 +12,14 @@
 //! level loop on [`InstaConfig::n_threads`] threads through the level
 //! runner ([`crate::parallel`]), rows for merge nodes only behind live
 //! counts, virtual queues computed where they are read
-//! ([`crate::forward::queue_of`], here in its `MIN` order) — is the
+//! (`crate::forward::queue_of`, here in its `MIN` order) — is the
 //! driver's; hold has no level loop of its own. Endpoint
 //! hold checks then mirror the reference: the earliest arrival must not
 //! beat the late capture edge plus the hold margin, with CPPR credit
 //! *reducing* the requirement.
 //!
 //! The pass overwrites the shared Top-K rows in the order of negated early
-//! corners ([`State::early`]; a corner itself is never stored, the hold
+//! corners (`State::early`; a corner itself is never stored, the hold
 //! check recomputes it per entry) and leaves them marked out of sync, so
 //! point reads ([`InstaEngine::arrival_at`]) answer `None` until the next
 //! setup pass.

@@ -19,15 +19,14 @@
 //! those arcs are the *seeds*. Per-level worklists are visited in level
 //! order; one stored node is recomputed exactly as the full pass computes
 //! it — if it is a startpoint, its queues made the launch seed as the full
-//! pass's prologue does — then
-//! [`level_chunk`](crate::forward::level_chunk) on the node's own row, the
+//! pass's prologue does — then `level_chunk` on the node's own row, the
 //! very body the full pass and hold run, which determines every other
 //! queue completely (live entries and live count written).
 //!
 //! **Virtual nodes pass through.** A node without a row (one fanin arc,
 //! one fanout arc, neither startpoint nor endpoint) has nothing to
 //! recompute: its queue is computed by whoever reads it (its consumer's
-//! gather, or [`queue_of`](crate::forward::queue_of)), from its ancestor's
+//! gather, or `queue_of`), from its ancestor's
 //! row and the annotations down its chain. It is still visited — so the
 //! snapshot rows, which are per node, follow it — but never compared and
 //! never logged, and it always forwards to its one consumer: what put it
@@ -55,7 +54,7 @@
 //! copy, the compare and the worklist, and it runs on one thread; a batch
 //! that re-annotates a large share of the graph (a corner twin touches
 //! every arc) is cheaper as the ordinary full pass. The switch is
-//! [`CONE_SEED_SHARE`], judged on the deduplicated seed count. Those are
+//! `CONE_SEED_SHARE`, judged on the deduplicated seed count. Those are
 //! an update's only two routes, both landing on the same bits; the drift
 //! odometer it advances is advisory and picks neither.
 //!
@@ -68,15 +67,15 @@
 //! anyway; they are appended — with the node id and its two old live
 //! counts: 20 bytes a live entry, nothing for a dead slot or a virtual
 //! node — to a log, and so is the old value of every annotation write
-//! ([`ConeScratch::annotate`], the one function that writes deltas).
-//! [`ConeScratch::undo`] copies the log back newest first, so a node logged
+//! (`ConeScratch::annotate`, the one function that writes deltas).
+//! `ConeScratch::undo` copies the log back newest first, so a node logged
 //! twice — by stacked updates of a session, or by the forced retry of a
 //! level after a contained panic, whose second copy is half-new — gets its
 //! first, true copy back last.
 //!
-//! **One transaction.** The log belongs to the one open [`Txn`], which
-//! decides what becomes of it: [`commit`](Txn::commit) forgets it,
-//! [`undo`](Txn::undo) copies it back. A plain
+//! **One transaction.** The log belongs to the one open `Txn`, which
+//! decides what becomes of it: `commit` forgets it, `undo` copies it back.
+//! A plain
 //! [`update_timing`](InstaEngine::update_timing) is a `Txn` committed at
 //! once; a what-if lane ([`crate::batch`]) is one that is undone when
 //! dropped; a [session](crate::session) is one that also captures, before
@@ -86,16 +85,15 @@
 //! the LSE stamp names the generation the buffers were computed from,
 //! which after the undo either is the restored one or never comes back.
 //! A session's undo applies the ledger's rollback rule
-//! ([`crate::validity`]) and has the snapshot rows follow
-//! [`undone`](ConeScratch::undone), the logged nodes and the virtual nodes
-//! reading them.
+//! (`crate::validity`) and has the snapshot rows follow `undone`, the
+//! logged nodes and the virtual nodes reading them.
 //!
 //! **Its budget.** Logged whole, the rare resize that moves a quarter of
 //! the graph put 4 MB (9.8 %) on `eco_block5_k8`'s peak RSS, so a session
-//! keeps at most [`SESSION_LOG_BYTES`] of recomputes. A sweep that outgrows
+//! keeps at most `SESSION_LOG_BYTES` of recomputes. A sweep that outgrows
 //! them gives the node half of the log up and sweeps on: the update costs
 //! what it did, and only a *rollback* pays — like a full pass inside the
-//! session, the sweep leaves the ledger uncovered ([`crate::validity`]) and
+//! session, the sweep leaves the ledger uncovered (`crate::validity`) and
 //! is re-synced by a full pass. A lane has no budget because it has no such
 //! way out: its base may be a corner's scratch arrays, and its undo must
 //! not fail.
@@ -399,7 +397,7 @@ impl InstaEngine {
     ///
     /// On an engine whose last pass completed, only the fanout cone of
     /// the re-annotated arcs is recomputed (see the [module docs](self));
-    /// otherwise, or past the [`CONE_SEED_SHARE`] switch, the ordinary
+    /// otherwise, or past the `CONE_SEED_SHARE` switch, the ordinary
     /// full pass runs. Either way the result is bit-identical to
     /// [`reannotate`](Self::reannotate) + [`propagate`](Self::propagate).
     /// The drift odometer this call advances is advisory

@@ -51,7 +51,7 @@
 //!   engine's backward pass is the one gradient producer (see DESIGN.md
 //!   "Batched scenario evaluation").
 //! * [`snapshot`] — the immutable committed-epoch view
-//!   ([`TimingSnapshot`](snapshot::TimingSnapshot)): slacks, arrivals,
+//!   ([`TimingSnapshot`]): slacks, arrivals,
 //!   WNS/TNS, and epoch captured at commit time so the serve layer can
 //!   publish MVCC reads by pointer swap while a writer mutates the next
 //!   epoch (see DESIGN.md "Service architecture").

@@ -9,7 +9,7 @@
 //!
 //! # The level runner
 //!
-//! A kernel pass opens a [`Pass`] and calls [`Pass::level`] once per level;
+//! A kernel pass opens a `Pass` and calls `Pass::level` once per level;
 //! the evaluation forward pass (setup, hold, the fused sweep), the LSE
 //! forward pass, the backward sweep and the session's cone sweep all run
 //! their levels through it. The runner owns the whole protocol:
@@ -20,7 +20,7 @@
 //!    asked for or the level is narrower than [`PAR_THRESHOLD`] (thread
 //!    spawn overhead dominates there), otherwise even `div_ceil` cuts, one
 //!    per thread.
-//! 3. **Launch** ([`Launch::run`]): a single cut runs inline, several run
+//! 3. **Launch** (`Launch::run`): a single cut runs inline, several run
 //!    on fresh scoped threads. Either way every cut's body runs under
 //!    `catch_unwind`, behind the [`chaos`] hook.
 //! 4. **Contain and retry.** The first panicking cut becomes a

@@ -1,9 +1,8 @@
 //! Transactional timing sessions: mutate, commit — or roll back
 //! bit-identically.
 //!
-//! A [`TimingSession`] is a [`Txn`](crate::incremental::Txn) on an engine
-//! it borrows exclusively, plus cancellation and a lifecycle status. Every
-//! mutating call is guarded:
+//! A [`TimingSession`] is a `Txn` on an engine it borrows exclusively, plus
+//! cancellation and a lifecycle status. Every mutating call is guarded:
 //!
 //! * **poison ⇒ rollback.** Any error whose
 //!   [`poisons_state`](InstaError::poisons_state) is true (numeric poison,
@@ -32,7 +31,7 @@
 //! after a cancel, a deadline, a NaN or a worker panic inside a cone
 //! sweep. Only a write the log does not cover (a full pass inside the
 //! session) costs a full pass to take back: the ledger's rollback rule,
-//! [`crate::validity`]. The sizer's candidate-move loop is the canonical
+//! `crate::validity`. The sizer's candidate-move loop is the canonical
 //! client: speculative moves run in a session, rejected moves roll back
 //! instead of replaying inverse deltas.
 

@@ -21,15 +21,15 @@
 //! the entry's mean and sigma; the engine stores no corners) and its
 //! startpoint. Snapshot rows stay *per node* although the engine stores
 //! Top-K rows for merge nodes only: a virtual node's row is slot 0 of its
-//! queue as [`queue_of`](crate::forward::queue_of) materialises it, and it
-//! follows whenever a sweep passes through the node or an undo moves what
-//! it reads. Those rows live in fixed-size
-//! copy-on-write chunks ([`CHUNK_ROWS`] rows behind one `Arc` each) that
-//! the engine keeps current as it goes ([`RowStore`]): a cone sweep
+//! queue as `queue_of` materialises it, and it follows whenever a sweep
+//! passes through the node or an undo moves what it reads. Those rows live
+//! in fixed-size
+//! copy-on-write chunks (`CHUNK_ROWS` rows behind one `Arc` each) that
+//! the engine keeps current as it goes (`RowStore`): a cone sweep
 //! rewrites the rows of the nodes it recomputed — and a session rollback
 //! those of the nodes its undo log put back — which copies a chunk only
 //! when a snapshot still shares it; a full pass merely clears the ledger's
-//! row stamp ([`crate::validity`]) and the next cone sweep re-gathers the
+//! row stamp (`crate::validity`) and the next cone sweep re-gathers the
 //! store once — all of it only
 //! from an engine's first capture on, so a flow that never takes a
 //! snapshot keeps no chunks. A capture on the cone path is then one `Arc`

@@ -12,7 +12,7 @@
 //! once.
 //!
 //! What the kernels use from here: the [`NO_SP`] sentinel and
-//! [`restore_topk_desc`], the stable corner-order restore of the
+//! `restore_topk_desc`, the stable corner-order restore of the
 //! single-fanin transform. [`TopKQueue`] is the owned queue for callers
 //! outside the kernels, and its [`push`](TopKQueue::push) is the literal
 //! Algorithm 2 — the oracle the merge's differential property test

@@ -11,7 +11,7 @@
 //!   `"forward_lse"`, `"backward"`, and `"forward.cone"` — one per cone
 //!   update, with its `seeds`, dirty `levels`, recomputed `nodes` and
 //!   `pruned` nodes) and one `"batch.sweep"` span per batched `evaluate`
-//!   call, in a bounded [`Recorder`](insta_support::obs::Recorder) journal.
+//!   call, in a bounded [`Recorder`] journal.
 //!   Every span whose pass runs the evaluation level body also carries its
 //!   `fallbacks`: how many virtual parents it had to materialise instead of
 //!   gathering through them ([`crate::forward`], "Rows, not nodes") — the

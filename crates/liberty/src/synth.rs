@@ -2,11 +2,11 @@
 //!
 //! Stands in for the commercial 3 nm and ASAP7 libraries used by the paper's
 //! experiments (see DESIGN.md, substitution table). The builder produces a
-//! deterministic library with every [`GateClass`] across a configurable set
+//! deterministic library with every [`GateClass`] across a fixed set
 //! of drive strengths. Delay/slew tables follow a first-order RC model
 //!
 //! ```text
-//! delay(slew, load) = intrinsic + slew_factor * slew + (r0 / drive) * load
+//! delay(slew, load) = intrinsic + SLEW_FACTOR * slew + (r0 / drive) * load
 //! ```
 //!
 //! tabulated on a 7×7 NLDM grid, so stronger drives trade input capacitance
@@ -21,38 +21,30 @@ use crate::table::NldmTable;
 /// Configuration of the synthetic library.
 #[derive(Debug, Clone)]
 pub struct SynthLibraryConfig {
-    /// Library name.
-    pub name: String,
-    /// Drive strengths generated per gate class.
-    pub drives: Vec<u32>,
     /// POCV proportional sigma coefficient applied to every arc.
     pub sigma_coeff: f64,
-    /// Input-slew table index (ps).
-    pub slew_index: Vec<f64>,
-    /// Output-load table index (fF).
-    pub load_index: Vec<f64>,
-    /// Input capacitance of a drive-1 input pin (fF).
-    pub unit_input_cap_ff: f64,
-    /// Maximum load a drive-1 output may drive (fF).
-    pub unit_max_cap_ff: f64,
-    /// Slew-dependence factor of delay (ps of delay per ps of input slew).
-    pub slew_factor: f64,
 }
 
 impl Default for SynthLibraryConfig {
     fn default() -> Self {
-        Self {
-            name: "insta_synth7".to_string(),
-            drives: vec![1, 2, 4, 8],
-            sigma_coeff: 0.05,
-            slew_index: vec![2.0, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0],
-            load_index: vec![0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
-            unit_input_cap_ff: 0.8,
-            unit_max_cap_ff: 40.0,
-            slew_factor: 0.12,
-        }
+        Self { sigma_coeff: 0.05 }
     }
 }
+
+/// Library name.
+const LIBRARY_NAME: &str = "insta_synth7";
+/// Drive strengths generated per gate class.
+const DRIVES: [u32; 4] = [1, 2, 4, 8];
+/// Input-slew table index (ps).
+const SLEW_INDEX: [f64; 7] = [2.0, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0];
+/// Output-load table index (fF).
+const LOAD_INDEX: [f64; 7] = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
+/// Input capacitance of a drive-1 input pin (fF).
+const UNIT_INPUT_CAP_FF: f64 = 0.8;
+/// Maximum load a drive-1 output may drive (fF).
+const UNIT_MAX_CAP_FF: f64 = 40.0;
+/// Slew-dependence factor of delay (ps of delay per ps of input slew).
+const SLEW_FACTOR: f64 = 0.12;
 
 /// Intrinsic delay (ps) of a gate class at zero slew and zero load.
 fn intrinsic_ps(class: GateClass) -> f64 {
@@ -115,24 +107,14 @@ fn input_names(class: GateClass) -> Vec<&'static str> {
     }
 }
 
-fn delay_table(
-    cfg: &SynthLibraryConfig,
-    intrinsic: f64,
-    r_kohm: f64,
-    edge_scale: f64,
-) -> NldmTable {
-    NldmTable::from_fn(cfg.slew_index.clone(), cfg.load_index.clone(), |s, l| {
-        (intrinsic + cfg.slew_factor * s + r_kohm * l) * edge_scale
+fn delay_table(intrinsic: f64, r_kohm: f64, edge_scale: f64) -> NldmTable {
+    NldmTable::from_fn(SLEW_INDEX.to_vec(), LOAD_INDEX.to_vec(), |s, l| {
+        (intrinsic + SLEW_FACTOR * s + r_kohm * l) * edge_scale
     })
 }
 
-fn trans_table(
-    cfg: &SynthLibraryConfig,
-    intrinsic: f64,
-    r_kohm: f64,
-    edge_scale: f64,
-) -> NldmTable {
-    NldmTable::from_fn(cfg.slew_index.clone(), cfg.load_index.clone(), |s, l| {
+fn trans_table(intrinsic: f64, r_kohm: f64, edge_scale: f64) -> NldmTable {
+    NldmTable::from_fn(SLEW_INDEX.to_vec(), LOAD_INDEX.to_vec(), |s, l| {
         (0.6 * intrinsic + 0.05 * s + 1.8 * r_kohm * l) * edge_scale
     })
 }
@@ -144,7 +126,7 @@ fn build_combinational(cfg: &SynthLibraryConfig, class: GateClass, drive: u32) -
         .map(|n| LibPin {
             name: (*n).to_string(),
             direction: PinDirection::Input,
-            cap_ff: cfg.unit_input_cap_ff * drive as f64,
+            cap_ff: UNIT_INPUT_CAP_FF * drive as f64,
             max_cap_ff: f64::INFINITY,
             is_clock: false,
         })
@@ -154,7 +136,7 @@ fn build_combinational(cfg: &SynthLibraryConfig, class: GateClass, drive: u32) -
         name: "Y".to_string(),
         direction: PinDirection::Output,
         cap_ff: 0.0,
-        max_cap_ff: cfg.unit_max_cap_ff * drive as f64,
+        max_cap_ff: UNIT_MAX_CAP_FF * drive as f64,
         is_clock: false,
     });
 
@@ -169,10 +151,10 @@ fn build_combinational(cfg: &SynthLibraryConfig, class: GateClass, drive: u32) -
             to: crate::cell::LibPinId(out_idx),
             kind: ArcKind::Combinational,
             sense: class.input_sense(i),
-            delay_rise: delay_table(cfg, d0 * input_scale, r, 1.05),
-            delay_fall: delay_table(cfg, d0 * input_scale, r, 0.95),
-            trans_rise: trans_table(cfg, d0, r, 1.05),
-            trans_fall: trans_table(cfg, d0, r, 0.95),
+            delay_rise: delay_table(d0 * input_scale, r, 1.05),
+            delay_fall: delay_table(d0 * input_scale, r, 0.95),
+            trans_rise: trans_table(d0, r, 1.05),
+            trans_fall: trans_table(d0, r, 0.95),
             sigma_coeff: cfg.sigma_coeff,
         });
     }
@@ -193,14 +175,14 @@ fn build_dff(cfg: &SynthLibraryConfig, drive: u32) -> LibCell {
         LibPin {
             name: "D".to_string(),
             direction: PinDirection::Input,
-            cap_ff: cfg.unit_input_cap_ff * drive as f64,
+            cap_ff: UNIT_INPUT_CAP_FF * drive as f64,
             max_cap_ff: f64::INFINITY,
             is_clock: false,
         },
         LibPin {
             name: "CK".to_string(),
             direction: PinDirection::Input,
-            cap_ff: cfg.unit_input_cap_ff * drive as f64 * 0.8,
+            cap_ff: UNIT_INPUT_CAP_FF * drive as f64 * 0.8,
             max_cap_ff: f64::INFINITY,
             is_clock: true,
         },
@@ -208,7 +190,7 @@ fn build_dff(cfg: &SynthLibraryConfig, drive: u32) -> LibCell {
             name: "Q".to_string(),
             direction: PinDirection::Output,
             cap_ff: 0.0,
-            max_cap_ff: cfg.unit_max_cap_ff * drive as f64,
+            max_cap_ff: UNIT_MAX_CAP_FF * drive as f64,
             is_clock: false,
         },
     ];
@@ -220,10 +202,10 @@ fn build_dff(cfg: &SynthLibraryConfig, drive: u32) -> LibCell {
             to: crate::cell::LibPinId(2),   // Q
             kind: ArcKind::Launch,
             sense: TimingSense::PositiveUnate,
-            delay_rise: delay_table(cfg, d0, r, 1.05),
-            delay_fall: delay_table(cfg, d0, r, 0.95),
-            trans_rise: trans_table(cfg, d0, r, 1.05),
-            trans_fall: trans_table(cfg, d0, r, 0.95),
+            delay_rise: delay_table(d0, r, 1.05),
+            delay_fall: delay_table(d0, r, 0.95),
+            trans_rise: trans_table(d0, r, 1.05),
+            trans_fall: trans_table(d0, r, 0.95),
             sigma_coeff: cfg.sigma_coeff,
         },
         LibArc {
@@ -273,9 +255,9 @@ fn build_dff(cfg: &SynthLibraryConfig, drive: u32) -> LibCell {
 /// assert_eq!(lib.family(GateClass::Nand2).len(), 4);
 /// ```
 pub fn synth_library(cfg: &SynthLibraryConfig) -> Library {
-    let mut lib = Library::new(cfg.name.clone());
+    let mut lib = Library::new(LIBRARY_NAME);
     for class in GateClass::ALL {
-        for &drive in &cfg.drives {
+        for drive in DRIVES {
             let cell = if class == GateClass::Dff {
                 build_dff(cfg, drive)
             } else {
@@ -294,13 +276,12 @@ mod tests {
 
     #[test]
     fn library_has_all_classes_and_drives() {
-        let cfg = SynthLibraryConfig::default();
-        let lib = synth_library(&cfg);
-        assert_eq!(lib.len(), GateClass::ALL.len() * cfg.drives.len());
+        let lib = synth_library(&SynthLibraryConfig::default());
+        assert_eq!(lib.len(), GateClass::ALL.len() * DRIVES.len());
         for class in GateClass::ALL {
             let fam = lib.family(class);
             let drives: Vec<u32> = fam.iter().map(|&id| lib.cell(id).drive).collect();
-            assert_eq!(drives, cfg.drives, "family {class}");
+            assert_eq!(drives, DRIVES, "family {class}");
         }
     }
 

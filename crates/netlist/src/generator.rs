@@ -37,10 +37,6 @@ pub struct GeneratorConfig {
     /// How many previous levels a gate input may reach back into
     /// (larger = more reconvergence).
     pub max_reach_back: usize,
-    /// Wire resistance per micron (kΩ/µm).
-    pub wire_res_per_um: f64,
-    /// Wire capacitance per micron (fF/µm).
-    pub wire_cap_per_um: f64,
     /// Mean synthetic wire length (µm).
     pub mean_wire_um: f64,
     /// Drive strengths the generator instantiates.
@@ -75,8 +71,6 @@ impl GeneratorConfig {
             clock_fanout: 4,
             clock_period_ps: 650.0,
             max_reach_back: 3,
-            wire_res_per_um: 0.01,
-            wire_cap_per_um: 0.2,
             mean_wire_um: 15.0,
             drive_choices: vec![1, 2, 4],
             uniform_endpoint_taps: false,
@@ -164,11 +158,16 @@ fn sample_class(rng: &mut Rng) -> GateClass {
     GateClass::Inv
 }
 
+/// Wire resistance per micron (kΩ/µm).
+const WIRE_RES_PER_UM: f64 = 0.01;
+/// Wire capacitance per micron (fF/µm).
+const WIRE_CAP_PER_UM: f64 = 0.2;
+
 fn sample_wire(rng: &mut Rng, cfg: &GeneratorConfig) -> WireRc {
     // Exponential-ish length distribution, clamped.
     let u: f64 = rng.gen_range(0.0001_f64..1.0);
     let len = (-u.ln() * cfg.mean_wire_um).clamp(1.0, 8.0 * cfg.mean_wire_um);
-    WireRc::from_length(len, cfg.wire_res_per_um, cfg.wire_cap_per_um)
+    WireRc::from_length(len, WIRE_RES_PER_UM, WIRE_CAP_PER_UM)
 }
 
 /// Generates a design using the default synthetic library.

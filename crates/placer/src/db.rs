@@ -18,6 +18,8 @@ use std::collections::HashMap;
 pub const RES_PER_UM: f64 = 0.05;
 /// Wire capacitance per micron (fF/µm).
 pub const CAP_PER_UM: f64 = 0.5;
+/// Region utilization of a placement's initial random spread.
+pub const UTILIZATION: f64 = 0.45;
 
 /// A placement of one design.
 #[derive(Debug, Clone)]

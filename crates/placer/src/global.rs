@@ -14,7 +14,7 @@
 //!   `L_timing = λ_RC Σ (|x_f − x_t| + |y_f − y_t|)·g_k`, with λ₂ set by
 //!   gradient-norm matching (Eq. 8) at every timing refresh.
 
-use crate::db::PlacementDb;
+use crate::db::{PlacementDb, UTILIZATION};
 use crate::density::DensityGrid;
 use crate::legalize::legalize;
 use crate::optimizer::NormalizedMomentum;
@@ -44,36 +44,39 @@ pub enum PlacerMode {
     },
 }
 
+/// Descent step length (µm per iteration at RMS gradient; see
+/// [`NormalizedMomentum`]).
+const LR: f64 = 1.0;
+/// WA smoothing γ (µm).
+const GAMMA: f64 = 4.0;
+/// Initial density-to-wirelength gradient-norm ratio (λ₁ is re-derived each
+/// iteration as `ratio · ‖∇WL‖ / ‖∇den‖`, so the density force is
+/// meaningful from iteration 0 — preventing the collapse-then-explode
+/// trajectory of a fixed small λ₁).
+const DENSITY_WEIGHT: f64 = 0.10;
+/// Multiplicative growth of the density ratio per iteration.
+const DENSITY_GROWTH: f64 = 1.02;
+/// Density bins per side.
+const BINS: usize = 16;
+/// Target bin density.
+const TARGET_DENSITY: f64 = 0.9;
+/// Iteration at which timing feedback activates (both net weighting and
+/// the INSTA-Place term); earlier iterations are pure wirelength+density,
+/// letting the netlist untangle from the random start before timing is
+/// meaningful.
+const TIMING_START_ITER: usize = 30;
+/// Stop once the maximum bin density falls below
+/// `TARGET_DENSITY * OVERFLOW_STOP` (the analytic-placement overflow
+/// convergence criterion).
+const OVERFLOW_STOP: f64 = 1.30;
+
 /// Global-placement configuration.
 #[derive(Debug, Clone)]
 pub struct PlacerConfig {
     /// Descent iterations.
     pub iterations: usize,
-    /// Descent step length (µm per iteration at RMS gradient; see
-    /// [`NormalizedMomentum`]).
-    pub lr: f64,
-    /// WA smoothing γ (µm).
-    pub gamma: f64,
-    /// Initial density-to-wirelength gradient-norm ratio (λ₁ is re-derived
-    /// each iteration as `ratio · ‖∇WL‖ / ‖∇den‖`, so the density force is
-    /// meaningful from iteration 0 — preventing the collapse-then-explode
-    /// trajectory of a fixed small λ₁).
-    pub density_weight: f64,
-    /// Multiplicative growth of the density ratio per iteration.
-    pub density_growth: f64,
-    /// Density bins per side.
-    pub bins: usize,
-    /// Target bin density.
-    pub target_density: f64,
     /// Timing refresh period (paper: 15).
     pub refresh_every: usize,
-    /// Iteration at which timing feedback activates (both net weighting
-    /// and the INSTA-Place term); earlier iterations are pure
-    /// wirelength+density, letting the netlist untangle from the random
-    /// start before timing is meaningful.
-    pub timing_start_iter: usize,
-    /// Region utilization for the initial placement.
-    pub utilization: f64,
     /// Placement seed.
     pub seed: u64,
     /// Optimization mode.
@@ -85,25 +88,13 @@ pub struct PlacerConfig {
     /// 14 of every 15 iterations and stale forces overshoot under full
     /// matching).
     pub timing_scale: f64,
-    /// Stop once the maximum bin density falls below
-    /// `target_density * overflow_stop` (the analytic-placement overflow
-    /// convergence criterion).
-    pub overflow_stop: f64,
 }
 
 impl Default for PlacerConfig {
     fn default() -> Self {
         Self {
             iterations: 250,
-            lr: 1.0,
-            gamma: 4.0,
-            density_weight: 0.10,
-            density_growth: 1.02,
-            bins: 16,
-            target_density: 0.9,
             refresh_every: 15,
-            timing_start_iter: 30,
-            utilization: 0.45,
             seed: 1,
             mode: PlacerMode::Wirelength,
             insta: InstaConfig {
@@ -115,7 +106,6 @@ impl Default for PlacerConfig {
                 ..InstaConfig::default()
             },
             timing_scale: 0.4,
-            overflow_stop: 1.30,
         }
     }
 }
@@ -145,18 +135,18 @@ pub struct PlaceResult {
 /// post-legalization metrics (Table III protocol).
 pub fn place(design: &mut Design, cfg: &PlacerConfig) -> PlaceResult {
     let n = design.cells().len();
-    let mut db = PlacementDb::random(design, cfg.utilization, cfg.seed);
+    let mut db = PlacementDb::random(design, UTILIZATION, cfg.seed);
     let mut sta = RefSta::new(design, StaConfig::default()).expect("acyclic design");
 
     db.update_wires(design);
     let init_report = sta.full_update(design);
     let hpwl_init = db.hpwl(design);
 
-    let wl = WaWirelength { gamma: cfg.gamma };
-    let grid = DensityGrid::new(cfg.bins, cfg.target_density);
-    let mut opt_x = NormalizedMomentum::new(n, cfg.lr);
-    let mut opt_y = NormalizedMomentum::new(n, cfg.lr);
-    let mut density_ratio = cfg.density_weight;
+    let wl = WaWirelength { gamma: GAMMA };
+    let grid = DensityGrid::new(BINS, TARGET_DENSITY);
+    let mut opt_x = NormalizedMomentum::new(n, LR);
+    let mut opt_y = NormalizedMomentum::new(n, LR);
+    let mut density_ratio = DENSITY_WEIGHT;
     let mut lambda2 = 0.0;
     let mut net_weights = vec![1.0_f64; design.nets().len()];
     // DP-4.0-style momentum accumulator: weights only grow (the paper's
@@ -173,7 +163,7 @@ pub fn place(design: &mut Design, cfg: &PlacerConfig) -> PlaceResult {
     let mut tim_grad_y = vec![0.0; n];
 
     for it in 0..cfg.iterations {
-        let timing_active = it >= cfg.timing_start_iter;
+        let timing_active = it >= TIMING_START_ITER;
         let refreshed = it % cfg.refresh_every == 0 && timing_active;
         if refreshed {
             let mode = match cfg.mode {
@@ -213,7 +203,7 @@ pub fn place(design: &mut Design, cfg: &PlacerConfig) -> PlaceResult {
         wl.eval_grad(design, &db, weights, &mut wl_grad_x, &mut wl_grad_y);
         grid.eval_grad(&db, &mut den_grad_x, &mut den_grad_y);
         // Norm-balance the density term every iteration (see
-        // `density_weight`): `lambda1 = ratio · ‖∇WL‖ / ‖∇den‖`.
+        // `DENSITY_WEIGHT`): `lambda1 = ratio · ‖∇WL‖ / ‖∇den‖`.
         let wl_norm = norm2_pair(&wl_grad_x, &wl_grad_y, 0.0, &den_grad_x, &den_grad_y);
         let den_norm = norm2_pair(&den_grad_x, &den_grad_y, 0.0, &wl_grad_x, &wl_grad_y);
         let lambda1 = if den_norm > 0.0 {
@@ -236,7 +226,7 @@ pub fn place(design: &mut Design, cfg: &PlacerConfig) -> PlaceResult {
                 // forces on short arcs destabilize the descent).
                 let (fx, fy) = db.pin_pos(design, aw.from);
                 let (tx, ty) = db.pin_pos(design, aw.to);
-                let sat = |d: f64| (d / cfg.gamma).clamp(-1.0, 1.0);
+                let sat = |d: f64| (d / GAMMA).clamp(-1.0, 1.0);
                 let gx = lambda_rc * aw.weight * sat(fx - tx);
                 let gy = lambda_rc * aw.weight * sat(fy - ty);
                 // The sink only owns this branch, so it takes the full
@@ -299,13 +289,11 @@ pub fn place(design: &mut Design, cfg: &PlacerConfig) -> PlaceResult {
         opt_x.step(&mut db.x, &gx);
         opt_y.step(&mut db.y, &gy);
         db.clamp_to_region();
-        density_ratio *= cfg.density_growth;
+        density_ratio *= DENSITY_GROWTH;
         // Convergence: once bin overflow is essentially resolved, more
         // density ramping only shreds wirelength and timing (analytic
         // placers stop on an overflow threshold for the same reason).
-        if density_ratio >= 2.0
-            && grid.max_density(&db) <= cfg.target_density * cfg.overflow_stop
-        {
+        if density_ratio >= 2.0 && grid.max_density(&db) <= TARGET_DENSITY * OVERFLOW_STOP {
             break;
         }
     }

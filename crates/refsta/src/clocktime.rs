@@ -7,7 +7,7 @@
 //! late-minus-early difference accumulated up to the lowest common ancestor
 //! of their clock leaves.
 
-use crate::delay::DelayCalc;
+use crate::delay::{DelayCalc, DEFAULT_SLEW_PS};
 use insta_liberty::{ArcKind, Transition};
 use insta_netlist::{CellId, ClockTree, Design, PinId};
 use std::collections::HashMap;
@@ -95,9 +95,9 @@ pub struct ClockTiming {
     /// Per-flop CK arrival data.
     by_flop: HashMap<CellId, FlopClock>,
     /// Early OCV derate applied to capture clock paths.
-    pub derate_early: f64,
+    pub(crate) derate_early: f64,
     /// Late OCV derate applied to launch clock paths.
-    pub derate_late: f64,
+    pub(crate) derate_late: f64,
 }
 
 impl ClockTiming {
@@ -128,7 +128,7 @@ impl ClockTiming {
             derate_early,
             derate_late,
         };
-        let mut node_slew = vec![calc.default_slew_ps; n];
+        let mut node_slew = vec![DEFAULT_SLEW_PS; n];
 
         for (i, node) in tree.nodes().iter().enumerate() {
             let Some(parent) = node.parent else { continue };

@@ -53,11 +53,12 @@ impl ArcDelays {
     }
 }
 
+/// Slew assumed at primary inputs and other unconstrained sources (ps).
+pub(crate) const DEFAULT_SLEW_PS: f64 = 10.0;
+
 /// The delay calculator: configuration for the annotation pass.
 #[derive(Debug, Clone)]
 pub struct DelayCalc {
-    /// Slew assumed at primary inputs and other unconstrained sources (ps).
-    pub default_slew_ps: f64,
     /// POCV sigma coefficient for interconnect arcs.
     pub net_sigma_coeff: f64,
 }
@@ -65,7 +66,6 @@ pub struct DelayCalc {
 impl Default for DelayCalc {
     fn default() -> Self {
         Self {
-            default_slew_ps: 10.0,
             net_sigma_coeff: NET_SIGMA_COEFF,
         }
     }
@@ -81,7 +81,7 @@ impl DelayCalc {
             mean: vec![[0.0; 2]; n_arcs],
             sigma: vec![[0.0; 2]; n_arcs],
             sense: vec![TimingSense::PositiveUnate; n_arcs],
-            node_slew: vec![[self.default_slew_ps; 2]; n_nodes],
+            node_slew: vec![[DEFAULT_SLEW_PS; 2]; n_nodes],
         };
         for &node in graph.topo_order() {
             self.annotate_node(design, graph, node, &mut out);
@@ -172,13 +172,13 @@ impl DelayCalc {
                     .find(|a| a.kind == insta_liberty::ArcKind::Launch)
                 {
                     return [
-                        launch.trans(Transition::Rise).lookup(self.default_slew_ps, load),
-                        launch.trans(Transition::Fall).lookup(self.default_slew_ps, load),
+                        launch.trans(Transition::Rise).lookup(DEFAULT_SLEW_PS, load),
+                        launch.trans(Transition::Fall).lookup(DEFAULT_SLEW_PS, load),
                     ];
                 }
             }
         }
-        [self.default_slew_ps; 2]
+        [DEFAULT_SLEW_PS; 2]
     }
 }
 
@@ -252,7 +252,7 @@ mod tests {
         let delays = dc.annotate(&d, &g);
         // Slew at u1/A must exceed the default (wire degradation).
         let u1_a = g.node_of(d.cell_pin(insta_netlist::CellId(0), "A")).unwrap();
-        assert!(delays.node_slew[u1_a.index()][0] > dc.default_slew_ps);
+        assert!(delays.node_slew[u1_a.index()][0] > DEFAULT_SLEW_PS);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! [`RefSta::hold_update`] and the engine's hold pass both read.
 
 use crate::exceptions::ExceptionSet;
-use crate::sta::{EpInfo, RefSta, SpInfo};
+use crate::sta::{EpInfo, RefSta, SpInfo, DERATE_EARLY, DERATE_LATE, N_SIGMA};
 use insta_liberty::{ArcKind, TimingSense, Transition};
 use insta_netlist::Design;
 use insta_support::json::{obj, FromJson, Json, JsonError, ToJson};
@@ -417,7 +417,7 @@ impl RefSta {
                 .collect(),
             clock_depth: tree.nodes().iter().map(|n| n.depth).collect(),
             clock_credit: self.clock.node_mean.iter().map(|&m| m * spread).collect(),
-            n_sigma: self.config.n_sigma,
+            n_sigma: N_SIGMA,
             period_ps: self.period,
             exceptions: self.config.exceptions.clone(),
         }
@@ -480,8 +480,7 @@ fn hold_requirement(design: &Design, golden: &RefSta, ep: &EpInfo) -> Option<f64
         .find(|a| a.kind == ArcKind::Hold)
         .map(|a| a.delay(Transition::Rise).lookup(fc.slew, 0.0))
         .unwrap_or(0.0);
-    let cfg = &golden.config;
-    Some(fc.mean * cfg.derate_late + cfg.n_sigma * fc.sigma + hold_margin)
+    Some(fc.mean * DERATE_LATE + N_SIGMA * fc.sigma + hold_margin)
 }
 
 /// The early launch `(mean, sigma)` per transition of a flop startpoint;
@@ -498,7 +497,7 @@ fn early_launch(design: &Design, golden: &RefSta, sp: &SpInfo) -> Option<([f64; 
     for tr in Transition::BOTH {
         let d = launch.delay(tr).lookup(fc.slew, load);
         let s = launch.sigma_coeff * d;
-        mean[tr.index()] = fc.mean * golden.config.derate_early + d;
+        mean[tr.index()] = fc.mean * DERATE_EARLY + d;
         sigma[tr.index()] = (fc.sigma * fc.sigma + s * s).sqrt();
     }
     Some((mean, sigma))

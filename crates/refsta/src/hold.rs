@@ -13,7 +13,7 @@
 
 use crate::exceptions::{EpId, SpId};
 use crate::export::hold_attributes;
-use crate::sta::{EndpointReport, RefSta, Side, SpArrival, SpMap, StaReport};
+use crate::sta::{EndpointReport, RefSta, Side, SpArrival, SpMap, StaReport, N_SIGMA};
 use insta_liberty::Transition;
 use insta_netlist::Design;
 
@@ -93,7 +93,7 @@ impl RefSta {
                                 required -= self.clock.cppr_credit(tree, la, lb);
                             }
                         }
-                        let arrival = e.mean - self.config.n_sigma * e.sigma;
+                        let arrival = e.mean - N_SIGMA * e.sigma;
                         let slack = arrival - required;
                         if slack < best.slack_ps {
                             best.slack_ps = slack;

@@ -54,4 +54,4 @@ pub use incremental::Changes;
 pub use export::{ExportedArc, InstaInit};
 pub use report::{PathReport, PathStage};
 pub use sdc::{apply_sdc, ParseSdcError};
-pub use sta::{EndpointReport, RefSta, StaConfig, StaReport};
+pub use sta::{EndpointReport, RefSta, StaConfig, StaReport, N_SIGMA};

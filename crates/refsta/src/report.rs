@@ -7,7 +7,7 @@
 //! CPPR credit line.
 
 use crate::exceptions::EpId;
-use crate::sta::{input_transitions, RefSta};
+use crate::sta::{input_transitions, RefSta, N_SIGMA};
 use insta_liberty::Transition;
 use insta_netlist::{Design, NodeId, TimingArcKind};
 use std::fmt::Write as _;
@@ -86,7 +86,6 @@ impl RefSta {
             return None;
         }
         let info = self.ep_infos()[ep.index()];
-        let n_sigma = self.config().n_sigma;
 
         // Walk backward from the endpoint, at each node picking the fanin
         // arc + parent entry whose contribution explains the node's worst
@@ -115,8 +114,8 @@ impl RefSta {
                     };
                     // Corner of the composed distribution along this hop.
                     let comp_sigma = (e.sigma * e.sigma + sigma * sigma).sqrt();
-                    let score = e.mean + mean + n_sigma * comp_sigma;
-                    let incr = score - e.corner(n_sigma);
+                    let score = e.mean + mean + N_SIGMA * comp_sigma;
+                    let incr = score - e.corner(N_SIGMA);
                     if best.map(|(_, _, s, _)| score > s).unwrap_or(true) {
                         best = Some((ai, ptr.index(), score, incr));
                     }
@@ -141,7 +140,7 @@ impl RefSta {
         let mut cum = self.arrivals(rev[0].0)[rev[0].1]
             .iter()
             .find(|e| e.sp == target_sp.0)
-            .map(|e| e.corner(n_sigma))
+            .map(|e| e.corner(N_SIGMA))
             .unwrap_or(0.0);
         for (i, &(v, vrf, incr, is_net)) in rev.iter().enumerate() {
             if i > 0 {

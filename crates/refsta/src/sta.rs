@@ -19,7 +19,7 @@
 //! one insertion pass sorts it; the runs are then merged, and a
 //! per-startpoint stamp keeps each startpoint's first — latest-corner —
 //! entry. The merge stops at `sp_cap`, or at the first entry past
-//! `sp_keep_min` that falls outside the pruning window of the map's best.
+//! `SP_KEEP_MIN` that falls outside the pruning window of the map's best.
 //! Hold runs the same reduction on the early corner (`Side::Early`).
 //!
 //! **Tie rule.** Entries are ordered by corner under `f64::total_cmp`,
@@ -36,23 +36,24 @@ use crate::incremental::{Changes, Frontier};
 use insta_liberty::{ArcKind, TimingSense, Transition};
 use insta_netlist::{BuildGraphError, CellId, Design, NodeId, PinId, TimingGraph};
 
+/// Corner pessimism: `arrival = mean + N_SIGMA * sigma` (paper: 3.0).
+pub const N_SIGMA: f64 = 3.0;
+/// Early OCV derate on capture clock paths.
+pub(crate) const DERATE_EARLY: f64 = 0.95;
+/// Late OCV derate on launch clock paths.
+pub(crate) const DERATE_LATE: f64 = 1.05;
+/// Minimum map entries kept regardless of the pruning window (protects
+/// exception handling on sub-critical startpoints).
+const SP_KEEP_MIN: usize = 8;
+
 /// Configuration of the reference analysis.
 #[derive(Debug, Clone)]
 pub struct StaConfig {
-    /// Corner pessimism: `arrival = mean + n_sigma * sigma` (paper: 3.0).
-    pub n_sigma: f64,
-    /// Early OCV derate on capture clock paths.
-    pub derate_early: f64,
-    /// Late OCV derate on launch clock paths.
-    pub derate_late: f64,
     /// Whether endpoint slack applies CPPR credit.
     pub cppr_enabled: bool,
     /// Hard cap on per-node startpoint maps (the golden "Top-K"; must
     /// exceed INSTA's K for the correlation claims to be meaningful).
     pub sp_cap: usize,
-    /// Minimum entries kept regardless of the pruning window (protects
-    /// exception handling on sub-critical startpoints).
-    pub sp_keep_min: usize,
     /// Arrival assumed at primary inputs (ps).
     pub input_delay_ps: f64,
     /// Overrides the design's clock period when set (SDC `create_clock`).
@@ -66,12 +67,8 @@ pub struct StaConfig {
 impl Default for StaConfig {
     fn default() -> Self {
         Self {
-            n_sigma: 3.0,
-            derate_early: 0.95,
-            derate_late: 1.05,
             cppr_enabled: true,
             sp_cap: 128,
-            sp_keep_min: 8,
             input_delay_ps: 0.0,
             period_override_ps: None,
             delay_calc: DelayCalc::default(),
@@ -329,7 +326,7 @@ impl RefSta {
     pub fn arrival_corner(&self, node: NodeId, tr: Transition) -> Option<f64> {
         self.arrivals[node.index()][tr.index()]
             .first()
-            .map(|e| e.corner(self.config.n_sigma))
+            .map(|e| e.corner(N_SIGMA))
     }
 
     /// The report of the last update.
@@ -366,8 +363,8 @@ impl RefSta {
             design,
             self.graph.clock_tree(),
             &self.config.delay_calc,
-            self.config.derate_early,
-            self.config.derate_late,
+            DERATE_EARLY,
+            DERATE_LATE,
         )?;
         // Max possible CPPR credit bounds the pruning window.
         let max_common = self
@@ -376,7 +373,7 @@ impl RefSta {
             .iter()
             .fold(0.0_f64, |m, &v| m.max(v));
         self.prune_window = if self.config.cppr_enabled {
-            max_common * (self.config.derate_late - self.config.derate_early) + 1e-9
+            max_common * (DERATE_LATE - DERATE_EARLY) + 1e-9
         } else {
             1e-9
         };
@@ -413,9 +410,7 @@ impl RefSta {
                         .find(|a| a.kind == ArcKind::Setup)
                         .map(|a| a.delay(Transition::Rise).lookup(fc.slew, 0.0))
                         .unwrap_or(0.0);
-                    period + fc.mean * self.config.derate_early
-                        - setup
-                        - self.config.n_sigma * fc.sigma
+                    period + fc.mean * DERATE_EARLY - setup - N_SIGMA * fc.sigma
                 }
                 None => period,
             };
@@ -442,7 +437,7 @@ impl RefSta {
                     let s = launch.sigma_coeff * d;
                     SpArrival {
                         sp: sp_idx as u32,
-                        mean: fc.mean * self.config.derate_late + d,
+                        mean: fc.mean * DERATE_LATE + d,
                         sigma: rss(fc.sigma, s),
                     }
                 })
@@ -488,9 +483,9 @@ impl RefSta {
     pub(crate) fn prune_rule(&self, side: Side) -> PruneRule {
         PruneRule {
             side,
-            n_sigma: self.config.n_sigma,
+            n_sigma: N_SIGMA,
             cap: self.config.sp_cap,
-            keep_min: self.config.sp_keep_min,
+            keep_min: SP_KEEP_MIN,
             window: self.prune_window,
         }
     }
@@ -506,7 +501,6 @@ impl RefSta {
 
     /// The worst-slack report of endpoint `ep_idx` from its arrival maps.
     pub(crate) fn evaluate_endpoint(&self, ep_idx: usize) -> EndpointReport {
-        let n_sigma = self.config.n_sigma;
         let tree = self.graph.clock_tree();
         let ep = &self.ep_infos[ep_idx];
         let ep_id = EpId(ep_idx as u32);
@@ -538,7 +532,7 @@ impl RefSta {
                         required += self.clock.cppr_credit(tree, la, lb);
                     }
                 }
-                let arrival = e.corner(n_sigma);
+                let arrival = e.corner(N_SIGMA);
                 let slack = required - arrival;
                 if slack < best.slack_ps {
                     best.slack_ps = slack;
@@ -604,7 +598,7 @@ impl RefSta {
                         continue;
                     }
                     let d = self.delays.mean[ai as usize][tr.index()]
-                        + self.config.n_sigma * self.delays.sigma[ai as usize][tr.index()];
+                        + N_SIGMA * self.delays.sigma[ai as usize][tr.index()];
                     for ptr in input_transitions(self.delays.sense[ai as usize], tr) {
                         let slot = &mut req[from.index()][ptr.index()];
                         *slot = slot.min(r_child - d);
@@ -617,7 +611,7 @@ impl RefSta {
                 let mut worst = f64::INFINITY;
                 for tr in Transition::BOTH {
                     if let Some(top) = self.arrivals[v][tr.index()].first() {
-                        let s = req[v][tr.index()] - top.corner(self.config.n_sigma);
+                        let s = req[v][tr.index()] - top.corner(N_SIGMA);
                         worst = worst.min(s);
                     }
                 }
@@ -862,7 +856,7 @@ mod tests {
     fn arrival_maps_have_unique_sorted_startpoints() {
         let (d, mut sta) = engine(3);
         sta.full_update(&d);
-        let n_sigma = sta.config().n_sigma;
+        let n_sigma = N_SIGMA;
         for v in 0..sta.graph().num_nodes() {
             for map in sta.arrivals(NodeId(v as u32)) {
                 let mut seen = std::collections::HashSet::new();
@@ -981,7 +975,7 @@ mod tests {
                 "endpoint node slack {node_slack} optimistic vs report {}",
                 ep.slack_ps
             );
-            let n_sigma = sta.config().n_sigma;
+            let n_sigma = N_SIGMA;
             let maps = sta.arrivals(info.node);
             let top = Transition::BOTH
                 .iter()
@@ -1332,7 +1326,7 @@ mod tests {
 
     /// The run merge equals the two-sort reducers on `to_bits` and in order
     /// wherever the order is defined by value, and follows the tie rule
-    /// everywhere — setup and hold, with `sp_cap`, `sp_keep_min` and the
+    /// everywhere — setup and hold, with `sp_cap`, `keep_min` and the
     /// window at and around every boundary of each generated map.
     #[test]
     fn run_merge_equals_the_two_sort_oracle_and_pins_ties() {

@@ -25,8 +25,8 @@
 //! # Failure containment
 //!
 //! Each connection runs in its own thread — over TCP at most
-//! [`MAX_CONNECTIONS`] at once, each closed once a read or write has
-//! waited [`IDLE_TIMEOUT`] or shutdown fired; dispatch is wrapped in
+//! `MAX_CONNECTIONS` at once, each closed once a read or write has
+//! waited `IDLE_TIMEOUT` or shutdown fired; dispatch is wrapped in
 //! `catch_unwind`, so a panic poisons at most that request — the session
 //! guard rolls the engine back during unwind, mutex poisoning is
 //! tolerated everywhere (`into_inner`), and the client gets a typed
@@ -364,8 +364,8 @@ impl Server {
     }
 
     /// Serves one connection until EOF, lost frame sync, write failure,
-    /// or shutdown — and, on a reader that times out, [`IDLE_TIMEOUT`]
-    /// without a byte (see [`Polled`]). Never panics out: dispatch runs
+    /// or shutdown — and, on a reader that times out, `IDLE_TIMEOUT`
+    /// without a byte (see `Polled`). Never panics out: dispatch runs
     /// under `catch_unwind`.
     pub fn handle_connection<R: Read, W: Write>(&self, reader: R, mut writer: W) {
         let sh = &self.shared;
@@ -427,13 +427,13 @@ impl Server {
     }
 
     /// Accept loop: one thread per connection, at most
-    /// [`MAX_CONNECTIONS`] at once, until the shutdown token fires; returns
+    /// `MAX_CONNECTIONS` at once, until the shutdown token fires; returns
     /// once every connection thread has ended. The listener runs
     /// nonblocking with a short poll so a `shutdown` request winds the loop
     /// down promptly — a blocking accept would otherwise pin the daemon
     /// until one more connection happened to arrive — and a connection's
-    /// reads time out every [`READ_POLL`] and its writes after
-    /// [`IDLE_TIMEOUT`], so neither a silent client, one that stops
+    /// reads time out every `READ_POLL` and its writes after
+    /// `IDLE_TIMEOUT`, so neither a silent client, one that stops
     /// reading, nor shutdown waits on a blocked socket.
     pub fn serve_tcp(&self, listener: TcpListener) -> std::io::Result<()> {
         listener.set_nonblocking(true)?;

@@ -16,35 +16,14 @@ use insta_netlist::{Design, TimingArcKind, WireRc};
 use insta_refsta::{RefSta, StaConfig};
 use std::time::Instant;
 
-/// Configuration of the buffering prototype.
-#[derive(Debug, Clone)]
-pub struct BufferingConfig {
-    /// Insertion rounds (gradients refresh between rounds).
-    pub rounds: usize,
-    /// Buffers inserted per round.
-    pub buffers_per_round: usize,
-    /// Minimum branch Elmore delay (ps) for a wire to be a candidate.
-    pub min_wire_delay_ps: f64,
-    /// Drive strength of inserted buffers.
-    pub buffer_drive: u32,
-    /// INSTA engine settings for gradient identification.
-    pub engine: InstaConfig,
-}
-
-impl Default for BufferingConfig {
-    fn default() -> Self {
-        Self {
-            rounds: 4,
-            buffers_per_round: 8,
-            min_wire_delay_ps: 5.0,
-            buffer_drive: 4,
-            engine: InstaConfig {
-                lse_tau: 1.0,
-                ..InstaConfig::default()
-            },
-        }
-    }
-}
+/// Insertion rounds (gradients refresh between rounds).
+const ROUNDS: usize = 4;
+/// Buffers inserted per round.
+const BUFFERS_PER_ROUND: usize = 8;
+/// Minimum branch Elmore delay (ps) for a wire to be a candidate.
+const MIN_WIRE_DELAY_PS: f64 = 5.0;
+/// Drive strength of inserted buffers.
+const BUFFER_DRIVE: u32 = 4;
 
 /// Outcome of a buffering run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,11 +50,11 @@ pub struct BufferingOutcome {
 /// # Panics
 ///
 /// Panics if the library has no buffer family.
-pub fn insta_buffer(design: &mut Design, cfg: &BufferingConfig) -> BufferingOutcome {
+pub fn insta_buffer(design: &mut Design) -> BufferingOutcome {
     let t_start = Instant::now();
     let lib = design.library_arc();
     let buf_cell = lib
-        .family_member(GateClass::Buf, cfg.buffer_drive)
+        .family_member(GateClass::Buf, BUFFER_DRIVE)
         .or_else(|| lib.family(GateClass::Buf).last().copied())
         .expect("library has buffers");
 
@@ -84,14 +63,13 @@ pub fn insta_buffer(design: &mut Design, cfg: &BufferingConfig) -> BufferingOutc
     let mut current = before.clone();
     let mut added = 0usize;
 
-    for round in 0..cfg.rounds {
+    for round in 0..ROUNDS {
         if current.n_violations == 0 {
             break;
         }
-        // Timing gradients from INSTA.
-        let mut engine = InstaEngine::new(golden.export_insta_init(), cfg.engine.clone()).expect("valid snapshot");
-        engine.propagate();
-        engine.forward_lse();
+        // Timing gradients from INSTA (τ = 1 ps, the default).
+        let mut engine = InstaEngine::new(golden.export_insta_init(), InstaConfig::default())
+            .expect("valid snapshot");
         engine.backward_tns();
         let grads = engine.arc_gradients();
 
@@ -110,13 +88,13 @@ pub fn insta_buffer(design: &mut Design, cfg: &BufferingConfig) -> BufferingOutc
             let wire = design.net(net).sink_wires[sink_pos as usize];
             let sink_cap = design.pin_cap_ff(design.net(net).sinks[sink_pos as usize]);
             let elmore = wire.res_kohm * (wire.cap_ff / 2.0 + sink_cap);
-            if elmore < cfg.min_wire_delay_ps {
+            if elmore < MIN_WIRE_DELAY_PS {
                 continue;
             }
             cands.push((g * elmore, net, sink_pos as usize));
         }
         cands.sort_by(|a, b| b.0.total_cmp(&a.0));
-        cands.truncate(cfg.buffers_per_round);
+        cands.truncate(BUFFERS_PER_ROUND);
         if cands.is_empty() {
             break;
         }
@@ -194,7 +172,7 @@ mod tests {
         assert!(before.n_violations > 0, "need wire-dominated violations");
 
         let cells_before = design.cells().len();
-        let out = insta_buffer(&mut design, &BufferingConfig::default());
+        let out = insta_buffer(&mut design);
         assert!(out.buffers_added > 0, "long wires must attract buffers");
         assert_eq!(design.cells().len(), cells_before + out.buffers_added);
         assert!(
@@ -212,7 +190,7 @@ mod tests {
         let mut cfg = GeneratorConfig::small("buf", 7);
         cfg.clock_period_ps = 50_000.0;
         let mut design = generate_design(&cfg);
-        let out = insta_buffer(&mut design, &BufferingConfig::default());
+        let out = insta_buffer(&mut design);
         assert_eq!(out.buffers_added, 0);
         assert_eq!(out.tns_after_ps, 0.0);
     }
@@ -224,7 +202,7 @@ mod tests {
         cfg.mean_wire_um = 100.0;
         cfg.clock_period_ps = 900.0;
         let mut design = generate_design(&cfg);
-        let out = insta_buffer(&mut design, &BufferingConfig::default());
+        let out = insta_buffer(&mut design);
         let mut fresh = RefSta::new(&design, StaConfig::default()).expect("build");
         let report = fresh.full_update(&design);
         assert!((report.tns_ps - out.tns_after_ps).abs() < 1e-6);

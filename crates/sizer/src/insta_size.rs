@@ -21,18 +21,19 @@ use insta_refsta::{estimate_eco, RefSta, StaReport};
 use std::collections::HashSet;
 use std::time::Instant;
 
+/// Gradient-magnitude threshold as a fraction of the round's largest stage
+/// gradient.
+const GRAD_THRESHOLD_FRAC: f64 = 0.005;
+/// Maximum stages visited per round.
+const MAX_STAGES_PER_ROUND: usize = 400;
+/// Optimization rounds (gradient refresh between rounds).
+const ROUNDS: usize = 12;
+/// Neighbourhood blocking radius in cell hops (paper: 3).
+const BLOCK_HOPS: usize = 3;
+
 /// Configuration of INSTA-Size.
 #[derive(Debug, Clone)]
 pub struct InstaSizeConfig {
-    /// Gradient-magnitude threshold as a fraction of the round's largest
-    /// stage gradient.
-    pub grad_threshold_frac: f64,
-    /// Maximum stages visited per round.
-    pub max_stages_per_round: usize,
-    /// Optimization rounds (gradient refresh between rounds).
-    pub rounds: usize,
-    /// Neighbourhood blocking radius in cell hops (paper: 3).
-    pub block_hops: usize,
     /// INSTA engine settings (`lse_tau` is the paper's τ; 0.01 in §IV-C).
     pub engine: InstaConfig,
 }
@@ -40,10 +41,6 @@ pub struct InstaSizeConfig {
 impl Default for InstaSizeConfig {
     fn default() -> Self {
         Self {
-            grad_threshold_frac: 0.005,
-            max_stages_per_round: 400,
-            rounds: 12,
-            block_hops: 3,
             engine: InstaConfig {
                 lse_tau: 0.01,
                 ..InstaConfig::default()
@@ -71,8 +68,9 @@ pub struct SizeOutcome {
     pub cells_sized: usize,
     /// Total wall-clock runtime (s).
     pub runtime_s: f64,
-    /// Backward-kernel runtime accumulated over the run (s) — the paper's
-    /// `bRT` column.
+    /// Gradient runtime accumulated over the run (s) — the paper's `bRT`
+    /// column: each round's one `backward_tns` call, its LSE pass
+    /// included.
     pub backward_runtime_s: f64,
 }
 
@@ -127,23 +125,22 @@ pub fn insta_size(design: &mut Design, golden: &mut RefSta, cfg: &InstaSizeConfi
     let mut backward_s = 0.0;
     let lib = timer.design().library_arc();
 
-    for _round in 0..cfg.rounds {
-        let engine = timer.engine_mut();
-        engine.propagate();
-        engine.forward_lse();
+    for _round in 0..ROUNDS {
+        // The report is current here (`Coupled` keeps it so), and the
+        // call runs the stale LSE pass before the backward sweep.
         let t_b = Instant::now();
-        engine.backward_tns();
+        timer.engine_mut().backward_tns();
         backward_s += t_b.elapsed().as_secs_f64();
 
         let stages = stage_gradients(timer.design(), timer.golden().graph(), timer.engine());
         let Some(max_mag) = stages.first().map(|s| s.magnitude) else {
             break; // no gradient flow → nothing to fix
         };
-        let threshold = max_mag * cfg.grad_threshold_frac;
+        let threshold = max_mag * GRAD_THRESHOLD_FRAC;
         let mut blocked: HashSet<CellId> = HashSet::new();
         let mut committed_this_round = 0usize;
 
-        for stage in stages.iter().take(cfg.max_stages_per_round) {
+        for stage in stages.iter().take(MAX_STAGES_PER_ROUND) {
             if stage.magnitude < threshold {
                 break;
             }
@@ -192,7 +189,7 @@ pub fn insta_size(design: &mut Design, golden: &mut RefSta, cfg: &InstaSizeConfi
             let cell = stage.cell;
             if timer.try_resize(cell, candidates[pick].0, |r| r.tns_ps >= tns_prev) {
                 committed_this_round += 1;
-                blocked.extend(cell_neighborhood(timer.design(), cell, cfg.block_hops));
+                blocked.extend(cell_neighborhood(timer.design(), cell, BLOCK_HOPS));
             }
         }
         if committed_this_round == 0 {

@@ -29,11 +29,11 @@ pub mod power;
 pub mod reference;
 pub mod stage;
 
-pub use buffering::{insta_buffer, BufferingConfig, BufferingOutcome};
+pub use buffering::{insta_buffer, BufferingOutcome};
 pub use changelist::{random_changelist, ResizeOp};
 pub use coupled::Coupled;
 pub use flow::{run_evaluator_flow, EvaluatorFlowResult, IterationTiming};
 pub use insta_size::{insta_size, InstaSizeConfig, SizeOutcome};
-pub use power::{power_recover, PowerOutcome, PowerRecoveryConfig};
-pub use reference::{reference_size, ReferenceSizeConfig};
+pub use power::{power_recover, PowerOutcome};
+pub use reference::reference_size;
 pub use stage::{cell_neighborhood, stage_gradients, StageGradient};

@@ -6,7 +6,7 @@
 //! largest leakage saving first. Each downsizing is one
 //! [`Coupled::try_resize`]: the reference re-times it exactly, INSTA
 //! evaluates what changed, and the move is rolled back if TNS falls below
-//! the floor. Leakage falls; timing is held.
+//! the run's starting TNS. Leakage falls; timing is held.
 
 use crate::coupled::Coupled;
 use crate::insta_size::{SizeOutcome, SizeRun};
@@ -15,30 +15,10 @@ use insta_liberty::GateClass;
 use insta_netlist::{CellId, Design};
 use insta_refsta::RefSta;
 
-/// Configuration of the power-recovery flow.
-#[derive(Debug, Clone)]
-pub struct PowerRecoveryConfig {
-    /// Passes over the candidate list.
-    pub max_passes: usize,
-    /// TNS degradation tolerance below the starting TNS (ps; 0 = hold the
-    /// line exactly).
-    pub tns_margin_ps: f64,
-    /// INSTA engine settings for the per-commit evaluation.
-    pub engine: InstaConfig,
-}
-
-impl Default for PowerRecoveryConfig {
-    fn default() -> Self {
-        Self {
-            max_passes: 3,
-            tns_margin_ps: 0.0,
-            engine: InstaConfig {
-                top_k: 8,
-                ..InstaConfig::default()
-            },
-        }
-    }
-}
+/// Passes over the candidate list.
+const MAX_PASSES: usize = 3;
+/// INSTA's Top-K for the per-commit evaluation.
+const TOP_K: usize = 8;
 
 /// Outcome of a power-recovery run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,19 +48,19 @@ impl PowerOutcome {
 ///
 /// The golden engine re-times each move exactly; INSTA is the per-commit
 /// evaluator (the Application-1 role).
-pub fn power_recover(
-    design: &mut Design,
-    golden: &mut RefSta,
-    cfg: &PowerRecoveryConfig,
-) -> PowerOutcome {
+pub fn power_recover(design: &mut Design, golden: &mut RefSta) -> PowerOutcome {
     let run = SizeRun::start(design, golden);
     let leakage_before = design.total_leakage();
-    let tns_floor = run.before.tns_ps - cfg.tns_margin_ps;
-    let mut timer = Coupled::new(design, golden, cfg.engine.clone());
+    let tns_floor = run.before.tns_ps;
+    let engine = InstaConfig {
+        top_k: TOP_K,
+        ..InstaConfig::default()
+    };
+    let mut timer = Coupled::new(design, golden, engine);
     let lib = timer.design().library_arc();
     let mut downsized = 0usize;
 
-    for _pass in 0..cfg.max_passes {
+    for _pass in 0..MAX_PASSES {
         // Candidates: combinational non-clock cells above minimum drive,
         // sorted by the leakage saved by one downsizing notch.
         let design = timer.design();
@@ -144,7 +124,7 @@ mod tests {
         assert_eq!(before.n_violations, 0);
         let sizes: Vec<_> = design.cells().iter().map(|c| c.lib_cell).collect();
 
-        let out = power_recover(&mut design, &mut golden, &PowerRecoveryConfig::default());
+        let out = power_recover(&mut design, &mut golden);
         assert!(out.cells_downsized > 0, "headroom must be harvested");
         // A cell downsized twice is one cell sized and two commits.
         let cells = design.cells().iter().zip(&sizes);
@@ -176,7 +156,7 @@ mod tests {
         let before = golden.full_update(&design);
         assert!(before.n_violations > 0);
 
-        let out = power_recover(&mut design, &mut golden, &PowerRecoveryConfig::default());
+        let out = power_recover(&mut design, &mut golden);
         assert!(
             out.timing.tns_after_ps >= before.tns_ps - 1e-6,
             "TNS floor breached: {} -> {}",
@@ -194,7 +174,7 @@ mod tests {
         let mut design = generate_design(&cfg);
         let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
         golden.full_update(&design);
-        let out = power_recover(&mut design, &mut golden, &PowerRecoveryConfig::default());
+        let out = power_recover(&mut design, &mut golden);
         let mut fresh = RefSta::new(&design, StaConfig::default()).expect("build");
         let report = fresh.full_update(&design);
         assert!((report.tns_ps - out.timing.tns_after_ps).abs() < 1e-6);

@@ -13,26 +13,13 @@ use crate::insta_size::{SizeOutcome, SizeRun};
 use insta_liberty::{GateClass, Transition};
 use insta_netlist::{CellId, Design, NodeId, TimingArcKind};
 use insta_refsta::sta::input_transitions;
-use insta_refsta::{estimate_eco, RefSta};
+use insta_refsta::{estimate_eco, RefSta, N_SIGMA};
 use std::collections::HashSet;
 
-/// Configuration of the reference sizer.
-#[derive(Debug, Clone)]
-pub struct ReferenceSizeConfig {
-    /// Maximum optimization passes.
-    pub max_passes: usize,
-    /// Violating endpoints examined per pass.
-    pub endpoints_per_pass: usize,
-}
-
-impl Default for ReferenceSizeConfig {
-    fn default() -> Self {
-        Self {
-            max_passes: 4,
-            endpoints_per_pass: 64,
-        }
-    }
-}
+/// Maximum optimization passes.
+const MAX_PASSES: usize = 4;
+/// Violating endpoints examined per pass.
+const ENDPOINTS_PER_PASS: usize = 64;
 
 /// Backtraces the critical path of an endpoint through the reference
 /// engine's arrival maps, returning the combinational cells on it
@@ -40,7 +27,6 @@ impl Default for ReferenceSizeConfig {
 fn backtrace_cells(design: &Design, sta: &RefSta, ep_node: NodeId, mut rf: usize) -> Vec<CellId> {
     let graph = sta.graph();
     let delays = sta.delays();
-    let n_sigma = sta.config().n_sigma;
     let mut cells = Vec::new();
     let mut node = ep_node;
     loop {
@@ -58,7 +44,7 @@ fn backtrace_cells(design: &Design, sta: &RefSta, ep_node: NodeId, mut rf: usize
                 let Some(top) = sta.arrivals(arc.from)[ptr.index()].first() else {
                     continue;
                 };
-                let score = top.corner(n_sigma) + delays.mean[ai as usize][rf];
+                let score = top.corner(N_SIGMA) + delays.mean[ai as usize][rf];
                 if best.map(|(_, _, s)| score > s).unwrap_or(true) {
                     best = Some((ai, ptr.index(), score));
                 }
@@ -79,15 +65,11 @@ fn backtrace_cells(design: &Design, sta: &RefSta, ep_node: NodeId, mut rf: usize
 }
 
 /// Runs the greedy reference sizer.
-pub fn reference_size(
-    design: &mut Design,
-    sta: &mut RefSta,
-    cfg: &ReferenceSizeConfig,
-) -> SizeOutcome {
+pub fn reference_size(design: &mut Design, sta: &mut RefSta) -> SizeOutcome {
     let run = SizeRun::start(design, sta);
     let lib = design.library_arc();
 
-    for _pass in 0..cfg.max_passes {
+    for _pass in 0..MAX_PASSES {
         let report = sta.report().clone();
         let mut violating: Vec<(f64, usize, u8)> = report
             .endpoints
@@ -100,7 +82,7 @@ pub fn reference_size(
             break;
         }
         violating.sort_by(|a, b| a.0.total_cmp(&b.0));
-        violating.truncate(cfg.endpoints_per_pass);
+        violating.truncate(ENDPOINTS_PER_PASS);
 
         let mut tried: HashSet<CellId> = HashSet::new();
         let mut committed = 0usize;
@@ -157,7 +139,7 @@ mod tests {
         let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
         let before = sta.full_update(&design);
         assert!(before.n_violations > 0);
-        let outcome = reference_size(&mut design, &mut sta, &ReferenceSizeConfig::default());
+        let outcome = reference_size(&mut design, &mut sta);
         assert!(outcome.tns_after_ps >= outcome.tns_before_ps);
         assert!(outcome.cells_sized > 0);
     }

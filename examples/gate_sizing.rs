@@ -8,7 +8,7 @@
 
 use insta_sta::netlist::generator::{generate_design, GeneratorConfig};
 use insta_sta::refsta::{RefSta, StaConfig};
-use insta_sta::sizer::{insta_size, reference_size, InstaSizeConfig, ReferenceSizeConfig};
+use insta_sta::sizer::{insta_size, reference_size, InstaSizeConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An IWLS-scale circuit with a clock tight enough to violate.
@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Reference greedy sizer ----------------------------------------
     let mut design_ref = generate_design(&gen);
     let mut sta_ref = RefSta::new(&design_ref, StaConfig::default())?;
-    let ref_out = reference_size(&mut design_ref, &mut sta_ref, &ReferenceSizeConfig::default());
+    let ref_out = reference_size(&mut design_ref, &mut sta_ref);
 
     // --- INSTA-Size ------------------------------------------------------
     let mut design_insta = generate_design(&gen); // identical start state

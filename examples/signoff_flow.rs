@@ -8,7 +8,7 @@ use insta_sta::netlist::generator::{generate_design, GeneratorConfig};
 use insta_sta::netlist::verilog::{parse_verilog, write_verilog};
 use insta_sta::refsta::sdc::apply_sdc;
 use insta_sta::refsta::{RefSta, StaConfig};
-use insta_sta::sizer::{power_recover, PowerRecoveryConfig};
+use insta_sta::sizer::power_recover;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A netlist arrives as Verilog (here: generated, written, re-read).
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. Recover power with INSTA as the incremental evaluator.
-    let out = power_recover(&mut design, &mut sta, &PowerRecoveryConfig::default());
+    let out = power_recover(&mut design, &mut sta);
     println!(
         "power recovery: leakage {:.1} -> {:.1} ({:.0}% recovered), {} downsizing commits \
          on {} cells, WNS {:.1} ps, {} violations, {:.2} s",

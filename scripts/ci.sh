@@ -26,6 +26,9 @@ design_bytes=$(wc -c < DESIGN.md)
 echo "==> doc links (an intra-doc link to a missing item — a deleted function, a renamed type — fails the build)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --document-private-items --offline
 
+echo "==> public docs (warnings are errors: a public doc that links a private item, or spells out a link target rustdoc already resolves, fails)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> tests (offline; debug profile keeps the hot-path poison asserts on) — one run of the whole workspace, which is every gate named below"
 echo "    fault-injection gate (fixed seed, zero panics): tests/fault_injection, insta-engine fault_tolerance"
 echo "    session-chaos gate (rollback bit-identity under seeded corruption + worker panics; a fired token/deadline stops at the next level poll): tests/sessions"
@@ -34,7 +37,7 @@ echo "    window-pass gate (delta-free corner groups and full-pass lanes run the
 echo "    mcmm-equivalence gate (corner/mode lanes bit-identical to pre-scaled, masked serial twins): tests/mcmm_equivalence"
 echo "    validity gate (generated state machine over every annotation- and product-writing call: each read is None or a from-scratch twin's bits, current arrays take the cone path): insta-engine validity_model"
 echo "    refsta-incremental gate (the reference engine's change-pruned incremental update bit-identical to a fresh full update — every arrival-map entry, slew, arc delay and report field — over random resize sequences on generated designs and block-5, flop, clock-buffer and mixed changelists included; the frontier re-annotates a seed or a node under a moved slew and only re-reduces a node under a moved map, with a case whose slews settle in a few levels while its arrivals run to the last): insta-refsta incremental_equivalence"
-echo "    refsta-reduce gate (the one run-merge reduction of setup and hold maps equals the frozen two-sort reducers on to_bits over generated tie-heavy runs, with sp_cap, sp_keep_min and the window at every boundary and a NaN sigma, and pins the tie rule — startpoint ascending, the first run for one startpoint): insta-refsta sta::tests::run_merge_equals_the_two_sort_oracle_and_pins_ties"
+echo "    refsta-reduce gate (the one run-merge reduction of setup and hold maps equals the frozen two-sort reducers on to_bits over generated tie-heavy runs, with the cap, keep_min and the window at every boundary and a NaN sigma, and pins the tie rule — startpoint ascending, the first run for one startpoint): insta-refsta sta::tests::run_merge_equals_the_two_sort_oracle_and_pins_ties"
 echo "    cone-equivalence gate (session cone updates bit-identical to reannotate + full pass, rollbacks by the undo log bit-identical to never having run, arrays and report; batched calls and failed cone sessions leave the engine's bits untouched after clean, quarantined, cancelled and panicked sweeps): insta-engine cone_equivalence"
 echo "    kernel-equivalence gate (production kernels bit-identical to the frozen scalar kernels across K, threads, fused passes, hold, gradients and batch lanes; a startpoint with one fanin arc keeps its launch seed; a virtual hop that reorders falls back to materialising, its rank breaks a corner tie, and every pass span counts the fallback; merge-free chains equal the sorted sums of means and variances): insta-engine kernel_equivalence"
 echo "    server-chaos gate (protocol-fault storm: no hangs, no panics, typed errors, bit-identical post-storm commit; TCP round trip: 50 pings over loopback p50 < 5 ms; TCP connections: one past the 64-connection cap gets one typed overloaded frame and is closed, one silent 5 s (between frames or inside one, 64 such fill and then free the cap) or open at shutdown is closed, a frame written in pieces keeps sync, closed == opened; gradient replies — the writer engine's own backward pass, no batch lane — equal a twin's gradients bit for bit and move no later commit; reply byte identity: image-spliced replies equal the tree encoder's bytes on generated reports and a live daemon, one image per epoch read under 8 racing readers): insta-serve"
@@ -43,8 +46,8 @@ echo "    decoder gate (generated and mutated JSON documents equal the frozen pr
 echo "    crash-recovery gate (kill -9 chaos: every crash point + durability fault recovers the durable prefix bit-exactly, incl. a real SIGKILL of the insta-serve binary; an unreplayable record is cut out of the log and a segment the cut empties is renamed, so no rotation replaces it; an engine failure stops recovery with every file byte-identical; a flipped stored slack bit makes a checkpoint stale and the log rebuilds): insta-serve recovery, engine_failure, checkpoint"
 cargo test -q --workspace --offline
 
-echo "==> paper-table outcome check (Table I size, correlation, mismatch and #vio per block; Fig. 8 correlation and mismatch before and after the flow; Table II WNS, TNS, #vio and cells sized per design and sizer — each equal to its crates/bench/expected/<table>.json; a PR that moves one updates that file and says why)"
-cargo run -q --release --offline -p insta-bench --bin repro -- table1 fig8 table2
+echo "==> paper-table outcome check (Table I size, correlation, mismatch, #vio and WNS per block; Fig. 6 correlation and mismatch per Top-K; Fig. 8 correlation and mismatch before and after the flow; Table II WNS, TNS, #vio and cells sized per design and sizer; Table III legalized HPWL and TNS per instance, mode and seed; the power-recovery and INSTA-Buffer outcomes — each equal to its crates/bench/expected/<table>.json; a PR that moves one updates that file and says why)"
+cargo run -q --release --offline -p insta-bench --bin repro -- table1 fig6 fig8 table2 table3 extensions
 cargo run -q --release --offline -p insta-bench --bin repro -- check
 
 echo "==> benches compile (offline)"

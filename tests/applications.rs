@@ -8,7 +8,6 @@ use insta_sta::placer::{place, PlacerConfig, PlacerMode};
 use insta_sta::refsta::{RefSta, StaConfig};
 use insta_sta::sizer::{
     insta_size, random_changelist, reference_size, run_evaluator_flow, InstaSizeConfig,
-    ReferenceSizeConfig,
 };
 
 /// App 1 end to end: the evaluator flow keeps INSTA within driving
@@ -51,7 +50,7 @@ fn sizers_improve_timing_with_different_cell_budgets() {
     let mut sta_ref = RefSta::new(&d_ref, StaConfig::default()).expect("build");
     let before = sta_ref.full_update(&d_ref);
     assert!(before.n_violations > 0, "need initial violations");
-    let r = reference_size(&mut d_ref, &mut sta_ref, &ReferenceSizeConfig::default());
+    let r = reference_size(&mut d_ref, &mut sta_ref);
 
     let mut d_ins = generate_design(&cfg);
     let mut sta_ins = RefSta::new(&d_ins, StaConfig::default()).expect("build");
