@@ -23,7 +23,7 @@
 //! (power recovery's leakage, commits and #vio; INSTA-Buffer's WNS, TNS
 //! and buffers). Timing and memory columns are printed only.
 
-use insta_bench::{block_specs, fmt_ps, iwls_specs, superblue_specs};
+use insta_bench::{block_specs, fmt_ps, iwls_specs, mismatch_columns, superblue_specs, table1_row};
 use insta_engine::topk::{Candidate, TopKQueue};
 use insta_engine::{InstaConfig, InstaEngine, MismatchStats};
 use insta_netlist::{DesignStats, TimingGraph};
@@ -101,15 +101,6 @@ fn check(tables: &[&str]) -> bool {
     ok
 }
 
-/// The outcome columns of an INSTA-vs-reference slack comparison.
-fn mismatch_columns(stats: &MismatchStats) -> [(&'static str, Json); 3] {
-    [
-        ("correlation", stats.correlation.to_json()),
-        ("avg_mismatch_ps", stats.avg_abs_ps.to_json()),
-        ("worst_mismatch_ps", stats.worst_abs_ps.to_json()),
-    ]
-}
-
 fn golden_slack_vec(sta: &RefSta) -> Vec<f64> {
     sta.report().endpoints.iter().map(|e| e.slack_ps).collect()
 }
@@ -169,46 +160,21 @@ fn table1() {
     );
     let mut rows = Vec::new();
     for spec in block_specs() {
-        let design = spec.build();
-        let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
-        let t = Instant::now();
-        golden.full_update(&design);
-        let ut = t.elapsed().as_secs_f64();
-        let exact = golden_slack_vec(&golden);
-        let mut eng = InstaEngine::new(golden.export_insta_init(), InstaConfig::default()).expect("valid snapshot");
-        // Warm once, then time the propagation proper.
-        eng.propagate();
-        let t = Instant::now();
-        let report = eng.propagate().clone();
-        let rt = t.elapsed().as_secs_f64();
-        let stats = MismatchStats::compute(&report.slacks, &exact);
+        let row = table1_row(&spec);
+        let field = |key| row.outcome.field(key).and_then(Json::as_f64).expect("a number");
         println!(
             "{:<10} {:>9} {:>9} {:>8.2} {:>14.5} {:>10.4} {:>9.3} {:>10.2e} {:>10.2}",
             spec.name,
-            design.cells().len(),
-            design.pins().len(),
-            ut,
-            stats.correlation,
-            rt,
-            eng.state_bytes() as f64 / 1e9,
-            stats.avg_abs_ps,
-            stats.worst_abs_ps,
+            field("cells"),
+            field("pins"),
+            row.ut_s,
+            row.stats.correlation,
+            row.rt_s,
+            row.state_bytes as f64 / 1e9,
+            row.stats.avg_abs_ps,
+            row.stats.worst_abs_ps,
         );
-        let mut row = vec![
-            ("design", spec.name.to_string().to_json()),
-            ("cells", design.cells().len().to_json()),
-            ("pins", design.pins().len().to_json()),
-            ("endpoints", exact.len().to_json()),
-        ];
-        row.extend(mismatch_columns(&stats));
-        row.push(("insta_violations", report.n_violations.to_json()));
-        row.push((
-            "reference_violations",
-            golden.report().n_violations.to_json(),
-        ));
-        row.push(("insta_wns_ps", report.wns_ps.to_json()));
-        row.push(("reference_wns_ps", golden.report().wns_ps.to_json()));
-        rows.push(obj(row));
+        rows.push(row.outcome);
     }
     write_outcome("table1", &rows);
     println!();

@@ -628,6 +628,8 @@ impl InstaEngine {
             window_rows: 0,
             nodes: 0,
             pruned: 0,
+            passed: 0,
+            arcs: 0,
             fallbacks: 0,
             incident: None,
         };
@@ -651,6 +653,8 @@ impl InstaEngine {
             ("window_rows", call.window_rows as f64),
             ("nodes", call.nodes as f64),
             ("pruned", call.pruned as f64),
+            ("passed", call.passed as f64),
+            ("arcs", call.arcs as f64),
             ("fallbacks", call.fallbacks as f64),
             ("ok", if ok { 1.0 } else { 0.0 }),
         ]);
@@ -715,11 +719,11 @@ impl<'a> Base<'a> {
 
     fn swap_rows(&mut self) {
         let eng = &mut *self.eng;
-        let (rows, k) = (eng.st.n_rows(), eng.state.k);
+        let (slots, k) = (eng.st.n_slots(), eng.state.k);
         let scratch = eng
             .corner_scratch
             .0
-            .get_or_insert_with(|| State::with_rows(rows, k));
+            .get_or_insert_with(|| State::with_slots(slots, k));
         std::mem::swap(&mut eng.state, scratch);
     }
 }
@@ -745,6 +749,10 @@ struct LaneCall<'a> {
     window_rows: usize,
     nodes: usize,
     pruned: usize,
+    /// Virtual nodes the cone lanes passed through, and the fanin arcs of
+    /// the nodes they recomputed.
+    passed: usize,
+    arcs: usize,
     /// Virtual parents materialised, over every pass and sweep of the call.
     fallbacks: u64,
     /// The first contained (or fatal) worker panic of the call.
@@ -809,6 +817,8 @@ impl LaneCall<'_> {
         self.cone_lanes += 1;
         self.nodes += eng.cone.nodes;
         self.pruned += eng.cone.pruned;
+        self.passed += eng.cone.passed;
+        self.arcs += eng.cone.arcs;
         self.fallbacks += eng.cone.fallbacks();
         self.book(swept)?;
         // Only endpoints on recomputed nodes can differ from the base.

@@ -8,6 +8,12 @@
 //! and it is what lets the kernels split the SoA arrays into disjoint
 //! `done` / `current` regions and run each level's pins in parallel with no
 //! synchronization and no unsafe code.
+//!
+//! The Top-K rows are sized once, from the graph alone: a queue holds
+//! exactly as many entries as there are distinct startpoints in its fan-in
+//! cone, capped at K (`capacities`), and the rows are a compact CSR over
+//! that count (`Static::slot_base`) with no live count and no slot a pass
+//! never writes (block-1 at K = 32: rows 33.0 → 21.0 MiB).
 
 use crate::error::{IncidentLog, InstaError, RuntimeIncident};
 use crate::forward::queue_of;
@@ -176,6 +182,13 @@ pub(crate) struct Static {
     /// where it is read ([`crate::forward::queue_of`]). Rows are in node
     /// order, so a level's rows are contiguous like its nodes.
     pub row_base: Vec<u32>,
+    /// Queue slots ahead of each stored row, `rows + 1` long: both queues
+    /// of row `r` hold exactly `slot_base[r + 1] - slot_base[r]` entries,
+    /// `min(K, distinct startpoint ids reaching the node)` — a structural
+    /// count, the same for rise and fall and for every pass ([`capacities`]).
+    /// The rows' lanes are a CSR over it: queue `(r, rf)` is
+    /// [`queue_slots`](Self::queue_slots).
+    pub slot_base: Vec<u32>,
 }
 
 impl Static {
@@ -235,6 +248,26 @@ impl Static {
         self.row_base[self.n] as usize
     }
 
+    /// Number of queue entries the stored rows hold, both transitions.
+    #[inline]
+    pub fn n_slots(&self) -> usize {
+        2 * self.slot_base[self.n_rows()] as usize
+    }
+
+    /// Where the queues of `rows` sit in compact lanes: both transitions of
+    /// every row, rise ahead of fall.
+    #[inline]
+    pub fn slots(&self, rows: std::ops::Range<usize>) -> std::ops::Range<usize> {
+        2 * self.slot_base[rows.start] as usize..2 * self.slot_base[rows.end] as usize
+    }
+
+    /// Where queue `(row, rf)` sits in compact lanes; its length is the
+    /// row's capacity.
+    #[inline(always)]
+    pub fn queue_slots(&self, row: usize, rf: usize) -> std::ops::Range<usize> {
+        queue_slots(&self.slot_base, row, rf)
+    }
+
     /// The expanded arcs leaving node `v`.
     #[inline]
     pub fn fanout(&self, v: usize) -> &[u32] {
@@ -258,10 +291,10 @@ impl Static {
 /// the differentiable-pass buffers).
 ///
 /// The Top-K lanes are indexed by *row* ([`Static::row_base`]), not by
-/// node: a queue is a live count plus `(sp, mean, sigma)` entries, and its
-/// corner arrival is computed from the two values beside it where it is
-/// needed. Slots at or past the live count are dead: nobody reads them and
-/// nobody clears them.
+/// node, and hold exactly the entries a queue can have: a row's slots are
+/// its capacity ([`Static::slot_base`]), every one of them live after a
+/// pass, so no queue carries a count and no slot is dead. A corner arrival
+/// is computed from the two values beside it where it is needed.
 #[derive(Debug, Clone)]
 pub(crate) struct State {
     /// Top-K capacity.
@@ -269,9 +302,8 @@ pub(crate) struct State {
     /// Whether the rows are in hold's order (negated early corners): the
     /// last full pass over them was the min pass.
     pub early: bool,
-    /// Live entries per queue, `rows * 2`, indexed `row * 2 + rf`.
-    pub live: Vec<u16>,
-    /// Queue entries, `rows * 2 * k`, indexed `(row * 2 + rf) * k + j`.
+    /// Queue entries, `2 * slot_base[rows]`, queue `(row, rf)` at
+    /// [`Static::queue_slots`].
     pub topk_mean: Vec<f64>,
     pub topk_sigma: Vec<f64>,
     pub topk_sp: Vec<u32>,
@@ -291,15 +323,18 @@ pub(crate) struct State {
 }
 
 /// A read view of Top-K rows: a whole [`State`], the rows ahead of the
-/// window a kernel is writing, or a window pass's slots.
+/// window a kernel is writing, a window pass's level buffer or its slots.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Lanes<'a> {
     pub k: usize,
-    /// Where stored row `r` sits in these lanes: at index `r` (`None`, the
-    /// identity plan), or at `slot[r]` (a window pass's slot plan, see
+    /// The rows' capacities ([`Static::slot_base`]).
+    pub base: &'a [u32],
+    /// Where stored row `r` sits in these lanes: at its compact slots
+    /// ([`Static::queue_slots`]) less `origin` (`None`), or in slot
+    /// `slot[r]` of `2 * k` entries (a window pass's slot plan, see
     /// [`crate::forward::SlotPlan`]).
     pub slot: Option<&'a [u32]>,
-    pub live: &'a [u16],
+    pub origin: usize,
     pub sp: &'a [u32],
     pub mean: &'a [f64],
     pub sigma: &'a [f64],
@@ -326,12 +361,12 @@ impl<'a> Lanes<'a> {
     /// The queue of `(row, rf)`, wherever the plan keeps the row.
     #[inline(always)]
     pub fn row(&self, row: usize, rf: usize) -> Queue<'a> {
+        let w = queue_slots(self.base, row, rf);
         let at = match self.slot {
-            Some(slot) => slot[row] as usize,
-            None => row,
+            Some(slot) => (slot[row] as usize * 2 + rf) * self.k,
+            None => w.start - self.origin,
         };
-        let q = at * 2 + rf;
-        let w = q * self.k..q * self.k + self.live[q] as usize;
+        let w = at..at + w.len();
         Queue {
             sp: &self.sp[w.clone()],
             mean: &self.mean[w.clone()],
@@ -341,16 +376,15 @@ impl<'a> Lanes<'a> {
 }
 
 impl State {
-    /// A state with `rows` empty Top-K rows and no other array allocated
+    /// A state with `slots` Top-K entries and no other array allocated
     /// (scratch passes fill in only the arrays they touch).
-    pub fn with_rows(rows: usize, k: usize) -> Self {
+    pub fn with_slots(slots: usize, k: usize) -> Self {
         State {
             k,
             early: false,
-            live: vec![0; rows * 2],
-            topk_mean: vec![0.0; rows * 2 * k],
-            topk_sigma: vec![0.0; rows * 2 * k],
-            topk_sp: vec![0; rows * 2 * k],
+            topk_mean: vec![0.0; slots],
+            topk_sigma: vec![0.0; slots],
+            topk_sp: vec![0; slots],
             lse_arrival: Vec::new(),
             lse_weight: Vec::new(),
             grad_arrival: Vec::new(),
@@ -362,11 +396,12 @@ impl State {
 
     /// The Top-K rows as a read view.
     #[inline]
-    pub fn lanes(&self) -> Lanes<'_> {
+    pub fn lanes<'a>(&'a self, st: &'a Static) -> Lanes<'a> {
         Lanes {
             k: self.k,
+            base: &st.slot_base,
             slot: None,
-            live: &self.live,
+            origin: 0,
             sp: &self.topk_sp,
             mean: &self.topk_mean,
             sigma: &self.topk_sigma,
@@ -376,24 +411,22 @@ impl State {
     /// Splits the Top-K rows at `row`: the rows before it as a read view
     /// (a kernel's `done` prefix) and the rows from it on as a write view,
     /// for the kernel to carve its window from.
-    pub fn split_at_row(&mut self, row: usize) -> (Lanes<'_>, RowsMut<'_>) {
-        let k = self.k;
-        let (live_done, live) = self.live.split_at_mut(row * 2);
-        let (mean_done, mean) = self.topk_mean.split_at_mut(row * 2 * k);
-        let (sigma_done, sigma) = self.topk_sigma.split_at_mut(row * 2 * k);
-        let (sp_done, sp) = self.topk_sp.split_at_mut(row * 2 * k);
+    pub fn split_at_row<'a>(&'a mut self, st: &'a Static, row: usize) -> (Lanes<'a>, RowsMut<'a>) {
+        let at = st.slots(row..row).start;
+        let (mean_done, mean) = self.topk_mean.split_at_mut(at);
+        let (sigma_done, sigma) = self.topk_sigma.split_at_mut(at);
+        let (sp_done, sp) = self.topk_sp.split_at_mut(at);
         let done = Lanes {
-            k,
+            k: self.k,
+            base: &st.slot_base,
             slot: None,
-            live: live_done,
+            origin: 0,
             sp: sp_done,
             mean: mean_done,
             sigma: sigma_done,
         };
         let rest = RowsMut {
-            k,
-            first: row,
-            live,
+            origin: at,
             mean,
             sigma,
             sp,
@@ -406,8 +439,7 @@ impl State {
         fn of<T>(v: &[T]) -> usize {
             std::mem::size_of_val(v)
         }
-        of(&self.live)
-            + of(&self.topk_mean)
+        of(&self.topk_mean)
             + of(&self.topk_sigma)
             + of(&self.topk_sp)
             + of(&self.lse_arrival)
@@ -418,12 +450,10 @@ impl State {
     }
 }
 
-/// A write view of consecutive Top-K rows, row `first` at index 0: the
-/// window a full pass writes one level into.
+/// A write view of consecutive Top-K rows in compact lanes, slot `origin`
+/// at index 0: the window a full pass writes one level into.
 pub(crate) struct RowsMut<'a> {
-    pub k: usize,
-    pub first: usize,
-    pub live: &'a mut [u16],
+    pub origin: usize,
     pub mean: &'a mut [f64],
     pub sigma: &'a mut [f64],
     pub sp: &'a mut [u32],
@@ -502,7 +532,7 @@ impl InstaEngine {
     /// # Errors
     ///
     /// Returns [`InstaError::Validate`] when the configuration is invalid
-    /// (`top_k == 0` or above `u16::MAX`, non-positive `lse_tau`) or when
+    /// (`top_k` zero or above 65 535, non-positive `lse_tau`) or when
     /// the snapshot violates the engine's contract (see
     /// [`crate::validate`]).
     pub fn new(mut init: InstaInit, cfg: InstaConfig) -> Result<Self, InstaError> {
@@ -512,12 +542,11 @@ impl InstaEngine {
                 message: "top_k must be positive".into(),
             });
         }
+        // A merge reserves K slots of scratch per fanin arc, whatever the
+        // rows hold.
         if cfg.top_k > usize::from(u16::MAX) {
             config_issues.record(Issue::BadConfig {
-                message: format!(
-                    "top_k must fit a queue's u16 live count, got {}",
-                    cfg.top_k
-                ),
+                message: format!("top_k must be at most {}, got {}", u16::MAX, cfg.top_k),
             });
         }
         if !(cfg.lse_tau > 0.0) {
@@ -634,6 +663,14 @@ impl InstaEngine {
                 && !is_endpoint[v];
             row_base.push(row_base[v] + u32::from(!is_virtual));
         }
+        let slot_base = capacities(
+            &fanin_start,
+            &arc_parent,
+            &source_of,
+            &init.sources,
+            &row_base,
+            cfg.top_k,
+        );
 
         let st = Static {
             n,
@@ -662,6 +699,7 @@ impl InstaEngine {
             new_id: new_id.into(),
             n_graph_arcs,
             row_base,
+            slot_base,
         };
         let k = cfg.top_k;
         let state = State {
@@ -670,7 +708,7 @@ impl InstaEngine {
             grad_arrival: vec![0.0; n * 2],
             grad_arc: vec![[0.0; 2]; n_exp],
             grad_fanout: vec![[0.0; 2]; n_exp],
-            ..State::with_rows(st.n_rows(), k)
+            ..State::with_slots(st.n_slots(), k)
         };
         Ok(Self {
             st,
@@ -829,12 +867,95 @@ impl InstaEngine {
         }
         let v = self.node_index(orig_node)?;
         let mut scratch = VirtualQueue::new(self.state.k);
-        let q = queue_of::<false>(&self.st, self.state.lanes(), v, rf, &mut scratch);
+        let q = queue_of::<false>(&self.st, self.state.lanes(&self.st), v, rf, &mut scratch);
         // "Unreached" is an empty queue, not an arrival value: −∞ is a
         // representable arrival (e.g. a −∞ launch time).
         let (_, mean, sigma) = q.entries().next()?;
         Some((mean, sigma))
     }
+}
+
+/// The capacity pass: [`Static::slot_base`] from the graph alone.
+///
+/// The merge emits every distinct startpoint of its candidates until it
+/// has K, whatever their values, and a queue holding fewer than K holds
+/// every startpoint its parents hold. So a node's queues hold
+/// `min(K, |distinct sp ids reaching it|)` entries after any pass, setup
+/// or hold, full or cone. That count is computed here once, in node order
+/// (parents first), as a K-capped set of sp ids per node deduplicated by
+/// id as the merge does: a single-fanin node without a launch shares its
+/// parent's set, and a parent already at K makes the child K without
+/// looking further. The sets are freed before the rows are allocated.
+fn capacities(
+    fanin_start: &[u32],
+    arc_parent: &[u32],
+    source_of: &[u32],
+    sources: &[SourceInit],
+    row_base: &[u32],
+    k: usize,
+) -> Vec<u32> {
+    /// A set that reached K: its ids are never read again.
+    const FULL: u32 = u32::MAX;
+    let n = source_of.len();
+    // Per node, its set as `(start, len)` in `pool`.
+    let mut set: Vec<(u32, u32)> = Vec::with_capacity(n);
+    let mut pool: Vec<u32> = Vec::new();
+    // `seen[sp] == stamp` ⇔ sp is in the set being built.
+    let mut seen = vec![0u32; sources.len()];
+    let mut slot_base = Vec::with_capacity(row_base[n] as usize + 1);
+    slot_base.push(0u32);
+    for v in 0..n {
+        let fanin = fanin_start[v] as usize..fanin_start[v + 1] as usize;
+        let own = sources.get(source_of[v] as usize).map(|s| s.sp);
+        let parent = |ai: usize| set[arc_parent[ai] as usize];
+        let this = if own.is_none() && fanin.len() == 1 {
+            parent(fanin.start)
+        } else if fanin.clone().any(|ai| parent(ai).0 == FULL) {
+            (FULL, k as u32)
+        } else {
+            let (start, stamp) = (pool.len(), v as u32 + 1);
+            let mut add = |pool: &mut Vec<u32>, sp: u32| {
+                if seen[sp as usize] != stamp {
+                    seen[sp as usize] = stamp;
+                    pool.push(sp);
+                }
+                pool.len() - start < k
+            };
+            if own.is_none_or(|sp| add(&mut pool, sp)) {
+                'arcs: for ai in fanin {
+                    let (at, len) = set[arc_parent[ai] as usize];
+                    for i in at as usize..(at + len) as usize {
+                        let sp = pool[i];
+                        if !add(&mut pool, sp) {
+                            break 'arcs;
+                        }
+                    }
+                }
+            }
+            let len = pool.len() - start;
+            if len >= k {
+                pool.truncate(start);
+                (FULL, k as u32)
+            } else {
+                (start as u32, len as u32)
+            }
+        };
+        set.push(this);
+        if row_base[v + 1] != row_base[v] {
+            slot_base.push(slot_base[slot_base.len() - 1] + this.1);
+        }
+    }
+    slot_base
+}
+
+/// Where queue `(row, rf)` sits in compact lanes over the capacities
+/// `slot_base` ([`Static::slot_base`]): a row's rise queue, then its fall
+/// queue, each as long as the row's capacity.
+#[inline(always)]
+fn queue_slots(slot_base: &[u32], row: usize, rf: usize) -> std::ops::Range<usize> {
+    let (b, e) = (slot_base[row] as usize, slot_base[row + 1] as usize);
+    let at = 2 * b + rf * (e - b);
+    at..at + (e - b)
 }
 
 /// Builds a CSR from bucket assignments.
@@ -966,11 +1087,15 @@ pub(crate) mod tests {
         }
     }
 
+    /// A row holds `min(K, reach)` entries per queue: quadrupling K grows
+    /// the rows, by less than four times where queues do not saturate.
     #[test]
     fn state_sized_by_top_k() {
         let (_d, _sta, eng8) = build_engine(4, 8);
         let (_d2, _sta2, eng32) = build_engine(4, 32);
-        assert_eq!(eng8.state.topk_mean.len() * 4, eng32.state.topk_mean.len());
+        let (slots8, slots32) = (eng8.state.topk_mean.len(), eng32.state.topk_mean.len());
+        assert_eq!((slots8, slots32), (eng8.st.n_slots(), eng32.st.n_slots()));
+        assert!(slots8 < slots32 && slots32 < slots8 * 4, "{slots8} → {slots32}");
         assert!(eng32.state_bytes() > eng8.state_bytes());
     }
 
@@ -981,10 +1106,9 @@ pub(crate) mod tests {
         let (_d, _sta, eng) = build_engine(4, 8);
         let (s, rows, arcs) = (&eng.state, eng.num_rows(), eng.num_arcs());
         assert!(rows < eng.num_nodes(), "fixture: some node is virtual");
-        assert_eq!(s.live.len(), rows * 2);
-        assert_eq!(s.topk_sp.len(), rows * 2 * 8);
-        let want = s.live.len() * 2
-            + s.topk_sp.len() * 4
+        assert_eq!(s.topk_sp.len(), eng.st.n_slots());
+        assert!(s.topk_sp.len() <= rows * 2 * 8);
+        let want = s.topk_sp.len() * 4
             + (s.topk_mean.len() + s.topk_sigma.len()) * 8
             + (s.lse_arrival.len() + s.grad_arrival.len()) * 8
             + (s.lse_weight.len() + s.grad_arc.len() + s.grad_fanout.len()) * 16;
@@ -1010,7 +1134,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_top_k_the_live_count_cannot_hold_is_a_typed_config_error() {
+    fn a_top_k_out_of_range_is_a_typed_config_error() {
         let d = generate_design(&GeneratorConfig::small("eng", 5));
         let mut sta = RefSta::new(&d, StaConfig::default()).expect("build");
         sta.full_update(&d);

@@ -23,9 +23,11 @@
 //! Every other reader — point reads, snapshot rows, `health_check`, hold's
 //! and the report's endpoint scan, the dense test view — gets the queue
 //! from `queue_of`, which computes it by the code that used to store it.
-//! Every stored bit is what it would be with every node stored. A row is a
-//! live count plus `(sp, mean, sigma)` entries; a corner is computed from
-//! the two values beside it (`corner`) and is never stored.
+//! Every stored bit is what it would be with every node stored. A row is
+//! `(sp, mean, sigma)` entries, as many per queue as the row's static
+//! capacity (`Static::slot_base`: the startpoints that can reach the node,
+//! capped at K); a corner is computed from the two values beside it
+//! (`corner`) and is never stored.
 //!
 //! Because the engine renumbered nodes level-major and rows follow node
 //! order, the level's state is a contiguous window of rows: the level body
@@ -35,15 +37,16 @@
 //! ([`crate::parallel`]), which owns launch, panic containment and retry.
 //!
 //! **Who writes what.** There is no pass-wide reset and nothing is ever
-//! cleared: a queue's extent is its live count, and slots at or past it
-//! are dead. The level body (`level_chunk`) owns every queue of a stored
-//! node with fanin that is not a startpoint: it writes the live entries
-//! and the count. The driver (`forward`, shared by setup, hold, the
-//! window pass and, level by level, the fused sweep) puts only the queues
-//! the body does *not* own into their pre-pass state: level 0's live
-//! counts are zeroed, and before each level's body runs — on every
-//! attempt, the retry after a contained panic included — the level's
-//! startpoints get their one launch entry (`seed_level`) (DESIGN.md
+//! cleared: a queue's extent is its row's capacity, which every pass fills
+//! exactly — the merge emits each distinct startpoint until it has K,
+//! whatever the values — so no slot is dead and no count is stored. The
+//! level body (`level_chunk`) owns every queue of a stored node with fanin
+//! and writes all of its entries, checking that the merge filled the
+//! capacity. The driver (`forward`, shared by setup, hold, the window pass
+//! and, level by level, the fused sweep) writes only the launch entries:
+//! before each level's body runs — on every attempt, the retry after a
+//! contained panic included — the level's startpoints get their one launch
+//! entry (`seed_level`), which is every entry level 0 has (DESIGN.md
 //! "Kernel architecture").
 //!
 //! **Two row stores.** Where the rows live is the driver's one parameter
@@ -51,14 +54,15 @@
 //! level is written where it is kept, the `done` view is the rows ahead
 //! of the window (the identity plan), and nothing is copied. A *window
 //! pass* (`window_pass`) answers a report and keeps no row set: each
-//! level is written into a level buffer the size of the widest level,
-//! its endpoints are evaluated from the buffer, and a row some later level
-//! reads is copied into a slot it shares with rows whose readers are done
-//! (`SlotPlan`). Every read of a stored row goes through the plan
-//! (`Lanes::row`), so the level body, `gather_fanin` and `queue_of`
-//! are the in-place pass's, and the report has `metrics::evaluate`'s bits.
-//! On block-3 at K=8 the plan keeps 2 085 of 16 065 rows (13 %): 0.64 MiB
-//! of slots and a 0.32 MiB buffer where a row set is 4.96 MiB.
+//! level is written into a level buffer the size of the widest level's
+//! rows (laid out as they are in place), its endpoints are evaluated from
+//! the buffer, and a row some later level reads is copied into a slot of
+//! `2 * K` entries it shares with rows whose readers are done (`SlotPlan`).
+//! Every read of a stored row goes through `Lanes::row`, which serves both
+//! layouts, so the level body, `gather_fanin` and `queue_of` are the
+//! in-place pass's, and the report has `metrics::evaluate`'s bits. On
+//! block-3 at K=8 the plan keeps 2 085 of 16 065 rows (13 %): 0.64 MiB of
+//! slots where a row set is 4.0 MiB.
 
 use crate::engine::{InstaEngine, Lanes, Queue, RowsMut, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
@@ -221,18 +225,16 @@ pub(crate) fn seed_level(
     nodes: std::ops::Range<usize>,
     launches: &impl Fn(usize) -> ([f64; 2], [f64; 2]),
 ) {
-    let k = rows.k;
     for v in nodes {
         let i = st.source_of[v] as usize;
         let Some(s) = st.sources.get(i) else { continue };
         let (mean, sigma) = launches(i);
-        let row = st.row_of(v).expect("a startpoint is never virtual") - rows.first;
+        let row = st.row_of(v).expect("a startpoint is never virtual");
         for rf in 0..2 {
-            let q = row * 2 + rf;
-            rows.live[q] = 1;
-            rows.mean[q * k] = mean[rf];
-            rows.sigma[q * k] = sigma[rf];
-            rows.sp[q * k] = s.sp;
+            let at = st.queue_slots(row, rf).start - rows.origin;
+            rows.mean[at] = mean[rf];
+            rows.sigma[at] = sigma[rf];
+            rows.sp[at] = s.sp;
         }
     }
 }
@@ -246,7 +248,7 @@ pub(crate) trait PassRows {
     fn begin(&mut self, early: bool);
     /// Level `l`'s rows as a write view, beside a read view holding every
     /// row a level-`l` body reads.
-    fn level(&mut self, st: &Static, l: usize) -> (Lanes<'_>, RowsMut<'_>);
+    fn level<'a>(&'a mut self, st: &'a Static, l: usize) -> (Lanes<'a>, RowsMut<'a>);
     /// Level `l` is final.
     fn retire(&mut self, st: &Static, l: usize);
 }
@@ -258,8 +260,8 @@ impl PassRows for State {
         self.early = early;
     }
 
-    fn level(&mut self, st: &Static, l: usize) -> (Lanes<'_>, RowsMut<'_>) {
-        self.split_at_row(st.rows(st.level_range(l)).start)
+    fn level<'a>(&'a mut self, st: &'a Static, l: usize) -> (Lanes<'a>, RowsMut<'a>) {
+        self.split_at_row(st, st.rows(st.level_range(l)).start)
     }
 
     fn retire(&mut self, _: &Static, _: usize) {}
@@ -290,7 +292,7 @@ pub(crate) fn forward<const MIN: bool>(
 }
 
 /// Level 0 of a full pass, which the level body never runs (no node of it
-/// has a fanin arc): its live counts emptied, then its launches seeded.
+/// has a fanin arc): its launches seeded, which is every entry it has.
 fn begin_pass(
     st: &Static,
     rows: &mut impl PassRows,
@@ -301,10 +303,8 @@ fn begin_pass(
     if st.num_levels() == 0 {
         return;
     }
-    let nodes = st.level_range(0);
     let (_, mut level0) = rows.level(st, 0);
-    level0.live[..st.rows(nodes.clone()).len() * 2].fill(0);
-    seed_level(st, &mut level0, nodes, launches);
+    seed_level(st, &mut level0, st.level_range(0), launches);
     rows.retire(st, 0);
 }
 
@@ -334,27 +334,21 @@ pub(crate) fn forward_level<const MIN: bool>(
             seed_level(st, &mut window, nodes.clone(), launches);
             // The level's rows are carved along the node cuts, one arena
             // per cut.
-            let k = window.k;
             let RowsMut {
-                live,
-                mean,
-                sigma,
-                sp,
-                ..
+                mean, sigma, sp, ..
             } = window;
-            let mut rest = (live, mean, sigma, sp, &mut arenas[..]);
+            let mut rest = (mean, sigma, sp, &mut arenas[..]);
             let windows = launch.cuts().map(|cut| {
-                let queues = st.rows(cut).len() * 2;
+                let slots = st.slots(st.rows(cut)).len();
                 (
-                    carve(&mut rest.0, queues),
-                    carve(&mut rest.1, queues * k),
-                    carve(&mut rest.2, queues * k),
-                    carve(&mut rest.3, queues * k),
-                    carve(&mut rest.4, 1),
+                    carve(&mut rest.0, slots),
+                    carve(&mut rest.1, slots),
+                    carve(&mut rest.2, slots),
+                    carve(&mut rest.3, 1),
                 )
             });
-            launch.run(windows, |cut, (live, mean, sigma, sp, arena)| {
-                level_chunk::<MIN>(st, done, cut, live, mean, sigma, sp, &mut arena[0]);
+            launch.run(windows, |cut, (mean, sigma, sp, arena)| {
+                level_chunk::<MIN>(st, done, cut, mean, sigma, sp, &mut arena[0]);
             })
         },
         |_| {},
@@ -362,8 +356,7 @@ pub(crate) fn forward_level<const MIN: bool>(
     #[cfg(debug_assertions)]
     {
         let (_, written) = rows.level(st, l);
-        let n_rows = st.rows(nodes).len();
-        crate::health::debug_assert_topk_level_clean(&written, n_rows, l);
+        crate::health::debug_assert_topk_level_clean(st, &written, nodes, l);
     }
     rows.retire(st, l);
     Ok(())
@@ -391,9 +384,9 @@ pub(crate) struct SlotPlan {
     slot: Vec<u32>,
     /// Endpoint indices in node order: the order their levels finish in.
     endpoints: Vec<u32>,
-    /// Slots handed out.
+    /// Slots handed out, each `2 * K` entries: any row fits any slot.
     pub slots: usize,
-    /// Rows of the widest level: the level buffer.
+    /// Queue entries of the widest level: the level buffer.
     widest: usize,
 }
 
@@ -404,7 +397,7 @@ impl SlotPlan {
         let mut widest = 0;
         for l in 0..n_levels {
             let nodes = st.level_range(l);
-            widest = widest.max(st.rows(nodes.clone()).len());
+            widest = widest.max(st.slots(st.rows(nodes.clone())).len());
             for v in nodes {
                 let Some(row) = st.row_of(v) else { continue };
                 last[row] = l as u32;
@@ -452,7 +445,8 @@ impl SlotPlan {
 }
 
 /// What a window pass keeps between calls: its [`SlotPlan`], the slot rows
-/// and the level buffer, sized for the plan and the engine's K.
+/// (a `2 * K` stride, so a slot holds whichever row the plan hands it) and
+/// the level buffer (compact, as the level's rows are in place).
 #[derive(Debug)]
 pub(crate) struct Window {
     pub plan: SlotPlan,
@@ -464,8 +458,8 @@ impl Window {
     pub(crate) fn new(st: &Static, k: usize) -> Self {
         let plan = SlotPlan::new(st);
         Window {
-            slots: State::with_rows(plan.slots, k),
-            level: State::with_rows(plan.widest, k),
+            slots: State::with_slots(plan.slots * 2 * k, k),
+            level: State::with_slots(plan.widest, k),
             plan,
         }
     }
@@ -486,45 +480,49 @@ impl PassRows for Windowed<'_> {
         debug_assert!(!early, "a window pass evaluates setup endpoints");
     }
 
-    fn level(&mut self, st: &Static, l: usize) -> (Lanes<'_>, RowsMut<'_>) {
+    fn level<'a>(&'a mut self, st: &'a Static, l: usize) -> (Lanes<'a>, RowsMut<'a>) {
         let Window { plan, slots, level } = &mut *self.window;
         let done = Lanes {
             slot: Some(&plan.slot),
-            ..slots.lanes()
+            ..slots.lanes(st)
         };
-        let (_, buffer) = level.split_at_row(0);
-        let first = st.rows(st.level_range(l)).start;
-        (done, RowsMut { first, ..buffer })
+        let (_, buffer) = level.split_at_row(st, 0);
+        let origin = st.slots(st.rows(st.level_range(l))).start;
+        (done, RowsMut { origin, ..buffer })
     }
 
     /// Evaluates the level's endpoints from the buffer, as
-    /// [`crate::metrics::refresh`] does from the rows, then copies the live
+    /// [`crate::metrics::refresh`] does from the rows, then copies the
     /// entries of every row a later level reads into its slot.
     fn retire(&mut self, st: &Static, l: usize) {
         let (nodes, rows) = (st.level_range(l), st.rows(st.level_range(l)));
         let Window { plan, slots, level } = &mut *self.window;
-        let written = level.lanes();
+        let origin = st.slots(rows.clone()).start;
+        let written = Lanes {
+            origin,
+            ..level.lanes(st)
+        };
         while let Some(&i) = plan.endpoints.get(self.next_ep) {
             let v = st.endpoints[i as usize].node as usize;
             if v >= nodes.end {
                 break;
             }
-            let row = st.row_of(v).expect("an endpoint is never virtual") - rows.start;
+            let row = st.row_of(v).expect("an endpoint is never virtual");
             let queues = [written.row(row, 0), written.row(row, 1)];
             self.report.set_endpoint(st, i as usize, queues, self.cppr);
             self.next_ep += 1;
         }
         let k = level.k;
-        for (at, row) in rows.enumerate() {
+        for row in rows {
             let s = plan.slot[row];
             if s == NO_SLOT {
                 continue;
             }
             for rf in 0..2 {
-                let (from, to) = (at * 2 + rf, s as usize * 2 + rf);
-                let live = usize::from(level.live[from]);
-                let (src, dst) = (from * k..from * k + live, to * k..to * k + live);
-                slots.live[to] = level.live[from];
+                let src = st.queue_slots(row, rf);
+                let src = src.start - origin..src.end - origin;
+                let to = (s as usize * 2 + rf) * k;
+                let dst = to..to + src.len();
                 slots.topk_mean[dst.clone()].copy_from_slice(&level.topk_mean[src.clone()]);
                 slots.topk_sigma[dst.clone()].copy_from_slice(&level.topk_sigma[src.clone()]);
                 slots.topk_sp[dst].copy_from_slice(&level.topk_sp[src]);
@@ -803,7 +801,7 @@ fn materialise<'a, const MIN: bool>(
 }
 
 /// Writes the queue of virtual node `(v, rf)` into `to` and returns its
-/// live count. A parent that is virtual too (one virtual node in twenty)
+/// entry count. A parent that is virtual too (one virtual node in twenty)
 /// is materialised first, into `via`, with the two buffers swapped: down a
 /// chain each step gathers the queue above it out of the other buffer.
 fn materialise_into<const MIN: bool>(
@@ -834,12 +832,12 @@ fn materialise_into<const MIN: bool>(
 
 /// Computes one `(node, transition)` Top-K queue from its parents — the
 /// shared inner body of Algorithm 1 — writes it **once**, and returns its
-/// live count.
+/// entry count.
 ///
 /// **What a queue is.** Let the push sequence *P* be the launch seed
 /// sitting in slot 0 (only when `seeded`), then for `j = 0..K`, for each
 /// fanin arc in CSR order, candidate `(arc, j)` if `j` is below that
-/// parent's live count. Algorithm 2 fed *P* leaves, per startpoint, the
+/// parent's entry count. Algorithm 2 fed *P* leaves, per startpoint, the
 /// candidate with the largest corner (the earliest in *P* among equals:
 /// replace is strict `>`), those winners ordered by (corner descending,
 /// position in *P* ascending), truncated to K (DESIGN.md "Kernel
@@ -861,8 +859,9 @@ fn materialise_into<const MIN: bool>(
 ///    when the runs are dry. Two runs (most merges) compare their two
 ///    heads directly, without a branch, instead of scanning for the best.
 ///
-/// Nothing is cleared: the returned count is the queue's extent, and
-/// slots at or past it are never read.
+/// The queue slices are exactly the row's capacity ([`Static::slot_base`])
+/// long, and the returned count must fill them: [`level_chunk`] checks it,
+/// and a queue that would hold more panics on its slice's bound.
 ///
 /// A single-fanin node without a seed (paper §III-D: no merge needed) is
 /// the gather straight into the queue, then one stable restore of corner
@@ -988,43 +987,41 @@ fn merge_node_queue<const MIN: bool>(
 /// Algorithm 1. `MIN` selects hold's min-merge ordering; the hold pass
 /// ([`crate::hold`]) runs this exact body rather than its own copy.
 ///
-/// `done` is every row ahead of the level's; the four `*_cur` slices are
-/// the rows of `nodes`. A virtual node has no row and is skipped: its queue
-/// is computed by whoever reads it ([`queue_of`]). The body leaves every
-/// queue of the chunk fully determined except a startpoint node's, whose
-/// pre-state (the launch seed) the caller provides: see the module docs for
-/// who writes what.
-#[allow(clippy::too_many_arguments)]
+/// `done` is every row ahead of the level's; the three `*_cur` slices are
+/// the compact slots of the rows of `nodes`. A virtual node has no row and
+/// is skipped: its queue is computed by whoever reads it ([`queue_of`]).
+/// The body leaves every queue of the chunk fully determined except a
+/// startpoint node's, whose pre-state (the launch seed) the caller
+/// provides: see the module docs for who writes what.
+///
+/// # Panics
+///
+/// Panics when a merge does not fill its row's capacity exactly: the
+/// capacities no longer describe the graph (the level runner contains it).
 pub(crate) fn level_chunk<const MIN: bool>(
     st: &Static,
     done: Lanes<'_>,
     nodes: std::ops::Range<usize>,
-    live_cur: &mut [u16],
     mean_cur: &mut [f64],
     sigma_cur: &mut [f64],
     sp_cur: &mut [u32],
     arena: &mut MergeArena,
 ) {
-    let k = done.k;
     // All scratch sizing happens here, not per queue.
-    arena.fit(k);
-    let first_row = st.row_base[nodes.start] as usize;
+    arena.fit(done.k);
+    let origin = st.slots(st.rows(nodes.clone())).start;
     for v in nodes {
         let Some(row) = st.row_of(v) else { continue };
-        let li = row - first_row;
         let fanin = st.fanin_range(v);
-        let seeded = st.source_of[v] != u32::MAX;
+        // No driver: the queues are the launch seed, or hold nothing.
         if fanin.is_empty() {
-            // No driver: the queues are the launch seed, or empty.
-            if !seeded {
-                live_cur[li * 2..li * 2 + 2].fill(0);
-            }
             continue;
         }
+        let seeded = st.source_of[v] != u32::MAX;
         for rf in 0..2 {
-            let q = li * 2 + rf;
-            let w = q * k..(q + 1) * k;
-            live_cur[q] = merge_node_queue::<MIN>(
+            let w = st.queue_slots(row, rf);
+            let w = w.start - origin..w.end - origin;
+            let live = merge_node_queue::<MIN>(
                 st,
                 fanin.clone(),
                 rf,
@@ -1033,8 +1030,13 @@ pub(crate) fn level_chunk<const MIN: bool>(
                 arena,
                 &mut mean_cur[w.clone()],
                 &mut sigma_cur[w.clone()],
-                &mut sp_cur[w],
-            ) as u16;
+                &mut sp_cur[w.clone()],
+            );
+            assert!(
+                live == w.len(),
+                "node {v}: a queue of {live} entries in a row of capacity {}",
+                w.len()
+            );
         }
     }
 }
@@ -1209,7 +1211,7 @@ mod merge_tests {
     use insta_support::rng::Rng;
     use insta_support::prop_assert;
 
-    /// Stale payload a recompute must leave alone past its live count.
+    /// Stale payload a recompute must overwrite.
     const STALE: (f64, f64) = (-7.25, -3.5);
     const STALE_SP: u32 = 1;
 
@@ -1266,10 +1268,10 @@ mod merge_tests {
         }
     }
 
-    /// One `(node, transition)` queue through [`level_chunk`] against the
-    /// literal Algorithm 2 ([`TopKQueue::push`]) fed the push sequence *P*:
-    /// the live count, the three lanes on raw bits, and every dead slot
-    /// exactly as it was. A fanin arc may reach its stored parent through
+    /// One node's two queues through [`level_chunk`] against the literal
+    /// Algorithm 2 ([`TopKQueue::push`]) fed the push sequence *P*: the
+    /// same count for rise and fall (the row's capacity, which the body
+    /// must fill exactly) and the three lanes on raw bits. A fanin arc may reach its stored parent through
     /// a chain of zero to four one-in/one-out hops (virtual nodes, read
     /// through [`oracle_queue`]), so the body gathers through hops that
     /// keep the parent's order, and falls back where one reorders or the
@@ -1361,19 +1363,19 @@ mod merge_tests {
             ..InstaConfig::default()
         };
         let eng = InstaEngine::new(init, cfg).expect("a valid snapshot");
-        let st = &eng.st;
+        let mut st = eng.st.clone();
 
-        // Parent queues, written directly: 0 / 1 / < K / K live entries,
-        // unique startpoints, not necessarily in corner order (a run the
+        // Parent queues, written directly: 0 / 1 / < K / K entries, unique
+        // startpoints — the same set for rise and fall, as a row's two
+        // queues always hold — not necessarily in corner order (a run the
         // stable insertion pass has real work on, a hop a reorder). The
         // parents are rows 0.., every hop is virtual, the child is stored.
+        // The rows' capacities are the counts drawn here, not the graph's.
         assert_eq!(st.n_rows(), n_parents + 1);
         assert_eq!(st.row_of(child), Some(n_parents));
-        let done = n_parents * 2 * k;
-        let (mut p_mean, mut p_sigma) = (vec![STALE.0; done], vec![STALE.1; done]);
-        let mut p_sp = vec![STALE_SP; done];
-        let mut p_live = vec![0u16; n_parents * 2];
-        for q in 0..n_parents * 2 {
+        let mut p_base = vec![0u32];
+        let (mut p_mean, mut p_sigma, mut p_sp) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..n_parents {
             let cap = k.min(n_sp);
             let live = match rng.bounded_u64(4) {
                 0 => 0,
@@ -1381,69 +1383,50 @@ mod merge_tests {
                 2 => rng.bounded_u64(cap as u64) as usize,
                 _ => cap,
             };
-            p_live[q] = live as u16;
+            p_base.push(p_base[p_base.len() - 1] + live as u32);
             let mut sps: Vec<u32> = (0..n_sp as u32).collect();
             rng.shuffle(&mut sps);
-            let mut entries: Vec<(f64, f64, u32)> = (0..live)
-                .map(|j| {
-                    let (m, s) = stat(&mut rng);
-                    (m, s, sps[j])
-                })
-                .collect();
-            if rng.gen_bool(0.7) {
-                entries.sort_by(|x, y| y.0.total_cmp(&x.0));
-            }
-            for (j, (m, s, sp)) in entries.into_iter().enumerate() {
-                p_mean[q * k + j] = m;
-                p_sigma[q * k + j] = s;
-                p_sp[q * k + j] = sp;
-            }
-        }
-
-        // The child's rows as a pass leaves them before the body runs:
-        // live-looking garbage (nothing resets a plain node), or the one
-        // launch entry when it is a startpoint.
-        let (mut q_live, mut qsp) = (vec![k as u16; 2], vec![STALE_SP; 2 * k]);
-        let (mut qm, mut qs) = (vec![STALE.0; 2 * k], vec![STALE.1; 2 * k]);
-        if seeded {
-            for rf in 0..2 {
-                q_live[rf] = 1;
-                qm[rf * k] = launch.0;
-                qs[rf * k] = launch.1;
-                qsp[rf * k] = n_sp as u32 - 1;
+            sps.truncate(live);
+            for _ in 0..2 {
+                rng.shuffle(&mut sps);
+                let mut entries: Vec<(f64, f64, u32)> = sps
+                    .iter()
+                    .map(|&sp| {
+                        let (m, s) = stat(&mut rng);
+                        (m, s, sp)
+                    })
+                    .collect();
+                if rng.gen_bool(0.7) {
+                    entries.sort_by(|x, y| y.0.total_cmp(&x.0));
+                }
+                for (m, s, sp) in entries {
+                    p_mean.push(m);
+                    p_sigma.push(s);
+                    p_sp.push(sp);
+                }
             }
         }
-        let pre = (qm.clone(), qs.clone(), qsp.clone());
         let parents = Lanes {
             k,
+            base: &p_base,
             slot: None,
-            live: &p_live,
+            origin: 0,
             sp: &p_sp,
             mean: &p_mean,
             sigma: &p_sigma,
         };
-        let mut arena = MergeArena::default();
-        level_chunk::<MIN>(
-            st,
-            parents,
-            child..child + 1,
-            &mut q_live,
-            &mut qm,
-            &mut qs,
-            &mut qsp,
-            &mut arena,
-        );
 
-        for rf in 0..2 {
-            // P, arc by arc: (corner, mean, sigma, sp) of every live slot.
+        let mut want = [Vec::new(), Vec::new()];
+        for (rf, want) in want.iter_mut().enumerate() {
+            // P, arc by arc: (corner, mean, sigma, sp) of every entry.
             let runs: Vec<Vec<Candidate>> = st
                 .fanin_range(child)
                 .map(|ai| {
-                    let (p, prf) = super::parent_of(st, ai, rf);
-                    let parent = oracle_queue::<MIN>(st, parents, p, prf);
+                    let (p, prf) = super::parent_of(&st, ai, rf);
+                    let parent = oracle_queue::<MIN>(&st, parents, p, prf);
                     parent
                         .into_iter()
-                        .map(|c| extended::<MIN>(st, c, ai, rf))
+                        .map(|c| extended::<MIN>(&st, c, ai, rf))
                         .collect()
                 })
                 .collect();
@@ -1466,24 +1449,38 @@ mod merge_tests {
                     }
                 }
             }
-            let want: Vec<Candidate> = oracle.entries().collect();
-            prop_assert!(
-                usize::from(q_live[rf]) == want.len(),
-                "rf {rf}: live {}, want {}",
-                q_live[rf],
-                want.len()
-            );
-            for j in 0..k {
-                let at = rf * k + j;
-                // At or past the oracle's live count: exactly as it was.
-                let want = want
-                    .get(j)
-                    .map_or((pre.0[at], pre.1[at], pre.2[at]), |c| (c.mean, c.sigma, c.sp));
+            *want = oracle.entries().collect();
+        }
+        // The capacity contract: both transitions reach the same ids.
+        let cap = want[0].len();
+        prop_assert!(want[1].len() == cap, "rise {cap}, fall {}", want[1].len());
+        st.slot_base = p_base.clone();
+        st.slot_base.push(p_base[n_parents] + cap as u32);
+
+        // The child's rows as a pass leaves them before the body runs:
+        // live-looking garbage (nothing resets a plain node), or the one
+        // launch entry when it is a startpoint.
+        let (mut qm, mut qs) = (vec![STALE.0; 2 * cap], vec![STALE.1; 2 * cap]);
+        let mut qsp = vec![STALE_SP; 2 * cap];
+        if seeded {
+            for rf in 0..2 {
+                qm[rf * cap] = launch.0;
+                qs[rf * cap] = launch.1;
+                qsp[rf * cap] = n_sp as u32 - 1;
+            }
+        }
+        let mut arena = MergeArena::default();
+        let (w_mean, w_sigma, w_sp) = (&mut qm[..], &mut qs[..], &mut qsp[..]);
+        level_chunk::<MIN>(&st, parents, child..child + 1, w_mean, w_sigma, w_sp, &mut arena);
+
+        for (rf, want) in want.iter().enumerate() {
+            for (j, c) in want.iter().enumerate() {
+                let at = rf * cap + j;
                 let got = (qm[at], qs[at], qsp[at]);
                 let bits = |q: (f64, f64, u32)| (q.0.to_bits(), q.1.to_bits(), q.2);
                 prop_assert!(
-                    bits(got) == bits(want),
-                    "rf {rf} slot {j}: got {got:?}, want {want:?}"
+                    bits(got) == bits((c.mean, c.sigma, c.sp)),
+                    "rf {rf} slot {j}: got {got:?}, want {c:?}"
                 );
             }
         }
@@ -1517,8 +1514,8 @@ mod merge_tests {
         );
     }
 
-    /// Nothing depends on a pass-wide reset: with every live count and
-    /// every lane overwritten by live-looking garbage, every full pass
+    /// Nothing depends on a pass-wide reset: with every lane overwritten
+    /// by live-looking garbage, every full pass
     /// lands on the queues of a fresh twin (dense view: every live entry,
     /// virtual nodes included).
     #[test]
@@ -1552,7 +1549,6 @@ mod merge_tests {
             ];
             for (name, pass) in passes {
                 let n_sp = dirty.st.sources.len();
-                dirty.state.live.fill(top_k as u16);
                 for (i, sp) in dirty.state.topk_sp.iter_mut().enumerate() {
                     *sp = (i % n_sp) as u32;
                 }

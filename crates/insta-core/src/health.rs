@@ -120,7 +120,7 @@ fn poisoned_entry<const MIN: bool>(
     let mut scratch = VirtualQueue::new(state.k);
     for v in 0..st.n {
         for rf in 0..2 {
-            let q = queue_of::<MIN>(st, state.lanes(), v, rf, &mut scratch);
+            let q = queue_of::<MIN>(st, state.lanes(st), v, rf, &mut scratch);
             for (_, m, s) in q.entries() {
                 let a = corner::<MIN>(m, s, st.n_sigma);
                 if !a.is_finite() {
@@ -138,20 +138,22 @@ fn poisoned_entry<const MIN: bool>(
     None
 }
 
-/// Debug-build poison check over the first `n_rows` rows of `rows`, level
-/// `l`'s as the forward kernel just wrote them.
+/// Debug-build poison check over the rows of level `l`'s `nodes`, as the
+/// forward kernel just wrote them (every slot of them is live).
 #[cfg(debug_assertions)]
-pub(crate) fn debug_assert_topk_level_clean(rows: &RowsMut<'_>, n_rows: usize, l: usize) {
-    let k = rows.k;
-    for q in 0..n_rows * 2 {
-        let live = q * k..q * k + usize::from(rows.live[q]);
-        for (m, s) in rows.mean[live.clone()].iter().zip(&rows.sigma[live]) {
-            debug_assert!(
-                m.is_finite() && s.is_finite(),
-                "poisoned top-k entry ({m}, {s}) in row {} (level {l})",
-                rows.first + q / 2,
-            );
-        }
+pub(crate) fn debug_assert_topk_level_clean(
+    st: &Static,
+    rows: &RowsMut<'_>,
+    nodes: std::ops::Range<usize>,
+    l: usize,
+) {
+    let n = st.slots(st.rows(nodes)).len();
+    for (i, (m, s)) in rows.mean[..n].iter().zip(&rows.sigma[..n]).enumerate() {
+        debug_assert!(
+            m.is_finite() && s.is_finite(),
+            "poisoned top-k entry ({m}, {s}) in row {} (level {l})",
+            st.slot_base.partition_point(|&b| 2 * b as usize <= rows.origin + i) - 1,
+        );
     }
 }
 
@@ -214,11 +216,11 @@ mod tests {
         // Poison a live top-k entry directly (simulating what an
         // overflow or a bug would let through): slot 0 of the first node
         // with anything in its rise queue.
-        let (poisoned, row) = (0..eng.st.n)
-            .filter_map(|v| Some((v, eng.st.row_of(v)?)))
-            .find(|&(_, row)| eng.state.live[row * 2] > 0)
+        let (poisoned, slots) = (0..eng.st.n)
+            .filter_map(|v| Some((v, eng.st.queue_slots(eng.st.row_of(v)?, 0))))
+            .find(|(_, slots)| !slots.is_empty())
             .expect("some queue occupied");
-        eng.state.topk_mean[row * 2 * eng.state.k] = f64::NAN;
+        eng.state.topk_mean[slots.start] = f64::NAN;
         let err = eng.health_check().expect_err("poison must be found");
         match &err {
             InstaError::Numeric { node, level, value, .. } => {

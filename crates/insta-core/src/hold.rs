@@ -10,8 +10,10 @@
 //! (`-(mean − N_σ·σ)`), so the same unique-startpoint Top-K selection
 //! keeps the *smallest* early arrivals. Everything else — the
 //! level loop on [`InstaConfig::n_threads`] threads through the level
-//! runner ([`crate::parallel`]), rows for merge nodes only behind live
-//! counts, virtual queues computed where they are read
+//! runner ([`crate::parallel`]), rows for merge nodes only, each sized by
+//! the startpoints that can reach it (a hold pass fills the same
+//! capacities as setup: they depend on the graph, not on the launches),
+//! virtual queues computed where they are read
 //! (`crate::forward::queue_of`, here in its `MIN` order) — is the
 //! driver's; hold has no level loop of its own. Endpoint
 //! hold checks then mirror the reference: the earliest arrival must not
@@ -146,7 +148,7 @@ pub(crate) fn evaluate_hold(
         }
         let v = ep.node as usize;
         for rf in 0..2usize {
-            let q = queue_of::<true>(st, state.lanes(), v, rf, &mut scratch);
+            let q = queue_of::<true>(st, state.lanes(st), v, rf, &mut scratch);
             for (sp, mean, sigma) in q.entries() {
                 if st
                     .exceptions

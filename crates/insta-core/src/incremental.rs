@@ -21,7 +21,7 @@
 //! it — if it is a startpoint, its queues made the launch seed as the full
 //! pass's prologue does — then `level_chunk` on the node's own row, the
 //! very body the full pass and hold run, which determines every other
-//! queue completely (live entries and live count written).
+//! queue completely (every entry of the row's static capacity written).
 //!
 //! **Virtual nodes pass through.** A node without a row (one fanin arc,
 //! one fanout arc, neither startpoint nor endpoint) has nothing to
@@ -35,20 +35,20 @@
 //!
 //! **Why this equals the full pass (induction over levels).** A stored
 //! node's queues are a pure function of its fanin arcs' annotations, of
-//! its parents' live entries and — through a virtual parent — of the
+//! its parents' entries and — through a virtual parent — of the
 //! annotations and the stored row up that parent's chain. Level 0 is
 //! launch seeds only and is never touched. Assume every row below level
 //! `l` holds full-pass bits. A stored node of level `l` that is *not* on
-//! the worklist has no re-annotated fanin arc, no stored parent whose live
+//! the worklist has no re-annotated fanin arc, no stored parent whose
 //! entries changed and no virtual parent that was visited, so its old bits
 //! are the full pass's bits; one that *is* on it is recomputed by the
 //! shared body from rows that are final. Hence level `l` is final too.
 //!
-//! **Change pruning.** Before a stored node is recomputed its old live
-//! counts and live entries are copied out; its fanout is queued only if
-//! the new ones differ, by count or by bits. The cone is therefore bounded
-//! by changed *values*, not by structural fanout. Dead slots are neither
-//! copied nor compared.
+//! **Change pruning.** Before a stored node is recomputed its old entries
+//! are copied out; its fanout is queued only if the new ones differ on
+//! bits. The cone is therefore bounded by changed *values*, not by
+//! structural fanout. A row's entry count is its static capacity, the same
+//! before and after, so there is no count to copy or compare.
 //!
 //! **The full-pass switch.** The cone pays per node for the old-value
 //! copy, the compare and the worklist, and it runs on one thread; a batch
@@ -64,9 +64,9 @@
 //!
 //! **The undo log.** There is one way to take a sweep back. The old
 //! entries a node's compare needs are copied out before its recompute
-//! anyway; they are appended — with the node id and its two old live
-//! counts: 20 bytes a live entry, nothing for a dead slot or a virtual
-//! node — to a log, and so is the old value of every annotation write
+//! anyway; they are appended — with the node id: 20 bytes an entry, as
+//! many entries as the row's capacity, nothing for a virtual node — to a
+//! log, and so is the old value of every annotation write
 //! (`ConeScratch::annotate`, the one function that writes deltas).
 //! `ConeScratch::undo` copies the log back newest first, so a node logged
 //! twice — by stacked updates of a session, or by the forced retry of a
@@ -118,12 +118,12 @@ use insta_refsta::eco::ArcDelta;
 const CONE_SEED_SHARE: usize = 64;
 
 /// What a session's undo log may hold of node recomputes (module docs):
-/// 3 196 stored nodes at K = 8 with every queue full, where 90 % of
+/// 3 236 stored nodes at K = 8 with every queue full, where 90 % of
 /// `eco_block5_k8`'s updates visit under 520 nodes, most of them virtual,
 /// and 1 % more than 2 000; 2.5 % of that workload's peak RSS at the most.
 const SESSION_LOG_BYTES: usize = 1 << 20;
 
-/// What one live queue entry costs the log: startpoint, mean, sigma.
+/// What one queue entry costs the log: startpoint, mean, sigma.
 const SLOT_BYTES: usize = 4 + 8 + 8;
 
 /// Persistent scratch of the cone sweep, created once per engine: a few
@@ -138,11 +138,10 @@ pub(crate) struct ConeScratch {
     /// recomputed, until the next sweep opens.
     frontier: Vec<Vec<u32>>,
     /// The undo log, empty outside a [`Txn`]: one run per
-    /// recompute of a stored node — its two old live counts and its old
-    /// live entries, rise then fall. The change compare reads the last
+    /// recompute of a stored node — its old entries, rise then fall, as
+    /// many as its row's capacity says. The change compare reads the last
     /// run. A virtual node has no row, hence no run.
     pub(crate) log_node: Vec<u32>,
-    log_live: Vec<u16>,
     old_sp: Vec<u32>,
     old_mean: Vec<f64>,
     old_sigma: Vec<f64>,
@@ -152,24 +151,26 @@ pub(crate) struct ConeScratch {
     log_cap: usize,
     arena: MergeArena,
     /// What the last sweep did (the `forward.cone` span's payload); `nodes`
-    /// are recomputes, a virtual node passed through is not one.
+    /// are recomputes, a virtual node passed through is one of `passed`,
+    /// and `arcs` are the recomputes' fanin arcs.
     seeds: usize,
     levels: usize,
     pub(crate) nodes: usize,
     pub(crate) pruned: usize,
+    pub(crate) passed: usize,
+    pub(crate) arcs: usize,
 }
 
 impl ConeScratch {
     pub(crate) fn new(n: usize, num_levels: usize, k: usize) -> Self {
         // The budget's worth of log, mapped once and resident only as far as
         // written: grown by doubling, it leaves as much again in freed blocks.
-        let log_cap = SESSION_LOG_BYTES / (4 + 2 * 2 + SLOT_BYTES * 2 * k);
+        let log_cap = SESSION_LOG_BYTES / (4 + SLOT_BYTES * 2 * k);
         Self {
             stamp: vec![0; n],
             epoch: 0,
             frontier: vec![Vec::new(); num_levels],
             log_node: Vec::with_capacity(log_cap),
-            log_live: Vec::with_capacity(log_cap * 2),
             old_sp: Vec::with_capacity(log_cap * 2 * k),
             old_mean: Vec::with_capacity(log_cap * 2 * k),
             old_sigma: Vec::with_capacity(log_cap * 2 * k),
@@ -180,6 +181,8 @@ impl ConeScratch {
             levels: 0,
             nodes: 0,
             pruned: 0,
+            passed: 0,
+            arcs: 0,
         }
     }
 
@@ -193,6 +196,7 @@ impl ConeScratch {
         self.epoch += 1;
         self.frontier.iter_mut().for_each(Vec::clear);
         (self.seeds, self.levels, self.nodes, self.pruned) = (0, 0, 0, 0);
+        (self.passed, self.arcs) = (0, 0);
         self.arena.fallbacks = 0;
     }
 
@@ -244,21 +248,15 @@ impl ConeScratch {
     /// first. Plain copies: nothing here can fail, be cancelled or panic.
     /// The log stays (for its node list) until [`forget`](Self::forget).
     pub(crate) fn undo(&self, st: &mut Static, state: &mut State) {
-        let k = state.k;
         let mut end = self.old_sp.len();
-        for (i, &v) in self.log_node.iter().enumerate().rev() {
+        for &v in self.log_node.iter().rev() {
             let row = st.row_of(v as usize).expect("only stored nodes are logged");
-            for rf in (0..2).rev() {
-                let live = self.log_live[i * 2 + rf];
-                let from = end - live as usize..end;
-                let q = row * 2 + rf;
-                let to = q * k..q * k + live as usize;
-                state.live[q] = live;
-                state.topk_sp[to.clone()].copy_from_slice(&self.old_sp[from.clone()]);
-                state.topk_mean[to.clone()].copy_from_slice(&self.old_mean[from.clone()]);
-                state.topk_sigma[to].copy_from_slice(&self.old_sigma[from.clone()]);
-                end = from.start;
-            }
+            let to = st.slots(row..row + 1);
+            let from = end - to.len()..end;
+            state.topk_sp[to.clone()].copy_from_slice(&self.old_sp[from.clone()]);
+            state.topk_mean[to.clone()].copy_from_slice(&self.old_mean[from.clone()]);
+            state.topk_sigma[to].copy_from_slice(&self.old_sigma[from.clone()]);
+            end = from.start;
         }
         for &(e, mean, sigma) in self.log_arc.iter().rev() {
             st.arc_mean[e as usize] = mean;
@@ -299,7 +297,6 @@ impl ConeScratch {
     /// Empties the node half of the log; the annotation writes stay logged.
     fn forget_nodes(&mut self) {
         self.log_node.clear();
-        self.log_live.clear();
         self.old_sp.clear();
         self.old_mean.clear();
         self.old_sigma.clear();
@@ -307,7 +304,7 @@ impl ConeScratch {
 
     /// Bytes the log holds right now.
     pub(crate) fn log_bytes(&self) -> usize {
-        self.log_node.len() * (4 + 2 * 2)
+        self.log_node.len() * 4
             + self.old_sp.len() * SLOT_BYTES
             + self.log_arc.len() * (4 + 16 + 16)
     }
@@ -436,6 +433,8 @@ impl InstaEngine {
             ("levels", c.levels as f64),
             ("nodes", c.nodes as f64),
             ("pruned", c.pruned as f64),
+            ("passed", c.passed as f64),
+            ("arcs", c.arcs as f64),
             ("fallbacks", c.fallbacks() as f64),
             ("ok", if res.is_ok() { 1.0 } else { 0.0 }),
         ]);
@@ -651,9 +650,12 @@ pub(crate) fn cone_sweep(
                 // that a half-written node no longer has its old entries
                 // to compare against, so the retry queues every fanout.
                 let panicked = launch.run(window, |_, (state, cone)| {
-                    let (recomputed, pruned) = cone_level(st, state, cone, &nodes, launch.retry);
+                    let [recomputed, pruned, passed, arcs] =
+                        cone_level(st, state, cone, &nodes, launch.retry);
                     cone.nodes += recomputed;
                     cone.pruned += pruned;
+                    cone.passed += passed;
+                    cone.arcs += arcs;
                 });
                 panicked.map(|(_, message)| (span.clone(), message))
             },
@@ -672,8 +674,9 @@ pub(crate) fn cone_sweep(
 }
 
 /// Recomputes one level's worklist in place and queues the fanout of every
-/// node whose readable entries changed (all of them under `force`).
-/// Returns how many nodes were recomputed and how many of those pruned.
+/// node whose entries changed (all of them under `force`). Returns how
+/// many nodes were recomputed, how many of those pruned, how many virtual
+/// nodes passed through, and the recomputes' fanin arcs.
 ///
 /// A virtual node on the worklist is a pass-through: it has no row to
 /// recompute, compare or log, and what its consumer reads of it moved with
@@ -684,56 +687,43 @@ fn cone_level(
     cone: &mut ConeScratch,
     nodes: &[u32],
     force: bool,
-) -> (usize, usize) {
-    let k = state.k;
-    let (mut recomputed, mut pruned) = (0, 0);
+) -> [usize; 4] {
+    let (mut recomputed, mut pruned, mut passed, mut arcs) = (0, 0, 0, 0);
     for &v in nodes {
         let v = v as usize;
         let Some(row) = st.row_of(v) else {
+            passed += 1;
             cone.enqueue(st, st.consumer_of(v));
             continue;
         };
         recomputed += 1;
+        arcs += st.fanin_range(v).len();
+        // Both queues of the row, rise then fall, one run of slots.
+        let slots = st.slots(row..row + 1);
         let at = cone.old_sp.len();
         cone.log_node.push(v as u32);
-        for q in row * 2..row * 2 + 2 {
-            let w = q * k..q * k + state.live[q] as usize;
-            cone.log_live.push(state.live[q]);
-            cone.old_sp.extend_from_slice(&state.topk_sp[w.clone()]);
-            cone.old_mean.extend_from_slice(&state.topk_mean[w.clone()]);
-            cone.old_sigma.extend_from_slice(&state.topk_sigma[w]);
-        }
+        cone.old_sp.extend_from_slice(&state.topk_sp[slots.clone()]);
+        cone.old_mean.extend_from_slice(&state.topk_mean[slots.clone()]);
+        cone.old_sigma.extend_from_slice(&state.topk_sigma[slots.clone()]);
         {
             // A one-node window: every row before `v`'s is the done prefix
             // (its ancestors sit in earlier levels).
-            let (done, mut cur) = state.split_at_row(row);
+            let (done, mut cur) = state.split_at_row(st, row);
             // The full pass's pre-state of a startpoint node: its launch
             // seed. The body owns every other queue outright.
             seed_level(st, &mut cur, v..v + 1, &source_launch(st));
-            level_chunk::<false>(
-                st,
-                done,
-                v..v + 1,
-                &mut cur.live[..2],
-                &mut cur.mean[..2 * k],
-                &mut cur.sigma[..2 * k],
-                &mut cur.sp[..2 * k],
-                &mut cone.arena,
-            );
+            let n = slots.len();
+            let (mean, sigma, sp) = (&mut cur.mean[..n], &mut cur.sigma[..n], &mut cur.sp[..n]);
+            level_chunk::<false>(st, done, v..v + 1, mean, sigma, sp, &mut cone.arena);
         }
+        // Old and new entries of the node, on bits.
         let changed = force || {
-            // Old and new entries of the node, rise then fall: the same
-            // live counts, then the same bits.
-            let lanes = state.lanes();
-            let (rise, fall) = (lanes.row(row, 0), lanes.row(row, 1));
-            let new_live = [rise.sp.len() as u16, fall.sp.len() as u16];
-            let bits = |x: &[f64], y: &[f64], z: &[f64]| {
-                x.iter().chain(y).map(|v| v.to_bits()).ne(z.iter().map(|v| v.to_bits()))
+            let bits = |x: &[f64], y: &[f64]| {
+                x.iter().map(|v| v.to_bits()).ne(y.iter().map(|v| v.to_bits()))
             };
-            cone.log_live[cone.log_live.len() - 2..] != new_live
-                || rise.sp.iter().chain(fall.sp).ne(&cone.old_sp[at..])
-                || bits(rise.mean, fall.mean, &cone.old_mean[at..])
-                || bits(rise.sigma, fall.sigma, &cone.old_sigma[at..])
+            state.topk_sp[slots.clone()] != cone.old_sp[at..]
+                || bits(&state.topk_mean[slots.clone()], &cone.old_mean[at..])
+                || bits(&state.topk_sigma[slots], &cone.old_sigma[at..])
         };
         if changed {
             for &e in st.fanout(v) {
@@ -743,7 +733,7 @@ fn cone_level(
             pruned += 1;
         }
     }
-    (recomputed, pruned)
+    [recomputed, pruned, passed, arcs]
 }
 
 #[cfg(test)]

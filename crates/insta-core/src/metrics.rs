@@ -168,7 +168,7 @@ pub(crate) fn refresh(
 ) {
     // An endpoint is never virtual, so the accessor never touches these.
     let (mut rise, mut fall) = (VirtualQueue::default(), VirtualQueue::default());
-    let lanes = state.lanes();
+    let lanes = state.lanes(st);
     for (i, ep) in st.endpoints.iter().enumerate() {
         if selected(ep.node) {
             let v = ep.node as usize;

@@ -61,24 +61,19 @@ impl DenseTopK {
         floats.map(|v| v.to_bits()).chain(sps).collect()
     }
 
-    /// Copies the queues of the stored nodes into the engine's rows (live
-    /// prefix and count), so the engine goes on from the reference's bits.
+    /// Copies the queues of the stored nodes into the engine's rows, as
+    /// many entries as each row's capacity, so the engine goes on from the
+    /// reference's bits.
     fn install(&self, st: &Static, state: &mut State, early: bool) {
-        let k = self.k;
         state.early = early;
         for v in 0..st.n {
             let Some(row) = st.row_of(v) else { continue };
             for rf in 0..2 {
-                let (from, to) = ((v * 2 + rf) * k, (row * 2 + rf) * k);
-                let live = self.topk_sp[from..from + k]
-                    .iter()
-                    .position(|&sp| sp == NO_SP)
-                    .unwrap_or(k);
-                state.live[row * 2 + rf] = live as u16;
-                state.topk_mean[to..to + live].copy_from_slice(&self.topk_mean[from..from + live]);
-                state.topk_sigma[to..to + live]
-                    .copy_from_slice(&self.topk_sigma[from..from + live]);
-                state.topk_sp[to..to + live].copy_from_slice(&self.topk_sp[from..from + live]);
+                let to = st.queue_slots(row, rf);
+                let from = (v * 2 + rf) * self.k..(v * 2 + rf) * self.k + to.len();
+                state.topk_mean[to.clone()].copy_from_slice(&self.topk_mean[from.clone()]);
+                state.topk_sigma[to.clone()].copy_from_slice(&self.topk_sigma[from.clone()]);
+                state.topk_sp[to].copy_from_slice(&self.topk_sp[from]);
             }
         }
     }
@@ -93,7 +88,7 @@ pub(crate) fn dense_view<const MIN: bool>(st: &Static, state: &State) -> DenseTo
     let mut dense = DenseTopK::empty(st.n, k);
     let mut scratch = VirtualQueue::new(state.k);
     for q in 0..st.n * 2 {
-        let queue = queue_of::<MIN>(st, state.lanes(), q / 2, q % 2, &mut scratch);
+        let queue = queue_of::<MIN>(st, state.lanes(st), q / 2, q % 2, &mut scratch);
         for (at, (sp, mean, sigma)) in (q * k..).zip(queue.entries()) {
             dense.topk_arrival[at] = corner::<MIN>(mean, sigma, st.n_sigma);
             dense.topk_mean[at] = mean;
@@ -548,6 +543,20 @@ impl InstaEngine {
     pub fn scalar_topk_snapshot(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>) {
         let d = self.scalar_topk.clone().expect("no reference pass ran");
         (d.topk_arrival, d.topk_mean, d.topk_sigma, d.topk_sp)
+    }
+
+    /// How many entries the queue of an *original* graph node id and
+    /// transition holds as every reader sees it (a virtual node's
+    /// materialised), in whichever order the last full pass left the rows.
+    pub fn queue_len(&self, orig_node: u32, rf: usize) -> usize {
+        let (st, state) = (&self.st, &self.state);
+        let v = st.new_id[orig_node as usize] as usize;
+        let mut scratch = VirtualQueue::new(state.k);
+        if state.early {
+            queue_of::<true>(st, state.lanes(st), v, rf, &mut scratch).sp.len()
+        } else {
+            queue_of::<false>(st, state.lanes(st), v, rf, &mut scratch).sp.len()
+        }
     }
 
     /// Whether an *original* graph node id is virtual: it owns no Top-K

@@ -108,7 +108,7 @@ fn worst_row(
     rf: usize,
     scratch: &mut VirtualQueue,
 ) -> (f64, u32) {
-    let q = queue_of::<false>(st, state.lanes(), v, rf, scratch);
+    let q = queue_of::<false>(st, state.lanes(st), v, rf, scratch);
     q.entries()
         .next()
         .map_or((f64::NEG_INFINITY, NO_SP), |(sp, mean, sigma)| {

@@ -680,7 +680,7 @@ mod batched_tests {
                         }
                         recomputed += 1;
                         for rf in 0..2 {
-                            let q = lane.state.lanes().row(row, rf);
+                            let q = lane.state.lanes(&lane.st).row(row, rf);
                             prop_assert!(q.sp.len() <= k, "live count past K");
                             let mut seen = std::collections::HashSet::new();
                             let mut last = f64::INFINITY;

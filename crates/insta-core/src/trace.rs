@@ -9,8 +9,10 @@
 //!
 //! * a **span** per kernel pass (`"forward"`, `"forward_fused"`, `"hold"`,
 //!   `"forward_lse"`, `"backward"`, and `"forward.cone"` — one per cone
-//!   update, with its `seeds`, dirty `levels`, recomputed `nodes` and
-//!   `pruned` nodes) and one `"batch.sweep"` span per batched `evaluate`
+//!   update, with its `seeds`, dirty `levels`, recomputed `nodes`,
+//!   `pruned` nodes, virtual nodes `passed` through and the recomputes'
+//!   fanin `arcs`, so a sweep's time reads per visited node and arc as a
+//!   full pass's does) and one `"batch.sweep"` span per batched `evaluate`
 //!   call, in a bounded [`Recorder`] journal.
 //!   Every span whose pass runs the evaluation level body also carries its
 //!   `fallbacks`: how many virtual parents it had to materialise instead of
@@ -25,8 +27,8 @@
 //!   into the corner rows per distinct corner a delta lane carries),
 //!   `window_passes` (report-only passes: a delta-free corner's base and
 //!   every lane past the cone's switch) and `window_rows` (their slot
-//!   plan's peak row count), the `nodes` recomputed, `pruned` and
-//!   `fallbacks` over all lanes, and `ok`,
+//!   plan's peak row count), the `nodes` recomputed, `pruned`, `passed`,
+//!   `arcs` and `fallbacks` over all lanes, and `ok`,
 //! * a **per-level profile** ([`LevelProfile`]) of cumulative duration and
 //!   touched nodes per level per kernel — the data behind
 //!   [`InstaEngine::perf_report`](crate::InstaEngine::perf_report). Top-K

@@ -21,7 +21,8 @@
 //! so every Top-K compare below covers every node, stored or not.
 
 use insta_engine::{
-    hold_attributes, DeltaSet, HoldAttributes, InstaConfig, InstaEngine, InstaReport,
+    hold_attributes, CornerTransform, DeltaSet, HoldAttributes, InstaConfig, InstaEngine,
+    InstaReport, Scenario,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_netlist::Design;
@@ -1044,6 +1045,135 @@ fn merge_free_chains_sum_means_and_variances_exactly() {
                     let a = engine.arrival_at(n_arcs as u32, rf_end).expect("reached");
                     prop_assert!(close(a, corner), "{what}: corner {a}, truth {corner}");
                 }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The capacity referee: per node, the startpoint ids whose launch reaches
+/// it, found by walking its fan-in cone with a set. It shares no code with
+/// the engine's capacity pass. A node with several sources launches the
+/// last one's id.
+fn reaching_ids(init: &InstaInit) -> Vec<std::collections::HashSet<u32>> {
+    let mut launch = vec![None; init.n_nodes];
+    for s in &init.sources {
+        launch[s.node as usize] = Some(s.sp);
+    }
+    (0..init.n_nodes)
+        .map(|v| {
+            let mut ids = std::collections::HashSet::new();
+            let (mut seen, mut stack) = (vec![false; init.n_nodes], vec![v]);
+            seen[v] = true;
+            while let Some(u) = stack.pop() {
+                ids.extend(launch[u]);
+                let fanin = init.fanin_start[u] as usize..init.fanin_start[u + 1] as usize;
+                for e in &init.fanin[fanin] {
+                    if !std::mem::replace(&mut seen[e.parent as usize], true) {
+                        stack.push(e.parent as usize);
+                    }
+                }
+            }
+            ids
+        })
+        .collect()
+}
+
+/// Every queue of `e` holds `min(K, ids reaching its node)` entries.
+fn counts_match(e: &InstaEngine, reach: &[std::collections::HashSet<u32>], what: &str) -> Result<(), String> {
+    for (v, ids) in reach.iter().enumerate() {
+        for rf in 0..2 {
+            let (got, want) = (e.queue_len(v as u32, rf), ids.len().min(e.top_k()));
+            prop_assert!(got == want, "{what}: node {v} rf {rf} holds {got}, {want} ids reach it");
+        }
+    }
+    Ok(())
+}
+
+/// The capacity contract on generated graphs — virtual chains, startpoints
+/// with one fanin arc, negative-unate arcs, reconvergent startpoint ids,
+/// and a node with two sources, whose last one launches — for K ∈ {1, 2, 4,
+/// 8, 32}: after setup, hold and a cone update every queue, stored or
+/// virtual, holds as many entries as the fan-in-cone referee says. A batch
+/// lane and a window pass are read back through their reports (each must
+/// complete: the level body fills every row it writes exactly to its
+/// capacity or fails the pass), the lane against its serial twin. A snapshot
+/// whose two sources share one sp id is rejected before any row exists.
+#[test]
+fn every_queue_holds_the_startpoints_its_cone_can_reach() {
+    for_all(
+        Config::cases(12).seed(SUITE_SEED ^ 0xCA9),
+        |rng| (rng.next_u64(), rng.bounded_u64(4), rng.bounded_u64(5)),
+        |&(seed, levels, width)| {
+            // At least 64 nodes, whatever the shrinker tries.
+            let (levels, width) = (8 + levels as usize, 10 + width as usize);
+            let (mut init, _, _) = chain_graph(seed, levels, width);
+            let mut rng = Rng::seed_from_u64(seed ^ 0xCA9);
+            let shared = rng.bounded_u64(init.sources.len() as u64) as usize;
+            let node = init.sources[shared].node;
+            init.sources.push(SourceInit {
+                node,
+                sp: init.sources.len() as u32,
+                mean: [5.0, 7.0],
+                sigma: [1.0, 0.0],
+            });
+            init.sp_leaf.push(NO_LEAF);
+            let mut twin_ids = init.clone();
+            twin_ids.sources[1].sp = twin_ids.sources[0].sp;
+            let err = InstaEngine::new(twin_ids, InstaConfig::default()).err();
+            prop_assert!(err.is_some_and(|e| e.category() == "validate"), "a shared sp id");
+
+            let reach = reaching_ids(&init);
+            prop_assert!(init.n_nodes >= 64, "fixture: a one-seed update takes the cone");
+            let attrs = HoldAttributes {
+                source_mean: vec![[2.0, 3.0]; init.sources.len()],
+                source_sigma: vec![[1.0, 0.5]; init.sources.len()],
+                required_base: vec![20.0; init.endpoints.len()],
+            };
+            let arc = rng.bounded_u64(init.fanin.len() as u64) as u32;
+            let delta = [ArcDelta {
+                arc,
+                mean: [90.0, 15.0],
+                sigma: [6.0, 0.0],
+            }];
+            for top_k in [1usize, 2, 4, 8, 32] {
+                let what = format!("K={top_k}");
+                let cfg = InstaConfig {
+                    top_k,
+                    ..InstaConfig::default()
+                };
+                let mut e = InstaEngine::new(init.clone(), cfg).map_err(|e| e.to_string())?;
+                e.propagate();
+                counts_match(&e, &reach, &format!("{what} setup"))?;
+                e.propagate_hold(&attrs);
+                counts_match(&e, &reach, &format!("{what} hold"))?;
+
+                e.propagate();
+                let mut twin = e.clone();
+                let lanes = e.evaluate_batch(&[DeltaSet::from(delta.to_vec())]);
+                let lane = lanes[0].outcome.as_ref().map_err(|err| format!("{what}: lane {err}"))?;
+                let serial = twin.update_timing(&delta).map_err(|err| err.to_string())?;
+                prop_assert!(report_bits(lane) == report_bits(&serial), "{what}: lane vs serial");
+
+                e.enable_tracing();
+                e.update_timing(&delta).map_err(|err| err.to_string())?;
+                let journal = e.trace_journal().expect("tracing on");
+                let cones: Vec<_> = journal.events().filter(|ev| ev.name == "forward.cone").collect();
+                prop_assert!(cones.len() == 1, "{what}: the update took the cone");
+                // The span reads in full-pass units: every recompute has a
+                // fanin arc, and pass-throughs are counted apart.
+                let (nodes, arcs) = (cones[0].field("nodes"), cones[0].field("arcs"));
+                let passed = cones[0].field("passed");
+                prop_assert!(nodes >= Some(1.0) && arcs >= nodes && passed.is_some(), "{what}: {:?}", cones[0]);
+                counts_match(&e, &reach, &format!("{what} cone"))?;
+
+                let corner = Scenario::default().with_corner(CornerTransform::scale(1.05, 1.1));
+                let window = e.evaluate_mcmm(&[corner]);
+                prop_assert!(window.scenarios[0].outcome.is_ok(), "{what}: window pass");
+                let journal = e.trace_journal().expect("tracing on");
+                let sweep = journal.events().filter(|ev| ev.name == "batch.sweep").last();
+                let passes = sweep.and_then(|ev| ev.field("window_passes"));
+                prop_assert!(passes == Some(1.0), "{what}: a window pass ran");
             }
             Ok(())
         },
