@@ -23,16 +23,17 @@
 //! (power recovery's leakage, commits and #vio; INSTA-Buffer's WNS, TNS
 //! and buffers). Timing and memory columns are printed only.
 
-use insta_bench::{block_specs, fmt_ps, iwls_specs, mismatch_columns, superblue_specs, table1_row};
+use insta_bench::{
+    block_specs, fmt_ps, iwls_specs, mismatch_columns, superblue_specs, table1_row, table2_row,
+    Table2Row,
+};
 use insta_engine::topk::{Candidate, TopKQueue};
 use insta_engine::{InstaConfig, InstaEngine, MismatchStats};
 use insta_netlist::{DesignStats, TimingGraph};
 use insta_placer::db::UTILIZATION;
 use insta_placer::{place, refresh_timing, PlacementDb, PlacerConfig, PlacerMode, TimingMode};
 use insta_refsta::{RefSta, StaConfig};
-use insta_sizer::{
-    insta_size, random_changelist, reference_size, run_evaluator_flow, InstaSizeConfig, SizeOutcome,
-};
+use insta_sizer::{random_changelist, run_evaluator_flow};
 use insta_support::json::{self, obj, Json, ToJson};
 use insta_support::timer::{black_box, Harness};
 use insta_support::Rng;
@@ -241,37 +242,15 @@ fn fig7() {
 /// circuits.
 fn table2() {
     println!("=== Table II: gate sizing for timing optimization (IWLS-like) ===");
-    // A row's deterministic columns; the initial row has no cells sized.
-    let columns = |wns: f64, tns: f64, vio: usize, sized: Option<usize>| {
-        let mut row = vec![
-            ("wns_ps", wns.to_json()),
-            ("tns_ps", tns.to_json()),
-            ("violations", vio.to_json()),
-        ];
-        row.extend(sized.map(|n| ("cells_sized", n.to_json())));
-        obj(row)
-    };
-    let sized = |o: &SizeOutcome| {
-        let n = Some(o.cells_sized);
-        columns(o.wns_after_ps, o.tns_after_ps, o.violations_after, n)
-    };
     let mut rows = Vec::new();
     for spec in iwls_specs() {
-        let design0 = spec.build();
-        println!(
-            "--- {} ({} pins, bRT measured below) ---",
-            spec.name,
-            design0.pins().len()
-        );
-
-        let mut d_ref = spec.build();
-        let mut sta_ref = RefSta::new(&d_ref, StaConfig::default()).expect("build");
-        let r = reference_size(&mut d_ref, &mut sta_ref);
-
-        let mut d_ins = spec.build();
-        let mut sta_ins = RefSta::new(&d_ins, StaConfig::default()).expect("build");
-        let i = insta_size(&mut d_ins, &mut sta_ins, &InstaSizeConfig::default());
-
+        let Table2Row {
+            pins,
+            reference: r,
+            insta: i,
+            outcome,
+        } = table2_row(&spec);
+        println!("--- {} ({pins} pins, bRT measured below) ---", spec.name);
         println!(
             "  initial    : WNS {:>9} TNS {:>11} #vio {:>4}",
             fmt_ps(r.wns_before_ps),
@@ -304,13 +283,7 @@ fn table2() {
             i.runtime_s,
             i.backward_runtime_s
         );
-        let initial = columns(r.wns_before_ps, r.tns_before_ps, r.violations_before, None);
-        rows.push(obj([
-            ("design", spec.name.to_string().to_json()),
-            ("initial", initial),
-            ("reference", sized(&r)),
-            ("insta_size", sized(&i)),
-        ]));
+        rows.push(outcome);
     }
     write_outcome("table2", &rows);
     println!();

@@ -11,6 +11,7 @@ use insta_engine::{InstaConfig, InstaEngine, MismatchStats};
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_netlist::Design;
 use insta_refsta::{RefSta, StaConfig};
+use insta_sizer::{insta_size, reference_size, InstaSizeConfig, SizeOutcome};
 use insta_support::json::{obj, Json, ToJson};
 use std::time::Instant;
 
@@ -142,6 +143,62 @@ pub fn iwls_specs() -> Vec<IwlsSpec> {
     ]
 }
 
+/// Table II's row of one circuit: the greedy reference sizer and
+/// INSTA-Size, each on its own copy of the design.
+#[derive(Debug, Clone)]
+pub struct Table2Row {
+    /// The design's pin count; printed, not checked.
+    pub pins: usize,
+    /// The reference sizer's run (its `*_before` fields are the initial
+    /// design's); runtimes printed, not checked.
+    pub reference: SizeOutcome,
+    /// INSTA-Size's run.
+    pub insta: SizeOutcome,
+    /// The checked outcome columns, one object of `table2.json`: WNS, TNS
+    /// and #vio of the initial design, and those plus the cells sized of
+    /// each sizer.
+    pub outcome: Json,
+}
+
+/// Sizes `spec`'s design with both sizers and builds its Table-II row.
+pub fn table2_row(spec: &IwlsSpec) -> Table2Row {
+    let mut d_ref = spec.build();
+    let pins = d_ref.pins().len();
+    let mut sta_ref = RefSta::new(&d_ref, StaConfig::default()).expect("build");
+    let reference = reference_size(&mut d_ref, &mut sta_ref);
+    let mut d_ins = spec.build();
+    let mut sta_ins = RefSta::new(&d_ins, StaConfig::default()).expect("build");
+    let insta = insta_size(&mut d_ins, &mut sta_ins, &InstaSizeConfig::default());
+    // A row's deterministic columns; the initial row has no cells sized.
+    let columns = |wns: f64, tns: f64, vio: usize, sized: Option<usize>| {
+        let mut row = vec![
+            ("wns_ps", wns.to_json()),
+            ("tns_ps", tns.to_json()),
+            ("violations", vio.to_json()),
+        ];
+        row.extend(sized.map(|n| ("cells_sized", n.to_json())));
+        obj(row)
+    };
+    let sized = |o: &SizeOutcome| {
+        let n = Some(o.cells_sized);
+        columns(o.wns_after_ps, o.tns_after_ps, o.violations_after, n)
+    };
+    let r = &reference;
+    let initial = columns(r.wns_before_ps, r.tns_before_ps, r.violations_before, None);
+    let outcome = obj([
+        ("design", spec.name.to_string().to_json()),
+        ("initial", initial),
+        ("reference", sized(&reference)),
+        ("insta_size", sized(&insta)),
+    ]);
+    Table2Row {
+        pins,
+        reference,
+        insta,
+        outcome,
+    }
+}
+
 /// One superblue-like placement instance (Table III).
 #[derive(Debug, Clone)]
 pub struct SuperblueSpec {
@@ -229,6 +286,59 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// Table II's des row — the initial design's WNS, TNS and #vio, and
+    /// those plus the cells sized of both sizers — computed by the code
+    /// `repro -- table2` runs, equals its row of the checked-in
+    /// `expected/table2.json`. INSTA-Size scores its candidates through
+    /// batched what-if lanes, so the default test run guards the lane
+    /// path's outcome bits, not only `repro -- check`.
+    #[test]
+    fn table2_des_row_equals_the_expected_file() {
+        let expected = insta_support::json::parse(include_str!("../expected/table2.json"))
+            .expect("the expected file parses");
+        let want = expected
+            .as_arr()
+            .expect("an array of rows")
+            .iter()
+            .find(|row| row.field("design").and_then(Json::as_str) == Ok("des"))
+            .expect("a des row")
+            .clone();
+        let spec = iwls_specs().into_iter().find(|s| s.name == "des").expect("des");
+        let got = table2_row(&spec).outcome;
+        // Through the text, as `repro -- check` reads both files.
+        let got = insta_support::json::parse(&got.to_string()).expect("round trip");
+        assert_eq!(got, want);
+    }
+
+    /// A pass that only reports skips what no endpoint can see: block-1's
+    /// hold pass at the Table-I K skips at least a fifth of the rows it
+    /// would merge (27.5 % of block-1's nodes reach no endpoint), as its
+    /// `hold` span's `live` and `dead` counts say, so the dead work cannot
+    /// come back silently.
+    #[test]
+    fn block1_hold_pass_skips_the_rows_no_endpoint_sees() {
+        use insta_engine::{hold_attributes, InstaConfig, InstaEngine};
+        use insta_refsta::{RefSta, StaConfig};
+        let design = block_specs()[0].build();
+        let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
+        sta.full_update(&design);
+        let attrs = hold_attributes(&design, &sta);
+        let mut engine =
+            InstaEngine::new(sta.export_insta_init(), InstaConfig::default()).expect("valid");
+        engine.enable_tracing();
+        engine.propagate_hold(&attrs);
+        let journal = engine.trace_journal().expect("tracing on");
+        let hold = journal.events().find(|e| e.name == "hold").expect("a hold span");
+        let (live, dead) = (hold.field("live"), hold.field("dead"));
+        let (Some(live), Some(dead)) = (live, dead) else {
+            panic!("the hold span carries no live / dead counts");
+        };
+        assert!(
+            dead >= 0.2 * (live + dead),
+            "block-1's hold pass merged {live} rows and skipped {dead}"
+        );
+    }
+
     /// The bytes-per-node budget: block-1 at the Table-I K keeps its
     /// propagation state (what `engine.state_mb` prints) under 30 MiB —
     /// it was 126 MB with a dense 28-byte slot per pin, 39.7 MiB with K
@@ -252,7 +362,8 @@ mod tests {
 
     /// The window pass's byte budget: on block-3 at K=8 (the
     /// `whatif_block3_k8` design) a report-only corner pass keeps at most a
-    /// quarter of the stored rows in slots (13.0 % when the plan landed),
+    /// quarter of the stored rows in slots (11.5 %: no slot for a row only
+    /// dead nodes read),
     /// so its rows cannot grow back into a second row set silently.
     #[test]
     fn block3_window_plan_at_k8_keeps_under_a_quarter_of_the_rows() {

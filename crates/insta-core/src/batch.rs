@@ -38,6 +38,15 @@
 //!   not touched. As for its twin's `update_timing`, the drift budget
 //!   plays no part in the route.
 //!
+//! **Only what an endpoint sees.** Every pass and sweep of a call returns
+//! a report and leaves no row anyone reads afterwards, so each computes
+//! the nodes that reach an endpoint (`forward::Scope::Live`): a window
+//! pass and a corner's base pass skip the rest, and a cone lane neither
+//! queues nor recomputes a node no endpoint sees — a lane whose deltas
+//! all sit on such arcs is its base's report. Its seeds are still counted
+//! whole, so a lane routes as its serial twin does. The `batch.sweep` span
+//! counts the rows merged (`live`) and skipped (`dead`).
+//!
 //! **Why a lane equals its serial twin.** The cone sweep lands on the full
 //! pass's bits for any base that is the full pass's output over the
 //! annotations the cone starts from (induction over levels, see
@@ -48,7 +57,10 @@
 //! annotations [`scenario_twin_deltas`](InstaEngine::scenario_twin_deltas)
 //! writes. A full-pass lane *is* that full pass, and a window pass is the
 //! full pass's driver and level body reading its rows through a slot plan,
-//! so its report has the full pass's bits.
+//! so its report has the full pass's bits. None of this needs a dead row:
+//! the full pass computes a live node from live parents alone, so a pass
+//! or a cone restricted to live nodes writes the same live rows and
+//! endpoints are live.
 //!
 //! **The call leaves no trace.** The undo is unconditional: it runs after
 //! a completed lane, a cancelled or failed sweep, a NaN slack, and from
@@ -86,7 +98,7 @@
 
 use crate::engine::{InstaEngine, State};
 use crate::error::{InstaError, RuntimeIncident};
-use crate::forward::{forward, source_launch, window_pass, Window};
+use crate::forward::{forward, source_launch, window_pass, Scope, Tally, Window};
 use crate::incremental::{seed_cone, Txn};
 use crate::metrics::InstaReport;
 use crate::parallel::PassOptions;
@@ -605,7 +617,7 @@ impl InstaEngine {
                 continue;
             }
             let arcs = lane.deltas.iter().map(|d| d.arc);
-            let cone = seed_cone(&self.st, &mut self.cone, arcs);
+            let cone = seed_cone(&self.st, &mut self.cone, arcs, Scope::Live);
             routed.push(Routed { lane: i, cone });
         }
         if routed.is_empty() {
@@ -630,7 +642,7 @@ impl InstaEngine {
             pruned: 0,
             passed: 0,
             arcs: 0,
-            fallbacks: 0,
+            tally: Tally::default(),
             incident: None,
         };
         for group in routed.chunk_by(|a, b| lanes[a.lane].corner == lanes[b.lane].corner) {
@@ -655,7 +667,9 @@ impl InstaEngine {
             ("pruned", call.pruned as f64),
             ("passed", call.passed as f64),
             ("arcs", call.arcs as f64),
-            ("fallbacks", call.fallbacks as f64),
+            ("fallbacks", call.tally.fallbacks as f64),
+            ("live", call.tally.live as f64),
+            ("dead", call.tally.dead as f64),
             ("ok", if ok { 1.0 } else { 0.0 }),
         ]);
         // A panic is booked once per call, whichever lane hit it; the lanes
@@ -753,8 +767,10 @@ struct LaneCall<'a> {
     /// the nodes they recomputed.
     passed: usize,
     arcs: usize,
-    /// Virtual parents materialised, over every pass and sweep of the call.
-    fallbacks: u64,
+    /// Over every pass and sweep of the call: virtual parents
+    /// materialised, rows merged (a cone lane's recomputes) and rows
+    /// skipped because no endpoint reads them.
+    tally: Tally,
     /// The first contained (or fatal) worker panic of the call.
     incident: Option<RuntimeIncident>,
 }
@@ -819,7 +835,9 @@ impl LaneCall<'_> {
         self.pruned += eng.cone.pruned;
         self.passed += eng.cone.passed;
         self.arcs += eng.cone.arcs;
-        self.fallbacks += eng.cone.fallbacks();
+        self.tally.fallbacks += eng.cone.fallbacks();
+        self.tally.live += eng.cone.nodes as u64;
+        self.tally.dead += eng.cone.dead as u64;
         self.book(swept)?;
         // Only endpoints on recomputed nodes can differ from the base.
         let mut report = base.clone();
@@ -843,18 +861,20 @@ impl LaneCall<'_> {
         nan_gate(eng, report)
     }
 
-    /// One ordinary full pass over the engine's annotations into its rows,
-    /// and their report.
+    /// One full pass over the engine's annotations into its live rows, and
+    /// their report: the base of the group's cone lanes, which read live
+    /// rows only.
     fn full_pass(&mut self, eng: &mut InstaEngine) -> Result<InstaReport, InstaError> {
         let st = &eng.st;
         let passed = forward::<false>(
             st,
             &mut eng.state,
+            Scope::Live,
             eng.cfg.n_threads,
             self.opts,
             None,
             &source_launch(st),
-            &mut self.fallbacks,
+            &mut self.tally,
         );
         self.book(passed)?;
         Ok(crate::metrics::evaluate(st, &eng.state, eng.cfg.cppr))
@@ -867,7 +887,7 @@ impl LaneCall<'_> {
         let window = eng.window.0.get_or_insert_with(|| Window::new(st, k));
         let (n_threads, cppr) = (eng.cfg.n_threads, eng.cfg.cppr);
         let (report, passed) =
-            window_pass(st, window, n_threads, self.opts, cppr, &mut self.fallbacks);
+            window_pass(st, window, n_threads, self.opts, cppr, &mut self.tally);
         self.window_passes += 1;
         self.window_rows = window.plan.slots;
         self.book(passed)?;

@@ -189,6 +189,13 @@ pub(crate) struct Static {
     /// The rows' lanes are a CSR over it: queue `(r, rf)` is
     /// [`queue_slots`](Self::queue_slots).
     pub slot_base: Vec<u32>,
+    /// Whether node `v` reaches an endpoint (an endpoint does): structural,
+    /// from one reverse sweep over the fanout CSR ([`reaches_endpoint`]).
+    /// A node no endpoint can see moves no slack, no TNS and no ∂TNS, and
+    /// a pass that only reports skips it ([`crate::forward::Scope::Live`]).
+    /// Every parent of a live node is live, so a live node reads live rows
+    /// only.
+    pub live: Vec<bool>,
 }
 
 impl Static {
@@ -671,6 +678,7 @@ impl InstaEngine {
             &row_base,
             cfg.top_k,
         );
+        let live = reaches_endpoint(&fanout_start, &fanout_arc, &arc_child, is_endpoint);
 
         let st = Static {
             n,
@@ -700,6 +708,7 @@ impl InstaEngine {
             n_graph_arcs,
             row_base,
             slot_base,
+            live,
         };
         let k = cfg.top_k;
         let state = State {
@@ -721,7 +730,7 @@ impl InstaEngine {
             drift: DriftState::default(),
             counters: EngineCounters::default(),
             validity: Validity::default(),
-            cone: ConeScratch::new(n, num_levels, k),
+            cone: ConeScratch::new(n, num_levels),
             rows: RowStore::default(),
             corner_scratch: Scratch::default(),
             window: Scratch::default(),
@@ -946,6 +955,23 @@ fn capacities(
         }
     }
     slot_base
+}
+
+/// The live set ([`Static::live`]): node `v` is live when it is an endpoint
+/// or one of its fanout arcs leads to a live node. Nodes are numbered
+/// level-major, so every child sits above its parent and one sweep from
+/// the last node down decides each node after all of its children.
+fn reaches_endpoint(
+    fanout_start: &[u32],
+    fanout_arc: &[u32],
+    arc_child: &[u32],
+    mut live: Vec<bool>,
+) -> Vec<bool> {
+    for v in (0..live.len()).rev() {
+        let fanout = &fanout_arc[fanout_start[v] as usize..fanout_start[v + 1] as usize];
+        live[v] = live[v] || fanout.iter().any(|&e| live[arc_child[e as usize] as usize]);
+    }
+    live
 }
 
 /// Where queue `(row, rf)` sits in compact lanes over the capacities

@@ -41,28 +41,40 @@
 //! exactly — the merge emits each distinct startpoint until it has K,
 //! whatever the values — so no slot is dead and no count is stored. The
 //! level body (`level_chunk`) owns every queue of a stored node with fanin
-//! and writes all of its entries, checking that the merge filled the
-//! capacity. The driver (`forward`, shared by setup, hold, the window pass
-//! and, level by level, the fused sweep) writes only the launch entries:
-//! before each level's body runs — on every attempt, the retry after a
-//! contained panic included — the level's startpoints get their one launch
-//! entry (`seed_level`), which is every entry level 0 has (DESIGN.md
-//! "Kernel architecture").
+//! that the pass computes and writes all of its entries, checking that the
+//! merge filled the capacity. The driver (`forward`, shared by setup,
+//! hold, the window pass and, level by level, the fused sweep) writes only
+//! the launch entries: before each level's body runs — on every attempt,
+//! the retry after a contained panic included — the level's startpoints
+//! the pass computes get their one launch entry (`seed_level`), which is
+//! every entry level 0 has (DESIGN.md "Kernel architecture").
 //!
-//! **Two row stores.** Where the rows live is the driver's one parameter
-//! (`PassRows`). The *in-place* store is the engine's `State`: every
-//! level is written where it is kept, the `done` view is the rows ahead
-//! of the window (the identity plan), and nothing is copied. A *window
-//! pass* (`window_pass`) answers a report and keeps no row set: each
-//! level is written into a level buffer the size of the widest level's
-//! rows (laid out as they are in place), its endpoints are evaluated from
-//! the buffer, and a row some later level reads is copied into a slot of
-//! `2 * K` entries it shares with rows whose readers are done (`SlotPlan`).
-//! Every read of a stored row goes through `Lanes::row`, which serves both
-//! layouts, so the level body, `gather_fanin` and `queue_of` are the
-//! in-place pass's, and the report has `metrics::evaluate`'s bits. On
-//! block-3 at K=8 the plan keeps 2 085 of 16 065 rows (13 %): 0.64 MiB of
-//! slots where a row set is 4.0 MiB.
+//! **Report-only passes.** Which nodes a pass computes is the driver's
+//! `Scope`. A pass whose rows are read afterwards — setup, the fused
+//! sweep, a session's cone — computes every node (`Scope::All`). A pass
+//! that only answers a report — hold, a window pass, a corner's base pass,
+//! a what-if lane's cone — computes the nodes that reach an endpoint
+//! (`Scope::Live`, `Static::live`): a node no endpoint can see moves no
+//! slack, and is neither seeded nor merged, so its row keeps its bits.
+//! Every parent of a live node is live, so a live node never reads a row
+//! the pass skipped. The span of the pass counts the rows it merged
+//! (`live`) and skipped (`dead`); block-1 at K=32 skips a quarter.
+//!
+//! **Two row stores.** Where the rows live is the driver's other
+//! parameter (`PassRows`). The *in-place* store is the engine's `State`:
+//! every level is written where it is kept, the `done` view is the rows
+//! ahead of the window (the identity plan), and nothing is copied. A
+//! *window pass* (`window_pass`) answers a report and keeps no row set: it
+//! computes live nodes only, each level is written into a level buffer the
+//! size of the widest level's rows (laid out as they are in place), its
+//! endpoints are evaluated from the buffer, and a row some later live
+//! level reads is copied into a slot of `2 * K` entries it shares with
+//! rows whose readers are done (`SlotPlan`). Every read of a stored row
+//! goes through `Lanes::row`, which serves both layouts, so the level
+//! body, `gather_fanin` and `queue_of` are the in-place pass's, and the
+//! report has `metrics::evaluate`'s bits. On block-3 at K=8 the plan keeps
+//! 1 840 of 16 065 rows (11.5 %): 0.56 MiB of slots where a row set is
+//! 4.0 MiB.
 
 use crate::engine::{InstaEngine, Lanes, Queue, RowsMut, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
@@ -101,17 +113,18 @@ impl InstaEngine {
         self.last_incident = None;
         self.validity.begin_full_pass();
         self.trace.begin("forward");
-        let mut fallbacks = 0;
+        let mut tally = Tally::default();
         let res = forward::<false>(
             &self.st,
             &mut self.state,
+            Scope::All,
             self.cfg.n_threads,
             opts,
             self.trace.profile_mut(Kernel::Forward),
             &source_launch(&self.st),
-            &mut fallbacks,
+            &mut tally,
         );
-        self.trace.end_with(&pass_fields(&res, fallbacks));
+        self.trace.end_with(&pass_fields(&res, &tally));
         self.settle(res)?;
         let report = crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr);
         self.state.report = Some(report);
@@ -174,7 +187,7 @@ impl InstaEngine {
         self.validity.begin_lse();
         self.trace.begin("forward_fused");
         let (prof_fwd, prof_lse) = self.trace.profiles_fused();
-        let mut fallbacks = 0;
+        let mut tally = Tally::default();
         let res = forward_fused(
             &self.st,
             &mut self.state,
@@ -183,9 +196,9 @@ impl InstaEngine {
             opts,
             prof_fwd,
             prof_lse,
-            &mut fallbacks,
+            &mut tally,
         );
-        self.trace.end_with(&pass_fields(&res, fallbacks));
+        self.trace.end_with(&pass_fields(&res, &tally));
         self.settle(res)?;
         self.validity.lse_done();
         let report = crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr);
@@ -195,16 +208,62 @@ impl InstaEngine {
     }
 }
 
+/// Which nodes a full pass computes (module docs, "Report-only passes").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scope {
+    /// Every node: the pass's rows are read after it (setup, the fused
+    /// sweep, a session's cone).
+    All,
+    /// The nodes that reach an endpoint ([`Static::live`]): the pass
+    /// answers a report and leaves no row anyone reads afterwards (hold, a
+    /// window pass, a corner's base pass, a what-if lane's cone).
+    Live,
+}
+
+impl Scope {
+    /// Whether the pass leaves node `v` alone: its rows keep their bits.
+    #[inline(always)]
+    pub(crate) fn skips(self, st: &Static, v: usize) -> bool {
+        self == Scope::Live && !st.live[v]
+    }
+}
+
+/// What a pass's level bodies did, summed over its merge arenas: the
+/// payload of its trace span beside `ok` ([`pass_fields`]). A failed
+/// pass's levels so far count, a retried level twice.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Tally {
+    /// Virtual parents materialised instead of gathered through
+    /// ([`gather_fanin`]; a design on which the hops stop paying shows
+    /// here).
+    pub fallbacks: u64,
+    /// Rows merged.
+    pub live: u64,
+    /// Rows skipped because no endpoint reads them ([`Scope::Live`]).
+    pub dead: u64,
+}
+
+impl Tally {
+    fn add(&mut self, arenas: &[MergeArena]) {
+        for a in arenas {
+            self.fallbacks += a.fallbacks;
+            self.live += a.merged;
+            self.dead += a.skipped;
+        }
+    }
+}
+
 /// The payload of a full evaluation pass's span: whether it completed,
-/// and how many virtual parents it materialised (a design on which
-/// gathering through the hops stops paying shows here).
+/// and its [`Tally`].
 pub(crate) fn pass_fields<T>(
     res: &Result<T, InstaError>,
-    fallbacks: u64,
-) -> [(&'static str, f64); 2] {
+    tally: &Tally,
+) -> [(&'static str, f64); 4] {
     [
         ("ok", if res.is_ok() { 1.0 } else { 0.0 }),
-        ("fallbacks", fallbacks as f64),
+        ("fallbacks", tally.fallbacks as f64),
+        ("live", tally.live as f64),
+        ("dead", tally.dead as f64),
     ]
 }
 
@@ -215,17 +274,21 @@ pub(crate) fn source_launch(st: &Static) -> impl Fn(usize) -> ([f64; 2], [f64; 2
     |i| (st.sources[i].mean, st.sources[i].sigma)
 }
 
-/// Makes both queues of every startpoint node in `nodes` its one launch
-/// entry `(sp, launches(source))`: the pre-pass state of the only queues
-/// the level body does not own. A node with several sources takes the last
-/// one's ([`Static::source_of`]).
+/// Makes both queues of every startpoint node in `nodes` that `scope`
+/// computes its one launch entry `(sp, launches(source))`: the pre-pass
+/// state of the only queues the level body does not own. A node with
+/// several sources takes the last one's ([`Static::source_of`]).
 pub(crate) fn seed_level(
     st: &Static,
     rows: &mut RowsMut<'_>,
     nodes: std::ops::Range<usize>,
+    scope: Scope,
     launches: &impl Fn(usize) -> ([f64; 2], [f64; 2]),
 ) {
     for v in nodes {
+        if scope.skips(st, v) {
+            continue;
+        }
         let i = st.source_of[v] as usize;
         let Some(s) = st.sources.get(i) else { continue };
         let (mean, sigma) = launches(i);
@@ -267,27 +330,29 @@ impl PassRows for State {
     fn retire(&mut self, _: &Static, _: usize) {}
 }
 
-/// The full evaluation pass: `MIN = false` is setup (the K worst late
-/// corners), `MIN = true` is hold's min pass over negated early corners
-/// ([`crate::hold`]). `launches(source)` is a startpoint's launch arrival.
-/// Adds to `fallbacks` how many virtual parents the pass materialised
-/// ([`gather_fanin`]), a failed pass's levels so far included.
+/// The full evaluation pass over the nodes `scope` names: `MIN = false`
+/// is setup (the K worst late corners), `MIN = true` is hold's min pass
+/// over negated early corners ([`crate::hold`]). `launches(source)` is a
+/// startpoint's launch arrival. Adds the pass's level bodies to `tally`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn forward<const MIN: bool>(
     st: &Static,
     rows: &mut impl PassRows,
+    scope: Scope,
     n_threads: usize,
     opts: &PassOptions,
     prof: Option<&mut LevelProfile>,
     launches: &impl Fn(usize) -> ([f64; 2], [f64; 2]),
-    fallbacks: &mut u64,
+    tally: &mut Tally,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
-    begin_pass(st, rows, MIN, launches);
+    begin_pass(st, rows, MIN, scope, launches);
     let mut pass = Pass::begin(Kernel::Forward, n_threads, opts, prof);
     // One merge arena per worker, reused across every level of the pass.
     let mut arenas = MergeArena::bank(pass.threads());
-    let swept = (1..st.num_levels())
-        .try_for_each(|l| forward_level::<MIN>(st, rows, &mut pass, &mut arenas, l, launches));
-    *fallbacks += arenas.iter().map(|a| a.fallbacks).sum::<u64>();
+    let swept = (1..st.num_levels()).try_for_each(|l| {
+        forward_level::<MIN>(st, rows, scope, &mut pass, &mut arenas, l, launches)
+    });
+    tally.add(&arenas);
     swept.map(|()| pass.finish())
 }
 
@@ -297,6 +362,7 @@ fn begin_pass(
     st: &Static,
     rows: &mut impl PassRows,
     early: bool,
+    scope: Scope,
     launches: &impl Fn(usize) -> ([f64; 2], [f64; 2]),
 ) {
     rows.begin(early);
@@ -304,7 +370,7 @@ fn begin_pass(
         return;
     }
     let (_, mut level0) = rows.level(st, 0);
-    seed_level(st, &mut level0, st.level_range(0), launches);
+    seed_level(st, &mut level0, st.level_range(0), scope, launches);
     rows.retire(st, 0);
 }
 
@@ -317,6 +383,7 @@ fn begin_pass(
 pub(crate) fn forward_level<const MIN: bool>(
     st: &Static,
     rows: &mut impl PassRows,
+    scope: Scope,
     pass: &mut Pass<'_>,
     arenas: &mut [MergeArena],
     l: usize,
@@ -331,7 +398,7 @@ pub(crate) fn forward_level<const MIN: bool>(
             // The launches landing in the window, on every attempt: the
             // body rewrites every other queue of it whole.
             let (done, mut window) = rows.level(st, l);
-            seed_level(st, &mut window, nodes.clone(), launches);
+            seed_level(st, &mut window, nodes.clone(), scope, launches);
             // The level's rows are carved along the node cuts, one arena
             // per cut.
             let RowsMut {
@@ -348,7 +415,7 @@ pub(crate) fn forward_level<const MIN: bool>(
                 )
             });
             launch.run(windows, |cut, (mean, sigma, sp, arena)| {
-                level_chunk::<MIN>(st, done, cut, mean, sigma, sp, &mut arena[0]);
+                level_chunk::<MIN>(st, done, cut, scope, mean, sigma, sp, &mut arena[0]);
             })
         },
         |_| {},
@@ -356,7 +423,7 @@ pub(crate) fn forward_level<const MIN: bool>(
     #[cfg(debug_assertions)]
     {
         let (_, written) = rows.level(st, l);
-        crate::health::debug_assert_topk_level_clean(st, &written, nodes, l);
+        crate::health::debug_assert_topk_level_clean(st, &written, nodes, scope, l);
     }
     rows.retire(st, l);
     Ok(())
@@ -368,16 +435,17 @@ const NO_SLOT: u32 = u32::MAX;
 /// Where a window pass keeps each stored row from the level that writes it
 /// to the last level that reads it (module docs, "Two row stores").
 ///
-/// A row's *last reader* is the highest level of a stored node that reads
-/// it: a child that gathers it, or the consumer at the end of a chain of
-/// virtual nodes below it, which gathers or materialises from it
-/// ([`gather_fanin`], [`materialise`]). An endpoint row is read at its own
-/// level, from the level buffer. Slots are handed out greedily, level by
-/// level: the rows whose last reader is this level give theirs back (their
-/// reads are done), then the level's rows with a later reader take free
-/// ones. For intervals the greedy is optimal: the slot count is the peak
-/// number of rows live across a level boundary. O(rows + arcs) to build,
-/// 4 bytes a row to keep.
+/// A row's *last reader* is the highest level of a live stored node that
+/// reads it: a child that gathers it, or the consumer at the end of a chain
+/// of virtual nodes below it, which gathers or materialises from it
+/// ([`gather_fanin`], [`materialise`]). A window pass computes live nodes
+/// only ([`Scope::Live`]), so a row only dead nodes read gets no slot. An
+/// endpoint row is read at its own level, from the level buffer. Slots are
+/// handed out greedily, level by level: the rows whose last reader is this
+/// level give theirs back (their reads are done), then the level's rows
+/// with a later reader take free ones. For intervals the greedy is
+/// optimal: the slot count is the peak number of rows live across a level
+/// boundary. O(rows + arcs) to build, 4 bytes a row to keep.
 #[derive(Debug)]
 pub(crate) struct SlotPlan {
     /// Slot of each stored row; [`NO_SLOT`] when no later level reads it.
@@ -398,7 +466,7 @@ impl SlotPlan {
         for l in 0..n_levels {
             let nodes = st.level_range(l);
             widest = widest.max(st.slots(st.rows(nodes.clone())).len());
-            for v in nodes {
+            for v in nodes.filter(|&v| st.live[v]) {
                 let Some(row) = st.row_of(v) else { continue };
                 last[row] = l as u32;
                 for ai in st.fanin_range(v) {
@@ -532,16 +600,16 @@ impl PassRows for Windowed<'_> {
 }
 
 /// A report-only setup pass (module docs, "Two row stores"): [`forward`]
-/// over `window` and the report of its endpoints, on `metrics::evaluate`'s
-/// bits. The engine's own rows are not read or written; the report is
-/// whole only when the pass is `Ok`.
+/// over `window`'s live nodes and the report of its endpoints, on
+/// `metrics::evaluate`'s bits. The engine's own rows are not read or
+/// written; the report is whole only when the pass is `Ok`.
 pub(crate) fn window_pass(
     st: &Static,
     window: &mut Window,
     n_threads: usize,
     opts: &PassOptions,
     cppr: bool,
-    fallbacks: &mut u64,
+    tally: &mut Tally,
 ) -> (InstaReport, Result<Option<RuntimeIncident>, InstaError>) {
     let mut rows = Windowed {
         window,
@@ -550,7 +618,8 @@ pub(crate) fn window_pass(
         next_ep: 0,
     };
     let launches = source_launch(st);
-    let passed = forward::<false>(st, &mut rows, n_threads, opts, None, &launches, fallbacks);
+    let live = Scope::Live;
+    let passed = forward::<false>(st, &mut rows, live, n_threads, opts, None, &launches, tally);
     // The aggregates in endpoint order, as every report sums them.
     rows.report.reduce(None);
     (rows.report, passed)
@@ -571,7 +640,8 @@ pub(crate) fn window_pass(
 ///
 /// Each kernel is a [`Pass`] of its own, so a level is polled once per
 /// kernel and cancels, incidents and profile rows carry the same `Kernel`
-/// attribution as the unfused passes. `fallbacks` as in [`forward`].
+/// attribution as the unfused passes. `tally` as in [`forward`]; the sweep
+/// computes every node.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_fused(
     st: &Static,
@@ -581,21 +651,21 @@ pub(crate) fn forward_fused(
     opts: &PassOptions,
     prof_fwd: Option<&mut LevelProfile>,
     prof_lse: Option<&mut LevelProfile>,
-    fallbacks: &mut u64,
+    tally: &mut Tally,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     // Pre-sweep state of both kernels, exactly as the unfused passes.
     let launches = source_launch(st);
-    begin_pass(st, state, false, &launches);
+    begin_pass(st, state, false, Scope::All, &launches);
     crate::lse::lse_reset_seed(st, state);
 
     let mut fwd = Pass::begin(Kernel::Forward, n_threads, opts, prof_fwd);
     let mut lse = Pass::begin(Kernel::ForwardLse, n_threads, opts, prof_lse);
     let mut arenas = MergeArena::bank(fwd.threads());
     let swept = (1..st.num_levels()).try_for_each(|l| {
-        forward_level::<false>(st, state, &mut fwd, &mut arenas, l, &launches)?;
+        forward_level::<false>(st, state, Scope::All, &mut fwd, &mut arenas, l, &launches)?;
         crate::lse::lse_level(st, state, &mut lse, tau, l)
     });
-    *fallbacks += arenas.iter().map(|a| a.fallbacks).sum::<u64>();
+    tally.add(&arenas);
     swept?;
     // The sweep's first incident: the lower level, the evaluation kernel
     // (which runs first within a level) on a tie.
@@ -990,18 +1060,22 @@ fn merge_node_queue<const MIN: bool>(
 /// `done` is every row ahead of the level's; the three `*_cur` slices are
 /// the compact slots of the rows of `nodes`. A virtual node has no row and
 /// is skipped: its queue is computed by whoever reads it ([`queue_of`]).
-/// The body leaves every queue of the chunk fully determined except a
+/// So is a node `scope` leaves alone, whose row keeps its bits. The body
+/// leaves every other queue of the chunk fully determined except a
 /// startpoint node's, whose pre-state (the launch seed) the caller
-/// provides: see the module docs for who writes what.
+/// provides: see the module docs for who writes what. The arena counts
+/// the rows merged and skipped.
 ///
 /// # Panics
 ///
 /// Panics when a merge does not fill its row's capacity exactly: the
 /// capacities no longer describe the graph (the level runner contains it).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn level_chunk<const MIN: bool>(
     st: &Static,
     done: Lanes<'_>,
     nodes: std::ops::Range<usize>,
+    scope: Scope,
     mean_cur: &mut [f64],
     sigma_cur: &mut [f64],
     sp_cur: &mut [u32],
@@ -1017,6 +1091,11 @@ pub(crate) fn level_chunk<const MIN: bool>(
         if fanin.is_empty() {
             continue;
         }
+        if scope.skips(st, v) {
+            arena.skipped += 1;
+            continue;
+        }
+        arena.merged += 1;
         let seeded = st.source_of[v] != u32::MAX;
         for rf in 0..2 {
             let w = st.queue_slots(row, rf);
@@ -1471,7 +1550,8 @@ mod merge_tests {
         }
         let mut arena = MergeArena::default();
         let (w_mean, w_sigma, w_sp) = (&mut qm[..], &mut qs[..], &mut qsp[..]);
-        level_chunk::<MIN>(&st, parents, child..child + 1, w_mean, w_sigma, w_sp, &mut arena);
+        let (nodes, all) = (child..child + 1, super::Scope::All);
+        level_chunk::<MIN>(&st, parents, nodes, all, w_mean, w_sigma, w_sp, &mut arena);
 
         for (rf, want) in want.iter().enumerate() {
             for (j, c) in want.iter().enumerate() {
@@ -1517,7 +1597,9 @@ mod merge_tests {
     /// Nothing depends on a pass-wide reset: with every lane overwritten
     /// by live-looking garbage, every full pass
     /// lands on the queues of a fresh twin (dense view: every live entry,
-    /// virtual nodes included).
+    /// virtual nodes included). Hold computes only the nodes that reach an
+    /// endpoint: those land on the twin's queues, and every other row keeps
+    /// the garbage it held.
     #[test]
     fn full_passes_do_not_depend_on_what_the_arrays_held() {
         // Levels wide enough for the two-thread launch.
@@ -1556,10 +1638,16 @@ mod merge_tests {
                     *m = 1e6 + i as f64;
                 }
                 let what = format!("{name}, K={top_k}, {n_threads} threads");
+                let garbage = dirty.dead_row_bits();
                 assert_eq!(pass(&mut dirty), pass(&mut fresh), "{what}: report");
-                let (d, f) = (dirty.topk_snapshot(), fresh.topk_snapshot());
+                let (d, f) = if name == "propagate_hold" {
+                    assert!(dirty.dead_row_bits() == garbage, "{what}: a dead row moved");
+                    (dirty.live_topk_snapshot(), fresh.live_topk_snapshot())
+                } else {
+                    (dirty.topk_snapshot(), fresh.topk_snapshot())
+                };
                 let same = |x: &[f64], y: &[f64]| {
-                    x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
+                    x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
                 };
                 assert!(d.3 == f.3, "{what}: startpoints");
                 assert!(same(&d.0, &f.0), "{what}: arrivals");

@@ -16,6 +16,8 @@
 
 #[cfg(debug_assertions)]
 use crate::engine::RowsMut;
+#[cfg(debug_assertions)]
+use crate::forward::Scope;
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, PoisonedArray};
 use crate::forward::{corner, queue_of};
@@ -138,22 +140,27 @@ fn poisoned_entry<const MIN: bool>(
     None
 }
 
-/// Debug-build poison check over the rows of level `l`'s `nodes`, as the
-/// forward kernel just wrote them (every slot of them is live).
+/// Debug-build poison check over the rows of level `l`'s `nodes` that
+/// `scope` computes, as the forward kernel just wrote them (every slot of
+/// them is live; a skipped row holds whatever it held).
 #[cfg(debug_assertions)]
 pub(crate) fn debug_assert_topk_level_clean(
     st: &Static,
     rows: &RowsMut<'_>,
     nodes: std::ops::Range<usize>,
+    scope: Scope,
     l: usize,
 ) {
-    let n = st.slots(st.rows(nodes)).len();
-    for (i, (m, s)) in rows.mean[..n].iter().zip(&rows.sigma[..n]).enumerate() {
-        debug_assert!(
-            m.is_finite() && s.is_finite(),
-            "poisoned top-k entry ({m}, {s}) in row {} (level {l})",
-            st.slot_base.partition_point(|&b| 2 * b as usize <= rows.origin + i) - 1,
-        );
+    for v in nodes.filter(|&v| !scope.skips(st, v)) {
+        let Some(row) = st.row_of(v) else { continue };
+        let at = st.slots(row..row + 1);
+        let at = at.start - rows.origin..at.end - rows.origin;
+        for (m, s) in rows.mean[at.clone()].iter().zip(&rows.sigma[at]) {
+            debug_assert!(
+                m.is_finite() && s.is_finite(),
+                "poisoned top-k entry ({m}, {s}) in row {row} of node {v} (level {l})",
+            );
+        }
     }
 }
 

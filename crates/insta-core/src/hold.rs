@@ -20,17 +20,22 @@
 //! beat the late capture edge plus the hold margin, with CPPR credit
 //! *reducing* the requirement.
 //!
-//! The pass overwrites the shared Top-K rows in the order of negated early
-//! corners (`State::early`; a corner itself is never stored, the hold
-//! check recomputes it per entry) and leaves them marked out of sync, so
+//! The pass returns a report and leaves no row anyone reads afterwards, so
+//! it writes live rows only (`crate::forward::Scope::Live`): a node with
+//! no path to an endpoint — a quarter of the generated designs — is
+//! neither merged nor seeded, and its row keeps its pre-pass bits. The live
+//! rows are overwritten in the order of negated early corners
+//! (`State::early`; a corner itself is never stored, the hold check
+//! recomputes it per entry) and the rows are left marked out of sync, so
 //! point reads ([`InstaEngine::arrival_at`]) answer `None` until the next
-//! setup pass.
+//! setup pass, which rewrites every row. The `hold` span's `live` and
+//! `dead` fields count the rows merged and skipped.
 //!
 //! [`InstaConfig::n_threads`]: crate::engine::InstaConfig::n_threads
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::InstaError;
-use crate::forward::{forward, pass_fields, queue_of};
+use crate::forward::{forward, pass_fields, queue_of, Scope, Tally};
 use crate::metrics::InstaReport;
 use crate::parallel::{PassOptions, VirtualQueue};
 use crate::stat;
@@ -108,17 +113,20 @@ impl InstaEngine {
         self.validity.begin_full_pass();
         self.trace.begin("hold");
         // No level profile: `forward.kernel_ms` stays the setup kernel's.
-        let mut fallbacks = 0;
+        // A report-only pass: the rows of nodes no endpoint sees keep
+        // their bits.
+        let mut tally = Tally::default();
         let res = forward::<true>(
             &self.st,
             &mut self.state,
+            Scope::Live,
             self.cfg.n_threads,
             opts,
             None,
             &|i| (attrs.source_mean[i], attrs.source_sigma[i]),
-            &mut fallbacks,
+            &mut tally,
         );
-        self.trace.end_with(&pass_fields(&res, fallbacks));
+        self.trace.end_with(&pass_fields(&res, &tally));
         self.settle(res)?;
         Ok(evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr))
     }

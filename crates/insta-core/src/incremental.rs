@@ -62,6 +62,15 @@
 //! ([`crate::parallel`]: poll, containment, one retry, profile row), with
 //! the worklist as its work items; the LSE buffers are only left stale.
 //!
+//! **A what-if lane's cone is live only.** A lane ([`crate::batch`])
+//! returns a report and keeps no row, so its sweep runs in
+//! `Scope::Live`: a node no endpoint can see (`Static::live`) is neither
+//! queued nor recomputed, and its row keeps its bits. The induction above
+//! holds on the live nodes alone, because a live node's parents are live.
+//! The seeds are still counted whole, dead ones included, so a lane takes
+//! the route its serial twin takes. A session's cone computes every node:
+//! its rows are read after it.
+//!
 //! **The undo log.** There is one way to take a sweep back. The old
 //! entries a node's compare needs are copied out before its recompute
 //! anyway; they are appended — with the node id: 20 bytes an entry, as
@@ -90,8 +99,10 @@
 //!
 //! **Its budget.** Logged whole, the rare resize that moves a quarter of
 //! the graph put 4 MB (9.8 %) on `eco_block5_k8`'s peak RSS, so a session
-//! keeps at most `SESSION_LOG_BYTES` of recomputes. A sweep that outgrows
-//! them gives the node half of the log up and sweeps on: the update costs
+//! keeps at most `SESSION_LOG_BYTES` of recomputes, counted in the bytes
+//! the node half actually holds (rows are sized by reach, so a recompute
+//! costs what its row holds, not K entries). A sweep that outgrows them
+//! gives the node half of the log up and sweeps on: the update costs
 //! what it did, and only a *rollback* pays — like a full pass inside the
 //! session, the sweep leaves the ledger uncovered (`crate::validity`) and
 //! is re-synced by a full pass. A lane has no budget because it has no such
@@ -100,7 +111,7 @@
 
 use crate::engine::{DriftState, InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
-use crate::forward::{level_chunk, seed_level, source_launch};
+use crate::forward::{level_chunk, seed_level, source_launch, Scope};
 use crate::metrics::InstaReport;
 use crate::parallel::{MergeArena, Pass, PassOptions};
 use crate::trace::LevelProfile;
@@ -118,9 +129,11 @@ use insta_refsta::eco::ArcDelta;
 const CONE_SEED_SHARE: usize = 64;
 
 /// What a session's undo log may hold of node recomputes (module docs):
-/// 3 236 stored nodes at K = 8 with every queue full, where 90 % of
-/// `eco_block5_k8`'s updates visit under 520 nodes, most of them virtual,
-/// and 1 % more than 2 000; 2.5 % of that workload's peak RSS at the most.
+/// 4 bytes a logged node and [`SLOT_BYTES`] an entry. At K = 8 that is
+/// 3 236 stored nodes whose queues are all full, and more where rows hold
+/// fewer entries; 90 % of `eco_block5_k8`'s updates visit under 520 nodes,
+/// most of them virtual, and 1 % more than 2 000. 2.5 % of that workload's
+/// peak RSS at the most.
 const SESSION_LOG_BYTES: usize = 1 << 20;
 
 /// What one queue entry costs the log: startpoint, mean, sigma.
@@ -147,35 +160,36 @@ pub(crate) struct ConeScratch {
     old_sigma: Vec<f64>,
     /// Logged annotation writes: (expanded arc, old mean, old sigma).
     pub(crate) log_arc: Vec<(u32, [f64; 2], [f64; 2])>,
-    /// The recomputes [`SESSION_LOG_BYTES`] pay for.
-    log_cap: usize,
     arena: MergeArena,
     /// What the last sweep did (the `forward.cone` span's payload); `nodes`
     /// are recomputes, a virtual node passed through is one of `passed`,
-    /// and `arcs` are the recomputes' fanin arcs.
+    /// `arcs` are the recomputes' fanin arcs, and `dead` the stored nodes a
+    /// live-only sweep did not queue.
     seeds: usize,
     levels: usize,
     pub(crate) nodes: usize,
     pub(crate) pruned: usize,
     pub(crate) passed: usize,
     pub(crate) arcs: usize,
+    pub(crate) dead: usize,
 }
 
 impl ConeScratch {
-    pub(crate) fn new(n: usize, num_levels: usize, k: usize) -> Self {
+    pub(crate) fn new(n: usize, num_levels: usize) -> Self {
         // The budget's worth of log, mapped once and resident only as far as
-        // written: grown by doubling, it leaves as much again in freed blocks.
-        let log_cap = SESSION_LOG_BYTES / (4 + SLOT_BYTES * 2 * k);
+        // written: grown by doubling, it leaves as much again in freed
+        // blocks. Room for the budget's entries, and for its nodes when
+        // each row holds one entry a queue.
+        let entries = SESSION_LOG_BYTES / SLOT_BYTES;
         Self {
             stamp: vec![0; n],
             epoch: 0,
             frontier: vec![Vec::new(); num_levels],
-            log_node: Vec::with_capacity(log_cap),
-            old_sp: Vec::with_capacity(log_cap * 2 * k),
-            old_mean: Vec::with_capacity(log_cap * 2 * k),
-            old_sigma: Vec::with_capacity(log_cap * 2 * k),
+            log_node: Vec::with_capacity(SESSION_LOG_BYTES / (4 + 2 * SLOT_BYTES)),
+            old_sp: Vec::with_capacity(entries),
+            old_mean: Vec::with_capacity(entries),
+            old_sigma: Vec::with_capacity(entries),
             log_arc: Vec::new(),
-            log_cap,
             arena: MergeArena::default(),
             seeds: 0,
             levels: 0,
@@ -183,6 +197,7 @@ impl ConeScratch {
             pruned: 0,
             passed: 0,
             arcs: 0,
+            dead: 0,
         }
     }
 
@@ -196,17 +211,23 @@ impl ConeScratch {
         self.epoch += 1;
         self.frontier.iter_mut().for_each(Vec::clear);
         (self.seeds, self.levels, self.nodes, self.pruned) = (0, 0, 0, 0);
-        (self.passed, self.arcs) = (0, 0);
+        (self.passed, self.arcs, self.dead) = (0, 0, 0);
         self.arena.fallbacks = 0;
     }
 
-    /// Queues `v` on its level's worklist unless this sweep already did.
+    /// Queues `v` on its level's worklist unless this sweep already met it,
+    /// and returns whether it is new. A node `scope` leaves alone is met
+    /// but not queued.
     #[inline]
-    fn enqueue(&mut self, st: &Static, v: u32) -> bool {
+    fn enqueue(&mut self, st: &Static, v: u32, scope: Scope) -> bool {
         let fresh = self.stamp[v as usize] != self.epoch;
         if fresh {
             self.stamp[v as usize] = self.epoch;
-            self.frontier[crate::health::level_of(st, v as usize)].push(v);
+            if scope.skips(st, v as usize) {
+                self.dead += usize::from(st.row_of(v as usize).is_some());
+            } else {
+                self.frontier[crate::health::level_of(st, v as usize)].push(v);
+            }
         }
         fresh
     }
@@ -216,7 +237,8 @@ impl ConeScratch {
         self.arena.fallbacks
     }
 
-    /// Whether the current sweep recomputed node `v`.
+    /// Whether the current sweep recomputed node `v` (or, for a node a
+    /// live-only sweep leaves alone, met it).
     #[inline]
     pub(crate) fn recomputed(&self, v: u32) -> bool {
         self.stamp[v as usize] == self.epoch
@@ -302,11 +324,15 @@ impl ConeScratch {
         self.old_sigma.clear();
     }
 
+    /// Bytes the node half of the log holds right now: what
+    /// [`SESSION_LOG_BYTES`] budgets.
+    fn node_log_bytes(&self) -> usize {
+        self.log_node.len() * 4 + self.old_sp.len() * SLOT_BYTES
+    }
+
     /// Bytes the log holds right now.
     pub(crate) fn log_bytes(&self) -> usize {
-        self.log_node.len() * 4
-            + self.old_sp.len() * SLOT_BYTES
-            + self.log_arc.len() * (4 + 16 + 16)
+        self.node_log_bytes() + self.log_arc.len() * (4 + 16 + 16)
     }
 }
 
@@ -418,14 +444,14 @@ impl InstaEngine {
     /// Runs the seeded sweep under its `forward.cone` span.
     fn run_cone(&mut self, opts: &PassOptions) -> Result<(), InstaError> {
         self.trace.begin("forward.cone");
-        let log_budget = self.cone.log_cap;
         let res = cone_sweep(
             &self.st,
             &mut self.state,
             &mut self.cone,
+            Scope::All,
             opts,
             self.trace.profile_mut(Kernel::Forward),
-            Some((log_budget, &mut self.validity)),
+            Some(&mut self.validity),
         );
         let c = &self.cone;
         self.trace.end_with(&[
@@ -484,10 +510,11 @@ impl<'e> Txn<'e> {
     }
 
     /// A what-if lane's write: `deltas`, then their cone swept over the
-    /// engine's rows, which must be the full pass's output for the
-    /// annotations before the write. No `forward.cone` span and no level
-    /// profile (the call's one `batch.sweep` span carries the totals), and
-    /// no log budget: the log is the lane's only way back.
+    /// engine's live rows, which must be the full pass's output for the
+    /// annotations before the write (module docs, "A what-if lane's cone is
+    /// live only"). No `forward.cone` span and no level profile (the call's
+    /// one `batch.sweep` span carries the totals), and no log budget: the
+    /// log is the lane's only way back.
     pub(crate) fn sweep(
         &mut self,
         deltas: &[ArcDelta],
@@ -497,9 +524,9 @@ impl<'e> Txn<'e> {
             st, state, cone, ..
         } = &mut *self.eng;
         cone.annotate(st, deltas);
-        let seeded = seed_cone(st, cone, deltas.iter().map(|d| d.arc));
+        let seeded = seed_cone(st, cone, deltas.iter().map(|d| d.arc), Scope::Live);
         debug_assert!(seeded, "lanes past the seed switch run as full passes");
-        cone_sweep(st, state, cone, opts, None, None)
+        cone_sweep(st, state, cone, Scope::Live, opts, None, None)
     }
 
     /// Validates, re-annotates and re-propagates: the body of
@@ -514,7 +541,8 @@ impl<'e> Txn<'e> {
         eng.validate_deltas(deltas)?;
         let synced = eng.validity.topk_current();
         eng.reannotate_unchecked(deltas);
-        if synced && seed_cone(&eng.st, &mut eng.cone, deltas.iter().map(|d| d.arc)) {
+        let arcs = deltas.iter().map(|d| d.arc);
+        if synced && seed_cone(&eng.st, &mut eng.cone, arcs, Scope::All) {
             eng.last_incident = None;
             eng.run_cone(opts)?;
             // Only endpoints on recomputed nodes can have moved; the
@@ -594,18 +622,20 @@ impl Drop for Txn<'_> {
 }
 
 /// Opens a sweep seeded with the children of every expansion of the given
-/// (re-annotated) graph arcs. Returns `false` when the distinct seeds
-/// exceed the [`CONE_SEED_SHARE`] switch: the full pass is the cheaper way
-/// to re-sync then.
+/// (re-annotated) graph arcs that `scope` computes. Returns `false` when
+/// the distinct seeds — every one, whatever `scope` — exceed the
+/// [`CONE_SEED_SHARE`] switch: the full pass is the cheaper way to re-sync
+/// then.
 pub(crate) fn seed_cone(
     st: &Static,
     cone: &mut ConeScratch,
     graph_arcs: impl Iterator<Item = u32>,
+    scope: Scope,
 ) -> bool {
     cone.begin();
     for g in graph_arcs {
         for &e in st.expansion(g as usize) {
-            cone.seeds += usize::from(cone.enqueue(st, st.arc_child[e as usize]));
+            cone.seeds += usize::from(cone.enqueue(st, st.arc_child[e as usize], scope));
         }
         if cone.seeds * CONE_SEED_SHARE > st.n {
             return false;
@@ -616,16 +646,18 @@ pub(crate) fn seed_cone(
 
 /// The frontier-driven sweep over Top-K arrays that are the full pass's
 /// output for the annotations before the seeding arcs changed (see the
-/// module docs). Seeds are already on `cone`'s worklists. `log_budget` is
-/// how many recomputes the undo log may hold, judged once per level, and
-/// the ledger to tell when a sweep past it gives them up; a lane has none.
+/// module docs), over the nodes `scope` computes. Seeds are already on
+/// `cone`'s worklists. `log_budget` is the ledger to tell when the undo
+/// log outgrows [`SESSION_LOG_BYTES`], judged once per level, and gives
+/// its recomputes up; a lane has none.
 pub(crate) fn cone_sweep(
     st: &Static,
     state: &mut State,
     cone: &mut ConeScratch,
+    scope: Scope,
     opts: &PassOptions,
     prof: Option<&mut LevelProfile>,
-    mut log_budget: Option<(usize, &mut Validity)>,
+    mut log_budget: Option<&mut Validity>,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     // The cone runs on one thread: a dirty level is one inline cut.
     let mut pass = Pass::begin(Kernel::Forward, 1, opts, prof);
@@ -651,7 +683,7 @@ pub(crate) fn cone_sweep(
                 // to compare against, so the retry queues every fanout.
                 let panicked = launch.run(window, |_, (state, cone)| {
                     let [recomputed, pruned, passed, arcs] =
-                        cone_level(st, state, cone, &nodes, launch.retry);
+                        cone_level(st, state, cone, scope, &nodes, launch.retry);
                     cone.nodes += recomputed;
                     cone.pruned += pruned;
                     cone.passed += passed;
@@ -663,8 +695,8 @@ pub(crate) fn cone_sweep(
         )?;
         cone.levels += 1;
         cone.frontier[l] = nodes;
-        if let Some((cap, ledger)) = &mut log_budget {
-            if cone.log_node.len() > *cap {
+        if let Some(ledger) = &mut log_budget {
+            if cone.node_log_bytes() > SESSION_LOG_BYTES {
                 cone.forget_nodes();
                 ledger.log_gave_up();
             }
@@ -673,8 +705,9 @@ pub(crate) fn cone_sweep(
     Ok(pass.finish())
 }
 
-/// Recomputes one level's worklist in place and queues the fanout of every
-/// node whose entries changed (all of them under `force`). Returns how
+/// Recomputes one level's worklist in place and queues the fanout `scope`
+/// computes of every node whose entries changed (all of them under
+/// `force`). Returns how
 /// many nodes were recomputed, how many of those pruned, how many virtual
 /// nodes passed through, and the recomputes' fanin arcs.
 ///
@@ -685,6 +718,7 @@ fn cone_level(
     st: &Static,
     state: &mut State,
     cone: &mut ConeScratch,
+    scope: Scope,
     nodes: &[u32],
     force: bool,
 ) -> [usize; 4] {
@@ -693,7 +727,7 @@ fn cone_level(
         let v = v as usize;
         let Some(row) = st.row_of(v) else {
             passed += 1;
-            cone.enqueue(st, st.consumer_of(v));
+            cone.enqueue(st, st.consumer_of(v), scope);
             continue;
         };
         recomputed += 1;
@@ -711,10 +745,11 @@ fn cone_level(
             let (done, mut cur) = state.split_at_row(st, row);
             // The full pass's pre-state of a startpoint node: its launch
             // seed. The body owns every other queue outright.
-            seed_level(st, &mut cur, v..v + 1, &source_launch(st));
+            seed_level(st, &mut cur, v..v + 1, scope, &source_launch(st));
             let n = slots.len();
             let (mean, sigma, sp) = (&mut cur.mean[..n], &mut cur.sigma[..n], &mut cur.sp[..n]);
-            level_chunk::<false>(st, done, v..v + 1, mean, sigma, sp, &mut cone.arena);
+            let arena = &mut cone.arena;
+            level_chunk::<false>(st, done, v..v + 1, scope, mean, sigma, sp, arena);
         }
         // Old and new entries of the node, on bits.
         let changed = force || {
@@ -727,7 +762,7 @@ fn cone_level(
         };
         if changed {
             for &e in st.fanout(v) {
-                cone.enqueue(st, st.arc_child[e as usize]);
+                cone.enqueue(st, st.arc_child[e as usize], scope);
             }
         } else {
             pruned += 1;
@@ -877,14 +912,103 @@ mod tests {
         } = &mut eng;
         for mean in [180.0, 20.0] {
             cone.annotate(st, &[delta(mean)]);
-            assert!(super::seed_cone(st, cone, std::iter::once(g as u32)));
-            super::cone_sweep(st, state, cone, &PassOptions::default(), None, None)
+            let all = crate::forward::Scope::All;
+            assert!(super::seed_cone(st, cone, std::iter::once(g as u32), all));
+            super::cone_sweep(st, state, cone, all, &PassOptions::default(), None, None)
                 .expect("clean sweep");
             assert!(cone.nodes > cone.pruned, "the delta must move its cone");
         }
         cone.undo(st, state);
         cone.forget();
         assert!(before == eng.undo_image(), "the undo left a trace");
+    }
+
+    /// The log's budget is bytes. A K = 8 session over rows that hold a
+    /// few entries each logs more recomputes than the 3 236 a megabyte held
+    /// when every queue was K wide, stays under the budget, and its
+    /// rollback is the log's copy: no full pass. Stacked past the budget,
+    /// the log is given up and the rollback re-syncs by one full pass.
+    /// Both land on the pre-session bits.
+    #[test]
+    fn the_session_log_is_budgeted_in_bytes() {
+        use super::{SESSION_LOG_BYTES, SLOT_BYTES};
+        use insta_refsta::eco::ArcDelta;
+        // Six startpoints: no row holds more than six entries a queue.
+        let design = generate_design(&GeneratorConfig {
+            n_flops: 4,
+            n_inputs: 2,
+            logic_levels: 10,
+            gates_per_level: 80,
+            ..GeneratorConfig::small("log", 3)
+        });
+        let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
+        sta.full_update(&design);
+        let cfg = InstaConfig {
+            top_k: 8,
+            ..InstaConfig::default()
+        };
+        let mut eng = InstaEngine::new(sta.export_insta_init(), cfg).expect("valid snapshot");
+        eng.propagate();
+        eng.enable_tracing();
+        let before = eng.undo_image();
+        let forward = |e: &InstaEngine| {
+            let journal = e.trace_journal().expect("tracing on");
+            journal.events().filter(|ev| ev.name == "forward").count()
+        };
+        // Arcs into the first two levels, whose cones are most of the
+        // graph, shifted on odd rounds and put back on even ones.
+        let st = &eng.st;
+        let deltas = |round: usize| -> Vec<ArcDelta> {
+            let shallow = (0..st.n_graph_arcs).filter(|&g| {
+                let e = st.expansion(g)[0] as usize;
+                crate::health::level_of(st, st.arc_child[e] as usize) <= 2
+            });
+            let shift = if round % 2 == 0 { 0.0 } else { 250.0 };
+            shallow
+                .take(8)
+                .map(|g| {
+                    let e = st.expansion(g)[0] as usize;
+                    ArcDelta {
+                        arc: g as u32,
+                        mean: st.arc_mean[e].map(|m| m + shift),
+                        sigma: st.arc_sigma[e],
+                    }
+                })
+                .collect()
+        };
+        let rounds: Vec<Vec<ArcDelta>> = (1..400).map(deltas).collect();
+        let old_cap = SESSION_LOG_BYTES / (4 + SLOT_BYTES * 2 * 8);
+
+        let mut session = eng.begin_session();
+        let mut logged = 0;
+        for d in &rounds {
+            session.update_timing(d).expect("valid deltas");
+            logged = session.engine().cone.log_node.len();
+            if logged > old_cap {
+                break;
+            }
+        }
+        assert!(logged > old_cap, "{logged} recomputes");
+        let cone = &session.engine().cone;
+        assert!(cone.node_log_bytes() <= SESSION_LOG_BYTES);
+        assert!(session.engine().validity.covered(), "the log still covers the session");
+        let passes = forward(session.engine());
+        session.rollback();
+        assert_eq!(forward(&eng), passes, "a log undo runs no pass");
+        assert!(eng.undo_image() == before, "the log undo left a trace");
+
+        let mut session = eng.begin_session();
+        for d in &rounds {
+            session.update_timing(d).expect("valid deltas");
+            if !session.engine().validity.covered() {
+                break;
+            }
+        }
+        assert!(!session.engine().validity.covered(), "the log outgrew its budget");
+        let passes = forward(session.engine());
+        session.rollback();
+        assert_eq!(forward(&eng), passes + 1, "an outgrown log re-syncs by a pass");
+        assert!(eng.undo_image() == before, "the re-sync left a trace");
     }
 
     #[test]

@@ -361,6 +361,11 @@ pub(crate) struct MergeArena {
     /// Virtual parents materialised since the arena was made (the cone
     /// sweep's arena: since its sweep began).
     pub fallbacks: u64,
+    /// Rows the level body merged, and rows it skipped because the pass
+    /// computes live nodes only, since the arena was made
+    /// (`forward::Tally`).
+    pub merged: u64,
+    pub skipped: u64,
 }
 
 impl MergeArena {

@@ -559,6 +559,51 @@ impl InstaEngine {
         }
     }
 
+    /// [`topk_snapshot`](Self::topk_snapshot) of the nodes that reach an
+    /// endpoint only: what a pass that only reports (hold) computes.
+    pub fn live_topk_snapshot(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>) {
+        self.live_only(self.topk_snapshot())
+    }
+
+    /// [`scalar_topk_snapshot`](Self::scalar_topk_snapshot) of the nodes
+    /// that reach an endpoint only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine never ran a reference pass.
+    pub fn live_scalar_topk_snapshot(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>) {
+        self.live_only(self.scalar_topk_snapshot())
+    }
+
+    /// The live nodes' queues out of a dense view whose every node owns
+    /// `2 * k` consecutive slots.
+    fn live_only(
+        &self,
+        (a, m, s, sp): (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>),
+    ) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>) {
+        fn keep<T: Copy>(x: Vec<T>, live: &[bool], k: usize) -> Vec<T> {
+            let nodes = x.chunks(2 * k).zip(live).filter(|(_, &l)| l);
+            nodes.flat_map(|(q, _)| q.iter().copied()).collect()
+        }
+        let (live, k) = (&self.st.live, self.state.k);
+        (keep(a, live, k), keep(m, live, k), keep(s, live, k), keep(sp, live, k))
+    }
+
+    /// The raw bits of every stored row of a node no endpoint sees — mean,
+    /// sigma and startpoint, no corner — in node order: what a pass that
+    /// only reports must leave as it found it.
+    pub fn dead_row_bits(&self) -> Vec<u64> {
+        let (st, state) = (&self.st, &self.state);
+        let dead = (0..st.n).filter(|&v| !st.live[v]);
+        let slots = dead.filter_map(|v| st.row_of(v)).flat_map(|r| st.slots(r..r + 1));
+        slots
+            .flat_map(|i| {
+                let (m, s) = (state.topk_mean[i], state.topk_sigma[i]);
+                [m.to_bits(), s.to_bits(), u64::from(state.topk_sp[i])]
+            })
+            .collect()
+    }
+
     /// Whether an *original* graph node id is virtual: it owns no Top-K
     /// row and its queue is computed where it is read.
     pub fn is_virtual(&self, orig_node: u32) -> bool {

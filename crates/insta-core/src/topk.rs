@@ -756,11 +756,12 @@ mod batched_tests {
                     crate::forward::forward::<false>(
                         st,
                         &mut twin.state,
+                        crate::forward::Scope::All,
                         1,
                         &crate::PassOptions::default(),
                         None,
                         &crate::forward::source_launch(st),
-                        &mut 0,
+                        &mut Default::default(),
                     )
                     .expect("clean pass");
                     let want = crate::metrics::evaluate(&twin.st, &twin.state, cppr);

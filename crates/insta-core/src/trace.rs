@@ -17,7 +17,14 @@
 //!   Every span whose pass runs the evaluation level body also carries its
 //!   `fallbacks`: how many virtual parents it had to materialise instead of
 //!   gathering through them ([`crate::forward`], "Rows, not nodes") — the
-//!   count that rises when a design stops paying for the fast path. A
+//!   count that rises when a design stops paying for the fast path — and
+//!   its `live` and `dead` counts: the rows its level bodies merged, and
+//!   the rows they skipped because no endpoint reads them
+//!   ([`crate::forward`], "Report-only passes"; `dead` is 0 where a pass
+//!   computes every node, and a quarter of the rows in block-1's `hold`).
+//!   `batch.sweep` sums them over the call's window passes, base passes and
+//!   cone lanes, a lane's recomputes counting as merged rows and the
+//!   stored nodes it did not queue as skipped ones. A
 //!   batched lane emits no `forward.cone` span of its own (64 per call
 //!   would eat the ring) and a full pass of the call no `forward` span; the
 //!   call's span carries the totals instead: the `lanes` it ran, how many

@@ -22,7 +22,7 @@
 
 use insta_engine::{
     hold_attributes, CornerTransform, DeltaSet, HoldAttributes, InstaConfig, InstaEngine,
-    InstaReport, Scenario,
+    InstaReport, PassOptions, Scenario,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_netlist::Design;
@@ -74,6 +74,15 @@ fn topk_bits(e: &InstaEngine) -> Vec<u64> {
 /// left them.
 fn scalar_bits(e: &InstaEngine) -> Vec<u64> {
     dense_bits(e.scalar_topk_snapshot())
+}
+
+/// [`topk_bits`] and [`scalar_bits`] of the live nodes only.
+fn live_topk_bits(e: &InstaEngine) -> Vec<u64> {
+    dense_bits(e.live_topk_snapshot())
+}
+
+fn live_scalar_bits(e: &InstaEngine) -> Vec<u64> {
+    dense_bits(e.live_scalar_topk_snapshot())
 }
 
 fn lse_bits(e: &InstaEngine) -> Vec<u64> {
@@ -133,16 +142,20 @@ fn forward_is_bit_identical_to_scalar_reference_across_k() {
             // What the reference engine goes on from is its stored rows.
             assert_eq!(topk_bits(&reference), scalar_bits(&reference));
 
+            // Hold computes the live nodes only: the rest keep their
+            // setup bits.
             let attrs = hold_attributes(&design, &golden);
+            let dead = fast.dead_row_bits();
             let got = report_bits(&fast.propagate_hold(&attrs));
             let want = report_bits(&reference.hold_scalar_reference(&attrs));
             assert_eq!(got, want, "hold report differs (design {}, k={k})", gen.name);
             assert_eq!(
-                topk_bits(&fast),
-                scalar_bits(&reference),
+                live_topk_bits(&fast),
+                live_scalar_bits(&reference),
                 "min-mode Top-K arrays differ (design {}, k={k})",
                 gen.name
             );
+            assert!(fast.dead_row_bits() == dead, "hold moved a dead row (k={k})");
         }
     }
 }
@@ -242,14 +255,17 @@ fn hold_min_merge_is_bit_identical_to_scalar_reference() {
         let (design, golden, mut fast) = build(&gen, InstaConfig::default());
         let (_, _, mut reference) = build(&gen, InstaConfig::default());
         let attrs = hold_attributes(&design, &golden);
+        let dead = fast.dead_row_bits();
         let got = report_bits(&fast.propagate_hold(&attrs));
         let want = report_bits(&reference.hold_scalar_reference(&attrs));
         assert_eq!(got, want, "hold report differs (seed {seed})");
+        // The live nodes, the ones hold computes; the rest keep their bits.
         assert_eq!(
-            topk_bits(&fast),
-            scalar_bits(&reference),
+            live_topk_bits(&fast),
+            live_scalar_bits(&reference),
             "min-mode Top-K arrays differ (seed {seed})"
         );
+        assert!(fast.dead_row_bits() == dead, "hold moved a dead row (seed {seed})");
     }
 }
 
@@ -1174,6 +1190,173 @@ fn every_queue_holds_the_startpoints_its_cone_can_reach() {
                 let sweep = journal.events().filter(|ev| ev.name == "batch.sweep").last();
                 let passes = sweep.and_then(|ev| ev.field("window_passes"));
                 prop_assert!(passes == Some(1.0), "{what}: a window pass ran");
+            }
+            Ok(())
+        },
+    );
+}
+
+/// `init` with logic no endpoint sees spliced in, above its last level: a
+/// startpoint at level 0 whose only reader is a chain of two virtual
+/// nodes, which ends in a merge that reads nothing else live and feeds
+/// nothing; a merge of a live node that already fans out and an
+/// endpoint, feeding that last merge; and a dangling gate. Returns the new
+/// snapshot and its graph arcs into dead nodes, by child: the merge's from
+/// the endpoint, the chain's first, the dangling gate's.
+fn with_dead_logic(init: &InstaInit, rng: &mut Rng) -> (InstaInit, [u32; 3]) {
+    let mut init = init.clone();
+    let n = init.n_nodes;
+    let mut fanout = vec![0usize; n];
+    for a in &init.fanin {
+        fanout[a.parent as usize] += 1;
+    }
+    let is_endpoint = |init: &InstaInit, v: u32| init.endpoints.iter().any(|e| e.node == v);
+    let live_fanout = (0..n as u32)
+        .rev()
+        .find(|&v| fanout[v as usize] >= 1 && !is_endpoint(&init, v))
+        .expect("a node that fans out");
+    let endpoint = init.endpoints[rng.bounded_u64(init.endpoints.len() as u64) as usize].node;
+    let gate_parent = rng.bounded_u64(n as u64) as u32;
+    let mut graph_arc = init.fanin.iter().map(|a| a.source_arc + 1).max().unwrap_or(0);
+    // A node on level `l` reading `parents`; levels past the last are
+    // opened as they are asked for.
+    let mut add = |init: &mut InstaInit, l: usize, parents: &[u32]| -> (u32, u32) {
+        let v = init.n_nodes as u32;
+        init.n_nodes += 1;
+        let first = graph_arc;
+        for &parent in parents {
+            let (rise, fall) = (stat(rng), stat(rng));
+            init.fanin.push(ExportedArc {
+                parent,
+                mean: [rise.0, fall.0],
+                sigma: [rise.1, fall.1],
+                negative_unate: rng.gen_bool(0.4),
+                source_arc: graph_arc,
+            });
+            graph_arc += 1;
+        }
+        init.fanin_start.push(init.fanin.len() as u32);
+        if l + 1 == init.level_start.len() {
+            init.level_start.push(init.order.len() as u32);
+        }
+        let at = init.level_start[l + 1] as usize;
+        init.order.insert(at, v);
+        for s in &mut init.level_start[l + 1..] {
+            *s += 1;
+        }
+        (v, first)
+    };
+    let last = init.level_start.len() - 2;
+    let (start, _) = add(&mut init, 0, &[]);
+    let (merge, into_merge) = add(&mut init, last + 1, &[endpoint, live_fanout]);
+    let (chain, into_chain) = add(&mut init, last + 1, &[start]);
+    let (_, into_gate) = add(&mut init, last + 1, &[gate_parent]);
+    let (chain2, _) = add(&mut init, last + 2, &[chain]);
+    add(&mut init, last + 3, &[chain2, merge]);
+    let (rise, fall) = (stat(rng), stat(rng));
+    init.sources.push(SourceInit {
+        node: start,
+        sp: init.sources.len() as u32,
+        mean: [rise.0, fall.0],
+        sigma: [rise.1, fall.1],
+    });
+    init.sp_leaf.push(NO_LEAF);
+    (init, [into_merge, into_chain, into_gate])
+}
+
+/// The last `name` span's `field`.
+fn span_field(e: &InstaEngine, name: &str, field: &str) -> Option<f64> {
+    let journal = e.trace_journal().expect("tracing on");
+    let last = journal.events().filter(|ev| ev.name == name).last();
+    last.and_then(|ev| ev.field(field))
+}
+
+/// Passes that only report skip what no endpoint can see, and nothing they
+/// report moves. On generated chain graphs with dead logic spliced in
+/// (`with_dead_logic`), for K ∈ {1, 2, 8, 32} on one and two threads:
+/// hold's report equals the frozen reference's and so do its live queues;
+/// delta-free corner lanes and full-pass lanes equal their rolled-back
+/// serial twins; a lane whose deltas all sit on dead arcs is its base
+/// report and recomputes nothing; and after a hold pass or an `evaluate`
+/// every dead row holds its pre-call bits.
+#[test]
+fn report_only_passes_skip_dead_logic_and_report_the_same_bits() {
+    let (corner, derate) = (CornerTransform::scale(1.08, 1.25), CornerTransform::scale(0.9, 1.1));
+    for_all(
+        Config::cases(10).seed(SUITE_SEED ^ 0xDEAD),
+        |rng| (rng.next_u64(), 4 + rng.bounded_u64(3), 24 + rng.bounded_u64(24)),
+        |&(seed, levels, width)| {
+            let (init, _, _) = chain_graph(seed, levels as usize, width as usize);
+            let mut rng = Rng::seed_from_u64(seed ^ 0xDEAD);
+            let (init, [into_merge, into_chain, into_gate]) = with_dead_logic(&init, &mut rng);
+            let attrs = HoldAttributes {
+                source_mean: (0..init.sources.len()).map(|_| [stat(&mut rng).0 * 0.5; 2]).collect(),
+                source_sigma: vec![[1.0, 2.0]; init.sources.len()],
+                required_base: vec![20.0; init.endpoints.len()],
+            };
+            let shifted = |arc: u32| {
+                let a = init.fanin.iter().find(|a| a.source_arc == arc).expect("an arc");
+                ArcDelta {
+                    arc,
+                    mean: [a.mean[0] + 40.0, a.mean[1] + 35.0],
+                    sigma: [a.sigma[0] + 2.0, a.sigma[1]],
+                }
+            };
+            let dead_lane = Scenario::from(vec![shifted(into_merge), shifted(into_chain)]);
+            let full_lane = Scenario::from(
+                (0..into_merge).filter(|g| g % 2 == 0).map(shifted).collect::<Vec<_>>(),
+            );
+            let corner_lane = Scenario::default().with_corner(corner);
+            let gate_lane = Scenario::from(vec![shifted(into_gate)]).with_corner(derate);
+            for (top_k, n_threads) in [1usize, 2, 8, 32].into_iter().flat_map(|k| [(k, 1), (k, 2)]) {
+                let what = format!("seed {seed:#x}, K={top_k}, {n_threads} threads");
+                let cfg = InstaConfig {
+                    top_k,
+                    n_threads,
+                    ..InstaConfig::default()
+                };
+                let mut a = InstaEngine::new(init.clone(), cfg.clone()).map_err(|e| e.to_string())?;
+                let mut r = InstaEngine::new(init.clone(), cfg).expect("valid");
+                // Every node owns 2K slots of the dense view: six are dead.
+                let nodes = |d: Dense| d.0.len() / (2 * top_k);
+                prop_assert_eq!(nodes(a.topk_snapshot()) - nodes(a.live_topk_snapshot()), 6);
+                a.propagate();
+                a.enable_tracing();
+
+                // Hold: the three dead merges are skipped, and only they.
+                let dead = a.dead_row_bits();
+                let hold = report_bits(&a.propagate_hold(&attrs));
+                prop_assert!(hold == report_bits(&r.hold_scalar_reference(&attrs)), "{what}: hold report");
+                prop_assert!(live_topk_bits(&a) == live_scalar_bits(&r), "{what}: hold's live queues");
+                prop_assert!(a.dead_row_bits() == dead, "{what}: hold moved a dead row");
+                prop_assert_eq!(span_field(&a, "hold", "dead"), Some(3.0));
+
+                // A lane on dead arcs only: its base, no recompute.
+                let base = report_bits(a.propagate());
+                let dead = a.dead_row_bits();
+                let got = a.evaluate(&[dead_lane.clone()], &PassOptions::default());
+                let lane = got.scenarios[0].outcome.as_ref().map_err(|e| e.to_string())?;
+                prop_assert!(report_bits(lane) == base, "{what}: the dead lane is its base");
+                prop_assert_eq!(span_field(&a, "batch.sweep", "cone_lanes"), Some(1.0));
+                prop_assert_eq!(span_field(&a, "batch.sweep", "nodes"), Some(0.0));
+                prop_assert!(span_field(&a, "batch.sweep", "dead") >= Some(1.0), "{what}");
+
+                // Window lanes (a delta-free corner, a lane past the seed
+                // switch) and a corner lane over a base pass.
+                let scs = [corner_lane.clone(), full_lane.clone(), gate_lane.clone()];
+                let got = a.evaluate(&scs, &PassOptions::default());
+                prop_assert_eq!(span_field(&a, "batch.sweep", "window_passes"), Some(2.0));
+                prop_assert_eq!(span_field(&a, "batch.sweep", "base_passes"), Some(1.0));
+                prop_assert!(report_bits(a.report()) == base, "{what}: the call moved the report");
+                prop_assert!(a.dead_row_bits() == dead, "{what}: evaluate moved a dead row");
+                for (i, sc) in scs.iter().enumerate() {
+                    let lane = got.scenarios[i].outcome.as_ref().map_err(|e| e.to_string())?;
+                    let deltas = a.scenario_twin_deltas(sc);
+                    let mut session = a.begin_session();
+                    let twin = session.update_timing(&deltas).map_err(|e| e.to_string())?;
+                    session.rollback();
+                    prop_assert!(report_bits(lane) == report_bits(&twin), "{what}: lane {i}");
+                }
             }
             Ok(())
         },
