@@ -310,13 +310,13 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// A pass that only reports skips what no endpoint can see: block-1's
-    /// hold pass at the Table-I K skips at least a fifth of the rows it
-    /// would merge (27.5 % of block-1's nodes reach no endpoint), as its
-    /// `hold` span's `live` and `dead` counts say, so the dead work cannot
-    /// come back silently.
+    /// No pass computes what no endpoint can see: block-1's fused setup
+    /// pass and its hold pass at the Table-I K each skip at least a fifth
+    /// of the rows they would merge (27.5 % of block-1's nodes reach no
+    /// endpoint), as their spans' `live` and `dead` counts say, so the dead
+    /// work cannot come back silently in either.
     #[test]
-    fn block1_hold_pass_skips_the_rows_no_endpoint_sees() {
+    fn block1_setup_and_hold_skip_the_rows_no_endpoint_sees() {
         use insta_engine::{hold_attributes, InstaConfig, InstaEngine};
         use insta_refsta::{RefSta, StaConfig};
         let design = block_specs()[0].build();
@@ -326,26 +326,30 @@ mod tests {
         let mut engine =
             InstaEngine::new(sta.export_insta_init(), InstaConfig::default()).expect("valid");
         engine.enable_tracing();
+        engine.propagate_fused();
         engine.propagate_hold(&attrs);
         let journal = engine.trace_journal().expect("tracing on");
-        let hold = journal.events().find(|e| e.name == "hold").expect("a hold span");
-        let (live, dead) = (hold.field("live"), hold.field("dead"));
-        let (Some(live), Some(dead)) = (live, dead) else {
-            panic!("the hold span carries no live / dead counts");
-        };
-        assert!(
-            dead >= 0.2 * (live + dead),
-            "block-1's hold pass merged {live} rows and skipped {dead}"
-        );
+        for name in ["forward_fused", "hold"] {
+            let span = journal.events().find(|e| e.name == name);
+            let span = span.unwrap_or_else(|| panic!("no {name} span"));
+            let (Some(live), Some(dead)) = (span.field("live"), span.field("dead")) else {
+                panic!("the {name} span carries no live / dead counts");
+            };
+            assert!(
+                dead >= 0.2 * (live + dead),
+                "block-1's {name} pass merged {live} rows and skipped {dead}"
+            );
+        }
     }
 
     /// The bytes-per-node budget: block-1 at the Table-I K keeps its
-    /// propagation state (what `engine.state_mb` prints) under 30 MiB —
+    /// propagation state (what `engine.state_mb` prints) under 22 MiB —
     /// it was 126 MB with a dense 28-byte slot per pin, 39.7 MiB with K
-    /// slots per queue, and is 27.8 MiB with each queue sized by the
-    /// startpoints that can reach it — so the state cannot regrow silently.
+    /// slots per queue, 27.5 MiB with each queue sized by the startpoints
+    /// that can reach it, and is 21.04 MiB with no slot for a node no
+    /// endpoint sees — so the state cannot regrow silently.
     #[test]
-    fn block1_state_at_k32_stays_under_30_mib() {
+    fn block1_state_at_k32_stays_under_22_mib() {
         use insta_engine::{InstaConfig, InstaEngine};
         use insta_refsta::{RefSta, StaConfig};
         let design = block_specs()[0].build();
@@ -357,7 +361,7 @@ mod tests {
         let (rows, nodes) = (engine.num_rows(), engine.num_nodes());
         assert!(rows * 2 < nodes, "{rows} rows for {nodes} nodes");
         let mib = engine.state_bytes() as f64 / (1024.0 * 1024.0);
-        assert!(mib < 30.0, "block-1 state is {mib:.1} MiB at K=32");
+        assert!(mib < 22.0, "block-1 state is {mib:.2} MiB at K=32");
     }
 
     /// The window pass's byte budget: on block-3 at K=8 (the

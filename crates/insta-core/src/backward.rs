@@ -198,6 +198,8 @@ fn sweep(
 }
 
 /// The body of one cut: pulls gradient contributions for nodes in `range`.
+/// A node no endpoint sees is skipped, as by every pass: its gradients and
+/// its fanout arcs' stay 0.
 ///
 /// `done` holds `grad_arrival[split..]` (all strictly later levels); `cur`
 /// holds the range's own gradient slots (seeded with endpoint gradients);
@@ -216,7 +218,7 @@ fn backward_chunk(
     for v in range {
         let slots =
             st.fanout_start[v] as usize..st.fanout_start[v + 1] as usize;
-        if slots.is_empty() {
+        if slots.is_empty() || !st.live[v] {
             continue;
         }
         let mut acc = [0.0_f64; 2];

@@ -38,14 +38,11 @@
 //!   not touched. As for its twin's `update_timing`, the drift budget
 //!   plays no part in the route.
 //!
-//! **Only what an endpoint sees.** Every pass and sweep of a call returns
-//! a report and leaves no row anyone reads afterwards, so each computes
-//! the nodes that reach an endpoint (`forward::Scope::Live`): a window
-//! pass and a corner's base pass skip the rest, and a cone lane neither
-//! queues nor recomputes a node no endpoint sees — a lane whose deltas
-//! all sit on such arcs is its base's report. Its seeds are still counted
-//! whole, so a lane routes as its serial twin does. The `batch.sweep` span
-//! counts the rows merged (`live`) and skipped (`dead`).
+//! **Only what an endpoint sees.** Like every pass (`crate::forward`,
+//! "What a pass computes"), a call's passes and sweeps compute only the
+//! nodes that reach an endpoint: a lane whose deltas all sit on arcs into
+//! other nodes is its base's report. The `batch.sweep` span counts the
+//! rows merged (`live`) and skipped (`dead`).
 //!
 //! **Why a lane equals its serial twin.** The cone sweep lands on the full
 //! pass's bits for any base that is the full pass's output over the
@@ -57,10 +54,7 @@
 //! annotations [`scenario_twin_deltas`](InstaEngine::scenario_twin_deltas)
 //! writes. A full-pass lane *is* that full pass, and a window pass is the
 //! full pass's driver and level body reading its rows through a slot plan,
-//! so its report has the full pass's bits. None of this needs a dead row:
-//! the full pass computes a live node from live parents alone, so a pass
-//! or a cone restricted to live nodes writes the same live rows and
-//! endpoints are live.
+//! so its report has the full pass's bits.
 //!
 //! **The call leaves no trace.** The undo is unconditional: it runs after
 //! a completed lane, a cancelled or failed sweep, a NaN slack, and from
@@ -98,7 +92,7 @@
 
 use crate::engine::{InstaEngine, State};
 use crate::error::{InstaError, RuntimeIncident};
-use crate::forward::{forward, source_launch, window_pass, Scope, Tally, Window};
+use crate::forward::{forward, source_launch, window_pass, Tally, Window};
 use crate::incremental::{seed_cone, Txn};
 use crate::metrics::InstaReport;
 use crate::parallel::PassOptions;
@@ -617,7 +611,7 @@ impl InstaEngine {
                 continue;
             }
             let arcs = lane.deltas.iter().map(|d| d.arc);
-            let cone = seed_cone(&self.st, &mut self.cone, arcs, Scope::Live);
+            let cone = seed_cone(&self.st, &mut self.cone, arcs);
             routed.push(Routed { lane: i, cone });
         }
         if routed.is_empty() {
@@ -861,15 +855,13 @@ impl LaneCall<'_> {
         nan_gate(eng, report)
     }
 
-    /// One full pass over the engine's annotations into its live rows, and
-    /// their report: the base of the group's cone lanes, which read live
-    /// rows only.
+    /// One full pass over the engine's annotations into its rows, and their
+    /// report: the base of the group's cone lanes.
     fn full_pass(&mut self, eng: &mut InstaEngine) -> Result<InstaReport, InstaError> {
         let st = &eng.st;
         let passed = forward::<false>(
             st,
             &mut eng.state,
-            Scope::Live,
             eng.cfg.n_threads,
             self.opts,
             None,

@@ -184,17 +184,18 @@ pub(crate) struct Static {
     pub row_base: Vec<u32>,
     /// Queue slots ahead of each stored row, `rows + 1` long: both queues
     /// of row `r` hold exactly `slot_base[r + 1] - slot_base[r]` entries,
-    /// `min(K, distinct startpoint ids reaching the node)` — a structural
-    /// count, the same for rise and fall and for every pass ([`capacities`]).
+    /// `min(K, distinct startpoint ids reaching the node)`, 0 for a node no
+    /// endpoint sees — a structural count, the same for rise and fall and
+    /// for every pass ([`capacities`]).
     /// The rows' lanes are a CSR over it: queue `(r, rf)` is
     /// [`queue_slots`](Self::queue_slots).
     pub slot_base: Vec<u32>,
     /// Whether node `v` reaches an endpoint (an endpoint does): structural,
     /// from one reverse sweep over the fanout CSR ([`reaches_endpoint`]).
-    /// A node no endpoint can see moves no slack, no TNS and no ∂TNS, and
-    /// a pass that only reports skips it ([`crate::forward::Scope::Live`]).
-    /// Every parent of a live node is live, so a live node reads live rows
-    /// only.
+    /// A node no endpoint can see moves no slack, no TNS and no ∂TNS, so no
+    /// pass seeds, merges, queues or stores it: its row holds nothing
+    /// ([`capacities`]) and every reader sees it unreached. Every parent of
+    /// a live node is live, so a live node reads live rows only.
     pub live: Vec<bool>,
 }
 
@@ -307,7 +308,8 @@ pub(crate) struct State {
     /// Top-K capacity.
     pub k: usize,
     /// Whether the rows are in hold's order (negated early corners): the
-    /// last full pass over them was the min pass.
+    /// last full pass over them was the min pass. Every pass writes every
+    /// row that holds an entry, so this says it of every row.
     pub early: bool,
     /// Queue entries, `2 * slot_base[rows]`, queue `(row, rf)` at
     /// [`Static::queue_slots`].
@@ -670,15 +672,16 @@ impl InstaEngine {
                 && !is_endpoint[v];
             row_base.push(row_base[v] + u32::from(!is_virtual));
         }
+        let live = reaches_endpoint(&fanout_start, &fanout_arc, &arc_child, is_endpoint);
         let slot_base = capacities(
             &fanin_start,
             &arc_parent,
             &source_of,
             &init.sources,
             &row_base,
+            &live,
             cfg.top_k,
         );
-        let live = reaches_endpoint(&fanout_start, &fanout_arc, &arc_child, is_endpoint);
 
         let st = Static {
             n,
@@ -851,7 +854,8 @@ impl InstaEngine {
     }
 
     /// The worst corner arrival at an *original* graph node id per
-    /// transition index, if any path reaches it.
+    /// transition index, if any path reaches it. A pin no endpoint sees is
+    /// not timed: `None`, as for an unreached one.
     ///
     /// Answers only while the ledger's setup Top-K row is current:
     /// `None` for every node after [`propagate_hold`](Self::propagate_hold),
@@ -865,7 +869,8 @@ impl InstaEngine {
     /// The `(mean, sigma)` of the worst (slot 0) Top-K entry of an
     /// *original* graph node id and transition — the distribution behind
     /// [`arrival_at`](Self::arrival_at)'s corner value. `None` when no path
-    /// reaches it or `rf` is not a transition index (0 rise, 1 fall), and
+    /// reaches it, no endpoint sees it (no pass times such a pin) or `rf` is
+    /// not a transition index (0 rise, 1 fall), and
     /// `None` for every node while the ledger's setup Top-K row is not
     /// current (`topk_current()`): after a hold pass the rows hold negated
     /// early corners, after a re-annotation or a failed pass they are
@@ -894,13 +899,17 @@ impl InstaEngine {
 /// (parents first), as a K-capped set of sp ids per node deduplicated by
 /// id as the merge does: a single-fanin node without a launch shares its
 /// parent's set, and a parent already at K makes the child K without
-/// looking further. The sets are freed before the rows are allocated.
+/// looking further. A node no endpoint sees ([`Static::live`]) is computed
+/// by no pass, so its row holds nothing: capacity 0, and an empty set,
+/// which only its children (dead too) read. The sets are freed before the
+/// rows are allocated.
 fn capacities(
     fanin_start: &[u32],
     arc_parent: &[u32],
     source_of: &[u32],
     sources: &[SourceInit],
     row_base: &[u32],
+    live: &[bool],
     k: usize,
 ) -> Vec<u32> {
     /// A set that reached K: its ids are never read again.
@@ -917,7 +926,9 @@ fn capacities(
         let fanin = fanin_start[v] as usize..fanin_start[v + 1] as usize;
         let own = sources.get(source_of[v] as usize).map(|s| s.sp);
         let parent = |ai: usize| set[arc_parent[ai] as usize];
-        let this = if own.is_none() && fanin.len() == 1 {
+        let this = if !live[v] {
+            (0, 0)
+        } else if own.is_none() && fanin.len() == 1 {
             parent(fanin.start)
         } else if fanin.clone().any(|ai| parent(ai).0 == FULL) {
             (FULL, k as u32)

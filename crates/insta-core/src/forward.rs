@@ -18,8 +18,8 @@
 //! through the hops (`gather_fanin`), bit-identically, and falls back to
 //! materialising only where a hop would reorder the queue or the chain is
 //! longer than `MAX_HOPS`; the pass's trace span counts those
-//! `fallbacks` (block-1 at K=32: 105 of the 82 776 reads through a virtual
-//! parent in a setup pass, 51 of them reorders; 138 in hold, 85 reorders).
+//! `fallbacks` (block-1 at K=32: 61 of the 59 238 reads through a virtual
+//! parent in a setup pass, 27 of them reorders; 87 in hold, 53 reorders).
 //! Every other reader — point reads, snapshot rows, `health_check`, hold's
 //! and the report's endpoint scan, the dense test view — gets the queue
 //! from `queue_of`, which computes it by the code that used to store it.
@@ -49,32 +49,30 @@
 //! the pass computes get their one launch entry (`seed_level`), which is
 //! every entry level 0 has (DESIGN.md "Kernel architecture").
 //!
-//! **Report-only passes.** Which nodes a pass computes is the driver's
-//! `Scope`. A pass whose rows are read afterwards — setup, the fused
-//! sweep, a session's cone — computes every node (`Scope::All`). A pass
-//! that only answers a report — hold, a window pass, a corner's base pass,
-//! a what-if lane's cone — computes the nodes that reach an endpoint
-//! (`Scope::Live`, `Static::live`): a node no endpoint can see moves no
-//! slack, and is neither seeded nor merged, so its row keeps its bits.
-//! Every parent of a live node is live, so a live node never reads a row
-//! the pass skipped. The span of the pass counts the rows it merged
-//! (`live`) and skipped (`dead`); block-1 at K=32 skips a quarter.
+//! **What a pass computes.** Every pass — setup, hold, the fused sweep, a
+//! window pass, a session's or a what-if lane's cone — computes the nodes
+//! that reach an endpoint (`Static::live`) and nothing else: a node no
+//! endpoint can see moves no slack, TNS or ∂TNS, so it is never seeded,
+//! merged, queued or stored. Its row has capacity 0 and every reader
+//! (`queue_of`) sees it empty, as unreached. Every parent of a live node
+//! is live, so a live node never reads a node no pass computes. The span
+//! of a pass counts the rows it merged (`live`) and skipped (`dead`);
+//! block-1 at K=32 skips a quarter.
 //!
-//! **Two row stores.** Where the rows live is the driver's other
-//! parameter (`PassRows`). The *in-place* store is the engine's `State`:
-//! every level is written where it is kept, the `done` view is the rows
-//! ahead of the window (the identity plan), and nothing is copied. A
-//! *window pass* (`window_pass`) answers a report and keeps no row set: it
-//! computes live nodes only, each level is written into a level buffer the
-//! size of the widest level's rows (laid out as they are in place), its
-//! endpoints are evaluated from the buffer, and a row some later live
-//! level reads is copied into a slot of `2 * K` entries it shares with
-//! rows whose readers are done (`SlotPlan`). Every read of a stored row
-//! goes through `Lanes::row`, which serves both layouts, so the level
-//! body, `gather_fanin` and `queue_of` are the in-place pass's, and the
-//! report has `metrics::evaluate`'s bits. On block-3 at K=8 the plan keeps
-//! 1 840 of 16 065 rows (11.5 %): 0.56 MiB of slots where a row set is
-//! 4.0 MiB.
+//! **Two row stores.** Where the rows live is the driver's parameter
+//! (`PassRows`). The *in-place* store is the engine's `State`: every level
+//! is written where it is kept, the `done` view is the rows ahead of the
+//! window (the identity plan), and nothing is copied. A *window pass*
+//! (`window_pass`) answers a report and keeps no row set: each level is
+//! written into a level buffer the size of the widest level's rows (laid
+//! out as they are in place), its endpoints are evaluated from the buffer,
+//! and a row some later level reads is copied into a slot of `2 * K`
+//! entries it shares with rows whose readers are done (`SlotPlan`). Every
+//! read of a stored row goes through `Lanes::row`, which serves both
+//! layouts, so the level body, `gather_fanin` and `queue_of` are the
+//! in-place pass's, and the report has `metrics::evaluate`'s bits. On
+//! block-3 at K=8 the plan keeps 1 840 of 16 065 rows (11.5 %): 0.56 MiB
+//! of slots where a row set is 4.0 MiB.
 
 use crate::engine::{InstaEngine, Lanes, Queue, RowsMut, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
@@ -117,7 +115,6 @@ impl InstaEngine {
         let res = forward::<false>(
             &self.st,
             &mut self.state,
-            Scope::All,
             self.cfg.n_threads,
             opts,
             self.trace.profile_mut(Kernel::Forward),
@@ -208,26 +205,6 @@ impl InstaEngine {
     }
 }
 
-/// Which nodes a full pass computes (module docs, "Report-only passes").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Scope {
-    /// Every node: the pass's rows are read after it (setup, the fused
-    /// sweep, a session's cone).
-    All,
-    /// The nodes that reach an endpoint ([`Static::live`]): the pass
-    /// answers a report and leaves no row anyone reads afterwards (hold, a
-    /// window pass, a corner's base pass, a what-if lane's cone).
-    Live,
-}
-
-impl Scope {
-    /// Whether the pass leaves node `v` alone: its rows keep their bits.
-    #[inline(always)]
-    pub(crate) fn skips(self, st: &Static, v: usize) -> bool {
-        self == Scope::Live && !st.live[v]
-    }
-}
-
 /// What a pass's level bodies did, summed over its merge arenas: the
 /// payload of its trace span beside `ok` ([`pass_fields`]). A failed
 /// pass's levels so far count, a retried level twice.
@@ -239,7 +216,7 @@ pub(crate) struct Tally {
     pub fallbacks: u64,
     /// Rows merged.
     pub live: u64,
-    /// Rows skipped because no endpoint reads them ([`Scope::Live`]).
+    /// Rows skipped because no endpoint sees them ([`Static::live`]).
     pub dead: u64,
 }
 
@@ -274,19 +251,18 @@ pub(crate) fn source_launch(st: &Static) -> impl Fn(usize) -> ([f64; 2], [f64; 2
     |i| (st.sources[i].mean, st.sources[i].sigma)
 }
 
-/// Makes both queues of every startpoint node in `nodes` that `scope`
-/// computes its one launch entry `(sp, launches(source))`: the pre-pass
-/// state of the only queues the level body does not own. A node with
-/// several sources takes the last one's ([`Static::source_of`]).
+/// Makes both queues of every startpoint node in `nodes` that an endpoint
+/// sees its one launch entry `(sp, launches(source))`: the pre-pass state
+/// of the only queues the level body does not own. A node with several
+/// sources takes the last one's ([`Static::source_of`]).
 pub(crate) fn seed_level(
     st: &Static,
     rows: &mut RowsMut<'_>,
     nodes: std::ops::Range<usize>,
-    scope: Scope,
     launches: &impl Fn(usize) -> ([f64; 2], [f64; 2]),
 ) {
     for v in nodes {
-        if scope.skips(st, v) {
+        if !st.live[v] {
             continue;
         }
         let i = st.source_of[v] as usize;
@@ -330,7 +306,7 @@ impl PassRows for State {
     fn retire(&mut self, _: &Static, _: usize) {}
 }
 
-/// The full evaluation pass over the nodes `scope` names: `MIN = false`
+/// The full evaluation pass over the nodes an endpoint sees: `MIN = false`
 /// is setup (the K worst late corners), `MIN = true` is hold's min pass
 /// over negated early corners ([`crate::hold`]). `launches(source)` is a
 /// startpoint's launch arrival. Adds the pass's level bodies to `tally`.
@@ -338,20 +314,18 @@ impl PassRows for State {
 pub(crate) fn forward<const MIN: bool>(
     st: &Static,
     rows: &mut impl PassRows,
-    scope: Scope,
     n_threads: usize,
     opts: &PassOptions,
     prof: Option<&mut LevelProfile>,
     launches: &impl Fn(usize) -> ([f64; 2], [f64; 2]),
     tally: &mut Tally,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
-    begin_pass(st, rows, MIN, scope, launches);
+    begin_pass(st, rows, MIN, launches);
     let mut pass = Pass::begin(Kernel::Forward, n_threads, opts, prof);
     // One merge arena per worker, reused across every level of the pass.
     let mut arenas = MergeArena::bank(pass.threads());
-    let swept = (1..st.num_levels()).try_for_each(|l| {
-        forward_level::<MIN>(st, rows, scope, &mut pass, &mut arenas, l, launches)
-    });
+    let swept = (1..st.num_levels())
+        .try_for_each(|l| forward_level::<MIN>(st, rows, &mut pass, &mut arenas, l, launches));
     tally.add(&arenas);
     swept.map(|()| pass.finish())
 }
@@ -362,7 +336,6 @@ fn begin_pass(
     st: &Static,
     rows: &mut impl PassRows,
     early: bool,
-    scope: Scope,
     launches: &impl Fn(usize) -> ([f64; 2], [f64; 2]),
 ) {
     rows.begin(early);
@@ -370,7 +343,7 @@ fn begin_pass(
         return;
     }
     let (_, mut level0) = rows.level(st, 0);
-    seed_level(st, &mut level0, st.level_range(0), scope, launches);
+    seed_level(st, &mut level0, st.level_range(0), launches);
     rows.retire(st, 0);
 }
 
@@ -383,7 +356,6 @@ fn begin_pass(
 pub(crate) fn forward_level<const MIN: bool>(
     st: &Static,
     rows: &mut impl PassRows,
-    scope: Scope,
     pass: &mut Pass<'_>,
     arenas: &mut [MergeArena],
     l: usize,
@@ -398,7 +370,7 @@ pub(crate) fn forward_level<const MIN: bool>(
             // The launches landing in the window, on every attempt: the
             // body rewrites every other queue of it whole.
             let (done, mut window) = rows.level(st, l);
-            seed_level(st, &mut window, nodes.clone(), scope, launches);
+            seed_level(st, &mut window, nodes.clone(), launches);
             // The level's rows are carved along the node cuts, one arena
             // per cut.
             let RowsMut {
@@ -415,7 +387,7 @@ pub(crate) fn forward_level<const MIN: bool>(
                 )
             });
             launch.run(windows, |cut, (mean, sigma, sp, arena)| {
-                level_chunk::<MIN>(st, done, cut, scope, mean, sigma, sp, &mut arena[0]);
+                level_chunk::<MIN>(st, done, cut, mean, sigma, sp, &mut arena[0]);
             })
         },
         |_| {},
@@ -423,7 +395,7 @@ pub(crate) fn forward_level<const MIN: bool>(
     #[cfg(debug_assertions)]
     {
         let (_, written) = rows.level(st, l);
-        crate::health::debug_assert_topk_level_clean(st, &written, nodes, scope, l);
+        crate::health::debug_assert_topk_level_clean(st, &written, nodes, l);
     }
     rows.retire(st, l);
     Ok(())
@@ -438,8 +410,8 @@ const NO_SLOT: u32 = u32::MAX;
 /// A row's *last reader* is the highest level of a live stored node that
 /// reads it: a child that gathers it, or the consumer at the end of a chain
 /// of virtual nodes below it, which gathers or materialises from it
-/// ([`gather_fanin`], [`materialise`]). A window pass computes live nodes
-/// only ([`Scope::Live`]), so a row only dead nodes read gets no slot. An
+/// ([`gather_fanin`], [`materialise`]). No pass computes a node no endpoint
+/// sees ([`Static::live`]), so a row only such nodes read gets no slot. An
 /// endpoint row is read at its own level, from the level buffer. Slots are
 /// handed out greedily, level by level: the rows whose last reader is this
 /// level give theirs back (their reads are done), then the level's rows
@@ -600,7 +572,7 @@ impl PassRows for Windowed<'_> {
 }
 
 /// A report-only setup pass (module docs, "Two row stores"): [`forward`]
-/// over `window`'s live nodes and the report of its endpoints, on
+/// into `window` and the report of its endpoints, on
 /// `metrics::evaluate`'s bits. The engine's own rows are not read or
 /// written; the report is whole only when the pass is `Ok`.
 pub(crate) fn window_pass(
@@ -618,8 +590,7 @@ pub(crate) fn window_pass(
         next_ep: 0,
     };
     let launches = source_launch(st);
-    let live = Scope::Live;
-    let passed = forward::<false>(st, &mut rows, live, n_threads, opts, None, &launches, tally);
+    let passed = forward::<false>(st, &mut rows, n_threads, opts, None, &launches, tally);
     // The aggregates in endpoint order, as every report sums them.
     rows.report.reduce(None);
     (rows.report, passed)
@@ -640,8 +611,7 @@ pub(crate) fn window_pass(
 ///
 /// Each kernel is a [`Pass`] of its own, so a level is polled once per
 /// kernel and cancels, incidents and profile rows carry the same `Kernel`
-/// attribution as the unfused passes. `tally` as in [`forward`]; the sweep
-/// computes every node.
+/// attribution as the unfused passes. `tally` as in [`forward`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_fused(
     st: &Static,
@@ -655,14 +625,14 @@ pub(crate) fn forward_fused(
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     // Pre-sweep state of both kernels, exactly as the unfused passes.
     let launches = source_launch(st);
-    begin_pass(st, state, false, Scope::All, &launches);
+    begin_pass(st, state, false, &launches);
     crate::lse::lse_reset_seed(st, state);
 
     let mut fwd = Pass::begin(Kernel::Forward, n_threads, opts, prof_fwd);
     let mut lse = Pass::begin(Kernel::ForwardLse, n_threads, opts, prof_lse);
     let mut arenas = MergeArena::bank(fwd.threads());
     let swept = (1..st.num_levels()).try_for_each(|l| {
-        forward_level::<false>(st, state, Scope::All, &mut fwd, &mut arenas, l, &launches)?;
+        forward_level::<false>(st, state, &mut fwd, &mut arenas, l, &launches)?;
         crate::lse::lse_level(st, state, &mut lse, tau, l)
     });
     tally.add(&arenas);
@@ -840,6 +810,8 @@ fn gather_through<const MIN: bool, const N: usize>(
 /// ([`gather_fanin`]) and materialises only when a hop reorders. `lanes`
 /// must hold every ancestor of `v` (the rows ahead of a level's window do:
 /// ancestors sit in earlier levels). `MIN` is the order the rows are in.
+/// A node no endpoint sees reads empty, as its row holds nothing: a
+/// virtual one is not materialised from its parent.
 #[inline(always)]
 pub(crate) fn queue_of<'a, const MIN: bool>(
     st: &Static,
@@ -850,6 +822,11 @@ pub(crate) fn queue_of<'a, const MIN: bool>(
 ) -> Queue<'a> {
     match st.row_of(v) {
         Some(row) => lanes.row(row, rf),
+        None if !st.live[v] => Queue {
+            sp: &[],
+            mean: &[],
+            sigma: &[],
+        },
         None => materialise::<MIN>(st, lanes, v, rf, scratch),
     }
 }
@@ -1060,7 +1037,7 @@ fn merge_node_queue<const MIN: bool>(
 /// `done` is every row ahead of the level's; the three `*_cur` slices are
 /// the compact slots of the rows of `nodes`. A virtual node has no row and
 /// is skipped: its queue is computed by whoever reads it ([`queue_of`]).
-/// So is a node `scope` leaves alone, whose row keeps its bits. The body
+/// So is a node no endpoint sees, whose row holds nothing. The body
 /// leaves every other queue of the chunk fully determined except a
 /// startpoint node's, whose pre-state (the launch seed) the caller
 /// provides: see the module docs for who writes what. The arena counts
@@ -1075,7 +1052,6 @@ pub(crate) fn level_chunk<const MIN: bool>(
     st: &Static,
     done: Lanes<'_>,
     nodes: std::ops::Range<usize>,
-    scope: Scope,
     mean_cur: &mut [f64],
     sigma_cur: &mut [f64],
     sp_cur: &mut [u32],
@@ -1091,7 +1067,7 @@ pub(crate) fn level_chunk<const MIN: bool>(
         if fanin.is_empty() {
             continue;
         }
-        if scope.skips(st, v) {
+        if !st.live[v] {
             arena.skipped += 1;
             continue;
         }
@@ -1284,7 +1260,7 @@ mod merge_tests {
     use crate::stat;
     use crate::topk::{Candidate, TopKQueue};
     use insta_netlist::generator::{generate_design, GeneratorConfig};
-    use insta_refsta::export::{ExportedArc, InstaInit, SourceInit, NO_LEAF};
+    use insta_refsta::export::{EndpointInit, ExportedArc, InstaInit, SourceInit, NO_LEAF};
     use insta_refsta::{RefSta, StaConfig};
     use insta_support::prop::{for_all, Config};
     use insta_support::rng::Rng;
@@ -1428,7 +1404,13 @@ mod merge_tests {
             fanin_start,
             fanin: arcs,
             sources,
-            endpoints: Vec::new(),
+            // The child is seen, so every node the pass reads is computed.
+            endpoints: vec![EndpointInit {
+                node: child as u32,
+                ep: 0,
+                required_base: 0.0,
+                leaf: NO_LEAF,
+            }],
             sp_leaf: vec![NO_LEAF; n_sp],
             clock_parent: Vec::new(),
             clock_depth: Vec::new(),
@@ -1550,8 +1532,8 @@ mod merge_tests {
         }
         let mut arena = MergeArena::default();
         let (w_mean, w_sigma, w_sp) = (&mut qm[..], &mut qs[..], &mut qsp[..]);
-        let (nodes, all) = (child..child + 1, super::Scope::All);
-        level_chunk::<MIN>(&st, parents, nodes, all, w_mean, w_sigma, w_sp, &mut arena);
+        let nodes = child..child + 1;
+        level_chunk::<MIN>(&st, parents, nodes, w_mean, w_sigma, w_sp, &mut arena);
 
         for (rf, want) in want.iter().enumerate() {
             for (j, c) in want.iter().enumerate() {
@@ -1595,11 +1577,9 @@ mod merge_tests {
     }
 
     /// Nothing depends on a pass-wide reset: with every lane overwritten
-    /// by live-looking garbage, every full pass
-    /// lands on the queues of a fresh twin (dense view: every live entry,
-    /// virtual nodes included). Hold computes only the nodes that reach an
-    /// endpoint: those land on the twin's queues, and every other row keeps
-    /// the garbage it held.
+    /// by live-looking garbage, every full pass — hold included — lands on
+    /// the queues of a fresh twin (dense view: every live entry, virtual
+    /// nodes included).
     #[test]
     fn full_passes_do_not_depend_on_what_the_arrays_held() {
         // Levels wide enough for the two-thread launch.
@@ -1638,14 +1618,8 @@ mod merge_tests {
                     *m = 1e6 + i as f64;
                 }
                 let what = format!("{name}, K={top_k}, {n_threads} threads");
-                let garbage = dirty.dead_row_bits();
                 assert_eq!(pass(&mut dirty), pass(&mut fresh), "{what}: report");
-                let (d, f) = if name == "propagate_hold" {
-                    assert!(dirty.dead_row_bits() == garbage, "{what}: a dead row moved");
-                    (dirty.live_topk_snapshot(), fresh.live_topk_snapshot())
-                } else {
-                    (dirty.topk_snapshot(), fresh.topk_snapshot())
-                };
+                let (d, f) = (dirty.topk_snapshot(), fresh.topk_snapshot());
                 let same = |x: &[f64], y: &[f64]| {
                     x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
                 };

@@ -16,8 +16,6 @@
 
 #[cfg(debug_assertions)]
 use crate::engine::RowsMut;
-#[cfg(debug_assertions)]
-use crate::forward::Scope;
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, PoisonedArray};
 use crate::forward::{corner, queue_of};
@@ -140,18 +138,17 @@ fn poisoned_entry<const MIN: bool>(
     None
 }
 
-/// Debug-build poison check over the rows of level `l`'s `nodes` that
-/// `scope` computes, as the forward kernel just wrote them (every slot of
-/// them is live; a skipped row holds whatever it held).
+/// Debug-build poison check over the rows of level `l`'s `nodes`, as the
+/// forward kernel just wrote them (every slot of them is live; the row of
+/// a node no endpoint sees holds none).
 #[cfg(debug_assertions)]
 pub(crate) fn debug_assert_topk_level_clean(
     st: &Static,
     rows: &RowsMut<'_>,
     nodes: std::ops::Range<usize>,
-    scope: Scope,
     l: usize,
 ) {
-    for v in nodes.filter(|&v| !scope.skips(st, v)) {
+    for v in nodes {
         let Some(row) = st.row_of(v) else { continue };
         let at = st.slots(row..row + 1);
         let at = at.start - rows.origin..at.end - rows.origin;

@@ -20,22 +20,21 @@
 //! beat the late capture edge plus the hold margin, with CPPR credit
 //! *reducing* the requirement.
 //!
-//! The pass returns a report and leaves no row anyone reads afterwards, so
-//! it writes live rows only (`crate::forward::Scope::Live`): a node with
-//! no path to an endpoint — a quarter of the generated designs — is
-//! neither merged nor seeded, and its row keeps its pre-pass bits. The live
+//! Like every pass it computes only the nodes that reach an endpoint
+//! (`crate::forward`, "What a pass computes"): a node with no path to an
+//! endpoint — a quarter of the generated designs — holds no entry. The
 //! rows are overwritten in the order of negated early corners
 //! (`State::early`; a corner itself is never stored, the hold check
-//! recomputes it per entry) and the rows are left marked out of sync, so
-//! point reads ([`InstaEngine::arrival_at`]) answer `None` until the next
-//! setup pass, which rewrites every row. The `hold` span's `live` and
-//! `dead` fields count the rows merged and skipped.
+//! recomputes it per entry) and left marked out of sync, so point reads
+//! ([`InstaEngine::arrival_at`]) answer `None` until the next setup pass,
+//! which rewrites every row. The `hold` span's `live` and `dead` fields
+//! count the rows merged and skipped.
 //!
 //! [`InstaConfig::n_threads`]: crate::engine::InstaConfig::n_threads
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::error::InstaError;
-use crate::forward::{forward, pass_fields, queue_of, Scope, Tally};
+use crate::forward::{forward, pass_fields, queue_of, Tally};
 use crate::metrics::InstaReport;
 use crate::parallel::{PassOptions, VirtualQueue};
 use crate::stat;
@@ -113,13 +112,10 @@ impl InstaEngine {
         self.validity.begin_full_pass();
         self.trace.begin("hold");
         // No level profile: `forward.kernel_ms` stays the setup kernel's.
-        // A report-only pass: the rows of nodes no endpoint sees keep
-        // their bits.
         let mut tally = Tally::default();
         let res = forward::<true>(
             &self.st,
             &mut self.state,
-            Scope::Live,
             self.cfg.n_threads,
             opts,
             None,

@@ -62,14 +62,13 @@
 //! ([`crate::parallel`]: poll, containment, one retry, profile row), with
 //! the worklist as its work items; the LSE buffers are only left stale.
 //!
-//! **A what-if lane's cone is live only.** A lane ([`crate::batch`])
-//! returns a report and keeps no row, so its sweep runs in
-//! `Scope::Live`: a node no endpoint can see (`Static::live`) is neither
-//! queued nor recomputed, and its row keeps its bits. The induction above
-//! holds on the live nodes alone, because a live node's parents are live.
-//! The seeds are still counted whole, dead ones included, so a lane takes
-//! the route its serial twin takes. A session's cone computes every node:
-//! its rows are read after it.
+//! **The cone is live only.** As in every pass (`crate::forward`, "What a
+//! pass computes"), a node no endpoint can see (`Static::live`) is neither
+//! queued nor recomputed: its row holds nothing. The induction above holds
+//! on the live nodes alone, because a live node's parents are live. A
+//! delta on an arc into such a node is written and logged and seeds
+//! nothing. The seeds are still counted whole, dead ones included, so the
+//! route is the full-graph count's, the same for a session and a lane.
 //!
 //! **The undo log.** There is one way to take a sweep back. The old
 //! entries a node's compare needs are copied out before its recompute
@@ -111,7 +110,7 @@
 
 use crate::engine::{DriftState, InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
-use crate::forward::{level_chunk, seed_level, source_launch, Scope};
+use crate::forward::{level_chunk, seed_level, source_launch};
 use crate::metrics::InstaReport;
 use crate::parallel::{MergeArena, Pass, PassOptions};
 use crate::trace::LevelProfile;
@@ -163,8 +162,8 @@ pub(crate) struct ConeScratch {
     arena: MergeArena,
     /// What the last sweep did (the `forward.cone` span's payload); `nodes`
     /// are recomputes, a virtual node passed through is one of `passed`,
-    /// `arcs` are the recomputes' fanin arcs, and `dead` the stored nodes a
-    /// live-only sweep did not queue.
+    /// `arcs` are the recomputes' fanin arcs, and `dead` the stored nodes it
+    /// met but did not queue because no endpoint sees them.
     seeds: usize,
     levels: usize,
     pub(crate) nodes: usize,
@@ -216,14 +215,14 @@ impl ConeScratch {
     }
 
     /// Queues `v` on its level's worklist unless this sweep already met it,
-    /// and returns whether it is new. A node `scope` leaves alone is met
-    /// but not queued.
+    /// and returns whether it is new. A node no endpoint sees is met but
+    /// not queued.
     #[inline]
-    fn enqueue(&mut self, st: &Static, v: u32, scope: Scope) -> bool {
+    fn enqueue(&mut self, st: &Static, v: u32) -> bool {
         let fresh = self.stamp[v as usize] != self.epoch;
         if fresh {
             self.stamp[v as usize] = self.epoch;
-            if scope.skips(st, v as usize) {
+            if !st.live[v as usize] {
                 self.dead += usize::from(st.row_of(v as usize).is_some());
             } else {
                 self.frontier[crate::health::level_of(st, v as usize)].push(v);
@@ -237,8 +236,8 @@ impl ConeScratch {
         self.arena.fallbacks
     }
 
-    /// Whether the current sweep recomputed node `v` (or, for a node a
-    /// live-only sweep leaves alone, met it).
+    /// Whether the current sweep recomputed node `v` (or, for a node no
+    /// endpoint sees, met it).
     #[inline]
     pub(crate) fn recomputed(&self, v: u32) -> bool {
         self.stamp[v as usize] == self.epoch
@@ -332,7 +331,7 @@ impl ConeScratch {
 
     /// Bytes the log holds right now.
     pub(crate) fn log_bytes(&self) -> usize {
-        self.node_log_bytes() + self.log_arc.len() * (4 + 16 + 16)
+        self.node_log_bytes() + std::mem::size_of_val(self.log_arc.as_slice())
     }
 }
 
@@ -448,7 +447,6 @@ impl InstaEngine {
             &self.st,
             &mut self.state,
             &mut self.cone,
-            Scope::All,
             opts,
             self.trace.profile_mut(Kernel::Forward),
             Some(&mut self.validity),
@@ -510,11 +508,10 @@ impl<'e> Txn<'e> {
     }
 
     /// A what-if lane's write: `deltas`, then their cone swept over the
-    /// engine's live rows, which must be the full pass's output for the
-    /// annotations before the write (module docs, "A what-if lane's cone is
-    /// live only"). No `forward.cone` span and no level profile (the call's
-    /// one `batch.sweep` span carries the totals), and no log budget: the
-    /// log is the lane's only way back.
+    /// engine's rows, which must be the full pass's output for the
+    /// annotations before the write. No `forward.cone` span and no level
+    /// profile (the call's one `batch.sweep` span carries the totals), and
+    /// no log budget: the log is the lane's only way back.
     pub(crate) fn sweep(
         &mut self,
         deltas: &[ArcDelta],
@@ -524,9 +521,9 @@ impl<'e> Txn<'e> {
             st, state, cone, ..
         } = &mut *self.eng;
         cone.annotate(st, deltas);
-        let seeded = seed_cone(st, cone, deltas.iter().map(|d| d.arc), Scope::Live);
+        let seeded = seed_cone(st, cone, deltas.iter().map(|d| d.arc));
         debug_assert!(seeded, "lanes past the seed switch run as full passes");
-        cone_sweep(st, state, cone, Scope::Live, opts, None, None)
+        cone_sweep(st, state, cone, opts, None, None)
     }
 
     /// Validates, re-annotates and re-propagates: the body of
@@ -542,7 +539,7 @@ impl<'e> Txn<'e> {
         let synced = eng.validity.topk_current();
         eng.reannotate_unchecked(deltas);
         let arcs = deltas.iter().map(|d| d.arc);
-        if synced && seed_cone(&eng.st, &mut eng.cone, arcs, Scope::All) {
+        if synced && seed_cone(&eng.st, &mut eng.cone, arcs) {
             eng.last_incident = None;
             eng.run_cone(opts)?;
             // Only endpoints on recomputed nodes can have moved; the
@@ -621,21 +618,19 @@ impl Drop for Txn<'_> {
     }
 }
 
-/// Opens a sweep seeded with the children of every expansion of the given
-/// (re-annotated) graph arcs that `scope` computes. Returns `false` when
-/// the distinct seeds — every one, whatever `scope` — exceed the
-/// [`CONE_SEED_SHARE`] switch: the full pass is the cheaper way to re-sync
-/// then.
+/// Opens a sweep seeded with every child an endpoint sees of the
+/// expansions of the given (re-annotated) graph arcs. Returns `false` when
+/// the distinct children — seen or not — exceed the [`CONE_SEED_SHARE`]
+/// switch: the full pass is the cheaper way to re-sync then.
 pub(crate) fn seed_cone(
     st: &Static,
     cone: &mut ConeScratch,
     graph_arcs: impl Iterator<Item = u32>,
-    scope: Scope,
 ) -> bool {
     cone.begin();
     for g in graph_arcs {
         for &e in st.expansion(g as usize) {
-            cone.seeds += usize::from(cone.enqueue(st, st.arc_child[e as usize], scope));
+            cone.seeds += usize::from(cone.enqueue(st, st.arc_child[e as usize]));
         }
         if cone.seeds * CONE_SEED_SHARE > st.n {
             return false;
@@ -646,21 +641,26 @@ pub(crate) fn seed_cone(
 
 /// The frontier-driven sweep over Top-K arrays that are the full pass's
 /// output for the annotations before the seeding arcs changed (see the
-/// module docs), over the nodes `scope` computes. Seeds are already on
-/// `cone`'s worklists. `log_budget` is the ledger to tell when the undo
-/// log outgrows [`SESSION_LOG_BYTES`], judged once per level, and gives
-/// its recomputes up; a lane has none.
+/// module docs). Seeds are already on `cone`'s worklists. `log_budget` is
+/// the ledger to tell when the undo log outgrows [`SESSION_LOG_BYTES`],
+/// judged once per level, and gives its recomputes up; a lane has none.
 pub(crate) fn cone_sweep(
     st: &Static,
     state: &mut State,
     cone: &mut ConeScratch,
-    scope: Scope,
     opts: &PassOptions,
     prof: Option<&mut LevelProfile>,
     mut log_budget: Option<&mut Validity>,
 ) -> Result<Option<RuntimeIncident>, InstaError> {
     // The cone runs on one thread: a dirty level is one inline cut.
     let mut pass = Pass::begin(Kernel::Forward, 1, opts, prof);
+    // A sweep polls once per dirty level, and once up front when it has
+    // seeds but queued none (each is a node no endpoint sees): a fired token
+    // or an expired deadline cancels it all the same. Only a sweep with no
+    // seeds — an empty batch — has nothing to cancel.
+    if cone.seeds > 0 && cone.frontier.iter().all(Vec::is_empty) {
+        pass.poll(0)?;
+    }
     for l in 1..st.num_levels() {
         if cone.frontier[l].is_empty() {
             continue;
@@ -683,7 +683,7 @@ pub(crate) fn cone_sweep(
                 // to compare against, so the retry queues every fanout.
                 let panicked = launch.run(window, |_, (state, cone)| {
                     let [recomputed, pruned, passed, arcs] =
-                        cone_level(st, state, cone, scope, &nodes, launch.retry);
+                        cone_level(st, state, cone, &nodes, launch.retry);
                     cone.nodes += recomputed;
                     cone.pruned += pruned;
                     cone.passed += passed;
@@ -705,11 +705,10 @@ pub(crate) fn cone_sweep(
     Ok(pass.finish())
 }
 
-/// Recomputes one level's worklist in place and queues the fanout `scope`
-/// computes of every node whose entries changed (all of them under
-/// `force`). Returns how
-/// many nodes were recomputed, how many of those pruned, how many virtual
-/// nodes passed through, and the recomputes' fanin arcs.
+/// Recomputes one level's worklist in place and queues the fanout of every
+/// node whose entries changed (all of them under `force`). Returns how many
+/// nodes were recomputed, how many of those pruned, how many virtual nodes
+/// passed through, and the recomputes' fanin arcs.
 ///
 /// A virtual node on the worklist is a pass-through: it has no row to
 /// recompute, compare or log, and what its consumer reads of it moved with
@@ -718,7 +717,6 @@ fn cone_level(
     st: &Static,
     state: &mut State,
     cone: &mut ConeScratch,
-    scope: Scope,
     nodes: &[u32],
     force: bool,
 ) -> [usize; 4] {
@@ -727,7 +725,7 @@ fn cone_level(
         let v = v as usize;
         let Some(row) = st.row_of(v) else {
             passed += 1;
-            cone.enqueue(st, st.consumer_of(v), scope);
+            cone.enqueue(st, st.consumer_of(v));
             continue;
         };
         recomputed += 1;
@@ -745,11 +743,11 @@ fn cone_level(
             let (done, mut cur) = state.split_at_row(st, row);
             // The full pass's pre-state of a startpoint node: its launch
             // seed. The body owns every other queue outright.
-            seed_level(st, &mut cur, v..v + 1, scope, &source_launch(st));
+            seed_level(st, &mut cur, v..v + 1, &source_launch(st));
             let n = slots.len();
             let (mean, sigma, sp) = (&mut cur.mean[..n], &mut cur.sigma[..n], &mut cur.sp[..n]);
             let arena = &mut cone.arena;
-            level_chunk::<false>(st, done, v..v + 1, scope, mean, sigma, sp, arena);
+            level_chunk::<false>(st, done, v..v + 1, mean, sigma, sp, arena);
         }
         // Old and new entries of the node, on bits.
         let changed = force || {
@@ -762,7 +760,7 @@ fn cone_level(
         };
         if changed {
             for &e in st.fanout(v) {
-                cone.enqueue(st, st.arc_child[e as usize], scope);
+                cone.enqueue(st, st.arc_child[e as usize]);
             }
         } else {
             pruned += 1;
@@ -892,6 +890,58 @@ mod tests {
         assert_eq!(before, eng.topk_snapshot(), "nothing ran before the poll");
     }
 
+    /// A sweep whose seeds are all nodes no endpoint sees queues no level,
+    /// and still polls once: a fired token or an expired deadline cancels a
+    /// session update of such an arc and a lane of one, and the session
+    /// takes its annotation writes back. An empty update has nothing to
+    /// cancel and returns the report, as an empty lane does.
+    #[test]
+    fn a_cone_that_queues_no_level_still_cancels() {
+        let (_d, _sta, mut eng) = crate::engine::tests::build_engine(47, 4);
+        eng.propagate();
+        let st = &eng.st;
+        let dead = |e: &u32| !st.live[st.arc_child[*e as usize] as usize];
+        let g = (0..st.n_graph_arcs)
+            .find(|&g| st.expansion(g).iter().all(dead))
+            .expect("fixture: an arc into a node no endpoint sees");
+        let delta = insta_refsta::eco::ArcDelta {
+            arc: g as u32,
+            mean: [77.0; 2],
+            sigma: [3.0; 2],
+        };
+        let before = eng.undo_image();
+        let tok = insta_support::timer::CancelToken::new();
+        tok.cancel();
+        let fired = [
+            PassOptions {
+                cancel: Some(tok),
+                deadline: None,
+            },
+            PassOptions {
+                cancel: None,
+                deadline: Some(insta_support::timer::Deadline::after(std::time::Duration::ZERO)),
+            },
+        ];
+        for opts in &fired {
+            let mut session = eng.begin_session().with_options(opts.clone());
+            session.update_timing(&[]).expect("an empty update has nothing to cancel");
+            let err = session.update_timing(&[delta]).expect_err("fired");
+            assert!(
+                matches!(err, crate::error::InstaError::Cancelled { level: 0, .. }),
+                "{err:?}"
+            );
+            assert_eq!(session.status(), crate::session::SessionStatus::Cancelled);
+            drop(session);
+            assert!(eng.undo_image() == before, "a cancelled session is taken back");
+            let got = eng.evaluate(&[vec![delta].into()], opts).scenarios;
+            assert!(
+                matches!(got[0].outcome, Err(crate::error::InstaError::Cancelled { level: 0, .. })),
+                "{:?}",
+                got[0].outcome
+            );
+        }
+    }
+
     /// A level re-run after a panic in the middle of it logs its nodes
     /// twice, the second time with half-new values; the reverse-order undo
     /// still puts the first, true copies back. Two logged sweeps of the
@@ -912,9 +962,8 @@ mod tests {
         } = &mut eng;
         for mean in [180.0, 20.0] {
             cone.annotate(st, &[delta(mean)]);
-            let all = crate::forward::Scope::All;
-            assert!(super::seed_cone(st, cone, std::iter::once(g as u32), all));
-            super::cone_sweep(st, state, cone, all, &PassOptions::default(), None, None)
+            assert!(super::seed_cone(st, cone, std::iter::once(g as u32)));
+            super::cone_sweep(st, state, cone, &PassOptions::default(), None, None)
                 .expect("clean sweep");
             assert!(cone.nodes > cone.pruned, "the delta must move its cone");
         }
@@ -1009,6 +1058,39 @@ mod tests {
         session.rollback();
         assert_eq!(forward(&eng), passes + 1, "an outgrown log re-syncs by a pass");
         assert!(eng.undo_image() == before, "the re-sync left a trace");
+    }
+
+    /// The log counts an annotation write at what its entry occupies: a
+    /// session's `checkpoint_bytes()` grows by exactly one `log_arc` entry
+    /// per expansion of a re-annotated graph arc. The arc leads into a node
+    /// no endpoint sees, so nothing is recomputed and the arc half of the
+    /// log is all that grows.
+    #[test]
+    fn checkpoint_bytes_count_a_logged_arc_write_at_its_size() {
+        let (_d, _sta, mut eng) = crate::engine::tests::build_engine(47, 4);
+        eng.propagate();
+        let st = &eng.st;
+        let dead = |e: &u32| !st.live[st.arc_child[*e as usize] as usize];
+        let g = (0..st.n_graph_arcs)
+            .find(|&g| st.expansion(g).iter().all(dead))
+            .expect("fixture: an arc into a node no endpoint sees");
+        let writes = st.expansion(g).len();
+        let delta = |mean: f64| insta_refsta::eco::ArcDelta {
+            arc: g as u32,
+            mean: [mean; 2],
+            sigma: [1.0; 2],
+        };
+        let mut session = eng.begin_session();
+        session.update_timing(&[delta(30.0)]).expect("valid delta");
+        let before = session.checkpoint_bytes();
+        session.update_timing(&[delta(40.0)]).expect("valid delta");
+        let entry = std::mem::size_of::<(u32, [f64; 2], [f64; 2])>();
+        assert_eq!(entry, 40, "a u32 beside f64 pairs is padded to 8 bytes");
+        assert_eq!(session.checkpoint_bytes() - before, writes * entry);
+        assert!(
+            session.engine().cone.log_node.is_empty(),
+            "nothing was recomputed"
+        );
     }
 
     #[test]

@@ -68,11 +68,11 @@ impl InstaEngine {
 }
 
 /// Applies the corner launch arrivals for sources whose node lies in
-/// `range`.
+/// `range` and reaches an endpoint.
 fn seed_lse_sources(st: &Static, state: &mut State, range: std::ops::Range<usize>) {
     for s in &st.sources {
         let v = s.node as usize;
-        if !range.contains(&v) {
+        if !range.contains(&v) || !st.live[v] {
             continue;
         }
         for rf in 0..2 {
@@ -159,7 +159,9 @@ pub(crate) fn lse_level(
 
 /// The body of one cut: nodes `range` of the level starting at
 /// `level_base`. `cur` holds the 2-per-node arrivals of the range;
-/// `weights` holds the fanin-arc weights of the range.
+/// `weights` holds the fanin-arc weights of the range. A node no endpoint
+/// sees is skipped, as by every pass: its arrivals stay unreached and its
+/// fanin weights 0.
 #[allow(clippy::needless_range_loop)] // rf indexes parallel [f64; 2] slots
 fn lse_chunk(
     st: &Static,
@@ -174,7 +176,7 @@ fn lse_chunk(
     let w_base = st.fanin_start[chunk_node_base] as usize;
     for v in range {
         let fanin = st.fanin_range(v);
-        if fanin.is_empty() {
+        if fanin.is_empty() || !st.live[v] {
             continue;
         }
         for rf in 0..2usize {

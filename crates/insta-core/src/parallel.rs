@@ -132,6 +132,19 @@ impl<'a> Pass<'a> {
         self.nt
     }
 
+    /// The per-level poll: `Cancelled` at `level` once either trigger of
+    /// the pass's options has fired.
+    pub(crate) fn poll(&self, level: usize) -> Result<(), InstaError> {
+        if self.opts.fired() {
+            return Err(InstaError::Cancelled {
+                kernel: self.kernel,
+                level,
+                elapsed: self.started.elapsed(),
+            });
+        }
+        Ok(())
+    }
+
     /// Runs one level: `items` are its work items — the level's node ids
     /// for a full pass, worklist positions for the cone sweep.
     ///
@@ -149,13 +162,7 @@ impl<'a> Pass<'a> {
         attempt: impl Fn(&mut S, &Launch) -> Option<Panicked>,
         reset: impl FnOnce(&mut S),
     ) -> Result<(), InstaError> {
-        if self.opts.fired() {
-            return Err(InstaError::Cancelled {
-                kernel: self.kernel,
-                level,
-                elapsed: self.started.elapsed(),
-            });
-        }
+        self.poll(level)?;
         let len = items.len();
         if len == 0 {
             return Ok(());

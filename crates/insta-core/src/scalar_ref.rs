@@ -497,10 +497,17 @@ impl InstaEngine {
     }
 
     /// Runs the frozen scalar differentiable forward pass — the reference
-    /// twin of [`forward_lse`](InstaEngine::forward_lse).
+    /// twin of [`forward_lse`](InstaEngine::forward_lse). The frozen pass
+    /// computes every node; a node no endpoint sees is then put back to
+    /// what no production pass writes: unreached, its fanin weights 0.
     pub fn forward_lse_scalar_reference(&mut self) {
         self.validity.begin_lse();
-        ref_forward_lse(&self.st, &mut self.state, self.cfg.lse_tau);
+        let (st, state) = (&self.st, &mut self.state);
+        ref_forward_lse(st, state, self.cfg.lse_tau);
+        for v in (0..st.n).filter(|&v| !st.live[v]) {
+            state.lse_arrival[v * 2..v * 2 + 2].fill(f64::NEG_INFINITY);
+            state.lse_weight[st.fanin_range(v)].fill([0.0; 2]);
+        }
         self.validity.lse_done();
     }
 
@@ -535,13 +542,22 @@ impl InstaEngine {
     /// pass ([`forward_scalar_reference`](Self::forward_scalar_reference) /
     /// [`hold_scalar_reference`](Self::hold_scalar_reference)) left them —
     /// what a production engine's [`topk_snapshot`](Self::topk_snapshot)
-    /// over the same annotations must equal, virtual nodes included.
+    /// over the same annotations must equal, virtual nodes included. The
+    /// frozen kernels compute every node and no production pass computes a
+    /// node no endpoint sees, so the queues of those are blanked here.
     ///
     /// # Panics
     ///
     /// Panics if the engine never ran a reference pass.
     pub fn scalar_topk_snapshot(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>) {
-        let d = self.scalar_topk.clone().expect("no reference pass ran");
+        let mut d = self.scalar_topk.clone().expect("no reference pass ran");
+        for v in (0..self.st.n).filter(|&v| !self.st.live[v]) {
+            let q = v * 2 * d.k..(v + 1) * 2 * d.k;
+            d.topk_arrival[q.clone()].fill(f64::NEG_INFINITY);
+            d.topk_mean[q.clone()].fill(0.0);
+            d.topk_sigma[q.clone()].fill(0.0);
+            d.topk_sp[q].fill(NO_SP);
+        }
         (d.topk_arrival, d.topk_mean, d.topk_sigma, d.topk_sp)
     }
 
@@ -557,51 +573,6 @@ impl InstaEngine {
         } else {
             queue_of::<false>(st, state.lanes(st), v, rf, &mut scratch).sp.len()
         }
-    }
-
-    /// [`topk_snapshot`](Self::topk_snapshot) of the nodes that reach an
-    /// endpoint only: what a pass that only reports (hold) computes.
-    pub fn live_topk_snapshot(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>) {
-        self.live_only(self.topk_snapshot())
-    }
-
-    /// [`scalar_topk_snapshot`](Self::scalar_topk_snapshot) of the nodes
-    /// that reach an endpoint only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine never ran a reference pass.
-    pub fn live_scalar_topk_snapshot(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>) {
-        self.live_only(self.scalar_topk_snapshot())
-    }
-
-    /// The live nodes' queues out of a dense view whose every node owns
-    /// `2 * k` consecutive slots.
-    fn live_only(
-        &self,
-        (a, m, s, sp): (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>),
-    ) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>) {
-        fn keep<T: Copy>(x: Vec<T>, live: &[bool], k: usize) -> Vec<T> {
-            let nodes = x.chunks(2 * k).zip(live).filter(|(_, &l)| l);
-            nodes.flat_map(|(q, _)| q.iter().copied()).collect()
-        }
-        let (live, k) = (&self.st.live, self.state.k);
-        (keep(a, live, k), keep(m, live, k), keep(s, live, k), keep(sp, live, k))
-    }
-
-    /// The raw bits of every stored row of a node no endpoint sees — mean,
-    /// sigma and startpoint, no corner — in node order: what a pass that
-    /// only reports must leave as it found it.
-    pub fn dead_row_bits(&self) -> Vec<u64> {
-        let (st, state) = (&self.st, &self.state);
-        let dead = (0..st.n).filter(|&v| !st.live[v]);
-        let slots = dead.filter_map(|v| st.row_of(v)).flat_map(|r| st.slots(r..r + 1));
-        slots
-            .flat_map(|i| {
-                let (m, s) = (state.topk_mean[i], state.topk_sigma[i]);
-                [m.to_bits(), s.to_bits(), u64::from(state.topk_sp[i])]
-            })
-            .collect()
     }
 
     /// Whether an *original* graph node id is virtual: it owns no Top-K

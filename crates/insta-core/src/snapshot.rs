@@ -234,7 +234,8 @@ impl TimingSnapshot {
 
     /// The worst corner arrival at an *original* graph node id per
     /// transition, if any path reaches it (the snapshot form of
-    /// [`InstaEngine::arrival_at`], `None` for `rf ≥ 2` like it).
+    /// [`InstaEngine::arrival_at`], `None` for `rf ≥ 2` and for a pin no
+    /// endpoint sees, which no pass times, like it).
     pub fn arrival_at(&self, orig_node: u32, rf: usize) -> Option<f64> {
         if rf >= 2 {
             return None;

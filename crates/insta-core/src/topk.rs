@@ -756,7 +756,6 @@ mod batched_tests {
                     crate::forward::forward::<false>(
                         st,
                         &mut twin.state,
-                        crate::forward::Scope::All,
                         1,
                         &crate::PassOptions::default(),
                         None,

@@ -19,9 +19,8 @@
 //!   gathering through them ([`crate::forward`], "Rows, not nodes") — the
 //!   count that rises when a design stops paying for the fast path — and
 //!   its `live` and `dead` counts: the rows its level bodies merged, and
-//!   the rows they skipped because no endpoint reads them
-//!   ([`crate::forward`], "Report-only passes"; `dead` is 0 where a pass
-//!   computes every node, and a quarter of the rows in block-1's `hold`).
+//!   the rows they skipped because no endpoint sees them
+//!   ([`crate::forward`], "What a pass computes"; a quarter of block-1's).
 //!   `batch.sweep` sums them over the call's window passes, base passes and
 //!   cone lanes, a lane's recomputes counting as merged rows and the
 //!   stored nodes it did not queue as skipped ones. A

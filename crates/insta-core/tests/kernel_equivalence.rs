@@ -76,15 +76,6 @@ fn scalar_bits(e: &InstaEngine) -> Vec<u64> {
     dense_bits(e.scalar_topk_snapshot())
 }
 
-/// [`topk_bits`] and [`scalar_bits`] of the live nodes only.
-fn live_topk_bits(e: &InstaEngine) -> Vec<u64> {
-    dense_bits(e.live_topk_snapshot())
-}
-
-fn live_scalar_bits(e: &InstaEngine) -> Vec<u64> {
-    dense_bits(e.live_scalar_topk_snapshot())
-}
-
 fn lse_bits(e: &InstaEngine) -> Vec<u64> {
     let (a, w) = e.lse_snapshot();
     let mut bits: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
@@ -142,20 +133,16 @@ fn forward_is_bit_identical_to_scalar_reference_across_k() {
             // What the reference engine goes on from is its stored rows.
             assert_eq!(topk_bits(&reference), scalar_bits(&reference));
 
-            // Hold computes the live nodes only: the rest keep their
-            // setup bits.
             let attrs = hold_attributes(&design, &golden);
-            let dead = fast.dead_row_bits();
             let got = report_bits(&fast.propagate_hold(&attrs));
             let want = report_bits(&reference.hold_scalar_reference(&attrs));
             assert_eq!(got, want, "hold report differs (design {}, k={k})", gen.name);
             assert_eq!(
-                live_topk_bits(&fast),
-                live_scalar_bits(&reference),
+                topk_bits(&fast),
+                scalar_bits(&reference),
                 "min-mode Top-K arrays differ (design {}, k={k})",
                 gen.name
             );
-            assert!(fast.dead_row_bits() == dead, "hold moved a dead row (k={k})");
         }
     }
 }
@@ -255,17 +242,14 @@ fn hold_min_merge_is_bit_identical_to_scalar_reference() {
         let (design, golden, mut fast) = build(&gen, InstaConfig::default());
         let (_, _, mut reference) = build(&gen, InstaConfig::default());
         let attrs = hold_attributes(&design, &golden);
-        let dead = fast.dead_row_bits();
         let got = report_bits(&fast.propagate_hold(&attrs));
         let want = report_bits(&reference.hold_scalar_reference(&attrs));
         assert_eq!(got, want, "hold report differs (seed {seed})");
-        // The live nodes, the ones hold computes; the rest keep their bits.
         assert_eq!(
-            live_topk_bits(&fast),
-            live_scalar_bits(&reference),
+            topk_bits(&fast),
+            scalar_bits(&reference),
             "min-mode Top-K arrays differ (seed {seed})"
         );
-        assert!(fast.dead_row_bits() == dead, "hold moved a dead row (seed {seed})");
     }
 }
 
@@ -1200,7 +1184,8 @@ fn every_queue_holds_the_startpoints_its_cone_can_reach() {
 /// startpoint at level 0 whose only reader is a chain of two virtual
 /// nodes, which ends in a merge that reads nothing else live and feeds
 /// nothing; a merge of a live node that already fans out and an
-/// endpoint, feeding that last merge; and a dangling gate. Returns the new
+/// endpoint, feeding that last merge; a virtual node off that live node,
+/// feeding the last merge too; and a dangling gate. Returns the new
 /// snapshot and its graph arcs into dead nodes, by child: the merge's from
 /// the endpoint, the chain's first, the dangling gate's.
 fn with_dead_logic(init: &InstaInit, rng: &mut Rng) -> (InstaInit, [u32; 3]) {
@@ -1252,7 +1237,8 @@ fn with_dead_logic(init: &InstaInit, rng: &mut Rng) -> (InstaInit, [u32; 3]) {
     let (chain, into_chain) = add(&mut init, last + 1, &[start]);
     let (_, into_gate) = add(&mut init, last + 1, &[gate_parent]);
     let (chain2, _) = add(&mut init, last + 2, &[chain]);
-    add(&mut init, last + 3, &[chain2, merge]);
+    let (tap, _) = add(&mut init, last + 1, &[live_fanout]);
+    add(&mut init, last + 3, &[chain2, merge, tap]);
     let (rise, fall) = (stat(rng), stat(rng));
     init.sources.push(SourceInit {
         node: start,
@@ -1271,16 +1257,37 @@ fn span_field(e: &InstaEngine, name: &str, field: &str) -> Option<f64> {
     last.and_then(|ev| ev.field(field))
 }
 
-/// Passes that only report skip what no endpoint can see, and nothing they
-/// report moves. On generated chain graphs with dead logic spliced in
-/// (`with_dead_logic`), for K ∈ {1, 2, 8, 32} on one and two threads:
-/// hold's report equals the frozen reference's and so do its live queues;
-/// delta-free corner lanes and full-pass lanes equal their rolled-back
-/// serial twins; a lane whose deltas all sit on dead arcs is its base
-/// report and recomputes nothing; and after a hold pass or an `evaluate`
-/// every dead row holds its pre-call bits.
+/// Which *original* nodes reach an endpoint, from the snapshot alone: a
+/// sweep against the creation order, children before parents.
+fn seen_by_an_endpoint(init: &InstaInit) -> Vec<bool> {
+    let mut seen = vec![false; init.n_nodes];
+    for e in &init.endpoints {
+        seen[e.node as usize] = true;
+    }
+    for &v in init.order.iter().rev() {
+        if seen[v as usize] {
+            let fanin =
+                init.fanin_start[v as usize] as usize..init.fanin_start[v as usize + 1] as usize;
+            for a in &init.fanin[fanin] {
+                seen[a.parent as usize] = true;
+            }
+        }
+    }
+    seen
+}
+
+/// No pass times what no endpoint can see, and nothing a pass reports
+/// moves. On generated chain graphs with dead logic spliced in
+/// (`with_dead_logic`), for K ∈ {1, 2, 8, 32} on one and two threads: a
+/// pin no endpoint sees is not timed — `None` from `arrival_at`,
+/// `distribution_at` and the snapshot — and every queue equals the frozen
+/// reference's after setup and after hold, whose spans skip the three dead
+/// merges and only they; delta-free corner lanes and full-pass lanes equal
+/// their rolled-back serial twins; a lane whose deltas all sit on dead
+/// arcs is its base report and recomputes nothing; and an `evaluate` call
+/// moves no queue.
 #[test]
-fn report_only_passes_skip_dead_logic_and_report_the_same_bits() {
+fn no_pass_times_dead_logic_and_every_report_keeps_its_bits() {
     let (corner, derate) = (CornerTransform::scale(1.08, 1.25), CornerTransform::scale(0.9, 1.1));
     for_all(
         Config::cases(10).seed(SUITE_SEED ^ 0xDEAD),
@@ -1289,6 +1296,8 @@ fn report_only_passes_skip_dead_logic_and_report_the_same_bits() {
             let (init, _, _) = chain_graph(seed, levels as usize, width as usize);
             let mut rng = Rng::seed_from_u64(seed ^ 0xDEAD);
             let (init, [into_merge, into_chain, into_gate]) = with_dead_logic(&init, &mut rng);
+            let seen = seen_by_an_endpoint(&init);
+            prop_assert_eq!(seen.iter().filter(|&&s| !s).count(), 7);
             let attrs = HoldAttributes {
                 source_mean: (0..init.sources.len()).map(|_| [stat(&mut rng).0 * 0.5; 2]).collect(),
                 source_sigma: vec![[1.0, 2.0]; init.sources.len()],
@@ -1317,23 +1326,32 @@ fn report_only_passes_skip_dead_logic_and_report_the_same_bits() {
                 };
                 let mut a = InstaEngine::new(init.clone(), cfg.clone()).map_err(|e| e.to_string())?;
                 let mut r = InstaEngine::new(init.clone(), cfg).expect("valid");
-                // Every node owns 2K slots of the dense view: six are dead.
-                let nodes = |d: Dense| d.0.len() / (2 * top_k);
-                prop_assert_eq!(nodes(a.topk_snapshot()) - nodes(a.live_topk_snapshot()), 6);
-                a.propagate();
                 a.enable_tracing();
 
+                // Setup: every queue is the reference's, and a dead pin
+                // reads unreached wherever it is read.
+                a.propagate();
+                r.forward_scalar_reference();
+                prop_assert!(topk_bits(&a) == scalar_bits(&r), "{what}: setup queues");
+                prop_assert_eq!(span_field(&a, "forward", "dead"), Some(3.0));
+                let snap = a.snapshot();
+                for v in (0..init.n_nodes as u32).filter(|&v| !seen[v as usize]) {
+                    for rf in 0..2 {
+                        prop_assert!(a.arrival_at(v, rf).is_none(), "{what}: arrival_at({v}, {rf})");
+                        prop_assert!(a.distribution_at(v, rf).is_none(), "{what}: distribution_at({v}, {rf})");
+                        prop_assert!(snap.arrival_at(v, rf).is_none(), "{what}: snapshot row ({v}, {rf})");
+                    }
+                }
+
                 // Hold: the three dead merges are skipped, and only they.
-                let dead = a.dead_row_bits();
                 let hold = report_bits(&a.propagate_hold(&attrs));
                 prop_assert!(hold == report_bits(&r.hold_scalar_reference(&attrs)), "{what}: hold report");
-                prop_assert!(live_topk_bits(&a) == live_scalar_bits(&r), "{what}: hold's live queues");
-                prop_assert!(a.dead_row_bits() == dead, "{what}: hold moved a dead row");
+                prop_assert!(topk_bits(&a) == scalar_bits(&r), "{what}: hold's queues");
                 prop_assert_eq!(span_field(&a, "hold", "dead"), Some(3.0));
 
                 // A lane on dead arcs only: its base, no recompute.
                 let base = report_bits(a.propagate());
-                let dead = a.dead_row_bits();
+                let queues = topk_bits(&a);
                 let got = a.evaluate(&[dead_lane.clone()], &PassOptions::default());
                 let lane = got.scenarios[0].outcome.as_ref().map_err(|e| e.to_string())?;
                 prop_assert!(report_bits(lane) == base, "{what}: the dead lane is its base");
@@ -1348,7 +1366,7 @@ fn report_only_passes_skip_dead_logic_and_report_the_same_bits() {
                 prop_assert_eq!(span_field(&a, "batch.sweep", "window_passes"), Some(2.0));
                 prop_assert_eq!(span_field(&a, "batch.sweep", "base_passes"), Some(1.0));
                 prop_assert!(report_bits(a.report()) == base, "{what}: the call moved the report");
-                prop_assert!(a.dead_row_bits() == dead, "{what}: evaluate moved a dead row");
+                prop_assert!(topk_bits(&a) == queues, "{what}: evaluate moved a queue");
                 for (i, sc) in scs.iter().enumerate() {
                     let lane = got.scenarios[i].outcome.as_ref().map_err(|e| e.to_string())?;
                     let deltas = a.scenario_twin_deltas(sc);
@@ -1361,4 +1379,84 @@ fn report_only_passes_skip_dead_logic_and_report_the_same_bits() {
             Ok(())
         },
     );
+}
+
+/// The gradient of an arc or a node no endpoint sees is exactly `+0.0` —
+/// no pass writes its LSE arrival or its gradient, and an unwritten LSE
+/// arrival must not leak a NaN — after a fused pass and a backward pass,
+/// after a committed session cone and after a rolled-back one. On chain
+/// graphs with dead logic spliced in (every endpoint violating) and on
+/// block-5 under a clock tight enough that gradients flow.
+#[test]
+fn gradients_of_logic_no_endpoint_sees_are_exactly_zero() {
+    let mut inits = Vec::new();
+    for seed in [3u64, 17] {
+        let (init, _, _) = chain_graph(seed, 5, 30);
+        let (mut init, _) = with_dead_logic(&init, &mut Rng::seed_from_u64(seed));
+        for e in &mut init.endpoints {
+            e.required_base = -2000.0;
+        }
+        inits.push((format!("dead-logic chain graph {seed}"), init));
+    }
+    let mut block5 = GeneratorConfig::block("block-5", 105, 0.40);
+    block5.clock_period_ps = 500.0;
+    let (_, golden, _) = build(&block5, InstaConfig::default());
+    inits.push(("block-5".into(), golden.export_insta_init()));
+    for (name, init) in inits {
+        let seen = seen_by_an_endpoint(&init);
+        let n_arcs = init.fanin.iter().map(|a| a.source_arc as usize + 1).max().unwrap_or(0);
+        let mut arc_seen = vec![true; n_arcs];
+        for v in (0..init.n_nodes).filter(|&v| !seen[v]) {
+            let fanin = init.fanin_start[v] as usize..init.fanin_start[v + 1] as usize;
+            for a in &init.fanin[fanin] {
+                arc_seen[a.source_arc as usize] = false;
+            }
+        }
+        let dead_arc = arc_seen.iter().position(|&s| !s).expect("fixture: a dead arc") as u32;
+        let live_arc = arc_seen.iter().position(|&s| s).expect("fixture: a live arc") as u32;
+        let cfg = InstaConfig {
+            top_k: 8,
+            lse_tau: 2.0,
+            ..InstaConfig::default()
+        };
+        let mut e = InstaEngine::new(init.clone(), cfg).expect("valid snapshot");
+        let zero = (0.0f64).to_bits();
+        let check = |e: &mut InstaEngine, step: &str| {
+            e.backward_tns();
+            let grads = e.arc_gradients();
+            assert!(grads.iter().any(|&g| g != 0.0), "{name} {step}: no gradient flows");
+            for (g, _) in arc_seen.iter().enumerate().filter(|(_, &s)| !s) {
+                assert_eq!(grads[g].to_bits(), zero, "{name} {step}: arc {g}");
+            }
+            for v in (0..init.n_nodes as u32).filter(|&v| !seen[v as usize]) {
+                for rf in 0..2 {
+                    let got = e.node_gradient(v, rf).map(f64::to_bits);
+                    assert_eq!(got, Some(zero), "{name} {step}: node {v} rf {rf}");
+                }
+            }
+        };
+        e.propagate_fused();
+        check(&mut e, "after a fused pass");
+        let deltas = [dead_arc, live_arc].map(|arc| {
+            let a = init.fanin.iter().find(|a| a.source_arc == arc).expect("an arc");
+            ArcDelta {
+                arc,
+                mean: [a.mean[0] + 30.0, a.mean[1] + 25.0],
+                sigma: [a.sigma[0] + 1.0, a.sigma[1]],
+            }
+        });
+        let mut session = e.begin_session();
+        session.update_timing(&deltas).expect("valid deltas");
+        session.commit().expect("commit");
+        check(&mut e, "after a committed cone");
+        let mut session = e.begin_session();
+        session
+            .update_timing(&deltas.map(|d| ArcDelta {
+                mean: [d.mean[0] + 9.0, d.mean[1]],
+                ..d
+            }))
+            .expect("valid deltas");
+        session.rollback();
+        check(&mut e, "after a rollback");
+    }
 }

@@ -52,8 +52,9 @@ struct Fixture {
     init: InstaInit,
     /// The snapshot's annotation of every graph arc.
     table: Table,
-    /// Lowest timing level holding a child of each graph arc: the first
-    /// level an update of that arc recomputes.
+    /// Lowest timing level holding a child an endpoint sees of each graph
+    /// arc: the first level an update of that arc recomputes (`usize::MAX`
+    /// when it recomputes none).
     arc_level: Vec<usize>,
     hold: HoldAttributes,
 }
@@ -78,15 +79,31 @@ fn fixture() -> Fixture {
         .map(|a| a.source_arc as usize + 1)
         .max()
         .unwrap_or(0);
+    let fanin =
+        |v: usize| &init.fanin[init.fanin_start[v] as usize..init.fanin_start[v + 1] as usize];
+    // No pass recomputes a node no endpoint sees.
+    let mut seen = vec![false; init.n_nodes];
+    for e in &init.endpoints {
+        seen[e.node as usize] = true;
+    }
+    for &v in init.order.iter().rev() {
+        if seen[v as usize] {
+            fanin(v as usize)
+                .iter()
+                .for_each(|a| seen[a.parent as usize] = true);
+        }
+    }
     let mut table = vec![([0.0; 2], [0.0; 2]); n_graph_arcs];
     let mut arc_level = vec![usize::MAX; n_graph_arcs];
     for level in 0..init.level_start.len() - 1 {
         for pos in init.level_start[level]..init.level_start[level + 1] {
             let v = init.order[pos as usize] as usize;
-            for a in &init.fanin[init.fanin_start[v] as usize..init.fanin_start[v + 1] as usize] {
+            for a in fanin(v) {
                 table[a.source_arc as usize] = (a.mean, a.sigma);
-                let first = &mut arc_level[a.source_arc as usize];
-                *first = (*first).min(level);
+                if seen[v] {
+                    let first = &mut arc_level[a.source_arc as usize];
+                    *first = (*first).min(level);
+                }
             }
         }
     }
@@ -499,7 +516,14 @@ fn run_session(
             (Err(e), _) => return Err(format!("{op:?} failed: {e}")),
         }
     }
-    if let (End::Panic(d), true) = (end, s.is_open()) {
+    if let (End::Panic(D(drawn, kind)), true) = (end, s.is_open()) {
+        // An arc into nodes no endpoint sees recomputes no level: the next
+        // arc that does is armed.
+        let n = cx.fx.arc_level.len() as u32;
+        let arc = (0..n)
+            .map(|i| (drawn + i) % n)
+            .find(|&a| cx.fx.arc_level[a as usize] != usize::MAX);
+        let d = D(arc.expect("fixture: an arc an endpoint sees"), kind);
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         chaos::arm(Kernel::Forward, cx.fx.arc_level[d.0 as usize], true);

@@ -158,7 +158,9 @@ pub enum Op {
     Stats,
     /// Endpoint slacks / WNS / TNS from the committed snapshot.
     ReportSlack,
-    /// Worst arrival at one original node id.
+    /// Worst arrival at one original node id: `reached:false` (and a
+    /// null arrival) when no path reaches it, or when no endpoint sees it
+    /// — a pin that moves no slack is not timed.
     ReportAt,
     /// The committed levelized kernel breakdown.
     PerfReport,

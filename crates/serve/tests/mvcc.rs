@@ -251,8 +251,9 @@ fn racing_readers_share_one_image_per_epoch_and_it_dies_with_the_epoch() {
                         write_frame(&mut to, r#"{"id":7,"op":"report_slack"}"#).expect("send");
                         let body = read_frame(&mut from, 1 << 24).expect("reply frame");
                         let body = String::from_utf8(body).expect("UTF-8 reply");
-                        let (envelope, result) =
-                            body.split_once(r#""result":"#).expect("a success reply");
+                        let (envelope, result) = body
+                            .split_once(r#""result":"#)
+                            .unwrap_or_else(|| panic!("reader {r}: not a success reply: {body}"));
                         let doc = insta_support::json::parse(&body).expect("JSON reply");
                         let epoch = doc.field("result").unwrap().get::<u64>("epoch").unwrap();
                         assert!(epoch >= last, "reader {r}: epoch {last} -> {epoch}");

@@ -25,6 +25,101 @@ fn delta_params(arc: u32, mean: f64, sigma: f64) -> Json {
     }])
 }
 
+/// A pin no endpoint sees is not timed. Two such pins are spliced into a
+/// generated snapshot as the engine's dead-logic tests splice them — a
+/// startpoint nothing reads, and a gate that reads an endpoint and feeds
+/// nothing. The engine and its snapshot answer `None` for both, and a
+/// `report_at` answers `reached:false` on either transition, while the
+/// endpoint the gate reads stays reached.
+#[test]
+fn a_pin_no_endpoint_sees_is_not_timed() {
+    use insta_engine::{InstaConfig, InstaEngine};
+    use insta_netlist::generator::{generate_design, GeneratorConfig};
+    use insta_refsta::export::{ExportedArc, SourceInit, NO_LEAF};
+    use insta_refsta::{RefSta, StaConfig};
+    let design = generate_design(&GeneratorConfig::small("serve-test", 21));
+    let mut sta = RefSta::new(&design, StaConfig::default()).expect("reference STA");
+    sta.full_update(&design);
+    let mut init = sta.export_insta_init();
+    let endpoint = init.endpoints[0].node;
+    let (start, gate) = (init.n_nodes as u32, init.n_nodes as u32 + 1);
+    let source_arc = init
+        .fanin
+        .iter()
+        .map(|a| a.source_arc + 1)
+        .max()
+        .unwrap_or(0);
+    init.n_nodes += 2;
+    // The startpoint on level 0, without fanin.
+    init.fanin_start.push(init.fanin.len() as u32);
+    init.order.insert(init.level_start[1] as usize, start);
+    init.level_start[1..].iter_mut().for_each(|s| *s += 1);
+    init.sources.push(SourceInit {
+        node: start,
+        sp: init.sources.len() as u32,
+        mean: [10.0; 2],
+        sigma: [1.0; 2],
+    });
+    init.sp_leaf.push(NO_LEAF);
+    // The gate on a level of its own, past the last.
+    init.fanin.push(ExportedArc {
+        parent: endpoint,
+        mean: [5.0; 2],
+        sigma: [1.0; 2],
+        negative_unate: false,
+        source_arc,
+    });
+    init.fanin_start.push(init.fanin.len() as u32);
+    init.order.push(gate);
+    init.level_start.push(init.order.len() as u32);
+    let cfg = InstaConfig {
+        top_k: 8,
+        ..InstaConfig::default()
+    };
+    let mut engine = InstaEngine::new(init, cfg).expect("a valid snapshot");
+    engine.propagate();
+    let snap = engine.snapshot();
+    for (pin, rf) in [start, gate]
+        .into_iter()
+        .flat_map(|pin| [(pin, 0), (pin, 1)])
+    {
+        assert_eq!(engine.arrival_at(pin, rf), None, "arrival_at({pin}, {rf})");
+        assert_eq!(
+            engine.distribution_at(pin, rf),
+            None,
+            "distribution_at({pin}, {rf})"
+        );
+        assert_eq!(
+            snap.arrival_at(pin, rf),
+            None,
+            "snapshot arrival_at({pin}, {rf})"
+        );
+    }
+
+    let server = Server::new(engine, ServeConfig::default());
+    let (mut cl, h) = connect(&server);
+    let mut reached = |node: u32, rf: u64| {
+        let params = obj([("node", u64::from(node).to_json()), ("rf", rf.to_json())]);
+        let rep = cl.call(Op::ReportAt, None, params).unwrap();
+        assert!(rep.ok, "report_at({node}, {rf}): {:?}", rep.error);
+        let arrival = rep
+            .result
+            .field("arrival")
+            .expect("an arrival field")
+            .clone();
+        let reached = rep.result.get::<bool>("reached").expect("a reached field");
+        assert_eq!(reached, arrival != Json::Null, "report_at({node}, {rf})");
+        reached
+    };
+    for rf in 0..2 {
+        assert!(!reached(start, rf), "the startpoint nothing reads, rf {rf}");
+        assert!(!reached(gate, rf), "the gate that feeds nothing, rf {rf}");
+        assert!(reached(endpoint, rf), "the endpoint, rf {rf}");
+    }
+    drop(cl);
+    h.join().expect("connection thread");
+}
+
 #[test]
 fn reads_and_writes_round_trip_bit_exactly() {
     let server = Server::new(build_engine(21, 8), ServeConfig::default());

@@ -355,7 +355,8 @@ fn masked_endpoints_leave_aggregates_but_keep_slacks() {
 /// has a level to sweep, with the same per-lane `Cancelled` error — at the
 /// same level — a serial session under that token raises: a corner lane at
 /// level 1 (its base pass, like its twin's full pass, polls every level),
-/// an identity lane at its own first dirty level. A lane with neither a
+/// an identity lane at its own first dirty level (at level 0 when its
+/// arcs all lead into nodes no endpoint sees). A lane with neither a
 /// corner nor deltas has no level to poll and is the base report, as its
 /// twin is. The engine stays healthy and untouched, and so does the twins'
 /// engine after a cancelled cone session: it is taken back to the

@@ -87,6 +87,34 @@ fn random_valid_batch(golden: &RefSta, rng: &mut Rng, len: usize) -> Vec<ArcDelt
         .collect()
 }
 
+/// [`random_valid_batch`] with at least one arc into a node that reads as
+/// timed on the propagated `engine`. No pass computes a node no endpoint
+/// sees, so a batch of arcs into such nodes recomputes no level: it has no
+/// dirty level to arm a panic at and no level body to panic in.
+fn random_timed_batch(
+    golden: &RefSta,
+    engine: &InstaEngine,
+    rng: &mut Rng,
+    len: usize,
+) -> Vec<ArcDelta> {
+    let init = golden.export_insta_init();
+    let mut child = vec![0u32; golden.delays().mean.len()];
+    for v in 0..init.n_nodes {
+        let fanin = init.fanin_start[v] as usize..init.fanin_start[v + 1] as usize;
+        for a in &init.fanin[fanin] {
+            child[a.source_arc as usize] = v as u32;
+        }
+    }
+    let timed =
+        |d: &ArcDelta| (0..2).any(|rf| engine.arrival_at(child[d.arc as usize], rf).is_some());
+    loop {
+        let batch = random_valid_batch(golden, rng, len);
+        if batch.iter().any(timed) {
+            return batch;
+        }
+    }
+}
+
 /// Flattens a batch into the harness's parallel arrays, corrupts it, and
 /// rebuilds (stride 4: rise/fall mean then rise/fall sigma).
 fn corrupted_batch(
@@ -248,7 +276,7 @@ fn worker_panic_mid_session_rolls_back_bit_identically() {
     .expect("valid snapshot");
     let baseline_bits = report_bits(&engine.propagate().clone());
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xCA05);
-    let batch = random_valid_batch(&golden, &mut rng, 4);
+    let batch = random_timed_batch(&golden, &engine, &mut rng, 4);
     // The cancelled probe is taken back whole, so the armed update starts
     // from a synced engine and takes the cone path.
     let dirty_level = first_dirty_level(&mut engine, &batch);
