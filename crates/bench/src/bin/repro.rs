@@ -24,8 +24,8 @@
 //! and buffers). Timing and memory columns are printed only.
 
 use insta_bench::{
-    block_specs, fmt_ps, iwls_specs, mismatch_columns, superblue_specs, table1_row, table2_row,
-    Table2Row,
+    block_specs, fig7_flow, fig8_rows, fmt_ps, iwls_specs, mismatch_columns, superblue_specs,
+    table1_row, table2_row, Table2Row,
 };
 use insta_engine::topk::{Candidate, TopKQueue};
 use insta_engine::{InstaConfig, InstaEngine, MismatchStats};
@@ -33,8 +33,8 @@ use insta_netlist::{DesignStats, TimingGraph};
 use insta_placer::db::UTILIZATION;
 use insta_placer::{place, refresh_timing, PlacementDb, PlacerConfig, PlacerMode, TimingMode};
 use insta_refsta::{RefSta, StaConfig};
-use insta_sizer::{random_changelist, run_evaluator_flow};
 use insta_support::json::{self, obj, Json, ToJson};
+use insta_support::obs::Recorder;
 use insta_support::timer::{black_box, Harness};
 use insta_support::Rng;
 use std::cmp::Reverse;
@@ -185,57 +185,80 @@ fn table1() {
 /// correlation drift.
 fn fig7() {
     println!("=== Fig. 7: incremental STA runtime per sizing iteration (block-2) ===");
-    let spec = &block_specs()[1];
-    let mut design = spec.build();
-    let ops = random_changelist(&design, 25, 42);
-    // K=8 for the evaluator: exact on this suite (see the ablation bench)
-    // at a quarter of the Top-K=32 kernel work; Table I keeps the paper's
-    // K=32.
-    let result = run_evaluator_flow(
-        &mut design,
-        &ops,
-        StaConfig::default(),
-        InstaConfig {
-            top_k: 8,
-            ..InstaConfig::default()
-        },
-    );
-    let stats = |f: fn(&insta_sizer::IterationTiming) -> f64| -> (f64, f64) {
-        let xs: Vec<f64> = result.iterations.iter().map(f).collect();
+    let result = fig7_flow();
+    let trace = &result.trace;
+    let stats = |name: &str| -> (f64, f64) {
+        let xs: Vec<f64> = trace
+            .events()
+            .filter(|e| e.name == name)
+            .map(|e| e.dur_ns as f64 * 1e-6)
+            .collect();
         let m = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
-        (m * 1e3, var.sqrt() * 1e3)
+        (m, var.sqrt())
     };
     println!(
         "per-iteration runtime over {} iterations (mean ± std):",
-        result.iterations.len()
+        trace.sum("flow.insta").count
     );
-    let (m, s) = stats(|x| x.full_s);
+    let (m, s) = stats("flow.full");
     println!("  reference full update (commercial-tool role): {m:8.2} ± {s:5.2} ms");
-    let (m, s) = stats(|x| x.incremental_s);
+    let (m, s) = stats("flow.incremental");
     println!("  reference incremental (in-house engine role) : {m:8.2} ± {s:5.2} ms  (cone-size dependent)");
-    let (m, s) = stats(|x| x.insta_s);
+    let (m, s) = stats("flow.insta");
     println!("  INSTA (estimate_eco + re-annot + propagate)  : {m:8.2} ± {s:5.2} ms  (changed fanout cone only)");
+    let insta_ns = trace.sum("flow.insta").ns.max(1) as f64;
     println!(
         "  speedups: {:.1}x vs full, {:.2}x vs incremental",
-        result.speedup_vs_full, result.speedup_vs_incremental
+        trace.sum("flow.full").ns as f64 / insta_ns,
+        trace.sum("flow.incremental").ns as f64 / insta_ns
     );
     println!("=== Fig. 8: correlation impact of estimate_eco re-annotation ===");
     println!("  before flow: {}", result.corr_before);
     println!("  after  flow: {}", result.corr_after);
-    let rows: Vec<Json> = [
-        ("before", &result.corr_before),
-        ("after", &result.corr_after),
-    ]
-    .into_iter()
-    .map(|(flow, stats)| {
-        let mut row = vec![("flow", flow.to_string().to_json())];
-        row.extend(mismatch_columns(stats));
-        obj(row)
-    })
-    .collect();
-    write_outcome("fig8", &rows);
+    write_outcome("fig8", &fig8_rows(&result));
     println!();
+}
+
+/// Prints where a sizing run spent its time: its spans' totals, then its
+/// `Coupled` moves by route (`kind`: arcs, launch, full), kept ones and
+/// the time of their `coupled.refsta`, `coupled.session` and
+/// `coupled.rebuild` children.
+fn print_moves(trace: &Recorder) {
+    let names = ["size.run", "size.signoff", "size.round", "size.gradient", "size.score"];
+    let [run, signoff, rounds, gradient, score] = names.map(|n| trace.sum(n));
+    let covered = (signoff.ns + rounds.ns) as f64 / run.ns.max(1) as f64;
+    let moves = trace.sum("coupled.move");
+    println!(
+        "    time: {:.2} s = signoff {:.2} s + {} rounds {:.2} s ({:.1} % covered); in rounds: gradient {:.3} s, {} scores {:.2} s, {} moves {:.2} s",
+        run.secs(), signoff.secs(), rounds.count, rounds.secs(), 100.0 * covered,
+        gradient.secs(), score.count, score.secs(), moves.count, moves.secs()
+    );
+    // A move's children close before it: they are the spans since the
+    // last move.
+    let children = ["coupled.refsta", "coupled.session", "coupled.rebuild"];
+    let (mut routes, mut open) = ([[0u64; 5]; 3], [0u64; 3]);
+    for e in trace.events() {
+        if let Some(c) = children.iter().position(|&n| n == e.name) {
+            open[c] += e.dur_ns;
+        } else if e.name == "coupled.move" {
+            let route = &mut routes[e.field("kind").map_or(0, |k| k as usize)];
+            route[0] += 1;
+            route[1] += u64::from(e.field("kept") == Some(1.0));
+            for (c, ns) in open.iter_mut().enumerate() {
+                route[2 + c] += std::mem::take(ns);
+            }
+        }
+    }
+    if trace.dropped() > 0 {
+        println!("    (the ring dropped {} events: the routes count the moves it kept)", trace.dropped());
+    }
+    for (name, [n, kept, refsta, session, rebuild]) in ["arcs", "launch", "full"].iter().zip(routes) {
+        if n > 0 {
+            let [refsta, session, rebuild] = [refsta, session, rebuild].map(|ns| ns as f64 * 1e-6);
+            println!("    {name:<6} moves {n:>5} (kept {kept:>5}): refsta {refsta:7.1} ms, session {session:7.1} ms, rebuild {rebuild:7.1} ms");
+        }
+    }
 }
 
 /// Table II: INSTA-Size vs the greedy reference sizer on IWLS-like
@@ -263,7 +286,7 @@ fn table2() {
             fmt_ps(r.tns_after_ps),
             r.violations_after,
             r.cells_sized,
-            r.runtime_s
+            r.trace.sum("size.run").secs()
         );
         let fewer = if r.cells_sized > 0 {
             format!(
@@ -280,9 +303,10 @@ fn table2() {
             i.violations_after,
             i.cells_sized,
             fewer,
-            i.runtime_s,
-            i.backward_runtime_s
+            i.trace.sum("size.run").secs(),
+            i.trace.sum("size.gradient").secs()
         );
+        print_moves(&i.trace);
         rows.push(outcome);
     }
     write_outcome("table2", &rows);
@@ -393,39 +417,31 @@ fn fig9() {
     let db = PlacementDb::random(&design, UTILIZATION, spec.seed);
     let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
 
-    // Net-weighting baseline refresh ([19]'s role).
-    let nw = refresh_timing(
-        &mut design,
-        &db,
-        &mut sta,
-        TimingMode::NetWeighting,
-        &InstaConfig::default(),
-    );
-    // INSTA-Place refresh.
-    let ip = refresh_timing(
-        &mut design,
-        &db,
-        &mut sta,
-        TimingMode::InstaPlace,
-        &InstaConfig::default(),
-    );
+    // Net-weighting baseline refresh ([19]'s role), then INSTA-Place's.
+    let mut refresh = |mode| {
+        let mut obs = Recorder::new();
+        refresh_timing(&mut design, &db, &mut sta, mode, &InstaConfig::default(), &mut obs);
+        obs
+    };
+    let (nw, ip) = (refresh(TimingMode::NetWeighting), refresh(TimingMode::InstaPlace));
+    let ms = |obs: &Recorder, name| obs.sum(name).secs() * 1e3;
     println!(
         "net-weighting refresh: wires {:6.1} ms + reference timer {:6.1} ms + criticality (in-timer) = {:6.1} ms total",
-        nw.breakdown.wire_update_s * 1e3,
-        nw.breakdown.reference_sta_s * 1e3,
-        nw.breakdown.total_s() * 1e3
+        ms(&nw, "placer.wires"),
+        ms(&nw, "placer.refsta"),
+        ms(&nw, "placer.refresh")
     );
     println!(
         "INSTA-Place refresh  : wires {:6.1} ms + reference timer {:6.1} ms + transfer {:6.1} ms + INSTA grads {:6.1} ms = {:6.1} ms total",
-        ip.breakdown.wire_update_s * 1e3,
-        ip.breakdown.reference_sta_s * 1e3,
-        ip.breakdown.transfer_s * 1e3,
-        ip.breakdown.insta_grad_s * 1e3,
-        ip.breakdown.total_s() * 1e3
+        ms(&ip, "placer.wires"),
+        ms(&ip, "placer.refsta"),
+        ms(&ip, "placer.transfer"),
+        ms(&ip, "placer.gradient"),
+        ms(&ip, "placer.refresh")
     );
     println!(
         "overhead of the gradient path over net weighting: {:+.0}%",
-        100.0 * (ip.breakdown.total_s() / nw.breakdown.total_s() - 1.0)
+        100.0 * (ms(&ip, "placer.refresh") / ms(&nw, "placer.refresh") - 1.0)
     );
     println!();
 }
@@ -455,8 +471,9 @@ fn extensions() {
         p.timing.cells_sized,
         p.timing.violations_before,
         p.timing.violations_after,
-        p.timing.runtime_s
+        p.timing.trace.sum("size.run").secs()
     );
+    print_moves(&p.timing.trace);
     let power = obj([
         ("extension", "power_recovery".to_string().to_json()),
         ("cells", d.cells().len().to_json()),
@@ -476,7 +493,8 @@ fn extensions() {
     let b = insta_buffer(&mut d);
     println!(
         "INSTA-Buffer: TNS {:.0} -> {:.0} ps, WNS {:.0} -> {:.0} ps, {} buffers, {:.2} s",
-        b.tns_before_ps, b.tns_after_ps, b.wns_before_ps, b.wns_after_ps, b.buffers_added, b.runtime_s
+        b.tns_before_ps, b.tns_after_ps, b.wns_before_ps, b.wns_after_ps, b.buffers_added,
+        b.trace.sum("buffer.run").secs()
     );
     let buffer = obj([
         ("extension", "insta_buffer".to_string().to_json()),

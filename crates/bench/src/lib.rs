@@ -11,7 +11,10 @@ use insta_engine::{InstaConfig, InstaEngine, MismatchStats};
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_netlist::Design;
 use insta_refsta::{RefSta, StaConfig};
-use insta_sizer::{insta_size, reference_size, InstaSizeConfig, SizeOutcome};
+use insta_sizer::{
+    insta_size, random_changelist, reference_size, run_evaluator_flow, EvaluatorFlowResult,
+    InstaSizeConfig, SizeOutcome,
+};
 use insta_support::json::{obj, Json, ToJson};
 use std::time::Instant;
 
@@ -111,6 +114,32 @@ pub fn table1_row(spec: &BlockSpec) -> Table1Row {
     }
 }
 
+/// Figs. 7–8's run: the evaluator flow over a 25-resize changelist on
+/// block-2, at K=8 — exact on this suite (see the ablation bench) at a
+/// quarter of the Top-K=32 kernel work; Table I keeps the paper's K=32.
+pub fn fig7_flow() -> EvaluatorFlowResult {
+    let mut design = block_specs()[1].build();
+    let ops = random_changelist(&design, 25, 42);
+    let insta = InstaConfig {
+        top_k: 8,
+        ..InstaConfig::default()
+    };
+    run_evaluator_flow(&mut design, &ops, StaConfig::default(), insta)
+}
+
+/// Fig. 8's checked rows of a flow run: correlation and mismatch before
+/// and after the changelist, the objects of `fig8.json`.
+pub fn fig8_rows(flow: &EvaluatorFlowResult) -> Vec<Json> {
+    [("before", &flow.corr_before), ("after", &flow.corr_after)]
+        .into_iter()
+        .map(|(when, stats)| {
+            let mut row = vec![("flow", when.to_string().to_json())];
+            row.extend(mismatch_columns(stats));
+            obj(row)
+        })
+        .collect()
+}
+
 /// One IWLS-like circuit specification (Table II).
 #[derive(Debug, Clone)]
 pub struct IwlsSpec {
@@ -150,7 +179,7 @@ pub struct Table2Row {
     /// The design's pin count; printed, not checked.
     pub pins: usize,
     /// The reference sizer's run (its `*_before` fields are the initial
-    /// design's); runtimes printed, not checked.
+    /// design's); its trace printed, not checked.
     pub reference: SizeOutcome,
     /// INSTA-Size's run.
     pub insta: SizeOutcome,
@@ -305,6 +334,20 @@ mod tests {
             .clone();
         let spec = iwls_specs().into_iter().find(|s| s.name == "des").expect("des");
         let got = table2_row(&spec).outcome;
+        // Through the text, as `repro -- check` reads both files.
+        let got = insta_support::json::parse(&got.to_string()).expect("round trip");
+        assert_eq!(got, want);
+    }
+
+    /// Fig. 8's rows — correlation and mismatch before and after the
+    /// block-2 changelist — computed by the code `repro -- fig8` runs,
+    /// equal the checked-in `expected/fig8.json`, so the default test run
+    /// guards the evaluator flow's drift, not only `repro -- check`.
+    #[test]
+    fn fig8_rows_equal_the_expected_file() {
+        let want = insta_support::json::parse(include_str!("../expected/fig8.json"))
+            .expect("the expected file parses");
+        let got = Json::Arr(fig8_rows(&fig7_flow()));
         // Through the text, as `repro -- check` reads both files.
         let got = insta_support::json::parse(&got.to_string()).expect("round trip");
         assert_eq!(got, want);

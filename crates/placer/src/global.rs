@@ -18,11 +18,12 @@ use crate::db::{PlacementDb, UTILIZATION};
 use crate::density::DensityGrid;
 use crate::legalize::legalize;
 use crate::optimizer::NormalizedMomentum;
-use crate::timing::{refresh_timing, RefreshBreakdown, TimingMode};
+use crate::timing::{refresh_timing, TimingMode};
 use crate::wirelength::WaWirelength;
 use insta_engine::InstaConfig;
 use insta_netlist::Design;
 use insta_refsta::{RefSta, StaConfig};
+use insta_support::obs::Recorder;
 
 /// Placement optimization mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,8 +126,8 @@ pub struct PlaceResult {
     pub tns_legal_ps: f64,
     /// WNS after legalization (ps).
     pub wns_legal_ps: f64,
-    /// Runtime breakdown of every timing refresh.
-    pub refreshes: Vec<RefreshBreakdown>,
+    /// Every timing refresh's spans (`timing` module docs).
+    pub trace: Recorder,
     /// The final (legalized) placement.
     pub db: PlacementDb,
 }
@@ -153,7 +154,7 @@ pub fn place(design: &mut Design, cfg: &PlacerConfig) -> PlaceResult {
     // Fig. 5 over-constraining behaviour follows from this).
     let mut net_momentum = vec![0.0_f64; design.nets().len()];
     let mut arcs: Vec<crate::timing::ArcWeight> = Vec::new();
-    let mut refreshes = Vec::new();
+    let mut trace = Recorder::new();
 
     let mut wl_grad_x = vec![0.0; n];
     let mut wl_grad_y = vec![0.0; n];
@@ -171,7 +172,7 @@ pub fn place(design: &mut Design, cfg: &PlacerConfig) -> PlaceResult {
                 PlacerMode::NetWeighting { .. } => TimingMode::NetWeighting,
                 PlacerMode::InstaPlace { .. } => TimingMode::InstaPlace,
             };
-            let refresh = refresh_timing(design, &db, &mut sta, mode, &cfg.insta);
+            let refresh = refresh_timing(design, &db, &mut sta, mode, &cfg.insta, &mut trace);
             match cfg.mode {
                 PlacerMode::NetWeighting { alpha, beta } => {
                     // Momentum-based net weighting (DREAMPlace 4.0): the
@@ -188,7 +189,6 @@ pub fn place(design: &mut Design, cfg: &PlacerConfig) -> PlaceResult {
                 }
                 PlacerMode::Wirelength => {}
             }
-            refreshes.push(refresh.breakdown);
         }
 
         // ---- Gradients -------------------------------------------------
@@ -310,7 +310,7 @@ pub fn place(design: &mut Design, cfg: &PlacerConfig) -> PlaceResult {
         tns_init_ps: init_report.tns_ps,
         tns_legal_ps: legal_report.tns_ps,
         wns_legal_ps: legal_report.wns_ps,
-        refreshes,
+        trace,
         db,
     }
 }
@@ -365,10 +365,8 @@ mod tests {
         );
         // Timing activates at iteration 30, so a 45-iteration run
         // refreshes exactly once.
-        assert_eq!(r.refreshes.len(), 1);
-        for b in &r.refreshes {
-            assert!(b.reference_sta_s > 0.0);
-        }
+        assert_eq!(r.trace.sum("placer.refresh").count, 1);
+        assert!(r.trace.sum("placer.refsta").ns > 0);
         assert!(r.tns_legal_ps.is_finite());
     }
 

@@ -10,8 +10,8 @@
 //!   cell coordinates.
 //! * [`timing`] — the timing interface: refresh the reference engine from
 //!   placement-derived parasitics, compute INSTA arc gradients or
-//!   net-weighting criticalities, and record the runtime breakdown
-//!   (Fig. 9).
+//!   net-weighting criticalities, and record each stage as a span (Fig. 9's
+//!   rows), which [`place`] returns in its result's `trace`.
 //! * [`global`] — the global placer with three modes: plain
 //!   wirelength+density (the DREAMPlace role), momentum net-weighting (the
 //!   DREAMPlace 4.0 role), and INSTA-Place's arc-gradient timing objective
@@ -32,5 +32,5 @@ pub use density::DensityGrid;
 pub use global::{place, PlaceResult, PlacerConfig, PlacerMode};
 pub use legalize::legalize;
 pub use optimizer::NormalizedMomentum;
-pub use timing::{refresh_timing, RefreshBreakdown, TimingMode, TimingRefresh};
+pub use timing::{refresh_timing, TimingMode, TimingRefresh};
 pub use wirelength::WaWirelength;

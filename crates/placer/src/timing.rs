@@ -6,13 +6,15 @@
 //! criticalities. The paper's INSTA-Place does exactly this with
 //! OpenTimer + INSTA every 15 iterations, reusing the last gradients in
 //! between; Fig. 9 breaks this refresh down into timer, gradient, and
-//! transfer components — recorded here as [`RefreshBreakdown`].
+//! transfer components, which a refresh records as one `placer.refresh`
+//! span with a child per component (DESIGN.md, "Observability"); the
+//! transfer and gradient children only in INSTA-Place mode.
 
 use crate::db::PlacementDb;
 use insta_engine::{InstaConfig, InstaEngine, PassOptions};
 use insta_netlist::{Design, PinId, TimingArcKind};
 use insta_refsta::RefSta;
-use std::time::Instant;
+use insta_support::obs::Recorder;
 
 /// What the refresh computes beyond plain timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,27 +27,6 @@ pub enum TimingMode {
     /// Per-arc timing gradients from INSTA's backward kernel
     /// (INSTA-Place).
     InstaPlace,
-}
-
-/// Wall-clock breakdown of one timing refresh (Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RefreshBreakdown {
-    /// Re-deriving wire RC from placement (s).
-    pub wire_update_s: f64,
-    /// Reference-engine full timing update (the OpenTimer role) (s).
-    pub reference_sta_s: f64,
-    /// Snapshot export + engine rebuild — the "data transfer between the
-    /// timer and INSTA" the paper calls out (s).
-    pub transfer_s: f64,
-    /// INSTA forward + LSE + backward (s).
-    pub insta_grad_s: f64,
-}
-
-impl RefreshBreakdown {
-    /// Total refresh time (s).
-    pub fn total_s(&self) -> f64 {
-        self.wire_update_s + self.reference_sta_s + self.transfer_s + self.insta_grad_s
-    }
 }
 
 /// One weighted pin-to-pin arc for the INSTA-Place objective (Eq. 7).
@@ -75,11 +56,10 @@ pub struct TimingRefresh {
     /// worker panic); `arc_weights` is empty and the placer should reuse
     /// its last gradients (the paper's between-refresh behaviour).
     pub degraded: bool,
-    /// Runtime breakdown.
-    pub breakdown: RefreshBreakdown,
 }
 
-/// Refreshes timing from the current placement.
+/// Refreshes timing from the current placement, recording its spans
+/// (module docs) in `obs`.
 ///
 /// `sta` must have been built over `design` (topology is unchanged by
 /// placement; only wire RC moves).
@@ -89,17 +69,18 @@ pub fn refresh_timing(
     sta: &mut RefSta,
     mode: TimingMode,
     insta_cfg: &InstaConfig,
+    obs: &mut Recorder,
 ) -> TimingRefresh {
-    let mut breakdown = RefreshBreakdown::default();
     let mut degraded = false;
+    obs.begin("placer.refresh");
 
-    let t = Instant::now();
+    obs.begin("placer.wires");
     db.update_wires(design);
-    breakdown.wire_update_s = t.elapsed().as_secs_f64();
+    obs.end();
 
-    let t = Instant::now();
+    obs.begin("placer.refsta");
     let report = sta.full_update(design);
-    breakdown.reference_sta_s = t.elapsed().as_secs_f64();
+    obs.end();
 
     let mut arc_weights = Vec::new();
     let mut net_crit = Vec::new();
@@ -126,18 +107,18 @@ pub fn refresh_timing(
                 .collect();
         }
         TimingMode::InstaPlace => {
-            let t = Instant::now();
+            obs.begin("placer.transfer");
             let init = sta.export_insta_init();
             let mut engine = InstaEngine::new(init, insta_cfg.clone()).expect("valid snapshot");
-            breakdown.transfer_s = t.elapsed().as_secs_f64();
+            obs.end();
 
-            let t = Instant::now();
+            obs.begin("placer.gradient");
             // Forward, LSE and backward on the throw-away engine; a NaN
             // slack or an uncontained worker panic degrades the refresh.
             let grads = engine
                 .try_backward_tns(&PassOptions::default())
                 .map(|()| engine.arc_gradients());
-            breakdown.insta_grad_s = t.elapsed().as_secs_f64();
+            obs.end();
 
             match grads {
                 Ok(grads) => {
@@ -164,13 +145,13 @@ pub fn refresh_timing(
         }
     }
 
+    obs.end();
     TimingRefresh {
         wns_ps: report.wns_ps,
         tns_ps: report.tns_ps,
         arc_weights,
         net_crit,
         degraded,
-        breakdown,
     }
 }
 
@@ -194,12 +175,14 @@ mod tests {
         let mut design = tight_design(3);
         let db = PlacementDb::random(&design, 0.5, 1);
         let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
+        let mut obs = Recorder::new();
         let r = refresh_timing(
             &mut design,
             &db,
             &mut sta,
             TimingMode::InstaPlace,
             &InstaConfig::default(),
+            &mut obs,
         );
         assert!(r.tns_ps < 0.0, "fixture: the design violates");
         assert!(!r.degraded);
@@ -230,8 +213,12 @@ mod tests {
             .map(|aw| (aw.from, aw.to, aw.weight.to_bits()))
             .collect();
         assert_eq!(got, want, "the weights differ from a twin's gradients");
-        assert!(r.breakdown.reference_sta_s > 0.0);
-        assert!(r.breakdown.total_s() >= r.breakdown.reference_sta_s);
+        let children = ["placer.wires", "placer.refsta", "placer.transfer", "placer.gradient"];
+        let refresh = obs.sum("placer.refresh");
+        assert_eq!(refresh.count, 1);
+        assert!(children.iter().all(|name| obs.sum(name).count == 1));
+        let inside: u64 = children.iter().map(|name| obs.sum(name).ns).sum();
+        assert!(obs.sum("placer.refsta").ns > 0 && inside <= refresh.ns);
     }
 
     #[test]
@@ -245,6 +232,7 @@ mod tests {
             &mut sta,
             TimingMode::NetWeighting,
             &InstaConfig::default(),
+            &mut Recorder::new(),
         );
         assert_eq!(r.net_crit.len(), design.nets().len());
         for &c in &r.net_crit {
@@ -266,6 +254,7 @@ mod tests {
             &mut sta,
             TimingMode::None,
             &InstaConfig::default(),
+            &mut Recorder::new(),
         );
         assert!(r.arc_weights.is_empty());
         assert!(r.net_crit.is_empty());

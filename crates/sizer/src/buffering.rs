@@ -14,7 +14,7 @@ use insta_engine::{InstaConfig, InstaEngine};
 use insta_liberty::GateClass;
 use insta_netlist::{Design, TimingArcKind, WireRc};
 use insta_refsta::{RefSta, StaConfig};
-use std::time::Instant;
+use insta_support::obs::Recorder;
 
 /// Insertion rounds (gradients refresh between rounds).
 const ROUNDS: usize = 4;
@@ -26,7 +26,7 @@ const MIN_WIRE_DELAY_PS: f64 = 5.0;
 const BUFFER_DRIVE: u32 = 4;
 
 /// Outcome of a buffering run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct BufferingOutcome {
     /// WNS before (ps).
     pub wns_before_ps: f64,
@@ -38,8 +38,8 @@ pub struct BufferingOutcome {
     pub tns_after_ps: f64,
     /// Buffers committed.
     pub buffers_added: usize,
-    /// Wall-clock runtime (s).
-    pub runtime_s: f64,
+    /// The run's one `buffer.run` span.
+    pub trace: Recorder,
 }
 
 /// Runs gradient-guided buffer insertion on `design`.
@@ -51,7 +51,8 @@ pub struct BufferingOutcome {
 ///
 /// Panics if the library has no buffer family.
 pub fn insta_buffer(design: &mut Design) -> BufferingOutcome {
-    let t_start = Instant::now();
+    let mut trace = Recorder::new();
+    trace.begin("buffer.run");
     let lib = design.library_arc();
     let buf_cell = lib
         .family_member(GateClass::Buf, BUFFER_DRIVE)
@@ -144,13 +145,14 @@ pub fn insta_buffer(design: &mut Design) -> BufferingOutcome {
         }
     }
 
+    trace.end();
     BufferingOutcome {
         wns_before_ps: before.wns_ps,
         wns_after_ps: current.wns_ps,
         tns_before_ps: before.tns_ps,
         tns_after_ps: current.tns_ps,
         buffers_added: added,
-        runtime_s: t_start.elapsed().as_secs_f64(),
+        trace,
     }
 }
 

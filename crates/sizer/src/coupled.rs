@@ -8,12 +8,16 @@
 //! re-time, which no arc delta carries, builds a candidate engine from the
 //! export instead, kept only if the move is. A rejected move is undone in
 //! the design and the reference too.
+//!
+//! Each move records one `coupled.move` span naming its route (DESIGN.md,
+//! "Observability").
 
 use insta_engine::{InstaConfig, InstaEngine, InstaReport, PassOptions};
 use insta_liberty::LibCellId;
 use insta_netlist::{CellId, Design};
 use insta_refsta::eco::ArcDelta;
 use insta_refsta::RefSta;
+use insta_support::obs::Recorder;
 
 /// A design, its reference timer and an INSTA engine that moves with them.
 #[derive(Debug)]
@@ -60,18 +64,30 @@ impl<'a> Coupled<'a> {
     /// Resizes `cell` to `to`, re-times the reference and syncs the engine
     /// (module docs), and keeps the move if `accept` takes the engine's
     /// new report. A move whose timing fails is rejected without asking.
-    /// Returns whether the move was kept.
+    /// Records the move in `obs`; returns whether it was kept.
     pub fn try_resize(
         &mut self,
+        obs: &mut Recorder,
         cell: CellId,
         to: LibCellId,
         accept: impl FnOnce(&InstaReport) -> bool,
     ) -> bool {
+        obs.begin("coupled.move");
         let from = self.design.cell(cell).lib_cell;
         self.design.resize_cell(cell, to);
+        obs.begin("coupled.refsta");
         self.golden.incremental_update(self.design, &[cell]);
+        obs.end();
         let change = self.golden.last_change();
-        let accepted = if change.full || !change.launches.is_empty() {
+        let kind: u8 = if change.full {
+            2
+        } else if !change.launches.is_empty() {
+            1
+        } else {
+            0
+        };
+        let accepted = if kind > 0 {
+            obs.begin("coupled.rebuild");
             let mut candidate = build(self.golden, self.engine.config().clone());
             let ok = candidate
                 .try_propagate(&PassOptions::default())
@@ -81,6 +97,7 @@ impl<'a> Coupled<'a> {
             }
             ok
         } else {
+            obs.begin("coupled.session");
             let delays = self.golden.delays();
             let deltas: Vec<ArcDelta> = change
                 .arcs
@@ -100,10 +117,15 @@ impl<'a> Coupled<'a> {
             }
             ok
         };
+        obs.end();
         if !accepted {
             self.design.resize_cell(cell, from);
+            obs.begin("coupled.refsta");
             self.golden.incremental_update(self.design, &[cell]);
+            obs.end();
         }
+        let fields = [("kind", f64::from(kind)), ("kept", f64::from(u8::from(accepted)))];
+        obs.end_with(&fields);
         accepted
     }
 }

@@ -18,40 +18,26 @@
 //! exact engine before and after the whole changelist (Fig. 8): INSTA's
 //! annotations drift because `estimate_eco` freezes the neighbourhood, and
 //! the paper deliberately skips re-synchronization to measure that drift.
+//!
+//! Each operation records one span per evaluator, INSTA's first, in the
+//! result's `trace` (DESIGN.md, "Observability").
 
 use crate::changelist::ResizeOp;
 use insta_engine::{InstaConfig, InstaEngine, MismatchStats};
 use insta_netlist::Design;
 use insta_refsta::{estimate_eco, RefSta, StaConfig};
-use std::time::Instant;
-
-/// Per-iteration evaluator timings (seconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IterationTiming {
-    /// Index of the replayed changelist operation.
-    pub op_index: usize,
-    /// Reference full-update runtime.
-    pub full_s: f64,
-    /// Reference incremental-update runtime.
-    pub incremental_s: f64,
-    /// INSTA runtime (estimate_eco + re-annotation + propagation).
-    pub insta_s: f64,
-}
+use insta_support::obs::Recorder;
 
 /// Result of the evaluator flow.
 #[derive(Debug, Clone)]
 pub struct EvaluatorFlowResult {
-    /// Per-iteration timings.
-    pub iterations: Vec<IterationTiming>,
+    /// Every operation's evaluator spans (module docs).
+    pub trace: Recorder,
     /// INSTA vs exact correlation before any resize.
     pub corr_before: MismatchStats,
     /// INSTA vs exact correlation after the full changelist (with the
     /// accumulated estimate_eco drift).
     pub corr_after: MismatchStats,
-    /// Mean speedup of INSTA over the full update.
-    pub speedup_vs_full: f64,
-    /// Mean speedup of INSTA over the incremental update.
-    pub speedup_vs_incremental: f64,
 }
 
 /// Replays `ops` on `design`, timing all three evaluators per iteration.
@@ -79,33 +65,26 @@ pub fn run_evaluator_flow(
         .collect();
     let corr_before = MismatchStats::compute(&report0.slacks, &exact0);
 
-    let mut iterations = Vec::with_capacity(ops.len());
-    for (i, op) in ops.iter().enumerate() {
+    let mut trace = Recorder::new();
+    for op in ops {
         // INSTA path: estimate (pre-commit state) → re-annotate →
         // propagate. The estimate must run against the pre-commit design,
         // exactly like `estimate_eco` in PrimeTime.
-        let t0 = Instant::now();
+        trace.begin("flow.insta");
         let est = estimate_eco(design, &sta_incr, op.cell, op.to);
         design.resize_cell(op.cell, op.to);
         engine
             .update_timing(&est.arc_deltas)
             .expect("estimate_eco deltas reference snapshot arcs");
-        let insta_s = t0.elapsed().as_secs_f64();
+        trace.end();
 
-        let t1 = Instant::now();
+        trace.begin("flow.incremental");
         sta_incr.incremental_update(design, &[op.cell]);
-        let incremental_s = t1.elapsed().as_secs_f64();
+        trace.end();
 
-        let t2 = Instant::now();
+        trace.begin("flow.full");
         sta_full.full_update(design);
-        let full_s = t2.elapsed().as_secs_f64();
-
-        iterations.push(IterationTiming {
-            op_index: i,
-            full_s,
-            incremental_s,
-            insta_s,
-        });
+        trace.end();
     }
 
     let final_insta = engine
@@ -124,22 +103,10 @@ pub fn run_evaluator_flow(
         MismatchStats::compute(&final_insta.slacks, &exact_after)
     };
 
-    let mean = |f: fn(&IterationTiming) -> f64, xs: &[IterationTiming]| -> f64 {
-        if xs.is_empty() {
-            0.0
-        } else {
-            xs.iter().map(f).sum::<f64>() / xs.len() as f64
-        }
-    };
-    let m_full = mean(|x| x.full_s, &iterations);
-    let m_incr = mean(|x| x.incremental_s, &iterations);
-    let m_insta = mean(|x| x.insta_s, &iterations).max(1e-12);
     EvaluatorFlowResult {
-        iterations,
+        trace,
         corr_before,
         corr_after,
-        speedup_vs_full: m_full / m_insta,
-        speedup_vs_incremental: m_incr / m_insta,
     }
 }
 
@@ -159,16 +126,16 @@ mod tests {
             StaConfig::default(),
             InstaConfig::default(),
         );
-        assert_eq!(result.iterations.len(), 8);
+        for name in ["flow.insta", "flow.incremental", "flow.full"] {
+            assert_eq!(result.trace.sum(name).count, 8, "{name}");
+        }
         assert!(result.corr_before.correlation > 0.99999);
         assert!(
             result.corr_after.correlation > 0.95,
             "post-flow correlation degraded too far: {}",
             result.corr_after.correlation
         );
-        for it in &result.iterations {
-            assert!(it.full_s > 0.0 && it.incremental_s > 0.0 && it.insta_s > 0.0);
-        }
+        assert!(result.trace.events().all(|e| e.dur_ns > 0));
     }
 
     #[test]
@@ -180,7 +147,7 @@ mod tests {
             StaConfig::default(),
             InstaConfig::default(),
         );
-        assert!(result.iterations.is_empty());
+        assert!(result.trace.is_empty());
         assert_eq!(
             result.corr_before.correlation,
             result.corr_after.correlation

@@ -11,6 +11,9 @@
 //! move is rolled back if TNS degrades. A committed stage blocks its 3-hop
 //! neighbourhood for the rest of the round, matching the paper's
 //! interference mitigation (`estimate_eco` assumes frozen neighbours).
+//!
+//! A run's spans (DESIGN.md, "Observability") come back in its outcome's
+//! `trace`.
 
 use crate::coupled::Coupled;
 use crate::stage::{cell_neighborhood, stage_gradients};
@@ -18,8 +21,8 @@ use insta_engine::{InstaConfig, PassOptions, Scenario};
 use insta_liberty::LibCellId;
 use insta_netlist::{CellId, Design};
 use insta_refsta::{estimate_eco, RefSta, StaReport};
+use insta_support::obs::Recorder;
 use std::collections::HashSet;
-use std::time::Instant;
 
 /// Gradient-magnitude threshold as a fraction of the round's largest stage
 /// gradient.
@@ -30,6 +33,10 @@ const MAX_STAGES_PER_ROUND: usize = 400;
 const ROUNDS: usize = 12;
 /// Neighbourhood blocking radius in cell hops (paper: 3).
 const BLOCK_HOPS: usize = 3;
+/// Journal bound of a sizing run: room for every span of the largest one
+/// (power recovery: ≈ 10 800 spans over 3 600 moves), so a reader of the
+/// journal splits all its moves by route.
+const JOURNAL_CAPACITY: usize = 1 << 15;
 
 /// Configuration of INSTA-Size.
 #[derive(Debug, Clone)]
@@ -50,7 +57,7 @@ impl Default for InstaSizeConfig {
 }
 
 /// Outcome of a sizing run (shared by both sizers; Table II's rows).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SizeOutcome {
     /// WNS before optimization (ps).
     pub wns_before_ps: f64,
@@ -66,41 +73,41 @@ pub struct SizeOutcome {
     pub violations_after: usize,
     /// Number of cells whose size changed at the end.
     pub cells_sized: usize,
-    /// Total wall-clock runtime (s).
-    pub runtime_s: f64,
-    /// Gradient runtime accumulated over the run (s) — the paper's `bRT`
-    /// column: each round's one `backward_tns` call, its LSE pass
-    /// included.
-    pub backward_runtime_s: f64,
+    /// The run's spans (module docs), rooted at `size.run`.
+    pub trace: Recorder,
 }
 
-/// Where a sizing run starts: its clock, the signoff report of the design
-/// and every cell's size.
+/// Where a sizing run starts: its open `size.run` span, the signoff report
+/// of the design and every cell's size.
 pub(crate) struct SizeRun {
-    t_start: Instant,
+    pub(crate) obs: Recorder,
     pub(crate) before: StaReport,
     sizes: Vec<LibCellId>,
 }
 
 impl SizeRun {
-    /// Times `design` in full and records where the run starts.
+    /// Opens the run's root span, times `design` in full and records where
+    /// the run starts.
     pub(crate) fn start(design: &Design, golden: &mut RefSta) -> Self {
+        let mut obs = Recorder::with_capacity(JOURNAL_CAPACITY);
+        obs.begin("size.run");
+        obs.begin("size.signoff");
+        let before = golden.full_update(design);
+        obs.end();
         Self {
-            t_start: Instant::now(),
-            before: golden.full_update(design),
+            obs,
+            before,
             sizes: design.cells().iter().map(|c| c.lib_cell).collect(),
         }
     }
 
-    /// Times the sized design in full: the run's outcome, counting each
-    /// cell whose size differs from the start once.
-    pub(crate) fn finish(
-        self,
-        design: &Design,
-        golden: &mut RefSta,
-        backward_s: f64,
-    ) -> SizeOutcome {
+    /// Times the sized design in full and closes the root span: the run's
+    /// outcome, counting each cell whose size differs from the start once.
+    pub(crate) fn finish(mut self, design: &Design, golden: &mut RefSta) -> SizeOutcome {
+        self.obs.begin("size.signoff");
         let after = golden.full_update(design);
+        self.obs.end();
+        self.obs.end();
         let cells = design.cells().iter().zip(&self.sizes);
         SizeOutcome {
             wns_before_ps: self.before.wns_ps,
@@ -110,8 +117,7 @@ impl SizeRun {
             violations_before: self.before.n_violations,
             violations_after: after.n_violations,
             cells_sized: cells.filter(|(c, &size)| c.lib_cell != size).count(),
-            runtime_s: self.t_start.elapsed().as_secs_f64(),
-            backward_runtime_s: backward_s,
+            trace: self.obs,
         }
     }
 }
@@ -120,23 +126,22 @@ impl SizeRun {
 /// exact delay refresh. Returns the outcome evaluated by the golden engine
 /// (the signoff view of Table II).
 pub fn insta_size(design: &mut Design, golden: &mut RefSta, cfg: &InstaSizeConfig) -> SizeOutcome {
-    let run = SizeRun::start(design, golden);
+    let mut run = SizeRun::start(design, golden);
+    let obs = &mut run.obs;
     let mut timer = Coupled::new(design, golden, cfg.engine.clone());
-    let mut backward_s = 0.0;
     let lib = timer.design().library_arc();
 
     for _round in 0..ROUNDS {
+        obs.begin("size.round");
         // The report is current here (`Coupled` keeps it so), and the
         // call runs the stale LSE pass before the backward sweep.
-        let t_b = Instant::now();
+        obs.begin("size.gradient");
         timer.engine_mut().backward_tns();
-        backward_s += t_b.elapsed().as_secs_f64();
+        obs.end();
 
+        // No gradient flow leaves no stage to visit and ends the run.
         let stages = stage_gradients(timer.design(), timer.golden().graph(), timer.engine());
-        let Some(max_mag) = stages.first().map(|s| s.magnitude) else {
-            break; // no gradient flow → nothing to fix
-        };
-        let threshold = max_mag * GRAD_THRESHOLD_FRAC;
+        let threshold = stages.first().map_or(0.0, |s| s.magnitude) * GRAD_THRESHOLD_FRAC;
         let mut blocked: HashSet<CellId> = HashSet::new();
         let mut committed_this_round = 0usize;
 
@@ -147,57 +152,61 @@ pub fn insta_size(design: &mut Design, golden: &mut RefSta, cfg: &InstaSizeConfi
             if blocked.contains(&stage.cell) {
                 continue;
             }
-            let (design, golden) = (timer.design(), timer.golden());
-            let cur_lib = design.cell(stage.cell).lib_cell;
-            let class = design.lib_cell_of(stage.cell).class;
             // Score every family member's estimated what-if deltas in one
             // batched INSTA evaluation: the winner is the candidate with
             // the best *true design TNS*, not the best local stage delay.
-            let candidates: Vec<_> = lib
-                .family(class)
-                .iter()
-                .copied()
-                .filter(|&cand| cand != cur_lib)
-                .map(|cand| (cand, estimate_eco(design, golden, stage.cell, cand)))
-                .collect();
-            if candidates.is_empty() {
-                continue;
-            }
-            let engine = timer.engine_mut();
-            let tns_prev = engine.report().tns_ps;
-            // One lane per candidate; the best TNS wins, the later
-            // candidate on a tie, and a quarantined lane (a poisoned
-            // estimate) drops its candidate.
-            let scenarios: Vec<Scenario> = candidates
-                .iter()
-                .map(|(_, est)| Scenario::from(est.arc_deltas.clone()))
-                .collect();
-            let reports = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
-            let best = reports
-                .iter()
-                .enumerate()
-                .filter_map(|(k, r)| r.outcome.as_ref().ok().map(|rep| (k, rep.tns_ps)))
-                .max_by(|a, b| a.1.total_cmp(&b.1));
-            let Some((pick, batch_tns)) = best else {
-                continue;
+            obs.begin("size.score");
+            let best = 'score: {
+                let (design, golden) = (timer.design(), timer.golden());
+                let cur_lib = design.cell(stage.cell).lib_cell;
+                let candidates: Vec<_> = lib
+                    .family(design.lib_cell_of(stage.cell).class)
+                    .iter()
+                    .copied()
+                    .filter(|&cand| cand != cur_lib)
+                    .map(|cand| (cand, estimate_eco(design, golden, stage.cell, cand)))
+                    .collect();
+                if candidates.is_empty() {
+                    break 'score None;
+                }
+                let engine = timer.engine_mut();
+                let tns_prev = engine.report().tns_ps;
+                // One lane per candidate; the best TNS wins, the later
+                // candidate on a tie, and a quarantined lane (a poisoned
+                // estimate) drops its candidate.
+                let scenarios: Vec<Scenario> = candidates
+                    .iter()
+                    .map(|(_, est)| Scenario::from(est.arc_deltas.clone()))
+                    .collect();
+                let reports = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
+                reports
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(k, r)| r.outcome.as_ref().ok().map(|rep| (k, rep.tns_ps)))
+                    .max_by(|a, b| a.1.total_cmp(&b.1))
+                    // The winner only if it improves the design TNS.
+                    .filter(|&(_, batch_tns)| batch_tns > tns_prev)
+                    .map(|(pick, _)| (candidates[pick].0, tns_prev))
             };
-            if batch_tns <= tns_prev {
-                continue; // no candidate improves the design TNS
-            }
+            obs.end();
             // Commit the winner at exact golden delays; a move that
             // degrades TNS (paper §III-H) or poisons the engine is undone.
+            let Some((to, tns_prev)) = best else {
+                continue;
+            };
             let cell = stage.cell;
-            if timer.try_resize(cell, candidates[pick].0, |r| r.tns_ps >= tns_prev) {
+            if timer.try_resize(obs, cell, to, |r| r.tns_ps >= tns_prev) {
                 committed_this_round += 1;
                 blocked.extend(cell_neighborhood(timer.design(), cell, BLOCK_HOPS));
             }
         }
+        obs.end_with(&[("committed", committed_this_round as f64)]);
         if committed_this_round == 0 {
             break;
         }
     }
 
-    run.finish(design, golden, backward_s)
+    run.finish(design, golden)
 }
 
 #[cfg(test)]
@@ -230,7 +239,11 @@ mod tests {
             outcome.cells_sized < design.cells().len() / 4,
             "gradient targeting must touch few cells"
         );
-        assert!(outcome.backward_runtime_s > 0.0);
+        let trace = &outcome.trace;
+        let (run, gradient) = (trace.sum("size.run"), trace.sum("size.gradient"));
+        assert_eq!(run.count, 1);
+        assert!(gradient.count > 0 && gradient.ns > 0);
+        assert!(trace.sum("size.round").ns <= run.ns);
     }
 
     #[test]

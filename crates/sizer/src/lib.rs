@@ -32,7 +32,7 @@ pub mod stage;
 pub use buffering::{insta_buffer, BufferingOutcome};
 pub use changelist::{random_changelist, ResizeOp};
 pub use coupled::Coupled;
-pub use flow::{run_evaluator_flow, EvaluatorFlowResult, IterationTiming};
+pub use flow::{run_evaluator_flow, EvaluatorFlowResult};
 pub use insta_size::{insta_size, InstaSizeConfig, SizeOutcome};
 pub use power::{power_recover, PowerOutcome};
 pub use reference::reference_size;

@@ -21,7 +21,7 @@ const MAX_PASSES: usize = 3;
 const TOP_K: usize = 8;
 
 /// Outcome of a power-recovery run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PowerOutcome {
     /// Timing summary (before/after, via the golden engine).
     pub timing: SizeOutcome,
@@ -49,7 +49,7 @@ impl PowerOutcome {
 /// The golden engine re-times each move exactly; INSTA is the per-commit
 /// evaluator (the Application-1 role).
 pub fn power_recover(design: &mut Design, golden: &mut RefSta) -> PowerOutcome {
-    let run = SizeRun::start(design, golden);
+    let mut run = SizeRun::start(design, golden);
     let leakage_before = design.total_leakage();
     let tns_floor = run.before.tns_ps;
     let engine = InstaConfig {
@@ -61,6 +61,7 @@ pub fn power_recover(design: &mut Design, golden: &mut RefSta) -> PowerOutcome {
     let mut downsized = 0usize;
 
     for _pass in 0..MAX_PASSES {
+        run.obs.begin("size.round");
         // Candidates: combinational non-clock cells above minimum drive,
         // sorted by the leakage saved by one downsizing notch.
         let design = timer.design();
@@ -89,8 +90,10 @@ pub fn power_recover(design: &mut Design, golden: &mut RefSta) -> PowerOutcome {
 
         let mut committed = 0usize;
         for (_, cell, smaller) in cands {
-            committed += usize::from(timer.try_resize(cell, smaller, |r| r.tns_ps >= tns_floor));
+            let kept = timer.try_resize(&mut run.obs, cell, smaller, |r| r.tns_ps >= tns_floor);
+            committed += usize::from(kept);
         }
+        run.obs.end_with(&[("committed", committed as f64)]);
         downsized += committed;
         if committed == 0 {
             break;
@@ -98,7 +101,7 @@ pub fn power_recover(design: &mut Design, golden: &mut RefSta) -> PowerOutcome {
     }
 
     PowerOutcome {
-        timing: run.finish(design, golden, 0.0),
+        timing: run.finish(design, golden),
         leakage_before,
         leakage_after: design.total_leakage(),
         cells_downsized: downsized,

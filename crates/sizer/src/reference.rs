@@ -66,10 +66,11 @@ fn backtrace_cells(design: &Design, sta: &RefSta, ep_node: NodeId, mut rf: usize
 
 /// Runs the greedy reference sizer.
 pub fn reference_size(design: &mut Design, sta: &mut RefSta) -> SizeOutcome {
-    let run = SizeRun::start(design, sta);
+    let mut run = SizeRun::start(design, sta);
     let lib = design.library_arc();
 
     for _pass in 0..MAX_PASSES {
+        run.obs.begin("size.round");
         let report = sta.report().clone();
         let mut violating: Vec<(f64, usize, u8)> = report
             .endpoints
@@ -78,9 +79,7 @@ pub fn reference_size(design: &mut Design, sta: &mut RefSta) -> SizeOutcome {
             .filter(|(_, e)| e.slack_ps < 0.0)
             .map(|(i, e)| (e.slack_ps, i, e.transition.index() as u8))
             .collect();
-        if violating.is_empty() {
-            break;
-        }
+        // With none, no cell is tried and the pass ends the run.
         violating.sort_by(|a, b| a.0.total_cmp(&b.0));
         violating.truncate(ENDPOINTS_PER_PASS);
 
@@ -117,12 +116,13 @@ pub fn reference_size(design: &mut Design, sta: &mut RefSta) -> SizeOutcome {
                 }
             }
         }
+        run.obs.end_with(&[("committed", committed as f64)]);
         if committed == 0 {
             break;
         }
     }
 
-    run.finish(design, sta, 0.0)
+    run.finish(design, sta)
 }
 
 #[cfg(test)]

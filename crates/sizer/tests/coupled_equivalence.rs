@@ -7,7 +7,8 @@
 //!
 //! Moves are drawn from four shapes: a combinational cell, a cell loading
 //! a flop's Q net (its launch changes), a flop and a clock buffer (both
-//! re-time in full). The accept closure rejects some of each.
+//! re-time in full). The accept closure rejects some of each. Every move
+//! journals one `coupled.move` span naming the route it took.
 
 use insta_engine::{InstaConfig, InstaEngine};
 use insta_liberty::{GateClass, LibCellId};
@@ -15,6 +16,7 @@ use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_netlist::{CellId, Design, NodeId};
 use insta_refsta::{RefSta, StaConfig};
 use insta_sizer::Coupled;
+use insta_support::obs::{Recorder, SpanEvent};
 use insta_support::prop::{for_all, Config};
 use insta_support::{prop_assert, prop_assert_eq};
 use std::cell::Cell;
@@ -103,6 +105,43 @@ fn other_size(design: &Design, c: CellId, up: bool) -> LibCellId {
         .expect("a family of more than one size")
 }
 
+/// The route a move of `cell` to `to` takes (0 arcs, 1 launch, 2 full):
+/// what a fresh reference of `design` reports changed when it re-times
+/// the move.
+fn route_of(design: &Design, cell: CellId, to: LibCellId) -> f64 {
+    let mut design = design.clone();
+    let mut sta = RefSta::new(&design, StaConfig::default()).expect("acyclic");
+    sta.full_update(&design);
+    design.resize_cell(cell, to);
+    sta.incremental_update(&design, &[cell]);
+    let change = sta.last_change();
+    if change.full {
+        2.0
+    } else if !change.launches.is_empty() {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+/// Asserts that `journal`, the spans of one move, is one `coupled.move`
+/// of route `kind` whose `kept` is `kept`, with a `coupled.rebuild` child
+/// exactly when the route is not arcs.
+fn records_its_route(journal: &[SpanEvent], kind: f64, kept: bool) -> Result<(), String> {
+    let moves: Vec<&SpanEvent> = journal.iter().filter(|e| e.name == "coupled.move").collect();
+    prop_assert_eq!(moves.len(), 1);
+    prop_assert_eq!(moves[0].field("kind"), Some(kind));
+    prop_assert_eq!(moves[0].field("kept"), Some(f64::from(u8::from(kept))));
+    let children = |name: &str| {
+        let depth = moves[0].depth + 1;
+        journal.iter().filter(|e| e.name == name && e.depth == depth).count()
+    };
+    prop_assert_eq!(children("coupled.rebuild"), usize::from(kind != 0.0));
+    prop_assert_eq!(children("coupled.session"), usize::from(kind == 0.0));
+    prop_assert_eq!(children("coupled.refsta"), 1 + usize::from(!kept));
+    Ok(())
+}
+
 /// Asserts that the coupled engine reports what a fresh build reports.
 fn matches_fresh(timer: &Coupled, cfg: &InstaConfig, what: &str) -> Result<(), String> {
     let mut fresh =
@@ -160,9 +199,12 @@ fn every_move_leaves_the_engine_equal_to_a_fresh_build() {
                 let cell = pool[pick as usize % pool.len()];
                 let to = other_size(timer.design(), cell, up);
                 let before = (sizes(timer.design()), golden_bits(timer.golden()));
-                let kept = timer.try_resize(cell, to, |_| accept);
+                let kind = route_of(timer.design(), cell, to);
+                let mut obs = Recorder::new();
+                let kept = timer.try_resize(&mut obs, cell, to, |_| accept);
                 let what = format!("step {step}: shape {shape}, cell {}, kept {kept}", cell.0);
                 prop_assert_eq!(kept, accept);
+                records_its_route(&obs.events().cloned().collect::<Vec<_>>(), kind, kept)?;
                 if kept {
                     let change = timer.golden().last_change();
                     launches.set(launches.get() + usize::from(!change.launches.is_empty()));

@@ -37,7 +37,7 @@ pub use fault::{
 };
 pub use hash::{crc32, Crc32};
 pub use json::{FromJson, Json, JsonError, ToJson};
-pub use obs::{Recorder, SpanEvent};
+pub use obs::{Recorder, SpanEvent, SpanSum};
 pub use prop::{for_all, Config as PropConfig, Shrink};
 pub use rng::Rng;
 pub use timer::{black_box, CancelToken, Deadline, Harness};

@@ -10,11 +10,12 @@
 //!
 //! Design points, in order of importance:
 //!
-//! * **Pay for what you use.** A span is two `Instant::now()` calls and a
-//!   `Vec` push; there is no locking, no thread-local registry, and no
-//!   formatting until [`Recorder::export_jsonl`] is called. Callers that
-//!   trace hot loops gate the recorder behind an `Option` so the disabled
-//!   path is a branch on a `None`.
+//! * **Pay for what you use.** A span is two `Instant::now()` calls, a
+//!   `Vec` push and a scan of the per-name sums; there is no locking, no
+//!   thread-local registry, and no formatting until
+//!   [`Recorder::export_jsonl`] is called. Callers that trace hot loops
+//!   gate the recorder behind an `Option` so the disabled path is a branch
+//!   on a `None`.
 //! * **Bounded memory.** The journal is a ring of at most `capacity`
 //!   events; older events are evicted (counted by [`Recorder::dropped`])
 //!   rather than growing without bound inside a long optimization loop.
@@ -25,7 +26,8 @@
 //!
 //! Numeric payloads ride on spans as `(&'static str, f64)` fields — enough
 //! for counters, durations, and occupancies without dragging in a dynamic
-//! value model.
+//! value model. Every closed span also adds to its name's exact [`SpanSum`]
+//! ([`Recorder::sum`]), which eviction never touches.
 //!
 //! Beside the journal, a [`LatencyHistogram`] keeps a whole distribution
 //! in relaxed atomics, for a path too hot or too shared to journal every
@@ -137,6 +139,23 @@ impl ToJson for SpanEvent {
     }
 }
 
+/// Every span of one name a recorder has closed: how many, and their
+/// summed duration.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanSum {
+    /// Spans closed.
+    pub count: u64,
+    /// Their summed duration (ns).
+    pub ns: u64,
+}
+
+impl SpanSum {
+    /// The summed duration in seconds.
+    pub fn secs(self) -> f64 {
+        self.ns as f64 * 1e-9
+    }
+}
+
 /// An open span on the recorder's stack.
 #[derive(Debug, Clone)]
 struct OpenSpan {
@@ -156,6 +175,7 @@ pub struct Recorder {
     next_seq: u64,
     total: u64,
     dropped: u64,
+    sums: Vec<(&'static str, SpanSum)>,
 }
 
 impl Default for Recorder {
@@ -180,6 +200,7 @@ impl Recorder {
             next_seq: 0,
             total: 0,
             dropped: 0,
+            sums: Vec::new(),
         }
     }
 
@@ -219,6 +240,13 @@ impl Recorder {
         };
         let dur_ns = open.start.elapsed().as_nanos() as u64;
         let depth = self.stack.len() as u32;
+        match self.sums.iter_mut().find(|(n, _)| *n == open.name) {
+            Some((_, sum)) => {
+                sum.count += 1;
+                sum.ns += dur_ns;
+            }
+            None => self.sums.push((open.name, SpanSum { count: 1, ns: dur_ns })),
+        }
         self.push(SpanEvent {
             name: open.name,
             start_ns: open.start_ns,
@@ -286,7 +314,13 @@ impl Recorder {
         self.dropped
     }
 
-    /// Drops all journaled events (open spans and counters are kept).
+    /// Every span named `name` closed so far, evicted ones included.
+    pub fn sum(&self, name: &str) -> SpanSum {
+        let found = self.sums.iter().find(|(n, _)| *n == name);
+        found.map_or_else(SpanSum::default, |&(_, sum)| sum)
+    }
+
+    /// Drops all journaled events (open spans, counters and sums are kept).
     pub fn clear(&mut self) {
         self.ring.clear();
     }
@@ -368,13 +402,33 @@ mod tests {
     }
 
     #[test]
+    fn sums_stay_exact_past_eviction() {
+        let mut r = Recorder::with_capacity(4);
+        let mut seen = 0;
+        for _ in 0..10 {
+            r.begin("span");
+            r.end();
+            seen += r.events().last().expect("the span just closed").dur_ns;
+        }
+        r.event("tick", &[]);
+        assert_eq!((r.len(), r.dropped()), (4, 7));
+        assert_eq!(r.sum("span"), SpanSum { count: 10, ns: seen });
+        // Instant events and unknown names add nothing.
+        assert_eq!(r.sum("tick"), SpanSum::default());
+        assert_eq!(r.sum("nothing"), SpanSum::default());
+    }
+
+    #[test]
     fn end_on_empty_stack_is_a_nop_in_release() {
         let mut r = Recorder::new();
+        r.begin("a");
+        r.end();
         r.event("only", &[]);
-        // `end` with nothing open debug-asserts; emulate the release-mode
-        // contract by checking the journal is untouched by a guarded pop.
+        let before = (r.export_jsonl(), r.sum("a"), r.total());
+        let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.end()));
+        assert_eq!(ended.is_err(), cfg!(debug_assertions), "debug-asserted in debug only");
+        assert_eq!((r.export_jsonl(), r.sum("a"), r.total()), before);
         assert_eq!(r.open_depth(), 0);
-        assert_eq!(r.len(), 1);
     }
 
     #[test]

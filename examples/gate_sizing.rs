@@ -25,15 +25,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sta_insta = RefSta::new(&design_insta, StaConfig::default())?;
     let insta_out = insta_size(&mut design_insta, &mut sta_insta, &InstaSizeConfig::default());
 
+    // Each run returns its spans: `size.run` is the whole run, and
+    // `size.gradient` INSTA-Size's gradient calls (the paper's bRT).
+    let secs = |out: &insta_sta::sizer::SizeOutcome, name| out.trace.sum(name).secs();
     println!("initial state : WNS {:8.2} ps  TNS {:10.1} ps  #vio {}",
         ref_out.wns_before_ps, ref_out.tns_before_ps, ref_out.violations_before);
     println!("reference     : WNS {:8.2} ps  TNS {:10.1} ps  #vio {:4}  cells sized {:4}  ({:.2} s)",
         ref_out.wns_after_ps, ref_out.tns_after_ps, ref_out.violations_after,
-        ref_out.cells_sized, ref_out.runtime_s);
+        ref_out.cells_sized, secs(&ref_out, "size.run"));
     println!("INSTA-Size    : WNS {:8.2} ps  TNS {:10.1} ps  #vio {:4}  cells sized {:4}  ({:.2} s, bRT {:.3} s)",
         insta_out.wns_after_ps, insta_out.tns_after_ps, insta_out.violations_after,
-        insta_out.cells_sized, insta_out.runtime_s, insta_out.backward_runtime_s);
-
+        insta_out.cells_sized, secs(&insta_out, "size.run"), secs(&insta_out, "size.gradient"));
+    // Every INSTA-Size move is one `coupled.move` span whose `kind` is its
+    // route: a session on the changed arcs (0), or an engine rebuild for a
+    // changed launch (1) or a full re-time (2).
+    let mut kinds = [0; 3];
+    for e in insta_out.trace.events().filter(|e| e.name == "coupled.move") {
+        kinds[e.field("kind").map_or(0, |k| k as usize)] += 1;
+    }
+    println!("  moves by route: {} arcs ({:.1} ms in sessions), {} launch + {} full ({:.1} ms in rebuilds)",
+        kinds[0], secs(&insta_out, "coupled.session") * 1e3, kinds[1], kinds[2],
+        secs(&insta_out, "coupled.rebuild") * 1e3);
     if ref_out.cells_sized > 0 {
         let fewer = 100.0
             * (1.0 - insta_out.cells_sized as f64 / ref_out.cells_sized as f64);

@@ -29,20 +29,23 @@ fn main() {
         InstaConfig::default(),
     );
 
+    // One span per evaluator per operation, in changelist order.
+    let trace = &result.trace;
+    let ms = |name: &'static str| {
+        let spans = trace.events().filter(move |e| e.name == name);
+        spans.map(|e| e.dur_ns as f64 * 1e-6)
+    };
     println!("\niter |  full (ms) | incremental (ms) | INSTA (ms)");
     println!("-----+------------+------------------+-----------");
-    for it in &result.iterations {
-        println!(
-            "{:4} | {:10.2} | {:16.2} | {:9.2}",
-            it.op_index,
-            it.full_s * 1e3,
-            it.incremental_s * 1e3,
-            it.insta_s * 1e3
-        );
+    let rows = ms("flow.full").zip(ms("flow.incremental")).zip(ms("flow.insta"));
+    for (i, ((full, incremental), insta)) in rows.enumerate() {
+        println!("{i:4} | {full:10.2} | {incremental:16.2} | {insta:9.2}");
     }
+    let insta = trace.sum("flow.insta").secs();
     println!(
         "\nmean speedup: {:.1}x vs full update, {:.1}x vs incremental update",
-        result.speedup_vs_full, result.speedup_vs_incremental
+        trace.sum("flow.full").secs() / insta,
+        trace.sum("flow.incremental").secs() / insta
     );
     println!("correlation before flow: {}", result.corr_before);
     println!("correlation after  flow: {}", result.corr_after);

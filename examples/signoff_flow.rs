@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out.timing.cells_sized,
         out.timing.wns_after_ps,
         out.timing.violations_after,
-        out.timing.runtime_s
+        out.timing.trace.sum("size.run").secs()
     );
     Ok(())
 }

@@ -19,6 +19,10 @@ for f in $(find crates/insta-core/src -name '*.rs' -not -name parallel.rs | sort
 done
 [ -z "$strays" ] || { printf 'one-site gate: the level runner is being re-spelled outside parallel.rs:\n%s' "$strays" >&2; exit 1; }
 
+echo "==> one-clock gate (the sizers and the placer time themselves through the Recorder spans they return: no Instant::now in crates/sizer/src or crates/placer/src)"
+clocks=$(grep -rn 'Instant::now' crates/sizer/src crates/placer/src || true)
+[ -z "$clocks" ] || { printf 'one-clock gate: a second way to time is growing back:\n%s\n' "$clocks" >&2; exit 1; }
+
 echo "==> DESIGN.md size line (what the code and its module docs already say does not go there)"
 design_bytes=$(wc -c < DESIGN.md)
 [ "$design_bytes" -le 58000 ] || { echo "DESIGN.md is $design_bytes bytes, over the 58000-byte line: cut, or move the text into the module it describes" >&2; exit 1; }
