@@ -98,6 +98,7 @@ use crate::metrics::InstaReport;
 use crate::parallel::PassOptions;
 use crate::validate::{Issue, ValidationReport};
 use insta_refsta::eco::ArcDelta;
+use insta_support::json::{FromJson, Json, JsonError};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -198,6 +199,20 @@ impl CornerTransform {
     }
 }
 
+/// The wire form `{"mean_scale", "mean_offset_ps", "sigma_scale",
+/// "sigma_offset_ps"}`; an absent member is the identity's.
+impl FromJson for CornerTransform {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let id = CornerTransform::IDENTITY;
+        Ok(CornerTransform {
+            mean_scale: v.get_opt("mean_scale")?.unwrap_or(id.mean_scale),
+            mean_offset_ps: v.get_opt("mean_offset_ps")?.unwrap_or(id.mean_offset_ps),
+            sigma_scale: v.get_opt("sigma_scale")?.unwrap_or(id.sigma_scale),
+            sigma_offset_ps: v.get_opt("sigma_offset_ps")?.unwrap_or(id.sigma_offset_ps),
+        })
+    }
+}
+
 /// The mode axis of an MCMM [`Scenario`]: an endpoint exception mask.
 /// Disabled endpoints keep their computed slack/arrival/required in the
 /// report (`report.slacks[ep]` stays meaningful) but contribute neither
@@ -205,38 +220,39 @@ impl CornerTransform {
 /// reporting granularity.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ModeMask {
-    /// Disabled-endpoint bitset, one bit per endpoint report index.
-    words: Vec<u64>,
+    /// The disabled endpoint report indices, sorted and without repeats:
+    /// one word per index given, whatever its value.
+    disabled: Vec<usize>,
 }
 
 impl ModeMask {
-    /// A mask disabling the given endpoint report indices.
+    /// A mask disabling the given endpoint report indices. An index past
+    /// the last endpoint disables nothing.
     pub fn disabling(disabled: impl IntoIterator<Item = usize>) -> Self {
-        let mut words: Vec<u64> = Vec::new();
-        for ep in disabled {
-            let w = ep / 64;
-            if words.len() <= w {
-                words.resize(w + 1, 0);
-            }
-            words[w] |= 1u64 << (ep % 64);
-        }
-        ModeMask { words }
+        let mut disabled: Vec<usize> = disabled.into_iter().collect();
+        disabled.sort_unstable();
+        disabled.dedup();
+        ModeMask { disabled }
     }
 
-    /// Whether the endpoint at this report index is mode-disabled.
-    /// Out-of-range indices are enabled.
-    #[inline]
-    pub fn is_disabled(&self, ep: usize) -> bool {
-        match self.words.get(ep / 64) {
-            Some(w) => w >> (ep % 64) & 1 == 1,
-            None => false,
-        }
+    /// The disabled endpoint report indices, ascending and each once: a
+    /// walk over the endpoints in order meets them as the list's head.
+    pub fn disabled(&self) -> &[usize] {
+        &self.disabled
     }
 
-    /// Whether the mask disables anything at all (an empty mask lane is
+    /// Whether the mask lists any index (an empty mask lane is
     /// indistinguishable from a lane without one).
     pub fn disables_any(&self) -> bool {
-        self.words.iter().any(|&w| w != 0)
+        !self.disabled.is_empty()
+    }
+}
+
+/// The wire form `{"disabled": [ep, ...]}`; an absent list disables
+/// nothing.
+impl FromJson for ModeMask {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Ok(ModeMask::disabling(v.get_opt::<Vec<_>>("disabled")?.unwrap_or_default()))
     }
 }
 
@@ -286,6 +302,22 @@ impl From<Vec<ArcDelta>> for Scenario {
             deltas,
             ..Scenario::default()
         }
+    }
+}
+
+/// The wire form: a plain delta array, or `{"deltas": [...], "corner":
+/// {...}, "mode": {...}}` with every member optional.
+impl FromJson for Scenario {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        if v.as_arr().is_ok() {
+            let deltas = Vec::from_json(v).map_err(|e| JsonError::decode(format!("deltas: {e}")));
+            return deltas.map(Scenario::from);
+        }
+        Ok(Scenario {
+            deltas: v.get_opt("deltas")?.unwrap_or_default(),
+            corner: v.get_opt("corner")?,
+            mode: v.get_opt("mode")?,
+        })
     }
 }
 
@@ -426,9 +458,9 @@ impl InstaEngine {
         let mut merged_scenario = vec![u32::MAX; n_ep];
         for (i, sc) in scenarios.iter().enumerate() {
             let Ok(r) = &out[i].outcome else { continue };
-            let mode = sc.effective_mode();
+            let mut off = sc.effective_mode().map_or(&[][..], ModeMask::disabled).iter().peekable();
             for ep in 0..n_ep {
-                if mode.is_some_and(|m| m.is_disabled(ep)) {
+                if off.next_if_eq(&&ep).is_some() {
                     continue;
                 }
                 if r.slacks[ep] < merged_slacks[ep] {
@@ -972,6 +1004,27 @@ mod tests {
                 sigma: st.arc_sigma[e],
             })
             .collect()
+    }
+
+    /// A mask holds the indices it was given, not a bitset as wide as the
+    /// largest of them: `1 << 60` costs one word, and a lane under that
+    /// mask reports what a lane disabling endpoint 0 alone reports.
+    #[test]
+    fn a_mode_mask_is_sized_by_its_indices_not_their_values() {
+        let far = ModeMask::disabling([1 << 60, 0]);
+        assert_eq!(far.disabled(), [0, 1 << 60]);
+        assert_eq!(far.disabled.capacity(), 2, "one word per index");
+        let (_d, _sta, mut eng) = build_engine(5, 8);
+        eng.propagate();
+        let near = ModeMask::disabling([0]);
+        let mcmm = eng.evaluate_mcmm(&[
+            Scenario::default().with_mode(far),
+            Scenario::default().with_mode(near),
+        ]);
+        let [a, b] = [0, 1].map(|i| mcmm.scenarios[i].outcome.as_ref().expect("a clean lane"));
+        assert_eq!(a.wns_ps.to_bits(), b.wns_ps.to_bits());
+        assert_eq!(a.tns_ps.to_bits(), b.tns_ps.to_bits());
+        assert_eq!(a.n_violations, b.n_violations);
     }
 
     /// Report-only passes keep no second row set: a delta-free MCMM call

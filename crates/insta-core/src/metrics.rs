@@ -132,8 +132,9 @@ pub(crate) fn aggregate(
     let mut wns = f64::INFINITY;
     let mut tns = 0.0;
     let mut viol = 0usize;
+    let mut off = mask.map_or(&[][..], crate::batch::ModeMask::disabled).iter().peekable();
     for (i, &s) in slacks.iter().enumerate() {
-        if mask.is_some_and(|m| m.is_disabled(i)) {
+        if off.next_if_eq(&&i).is_some() {
             continue;
         }
         if s < 0.0 {

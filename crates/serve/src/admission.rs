@@ -51,7 +51,7 @@ pub const PRESSURE_DECAY_MS: u64 = 100;
 /// Tuning knobs of the service layer.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Concurrent read/heavy requests allowed to run (writers are exempt).
+    /// Concurrent read/heavy requests allowed to run (writers take none).
     pub max_inflight: usize,
     /// Largest accepted frame body (allocation-bomb guard).
     pub max_frame_bytes: usize,
@@ -127,7 +127,10 @@ pub struct Admission {
     /// Millis-since-`epoch` up to which idle decay has been applied;
     /// rejections push it forward so a storm can't bank idle credit.
     decay_mark_ms: AtomicU64,
-    inflight: AtomicUsize,
+    /// Reads and heavies holding a slot: what the cap bounds.
+    slots: AtomicUsize,
+    /// Writers in flight, counted beside the slots, never against them.
+    writers: AtomicUsize,
     pressure: AtomicU32,
 }
 
@@ -137,7 +140,8 @@ pub struct Admission {
 #[derive(Debug)]
 pub struct Ticket<'a> {
     gate: &'a Admission,
-    counted: bool,
+    /// The count the ticket holds a place in (`None` for control ops).
+    counted: Option<&'a AtomicUsize>,
 }
 
 impl Admission {
@@ -147,7 +151,8 @@ impl Admission {
             max_inflight: cfg.max_inflight.max(1),
             epoch: std::time::Instant::now(),
             decay_mark_ms: AtomicU64::new(0),
-            inflight: AtomicUsize::new(0),
+            slots: AtomicUsize::new(0),
+            writers: AtomicUsize::new(0),
             pressure: AtomicU32::new(0),
         }
     }
@@ -206,27 +211,28 @@ impl Admission {
         self.pressure.load(Ordering::Relaxed)
     }
 
-    /// Requests currently holding a counted slot.
+    /// Requests in flight that admission counts: reads and heavies
+    /// holding a slot, plus writers (which hold none).
     pub fn inflight(&self) -> usize {
-        self.inflight.load(Ordering::Relaxed)
+        self.slots.load(Ordering::Relaxed) + self.writers.load(Ordering::Relaxed)
     }
 
     /// Admits or rejects one request. Control ops get an uncounted
-    /// ticket; writers get a counted ticket unconditionally (they may
-    /// exceed the cap — the writer is never dropped); reads and heavies
-    /// compete for the bounded slots, and heavies are shed outright at
-    /// [`Tier::ShedHeavy`] and above.
+    /// ticket; writers get a ticket unconditionally, counted apart from
+    /// the slots (the writer is never dropped and takes no read's slot);
+    /// reads and heavies compete for the bounded slots, and heavies are
+    /// shed outright at [`Tier::ShedHeavy`] and above.
     pub fn try_admit(&self, kind: OpKind) -> Result<Ticket<'_>, Rejection> {
         match kind {
             OpKind::Control => Ok(Ticket {
                 gate: self,
-                counted: false,
+                counted: None,
             }),
             OpKind::Writer => {
-                self.inflight.fetch_add(1, Ordering::AcqRel);
+                self.writers.fetch_add(1, Ordering::AcqRel);
                 Ok(Ticket {
                     gate: self,
-                    counted: true,
+                    counted: Some(&self.writers),
                 })
             }
             OpKind::Heavy if self.tier() >= Tier::ShedHeavy => {
@@ -236,9 +242,9 @@ impl Admission {
             OpKind::Read | OpKind::Heavy => {
                 // Optimistic claim, undone on overflow: cheaper than CAS
                 // loops and exact enough for an admission gate.
-                let prev = self.inflight.fetch_add(1, Ordering::AcqRel);
+                let prev = self.slots.fetch_add(1, Ordering::AcqRel);
                 if prev >= self.max_inflight {
-                    self.inflight.fetch_sub(1, Ordering::AcqRel);
+                    self.slots.fetch_sub(1, Ordering::AcqRel);
                     let p = self.note_rejection();
                     return Err(Rejection::Overloaded {
                         retry_after_ms: RETRY_AFTER_MS * u64::from(p.max(1)),
@@ -246,7 +252,7 @@ impl Admission {
                 }
                 Ok(Ticket {
                     gate: self,
-                    counted: true,
+                    counted: Some(&self.slots),
                 })
             }
         }
@@ -268,8 +274,8 @@ impl Admission {
 
 impl Drop for Ticket<'_> {
     fn drop(&mut self) {
-        if self.counted {
-            self.gate.inflight.fetch_sub(1, Ordering::AcqRel);
+        if let Some(count) = self.counted {
+            count.fetch_sub(1, Ordering::AcqRel);
         }
         // Completion decays pressure regardless of class — progress is
         // progress.
@@ -376,6 +382,29 @@ mod tests {
         let _w = gate.try_admit(OpKind::Writer).unwrap();
         let _c = gate.try_admit(OpKind::Control).unwrap();
         assert_eq!(gate.inflight(), 2, "writer counted, control not");
+    }
+
+    /// A writer in flight takes no read's slot: with the cap's last slot
+    /// free, a read is admitted beside it, and only the read after that
+    /// one is `overloaded`.
+    #[test]
+    fn an_inflight_writer_takes_no_read_slot() {
+        const CAP: usize = 4;
+        let cfg = ServeConfig {
+            max_inflight: CAP,
+            ..ServeConfig::default()
+        };
+        let gate = Admission::new(&cfg);
+        let held: Vec<_> = (1..CAP).map(|_| gate.try_admit(OpKind::Read).unwrap()).collect();
+        let writer = gate.try_admit(OpKind::Writer).unwrap();
+        let last = gate.try_admit(OpKind::Read).expect("the cap's last slot");
+        assert_eq!(gate.inflight(), CAP + 1, "the writer is counted beside the slots");
+        assert!(matches!(
+            gate.try_admit(OpKind::Read),
+            Err(Rejection::Overloaded { .. })
+        ));
+        drop((held, writer, last));
+        assert_eq!(gate.inflight(), 0);
     }
 
     /// Rejections until the score reaches `pressure`.

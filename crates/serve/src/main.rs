@@ -35,6 +35,11 @@ fn usage(err: &str) -> ! {
     std::process::exit(2);
 }
 
+/// A flag's integer value.
+fn int<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value.parse().unwrap_or_else(|_| usage(&format!("{flag} wants an integer")))
+}
+
 fn main() {
     let mut snapshot: Option<String> = None;
     let mut gen_spec = String::from("small:42");
@@ -47,40 +52,20 @@ fn main() {
     let mut fsync = true;
 
     let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = |name: &str| args.next().unwrap_or_else(|| usage(&format!("{name} needs a value")));
-        match a.as_str() {
-            "--snapshot" => snapshot = Some(val("--snapshot")),
-            "--gen" => gen_spec = val("--gen"),
-            "--k" => k = val("--k").parse().unwrap_or_else(|_| usage("--k wants an integer")),
-            "--tcp" => tcp = Some(val("--tcp")),
-            "--max-inflight" => {
-                cfg.max_inflight = val("--max-inflight")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--max-inflight wants an integer"))
-            }
-            "--default-deadline-ms" => {
-                cfg.default_deadline_ms = val("--default-deadline-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--default-deadline-ms wants an integer"))
-            }
+    while let Some(flag) = args.next() {
+        let mut val = || args.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
+        match flag.as_str() {
+            "--snapshot" => snapshot = Some(val()),
+            "--gen" => gen_spec = val(),
+            "--k" => k = int(&flag, val()),
+            "--tcp" => tcp = Some(val()),
+            "--max-inflight" => cfg.max_inflight = int(&flag, val()),
+            "--default-deadline-ms" => cfg.default_deadline_ms = int(&flag, val()),
             "--debug-ops" => cfg.enable_debug_ops = true,
-            "--durability" => durability_dir = Some(val("--durability")),
-            "--checkpoint-every" => {
-                checkpoint_every = Some(
-                    val("--checkpoint-every")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--checkpoint-every wants an integer")),
-                )
-            }
+            "--durability" => durability_dir = Some(val()),
+            "--checkpoint-every" => checkpoint_every = Some(int(&flag, val())),
             "--no-fsync" => fsync = false,
-            "--sync-interval-us" => {
-                sync_interval_us = Some(
-                    val("--sync-interval-us")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--sync-interval-us wants an integer")),
-                );
-            }
+            "--sync-interval-us" => sync_interval_us = Some(int(&flag, val())),
             "--help" | "-h" => usage("help requested"),
             other => usage(&format!("unknown flag {other:?}")),
         }

@@ -13,14 +13,53 @@
 //!   sync — the daemon replies once and closes the connection;
 //! * EOF mid-body is a truncated frame — the connection is dead.
 //!
-//! Requests are `{"id":N,"op":"...","deadline_ms":M?,"params":{...}?}`.
-//! Responses are `{"id":N,"epoch":E,"ok":true,"result":{...}}` or
-//! `{"id":N,"epoch":E,"ok":false,"error":{"code":"...","message":"...",
-//! "retry_after_ms":K?}}`. The in-tree JSON writer prints `f64`s with
-//! Rust's shortest round-trip formatting, so slack *bits* survive the
-//! protocol — the MVCC tests compare raw `to_bits` over the wire.
+//! Requests are `{"id":N,"op":"...","version":V?,"deadline_ms":M?,
+//! "params":{...}?}`. Responses are `{"id":N,"epoch":E,"ok":true,
+//! "result":{...}}` or `{"id":N,"epoch":E,"ok":false,"error":{"code":"...",
+//! "message":"...","retry_after_ms":K?}}`. The in-tree JSON writer prints
+//! `f64`s with Rust's shortest round-trip formatting, so slack *bits*
+//! survive the protocol — the MVCC tests compare raw `to_bits` over the
+//! wire.
+//!
+//! # Params
+//!
+//! An admitted request's `params` are decoded once, into one typed
+//! `Params` value, before its op runs. One rule covers every param:
+//!
+//! * an absent param takes its default; three are required: `update`'s
+//!   `deltas`, `report_at`'s `node` and `batch`'s `scenarios`;
+//! * a param of the wrong type or range — `null` included — gets
+//!   `bad_request`, and the message names the param;
+//! * for an op that defines params, a `params` that is neither absent,
+//!   `null` nor an object gets `bad_request`;
+//! * keys an op does not define are ignored, and so is the `params` of an
+//!   op that defines none.
+//!
+//! | op | param | type | default | refused once decoded |
+//! |----|-------|------|---------|----------------------|
+//! | `report_slack` | `min_epoch` | integer ≥ 0 | 0 | not committed within the wait: `deadline` |
+//! | | `endpoints` | array of endpoint indices | the whole report | an index past the report |
+//! | `report_at` | `node` | integer < 2³² | required | |
+//! | | `rf` | 0 (rise) or 1 (fall) | 0 | |
+//! | `update` | `deltas` | array of deltas | required | a delta the engine cannot apply: `engine` |
+//! | `batch` | `scenarios` | array of at most 64 scenarios | required | |
+//! | | `merged` | bool | `false` | |
+//! | `gradient` | `arcs` | array of arc indices | `l1` and `max_abs` only | an index past the arcs |
+//! | `debug_stall` | `ms` | integer ≥ 0, held to 10 000 | 10 | |
+//!
+//! A delta is `{"arc": a < 2³², "mean": [rise, fall], "sigma": [rise,
+//! fall]}`. A scenario is a delta array, or an object whose members are
+//! all optional: `deltas` (none), `corner` (`{"mean_scale",
+//! "mean_offset_ps", "sigma_scale", "sigma_offset_ps"}`, an absent member
+//! the identity's) and `mode` (`{"disabled": [endpoint indices]}`, where
+//! an index past the last endpoint disables nothing). The last column's
+//! refusals are `bad_request` where they name no other code, as is a
+//! `report_slack` before any committed report; a scenario whose deltas the
+//! engine cannot apply is quarantined in its own row.
 
-use insta_support::json::{obj, parse, write_f64, Json, ToJson};
+use insta_engine::Scenario;
+use insta_refsta::eco::ArcDelta;
+use insta_support::json::{obj, parse, write_f64, FromJson, Json, JsonError, ToJson};
 use std::io::{self, BufRead, Write};
 
 /// The protocol generation this daemon speaks. Clients may send it as an
@@ -34,15 +73,14 @@ use std::io::{self, BufRead, Write};
 /// # Version history
 ///
 /// * **1** — initial wire protocol.
-/// * **2** — MCMM scenario lanes on the `batch` op: each scenario may be
-///   an *object* `{"deltas": [...], "corner": {mean_scale, mean_offset_ps,
-///   sigma_scale, sigma_offset_ps}, "mode": {"disabled": [endpoints...]}}`
-///   in addition to the generation-1 bare delta array, and an optional
-///   boolean `merged` param requests worst-corner merging (adds a
-///   `merged` object to the result). The extension is additive — every
-///   generation-1 `batch` request is served unchanged — but the version
-///   is bumped so clients can probe whether scenario objects are
-///   understood rather than discover a typed `bad_params` at dispatch.
+/// * **2** — MCMM scenario lanes on the `batch` op: a scenario may be an
+///   object (module docs, "Params") besides the generation-1 delta array,
+///   and `merged: true` adds the worst-corner merge. Generation-1 requests
+///   are served unchanged; the bump lets a client probe for scenario
+///   objects rather than meet a `bad_request`. Later in generation 2, a
+///   malformed optional param (a string `min_epoch`, a numeric `merged`, a
+///   scenario neither array nor object, …) went from being read as its
+///   default to `bad_request`; well-formed requests get the same bytes.
 pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Longest accepted length line (decimal digits), a cheap guard against
@@ -347,6 +385,64 @@ impl Request {
         out.push('}');
         out
     }
+}
+
+/// Scenario cap per `batch` request.
+const MAX_BATCH_SCENARIOS: usize = 64;
+
+/// One request's params, typed (module docs, "Params").
+#[derive(Debug)]
+pub(crate) enum Params {
+    /// The op defines no params.
+    None,
+    ReportSlack { min_epoch: u64, endpoints: Option<Vec<usize>> },
+    ReportAt { node: u32, rf: usize },
+    Update(Vec<ArcDelta>),
+    Batch { scenarios: Vec<Scenario>, merged: bool },
+    Gradient { arcs: Option<Vec<usize>> },
+    DebugStall { ms: u64 },
+}
+
+impl Params {
+    /// Decodes `op`'s params; an error's message names the param.
+    pub(crate) fn decode(op: Op, params: &Json) -> Result<Params, JsonError> {
+        const ABSENT: &Json = &Json::Obj(Vec::new());
+        let p = if matches!(params, Json::Null) { ABSENT } else { params };
+        let bad = |msg: String| Err(JsonError::decode(msg));
+        Ok(match op {
+            Op::ReportSlack => Params::ReportSlack {
+                min_epoch: param(p, "min_epoch")?.unwrap_or(0),
+                endpoints: param(p, "endpoints")?,
+            },
+            Op::ReportAt => match param(p, "rf")?.unwrap_or(0) {
+                rf @ 0..=1 => Params::ReportAt { node: required(p, "node")?, rf },
+                _ => return bad("rf: want 0 (rise) or 1 (fall)".into()),
+            },
+            Op::Update => Params::Update(required(p, "deltas")?),
+            Op::Batch => {
+                let scenarios: Vec<Scenario> = required(p, "scenarios")?;
+                let n = scenarios.len();
+                if n > MAX_BATCH_SCENARIOS {
+                    return bad(format!("scenarios: {n} exceeds the cap of {MAX_BATCH_SCENARIOS}"));
+                }
+                Params::Batch { scenarios, merged: param(p, "merged")?.unwrap_or(false) }
+            }
+            Op::Gradient => Params::Gradient { arcs: param(p, "arcs")? },
+            Op::DebugStall => Params::DebugStall { ms: param(p, "ms")?.unwrap_or(10).min(10_000) },
+            _ => Params::None,
+        })
+    }
+}
+
+/// One param of an op that defines params (`None` when absent).
+fn param<T: FromJson>(params: &Json, key: &str) -> Result<Option<T>, JsonError> {
+    params.as_obj().map_err(|e| JsonError::decode(format!("params: {e}")))?;
+    params.get_opt(key)
+}
+
+/// A param without a default.
+fn required<T: FromJson>(params: &Json, key: &str) -> Result<T, JsonError> {
+    param(params, key)?.ok_or_else(|| JsonError::decode(format!("{key}: missing")))
 }
 
 /// Moves the first member `key` out of a decoded object (`Null` when

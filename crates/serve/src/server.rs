@@ -36,17 +36,16 @@
 use crate::admission::{Admission, Rejection, ServeConfig, ServeCounters, Tier, RETRY_AFTER_MS};
 use crate::protocol::{
     code, err_response, ok_response, ok_response_text, read_frame, write_frame, FrameError, Op,
-    OpKind, Request, PROTOCOL_VERSION,
+    OpKind, Params, Request, PROTOCOL_VERSION,
 };
 use crate::recovery::{self, RecoveryReport};
 use crate::wal::{panic_message, Durability, DurabilityConfig};
 use insta_engine::{
-    CancelToken, CornerTransform, Deadline, EngineCounters, EngineDurableState, IncidentLog,
-    InstaEngine, InstaError, InstaReport, ModeMask, PassOptions, Scenario, ServiceIncident,
-    TimingSnapshot, WriterOp,
+    CancelToken, Deadline, EngineCounters, EngineDurableState, IncidentLog, InstaEngine,
+    InstaError, InstaReport, PassOptions, Scenario, ServiceIncident, TimingSnapshot, WriterOp,
 };
 use insta_refsta::eco::ArcDelta;
-use insta_support::json::{obj, write_f64, FromJson, Json, ToJson};
+use insta_support::json::{obj, write_f64, Json, ToJson};
 use insta_support::obs::{LatencyHistogram, Recorder};
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -59,8 +58,6 @@ use std::time::{Duration, Instant};
 const INCIDENT_LOG_CAP: usize = 128;
 /// Capacity of the request journal (spans/events ring).
 const JOURNAL_CAPACITY: usize = 4096;
-/// Scenario cap per `batch` request.
-const MAX_BATCH_SCENARIOS: usize = 64;
 /// TCP connections served at once, each on a thread of its own; one more
 /// gets a typed `overloaded` frame and is closed.
 const MAX_CONNECTIONS: usize = 64;
@@ -519,6 +516,11 @@ impl Server {
     /// close connection, the op if the body decoded)`.
     fn respond(&self, body: &[u8], started: Instant) -> (String, bool, Option<Op>) {
         let sh = &self.shared;
+        let refuse = |id: u64, code: &'static str, message: &str| {
+            sh.counters.rejected_protocol.fetch_add(1, Ordering::Relaxed);
+            self.record_incident(id, code, message);
+            err_response(id, sh.cell.epoch(), code, message, None)
+        };
         let req = match Request::decode(body) {
             Ok(r) => r,
             Err(e) => {
@@ -526,29 +528,16 @@ impl Server {
                 // that's a protocol error; a decoded-but-invalid request
                 // is the client's bug.
                 let code = if e.id == 0 { code::PROTOCOL } else { code::BAD_REQUEST };
-                sh.counters.rejected_protocol.fetch_add(1, Ordering::Relaxed);
-                self.record_incident(e.id, code, &e.message);
-                let epoch = sh.cell.epoch();
-                return (err_response(e.id, epoch, code, &e.message, None), false, None);
+                return (refuse(e.id, code, &e.message), false, None);
             }
         };
         // Version gate (satellite): a client that declares a different
         // protocol generation is refused before dispatch — loudly and
         // typed, not with a decode error three ops later.
-        if let Some(v) = req.version {
-            if v != PROTOCOL_VERSION {
-                let msg = format!(
-                    "client speaks protocol version {v}, server speaks {PROTOCOL_VERSION}"
-                );
-                sh.counters.rejected_protocol.fetch_add(1, Ordering::Relaxed);
-                self.record_incident(req.id, code::VERSION_MISMATCH, &msg);
-                let epoch = sh.cell.epoch();
-                return (
-                    err_response(req.id, epoch, code::VERSION_MISMATCH, &msg, None),
-                    false,
-                    Some(req.op),
-                );
-            }
+        if let Some(v) = req.version.filter(|&v| v != PROTOCOL_VERSION) {
+            let msg =
+                format!("client speaks protocol version {v}, server speaks {PROTOCOL_VERSION}");
+            return (refuse(req.id, code::VERSION_MISMATCH, &msg), false, Some(req.op));
         }
         let outcome = self.admit_and_execute(&req);
         let epoch = sh.cell.epoch();
@@ -653,39 +642,53 @@ impl Server {
         result
     }
 
+    /// Decodes the request's params, then runs its op.
     fn execute(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Reply, ErrReply> {
-        let tree = match req.op {
-            Op::Ping => obj([
-                ("pong", Json::Bool(true)),
-                ("version", PROTOCOL_VERSION.to_json()),
-            ]),
-            Op::Stats => self.stats(),
-            Op::ReportSlack => return self.report_slack(req, deadline),
-            Op::ReportAt => return self.report_at(req),
-            Op::PerfReport => self.snapshot().perf_report().to_json(),
-            Op::Incidents => self.incidents(),
-            Op::Journal => Json::Str(lock(&self.shared.journal).export_jsonl()),
-            Op::Update | Op::Propagate => self.write_epoch(req, deadline)?,
-            Op::Batch => self.batch(req, deadline)?,
-            Op::Gradient => self.gradient(req, deadline)?,
-            Op::Shutdown => {
-                self.shared.shutdown.cancel();
-                obj([("stopping", Json::Bool(true))])
+        let params = Params::decode(req.op, &req.params)
+            .map_err(|e| ErrReply::new(code::BAD_REQUEST, e.msg))?;
+        let opts = || self.pass_options(deadline);
+        let tree = match params {
+            Params::ReportSlack { min_epoch, endpoints } => {
+                let (epoch, degraded) = self.resolve_snapshot(min_epoch, deadline)?;
+                let (snap, image, eps) = (&epoch.snap, &epoch.slack_image, endpoints.as_deref());
+                let counters = &self.shared.counters;
+                return slack_reply(snap.epoch(), snap.report(), image, degraded, eps, counters);
             }
-            Op::DebugStall => {
-                let ms = req.params.get::<u64>("ms").unwrap_or(10).min(10_000);
+            Params::ReportAt { node, rf } => return Ok(self.report_at(node, rf)),
+            Params::Update(deltas) => self.write_epoch(Some(deltas), deadline)?,
+            Params::Batch { scenarios, merged } => self.batch(&scenarios, merged, &opts()),
+            Params::Gradient { arcs } => self.gradient(arcs.as_deref(), &opts())?,
+            Params::DebugStall { ms } => {
                 std::thread::sleep(Duration::from_millis(ms));
                 obj([("stalled_ms", ms.to_json())])
             }
-            Op::DebugPanic => panic!("debug_panic requested by request {}", req.id),
+            Params::None => match req.op {
+                Op::Ping => obj([
+                    ("pong", Json::Bool(true)),
+                    ("version", PROTOCOL_VERSION.to_json()),
+                ]),
+                Op::Stats => self.stats(),
+                Op::PerfReport => self.snapshot().perf_report().to_json(),
+                Op::Incidents => self.incidents(),
+                Op::Journal => Json::Str(lock(&self.shared.journal).export_jsonl()),
+                Op::Propagate => self.write_epoch(None, deadline)?,
+                Op::Shutdown => {
+                    self.shared.shutdown.cancel();
+                    obj([("stopping", Json::Bool(true))])
+                }
+                Op::DebugPanic => panic!("debug_panic requested by request {}", req.id),
+                op => unreachable!("{} defines params", op.name()),
+            },
         };
         Ok(Reply::Tree(tree))
     }
 
     /// Engine, service and durability counters, tier, per-op latency and
-    /// ring occupancy. `engine` is the writer's counters as its last op
-    /// left them, committed or not; a `gradient` request counts as one
-    /// `batches` call of one `batch_scenarios` lane.
+    /// ring occupancy. `inflight` is the reads and heavies holding an
+    /// admission slot plus the writers in flight (which hold none).
+    /// `engine` is the writer's counters as its last op left them,
+    /// committed or not; a `gradient` request counts as one `batches` call
+    /// of one `batch_scenarios` lane.
     fn stats(&self) -> Json {
         self.drain_durability_incidents();
         let sh = &self.shared;
@@ -795,33 +798,7 @@ impl Server {
         ))
     }
 
-    fn report_slack(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Reply, ErrReply> {
-        let min_epoch = req.params.get::<u64>("min_epoch").unwrap_or(0);
-        let (epoch, degraded) = self.resolve_snapshot(min_epoch, deadline)?;
-        slack_reply(
-            epoch.snap.epoch(),
-            epoch.snap.report(),
-            &epoch.slack_image,
-            degraded,
-            req.params.field("endpoints").ok(),
-            &self.shared.counters,
-        )
-    }
-
-    fn report_at(&self, req: &Request) -> Result<Reply, ErrReply> {
-        let bad = |m: String| ErrReply::new(code::BAD_REQUEST, m);
-        // Node ids are u32 on the engine side: a wider integer is refused,
-        // never narrowed onto some other node.
-        let node = req
-            .params
-            .get::<u32>("node")
-            .map_err(|e| bad(format!("node: {e}")))?;
-        // `rf` is optional (rise); when present it must be a transition.
-        let rf = match req.params.field("rf").map(Json::as_u64) {
-            Err(_) => 0,
-            Ok(Ok(rf @ 0..=1)) => rf as usize,
-            Ok(_) => return Err(bad("rf: want 0 (rise) or 1 (fall)".into())),
-        };
+    fn report_at(&self, node: u32, rf: usize) -> Reply {
         let epoch = self.shared.cell.load();
         let mut head = String::with_capacity(80);
         head.push_str("{\"epoch\":");
@@ -834,7 +811,7 @@ impl Server {
             None => head.push_str(",\"reached\":false,\"arrival\":null"),
         }
         head.push('}');
-        Ok(Reply::Text { head, image: None })
+        Reply::Text { head, image: None }
     }
 
     /// Runs one writer op under the writer lock and, before releasing it,
@@ -857,23 +834,22 @@ impl Server {
         }
     }
 
-    /// The writer path: `update` (apply deltas) or `propagate` (full
-    /// refresh), committed transactionally and published atomically.
-    fn write_epoch(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Json, ErrReply> {
+    /// The writer path: `update` (apply `deltas`) or `propagate` (full
+    /// refresh, no deltas), committed transactionally and published
+    /// atomically.
+    fn write_epoch(
+        &self,
+        mut deltas: Option<Vec<ArcDelta>>,
+        deadline: Option<&Deadline>,
+    ) -> Result<Json, ErrReply> {
         let sh = &self.shared;
-        let mut deltas = if req.op == Op::Update {
-            parse_deltas(req.params.field("deltas").unwrap_or(&Json::Null))?
-        } else {
-            Vec::new()
-        };
         let (epoch, wns, tns, viol) = self.with_writer(|eng| {
             let mut session = eng
                 .begin_session()
                 .with_options(self.pass_options(deadline));
-            let outcome = if req.op == Op::Update {
-                session.update_timing(&deltas)
-            } else {
-                session.propagate()
+            let outcome = match &deltas {
+                Some(deltas) => session.update_timing(deltas),
+                None => session.propagate(),
             };
             let report = outcome.map_err(map_engine_err)?;
             let (wns, tns, viol) = (report.wns_ps, report.tns_ps, report.n_violations);
@@ -898,11 +874,7 @@ impl Server {
             // not-yet-durable epoch must never publish.
             if let Some(dur) = &sh.durability {
                 let next_epoch = session.engine().epoch() + 1;
-                let op = if req.op == Op::Update {
-                    WriterOp::Update(std::mem::take(&mut deltas))
-                } else {
-                    WriterOp::Propagate
-                };
+                let op = deltas.take().map_or(WriterOp::Propagate, WriterOp::Update);
                 if let Err(e) = dur.log_commit(next_epoch, &op) {
                     session.rollback();
                     return Err(ErrReply::new(
@@ -939,39 +911,10 @@ impl Server {
         ]))
     }
 
-    fn batch(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Json, ErrReply> {
-        let scenarios_json = req
-            .params
-            .field("scenarios")
-            .map_err(|e| ErrReply::new(code::BAD_REQUEST, format!("scenarios: {e}")))?
-            .as_arr()
-            .map_err(|e| ErrReply::new(code::BAD_REQUEST, format!("scenarios: {e}")))?;
-        if scenarios_json.len() > MAX_BATCH_SCENARIOS {
-            return Err(ErrReply::new(
-                code::BAD_REQUEST,
-                format!(
-                    "{} scenarios exceeds the cap of {MAX_BATCH_SCENARIOS}",
-                    scenarios_json.len()
-                ),
-            ));
-        }
-        let opts = self.pass_options(deadline);
-        // `merged: true` asks for the MCMM worst-corner merge on top of
-        // the per-scenario rows (protocol generation 2).
-        let merged = matches!(
-            req.params.field("merged").and_then(|v| v.as_bool()),
-            Ok(true)
-        );
-        // A plain delta array is a scenario without corner or mode: the
-        // same lanes, the same counters.
-        let rep = self.with_writer(|eng| {
-            let n_ep = eng.num_endpoints();
-            let scs = scenarios_json
-                .iter()
-                .map(|s| parse_scenario(s, n_ep))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(eng.evaluate(&scs, &opts))
-        })?;
+    /// Scores `scenarios`; `merged` adds the MCMM worst-corner merge to
+    /// the per-scenario rows (protocol generation 2).
+    fn batch(&self, scenarios: &[Scenario], merged: bool, opts: &PassOptions) -> Json {
+        let rep = self.with_writer(|eng| eng.evaluate(scenarios, opts));
         let rows: Vec<Json> = rep
             .scenarios
             .iter()
@@ -999,7 +942,7 @@ impl Server {
             ]);
             fields.push(("merged", m));
         }
-        Ok(obj(fields))
+        obj(fields)
     }
 
     /// The differentiable pass: the writer engine's own LSE forward + TNS
@@ -1007,36 +950,16 @@ impl Server {
     /// gradient buffers, which no snapshot, epoch, report or Top-K row
     /// reads, so the committed epoch is never perturbed. A NaN slack
     /// refuses it.
-    fn gradient(&self, req: &Request, deadline: Option<&Deadline>) -> Result<Json, ErrReply> {
-        let opts = self.pass_options(deadline);
+    fn gradient(&self, arcs: Option<&[usize]>, opts: &PassOptions) -> Result<Json, ErrReply> {
         let grads = self
-            .with_writer(|eng| eng.try_backward_tns(&opts).map(|()| eng.arc_gradients()))
+            .with_writer(|eng| eng.try_backward_tns(opts).map(|()| eng.arc_gradients()))
             .map_err(map_engine_err)?;
-        let result = match req.params.field("arcs") {
-            Ok(list) => {
-                let idx = list
-                    .as_arr()
-                    .map_err(|e| ErrReply::new(code::BAD_REQUEST, format!("arcs: {e}")))?;
-                let mut vals = Vec::with_capacity(idx.len());
-                for j in idx {
-                    let a = j
-                        .as_u64()
-                        .map_err(|e| ErrReply::new(code::BAD_REQUEST, format!("arcs: {e}")))?
-                        as usize;
-                    let g = grads.get(a).ok_or_else(|| {
-                        ErrReply::new(
-                            code::BAD_REQUEST,
-                            format!("arc {a} out of range ({} arcs)", grads.len()),
-                        )
-                    })?;
-                    vals.push(g.to_json());
-                }
-                obj([
-                    ("n_arcs", (grads.len() as u64).to_json()),
-                    ("gradients", Json::Arr(vals)),
-                ])
-            }
-            Err(_) => {
+        let result = match arcs {
+            Some(arcs) => obj([
+                ("n_arcs", (grads.len() as u64).to_json()),
+                ("gradients", pick(&grads, arcs, "arc")?.to_json()),
+            ]),
+            None => {
                 let l1: f64 = grads.iter().map(|g| g.abs()).sum();
                 let max_abs = grads.iter().fold(0.0_f64, |m, g| m.max(g.abs()));
                 obj([
@@ -1093,7 +1016,7 @@ fn slack_reply(
     report: Option<&InstaReport>,
     image: &OnceLock<Arc<str>>,
     degraded: bool,
-    endpoints: Option<&Json>,
+    endpoints: Option<&[usize]>,
     counters: &ServeCounters,
 ) -> Result<Reply, ErrReply> {
     let report = report.ok_or_else(|| {
@@ -1130,22 +1053,18 @@ fn slack_reply(
             image: Some(Arc::clone(image)),
         });
     };
-    let bad = |m: String| ErrReply::new(code::BAD_REQUEST, m);
-    let idx = endpoints
-        .as_arr()
-        .map_err(|e| bad(format!("endpoints: {e}")))?;
-    let mut picked = Vec::with_capacity(idx.len());
-    for j in idx {
-        let i = j.as_u64().map_err(|e| bad(format!("endpoints: {e}")))? as usize;
-        picked.push(*report.slacks.get(i).ok_or_else(|| {
-            bad(format!(
-                "endpoint {i} out of range ({} endpoints)",
-                report.slacks.len()
-            ))
-        })?);
-    }
-    write_slack_members(&mut head, report, &picked);
+    write_slack_members(&mut head, report, &pick(&report.slacks, endpoints, "endpoint")?);
     Ok(Reply::Text { head, image: None })
+}
+
+/// The `values` at indices `idx`, or `bad_request` naming the first index
+/// past them (`what` names an index's kind).
+fn pick(values: &[f64], idx: &[usize], what: &str) -> Result<Vec<f64>, ErrReply> {
+    let past = |i: usize| {
+        let message = format!("{what} {i} out of range ({} {what}s)", values.len());
+        ErrReply::new(code::BAD_REQUEST, message)
+    };
+    idx.iter().map(|&i| values.get(i).copied().ok_or_else(|| past(i))).collect()
 }
 
 /// Writes the report's members of a `report_slack` result object and
@@ -1184,59 +1103,6 @@ fn map_engine_err(e: InstaError) -> ErrReply {
             format!("{} error: {other}", other.category()),
         ),
     }
-}
-
-/// Decodes one `batch` scenario: a plain delta array, or the MCMM
-/// object `{"deltas": [...], "corner": {"mean_scale", "mean_offset_ps",
-/// "sigma_scale", "sigma_offset_ps"}, "mode": {"disabled": [ep, ...]}}`
-/// — every field optional, corner fields defaulting to the identity.
-fn parse_scenario(j: &Json, n_endpoints: usize) -> Result<Scenario, ErrReply> {
-    let bad = |m: String| ErrReply::new(code::BAD_REQUEST, m);
-    if j.as_arr().is_ok() {
-        return Ok(Scenario::from(parse_deltas(j)?));
-    }
-    let mut sc = Scenario::default();
-    if let Ok(d) = j.field("deltas") {
-        sc.deltas = parse_deltas(d)?;
-    }
-    if let Ok(c) = j.field("corner") {
-        let f = |key: &'static str, dflt: f64| -> Result<f64, ErrReply> {
-            match c.field(key) {
-                Ok(v) => v.as_f64().map_err(|e| bad(format!("corner {key}: {e}"))),
-                Err(_) => Ok(dflt),
-            }
-        };
-        sc.corner = Some(CornerTransform {
-            mean_scale: f("mean_scale", 1.0)?,
-            mean_offset_ps: f("mean_offset_ps", 0.0)?,
-            sigma_scale: f("sigma_scale", 1.0)?,
-            sigma_offset_ps: f("sigma_offset_ps", 0.0)?,
-        });
-    }
-    if let Ok(m) = j.field("mode") {
-        let list = m
-            .field("disabled")
-            .and_then(|v| v.as_arr())
-            .map_err(|e| bad(format!("mode disabled: {e}")))?;
-        let mut eps = Vec::with_capacity(list.len());
-        for v in list {
-            let ep = v.as_u64().map_err(|e| bad(format!("mode disabled: {e}")))?;
-            // An index past the last endpoint disables nothing
-            // (`ModeMask::is_disabled`); kept, it would size the mask.
-            if ep < n_endpoints as u64 {
-                eps.push(ep as usize);
-            }
-        }
-        sc.mode = Some(ModeMask::disabling(eps));
-    }
-    Ok(sc)
-}
-
-/// Decodes `[{"arc":N,"mean":[r,f],"sigma":[r,f]}, ...]`, the wire form
-/// of [`ArcDelta`].
-fn parse_deltas(j: &Json) -> Result<Vec<ArcDelta>, ErrReply> {
-    Vec::<ArcDelta>::from_json(j)
-        .map_err(|e| ErrReply::new(code::BAD_REQUEST, format!("deltas: {e}")))
 }
 
 #[cfg(test)]
@@ -1476,6 +1342,20 @@ mod reply_identity {
                 c.envelope_epoch,
                 tree_report_slack(c.epoch, c.report.as_ref(), c.degraded, c.endpoints.as_ref()),
             );
+            // The daemon decodes `endpoints` before the op runs: a list that
+            // is not one of indices never reaches the reply writer, and is
+            // refused as the oracle refuses it, with a message naming it.
+            let params = obj(c.endpoints.clone().map(|e| ("endpoints", e)));
+            let endpoints = match Params::decode(Op::ReportSlack, &params) {
+                Ok(Params::ReportSlack { endpoints, .. }) => endpoints,
+                Ok(other) => panic!("report_slack decoded as {other:?}"),
+                Err(e) => {
+                    prop_assert!(e.msg.starts_with("endpoints: "), "{e}");
+                    let refused = decoded(&oracle);
+                    prop_assert_eq!(refused.code(), Some(code::BAD_REQUEST));
+                    return Ok(());
+                }
+            };
             let image = OnceLock::new();
             let counters = ServeCounters::default();
             // Twice: the whole-report form builds the image, then shares it.
@@ -1485,7 +1365,7 @@ mod reply_identity {
                     c.report.as_ref(),
                     &image,
                     c.degraded,
-                    c.endpoints.as_ref(),
+                    endpoints.as_deref(),
                     &counters,
                 );
                 let body = render(c.id, c.envelope_epoch, reply);

@@ -277,6 +277,119 @@ fn kill_at_every_crash_point_recovers_the_durable_prefix_bit_exactly() {
     }
 }
 
+/// The graph arcs into nodes no endpoint sees, with one such node, found
+/// by walking the exported fanin back from the endpoints of the design
+/// [`build_engine`] builds.
+fn dead_arcs() -> (Vec<u32>, u32) {
+    use insta_netlist::generator::{generate_design, GeneratorConfig};
+    use insta_refsta::{RefSta, StaConfig};
+    let design = generate_design(&GeneratorConfig::small("serve-test", SEED));
+    let mut sta = RefSta::new(&design, StaConfig::default()).expect("reference STA");
+    sta.full_update(&design);
+    let init = sta.export_insta_init();
+    let fanin = |v: usize| {
+        let (first, end) = (init.fanin_start[v] as usize, init.fanin_start[v + 1] as usize);
+        &init.fanin[first..end]
+    };
+    let mut live = vec![false; init.n_nodes];
+    let mut stack: Vec<u32> = init.endpoints.iter().map(|e| e.node).collect();
+    while let Some(v) = stack.pop() {
+        if !std::mem::replace(&mut live[v as usize], true) {
+            stack.extend(fanin(v as usize).iter().map(|a| a.parent));
+        }
+    }
+    let dead: Vec<usize> = (0..init.n_nodes).filter(|&v| !live[v]).collect();
+    let arcs = dead.iter().flat_map(|&v| fanin(v).iter().map(|a| a.source_arc)).collect();
+    (arcs, *dead.first().expect("the generated design has dead logic") as u32)
+}
+
+/// A WAL and checkpoints that carry deltas on arcs into nodes no endpoint
+/// sees replay like any other: dead-arc commits before the first
+/// checkpoint and after it, then live-arc commits, a crash at every
+/// [`CrashPoint`] on the last one — and the recovered slacks and durable
+/// state equal a crash-free twin's on `to_bits`, while a restarted daemon
+/// still answers `reached:false` on a dead node.
+#[test]
+fn dead_arc_deltas_in_the_wal_and_checkpoints_recover_bit_exactly() {
+    const CRASH_AT: u64 = 5;
+    let (dead, dead_node) = dead_arcs();
+    assert!(dead.len() >= 4, "{} dead arcs", dead.len());
+    // Commits 0-3 land on dead arcs, three of them under the checkpoint
+    // of epoch 3 and one in the WAL after it; 4 and 5 on live ones.
+    let commit = |i: u64| {
+        let arc = if i < 4 { dead[i as usize * dead.len() / 4] } else { (i % 3) as u32 };
+        let mean = 30.0 + 7.0 * i as f64;
+        ArcDelta { arc, mean: [mean, mean + 2.5], sigma: [3.0, 3.5] }
+    };
+    let twin = |k: u64| {
+        let mut eng = build_engine(SEED, K);
+        for i in 0..k {
+            let mut s = eng.begin_session();
+            s.update_timing(&[commit(i)]).expect("twin update");
+            s.commit().expect("twin commit");
+        }
+        eng
+    };
+    let durable_bytes = |e: &InstaEngine| insta_engine::EngineDurableState::capture(e).encode();
+    let base = build_engine(SEED, K);
+    assert_eq!(engine_bits(&twin(4)), engine_bits(&base), "dead arcs move no slack");
+    assert_ne!(durable_bytes(&twin(4)), durable_bytes(&base), "but they are annotated");
+
+    for point in CrashPoint::ALL {
+        let dir = scratch(&format!("dead-arcs-{point:?}"));
+        let switch = CrashSwitch::new(point, CRASH_AT);
+        let mut cfg = DurabilityConfig::new(&dir);
+        cfg.checkpoint_every = 3;
+        cfg.crash = Some(switch.clone());
+        let (server, _) =
+            Server::with_durability(build_engine(SEED, K), ServeConfig::default(), cfg).unwrap();
+        let (mut cl, h) = connect(&server);
+        for i in 0..=CRASH_AT {
+            let reply = cl.call(Op::Update, None, deltas_params(&[commit(i)])).unwrap();
+            settle(&server);
+            // A simulated kill drops the disk writes, not the reply.
+            assert!(reply.ok, "{point:?} commit {i}: {:?}", reply.error);
+        }
+        drop(cl);
+        h.join().unwrap();
+        assert!(switch.is_tripped(), "{point:?}: the armed crash never fired");
+        drop(server);
+
+        let durable = match point {
+            CrashPoint::BeforeWalAppend | CrashPoint::MidWalAppend => CRASH_AT,
+            _ => CRASH_AT + 1,
+        };
+        let mut recovered = build_engine(SEED, K);
+        let rep = recover(&mut recovered, &DurabilityConfig::new(&dir)).unwrap();
+        assert_eq!(rep.recovered_epoch, durable, "{point:?}");
+        if point == CrashPoint::AfterCheckpointBeforeRetire {
+            assert_eq!((rep.checkpoint_epoch, rep.replayed), (Some(6), 0), "{point:?}");
+        } else {
+            // The dead-arc commit of epoch 4 is replayed from the WAL.
+            assert_eq!(rep.checkpoint_epoch, Some(3), "{point:?}");
+            assert_eq!(rep.replayed, durable - 3, "{point:?}");
+        }
+        let twin = twin(durable);
+        assert_eq!(engine_bits(&recovered), engine_bits(&twin), "{point:?}");
+        assert_eq!(durable_bytes(&recovered), durable_bytes(&twin), "{point:?}");
+
+        let (server, _) = Server::with_durability(
+            build_engine(SEED, K),
+            ServeConfig::default(),
+            DurabilityConfig::new(&dir),
+        )
+        .unwrap();
+        let (mut cl, h) = connect(&server);
+        for rf in [0u64, 1] {
+            let params = obj([("node", dead_node.to_json()), ("rf", rf.to_json())]);
+            let at = cl.call(Op::ReportAt, None, params).unwrap();
+            assert_eq!(at.result.get::<bool>("reached"), Ok(false), "{point:?} rf {rf}");
+        }
+        drop(cl);
+        h.join().unwrap();
+    }
+}
+
 #[test]
 fn damaged_wal_bytes_surface_typed_incidents_and_keep_the_valid_prefix() {
     const COMMITS: u64 = 5;

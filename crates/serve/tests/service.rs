@@ -1250,3 +1250,165 @@ fn a_mode_index_past_the_endpoints_disables_nothing_and_allocates_nothing() {
     let pong = String::from_utf8(pong).expect("utf-8 reply");
     assert!(pong.contains(r#""pong":true"#), "{pong}");
 }
+
+/// One request whose params are `base` plus, when given, `param: value`.
+fn call_with(
+    cl: &mut Conn,
+    op: Op,
+    base: &[(&'static str, Json)],
+    param: &'static str,
+    value: Option<Json>,
+) -> insta_serve::Response {
+    let mut params = base.to_vec();
+    params.extend(value.map(|v| (param, v)));
+    cl.call(op, None, obj(params)).expect("a reply")
+}
+
+/// A `bad_request` whose message begins with the param's name.
+fn assert_refused_by_name(reply: &insta_serve::Response, param: &str, case: &str) {
+    assert_eq!(reply.code(), Some("bad_request"), "{case}: {:?}", reply.error);
+    let message = &reply.error.as_ref().expect("an error").1;
+    assert!(message.starts_with(&format!("{param}: ")), "{case}: {message}");
+}
+
+/// The protocol's params rule, param by param for every op that defines
+/// params: an absent param takes its default — the reply equals the one
+/// to the default spelled out — or, when it is required, is refused; a
+/// value of the wrong type or range is a `bad_request` whose message
+/// names the param. Among the refused values are those the daemon once
+/// read as their default (`min_epoch` `"1"`, `-1`, `1.5`, `merged: 1`, the
+/// scenarios `5` and `null`, `ms: "x"`).
+#[test]
+fn every_param_defaults_when_absent_and_is_refused_by_name_when_malformed() {
+    let cfg = ServeConfig {
+        enable_debug_ops: true,
+        ..ServeConfig::default()
+    };
+    let server = Server::new(build_engine(37, 4), cfg);
+    let n_ep = server.snapshot().num_endpoints() as u64;
+    let (mut cl, h) = connect(&server);
+    let (num, text, list) = (Json::Num, |s: &str| Json::Str(s.into()), Json::Arr);
+    let one = |j: Json| Json::Arr(vec![j]);
+    let delta = ArcDelta {
+        arc: 0,
+        mean: [40.0; 2],
+        sigma: [4.0; 2],
+    }
+    .to_json();
+    let every_endpoint = (0..n_ep).collect::<Vec<_>>().to_json();
+    let a_batch = [("scenarios", one(one(delta)))];
+    let node_0 = [("node", num(0.0))];
+    let corner = |c: Json| one(obj([("corner", c)]));
+    let mode = |disabled: Json| one(obj([("mode", obj([("disabled", disabled)]))]));
+    // (op, params every case carries, the param, its default spelled out
+    // — `None` when it is required or no value spells it —, wrong values)
+    type Case<'a> = (Op, &'a [(&'static str, Json)], &'static str, Option<Json>, Vec<Json>);
+    let table: Vec<Case> = vec![
+        (
+            Op::ReportSlack,
+            &[],
+            "min_epoch",
+            Some(num(0.0)),
+            vec![text("1"), num(-1.0), num(1.5), Json::Null, Json::Bool(true)],
+        ),
+        (
+            Op::ReportSlack,
+            &[],
+            "endpoints",
+            Some(every_endpoint),
+            vec![num(5.0), text("0"), one(num(1.5)), one(num(-1.0)), one(Json::Null), obj([])],
+        ),
+        (
+            Op::ReportAt,
+            &[],
+            "node",
+            None,
+            vec![text("0"), num(-1.0), num(1.5), num(4_294_967_296.0), Json::Null],
+        ),
+        (
+            Op::ReportAt,
+            &node_0,
+            "rf",
+            Some(num(0.0)),
+            vec![num(2.0), text("0"), num(0.5), num(-1.0)],
+        ),
+        (
+            Op::Update,
+            &[],
+            "deltas",
+            None,
+            vec![num(5.0), obj([]), one(num(5.0)), one(obj([("arc", num(0.0))]))],
+        ),
+        (
+            Op::Batch,
+            &[],
+            "scenarios",
+            None,
+            vec![
+                num(5.0),
+                one(num(5.0)),
+                one(Json::Null),
+                one(text("x")),
+                corner(num(5.0)),
+                corner(obj([("mean_scale", text("x"))])),
+                mode(one(num(1.5))),
+                mode(num(0.0)),
+                one(obj([("deltas", num(0.0))])),
+                list(vec![list(vec![]); 65]),
+            ],
+        ),
+        (
+            Op::Batch,
+            &a_batch,
+            "merged",
+            Some(Json::Bool(false)),
+            vec![num(1.0), text("true"), Json::Null],
+        ),
+        (Op::Gradient, &[], "arcs", None, vec![num(5.0), one(num(1.5)), one(text("0"))]),
+        (Op::DebugStall, &[], "ms", Some(num(10.0)), vec![text("x"), num(-1.0), num(1.5)]),
+    ];
+    for (op, base, param, default, wrong) in table {
+        let case = format!("{} {param}", op.name());
+        let absent = call_with(&mut cl, op, base, param, None);
+        match (default, param) {
+            (Some(value), _) => {
+                let spelled = call_with(&mut cl, op, base, param, Some(value));
+                assert!(absent.ok, "{case} absent: {:?}", absent.error);
+                assert_eq!(absent.result, spelled.result, "{case}: absent is the default");
+            }
+            (None, "arcs") => {
+                assert!(absent.ok && absent.result.field("l1").is_ok(), "{case}: a summary");
+            }
+            _ => assert_refused_by_name(&absent, param, &format!("{case} absent")),
+        }
+        for value in wrong {
+            let reply = call_with(&mut cl, op, base, param, Some(value.clone()));
+            assert_refused_by_name(&reply, param, &format!("{case} = {value}"));
+        }
+    }
+
+    // A `params` that is no object, for each op that defines params; keys
+    // an op does not define are ignored, and so is the `params` of an op
+    // that defines none.
+    let ops = [Op::ReportSlack, Op::ReportAt, Op::Update, Op::Batch, Op::Gradient, Op::DebugStall];
+    for op in ops {
+        for params in [text("x"), num(5.0), list(vec![]), Json::Bool(true)] {
+            let reply = cl.call(op, None, params.clone()).expect("a reply");
+            assert_refused_by_name(&reply, "params", &format!("{} params {params}", op.name()));
+        }
+    }
+    let bare = cl.call(Op::ReportSlack, None, Json::Null).unwrap();
+    let extra = cl.call(Op::ReportSlack, None, obj([("zzz", num(1.0))])).unwrap();
+    assert_eq!(bare.result, extra.result, "an unknown key is ignored");
+    assert!(cl.call(Op::Ping, None, text("x")).unwrap().ok);
+
+    // What only the engine can refuse: an index past its endpoints or arcs.
+    let past = cl.call(Op::ReportSlack, None, obj([("endpoints", one(num(n_ep as f64)))]));
+    assert_eq!(past.unwrap().code(), Some("bad_request"));
+    let past = cl.call(Op::Gradient, None, obj([("arcs", one(num(1e9)))]));
+    assert_eq!(past.unwrap().code(), Some("bad_request"));
+    assert_eq!(server.counters().panics_isolated.load(Ordering::Relaxed), 0);
+    assert_eq!(server.snapshot().epoch(), 0, "no refused update committed");
+    drop(cl);
+    h.join().unwrap();
+}

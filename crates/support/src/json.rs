@@ -220,6 +220,20 @@ impl Json {
         })
     }
 
+    /// Decodes an optional object field into `T`: `None` when `key` is
+    /// absent, else the decoded value, errors prefixed `key: `.
+    ///
+    /// # Errors
+    ///
+    /// The value is not an object, or `key`'s value does not decode.
+    pub fn get_opt<T: FromJson>(&self, key: &str) -> Result<Option<T>, JsonError> {
+        match self.as_obj()?.iter().find(|(k, _)| k == key) {
+            Some((_, v)) => T::from_json(v).map(Some),
+            None => Ok(None),
+        }
+        .map_err(|e| JsonError::decode(format!("{key}: {}", e.msg)))
+    }
+
     fn kind(&self) -> &'static str {
         match self {
             Json::Null => "null",
@@ -971,5 +985,15 @@ mod tests {
         assert!(err.msg.contains("`a`"), "{err}");
         let err = v.get::<f64>("missing").unwrap_err();
         assert!(err.msg.contains("missing"), "{err}");
+    }
+
+    #[test]
+    fn optional_fields_are_absent_or_decoded_and_named() {
+        let v = obj([("a", Json::Num(1.0)), ("b", Json::Null)]);
+        assert_eq!(v.get_opt::<f64>("a").unwrap(), Some(1.0));
+        assert_eq!(v.get_opt::<f64>("missing").unwrap(), None);
+        let err = v.get_opt::<u64>("b").unwrap_err();
+        assert_eq!(err.msg, "b: expected number, got null");
+        assert!(Json::Num(1.0).get_opt::<f64>("a").is_err(), "not an object");
     }
 }

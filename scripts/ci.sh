@@ -46,7 +46,7 @@ echo "    cone-equivalence gate (session cone updates bit-identical to reannotat
 echo "    kernel-equivalence gate (production kernels bit-identical to the frozen scalar kernels across K, threads, fused passes, hold, gradients and batch lanes — hold's rows equal the frozen reference's whole, with the nodes no endpoint sees blanked on the reference's side; on generated dead logic no pass times a dead pin (arrival_at, the snapshot and distribution_at answer None), every pass reports the same bits, and every dead arc's and node's gradient is +0.0 after a fused pass, a committed cone and a rollback; a startpoint with one fanin arc keeps its launch seed; a virtual hop that reorders falls back to materialising, its rank breaks a corner tie, and every pass span counts the fallback; merge-free chains equal the sorted sums of means and variances): insta-engine kernel_equivalence"
 echo "    server-chaos gate (protocol-fault storm: no hangs, no panics, typed errors, bit-identical post-storm commit; TCP round trip: 50 pings over loopback p50 < 5 ms; TCP connections: one past the 64-connection cap gets one typed overloaded frame and is closed, one silent 5 s (between frames or inside one, 64 such fill and then free the cap) or open at shutdown is closed, a frame written in pieces keeps sync, closed == opened; gradient replies — the writer engine's own backward pass, no batch lane — equal a twin's gradients bit for bit and move no later commit; reply byte identity: image-spliced replies equal the tree encoder's bytes on generated reports and a live daemon, one image per epoch read under 8 racing readers): insta-serve"
 echo "    stats-surface gate (stats.engine shows a batch and a refused update with no commit between them, and a gradient leaves every stats.engine counter unchanged; a durable daemon's stats key paths equal a pinned literal list, in order): insta-serve service stats_engine_shows_the_writers_last_op_without_a_commit, a_durable_daemons_stats_layout_is_pinned"
-echo "    decoder gate (generated and mutated JSON documents equal the frozen pre-one-pass parser on to_bits wherever it read a valid, finite document, and are a positioned JsonError otherwise, never a panic; written trees parse back bit for bit; digit runs across 8-byte words and at the last byte; frame streams give a body or a typed FrameError within max_bytes; WriterOp and EngineDurableState payloads — cut at every byte, bit-flipped, lengths up to u64::MAX — give a typed PersistError (BadLength for a length past the bytes left) or a value that re-encodes to the same bytes; a WAL segment and a v4 checkpoint a real Durability wrote — cut at every byte, flipped with and without a re-sealed CRC, every length field at 0, MAX_RECORD_BYTES, +1 and u32::MAX — keep their untouched records, put damage at the end of the valid prefix, restore or fail typed, and refuse an impossible length at its guard; the strict number grammar refuses 01, 00.5, 1., 1.e5, -.5 and 1e400, one case each): insta-serve decoders, insta-support json"
+echo "    decoder gate (generated and mutated JSON documents equal the frozen pre-one-pass parser on to_bits wherever it read a valid, finite document, and are a positioned JsonError otherwise, never a panic; written trees parse back bit for bit; digit runs across 8-byte words and at the last byte; frame streams give a body or a typed FrameError within max_bytes; every op's request params, under every FaultPlan fault (the mode index 1e18 among the seeds), get ok or a typed error and never panic the daemon; WriterOp and EngineDurableState payloads — cut at every byte, bit-flipped, lengths up to u64::MAX — give a typed PersistError (BadLength for a length past the bytes left) or a value that re-encodes to the same bytes; a WAL segment and a v4 checkpoint a real Durability wrote — cut at every byte, flipped with and without a re-sealed CRC, every length field at 0, MAX_RECORD_BYTES, +1 and u32::MAX — keep their untouched records, put damage at the end of the valid prefix, restore or fail typed, and refuse an impossible length at its guard; the strict number grammar refuses 01, 00.5, 1., 1.e5, -.5 and 1e400, one case each): insta-serve decoders, insta-support json"
 echo "    crash-recovery gate (kill -9 chaos: every crash point + durability fault recovers the durable prefix bit-exactly, incl. a real SIGKILL of the insta-serve binary; an unreplayable record is cut out of the log and a segment the cut empties is renamed, so no rotation replaces it; an engine failure stops recovery with every file byte-identical; a flipped stored slack bit makes a checkpoint stale and the log rebuilds): insta-serve recovery, engine_failure, checkpoint"
 cargo test -q --workspace --offline
 

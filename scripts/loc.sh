@@ -22,15 +22,19 @@ row() { # <name> <crate dir>
   done < <(find "$dir/src" "$dir/examples" "$dir/tests" "$dir/benches" -name '*.rs' \
     -not -path '*/bin/e2e/*' 2>/dev/null | sort)
   printf '%-22s %9d %9d\n' "$name" "$non_test" "$test"
+  case "$dir" in crates/insta-core | crates/serve) pair=$((pair + non_test)) ;; esac
   total_non_test=$((total_non_test + non_test))
   total_test=$((total_test + test))
 }
 
 total_non_test=0
 total_test=0
+pair=0
 printf '%-22s %9s %9s\n' crate non-test test
 for dir in crates/*/; do
   row "${dir%/}/src" "${dir%/}"
 done
 row ". (umbrella crate)" .
 printf '%-22s %9d %9d\n' "workspace" "$total_non_test" "$total_test"
+# ROADMAP item 10's budget: non-test lines of the engine and the daemon.
+printf '%-22s %9d %9s  (budget 11700)\n' "insta-core + serve" "$pair" ""
