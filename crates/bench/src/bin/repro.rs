@@ -4,6 +4,7 @@
 //! ```text
 //! cargo run --release -p insta-bench --bin repro -- all
 //! cargo run --release -p insta-bench --bin repro -- fig6 table1 fig7 table2 table3 fig9
+//! cargo run --release -p insta-bench --bin repro -- table3 --seeds 10
 //! cargo run --release -p insta-bench --bin repro -- ablation
 //! ```
 //!
@@ -24,8 +25,8 @@
 //! and buffers). Timing and memory columns are printed only.
 
 use insta_bench::{
-    block_specs, fig7_flow, fig8_rows, fmt_ps, iwls_specs, mismatch_columns, superblue_specs,
-    table1_row, table2_row, Table2Row,
+    block_specs, bootstrap_median_ci, fig7_flow, fig8_rows, fmt_ps, iwls_specs, median,
+    mismatch_columns, sign_test_p, superblue_specs, table1_row, table2_row, Table2Row,
 };
 use insta_engine::topk::{Candidate, TopKQueue};
 use insta_engine::{InstaConfig, InstaEngine, MismatchStats};
@@ -313,8 +314,10 @@ fn table2() {
     println!();
 }
 
-/// Table III: timing-driven placement after legalization.
-fn table3() {
+/// Table III: timing-driven placement after legalization, each (instance,
+/// mode) cell the mean over `seeds` placement seeds, then the seeds paired
+/// per instance.
+fn table3(seeds: u64) {
     println!("=== Table III: timing-driven placement, post-legalization ===");
     println!(
         "{:<13} {:>12} {:>11} | {:>12} {:>11} {:>7} | {:>12} {:>11} {:>7}  {:>8}",
@@ -324,15 +327,15 @@ fn table3() {
     let mut sum_nw_rec = 0.0;
     let mut sum_ip_rec = 0.0;
     let mut counted = 0usize;
-    // Post-legalization TNS at this scale is noisy run-to-run, so every
-    // (instance, mode) cell averages two placement seeds.
-    const SEEDS: u64 = 2;
     let mut rows = Vec::new();
+    // Per instance: each mode's TNS per seed (DP, DP4.0, INSTA-Place).
+    let mut paired: Vec<(&str, [Vec<f64>; 3])> = Vec::new();
     for spec in superblue_specs() {
-        let mut run = |name: &str, mode: PlacerMode| -> (f64, f64) {
+        let mut run = |name: &str, mode: PlacerMode| -> (f64, f64, Vec<f64>) {
             let mut hpwl = 0.0;
             let mut tns = 0.0;
-            for ds in 0..SEEDS {
+            let mut per_seed = Vec::new();
+            for ds in 0..seeds {
                 let mut design = spec.build();
                 let cfg = PlacerConfig {
                     seed: spec.seed + ds,
@@ -342,6 +345,7 @@ fn table3() {
                 let r = place(&mut design, &cfg);
                 hpwl += r.hpwl_legal;
                 tns += r.tns_legal_ps;
+                per_seed.push(r.tns_legal_ps);
                 rows.push(obj([
                     ("instance", spec.name.to_string().to_json()),
                     ("mode", name.to_string().to_json()),
@@ -350,7 +354,7 @@ fn table3() {
                     ("tns_legal_ps", r.tns_legal_ps.to_json()),
                 ]));
             }
-            (hpwl / SEEDS as f64, tns / SEEDS as f64)
+            (hpwl / seeds as f64, tns / seeds as f64, per_seed)
         };
         let dp = run("wirelength", PlacerMode::Wirelength);
         let nw = run(
@@ -389,6 +393,7 @@ fn table3() {
             recov(ip.1),
             dh
         );
+        paired.push((spec.name, [dp.2, nw.2, ip.2]));
     }
     if counted > 0 {
         println!(
@@ -400,8 +405,48 @@ fn table3() {
         );
     }
     println!("(recov%: fraction of the DP baseline's TNS recovered; dHPWL%: INSTA-Place HPWL relative to net-weighting)");
+    print_paired_seeds(seeds, &paired);
     write_outcome("table3", &rows);
     println!();
+}
+
+/// Table III's seeds paired per instance: the median TNS of each mode and
+/// the per-seed difference INSTA-Place − net weighting (positive: INSTA-Place
+/// closer to zero) — its wins out of the untied seeds, the two-sided sign
+/// test's p, and a seeded 95 % bootstrap interval of its median.
+fn print_paired_seeds(seeds: u64, paired: &[(&str, [Vec<f64>; 3])]) {
+    println!("--- paired seeds (N = {seeds}): INSTA-Place TNS − net-weighting TNS per seed ---");
+    println!(
+        "{:<13} {:>11} {:>11} {:>11} | {:>6} {:>7} {:>11} {:>24}",
+        "instance",
+        "DP TNS~",
+        "DP4.0 TNS~",
+        "INSTA TNS~",
+        "wins",
+        "sign p",
+        "diff~",
+        "95% CI of diff~"
+    );
+    for (name, [dp, nw, ip]) in paired {
+        let diff: Vec<f64> = ip.iter().zip(nw).map(|(i, n)| i - n).collect();
+        let wins = diff.iter().filter(|&&d| d > 0.0).count();
+        let untied = diff.iter().filter(|&&d| d != 0.0).count();
+        let (lo, hi) = bootstrap_median_ci(&diff, 2000, 0x7AB1E3);
+        println!(
+            "{:<13} {:>11.1} {:>11.1} {:>11.1} | {:>3}/{:<2} {:>7.3} {:>11.1} {:>11.1} .. {:>9.1}",
+            name,
+            median(dp),
+            median(nw),
+            median(ip),
+            wins,
+            untied,
+            sign_test_p(wins, untied),
+            median(&diff),
+            lo,
+            hi
+        );
+    }
+    println!("(~: median over seeds; wins: seeds where INSTA-Place's TNS is closer to zero, of the seeds that differ)");
 }
 
 /// Fig. 9: runtime breakdown of one timing-update iteration on the
@@ -629,7 +674,7 @@ const SUBCOMMANDS: [&str; 10] = [
 ];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().is_some_and(|a| a == "check") {
         let mut tables: Vec<&str> = args[1..].iter().map(String::as_str).collect();
         if let Some(unknown) = tables.iter().find(|t| !CHECKED.contains(t)) {
@@ -641,6 +686,22 @@ fn main() {
             tables = CHECKED.to_vec();
         }
         std::process::exit(if check(&tables) { 0 } else { 1 });
+    }
+    // `--seeds N`: Table III's placement seeds per (instance, mode).
+    let mut seeds = 2;
+    if let Some(i) = args.iter().position(|a| a == "--seeds") {
+        match args
+            .get(i + 1)
+            .and_then(|n| n.parse::<u64>().ok())
+            .filter(|&n| n > 0)
+        {
+            Some(n) => seeds = n,
+            None => {
+                eprintln!("repro: --seeds takes a positive seed count");
+                std::process::exit(2);
+            }
+        }
+        args.drain(i..i + 2);
     }
     if let Some(unknown) = args.iter().find(|a| !SUBCOMMANDS.contains(&a.as_str())) {
         eprintln!(
@@ -664,7 +725,7 @@ fn main() {
         table2();
     }
     if want("table3") {
-        table3();
+        table3(seeds);
     }
     if want("fig9") {
         fig9();

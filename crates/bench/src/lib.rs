@@ -280,9 +280,79 @@ pub fn fmt_ps(v: f64) -> String {
     }
 }
 
+/// The median of `xs` (the mean of the middle two for an even count; NaN
+/// for none).
+pub fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    match v.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => v[n / 2],
+        n => (v[n / 2 - 1] + v[n / 2]) / 2.0,
+    }
+}
+
+/// Two-sided exact sign test: the probability, under a fair coin, of a
+/// split of `n` untied pairs at least as uneven as `wins` against
+/// `n - wins`.
+pub fn sign_test_p(wins: usize, n: usize) -> f64 {
+    let k = wins.min(n - wins);
+    // P(X <= k) for X ~ Binomial(n, 1/2), term by term.
+    let (mut term, mut tail) = (0.5f64.powi(n as i32), 0.0);
+    for i in 0..=k {
+        tail += term;
+        term *= (n - i) as f64 / (i + 1) as f64;
+    }
+    (2.0 * tail).min(1.0)
+}
+
+/// A seeded 95 % percentile-bootstrap interval of the median of `xs`:
+/// `resamples` draws of `xs.len()` values with replacement, and the 2.5th
+/// and 97.5th percentiles of their medians.
+pub fn bootstrap_median_ci(xs: &[f64], resamples: usize, seed: u64) -> (f64, f64) {
+    if xs.is_empty() || resamples == 0 {
+        return (f64::NAN, f64::NAN);
+    }
+    let mut rng = insta_support::Rng::seed_from_u64(seed);
+    let mut draw = vec![0.0; xs.len()];
+    let mut medians: Vec<f64> = (0..resamples)
+        .map(|_| {
+            for d in &mut draw {
+                *d = xs[rng.bounded_u64(xs.len() as u64) as usize];
+            }
+            median(&draw)
+        })
+        .collect();
+    medians.sort_by(f64::total_cmp);
+    let at = |q: f64| medians[((q * resamples as f64) as usize).min(resamples - 1)];
+    (at(0.025), at(0.975))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sign test against hand-computed binomial tails, and the
+    /// bootstrap pinned on a fixed sample and seed.
+    #[test]
+    fn paired_statistics_on_fixed_inputs() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert!(median(&[]).is_nan());
+        // 10 of 10: 2 / 1024. 8 of 10: 2 · 56 / 1024. 1 of 2 and 0 of 0: 1.
+        assert!((sign_test_p(10, 10) - 2.0 / 1024.0).abs() < 1e-15);
+        assert!((sign_test_p(2, 10) - 112.0 / 1024.0).abs() < 1e-15);
+        assert_eq!(sign_test_p(8, 10), sign_test_p(2, 10));
+        assert_eq!(sign_test_p(1, 2), 1.0);
+        assert_eq!(sign_test_p(0, 0), 1.0);
+        let xs = [-3.0, 1.0, 4.0, 1.5, -0.5, 9.0, 2.0, 6.0, 5.0, 3.5];
+        let (lo, hi) = bootstrap_median_ci(&xs, 2000, 7);
+        assert_eq!(bootstrap_median_ci(&xs, 2000, 7), (lo, hi), "seeded");
+        assert!(lo <= median(&xs) && median(&xs) <= hi, "{lo} {hi}");
+        assert!(lo >= -3.0 && hi <= 9.0 && lo < hi, "{lo} {hi}");
+        // A constant sample has a point interval.
+        assert_eq!(bootstrap_median_ci(&[2.0; 5], 100, 1), (2.0, 2.0));
+    }
 
     #[test]
     fn block_specs_build_valid_designs() {

@@ -512,13 +512,13 @@ pub struct InstaEngine {
     /// The counters bumped in place; [`counters`](Self::counters()) fills
     /// in the derived ones.
     pub(crate) counters: EngineCounters,
-    /// Which derived product — Top-K arrays, report, LSE buffers, snapshot
-    /// rows — is current with the annotations (see [`crate::validity`]).
+    /// Which derived product — Top-K arrays, report, LSE buffers — is
+    /// current with the annotations (see [`crate::validity`]).
     pub(crate) validity: Validity,
     /// Persistent scratch of the cone sweep (see [`crate::incremental`]).
     pub(crate) cone: ConeScratch,
     /// The worst-entry rows a [`snapshot`](InstaEngine::snapshot) serves,
-    /// kept current by cone sweeps (see [`crate::snapshot`]).
+    /// kept from the first capture on (see [`crate::snapshot`]).
     pub(crate) rows: RowStore,
     /// Top-K arrays of a batched call's corner base passes (see
     /// [`crate::batch`]): absent until the first corner group with a delta

@@ -123,10 +123,18 @@ impl InstaEngine {
         );
         self.trace.end_with(&pass_fields(&res, &tally));
         self.settle(res)?;
+        Ok(self.setup_pass_done())
+    }
+
+    /// Books a completed setup pass: its report is evaluated, the ledger
+    /// stamps arrays and report, and a kept snapshot row store is gathered
+    /// afresh (`crate::snapshot`, "One rule").
+    pub(crate) fn setup_pass_done(&mut self) -> &InstaReport {
         let report = crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr);
         self.state.report = Some(report);
         self.validity.setup_done();
-        Ok(self.state.report.as_ref().expect("just set"))
+        self.rows.gather(&self.st, &self.state);
+        self.state.report.as_ref().expect("just set")
     }
 
     /// Books a kernel pass's outcome: a recovered worker panic becomes
@@ -198,10 +206,7 @@ impl InstaEngine {
         self.trace.end_with(&pass_fields(&res, &tally));
         self.settle(res)?;
         self.validity.lse_done();
-        let report = crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr);
-        self.state.report = Some(report);
-        self.validity.setup_done();
-        Ok(self.state.report.as_ref().expect("just set"))
+        Ok(self.setup_pass_done())
     }
 }
 

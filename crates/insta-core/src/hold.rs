@@ -38,7 +38,6 @@ use crate::forward::{forward, pass_fields, queue_of, Tally};
 use crate::metrics::InstaReport;
 use crate::parallel::{PassOptions, VirtualQueue};
 use crate::stat;
-use crate::topk::NO_SP;
 use crate::validate::{Issue, ValidationReport};
 use insta_refsta::export::NO_LEAF;
 use insta_refsta::{EpId, SpId};
@@ -128,7 +127,8 @@ impl InstaEngine {
     }
 }
 
-/// Hold checks from the min-mode state.
+/// Hold checks from the min-mode state: each endpoint's worst check, then
+/// WNS, TNS and #vio reduced like every report's.
 pub(crate) fn evaluate_hold(
     st: &Static,
     state: &State,
@@ -136,14 +136,11 @@ pub(crate) fn evaluate_hold(
     cppr: bool,
 ) -> InstaReport {
     let n_ep = st.endpoints.len();
-    let mut slacks = vec![f64::INFINITY; n_ep];
-    let mut arrivals = vec![f64::INFINITY; n_ep];
-    let mut requireds = vec![f64::NEG_INFINITY; n_ep];
-    let mut worst_sp = vec![NO_SP; n_ep];
-    let mut worst_rf = vec![0u8; n_ep];
-    let mut wns = f64::INFINITY;
-    let mut tns = 0.0;
-    let mut viol = 0usize;
+    let mut report = InstaReport {
+        arrivals: vec![f64::INFINITY; n_ep],
+        requireds: vec![f64::NEG_INFINITY; n_ep],
+        ..InstaReport::blank(n_ep)
+    };
     let mut scratch = VirtualQueue::new(state.k);
     for (i, ep) in st.endpoints.iter().enumerate() {
         let base = attrs.required_base[i];
@@ -167,33 +164,18 @@ pub(crate) fn evaluate_hold(
                 // The queues are ordered by the negated early corner.
                 let early = -stat::corner_min(mean, sigma, st.n_sigma);
                 let slack = early - required;
-                if slack < slacks[i] {
-                    slacks[i] = slack;
-                    arrivals[i] = early;
-                    requireds[i] = required;
-                    worst_sp[i] = sp;
-                    worst_rf[i] = rf as u8;
+                if slack < report.slacks[i] {
+                    report.slacks[i] = slack;
+                    report.arrivals[i] = early;
+                    report.requireds[i] = required;
+                    report.worst_sp[i] = sp;
+                    report.worst_rf[i] = rf as u8;
                 }
             }
         }
-        if slacks[i] < 0.0 {
-            tns += slacks[i];
-            viol += 1;
-        }
-        if slacks[i] < wns {
-            wns = slacks[i];
-        }
     }
-    InstaReport {
-        wns_ps: wns,
-        tns_ps: tns,
-        n_violations: viol,
-        slacks,
-        arrivals,
-        requireds,
-        worst_sp,
-        worst_rf,
-    }
+    report.reduce(None);
+    report
 }
 
 #[cfg(test)]

@@ -88,13 +88,14 @@
 //! once; a what-if lane ([`crate::batch`]) is one that is undone when
 //! dropped; a [session](crate::session) is one that also captures, before
 //! its first mutating call, what the log does not cover — the validity
-//! ledger by value, the report and the drift odometer. No session call
-//! writes the LSE or gradient buffers, so nothing of theirs is captured:
-//! the LSE stamp names the generation the buffers were computed from,
-//! which after the undo either is the restored one or never comes back.
-//! A session's undo applies the ledger's rollback rule
-//! (`crate::validity`) and has the snapshot rows follow `undone`, the
-//! logged nodes and the virtual nodes reading them.
+//! ledger by value, the report, the drift odometer and the snapshot row
+//! store's chunk pointers. No session call writes the LSE or gradient
+//! buffers, so nothing of theirs is captured: the LSE stamp names the
+//! generation the buffers were computed from, which after the undo either
+//! is the restored one or never comes back. A session's undo applies the
+//! ledger's rollback rule (`crate::validity`) and puts the captured chunks
+//! back: they equal the begin-time arrays wherever the rule calls those
+//! current again (`crate::snapshot`, "One rule").
 //!
 //! **Its budget.** Logged whole, the rare resize that moves a quarter of
 //! the graph put 4 MB (9.8 %) on `eco_block5_k8`'s peak RSS, so a session
@@ -113,6 +114,7 @@ use crate::error::{InstaError, Kernel, RuntimeIncident};
 use crate::forward::{level_chunk, seed_level, source_launch};
 use crate::metrics::InstaReport;
 use crate::parallel::{MergeArena, Pass, PassOptions};
+use crate::snapshot::RowStore;
 use crate::trace::LevelProfile;
 use crate::validate::{Issue, ValidationReport};
 use crate::validity::Validity;
@@ -285,29 +287,6 @@ impl ConeScratch {
         }
     }
 
-    /// Every node whose readable queue [`undo`](Self::undo) may have moved:
-    /// the logged nodes, and the virtual nodes that read them — downstream
-    /// of a logged node or of a logged annotation write through virtual
-    /// nodes only. What a rollback has the snapshot rows follow.
-    pub(crate) fn undone(&self, st: &Static) -> Vec<u32> {
-        let mut nodes = self.log_node.clone();
-        let mut wake = |mut v: u32| {
-            while st.row_of(v as usize).is_none() {
-                nodes.push(v);
-                v = st.consumer_of(v as usize);
-            }
-        };
-        for &v in &self.log_node {
-            for &e in st.fanout(v as usize) {
-                wake(st.arc_child[e as usize]);
-            }
-        }
-        for &(e, ..) in &self.log_arc {
-            wake(st.arc_child[e as usize]);
-        }
-        nodes
-    }
-
     /// Empties the log (its capacity stays): the writes it holds are kept
     /// or have just been taken back.
     pub(crate) fn forget(&mut self) {
@@ -405,7 +384,7 @@ impl InstaEngine {
     fn reannotate_unchecked(&mut self, deltas: &[ArcDelta]) {
         self.cone.annotate(&mut self.st, deltas);
         // The new generation leaves every derived product stale at once (a
-        // cone update re-syncs Top-K, report and rows).
+        // cone update re-syncs Top-K and report).
         self.validity.annotated();
         // Drift odometer: one update, batch-size/graph fraction of mass.
         self.drift.updates += 1;
@@ -472,6 +451,7 @@ struct Observed {
     ledger: Validity,
     report: Option<InstaReport>,
     drift: DriftState,
+    rows: RowStore,
 }
 
 /// One timing transaction on an engine (module docs, "One transaction"):
@@ -504,6 +484,7 @@ impl<'e> Txn<'e> {
             ledger: eng.validity,
             report: eng.state.report.clone(),
             drift: eng.drift,
+            rows: eng.rows.clone(),
         });
     }
 
@@ -554,10 +535,9 @@ impl<'e> Txn<'e> {
                 eng.cfg.cppr,
             );
             eng.state.report = Some(report);
-            eng.validity.cone_done();
+            eng.validity.setup_done();
             // The snapshot rows follow the arrays (see [`crate::snapshot`]).
-            eng.rows
-                .follow(&mut eng.validity, &eng.st, &eng.state, eng.cone.swept());
+            eng.rows.follow(&eng.st, &eng.state, eng.cone.swept());
         } else {
             eng.try_propagate(opts)?;
         }
@@ -588,11 +568,7 @@ impl<'e> Txn<'e> {
             eng.validity.rewind(&o.ledger, resynced);
             eng.state.report = o.report;
             eng.drift = o.drift;
-            if eng.validity.topk_current() && eng.rows.kept() {
-                let undone = eng.cone.undone(&eng.st);
-                eng.rows
-                    .follow(&mut eng.validity, &eng.st, &eng.state, undone.into_iter());
-            }
+            eng.rows = o.rows;
         }
         eng.cone.forget();
         restored

@@ -490,10 +490,7 @@ impl InstaEngine {
         let dense = ref_forward(&self.st, self.state.k);
         dense.install(&self.st, &mut self.state, false);
         self.scalar_topk = Some(dense);
-        let report = crate::metrics::evaluate(&self.st, &self.state, self.cfg.cppr);
-        self.state.report = Some(report);
-        self.validity.setup_done();
-        self.state.report.as_ref().expect("just set")
+        self.setup_pass_done()
     }
 
     /// Runs the frozen scalar differentiable forward pass — the reference

@@ -13,7 +13,7 @@
 //! and publishes it with a single pointer swap (see `insta-serve`'s
 //! `SnapshotCell`).
 //!
-//! # Capture cost: O(chunks + cone)
+//! # Capture cost: O(chunks)
 //!
 //! The bulk Top-K rows stay inside the engine; a snapshot serves only
 //! the per-(node, transition) worst entry — what
@@ -21,24 +21,27 @@
 //! the entry's mean and sigma; the engine stores no corners) and its
 //! startpoint. Snapshot rows stay *per node* although the engine stores
 //! Top-K rows for merge nodes only: a virtual node's row is slot 0 of its
-//! queue as `queue_of` materialises it, and it follows whenever a sweep
-//! passes through the node or an undo moves what it reads. Those rows live
-//! in fixed-size
-//! copy-on-write chunks (`CHUNK_ROWS` rows behind one `Arc` each) that
-//! the engine keeps current as it goes (`RowStore`): a cone sweep
-//! rewrites the rows of the nodes it recomputed — and a session rollback
-//! those of the nodes its undo log put back — which copies a chunk only
-//! when a snapshot still shares it; a full pass merely clears the ledger's
-//! row stamp (`crate::validity`) and the next cone sweep re-gathers the
-//! store once — all of it only
-//! from an engine's first capture on, so a flow that never takes a
-//! snapshot keeps no chunks. A capture on the cone path is then one `Arc`
-//! clone per chunk plus a copy of the endpoint report — no walk over the
+//! queue as `queue_of` materialises it. Those rows live in fixed-size
+//! copy-on-write chunks (`CHUNK_ROWS` rows behind one `Arc` each) that the
+//! engine keeps (`RowStore`) from its first capture on: a flow that never
+//! takes a snapshot keeps no chunks and does no upkeep.
+//!
+//! **One rule.** A filled store equals the rows of the Top-K arrays
+//! whenever the ledger (`crate::validity`) calls those arrays current, and
+//! every route that makes them current keeps it so:
+//! - a completed setup pass gathers the store afresh;
+//! - a cone sweep rewrites the rows of the nodes it recomputed or passed
+//!   through, copying a chunk first when a snapshot still shares it;
+//! - a session's rollback puts back the chunk pointers its transaction
+//!   captured beside the ledger, report and drift (`crate::incremental`,
+//!   "One transaction"): a pointer swap, no walk.
+//!
+//! A capture is then blank rows (arrays not current) or one `Arc` clone
+//! per chunk plus a copy of the endpoint report — no walk over the
 //! `2·nodes` rows, which a gather over every queue used to make the
-//! second-largest layer of a durable commit. A reader that still
-//! holds an older epoch keeps that epoch's chunks alive and nothing it can
-//! see is ever written. The node-id map is static per engine and shared
-//! by `Arc`.
+//! second-largest layer of a durable commit. A reader that still holds an
+//! older epoch keeps that epoch's chunks alive and nothing it can see is
+//! ever written. The node-id map is static per engine and shared by `Arc`.
 
 use crate::engine::{InstaEngine, State, Static};
 use crate::forward::queue_of;
@@ -47,9 +50,7 @@ use crate::parallel::VirtualQueue;
 use crate::stat;
 use crate::topk::NO_SP;
 use crate::trace::PerfReport;
-use crate::validity::Validity;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Rows per copy-on-write chunk. A cone update touches a few hundred
 /// nodes scattered over the levels, so nearly every touched node costs
@@ -116,8 +117,7 @@ fn worst_row(
         })
 }
 
-/// Every queue's worst entry: what a capture used to gather per commit,
-/// now done once after a full pass.
+/// Every queue's worst entry.
 fn gather_rows(st: &Static, state: &State) -> Rows {
     let mut scratch = VirtualQueue::new(state.k);
     let (arrival, sp): (Vec<f64>, Vec<u32>) = (0..st.n * 2)
@@ -126,60 +126,32 @@ fn gather_rows(st: &Static, state: &State) -> Rows {
     rows_from(&arrival, &sp)
 }
 
-/// The engine's side of the chunks: the rows of its Top-K arrays as of the
-/// generation the ledger's row stamp names (`rows_current()`). Kept only
-/// for an engine somebody takes snapshots of: a sizing flow that never
-/// captures pays neither the memory nor the upkeep.
-#[derive(Debug, Default)]
-pub(crate) struct RowStore {
-    chunks: Rows,
-    /// Set by the first capture (through `&self`, hence the atomic).
-    wanted: AtomicBool,
-}
-
-impl Clone for RowStore {
-    fn clone(&self) -> Self {
-        RowStore {
-            chunks: self.chunks.clone(),
-            wanted: AtomicBool::new(self.wanted.load(Ordering::Relaxed)),
-        }
-    }
-}
+/// The engine's side of the chunks (module docs, "One rule"): empty until
+/// the first capture that finds the Top-K arrays current fills it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowStore(OnceLock<Rows>);
 
 impl RowStore {
-    /// Whether anybody takes snapshots of this engine: otherwise
-    /// [`follow`](Self::follow) does nothing and its node list need not
-    /// be built.
-    pub(crate) fn kept(&mut self) -> bool {
-        *self.wanted.get_mut()
+    /// A completed setup pass rewrote every row: a filled store is gathered
+    /// afresh.
+    pub(crate) fn gather(&mut self, st: &Static, state: &State) {
+        if let Some(chunks) = self.0.get_mut() {
+            *chunks = gather_rows(st, state);
+        }
     }
 
-    /// Brings the chunks up to date with arrays back in sync after `nodes`
-    /// were rewritten — recomputed by a completed cone sweep or put back by
-    /// an undo, either of which carried the row stamp along if the chunks
-    /// mirrored the arrays before: their rows are rewritten, a chunk a
-    /// snapshot still shares being copied first — or, the stamp cleared by
-    /// a full pass or never set, all are gathered afresh and stamped.
-    pub(crate) fn follow(
-        &mut self,
-        ledger: &mut Validity,
-        st: &Static,
-        state: &State,
-        nodes: impl Iterator<Item = u32>,
-    ) {
-        if !self.kept() {
+    /// A completed cone sweep rewrote the rows of `nodes`: a filled store
+    /// rewrites them too, a chunk a snapshot still shares being copied
+    /// first.
+    pub(crate) fn follow(&mut self, st: &Static, state: &State, nodes: impl Iterator<Item = u32>) {
+        let Some(chunks) = self.0.get_mut() else {
             return;
-        }
-        if !ledger.rows_current() {
-            self.chunks = gather_rows(st, state);
-            ledger.rows_gathered();
-            return;
-        }
+        };
         let mut scratch = VirtualQueue::new(state.k);
         for v in nodes {
             // A node's two rows are neighbours in one chunk.
             let row = v as usize * 2;
-            let chunk = Arc::make_mut(&mut self.chunks[row / CHUNK_ROWS]);
+            let chunk = Arc::make_mut(&mut chunks[row / CHUNK_ROWS]);
             for rf in 0..2 {
                 let at = row % CHUNK_ROWS + rf;
                 (chunk.arrival[at], chunk.sp[at]) =
@@ -277,29 +249,24 @@ impl InstaEngine {
     /// same epoch.
     ///
     /// The arrival rows come only from Top-K arrays the ledger calls current
-    /// (`topk_current()`). After a hold pass (negated early corners), a bare
-    /// re-annotation or a failed pass every row is captured as unreached,
-    /// so [`TimingSnapshot::arrival_at`] answers `None` rather than a
-    /// value that does not belong to the report beside it.
-    ///
-    /// After a cone update the capture clones chunk pointers (see the
-    /// [module docs](self)); right after a full pass it gathers the rows
-    /// once, as every capture used to.
+    /// (`topk_current()`): then they are the kept chunks (see the
+    /// [module docs](self)), gathered by the engine's first such capture.
+    /// After a hold pass (negated early corners), a bare re-annotation or a
+    /// failed pass every row is captured as unreached, so
+    /// [`TimingSnapshot::arrival_at`] answers `None` rather than a value
+    /// that does not belong to the report beside it.
     pub fn snapshot(&self) -> TimingSnapshot {
-        // From now on cone sweeps keep the chunks for the next capture.
-        self.rows.wanted.store(true, Ordering::Relaxed);
         let n_rows = self.num_nodes() * 2;
-        let gather = || gather_rows(&self.st, &self.state);
-        let rows = if !self.validity.topk_current() {
-            blank_rows(n_rows)
-        } else if self.validity.rows_current() {
+        let rows = if self.validity.topk_current() {
+            let gather = || gather_rows(&self.st, &self.state);
+            let kept = self.rows.0.get_or_init(gather);
             debug_assert!(
-                self.rows.chunks == gather(),
+                *kept == gather(),
                 "the row chunks fell behind the Top-K arrays"
             );
-            self.rows.chunks.clone()
+            kept.clone()
         } else {
-            gather()
+            blank_rows(n_rows)
         };
         TimingSnapshot {
             epoch: self.epoch(),
@@ -361,7 +328,11 @@ mod tests {
         let after = eng.update_timing(&perturb).expect("valid delta");
         assert_ne!(
             after.slacks.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            report.slacks.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            report
+                .slacks
+                .iter()
+                .map(|s| s.to_bits())
+                .collect::<Vec<_>>(),
             "the perturbation must actually change some slack"
         );
         let frozen = snap.report().expect("still there");
@@ -374,7 +345,8 @@ mod tests {
     /// Cone updates and rollbacks keep the chunked rows current: every
     /// capture on the cone path equals one gathered afresh after a full
     /// pass over the same annotations, and captures taken earlier never
-    /// move — a chunk they share is copied before it is rewritten.
+    /// move — a chunk they share is copied before it is rewritten. An
+    /// engine nobody captures keeps no chunks.
     #[test]
     fn cone_updates_keep_the_row_chunks_current_and_older_captures_frozen() {
         let (_d, _sta, mut eng) = build_engine(14, 8);
@@ -385,6 +357,11 @@ mod tests {
             mean: [35.0 + f64::from(round), 20.0],
             sigma: [2.5, 1.0 + f64::from(round)],
         };
+        eng.update_timing(&[delta(0)]).expect("valid delta");
+        eng.begin_session()
+            .update_timing(&[delta(1)])
+            .expect("valid delta");
+        assert!(eng.rows.0.get().is_none(), "nobody captured: no chunks");
         let mut held = vec![eng.snapshot()];
         let mut copies = vec![deep_copy(&held[0])];
         for round in 0..8 {
@@ -395,17 +372,10 @@ mod tests {
             } else {
                 session.commit().expect("commit");
             }
-            assert!(
-                eng.validity.rows_current(),
-                "round {round}: the cone path keeps the store"
-            );
             let snap = eng.snapshot();
+            // The twin's full pass gathers the store it was cloned with.
             let mut twin = eng.clone();
             twin.propagate();
-            assert!(
-                !twin.validity.rows_current(),
-                "a full pass leaves the store to the next sweep"
-            );
             let fresh = twin.snapshot();
             assert!(snap.rows == fresh.rows, "round {round}: chunks fell behind");
             assert_eq!(

@@ -2,13 +2,15 @@
 //! which annotations.
 //!
 //! Everything the engine computes is a function of one annotation table.
-//! Each state of that table has a *generation*; each derived product —
-//! setup Top-K, endpoint report, LSE buffers, snapshot rows — is stamped
-//! with the generation it was computed from and is current while the two
-//! are equal. So a re-annotation makes every product stale in one write, a
+//! Each state of that table has a *generation*; each of the three derived
+//! products — setup Top-K, endpoint report, LSE buffers — is stamped with
+//! the generation it was computed from and is current while the two are
+//! equal. So a re-annotation makes every product stale in one write, a
 //! rollback makes the products of the restored table current again, and no
 //! product has a flag of its own. (A what-if lane never sees the ledger:
-//! its annotation writes are back before the call returns.)
+//! its annotation writes are back before the call returns.) The snapshot
+//! rows carry no stamp: a filled store equals the Top-K arrays whenever
+//! they are current (`crate::snapshot`, "One rule").
 //!
 //! **A generation is never reused.** New ones come from an allocator
 //! (`issued`) that a rollback does not rewind: [`Validity::rewind`] puts
@@ -44,10 +46,6 @@ pub(crate) struct Validity {
     /// LSE arrivals and weights; `None` while a pass rewrites them and
     /// after one failed.
     lse: Option<Gen>,
-    /// The snapshot row chunks. A set stamp travels with the Top-K arrays
-    /// through a cone sweep and an undo; `RowStore::follow` is handed the
-    /// rewritten nodes before anyone can read.
-    rows: Option<Gen>,
 }
 
 impl Validity {
@@ -67,20 +65,20 @@ impl Validity {
         self.lse == Some(self.gen)
     }
 
-    pub(crate) fn rows_current(&self) -> bool {
-        self.rows == Some(self.gen)
-    }
-
     pub(crate) fn covered(&self) -> bool {
         self.covered
     }
 
-    /// What a reader can tell apart: the current generation and the stamps
-    /// (the row stamp only picks between two equal answers of `snapshot()`).
+    /// What a reader can tell apart: the current generation and the stamps.
     #[cfg(any(test, feature = "scalar-reference"))]
     pub(crate) fn observable(&self) -> [u64; 4] {
         let stamp = |s: Option<Gen>| s.unwrap_or(u64::MAX);
-        [self.gen, stamp(self.topk), stamp(self.report), stamp(self.lse)]
+        [
+            self.gen,
+            stamp(self.topk),
+            stamp(self.report),
+            stamp(self.lse),
+        ]
     }
 
     /// An annotation write: a generation nothing was ever stamped with.
@@ -100,33 +98,17 @@ impl Validity {
     }
 
     /// A pass is about to rewrite the Top-K arrays whole, whether it
-    /// succeeds or not: they are nobody's until a setup pass completes, the
-    /// row chunks fall behind, and no undo log covers the write.
+    /// succeeds or not: they are nobody's until a setup pass completes, and
+    /// no undo log covers the write.
     pub(crate) fn begin_full_pass(&mut self) {
         self.topk = None;
-        self.rows = None;
         self.covered = false;
     }
 
-    /// A full setup pass completed and evaluated its report.
+    /// A full setup pass or a cone sweep completed and evaluated its report.
     pub(crate) fn setup_done(&mut self) {
         self.topk = Some(self.gen);
         self.report = Some(self.gen);
-    }
-
-    /// A cone sweep completed and refreshed the report. It only runs over
-    /// arrays that were current before the annotation write it follows, so
-    /// row chunks that mirrored those arrays come along.
-    pub(crate) fn cone_done(&mut self) {
-        let mirrored = self.rows_mirror_topk();
-        self.setup_done();
-        self.rows = self.topk.filter(|_| mirrored);
-    }
-
-    /// Whether the row chunks were last brought up to the arrays as they
-    /// stood before the rewrite now being booked.
-    fn rows_mirror_topk(&self) -> bool {
-        self.rows.is_some() && self.rows == self.topk
     }
 
     /// A differentiable forward pass is about to rewrite the LSE buffers.
@@ -139,11 +121,6 @@ impl Validity {
         self.lse = Some(self.gen);
     }
 
-    /// `RowStore::follow` gathered the chunks afresh from current arrays.
-    pub(crate) fn rows_gathered(&mut self) {
-        self.rows = Some(self.gen);
-    }
-
     /// A session is taken back to `begin`, the ledger as its first mutating
     /// call found it, the undo log already copied back (module docs, the
     /// rollback rule). `resynced`: the arrays are the begin-time arrays
@@ -152,10 +129,8 @@ impl Validity {
     /// abandoned timeline no longer equals the restored generation, one
     /// naming the begin-time table equals it again.
     pub(crate) fn rewind(&mut self, begin: &Validity, resynced: bool) {
-        let mirrored = self.rows_mirror_topk();
         self.gen = begin.gen;
         self.topk = begin.topk.filter(|_| resynced);
         self.report = begin.report;
-        self.rows = self.topk.filter(|_| mirrored && self.topk_current());
     }
 }

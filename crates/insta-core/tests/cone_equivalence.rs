@@ -19,7 +19,9 @@
 //! drop-while-open by coin, sessions that stack several updates — over the
 //! same nodes, or with a full pass in the middle — before rolling back, a
 //! snapshot held across a rollback, and an interleaved `propagate_hold`
-//! that clobbers the arrays.
+//! that clobbers the arrays. The deep session, whose log outgrows its
+//! budget, takes a capture before and after its rollback: each equals a
+//! clone's after a fresh full pass.
 //!
 //! The second half of the file is the **undo-exactness suite** of the
 //! batched entry point: a what-if lane is the same cone sweep run in place
@@ -303,6 +305,22 @@ fn span_count(a: &InstaEngine, name: &str) -> usize {
 /// budget after 50 to 891 (K = 2 on the wide design) of them.
 const DEEP_STACK: usize = 1024;
 
+/// A capture of `eng` equals one a clone takes after a fresh full pass.
+/// Both sides untraced: a pass moves the profile a capture carries.
+fn assert_capture_is_fresh(eng: &InstaEngine, what: &str) {
+    let untraced = || {
+        let mut e = eng.clone();
+        e.disable_tracing();
+        e
+    };
+    let mut fresh = untraced();
+    fresh.propagate();
+    assert!(
+        untraced().snapshot() == fresh.snapshot(),
+        "{what}: the capture differs from a re-propagated clone's"
+    );
+}
+
 /// Drives A through sessions and the twins through full passes for
 /// [`STEPS`] steps, comparing everything after every step.
 fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
@@ -388,8 +406,8 @@ fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
                 })
                 .collect();
         }
-        // A capture taken mid-session shares its row chunks with the
-        // engine: the undo must copy them before it writes.
+        // A capture taken mid-session fills the engine's row store; the
+        // rollback must put the session's begin-time chunks back.
         let pinned = updates.len() > 1 || step % 40 == 21;
         // What takes the twins back if A abandons the step.
         let mut undo: Vec<ArcDelta> = Vec::new();
@@ -433,6 +451,9 @@ fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
             }
         }
         let held = pinned.then(|| session.engine().snapshot());
+        if deep {
+            assert_capture_is_fresh(session.engine(), &format!("{tag} step {step} in session"));
+        }
         let full_before_close = span_count(session.engine(), "forward");
         let all_cones = full_before_close == full_before_session;
 
@@ -456,15 +477,19 @@ fn run_sequence(fx: &Fixture, cfg: &InstaConfig, seed: u64) {
             }
         }
         assert_same(&a, &b, Some(&c), &format!("{tag} step {step} after close"));
+        if deep {
+            assert_capture_is_fresh(&a, &format!("{tag} step {step} after close"));
+        }
         // A session of cone sweeps only is taken back by copy — unless its
         // log outgrew the budget, which costs the rollback a full pass.
         if all_cones && span_count(&a, "forward") > full_before_close {
             outgrown += 1;
         }
         if held.is_some() {
-            // The rows a capture serves followed the undo (`snapshot()`
-            // itself debug-asserts the chunks against the arrays). A session
-            // begun out of sync ends out of sync and answers nothing.
+            // The rows a capture serves came back with the rollback
+            // (`snapshot()` itself debug-asserts the chunks against the
+            // arrays). A session begun out of sync ends out of sync and
+            // answers nothing.
             let (sa, sb) = (a.snapshot(), b.snapshot());
             for orig in 0..a.num_nodes() as u32 {
                 for rf in 0..2 {

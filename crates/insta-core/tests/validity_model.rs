@@ -11,7 +11,10 @@
 //! rebuilt from scratch over the model's table; reads answer `Some` where
 //! the rules of [`insta_engine`]'s ledger say the arrays are current; and
 //! an update on current arrays is a cone update — after a rollback too,
-//! unless the session ran a pass its undo log does not cover.
+//! unless the session ran a pass its undo log does not cover. Every
+//! session takes a capture while open, and after it closes on current
+//! arrays a capture equals a clone's after a fresh full pass: the kept
+//! snapshot rows followed the commit or came back with the rollback.
 //!
 //! The pinned tests are the bug the ledger's report row exposed (a backward
 //! pass after a bare `reannotate` differentiated the old report), the pass
@@ -442,6 +445,27 @@ fn check_reads(cx: &Ctx, m: &Model, a: &InstaEngine, what: &str) -> Result<(), S
     Ok(())
 }
 
+/// On arrays the model calls current, a capture of `a` equals one a clone
+/// takes after a fresh full pass. Both sides untraced: a pass moves the
+/// profile a capture carries.
+fn capture_is_fresh(m: &Model, a: &InstaEngine, what: &str) -> Result<(), String> {
+    if !m.synced {
+        return Ok(());
+    }
+    let untraced = || {
+        let mut e = a.clone();
+        e.disable_tracing();
+        e
+    };
+    let mut fresh = untraced();
+    fresh.propagate();
+    prop_assert!(
+        untraced().snapshot() == fresh.snapshot(),
+        "{what}: the capture differs from a re-propagated clone's"
+    );
+    Ok(())
+}
+
 /// Runs one session op and books it if it succeeded. `pending` is the
 /// table as the session sees it.
 fn session_op(
@@ -537,10 +561,13 @@ fn run_session(
         );
         prop_assert_eq!(s.status(), SessionStatus::RolledBack);
     }
+    // The first capture of the engine fills its row store inside the
+    // session; the rollback must put the begin-time store back.
+    let _ = s.engine().snapshot();
     if end == End::Commit {
         s.commit().map_err(|e| format!("commit failed: {e}"))?;
         m.table = pending;
-        return Ok(());
+        return capture_is_fresh(m, a, "after the commit");
     }
     s.rollback();
     // The ledger's rollback rule, restated by the referee: covered ⇒ the
@@ -553,7 +580,7 @@ fn run_session(
         bits(&a.arc_gradients()) == grads_before,
         "the rollback left other gradients"
     );
-    Ok(())
+    capture_is_fresh(m, a, "after the rollback")
 }
 
 fn run_step(cx: &Ctx, m: &mut Model, a: &mut InstaEngine, step: &Step) -> Result<(), String> {

@@ -647,7 +647,11 @@ pub fn parse_library(src: &str) -> Result<Library, ParseLibertyError> {
     };
     let mut lib = Library::new(root.args.first().cloned().unwrap_or_default());
     for cg in root.subgroups("cell") {
-        lib.add_cell(interpret_cell(cg)?);
+        let cell = interpret_cell(cg)?;
+        if lib.cell_id(&cell.name).is_some() {
+            return err(cg.line, format!("duplicate cell `{}`", cell.name));
+        }
+        lib.add_cell(cell);
     }
     Ok(lib)
 }
@@ -658,6 +662,18 @@ mod tests {
     use crate::synth::{synth_library, SynthLibraryConfig};
     use crate::writer::write_library;
     use crate::Transition;
+
+    /// A cell defined twice is a typed error, not the library's panic.
+    #[test]
+    fn a_duplicate_cell_is_an_error() {
+        let lib = synth_library(&SynthLibraryConfig::default());
+        let text = write_library(&lib);
+        let first = text.find("  cell (").expect("a cell");
+        let second = first + 1 + text[first + 1..].find("  cell (").expect("two cells");
+        let twice = format!("{}{}", &text[..second], &text[first..]);
+        let e = parse_library(&twice).expect_err("duplicate");
+        assert!(e.message.contains("duplicate cell"), "{e}");
+    }
 
     #[test]
     fn round_trips_synth_library() {

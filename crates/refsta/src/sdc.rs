@@ -115,7 +115,10 @@ pub fn apply_sdc(sta: &mut RefSta, design: &Design, src: &str) -> Result<(), Par
             continue;
         }
         let ws = words(line);
-        match ws[0].as_str() {
+        let Some(command) = ws.first() else {
+            return serr(line_no, "a line of bare queries names no command");
+        };
+        match command.as_str() {
             "create_clock" => {
                 let period = flag_value(&ws, "-period")
                     .and_then(|v| v.parse::<f64>().ok())
@@ -244,6 +247,14 @@ mod tests {
         let sdc = format!("set_multicycle_path 2 -from {sp_inst} -to {ep_inst}\n");
         apply_sdc(&mut sta, &d, &sdc).expect("apply");
         assert_eq!(sta.config().exceptions.num_multicycle(), 1);
+    }
+
+    /// A line holding only query words is a typed error.
+    #[test]
+    fn a_line_of_bare_queries_is_an_error() {
+        let (d, mut sta) = setup();
+        let e = apply_sdc(&mut sta, &d, "[all_inputs]\n").expect_err("no command");
+        assert_eq!(e.line, 1);
     }
 
     #[test]

@@ -27,6 +27,11 @@ echo "==> DESIGN.md size line (what the code and its module docs already say doe
 design_bytes=$(wc -c < DESIGN.md)
 [ "$design_bytes" -le 58000 ] || { echo "DESIGN.md is $design_bytes bytes, over the 58000-byte line: cut, or move the text into the module it describes" >&2; exit 1; }
 
+echo "==> rustfmt ratchet (the files listed here are rustfmt-clean and stay so; the list only grows, and never names anything under crates/bench/src/bin/e2e)"
+rustfmt --edition 2021 --check \
+  crates/insta-core/src/snapshot.rs \
+  crates/insta-core/src/validity.rs
+
 echo "==> doc links (an intra-doc link to a missing item — a deleted function, a renamed type — fails the build)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --document-private-items --offline
 

@@ -170,3 +170,139 @@ fn sdc_is_stable_across_the_interchange() {
     assert!((wns_a - wns_b).abs() < 1e-9, "{wns_a} vs {wns_b}");
     assert!((tns_a - tns_b).abs() < 1e-9);
 }
+
+/// Byte ranges of the numeric tokens of `text`: runs of digits, points and
+/// exponents that start a word and parse as a number.
+fn numeric_tokens(text: &str) -> Vec<std::ops::Range<usize>> {
+    let b = text.as_bytes();
+    let word = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < b.len() {
+        if !b[i].is_ascii_digit() || (i > 0 && word(b[i - 1])) {
+            i += 1;
+            continue;
+        }
+        let mut j = i;
+        while j < b.len()
+            && (b[j].is_ascii_digit()
+                || matches!(b[j], b'.' | b'e' | b'E')
+                || (matches!(b[j], b'+' | b'-') && matches!(b[j - 1], b'e' | b'E')))
+        {
+            j += 1;
+        }
+        if text[i..j].parse::<f64>().is_ok() {
+            out.push(i..j);
+        }
+        i = j;
+    }
+    out
+}
+
+/// The interchange readers — `parse_verilog`, `annotate_spef`,
+/// `parse_library` and `apply_sdc` — fed their writers' output (an SDC
+/// text with clock, I/O-delay and exception commands) under damage: a
+/// truncation, a flipped bit, or one numeric token swapped for a value
+/// past a type's range, negative or non-finite. Every call returns a typed
+/// error or a value; none panics.
+#[test]
+fn interchange_readers_never_panic_on_damaged_text() {
+    use insta_sta::liberty::{parse_library, write_library, Library};
+    use insta_sta::support::{Fault, FaultPlan, Rng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const SEED: u64 = 0x1_7E8C_4A6E;
+    const FAULT_CASES: u64 = 50;
+    const SWAP_CASES: u64 = 150;
+    const SWAPS: [&str; 6] = [
+        "99999999999999999999",
+        "4294967296",
+        "-1",
+        "nan",
+        "inf",
+        "1e400",
+    ];
+
+    let mut cfg = GeneratorConfig::small("ix-fuzz", 61);
+    cfg.n_flops = 6;
+    cfg.logic_levels = 3;
+    cfg.gates_per_level = 6;
+    let design = generate_design(&cfg);
+    let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
+    sta.full_update(&design);
+    let sp = sta
+        .sp_infos()
+        .iter()
+        .find_map(|i| i.flop)
+        .expect("a flop startpoint");
+    let ep = sta
+        .ep_infos()
+        .iter()
+        .find_map(|i| i.capture)
+        .expect("a flop endpoint");
+    let (sp, ep) = (&design.cell(sp).name, &design.cell(ep).name);
+    let sdc = format!(
+        "# constraints\ncreate_clock -name core -period 650 [get_ports clk]\n\
+         set_input_delay 40.5 [all_inputs]\n\
+         set_false_path -from {sp} -to {ep}\n\
+         set_multicycle_path 2 -from [get_cells {sp}] -to [get_cells {ep}]\n"
+    );
+    apply_sdc(&mut sta, &design, &sdc).expect("the clean SDC applies");
+
+    // Every ninth cell: the whole library's text is half a megabyte.
+    let mut some_cells = Library::new("ix_fuzz");
+    for cell in design.library().cells().iter().step_by(9) {
+        some_cells.add_cell(cell.clone());
+    }
+    let texts = [
+        ("verilog", write_verilog(&design)),
+        ("spef", write_spef(&design)),
+        ("liberty", write_library(&some_cells)),
+        ("sdc", sdc),
+    ];
+    let mut read = |reader: &str, text: &str| -> bool {
+        match reader {
+            "verilog" => parse_verilog(text, design.library_arc(), "clk", 650.0).is_ok(),
+            "spef" => annotate_spef(&mut design.clone(), text).is_ok(),
+            "liberty" => parse_library(text).is_ok(),
+            _ => apply_sdc(&mut sta, &design, text).is_ok(),
+        }
+    };
+    let plan = FaultPlan::new(SEED);
+    let mut rng = Rng::seed_from_u64(SEED);
+    let (mut cases, mut rejected) = (0usize, 0usize);
+    for (reader, clean) in &texts {
+        assert!(read(reader, clean), "{reader}: the clean text reads");
+        // Structural Verilog holds names only; the other texts numbers.
+        let numbers = numeric_tokens(clean);
+        assert_eq!(numbers.is_empty(), *reader == "verilog", "{reader}");
+        let mut damaged: Vec<(String, String)> = Vec::new();
+        for fault in [Fault::Truncate, Fault::BitFlip] {
+            for case in 0..FAULT_CASES {
+                let bytes = plan.corrupt_text(case, fault, clean);
+                let text = String::from_utf8_lossy(&bytes).into_owned();
+                damaged.push((format!("{fault:?} case {case}"), text));
+            }
+        }
+        let swaps = if numbers.is_empty() { 0 } else { SWAP_CASES };
+        for _ in 0..swaps {
+            let at = numbers[rng.bounded_u64(numbers.len() as u64) as usize].clone();
+            let swap = SWAPS[rng.bounded_u64(SWAPS.len() as u64) as usize];
+            let what = format!("`{}` at byte {} -> {swap}", &clean[at.clone()], at.start);
+            damaged.push((
+                what,
+                format!("{}{swap}{}", &clean[..at.start], &clean[at.end..]),
+            ));
+        }
+        for (what, text) in damaged {
+            let ok = catch_unwind(AssertUnwindSafe(|| read(reader, &text)))
+                .unwrap_or_else(|_| panic!("{reader}: {what} panicked"));
+            cases += 1;
+            rejected += usize::from(!ok);
+        }
+    }
+    assert!(
+        rejected > 0 && rejected < cases,
+        "{rejected} of {cases} rejected"
+    );
+}
