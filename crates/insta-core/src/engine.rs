@@ -529,7 +529,7 @@ pub struct InstaEngine {
     pub(crate) window: Scratch<crate::forward::Window>,
     /// The observability sink (disabled by default; see [`crate::trace`]).
     pub(crate) trace: TraceSink,
-    /// The frozen kernels' dense arrays of the last reference pass (see
+    /// The reference fold's dense arrays of the last reference pass (see
     /// [`crate::scalar_ref`]).
     #[cfg(any(test, feature = "scalar-reference"))]
     pub(crate) scalar_topk: Option<crate::scalar_ref::DenseTopK>,

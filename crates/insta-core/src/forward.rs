@@ -1259,10 +1259,10 @@ mod tests {
 #[cfg(test)]
 mod merge_tests {
     use super::{corner, level_chunk};
-    use crate::engine::{InstaConfig, InstaEngine, Lanes, Static};
+    use crate::engine::{InstaConfig, InstaEngine, Lanes};
     use crate::hold::hold_attributes;
     use crate::parallel::MergeArena;
-    use crate::stat;
+    use crate::scalar_ref::push_sequence;
     use crate::topk::{Candidate, TopKQueue};
     use insta_netlist::generator::{generate_design, GeneratorConfig};
     use insta_refsta::export::{EndpointInit, ExportedArc, InstaInit, SourceInit, NO_LEAF};
@@ -1284,56 +1284,13 @@ mod merge_tests {
         )
     }
 
-    /// What the level body must read as the queue of `(v, rf)`: a stored
-    /// node's row as written, a virtual node's the literal Algorithm 2 fed
-    /// its one arc's run — the parent's queue (this oracle's, recursively)
-    /// plus the arc, slot by slot.
-    fn oracle_queue<const MIN: bool>(
-        st: &Static,
-        rows: Lanes<'_>,
-        v: usize,
-        rf: usize,
-    ) -> Vec<Candidate> {
-        if let Some(row) = st.row_of(v) {
-            let q = rows.row(row, rf);
-            return q
-                .entries()
-                .map(|(sp, mean, sigma)| Candidate {
-                    arrival: corner::<MIN>(mean, sigma, st.n_sigma),
-                    mean,
-                    sigma,
-                    sp,
-                })
-                .collect();
-        }
-        let ai = st.fanin_start[v] as usize;
-        let (p, prf) = super::parent_of(st, ai, rf);
-        let mut queue = TopKQueue::new(rows.k);
-        for c in oracle_queue::<MIN>(st, rows, p, prf) {
-            queue.push(extended::<MIN>(st, c, ai, rf));
-        }
-        queue.entries().collect()
-    }
-
-    /// Candidate `c` of a parent's queue carried over fanin arc `ai` into
-    /// a transition-`rf` queue.
-    fn extended<const MIN: bool>(st: &Static, c: Candidate, ai: usize, rf: usize) -> Candidate {
-        let (mean, sigma) =
-            stat::arc_sum(c.mean, c.sigma, st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
-        Candidate {
-            arrival: corner::<MIN>(mean, sigma, st.n_sigma),
-            mean,
-            sigma,
-            sp: c.sp,
-        }
-    }
-
     /// One node's two queues through [`level_chunk`] against the literal
-    /// Algorithm 2 ([`TopKQueue::push`]) fed the push sequence *P*: the
-    /// same count for rise and fall (the row's capacity, which the body
-    /// must fill exactly) and the three lanes on raw bits. A fanin arc may reach its stored parent through
-    /// a chain of zero to four one-in/one-out hops (virtual nodes, read
-    /// through [`oracle_queue`]), so the body gathers through hops that
+    /// Algorithm 2 ([`TopKQueue::push`]) fed the push sequence *P*
+    /// ([`push_sequence`]): the same count for rise and fall (the row's
+    /// capacity, which the body must fill exactly) and the three lanes on
+    /// raw bits. A fanin arc may reach its stored parent through a chain of
+    /// zero to four one-in/one-out hops (virtual nodes, each queue the same
+    /// fold of its one arc's run), so the body gathers through hops that
     /// keep the parent's order, and falls back where one reorders or the
     /// chain is too long. Returns the reads through a virtual parent and
     /// how many of them fell back.
@@ -1482,41 +1439,32 @@ mod merge_tests {
             sigma: &p_sigma,
         };
 
-        let mut want = [Vec::new(), Vec::new()];
-        for (rf, want) in want.iter_mut().enumerate() {
-            // P, arc by arc: (corner, mean, sigma, sp) of every entry.
-            let runs: Vec<Vec<Candidate>> = st
-                .fanin_range(child)
-                .map(|ai| {
-                    let (p, prf) = super::parent_of(&st, ai, rf);
-                    let parent = oracle_queue::<MIN>(&st, parents, p, prf);
-                    parent
-                        .into_iter()
-                        .map(|c| extended::<MIN>(&st, c, ai, rf))
-                        .collect()
-                })
-                .collect();
-            let seed = Candidate {
-                arrival: corner::<MIN>(launch.0, launch.1, st.n_sigma),
-                mean: launch.0,
-                sigma: launch.1,
-                sp: n_sp as u32 - 1,
-            };
-            // A single fanin is no exception: a seed is pushed first there
-            // too.
-            let mut oracle = TopKQueue::new(k);
-            if seeded {
-                oracle.push(seed);
-            }
-            for j in 0..k {
-                for run in &runs {
-                    if let Some(&c) = run.get(j) {
-                        oracle.push(c);
-                    }
+        // Every queue up to the child's, in id order (parents first): a
+        // stored parent's row as written, every other queue the literal
+        // Algorithm 2 fed its push sequence P — a virtual hop's is its one
+        // arc's run, and a single fanin is no exception to the seed being
+        // pushed first.
+        let mut queues: Vec<[Vec<(u32, f64, f64)>; 2]> = Vec::new();
+        for v in 0..=child {
+            let queue = |rf| {
+                if v < n_parents {
+                    return parents.row(v, rf).entries().collect();
                 }
-            }
-            *want = oracle.entries().collect();
+                let seed = (seeded && v == child).then(|| Candidate {
+                    arrival: corner::<MIN>(launch.0, launch.1, st.n_sigma),
+                    mean: launch.0,
+                    sigma: launch.1,
+                    sp: n_sp as u32 - 1,
+                });
+                let entry = |p: usize, prf: usize, j: usize| queues[p][prf].get(j).copied();
+                let mut oracle = TopKQueue::new(k);
+                push_sequence::<MIN>(&st, (v, rf), seed, entry, &mut oracle);
+                oracle.entries().map(|c| (c.sp, c.mean, c.sigma)).collect()
+            };
+            let both = [queue(0), queue(1)];
+            queues.push(both);
         }
+        let want = queues.pop().expect("the child's queues");
         // The capacity contract: both transitions reach the same ids.
         let cap = want[0].len();
         prop_assert!(want[1].len() == cap, "rise {cap}, fall {}", want[1].len());
@@ -1541,13 +1489,14 @@ mod merge_tests {
         level_chunk::<MIN>(&st, parents, nodes, w_mean, w_sigma, w_sp, &mut arena);
 
         for (rf, want) in want.iter().enumerate() {
-            for (j, c) in want.iter().enumerate() {
+            for (j, &(sp, mean, sigma)) in want.iter().enumerate() {
                 let at = rf * cap + j;
                 let got = (qm[at], qs[at], qsp[at]);
                 let bits = |q: (f64, f64, u32)| (q.0.to_bits(), q.1.to_bits(), q.2);
                 prop_assert!(
-                    bits(got) == bits((c.mean, c.sigma, c.sp)),
-                    "rf {rf} slot {j}: got {got:?}, want {c:?}"
+                    bits(got) == bits((mean, sigma, sp)),
+                    "rf {rf} slot {j}: got {got:?}, want {:?}",
+                    (mean, sigma, sp)
                 );
             }
         }

@@ -1,20 +1,20 @@
-//! Frozen scalar reference kernels — the pre-overhaul forward path.
+//! The reference the production kernels are pinned against: Algorithm 2
+//! over the push sequence.
 //!
-//! The forward kernel was rewritten for speed (gather-then-merge SoA
-//! arenas, fixed-K compare-exchange restore networks, within-level CSR
-//! reordering, and the fused evaluation + LSE sweep) under a strict
-//! bit-identity contract: every consumer must observe exactly the floats
-//! the original branching kernel produced. This module retains that
-//! original kernel **verbatim** — the literal Algorithm 1 / Algorithm 2
-//! transcriptions that shipped before the overhaul, serial, one candidate
-//! at a time — as the ground truth the differential kernel-equivalence
-//! suite (`tests/kernel_equivalence.rs`) pins the production kernels
-//! against.
+//! The forward kernel computes each queue as one selection over gathered
+//! runs, gathers through virtual parents and stores rows for merge nodes
+//! only, all under a bit-identity contract. This module is what it must
+//! equal: every `(node, transition)` queue folded from its push sequence
+//! *P* (`forward.rs`'s `merge_node_queue` defines it: the launch seed,
+//! then for `j = 0..K`, for each fanin arc in CSR order, the parent's
+//! `j`-th entry carried over the arc) through [`TopKQueue::push`], the
+//! literal Algorithm 2, in level order, one dense K-slot queue per node.
+//! Setup and hold are one fold ([`push_sequence`]); `kernel_equivalence`
+//! and `cone_equivalence` compare the engine's rows to it on raw bits.
+//! `ref_forward_lse` is the serial reference of the LSE pass.
 //!
-//! Nothing here is a second implementation to maintain: these functions
-//! are frozen. If a production-kernel change breaks equivalence, the
-//! production kernel is wrong (or the change is a semantic one that must
-//! update this reference *and* say so in review).
+//! A change that breaks equivalence is a production-kernel bug, or a
+//! semantic change that must change *P* — and say so in review.
 //!
 //! Compiled only under `cfg(test)` or the `scalar-reference` feature, so
 //! release builds of the engine carry none of it.
@@ -24,12 +24,12 @@ use crate::forward::{corner, queue_of};
 use crate::hold::HoldAttributes;
 use crate::metrics::InstaReport;
 use crate::parallel::VirtualQueue;
-use crate::topk::{Candidate, NO_SP};
+use crate::topk::{Candidate, TopKQueue, NO_SP};
 
-/// The arrays the kernels below were frozen over: one dense K-slot queue
-/// per `(node, transition)`, corner arrivals stored, empty slots marked
-/// `-INF` / [`NO_SP`]. The engine's own state stores rows for merge nodes
-/// only and no corners; the reference keeps this layout for itself.
+/// The reference's arrays: one dense K-slot queue per `(node, transition)`,
+/// corner arrivals stored, empty slots marked `-INF` / [`NO_SP`]. The
+/// engine's own state stores rows for merge nodes only and no corners; the
+/// reference keeps this layout for itself.
 #[derive(Debug, Clone)]
 pub(crate) struct DenseTopK {
     /// Top-K capacity.
@@ -42,23 +42,16 @@ pub(crate) struct DenseTopK {
 }
 
 impl DenseTopK {
-    /// Every queue empty.
+    /// Every queue empty. `repeat` copies by doubling; `vec![x; len]` writes
+    /// slot by slot, 3.5 ms an array at K = 256, 743 nodes, in a test build.
     fn empty(n: usize, k: usize) -> Self {
         DenseTopK {
             k,
-            topk_arrival: vec![f64::NEG_INFINITY; n * 2 * k],
+            topk_arrival: [f64::NEG_INFINITY].repeat(n * 2 * k),
             topk_mean: vec![0.0; n * 2 * k],
             topk_sigma: vec![0.0; n * 2 * k],
-            topk_sp: vec![NO_SP; n * 2 * k],
+            topk_sp: [NO_SP].repeat(n * 2 * k),
         }
-    }
-
-    /// Every array as raw bits, for whole-image compares.
-    #[cfg(test)]
-    pub(crate) fn bits(&self) -> Vec<u64> {
-        let floats = self.topk_arrival.iter().chain(&self.topk_mean).chain(&self.topk_sigma);
-        let sps = self.topk_sp.iter().map(|&sp| u64::from(sp));
-        floats.map(|v| v.to_bits()).chain(sps).collect()
     }
 
     /// Copies the queues of the stored nodes into the engine's rows, as
@@ -89,180 +82,76 @@ pub(crate) fn dense_view<const MIN: bool>(st: &Static, state: &State) -> DenseTo
     let mut scratch = VirtualQueue::new(state.k);
     for q in 0..st.n * 2 {
         let queue = queue_of::<MIN>(st, state.lanes(st), q / 2, q % 2, &mut scratch);
-        for (at, (sp, mean, sigma)) in (q * k..).zip(queue.entries()) {
-            dense.topk_arrival[at] = corner::<MIN>(mean, sigma, st.n_sigma);
-            dense.topk_mean[at] = mean;
-            dense.topk_sigma[at] = sigma;
-            dense.topk_sp[at] = sp;
+        let at = q * k..q * k + queue.sp.len();
+        dense.topk_mean[at.clone()].copy_from_slice(queue.mean);
+        dense.topk_sigma[at.clone()].copy_from_slice(queue.sigma);
+        dense.topk_sp[at.clone()].copy_from_slice(queue.sp);
+        let corners = queue.mean.iter().zip(queue.sigma);
+        for (a, (&mean, &sigma)) in dense.topk_arrival[at].iter_mut().zip(corners) {
+            *a = corner::<MIN>(mean, sigma, st.n_sigma);
         }
     }
     dense
 }
 
-/// The pre-overhaul Algorithm 2 queue update, frozen byte-for-byte.
-///
-/// Maintains one K-entry queue stored as parallel slices in descending
-/// `arrival` order with unique startpoints:
-///
-/// 1. if `sp` already exists, replace its entry when the new arrival is
-///    strictly larger (then bubble it toward the front);
-/// 2. otherwise insert at the sorted position, shifting smaller entries
-///    down and dropping the last one.
-///
-/// The production kernel added a floor fast-path rejection before the
-/// uniqueness scan; this copy predates it, so equal-key tie-breaking and
-/// duplicate-startpoint handling are exercised exactly as originally
-/// written.
-#[inline]
-pub fn ref_update_topk(
-    arrivals: &mut [f64],
-    means: &mut [f64],
-    sigmas: &mut [f64],
-    sps: &mut [u32],
-    cand: Candidate,
-) {
-    let k = arrivals.len();
-    debug_assert!(k > 0 && means.len() == k && sigmas.len() == k && sps.len() == k);
-
-    // Step 1: startpoint uniqueness. Occupied slots are dense from the
-    // front, so the scan stops at the first empty slot.
-    for j in 0..k {
-        if sps[j] == NO_SP {
-            // Empty tail: the startpoint is new; insert right here.
-            arrivals[j] = cand.arrival;
-            means[j] = cand.mean;
-            sigmas[j] = cand.sigma;
-            sps[j] = cand.sp;
-            let mut i = j;
-            while i > 0 && arrivals[i - 1] < arrivals[i] {
-                arrivals.swap(i - 1, i);
-                means.swap(i - 1, i);
-                sigmas.swap(i - 1, i);
-                sps.swap(i - 1, i);
-                i -= 1;
-            }
-            return;
-        }
-        if sps[j] == cand.sp {
-            if cand.arrival > arrivals[j] {
-                arrivals[j] = cand.arrival;
-                means[j] = cand.mean;
-                sigmas[j] = cand.sigma;
-                // Bubble up: the increased entry may outrank predecessors.
-                let mut i = j;
-                while i > 0 && arrivals[i - 1] < arrivals[i] {
-                    arrivals.swap(i - 1, i);
-                    means.swap(i - 1, i);
-                    sigmas.swap(i - 1, i);
-                    sps.swap(i - 1, i);
-                    i -= 1;
-                }
-            }
-            return;
-        }
-    }
-
-    // Step 2: insert if it beats the smallest entry (or an empty slot).
-    if cand.arrival <= arrivals[k - 1] {
-        return;
-    }
-    // Find the insertion position (first entry smaller than the candidate).
-    let mut pos = k - 1;
-    while pos > 0 && arrivals[pos - 1] < cand.arrival {
-        pos -= 1;
-    }
-    // Shift down and insert.
-    for i in (pos..k - 1).rev() {
-        arrivals[i + 1] = arrivals[i];
-        means[i + 1] = means[i];
-        sigmas[i + 1] = sigmas[i];
-        sps[i + 1] = sps[i];
-    }
-    arrivals[pos] = cand.arrival;
-    means[pos] = cand.mean;
-    sigmas[pos] = cand.sigma;
-    sps[pos] = cand.sp;
+/// Candidate `(sp, mean, sigma)` of a parent's queue carried over fanin arc
+/// `ai` into a transition-`rf` queue: the means add, the sigmas add in
+/// quadrature (Eqs. 1–3), and the key is the late corner — in min (hold)
+/// mode the negated early one, so the max-queue keeps the smallest early
+/// arrivals. Spelled out here, not through `stat`, so a reassociation there
+/// shows against this.
+fn carried<const MIN: bool>(
+    st: &Static,
+    (sp, mean, sigma): (u32, f64, f64),
+    ai: usize,
+    rf: usize,
+) -> Candidate {
+    let s_arc = st.arc_sigma[ai][rf];
+    let sigma = (sigma * sigma + s_arc * s_arc).sqrt();
+    keyed::<MIN>(st.n_sigma, mean + st.arc_mean[ai][rf], sigma, sp)
 }
 
-/// The pre-overhaul `merge_node_queue`, frozen: single-fanin vectorized
-/// transform with nearly-sorted insertion restore, multi-fanin j-major /
-/// arc-minor interleaved merge pushing one [`Candidate`] at a time
-/// through [`ref_update_topk`]. A launch seed already in slot 0 is merged
-/// like any candidate, so a seeded node never takes the single-fanin
-/// transform (the one semantic change since the freeze: that transform
-/// used to overwrite the seed).
-#[allow(clippy::too_many_arguments)]
-fn ref_merge_node_queue(
-    st: &Static,
-    fanin: std::ops::Range<usize>,
-    rf: usize,
-    k: usize,
-    mean_done: &[f64],
-    sigma_done: &[f64],
-    sp_done: &[u32],
-    arc_ann: &impl Fn(usize) -> (f64, f64),
-    qa: &mut [f64],
-    qm: &mut [f64],
-    qs: &mut [f64],
-    qsp: &mut [u32],
-) {
-    if fanin.len() == 1 && qsp[0] == NO_SP {
-        let ai = fanin.start;
-        let p = st.arc_parent[ai] as usize;
-        let prf = if st.arc_neg[ai] { 1 - rf } else { rf };
-        let (a_mean, s_arc) = arc_ann(ai);
-        for j in 0..k {
-            let pidx = (p * 2 + prf) * k + j;
-            let sp = sp_done[pidx];
-            if sp == NO_SP {
-                break;
-            }
-            let mean = mean_done[pidx] + a_mean;
-            let s_par = sigma_done[pidx];
-            let sigma = (s_par * s_par + s_arc * s_arc).sqrt();
-            qm[j] = mean;
-            qs[j] = sigma;
-            qa[j] = mean + st.n_sigma * sigma;
-            qsp[j] = sp;
-            // Insertion step of the nearly-sorted restore.
-            let mut i = j;
-            while i > 0 && qa[i - 1] < qa[i] {
-                qa.swap(i - 1, i);
-                qm.swap(i - 1, i);
-                qs.swap(i - 1, i);
-                qsp.swap(i - 1, i);
-                i -= 1;
-            }
-        }
-        return;
+/// The candidate of a distribution, keyed by its corner as [`carried`]
+/// keys it.
+fn keyed<const MIN: bool>(n_sigma: f64, mean: f64, sigma: f64, sp: u32) -> Candidate {
+    let arrival = if MIN {
+        -(mean - n_sigma * sigma)
+    } else {
+        mean + n_sigma * sigma
+    };
+    Candidate {
+        arrival,
+        mean,
+        sigma,
+        sp,
     }
-    for j in 0..k {
+}
+
+/// Feeds `queue` the push sequence *P* of `(v, rf)` — `seed` first, then
+/// for `j = 0..K`, for each fanin arc in CSR order, the `j`-th entry of
+/// the parent queue the arc reads, carried over the arc — through
+/// [`TopKQueue::push`], the literal Algorithm 2. `entry(p, prf, j)` is
+/// entry `j` of parent `p`'s transition-`prf` queue, `None` past its end.
+/// What a queue is, in `forward.rs`'s `merge_node_queue`, is this fold.
+pub(crate) fn push_sequence<const MIN: bool>(
+    st: &Static,
+    (v, rf): (usize, usize),
+    seed: Option<Candidate>,
+    entry: impl Fn(usize, usize, usize) -> Option<(u32, f64, f64)>,
+    queue: &mut TopKQueue,
+) {
+    if let Some(seed) = seed {
+        queue.push(seed);
+    }
+    let fanin = st.fanin_range(v);
+    for j in 0..queue.capacity() {
         let mut any_live = false;
         for ai in fanin.clone() {
-            let p = st.arc_parent[ai] as usize;
             let prf = if st.arc_neg[ai] { 1 - rf } else { rf };
-            let pidx = (p * 2 + prf) * k + j;
-            let sp = sp_done[pidx];
-            if sp == NO_SP {
-                continue;
+            if let Some(e) = entry(st.arc_parent[ai] as usize, prf, j) {
+                any_live = true;
+                queue.push(carried::<MIN>(st, e, ai, rf));
             }
-            any_live = true;
-            let (a_mean, s_arc) = arc_ann(ai);
-            let mean = mean_done[pidx] + a_mean;
-            let s_par = sigma_done[pidx];
-            let sigma = (s_par * s_par + s_arc * s_arc).sqrt();
-            ref_update_topk(
-                qa,
-                qm,
-                qs,
-                qsp,
-                Candidate {
-                    arrival: mean + st.n_sigma * sigma,
-                    mean,
-                    sigma,
-                    sp,
-                },
-            );
         }
         if !any_live {
             break;
@@ -270,157 +159,61 @@ fn ref_merge_node_queue(
     }
 }
 
-/// One level of the frozen max-mode kernel (the pre-overhaul
-/// `level_chunk`, serial over the whole level).
-fn ref_level_max(st: &Static, state: &mut DenseTopK, l: usize) {
-    let k = state.k;
-    let stride = 2 * k;
-    let r = st.level_range(l);
-    if r.is_empty() {
-        return;
+/// The whole-graph reference: [`push_sequence`] for every queue, in level
+/// order (renumbered ids, so every parent is done before its child), each
+/// startpoint seeded with `launch` of its source. `MIN` is hold's order.
+/// A queue no endpoint reads is left empty, as no production pass writes
+/// it; the reference finds those by its own sweep, not [`Static::live`].
+fn ref_forward<const MIN: bool>(
+    st: &Static,
+    k: usize,
+    launch: impl Fn(usize) -> ([f64; 2], [f64; 2]),
+) -> DenseTopK {
+    let mut dense = DenseTopK::empty(st.n, k);
+    let mut seen = vec![false; st.n];
+    for e in &st.endpoints {
+        seen[e.node as usize] = true;
     }
-    let split = r.start * stride;
-    let (_, arr_cur) = state.topk_arrival.split_at_mut(split);
-    let (mean_done, mean_cur) = state.topk_mean.split_at_mut(split);
-    let (sigma_done, sigma_cur) = state.topk_sigma.split_at_mut(split);
-    let (sp_done, sp_cur) = state.topk_sp.split_at_mut(split);
-    for (li, v) in r.clone().enumerate() {
-        let fanin = st.fanin_range(v);
-        if fanin.is_empty() {
-            continue; // level-0 stragglers with no driver stay empty
-        }
-        for rf in 0..2 {
-            let off = li * stride + rf * k;
-            let arc_ann = |ai: usize| (st.arc_mean[ai][rf], st.arc_sigma[ai][rf]);
-            ref_merge_node_queue(
-                st,
-                fanin.clone(),
-                rf,
-                k,
-                mean_done,
-                sigma_done,
-                sp_done,
-                &arc_ann,
-                &mut arr_cur[off..off + k],
-                &mut mean_cur[off..off + k],
-                &mut sigma_cur[off..off + k],
-                &mut sp_cur[off..off + k],
-            );
-        }
-    }
-}
-
-/// One level of the frozen min-mode kernel (the pre-overhaul
-/// `min_level_chunk`: candidates pushed as negated early corners so the
-/// max-queue keeps the smallest early arrivals).
-fn ref_level_min(st: &Static, state: &mut DenseTopK, l: usize) {
-    let k = state.k;
-    let stride = 2 * k;
-    let r = st.level_range(l);
-    if r.is_empty() {
-        return;
-    }
-    let split = r.start * stride;
-    let (_, arr_cur) = state.topk_arrival.split_at_mut(split);
-    let (mean_done, mean_cur) = state.topk_mean.split_at_mut(split);
-    let (sigma_done, sigma_cur) = state.topk_sigma.split_at_mut(split);
-    let (sp_done, sp_cur) = state.topk_sp.split_at_mut(split);
-    for (li, v) in r.clone().enumerate() {
-        let fanin = st.fanin_range(v);
-        if fanin.is_empty() {
-            continue;
-        }
-        for rf in 0..2 {
-            let off = li * stride + rf * k;
-            let (qa, qm, qs, qsp) = (
-                &mut arr_cur[off..off + k],
-                &mut mean_cur[off..off + k],
-                &mut sigma_cur[off..off + k],
-                &mut sp_cur[off..off + k],
-            );
-            for j in 0..k {
-                let mut any_live = false;
-                for ai in fanin.clone() {
-                    let p = st.arc_parent[ai] as usize;
-                    let prf = if st.arc_neg[ai] { 1 - rf } else { rf };
-                    let pidx = (p * 2 + prf) * k + j;
-                    let sp = sp_done[pidx];
-                    if sp == NO_SP {
-                        continue;
-                    }
-                    any_live = true;
-                    let mean = mean_done[pidx] + st.arc_mean[ai][rf];
-                    let s_arc = st.arc_sigma[ai][rf];
-                    let s_par = sigma_done[pidx];
-                    let sigma = (s_par * s_par + s_arc * s_arc).sqrt();
-                    ref_update_topk(
-                        qa,
-                        qm,
-                        qs,
-                        qsp,
-                        Candidate {
-                            // Negated early corner: the max-queue keeps
-                            // the smallest early arrivals.
-                            arrival: -(mean - st.n_sigma * sigma),
-                            mean,
-                            sigma,
-                            sp,
-                        },
-                    );
-                }
-                if !any_live {
-                    break;
-                }
+    for v in (0..st.n).rev() {
+        if seen[v] {
+            for ai in st.fanin_range(v) {
+                seen[st.arc_parent[ai] as usize] = true;
             }
         }
     }
-}
-
-/// The full frozen serial forward pass: global reset, launch seeding,
-/// then [`ref_level_max`] level by level.
-fn ref_forward(st: &Static, k: usize) -> DenseTopK {
-    let mut dense = DenseTopK::empty(st.n, k);
-    let state = &mut dense;
-    for s in &st.sources {
+    // No queue holds more startpoints than there are, so this capacity
+    // never truncates one: it is K's queue without K-slot scans.
+    let capacity = k.min(st.sources.len()).max(1);
+    for v in (0..st.n).filter(|&v| seen[v]) {
+        // Every parent precedes `v`: its queues are in the `done` halves.
+        let split = v * 2 * k;
+        let (done_sp, sp) = dense.topk_sp.split_at_mut(split);
+        let (done_mean, mean) = dense.topk_mean.split_at_mut(split);
+        let (done_sigma, sigma) = dense.topk_sigma.split_at_mut(split);
+        let arrival = &mut dense.topk_arrival[split..];
+        let entry = |p: usize, prf: usize, j: usize| {
+            let at = (p * 2 + prf) * k + j;
+            let sp = done_sp[at];
+            (sp != NO_SP).then_some((sp, done_mean[at], done_sigma[at]))
+        };
+        let source = st.source_of[v] as usize;
         for rf in 0..2 {
-            let idx = (s.node as usize * 2 + rf) * k;
-            state.topk_mean[idx] = s.mean[rf];
-            state.topk_sigma[idx] = s.sigma[rf];
-            state.topk_arrival[idx] = s.mean[rf] + st.n_sigma * s.sigma[rf];
-            state.topk_sp[idx] = s.sp;
+            let seed = st.sources.get(source).map(|s| {
+                let (mean, sigma) = launch(source);
+                keyed::<MIN>(st.n_sigma, mean[rf], sigma[rf], s.sp)
+            });
+            let mut queue = TopKQueue::new(capacity);
+            push_sequence::<MIN>(st, (v, rf), seed, entry, &mut queue);
+            for (at, c) in (rf * k..).zip(queue.entries()) {
+                (arrival[at], mean[at], sigma[at], sp[at]) = (c.arrival, c.mean, c.sigma, c.sp);
+            }
         }
-    }
-    for l in 1..st.num_levels() {
-        ref_level_max(st, state, l);
     }
     dense
 }
 
-/// The full frozen serial min-mode (hold) forward pass — the
-/// pre-overhaul `forward_min`.
-fn ref_forward_min(st: &Static, k: usize, attrs: &HoldAttributes) -> DenseTopK {
-    let mut dense = DenseTopK::empty(st.n, k);
-    let state = &mut dense;
-    for (sp_idx, s) in st.sources.iter().enumerate() {
-        let v = s.node as usize;
-        for rf in 0..2 {
-            let idx = (v * 2 + rf) * k;
-            let mean = attrs.source_mean[sp_idx][rf];
-            let sigma = attrs.source_sigma[sp_idx][rf];
-            state.topk_mean[idx] = mean;
-            state.topk_sigma[idx] = sigma;
-            state.topk_arrival[idx] = -(mean - st.n_sigma * sigma);
-            state.topk_sp[idx] = s.sp;
-        }
-    }
-    for l in 1..st.num_levels() {
-        ref_level_min(st, state, l);
-    }
-    dense
-}
-
-/// The frozen serial differentiable forward pass: the numerically stable
-/// three-pass Log-Sum-Exp merge, one node at a time.
+/// The serial reference of the differentiable forward pass: the
+/// numerically stable three-pass Log-Sum-Exp merge, one node at a time.
 fn ref_forward_lse(st: &Static, state: &mut State, tau: f64) {
     crate::lse::lse_reset_seed(st, state);
     for l in 1..st.num_levels() {
@@ -481,21 +274,24 @@ fn ref_forward_lse(st: &Static, state: &mut State, tau: f64) {
 /// `cfg(test)` / the `scalar-reference` feature.
 #[doc(hidden)]
 impl InstaEngine {
-    /// Runs the frozen scalar forward pass over the current annotations
-    /// and refreshes the endpoint report — the reference twin of
+    /// Runs the reference fold over the current annotations and
+    /// refreshes the endpoint report — the reference twin of
     /// [`propagate`](InstaEngine::propagate), with the same state
     /// bookkeeping.
     pub fn forward_scalar_reference(&mut self) -> &InstaReport {
         self.validity.begin_full_pass();
-        let dense = ref_forward(&self.st, self.state.k);
+        let st = &self.st;
+        let dense = ref_forward::<false>(st, self.state.k, |i| {
+            (st.sources[i].mean, st.sources[i].sigma)
+        });
         dense.install(&self.st, &mut self.state, false);
         self.scalar_topk = Some(dense);
         self.setup_pass_done()
     }
 
-    /// Runs the frozen scalar differentiable forward pass — the reference
-    /// twin of [`forward_lse`](InstaEngine::forward_lse). The frozen pass
-    /// computes every node; a node no endpoint sees is then put back to
+    /// Runs the serial LSE reference pass — the reference twin of
+    /// [`forward_lse`](InstaEngine::forward_lse). The reference computes
+    /// every node; a node no endpoint sees is then put back to
     /// what no production pass writes: unreached, its fanin weights 0.
     pub fn forward_lse_scalar_reference(&mut self) {
         self.validity.begin_lse();
@@ -508,14 +304,16 @@ impl InstaEngine {
         self.validity.lse_done();
     }
 
-    /// Runs the frozen scalar min-mode pass and evaluates hold checks —
+    /// Runs the reference fold in min (hold) order and evaluates hold
+    /// checks —
     /// the reference twin of
     /// [`propagate_hold`](InstaEngine::propagate_hold).
     pub fn hold_scalar_reference(&mut self, attrs: &HoldAttributes) -> InstaReport {
         assert_eq!(attrs.source_mean.len(), self.st.sources.len());
         assert_eq!(attrs.required_base.len(), self.st.endpoints.len());
         self.validity.begin_full_pass();
-        let dense = ref_forward_min(&self.st, self.state.k, attrs);
+        let launch = |i: usize| (attrs.source_mean[i], attrs.source_sigma[i]);
+        let dense = ref_forward::<true>(&self.st, self.state.k, launch);
         dense.install(&self.st, &mut self.state, true);
         self.scalar_topk = Some(dense);
         crate::hold::evaluate_hold(&self.st, &self.state, attrs, self.cfg.cppr)
@@ -535,26 +333,18 @@ impl InstaEngine {
         (d.topk_arrival, d.topk_mean, d.topk_sigma, d.topk_sp)
     }
 
-    /// The frozen kernels' own dense arrays as the engine's last reference
+    /// The reference's own dense arrays as the engine's last reference
     /// pass ([`forward_scalar_reference`](Self::forward_scalar_reference) /
     /// [`hold_scalar_reference`](Self::hold_scalar_reference)) left them —
     /// what a production engine's [`topk_snapshot`](Self::topk_snapshot)
-    /// over the same annotations must equal, virtual nodes included. The
-    /// frozen kernels compute every node and no production pass computes a
-    /// node no endpoint sees, so the queues of those are blanked here.
+    /// over the same annotations must equal, virtual nodes included, and
+    /// the queues of the nodes no endpoint sees empty on both sides.
     ///
     /// # Panics
     ///
     /// Panics if the engine never ran a reference pass.
     pub fn scalar_topk_snapshot(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>) {
-        let mut d = self.scalar_topk.clone().expect("no reference pass ran");
-        for v in (0..self.st.n).filter(|&v| !self.st.live[v]) {
-            let q = v * 2 * d.k..(v + 1) * 2 * d.k;
-            d.topk_arrival[q.clone()].fill(f64::NEG_INFINITY);
-            d.topk_mean[q.clone()].fill(0.0);
-            d.topk_sigma[q.clone()].fill(0.0);
-            d.topk_sp[q].fill(NO_SP);
-        }
+        let d = self.scalar_topk.clone().expect("no reference pass ran");
         (d.topk_arrival, d.topk_mean, d.topk_sigma, d.topk_sp)
     }
 
@@ -566,9 +356,13 @@ impl InstaEngine {
         let v = st.new_id[orig_node as usize] as usize;
         let mut scratch = VirtualQueue::new(state.k);
         if state.early {
-            queue_of::<true>(st, state.lanes(st), v, rf, &mut scratch).sp.len()
+            queue_of::<true>(st, state.lanes(st), v, rf, &mut scratch)
+                .sp
+                .len()
         } else {
-            queue_of::<false>(st, state.lanes(st), v, rf, &mut scratch).sp.len()
+            queue_of::<false>(st, state.lanes(st), v, rf, &mut scratch)
+                .sp
+                .len()
         }
     }
 
@@ -632,11 +426,28 @@ impl InstaEngine {
 
     /// Raw LSE state `(smooth arrivals, softmax weights)`.
     pub fn lse_snapshot(&self) -> (Vec<f64>, Vec<[f64; 2]>) {
-        (self.state.lse_arrival.clone(), self.state.lse_weight.clone())
+        (
+            self.state.lse_arrival.clone(),
+            self.state.lse_weight.clone(),
+        )
     }
 
     /// Raw gradient state `(∂TNS/∂arrival, ∂TNS/∂arc-delay)`.
     pub fn grad_snapshot(&self) -> (Vec<f64>, Vec<[f64; 2]>) {
         (self.state.grad_arrival.clone(), self.state.grad_arc.clone())
+    }
+}
+
+#[cfg(test)]
+impl DenseTopK {
+    /// Every array as raw bits, for whole-image compares.
+    pub(crate) fn bits(&self) -> Vec<u64> {
+        let floats = self
+            .topk_arrival
+            .iter()
+            .chain(&self.topk_mean)
+            .chain(&self.topk_sigma);
+        let sps = self.topk_sp.iter().map(|&sp| u64::from(sp));
+        floats.map(|v| v.to_bits()).chain(sps).collect()
     }
 }

@@ -4,7 +4,7 @@
 //! sigmas root-sum-square (Eqs. 1–3), and a corner is `mean ± n_sigma·sigma`.
 //! Every kernel reaches its numerics through the five functions below.
 //!
-//! Each body is the kernel expression the frozen scalar reference
+//! Each body is the kernel expression the scalar reference
 //! (`scalar_ref.rs`) spells out inline — same operations, same association
 //! order. Floating-point addition is not associative, so a harmless-looking
 //! reassociation here changes bits and fails `kernel_equivalence.rs`.
@@ -65,7 +65,7 @@ mod tests {
 
     #[test]
     fn gaussian_expressions_are_the_frozen_kernel_expressions() {
-        // The frozen kernels' float expressions, operation for operation —
+        // The reference's float expressions, operation for operation —
         // any reassociation here is a semantic regression (see
         // kernel_equivalence.rs).
         let (mean, sigma) = arc_sum(1.25, 0.5, 2.5, 0.75);

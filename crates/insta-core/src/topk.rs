@@ -349,8 +349,7 @@ mod tests {
                         *e = a;
                     }
                 }
-                let mut want: Vec<(f64, u32)> =
-                    best.into_iter().map(|(sp, a)| (a, sp)).collect();
+                let mut want: Vec<(f64, u32)> = best.into_iter().map(|(sp, a)| (a, sp)).collect();
                 want.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
                 want.truncate(k);
                 let got: Vec<f64> = q.entries().map(|c| c.arrival).collect();
@@ -366,7 +365,7 @@ mod tests {
     /// tuples — with quantized arrivals forcing plenty of equal keys — the
     /// network must agree on every lane, bit for bit. Stability is what
     /// makes the network interchangeable with the insertion restore (and
-    /// hence with the frozen pre-overhaul merge).
+    /// hence with Algorithm 2 fed a single-fanin push sequence).
     #[test]
     fn network_matches_a_stable_descending_sort_with_ties() {
         fn run<const K: usize>(entries: &[(f64, u32)]) -> Result<(), String> {
@@ -377,9 +376,8 @@ mod tests {
             let mut qs: Vec<f64> = (0..K).map(|i| 100.0 + i as f64).collect();
             let mut qsp: Vec<u32> = entries.iter().map(|e| e.1).collect();
 
-            let mut want: Vec<(f64, f64, f64, u32)> = (0..K)
-                .map(|i| (qa[i], qm[i], qs[i], qsp[i]))
-                .collect();
+            let mut want: Vec<(f64, f64, f64, u32)> =
+                (0..K).map(|i| (qa[i], qm[i], qs[i], qsp[i])).collect();
             want.sort_by(|x, y| y.0.total_cmp(&x.0)); // stable, descending
 
             sort_network_desc::<K>(&mut qa, &mut qm, &mut qs, &mut qsp);
@@ -427,8 +425,7 @@ mod tests {
             |rng| {
                 let k = rng.gen_range(1usize..11);
                 let live = rng.gen_range(0usize..=k);
-                let arrivals: Vec<f64> =
-                    (0..live).map(|_| rng.bounded_u64(5) as f64).collect();
+                let arrivals: Vec<f64> = (0..live).map(|_| rng.bounded_u64(5) as f64).collect();
                 (k, arrivals)
             },
             |(k, live_arrivals)| {
@@ -471,57 +468,57 @@ mod tests {
         );
     }
 
-    /// [`TopKQueue::push`] must be indistinguishable from the frozen
-    /// pre-overhaul Algorithm 2 (`scalar_ref::ref_update_topk`) after
-    /// every single push — duplicate startpoints, equal keys (tie-break
-    /// order included), floor rejections, and empty-tail inserts all
-    /// exercised by quantized random streams.
+    /// [`TopKQueue::push`] against its definition (`forward.rs`, "What a
+    /// queue is"), after every push: per startpoint the pushed candidate
+    /// with the largest corner, the earliest pushed among equals; those
+    /// ordered by corner descending, then push position ascending;
+    /// truncated to K. The definition is a sort-based selection: every
+    /// pushed candidate in that order, the first of each startpoint kept.
+    /// Small sp and arrival domains make duplicate startpoints, equal keys,
+    /// floor rejections and empty-tail inserts the common case, and the
+    /// sigma lane carries the push position, so a wrong pick among equal
+    /// keys shows.
     #[test]
-    fn push_matches_frozen_reference_push_for_push() {
+    fn push_equals_its_definition_after_every_push() {
         for_all(
             Config::cases(192).seed(0x70_9C08),
             |rng| {
                 let k = rng.gen_range(1usize..7);
                 let n = rng.gen_range(1usize..50);
                 let pushes: Vec<(u32, f64)> = (0..n)
-                    .map(|_| {
-                        // Small domains on purpose: collisions in both sp
-                        // and arrival are the interesting cases.
-                        (rng.gen_range(0u32..6), rng.bounded_u64(6) as f64)
-                    })
+                    .map(|_| (rng.gen_range(0u32..6), rng.bounded_u64(6) as f64))
                     .collect();
                 (k, pushes)
             },
             |(k, pushes)| {
-                let k = *k;
-                let mut queue = TopKQueue::new(k);
-                let mut reference = (
-                    vec![f64::NEG_INFINITY; k],
-                    vec![0.0f64; k],
-                    vec![0.0f64; k],
-                    vec![NO_SP; k],
-                );
-                for (i, &(sp, a)) in pushes.iter().enumerate() {
-                    let c = Candidate {
-                        arrival: a,
-                        mean: a - 0.5,
-                        sigma: i as f64, // distinguishes equal-key entries
-                        sp,
-                    };
-                    queue.push(c);
-                    crate::scalar_ref::ref_update_topk(
-                        &mut reference.0,
-                        &mut reference.1,
-                        &mut reference.2,
-                        &mut reference.3,
-                        c,
-                    );
-                    for j in 0..k {
-                        prop_assert_eq!(queue.arrivals[j].to_bits(), reference.0[j].to_bits());
-                        prop_assert_eq!(queue.means[j].to_bits(), reference.1[j].to_bits());
-                        prop_assert_eq!(queue.sigmas[j].to_bits(), reference.2[j].to_bits());
-                        prop_assert_eq!(queue.sps[j], reference.3[j]);
-                    }
+                let as_candidate = |i: usize| Candidate {
+                    arrival: pushes[i].1,
+                    mean: pushes[i].1 - 0.5,
+                    sigma: i as f64,
+                    sp: pushes[i].0,
+                };
+                let bits = |c: Candidate| {
+                    (
+                        c.arrival.to_bits(),
+                        c.mean.to_bits(),
+                        c.sigma.to_bits(),
+                        c.sp,
+                    )
+                };
+                let mut queue = TopKQueue::new(*k);
+                for i in 0..pushes.len() {
+                    queue.push(as_candidate(i));
+                    let mut order: Vec<usize> = (0..=i).collect();
+                    order.sort_by(|&x, &y| pushes[y].1.total_cmp(&pushes[x].1).then(x.cmp(&y)));
+                    let mut seen = std::collections::HashSet::new();
+                    let want: Vec<_> = order
+                        .into_iter()
+                        .filter(|&at| seen.insert(pushes[at].0))
+                        .take(*k)
+                        .map(|at| bits(as_candidate(at)))
+                        .collect();
+                    let got: Vec<_> = queue.entries().map(bits).collect();
+                    prop_assert_eq!(got, want);
                 }
                 Ok(())
             },
@@ -569,8 +566,8 @@ mod batched_tests {
     use insta_refsta::eco::ArcDelta;
     use insta_refsta::{RefSta, StaConfig};
     use insta_support::prop::{for_all, Config};
-    use insta_support::rng::Rng;
     use insta_support::prop_assert;
+    use insta_support::rng::Rng;
 
     /// About 900 nodes, so a few deltas stay under the cone's seed switch
     /// and every lane is an in-place cone lane.
@@ -674,7 +671,9 @@ mod batched_tests {
                     prop_assert!(matches!(swept, Ok(None)), "clean sweep");
                     let lane = &*txn.eng;
                     for v in 0..lane.st.n {
-                        let Some(row) = lane.st.row_of(v) else { continue };
+                        let Some(row) = lane.st.row_of(v) else {
+                            continue;
+                        };
                         if !lane.cone.recomputed(v as u32) {
                             continue;
                         }

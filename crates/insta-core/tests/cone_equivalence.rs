@@ -8,8 +8,8 @@
 //! applies the same annotations with `reannotate` + `propagate()`, the
 //! full pass. After *every* step of a seeded sequence the complete Top-K
 //! arrays (stale mean/sigma tails included) and every bit of the report
-//! must be equal, and a third engine runs the frozen scalar reference
-//! kernel beside them.
+//! must be equal, and a third engine runs the scalar reference (Algorithm
+//! 2 folded over every queue's push sequence) beside them.
 //!
 //! The sequence mixes what sessions see in practice and what could break
 //! the cone: single- and multi-arc batches, an arc repeated inside a batch
@@ -194,7 +194,7 @@ fn report_bits(r: &InstaReport) -> Vec<u64> {
 }
 
 /// Every queue and the full report of `a` against the full-pass twin and,
-/// when there is one, the scalar-reference twin — the frozen kernels' own
+/// when there is one, the scalar-reference twin — the reference fold's own
 /// dense arrays, not what the twin's engine stores of them.
 fn assert_same(a: &InstaEngine, b: &InstaEngine, c: Option<&InstaEngine>, what: &str) {
     let queues = a.topk_snapshot();

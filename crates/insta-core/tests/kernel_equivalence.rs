@@ -1,8 +1,9 @@
-//! Differential kernel-equivalence suite: the rewritten forward kernels
+//! Differential kernel-equivalence suite: the production forward kernels
 //! (gather-then-merge SoA arenas, compare-exchange restore networks,
 //! within-level CSR reordering, the fused evaluation + LSE sweep) must be
-//! **bit-identical** to the frozen pre-overhaul scalar kernels retained in
-//! `insta_engine::scalar_ref` — across Top-K capacities, thread counts
+//! **bit-identical** to the reference in `insta_engine::scalar_ref` —
+//! Algorithm 2 (`TopKQueue::push`) folded over every queue's push sequence
+//! *P*, in level order — across Top-K capacities, thread counts
 //! {1, 2, 8}, batch lanes {1, 16, 64}, tracing on/off, hold's min-merge,
 //! and the gradient pipeline.
 //!
@@ -14,7 +15,7 @@
 //! **One dense view.** The engine stores Top-K rows for merge nodes only
 //! (a *virtual* node — one fanin arc, one fanout arc, neither startpoint
 //! nor endpoint — has its queue computed where it is read), while the
-//! frozen kernels keep the dense per-node arrays they were frozen over.
+//! reference keeps one dense K-slot queue per node.
 //! `topk_snapshot()` expands the engine's rows into that same canonical
 //! dense form (virtual queues materialised, corners recomputed, tails
 //! empty) and `scalar_topk_snapshot()` returns the reference's own arrays,
@@ -70,7 +71,7 @@ fn topk_bits(e: &InstaEngine) -> Vec<u64> {
     dense_bits(e.topk_snapshot())
 }
 
-/// The frozen kernels' own dense arrays, as `e`'s last reference pass
+/// The reference fold's own dense arrays, as `e`'s last reference pass
 /// left them.
 fn scalar_bits(e: &InstaEngine) -> Vec<u64> {
     dense_bits(e.scalar_topk_snapshot())
@@ -102,7 +103,7 @@ fn report_bits(r: &InstaReport) -> Vec<u64> {
 
 /// The core pin: across Top-K capacities (including the compare-exchange
 /// network sizes 2/4/8 and the insertion-restore sizes around them), the
-/// production passes — setup, then hold's min pass — and the frozen scalar
+/// production passes — setup, then hold's min pass — and the scalar
 /// reference produce the same dense Top-K arrays and the same endpoint
 /// report, bit for bit.
 #[test]
@@ -186,8 +187,8 @@ fn forward_is_bit_identical_across_thread_counts() {
 }
 
 /// The fused evaluation + LSE sweep leaves exactly the state of
-/// `propagate` followed by `forward_lse` — and both match the frozen
-/// scalar references.
+/// `propagate` followed by `forward_lse` — and both match the scalar
+/// references.
 #[test]
 fn fused_sweep_matches_separate_passes_and_scalar_reference() {
     for (gen, tau) in [
@@ -234,7 +235,7 @@ fn tracing_does_not_perturb_the_kernels() {
 }
 
 /// Hold's min-merge rides the same rewritten kernel through corner
-/// negation; it must match the frozen pre-overhaul `min_level_chunk`.
+/// negation; it must match the reference fold in min order.
 #[test]
 fn hold_min_merge_is_bit_identical_to_scalar_reference() {
     for seed in [13u64, 37] {
@@ -317,7 +318,7 @@ fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<DeltaSet> {
 }
 
 /// Batch lanes {1, 16, 64}: every scenario of a batched call must match
-/// re-annotating a clone and running the frozen scalar forward pass —
+/// re-annotating a clone and running the scalar reference pass —
 /// pinning the lanes to the reference kernel without a production full
 /// pass in between. On the small design part of the lanes cross the cone's
 /// seed switch and are replayed as sessions; on the ~900-node one every
@@ -607,8 +608,8 @@ fn all_stored(init: &InstaInit) -> InstaInit {
 }
 
 /// Generated virtual chains against two oracles, for K ∈ {1, 2, 4, 8, 32},
-/// setup and hold: the twin with every node stored and the frozen scalar
-/// kernels' own dense arrays. Dense view, and every node's `arrival_at` /
+/// setup and hold: the twin with every node stored and the scalar
+/// reference's own dense arrays. Dense view, and every node's `arrival_at` /
 /// `distribution_at` / snapshot row, on `to_bits`.
 #[test]
 fn virtual_chains_read_exactly_like_stored_queues() {
@@ -710,7 +711,7 @@ fn virtual_chains_read_exactly_like_stored_queues() {
 /// node. `L → S → E` with `S` also a startpoint, every arrival computed by
 /// hand. The seed of `S` decides `E`'s worst setup entry (late corner 126
 /// against 44 through `L`) and, launched earlier, its hold entry (early
-/// corner 22 against 26). The frozen kernels agree on every array.
+/// corner 22 against 26). The reference agrees on every array.
 #[test]
 fn a_startpoint_with_one_fanin_arc_keeps_its_launch_seed() {
     let arc = |parent: u32, mean: f64, sigma: f64| ExportedArc {
@@ -775,11 +776,11 @@ fn a_startpoint_with_one_fanin_arc_keeps_its_launch_seed() {
             "{what}: setup slack"
         );
         let want = report_bits(reference.forward_scalar_reference());
-        assert_eq!(report_bits(&setup), want, "{what}: frozen setup report");
+        assert_eq!(report_bits(&setup), want, "{what}: reference setup report");
         assert_eq!(
             topk_bits(&fast),
             scalar_bits(&reference),
-            "{what}: frozen setup arrays"
+            "{what}: reference setup arrays"
         );
 
         // Hold. S: seed (5, 1) launches at early corner 2, L's path reaches S
@@ -791,11 +792,11 @@ fn a_startpoint_with_one_fanin_arc_keeps_its_launch_seed() {
             "{what}: hold"
         );
         let want = report_bits(&reference.hold_scalar_reference(&attrs));
-        assert_eq!(report_bits(&hold), want, "{what}: frozen hold report");
+        assert_eq!(report_bits(&hold), want, "{what}: reference hold report");
         assert_eq!(
             topk_bits(&fast),
             scalar_bits(&reference),
-            "{what}: frozen hold arrays"
+            "{what}: reference hold arrays"
         );
     }
 }
@@ -811,7 +812,7 @@ fn a_startpoint_with_one_fanin_arc_keeps_its_launch_seed() {
 /// ancestor's rank, slot 1, it would lose to `Z`. Hold launches `X` at
 /// 100 ± 4 and `Y` at 90 ± 0 and has the same shape, `Y` against `Z` at
 /// early corner 81. A σ-0 hop reorders nothing, nothing falls back, and
-/// `Z` leads. The frozen kernels agree on every array, every pass span
+/// `Z` leads. The reference agrees on every array, every pass span
 /// counts the fallbacks, and so does the `batch.sweep` span of a lane that
 /// turns the σ-0 hop into the σ-3 one.
 #[test]
@@ -901,11 +902,11 @@ fn a_reordering_hop_falls_back_and_its_rank_breaks_a_corner_tie() {
                 "{what}: forward span"
             );
             let want = report_bits(reference.forward_scalar_reference());
-            assert_eq!(report_bits(&setup), want, "{what}: frozen setup report");
+            assert_eq!(report_bits(&setup), want, "{what}: reference setup report");
             assert_eq!(
                 topk_bits(&fast),
                 scalar_bits(&reference),
-                "{what}: frozen setup arrays"
+                "{what}: reference setup arrays"
             );
             fast.propagate_fused();
             assert_eq!(
@@ -928,11 +929,11 @@ fn a_reordering_hop_falls_back_and_its_rank_breaks_a_corner_tie() {
             );
             assert_eq!(fallbacks(&fast, "hold"), fell_back, "{what}: hold span");
             let want = report_bits(&reference.hold_scalar_reference(&attrs));
-            assert_eq!(report_bits(&hold), want, "{what}: frozen hold report");
+            assert_eq!(report_bits(&hold), want, "{what}: reference hold report");
             assert_eq!(
                 topk_bits(&fast),
                 scalar_bits(&reference),
-                "{what}: frozen hold arrays"
+                "{what}: reference hold arrays"
             );
         }
 
@@ -1280,7 +1281,7 @@ fn seen_by_an_endpoint(init: &InstaInit) -> Vec<bool> {
 /// moves. On generated chain graphs with dead logic spliced in
 /// (`with_dead_logic`), for K ∈ {1, 2, 8, 32} on one and two threads: a
 /// pin no endpoint sees is not timed — `None` from `arrival_at`,
-/// `distribution_at` and the snapshot — and every queue equals the frozen
+/// `distribution_at` and the snapshot — and every queue equals the
 /// reference's after setup and after hold, whose spans skip the three dead
 /// merges and only they; delta-free corner lanes and full-pass lanes equal
 /// their rolled-back serial twins; a lane whose deltas all sit on dead

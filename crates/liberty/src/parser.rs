@@ -174,8 +174,8 @@ fn tokenize(src: &str) -> Result<Vec<SpannedTok>, ParseLibertyError> {
                 }
                 let text = &src[start..i];
                 match text.parse::<f64>() {
-                    Ok(v) => toks.push(SpannedTok { tok: Tok::Num(v), line }),
-                    Err(_) => return err(line, format!("invalid number `{text}`")),
+                    Ok(v) if v.is_finite() => toks.push(SpannedTok { tok: Tok::Num(v), line }),
+                    _ => return err(line, format!("invalid number `{text}`")),
                 }
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
@@ -218,13 +218,6 @@ impl Value {
             Value::Num(_) => None,
         }
     }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(v) => Some(*v),
-            Value::Str(s) | Value::Ident(s) => s.parse().ok(),
-        }
-    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -241,6 +234,20 @@ struct Group {
 impl Group {
     fn attr(&self, name: &str) -> Option<&Value> {
         self.attrs.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    /// Simple attribute `name` as a number: `None` when it is absent or
+    /// does not read as one, an error when it reads as a non-finite one.
+    fn num(&self, name: &str) -> Result<Option<f64>, ParseLibertyError> {
+        let v = match self.attr(name) {
+            Some(Value::Num(v)) => Some(*v),
+            Some(Value::Str(s) | Value::Ident(s)) => s.parse::<f64>().ok(),
+            None => None,
+        };
+        match v {
+            Some(v) if !v.is_finite() => err(self.line, format!("`{name}` is not finite")),
+            v => Ok(v),
+        }
     }
 
     fn subgroups<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Group> {
@@ -396,12 +403,10 @@ fn parse_num_list(line: usize, s: &str) -> Result<Vec<f64>, ParseLibertyError> {
     s.split([',', ' '])
         .filter(|t| !t.trim().is_empty())
         .map(|t| {
-            t.trim()
-                .parse::<f64>()
-                .map_err(|_| ParseLibertyError {
-                    line,
-                    message: format!("invalid number `{t}` in list"),
-                })
+            match t.trim().parse::<f64>() {
+                Ok(v) if v.is_finite() => Ok(v),
+                _ => err(line, format!("invalid number `{t}` in list")),
+            }
         })
         .collect()
 }
@@ -486,10 +491,7 @@ fn interpret_timing(
         Some("non_unate") => TimingSense::NonUnate,
         Some(other) => return err(g.line, format!("unsupported timing_sense `{other}`")),
     };
-    let sigma_coeff = g
-        .attr("pocv_sigma_coeff")
-        .and_then(|v| v.as_num())
-        .unwrap_or(0.0);
+    let sigma_coeff = g.num("pocv_sigma_coeff")?.unwrap_or(0.0);
 
     let get_table = |name: &str| -> Result<NldmTable, ParseLibertyError> {
         match g.subgroup(name) {
@@ -552,11 +554,8 @@ fn interpret_cell(g: &Group) -> Result<LibCell, ParseLibertyError> {
         pins.push(LibPin {
             name: pname,
             direction,
-            cap_ff: pg.attr("capacitance").and_then(|v| v.as_num()).unwrap_or(0.0),
-            max_cap_ff: pg
-                .attr("max_capacitance")
-                .and_then(|v| v.as_num())
-                .unwrap_or(f64::INFINITY),
+            cap_ff: pg.num("capacitance")?.unwrap_or(0.0),
+            max_cap_ff: pg.num("max_capacitance")?.unwrap_or(f64::INFINITY),
             is_clock: pg
                 .attr("clock")
                 .and_then(|v| v.as_str())
@@ -584,8 +583,7 @@ fn interpret_cell(g: &Group) -> Result<LibCell, ParseLibertyError> {
             message: format!("cannot infer gate class for cell `{name}`"),
         })?;
     let drive = g
-        .attr("drive_strength")
-        .and_then(|v| v.as_num())
+        .num("drive_strength")?
         .map(|v| v as u32)
         .or_else(|| {
             name.rsplit_once('X')
@@ -596,10 +594,8 @@ fn interpret_cell(g: &Group) -> Result<LibCell, ParseLibertyError> {
         name,
         class,
         drive,
-        g.attr("cell_leakage_power")
-            .and_then(|v| v.as_num())
-            .unwrap_or(0.0),
-        g.attr("area").and_then(|v| v.as_num()).unwrap_or(1.0),
+        g.num("cell_leakage_power")?.unwrap_or(0.0),
+        g.num("area")?.unwrap_or(1.0),
         pins,
         arcs,
     ))

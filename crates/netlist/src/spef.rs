@@ -157,8 +157,8 @@ pub fn annotate_spef(design: &mut Design, src: &str) -> Result<usize, ParseSpefE
                     let (Ok(res), Ok(cap)) = (res.parse::<f64>(), cap.parse::<f64>()) else {
                         return perr(cli + 1, "*CONN has non-numeric RC");
                     };
-                    if res < 0.0 || cap < 0.0 {
-                        return perr(cli + 1, "*CONN RC must be non-negative");
+                    if !(res.is_finite() && cap.is_finite() && res >= 0.0 && cap >= 0.0) {
+                        return perr(cli + 1, "*CONN RC must be finite and non-negative");
                     }
                     let Some(pos) = sinks
                         .iter()

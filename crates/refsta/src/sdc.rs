@@ -122,9 +122,9 @@ pub fn apply_sdc(sta: &mut RefSta, design: &Design, src: &str) -> Result<(), Par
             "create_clock" => {
                 let period = flag_value(&ws, "-period")
                     .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|p| *p > 0.0);
+                    .filter(|p| p.is_finite() && *p > 0.0);
                 let Some(period) = period else {
-                    return serr(line_no, "create_clock needs a positive -period");
+                    return serr(line_no, "create_clock needs a finite, positive -period");
                 };
                 // The clock object is the last bare word (after query
                 // flattening); verify it names the design's clock source.
@@ -146,8 +146,9 @@ pub fn apply_sdc(sta: &mut RefSta, design: &Design, src: &str) -> Result<(), Par
                 sta.config_mut().period_override_ps = Some(period);
             }
             "set_input_delay" => {
-                let Some(value) = ws.get(1).and_then(|v| v.parse::<f64>().ok()) else {
-                    return serr(line_no, "set_input_delay needs a numeric value");
+                let value = ws.get(1).and_then(|v| v.parse::<f64>().ok());
+                let Some(value) = value.filter(|v| v.is_finite()) else {
+                    return serr(line_no, "set_input_delay needs a finite numeric value");
                 };
                 sta.config_mut().input_delay_ps = value;
             }

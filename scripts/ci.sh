@@ -29,7 +29,10 @@ design_bytes=$(wc -c < DESIGN.md)
 
 echo "==> rustfmt ratchet (the files listed here are rustfmt-clean and stay so; the list only grows, and never names anything under crates/bench/src/bin/e2e)"
 rustfmt --edition 2021 --check \
+  crates/bench/tests/path_referee.rs \
+  crates/insta-core/src/scalar_ref.rs \
   crates/insta-core/src/snapshot.rs \
+  crates/insta-core/src/topk.rs \
   crates/insta-core/src/validity.rs
 
 echo "==> doc links (an intra-doc link to a missing item — a deleted function, a renamed type — fails the build)"
@@ -48,7 +51,8 @@ echo "    validity gate (generated state machine over every annotation- and prod
 echo "    refsta-incremental gate (the reference engine's change-pruned incremental update bit-identical to a fresh full update — every arrival-map entry, slew, arc delay and report field — over random resize sequences on generated designs and block-5, flop, clock-buffer and mixed changelists included; the frontier re-annotates a seed or a node under a moved slew and only re-reduces a node under a moved map, with a case whose slews settle in a few levels while its arrivals run to the last): insta-refsta incremental_equivalence"
 echo "    refsta-reduce gate (the one run-merge reduction of setup and hold maps equals the frozen two-sort reducers on to_bits over generated tie-heavy runs, with the cap, keep_min and the window at every boundary and a NaN sigma, and pins the tie rule — startpoint ascending, the first run for one startpoint): insta-refsta sta::tests::run_merge_equals_the_two_sort_oracle_and_pins_ties"
 echo "    cone-equivalence gate (session cone updates bit-identical to reannotate + full pass, rollbacks by the undo log bit-identical to never having run, arrays and report; after an interleaved hold pass every row equals both twins'; a lane on arcs no endpoint sees is its base, and a fired token cancels it at its one level-0 poll; batched calls and failed cone sessions leave the engine's bits untouched after clean, quarantined, cancelled and panicked sweeps): insta-engine cone_equivalence"
-echo "    kernel-equivalence gate (production kernels bit-identical to the frozen scalar kernels across K, threads, fused passes, hold, gradients and batch lanes — hold's rows equal the frozen reference's whole, with the nodes no endpoint sees blanked on the reference's side; on generated dead logic no pass times a dead pin (arrival_at, the snapshot and distribution_at answer None), every pass reports the same bits, and every dead arc's and node's gradient is +0.0 after a fused pass, a committed cone and a rollback; a startpoint with one fanin arc keeps its launch seed; a virtual hop that reorders falls back to materialising, its rank breaks a corner tie, and every pass span counts the fallback; merge-free chains equal the sorted sums of means and variances): insta-engine kernel_equivalence"
+echo "    kernel-equivalence gate (production kernels bit-identical to the scalar reference — TopKQueue::push, the literal Algorithm 2, folded over every queue's push sequence in level order — across K, threads, fused passes, hold, gradients and batch lanes — hold's rows equal the reference's whole, the nodes no endpoint sees — found by the reference's own sweep — empty on both sides; on generated dead logic no pass times a dead pin (arrival_at, the snapshot and distribution_at answer None), every pass reports the same bits, and every dead arc's and node's gradient is +0.0 after a fused pass, a committed cone and a rollback; a startpoint with one fanin arc keeps its launch seed; a virtual hop that reorders falls back to materialising, its rank breaks a corner tie, and every pass span counts the fallback; merge-free chains equal the sorted sums of means and variances): insta-engine kernel_equivalence"
+echo "    path-referee gate (no endpoint's setup slack at a covering K below the worst of its every launch-to-capture path, enumerated from the exported InstaInit alone with the referee's own sums and CPPR walk): insta-bench path_referee"
 echo "    server-chaos gate (protocol-fault storm: no hangs, no panics, typed errors, bit-identical post-storm commit; TCP round trip: 50 pings over loopback p50 < 5 ms; TCP connections: one past the 64-connection cap gets one typed overloaded frame and is closed, one silent 5 s (between frames or inside one, 64 such fill and then free the cap) or open at shutdown is closed, a frame written in pieces keeps sync, closed == opened; gradient replies — the writer engine's own backward pass, no batch lane — equal a twin's gradients bit for bit and move no later commit; reply byte identity: image-spliced replies equal the tree encoder's bytes on generated reports and a live daemon, one image per epoch read under 8 racing readers): insta-serve"
 echo "    stats-surface gate (stats.engine shows a batch and a refused update with no commit between them, and a gradient leaves every stats.engine counter unchanged; a durable daemon's stats key paths equal a pinned literal list, in order): insta-serve service stats_engine_shows_the_writers_last_op_without_a_commit, a_durable_daemons_stats_layout_is_pinned"
 echo "    decoder gate (generated and mutated JSON documents equal the frozen pre-one-pass parser on to_bits wherever it read a valid, finite document, and are a positioned JsonError otherwise, never a panic; written trees parse back bit for bit; digit runs across 8-byte words and at the last byte; frame streams give a body or a typed FrameError within max_bytes; every op's request params, under every FaultPlan fault (the mode index 1e18 among the seeds), get ok or a typed error and never panic the daemon; WriterOp and EngineDurableState payloads — cut at every byte, bit-flipped, lengths up to u64::MAX — give a typed PersistError (BadLength for a length past the bytes left) or a value that re-encodes to the same bytes; a WAL segment and a v4 checkpoint a real Durability wrote — cut at every byte, flipped with and without a re-sealed CRC, every length field at 0, MAX_RECORD_BYTES, +1 and u32::MAX — keep their untouched records, put damage at the end of the valid prefix, restore or fail typed, and refuse an impossible length at its guard; the strict number grammar refuses 01, 00.5, 1., 1.e5, -.5 and 1e400, one case each): insta-serve decoders, insta-support json"

@@ -306,3 +306,59 @@ fn interchange_readers_never_panic_on_damaged_text() {
         "{rejected} of {cases} rejected"
     );
 }
+
+/// A non-finite number — `nan`, `inf`, or a literal past `f64`'s range —
+/// is a typed error in every interchange reader, not a value: the SDC
+/// clock period and input delay, a SPEF `*CONN` resistance, and a Liberty
+/// number token, quoted attribute and table entry.
+#[test]
+fn interchange_readers_refuse_non_finite_numbers() {
+    use insta_sta::liberty::{parse_library, write_library, Library};
+
+    let mut cfg = GeneratorConfig::small("ix-finite", 63);
+    cfg.n_flops = 4;
+    cfg.logic_levels = 2;
+    cfg.gates_per_level = 4;
+    let design = generate_design(&cfg);
+    let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
+    sta.full_update(&design);
+
+    // `text` with its first `from`, and the value after it up to `end`,
+    // replaced by `from` + `value`.
+    let swap = |text: &str, from: &str, end: char, value: &str| -> String {
+        let at = text.find(from).expect("the field is written") + from.len();
+        let len = text[at..].find(end).expect("the field ends");
+        format!("{}{value}{}", &text[..at], &text[at + len..])
+    };
+    let sdc = "create_clock -name core -period 650 [get_ports clk]\nset_input_delay 40 [all_inputs]\n";
+    for (what, bad) in [
+        ("period", swap(sdc, "-period ", ' ', "inf")),
+        ("input delay", swap(sdc, "set_input_delay ", ' ', "nan")),
+    ] {
+        assert!(apply_sdc(&mut sta, &design, sdc).is_ok(), "the clean SDC applies");
+        assert!(apply_sdc(&mut sta, &design, &bad).is_err(), "SDC {what}: {bad}");
+    }
+
+    let spef = write_spef(&design);
+    let conn = spef.find("*CONN").expect("a *CONN record");
+    let mut fields: Vec<&str> = spef[conn..].lines().next().unwrap().split(' ').collect();
+    fields[3] = "nan";
+    let line_end = conn + spef[conn..].find('\n').unwrap();
+    let bad = format!("{}{}{}", &spef[..conn], fields.join(" "), &spef[line_end..]);
+    assert!(annotate_spef(&mut design.clone(), &spef).is_ok(), "the clean SPEF reads");
+    assert!(annotate_spef(&mut design.clone(), &bad).is_err(), "SPEF res: nan");
+
+    let mut some_cells = Library::new("ix_finite");
+    for cell in design.library().cells().iter().step_by(9) {
+        some_cells.add_cell(cell.clone());
+    }
+    let lib = write_library(&some_cells);
+    assert!(parse_library(&lib).is_ok(), "the clean library reads");
+    for (what, bad) in [
+        ("number token", swap(&lib, "area : ", ';', "1e400")),
+        ("quoted attribute", swap(&lib, "area : ", ';', "\"nan\"")),
+        ("table entry", swap(&lib, "values ( \\\n", ',', "    \"nan")),
+    ] {
+        assert!(parse_library(&bad).is_err(), "Liberty {what}");
+    }
+}
