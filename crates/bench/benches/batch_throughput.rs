@@ -1,5 +1,5 @@
 //! Batch-throughput gate: S=16 what-if scenarios evaluated in one
-//! `evaluate_batch` call vs S sequential transactional sessions.
+//! `evaluate` call vs S sequential transactional sessions.
 //!
 //! Both arms are the same work: each scenario's changed fanout cone is
 //! swept once and taken back by copying the cone's undo log — a session
@@ -8,16 +8,16 @@
 //! gate then was ≥ 1.0×.) What is left between the arms is a session's
 //! checkpoint against a lane's routing, so the gate is parity: ten
 //! alternating runs read 0.97–1.04× here (sessions 1.11–1.41 ms, batch
-//! 1.13–1.36 ms), and a gate at 1.0× would flake. `evaluate_batch` must
+//! 1.13–1.36 ms), and a gate at 1.0× would flake. The batch must
 //! stay ≥ 0.9× the sequential sessions — what still catches a per-call
 //! O(nodes) cost creeping back into the batch — judged on the minimum of
 //! interleaved iterations with the other gates' noise policy: a failing
 //! round keeps its minima and samples another round, up to three. One
 //! machine-readable JSON line after the human lines; exits non-zero on a
-//! breach. Drift auditing is disabled so neither path degrades.
+//! breach.
 
 use insta_bench::block_specs;
-use insta_engine::{DeltaSet, DriftPolicy, InstaConfig, InstaEngine};
+use insta_engine::{InstaConfig, InstaEngine, PassOptions, Scenario};
 use insta_refsta::{estimate_eco, RefSta, StaConfig};
 use insta_sizer::random_changelist;
 use insta_support::json::{obj, Json};
@@ -39,7 +39,6 @@ fn main() {
         sta.export_insta_init(),
         InstaConfig {
             top_k: 8,
-            drift_policy: DriftPolicy::unlimited(),
             ..InstaConfig::default()
         },
     )
@@ -49,9 +48,9 @@ fn main() {
     // Each scenario is one cell-resize what-if: the estimated ECO deltas
     // for a different random resize, evaluated without touching the
     // design (exactly the sizer's candidate-scoring pattern).
-    let scenarios: Vec<DeltaSet> = ops
+    let scenarios: Vec<Scenario> = ops
         .iter()
-        .map(|op| DeltaSet::from(estimate_eco(&design, &sta, op.cell, op.to).arc_deltas))
+        .map(|op| Scenario::from(estimate_eco(&design, &sta, op.cell, op.to).arc_deltas))
         .collect();
 
     let sequential = |engine: &mut InstaEngine| {
@@ -68,7 +67,8 @@ fn main() {
     let batched = |engine: &mut InstaEngine| {
         let t = Instant::now();
         let tns: f64 = engine
-            .evaluate_batch(&scenarios)
+            .evaluate(&scenarios, &PassOptions::default())
+            .scenarios
             .iter()
             .map(|r| r.outcome.as_ref().expect("valid batch").tns_ps)
             .sum();
@@ -101,7 +101,7 @@ fn main() {
         spec.name
     );
     println!("  sequential cone sessions {}", fmt_duration(seq_min));
-    println!("  evaluate_batch           {}", fmt_duration(batch_min));
+    println!("  evaluate (S lanes)        {}", fmt_duration(batch_min));
     println!(
         "  speedup                  {speedup:.2}x (gate \u{2265} {GATE_MIN_SPEEDUP}x) {}",
         if pass { "OK" } else { "FAIL" }

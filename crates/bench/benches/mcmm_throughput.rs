@@ -1,5 +1,5 @@
 //! MCMM-throughput bench: a C-corner × M-mode sweep evaluated in one
-//! `evaluate_mcmm` call vs C × M sequential per-corner sessions.
+//! `evaluate` call vs C × M sequential per-corner sessions.
 //!
 //! The MCMM path runs one full pass per distinct *corner* (modes are
 //! report-time masks over that corner's report, the identity corner is the
@@ -7,8 +7,7 @@
 //! propagates, masks, and rolls back — two full passes — once per (corner,
 //! mode) pair, so the sweep should win by a wide margin. Emits one
 //! machine-readable JSON line after the human table and exits non-zero
-//! when the speedup falls below the gate (acceptance: ≥ 3×). Drift
-//! auditing is disabled so neither path degrades to the other.
+//! when the speedup falls below the gate (acceptance: ≥ 3×).
 //!
 //! Under `INSTA_BENCH_FAST` each arm is the best of three iterations: the
 //! harness's fast budget is a single iteration of either arm, and a single
@@ -16,9 +15,7 @@
 //! 44 ms standalone, seen in CI).
 
 use insta_bench::block_specs;
-use insta_engine::{
-    CornerTransform, DriftPolicy, InstaConfig, InstaEngine, ModeMask, Scenario,
-};
+use insta_engine::{CornerTransform, InstaConfig, InstaEngine, ModeMask, PassOptions, Scenario};
 use insta_refsta::{RefSta, StaConfig};
 use insta_support::json::{obj, Json};
 use insta_support::timer::{black_box, Harness};
@@ -57,7 +54,6 @@ fn main() {
         sta.export_insta_init(),
         InstaConfig {
             top_k: 8,
-            drift_policy: DriftPolicy::unlimited(),
             ..InstaConfig::default()
         },
     )
@@ -111,8 +107,8 @@ fn main() {
         black_box(tns)
     });
     engine.propagate(); // resync the base before the swept path
-    measure(&mut h, fast, "evaluate_mcmm", || {
-        let mcmm = engine.evaluate_mcmm(&scenarios);
+    measure(&mut h, fast, "evaluate", || {
+        let mcmm = engine.evaluate(&scenarios, &PassOptions::default());
         let tns: f64 = mcmm
             .scenarios
             .iter()
@@ -129,7 +125,7 @@ fn main() {
             .map_or(0.0, |m| m.mean.as_secs_f64() * 1e9)
     };
     let sequential = mean_ns("sequential_corner_sessions");
-    let sweep = mean_ns("evaluate_mcmm");
+    let sweep = mean_ns("evaluate");
     let speedup = if sweep > 0.0 { sequential / sweep } else { 0.0 };
     println!(
         "{}",

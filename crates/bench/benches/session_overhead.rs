@@ -7,11 +7,10 @@
 //! iteration; the rollback arm restores the baseline itself. Emits one
 //! machine-readable JSON line after the human table (report-only: an
 //! update is a cone sweep of tens of microseconds now, so the checkpoint's
-//! report copy is no longer a few percent of it). Drift auditing is
-//! disabled so every path measures the same propagation work.
+//! report copy is no longer a few percent of it).
 
 use insta_bench::block_specs;
-use insta_engine::{DriftPolicy, InstaConfig, InstaEngine};
+use insta_engine::{InstaConfig, InstaEngine};
 use insta_refsta::{estimate_eco, RefSta, StaConfig};
 use insta_sizer::random_changelist;
 use insta_support::json::{obj, Json};
@@ -27,7 +26,6 @@ fn main() {
         sta.export_insta_init(),
         InstaConfig {
             top_k: 8,
-            drift_policy: DriftPolicy::unlimited(),
             ..InstaConfig::default()
         },
     )

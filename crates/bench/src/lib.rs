@@ -484,7 +484,7 @@ mod tests {
     /// so its rows cannot grow back into a second row set silently.
     #[test]
     fn block3_window_plan_at_k8_keeps_under_a_quarter_of_the_rows() {
-        use insta_engine::{CornerTransform, InstaConfig, InstaEngine, Scenario};
+        use insta_engine::{CornerTransform, InstaConfig, InstaEngine, PassOptions, Scenario};
         use insta_refsta::{RefSta, StaConfig};
         let design = block_specs()[2].build();
         let mut sta = RefSta::new(&design, StaConfig::default()).expect("build");
@@ -498,7 +498,8 @@ mod tests {
         engine.propagate();
         engine.enable_tracing();
         let corner = Scenario::default().with_corner(CornerTransform::scale(1.06, 1.15));
-        assert!(engine.evaluate_mcmm(&[corner]).scenarios[0].outcome.is_ok());
+        let mcmm = engine.evaluate(&[corner], &PassOptions::default());
+        assert!(mcmm.scenarios[0].outcome.is_ok());
         let journal = engine.trace_journal().expect("tracing on");
         let sweep = journal.events().find(|e| e.name == "batch.sweep");
         let slots = sweep

@@ -34,9 +34,7 @@
 //! * **A lane whose serial run is no cone update is a full pass too.** A
 //!   lane with more distinct seeds than the cone's full-pass switch allows
 //!   writes its deltas and runs one window pass for its report, and counts
-//!   one incremental update as its serial twin does; the drift odometer is
-//!   not touched. As for its twin's `update_timing`, the drift budget
-//!   plays no part in the route.
+//!   one incremental update as its serial twin does.
 //!
 //! **Only what an endpoint sees.** Like every pass (`crate::forward`,
 //! "What a pass computes"), a call's passes and sweeps compute only the
@@ -60,7 +58,7 @@
 //! a completed lane, a cancelled or failed sweep, a NaN slack, and from
 //! the transaction's drop if anything unwinds. After an `evaluate` call
 //! the engine's Top-K arrays (stale mean/sigma tails included),
-//! annotations, report, drift odometer, validity ledger and LSE state are
+//! annotations, report, validity ledger and LSE state are
 //! their pre-call bits — the only state a call may write is the
 //! base sync itself (identical to the caller running
 //! [`propagate`](InstaEngine::propagate) first) and the monotonic batch
@@ -101,10 +99,6 @@ use insta_refsta::eco::ArcDelta;
 use insta_support::json::{FromJson, Json, JsonError};
 use std::borrow::Cow;
 use std::collections::HashMap;
-
-/// One scenario of a plain what-if batch: a [`Scenario`] with neither
-/// corner nor mode, built `DeltaSet::from(deltas)`.
-pub type DeltaSet = Scenario;
 
 /// The corner axis of an MCMM [`Scenario`]: a lane-local affine derate of
 /// every arc annotation, `μ' = μ·mean_scale + mean_offset_ps` and
@@ -257,7 +251,7 @@ impl FromJson for ModeMask {
 }
 
 /// One MCMM scenario: what-if deltas × corner × mode. Without a corner or
-/// mode it is a plain [`DeltaSet`].
+/// mode it is a plain what-if, built `Scenario::from(deltas)`.
 #[derive(Debug, Clone, Default)]
 pub struct Scenario {
     /// The scenario's re-annotations (applied in order, later wins, like
@@ -481,17 +475,6 @@ impl InstaEngine {
             merged_tns_ps,
             merged_violations,
         }
-    }
-
-    /// [`evaluate`](Self::evaluate) with default options, per-scenario
-    /// reports only.
-    pub fn evaluate_batch(&mut self, scenarios: &[DeltaSet]) -> Vec<ScenarioReport> {
-        self.evaluate(scenarios, &PassOptions::default()).scenarios
-    }
-
-    /// [`evaluate`](Self::evaluate) with default options.
-    pub fn evaluate_mcmm(&mut self, scenarios: &[Scenario]) -> McmmReport {
-        self.evaluate(scenarios, &PassOptions::default())
     }
 
     /// The serial twin of a scenario: the delta list that pre-scales every
@@ -1017,10 +1000,11 @@ mod tests {
         let (_d, _sta, mut eng) = build_engine(5, 8);
         eng.propagate();
         let near = ModeMask::disabling([0]);
-        let mcmm = eng.evaluate_mcmm(&[
+        let modes = [
             Scenario::default().with_mode(far),
             Scenario::default().with_mode(near),
-        ]);
+        ];
+        let mcmm = eng.evaluate(&modes, &PassOptions::default());
         let [a, b] = [0, 1].map(|i| mcmm.scenarios[i].outcome.as_ref().expect("a clean lane"));
         assert_eq!(a.wns_ps.to_bits(), b.wns_ps.to_bits());
         assert_eq!(a.tns_ps.to_bits(), b.tns_ps.to_bits());
@@ -1036,7 +1020,8 @@ mod tests {
         eng.propagate();
         let corner = CornerTransform::scale(1.05, 1.1);
         let bare = Scenario::default().with_corner(corner);
-        let mcmm = eng.evaluate_mcmm(&[bare.clone(), bare.with_mode(ModeMask::disabling([0]))]);
+        let sweep = [bare.clone(), bare.with_mode(ModeMask::disabling([0]))];
+        let mcmm = eng.evaluate(&sweep, &PassOptions::default());
         assert!(mcmm.scenarios.iter().all(|r| r.outcome.is_ok()));
         assert!(eng.corner_scratch.0.is_none(), "a delta-free corner group");
         let plan = eng
@@ -1053,12 +1038,13 @@ mod tests {
             Scenario::from(big.clone()),
             Scenario::from(big).with_corner(corner),
         ];
-        assert!(eng.evaluate_batch(&full).iter().all(|r| r.outcome.is_ok()));
+        let lanes = eng.evaluate(&full, &PassOptions::default()).scenarios;
+        assert!(lanes.iter().all(|r| r.outcome.is_ok()));
         assert!(eng.corner_scratch.0.is_none(), "full-pass lanes");
 
         let one = every_arc_slower(&eng)[..1].to_vec();
         let swept = [Scenario::from(one).with_corner(corner)];
-        assert!(eng.evaluate_batch(&swept)[0].outcome.is_ok());
+        assert!(eng.evaluate(&swept, &PassOptions::default()).scenarios[0].outcome.is_ok());
         assert!(
             eng.corner_scratch.0.is_some(),
             "a corner's delta lane sweeps its rows"

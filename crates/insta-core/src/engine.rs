@@ -29,67 +29,6 @@ use insta_refsta::export::{EndpointInit, InstaInit, SourceInit, NO_LEAF};
 use insta_refsta::ExceptionSet;
 use std::sync::Arc;
 
-/// An advisory budget on incremental re-annotation: how many estimated
-/// updates a caller applies before it resyncs annotations from its golden
-/// reference (see `DESIGN.md` "Session lifecycle and failure policy").
-///
-/// Propagation is exact — a cone update lands on the full pass's bits —
-/// but the deltas a caller writes are estimates (`estimate_eco`), and
-/// estimates drift from what the golden engine would annotate. The engine
-/// counts updates and accumulated *touched-arc mass* (Σ batch-size /
-/// total-graph-arcs, i.e. how many times over the whole graph has been
-/// re-annotated); past either bound
-/// [`InstaEngine::drift_exceeded`] turns true, and a caller that writes
-/// estimates is expected to resync and call [`InstaEngine::reset_drift`].
-/// The engine never changes how it propagates on it. No application in
-/// the workspace needs it any more: INSTA-Size and power recovery write
-/// exact delays through `sizer::Coupled`, and the only caller that sets a
-/// policy is the end-to-end benchmark, which turns it off
-/// ([`unlimited`](Self::unlimited)). The type is kept for that caller and
-/// for the checkpoint format that stores the odometer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftPolicy {
-    /// Maximum incremental updates before a resync is due (`0` = unlimited).
-    pub max_updates: u64,
-    /// Maximum accumulated touched-arc mass before a resync is due
-    /// (`0.0` = unlimited).
-    pub max_touched_mass: f64,
-}
-
-impl Default for DriftPolicy {
-    fn default() -> Self {
-        Self {
-            max_updates: 4096,
-            max_touched_mass: 64.0,
-        }
-    }
-}
-
-impl DriftPolicy {
-    /// A policy that never asks for a resync.
-    pub fn unlimited() -> Self {
-        Self {
-            max_updates: 0,
-            max_touched_mass: 0.0,
-        }
-    }
-
-    pub(crate) fn exceeded(&self, updates: u64, mass: f64) -> bool {
-        (self.max_updates > 0 && updates >= self.max_updates)
-            || (self.max_touched_mass > 0.0 && mass >= self.max_touched_mass)
-    }
-}
-
-/// Accumulated incremental-drift odometer (captured and restored by a
-/// session's transaction, so a rolled-back session doesn't count).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct DriftState {
-    /// Incremental updates applied since the last [`InstaEngine::reset_drift`].
-    pub updates: u64,
-    /// Accumulated touched-arc mass (Σ deltas / graph arcs).
-    pub mass: f64,
-}
-
 /// Configuration of the INSTA engine.
 #[derive(Debug, Clone)]
 pub struct InstaConfig {
@@ -105,9 +44,10 @@ pub struct InstaConfig {
     /// Whether endpoint evaluation applies CPPR credit (Fig. 6 contrasts
     /// Top-K=1 without CPPR against Top-K=128 with it).
     pub cppr: bool,
-    /// When repeated incremental updates call for a resync (see
-    /// [`DriftPolicy`]; advisory, and no application reads it).
-    pub drift_policy: DriftPolicy,
+    /// Nothing reads it: the frozen end-to-end benchmark still names it in
+    /// a struct literal (see the `adapter` module).
+    #[doc(hidden)]
+    pub drift_policy: crate::adapter::DriftPolicy,
 }
 
 impl Default for InstaConfig {
@@ -117,7 +57,7 @@ impl Default for InstaConfig {
             n_threads: 0,
             lse_tau: 1.0,
             cppr: true,
-            drift_policy: DriftPolicy::default(),
+            drift_policy: crate::adapter::DriftPolicy,
         }
     }
 }
@@ -507,8 +447,6 @@ pub struct InstaEngine {
     pub(crate) incidents: IncidentLog<RuntimeIncident>,
     /// Commit counter: bumped by every committed session.
     pub(crate) epoch: u64,
-    /// Incremental-drift odometer (a rolled-back session restores it).
-    pub(crate) drift: DriftState,
     /// The counters bumped in place; [`counters`](Self::counters()) fills
     /// in the derived ones.
     pub(crate) counters: EngineCounters,
@@ -730,7 +668,6 @@ impl InstaEngine {
             last_incident: None,
             incidents: IncidentLog::with_capacity(IncidentLog::CAPACITY),
             epoch: 0,
-            drift: DriftState::default(),
             counters: EngineCounters::default(),
             validity: Validity::default(),
             cone: ConeScratch::new(n, num_levels),
@@ -817,22 +754,6 @@ impl InstaEngine {
     /// The commit epoch: how many sessions have committed on this engine.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Whether the accumulated incremental drift exceeds
-    /// [`InstaConfig::drift_policy`] — advisory: once true, the caller
-    /// should resync annotations from its golden reference and call
-    /// [`reset_drift`](Self::reset_drift). Updates route the same either way.
-    pub fn drift_exceeded(&self) -> bool {
-        self.cfg
-            .drift_policy
-            .exceeded(self.drift.updates, self.drift.mass)
-    }
-
-    /// Resets the drift odometer — call after resyncing annotations from
-    /// the golden reference.
-    pub fn reset_drift(&mut self) {
-        self.drift = DriftState::default();
     }
 
     /// Resident memory of the propagation state in bytes: every array of

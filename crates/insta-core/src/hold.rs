@@ -245,12 +245,12 @@ mod tests {
 
     /// A batched setup evaluation interleaved with hold passes stays
     /// bit-correct: `propagate_hold` repurposes the Top-K buffers (and
-    /// desyncs them), so `evaluate_batch` must re-sync its shared base
+    /// desyncs them), so `evaluate` must re-sync its shared base
     /// before sweeping — scenario results before and after a hold pass
     /// are bit-identical, and the hold report is unaffected by a batch.
     #[test]
     fn batched_evaluation_is_bit_stable_across_hold_passes() {
-        use crate::batch::DeltaSet;
+        use crate::batch::Scenario;
         use insta_refsta::eco::ArcDelta;
 
         let (_d, sta, mut eng, attrs) = setup(9);
@@ -259,8 +259,8 @@ mod tests {
         let arc = (delays.mean.len() / 3) as u32;
         let mean = delays.mean[arc as usize];
         let scenarios = vec![
-            DeltaSet::default(),
-            DeltaSet::from(vec![ArcDelta {
+            Scenario::default(),
+            Scenario::from(vec![ArcDelta {
                 arc,
                 mean: [mean[0] + 25.0, mean[1] + 25.0],
                 sigma: delays.sigma[arc as usize],
@@ -280,10 +280,10 @@ mod tests {
                 })
                 .collect()
         };
-        let before = bits(&eng.evaluate_batch(&scenarios));
+        let before = bits(&eng.evaluate(&scenarios, &PassOptions::default()).scenarios);
         let hold_a = eng.propagate_hold(&attrs);
         // The hold pass overwrote the shared base; the batch re-syncs.
-        let after = bits(&eng.evaluate_batch(&scenarios));
+        let after = bits(&eng.evaluate(&scenarios, &PassOptions::default()).scenarios);
         assert_eq!(before, after, "hold pass leaked into batched setup results");
         // And the batch leaves hold analysis undisturbed in turn.
         let hold_b = eng.propagate_hold(&attrs);

@@ -55,8 +55,7 @@
 //! that re-annotates a large share of the graph (a corner twin touches
 //! every arc) is cheaper as the ordinary full pass. The switch is
 //! `CONE_SEED_SHARE`, judged on the deduplicated seed count. Those are
-//! an update's only two routes, both landing on the same bits; the drift
-//! odometer it advances is advisory and picks neither.
+//! an update's only two routes, both landing on the same bits.
 //!
 //! A dirty level runs through the same level runner as a full pass's
 //! ([`crate::parallel`]: poll, containment, one retry, profile row), with
@@ -88,8 +87,8 @@
 //! once; a what-if lane ([`crate::batch`]) is one that is undone when
 //! dropped; a [session](crate::session) is one that also captures, before
 //! its first mutating call, what the log does not cover — the validity
-//! ledger by value, the report, the drift odometer and the snapshot row
-//! store's chunk pointers. No session call writes the LSE or gradient
+//! ledger by value, the report and the snapshot row store's chunk
+//! pointers. No session call writes the LSE or gradient
 //! buffers, so nothing of theirs is captured: the LSE stamp names the
 //! generation the buffers were computed from, which after the undo either
 //! is the restored one or never comes back. A session's undo applies the
@@ -109,7 +108,7 @@
 //! way out: its base may be a corner's scratch arrays, and its undo must
 //! not fail.
 
-use crate::engine::{DriftState, InstaEngine, State, Static};
+use crate::engine::{InstaEngine, State, Static};
 use crate::error::{InstaError, Kernel, RuntimeIncident};
 use crate::forward::{level_chunk, seed_level, source_launch};
 use crate::metrics::InstaReport;
@@ -252,8 +251,8 @@ impl ConeScratch {
 
     /// Writes `deltas` over the annotations — every expansion, a later
     /// delta to the same arc wins — logging what each write replaces.
-    /// Nothing else of the engine moves: no drift, no counter, no ledger
-    /// stamp. Callers must have validated `deltas`.
+    /// Nothing else of the engine moves: no counter, no ledger stamp.
+    /// Callers must have validated `deltas`.
     pub(crate) fn annotate(&mut self, st: &mut Static, deltas: &[ArcDelta]) {
         for d in deltas {
             let g = d.arc as usize;
@@ -386,9 +385,6 @@ impl InstaEngine {
         // The new generation leaves every derived product stale at once (a
         // cone update re-syncs Top-K and report).
         self.validity.annotated();
-        // Drift odometer: one update, batch-size/graph fraction of mass.
-        self.drift.updates += 1;
-        self.drift.mass += deltas.len() as f64 / self.st.n_graph_arcs.max(1) as f64;
         self.counters.incremental_updates += 1;
     }
 
@@ -401,8 +397,6 @@ impl InstaEngine {
     /// otherwise, or past the `CONE_SEED_SHARE` switch, the ordinary
     /// full pass runs. Either way the result is bit-identical to
     /// [`reannotate`](Self::reannotate) + [`propagate`](Self::propagate).
-    /// The drift odometer this call advances is advisory
-    /// ([`drift_exceeded`](Self::drift_exceeded)): it never picks the route.
     ///
     /// # Errors
     ///
@@ -450,7 +444,6 @@ impl InstaEngine {
 struct Observed {
     ledger: Validity,
     report: Option<InstaReport>,
-    drift: DriftState,
     rows: RowStore,
 }
 
@@ -483,7 +476,6 @@ impl<'e> Txn<'e> {
         self.observed.get_or_insert_with(|| Observed {
             ledger: eng.validity,
             report: eng.state.report.clone(),
-            drift: eng.drift,
             rows: eng.rows.clone(),
         });
     }
@@ -567,7 +559,6 @@ impl<'e> Txn<'e> {
                     && eng.try_propagate(&PassOptions::default()).is_ok());
             eng.validity.rewind(&o.ledger, resynced);
             eng.state.report = o.report;
-            eng.drift = o.drift;
             eng.rows = o.rows;
         }
         eng.cone.forget();

@@ -40,8 +40,7 @@
 //!   failure policy").
 //! * [`session`] — transactional timing sessions: a timing transaction
 //!   (`incremental::Txn`) with bit-identical rollback on poison,
-//!   cooperative per-level cancellation with deadlines, and an advisory
-//!   drift budget that says when to resync annotations (see DESIGN.md
+//!   cooperative per-level cancellation with deadlines (see DESIGN.md
 //!   "Session lifecycle and failure policy").
 //! * [`batch`] — batched what-if evaluation through one entry point,
 //!   [`evaluate`](InstaEngine::evaluate): each scenario is a transaction
@@ -86,6 +85,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#[doc(hidden)]
+pub mod adapter;
 pub mod backward;
 pub mod batch;
 pub mod correlate;
@@ -109,9 +110,11 @@ pub mod trace;
 pub mod validate;
 pub(crate) mod validity;
 
-pub use batch::{CornerTransform, DeltaSet, McmmReport, ModeMask, Scenario, ScenarioReport};
+#[doc(hidden)]
+pub use adapter::*;
+pub use batch::{CornerTransform, McmmReport, ModeMask, Scenario, ScenarioReport};
 pub use correlate::{pearson, MismatchStats};
-pub use engine::{DriftPolicy, InstaConfig, InstaEngine};
+pub use engine::{InstaConfig, InstaEngine};
 pub use error::{IncidentLog, InstaError, Kernel, PoisonedArray, RuntimeIncident, ServiceIncident};
 pub use hold::{hold_attributes, HoldAttributes};
 pub use metrics::{EngineCounters, InstaReport};

@@ -183,14 +183,12 @@ pub(crate) fn refresh(
     report.reduce(None);
 }
 
-/// Runtime counters for observability: session lifecycle, batches, drift
-/// odometer, and incident-ring totals — the `stats.engine` section, one
-/// row per field (see [`rows`](Self::rows)).
+/// Runtime counters for observability: session lifecycle, batches and
+/// incident-ring totals — the `stats.engine` section, one row per field
+/// (see [`rows`](Self::rows)).
 ///
-/// Every field but two is monotonic — a rolled-back session still
-/// *happened* — so dashboards can difference consecutive scrapes. The two
-/// drift fields are gauges: [`reset_drift`](crate::engine::InstaEngine::reset_drift)
-/// zeroes them and a rolled-back session restores them.
+/// Every field is monotonic — a rolled-back session still *happened* — so
+/// dashboards can difference consecutive scrapes.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineCounters {
     /// Committed-session count; bumped once per successful
@@ -208,12 +206,6 @@ pub struct EngineCounters {
     pub sessions_cancelled: u64,
     /// Total incremental updates (`reannotate` / `update_timing`).
     pub incremental_updates: u64,
-    /// Re-annotation batches since the last
-    /// [`reset_drift`](crate::engine::InstaEngine::reset_drift).
-    pub drift_updates: u64,
-    /// Touched-arc mass (Σ batch-size / graph-arcs) since the last drift
-    /// reset.
-    pub drift_mass: f64,
     /// Runtime incidents ever recorded (recovered and fatal).
     pub incidents_total: u64,
     /// Incidents evicted from the bounded ring
@@ -236,9 +228,8 @@ pub struct EngineCounters {
 
 impl EngineCounters {
     /// The counters as `(name, value)` rows, in field order — the
-    /// `stats.engine` surface. `drift_updates` and `drift_mass` are gauges;
-    /// every other row is monotonic.
-    pub fn rows(&self) -> [(&'static str, f64); 15] {
+    /// `stats.engine` surface.
+    pub fn rows(&self) -> [(&'static str, f64); 13] {
         // Exhaustive: a field added without a row does not compile.
         let EngineCounters {
             epoch,
@@ -247,8 +238,6 @@ impl EngineCounters {
             sessions_rolled_back,
             sessions_cancelled,
             incremental_updates,
-            drift_updates,
-            drift_mass,
             incidents_total,
             incidents_dropped,
             batches,
@@ -264,8 +253,6 @@ impl EngineCounters {
             ("sessions_rolled_back", sessions_rolled_back as f64),
             ("sessions_cancelled", sessions_cancelled as f64),
             ("incremental_updates", incremental_updates as f64),
-            ("drift_updates", drift_updates as f64),
-            ("drift_mass", drift_mass),
             ("incidents_total", incidents_total as f64),
             ("incidents_dropped", incidents_dropped as f64),
             ("batches", batches as f64),
@@ -282,8 +269,6 @@ impl crate::engine::InstaEngine {
     pub fn counters(&self) -> EngineCounters {
         EngineCounters {
             epoch: self.epoch,
-            drift_updates: self.drift.updates,
-            drift_mass: self.drift.mass,
             incidents_total: self.incidents.total(),
             incidents_dropped: self.incidents.dropped(),
             ..self.counters

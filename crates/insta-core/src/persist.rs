@@ -338,29 +338,28 @@ impl WriterOp {
     }
 }
 
-/// The minimal mutable engine state a checkpoint must carry to make the
-/// committed timeline reproducible: the re-annotatable delay arrays plus
-/// the epoch and drift odometer.
+/// One checkpoint, whole: the minimal mutable engine state that makes the
+/// committed timeline reproducible — the re-annotatable delay arrays and
+/// the epoch — plus the slacks it was committed with.
 ///
 /// Everything else (Top-K queues, LSE buffers, reports) is a
-/// deterministic function of these via [`InstaEngine::propagate`], so
+/// deterministic function of the arrays via [`InstaEngine::propagate`], so
 /// restore is `restore()` + one propagation — the same recomputation
 /// `update_timing` performs on every commit, guaranteeing the restored
-/// engine continues the timeline bit-exactly. The drift odometer is
-/// carried so that [`InstaEngine::drift_exceeded`] — the advisory resync
-/// budget — reads the same after a restore as before it.
+/// engine continues the timeline bit-exactly. The slacks are what that
+/// propagation must give back: recovery compares bits, so a checkpoint of
+/// another design or configuration is found stale rather than served.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineDurableState {
     /// The committed epoch.
     pub epoch: u64,
-    /// Drift odometer: incremental updates since the last reset.
-    pub drift_updates: u64,
-    /// Drift odometer: accumulated touched-arc mass.
-    pub drift_mass: f64,
     /// Per-expansion-arc mean delays (renumbered engine order).
     pub arc_mean: Vec<[f64; 2]>,
     /// Per-expansion-arc sigmas (renumbered engine order).
     pub arc_sigma: Vec<[f64; 2]>,
+    /// The slacks [`InstaEngine::snapshot`] would publish at the capture
+    /// (empty when the engine had no report).
+    pub slacks: Vec<f64>,
 }
 
 impl EngineDurableState {
@@ -368,20 +367,20 @@ impl EngineDurableState {
     pub fn capture(engine: &InstaEngine) -> Self {
         EngineDurableState {
             epoch: engine.epoch,
-            drift_updates: engine.drift.updates,
-            drift_mass: engine.drift.mass,
             arc_mean: engine.st.arc_mean.clone(),
             arc_sigma: engine.st.arc_sigma.clone(),
+            slacks: engine.try_report().map_or_else(Vec::new, |r| r.slacks.clone()),
         }
     }
 
-    /// Restores this state into `engine`, which must have been built from
-    /// the same design/config as the captured one.
+    /// Restores the epoch and annotations into `engine`, which must have
+    /// been built from the same design/config as the captured one.
     ///
     /// The engine's derived arrays are left stale; the caller must run
-    /// [`InstaEngine::propagate`] before serving reads. Counters other
-    /// than the epoch and drift odometer are *not* restored — they count
-    /// this process's work, not the timeline's (see DESIGN.md).
+    /// [`InstaEngine::propagate`] before serving reads, and may compare its
+    /// slacks with [`slacks`](Self::slacks). Counters other than the epoch
+    /// are *not* restored — they count this process's work, not the
+    /// timeline's (see DESIGN.md).
     ///
     /// # Errors
     ///
@@ -407,48 +406,58 @@ impl EngineDurableState {
         engine.st.arc_mean.clone_from(&self.arc_mean);
         engine.st.arc_sigma.clone_from(&self.arc_sigma);
         engine.epoch = self.epoch;
-        engine.drift.updates = self.drift_updates;
-        engine.drift.mass = self.drift_mass;
         // A new generation, same as a re-annotation: every derived product
         // is stale.
         engine.validity.annotated();
         Ok(())
     }
 
-    /// Encodes the state as a self-contained payload.
+    /// Encodes the state as the whole checkpoint payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         self.encode_into(&mut e);
         e.into_bytes()
     }
 
-    /// [`encode`](Self::encode) into any sink, byte for byte.
+    /// [`encode`](Self::encode) into any sink, byte for byte, in the
+    /// checkpoint payload layout `insta-serve`'s `wal` module documents —
+    /// the two reserved words after the epoch included.
     pub fn encode_into<S: ByteSink>(&self, e: &mut Enc<S>) {
+        e.u64(self.encoded_len() as u64);
         e.u64(self.epoch);
-        e.u64(self.drift_updates);
-        e.f64(self.drift_mass);
+        e.u64(0);
+        e.u64(0);
         enc_pairs(e, &self.arc_mean);
         enc_pairs(e, &self.arc_sigma);
+        e.f64s(&self.slacks);
     }
 
-    /// How many bytes [`encode`](Self::encode) produces (a streaming
-    /// writer frames the state with its length before encoding it).
+    /// The state length the payload declares: the bytes from the epoch
+    /// through the sigma pairs, between the length word and the slacks.
     pub fn encoded_len(&self) -> usize {
-        3 * 8 + 2 * 8 + 16 * (self.arc_mean.len() + self.arc_sigma.len())
+        5 * 8 + 16 * (self.arc_mean.len() + self.arc_sigma.len())
     }
 
-    /// Decodes a payload produced by [`encode`](Self::encode).
+    /// Decodes a payload produced by [`encode`](Self::encode). The reserved
+    /// words are skipped, whatever they hold.
     pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
         let mut d = Dec::new(bytes);
-        let state = EngineDurableState {
-            epoch: d.u64("durable epoch")?,
-            drift_updates: d.u64("durable drift updates")?,
-            drift_mass: d.f64("durable drift mass")?,
-            arc_mean: dec_pairs(&mut d, "durable arc_mean")?,
-            arc_sigma: dec_pairs(&mut d, "durable arc_sigma")?,
-        };
+        let n = d.len(1, "durable state length")?;
+        let mut s = Dec::new(d.take(n, "durable state")?);
+        let epoch = s.u64("durable epoch")?;
+        s.u64("durable reserved word")?;
+        s.u64("durable reserved word")?;
+        let arc_mean = dec_pairs(&mut s, "durable arc_mean")?;
+        let arc_sigma = dec_pairs(&mut s, "durable arc_sigma")?;
+        s.finish()?;
+        let slacks = d.f64s("durable slacks")?;
         d.finish()?;
-        Ok(state)
+        Ok(EngineDurableState {
+            epoch,
+            arc_mean,
+            arc_sigma,
+            slacks,
+        })
     }
 }
 
@@ -539,7 +548,12 @@ mod tests {
         let bytes = state.encode();
         let decoded = EngineDurableState::decode(&bytes).expect("round trip");
         assert_eq!(decoded, state);
-        assert_eq!(state.encoded_len(), bytes.len());
+        let stored: Vec<u64> = decoded.slacks.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(stored, golden);
+        assert_eq!(
+            8 + state.encoded_len() + 8 + 8 * state.slacks.len(),
+            bytes.len()
+        );
 
         // A fresh twin from the same seed, restored + propagated, must
         // land on identical bits and epoch.

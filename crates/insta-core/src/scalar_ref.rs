@@ -159,17 +159,9 @@ pub(crate) fn push_sequence<const MIN: bool>(
     }
 }
 
-/// The whole-graph reference: [`push_sequence`] for every queue, in level
-/// order (renumbered ids, so every parent is done before its child), each
-/// startpoint seeded with `launch` of its source. `MIN` is hold's order.
-/// A queue no endpoint reads is left empty, as no production pass writes
-/// it; the reference finds those by its own sweep, not [`Static::live`].
-fn ref_forward<const MIN: bool>(
-    st: &Static,
-    k: usize,
-    launch: impl Fn(usize) -> ([f64; 2], [f64; 2]),
-) -> DenseTopK {
-    let mut dense = DenseTopK::empty(st.n, k);
+/// Which nodes some endpoint sees: the reference's own sweep of every
+/// endpoint's fanin, in reverse level order, never [`Static::live`].
+fn seen_by_endpoints(st: &Static) -> Vec<bool> {
     let mut seen = vec![false; st.n];
     for e in &st.endpoints {
         seen[e.node as usize] = true;
@@ -181,6 +173,21 @@ fn ref_forward<const MIN: bool>(
             }
         }
     }
+    seen
+}
+
+/// The whole-graph reference: [`push_sequence`] for every queue, in level
+/// order (renumbered ids, so every parent is done before its child), each
+/// startpoint seeded with `launch` of its source. `MIN` is hold's order.
+/// A queue no endpoint reads is left empty, as no production pass writes
+/// it; the reference finds those by its own sweep, not [`Static::live`].
+fn ref_forward<const MIN: bool>(
+    st: &Static,
+    k: usize,
+    launch: impl Fn(usize) -> ([f64; 2], [f64; 2]),
+) -> DenseTopK {
+    let mut dense = DenseTopK::empty(st.n, k);
+    let seen = seen_by_endpoints(st);
     // No queue holds more startpoints than there are, so this capacity
     // never truncates one: it is K's queue without K-slot scans.
     let capacity = k.min(st.sources.len()).max(1);
@@ -213,13 +220,24 @@ fn ref_forward<const MIN: bool>(
 }
 
 /// The serial reference of the differentiable forward pass: the
-/// numerically stable three-pass Log-Sum-Exp merge, one node at a time.
+/// numerically stable three-pass Log-Sum-Exp merge, one node at a time,
+/// over the nodes some endpoint sees — found by the reference's own sweep
+/// — from their sources' launch corners. Every other node stays what no
+/// production pass writes: unreached, its fanin weights 0.
 fn ref_forward_lse(st: &Static, state: &mut State, tau: f64) {
-    crate::lse::lse_reset_seed(st, state);
+    let seen = seen_by_endpoints(st);
+    state.lse_arrival.fill(f64::NEG_INFINITY);
+    state.lse_weight.fill([0.0; 2]);
+    for s in st.sources.iter().filter(|s| seen[s.node as usize]) {
+        for rf in 0..2 {
+            state.lse_arrival[s.node as usize * 2 + rf] =
+                crate::stat::corner_late(s.mean[rf], s.sigma[rf], st.n_sigma);
+        }
+    }
     for l in 1..st.num_levels() {
         for v in st.level_range(l) {
             let fanin = st.fanin_range(v);
-            if fanin.is_empty() {
+            if fanin.is_empty() || !seen[v] {
                 continue;
             }
             for rf in 0..2usize {
@@ -290,17 +308,10 @@ impl InstaEngine {
     }
 
     /// Runs the serial LSE reference pass — the reference twin of
-    /// [`forward_lse`](InstaEngine::forward_lse). The reference computes
-    /// every node; a node no endpoint sees is then put back to
-    /// what no production pass writes: unreached, its fanin weights 0.
+    /// [`forward_lse`](InstaEngine::forward_lse).
     pub fn forward_lse_scalar_reference(&mut self) {
         self.validity.begin_lse();
-        let (st, state) = (&self.st, &mut self.state);
-        ref_forward_lse(st, state, self.cfg.lse_tau);
-        for v in (0..st.n).filter(|&v| !st.live[v]) {
-            state.lse_arrival[v * 2..v * 2 + 2].fill(f64::NEG_INFINITY);
-            state.lse_weight[st.fanin_range(v)].fill([0.0; 2]);
-        }
+        ref_forward_lse(&self.st, &mut self.state, self.cfg.lse_tau);
         self.validity.lse_done();
     }
 
@@ -383,7 +394,7 @@ impl InstaEngine {
     /// Everything a batched `evaluate` call must give back, as named
     /// bit vectors: the Top-K queues (dense view), the annotations, the report, and the
     /// bookkeeping — the observable validity ledger (current generation and
-    /// the products' stamps) and the drift odometer.
+    /// the products' stamps).
     pub fn undo_image(&self) -> Vec<(&'static str, Vec<u64>)> {
         let f = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         let (s, st) = (&self.state, &self.st);
@@ -413,14 +424,7 @@ impl InstaEngine {
             ("arc_mean", f(st.arc_mean.as_flattened())),
             ("arc_sigma", f(st.arc_sigma.as_flattened())),
             ("report", report),
-            (
-                "bookkeeping",
-                self.validity
-                    .observable()
-                    .into_iter()
-                    .chain([self.drift.updates, self.drift.mass.to_bits()])
-                    .collect(),
-            ),
+            ("bookkeeping", self.validity.observable().to_vec()),
         ]
     }
 

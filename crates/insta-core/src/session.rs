@@ -22,7 +22,7 @@
 //! [`rollback`](TimingSession::rollback) (or dropping the session while
 //! still open, or a poisoning error) restores the pre-session state
 //! bit-for-bit: the Top-K arrays and arc annotations from the cone's undo
-//! log, the validity ledger, report and drift from what the transaction
+//! log, the validity ledger and report from what the transaction
 //! captured. A session updates and propagates; it runs no differentiable
 //! pass, so the LSE and gradient buffers are never a session's to take
 //! back — gradients come from the engine itself
@@ -102,7 +102,7 @@ impl<'e> TimingSession<'e> {
         self.status == SessionStatus::Open
     }
 
-    /// Read access to the underlying engine (reports, counters, drift).
+    /// Read access to the underlying engine (reports, counters).
     pub fn engine(&self) -> &InstaEngine {
         self.txn.eng
     }

@@ -33,7 +33,7 @@
 //! - a cone sweep rewrites the rows of the nodes it recomputed or passed
 //!   through, copying a chunk first when a snapshot still shares it;
 //! - a session's rollback puts back the chunk pointers its transaction
-//!   captured beside the ledger, report and drift (`crate::incremental`,
+//!   captured beside the ledger and report (`crate::incremental`,
 //!   "One transaction"): a pointer swap, no walk.
 //!
 //! A capture is then blank rows (arrays not current) or one `Arc` clone

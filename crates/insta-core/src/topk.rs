@@ -559,9 +559,10 @@ mod tests {
 /// agree with the dense `metrics::evaluate` on a re-annotated twin.
 #[cfg(test)]
 mod batched_tests {
-    use crate::batch::DeltaSet;
+    use crate::batch::Scenario;
     use crate::engine::{InstaConfig, InstaEngine};
     use crate::incremental::Txn;
+    use crate::parallel::PassOptions;
     use insta_netlist::generator::{generate_design, GeneratorConfig};
     use insta_refsta::eco::ArcDelta;
     use insta_refsta::{RefSta, StaConfig};
@@ -589,13 +590,13 @@ mod batched_tests {
         (golden, engine)
     }
 
-    fn scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<DeltaSet> {
+    fn scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<Scenario> {
         let delays = golden.delays();
         let n_arcs = delays.mean.len() as u64;
         (0..s)
             .map(|_| {
                 let len = 1 + rng.bounded_u64(4) as usize;
-                DeltaSet::from(
+                Scenario::from(
                     (0..len)
                         .map(|_| {
                             let arc = rng.bounded_u64(n_arcs) as u32;
@@ -717,11 +718,15 @@ mod batched_tests {
                 let (golden, mut engine) = build(dseed, true);
                 let mut rng = Rng::seed_from_u64(stream);
                 let sets = scenarios(&golden, &mut rng, 4);
-                let reversed: Vec<DeltaSet> = sets.iter().rev().cloned().collect();
-                let all = engine.evaluate_batch(&sets);
-                let rev = engine.evaluate_batch(&reversed);
+                let reversed: Vec<Scenario> = sets.iter().rev().cloned().collect();
+                let all = engine.evaluate(&sets, &PassOptions::default()).scenarios;
+                let rev = engine
+                    .evaluate(&reversed, &PassOptions::default())
+                    .scenarios;
                 for (lane, set) in sets.iter().enumerate() {
-                    let solo = engine.evaluate_batch(std::slice::from_ref(set));
+                    let solo = engine
+                        .evaluate(std::slice::from_ref(set), &PassOptions::default())
+                        .scenarios;
                     let want = report_bits(solo[0].outcome.as_ref().expect("valid lane"));
                     for got in [&all[lane], &rev[sets.len() - 1 - lane]] {
                         prop_assert!(
@@ -747,7 +752,7 @@ mod batched_tests {
                 let (golden, mut engine) = build(dseed, cppr);
                 let mut rng = Rng::seed_from_u64(stream);
                 let sets = scenarios(&golden, &mut rng, 3);
-                let got = engine.evaluate_batch(&sets);
+                let got = engine.evaluate(&sets, &PassOptions::default()).scenarios;
                 for (lane, set) in sets.iter().enumerate() {
                     let mut twin = engine.clone();
                     twin.reannotate(&set.deltas).expect("valid deltas");

@@ -33,9 +33,9 @@
 
 use insta_engine::parallel::chaos;
 use insta_engine::{
-    hold_attributes, CancelToken, CornerTransform, DeltaSet, DriftPolicy, HoldAttributes,
-    InstaConfig, InstaEngine, InstaError, InstaReport, Kernel, ModeMask, PassOptions, Scenario,
-    ScenarioReport, SessionStatus,
+    hold_attributes, CancelToken, CornerTransform, HoldAttributes, InstaConfig, InstaEngine,
+    InstaError, InstaReport, Kernel, ModeMask, PassOptions, Scenario, ScenarioReport,
+    SessionStatus,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
@@ -155,9 +155,6 @@ fn config(k: usize, cppr: bool, n_threads: usize) -> InstaConfig {
         top_k: k,
         cppr,
         n_threads,
-        // B re-annotates on every revert as well; neither side may drift
-        // into the degraded path the other does not take.
-        drift_policy: DriftPolicy::unlimited(),
         ..InstaConfig::default()
     }
 }
@@ -1007,17 +1004,16 @@ fn batched_calls_leave_no_trace() {
         let n_eps = a.report().slacks.len();
         let before = a.undo_image();
 
-        // evaluate_batch: sparse sets, the base scenario, a repeated arc.
+        // plain lanes: sparse sets, the base scenario, a repeated arc.
         let mut sets: Vec<Vec<ArcDelta>> = (0..6).map(|_| few_deltas(&mut rng, &fx)).collect();
         sets.push(Vec::new());
         let first = random_delta(&mut rng, &fx.ann);
         let again = jittered(&mut rng, first.arc, fx.ann[first.arc as usize]);
         sets.push(vec![first, random_delta(&mut rng, &fx.ann), again]);
-        let as_scenarios: Vec<Scenario> = sets.iter().cloned().map(Scenario::from).collect();
-        let as_sets: Vec<DeltaSet> = sets.into_iter().map(DeltaSet::from).collect();
-        let got = a.evaluate_batch(&as_sets);
-        assert_lanes_equal_twins(&got, &a, &as_scenarios, &format!("{what} evaluate_batch"));
-        assert_untouched(&before, &a, &format!("{what} evaluate_batch"));
+        let plain: Vec<Scenario> = sets.into_iter().map(Scenario::from).collect();
+        let got = a.evaluate(&plain, &PassOptions::default()).scenarios;
+        assert_lanes_equal_twins(&got, &a, &plain, &format!("{what} plain lanes"));
+        assert_untouched(&before, &a, &format!("{what} plain lanes"));
 
         // evaluate: candidates × (identity + corners), modes mixed in.
         let scs = candidates_by_corners(&mut rng, &fx, 4, n_eps);
@@ -1025,7 +1021,7 @@ fn batched_calls_leave_no_trace() {
         assert_lanes_equal_twins(&got, &a, &scs, &format!("{what} evaluate"));
         assert_untouched(&before, &a, &format!("{what} evaluate"));
 
-        // evaluate_mcmm: the same batch plus mode-only variants that dedup.
+        // MCMM lanes: the same batch plus mode-only variants that dedup.
         let mut sweep = scs.clone();
         for sc in &scs[..4] {
             let mut dup = sc.clone();
@@ -1033,10 +1029,10 @@ fn batched_calls_leave_no_trace() {
             sweep.push(dup);
         }
         let deduped = a.counters().mcmm_deduped;
-        let got = a.evaluate_mcmm(&sweep);
+        let got = a.evaluate(&sweep, &PassOptions::default());
         assert!(a.counters().mcmm_deduped >= deduped + 4, "{what}: dedup");
-        assert_lanes_equal_twins(&got.scenarios, &a, &sweep, &format!("{what} evaluate_mcmm"));
-        assert_untouched(&before, &a, &format!("{what} evaluate_mcmm"));
+        assert_lanes_equal_twins(&got.scenarios, &a, &sweep, &format!("{what} MCMM lanes"));
+        assert_untouched(&before, &a, &format!("{what} MCMM lanes"));
 
         assert_next_update_is_a_cone(&mut a, &fx, &what);
         assert_untouched(&before, &a, &format!("{what} after the cone update"));
@@ -1111,10 +1107,8 @@ fn one_base_pass_per_distinct_corner() {
 
     // A sweep without corners runs no base pass at all.
     a.enable_tracing();
-    a.evaluate_batch(&[
-        DeltaSet::from(few_deltas(&mut rng, &fx)),
-        DeltaSet::default(),
-    ]);
+    let scs = [Scenario::from(few_deltas(&mut rng, &fx)), Scenario::default()];
+    a.evaluate(&scs, &PassOptions::default());
     assert_eq!(sweep_span(&a, "base_passes"), 0.0);
     assert_eq!(sweep_span(&a, "cone_lanes"), 1.0);
 }
@@ -1180,7 +1174,7 @@ fn first_dirty_level(a: &mut InstaEngine, deltas: &[ArcDelta]) -> usize {
         ..PassOptions::default()
     };
     let got = a
-        .evaluate(&[DeltaSet::from(deltas.to_vec())], &opts)
+        .evaluate(&[Scenario::from(deltas.to_vec())], &opts)
         .scenarios;
     match &got[0].outcome {
         Err(InstaError::Cancelled {

@@ -22,8 +22,8 @@
 //! so every Top-K compare below covers every node, stored or not.
 
 use insta_engine::{
-    hold_attributes, CornerTransform, DeltaSet, HoldAttributes, InstaConfig, InstaEngine,
-    InstaReport, PassOptions, Scenario,
+    hold_attributes, CornerTransform, HoldAttributes, InstaConfig, InstaEngine, InstaReport,
+    PassOptions, Scenario,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_netlist::Design;
@@ -219,6 +219,23 @@ fn fused_sweep_matches_separate_passes_and_scalar_reference() {
     }
 }
 
+/// The LSE pass alone against its reference, which seeds and keeps only
+/// the nodes its own endpoint-fanin sweep finds: every smooth arrival and
+/// softmax weight on raw bits, whatever the Top-K passes did.
+#[test]
+fn lse_pass_is_bit_identical_to_the_scalar_reference() {
+    for gen in [
+        GeneratorConfig::small("keq_lse", 19),
+        GeneratorConfig::medium("keq_lse_m", 23),
+    ] {
+        let (_, _, mut fast) = build(&gen, InstaConfig::default());
+        let (_, _, mut reference) = build(&gen, InstaConfig::default());
+        fast.forward_lse();
+        reference.forward_lse_scalar_reference();
+        assert_eq!(lse_bits(&fast), lse_bits(&reference), "{}: lse", gen.name);
+    }
+}
+
 /// Tracing instruments the kernels (span records, per-level timestamp
 /// reads); it must not perturb one bit of what they compute.
 #[test]
@@ -288,7 +305,7 @@ fn gradients_are_bit_identical_through_the_scalar_reference() {
 
 /// Random valid delta sets jittered off the golden delays (duplicates and
 /// empty sets included), as in the batch-equivalence suite.
-fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<DeltaSet> {
+fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<Scenario> {
     let delays = golden.delays();
     let n_arcs = delays.mean.len() as u64;
     (0..s)
@@ -312,7 +329,7 @@ fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<DeltaSet> {
                     }
                 })
                 .collect();
-            DeltaSet::from(deltas)
+            Scenario::from(deltas)
         })
         .collect()
 }
@@ -343,7 +360,7 @@ fn batch_lanes_are_bit_identical_to_the_scalar_reference() {
         let mut rng = Rng::seed_from_u64(SUITE_SEED ^ lanes as u64);
         let scenarios = random_scenarios(&golden, &mut rng, lanes);
 
-        let got = engine.evaluate_batch(&scenarios);
+        let got = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
         assert_eq!(got.len(), lanes);
         for (i, sc) in scenarios.iter().enumerate() {
             let mut reference = engine.clone();
@@ -941,12 +958,12 @@ fn a_reordering_hop_falls_back_and_its_rank_breaks_a_corner_tie() {
         let mut plain = InstaEngine::new(init(0.0), cfg).expect("valid");
         plain.propagate();
         plain.enable_tracing();
-        let lane = DeltaSet::from(vec![ArcDelta {
+        let lane = Scenario::from(vec![ArcDelta {
             arc: 2,
             mean: [0.0; 2],
             sigma: [3.0; 2],
         }]);
-        let got = plain.evaluate_batch(&[lane]);
+        let got = plain.evaluate(&[lane], &PassOptions::default()).scenarios;
         let report = got[0].outcome.as_ref().expect("valid lane");
         assert_eq!(report_bits(report), setups[0], "K={top_k}: lane");
         assert_eq!(
@@ -1151,7 +1168,8 @@ fn every_queue_holds_the_startpoints_its_cone_can_reach() {
 
                 e.propagate();
                 let mut twin = e.clone();
-                let lanes = e.evaluate_batch(&[DeltaSet::from(delta.to_vec())]);
+                let lane = [Scenario::from(delta.to_vec())];
+                let lanes = e.evaluate(&lane, &PassOptions::default()).scenarios;
                 let lane = lanes[0].outcome.as_ref().map_err(|err| format!("{what}: lane {err}"))?;
                 let serial = twin.update_timing(&delta).map_err(|err| err.to_string())?;
                 prop_assert!(report_bits(lane) == report_bits(&serial), "{what}: lane vs serial");
@@ -1169,7 +1187,7 @@ fn every_queue_holds_the_startpoints_its_cone_can_reach() {
                 counts_match(&e, &reach, &format!("{what} cone"))?;
 
                 let corner = Scenario::default().with_corner(CornerTransform::scale(1.05, 1.1));
-                let window = e.evaluate_mcmm(&[corner]);
+                let window = e.evaluate(&[corner], &PassOptions::default());
                 prop_assert!(window.scenarios[0].outcome.is_ok(), "{what}: window pass");
                 let journal = e.trace_journal().expect("tracing on");
                 let sweep = journal.events().filter(|ev| ev.name == "batch.sweep").last();

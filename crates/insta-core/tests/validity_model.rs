@@ -3,7 +3,7 @@
 //!
 //! Random sequences of every call that writes annotations or a derived
 //! product — `reannotate`, `update_timing`, the full / fused / hold / LSE /
-//! backward passes, `evaluate_batch`, `snapshot()`, and
+//! backward passes, `evaluate`, `snapshot()`, and
 //! sessions that commit, roll back, are cancelled by a pre-fired token or a
 //! zero deadline, or lose a worker to an injected panic — run against a
 //! model that knows one thing: the committed annotation table. After every
@@ -24,9 +24,9 @@
 
 use insta_engine::parallel::chaos;
 use insta_engine::{
-    hold_attributes, CancelToken, Deadline, DeltaSet, DriftPolicy, EngineDurableState,
-    HoldAttributes, InstaConfig, InstaEngine, InstaError, InstaReport, Kernel, PassOptions,
-    SessionStatus, TimingSession,
+    hold_attributes, CancelToken, Deadline, EngineDurableState, HoldAttributes, InstaConfig,
+    InstaEngine, InstaError, InstaReport, Kernel, PassOptions, Scenario, SessionStatus,
+    TimingSession,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
 use insta_refsta::eco::ArcDelta;
@@ -123,8 +123,6 @@ fn config(tau: f64) -> InstaConfig {
         top_k: 4,
         n_threads: 1,
         lse_tau: tau,
-        // The model has no drift odometer.
-        drift_policy: DriftPolicy::unlimited(),
         ..InstaConfig::default()
     }
 }
@@ -627,8 +625,8 @@ fn run_step(cx: &Ctx, m: &mut Model, a: &mut InstaEngine, step: &Step) -> Result
             );
         }
         Step::Lanes(sets) => {
-            let lanes: Vec<DeltaSet> = sets.iter().map(|ds| cx.few(ds).into()).collect();
-            let got = a.evaluate_batch(&lanes);
+            let lanes: Vec<Scenario> = sets.iter().map(|ds| cx.few(ds).into()).collect();
+            let got = a.evaluate(&lanes, &PassOptions::default()).scenarios;
             // The lanes diverge from a base the call synced if it had to.
             (m.synced, m.report_fresh) = (true, true);
             for lane in &got {

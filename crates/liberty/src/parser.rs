@@ -236,18 +236,21 @@ impl Group {
         self.attrs.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
-    /// Simple attribute `name` as a number: `None` when it is absent or
-    /// does not read as one, an error when it reads as a non-finite one.
+    /// Simple attribute `name` as a number: `None` when it is absent, an
+    /// error when it does not read as a finite number.
     fn num(&self, name: &str) -> Result<Option<f64>, ParseLibertyError> {
         let v = match self.attr(name) {
-            Some(Value::Num(v)) => Some(*v),
-            Some(Value::Str(s) | Value::Ident(s)) => s.parse::<f64>().ok(),
-            None => None,
+            Some(Value::Num(v)) => *v,
+            Some(Value::Str(s) | Value::Ident(s)) => match s.parse::<f64>() {
+                Ok(v) => v,
+                Err(_) => return err(self.line, format!("`{name}` is not a number: {s:?}")),
+            },
+            None => return Ok(None),
         };
-        match v {
-            Some(v) if !v.is_finite() => err(self.line, format!("`{name}` is not finite")),
-            v => Ok(v),
+        if !v.is_finite() {
+            return err(self.line, format!("`{name}` is not finite"));
         }
+        Ok(Some(v))
     }
 
     fn subgroups<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Group> {
@@ -582,14 +585,17 @@ fn interpret_cell(g: &Group) -> Result<LibCell, ParseLibertyError> {
             line: g.line,
             message: format!("cannot infer gate class for cell `{name}`"),
         })?;
-    let drive = g
-        .num("drive_strength")?
-        .map(|v| v as u32)
-        .or_else(|| {
-            name.rsplit_once('X')
-                .and_then(|(_, d)| d.parse().ok())
-        })
-        .unwrap_or(1);
+    let drive = match g.num("drive_strength")? {
+        Some(v) if v.fract() == 0.0 && (1.0..=f64::from(u32::MAX)).contains(&v) => v as u32,
+        Some(v) => {
+            let why = format!("`drive_strength` of `{name}` is not a whole number in 1..=2^32-1: {v}");
+            return err(g.line, why);
+        }
+        None => name
+            .rsplit_once('X')
+            .and_then(|(_, d)| d.parse().ok())
+            .unwrap_or(1),
+    };
     Ok(LibCell::new(
         name,
         class,

@@ -31,6 +31,8 @@
 //! "Durability and recovery" for the failure matrices and README
 //! "Timing as a service" for a scripted quickstart.
 
+#[doc(hidden)]
+pub mod adapter;
 pub mod admission;
 pub mod client;
 pub mod protocol;

@@ -136,7 +136,7 @@ pub fn recover(engine: &mut InstaEngine, cfg: &DurabilityConfig) -> io::Result<R
                 continue;
             }
         };
-        if let Err(e) = image.state.restore(engine) {
+        if let Err(e) = image.restore(engine) {
             report.incidents.push(incident(format!(
                 "checkpoint epoch {epoch} is stale: {e}"
             )));

@@ -884,19 +884,18 @@ impl Server {
                 }
             }
             let epoch = session.commit().map_err(map_engine_err)?;
-            let snap = Arc::new(eng.snapshot());
             // Publish before releasing the writer lock: commit order and
             // publication order must agree, or a preempted writer could
             // publish its older epoch over a successor's newer one.
-            sh.cell.publish(Arc::clone(&snap));
+            sh.cell.publish(Arc::new(eng.snapshot()));
             if let Some(dur) = &sh.durability {
                 // Checkpoint cadence, still under the writer lock so the
                 // captured state is exactly the epoch just published. Only the
-                // capture (a clone of the annotations) happens here, and only
+                // capture (a clone of the annotations and slacks) happens here, and only
                 // on the commits the cadence selects; encoding and every byte
                 // of checkpoint I/O belong to the layer's background writer.
                 if dur.checkpoint_due() {
-                    dur.submit_checkpoint(EngineDurableState::capture(eng), snap);
+                    dur.submit_checkpoint(EngineDurableState::capture(eng));
                 }
             }
             Ok((epoch, wns, tns, viol))
@@ -1581,7 +1580,7 @@ mod reply_identity {
             cancel: Some(CancelToken::new()),
             deadline: None,
         };
-        let sets: Vec<insta_engine::DeltaSet> = sets.into_iter().map(Into::into).collect();
+        let sets: Vec<insta_engine::Scenario> = sets.into_iter().map(Into::into).collect();
         let rows = twin
             .evaluate(&sets, &opts)
             .scenarios

@@ -52,12 +52,23 @@
 //!
 //! **Checkpoint** (`checkpoint-<epoch:020>.ckpt`): magic `INSTACKP`,
 //! `u32` LE version, `u32` LE crc32(payload), `u64` LE payload length,
-//! then the payload:
+//! then the payload, which is one `EngineDurableState` as its codec
+//! (`insta_engine::persist`) writes it:
 //!
 //! ```text
-//! payload = [u64 LE state len][EngineDurableState bytes]
-//!           [u64 LE n][n × f64 LE bits: the published report's slacks]
+//! payload = [u64 LE state len]
+//!           [u64 LE epoch][u64 0][u64 0][u64 LE m][m × (f64, f64) means]
+//!           [u64 LE s][s × (f64, f64) sigmas]
+//!           [u64 LE n][n × f64 LE bits: the slacks published with the epoch]
 //! ```
+//!
+//! The state length counts the bytes from the epoch through the sigmas.
+//! The two zero words are reserved: an earlier engine kept a resync
+//! odometer there. They are written as zero and skipped on read, so
+//! checkpoints written before the odometer went still recover under this
+//! version. Dropping them would need a version bump, and recovery refuses
+//! a checkpoint of another version: it would fall back to the initial
+//! state and cut the log at the epoch gap, losing acknowledged commits.
 //!
 //! The slacks are a *self-verification artifact* — nothing else of the
 //! published snapshot is stored, and an epoch without a report stores
@@ -78,9 +89,9 @@
 //! One thread per [`Durability`], started by `open` and joined by `Drop`
 //! (which first lets it finish a waiting checkpoint), so a dropped layer
 //! leaves its directory at rest. The commit path, under the server's
-//! writer lock, does only the cheap part — `EngineDurableState::capture`
-//! and an `Arc` clone of the snapshot just published — and leaves both in
-//! a single-slot mailbox ([`Durability::submit_checkpoint`]). If the
+//! writer lock, does only the cheap part — `EngineDurableState::capture`,
+//! a copy of the annotations and the slacks just published — and leaves it
+//! in a single-slot mailbox ([`Durability::submit_checkpoint`]). If the
 //! thread is still busy the newer capture replaces the waiting one
 //! (`checkpoints_superseded`); the writer never blocks, the WAL covers
 //! the gap. A failed or panicked checkpoint is a `checkpoint_failures`
@@ -105,7 +116,7 @@
 //! commit rate. `sync_interval = 0` is fsync-per-append as fast as the
 //! caller can go.
 
-use insta_engine::{ByteSink, Dec, Enc, EngineDurableState, IncidentLog, TimingSnapshot, WriterOp};
+use insta_engine::{ByteSink, Enc, EngineDurableState, IncidentLog, WriterOp};
 use insta_support::fault::{CrashPoint, CrashSwitch};
 use insta_support::hash::{crc32, Crc32};
 use insta_support::obs::LatencyHistogram;
@@ -275,7 +286,6 @@ struct Job {
     /// index space).
     commit: u64,
     state: EngineDurableState,
-    snapshot: Arc<TimingSnapshot>,
 }
 
 /// What the commit path and the background writer share.
@@ -530,8 +540,8 @@ impl Durability {
     /// end with their segment. Called after publication, still under the
     /// writer lock, only when [`Durability::checkpoint_due`] said so.
     /// Never blocks on the writer: a capture still waiting is replaced.
-    pub fn submit_checkpoint(&self, state: EngineDurableState, snapshot: Arc<TimingSnapshot>) {
-        self.core.submit_checkpoint(state, snapshot);
+    pub fn submit_checkpoint(&self, state: EngineDurableState) {
+        self.core.submit_checkpoint(state);
     }
 
     /// Writes a checkpoint of `state` now, on the calling thread: streams
@@ -542,13 +552,9 @@ impl Durability {
     ///
     /// Failure here never un-commits anything — the WAL still holds every
     /// record.
-    pub fn write_checkpoint(
-        &self,
-        state: &EngineDurableState,
-        snapshot: &TimingSnapshot,
-    ) -> io::Result<Option<u64>> {
+    pub fn checkpoint(&self, state: &EngineDurableState) -> io::Result<Option<u64>> {
         let commit = self.core.commits.load(Ordering::Relaxed).saturating_sub(1);
-        self.core.write_checkpoint(commit, state, snapshot)
+        self.core.checkpoint(commit, state)
     }
 
     /// Blocks until the background writer has nothing left to do: no
@@ -729,7 +735,7 @@ impl Core {
         Ok(())
     }
 
-    fn submit_checkpoint(&self, state: EngineDurableState, snapshot: Arc<TimingSnapshot>) {
+    fn submit_checkpoint(&self, state: EngineDurableState) {
         if self.is_dead() {
             return;
         }
@@ -747,11 +753,7 @@ impl Core {
         if self.is_dead() {
             return;
         }
-        let job = Job {
-            commit,
-            state,
-            snapshot,
-        };
+        let job = Job { commit, state };
         {
             // The gauge moves with the slot, under the slot's lock.
             let mut mb = lock(&self.mailbox);
@@ -818,9 +820,7 @@ impl Core {
 
     fn run_job(&self, job: &Job) {
         let epoch = job.state.epoch;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.write_checkpoint(job.commit, &job.state, &job.snapshot)
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.checkpoint(job.commit, &job.state)));
         match outcome {
             Ok(Ok(_)) => {}
             Ok(Err(e)) => self.incident(format!("checkpoint at epoch {epoch} failed: {e}")),
@@ -836,12 +836,7 @@ impl Core {
         }
     }
 
-    fn write_checkpoint(
-        &self,
-        commit: u64,
-        state: &EngineDurableState,
-        snapshot: &TimingSnapshot,
-    ) -> io::Result<Option<u64>> {
+    fn checkpoint(&self, commit: u64, state: &EngineDurableState) -> io::Result<Option<u64>> {
         if self.is_dead() {
             return Ok(None);
         }
@@ -851,12 +846,10 @@ impl Core {
         let tmp = dir.join(format!("checkpoint-{epoch:020}.tmp"));
         let r = (|| -> io::Result<Option<u64>> {
             let mut stream = CheckpointStream::create(&tmp)?;
-            let mut enc = Enc::to(&mut stream);
-            enc.u64(state.encoded_len() as u64);
-            state.encode_into(&mut enc);
+            state.encode_into(&mut Enc::to(&mut stream));
             if self.fire(CrashPoint::MidCheckpointStream, commit) {
-                // The writer dies mid-stream: the state is (partly) out,
-                // the slacks and the header never follow.
+                // The writer dies before the header: the payload is out,
+                // its header never follows.
                 stream.flush()?;
                 stream.file.sync_data()?;
                 return Ok(None);
@@ -864,7 +857,6 @@ impl Core {
             if self.panic_next.swap(false, Ordering::SeqCst) {
                 panic!("injected checkpoint writer panic at epoch {epoch}");
             }
-            enc.f64s(snapshot.report().map_or(&[], |r| &r.slacks));
             let (file, len) = stream.finish()?;
             if self.fire(CrashPoint::MidCheckpoint, commit) {
                 // Crash before the fsync took: the header page reached the
@@ -1167,20 +1159,9 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// A decoded checkpoint: the durable engine state plus the committed
-/// slacks stored for self-verification.
-#[derive(Debug)]
-pub struct CheckpointImage {
-    /// The restorable engine state.
-    pub state: EngineDurableState,
-    /// The published report's slacks (empty without a report) — recovery
-    /// re-derives them and compares bits to detect stale checkpoints.
-    pub slacks: Vec<f64>,
-}
-
 /// Loads and fully validates one checkpoint file. The error is a
 /// human-readable reason suitable for a `ServiceIncident`.
-pub fn load_checkpoint(path: &Path) -> Result<CheckpointImage, String> {
+pub fn load_checkpoint(path: &Path) -> Result<EngineDurableState, String> {
     let mut bytes = Vec::new();
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
@@ -1208,24 +1189,7 @@ pub fn load_checkpoint(path: &Path) -> Result<CheckpointImage, String> {
             "checkpoint checksum mismatch (stored {crc:#010x}, computed {actual:#010x})"
         ));
     }
-    if payload.len() < 8 {
-        return Err("checkpoint payload shorter than its state length".to_owned());
-    }
-    let state_len = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
-    if payload.len() - 8 < state_len {
-        return Err(format!(
-            "checkpoint state length {state_len} exceeds payload ({})",
-            payload.len() - 8
-        ));
-    }
-    let state = EngineDurableState::decode(&payload[8..8 + state_len])
-        .map_err(|e| format!("checkpoint state: {e}"))?;
-    let mut d = Dec::new(&payload[8 + state_len..]);
-    let slacks = d
-        .f64s("checkpoint slacks")
-        .and_then(|v| d.finish().map(|()| v))
-        .map_err(|e| format!("checkpoint slacks: {e}"))?;
-    Ok(CheckpointImage { state, slacks })
+    EngineDurableState::decode(payload).map_err(|e| format!("checkpoint payload: {e}"))
 }
 
 /// Checkpoint files in `dir`, newest (highest epoch) first. Temp files

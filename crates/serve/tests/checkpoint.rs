@@ -1,6 +1,7 @@
-//! What a checkpoint holds: the durable engine state plus the published
-//! report's slacks — its exact size, the verifier that compares those
-//! slacks on recovery, and the version gate in front of both.
+//! What a checkpoint holds: the durable engine state with the published
+//! report's slacks — its exact size, its layout word for word, the
+//! verifier that compares those slacks on recovery, and the version gate
+//! in front of both.
 
 use insta_engine::{EngineDurableState, InstaConfig, InstaEngine, WriterOp};
 use insta_netlist::generator::{generate_design, GeneratorConfig};
@@ -47,10 +48,7 @@ fn bits(slacks: &[f64]) -> Vec<u64> {
 fn checkpoint(dir: &Path, engine: &InstaEngine) -> PathBuf {
     let dur = Durability::open(DurabilityConfig::new(dir)).unwrap();
     let state = EngineDurableState::capture(engine);
-    assert_eq!(
-        dur.write_checkpoint(&state, &engine.snapshot()).unwrap(),
-        Some(engine.epoch())
-    );
+    assert_eq!(dur.checkpoint(&state).unwrap(), Some(engine.epoch()));
     drop(dur);
     list_checkpoints(dir).unwrap()[0].1.clone()
 }
@@ -64,15 +62,24 @@ fn a_checkpoint_is_the_durable_state_plus_the_slacks() {
     assert!(n > 0);
     let len = std::fs::metadata(&path).unwrap().len() as usize;
     assert_eq!(len, HEADER + 8 + state.encoded_len() + 8 + 8 * n);
-    let image = load_checkpoint(&path).unwrap();
-    assert_eq!(image.state, state);
-    assert_eq!(bits(&image.slacks), bits(&engine.report().slacks));
+    let stored = load_checkpoint(&path).unwrap();
+    assert_eq!(stored, state);
+    assert_eq!(bits(&stored.slacks), bits(&engine.report().slacks));
 
     // An engine that never propagated stores an empty list.
     let path = checkpoint(&scratch("size-bare"), &build_engine(false));
     let len = std::fs::metadata(&path).unwrap().len() as usize;
     assert_eq!(len, HEADER + 8 + state.encoded_len() + 8);
     assert!(load_checkpoint(&path).unwrap().slacks.is_empty());
+}
+
+/// The `i`-th update of a [`history`].
+fn delta(i: u64) -> ArcDelta {
+    ArcDelta {
+        arc: (i % 4) as u32,
+        mean: [35.0 + i as f64, 30.0],
+        sigma: [3.0, 2.5 + i as f64 / 4.0],
+    }
 }
 
 /// Logs `n` updates to `dir` the way the daemon's writer does (record
@@ -85,11 +92,7 @@ fn history(dir: &Path, n: u64, ckpt_at: u64) -> InstaEngine {
     })
     .unwrap();
     for i in 0..n {
-        let delta = ArcDelta {
-            arc: (i % 4) as u32,
-            mean: [35.0 + i as f64, 30.0],
-            sigma: [3.0, 2.5 + i as f64 / 4.0],
-        };
+        let delta = delta(i);
         dur.log_commit(i + 1, &WriterOp::Update(vec![delta]))
             .unwrap();
         let mut s = engine.begin_session();
@@ -97,10 +100,58 @@ fn history(dir: &Path, n: u64, ckpt_at: u64) -> InstaEngine {
         s.commit().unwrap();
         if i + 1 == ckpt_at {
             let state = EngineDurableState::capture(&engine);
-            dur.write_checkpoint(&state, &engine.snapshot()).unwrap();
+            dur.checkpoint(&state).unwrap();
         }
     }
     engine
+}
+
+/// A checkpoint file written by hand, word by word, in format 4: the
+/// header, then `[state len][epoch][odometer updates][odometer mass]
+/// [m][m mean pairs][s][s sigma pairs][n][n slacks]` — the layout of the
+/// engines that still kept a resync odometer in the two words after the
+/// epoch.
+fn format_4(state: &EngineDurableState, updates: u64, mass: f64) -> Vec<u8> {
+    let mut body: Vec<u64> = vec![0, state.epoch, updates, mass.to_bits()];
+    for pairs in [&state.arc_mean, &state.arc_sigma] {
+        body.push(pairs.len() as u64);
+        body.extend(pairs.iter().flatten().map(|x| x.to_bits()));
+    }
+    body[0] = 8 * (body.len() as u64 - 1);
+    body.push(state.slacks.len() as u64);
+    body.extend(state.slacks.iter().map(|x| x.to_bits()));
+    let payload: Vec<u8> = body.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let mut file = b"INSTACKP".to_vec();
+    file.extend_from_slice(&4u32.to_le_bytes());
+    file.extend_from_slice(&crc32(&payload).to_le_bytes());
+    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    file.extend_from_slice(&payload);
+    file
+}
+
+#[test]
+fn a_checkpoint_with_odometer_words_recovers_to_the_twin() {
+    let dir = scratch("odometer");
+    let live = history(&dir, 5, 3);
+    let mut at_3 = build_engine(true);
+    for i in 0..3 {
+        let mut s = at_3.begin_session();
+        s.update_timing(&[delta(i)]).unwrap();
+        s.commit().unwrap();
+    }
+    let state = EngineDurableState::capture(&at_3);
+
+    // The writer's file is the hand-written layout with zero words.
+    let path = list_checkpoints(&dir).unwrap()[0].1.clone();
+    assert_eq!(std::fs::read(&path).unwrap(), format_4(&state, 0, 0.0));
+
+    // The same checkpoint as an odometer-keeping engine wrote it.
+    std::fs::write(&path, format_4(&state, 3, 3.0 / 1024.0)).unwrap();
+    let mut engine = build_engine(true);
+    let rep = recover(&mut engine, &DurabilityConfig::new(&dir)).unwrap();
+    assert!(rep.incidents.is_empty(), "{:?}", rep.incidents);
+    assert_eq!((rep.checkpoint_epoch, rep.replayed), (Some(3), 2));
+    assert_eq!(bits(&engine.report().slacks), bits(&live.report().slacks));
 }
 
 #[test]

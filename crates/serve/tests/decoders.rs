@@ -27,9 +27,10 @@
 //!   record and checkpoint bodies) over generated payloads of arbitrary
 //!   float bits, cut at every byte, bit-flipped, and with a declared array
 //!   length rewritten up to `u64::MAX`: every input decodes to a typed
-//!   `PersistError` or to a value that re-encodes to the same bytes, a
-//!   length past the bytes left is `BadLength` (the guard ahead of the
-//!   allocation), and nothing panics.
+//!   `PersistError` or to a value that re-encodes to the same bytes (but
+//!   for a checkpoint's two reserved words, which are skipped on read and
+//!   written as zero), a length past the bytes left in its block is
+//!   `BadLength` (the guard ahead of the allocation), and nothing panics.
 //! * **WAL segments and checkpoints.** `scan_segment` and `load_checkpoint`
 //!   over a segment and a v4 checkpoint a real `Durability` wrote, cut at
 //!   every byte, flipped at seeded positions (half of them with the CRC
@@ -41,8 +42,8 @@
 //!   any damage at the end of its valid prefix; a checkpoint is a typed
 //!   error or an image that restores into an engine of its design; a
 //!   declared length the bytes cannot hold is refused by its guard — the
-//!   record-length bound, the payload and state lengths, the persist
-//!   `BadLength` — before anything is allocated for it; nothing panics.
+//!   record-length bound, the payload length, the persist `BadLength` —
+//!   before anything is allocated for it; nothing panics.
 
 use insta_engine::{EngineDurableState, InstaConfig, InstaEngine, PersistError, WriterOp};
 use insta_netlist::generator::{generate_design, GeneratorConfig};
@@ -51,7 +52,7 @@ use insta_refsta::{RefSta, StaConfig};
 use insta_serve::protocol::{read_frame, FrameError};
 use insta_serve::{Client, Op, ServeConfig, Server};
 use insta_serve::wal::{
-    list_checkpoints, list_segments, load_checkpoint, scan_segment, CheckpointImage, SegmentScan,
+    list_checkpoints, list_segments, load_checkpoint, scan_segment, SegmentScan,
     WalRecord, MAX_RECORD_BYTES, SEGMENT_HEADER_LEN,
 };
 use insta_serve::{Durability, DurabilityConfig};
@@ -736,12 +737,13 @@ fn corrupted_params_get_ok_or_a_typed_error_and_never_panic() {
 // ---- Persist payloads -----------------------------------------------------
 
 /// Which codec a payload is for, and where its declared array lengths sit
-/// (byte offset, element width on the wire).
+/// (byte offset, element width on the wire, end of the block the length
+/// is guarded against).
 #[derive(Clone, Debug)]
 struct Payload {
     bytes: Vec<u8>,
     durable: bool,
-    lengths: Vec<(usize, u64)>,
+    lengths: Vec<(usize, u64, usize)>,
 }
 
 impl Shrink for Payload {}
@@ -766,16 +768,22 @@ fn any_payload(rng: &mut Rng) -> Payload {
     if rng.gen_bool(0.5) {
         let state = EngineDurableState {
             epoch: rng.next_u64(),
-            drift_updates: rng.next_u64(),
-            drift_mass: any_bits(rng),
             arc_mean: any_pairs(rng),
             arc_sigma: any_pairs(rng),
+            slacks: (0..rng.gen_range(0usize..6)).map(|_| any_bits(rng)).collect(),
         };
-        let sigma_at = 32 + 16 * state.arc_mean.len();
+        let bytes = state.encode();
+        let sigma_at = 40 + 16 * state.arc_mean.len();
+        let state_end = 8 + state.encoded_len();
         Payload {
-            bytes: state.encode(),
             durable: true,
-            lengths: vec![(24, 16), (sigma_at, 16)],
+            lengths: vec![
+                (0, 1, bytes.len()),
+                (32, 16, state_end),
+                (sigma_at, 16, state_end),
+                (state_end, 8, bytes.len()),
+            ],
+            bytes,
         }
     } else if rng.gen_bool(0.2) {
         Payload {
@@ -791,20 +799,26 @@ fn any_payload(rng: &mut Rng) -> Payload {
                 sigma: [any_bits(rng), any_bits(rng)],
             })
             .collect();
+        let bytes = WriterOp::Update(deltas).encode();
         Payload {
-            bytes: WriterOp::Update(deltas).encode(),
             durable: false,
-            lengths: vec![(1, 36)],
+            lengths: vec![(1, 36, bytes.len())],
+            bytes,
         }
     }
 }
 
 /// Decodes `bytes` with the payload's codec: its typed error, or whether
-/// the value it read re-encodes to `bytes`. A panic is an `Err`.
+/// the value it read re-encodes to `bytes` — a durable state's reserved
+/// words (payload bytes 16..32) as zero. A panic is an `Err`.
 fn decode(durable: bool, bytes: &[u8]) -> Result<Result<bool, PersistError>, String> {
     catch_unwind(AssertUnwindSafe(|| {
         if durable {
-            EngineDurableState::decode(bytes).map(|v| v.encode() == bytes)
+            EngineDurableState::decode(bytes).map(|v| {
+                let mut want = bytes.to_vec();
+                want[16..32].fill(0);
+                v.encode() == want
+            })
         } else {
             WriterOp::decode(bytes).map(|v| v.encode() == bytes)
         }
@@ -860,27 +874,28 @@ fn declared_lengths_past_the_payload_are_bad_lengths() {
         Config::cases(1500),
         |rng| {
             let mut p = any_payload(rng);
-            if let Some(&(at, width)) = p.lengths.get(rng.gen_range(0..p.lengths.len().max(1))) {
-                let fits = (p.bytes.len() - at - 8) as u64 / width;
+            if let Some(&(at, width, end)) = p.lengths.get(rng.gen_range(0..p.lengths.len().max(1)))
+            {
+                let fits = (end - at - 8) as u64 / width;
                 let declared = match rng.gen_range(0u32..5) {
                     0 => fits + 1 + rng.bounded_u64(1 << 20),
                     1 => u64::MAX - rng.bounded_u64(16),
-                    2 => u64::MAX / width + rng.bounded_u64(2),
+                    2 => (u64::MAX / width).saturating_add(rng.bounded_u64(2)),
                     3 => 1 << rng.gen_range(32u32..64),
                     _ => fits + 1,
                 };
                 p.bytes[at..at + 8].copy_from_slice(&declared.to_le_bytes());
-                p.lengths = vec![(at, declared)];
+                p.lengths = vec![(at, declared, end)];
             } else {
                 p.lengths.clear();
             }
             p
         },
         |p| {
-            let Some(&(at, declared)) = p.lengths.first() else {
+            let Some(&(at, declared, end)) = p.lengths.first() else {
                 return Ok(());
             };
-            let remaining = p.bytes.len() - at - 8;
+            let remaining = end - at - 8;
             match decode(p.durable, &p.bytes)? {
                 Err(PersistError::BadLength {
                     declared: d,
@@ -966,7 +981,7 @@ fn written(tag: &str) -> Written {
     }
     let segment = std::fs::read(&list_segments(&dir).expect("segments")[0].1).expect("read");
     let state = EngineDurableState::capture(&engine);
-    dur.write_checkpoint(&state, &engine.snapshot())
+    dur.checkpoint(&state)
         .expect("checkpoint");
     let checkpoint = std::fs::read(&list_checkpoints(&dir).expect("list")[0].1).expect("read");
     drop(dur);
@@ -1001,7 +1016,7 @@ fn scan_bytes(bytes: &[u8]) -> Result<SegmentScan, String> {
         .map_err(|_| format!("scan_segment panicked on {} bytes", bytes.len()))
 }
 
-fn load_bytes(bytes: &[u8]) -> Result<Result<CheckpointImage, String>, String> {
+fn load_bytes(bytes: &[u8]) -> Result<Result<EngineDurableState, String>, String> {
     let path = image_path("ckpt");
     std::fs::write(&path, bytes).expect("write image");
     catch_unwind(|| load_checkpoint(&path))
@@ -1142,10 +1157,9 @@ fn wal_segments_cut_flipped_or_relengthed_keep_their_valid_prefix() -> Result<()
 fn check_load(w: &mut Written, bytes: &[u8], guard: Option<&str>) -> Result<(), String> {
     let what = format!("{} bytes", bytes.len());
     match load_bytes(bytes)? {
-        Ok(image) => {
+        Ok(state) => {
             prop_assert!(guard.is_none(), "{what}: loaded past the {guard:?} guard");
-            image
-                .state
+            state
                 .restore(&mut w.twin)
                 .map_err(|e| format!("{what}: loaded but does not restore: {e}"))
         }
@@ -1206,7 +1220,7 @@ fn checkpoints_cut_flipped_or_relengthed_fail_typed_or_restore() -> Result<(), S
         bytes[16..24].copy_from_slice(&len.to_le_bytes());
         check_load(&mut w, &bytes, Some("length mismatch"))?;
         for (at, guard) in [
-            (CKPT_HEADER, "exceeds payload"),
+            (CKPT_HEADER, "declares"),
             (mean_at, "declares"),
             (sigma_at, "declares"),
             (slacks_at, "declares"),

@@ -469,10 +469,7 @@ fn stale_checkpoint_is_rejected_typed_and_wal_replay_rebuilds_from_genesis() {
     let foreign_dir = scratch("stale-ckpt-foreign");
     let written = Durability::open(DurabilityConfig::new(&foreign_dir))
         .unwrap()
-        .write_checkpoint(
-            &insta_engine::EngineDurableState::capture(&foreign),
-            &foreign.snapshot(),
-        )
+        .checkpoint(&insta_engine::EngineDurableState::capture(&foreign))
         .unwrap();
     assert_eq!(written, Some(0));
     std::fs::copy(
@@ -546,10 +543,7 @@ fn replay_gap_then_two_commits(name: &str, checkpoints_on: bool) {
     let foreign_dir = scratch(&format!("{name}-foreign"));
     Durability::open(DurabilityConfig::new(&foreign_dir))
         .unwrap()
-        .write_checkpoint(
-            &insta_engine::EngineDurableState::capture(&foreign),
-            &foreign.snapshot(),
-        )
+        .checkpoint(&insta_engine::EngineDurableState::capture(&foreign))
         .unwrap();
     std::fs::copy(
         &list_checkpoints(&foreign_dir).unwrap()[0].1,
@@ -1070,10 +1064,9 @@ fn check_schedule(case: &str, schedule: &Schedule) -> Result<(), String> {
                 dur.log_commit(acked + 1, &op).map_err(|e| e.to_string())?;
                 acked = session.commit().map_err(|e| e.to_string())?;
             }
-            Step::Checkpoint => dur.submit_checkpoint(
-                insta_engine::EngineDurableState::capture(&engine),
-                std::sync::Arc::new(engine.snapshot()),
-            ),
+            Step::Checkpoint => {
+                dur.submit_checkpoint(insta_engine::EngineDurableState::capture(&engine))
+            }
             Step::Settle => dur.wait_idle(),
         }
     }
@@ -1113,11 +1106,8 @@ fn check_schedule(case: &str, schedule: &Schedule) -> Result<(), String> {
                 Some((_, path)) => std::fs::read(path).unwrap(),
                 None => {
                     let d = Durability::open(DurabilityConfig::new(&donor)).unwrap();
-                    d.write_checkpoint(
-                        &insta_engine::EngineDurableState::capture(&engine),
-                        &engine.snapshot(),
-                    )
-                    .unwrap();
+                    d.checkpoint(&insta_engine::EngineDurableState::capture(&engine))
+                        .unwrap();
                     std::fs::read(&list_checkpoints(&donor).unwrap()[0].1).unwrap()
                 }
             };

@@ -632,8 +632,6 @@ fn a_durable_daemons_stats_layout_is_pinned() {
         "engine.sessions_rolled_back",
         "engine.sessions_cancelled",
         "engine.incremental_updates",
-        "engine.drift_updates",
-        "engine.drift_mass",
         "engine.incidents_total",
         "engine.incidents_dropped",
         "engine.batches",
@@ -1126,7 +1124,7 @@ fn debug_ops_are_refused_unless_enabled() {
 
 #[test]
 fn mcmm_batch_serves_scenario_objects_and_merged_view_bit_exactly() {
-    use insta_engine::{CornerTransform, ModeMask, Scenario};
+    use insta_engine::{CornerTransform, ModeMask, PassOptions, Scenario};
 
     let server = Server::new(build_engine(31, 8), ServeConfig::default());
     let (mut cl, h) = connect(&server);
@@ -1179,7 +1177,7 @@ fn mcmm_batch_serves_scenario_objects_and_merged_view_bit_exactly() {
             Scenario::default().with_corner(c).with_mode(m)
         })
         .collect();
-    let want = twin.evaluate_mcmm(&sweep);
+    let want = twin.evaluate(&sweep, &PassOptions::default());
 
     let rows = rep.result.field("scenarios").unwrap().as_arr().unwrap();
     assert_eq!(rows.len(), 4);

@@ -306,9 +306,9 @@ pub enum CrashPoint {
     /// holds no record yet, and the segment it follows has not been
     /// retired. Recovery reads both and finds the new one empty.
     MidRotation,
-    /// The checkpoint writer dies mid-stream: a temp file with part of the
-    /// payload and no header yet is left behind; recovery must fall back
-    /// to the previous checkpoint (or none) plus the WAL.
+    /// The checkpoint writer dies mid-stream: a temp file with the payload
+    /// and no header yet is left behind; recovery must fall back to the
+    /// previous checkpoint (or none) plus the WAL.
     MidCheckpointStream,
     /// The checkpoint temp file got its header but lost the tail of its
     /// payload (pages reach the platter in any order before the fsync) and

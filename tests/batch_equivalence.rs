@@ -1,15 +1,15 @@
-//! Batched-evaluation equivalence suite (ISSUE 4): `evaluate_batch([d0..dS])`
+//! Batched-evaluation equivalence suite: `evaluate([d0..dS])`
 //! must be **bit-identical**, per scenario, to S independent serial
 //! `update_timing` sessions run from the same engine state — across
 //! generated designs, batch sizes {1, 2, 7, 16}, serial and parallel
 //! runners, CPPR on/off, duplicate-arc delta sets and empty scenarios. The
-//! batch must also leave the engine's own state (annotations, report,
-//! drift odometer) untouched, like S rolled-back sessions. A lane returns
+//! batch must also leave the engine's own state (annotations, report)
+//! untouched, like S rolled-back sessions. A lane returns
 //! a report and no gradients: the engine's own backward pass is the one
 //! gradient producer.
 
 use insta_engine::{
-    Deadline, DeltaSet, InstaConfig, InstaEngine, InstaError, InstaReport, PassOptions,
+    Deadline, InstaConfig, InstaEngine, InstaError, InstaReport, PassOptions, Scenario,
     ScenarioReport,
 };
 use insta_netlist::generator::{generate_design, GeneratorConfig};
@@ -43,7 +43,7 @@ fn report_bits(r: &InstaReport) -> Vec<u64> {
 /// Random valid scenarios: in-range arcs, finite means, non-negative
 /// sigmas, jittered off the golden delays. Lengths vary and include 0
 /// (the base scenario).
-fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<DeltaSet> {
+fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<Scenario> {
     let delays = golden.delays();
     let n_arcs = delays.mean.len() as u64;
     (0..s)
@@ -67,7 +67,7 @@ fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<DeltaSet> {
                     }
                 })
                 .collect();
-            DeltaSet::from(deltas)
+            Scenario::from(deltas)
         })
         .collect()
 }
@@ -76,7 +76,7 @@ fn random_scenarios(golden: &RefSta, rng: &mut Rng, s: usize) -> Vec<DeltaSet> {
 /// order, on a clone of the engine.
 fn serial_reference(
     engine: &InstaEngine,
-    scenarios: &[DeltaSet],
+    scenarios: &[Scenario],
 ) -> Vec<Result<InstaReport, String>> {
     let mut clone = engine.clone();
     scenarios
@@ -154,7 +154,7 @@ fn batch_is_bit_identical_to_serial_sessions() {
             let mut rng = Rng::seed_from_u64(stream);
             let scenarios = random_scenarios(&golden, &mut rng, s);
             let want = serial_reference(&engine, &scenarios);
-            let got = engine.evaluate_batch(&scenarios);
+            let got = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
             assert_batch_matches(&got, &want)?;
 
             // The batch behaves like S rolled-back sessions: the engine's
@@ -178,8 +178,8 @@ fn duplicate_arcs_and_empty_scenarios_match_serial() {
     let mean = delays.mean[arc as usize];
     let sigma = delays.sigma[arc as usize];
     let scenarios = vec![
-        DeltaSet::default(),
-        DeltaSet::from(vec![
+        Scenario::default(),
+        Scenario::from(vec![
             ArcDelta {
                 arc,
                 mean: [mean[0] + 40.0, mean[1] + 40.0],
@@ -195,7 +195,7 @@ fn duplicate_arcs_and_empty_scenarios_match_serial() {
         ]),
     ];
     let want = serial_reference(&engine, &scenarios);
-    let got = engine.evaluate_batch(&scenarios);
+    let got = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
     assert_batch_matches(&got, &want).expect("duplicate/empty equivalence");
     // The empty scenario reproduces the base report exactly.
     let base = report_bits(engine.report());
@@ -216,7 +216,7 @@ fn batch_matches_serial_with_cppr_disabled() {
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x3355);
     let scenarios = random_scenarios(&golden, &mut rng, 7);
     let want = serial_reference(&engine, &scenarios);
-    let got = engine.evaluate_batch(&scenarios);
+    let got = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
     assert_batch_matches(&got, &want).expect("no-CPPR equivalence");
 }
 
@@ -229,7 +229,7 @@ fn batches_wider_than_a_lane_chunk_match_serial() {
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x7070);
     let scenarios = random_scenarios(&golden, &mut rng, 70);
     let want = serial_reference(&engine, &scenarios);
-    let got = engine.evaluate_batch(&scenarios);
+    let got = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
     assert_batch_matches(&got, &want).expect("chunked equivalence");
 }
 
@@ -237,7 +237,7 @@ fn batches_wider_than_a_lane_chunk_match_serial() {
 /// seeds than the cone's full-pass switch allows, so its lane (and its
 /// serial twin) is one full pass. Jittered, so two such scenarios are two
 /// lanes.
-fn past_the_switch(golden: &RefSta, rng: &mut Rng) -> DeltaSet {
+fn past_the_switch(golden: &RefSta, rng: &mut Rng) -> Scenario {
     let delays = golden.delays();
     let wide: Vec<ArcDelta> = (0..delays.mean.len())
         .step_by(2)
@@ -250,7 +250,7 @@ fn past_the_switch(golden: &RefSta, rng: &mut Rng) -> DeltaSet {
             sigma: delays.sigma[arc],
         })
         .collect();
-    DeltaSet::from(wide)
+    Scenario::from(wide)
 }
 
 /// The one `batch.sweep` span of the last call's trace (tracing cleared
@@ -264,38 +264,11 @@ fn sweep_lanes(engine: &InstaEngine) -> (f64, f64) {
     (field("lanes"), field("cone_lanes"))
 }
 
-/// A batch on a drift-exhausted engine still matches the serial reference,
-/// cone lanes and a lane past the full-pass switch alike: the budget is
-/// advisory and routes no lane.
+/// After a committed update an engine's small lanes are cone lanes: the
+/// call's `batch.sweep` span counts every lane as one, and each still
+/// equals its serial twin.
 #[test]
-fn drift_exhausted_batches_match_serial() {
-    let cfg = InstaConfig {
-        drift_policy: insta_engine::DriftPolicy {
-            max_updates: 1,
-            ..insta_engine::DriftPolicy::default()
-        },
-        ..InstaConfig::default()
-    };
-    let (golden, mut engine) = build(63, cfg);
-    engine.propagate();
-    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xD21F);
-    let warm = random_scenarios(&golden, &mut rng, 1);
-    engine.reannotate(&warm[0].deltas).expect("valid warm-up deltas");
-    engine.propagate();
-    assert!(engine.drift_exceeded() || engine.counters().drift_updates >= 1);
-
-    let mut scenarios = random_scenarios(&golden, &mut rng, 4);
-    scenarios.push(past_the_switch(&golden, &mut rng));
-    let want = serial_reference(&engine, &scenarios);
-    let got = engine.evaluate_batch(&scenarios);
-    assert_batch_matches(&got, &want).expect("exhausted-budget equivalence");
-}
-
-/// Past its drift budget an engine's lanes stay cone lanes: the call's
-/// `batch.sweep` span counts every lane as one, and each still equals its
-/// serial twin.
-#[test]
-fn an_exhausted_drift_budget_keeps_every_lane_on_the_cone() {
+fn after_an_update_every_small_lane_is_a_cone_lane() {
     let design = generate_design(&GeneratorConfig {
         n_flops: 32,
         logic_levels: 6,
@@ -304,29 +277,22 @@ fn an_exhausted_drift_budget_keeps_every_lane_on_the_cone() {
     });
     let mut golden = RefSta::new(&design, StaConfig::default()).expect("build");
     golden.full_update(&design);
-    let cfg = InstaConfig {
-        drift_policy: insta_engine::DriftPolicy {
-            max_updates: 1,
-            ..insta_engine::DriftPolicy::default()
-        },
-        ..InstaConfig::default()
-    };
-    let mut engine = InstaEngine::new(golden.export_insta_init(), cfg).expect("valid snapshot");
+    let mut engine = InstaEngine::new(golden.export_insta_init(), InstaConfig::default())
+        .expect("valid snapshot");
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xC04E);
     let warm = random_scenarios(&golden, &mut rng, 1);
     engine
         .update_timing(&warm[0].deltas)
         .expect("valid warm-up deltas");
-    assert!(engine.drift_exceeded());
 
-    let scenarios: Vec<DeltaSet> = random_scenarios(&golden, &mut rng, 16)
+    let scenarios: Vec<Scenario> = random_scenarios(&golden, &mut rng, 16)
         .into_iter()
         .filter(|s| !s.deltas.is_empty())
         .take(4)
         .collect();
     let want = serial_reference(&engine, &scenarios);
     engine.enable_tracing();
-    let got = engine.evaluate_batch(&scenarios);
+    let got = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
     assert_batch_matches(&got, &want).expect("cone lanes equal their twins");
     assert_eq!(
         sweep_lanes(&engine),
@@ -337,11 +303,9 @@ fn an_exhausted_drift_budget_keeps_every_lane_on_the_cone() {
 
 /// Counter accounting on the full-pass batch path: every lane past the
 /// cone's full-pass switch must bump `incremental_updates` exactly once,
-/// as its serial session does, while the drift odometer (`drift_updates` /
-/// `drift_mass`) is left alone — the batch as a whole leaves it
-/// bit-untouched.
+/// as its serial session does.
 #[test]
-fn full_pass_batch_accounting_is_exact_and_drift_neutral() {
+fn full_pass_batch_accounting_is_exact() {
     let (golden, mut engine) = build(77, InstaConfig::default());
     engine.propagate();
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0x5EED);
@@ -349,12 +313,12 @@ fn full_pass_batch_accounting_is_exact_and_drift_neutral() {
     engine
         .update_timing(&warm[0].deltas)
         .expect("valid warm-up deltas");
-    assert_eq!(engine.counters().drift_updates, 1);
+    assert_eq!(engine.counters().incremental_updates, 1);
 
-    let scenarios: Vec<DeltaSet> = (0..3).map(|_| past_the_switch(&golden, &mut rng)).collect();
+    let scenarios: Vec<Scenario> = (0..3).map(|_| past_the_switch(&golden, &mut rng)).collect();
     let before = engine.counters();
     engine.enable_tracing();
-    let got = engine.evaluate_batch(&scenarios);
+    let got = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
     let after = engine.counters();
     assert_eq!(
         sweep_lanes(&engine),
@@ -366,10 +330,6 @@ fn full_pass_batch_accounting_is_exact_and_drift_neutral() {
     // Exactly one incremental update per scenario — no double-counting
     // from the session wrapper.
     assert_eq!(after.incremental_updates, before.incremental_updates + 3);
-    // The drift odometer is checkpointed state: the rolled-back sessions
-    // restore it bit-exactly, so the batch is drift-neutral.
-    assert_eq!(after.drift_updates, before.drift_updates);
-    assert_eq!(after.drift_mass.to_bits(), before.drift_mass.to_bits());
 }
 
 /// Regression: `PassOptions::deadline` is one wall-clock budget
@@ -389,7 +349,7 @@ fn a_batch_deadline_is_one_budget_for_the_whole_call() {
         .expect("valid snapshot");
     engine.propagate();
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xDEAD);
-    let scenarios: Vec<DeltaSet> = (0..20)
+    let scenarios: Vec<Scenario> = (0..20)
         .map(|_| past_the_switch(&golden, &mut rng))
         .collect();
 
@@ -397,7 +357,7 @@ fn a_batch_deadline_is_one_budget_for_the_whole_call() {
     let mut lane_times: Vec<std::time::Duration> = (0..3)
         .map(|i| {
             let t = std::time::Instant::now();
-            let got = engine.evaluate_batch(&scenarios[i..i + 1]);
+            let got = engine.evaluate(&scenarios[i..i + 1], &PassOptions::default()).scenarios;
             assert!(got[0].outcome.is_ok());
             t.elapsed()
         })
@@ -449,13 +409,13 @@ fn batch_counters_account_for_every_scenario() {
     let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xC0C0);
     let mut scenarios = random_scenarios(&golden, &mut rng, 5);
     // One invalid scenario: out-of-range arc id → validation quarantine.
-    scenarios[2] = DeltaSet::from(vec![ArcDelta {
+    scenarios[2] = Scenario::from(vec![ArcDelta {
         arc: u32::MAX - 1,
         mean: [1.0, 1.0],
         sigma: [0.1, 0.1],
     }]);
     let before = engine.counters();
-    let got = engine.evaluate_batch(&scenarios);
+    let got = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
     let after = engine.counters();
     assert_eq!(after.batches, before.batches + 1);
     assert_eq!(after.batch_scenarios, before.batch_scenarios + 5);
@@ -467,9 +427,8 @@ fn batch_counters_account_for_every_scenario() {
 /// No `evaluate` call opens a session: not for lanes whose deltas seed
 /// more than `n / 64` nodes (past the cone's full-pass switch), alone or
 /// beside a cone lane, not when a pre-fired token cancels the base sync.
-/// Every lane still equals its serial-session twin, a full-pass lane still
-/// counts one incremental update, and the drift odometer stays
-/// bit-unchanged.
+/// Every lane still equals its serial-session twin, and a full-pass lane
+/// still counts one incremental update.
 #[test]
 fn no_evaluate_call_opens_a_session() {
     let sessions = |e: &InstaEngine| {
@@ -486,11 +445,11 @@ fn no_evaluate_call_opens_a_session() {
         .reannotate(&warm[0].deltas)
         .expect("valid warm-up deltas");
     engine.propagate();
-    let mut scenarios: Vec<DeltaSet> = (0..3).map(|_| past_the_switch(&golden, &mut rng)).collect();
+    let mut scenarios: Vec<Scenario> = (0..3).map(|_| past_the_switch(&golden, &mut rng)).collect();
     scenarios.push(scenarios[0].clone());
     let want = serial_reference(&engine, &scenarios);
     let before = engine.counters();
-    let got = engine.evaluate_batch(&scenarios);
+    let got = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
     let after = engine.counters();
     assert_batch_matches(&got, &want).expect("full-pass lanes equal their twins");
     assert_eq!(
@@ -498,8 +457,6 @@ fn no_evaluate_call_opens_a_session() {
         (before.sessions_begun, before.sessions_rolled_back)
     );
     assert_eq!(after.incremental_updates, before.incremental_updates + 3);
-    assert_eq!(after.drift_updates, before.drift_updates);
-    assert_eq!(after.drift_mass.to_bits(), before.drift_mass.to_bits());
 
     // A lane past the seed switch beside a cone lane.
     let (golden, mut engine) = build(83, InstaConfig::default());
@@ -513,7 +470,7 @@ fn no_evaluate_call_opens_a_session() {
     scenarios.push(wide);
     let want = serial_reference(&engine, &scenarios);
     let before = engine.counters();
-    let got = engine.evaluate_batch(&scenarios);
+    let got = engine.evaluate(&scenarios, &PassOptions::default()).scenarios;
     assert_batch_matches(&got, &want).expect("the wide lane equals its twin");
     assert_eq!(
         sessions(&engine),

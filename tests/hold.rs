@@ -1,7 +1,7 @@
 //! Cross-crate integration test: hold analysis parity between the INSTA
 //! engine and the reference engine at medium scale.
 
-use insta_sta::engine::{hold_attributes, InstaConfig, InstaEngine};
+use insta_sta::engine::{hold_attributes, InstaConfig, InstaEngine, PassOptions};
 use insta_sta::netlist::generator::{generate_design, GeneratorConfig};
 use insta_sta::refsta::{RefSta, StaConfig};
 
@@ -56,7 +56,7 @@ fn insta_hold_matches_reference_on_medium_design() {
 /// Top-K base), and hold slacks keep matching the reference afterwards.
 #[test]
 fn batched_scenarios_and_hold_interleave_bit_stably() {
-    use insta_sta::engine::DeltaSet;
+    use insta_sta::engine::Scenario;
     use insta_sta::refsta::eco::ArcDelta;
 
     let design = generate_design(&GeneratorConfig::small("hold_ix", 43));
@@ -69,11 +69,11 @@ fn batched_scenarios_and_hold_interleave_bit_stably() {
     engine.propagate();
 
     let delays = golden.delays();
-    let scenarios: Vec<DeltaSet> = (0..4)
+    let scenarios: Vec<Scenario> = (0..4)
         .map(|i| {
             let arc = (i * delays.mean.len() / 4) as u32;
             let mean = delays.mean[arc as usize];
-            DeltaSet::from(vec![ArcDelta {
+            Scenario::from(vec![ArcDelta {
                 arc,
                 mean: [mean[0] + 10.0 * (i + 1) as f64, mean[1] + 10.0 * (i + 1) as f64],
                 sigma: delays.sigma[arc as usize],
@@ -95,9 +95,9 @@ fn batched_scenarios_and_hold_interleave_bit_stably() {
             .collect()
     };
 
-    let before = bits(&engine.evaluate_batch(&scenarios));
+    let before = bits(&engine.evaluate(&scenarios, &PassOptions::default()).scenarios);
     let hold = engine.propagate_hold(&attrs);
-    let after = bits(&engine.evaluate_batch(&scenarios));
+    let after = bits(&engine.evaluate(&scenarios, &PassOptions::default()).scenarios);
     assert_eq!(before, after, "hold pass leaked into batched setup results");
 
     // Hold still matches the reference after the batched evaluations.

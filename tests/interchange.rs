@@ -362,3 +362,32 @@ fn interchange_readers_refuse_non_finite_numbers() {
         assert!(parse_library(&bad).is_err(), "Liberty {what}");
     }
 }
+
+/// A Liberty numeric attribute that is present but not a number, and a
+/// `drive_strength` that is not a whole number in `1..=u32::MAX`, fail the
+/// parse with a typed error instead of reading as a default or a wrapped
+/// cast.
+#[test]
+fn liberty_numeric_attributes_that_do_not_read_are_refused() {
+    use insta_sta::liberty::{parse_library, write_library, Library};
+
+    let design = generate_design(&GeneratorConfig::small("ix-lib-num", 64));
+    let mut one_cell = Library::new("ix_lib_num");
+    one_cell.add_cell(design.library().cells()[0].clone());
+    let lib = write_library(&one_cell);
+    assert!(parse_library(&lib).is_ok(), "the clean library reads");
+    let line = |field: &str| {
+        let at = lib.find(field).expect("the field is written");
+        at..at + lib[at..].find(';').expect("the field ends")
+    };
+    for (field, value, want) in [
+        ("area : ", "\"abc\"", "`area` is not a number"),
+        ("drive_strength : ", "-3", "`drive_strength`"),
+        ("drive_strength : ", "1e12", "`drive_strength`"),
+    ] {
+        let mut bad = lib.clone();
+        bad.replace_range(line(field), &format!("{field}{value}"));
+        let e = parse_library(&bad).expect_err(value);
+        assert!(e.message.contains(want), "{field}{value}: {e}");
+    }
+}

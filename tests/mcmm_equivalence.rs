@@ -271,7 +271,7 @@ fn merged_slack_is_the_per_corner_serial_minimum() {
         .map(|&c| Scenario::default().with_corner(c))
         .collect();
     let want = serial_twin_reference(&engine, &scenarios);
-    let mcmm = engine.evaluate_mcmm(&scenarios);
+    let mcmm = engine.evaluate(&scenarios, &PassOptions::default());
     assert_lanes_match(&mcmm.scenarios, &want).expect("per-lane equivalence");
 
     let reports: Vec<&InstaReport> =
@@ -347,7 +347,7 @@ fn masked_endpoints_leave_aggregates_but_keep_slacks() {
         Scenario::default().with_mode(mask),
         Scenario::default().with_corner(CornerTransform::scale(1.05, 1.0)),
     ];
-    let mcmm = engine.evaluate_mcmm(&sweep);
+    let mcmm = engine.evaluate(&sweep, &PassOptions::default());
     assert_eq!(mcmm.merged_scenario[worst], 1, "only lane 1 covers the endpoint");
 }
 
@@ -482,7 +482,7 @@ fn mode_sweeps_dedup_to_corner_lanes_with_identical_reports() {
 
     let want = serial_twin_reference(&engine, &sweep);
     let before = engine.counters();
-    let mcmm = engine.evaluate_mcmm(&sweep);
+    let mcmm = engine.evaluate(&sweep, &PassOptions::default());
     let after = engine.counters();
 
     assert_eq!(mcmm.scenarios.len(), 6);

@@ -1,6 +1,6 @@
 //! Transactional-session suite: bit-identical rollback under every seeded
-//! mid-session corruption class, bounded cooperative cancellation, the
-//! advisory drift budget, and the session lifecycle contract.
+//! mid-session corruption class, bounded cooperative cancellation, and the
+//! session lifecycle contract.
 //!
 //! The load-bearing property (ISSUE 3): *checkpoint → corrupt/abort →
 //! rollback → propagate* must reproduce, bit for bit, the report of an
@@ -199,9 +199,6 @@ fn rollback_is_bit_identical_across_all_session_fault_classes() {
     assert_eq!(c.sessions_rolled_back, c.sessions_begun);
     assert_eq!(c.sessions_committed, 0);
     assert_eq!(c.epoch, 0);
-    // Rolled-back sessions must not leave drift behind.
-    assert_eq!(c.drift_updates, 0);
-    assert_eq!(c.drift_mass, 0.0);
 }
 
 /// Commit promotes exactly the applied batch: the committed engine matches
@@ -228,7 +225,6 @@ fn commit_matches_direct_update_bit_identically() {
     let c = engine.counters();
     assert_eq!((c.sessions_committed, c.epoch), (1, 1));
     assert_eq!(c.incremental_updates, 1);
-    assert_eq!(c.drift_updates, 1);
 }
 
 /// Every bit of the Top-K arrays.
@@ -502,58 +498,6 @@ fn session_lifecycle_contract() {
     assert_eq!(c.sessions_rolled_back, 1);
     assert_eq!(c.sessions_cancelled, 1);
     assert_eq!(c.epoch, 0);
-}
-
-/// The drift budget is advisory: past it an update is still the exact
-/// cone sweep — no fused refresh — and lands on the bits of an engine with
-/// no budget; the odometer only tells the caller a resync is due, and
-/// holds until an explicit reset.
-#[test]
-fn drift_budget_is_advisory_and_never_changes_the_route() {
-    let _serial = serial();
-    let (golden, _) = build_mid(113);
-    let build = |drift_policy| {
-        let cfg = InstaConfig {
-            drift_policy,
-            ..InstaConfig::default()
-        };
-        let mut e = InstaEngine::new(golden.export_insta_init(), cfg).expect("valid snapshot");
-        e.propagate();
-        e
-    };
-    let mut twin = build(insta_engine::DriftPolicy::unlimited());
-    let mut engine = build(insta_engine::DriftPolicy {
-        max_updates: 2,
-        max_touched_mass: f64::INFINITY,
-    });
-    engine.enable_tracing();
-    let spans = |e: &InstaEngine, name: &str| {
-        let journal = e.trace_journal().expect("tracing on");
-        journal.events().filter(|ev| ev.name == name).count()
-    };
-    let mut rng = Rng::seed_from_u64(SUITE_SEED ^ 0xD61F);
-
-    for i in 1..=4 {
-        let batch = random_valid_batch(&golden, &mut rng, 2);
-        let got = engine.update_timing(&batch).expect("valid batch");
-        let want = twin.update_timing(&batch).expect("valid batch");
-        assert_eq!(report_bits(&got), report_bits(&want), "update {i}");
-        assert_eq!(
-            spans(&engine, "forward.cone"),
-            i,
-            "update {i} is a cone sweep"
-        );
-        assert_eq!(spans(&engine, "forward_fused"), 0, "update {i}");
-    }
-    assert_eq!(engine.counters().incremental_updates, 4);
-    assert!(
-        engine.drift_exceeded(),
-        "updates 2, 3 and 4 reached the budget"
-    );
-
-    engine.reset_drift();
-    assert!(!engine.drift_exceeded());
-    assert_eq!(engine.counters().drift_updates, 0);
 }
 
 /// Gradients are the engine's, not a session's: a session's update and
